@@ -12,6 +12,7 @@
 package pcf_test
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -251,7 +252,10 @@ func BenchmarkRealize(b *testing.B) {
 		}
 	})
 	b.Run("SMW", func(b *testing.B) {
-		sweep := routing.NewSweep(plan)
+		sweep, err := routing.NewSweepContext(context.Background(), plan)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := sweep.Realize(sc); err != nil {
@@ -295,7 +299,7 @@ func BenchmarkValidateSweep(b *testing.B) {
 		var st *routing.SweepStats
 		for i := 0; i < b.N; i++ {
 			var err error
-			st, err = routing.ValidateStats(nil, plan, routing.ValidateOptions{})
+			st, err = routing.ValidateStats(context.Background(), plan, routing.ValidateOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -366,23 +370,19 @@ func BenchmarkSolveSynth1k(b *testing.B) {
 }
 
 // BenchmarkValidateSweepSynth1k measures full scenario validation of a
-// 1000-node synthetic plan: 250 demand pairs keep the realization
-// universe above the sparse-sweep threshold, so the sweep factorizes
-// the base sparsely and serves the ~2000 single-failure scenarios as
-// batched SMW corrections.
+// 1000-node synthetic plan: a 250-pair realization universe whose
+// ~2000 single-failure scenarios the sweep serves as batched SMW
+// corrections of its sparse base.
 func BenchmarkValidateSweepSynth1k(b *testing.B) {
 	plan := synthPlan(b, 250)
 	b.ResetTimer()
 	var st *routing.SweepStats
 	for i := 0; i < b.N; i++ {
 		var err error
-		st, err = routing.ValidateStats(nil, plan, routing.ValidateOptions{})
+		st, err = routing.ValidateStats(context.Background(), plan, routing.ValidateOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	if !st.SparseBase {
-		b.Fatal("sweep did not use the sparse base factorization")
 	}
 	b.ReportMetric(100*st.SMWHitRate(), "smw_hit_pct")
 	b.ReportMetric(float64(st.BatchHits), "batch_hits")

@@ -181,8 +181,8 @@ func main() {
 			printReservations(plan)
 		}
 		if *validate {
-			if err := routing.Validate(plan, routing.ValidateOptions{}); err != nil {
-				log.Fatalf("VALIDATION FAILED: %v", err)
+			if _, err := routing.ValidateStats(ctx, plan, routing.ValidateOptions{}); err != nil {
+				die(fmt.Errorf("VALIDATION FAILED: %w", err))
 			}
 			fmt.Printf("validated: all %d scenarios congestion-free with all admitted demand delivered\n",
 				setup.Failures.NumScenariosExact())

@@ -9,7 +9,8 @@ import (
 // NoPanic forbids panic(...) in internal/ library packages. The repo's
 // contract since PR 1 is typed errors end to end: a panic in lp, core
 // or routing can abort a long planning run that a typed error would
-// have degraded gracefully (SolveBest/RealizeAuto ladders). The only
+// have degraded gracefully (the SolveBest ladder, the sweep's cold
+// fallback). The only
 // sanctioned panics are the documented programmer-error constructors:
 // functions whose name starts with Must/must (MustAdd, MustLoad,
 // mustPath), which exist precisely to convert errors to panics for

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
+	"pcf/internal/core"
 	"pcf/internal/lp"
+	"pcf/internal/routing"
 )
 
 // TestExitCode pins the CLI exit-code contract: 2 for deadline, 3 for
@@ -36,5 +39,29 @@ func TestExitCode(t *testing.T) {
 				t.Fatalf("ExitCode(%v) = %d, want %d", c.err, got, c.want)
 			}
 		})
+	}
+}
+
+// TestExitCodeValidationDeadline: a -timeout that expires during
+// `pcfplan -validate` must classify like one that expires during the
+// solve. The validation sweep's error, wrapped the way pcfplan wraps
+// it, still carries the deadline.
+func TestExitCodeValidationDeadline(t *testing.T) {
+	setup, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 6, FailureBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.SolvePCFTF(setup.instance(0), core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	_, err = routing.ValidateStats(ctx, plan, routing.ValidateOptions{})
+	if err == nil {
+		t.Fatal("validation ignored an expired deadline")
+	}
+	if got := ExitCode(fmt.Errorf("VALIDATION FAILED: %w", err)); got != ExitDeadline {
+		t.Fatalf("ExitCode(%v) = %d, want %d", err, got, ExitDeadline)
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -732,7 +733,7 @@ func ValidationSweep(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mlu, _, st, err := routing.WorstMLUStats(nil, plan, routing.ValidateOptions{})
+		mlu, _, st, err := routing.WorstMLUStats(context.Background(), plan, routing.ValidateOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -788,7 +789,7 @@ func DegradedVsBinary(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			mlu, _, err := routing.WorstMLU(plan, routing.ValidateOptions{})
+			mlu, _, _, err := routing.WorstMLUStats(context.Background(), plan, routing.ValidateOptions{})
 			return plan, mlu, err
 		}
 		binPlan, binMLU, err := solve(binary)
@@ -799,7 +800,7 @@ func DegradedVsBinary(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := routing.WorstMLUSearch(nil, degPlan, core.SearchOptions{Seed: 1})
+		res, err := routing.WorstMLUSearch(context.Background(), degPlan, core.SearchOptions{Seed: 1})
 		if err != nil {
 			return nil, err
 		}

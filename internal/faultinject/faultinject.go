@@ -1,11 +1,11 @@
 // Package faultinject provides deterministic, seeded fault injectors
 // for the solve→realize pipeline. The injectors plug into the
 // checkpoints exposed by internal/lp (Options.FaultHook) and
-// internal/routing (AutoOptions.Factor / AutoOptions.Iterate), so
-// tests can force numerical breakdowns, iteration exhaustion, and
-// singular reservation matrices at exact, reproducible points — and
-// prove that every rung of the degradation ladders fires and still
-// delivers a verified, congestion-free result.
+// internal/routing (SweepUpdateFault), so tests can force numerical
+// breakdowns, iteration exhaustion, and ill-conditioned SMW updates at
+// exact, reproducible points — and prove that every rung of the solve
+// ladder and the sweep's cold fallback fire and still deliver a
+// verified, congestion-free result.
 package faultinject
 
 import (
@@ -74,19 +74,6 @@ func FailFirstNStarts(n int, cause error) func(lp.FaultEvent) error {
 	}
 }
 
-// SingularFactor is a routing.AutoOptions.Factor override that always
-// reports a singular matrix, forcing the direct rung to degrade.
-func SingularFactor(mat []float64, n int) (func([]float64) ([]float64, error), error) {
-	return nil, linsolve.ErrSingular
-}
-
-// DivergentIterate is a routing.AutoOptions.Iterate override that
-// always reports non-convergence, forcing the iterative rung to
-// degrade.
-func DivergentIterate(mat []float64, b []float64, n int) ([]float64, error) {
-	return nil, fmt.Errorf("faultinject: %w", linsolve.ErrNoConvergence)
-}
-
 // NearSingularPlan hand-builds a plan whose reservation matrix is
 // exactly singular under the no-failure scenario while passing the
 // positive-diagonal pre-check: the two diagonal pairs of a 4-cycle
@@ -95,7 +82,7 @@ func DivergentIterate(mat []float64, b []float64, n int) ([]float64, error) {
 // being non-adjacent, have no tunnel reservation of their own. Their
 // two matrix rows are then scalar multiples of each other (rank
 // deficiency by construction). It exercises the linsolve.ErrSingular
-// path out of routing.Realize and the full realization ladder.
+// path out of routing.Realize.
 func NearSingularPlan() (*core.Plan, failures.Scenario) {
 	g := topology.New("ring4")
 	for i := 0; i < 4; i++ {

@@ -95,7 +95,7 @@ func TestSolveLadderRungs(t *testing.T) {
 			}
 			// The downgrade must not relax the congestion-freedom
 			// guarantee: replay every protected scenario.
-			if err := routing.Validate(plan, routing.ValidateOptions{}); err != nil {
+			if err := validate(plan); err != nil {
 				t.Fatalf("served plan fails validation: %v", err)
 			}
 		})
@@ -124,7 +124,7 @@ func TestSolveBestFrom(t *testing.T) {
 		if len(plan.Degraded) != 0 {
 			t.Fatalf("skip %d recorded skipped rungs as degraded: %v", tc.skip, plan.Degraded)
 		}
-		if err := routing.Validate(plan, routing.ValidateOptions{}); err != nil {
+		if err := validate(plan); err != nil {
 			t.Fatalf("skip %d: served plan fails validation: %v", tc.skip, err)
 		}
 	}
@@ -159,6 +159,13 @@ func TestSolveBestRungTimeout(t *testing.T) {
 	}
 }
 
+// validate replays every protected scenario of the plan and checks the
+// congestion-free property.
+func validate(plan *core.Plan) error {
+	_, err := routing.ValidateStats(context.Background(), plan, routing.ValidateOptions{})
+	return err
+}
+
 // TestSolveBestParentCanceled: a dead overall context aborts before
 // any rung runs.
 func TestSolveBestParentCanceled(t *testing.T) {
@@ -168,44 +175,6 @@ func TestSolveBestParentCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error does not wrap context.Canceled: %v", err)
 	}
-}
-
-// TestRealizeLadderRungs proves every rung of the
-// direct→iterative→proportional realization ladder fires, using the
-// injectable solver seams, and that every winner is verified
-// congestion-free by CheckRealization.
-func TestRealizeLadderRungs(t *testing.T) {
-	plan, err := core.SolveBest(ladderInstance(t), core.SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name     string
-		opts     routing.AutoOptions
-		wantRung string
-	}{
-		{"direct", routing.AutoOptions{}, routing.RungDirect},
-		{"iterative", routing.AutoOptions{Factor: SingularFactor}, routing.RungIterative},
-		{"proportional", routing.AutoOptions{Factor: SingularFactor, Iterate: DivergentIterate},
-			routing.RungProportional},
-	}
-	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
-		for _, tc := range cases {
-			res, rung, err := routing.RealizeAuto(plan, sc, tc.opts)
-			if err != nil {
-				t.Fatalf("%s under %v: %v", tc.name, sc, err)
-			}
-			if rung != tc.wantRung {
-				t.Fatalf("%s under %v served by %q, want %q", tc.name, sc, rung, tc.wantRung)
-			}
-			// RealizeAuto verifies internally; re-verify independently
-			// so a regression there cannot hide a lossy downgrade.
-			if err := routing.CheckRealization(plan, res); err != nil {
-				t.Fatalf("%s under %v: winner fails verification: %v", tc.name, sc, err)
-			}
-		}
-		return true
-	})
 }
 
 // TestNearSingularPlan exercises the linsolve.ErrSingular path out of
@@ -223,16 +192,25 @@ func TestNearSingularPlan(t *testing.T) {
 	if !errors.Is(err, routing.ErrSingularMatrix) {
 		t.Fatalf("error does not wrap routing.ErrSingularMatrix: %v", err)
 	}
-	// The full ladder cannot save this plan — the Jacobi iteration
-	// diverges on the same singular matrix and the LS relation is
-	// cyclic, so the proportional rung fails too — but it must fail
-	// loudly on the last rung, never return an unverified realization.
-	_, rung, err := routing.RealizeAuto(plan, sc, routing.AutoOptions{MaxSweeps: 200})
-	if err == nil {
-		t.Fatal("expected the whole realization ladder to fail")
+	// The served path reports the same typed error: the engine cannot
+	// factor its base, stays cold-only, and its one fallback is the
+	// cold Realize above.
+	sw, err := routing.NewSweepContext(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rung != routing.RungProportional {
-		t.Fatalf("final rung = %q, want %q", rung, routing.RungProportional)
+	if _, err := sw.Realize(sc); !errors.Is(err, routing.ErrSingularMatrix) {
+		t.Fatalf("sweep error does not wrap routing.ErrSingularMatrix: %v", err)
+	}
+	// Neither of the paper's other mechanisms can save this plan — the
+	// Jacobi iteration diverges on the same singular matrix and the LS
+	// relation is cyclic — and both must say so rather than return an
+	// unverified realization.
+	if _, _, err := routing.RealizeIterative(plan, sc, 200, 0); !errors.Is(err, linsolve.ErrNoConvergence) {
+		t.Fatalf("iterative realization: want linsolve.ErrNoConvergence, got %v", err)
+	}
+	if _, err := routing.RealizeProportional(plan, sc); err == nil {
+		t.Fatal("proportional realization accepted a cyclic LS relation")
 	}
 }
 

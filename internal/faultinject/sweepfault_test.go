@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -77,6 +78,16 @@ func TestIllConditionedUpdatesWiring(t *testing.T) {
 	}
 }
 
+// newSweep builds the plan's realization engine.
+func newSweep(t *testing.T, plan *core.Plan) *routing.Sweep {
+	t.Helper()
+	sw, err := routing.NewSweepContext(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sw
+}
+
 // TestIllConditionedUpdatesSweep is the satellite's acceptance check
 // from the injector's side: wiring IllConditionedUpdates into
 // routing.SweepUpdateFault forces the affected scenarios off the SMW
@@ -87,7 +98,7 @@ func TestIllConditionedUpdatesSweep(t *testing.T) {
 	plan := sweepCLSPlan(t)
 
 	// Baseline counters without the fault.
-	base := routing.NewSweep(plan)
+	base := newSweep(t, plan)
 	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
 		if _, err := base.Realize(sc); err != nil {
 			t.Fatalf("baseline under %v: %v", sc, err)
@@ -108,7 +119,7 @@ func TestIllConditionedUpdatesSweep(t *testing.T) {
 	routing.SweepUpdateFault = hook
 	defer func() { routing.SweepUpdateFault = nil }()
 
-	sw := routing.NewSweep(plan)
+	sw := newSweep(t, plan)
 	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
 		got, gerr := sw.Realize(sc)
 		want, werr := routing.Realize(plan, sc)

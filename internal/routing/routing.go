@@ -157,48 +157,15 @@ type Realization struct {
 
 // ErrSingularMatrix reports that the reservation matrix M could not be
 // factorized for a scenario. Errors from Realize wrap it (together with
-// the underlying linsolve.ErrSingular), so callers can fall back to the
-// iterative or proportional realization with errors.Is.
+// the underlying linsolve.ErrSingular), so callers can select on it with
+// errors.Is.
 var ErrSingularMatrix = errors.New("routing: reservation matrix singular")
 
-// matrixSolver solves M·x = b for one right-hand side; a solverFactory
-// prepares it from the reservation matrix (e.g. by LU factorization).
-type matrixSolver func(b []float64) ([]float64, error)
-type solverFactory func(mat []float64, n int) (matrixSolver, error)
-
-// luFactory is the direct §4.1 engine: one shared LU factorization.
-func luFactory(mat []float64, n int) (matrixSolver, error) {
-	lu, err := linsolve.Factor(mat, n)
-	if err != nil {
-		return nil, err
-	}
-	return lu.Solve, nil
-}
-
-// jacobiFactory is the distributed §4.3 engine: every right-hand side
-// is solved by Jacobi sweeps.
-func jacobiFactory(maxSweeps int, tol float64) solverFactory {
-	return func(mat []float64, n int) (matrixSolver, error) {
-		return func(b []float64) ([]float64, error) {
-			res, err := linsolve.Jacobi(mat, b, n, maxSweeps, tol)
-			if err != nil {
-				return nil, err
-			}
-			return res.X, nil
-		}, nil
-	}
-}
-
 // Realize computes the routing for a scenario by solving the linear
-// systems of §4.1 with a shared LU factorization of M.
+// systems of §4.1 with one shared LU factorization of the reservation
+// matrix over the pairs of interest: the aggregate utilizations first,
+// then one right-hand side per destination.
 func Realize(plan *core.Plan, sc failures.Scenario) (*Realization, error) {
-	return realizeLinear(plan, sc, luFactory)
-}
-
-// realizeLinear is the common linear-system realization: it builds the
-// reservation matrix over the pairs of interest and obtains the
-// aggregate and per-destination utilizations from the supplied solver.
-func realizeLinear(plan *core.Plan, sc failures.Scenario, factory solverFactory) (*Realization, error) {
 	st := newState(plan, sc)
 	n := len(st.pairs)
 	in := plan.Instance
@@ -217,11 +184,11 @@ func realizeLinear(plan *core.Plan, sc failures.Scenario, factory solverFactory)
 			return nil, fmt.Errorf("routing: pair %v of interest has no live reservation under %v", p, sc)
 		}
 	}
-	solve, err := factory(mat, n)
+	lu, err := linsolve.Factor(mat, n)
 	if err != nil {
 		return nil, fmt.Errorf("%w under %v: %w", ErrSingularMatrix, sc, err)
 	}
-	u, err := solve(st.demandVec())
+	u, err := lu.Solve(st.demandVec())
 	if err != nil {
 		return nil, fmt.Errorf("routing: aggregate system under %v: %w", sc, err)
 	}
@@ -250,7 +217,7 @@ func realizeLinear(plan *core.Plan, sc failures.Scenario, factory solverFactory)
 				dt[i] = plan.ScaledDemand(p)
 			}
 		}
-		ut, err := solve(dt)
+		ut, err := lu.Solve(dt)
 		if err != nil {
 			return nil, fmt.Errorf("routing: destination %d system under %v: %w", dst, sc, err)
 		}
@@ -453,13 +420,6 @@ func CheckRealization(plan *core.Plan, r *Realization) error {
 	return nil
 }
 
-// ValidateOptions tune plan validation.
-type ValidateOptions struct {
-	// Proportional uses the §4.2 local proportional router instead of
-	// the linear-system realization.
-	Proportional bool
-}
-
 // RemoveCycles cancels circulation in the per-destination tunnel flows
 // of a realization (Proposition 6 notes the linear-system solution may
 // contain loops that can be subtracted in post-processing). Cycles are
@@ -569,6 +529,15 @@ func findFlowCycle(in *core.Instance, flows map[tunnels.ID]float64) []tunnels.ID
 	return nil
 }
 
+// Defaults of the distributed Jacobi realization (§4.3): enough sweeps
+// for the weakly chained diagonally dominant matrices of Proposition 5
+// to contract, and a residual target well inside the 1e-6..1e-7
+// feasibility tolerances the realization checks apply downstream.
+const (
+	DefaultJacobiMaxSweeps = 20000
+	DefaultJacobiTol       = 1e-9
+)
+
 // RealizeIterative computes the aggregate utilizations U with the
 // Jacobi iteration instead of a direct solve — the fully distributed
 // implementation the paper sketches in §4.3: each node pair repeatedly
@@ -576,8 +545,7 @@ func findFlowCycle(in *core.Instance, flows map[tunnels.ID]float64) []tunnels.ID
 // possible because M is a weakly chained diagonally dominant M-matrix
 // (Proposition 5) and therefore the iteration converges. Returns the
 // utilizations in the same pair order as Realize. maxSweeps <= 0 and
-// tol <= 0 select DefaultJacobiMaxSweeps and DefaultJacobiTol, the
-// same defaults RealizeAuto's iterative rung uses.
+// tol <= 0 select DefaultJacobiMaxSweeps and DefaultJacobiTol.
 func RealizeIterative(plan *core.Plan, sc failures.Scenario, maxSweeps int, tol float64) ([]topology.Pair, []float64, error) {
 	if maxSweeps <= 0 {
 		maxSweeps = DefaultJacobiMaxSweeps

@@ -39,10 +39,10 @@ func fig1Plan(t *testing.T, f int) *core.Plan {
 
 func TestRealizeTunnelOnlyPlan(t *testing.T) {
 	plan := fig1Plan(t, 1)
-	if err := Validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan, ValidateOptions{}); err != nil {
 		t.Fatalf("linear-system validation: %v", err)
 	}
-	if err := Validate(plan, ValidateOptions{Proportional: true}); err != nil {
+	if err := validate(plan, ValidateOptions{Proportional: true}); err != nil {
 		t.Fatalf("proportional validation: %v", err)
 	}
 }
@@ -78,10 +78,10 @@ func corollaryPlan(t *testing.T) *core.Plan {
 
 func TestRealizeLSPlanAllScenarios(t *testing.T) {
 	plan := corollaryPlan(t)
-	if err := Validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan, ValidateOptions{}); err != nil {
 		t.Fatalf("linear-system validation: %v", err)
 	}
-	if err := Validate(plan, ValidateOptions{Proportional: true}); err != nil {
+	if err := validate(plan, ValidateOptions{Proportional: true}); err != nil {
 		t.Fatalf("proportional validation: %v", err)
 	}
 }
@@ -194,7 +194,7 @@ func TestConditionalLSRealization(t *testing.T) {
 	if math.Abs(plan.Value-1) > 1e-5 {
 		t.Fatalf("PCF-CLS value %g, want 1", plan.Value)
 	}
-	if err := Validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan, ValidateOptions{}); err != nil {
 		t.Fatalf("validation: %v", err)
 	}
 }
@@ -299,7 +299,7 @@ func TestRealizeDeliversThroughputObjective(t *testing.T) {
 	if plan.Value < 2-1e-5 {
 		t.Fatalf("throughput %g, want >= 2", plan.Value)
 	}
-	if err := Validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan, ValidateOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -396,18 +396,18 @@ func TestTopSortPlanProportionallyRealizable(t *testing.T) {
 	if plan.Value <= 0 {
 		t.Fatal("plan admits no traffic")
 	}
-	if err := Validate(plan, ValidateOptions{Proportional: true}); err != nil {
+	if err := validate(plan, ValidateOptions{Proportional: true}); err != nil {
 		t.Fatalf("proportional replay failed: %v", err)
 	}
 	// And the linear-system realization agrees on every scenario.
-	if err := Validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan, ValidateOptions{}); err != nil {
 		t.Fatalf("linear replay failed: %v", err)
 	}
 }
 
 func TestWorstMLU(t *testing.T) {
 	plan := fig1Plan(t, 1)
-	mlu, sc, err := WorstMLU(plan, ValidateOptions{})
+	mlu, sc, err := worstMLU(plan, ValidateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestWorstMLU(t *testing.T) {
 		t.Fatalf("worst MLU = %g, want in (0, 1]", mlu)
 	}
 	_ = sc
-	mluP, _, err := WorstMLU(plan, ValidateOptions{Proportional: true})
+	mluP, _, err := worstMLU(plan, ValidateOptions{Proportional: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,10 +476,10 @@ func TestMultiFailureCLSValidation(t *testing.T) {
 	if plan.Value <= 0 {
 		t.Fatal("no admitted traffic under double failures")
 	}
-	if err := Validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan, ValidateOptions{}); err != nil {
 		t.Fatalf("double-failure validation: %v", err)
 	}
-	mlu, _, err := WorstMLU(plan, ValidateOptions{})
+	mlu, _, err := worstMLU(plan, ValidateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestThroughputCLSValidation(t *testing.T) {
 	if plan.Value <= 0 {
 		t.Fatal("zero throughput")
 	}
-	if err := Validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan, ValidateOptions{}); err != nil {
 		t.Fatalf("throughput validation: %v", err)
 	}
 }

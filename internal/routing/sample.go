@@ -48,7 +48,7 @@ type SampledReport struct {
 	WorstMLU      float64
 	WorstScenario failures.Scenario
 	// Stats merges the sweep statistics of the exhaustive and sampled
-	// passes.
+	// passes, which share one engine.
 	Stats SweepStats
 }
 
@@ -57,7 +57,7 @@ type SampledReport struct {
 // scenarios (more than Budget failed units) are drawn from the
 // conditional distribution with a seeded sampler, realized, and
 // checked. A designed-set violation is a hard error, exactly as
-// Validate reports it. A sampled-scenario violation is not — beyond-
+// ValidateStats reports it. A sampled-scenario violation is not — beyond-
 // budget scenarios carry no guarantee — it is counted in
 // Coverage.SampleFailures and priced into ε. Deterministic given
 // opts.Seed: samples are pre-drawn serially before the parallel sweep,
@@ -89,26 +89,24 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 	if opts.KCap <= fs.Budget {
 		return nil, fmt.Errorf("routing: kcap %d must exceed the budget %d", opts.KCap, fs.Budget)
 	}
-	vopts := ValidateOptions{Proportional: opts.Proportional}
-
-	// Exhaustive pass over the designed set: the hard guarantee. Any
-	// violation here is the caller's error, not a statistic.
-	scenarios, slots, exStats, err := runSweep(ctx, plan, vopts, true)
+	// One engine serves both passes; the sampled pass reuses whatever
+	// correctors the exhaustive one cached.
+	sw, err := engineFor(ctx, plan, ValidateOptions{Proportional: opts.Proportional})
 	if err != nil {
 		return nil, err
 	}
+
+	// Exhaustive pass over the designed set: the hard guarantee. Any
+	// violation here is the caller's error, not a statistic.
+	scenarios := designedSet(plan)
+	slots, exStats := sweepScenarios(ctx, plan, sw, true, true, scenarios)
+	if _, err := firstFailure(scenarios, slots); err != nil {
+		return nil, err
+	}
 	rep := &SampledReport{Stats: *exStats}
-	for i := range slots {
-		if slots[i].err != nil {
-			return nil, slots[i].err
-		}
-		if !slots[i].done {
-			return nil, fmt.Errorf("routing: scenario %v was never validated", scenarios[i])
-		}
-		if slots[i].mlu > rep.WorstMLU {
-			rep.WorstMLU = slots[i].mlu
-			rep.WorstScenario = scenarios[i]
-		}
+	rep.Stats.Total += rep.Stats.BaseFactorTime
+	if worst, at := worstOf(slots); at >= 0 {
+		rep.WorstMLU, rep.WorstScenario = worst, scenarios[at]
 	}
 
 	tail := opts.Model.TailMass(fs.Budget)
@@ -135,11 +133,8 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 		for i := range drawn {
 			drawn[i] = sampler.Next()
 		}
-		sslots, sStats, err := sweepScenarios(ctx, plan, vopts, true, false, drawn)
-		if err != nil {
-			return nil, err
-		}
-		mergeStats(&rep.Stats, sStats)
+		sslots, sStats := sweepScenarios(ctx, plan, sw, true, false, drawn)
+		rep.Stats.add(*sStats)
 		for i := range sslots {
 			if !sslots[i].done {
 				return nil, fmt.Errorf("routing: sampled scenario %v was never validated", drawn[i])
@@ -148,12 +143,10 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 				// Realization or check failure on a beyond-budget
 				// scenario: a measurement, priced into ε.
 				cov.SampleFailures++
-				continue
 			}
-			if sslots[i].mlu > rep.WorstMLU {
-				rep.WorstMLU = sslots[i].mlu
-				rep.WorstScenario = drawn[i]
-			}
+		}
+		if worst, at := worstOf(sslots); worst > rep.WorstMLU {
+			rep.WorstMLU, rep.WorstScenario = worst, drawn[at]
 		}
 		cov.SampledMass = sampler.SampledMass()
 		cov.TruncatedMass = tail - cov.SampledMass
@@ -164,23 +157,6 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 	}
 	cov.ComputeEpsilon()
 	return rep, nil
-}
-
-// mergeStats folds the sampled pass's sweep statistics into the
-// exhaustive pass's.
-func mergeStats(dst *SweepStats, src *SweepStats) {
-	dst.Scenarios += src.Scenarios
-	dst.SMWHits += src.SMWHits
-	dst.Fallbacks += src.Fallbacks
-	dst.BatchHits += src.BatchHits
-	if src.MaxRank > dst.MaxRank {
-		dst.MaxRank = src.MaxRank
-	}
-	if src.Workers > dst.Workers {
-		dst.Workers = src.Workers
-	}
-	dst.BaseFactorTime += src.BaseFactorTime
-	dst.Total += src.Total
 }
 
 // WorstMLUSearch runs the adversarial worst-scenario search
@@ -198,7 +174,7 @@ func WorstMLUSearch(ctx context.Context, plan *core.Plan, opts core.SearchOption
 		g := plan.Instance.Graph
 		sr := sw.newScratch()
 		opts.Eval = func(sc failures.Scenario) (float64, error) {
-			r, _, _, err := sw.realize(sc, sr)
+			r, _, err := sw.realize(sc, sr)
 			if err != nil {
 				return 0, err
 			}

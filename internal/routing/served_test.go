@@ -1,0 +1,123 @@
+package routing_test
+
+// Tests of the engine as internal/serve uses it. They live here, in an
+// external test package, because they need both the serving layer and
+// this package's unexported build counter and corrector cache
+// (export_test.go).
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"pcf/internal/routing"
+	"pcf/internal/serve"
+)
+
+// TestPublishValidatesServedSweep: however an epoch arrives — Publish,
+// PublishExternal, Recover — the registry builds exactly one engine for
+// it, and the engine it publishes is the one the recorded validation
+// statistics came from.
+func TestPublishValidatesServedSweep(t *testing.T) {
+	plan := routing.Fig5CLSPlan(t)
+	in := plan.Instance
+	ctx := context.Background()
+	store, err := serve.NewStore(t.TempDir(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals := []struct {
+		how     string
+		epoch   uint64
+		install func(*serve.Registry) (*serve.Published, error)
+	}{
+		{"Publish", 1, func(r *serve.Registry) (*serve.Published, error) { return r.Publish(ctx, plan) }},
+		{"PublishExternal", 7, func(r *serve.Registry) (*serve.Published, error) { return r.PublishExternal(ctx, 7, plan) }},
+		// A fresh registry over the same store: the restart path.
+		{"Recover", 7, func(*serve.Registry) (*serve.Published, error) {
+			return serve.NewRegistry(store, t.Logf).Recover(ctx, in)
+		}},
+	}
+	reg := serve.NewRegistry(store, t.Logf)
+	for _, a := range arrivals {
+		before := routing.SweepBuilds()
+		pub, err := a.install(reg)
+		if err != nil {
+			t.Fatalf("%s: %v", a.how, err)
+		}
+		if got := routing.SweepBuilds() - before; got != 1 {
+			t.Fatalf("%s built %d engines, want exactly 1", a.how, got)
+		}
+		if pub.Epoch != a.epoch {
+			t.Fatalf("%s installed epoch %d, want %d", a.how, pub.Epoch, a.epoch)
+		}
+		// One build, and validation ran through an engine (it reports
+		// low-rank hits and that engine's build time): the only engine
+		// there is must be both the validated and the published one.
+		if pub.Validated.SMWHits == 0 || pub.Validated.Scenarios != in.Failures.NumScenariosExact() {
+			t.Fatalf("%s: validation did not sweep the designed set through an engine: %+v", a.how, pub.Validated)
+		}
+		if pub.Validated.BaseFactorTime != pub.Sweep.BaseFactorTime() {
+			t.Fatalf("%s: validated an engine built in %v, published one built in %v",
+				a.how, pub.Validated.BaseFactorTime, pub.Sweep.BaseFactorTime())
+		}
+		// Validation already paid for the designed set's correctors;
+		// serving it again builds none.
+		warm := pub.Sweep.CachedCorrectors()
+		if warm == 0 {
+			t.Fatalf("%s: published engine's corrector cache is cold", a.how)
+		}
+		if _, err := pub.Sweep.ValidateStats(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := pub.Sweep.CachedCorrectors(); got != warm {
+			t.Fatalf("%s: corrector cache went from %d to %d entries on a re-sweep", a.how, warm, got)
+		}
+	}
+}
+
+// TestExactValidateLeavesCacheBounded: /v1/validate?model=exact sweeps
+// through the published engine and builds none; the sampled model,
+// whose beyond-budget draws have signatures of their own, builds one
+// private engine per request. Either way the published engine's
+// corrector cache stays at the designed set's signatures.
+func TestExactValidateLeavesCacheBounded(t *testing.T) {
+	plan := routing.Fig5CLSPlan(t)
+	srv, err := serve.NewServer(serve.Config{Instance: plan.Instance, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pub, err := srv.Registry().Publish(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	designed := pub.Sweep.CachedCorrectors()
+	if designed == 0 {
+		t.Fatal("publication cached no corrector")
+	}
+	get := func(query string, wantBuilds int64) {
+		t.Helper()
+		before := routing.SweepBuilds()
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/validate?"+query, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET /v1/validate?%s: status %d: %s", query, w.Code, w.Body)
+		}
+		if got := routing.SweepBuilds() - before; got != wantBuilds {
+			t.Fatalf("GET /v1/validate?%s built %d engines, want %d", query, got, wantBuilds)
+		}
+		if got := pub.Sweep.CachedCorrectors(); got != designed {
+			t.Fatalf("GET /v1/validate?%s grew the published corrector cache from %d to %d", query, designed, got)
+		}
+	}
+	for seed := 1; seed <= 4; seed++ {
+		get("model=exact", 0)
+		get(fmt.Sprintf("model=sampled&p=0.05&samples=40&seed=%d", seed), 1)
+	}
+	if cur, err := srv.Registry().Current(); err != nil || cur.Sweep != pub.Sweep {
+		t.Fatalf("the published engine changed under validation traffic: %v", err)
+	}
+}

@@ -1,14 +1,9 @@
 package routing
 
 import (
-	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pcf/internal/core"
@@ -25,10 +20,10 @@ type SweepStats struct {
 	// the goroutines that swept them.
 	Scenarios int
 	Workers   int
-	// BaseFactorTime is the one-time cost of building the base
-	// (no-failure) reservation matrix, factoring it, computing its
-	// inverse columns, and solving the aggregate plus per-destination
-	// base systems.
+	// BaseFactorTime is the one-time cost of building the engine the
+	// sweep ran through: the base (no-failure) reservation matrix, its
+	// factorization, and the aggregate plus per-destination base
+	// solves.
 	BaseFactorTime time.Duration
 	// SMWHits counts scenarios served by the Sherman–Morrison–Woodbury
 	// low-rank path (including unchanged scenarios served straight
@@ -39,15 +34,13 @@ type SweepStats struct {
 	Fallbacks int
 	// MaxRank is the largest rank-k correction served by the SMW path.
 	MaxRank int
-	// BatchHits counts scenarios whose SMW capacitance factorization
-	// was reused from another scenario with the same update-column
-	// signature (scenarios sharing dead-link structure). Approximate
-	// under concurrency: racing workers may each factor a group once.
+	// BatchHits counts the SMW-served scenarios of this sweep whose
+	// capacitance factorization was reused from another scenario with
+	// the same update signature (scenarios sharing dead-link
+	// structure).
 	BatchHits int
-	// SparseBase records that the base reservation matrix was factored
-	// sparsely (Markowitz LU) instead of densely.
-	SparseBase bool
-	// Total is the wall clock of the whole sweep.
+	// Total is the wall clock of the sweep; calls that build their own
+	// engine include BaseFactorTime in it.
 	Total time.Duration
 }
 
@@ -65,10 +58,6 @@ func (s SweepStats) SMWHitRate() float64 {
 // milliseconds). The keys are the one vocabulary for validation-sweep
 // statistics everywhere they surface.
 func (s SweepStats) Metrics() map[string]float64 {
-	sparse := 0.0
-	if s.SparseBase {
-		sparse = 1
-	}
 	return map[string]float64{
 		"scenarios":           float64(s.Scenarios),
 		"workers":             float64(s.Workers),
@@ -76,11 +65,45 @@ func (s SweepStats) Metrics() map[string]float64 {
 		"fallbacks":           float64(s.Fallbacks),
 		"max_rank":            float64(s.MaxRank),
 		"batch_hits":          float64(s.BatchHits),
-		"sparse_base":         sparse,
 		"smw_hit_rate":        s.SMWHitRate(),
 		"base_factor_time_ms": float64(s.BaseFactorTime) / float64(time.Millisecond),
 		"total_ms":            float64(s.Total) / float64(time.Millisecond),
 	}
+}
+
+// served says how the engine answered one scenario: through the
+// low-rank path (and with what correction rank, and whether the
+// corrector came out of the signature cache) or, as the zero value,
+// through the cold fallback.
+type served struct {
+	smw      bool
+	rank     int
+	batchHit bool
+}
+
+// count folds one successfully served scenario into the stats.
+func (s *SweepStats) count(sv served) {
+	if !sv.smw {
+		s.Fallbacks++
+		return
+	}
+	s.SMWHits++
+	s.MaxRank = max(s.MaxRank, sv.rank)
+	if sv.batchHit {
+		s.BatchHits++
+	}
+}
+
+// add folds the counts of another sweep through the same engine (or of
+// one worker of this sweep) into s.
+func (s *SweepStats) add(o SweepStats) {
+	s.Scenarios += o.Scenarios
+	s.Workers = max(s.Workers, o.Workers)
+	s.SMWHits += o.SMWHits
+	s.Fallbacks += o.Fallbacks
+	s.MaxRank = max(s.MaxRank, o.MaxRank)
+	s.BatchHits += o.BatchHits
+	s.Total += o.Total
 }
 
 // sweepLS is a positive-reservation logical sequence translated into
@@ -93,28 +116,24 @@ type sweepLS struct {
 	baseActive bool // active in the no-failure scenario
 }
 
-// Sweep is the incremental §4.1 realization engine. It precomputes,
-// once per plan, everything scenario-independent: the "universe" pairs
-// of interest (transitive closure of the demand pairs through every
-// positive-reservation LS, conditions ignored — a superset of any
-// scenario's pair set, so conditional LSs that only activate under
-// failures still have their rows in the base space), the base
-// reservation matrix with identity rows padding pairs outside the
-// no-failure set, its LU factorization and inverse columns, and the
-// base solutions of the aggregate and per-destination systems. Each
-// scenario is then realized as a sparse rank-k row correction via
-// Sherman–Morrison–Woodbury, falling back to the cold path when the
-// correction is too large or numerically suspect.
+// Sweep is the §4.1 realization engine: one object per plan, built
+// once (sweepbuild.go) and then shared read-only by every goroutine
+// that realizes scenarios through it (sweeprealize.go).
 //
-// At sweepSparseMin universe rows and above the base switches to a
-// sparse representation: Markowitz LU instead of dense factorization,
-// inverse columns solved lazily per updated row instead of all n up
-// front, and row deltas merged against sparse base rows instead of
-// dense scans — the same answers (bit-equal coefficient construction,
-// property-tested 1e-9 agreement) without the O(n²) memory and O(n³)
-// precompute. Independently of the representation, SMW correctors are
-// batched: scenarios with identical update signatures share one
-// capacitance factorization.
+// The build precomputes everything scenario-independent: the
+// "universe" pairs of interest (transitive closure of the demand pairs
+// through every positive-reservation LS, conditions ignored — a
+// superset of any scenario's pair set, so conditional LSs that only
+// activate under failures still have their rows in the base space),
+// the base reservation matrix as sparse rows with identity rows
+// padding pairs outside the no-failure set, its Markowitz LU, and the
+// base solutions of the aggregate and per-destination systems. Each
+// scenario is then a sparse rank-k row correction of that base, served
+// through Sherman–Morrison–Woodbury with inverse columns solved lazily
+// per updated row and correctors shared between scenarios with
+// identical update signatures. The one fallback is the cold Realize:
+// taken when the correction is too large (2k > n), the capacitance is
+// ill-conditioned, or the corrected rows fail the residual guard.
 type Sweep struct {
 	plan *core.Plan
 
@@ -135,28 +154,23 @@ type Sweep struct {
 	checkWant map[topology.NodeID][]float64 // dst -> per-node balance targets
 
 	baseInSet []bool
-	baseMat   []float64                // dense base rows (nil on the sparse path)
-	baseRows  [][]linsolve.SparseEntry // sparse base rows, ascending column (sparse path only)
-	lu        *linsolve.LU             // nil: engine is cold-only or sparse
-	slu       *linsolve.SparseLU       // sparse base factorization (nil on the dense path)
-	invCols   [][]float64              // dense path: invCols[r] = column r of the base inverse
-	invCache  sync.Map                 // sparse path: int row -> []float64 inverse column, computed lazily
+	baseRows  [][]linsolve.SparseEntry // base matrix rows, ascending column
+	slu       *linsolve.SparseLU       // base factorization; nil: engine is cold-only
 	uBase     []float64                // base aggregate solution A⁻¹D
 	destBase  [][]float64              // base per-destination solutions A⁻¹D_t
 
-	// batches caches SMW correctors keyed by the byte signature of the
-	// scenario's row updates, so scenarios sharing dead-link structure
-	// factor the capacitance block once (string -> *batchEntry).
-	batches sync.Map
+	// invCache holds the columns of the base inverse the sweep has
+	// needed so far (int row -> []float64), batches the SMW correctors
+	// keyed by the byte signature of a scenario's row updates
+	// (string -> *batchEntry).
+	invCache sync.Map
+	batches  sync.Map
 
 	baseTime time.Duration
 	pool     sync.Pool
 
-	served    atomic.Int64
-	smwHits   atomic.Int64
-	fallbacks atomic.Int64
-	maxRank   atomic.Int64
-	batchHits atomic.Int64
+	mu    sync.Mutex
+	stats SweepStats // cumulative over Realize calls; guarded by mu
 }
 
 // batchEntry is one memoized SMW corrector (or the error its
@@ -167,12 +181,6 @@ type batchEntry struct {
 	err error
 }
 
-// sweepSparseMin is the universe size at and above which the base
-// reservation matrix is built and factored sparsely (Markowitz LU,
-// lazy inverse columns) instead of densely. A package variable so
-// equivalence tests can force the sparse path on small topologies.
-var sweepSparseMin = 192
-
 // SweepUpdateFault, when non-nil, is consulted once per rank-k SMW
 // update, before the update is applied; returning an error forces the
 // scenario onto the cold path, counted in SweepStats.Fallbacks exactly
@@ -181,354 +189,6 @@ var sweepSparseMin = 192
 // bit-equal to a cold Realize. Production code must leave it nil, and
 // it must not be changed while sweeps are running.
 var SweepUpdateFault func(ups []linsolve.RowUpdate) error
-
-// NewSweep builds the incremental realization engine for a plan. It
-// never fails: when the base matrix cannot be factored (or a base pair
-// has no live reservation) the engine serves every scenario through
-// the cold path, which reports the underlying problem per scenario
-// exactly as Realize does.
-func NewSweep(plan *core.Plan) *Sweep {
-	s, _ := NewSweepContext(nil, plan)
-	return s
-}
-
-// NewSweepContext is NewSweep with a cancellation point between every
-// precompute stage: the universe closure, the base factorization, the
-// inverse-column solves (checked every few columns — the O(n³) bulk of
-// the precompute), and the per-destination base solves. On
-// cancellation it returns nil and an error wrapping the context error,
-// so a deadline-bound caller (pcfd's publish path, the validation
-// sweep) is never stuck behind an unbounded factorization. A nil ctx
-// never fails.
-func NewSweepContext(ctx context.Context, plan *core.Plan) (*Sweep, error) {
-	start := time.Now()
-	stop := func() error {
-		if ctx == nil {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("routing: sweep precompute canceled: %w", err)
-		}
-		return nil
-	}
-	in := plan.Instance
-	s := &Sweep{
-		plan:     plan,
-		index:    map[topology.Pair]int{},
-		numTun:   in.Tunnels.Len(),
-		linkTuns: map[topology.LinkID][]tunnels.ID{},
-	}
-
-	// Positive-reservation LSs, in instance order (the order every
-	// cold-path list is built in, so recomputed sums are bit-equal).
-	var qs []core.LogicalSequence
-	for _, q := range in.LSs {
-		if plan.LSRes[q.ID] > 0 {
-			qs = append(qs, q)
-		}
-	}
-
-	// Universe pairs: closure of the demand pairs through ALL
-	// positive-reservation LSs, conditions ignored.
-	lsByPair := map[topology.Pair][]int{}
-	for i, q := range qs {
-		lsByPair[q.Pair] = append(lsByPair[q.Pair], i)
-	}
-	inU := map[topology.Pair]bool{}
-	var queue []topology.Pair
-	add := func(p topology.Pair) {
-		if !inU[p] {
-			inU[p] = true
-			queue = append(queue, p)
-		}
-	}
-	for _, p := range in.DemandPairs() {
-		if plan.ScaledDemand(p) > 1e-12 {
-			add(p)
-		}
-	}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, qi := range lsByPair[p] {
-			for _, seg := range qs[qi].Segments() {
-				add(seg)
-			}
-		}
-	}
-	for a := 0; a < in.Graph.NumNodes(); a++ {
-		for b := 0; b < in.Graph.NumNodes(); b++ {
-			p := topology.Pair{Src: topology.NodeID(a), Dst: topology.NodeID(b)}
-			if inU[p] {
-				s.index[p] = len(s.pairs)
-				s.pairs = append(s.pairs, p)
-			}
-		}
-	}
-	s.n = len(s.pairs)
-	n := s.n
-	if err := stop(); err != nil {
-		return nil, err
-	}
-
-	// Tunnel indexes per universe row, and the link -> tunnels map used
-	// to find tunnels a failed link kills.
-	s.pairTun = make([][]tunnels.ID, n)
-	s.tunRow = make([]int, s.numTun)
-	for i := range s.tunRow {
-		s.tunRow[i] = -1
-	}
-	for r, p := range s.pairs {
-		s.pairTun[r] = in.Tunnels.ForPair(p)
-		for _, tid := range s.pairTun[r] {
-			s.tunRow[tid] = r
-			for _, l := range in.Tunnels.Tunnel(tid).Path.Links() {
-				s.linkTuns[l] = append(s.linkTuns[l], tid)
-			}
-		}
-	}
-
-	// LS entries in universe-row coordinates.
-	noFailure := failures.Scenario{}
-	s.localLS = make([][]int, n)
-	s.throughLS = make([][]int, n)
-	for _, q := range qs {
-		e := sweepLS{pairRow: -1, res: plan.LSRes[q.ID], cond: q.Cond, baseActive: q.Cond.Holds(noFailure)}
-		if r, ok := s.index[q.Pair]; ok {
-			e.pairRow = r
-		}
-		for _, seg := range q.Segments() {
-			if r, ok := s.index[seg]; ok {
-				e.segRows = append(e.segRows, r)
-			}
-		}
-		qi := len(s.ls)
-		s.ls = append(s.ls, e)
-		if e.pairRow >= 0 {
-			s.localLS[e.pairRow] = append(s.localLS[e.pairRow], qi)
-		}
-		for _, r := range e.segRows {
-			s.throughLS[r] = append(s.throughLS[r], qi)
-		}
-	}
-
-	// Demand vector, seeds, destinations (node order, as the cold path
-	// iterates them).
-	s.demand = make([]float64, n)
-	for r, p := range s.pairs {
-		s.demand[r] = plan.ScaledDemand(p)
-	}
-	destSet := map[topology.NodeID]bool{}
-	for _, p := range in.DemandPairs() {
-		if plan.ScaledDemand(p) > 1e-12 {
-			if r, ok := s.index[p]; ok {
-				s.seeds = append(s.seeds, r)
-			}
-			destSet[p.Dst] = true
-		}
-	}
-	for t := 0; t < in.Graph.NumNodes(); t++ {
-		if destSet[topology.NodeID(t)] {
-			s.dests = append(s.dests, topology.NodeID(t))
-		}
-	}
-
-	// Per-destination node-balance targets for Check: the `want`
-	// vector CheckRealization recomputes per scenario is scenario-
-	// independent, so build it once. want[v] is the scaled demand
-	// v->dst; want[dst] is minus the total demand into dst.
-	s.checkWant = make(map[topology.NodeID][]float64, len(s.dests))
-	for _, dst := range s.dests {
-		s.checkWant[dst] = make([]float64, in.Graph.NumNodes())
-	}
-	for _, p := range in.DemandPairs() {
-		if w, ok := s.checkWant[p.Dst]; ok {
-			d := plan.ScaledDemand(p)
-			w[p.Src] += d
-			w[p.Dst] -= d
-		}
-	}
-
-	// No-failure membership and base matrix. Pairs outside the
-	// no-failure set get identity rows: they carry no demand and no
-	// in-set row references their column, so the in-set block solves
-	// exactly as the cold path's smaller system.
-	s.baseInSet = s.membership(noFailureActivity(s.ls))
-	sparse := n >= sweepSparseMin
-	diagOK := true
-	if sparse {
-		// Sparse base rows, ascending column, with per-column sums
-		// accumulated in the same order as the dense build so both
-		// representations hold bit-identical coefficients.
-		s.baseRows = make([][]linsolve.SparseEntry, n)
-		vals := make([]float64, n)
-		mark := make([]int32, n)
-		var stamp int32
-		var touched []int
-		for r := 0; r < n; r++ {
-			if !s.baseInSet[r] {
-				s.baseRows[r] = []linsolve.SparseEntry{{Col: r, Val: 1}}
-				continue
-			}
-			diag := 0.0
-			for _, tid := range s.pairTun[r] {
-				diag += plan.TunnelRes[tid]
-			}
-			for _, qi := range s.localLS[r] {
-				if s.ls[qi].baseActive {
-					diag += s.ls[qi].res
-				}
-			}
-			if diag <= 1e-12 {
-				diagOK = false
-			}
-			stamp++
-			touched = touched[:0]
-			acc := func(c int, v float64) {
-				if mark[c] != stamp {
-					mark[c] = stamp
-					vals[c] = 0
-					touched = append(touched, c)
-				}
-				vals[c] += v
-			}
-			acc(r, diag)
-			for _, qi := range s.throughLS[r] {
-				e := &s.ls[qi]
-				if !e.baseActive || e.pairRow < 0 || !s.baseInSet[e.pairRow] {
-					continue
-				}
-				acc(e.pairRow, -e.res)
-			}
-			sort.Ints(touched)
-			row := make([]linsolve.SparseEntry, 0, len(touched))
-			for _, c := range touched {
-				if vals[c] != 0 {
-					row = append(row, linsolve.SparseEntry{Col: c, Val: vals[c]})
-				}
-			}
-			s.baseRows[r] = row
-		}
-	} else {
-		s.baseMat = make([]float64, n*n)
-		for r := 0; r < n; r++ {
-			if !s.baseInSet[r] {
-				s.baseMat[r*n+r] = 1
-				continue
-			}
-			diag := 0.0
-			for _, tid := range s.pairTun[r] {
-				diag += plan.TunnelRes[tid]
-			}
-			for _, qi := range s.localLS[r] {
-				if s.ls[qi].baseActive {
-					diag += s.ls[qi].res
-				}
-			}
-			if diag <= 1e-12 {
-				diagOK = false
-			}
-			s.baseMat[r*n+r] += diag
-			for _, qi := range s.throughLS[r] {
-				e := &s.ls[qi]
-				if !e.baseActive || e.pairRow < 0 || !s.baseInSet[e.pairRow] {
-					continue
-				}
-				s.baseMat[r*n+e.pairRow] -= e.res
-			}
-		}
-	}
-
-	if err := stop(); err != nil {
-		return nil, err
-	}
-	if n > 0 && diagOK && sparse {
-		// Sparse path: Markowitz LU of the sparse rows, base solutions
-		// via the factors, inverse columns computed lazily per updated
-		// row during the sweep instead of n dense solves up front.
-		if slu, err := linsolve.FactorSparseRows(s.baseRows, n); err == nil {
-			s.slu = slu
-			ok := true
-			w := make([]float64, n)
-			s.uBase = make([]float64, n)
-			if err := slu.SolveIntoScratch(s.uBase, s.demand, w); err != nil {
-				ok = false
-			}
-			s.destBase = make([][]float64, len(s.dests))
-			dt := make([]float64, n)
-			for di, dst := range s.dests {
-				if di%32 == 0 {
-					if err := stop(); err != nil {
-						return nil, err
-					}
-				}
-				for r, p := range s.pairs {
-					dt[r] = 0
-					if p.Dst == dst {
-						dt[r] = plan.ScaledDemand(p)
-					}
-				}
-				s.destBase[di] = make([]float64, n)
-				if err := slu.SolveIntoScratch(s.destBase[di], dt, w); err != nil {
-					ok = false
-				}
-			}
-			if !ok {
-				s.slu = nil
-			}
-		}
-	} else if n > 0 && diagOK {
-		if lu, err := linsolve.Factor(s.baseMat, n); err == nil {
-			s.lu = lu
-			s.invCols = make([][]float64, n)
-			e := make([]float64, n)
-			ok := true
-			for r := 0; r < n && ok; r++ {
-				if r%32 == 0 {
-					if err := stop(); err != nil {
-						return nil, err
-					}
-				}
-				col := make([]float64, n)
-				e[r] = 1
-				if err := lu.SolveInto(col, e); err != nil {
-					ok = false
-				}
-				e[r] = 0
-				s.invCols[r] = col
-			}
-			s.uBase = make([]float64, n)
-			if err := lu.SolveInto(s.uBase, s.demand); err != nil {
-				ok = false
-			}
-			s.destBase = make([][]float64, len(s.dests))
-			dt := make([]float64, n)
-			for di, dst := range s.dests {
-				if di%32 == 0 {
-					if err := stop(); err != nil {
-						return nil, err
-					}
-				}
-				for r, p := range s.pairs {
-					dt[r] = 0
-					if p.Dst == dst {
-						dt[r] = plan.ScaledDemand(p)
-					}
-				}
-				s.destBase[di] = make([]float64, n)
-				if err := lu.SolveInto(s.destBase[di], dt); err != nil {
-					ok = false
-				}
-			}
-			if !ok {
-				s.lu = nil
-			}
-		}
-	}
-	s.pool.New = func() any { return s.newScratch() }
-	s.baseTime = time.Since(start)
-	return s, nil
-}
 
 // Check verifies Proposition 6's properties for a realization of this
 // sweep's plan, like CheckRealization, but against the per-destination
@@ -568,158 +228,16 @@ func (s *Sweep) Check(r *Realization) error {
 	return nil
 }
 
-// noFailureActivity returns the base activity vector of the LS list.
-func noFailureActivity(ls []sweepLS) []bool {
-	act := make([]bool, len(ls))
-	for i := range ls {
-		act[i] = ls[i].baseActive
-	}
-	return act
-}
-
-// membership computes the pairs of interest (as a universe-row set)
-// given an LS activity vector — the same transitive closure newState
-// performs, restricted to universe rows (which it never leaves,
-// because the universe closes over every LS that could be active).
-func (s *Sweep) membership(active []bool) []bool {
-	in := make([]bool, s.n)
-	queue := make([]int, 0, s.n)
-	for _, r := range s.seeds {
-		if !in[r] {
-			in[r] = true
-			queue = append(queue, r)
-		}
-	}
-	for len(queue) > 0 {
-		r := queue[0]
-		queue = queue[1:]
-		for _, qi := range s.localLS[r] {
-			if !active[qi] {
-				continue
-			}
-			for _, sr := range s.ls[qi].segRows {
-				if !in[sr] {
-					in[sr] = true
-					queue = append(queue, sr)
-				}
-			}
-		}
-	}
-	return in
-}
-
 // BaseFactorTime reports the one-time precomputation cost.
 func (s *Sweep) BaseFactorTime() time.Duration { return s.baseTime }
 
-// Stats snapshots the engine's cumulative counters (scenarios served
-// through Realize and the internal sweep loops).
+// Stats snapshots the engine's cumulative counters over the scenarios
+// served through Realize. Sweeps run through the engine (ValidateStats)
+// count per call instead and leave these alone.
 func (s *Sweep) Stats() SweepStats {
-	return SweepStats{
-		Scenarios:  int(s.served.Load()),
-		SMWHits:    int(s.smwHits.Load()),
-		Fallbacks:  int(s.fallbacks.Load()),
-		MaxRank:    int(s.maxRank.Load()),
-		BatchHits:  int(s.batchHits.Load()),
-		SparseBase: s.slu != nil,
-	}
-}
-
-// invCol returns column r of the base inverse. The dense path
-// precomputes all n columns; the sparse path solves them on demand and
-// memoizes, so only the rows scenarios actually touch are ever solved.
-// Racing workers may solve the same column concurrently — the solve is
-// deterministic, so whichever copy wins the store is interchangeable.
-func (s *Sweep) invCol(r int) ([]float64, error) {
-	if s.slu == nil {
-		return s.invCols[r], nil
-	}
-	if v, ok := s.invCache.Load(r); ok {
-		return v.([]float64), nil
-	}
-	n := s.n
-	e := make([]float64, n)
-	w := make([]float64, n)
-	col := make([]float64, n)
-	e[r] = 1
-	if err := s.slu.SolveIntoScratch(col, e, w); err != nil {
-		return nil, err
-	}
-	v, _ := s.invCache.LoadOrStore(r, col)
-	return v.([]float64), nil
-}
-
-// upsKey serializes a scenario's row updates into the byte signature
-// that batches SMW corrections: scenarios whose failed links produce
-// the same rows, columns, and bit-identical delta values share one
-// capacitance factorization. The signature is built from dead links
-// only, and deliberately so: degradation (Scenario.Degraded) scales
-// capacities but never touches the reservation matrix, so scenarios
-// differing only in degraded links share the same linear system — and
-// the same batch entry. Capacity effects apply downstream, where MLUOf
-// and the overload checks divide by ScenarioCapacity.
-func upsKey(ups []linsolve.RowUpdate) string {
-	sz := 0
-	for _, up := range ups {
-		sz += 2*binary.MaxVarintLen64 + len(up.Cols)*2*binary.MaxVarintLen64
-	}
-	b := make([]byte, 0, sz)
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		b = append(b, tmp[:binary.PutUvarint(tmp[:], v)]...)
-	}
-	for _, up := range ups {
-		put(uint64(up.Row))
-		put(uint64(len(up.Cols)))
-		for t, c := range up.Cols {
-			put(uint64(c))
-			put(math.Float64bits(up.Vals[t]))
-		}
-	}
-	return string(b)
-}
-
-// sweepScratch is per-worker mutable state, so the read-only Sweep can
-// be shared across goroutines without locks.
-type sweepScratch struct {
-	epoch    int32
-	colEpoch int32   // separate counter: colMark resets per candidate row
-	inSet    []int32 // epoch stamps per universe row
-	rowMark  []int32
-	colMark  []int32
-	deadTun  []int32 // epoch stamps per tunnel ID
-	lsActive []bool
-	rowVals  []float64
-	rows     []int
-	touched  []int // columns touched while building one row's delta
-	x, xt    []float64
-	// k-sized SMW correction scratch (grown on demand), so shared
-	// batched correctors stay read-only across workers.
-	smwZ, smwY []float64
-	// Per-destination tunnel-flow accumulation: dense per-tunnel sums
-	// with epoch marks, so the output map is built presized instead of
-	// grown entry by entry.
-	tunEpoch int32
-	tunMark  []int32
-	tunFlow  []float64
-	tunTouch []tunnels.ID
-}
-
-func (s *Sweep) newScratch() *sweepScratch {
-	return &sweepScratch{
-		inSet:    make([]int32, s.n),
-		rowMark:  make([]int32, s.n),
-		colMark:  make([]int32, s.n),
-		deadTun:  make([]int32, s.numTun),
-		lsActive: make([]bool, len(s.ls)),
-		rowVals:  make([]float64, s.n),
-		rows:     make([]int, 0, s.n),
-		touched:  make([]int, 0, 16),
-		x:        make([]float64, s.n),
-		xt:       make([]float64, s.n),
-		tunMark:  make([]int32, s.numTun),
-		tunFlow:  make([]float64, s.numTun),
-		tunTouch: make([]tunnels.ID, 0, 16),
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 // Realize computes the routing for one scenario, using the low-rank
@@ -728,591 +246,13 @@ func (s *Sweep) newScratch() *sweepScratch {
 // relative, property-tested). Safe for concurrent use.
 func (s *Sweep) Realize(sc failures.Scenario) (*Realization, error) {
 	sr := s.pool.Get().(*sweepScratch)
-	r, smw, rank, err := s.realize(sc, sr)
+	r, sv, err := s.realize(sc, sr)
 	s.pool.Put(sr)
-	s.served.Add(1)
+	s.mu.Lock()
+	s.stats.Scenarios++
 	if err == nil {
-		if smw {
-			s.smwHits.Add(1)
-			for {
-				cur := s.maxRank.Load()
-				if int64(rank) <= cur || s.maxRank.CompareAndSwap(cur, int64(rank)) {
-					break
-				}
-			}
-		} else {
-			s.fallbacks.Add(1)
-		}
+		s.stats.count(sv)
 	}
+	s.mu.Unlock()
 	return r, err
-}
-
-// realize is the scenario hot path. It reports whether the low-rank
-// path served the scenario and with what correction rank.
-func (s *Sweep) realize(sc failures.Scenario, sr *sweepScratch) (*Realization, bool, int, error) {
-	in := s.plan.Instance
-	res := &Realization{
-		Scenario: sc,
-		TunnelTo: map[topology.NodeID]map[tunnels.ID]float64{},
-		ArcLoad:  make([]float64, in.Graph.NumArcs()),
-	}
-	n := s.n
-	if n == 0 {
-		return res, true, 0, nil
-	}
-	sr.epoch++
-	ep := sr.epoch
-
-	// Dead tunnels, and the rows whose diagonal they change.
-	for l, dead := range sc.Dead {
-		if !dead {
-			continue
-		}
-		for _, tid := range s.linkTuns[l] {
-			if sr.deadTun[tid] == ep {
-				continue
-			}
-			sr.deadTun[tid] = ep
-			if r := s.tunRow[tid]; r >= 0 && s.plan.TunnelRes[tid] > 0 {
-				sr.rowMark[r] = ep
-			}
-		}
-	}
-
-	// LS activity and the rows an activity flip touches.
-	for qi := range s.ls {
-		e := &s.ls[qi]
-		act := e.cond.Holds(sc)
-		sr.lsActive[qi] = act
-		if act == e.baseActive {
-			continue
-		}
-		if e.pairRow >= 0 {
-			sr.rowMark[e.pairRow] = ep
-		}
-		for _, r := range e.segRows {
-			sr.rowMark[r] = ep
-		}
-	}
-
-	// Pairs of interest under the scenario (closure through the active
-	// LSs), plus the rows membership changes touch.
-	inCount := 0
-	queue := sr.rows[:0]
-	for _, r := range s.seeds {
-		if sr.inSet[r] != ep {
-			sr.inSet[r] = ep
-			inCount++
-			queue = append(queue, r)
-		}
-	}
-	for len(queue) > 0 {
-		r := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, qi := range s.localLS[r] {
-			if !sr.lsActive[qi] {
-				continue
-			}
-			for _, sg := range s.ls[qi].segRows {
-				if sr.inSet[sg] != ep {
-					sr.inSet[sg] = ep
-					inCount++
-					queue = append(queue, sg)
-				}
-			}
-		}
-	}
-	for r := 0; r < n; r++ {
-		if (sr.inSet[r] == ep) == s.baseInSet[r] {
-			continue
-		}
-		sr.rowMark[r] = ep
-		// Entries of LSs local to r sit in r's column of their segment
-		// rows, gated on r's membership: those rows change too.
-		for _, qi := range s.localLS[r] {
-			e := &s.ls[qi]
-			if !sr.lsActive[qi] && !e.baseActive {
-				continue
-			}
-			for _, sg := range e.segRows {
-				sr.rowMark[sg] = ep
-			}
-		}
-	}
-
-	// Candidate rows in deterministic order.
-	rows := sr.rows[:0]
-	for r := 0; r < n; r++ {
-		if sr.rowMark[r] == ep {
-			rows = append(rows, r)
-		}
-	}
-	sort.Ints(rows)
-
-	// Sparse row deltas versus the base matrix. Unchanged rows
-	// recompute to bit-identical sums (same iteration order as the
-	// base build), so spurious deltas never appear.
-	var ups []linsolve.RowUpdate
-	var upScale []float64
-	for _, r := range rows {
-		nowIn := sr.inSet[r] == ep
-		sr.colEpoch++
-		ce := sr.colEpoch
-		touched := sr.touched[:0]
-		touch := func(c int, v float64) {
-			if sr.colMark[c] != ce {
-				sr.colMark[c] = ce
-				sr.rowVals[c] = 0
-				touched = append(touched, c)
-			}
-			sr.rowVals[c] += v
-		}
-		scale := 1.0
-		if !nowIn {
-			touch(r, 1)
-		} else {
-			diag := 0.0
-			for _, tid := range s.pairTun[r] {
-				if sr.deadTun[tid] == ep {
-					continue
-				}
-				diag += s.plan.TunnelRes[tid]
-			}
-			for _, qi := range s.localLS[r] {
-				if sr.lsActive[qi] {
-					diag += s.ls[qi].res
-				}
-			}
-			if diag <= 1e-12 {
-				return nil, false, 0, fmt.Errorf("routing: pair %v of interest has no live reservation under %v", s.pairs[r], sc)
-			}
-			touch(r, diag)
-			scale += diag
-			for _, qi := range s.throughLS[r] {
-				e := &s.ls[qi]
-				if !sr.lsActive[qi] || e.pairRow < 0 || sr.inSet[e.pairRow] != ep {
-					continue
-				}
-				touch(e.pairRow, -e.res)
-			}
-		}
-		var cols []int
-		var vals []float64
-		if s.baseMat != nil {
-			base := s.baseMat[r*n : (r+1)*n]
-			for c := 0; c < n; c++ {
-				t := 0.0
-				if sr.colMark[c] == ce {
-					t = sr.rowVals[c]
-				}
-				if d := t - base[c]; d != 0 {
-					cols = append(cols, c)
-					vals = append(vals, d)
-				}
-			}
-		} else {
-			// Sparse base: merge the touched columns with the base row's
-			// entries, ascending — every other column has t = base = 0.
-			sort.Ints(touched)
-			base := s.baseRows[r]
-			bi := 0
-			emit := func(c int, d float64) {
-				if d != 0 {
-					cols = append(cols, c)
-					vals = append(vals, d)
-				}
-			}
-			for _, c := range touched {
-				for bi < len(base) && base[bi].Col < c {
-					emit(base[bi].Col, -base[bi].Val)
-					bi++
-				}
-				b := 0.0
-				if bi < len(base) && base[bi].Col == c {
-					b = base[bi].Val
-					bi++
-				}
-				emit(c, sr.rowVals[c]-b)
-			}
-			for ; bi < len(base); bi++ {
-				emit(base[bi].Col, -base[bi].Val)
-			}
-		}
-		sr.touched = touched
-		if len(cols) > 0 {
-			ups = append(ups, linsolve.RowUpdate{Row: r, Cols: cols, Vals: vals})
-			upScale = append(upScale, scale)
-		}
-	}
-
-	k := len(ups)
-	if (s.lu == nil && s.slu == nil) || 2*k > n {
-		r, err := Realize(s.plan, sc)
-		return r, false, 0, err
-	}
-
-	var upd *linsolve.Updated
-	if k > 0 {
-		if hook := SweepUpdateFault; hook != nil {
-			if err := hook(ups); err != nil {
-				r, err := Realize(s.plan, sc)
-				return r, false, 0, err
-			}
-		}
-		// Scenarios with the same update signature (same dead-link
-		// structure) share one capacitance factorization. Errors are
-		// memoized too: an ill-conditioned group falls back cold once
-		// per scenario without refactoring its capacitance each time.
-		key := upsKey(ups)
-		var be *batchEntry
-		if v, ok := s.batches.Load(key); ok {
-			s.batchHits.Add(1)
-			be = v.(*batchEntry)
-		} else {
-			cols := make([][]float64, k)
-			var err error
-			for j, up := range ups {
-				if cols[j], err = s.invCol(up.Row); err != nil {
-					break
-				}
-			}
-			if err != nil {
-				be = &batchEntry{err: err}
-			} else if u, uerr := linsolve.NewUpdated(n, ups, cols); uerr != nil {
-				be = &batchEntry{err: uerr}
-			} else {
-				be = &batchEntry{upd: u}
-			}
-			if v, loaded := s.batches.LoadOrStore(key, be); loaded {
-				be = v.(*batchEntry)
-			}
-		}
-		if be.err != nil {
-			r, err := Realize(s.plan, sc)
-			return r, false, 0, err
-		}
-		upd = be.upd
-		if cap(sr.smwZ) < k {
-			sr.smwZ = make([]float64, k)
-			sr.smwY = make([]float64, k)
-		}
-	}
-
-	// Aggregate system: correct the precomputed base solution.
-	x := s.uBase
-	if k > 0 {
-		if err := upd.CorrectIntoScratch(sr.x, s.uBase, sr.smwZ[:k], sr.smwY[:k]); err != nil {
-			return nil, false, 0, fmt.Errorf("routing: aggregate system under %v: %w", sc, err)
-		}
-		x = sr.x
-		// Residual guard on the corrected rows: if the rank-k identity
-		// lost accuracy, refactorize cold rather than return drift.
-		for j, up := range ups {
-			r := up.Row
-			acc := -s.demand[r]
-			if s.baseMat != nil {
-				base := s.baseMat[r*n : (r+1)*n]
-				for c, bv := range base {
-					if bv != 0 {
-						acc += bv * x[c]
-					}
-				}
-			} else {
-				for _, e := range s.baseRows[r] {
-					acc += e.Val * x[e.Col]
-				}
-			}
-			for t, c := range up.Cols {
-				acc += up.Vals[t] * x[c]
-			}
-			if acc > 1e-6*upScale[j] || acc < -1e-6*upScale[j] {
-				r, err := Realize(s.plan, sc)
-				return r, false, 0, err
-			}
-		}
-	}
-
-	pairsOut := make([]topology.Pair, 0, inCount)
-	uOut := make([]float64, 0, inCount)
-	for r := 0; r < n; r++ {
-		if sr.inSet[r] != ep {
-			continue
-		}
-		v := x[r]
-		if v < -1e-7 || v > 1+1e-7 {
-			return nil, false, 0, fmt.Errorf("routing: U[%v] = %g outside [0,1] under %v (Proposition 5 violated — plan not feasible for this scenario)",
-				s.pairs[r], v, sc)
-		}
-		pairsOut = append(pairsOut, s.pairs[r])
-		uOut = append(uOut, v)
-	}
-	res.Pairs = pairsOut
-	res.U = uOut
-
-	// Per-destination systems share the correction.
-	for di, dst := range s.dests {
-		xt := s.destBase[di]
-		if k > 0 {
-			if err := upd.CorrectIntoScratch(sr.xt, s.destBase[di], sr.smwZ[:k], sr.smwY[:k]); err != nil {
-				return nil, false, 0, fmt.Errorf("routing: destination %d system under %v: %w", dst, sc, err)
-			}
-			xt = sr.xt
-		}
-		sr.tunEpoch++
-		tep := sr.tunEpoch
-		touchedTun := sr.tunTouch[:0]
-		for r := 0; r < n; r++ {
-			if sr.inSet[r] != ep || xt[r] <= 1e-12 {
-				continue
-			}
-			for _, tid := range s.pairTun[r] {
-				if sr.deadTun[tid] == ep {
-					continue
-				}
-				rr := xt[r] * s.plan.TunnelRes[tid]
-				if rr <= 1e-12 {
-					continue
-				}
-				if sr.tunMark[tid] != tep {
-					sr.tunMark[tid] = tep
-					sr.tunFlow[tid] = 0
-					touchedTun = append(touchedTun, tid)
-				}
-				sr.tunFlow[tid] += rr
-				for _, a := range in.Tunnels.Tunnel(tid).Path.Arcs {
-					res.ArcLoad[a] += rr
-				}
-			}
-		}
-		flows := make(map[tunnels.ID]float64, len(touchedTun))
-		for _, tid := range touchedTun {
-			flows[tid] = sr.tunFlow[tid]
-		}
-		sr.tunTouch = touchedTun
-		res.TunnelTo[dst] = flows
-	}
-	return res, true, k, nil
-}
-
-// sweepWorkerCount sizes the worker pool. A hook rather than a direct
-// runtime.NumCPU() call so tests can force multi-worker sweeps (and
-// race-detect the merge) on single-core machines.
-var sweepWorkerCount = runtime.NumCPU
-
-// sweepSlot is one scenario's outcome in enumeration order.
-type sweepSlot struct {
-	mlu  float64
-	err  error
-	done bool
-}
-
-// runSweep realizes every scenario of the plan's failure set on a
-// NumCPU-bounded worker pool with per-worker scratch, and returns the
-// outcomes in enumeration order — the same deterministic contract as
-// mcf's scenario sweep: scenarios are pre-enumerated, workers claim
-// indexes from an atomic counter, and the callers merge the slot array
-// in order so worker scheduling never changes an answer. A nil ctx
-// means no deadline.
-func runSweep(ctx context.Context, plan *core.Plan, opts ValidateOptions, check bool) ([]failures.Scenario, []sweepSlot, *SweepStats, error) {
-	var scenarios []failures.Scenario
-	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
-		scenarios = append(scenarios, sc)
-		return true
-	})
-	slots, stats, err := sweepScenarios(ctx, plan, opts, check, true, scenarios)
-	return scenarios, slots, stats, err
-}
-
-// sweepScenarios is runSweep's engine over an explicit scenario list
-// (the sampled-validation path feeds pre-drawn tail scenarios through
-// it). stopOnError selects the designed-set contract — a worker bails
-// at its first failing scenario — while the sampled path sets it false
-// and keeps sweeping, since beyond-budget scenarios are expected to
-// fail sometimes and each outcome is a measurement, not an abort.
-func sweepScenarios(ctx context.Context, plan *core.Plan, opts ValidateOptions, check, stopOnError bool, scenarios []failures.Scenario) ([]sweepSlot, *SweepStats, error) {
-	start := time.Now()
-	stats := &SweepStats{}
-	stats.Scenarios = len(scenarios)
-	if len(scenarios) == 0 {
-		stats.Total = time.Since(start)
-		return nil, stats, nil
-	}
-
-	var sw *Sweep
-	if !opts.Proportional {
-		var err error
-		sw, err = NewSweepContext(ctx, plan)
-		if err != nil {
-			stats.Total = time.Since(start)
-			return nil, stats, err
-		}
-		stats.BaseFactorTime = sw.baseTime
-		stats.SparseBase = sw.slu != nil
-	}
-
-	workers := sweepWorkerCount()
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	stats.Workers = workers
-
-	slots := make([]sweepSlot, len(scenarios))
-	perWorker := make([]SweepStats, workers)
-	g := plan.Instance.Graph
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := &perWorker[w]
-			var sr *sweepScratch
-			if sw != nil {
-				sr = sw.newScratch()
-			}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(scenarios) {
-					return
-				}
-				sc := scenarios[i]
-				if ctx != nil {
-					if err := ctx.Err(); err != nil {
-						slots[i].err = fmt.Errorf("routing: scenario sweep canceled at %v: %w", sc, err)
-						slots[i].done = true
-						return
-					}
-				}
-				var r *Realization
-				var err error
-				if sw != nil {
-					var smw bool
-					var rank int
-					r, smw, rank, err = sw.realize(sc, sr)
-					if err == nil {
-						if smw {
-							ws.SMWHits++
-							if rank > ws.MaxRank {
-								ws.MaxRank = rank
-							}
-						} else {
-							ws.Fallbacks++
-						}
-					}
-				} else {
-					r, err = RealizeProportional(plan, sc)
-				}
-				if err == nil && check {
-					if sw != nil {
-						err = sw.Check(r)
-					} else {
-						err = CheckRealization(plan, r)
-					}
-				}
-				slots[i].done = true
-				if err != nil {
-					slots[i].err = err
-					if stopOnError {
-						return
-					}
-					continue
-				}
-				slots[i].mlu = MLUOf(g, r)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, ws := range perWorker {
-		stats.SMWHits += ws.SMWHits
-		stats.Fallbacks += ws.Fallbacks
-		if ws.MaxRank > stats.MaxRank {
-			stats.MaxRank = ws.MaxRank
-		}
-	}
-	if sw != nil {
-		stats.BatchHits = int(sw.batchHits.Load())
-	}
-	stats.Total = time.Since(start)
-	return slots, stats, nil
-}
-
-// Validate replays every scenario of the plan's designed failure set,
-// realizes the routing, and verifies the congestion-free property: all
-// admitted demand is delivered and no arc exceeds its capacity.
-// Scenarios are swept in parallel through the incremental engine; the
-// reported error is the first failing scenario in enumeration order,
-// independent of scheduling.
-func Validate(plan *core.Plan, opts ValidateOptions) error {
-	return ValidateContext(nil, plan, opts)
-}
-
-// ValidateContext is Validate with a deadline: the sweep checks ctx
-// before every scenario and reports the cancellation as the error of
-// the first unrealized scenario. A nil ctx means no deadline.
-func ValidateContext(ctx context.Context, plan *core.Plan, opts ValidateOptions) error {
-	_, err := ValidateStats(ctx, plan, opts)
-	return err
-}
-
-// ValidateStats is ValidateContext returning the sweep statistics even
-// when validation fails.
-func ValidateStats(ctx context.Context, plan *core.Plan, opts ValidateOptions) (*SweepStats, error) {
-	scenarios, slots, stats, err := runSweep(ctx, plan, opts, true)
-	if err != nil {
-		return stats, err
-	}
-	for i := range slots {
-		if slots[i].err != nil {
-			return stats, slots[i].err
-		}
-		if !slots[i].done {
-			// Only reachable when every worker bailed early; the
-			// in-order scan surfaces the triggering error first, so an
-			// undone slot here means a logic error upstream.
-			return stats, fmt.Errorf("routing: scenario %v was never validated", scenarios[i])
-		}
-	}
-	return stats, nil
-}
-
-// WorstMLU replays every protected scenario and returns the maximum
-// link utilization observed and the scenario that produces it — the
-// data-plane counterpart of the plan's 1/z guarantee.
-func WorstMLU(plan *core.Plan, opts ValidateOptions) (float64, failures.Scenario, error) {
-	return WorstMLUContext(nil, plan, opts)
-}
-
-// WorstMLUContext is WorstMLU with a deadline. A nil ctx means no
-// deadline.
-func WorstMLUContext(ctx context.Context, plan *core.Plan, opts ValidateOptions) (float64, failures.Scenario, error) {
-	worst, sc, _, err := WorstMLUStats(ctx, plan, opts)
-	return worst, sc, err
-}
-
-// WorstMLUStats is WorstMLUContext returning the sweep statistics. On
-// error it returns the worst utilization over the scenarios preceding
-// the failing one in enumeration order (the serial loop's behavior).
-func WorstMLUStats(ctx context.Context, plan *core.Plan, opts ValidateOptions) (float64, failures.Scenario, *SweepStats, error) {
-	scenarios, slots, stats, err := runSweep(ctx, plan, opts, false)
-	if err != nil {
-		return 0, failures.Scenario{}, stats, err
-	}
-	worst := 0.0
-	var worstSc failures.Scenario
-	for i := range slots {
-		if slots[i].err != nil {
-			return worst, worstSc, stats, slots[i].err
-		}
-		if !slots[i].done {
-			return worst, worstSc, stats, fmt.Errorf("routing: scenario %v was never realized", scenarios[i])
-		}
-		if slots[i].mlu > worst {
-			worst = slots[i].mlu
-			worstSc = scenarios[i]
-		}
-	}
-	return worst, worstSc, stats, nil
 }

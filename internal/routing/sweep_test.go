@@ -138,13 +138,35 @@ func sprintCLSPlan(t *testing.T) *core.Plan {
 	return plan
 }
 
+// newSweep builds the plan's engine without a deadline (the nil-ctx
+// contract: it cannot fail).
+func newSweep(t *testing.T, plan *core.Plan) *Sweep {
+	t.Helper()
+	sw, err := NewSweepContext(nil, plan)
+	if err != nil {
+		t.Fatalf("NewSweepContext: %v", err)
+	}
+	return sw
+}
+
+// validate and worstMLU are the stats-less shorthands most tests want.
+func validate(plan *core.Plan, opts ValidateOptions) error {
+	_, err := ValidateStats(nil, plan, opts)
+	return err
+}
+
+func worstMLU(plan *core.Plan, opts ValidateOptions) (float64, failures.Scenario, error) {
+	worst, sc, _, err := WorstMLUStats(nil, plan, opts)
+	return worst, sc, err
+}
+
 // assertSweepMatchesCold replays every scenario through both the
 // incremental engine and the cold per-scenario path and requires
 // agreement to 1e-9 relative — the tentpole's acceptance contract.
 func assertSweepMatchesCold(t *testing.T, plan *core.Plan) {
 	t.Helper()
 	const tol = 1e-9
-	sw := NewSweep(plan)
+	sw := newSweep(t, plan)
 	relOK := func(got, want float64) bool {
 		d := math.Abs(got - want)
 		if s := math.Abs(want); s > 1 {
@@ -205,7 +227,7 @@ func assertSweepMatchesCold(t *testing.T, plan *core.Plan) {
 	if st.SMWHits == 0 {
 		t.Fatalf("sweep never took the low-rank path (stats %+v)", st)
 	}
-	if err := Validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan, ValidateOptions{}); err != nil {
 		t.Fatalf("parallel validation: %v", err)
 	}
 }
@@ -264,7 +286,7 @@ func TestWorstMLUMatchesSerialCold(t *testing.T) {
 			}
 			return true
 		})
-		got, gotSc, err := WorstMLU(plan, ValidateOptions{})
+		got, gotSc, err := worstMLU(plan, ValidateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,22 +334,27 @@ func TestValidateContextCanceled(t *testing.T) {
 	plan := fig1Plan(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := ValidateContext(ctx, plan, ValidateOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := ValidateStats(ctx, plan, ValidateOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if _, _, err := WorstMLUContext(ctx, plan, ValidateOptions{}); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := WorstMLUStats(ctx, plan, ValidateOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("WorstMLU: want context.Canceled, got %v", err)
 	}
+	// A sweep through an engine built before the deadline passed
+	// surfaces the cancellation per scenario.
+	if _, err := newSweep(t, plan).ValidateStats(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("engine sweep: want context.Canceled, got %v", err)
+	}
 	// An un-canceled context validates normally.
-	if err := ValidateContext(context.Background(), plan, ValidateOptions{}); err != nil {
+	if _, err := ValidateStats(context.Background(), plan, ValidateOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestNewSweepContextCanceled: a dead context aborts the precompute
 // between stages with a wrapped context error, while a live (or nil)
-// context builds an engine that realizes scenarios exactly like
-// NewSweep — the cancellation points must not change any answer.
+// context builds an engine that realizes scenarios exactly alike — the
+// cancellation points must not change any answer.
 func TestNewSweepContextCanceled(t *testing.T) {
 	plan := fig5CLSPlan(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -339,7 +366,7 @@ func TestNewSweepContextCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewSweep(plan)
+	ref := newSweep(t, plan)
 	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
 		got, gerr := live.Realize(sc)
 		want, werr := ref.Realize(sc)
@@ -365,7 +392,7 @@ func TestSweepUpdateFaultFallsBack(t *testing.T) {
 	plan := fig5CLSPlan(t)
 	// Baseline: without the fault, every scenario is either an SMW hit
 	// or a rank-guard fallback (2k > n) that never attempts an update.
-	base := NewSweep(plan)
+	base := newSweep(t, plan)
 	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
 		if _, err := base.Realize(sc); err != nil {
 			t.Fatalf("baseline under %v: %v", sc, err)
@@ -379,7 +406,7 @@ func TestSweepUpdateFaultFallsBack(t *testing.T) {
 		return fmt.Errorf("test: injected ill-conditioning: %w", linsolve.ErrIllConditioned)
 	}
 	defer func() { SweepUpdateFault = nil }()
-	sw := NewSweep(plan)
+	sw := newSweep(t, plan)
 	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
 		got, gerr := sw.Realize(sc)
 		want, werr := Realize(plan, sc)
@@ -420,7 +447,7 @@ func TestSweepUpdateFaultFallsBack(t *testing.T) {
 // same pool with per-scenario proportional realization.
 func TestSweepProportional(t *testing.T) {
 	plan := corollaryPlan(t)
-	if err := Validate(plan, ValidateOptions{Proportional: true}); err != nil {
+	if err := validate(plan, ValidateOptions{Proportional: true}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := ValidateStats(nil, plan, ValidateOptions{Proportional: true})
@@ -442,7 +469,7 @@ func TestSweepMultiWorkerDeterministic(t *testing.T) {
 		old := sweepWorkerCount
 		sweepWorkerCount = func() int { return 1 }
 		defer func() { sweepWorkerCount = old }()
-		return WorstMLU(plan, ValidateOptions{})
+		return worstMLU(plan, ValidateOptions{})
 	}()
 	if err != nil {
 		t.Fatal(err)
@@ -465,13 +492,13 @@ func TestSweepMultiWorkerDeterministic(t *testing.T) {
 			t.Fatalf("trial %d: pool did not scale: %d workers", trial, st.Workers)
 		}
 	}
-	if err := Validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan, ValidateOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestJacobiDefaultsPinned pins the shared §4.3 iteration defaults and
-// the zero-value selection in RealizeIterative.
+// TestJacobiDefaultsPinned pins the §4.3 iteration defaults and the
+// zero-value selection in RealizeIterative.
 func TestJacobiDefaultsPinned(t *testing.T) {
 	if DefaultJacobiMaxSweeps != 20000 {
 		t.Fatalf("DefaultJacobiMaxSweeps = %d, want 20000", DefaultJacobiMaxSweeps)
@@ -479,11 +506,6 @@ func TestJacobiDefaultsPinned(t *testing.T) {
 	//lint:ignore pcflint/floatcmp pins the exact constant; a changed default must fail loudly
 	if DefaultJacobiTol != 1e-9 {
 		t.Fatalf("DefaultJacobiTol = %g, want 1e-9", DefaultJacobiTol)
-	}
-	o := AutoOptions{}.withDefaults()
-	//lint:ignore pcflint/floatcmp withDefaults copies the named constants verbatim
-	if o.MaxSweeps != DefaultJacobiMaxSweeps || o.Tol != DefaultJacobiTol {
-		t.Fatalf("withDefaults = (%d, %g), want the named constants", o.MaxSweeps, o.Tol)
 	}
 	plan := fig1Plan(t, 1)
 	sc := failures.Scenario{Dead: map[topology.LinkID]bool{0: true}}
@@ -510,7 +532,7 @@ func TestJacobiDefaultsPinned(t *testing.T) {
 // accepts, and both reject the same corruptions.
 func TestSweepCheckMatchesCheckRealization(t *testing.T) {
 	plan := fig5CLSPlan(t)
-	s := NewSweep(plan)
+	s := newSweep(t, plan)
 	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
 		r, err := s.Realize(sc)
 		if err != nil {

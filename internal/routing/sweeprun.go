@@ -1,0 +1,222 @@
+package routing
+
+// Scenario sweeps: the worker pool that drives an engine over a
+// scenario list, and the validation entry points built on it.
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"pcf/internal/core"
+	"pcf/internal/failures"
+)
+
+// sweepWorkerCount sizes the worker pool. A hook rather than a direct
+// runtime.NumCPU() call so tests can force multi-worker sweeps (and
+// race-detect the merge) on single-core machines.
+var sweepWorkerCount = runtime.NumCPU
+
+// sweepSlot is one scenario's outcome in enumeration order.
+type sweepSlot struct {
+	mlu  float64
+	err  error
+	done bool
+}
+
+// engineFor builds the engine a sweep of the plan runs through: nil
+// when the options select the proportional router, which needs none.
+func engineFor(ctx context.Context, plan *core.Plan, opts ValidateOptions) (*Sweep, error) {
+	if opts.Proportional {
+		return nil, nil
+	}
+	return NewSweepContext(ctx, plan)
+}
+
+// designedSet enumerates the plan's designed failure scenarios.
+func designedSet(plan *core.Plan) []failures.Scenario {
+	var scenarios []failures.Scenario
+	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
+		scenarios = append(scenarios, sc)
+		return true
+	})
+	return scenarios
+}
+
+// sweepScenarios realizes the scenarios through sw (nil: through the
+// §4.2 proportional router) on a NumCPU-bounded worker pool with
+// per-worker scratch, and returns the outcomes in list order — the same
+// deterministic contract as mcf's scenario sweep: workers claim indexes
+// from an atomic counter and the callers merge the slot array in order,
+// so worker scheduling never changes an answer. stopOnError selects the
+// designed-set contract — a worker bails at its first failing scenario
+// — while the sampled path sets it false and keeps sweeping, since
+// beyond-budget scenarios are expected to fail sometimes and each
+// outcome is a measurement, not an abort. The stats count this call's
+// scenarios only, whoever else is using the engine meanwhile. A nil ctx
+// means no deadline.
+func sweepScenarios(ctx context.Context, plan *core.Plan, sw *Sweep, check, stopOnError bool, scenarios []failures.Scenario) ([]sweepSlot, *SweepStats) {
+	start := time.Now()
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	stats := &SweepStats{Scenarios: len(scenarios)}
+	if sw != nil {
+		stats.BaseFactorTime = sw.baseTime
+	}
+	workers := sweepWorkerCount()
+	if workers > len(scenarios) {
+		workers = len(scenarios)
+	}
+	stats.Workers = workers
+
+	slots := make([]sweepSlot, len(scenarios))
+	perWorker := make([]SweepStats, workers)
+	g := plan.Instance.Graph
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(ws *SweepStats) {
+			defer wg.Done()
+			var sr *sweepScratch
+			if sw != nil {
+				sr = sw.newScratch()
+			}
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(scenarios) {
+					return
+				}
+				sc := scenarios[i]
+				slots[i].done = true
+				if err := ctx.Err(); err != nil {
+					slots[i].err = fmt.Errorf("routing: scenario sweep canceled at %v: %w", sc, err)
+					return
+				}
+				var r *Realization
+				var err error
+				if sw != nil {
+					var sv served
+					if r, sv, err = sw.realize(sc, sr); err == nil {
+						ws.count(sv)
+						if check {
+							err = sw.Check(r)
+						}
+					}
+				} else if r, err = RealizeProportional(plan, sc); err == nil && check {
+					err = CheckRealization(plan, r)
+				}
+				if err != nil {
+					slots[i].err = err
+					if stopOnError {
+						return
+					}
+					continue
+				}
+				slots[i].mlu = MLUOf(g, r)
+			}
+		}(&perWorker[w])
+	}
+	wg.Wait()
+	for _, ws := range perWorker {
+		stats.add(ws)
+	}
+	stats.Total = time.Since(start)
+	return slots, stats
+}
+
+// firstFailure scans a designed-set sweep in enumeration order and
+// returns the first scenario's error, so the verdict is independent of
+// scheduling. A slot no worker reached is only possible when every
+// worker bailed early, and then an earlier slot carries the triggering
+// error; finding one first means a logic error upstream.
+func firstFailure(scenarios []failures.Scenario, slots []sweepSlot) (int, error) {
+	for i := range slots {
+		if slots[i].err != nil {
+			return i, slots[i].err
+		}
+		if !slots[i].done {
+			return i, fmt.Errorf("routing: scenario %v was never swept", scenarios[i])
+		}
+	}
+	return len(slots), nil
+}
+
+// ValidateOptions tune plan validation.
+type ValidateOptions struct {
+	// Proportional uses the §4.2 local proportional router instead of
+	// the linear-system realization.
+	Proportional bool
+}
+
+// ValidateStats replays every scenario of the plan's designed failure
+// set through the engine, realizes the routing, and verifies the
+// congestion-free property: all admitted demand is delivered and no arc
+// exceeds its capacity. Scenarios are swept in parallel; the reported
+// error is the first failing scenario in enumeration order, independent
+// of scheduling. The sweep checks ctx before every scenario and reports
+// a cancellation as the error of the first unrealized one. The
+// statistics are returned even when validation fails.
+func (s *Sweep) ValidateStats(ctx context.Context) (*SweepStats, error) {
+	return validateDesigned(ctx, s.plan, s)
+}
+
+func validateDesigned(ctx context.Context, plan *core.Plan, sw *Sweep) (*SweepStats, error) {
+	scenarios := designedSet(plan)
+	slots, stats := sweepScenarios(ctx, plan, sw, true, true, scenarios)
+	_, err := firstFailure(scenarios, slots)
+	return stats, err
+}
+
+// ValidateStats is the one-shot form of (*Sweep).ValidateStats: it
+// builds the plan's engine (none for the proportional router), validates
+// through it and discards it.
+func ValidateStats(ctx context.Context, plan *core.Plan, opts ValidateOptions) (*SweepStats, error) {
+	start := time.Now()
+	sw, err := engineFor(ctx, plan, opts)
+	if err != nil {
+		return &SweepStats{Total: time.Since(start)}, err
+	}
+	stats, err := validateDesigned(ctx, plan, sw)
+	stats.Total += stats.BaseFactorTime
+	return stats, err
+}
+
+// WorstMLUStats replays every protected scenario and returns the
+// maximum link utilization observed and the scenario that produces it —
+// the data-plane counterpart of the plan's 1/z guarantee — with the
+// sweep statistics. On error it returns the worst utilization over the
+// scenarios preceding the failing one in enumeration order (a serial
+// loop's behavior).
+func WorstMLUStats(ctx context.Context, plan *core.Plan, opts ValidateOptions) (float64, failures.Scenario, *SweepStats, error) {
+	start := time.Now()
+	sw, err := engineFor(ctx, plan, opts)
+	if err != nil {
+		return 0, failures.Scenario{}, &SweepStats{Total: time.Since(start)}, err
+	}
+	scenarios := designedSet(plan)
+	slots, stats := sweepScenarios(ctx, plan, sw, false, true, scenarios)
+	stats.Total += stats.BaseFactorTime
+	ok, err := firstFailure(scenarios, slots)
+	worst, at := worstOf(slots[:ok])
+	if at < 0 {
+		return 0, failures.Scenario{}, stats, err
+	}
+	return worst, scenarios[at], stats, err
+}
+
+// worstOf returns the largest utilization among successfully swept
+// slots and its index (-1 when none is positive).
+func worstOf(slots []sweepSlot) (float64, int) {
+	worst, at := 0.0, -1
+	for i := range slots {
+		if slots[i].err == nil && slots[i].mlu > worst {
+			worst, at = slots[i].mlu, i
+		}
+	}
+	return worst, at
+}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,22 +9,13 @@ import (
 	"pcf/internal/failures"
 )
 
-// forceSparseSweep lowers the sparse threshold so every test topology
-// takes the sparse base path, restoring it afterwards.
-func forceSparseSweep(t *testing.T) {
-	t.Helper()
-	old := sweepSparseMin
-	sweepSparseMin = 1
-	t.Cleanup(func() { sweepSparseMin = old })
-}
-
-// TestSweepSparseMatchesCold replays the full cold-equivalence suite
-// with the sparse base representation forced on, on the same plans the
-// dense path is property-tested against — the tentpole's contract that
-// the representation never changes an answer beyond 1e-9.
-func TestSweepSparseMatchesCold(t *testing.T) {
-	forceSparseSweep(t)
-	plans := []struct {
+// gadgetPlans are the small plans (universe n well under the old
+// dense/sparse switch at 192) the engine's properties are pinned on.
+func gadgetPlans(t *testing.T) []struct {
+	name string
+	plan *core.Plan
+} {
+	return []struct {
 		name string
 		plan *core.Plan
 	}{
@@ -32,61 +24,74 @@ func TestSweepSparseMatchesCold(t *testing.T) {
 		{"fig4", fig4LSPlan(t, 3, 2, 3, 1)},
 		{"fig5-cls", fig5CLSPlan(t)},
 	}
-	for _, tc := range plans {
-		sw := NewSweep(tc.plan)
+}
+
+// TestSweepSparseMatchesCold pins the one base representation on the
+// small plans the dense base used to serve: the sparse factorization
+// engages (the engine is not cold-only), the rows keep their invariants
+// (ascending columns, no stored zeros, identity rows outside the
+// no-failure set), the base solution solves the base system, and the
+// full cold-equivalence contract holds to 1e-9.
+func TestSweepSparseMatchesCold(t *testing.T) {
+	for _, tc := range gadgetPlans(t) {
+		sw := newSweep(t, tc.plan)
 		if sw.slu == nil {
-			t.Fatalf("%s: sparse base did not engage (lu=%v)", tc.name, sw.lu != nil)
+			t.Fatalf("%s: base factorization did not engage", tc.name)
 		}
-		if !sw.Stats().SparseBase {
-			t.Fatalf("%s: Stats does not report SparseBase", tc.name)
+		for r, row := range sw.baseRows {
+			for i, e := range row {
+				if e.Val == 0 || (i > 0 && row[i-1].Col >= e.Col) {
+					t.Fatalf("%s: row %d entry %d breaks the row invariants: %v", tc.name, r, i, row)
+				}
+			}
+			//lint:ignore pcflint/floatcmp an identity row stores exactly 1
+			if !sw.baseInSet[r] && (len(row) != 1 || row[0].Col != r || row[0].Val != 1) {
+				t.Fatalf("%s: out-of-set row %d is not the identity: %v", tc.name, r, row)
+			}
+			acc := -sw.demand[r]
+			for _, e := range row {
+				acc += e.Val * sw.uBase[e.Col]
+			}
+			if math.Abs(acc) > 1e-9 {
+				t.Fatalf("%s: base solution misses row %d by %g", tc.name, r, acc)
+			}
 		}
 		assertSweepMatchesCold(t, tc.plan)
 	}
 }
 
-// TestSweepSparseMatchesDense compares the sparse and dense engines
-// scenario by scenario on one plan: same verdicts, same U vectors and
-// arc loads to 1e-9 relative (the factorizations pivot differently, so
-// bit equality is not expected — the agreement contract is).
-func TestSweepSparseMatchesDense(t *testing.T) {
-	plan := fig5CLSPlan(t)
-	dense := NewSweep(plan)
-	forceSparseSweep(t)
-	sparse := NewSweep(plan)
-	if dense.slu != nil || sparse.slu == nil {
-		t.Fatalf("paths not distinct: dense slu=%v, sparse slu=%v", dense.slu != nil, sparse.slu != nil)
-	}
-	relOK := func(got, want float64) bool {
-		d := math.Abs(got - want)
-		if s := math.Abs(want); s > 1 {
-			d /= s
-		}
-		return d <= 1e-9
-	}
-	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
-		rd, errD := dense.Realize(sc)
-		rs, errS := sparse.Realize(sc)
-		if (errD == nil) != (errS == nil) {
-			t.Fatalf("under %v: dense err %v, sparse err %v", sc, errD, errS)
-		}
-		if errD != nil {
-			return true
-		}
-		if len(rd.U) != len(rs.U) {
-			t.Fatalf("under %v: %d sparse pairs, %d dense", sc, len(rs.U), len(rd.U))
-		}
-		for i := range rd.U {
-			if !relOK(rs.U[i], rd.U[i]) {
-				t.Fatalf("under %v: U[%v] sparse %.15g, dense %.15g", sc, rd.Pairs[i], rs.U[i], rd.U[i])
+// TestSweepBaseMatchesColdMatrix is what remains checkable of the old
+// sparse-vs-dense comparison: the engine's base rows, restricted to the
+// no-failure pairs of interest, are bit for bit the reservation matrix
+// the cold path builds for the empty scenario — same coefficients, same
+// summation order — so the two paths can only differ by solver
+// round-off.
+func TestSweepBaseMatchesColdMatrix(t *testing.T) {
+	for _, tc := range gadgetPlans(t) {
+		sw := newSweep(t, tc.plan)
+		st := newState(tc.plan, failures.Scenario{})
+		cold := st.Matrix()
+		n := len(st.pairs)
+		dense := make([]float64, n*n)
+		for i, p := range st.pairs {
+			r, ok := sw.index[p]
+			if !ok || !sw.baseInSet[r] {
+				t.Fatalf("%s: cold pair %v is not in the engine's no-failure set", tc.name, p)
+			}
+			for _, e := range sw.baseRows[r] {
+				j, ok := st.index[sw.pairs[e.Col]]
+				if !ok {
+					t.Fatalf("%s: row %v references %v outside the cold pair set", tc.name, p, sw.pairs[e.Col])
+				}
+				dense[i*n+j] = e.Val
 			}
 		}
-		for a := range rd.ArcLoad {
-			if !relOK(rs.ArcLoad[a], rd.ArcLoad[a]) {
-				t.Fatalf("under %v: ArcLoad[%d] sparse %.15g, dense %.15g", sc, a, rs.ArcLoad[a], rd.ArcLoad[a])
+		for i := range cold {
+			if math.Float64bits(dense[i]) != math.Float64bits(cold[i]) {
+				t.Fatalf("%s: M[%d,%d] = %.17g, cold matrix has %.17g", tc.name, i/n, i%n, dense[i], cold[i])
 			}
 		}
-		return true
-	})
+	}
 }
 
 // TestSweepBatchReuse pins the SMW batching: replaying the same
@@ -94,7 +99,7 @@ func TestSweepSparseMatchesDense(t *testing.T) {
 // rank-k updates from the signature cache.
 func TestSweepBatchReuse(t *testing.T) {
 	plan := fig5CLSPlan(t)
-	sw := NewSweep(plan)
+	sw := newSweep(t, plan)
 	pass := func() {
 		plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
 			if _, err := sw.Realize(sc); err != nil {
@@ -115,27 +120,70 @@ func TestSweepBatchReuse(t *testing.T) {
 	}
 }
 
-// TestSweepStatsSparseMetrics checks the new stats surface through
-// ValidateStats and the Metrics vocabulary.
+// TestSweepStatsSparseMetrics checks the stats surface of a sweep run
+// through a shared engine: BatchHits is exact per call at any worker
+// count (a warm cache serves every rank-k scenario of the call, and
+// nothing is read off the engine's cumulative total), Realize traffic
+// in between does not leak into it, and Metrics carries exactly the
+// documented vocabulary.
 func TestSweepStatsSparseMetrics(t *testing.T) {
-	forceSparseSweep(t)
-	plan := fig1Plan(t, 1)
-	st, err := ValidateStats(nil, plan, ValidateOptions{})
+	old := sweepWorkerCount
+	sweepWorkerCount = func() int { return 4 }
+	defer func() { sweepWorkerCount = old }()
+
+	plan := fig5CLSPlan(t)
+	sw := newSweep(t, plan)
+	ctx := context.Background()
+	cold, err := sw.ValidateStats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.SparseBase {
-		t.Fatalf("SparseBase not set: %+v", st)
+	rankK := 0
+	sr := sw.newScratch()
+	for _, sc := range designedSet(plan) {
+		_, sv, err := sw.realize(sc, sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv.smw && sv.rank > 0 {
+			rankK++
+		}
+		if _, err := sw.Realize(sc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	m := st.Metrics()
-	//lint:ignore pcflint/floatcmp the metric encodes a boolean exactly
-	if m["sparse_base"] != 1 {
-		t.Fatalf("sparse_base metric = %g, want 1", m["sparse_base"])
+	if rankK == 0 {
+		t.Fatal("no rank-k scenario — batching untested")
 	}
-	if _, ok := m["batch_hits"]; !ok {
-		t.Fatal("batch_hits metric missing")
+	warm, err := sw.ValidateStats(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m["batch_hits"] < 0 {
-		t.Fatalf("batch_hits = %g", m["batch_hits"])
+	if cold.BatchHits >= rankK {
+		t.Fatalf("cold pass reports %d batch hits of %d rank-k scenarios: nothing was ever built", cold.BatchHits, rankK)
+	}
+	if warm.BatchHits != rankK {
+		t.Fatalf("warm pass BatchHits = %d, want exactly the %d rank-k scenarios", warm.BatchHits, rankK)
+	}
+	if warm.SMWHits != cold.SMWHits || warm.Fallbacks != cold.Fallbacks || warm.MaxRank != cold.MaxRank {
+		t.Fatalf("warm pass %+v disagrees with cold pass %+v", warm, cold)
+	}
+	if got := sw.Stats().Scenarios; got != warm.Scenarios {
+		t.Fatalf("cumulative Stats counts %d scenarios, want only the %d Realize calls", got, warm.Scenarios)
+	}
+	want := []string{"scenarios", "workers", "smw_hits", "fallbacks", "max_rank", "batch_hits",
+		"smw_hit_rate", "base_factor_time_ms", "total_ms"}
+	m := warm.Metrics()
+	if len(m) != len(want) {
+		t.Fatalf("Metrics has %d keys, want %d: %v", len(m), len(want), m)
+	}
+	for _, k := range want {
+		if _, ok := m[k]; !ok {
+			t.Fatalf("Metrics misses %q: %v", k, m)
+		}
+	}
+	//lint:ignore pcflint/floatcmp a small count is exact in float64
+	if m["batch_hits"] != float64(rankK) {
+		t.Fatalf("batch_hits = %g, want %d", m["batch_hits"], rankK)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -14,9 +15,9 @@ import (
 )
 
 // Published is one immutable epoch of the registry: a validated plan
-// together with its precomputed realization sweep. In-flight requests
-// hold the *Published they started with, so a hot-swap never changes
-// the plan under a request.
+// together with the realization engine it was validated through.
+// In-flight requests hold the *Published they started with, so a
+// hot-swap never changes the plan under a request.
 type Published struct {
 	// Epoch increases by one per publication and survives restarts via
 	// the checkpoint store. Responses carry it so clients can tell
@@ -147,22 +148,40 @@ func (r *Registry) PublishExternal(ctx context.Context, epoch uint64, plan *core
 	return r.publishLocked(ctx, epoch, plan)
 }
 
-// publishLocked is the shared validate → checkpoint → swap sequence.
-// Caller holds mu and has fixed the target epoch.
+// publishLocked installs the plan under the epoch the caller fixed and
+// records a refusal: a rejected epoch number is never swapped in, so the
+// "invalid" record carries the current one and never outruns the
+// registry. Caller holds mu.
 func (r *Registry) publishLocked(ctx context.Context, epoch uint64, plan *core.Plan) (*Published, error) {
-	stats, err := routing.ValidateStats(ctx, plan, routing.ValidateOptions{})
-	if err != nil {
-		// The rejected epoch number is never swapped in; the record
-		// documents the refusal without ever outrunning the registry.
+	pub, err := r.install(ctx, "publish", epoch, plan, true)
+	if errors.Is(err, ErrValidation) {
 		r.emitPublish("publish", "invalid", r.epoch, plan, nil)
-		return nil, fmt.Errorf("%w: %v", ErrValidation, err)
 	}
+	return pub, err
+}
+
+// install is the one way a plan becomes the current epoch: build its
+// realization engine, validate the designed failure set through that
+// engine, checkpoint (when asked — a recovered plan is already on
+// disk), and swap in the very engine that passed. So the object that
+// serves /v1/realize is, by pointer identity, the object that was
+// validated, and each publication builds exactly one. A validation
+// failure wraps ErrValidation; an engine build cut short by ctx does
+// not. Caller holds mu.
+func (r *Registry) install(ctx context.Context, how string, epoch uint64, plan *core.Plan, checkpoint bool) (*Published, error) {
 	sweep, err := routing.NewSweepContext(ctx, plan)
 	if err != nil {
-		return nil, fmt.Errorf("serve: preparing sweep for new plan: %w", err)
+		return nil, fmt.Errorf("serve: preparing sweep for epoch %d: %w", epoch, err)
 	}
+	stats, err := sweep.ValidateStats(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrValidation, err)
+	}
+	// The record's duration is the whole publication-time validation,
+	// engine build included.
+	stats.Total += stats.BaseFactorTime
 
-	if r.store != nil {
+	if checkpoint && r.store != nil {
 		if err := r.store.Save(epoch, plan); err != nil {
 			r.logf("serve: checkpoint of epoch %d failed (serving anyway): %v", epoch, err)
 		}
@@ -178,10 +197,12 @@ func (r *Registry) publishLocked(ctx context.Context, epoch uint64, plan *core.P
 		Validated:   *stats,
 		PublishedAt: time.Now().UTC(),
 	}
-	r.epoch = epoch
+	if epoch > r.epoch {
+		r.epoch = epoch
+	}
 	r.cur.Store(pub)
-	r.emitPublish("publish", "", epoch, plan, stats)
-	r.logf("serve: published epoch %d (scheme %s, value %g)", epoch, pub.Scheme, pub.Value)
+	r.emitPublish(how, "", epoch, plan, stats)
+	r.logf("serve: %s installed epoch %d (scheme %s, value %g)", how, epoch, pub.Scheme, pub.Value)
 	if r.OnPublish != nil {
 		r.OnPublish(pub)
 	}
@@ -212,39 +233,15 @@ func (r *Registry) Recover(ctx context.Context, in *core.Instance) (*Published, 
 			return nil, err
 		}
 		//lint:ignore pcflint/lockheld recovery runs once at startup before any request can contend; holding mu serializes recovery against a concurrent Publish, which is the point
-		stats, verr := routing.ValidateStats(ctx, plan, routing.ValidateOptions{})
-		if verr != nil {
-			path := r.store.snapshotPath(epoch)
-			r.logf("serve: recovered epoch %d fails validation, quarantining: %v", epoch, verr)
-			if qerr := os.Rename(path, path+".corrupt"); qerr != nil {
-				r.logf("serve: quarantine rename failed for epoch %d: %v", epoch, qerr)
-				return nil, fmt.Errorf("%w: epoch %d invalid and unquarantinable: %v", ErrValidation, epoch, verr)
-			}
-			continue
+		pub, err := r.install(ctx, "recover", epoch, plan, false)
+		if !errors.Is(err, ErrValidation) {
+			return pub, err
 		}
-		sweep, serr := routing.NewSweepContext(ctx, plan)
-		if serr != nil {
-			return nil, fmt.Errorf("serve: preparing sweep for recovered plan: %w", serr)
+		path := r.store.snapshotPath(epoch)
+		r.logf("serve: recovered epoch %d fails validation, quarantining: %v", epoch, err)
+		if qerr := os.Rename(path, path+".corrupt"); qerr != nil {
+			r.logf("serve: quarantine rename failed for epoch %d: %v", epoch, qerr)
+			return nil, fmt.Errorf("serve: epoch %d unquarantinable: %w", epoch, err)
 		}
-		pub := &Published{
-			Epoch:       epoch,
-			Plan:        plan,
-			Sweep:       sweep,
-			Scheme:      plan.Scheme,
-			Value:       plan.Value,
-			Degraded:    plan.Degraded,
-			Validated:   *stats,
-			PublishedAt: time.Now().UTC(),
-		}
-		if epoch > r.epoch {
-			r.epoch = epoch
-		}
-		r.cur.Store(pub)
-		r.emitPublish("recover", "", epoch, plan, stats)
-		r.logf("serve: recovered epoch %d (scheme %s, value %g)", epoch, pub.Scheme, pub.Value)
-		if r.OnPublish != nil {
-			r.OnPublish(pub)
-		}
-		return pub, nil
 	}
 }

@@ -3,9 +3,10 @@
 // guarantee discipline as the LPs it fronts:
 //
 //   - no plan is ever served that did not pass the full
-//     congestion-free validation sweep (routing.ValidateStats) —
-//     publication is a validated atomic hot-swap with rollback, and
-//     in-flight requests finish on the plan they started with;
+//     congestion-free validation sweep, run through the very
+//     routing.Sweep that then serves it — publication is a validated
+//     atomic hot-swap with rollback, and in-flight requests finish on
+//     the plan they started with;
 //   - load is shed, not queued unboundedly: a bounded per-class
 //     admission queue returns ErrOverloaded (HTTP 503 + Retry-After)
 //     when full, and every admitted request carries a deadline that

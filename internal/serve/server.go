@@ -810,7 +810,9 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	var rep *routing.SampledReport
 	switch model {
 	case "exact":
-		stats, err = routing.ValidateStats(ctx, pub.Plan, routing.ValidateOptions{})
+		// Through the published engine itself: no rebuild, and its
+		// corrector cache already holds the designed set's signatures.
+		stats, err = pub.Sweep.ValidateStats(ctx)
 	case "sampled":
 		var opts routing.SampleOptions
 		opts, err = s.sampleOptions(q, pub.Plan)
@@ -821,6 +823,8 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, map[string]any{"error": err.Error()})
 			return
 		}
+		// On an engine of its own: beyond-budget draws would otherwise
+		// grow the published engine's corrector cache without bound.
 		rep, err = routing.ValidateSampled(ctx, pub.Plan, opts)
 		if rep != nil {
 			stats = &rep.Stats

@@ -95,8 +95,10 @@ type Store struct {
 	openCount int
 	nextSeq   uint64
 	mem       []Record // open-segment mirror (disk) or bounded ring (memory-only)
-	memStart  uint64   // seq of mem[0] (valid when len(mem) > 0)
+	memHead   int      // index of the oldest record in mem; moves only once a full memory-only ring wraps
+	memStart  uint64   // seq of the oldest record in mem (valid when len(mem) > 0)
 	notify    chan struct{}
+	tailing   bool // a Tail holds the current notify channel
 	closed    bool
 
 	appended    uint64
@@ -357,20 +359,25 @@ func (s *Store) Emit(r Record) {
 			s.cfg.Logf("telemetry: appending record %d: %v", r.Seq, err)
 		}
 	}
-	if len(s.mem) == 0 {
-		s.memStart = r.Seq
-	}
-	s.mem = append(s.mem, r)
-	if s.dir == "" && len(s.mem) > s.cfg.MemoryRecords {
-		drop := len(s.mem) - s.cfg.MemoryRecords
-		s.mem = append(s.mem[:0], s.mem[drop:]...)
-		s.memStart += uint64(drop)
-		s.dropped += uint64(drop)
+	if s.dir == "" && len(s.mem) == s.cfg.MemoryRecords {
+		// Full ring: the new record takes the oldest one's slot.
+		s.mem[s.memHead] = r
+		s.memHead = (s.memHead + 1) % len(s.mem)
+		s.memStart++
+		s.dropped++
+	} else {
+		if len(s.mem) == 0 {
+			s.memStart = r.Seq
+		}
+		s.mem = append(s.mem, r)
 	}
 
-	// Wake tail waiters.
-	close(s.notify)
-	s.notify = make(chan struct{})
+	// Wake tail waiters; with none parked the channel stays as it is.
+	if s.tailing {
+		close(s.notify)
+		s.notify = make(chan struct{})
+		s.tailing = false
+	}
 
 	if s.dir != "" && s.openCount >= s.cfg.SegmentRecords {
 		if err := s.sealLocked(); err != nil {
@@ -600,12 +607,14 @@ func (s *Store) scanLocked(after uint64, fn func(Record) bool) error {
 			}
 		}
 	}
-	for _, r := range s.mem {
-		if r.Seq <= after {
-			continue
-		}
-		if !fn(r) {
-			return nil
+	for _, part := range [2][]Record{s.mem[s.memHead:], s.mem[:s.memHead]} {
+		for _, r := range part {
+			if r.Seq <= after {
+				continue
+			}
+			if !fn(r) {
+				return nil
+			}
 		}
 	}
 	return nil
@@ -645,6 +654,7 @@ func (s *Store) Tail(ctx context.Context, after uint64, limit int) ([]Record, ui
 		}
 		latest := s.nextSeq - 1
 		ch := s.notify
+		s.tailing = s.tailing || latest <= after
 		s.mu.Unlock()
 		if latest > after {
 			return s.ReadSince(after, limit)

@@ -264,6 +264,79 @@ func TestStoreMemoryOnly(t *testing.T) {
 	}
 }
 
+// TestStoreRingWrap drives a memory-only store through and far past
+// its capacity and, after every Emit, compares what ReadSince, Tail,
+// Query and the dropped counter report with a model that keeps the
+// newest cap records by shifting a slice — the store's behaviour before
+// eviction became an in-place overwrite. A full ring must also take an
+// Emit without allocating.
+func TestStoreRingWrap(t *testing.T) {
+	const ringCap = 8
+	s := mustOpen(t, "", StoreConfig{MemoryRecords: ringCap})
+	defer s.Close()
+	var model []Record
+	for i := 1; i <= 3*ringCap+3; i++ {
+		s.Emit(Record{Kind: KindRequest, Name: "n", Fields: map[string]float64{"i": float64(i)}})
+		model = append(model, Record{Seq: uint64(i)})
+		if len(model) > ringCap {
+			model = append(model[:0], model[1:]...)
+		}
+		if st := s.Stats(); st.Dropped != uint64(i-len(model)) {
+			t.Fatalf("after %d emits: %d dropped, want %d", i, st.Dropped, i-len(model))
+		}
+		for _, after := range []uint64{0, model[0].Seq - 1, model[0].Seq + 2, uint64(i) - 1, uint64(i)} {
+			for _, limit := range []int{0, 3} {
+				var want []uint64
+				for _, r := range model {
+					if r.Seq > after && (limit == 0 || len(want) < limit) {
+						want = append(want, r.Seq)
+					}
+				}
+				wantNext := after
+				if len(want) > 0 {
+					wantNext = want[len(want)-1]
+				}
+				got, next, err := s.ReadSince(after, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next != wantNext || len(got) != len(want) {
+					t.Fatalf("after %d emits: ReadSince(%d, %d) = %d records, cursor %d; want %d, %d",
+						i, after, limit, len(got), next, len(want), wantNext)
+				}
+				for j, r := range got {
+					//lint:ignore pcflint/floatcmp the field round-trips the emit index exactly
+					if r.Seq != want[j] || r.Fields["i"] != float64(want[j]) {
+						t.Fatalf("after %d emits: ReadSince(%d, %d)[%d] = seq %d field %g, want seq %d",
+							i, after, limit, j, r.Seq, r.Fields["i"], want[j])
+					}
+				}
+				if len(want) == 0 {
+					continue // a satisfied cursor would park the tail
+				}
+				tailed, tnext, err := s.Tail(context.Background(), after, limit)
+				if err != nil || tnext != wantNext || len(tailed) != len(want) {
+					t.Fatalf("after %d emits: Tail(%d, %d) = %d records, cursor %d, err %v; want %d, %d",
+						i, after, limit, len(tailed), tnext, err, len(want), wantNext)
+				}
+			}
+		}
+		bs, err := s.Query(Query{Metric: "i"})
+		if err != nil || len(bs) != 1 {
+			t.Fatalf("after %d emits: query = %v, %v", i, bs, err)
+		}
+		//lint:ignore pcflint/floatcmp small integers are exact in float64
+		if b := bs[0]; b.Count != len(model) || b.Min != float64(model[0].Seq) || b.Max != float64(i) {
+			t.Fatalf("after %d emits: query sees count %d range [%g,%g], want %d [%d,%d]",
+				i, b.Count, b.Min, b.Max, len(model), model[0].Seq, i)
+		}
+	}
+	rec := Record{Kind: KindRequest, Name: "n"}
+	if allocs := testing.AllocsPerRun(100, func() { s.Emit(rec) }); allocs != 0 {
+		t.Fatalf("Emit into a full ring allocates %.0f times per call, want 0", allocs)
+	}
+}
+
 func TestStoreTail(t *testing.T) {
 	s := mustOpen(t, "", StoreConfig{})
 	defer s.Close()

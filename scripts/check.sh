@@ -68,4 +68,17 @@ echo "== sampled-validation determinism (-count=2)"
 # cannot hide behind Go's test result cache.
 go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeterminism' ./internal/routing/ ./internal/failures/
 
+echo "== benchmark smoke (frozen API)"
+# benchmark/ may not change with the code it measures, so it compiles
+# against whatever the tree exports: a renamed or re-typed function it
+# calls must fail here, not in the pipeline that runs the benchmark
+# afterwards. A 2-second sprint run builds it, drives every end-to-end
+# phase once through the daemon's HTTP surface and checks every reply.
+smoke=$(bash benchmark/run.sh --workload sprint-tf-f1 --seed 1 --seconds 2 --trace 0)
+if ! printf '%s\n' "$smoke" | grep -Eq '^ops_failed +0$'; then
+	echo "benchmark smoke did not report ops_failed 0:" >&2
+	printf '%s\n' "$smoke" >&2
+	exit 1
+fi
+
 echo "OK"
