@@ -365,6 +365,12 @@ func BenchmarkSolveSynth1k(b *testing.B) {
 	if !plan.Stats.SparseFactor {
 		b.Fatal("synth solve did not use the sparse factorization")
 	}
+	// Every row of a cut master has a feasible slack (DESIGN.md §11), so
+	// a phase-1 iteration here means the artificial start is back.
+	if plan.Stats.Phase1Iters != 0 {
+		b.Fatalf("synth solve ran %d phase-1 iterations; the slack start should need none", plan.Stats.Phase1Iters)
+	}
+	b.ReportMetric(float64(plan.Stats.LPIterations), "lp_iters")
 	b.ReportMetric(float64(plan.Stats.Refactors), "refactors")
 	b.ReportMetric(plan.Stats.FillRatio(), "fill_ratio")
 }

@@ -165,7 +165,8 @@ func (m *model) render(addr string, now time.Time) string {
 	if r := m.lastSolve; r != nil {
 		fmt.Fprintf(&b, "last solve: %s in %v", r.OutcomeOrOK(), r.Dur.Round(time.Millisecond))
 		if v := r.Field("lp_iterations"); v > 0 {
-			fmt.Fprintf(&b, ", %.0f lp iters", v)
+			fmt.Fprintf(&b, ", %.0f lp iters (p1 %.0f p2 %.0f dual %.0f, %.0f rows slack-started)", v,
+				r.Field("phase1_iters"), r.Field("phase2_iters"), r.Field("dual_iters"), r.Field("slack_start"))
 		}
 		if r.Field("sparse_factor") > 0 {
 			fmt.Fprintf(&b, ", sparse basis %.0f nnz fill %.2f", r.Field("basis_nnz"), r.Field("fill_ratio"))

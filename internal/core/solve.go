@@ -218,20 +218,21 @@ func solveScheme(in *Instance, scheme string, withLS bool, build advBuilder, opt
 
 // statsOf summarizes a one-shot (non-cutting-plane) solve.
 func statsOf(sol *lp.Solution) SolveStats {
-	st := SolveStats{
-		Rounds:       1,
-		LPIterations: sol.Stats.Iterations(),
-		CompileTime:  sol.Stats.CompileTime,
-	}
-	absorbFactorStats(&st, sol)
+	st := SolveStats{Rounds: 1, CompileTime: sol.Stats.CompileTime}
+	absorbLPStats(&st, sol)
 	return st
 }
 
-// absorbFactorStats folds one LP solution's basis-factorization
-// telemetry into the aggregate: refactorizations accumulate across
-// rounds, factor sizes track the latest (largest master) solve, and
-// the eta-chain length keeps its maximum.
-func absorbFactorStats(st *SolveStats, sol *lp.Solution) {
+// absorbLPStats folds one LP solution's statistics into the aggregate:
+// iterations, slack-started rows and refactorizations accumulate
+// across rounds, factor sizes track the latest (largest master) solve,
+// and the eta-chain length keeps its maximum.
+func absorbLPStats(st *SolveStats, sol *lp.Solution) {
+	st.LPIterations += sol.Stats.Iterations()
+	st.Phase1Iters += sol.Stats.Phase1Iters
+	st.Phase2Iters += sol.Stats.Phase2Iters
+	st.DualIters += sol.Stats.DualIters
+	st.SlackStartRows += sol.Stats.SlackStartRows
 	st.SparseFactor = sol.Stats.SparseFactor
 	st.Refactors += sol.Stats.Refactors
 	st.BasisNNZ = sol.Stats.BasisNNZ
@@ -239,6 +240,44 @@ func absorbFactorStats(st *SolveStats, sol *lp.Solution) {
 	if sol.Stats.MaxEtaLen > st.MaxEtaLen {
 		st.MaxEtaLen = sol.Stats.MaxEtaLen
 	}
+}
+
+// cutExpr is the robust constraint of spec's pair evaluated at the
+// adversary point w, as the expression of a row "cutExpr >= 0".
+func (spec *advSpec) cutExpr(w []float64) *lp.Expr {
+	e := lp.NewExpr()
+	e.AddExpr(1, spec.constPart)
+	for j, c := range spec.costs {
+		if c != nil && w[j] != 0 {
+			e.AddExpr(w[j], c)
+		}
+	}
+	e.AddExpr(-1, spec.rhs)
+	e.AddConst(0)
+	return e
+}
+
+// seedMaster adds each pair's seed cuts to the master model and
+// returns how many: the no-failure scenario (keeps the master bounded
+// from round one) and every single-unit failure touching the pair —
+// for a budget of one failure these seeds are usually already the
+// binding scenarios, so separation converges in a round or two
+// instead of rediscovering them one by one. Seeds go into the model
+// before compilation; later cuts are appended to the compiled form.
+func seedMaster(base *lp.Model, specs []*advSpec) (int, error) {
+	numCuts := 0
+	for _, spec := range specs {
+		for _, sc := range spec.seedScenarios() {
+			w := spec.scenarioPoint(sc)
+			if !spec.poly.Contains(w, 1e-9) {
+				return 0, fmt.Errorf("internal: seed scenario %v is not a polytope point for %v", sc, spec.pair)
+			}
+			base.AddConstraintN(cutPat.N(int(spec.pair.Src), int(spec.pair.Dst)),
+				spec.cutExpr(w), lp.GE, 0)
+			numCuts++
+		}
+	}
+	return numCuts, nil
 }
 
 // solveByCuts is the lazy-constraint engine. Every cut is the robust
@@ -254,37 +293,9 @@ func absorbFactorStats(st *SolveStats, sol *lp.Solution) {
 // convergence: there are finitely many polytope vertices.
 func solveByCuts(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solution, SolveStats, error) {
 	var stats SolveStats
-	cutExpr := func(spec *advSpec, w []float64) *lp.Expr {
-		e := lp.NewExpr()
-		e.AddExpr(1, spec.constPart)
-		for j, c := range spec.costs {
-			if c != nil && w[j] != 0 {
-				e.AddExpr(w[j], c)
-			}
-		}
-		e.AddExpr(-1, spec.rhs)
-		e.AddConst(0)
-		return e
-	}
-
-	// Seed each pair with the no-failure scenario (keeps the master
-	// bounded from round one) and every single-unit failure touching
-	// the pair — for a budget of one failure these seeds are usually
-	// already the binding scenarios, so separation converges in a
-	// round or two instead of rediscovering them one by one. Seeds go
-	// into the model before compilation; later cuts are appended to
-	// the compiled form.
-	numCuts := 0
-	for _, spec := range specs {
-		for _, sc := range spec.seedScenarios() {
-			w := spec.scenarioPoint(sc)
-			if !spec.poly.Contains(w, 1e-9) {
-				return nil, stats, fmt.Errorf("internal: seed scenario %v is not a polytope point for %v", sc, spec.pair)
-			}
-			base.AddConstraintN(cutPat.N(int(spec.pair.Src), int(spec.pair.Dst)),
-				cutExpr(spec, w), lp.GE, 0)
-			numCuts++
-		}
+	numCuts, err := seedMaster(base, specs)
+	if err != nil {
+		return nil, stats, err
 	}
 
 	cm := lp.Compile(base)
@@ -303,8 +314,7 @@ func solveByCuts(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 		if err != nil {
 			return nil, stats, err
 		}
-		stats.LPIterations += sol.Stats.Iterations()
-		absorbFactorStats(&stats, sol)
+		absorbLPStats(&stats, sol)
 		if sol.Stats.WarmHit {
 			stats.WarmHits++
 		}
@@ -332,7 +342,7 @@ func solveByCuts(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 			rhs := sol.Eval(spec.rhs)
 			if lhs < rhs-opts.Tol {
 				cm.AddRow(cutPat.N(int(spec.pair.Src), int(spec.pair.Dst)),
-					cutExpr(spec, w), lp.GE, 0)
+					spec.cutExpr(w), lp.GE, 0)
 				numCuts++
 				violated++
 			}

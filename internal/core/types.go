@@ -272,8 +272,16 @@ type SolveStats struct {
 	Cuts int
 	// WarmHits counts the re-solves served by the warm-start path.
 	WarmHits int
-	// LPIterations totals simplex iterations across all rounds.
+	// LPIterations totals simplex iterations across all rounds;
+	// Phase1Iters, Phase2Iters and DualIters split it by simplex phase.
 	LPIterations int
+	Phase1Iters  int
+	Phase2Iters  int
+	DualIters    int
+	// SlackStartRows totals, over the cold starts behind the plan, the
+	// rows started on their own slack instead of an artificial. A cut
+	// master starts every row there, so Phase1Iters stays 0.
+	SlackStartRows int
 	// CompileTime is the one-time cost of compiling the master model.
 	CompileTime time.Duration
 	// SparseFactor records whether the simplex served the solve with
@@ -315,6 +323,10 @@ func (s SolveStats) Metrics() map[string]float64 {
 		"cuts":            float64(s.Cuts),
 		"warm_hits":       float64(s.WarmHits),
 		"lp_iterations":   float64(s.LPIterations),
+		"phase1_iters":    float64(s.Phase1Iters),
+		"phase2_iters":    float64(s.Phase2Iters),
+		"dual_iters":      float64(s.DualIters),
+		"slack_start":     float64(s.SlackStartRows),
 		"compile_time_ms": float64(s.CompileTime) / float64(time.Millisecond),
 		"sparse_factor":   sparse,
 		"refactors":       float64(s.Refactors),

@@ -3,6 +3,7 @@ package linsolve
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // SparseEntry is one nonzero of a sparse row: value Val in column Col.
@@ -44,75 +45,180 @@ const markowitzCand = 8
 // safe for concurrent use on one SparseLU.
 type SparseLU struct {
 	n       int
-	rowPerm []int       // rowPerm[k] = original row eliminated at step k
-	colPerm []int       // colPerm[k] = original column eliminated at step k
-	rowPos  []int       // inverse of rowPerm
-	colPos  []int       // inverse of colPerm
-	piv     []float64   // pivot value per step
-	lcol    [][]luEntry // L column per step: (original row, multiplier)
-	urow    [][]luEntry // U row per step: (original col, value), pivot excluded
-	ucol    [][]luEntry // U column per step position: (step, value), for transpose solves
+	rowPerm []int     // rowPerm[k] = original row eliminated at step k
+	colPerm []int     // colPerm[k] = original column eliminated at step k
+	rowPos  []int     // inverse of rowPerm
+	colPos  []int     // inverse of colPerm
+	piv     []float64 // pivot value per step
+
+	// The factors, one flat arena each, step k's part delimited by the
+	// matching offsets (lcol[lptr[k]:lptr[k+1]], ...).
+	lcol             []luEntry // L columns: (original row, multiplier)
+	urow             []luEntry // U rows: (original col, value), pivot excluded
+	ucol             []luEntry // U columns by step position: (step, value), for transpose solves
+	lptr, uptr, cptr []int
 
 	inputNNZ int
 }
 
+// SparseFactorizer is the factorization workspace: the active
+// submatrix, its bucket and column indexes, and the factors it
+// produces all live in flat arenas that Factor refills, so a caller
+// that refactorizes repeatedly (the simplex) allocates nothing once
+// the arenas have grown to the problem's size. Not safe for concurrent
+// use. The zero value is ready.
+type SparseFactorizer struct {
+	lu SparseLU
+
+	// Active submatrix: un-eliminated row i's entries restricted to
+	// un-eliminated columns are ent[start[i]:start[i]+length[i]], with
+	// room to grow in place up to room[i] entries. A row that outgrows
+	// its room moves to the arena's end; the hole stays until the next
+	// Factor.
+	ent                 []SparseEntry
+	start, length, room []int
+	rowDone             []bool
+	colCount            []int    // active rows containing each column
+	colRows             intLists // candidate rows per column (stale ones skipped)
+	// Rows bucketed by active length for cheap shortest-row lookup.
+	// Nodes go stale when a row's length changes or it is eliminated;
+	// stale nodes are unlinked when a scan meets them.
+	buckets intLists
+
+	// Row-combination scratch: pos[col] is the entry index of col in
+	// the row being updated, valid when mark[col] == epoch.
+	pos, mark []int
+}
+
+// intLists is a family of append-only int lists sharing one node
+// arena; order within a list is insertion order.
+type intLists struct {
+	head, tail []int // first and last node per list, -1 when empty
+	nodes      []listNode
+}
+
+type listNode struct{ val, next int }
+
+func (l *intLists) reset(lists int) {
+	l.head, l.tail = resize(l.head, lists), resize(l.tail, lists)
+	for i := range l.head {
+		l.head[i], l.tail[i] = -1, -1
+	}
+	l.nodes = l.nodes[:0]
+}
+
+func (l *intLists) push(list, v int) {
+	nd := len(l.nodes)
+	l.nodes = append(l.nodes, listNode{val: v, next: -1})
+	if t := l.tail[list]; t >= 0 {
+		l.nodes[t].next = nd
+	} else {
+		l.head[list] = nd
+	}
+	l.tail[list] = nd
+}
+
+// unlink removes node nd, whose predecessor in the list is prev (-1 at
+// the head).
+func (l *intLists) unlink(list, prev, nd int) {
+	if prev < 0 {
+		l.head[list] = l.nodes[nd].next
+	} else {
+		l.nodes[prev].next = l.nodes[nd].next
+	}
+	if l.tail[list] == nd {
+		l.tail[list] = prev
+	}
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when that is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // FactorSparseRows factors the n×n matrix given as sparse rows. Each
 // row's entries must have in-range column indices; duplicate columns
-// within a row are summed. The input is not retained.
+// within a row are summed. The input is not retained. It is the
+// one-shot form of SparseFactorizer.Factor.
 func FactorSparseRows(rows [][]SparseEntry, n int) (*SparseLU, error) {
 	if len(rows) != n {
 		return nil, fmt.Errorf("linsolve: %d sparse rows for n=%d", len(rows), n)
 	}
-	f := &SparseLU{
-		n:       n,
-		rowPerm: make([]int, n),
-		colPerm: make([]int, n),
-		rowPos:  make([]int, n),
-		colPos:  make([]int, n),
-		piv:     make([]float64, n),
-		lcol:    make([][]luEntry, n),
-		urow:    make([][]luEntry, n),
+	var w SparseFactorizer
+	ptr, ents := flattenRows(rows)
+	lu, err := w.Factor(n, ptr, ents)
+	if err != nil {
+		return nil, err
 	}
+	out := *lu // detach the factors so the rest of the workspace is freed
+	return &out, nil
+}
 
-	// Active-submatrix working state. act holds each un-eliminated
-	// row's remaining entries restricted to un-eliminated columns.
-	act := make([][]SparseEntry, n)
-	colCount := make([]int, n)  // active rows containing each column
-	colRows := make([][]int, n) // candidate rows per column (lazily cleaned)
-	rowDone := make([]bool, n)
+// flattenRows lays sparse rows out the way Factor takes them.
+func flattenRows(rows [][]SparseEntry) (ptr []int, ents []SparseEntry) {
+	ptr = make([]int, len(rows)+1)
 	for i, row := range rows {
-		cp := make([]SparseEntry, 0, len(row))
-		for _, e := range row {
+		ptr[i+1] = ptr[i] + len(row)
+	}
+	ents = make([]SparseEntry, 0, ptr[len(rows)])
+	for _, row := range rows {
+		ents = append(ents, row...)
+	}
+	return ptr, ents
+}
+
+// row returns active row i, appendable in place up to its room.
+func (w *SparseFactorizer) row(i int) []SparseEntry {
+	s := w.start[i]
+	return w.ent[s : s+w.length[i] : s+w.room[i]]
+}
+
+// Factor factors the n×n matrix whose row i is ents[ptr[i]:ptr[i+1]]
+// (same contract as FactorSparseRows). The returned factors live in
+// the workspace: the next Factor call overwrites them, and after an
+// error they are undefined.
+func (w *SparseFactorizer) Factor(n int, ptr []int, ents []SparseEntry) (*SparseLU, error) {
+	if len(ptr) != n+1 {
+		return nil, fmt.Errorf("linsolve: %d row offsets for n=%d", len(ptr), n)
+	}
+	f := &w.lu
+	f.n, f.inputNNZ = n, ptr[n]-ptr[0]
+	f.rowPerm, f.colPerm = resize(f.rowPerm, n), resize(f.colPerm, n)
+	f.rowPos, f.colPos = resize(f.rowPos, n), resize(f.colPos, n)
+	f.piv = resize(f.piv, n)
+	f.lptr, f.uptr, f.cptr = resize(f.lptr, n+1), resize(f.uptr, n+1), resize(f.cptr, n+1)
+	f.lcol, f.urow = f.lcol[:0], f.urow[:0]
+
+	w.start, w.length, w.room = resize(w.start, n), resize(w.length, n), resize(w.room, n)
+	w.rowDone, w.colCount = resize(w.rowDone, n), resize(w.colCount, n)
+	w.pos, w.mark = resize(w.pos, n), resize(w.mark, n)
+	w.colRows.reset(n)
+	w.buckets.reset(n + 1)
+	w.ent = w.ent[:0]
+	for i := 0; i < n; i++ {
+		s := len(w.ent)
+		for _, e := range ents[ptr[i]:ptr[i+1]] {
 			if e.Col < 0 || e.Col >= n {
 				return nil, fmt.Errorf("linsolve: row %d references column %d out of range [0,%d)", i, e.Col, n)
 			}
-			cp = append(cp, e)
-			f.inputNNZ++
+			w.ent = append(w.ent, e)
 		}
-		cp = mergeDupCols(cp)
-		act[i] = cp
-		for _, e := range cp {
-			colCount[e.Col]++
-			colRows[e.Col] = append(colRows[e.Col], i)
+		row := mergeDupCols(w.ent[s:])
+		w.ent = w.ent[:s+len(row)]
+		w.start[i], w.length[i], w.room[i] = s, len(row), len(row)
+		for _, e := range row {
+			w.colCount[e.Col]++
+			w.colRows.push(e.Col, i)
 		}
+		w.buckets.push(len(row), i)
 	}
-
-	// Rows bucketed by active length for cheap shortest-row lookup.
-	// Entries go stale when a row's length changes or it is eliminated;
-	// stale entries are skipped at pop time.
-	buckets := make([][]int, n+1)
-	push := func(i int) {
-		l := len(act[i])
-		buckets[l] = append(buckets[l], i)
-	}
-	for i := 0; i < n; i++ {
-		push(i)
-	}
-
-	// Row-combination scratch: pos[col] is the entry index of col in
-	// the row being updated, valid when mark[col] == epoch.
-	pos := make([]int, n)
-	mark := make([]int, n)
+	pos, mark, colCount, rowDone := w.pos, w.mark, w.colCount, w.rowDone
 	epoch := 0
 
 	for k := 0; k < n; k++ {
@@ -122,18 +228,18 @@ func FactorSparseRows(rows [][]SparseEntry, n int) (*SparseLU, error) {
 		bestCost, bestAbs := math.Inf(1), 0.0
 		cand := 0
 		for l := 0; l <= n && cand < markowitzCand; l++ {
-			b := buckets[l]
-			w, r := 0, 0
-			for ; r < len(b) && cand < markowitzCand; r++ {
-				i := b[r]
-				if rowDone[i] || len(act[i]) != l {
-					continue // stale: row eliminated or length changed
+			prev := -1
+			for nd := w.buckets.head[l]; nd >= 0 && cand < markowitzCand; nd = w.buckets.nodes[nd].next {
+				i := w.buckets.nodes[nd].val
+				if rowDone[i] || w.length[i] != l {
+					w.buckets.unlink(l, prev, nd) // stale: row eliminated or length changed
+					continue
 				}
-				b[w] = i
-				w++
+				prev = nd
 				cand++
+				row := w.row(i)
 				rmax := 0.0
-				for _, e := range act[i] {
+				for _, e := range row {
 					if v := math.Abs(e.Val); v > rmax {
 						rmax = v
 					}
@@ -141,7 +247,7 @@ func FactorSparseRows(rows [][]SparseEntry, n int) (*SparseLU, error) {
 				if rmax < 1e-13 {
 					return nil, ErrSingular
 				}
-				for t, e := range act[i] {
+				for t, e := range row {
 					v := math.Abs(e.Val)
 					if v < markowitzTau*rmax {
 						continue
@@ -153,16 +259,14 @@ func FactorSparseRows(rows [][]SparseEntry, n int) (*SparseLU, error) {
 					}
 				}
 			}
-			// Compact out the stale prefix, keep the unexamined tail.
-			w += copy(b[w:], b[r:])
-			buckets[l] = b[:w]
 		}
 		if bestRow < 0 {
 			return nil, ErrSingular
 		}
 
 		pi := bestRow
-		pe := act[pi][bestEntry]
+		prow := w.row(pi)
+		pe := prow[bestEntry]
 		pj := pe.Col
 		f.rowPerm[k], f.colPerm[k] = pi, pj
 		f.rowPos[pi], f.colPos[pj] = k, k
@@ -171,24 +275,22 @@ func FactorSparseRows(rows [][]SparseEntry, n int) (*SparseLU, error) {
 
 		// The pivot row becomes U row k (pivot entry excluded); its
 		// other columns lose one active row.
-		ur := make([]luEntry, 0, len(act[pi])-1)
-		for _, e := range act[pi] {
+		f.uptr[k], f.lptr[k] = len(f.urow), len(f.lcol)
+		for _, e := range prow {
 			if e.Col == pj {
 				continue
 			}
-			ur = append(ur, luEntry{Idx: e.Col, Val: e.Val})
+			f.urow = append(f.urow, luEntry{Idx: e.Col, Val: e.Val})
 			colCount[e.Col]--
 		}
-		f.urow[k] = ur
-		prow := act[pi]
-		act[pi] = nil
 
 		// Eliminate the pivot column from every active row holding it.
-		for _, i := range colRows[pj] {
+		for nd := w.colRows.head[pj]; nd >= 0; nd = w.colRows.nodes[nd].next {
+			i := w.colRows.nodes[nd].val
 			if rowDone[i] {
 				continue
 			}
-			ri := act[i]
+			ri := w.row(i)
 			epoch++
 			found := -1
 			for t, e := range ri {
@@ -202,13 +304,24 @@ func FactorSparseRows(rows [][]SparseEntry, n int) (*SparseLU, error) {
 				continue // stale candidate: entry cancelled earlier
 			}
 			m := ri[found].Val / pe.Val
-			f.lcol[k] = append(f.lcol[k], luEntry{Idx: i, Val: m})
+			f.lcol = append(f.lcol, luEntry{Idx: i, Val: m})
 			// Remove the pivot column entry (order-preserving so row
 			// entry order stays deterministic).
 			copy(ri[found:], ri[found+1:])
 			ri = ri[:len(ri)-1]
 			colCount[pj]--
 			if m != 0 {
+				if need := len(ri) + len(prow) - 1; need > cap(ri) {
+					// Every pivot-row entry may fill in: move the row to
+					// the arena's end with room for that and as much
+					// again. prow may now alias the old backing array,
+					// which nothing writes to any more.
+					s, room := len(w.ent), 2*need
+					w.ent = slices.Grow(w.ent, room)[:s+room]
+					copy(w.ent[s:], ri)
+					w.start[i], w.room[i] = s, room
+					ri = w.ent[s : s+len(ri) : s+room]
+				}
 				for _, e := range prow {
 					if e.Col == pj {
 						continue
@@ -225,16 +338,15 @@ func FactorSparseRows(rows [][]SparseEntry, n int) (*SparseLU, error) {
 						mark[e.Col] = epoch
 						pos[e.Col] = len(ri) - 1
 						colCount[e.Col]++
-						colRows[e.Col] = append(colRows[e.Col], i)
+						w.colRows.push(e.Col, i)
 					}
 				}
 			}
-			act[i] = ri
-			push(i)
+			w.length[i] = len(ri)
+			w.buckets.push(len(ri), i)
 		}
-		colRows[pj] = nil
 	}
-
+	f.uptr[n], f.lptr[n] = len(f.urow), len(f.lcol)
 	f.buildUcol()
 	return f, nil
 }
@@ -242,13 +354,25 @@ func FactorSparseRows(rows [][]SparseEntry, n int) (*SparseLU, error) {
 // buildUcol transposes the U rows into per-column-position lists used
 // by transpose solves, ordered by increasing step.
 func (f *SparseLU) buildUcol() {
-	f.ucol = make([][]luEntry, f.n)
-	for k := 0; k < f.n; k++ {
-		for _, e := range f.urow[k] {
+	n, cptr := f.n, f.cptr
+	f.ucol = resize(f.ucol, len(f.urow))
+	for _, e := range f.urow {
+		cptr[f.colPos[e.Idx]+1]++
+	}
+	for k := 0; k < n; k++ {
+		cptr[k+1] += cptr[k]
+	}
+	// Fill with cptr[kc] as column kc's cursor, which leaves every
+	// offset one slot early; shift them back.
+	for k := 0; k < n; k++ {
+		for _, e := range f.urow[f.uptr[k]:f.uptr[k+1]] {
 			kc := f.colPos[e.Idx]
-			f.ucol[kc] = append(f.ucol[kc], luEntry{Idx: k, Val: e.Val})
+			f.ucol[cptr[kc]] = luEntry{Idx: k, Val: e.Val}
+			cptr[kc]++
 		}
 	}
+	copy(cptr[1:], cptr[:n])
+	cptr[0] = 0
 }
 
 // mergeDupCols sorts a row's entries by column and sums duplicates.
@@ -290,11 +414,7 @@ func (f *SparseLU) InputNNZ() int { return f.inputNNZ }
 // (pivots included), the fill-in measure the refactorization triggers
 // compare against.
 func (f *SparseLU) FactorNNZ() int {
-	nnz := f.n // pivots
-	for k := 0; k < f.n; k++ {
-		nnz += len(f.lcol[k]) + len(f.urow[k])
-	}
-	return nnz
+	return f.n + len(f.lcol) + len(f.urow) // n pivots
 }
 
 // Solve solves A x = b.
@@ -327,14 +447,14 @@ func (f *SparseLU) SolveIntoScratch(x, b, w []float64) error {
 		if t == 0 {
 			continue
 		}
-		for _, e := range f.lcol[k] {
+		for _, e := range f.lcol[f.lptr[k]:f.lptr[k+1]] {
 			w[e.Idx] -= e.Val * t
 		}
 	}
 	// Back substitution through U, writing x by original column.
 	for k := n - 1; k >= 0; k-- {
 		s := w[f.rowPerm[k]]
-		for _, e := range f.urow[k] {
+		for _, e := range f.urow[f.uptr[k]:f.uptr[k+1]] {
 			s -= e.Val * x[e.Idx]
 		}
 		x[f.colPerm[k]] = s / f.piv[k]
@@ -354,7 +474,7 @@ func (f *SparseLU) SolveTransposeIntoScratch(y, c, w []float64) error {
 	// Uᵀ z = Qᵀ c, forward by step using the column-position index.
 	for k := 0; k < n; k++ {
 		s := c[f.colPerm[k]]
-		for _, e := range f.ucol[k] {
+		for _, e := range f.ucol[f.cptr[k]:f.cptr[k+1]] {
 			s -= e.Val * w[e.Idx]
 		}
 		w[k] = s / f.piv[k]
@@ -363,7 +483,7 @@ func (f *SparseLU) SolveTransposeIntoScratch(y, c, w []float64) error {
 	// the later steps eliminating those rows.
 	for k := n - 1; k >= 0; k-- {
 		s := w[k]
-		for _, e := range f.lcol[k] {
+		for _, e := range f.lcol[f.lptr[k]:f.lptr[k+1]] {
 			s -= e.Val * w[f.rowPos[e.Idx]]
 		}
 		w[k] = s

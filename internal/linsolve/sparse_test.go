@@ -194,3 +194,80 @@ func TestSparseLUDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSparseFactorizerReuse: one workspace refilled across 50 seeded
+// matrices of varying size and fill (growing, shrinking, a singular one
+// in between) solves every system bit-identically to a fresh
+// FactorSparseRows — nothing survives from one factorization into the
+// next.
+func TestSparseFactorizerReuse(t *testing.T) {
+	var w SparseFactorizer
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(120)
+		rows := sparseFromDense(randSparseMatrix(rng, n, 1+rng.Intn(7)), n)
+		if seed%10 == 0 {
+			rows[n/2] = nil // singular: the workspace must recover from an aborted factorization
+		}
+		ptr, ents := flattenRows(rows)
+		fresh, ferr := FactorSparseRows(rows, n)
+		reused, rerr := w.Factor(n, ptr, ents)
+		if ferr != rerr {
+			t.Fatalf("seed %d: fresh err %v, reused err %v", seed, ferr, rerr)
+		}
+		if ferr != nil {
+			continue
+		}
+		if fresh.FactorNNZ() != reused.FactorNNZ() || fresh.InputNNZ() != reused.InputNNZ() {
+			t.Fatalf("seed %d: nnz fresh %d/%d, reused %d/%d", seed,
+				fresh.FactorNNZ(), fresh.InputNNZ(), reused.FactorNNZ(), reused.InputNNZ())
+		}
+		b, scratch := make([]float64, n), make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		xf, xr := make([]float64, n), make([]float64, n)
+		for _, solve := range []func(*SparseLU, []float64) error{
+			func(f *SparseLU, x []float64) error { return f.SolveIntoScratch(x, b, scratch) },
+			func(f *SparseLU, x []float64) error { return f.SolveTransposeIntoScratch(x, b, scratch) },
+		} {
+			if err := solve(fresh, xf); err != nil {
+				t.Fatal(err)
+			}
+			if err := solve(reused, xr); err != nil {
+				t.Fatal(err)
+			}
+			for i := range xf {
+				if math.Float64bits(xf[i]) != math.Float64bits(xr[i]) {
+					t.Fatalf("seed %d (n=%d): x[%d] fresh %x, reused %x", seed, n, i, xf[i], xr[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSparseFactorizerSteadyStateAllocs: once the arenas have grown,
+// refactoring and solving allocate nothing.
+func TestSparseFactorizerSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 200
+	ptr, ents := flattenRows(sparseFromDense(randSparseMatrix(rng, n, 6), n))
+	b, x, scratch := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	var w SparseFactorizer
+	cycle := func() {
+		f, err := w.Factor(n, ptr, ents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.SolveIntoScratch(x, b, scratch) != nil || f.SolveTransposeIntoScratch(x, b, scratch) != nil {
+			t.Fatal("solve failed")
+		}
+	}
+	cycle() // warm-up
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("factor + solve + transpose solve allocates %v times per cycle in steady state", allocs)
+	}
+}

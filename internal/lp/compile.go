@@ -315,9 +315,10 @@ func (cm *Compiled) AddRow(name Name, expr *Expr, sense Sense, rhs float64) int 
 }
 
 // SetRowRHS changes the right-hand side of logical row i in place.
-// The standard-form RHS may go negative; cold starts compensate with
-// signed artificials and warm starts restore feasibility with the
-// dual simplex, so no recompilation or row renegation happens here.
+// The standard-form RHS may go negative; cold starts pick each row's
+// slack or a signed artificial by the sign they find, and warm starts
+// restore feasibility with the dual simplex, so no recompilation or
+// row renegation happens here.
 func (cm *Compiled) SetRowRHS(i int, rhs float64) {
 	r := cm.stdRow[i]
 	v := rhs - cm.rhsOff[r]

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 
 	"pcf/internal/linsolve"
 )
@@ -34,8 +35,9 @@ var sparseFactorMin = 512
 // row updates; the sparse one stores Markowitz LU factors plus an eta
 // chain. All methods are in terms of the owning state's current basis.
 type factorizer interface {
-	// reset installs the factorization of the initial all-artificial
-	// basis (B = diag(artSign)) without touching fault hooks.
+	// reset installs the factorization of the cold-start basis, in
+	// which row i's column (its slack or its artificial) is ±e_i,
+	// without touching fault hooks.
 	reset()
 	// refactor rebuilds the factorization from the current basis,
 	// returning false when the basis matrix is singular.
@@ -83,8 +85,8 @@ func (f *denseFactor) reset() {
 	for i := range f.binv {
 		f.binv[i] = 0
 	}
-	for i := 0; i < m; i++ {
-		f.binv[i*m+i] = f.st.artSign[i]
+	for i, j := range f.st.basis {
+		f.binv[i*m+i] = f.st.col(j)[0].val // ±1 is its own inverse
 	}
 }
 
@@ -248,22 +250,34 @@ func (f *denseFactor) stats() (int, int, int) { return 0, 0, 0 }
 // applies the LU solve then the etas in order) and cᵀB_k⁻¹ applies the
 // transposed etas in reverse before the LU transpose solve (BTRAN).
 
-// etaUpdate is one pivot's update: at row r with pivot dr, off-pivot
-// direction entries nz (original row indices).
+// etaUpdate is one pivot's update: at row r with pivot dr; its
+// off-pivot direction entries (Col = row index i≠r, Val = d[i]) are
+// etaEnt[previous eta's end:end].
 type etaUpdate struct {
-	r  int
-	dr float64
-	nz []linsolve.SparseEntry // Col = row index i≠r, Val = d[i]
+	r   int
+	dr  float64
+	end int
 }
 
+// sparseFactor owns everything a solve's factorizations need — the
+// linsolve workspace, the row-major copy of the basis it is fed, and
+// the eta arena — and refills them in place, so refactor, update and
+// the solves allocate nothing once the buffers have grown.
 type sparseFactor struct {
-	st     *simplexState
-	lu     *linsolve.SparseLU
-	etas   []etaUpdate
-	etaNNZ int
+	st *simplexState
+	fz linsolve.SparseFactorizer
+	lu *linsolve.SparseLU // fz's factors of the last refactored basis
 
-	basisNNZ int
-	luNNZ    int
+	// The basis by rows for fz.Factor: row i is rowEnt[rowPtr[i]:rowPtr[i+1]]
+	// with Col the basis position. rowPtr has one spare slot for the
+	// counting pass.
+	rowPtr []int
+	rowEnt []linsolve.SparseEntry
+
+	etas   []etaUpdate
+	etaEnt []linsolve.SparseEntry // truncated at refactor
+
+	luNNZ int
 
 	// Scratch reused across operations (the simplex is single-threaded
 	// per state).
@@ -273,76 +287,77 @@ type sparseFactor struct {
 
 func newSparseFactor(st *simplexState) *sparseFactor {
 	return &sparseFactor{
-		st:  st,
-		rhs: make([]float64, st.m),
-		w:   make([]float64, st.m),
+		st:     st,
+		rowPtr: make([]int, st.m+2),
+		rhs:    make([]float64, st.m),
+		w:      make([]float64, st.m),
 	}
 }
 
 func (f *sparseFactor) reset() {
-	st := f.st
-	rows := make([][]linsolve.SparseEntry, st.m)
-	for i := 0; i < st.m; i++ {
-		rows[i] = []linsolve.SparseEntry{{Col: i, Val: st.artSign[i]}}
+	f.rowEnt = f.rowEnt[:0]
+	for i, j := range f.st.basis {
+		f.rowPtr[i+1] = i + 1
+		f.rowEnt = append(f.rowEnt, linsolve.SparseEntry{Col: i, Val: f.st.col(j)[0].val})
 	}
-	// A diagonal of ±1 cannot fail to factor.
-	lu, err := linsolve.FactorSparseRows(rows, st.m)
-	if err != nil {
-		// Unreachable; keep the old factors rather than crash.
-		return
-	}
-	f.install(lu, st.m)
+	f.factorRows() // a diagonal of ±1 cannot fail to factor
 }
 
-func (f *sparseFactor) install(lu *linsolve.SparseLU, nnz int) {
+// factorRows factors the basis rows in rowPtr/rowEnt and drops the
+// eta chain.
+func (f *sparseFactor) factorRows() bool {
+	lu, err := f.fz.Factor(f.st.m, f.rowPtr[:f.st.m+1], f.rowEnt)
+	if err != nil {
+		return false
+	}
 	f.lu = lu
-	f.basisNNZ = nnz
 	f.luNNZ = lu.FactorNNZ()
-	f.etas = f.etas[:0]
-	f.etaNNZ = 0
+	f.etas, f.etaEnt = f.etas[:0], f.etaEnt[:0]
+	return true
 }
 
 func (f *sparseFactor) refactor() bool {
 	st := f.st
 	m := st.m
-	rows := make([][]linsolve.SparseEntry, m)
-	nnz := 0
+	// Transpose the basis columns into rows by counting sort: count
+	// row r into ptr[r+2], prefix-sum so ptr[r+1] is row r's start, then
+	// place entries advancing ptr[r+1] to row r's end — row r+1's start.
+	// Basis positions ascend within each row.
+	ptr := f.rowPtr
+	clear(ptr)
+	for _, j := range st.basis {
+		for _, e := range st.col(j) {
+			ptr[e.row+2]++
+		}
+	}
+	for r := 0; r < m; r++ {
+		ptr[r+2] += ptr[r+1]
+	}
+	f.rowEnt = slices.Grow(f.rowEnt[:0], ptr[m+1])[:ptr[m+1]]
 	for k, j := range st.basis {
-		if j >= st.cm.nCols {
-			r := j - st.cm.nCols
-			rows[r] = append(rows[r], linsolve.SparseEntry{Col: k, Val: st.artSign[r]})
-			nnz++
-			continue
-		}
-		for _, e := range st.cm.cols[j] {
-			if e.val == 0 {
-				continue
-			}
-			rows[e.row] = append(rows[e.row], linsolve.SparseEntry{Col: k, Val: e.val})
-			nnz++
+		for _, e := range st.col(j) {
+			f.rowEnt[ptr[e.row+1]] = linsolve.SparseEntry{Col: k, Val: e.val}
+			ptr[e.row+1]++
 		}
 	}
-	lu, err := linsolve.FactorSparseRows(rows, m)
-	if err != nil {
-		return false
-	}
-	f.install(lu, nnz)
-	return true
+	return f.factorRows()
 }
 
 // applyEtas folds the eta chain into a freshly LU-solved vector:
 // v ← E_k(⋯E_1(v)).
 func (f *sparseFactor) applyEtas(v []float64) {
-	for t := range f.etas {
-		e := &f.etas[t]
+	start := 0
+	for _, e := range f.etas {
+		nz := f.etaEnt[start:e.end]
+		start = e.end
 		p := v[e.r]
 		if p == 0 {
 			continue
 		}
 		p /= e.dr
 		v[e.r] = p
-		for _, nz := range e.nz {
-			v[nz.Col] -= nz.Val * p
+		for _, z := range nz {
+			v[z.Col] -= z.Val * p
 		}
 	}
 }
@@ -352,10 +367,13 @@ func (f *sparseFactor) applyEtas(v []float64) {
 // c_r ← (c_r − Σ_{i≠r} d_i·c_i) / d_r.
 func (f *sparseFactor) applyEtasT(c []float64) {
 	for t := len(f.etas) - 1; t >= 0; t-- {
-		e := &f.etas[t]
+		e, start := f.etas[t], 0
+		if t > 0 {
+			start = f.etas[t-1].end
+		}
 		s := c[e.r]
-		for _, nz := range e.nz {
-			s -= nz.Val * c[nz.Col]
+		for _, z := range f.etaEnt[start:e.end] {
+			s -= z.Val * c[z.Col]
 		}
 		c[e.r] = s / e.dr
 	}
@@ -410,31 +428,34 @@ func (f *sparseFactor) applyInv(rhs, x []float64) {
 }
 
 func (f *sparseFactor) update(leaveRow int, d []float64) {
-	nz := make([]linsolve.SparseEntry, 0, 16)
 	for i, v := range d {
 		if v != 0 && i != leaveRow {
-			nz = append(nz, linsolve.SparseEntry{Col: i, Val: v})
+			f.etaEnt = append(f.etaEnt, linsolve.SparseEntry{Col: i, Val: v})
 		}
 	}
-	f.etas = append(f.etas, etaUpdate{r: leaveRow, dr: d[leaveRow], nz: nz})
-	f.etaNNZ += len(nz) + 1
+	f.etas = append(f.etas, etaUpdate{r: leaveRow, dr: d[leaveRow], end: len(f.etaEnt)})
 }
 
 func (f *sparseFactor) negateRow(i int) bool { return false }
 
 // shouldRefactor triggers a rebuild when the eta chain outgrows the
-// LU factors it decorates: once applying the chain costs as much as a
-// fresh sparse factorization, refactoring is both faster and more
-// accurate. Both the chain length (apply overhead is per-eta) and its
-// nonzero mass (apply cost is per-entry) gate.
+// LU factors it decorates. Both the chain length (apply overhead is
+// per-eta) and its nonzero mass (apply cost is per-entry) gate. With a
+// refactorization costing F and each eta adding a to every later
+// iteration's FTRAN+BTRAN, a period of k pivots costs F/k + a·k/2 per
+// iteration, least at k = √(2F/a). Measured on the 1000-node master
+// (m = 5424: F ≈ 1.5 ms, a ≈ 3.8 µs, entering columns ~60 % dense)
+// that is k ≈ 28; the nonzero gate fires at k ≈ 11, within 1.4× of the
+// least cost and on the side that keeps the factors accurate
+// (DESIGN.md §17).
 func (f *sparseFactor) shouldRefactor() bool {
 	m := f.st.m
 	if len(f.etas) >= 24+m/8 {
 		return true
 	}
-	return f.etaNNZ > 2*f.luNNZ+m
+	return len(f.etaEnt)+len(f.etas) > 2*f.luNNZ+m
 }
 
 func (f *sparseFactor) stats() (int, int, int) {
-	return f.basisNNZ, f.luNNZ, len(f.etas)
+	return len(f.rowEnt), f.luNNZ, len(f.etas)
 }

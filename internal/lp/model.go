@@ -216,6 +216,10 @@ func (m *Model) AddConstraintN(name Name, expr *Expr, sense Sense, rhs float64) 
 	return len(m.cons) - 1
 }
 
+// Constraint returns row i as stored: duplicate variables merged and
+// the expression's offset folded into RHS.
+func (m *Model) Constraint(i int) Constraint { return m.cons[i] }
+
 // SetObjective installs the objective expression and direction.
 func (m *Model) SetObjective(expr *Expr, dir Direction) {
 	e := expr.Clone()

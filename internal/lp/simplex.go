@@ -25,8 +25,9 @@ type Options struct {
 	// BlandTrigger is the number of non-improving iterations after
 	// which the solver switches to Bland's rule to escape cycling.
 	BlandTrigger int
-	// RefactorEvery forces a basis-inverse refactorization at this
-	// iteration period. Zero selects a default.
+	// RefactorEvery forces a basis refactorization at this iteration
+	// period, on top of the sparse factor's own growth trigger. Zero
+	// selects a default.
 	RefactorEvery int
 	// Context, when non-nil, bounds the solve: the iteration loop
 	// checks it periodically and aborts with a SolveError wrapping the
@@ -77,8 +78,11 @@ func (o Options) withDefaults(m, n int) Options {
 	}
 	if o.RefactorEvery == 0 {
 		// The eager product-form update with the Harris-style ratio
-		// test drifts slowly; refactorization is O(m^3), so a long
-		// period wins on large bases.
+		// test drifts slowly, and this period only ever binds on the
+		// dense inverse, whose Gauss-Jordan rebuild is O(m³) against an
+		// O(m²) pivot update — so a long period wins. The sparse factor
+		// refactorizes long before on its own growth trigger, priced
+		// from its measured costs (sparseFactor.shouldRefactor).
 		o.RefactorEvery = 1500
 	}
 	return o
@@ -97,6 +101,10 @@ type SolveStats struct {
 	Phase1Iters int
 	Phase2Iters int
 	DualIters   int
+	// SlackStartRows is how many rows the cold start put on their own
+	// slack rather than an artificial; when it equals the row count
+	// phase 1 did not run. Zero when the warm path produced the result.
+	SlackStartRows int
 	// WarmStarted records that a warm basis was supplied; WarmHit that
 	// the warm path produced the result (no cold fallback).
 	WarmStarted bool
@@ -164,8 +172,12 @@ type simplexState struct {
 	// enter with the sign of the current b so their start value is
 	// nonnegative even after RHS edits turned some b negative.
 	artSign []float64
-	inB     []bool // whether std column j is basic
-	iter    int
+	artCol  [1]entry // col's scratch for an artificial column
+	inB     []bool   // whether std column j is basic
+	// slackRows counts rows a cold start put on their own slack; the
+	// other m-slackRows started on an artificial.
+	slackRows int
+	iter      int
 	// Per-phase iteration counters for SolveStats.
 	p1Iters, p2Iters, dualIters int
 	// Factorization telemetry for SolveStats.
@@ -203,6 +215,11 @@ func (st *simplexState) abortErr(cause error) error {
 	return &SolveError{Iterations: st.iter, Phase: st.phase, LastObjective: st.lastObj, Err: cause}
 }
 
+// newSimplexState builds the cold start: the slack crash basis. Row i
+// starts on its own slack (coefficient σ = ±1) when that is feasible,
+// b_i/σ ≥ 0, and on an artificial signed like b_i otherwise (EQ rows,
+// slacks that would start negative). Either way column i of the start
+// basis is ±e_i, so the factorizer installs the diagonal directly.
 func newSimplexState(cm *Compiled, opts Options) *simplexState {
 	m := cm.nRows
 	st := &simplexState{cm: cm, opts: opts, m: m}
@@ -215,9 +232,14 @@ func newSimplexState(cm *Compiled, opts Options) *simplexState {
 		if cm.b[i] < 0 {
 			st.artSign[i] = -1
 		}
-		st.basis[i] = cm.nCols + i // artificial i
-		st.xB[i] = cm.b[i] * st.artSign[i]
-		st.inB[cm.nCols+i] = true
+		j := cm.nCols + i
+		if sc := cm.slack[i]; sc >= 0 && cm.b[i]*cm.cols[sc][0].val >= 0 {
+			j = sc
+			st.slackRows++
+		}
+		st.basis[i] = j
+		st.inB[j] = true
+		st.xB[i] = cm.b[i] * st.col(j)[0].val // b_i/σ_i, σ_i = ±1
 	}
 	st.fac = newFactorizer(st, opts)
 	st.fac.reset()
@@ -287,17 +309,23 @@ func (st *simplexState) captureBasis() *Basis {
 	return bs
 }
 
+// col returns the nonzeros of std column j; an artificial's single
+// entry is built in the state's scratch, valid until the next call.
+func (st *simplexState) col(j int) []entry {
+	if j < st.cm.nCols {
+		return st.cm.cols[j]
+	}
+	r := j - st.cm.nCols
+	st.artCol[0] = entry{row: r, val: st.artSign[r]}
+	return st.artCol[:]
+}
+
 // colVec materializes std column j (including artificials) densely into dst.
 func (st *simplexState) colVec(j int, dst []float64) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	if j >= st.cm.nCols {
-		r := j - st.cm.nCols
-		dst[r] = st.artSign[r]
-		return
-	}
-	for _, e := range st.cm.cols[j] {
+	for _, e := range st.col(j) {
 		dst[e.row] = e.val
 	}
 }
@@ -475,7 +503,7 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 				if !st.refactor() {
 					return StatusIterLimit, ErrNumerical
 				}
-				sinceRefactor = 1
+				sinceRefactor = 0 // the loop top counts this retry as the first iteration since
 				continue
 			}
 			if phase1 {
@@ -643,7 +671,7 @@ func (st *simplexState) runDual(cost []float64) (Status, error) {
 				if !st.refactor() {
 					return StatusIterLimit, ErrNumerical
 				}
-				sinceRefactor = 1
+				sinceRefactor = 0 // the loop top counts this retry as the first iteration since
 				continue
 			}
 			return StatusInfeasible, nil
@@ -655,7 +683,7 @@ func (st *simplexState) runDual(cost []float64) (Status, error) {
 				if !st.refactor() {
 					return StatusIterLimit, ErrNumerical
 				}
-				sinceRefactor = 1
+				sinceRefactor = 0 // the loop top counts this retry as the first iteration since
 				continue
 			}
 			return StatusIterLimit, ErrNumerical
@@ -728,6 +756,33 @@ func (st *simplexState) driveOutArtificials() {
 	}
 }
 
+// phase1 minimizes the sum of the basic artificials. StatusOptimal
+// means it reached zero — the basis is feasible, and artificials left
+// basic at zero level have been pivoted out where a column exists;
+// StatusInfeasible that positive artificial mass remains.
+func (st *simplexState) phase1() (Status, error) {
+	cm := st.cm
+	cost1 := make([]float64, cm.nCols+st.m)
+	for i := 0; i < st.m; i++ {
+		cost1[cm.nCols+i] = 1
+	}
+	status, err := st.runPhase(cost1, true)
+	if err != nil || status != StatusOptimal {
+		return status, err
+	}
+	infeas := 0.0
+	for i := 0; i < st.m; i++ {
+		if st.basis[i] >= cm.nCols {
+			infeas += st.xB[i]
+		}
+	}
+	if infeas > 1e-6 {
+		return StatusInfeasible, nil
+	}
+	st.driveOutArtificials()
+	return StatusOptimal, nil
+}
+
 // phase2Cost builds the phase-2 cost vector (structural costs, zero
 // artificials).
 func (cm *Compiled) phase2Cost() []float64 {
@@ -780,32 +835,20 @@ func (cm *Compiled) Solve(opts Options) (*Solution, error) {
 
 	st := newSimplexState(cm, opts)
 	solveOnce := func() (*Solution, error) {
-		// Phase 1.
-		cost1 := make([]float64, cm.nCols+st.m)
-		for i := 0; i < st.m; i++ {
-			cost1[cm.nCols+i] = 1
-		}
-		status, err := st.runPhase(cost1, true)
-		if err != nil {
-			return nil, err
-		}
-		if status != StatusOptimal {
-			return &Solution{Status: status, model: cm.model}, nil
-		}
-		infeas := 0.0
-		for i := 0; i < st.m; i++ {
-			if st.basis[i] >= cm.nCols {
-				infeas += st.xB[i]
+		// Phase 1, unless the slack basis is already feasible.
+		if st.slackRows < st.m {
+			status, err := st.phase1()
+			if err != nil {
+				return nil, err
+			}
+			if status != StatusOptimal {
+				return &Solution{Status: status, model: cm.model}, nil
 			}
 		}
-		if infeas > 1e-6 {
-			return &Solution{Status: StatusInfeasible, model: cm.model}, nil
-		}
-		st.driveOutArtificials()
 
 		// Phase 2.
 		cost2 := cm.phase2Cost()
-		status, err = st.runPhase(cost2, false)
+		status, err := st.runPhase(cost2, false)
 		if err != nil {
 			return nil, err
 		}
@@ -823,6 +866,7 @@ func (cm *Compiled) Solve(opts Options) (*Solution, error) {
 		return nil, st.abortErr(err)
 	}
 	stats.Phase1Iters, stats.Phase2Iters, stats.DualIters = st.p1Iters, st.p2Iters, st.dualIters
+	stats.SlackStartRows = st.slackRows
 	st.fillFactorStats(&stats)
 	stats.SolveTime = time.Since(startTime)
 	sol.Stats = stats
@@ -881,27 +925,13 @@ func (cm *Compiled) solveWarm(st *simplexState) (*Solution, error) {
 	case artBad:
 		// Appended equality rows: a warm phase 1 drives the new
 		// artificials to zero from an already-feasible start.
-		cost1 := make([]float64, cm.nCols+m)
-		for i := 0; i < m; i++ {
-			cost1[cm.nCols+i] = 1
-		}
-		status, err := st.runPhase(cost1, true)
+		status, err := st.phase1()
 		if err != nil {
 			return nil, err
 		}
 		if status != StatusOptimal {
-			return nil, nil
-		}
-		infeas := 0.0
-		for i := 0; i < m; i++ {
-			if st.basis[i] >= cm.nCols {
-				infeas += st.xB[i]
-			}
-		}
-		if infeas > 1e-6 {
 			return nil, nil // let the cold solve confirm infeasibility
 		}
-		st.driveOutArtificials()
 	case primalBad:
 		if !st.dualFeasible(cost2, 1e-7) {
 			return nil, nil

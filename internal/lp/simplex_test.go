@@ -97,6 +97,33 @@ func TestUnbounded(t *testing.T) {
 	}
 }
 
+// TestUnboundedAfterPivots meets the unbounded ray only after phase 2
+// has pivoted: w enters first (u+w ≤ 2 binds), then x has no blocking
+// row. The confirmatory refactorization before trusting the ray must
+// happen once, not once per remaining iteration.
+func TestUnboundedAfterPivots(t *testing.T) {
+	m := NewModel()
+	u := m.AddNonNeg("u")
+	x := m.AddNonNeg("x")
+	y := m.AddNonNeg("y")
+	w := m.AddNonNeg("w")
+	m.AddConstraint("c1", NewExpr().Add(1, x).Add(-1, y), LE, 1)
+	m.AddConstraint("c2", NewExpr().Add(1, u).Add(1, w), LE, 2)
+	m.SetObjective(NewExpr().Add(1, x).Add(3, w), Maximize)
+	for _, f := range []Factorization{FactorDense, FactorSparse} {
+		sol, err := SolveWithOptions(m, Options{Factorization: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != StatusUnbounded {
+			t.Fatalf("factorization %v: status = %v, want unbounded", f, sol.Status)
+		}
+		if sol.Stats.Refactors > 2 {
+			t.Fatalf("factorization %v: %d refactorizations to confirm one ray", f, sol.Stats.Refactors)
+		}
+	}
+}
+
 func TestFreeVariable(t *testing.T) {
 	// min |style| problem: min x' s.t. x' >= x - 5, x' >= 5 - x with x free
 	// fixed by x = 2 via equality. Optimum x'=3.

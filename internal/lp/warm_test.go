@@ -167,6 +167,55 @@ func TestWarmInfeasibleRHSFallsBackConsistently(t *testing.T) {
 	}
 }
 
+// TestWarmInfeasibleAfterDualPivots makes the warm basis infeasible in
+// two places by RHS edits: the worse one the dual simplex repairs with
+// a pivot, the other has no admissible pivot — the LP is infeasible.
+// That verdict is reached on the second iteration since the refactor,
+// so it is confirmed by one more refactorization; the solve must then
+// hand over to the cold path at once and agree with it.
+func TestWarmInfeasibleAfterDualPivots(t *testing.T) {
+	m := NewModel()
+	x, y := m.AddNonNeg("x"), m.AddNonNeg("y")
+	u, v := m.AddNonNeg("u"), m.AddNonNeg("v")
+	upX := m.AddConstraint("upx", NewExpr().Add(1, x), LE, 5)
+	upY := m.AddConstraint("upy", NewExpr().Add(1, y), LE, 5)
+	m.AddConstraint("low", NewExpr().Add(1, x).Add(1, y), GE, 2)
+	sum := m.AddConstraint("sum", NewExpr().Add(1, u).Add(1, v), LE, 4)
+	m.AddConstraint("upu", NewExpr().Add(1, u), LE, 3)
+	m.SetObjective(NewExpr().Add(1, x).Add(1, y).Add(2, u).Add(1, v), Maximize)
+	for _, f := range []Factorization{FactorDense, FactorSparse} {
+		cm := Compile(m)
+		sol, err := cm.Solve(Options{Factorization: f})
+		if err != nil || sol.Status != StatusOptimal {
+			t.Fatalf("cold solve: %v status %v", err, sol.Status)
+		}
+		cm.SetRowRHS(sum, 2)   // v = 2 - u = -1: repairable
+		cm.SetRowRHS(upX, 1)   // x + y = 1.5 < 2: infeasible
+		cm.SetRowRHS(upY, 0.5) //
+		refactors := 0
+		hook := func(ev FaultEvent) error {
+			if ev.Point == FaultRefactor {
+				refactors++
+			}
+			return nil
+		}
+		warm, err := cm.Solve(Options{Factorization: f, WarmStart: sol.Basis, FaultHook: hook})
+		if err != nil {
+			t.Fatalf("warm solve: %v", err)
+		}
+		cold, err := cm.Solve(Options{Factorization: f})
+		if err != nil {
+			t.Fatalf("cold solve: %v", err)
+		}
+		if warm.Status != StatusInfeasible || cold.Status != StatusInfeasible {
+			t.Fatalf("factorization %v: warm %v, cold %v, want both infeasible", f, warm.Status, cold.Status)
+		}
+		if refactors > 8 {
+			t.Fatalf("factorization %v: warm solve refactorized %d times", f, refactors)
+		}
+	}
+}
+
 func TestLazyNameRendering(t *testing.T) {
 	p := Pat("bal[t%d,v%d]")
 	if got := p.N(3, 17).String(); got != "bal[t3,v17]" {
@@ -184,5 +233,51 @@ func TestLazyNameRendering(t *testing.T) {
 	// Negative arguments must render like %d.
 	if got := Pat("o[%d]").N(-7).String(); got != "o[-7]" {
 		t.Fatalf("rendered %q", got)
+	}
+}
+
+// TestSparseFactorSteadyStateAllocs: after one warm-up cycle the
+// sparse factorizer's refactor, FTRAN, BTRAN and eta update run out of
+// its own reused buffers — a solve's hundred refactorizations allocate
+// nothing.
+func TestSparseFactorSteadyStateAllocs(t *testing.T) {
+	m := NewModel()
+	obj := NewExpr()
+	x := make([]Var, 12)
+	for i := range x {
+		x[i] = m.AddNonNeg("x")
+		obj.Add(1+float64(i%3), x[i])
+	}
+	for i := 0; i+1 < len(x); i++ {
+		m.AddConstraint("c", NewExpr().Add(1, x[i]).Add(2, x[i+1]), LE, 4)
+	}
+	m.SetObjective(obj, Maximize)
+	cm := Compile(m)
+	st := newSimplexState(cm, Options{Factorization: FactorSparse}.withDefaults(cm.nRows, cm.nCols))
+	cost := cm.phase2Cost()
+	if status, err := st.runPhase(cost, false); err != nil || status != StatusOptimal {
+		t.Fatalf("phase 2 from the slack start: %v, %v", status, err)
+	}
+	enter := 0
+	for st.inB[enter] {
+		enter++
+	}
+	d, y, costB := make([]float64, st.m), make([]float64, st.m), make([]float64, st.m)
+	cycle := func() {
+		if !st.refactor() {
+			t.Fatal("refactor failed")
+		}
+		st.ftran(enter, d)
+		r := 0
+		for d[r] == 0 {
+			r++
+		}
+		st.fac.update(r, d)
+		st.btran(costB, y) // both now run through the eta
+		st.ftran(enter, d)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Fatalf("refactor + ftran + btran + update allocates %v times per cycle in steady state", allocs)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"pcf/internal/failures"
+	"pcf/internal/lp"
+	"pcf/internal/lp/lptest"
 	"pcf/internal/topology"
 	"pcf/internal/topozoo"
 	"pcf/internal/traffic"
@@ -129,5 +131,34 @@ func TestSweepDeadline(t *testing.T) {
 	_, _, err := OptimalUnderFailuresContext(ctx, g, tm, failures.SingleLinks(g, 2))
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+}
+
+// TestFlowLPCertified certifies the Sprint flow LPs from first
+// principles (lptest.Certify). They are the solver's equality-heavy
+// input: one conservation row per (destination, node), each of which a
+// cold solve must start on an artificial and clear in phase 1.
+func TestFlowLPCertified(t *testing.T) {
+	g := topozoo.MustLoad("Sprint")
+	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 3, Jitter: 0.4})
+	tm = tm.Restrict(tm.TopPairs(10))
+	for _, concurrent := range []bool{true, false} {
+		fm, err := buildFlow(g, tm, nil, concurrent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []lp.Factorization{lp.FactorDense, lp.FactorSparse} {
+			sol, err := lp.SolveWithOptions(fm.m, lp.Options{Factorization: f})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lptest.Certify(fm.m, nil, sol); err != nil {
+				t.Fatalf("concurrent=%v, factorization %v: %v", concurrent, f, err)
+			}
+			if sol.Stats.Phase1Iters == 0 || sol.Stats.SlackStartRows == 0 {
+				t.Fatalf("concurrent=%v, factorization %v: %d phase-1 iterations, %d rows slack-started; want a mixed start",
+					concurrent, f, sol.Stats.Phase1Iters, sol.Stats.SlackStartRows)
+			}
+		}
 	}
 }

@@ -399,7 +399,7 @@ func TestServerSheddingUnderLoad(t *testing.T) {
 func TestServerDeadline(t *testing.T) {
 	hook := func(ev lp.FaultEvent) error {
 		if ev.Point == lp.FaultIteration {
-			time.Sleep(2 * time.Millisecond) // make the solve slow
+			time.Sleep(5 * time.Millisecond) // make even a 20-iteration solve outlast the deadline
 		}
 		return nil
 	}
@@ -421,7 +421,10 @@ func TestServerDeadline(t *testing.T) {
 // requests with 503, waits for in-flight work, and hard-cancels work
 // that outlives the drain deadline.
 func TestServerDrain(t *testing.T) {
+	const drainTimeout = 50 * time.Millisecond
 	started := make(chan struct{}, 1)
+	// release is closed well after the drain deadline has passed.
+	release := make(chan struct{})
 	hook := func(ev lp.FaultEvent) error {
 		switch ev.Point {
 		case lp.FaultSolveStart:
@@ -430,16 +433,16 @@ func TestServerDrain(t *testing.T) {
 			default:
 			}
 		case lp.FaultIteration:
-			// Slow the solve enough that it outlives the drain
-			// deadline; the solver's per-iteration context check turns
-			// the hard-cancel into a prompt abort.
-			time.Sleep(2 * time.Millisecond)
+			// Hold the solve past the drain deadline, however few
+			// iterations it needs; the solver's periodic context check
+			// then turns the hard-cancel into a prompt abort.
+			<-release
 		}
 		return nil
 	}
 	s, ts := newTestServer(t, Config{
 		LPFaultHook:  hook,
-		DrainTimeout: 50 * time.Millisecond,
+		DrainTimeout: drainTimeout,
 	})
 
 	respc := make(chan *http.Response, 1)
@@ -454,6 +457,7 @@ func TestServerDrain(t *testing.T) {
 	<-started
 
 	done := make(chan error, 1)
+	time.AfterFunc(2*drainTimeout, func() { close(release) })
 	go func() { done <- s.Shutdown(context.Background()) }()
 
 	// New work is rejected once draining.
