@@ -168,8 +168,8 @@ func (m *model) render(addr string, now time.Time) string {
 			fmt.Fprintf(&b, ", %.0f lp iters (p1 %.0f p2 %.0f dual %.0f, %.0f rows slack-started)", v,
 				r.Field("phase1_iters"), r.Field("phase2_iters"), r.Field("dual_iters"), r.Field("slack_start"))
 		}
-		if r.Field("sparse_factor") > 0 {
-			fmt.Fprintf(&b, ", sparse basis %.0f nnz fill %.2f", r.Field("basis_nnz"), r.Field("fill_ratio"))
+		if nnz := r.Field("basis_nnz"); nnz > 0 {
+			fmt.Fprintf(&b, ", basis %.0f nnz fill %.2f", nnz, r.Field("fill_ratio"))
 			if v := r.Field("refactors"); v > 0 {
 				fmt.Fprintf(&b, " refactors %.0f", v)
 			}

@@ -16,9 +16,8 @@ import (
 //	constPart + min_{w in poly} Σ_j costs[j]·w_j  >=  rhs
 //
 // where w collects failure-unit, link, tunnel and condition variables.
-// The same spec drives both solve engines: RobustGE dualizes it; the
-// cutting-plane engine calls poly.Minimize on it as a separation
-// oracle.
+// solveRobust calls poly.Minimize on it as a separation oracle; the
+// tests' reference dualizes the same spec with lp.RobustGE.
 type advSpec struct {
 	pair      topology.Pair
 	in        *Instance

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -84,27 +85,12 @@ func SolveAugmentPCFTF(in *Instance, zTarget float64, opts SolveOptions) (*Augme
 	}
 	m.SetObjective(obj, lp.Minimize)
 
-	pairs := in.ConstraintPairs()
-	specs := make([]*advSpec, len(pairs))
-	for i, p := range pairs {
-		specs[i] = buildPCFAdversary(in, p, mv)
-	}
-	var sol *lp.Solution
-	var err error
-	if o.Method == Dualize || (o.Method == Auto && len(pairs)*in.Graph.NumLinks() <= 400) {
-		for i, p := range pairs {
-			lp.RobustGE(m, resilPat.N(int(p.Src), int(p.Dst)).String(), specs[i].poly,
-				specs[i].costs, specs[i].constPart, specs[i].rhs)
-		}
-		sol, err = lp.SolveWithOptions(m, o.LP)
-	} else {
-		sol, _, err = solveByCuts(m, specs, o)
+	sol, _, err := solveRobust(m, buildSpecs(in, mv, buildPCFAdversary), o)
+	if errors.Is(err, lp.ErrInfeasible) {
+		return nil, fmt.Errorf("augment: %w (target may be unreachable with these tunnels)", err)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("augment: %w", err)
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("augment: LP %v (target may be unreachable with these tunnels)", sol.Status)
 	}
 
 	plan := &AugmentPlan{

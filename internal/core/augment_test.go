@@ -1,9 +1,12 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"pcf/internal/failures"
+	"pcf/internal/lp"
 	"pcf/internal/topology"
 	"pcf/internal/traffic"
 	"pcf/internal/tunnels"
@@ -67,6 +70,20 @@ func TestAugmentRejectsBadTarget(t *testing.T) {
 	}
 	if _, err := SolveAugmentPCFTF(in, -1, SolveOptions{}); err == nil {
 		t.Fatal("negative target accepted")
+	}
+}
+
+// TestAugmentUnreachableTargetIsTyped: three failures cut every Fig. 1
+// tunnel at once, so no added capacity guarantees anything. The error
+// must match lp.ErrInfeasible (what degradable and pcfd's breaker key
+// on) and still carry the hint.
+func TestAugmentUnreachableTargetIsTyped(t *testing.T) {
+	_, err := SolveAugmentPCFTF(fig1Instance(4, 3), 1.0, SolveOptions{})
+	if !errors.Is(err, lp.ErrInfeasible) {
+		t.Fatalf("unreachable target: got %v, want an error matching lp.ErrInfeasible", err)
+	}
+	if !strings.Contains(err.Error(), "target may be unreachable") {
+		t.Fatalf("unreachable target: %q lost its hint", err)
 	}
 }
 

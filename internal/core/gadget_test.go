@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -60,12 +61,12 @@ func TestFig2(t *testing.T) {
 	// Optimal (intrinsic capability): 2 under f=1, 1 under f=2.
 	gad := topozoo.Fig1()
 	tm := traffic.Single(gad.Graph.NumNodes(), topology.Pair{Src: gad.S, Dst: gad.T}, 1)
-	opt1, _, err := mcf.OptimalUnderFailures(gad.Graph, tm, failures.SingleLinks(gad.Graph, 1))
+	opt1, _, _, err := mcf.OptimalUnderFailuresStats(context.Background(), gad.Graph, tm, failures.SingleLinks(gad.Graph, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	approx(t, opt1, 2, "optimal f=1")
-	opt2, _, err := mcf.OptimalUnderFailures(gad.Graph, tm, failures.SingleLinks(gad.Graph, 2))
+	opt2, _, _, err := mcf.OptimalUnderFailuresStats(context.Background(), gad.Graph, tm, failures.SingleLinks(gad.Graph, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestProposition3(t *testing.T) {
 	if ffc.Value > tf.Value+1e-6 {
 		t.Fatal("FFC beat PCF-TF")
 	}
-	opt, _, err := mcf.OptimalUnderFailures(gad.Graph, in.TM, in.Failures)
+	opt, _, _, err := mcf.OptimalUnderFailuresStats(context.Background(), gad.Graph, in.TM, in.Failures)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,40 +346,32 @@ func TestTable1(t *testing.T) {
 	approx(t, cls.Value, 1, "Table 1 PCF-CLS")
 
 	// Optimal = 1.
-	opt, _, err := mcf.OptimalUnderFailures(g, in.TM, in.Failures)
+	opt, _, _, err := mcf.OptimalUnderFailuresStats(context.Background(), g, in.TM, in.Failures)
 	if err != nil {
 		t.Fatal(err)
 	}
 	approx(t, opt, 1, "Table 1 Optimal")
 }
 
-// TestEnginesAgree cross-checks the dualized and cutting-plane engines
-// on several gadget instances: both must reach the same optimum.
+// TestEnginesAgree cross-checks the cut loop against the appendix-D2
+// dualization (solveDualized) on every gadget instance, FFC and PCF-TF:
+// both must reach the same optimum.
 func TestEnginesAgree(t *testing.T) {
-	instances := []*Instance{
-		fig1Instance(4, 1),
-		fig1Instance(4, 2),
-		fig1Instance(3, 1),
-	}
-	for i, in := range instances {
-		d, err := SolvePCFTF(in, SolveOptions{Method: Dualize})
-		if err != nil {
-			t.Fatal(err)
+	instances := gadgetInstances(t)
+	instances["fig1-k3-f1"] = fig1Instance(3, 1)
+	for name, in := range instances {
+		for _, e := range engines {
+			d, err := solveDualized(in, e.build)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			c, err := e.solve(in, SolveOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if math.Abs(c.Value-d) > 1e-9*(1+math.Abs(d)) {
+				t.Fatalf("%s/%s: cuts %.12g, dualized %.12g", name, c.Scheme, c.Value, d)
+			}
 		}
-		c, err := SolvePCFTF(in, SolveOptions{Method: CutGen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		approx(t, c.Value, d.Value, "engine agreement PCF-TF")
-		df, err := SolveFFC(in, SolveOptions{Method: Dualize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cf, err := SolveFFC(in, SolveOptions{Method: CutGen})
-		if err != nil {
-			t.Fatal(err)
-		}
-		approx(t, cf.Value, df.Value, "engine agreement FFC")
-		_ = i
 	}
 }

@@ -368,31 +368,9 @@ func SolveRestrictedFlow(in *Instance, opts FlowOptions) (*FlowPlan, error) {
 		specs = append(specs, spec)
 	}
 
-	var sol *lp.Solution
-	var stats SolveStats
-	var err error
-	method := o.Method
-	if method == Auto {
-		method = CutGen // flow masters are large; cuts keep them tractable
-	}
-	switch method {
-	case Dualize:
-		for i, p := range orderedPairs {
-			lp.RobustGE(m, resilPat.N(int(p.Src), int(p.Dst)).String(), specs[i].poly,
-				specs[i].costs, specs[i].constPart, specs[i].rhs)
-		}
-		sol, err = lp.SolveWithOptions(m, o.LP)
-		if err == nil {
-			stats = statsOf(sol)
-		}
-	default:
-		sol, stats, err = solveByCuts(m, specs, o)
-	}
+	sol, stats, err := solveRobust(m, specs, o)
 	if err != nil {
 		return nil, fmt.Errorf("flow model: %w", err)
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("flow model: master LP %v", sol.Status)
 	}
 
 	plan := &FlowPlan{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -144,7 +145,7 @@ func TestPropertySchemeDominance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		opt, _, err := mcf.OptimalUnderFailures(in.Graph, in.TM, in.Failures)
+		opt, _, _, err := mcf.OptimalUnderFailuresStats(context.Background(), in.Graph, in.TM, in.Failures)
 		if err != nil {
 			return false
 		}
@@ -155,23 +156,24 @@ func TestPropertySchemeDominance(t *testing.T) {
 	}
 }
 
-// TestPropertyEnginesAgree: Dualize and CutGen reach the same optimum
-// on random instances, for FFC and PCF-TF.
+// TestPropertyEnginesAgree: the cut loop reaches the optimum of the
+// appendix-D2 dualization (solveDualized) on random instances, for FFC
+// and PCF-TF.
 func TestPropertyEnginesAgree(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(31))}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomInstance(rng)
-		for _, solve := range []func(*Instance, SolveOptions) (*Plan, error){SolveFFC, SolvePCFTF} {
-			d, err := solve(in, SolveOptions{Method: Dualize})
+		for _, e := range engines {
+			d, err := solveDualized(in, e.build)
 			if err != nil {
 				return false
 			}
-			c, err := solve(in, SolveOptions{Method: CutGen})
+			c, err := e.solve(in, SolveOptions{})
 			if err != nil {
 				return false
 			}
-			if math.Abs(d.Value-c.Value) > 1e-5*(1+math.Abs(d.Value)) {
+			if math.Abs(d-c.Value) > 1e-9*(1+math.Abs(d)) {
 				return false
 			}
 		}

@@ -188,7 +188,8 @@ func SolveR3(in *Instance, opts SolveOptions) (*Plan, error) {
 	switch sol.Status {
 	case lp.StatusOptimal:
 		plan.Value = sol.Objective
-		plan.Stats = statsOf(sol)
+		plan.Stats = SolveStats{Rounds: 1, CompileTime: sol.Stats.CompileTime}
+		absorbLPStats(&plan.Stats, sol)
 	case lp.StatusInfeasible:
 		plan.Value = 0
 	default:

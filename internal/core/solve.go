@@ -11,26 +11,8 @@ import (
 	"pcf/internal/tunnels"
 )
 
-// Method selects how the for-all-failures constraints are handled.
-type Method int
-
-const (
-	// Auto picks Dualize for small instances and CutGen for large
-	// ones.
-	Auto Method = iota
-	// Dualize compiles every robust constraint via LP duality (the
-	// paper's appendix): one polynomial-size LP, solved once.
-	Dualize
-	// CutGen solves a master LP with lazily generated failure-scenario
-	// cuts, using the adversary polytope as a separation oracle. It
-	// reaches the same optimum as Dualize (both optimize over the LP
-	// relaxation of the failure set) and scales to larger networks.
-	CutGen
-)
-
 // SolveOptions tune the scheme solvers.
 type SolveOptions struct {
-	Method Method
 	// MaxRounds bounds cutting-plane rounds (default 60).
 	MaxRounds int
 	// Tol is the constraint violation tolerance (default 1e-7).
@@ -78,7 +60,6 @@ var (
 	zPairPat = lp.Pat("z[(%d->%d)]")
 	capPat   = lp.Pat("cap[a%d]")
 	cutPat   = lp.Pat("cut[(%d->%d)]")
-	resilPat = lp.Pat("resil[(%d->%d)]")
 )
 
 // advBuilder builds the per-pair adversary spec for a scheme.
@@ -161,8 +142,7 @@ func buildMaster(in *Instance, withLS bool) (*lp.Model, *masterVars) {
 	return m, mv
 }
 
-// solveScheme runs the selected engine for a scheme described by its
-// adversary builder.
+// solveScheme solves the scheme described by its adversary builder.
 func solveScheme(in *Instance, scheme string, withLS bool, build advBuilder, opts SolveOptions) (*Plan, error) {
 	opts = opts.withDefaults()
 	if err := in.Validate(); err != nil {
@@ -170,57 +150,24 @@ func solveScheme(in *Instance, scheme string, withLS bool, build advBuilder, opt
 	}
 	start := time.Now()
 
-	pairs := in.ConstraintPairs()
-	method := opts.Method
-	if method == Auto {
-		// Dualization is exact and fast for small instances; cut
-		// generation keeps the master small for larger ones.
-		if len(pairs)*in.Graph.NumLinks() <= 400 {
-			method = Dualize
-		} else {
-			method = CutGen
-		}
-	}
-
 	m, mv := buildMaster(in, withLS)
-	specs := make([]*advSpec, len(pairs))
-	for i, p := range pairs {
-		specs[i] = build(in, p, mv)
-	}
-
-	var sol *lp.Solution
-	var stats SolveStats
-	var err error
-	switch method {
-	case Dualize:
-		for i, p := range pairs {
-			lp.RobustGE(m, resilPat.N(int(p.Src), int(p.Dst)).String(), specs[i].poly,
-				specs[i].costs, specs[i].constPart, specs[i].rhs)
-		}
-		sol, err = lp.SolveWithOptions(m, opts.LP)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", scheme, err)
-		}
-		stats = statsOf(sol)
-	case CutGen:
-		sol, stats, err = solveByCuts(m, specs, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", scheme, err)
-		}
-	}
-	if sol.Status != lp.StatusOptimal {
-		return nil, fmt.Errorf("%s: master LP: %w", scheme, sol.Err())
+	sol, stats, err := solveRobust(m, buildSpecs(in, mv, build), opts)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", scheme, err)
 	}
 	plan := extractPlan(in, scheme, sol, mv, time.Since(start))
 	plan.Stats = stats
 	return plan, nil
 }
 
-// statsOf summarizes a one-shot (non-cutting-plane) solve.
-func statsOf(sol *lp.Solution) SolveStats {
-	st := SolveStats{Rounds: 1, CompileTime: sol.Stats.CompileTime}
-	absorbLPStats(&st, sol)
-	return st
+// buildSpecs builds one adversary spec per constraint pair.
+func buildSpecs(in *Instance, mv *masterVars, build advBuilder) []*advSpec {
+	pairs := in.ConstraintPairs()
+	specs := make([]*advSpec, len(pairs))
+	for i, p := range pairs {
+		specs[i] = build(in, p, mv)
+	}
+	return specs
 }
 
 // absorbLPStats folds one LP solution's statistics into the aggregate:
@@ -233,7 +180,6 @@ func absorbLPStats(st *SolveStats, sol *lp.Solution) {
 	st.Phase2Iters += sol.Stats.Phase2Iters
 	st.DualIters += sol.Stats.DualIters
 	st.SlackStartRows += sol.Stats.SlackStartRows
-	st.SparseFactor = sol.Stats.SparseFactor
 	st.Refactors += sol.Stats.Refactors
 	st.BasisNNZ = sol.Stats.BasisNNZ
 	st.FactorNNZ = sol.Stats.FactorNNZ
@@ -280,18 +226,25 @@ func seedMaster(base *lp.Model, specs []*advSpec) (int, error) {
 	return numCuts, nil
 }
 
-// solveByCuts is the lazy-constraint engine. Every cut is the robust
-// constraint evaluated at one adversary point, so the master is always
-// a relaxation; when no pair's separation oracle finds a violation at
-// the master optimum, that point is feasible for the full constraint
-// set and hence optimal. The base model is compiled once; each round
+// solveRobust is the one place a model with for-all-failures rows is
+// solved: it optimizes base subject to every spec's robust constraint
+// and returns the optimal solution; any other verdict of the master is
+// an error wrapping the typed sentinel (lp.ErrInfeasible, ...). It
+// generates the rows lazily. Every cut is the robust constraint
+// evaluated at one adversary point, so the master is always a
+// relaxation; when no pair's separation oracle finds a violation at the
+// master optimum, that point is feasible for the full constraint set
+// and hence optimal. (The paper's appendix D2 instead replaces each
+// robust row by its LP dual, lp.RobustGE; that reaches the same optimum
+// in one larger LP and is kept as the oracle the tests compare this
+// engine against.) The base model is compiled once; each round
 // appends only the newly violated cuts to the compiled form and
 // re-solves warm from the previous round's basis (an appended cut
 // enters primal-infeasible but dual-feasible, so the dual simplex
 // usually needs a handful of pivots per round — see DESIGN.md §11).
 // The cut set grows monotonically, which also guarantees finite
 // convergence: there are finitely many polytope vertices.
-func solveByCuts(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solution, SolveStats, error) {
+func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solution, SolveStats, error) {
 	var stats SolveStats
 	numCuts, err := seedMaster(base, specs)
 	if err != nil {
@@ -320,7 +273,7 @@ func solveByCuts(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 		}
 		stats.Cuts = numCuts
 		if sol.Status != lp.StatusOptimal {
-			return sol, stats, nil
+			return nil, stats, fmt.Errorf("master LP: %w", sol.Err())
 		}
 		basis = sol.Basis
 

@@ -264,11 +264,10 @@ type Plan struct {
 // SolveStats aggregates simplex statistics across the master solves
 // that produced a plan.
 type SolveStats struct {
-	// Rounds is the number of cutting-plane rounds (1 for a direct
-	// dualized solve).
+	// Rounds is the number of cutting-plane rounds (1 for R3's
+	// one-shot LP).
 	Rounds int
-	// Cuts is the number of cut rows in the final master (0 when
-	// dualized).
+	// Cuts is the number of cut rows in the final master.
 	Cuts int
 	// WarmHits counts the re-solves served by the warm-start path.
 	WarmHits int
@@ -284,14 +283,10 @@ type SolveStats struct {
 	SlackStartRows int
 	// CompileTime is the one-time cost of compiling the master model.
 	CompileTime time.Duration
-	// SparseFactor records whether the simplex served the solve with
-	// the sparse basis factorization (Markowitz LU + eta updates)
-	// rather than the dense inverse.
-	SparseFactor bool
 	// Refactors totals basis refactorizations across all rounds.
 	Refactors int
 	// BasisNNZ and FactorNNZ are the final basis matrix and LU factor
-	// nonzero counts (sparse backend only; zero on the dense path).
+	// nonzero counts.
 	BasisNNZ  int
 	FactorNNZ int
 	// MaxEtaLen is the longest eta-update chain reached between
@@ -300,8 +295,7 @@ type SolveStats struct {
 }
 
 // FillRatio is FactorNNZ/BasisNNZ — the factorization fill-in growth
-// the adaptive refactorization trigger watches. Zero when the dense
-// backend served the solve.
+// the adaptive refactorization trigger watches.
 func (s SolveStats) FillRatio() float64 {
 	if s.BasisNNZ == 0 {
 		return 0
@@ -314,10 +308,6 @@ func (s SolveStats) FillRatio() float64 {
 // milliseconds). The keys are the one vocabulary for LP solve
 // statistics everywhere they surface.
 func (s SolveStats) Metrics() map[string]float64 {
-	sparse := 0.0
-	if s.SparseFactor {
-		sparse = 1
-	}
 	return map[string]float64{
 		"rounds":          float64(s.Rounds),
 		"cuts":            float64(s.Cuts),
@@ -328,7 +318,6 @@ func (s SolveStats) Metrics() map[string]float64 {
 		"dual_iters":      float64(s.DualIters),
 		"slack_start":     float64(s.SlackStartRows),
 		"compile_time_ms": float64(s.CompileTime) / float64(time.Millisecond),
-		"sparse_factor":   sparse,
 		"refactors":       float64(s.Refactors),
 		"basis_nnz":       float64(s.BasisNNZ),
 		"fill_ratio":      s.FillRatio(),

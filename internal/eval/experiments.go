@@ -164,7 +164,7 @@ func Fig2() (*Table, error) {
 			row = append(row, f4(plan.Value))
 		}
 		tm := traffic.Single(gad.Graph.NumNodes(), pair, 1)
-		opt, _, err := mcf.OptimalUnderFailures(gad.Graph, tm, failures.SingleLinks(gad.Graph, f))
+		opt, _, _, err := mcf.OptimalUnderFailuresStats(context.Background(), gad.Graph, tm, failures.SingleLinks(gad.Graph, f))
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +209,7 @@ func Table1() (*Table, error) {
 	s4 := topology.Pair{Src: s, Dst: n4}
 	p4t := topology.Pair{Src: n4, Dst: tt}
 
-	opt, _, err := mcf.OptimalUnderFailures(g, tm, fs)
+	opt, _, _, err := mcf.OptimalUnderFailuresStats(context.Background(), g, tm, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +300,7 @@ func Fig8(cfg Config) (*Table, error) {
 			row = append(row, f4(plan.Value))
 		}
 		if setup.Graph.NumLinks() <= cfg.OptimalMaxLinks {
-			opt, _, err := mcf.OptimalUnderFailures(setup.Graph, setup.TM, setup.Failures)
+			opt, _, _, err := mcf.OptimalUnderFailuresStats(context.Background(), setup.Graph, setup.TM, setup.Failures)
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pcf/internal/lp"
+	"pcf/internal/lp/lptest"
 	"pcf/internal/topology"
 	"pcf/internal/topozoo"
 )
@@ -164,5 +165,48 @@ func TestWarmColdEquivalenceGadgets(t *testing.T) {
 		// Appended violated cut: z at most half its optimum.
 		cm.AddRow(lp.Lit("t.cut"), lp.NewExpr().Add(1, lp.Var(0)), lp.LE, sol.Objective/2)
 		checkWarmEqualsCold(t, name+"/cut", cm, basis)
+	}
+}
+
+// TestSparseWarmStart checks warm starts across a whole-model RHS
+// shift: every row of each corpus LP moves by 1 %, and the warm
+// re-solve must match the cold one — itself certified against the
+// edited rows — and fall back cleanly rather than diverge.
+func TestSparseWarmStart(t *testing.T) {
+	for i, m := range LPCorpus(99) {
+		comp := lp.Compile(m)
+		cold, err := comp.Solve(lp.Options{})
+		if err != nil || cold.Status != lp.StatusOptimal {
+			continue
+		}
+		basis := cold.Basis
+		if basis == nil {
+			continue
+		}
+		// Perturb every row RHS slightly and re-solve warm and cold.
+		nr := comp.NumRows()
+		for r := 0; r < nr; r++ {
+			comp.SetRowRHS(r, comp.RowRHS(r)*1.01)
+		}
+		warm, err := comp.Solve(lp.Options{WarmStart: basis})
+		if err != nil {
+			t.Fatalf("corpus[%d]: warm: %v", i, err)
+		}
+		coldB, err := comp.Solve(lp.Options{})
+		if err != nil {
+			t.Fatalf("corpus[%d]: cold: %v", i, err)
+		}
+		if warm.Status != coldB.Status {
+			t.Fatalf("corpus[%d]: warm %v, cold %v", i, warm.Status, coldB.Status)
+		}
+		if warm.Status != lp.StatusOptimal {
+			continue
+		}
+		if !relClose(warm.Objective, coldB.Objective, 1e-9) {
+			t.Fatalf("corpus[%d]: warm %.15g, cold %.15g", i, warm.Objective, coldB.Objective)
+		}
+		if err := lptest.Certify(m, comp.RowRHS, coldB); err != nil {
+			t.Fatalf("corpus[%d]: cold after the shift: %v", i, err)
+		}
 	}
 }

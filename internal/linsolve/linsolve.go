@@ -2,10 +2,9 @@
 // realizes logical-sequence reservations as a concrete routing (paper
 // §4.1): M·U = D where M is the reservation matrix, an invertible
 // M-matrix (Proposition 5). It provides a direct LU solver with partial
-// pivoting for exactness, and Jacobi / Gauss–Seidel iterations that
-// exploit the M-matrix structure — the "simple and memory-efficient
-// iterative algorithms" the paper points to for distributed
-// implementations.
+// pivoting for exactness, and the Jacobi iteration that exploits the
+// M-matrix structure — the "simple and memory-efficient iterative
+// algorithms" the paper points to for distributed implementations.
 package linsolve
 
 import (
@@ -113,21 +112,6 @@ func (f *LU) SolveInto(x, b []float64) error {
 	return nil
 }
 
-// SolveMany solves A X = B column by column, reusing the factorization.
-// rhs holds the columns; the result holds the solution columns in the
-// same order.
-func (f *LU) SolveMany(rhs [][]float64) ([][]float64, error) {
-	out := make([][]float64, len(rhs))
-	for i, b := range rhs {
-		x, err := f.Solve(b)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = x
-	}
-	return out, nil
-}
-
 // Solve is a convenience that factors and solves in one call.
 func Solve(a []float64, b []float64, n int) ([]float64, error) {
 	f, err := Factor(a, n)
@@ -144,21 +128,12 @@ type IterResult struct {
 	Residual   float64
 }
 
-// GaussSeidel solves A x = b by Gauss–Seidel iteration. It converges
-// for the weakly chained diagonally dominant M-matrices produced by
-// PCF's reservation construction. maxIter bounds sweeps; tol is the
-// max-norm residual target.
-func GaussSeidel(a, b []float64, n, maxIter int, tol float64) (*IterResult, error) {
-	return iterate(a, b, n, maxIter, tol, true)
-}
-
-// Jacobi solves A x = b by Jacobi iteration (the fully parallel /
-// distributed variant of GaussSeidel).
+// Jacobi solves A x = b by Jacobi iteration, the fully parallel /
+// distributed iteration of the paper's §4.3. It converges for the
+// weakly chained diagonally dominant M-matrices produced by PCF's
+// reservation construction. maxIter bounds sweeps; tol is the max-norm
+// residual target.
 func Jacobi(a, b []float64, n, maxIter int, tol float64) (*IterResult, error) {
-	return iterate(a, b, n, maxIter, tol, false)
-}
-
-func iterate(a, b []float64, n, maxIter int, tol float64, inPlace bool) (*IterResult, error) {
 	if len(a) != n*n || len(b) != n {
 		return nil, fmt.Errorf("linsolve: dimension mismatch")
 	}
@@ -167,11 +142,7 @@ func iterate(a, b []float64, n, maxIter int, tol float64, inPlace bool) (*IterRe
 			return nil, ErrSingular
 		}
 	}
-	x := make([]float64, n)
-	next := x
-	if !inPlace {
-		next = make([]float64, n)
-	}
+	x, next := make([]float64, n), make([]float64, n)
 	res := math.Inf(1)
 	it := 0
 	for ; it < maxIter && res > tol; it++ {
@@ -185,9 +156,7 @@ func iterate(a, b []float64, n, maxIter int, tol float64, inPlace bool) (*IterRe
 			}
 			next[i] = s / row[i]
 		}
-		if !inPlace {
-			x, next = next, x
-		}
+		x, next = next, x
 		res = Residual(a, x, b, n)
 	}
 	if res > tol {

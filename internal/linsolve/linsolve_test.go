@@ -54,22 +54,6 @@ func TestPivotingNeeded(t *testing.T) {
 	}
 }
 
-func TestSolveManySharesFactorization(t *testing.T) {
-	a := []float64{4, 1, 1, 3}
-	f, err := Factor(a, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs, err := f.SolveMany([][]float64{{1, 0}, {0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Columns of the inverse: det = 11.
-	if math.Abs(xs[0][0]-3.0/11) > 1e-12 || math.Abs(xs[1][1]-4.0/11) > 1e-12 {
-		t.Fatalf("inverse columns wrong: %v", xs)
-	}
-}
-
 func randDiagDominant(rng *rand.Rand, n int) ([]float64, []float64) {
 	a := make([]float64, n*n)
 	b := make([]float64, n)
@@ -86,27 +70,6 @@ func randDiagDominant(rng *rand.Rand, n int) ([]float64, []float64) {
 		b[i] = rng.Float64() * 10
 	}
 	return a, b
-}
-
-func TestGaussSeidelMatchesLU(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(12)
-		a, b := randDiagDominant(rng, n)
-		direct, err := Solve(a, b, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, err := GaussSeidel(a, b, n, 10000, 1e-10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if math.Abs(direct[i]-gs.X[i]) > 1e-7 {
-				t.Fatalf("trial %d: GS[%d]=%g direct=%g", trial, i, gs.X[i], direct[i])
-			}
-		}
-	}
 }
 
 func TestJacobiMatchesLU(t *testing.T) {
@@ -130,28 +93,12 @@ func TestJacobiMatchesLU(t *testing.T) {
 	}
 }
 
-func TestGaussSeidelFasterThanJacobi(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a, b := randDiagDominant(rng, 10)
-	gs, err := GaussSeidel(a, b, 10, 10000, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jc, err := Jacobi(a, b, 10, 20000, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.Iterations > jc.Iterations {
-		t.Fatalf("Gauss–Seidel took %d iterations, Jacobi %d", gs.Iterations, jc.Iterations)
-	}
-}
-
 func TestIterativeDivergenceReported(t *testing.T) {
 	// Not diagonally dominant: iteration diverges or stalls; we must
 	// get an error rather than silent garbage.
 	a := []float64{1, 3, 3, 1}
 	b := []float64{1, 1}
-	if _, err := GaussSeidel(a, b, 2, 50, 1e-12); err == nil {
+	if _, err := Jacobi(a, b, 2, 50, 1e-12); err == nil {
 		t.Fatal("expected non-convergence error")
 	}
 }
@@ -207,7 +154,7 @@ func TestDimensionMismatch(t *testing.T) {
 	if _, err := f.Solve([]float64{1}); err == nil {
 		t.Fatal("expected rhs length error")
 	}
-	if _, err := GaussSeidel([]float64{1}, []float64{1, 2}, 2, 10, 1e-9); err == nil {
+	if _, err := Jacobi([]float64{1}, []float64{1, 2}, 2, 10, 1e-9); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }

@@ -67,15 +67,6 @@ func (f *LU) RankUpdate(ups []RowUpdate) (*Updated, error) {
 		}
 		cols[j] = x
 	}
-	return f.RankUpdateCols(ups, cols)
-}
-
-// RankUpdateCols is RankUpdate with caller-supplied inverse columns:
-// cols[j] must equal A⁻¹ e_{ups[j].Row}. Callers sweeping many
-// scenarios against one base factorization precompute the full set of
-// inverse columns once and pass views here; the columns are retained
-// (not copied) and must not be modified while the Updated is in use.
-func (f *LU) RankUpdateCols(ups []RowUpdate, cols [][]float64) (*Updated, error) {
 	u, err := NewUpdated(f.n, ups, cols)
 	if err != nil {
 		return nil, err
@@ -87,8 +78,12 @@ func (f *LU) RankUpdateCols(ups []RowUpdate, cols [][]float64) (*Updated, error)
 // NewUpdated builds the SMW corrector from update rows and their base
 // inverse columns without holding the base factorization itself: the
 // caller supplies cols[j] = A⁻¹ e_{ups[j].Row} however A is factored
-// (dense LU or SparseLU). The resulting Updated supports CorrectInto /
-// CorrectIntoScratch but not Solve, which needs the base.
+// (dense LU or SparseLU). Callers sweeping many scenarios against one
+// base factorization compute the inverse columns they need once and
+// pass views here; the columns are retained (not copied) and must not
+// be modified while the Updated is in use. The resulting Updated
+// supports CorrectInto / CorrectIntoScratch but not Solve, which needs
+// the base.
 func NewUpdated(n int, ups []RowUpdate, cols [][]float64) (*Updated, error) {
 	k := len(ups)
 	if len(cols) != k {

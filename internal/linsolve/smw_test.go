@@ -131,8 +131,9 @@ func TestRankUpdateMatchesCold(t *testing.T) {
 }
 
 // TestRankUpdateColsSharesInverseColumns checks the cached-column entry
-// point used by the routing sweep: precomputed inverse columns give the
-// same answers as the convenience path.
+// point used by the routing sweep: a corrector built by NewUpdated from
+// precomputed inverse columns gives the same answers as RankUpdate,
+// which solves for them.
 func TestRankUpdateColsSharesInverseColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 17
@@ -157,7 +158,7 @@ func TestRankUpdateColsSharesInverseColumns(t *testing.T) {
 	for j, up := range ups {
 		cols[j] = inv[up.Row]
 	}
-	viaCols, err := base.RankUpdateCols(ups, cols)
+	viaCols, err := NewUpdated(n, ups, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +170,15 @@ func TestRankUpdateColsSharesInverseColumns(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x1, err := viaCols.Solve(b)
+	x1, err := base.Solve(b)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := viaCols.CorrectInto(x1, x1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := viaCols.Solve(b); err == nil {
+		t.Fatal("an Updated built without its base factorization solved")
 	}
 	x2, err := viaSolve.Solve(b)
 	if err != nil {
@@ -271,15 +278,15 @@ func TestRankUpdateValidation(t *testing.T) {
 	if _, err := base.RankUpdate([]RowUpdate{{Row: 5}}); err == nil {
 		t.Fatal("accepted out-of-range row")
 	}
-	if _, err := base.RankUpdateCols([]RowUpdate{{Row: 0, Cols: []int{0}, Vals: []float64{1, 2}}},
+	if _, err := NewUpdated(2, []RowUpdate{{Row: 0, Cols: []int{0}, Vals: []float64{1, 2}}},
 		[][]float64{{1, 0}}); err == nil {
 		t.Fatal("accepted cols/vals length mismatch")
 	}
-	if _, err := base.RankUpdateCols([]RowUpdate{{Row: 0, Cols: []int{3}, Vals: []float64{1}}},
+	if _, err := NewUpdated(2, []RowUpdate{{Row: 0, Cols: []int{3}, Vals: []float64{1}}},
 		[][]float64{{1, 0}}); err == nil {
 		t.Fatal("accepted out-of-range column")
 	}
-	if _, err := base.RankUpdateCols([]RowUpdate{{Row: 0, Cols: []int{0}, Vals: []float64{1}}},
+	if _, err := NewUpdated(2, []RowUpdate{{Row: 0, Cols: []int{0}, Vals: []float64{1}}},
 		nil); err == nil {
 		t.Fatal("accepted missing inverse columns")
 	}

@@ -7,8 +7,6 @@ import (
 	"pcf/internal/lp/lptest"
 )
 
-var bothFactorizations = []lp.Factorization{lp.FactorDense, lp.FactorSparse}
-
 // TestSlackStartRule pins which rows a cold solve starts on their
 // slack: LE rows with b ≥ 0 and GE rows with b ≤ 0 do, GE rows with
 // b > 0 and EQ rows need an artificial. Every answer is certified.
@@ -19,34 +17,30 @@ func TestSlackStartRule(t *testing.T) {
 	m.AddConstraint("cut", lp.NewExpr().Add(1, x).Add(-1, y), lp.GE, 0)
 	m.AddConstraint("cut-", lp.NewExpr().Add(1, z).Add(-1, y), lp.GE, -1)
 	m.SetObjective(lp.NewExpr().Add(1, x).Add(1, y).Add(1, z), lp.Maximize)
-	for _, f := range bothFactorizations {
-		sol, err := lp.SolveWithOptions(m, lp.Options{Factorization: f})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lptest.Certify(m, nil, sol); err != nil {
-			t.Fatalf("factorization %v: %v", f, err)
-		}
-		if sol.Stats.SlackStartRows != 4 || sol.Stats.Phase1Iters != 0 {
-			t.Fatalf("factorization %v: %d of 4 rows slack-started, %d phase-1 iterations; want all and none",
-				f, sol.Stats.SlackStartRows, sol.Stats.Phase1Iters)
-		}
+	sol, err := lp.Solve(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lptest.Certify(m, nil, sol); err != nil {
+		t.Fatal(err)
+	}
+	if sol.Stats.SlackStartRows != 4 || sol.Stats.Phase1Iters != 0 {
+		t.Fatalf("%d of 4 rows slack-started, %d phase-1 iterations; want all and none",
+			sol.Stats.SlackStartRows, sol.Stats.Phase1Iters)
 	}
 
 	m.AddConstraint("floor", lp.NewExpr().Add(1, x), lp.GE, 1)
 	m.AddConstraint("tie", lp.NewExpr().Add(1, y).Add(-1, z), lp.EQ, 0)
-	for _, f := range bothFactorizations {
-		sol, err := lp.SolveWithOptions(m, lp.Options{Factorization: f})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lptest.Certify(m, nil, sol); err != nil {
-			t.Fatalf("factorization %v: %v", f, err)
-		}
-		if sol.Stats.SlackStartRows != 4 || sol.Stats.Phase1Iters == 0 {
-			t.Fatalf("factorization %v: %d of 6 rows slack-started, %d phase-1 iterations; want 4 and some",
-				f, sol.Stats.SlackStartRows, sol.Stats.Phase1Iters)
-		}
+	sol, err = lp.Solve(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lptest.Certify(m, nil, sol); err != nil {
+		t.Fatal(err)
+	}
+	if sol.Stats.SlackStartRows != 4 || sol.Stats.Phase1Iters == 0 {
+		t.Fatalf("%d of 6 rows slack-started, %d phase-1 iterations; want 4 and some",
+			sol.Stats.SlackStartRows, sol.Stats.Phase1Iters)
 	}
 }
 
@@ -61,37 +55,35 @@ func TestCertifyAfterNegativeRHS(t *testing.T) {
 	ge := m.AddConstraint("ge", lp.NewExpr().Add(1, x).Add(1, y), lp.GE, 3)
 	m.AddConstraint("cap", lp.NewExpr().Add(1, x).Add(1, y), lp.LE, 20)
 	m.SetObjective(lp.NewExpr().Add(2, x).Add(1, y), lp.Minimize)
-	for _, f := range bothFactorizations {
-		cm := lp.Compile(m)
-		first, err := cm.Solve(lp.Options{Factorization: f})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lptest.Certify(m, cm.RowRHS, first); err != nil {
-			t.Fatalf("factorization %v, before edits: %v", f, err)
-		}
-		if first.Stats.SlackStartRows != 2 {
-			t.Fatalf("factorization %v: %d rows slack-started before edits, want 2 (le, cap)", f, first.Stats.SlackStartRows)
-		}
-		cm.SetRowRHS(le, -2) // x - y <= -2: slack would start at -2
-		cm.SetRowRHS(ge, -3) // x + y >= -3: surplus starts at +3
-		cold, err := cm.Solve(lp.Options{Factorization: f})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lptest.Certify(m, cm.RowRHS, cold); err != nil {
-			t.Fatalf("factorization %v, cold after edits: %v", f, err)
-		}
-		if cold.Stats.SlackStartRows != 2 {
-			t.Fatalf("factorization %v: %d rows slack-started after edits, want 2 (ge, cap)", f, cold.Stats.SlackStartRows)
-		}
-		warm, err := cm.Solve(lp.Options{Factorization: f, WarmStart: first.Basis})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lptest.Certify(m, cm.RowRHS, warm); err != nil {
-			t.Fatalf("factorization %v, warm after edits: %v", f, err)
-		}
+	cm := lp.Compile(m)
+	first, err := cm.Solve(lp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lptest.Certify(m, cm.RowRHS, first); err != nil {
+		t.Fatalf("before edits: %v", err)
+	}
+	if first.Stats.SlackStartRows != 2 {
+		t.Fatalf("%d rows slack-started before edits, want 2 (le, cap)", first.Stats.SlackStartRows)
+	}
+	cm.SetRowRHS(le, -2) // x - y <= -2: slack would start at -2
+	cm.SetRowRHS(ge, -3) // x + y >= -3: surplus starts at +3
+	cold, err := cm.Solve(lp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lptest.Certify(m, cm.RowRHS, cold); err != nil {
+		t.Fatalf("cold after edits: %v", err)
+	}
+	if cold.Stats.SlackStartRows != 2 {
+		t.Fatalf("%d rows slack-started after edits, want 2 (ge, cap)", cold.Stats.SlackStartRows)
+	}
+	warm, err := cm.Solve(lp.Options{WarmStart: first.Basis})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lptest.Certify(m, cm.RowRHS, warm); err != nil {
+		t.Fatalf("warm after edits: %v", err)
 	}
 }
 

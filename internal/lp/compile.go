@@ -74,6 +74,10 @@ type Compiled struct {
 
 	fixRow map[Var]int // logical row pinning each FixVar'ed variable
 
+	// fac is the basis-factorization workspace every Solve of this
+	// Compiled runs in (see workspace); nil until the first solve.
+	fac *sparseFactor
+
 	// CompileTime is how long Compile took; surfaced via SolveStats.
 	CompileTime time.Duration
 }
@@ -380,6 +384,7 @@ func (cm *Compiled) Clone() *Compiled {
 	d.stdRow = append([]int(nil), cm.stdRow...)
 	d.lrhs = append([]float64(nil), cm.lrhs...)
 	d.rowName = append([]Name(nil), cm.rowName...)
+	d.fac = nil // the clone may solve concurrently with cm: it grows its own workspace
 	d.fixRow = make(map[Var]int, len(cm.fixRow))
 	for v, r := range cm.fixRow {
 		d.fixRow[v] = r

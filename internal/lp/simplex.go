@@ -26,8 +26,11 @@ type Options struct {
 	// which the solver switches to Bland's rule to escape cycling.
 	BlandTrigger int
 	// RefactorEvery forces a basis refactorization at this iteration
-	// period, on top of the sparse factor's own growth trigger. Zero
-	// selects a default.
+	// period, on top of the factor's own growth trigger. Zero selects
+	// the default, 1500 — which the growth trigger (an eta chain of
+	// 24+m/8) undercuts for any m below about 11 800, so in practice the
+	// period binds only as the tighter value the ErrNumerical retry
+	// sets and as the lever the fault-injection tests pull.
 	RefactorEvery int
 	// Context, when non-nil, bounds the solve: the iteration loop
 	// checks it periodically and aborts with a SolveError wrapping the
@@ -47,12 +50,6 @@ type Options struct {
 	// to a cold solve whenever the basis proves unusable, so a warm
 	// start never changes the result — only the work to reach it.
 	WarmStart *Basis
-	// Factorization selects the basis representation: FactorAuto (the
-	// default) keeps the dense inverse for small bases and switches to
-	// the sparse Markowitz LU with eta updates above sparseFactorMin
-	// rows; FactorDense and FactorSparse force a backend. Both backends
-	// agree to 1e-9 on answers and verdicts.
-	Factorization Factorization
 }
 
 // ctxErr reports the context's cancellation error, nil without one.
@@ -77,12 +74,9 @@ func (o Options) withDefaults(m, n int) Options {
 		o.BlandTrigger = 300
 	}
 	if o.RefactorEvery == 0 {
-		// The eager product-form update with the Harris-style ratio
-		// test drifts slowly, and this period only ever binds on the
-		// dense inverse, whose Gauss-Jordan rebuild is O(m³) against an
-		// O(m²) pivot update — so a long period wins. The sparse factor
-		// refactorizes long before on its own growth trigger, priced
-		// from its measured costs (sparseFactor.shouldRefactor).
+		// A backstop: the factor refactorizes long before on its own
+		// growth trigger, priced from its measured costs
+		// (sparseFactor.shouldRefactor).
 		o.RefactorEvery = 1500
 	}
 	return o
@@ -109,22 +103,19 @@ type SolveStats struct {
 	// the warm path produced the result (no cold fallback).
 	WarmStarted bool
 	WarmHit     bool
-	// SparseFactor records that the sparse basis factorization ran.
-	SparseFactor bool
 	// Refactors counts basis refactorizations across the solve.
 	Refactors int
 	// BasisNNZ and FactorNNZ are the nonzero counts of the last
-	// factored basis matrix and of its L+U factors (sparse path only;
-	// zero on the dense path).
+	// factored basis matrix and of its L+U factors.
 	BasisNNZ  int
 	FactorNNZ int
-	// MaxEtaLen is the longest eta/Forrest–Tomlin update chain carried
-	// between refactorizations (sparse path only).
+	// MaxEtaLen is the longest eta update chain carried between
+	// refactorizations.
 	MaxEtaLen int
 }
 
-// FillRatio reports the fill-in of the last sparse factorization:
-// factor nonzeros over basis nonzeros, 0 when the dense path ran.
+// FillRatio reports the fill-in of the last factorization: factor
+// nonzeros over basis nonzeros, 0 before any.
 func (s SolveStats) FillRatio() float64 {
 	if s.BasisNNZ == 0 {
 		return 0
@@ -165,9 +156,9 @@ type simplexState struct {
 	cm    *Compiled
 	opts  Options
 	m     int
-	basis []int      // basic column per row (std columns; artificials are >= nCols)
-	fac   factorizer // basis representation: dense inverse or sparse LU + etas
-	xB    []float64  // basic variable values
+	basis []int         // basic column per row (std columns; artificials are >= nCols)
+	fac   *sparseFactor // B⁻¹ as LU + etas, in the Compiled's workspace
+	xB    []float64     // basic variable values
 	// artSign is the sign of each row's artificial column. Artificials
 	// enter with the sign of the current b so their start value is
 	// nonnegative even after RHS edits turned some b negative.
@@ -188,25 +179,11 @@ type simplexState struct {
 	lastObj float64
 }
 
-// newFactorizer picks the basis backend for an m-row state.
-func newFactorizer(st *simplexState, opts Options) factorizer {
-	if opts.Factorization == FactorSparse ||
-		(opts.Factorization == FactorAuto && st.m >= sparseFactorMin) {
-		return newSparseFactor(st)
-	}
-	return newDenseFactor(st)
-}
-
 // fillFactorStats copies the state's factorization telemetry into
 // stats.
 func (st *simplexState) fillFactorStats(stats *SolveStats) {
-	if st.fac == nil {
-		return
-	}
-	_, sparse := st.fac.(*sparseFactor)
-	stats.SparseFactor = sparse
 	stats.Refactors = st.refactors
-	stats.BasisNNZ, stats.FactorNNZ, _ = st.fac.stats()
+	stats.BasisNNZ, stats.FactorNNZ = len(st.fac.rowEnt), st.fac.luNNZ
 	stats.MaxEtaLen = st.maxEtaLen
 }
 
@@ -219,7 +196,7 @@ func (st *simplexState) abortErr(cause error) error {
 // starts on its own slack (coefficient σ = ±1) when that is feasible,
 // b_i/σ ≥ 0, and on an artificial signed like b_i otherwise (EQ rows,
 // slacks that would start negative). Either way column i of the start
-// basis is ±e_i, so the factorizer installs the diagonal directly.
+// basis is ±e_i, so the factor installs the diagonal directly.
 func newSimplexState(cm *Compiled, opts Options) *simplexState {
 	m := cm.nRows
 	st := &simplexState{cm: cm, opts: opts, m: m}
@@ -241,8 +218,8 @@ func newSimplexState(cm *Compiled, opts Options) *simplexState {
 		st.inB[j] = true
 		st.xB[i] = cm.b[i] * st.col(j)[0].val // b_i/σ_i, σ_i = ±1
 	}
-	st.fac = newFactorizer(st, opts)
-	st.fac.reset()
+	st.fac = cm.workspace()
+	st.fac.reset(st)
 	return st
 }
 
@@ -290,7 +267,7 @@ func newWarmState(cm *Compiled, opts Options, ws *Basis) *simplexState {
 			st.inB[cm.nCols+i] = true
 		}
 	}
-	st.fac = newFactorizer(st, opts)
+	st.fac = cm.workspace()
 	return st
 }
 
@@ -332,7 +309,7 @@ func (st *simplexState) colVec(j int, dst []float64) {
 
 // ftran computes d = B⁻¹ * col(j).
 func (st *simplexState) ftran(j int, d []float64) {
-	st.fac.ftran(j, d)
+	st.fac.ftran(st, j, d)
 }
 
 // btran computes y = costB' * B⁻¹ for the supplied basic costs.
@@ -341,16 +318,15 @@ func (st *simplexState) btran(costB, y []float64) {
 }
 
 // refactor rebuilds the basis factorization from the current basis
-// (dense Gauss-Jordan inverse or sparse Markowitz LU) and recomputes
-// xB. Returns false if the basis matrix is singular (or a fault hook
-// injected a failure).
+// and recomputes xB. Returns false if the basis matrix is singular (or
+// a fault hook injected a failure).
 func (st *simplexState) refactor() bool {
 	if h := st.opts.FaultHook; h != nil {
 		if h(FaultEvent{Point: FaultRefactor, Iter: st.iter, Rows: st.cm.nRows, Cols: st.cm.nCols}) != nil {
 			return false
 		}
 	}
-	if !st.fac.refactor() {
+	if !st.fac.refactor(st) {
 		return false
 	}
 	st.refactors++
@@ -359,17 +335,16 @@ func (st *simplexState) refactor() bool {
 	return true
 }
 
-// needRefactor merges the fixed-period trigger with the factorizer's
-// own growth trigger (eta-chain length / fill on the sparse path).
+// needRefactor merges the fixed-period trigger with the factor's own
+// growth trigger (eta-chain length / fill).
 func (st *simplexState) needRefactor(sinceRefactor int) bool {
 	return sinceRefactor >= st.opts.RefactorEvery || st.fac.shouldRefactor()
 }
 
 // pivot performs the basis change: column enter replaces the basic
 // column in row leaveRow, with direction vector d = B⁻¹*A_enter. The
-// factorization absorbs the pivot as a product-form update (dense row
-// operations on the inverse, or an appended eta on the sparse path)
-// rather than refactoring.
+// factorization absorbs the pivot as an appended eta rather than
+// refactoring.
 func (st *simplexState) pivot(enter, leaveRow int, d []float64) {
 	m := st.m
 	pd := d[leaveRow]
@@ -385,7 +360,7 @@ func (st *simplexState) pivot(enter, leaveRow int, d []float64) {
 	}
 	st.xB[leaveRow] = theta
 	st.fac.update(leaveRow, d)
-	if _, _, etaLen := st.fac.stats(); etaLen > st.maxEtaLen {
+	if etaLen := len(st.fac.etas); etaLen > st.maxEtaLen {
 		st.maxEtaLen = etaLen
 	}
 	st.inB[st.basis[leaveRow]] = false
@@ -886,23 +861,16 @@ func (cm *Compiled) solveWarm(st *simplexState) (*Solution, error) {
 	m := st.m
 	// Normalize artificial signs so every basic artificial sits at a
 	// nonnegative value: flipping an artificial column's sign scales
-	// the matching B⁻¹ row and basic value by -1. The dense backend
-	// applies the flip in place; a backend that cannot (sparse LU)
-	// reports false and the state refactorizes over the new signs,
-	// which recomputes the same flipped values.
-	needRebuild := false
+	// the matching B⁻¹ row and basic value by -1, which refactorizing
+	// over the new signs recomputes.
+	flipped := false
 	for i := 0; i < m; i++ {
 		if j := st.basis[i]; j >= cm.nCols && st.xB[i] < 0 {
-			r := j - cm.nCols
-			st.artSign[r] = -st.artSign[r]
-			if st.fac.negateRow(i) {
-				st.xB[i] = -st.xB[i]
-			} else {
-				needRebuild = true
-			}
+			st.artSign[j-cm.nCols] *= -1
+			flipped = true
 		}
 	}
-	if needRebuild && !st.refactor() {
+	if flipped && !st.refactor() {
 		return nil, nil
 	}
 

@@ -183,36 +183,34 @@ func TestWarmInfeasibleAfterDualPivots(t *testing.T) {
 	sum := m.AddConstraint("sum", NewExpr().Add(1, u).Add(1, v), LE, 4)
 	m.AddConstraint("upu", NewExpr().Add(1, u), LE, 3)
 	m.SetObjective(NewExpr().Add(1, x).Add(1, y).Add(2, u).Add(1, v), Maximize)
-	for _, f := range []Factorization{FactorDense, FactorSparse} {
-		cm := Compile(m)
-		sol, err := cm.Solve(Options{Factorization: f})
-		if err != nil || sol.Status != StatusOptimal {
-			t.Fatalf("cold solve: %v status %v", err, sol.Status)
+	cm := Compile(m)
+	sol, err := cm.Solve(Options{})
+	if err != nil || sol.Status != StatusOptimal {
+		t.Fatalf("cold solve: %v status %v", err, sol.Status)
+	}
+	cm.SetRowRHS(sum, 2)   // v = 2 - u = -1: repairable
+	cm.SetRowRHS(upX, 1)   // x + y = 1.5 < 2: infeasible
+	cm.SetRowRHS(upY, 0.5) //
+	refactors := 0
+	hook := func(ev FaultEvent) error {
+		if ev.Point == FaultRefactor {
+			refactors++
 		}
-		cm.SetRowRHS(sum, 2)   // v = 2 - u = -1: repairable
-		cm.SetRowRHS(upX, 1)   // x + y = 1.5 < 2: infeasible
-		cm.SetRowRHS(upY, 0.5) //
-		refactors := 0
-		hook := func(ev FaultEvent) error {
-			if ev.Point == FaultRefactor {
-				refactors++
-			}
-			return nil
-		}
-		warm, err := cm.Solve(Options{Factorization: f, WarmStart: sol.Basis, FaultHook: hook})
-		if err != nil {
-			t.Fatalf("warm solve: %v", err)
-		}
-		cold, err := cm.Solve(Options{Factorization: f})
-		if err != nil {
-			t.Fatalf("cold solve: %v", err)
-		}
-		if warm.Status != StatusInfeasible || cold.Status != StatusInfeasible {
-			t.Fatalf("factorization %v: warm %v, cold %v, want both infeasible", f, warm.Status, cold.Status)
-		}
-		if refactors > 8 {
-			t.Fatalf("factorization %v: warm solve refactorized %d times", f, refactors)
-		}
+		return nil
+	}
+	warm, err := cm.Solve(Options{WarmStart: sol.Basis, FaultHook: hook})
+	if err != nil {
+		t.Fatalf("warm solve: %v", err)
+	}
+	cold, err := cm.Solve(Options{})
+	if err != nil {
+		t.Fatalf("cold solve: %v", err)
+	}
+	if warm.Status != StatusInfeasible || cold.Status != StatusInfeasible {
+		t.Fatalf("warm %v, cold %v, want both infeasible", warm.Status, cold.Status)
+	}
+	if refactors > 8 {
+		t.Fatalf("warm solve refactorized %d times", refactors)
 	}
 }
 
@@ -237,7 +235,7 @@ func TestLazyNameRendering(t *testing.T) {
 }
 
 // TestSparseFactorSteadyStateAllocs: after one warm-up cycle the
-// sparse factorizer's refactor, FTRAN, BTRAN and eta update run out of
+// factor's refactor, FTRAN, BTRAN and eta update run out of
 // its own reused buffers — a solve's hundred refactorizations allocate
 // nothing.
 func TestSparseFactorSteadyStateAllocs(t *testing.T) {
@@ -253,7 +251,7 @@ func TestSparseFactorSteadyStateAllocs(t *testing.T) {
 	}
 	m.SetObjective(obj, Maximize)
 	cm := Compile(m)
-	st := newSimplexState(cm, Options{Factorization: FactorSparse}.withDefaults(cm.nRows, cm.nCols))
+	st := newSimplexState(cm, Options{}.withDefaults(cm.nRows, cm.nCols))
 	cost := cm.phase2Cost()
 	if status, err := st.runPhase(cost, false); err != nil || status != StatusOptimal {
 		t.Fatalf("phase 2 from the slack start: %v, %v", status, err)

@@ -1,0 +1,112 @@
+package lp
+
+import (
+	"math"
+	"sync"
+	"testing"
+)
+
+// chainLP is min Σx with x_i + x_{i+1} ≥ 1 over n rows and 0 ≤ x ≤ 1:
+// every GE row starts on an artificial, so a cold solve runs both
+// phases and needs about n pivots.
+func chainLP(n int) *Model {
+	m := NewModel()
+	obj := NewExpr()
+	x := make([]Var, n+1)
+	for i := range x {
+		x[i] = m.AddVar("x", 0, 1)
+		obj.Add(1, x[i])
+	}
+	for i := 0; i < n; i++ {
+		m.AddConstraint("c", NewExpr().Add(1, x[i]).Add(1, x[i+1]), GE, 1)
+	}
+	m.SetObjective(obj, Minimize)
+	return m
+}
+
+// TestSecondColdSolveGrowsNoArena: the factorization workspace belongs
+// to the Compiled, so from the second cold Solve on the only
+// allocations left are the per-solve bookkeeping (state vectors, phase
+// scratch, the Solution) — a fixed number of objects whatever the row
+// count — while a clone, which starts without a workspace, pays for
+// growing every arena again.
+func TestSecondColdSolveGrowsNoArena(t *testing.T) {
+	steady := func(cm *Compiled) int {
+		if sol, err := cm.Solve(Options{}); err != nil || sol.Status != StatusOptimal {
+			t.Fatalf("first solve: %v, %v", sol, err)
+		}
+		return int(testing.AllocsPerRun(5, func() {
+			if _, err := cm.Solve(Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	small, large := steady(Compile(chainLP(20))), Compile(chainLP(150))
+	warm := steady(large)
+	if warm != small {
+		t.Fatalf("a cold re-solve allocates %v objects at 301 rows and %v at 41: something grows with the factorization", warm, small)
+	}
+	clone := testing.AllocsPerRun(5, func() { large.Clone() })
+	fresh := testing.AllocsPerRun(5, func() {
+		if _, err := large.Clone().Solve(Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if int(fresh-clone) <= warm {
+		t.Fatalf("a solve on a fresh workspace allocates %v objects, a re-solve %v: the workspace is not being reused", fresh-clone, warm)
+	}
+}
+
+// TestSweepWorkerClonesShareNoWorkspace is the mcf scenario sweep's
+// shape: one Compiled solved once (the base solve), then a clone per
+// worker, all solving at the same time. Clone must not hand out the
+// source's workspace — under -race a shared one is a data race, and
+// without it the workers would corrupt each other's factors — so every
+// worker must reproduce the serial answers bit for bit.
+func TestSweepWorkerClonesShareNoWorkspace(t *testing.T) {
+	const rows, workers = 60, 4
+	cm := Compile(chainLP(rows))
+	base, err := cm.Solve(Options{})
+	if err != nil || base.Status != StatusOptimal {
+		t.Fatalf("base solve: %v, %v", base, err)
+	}
+	// Each "scenario" relaxes one row; the serial sweep on the source
+	// is the reference.
+	sweep := func(c *Compiled) []float64 {
+		out := make([]float64, 0, rows)
+		basis := base.Basis
+		for r := 0; r < rows; r++ {
+			c.SetRowRHS(r, 0.25)
+			sol, err := c.Solve(Options{WarmStart: basis})
+			c.SetRowRHS(r, 1)
+			if err != nil || sol.Status != StatusOptimal {
+				t.Errorf("scenario %d: %v, %v", r, sol, err)
+				return nil
+			}
+			basis = sol.Basis
+			out = append(out, sol.Objective)
+		}
+		return out
+	}
+	want := sweep(cm)
+	got := make([][]float64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int, c *Compiled) {
+			defer wg.Done()
+			got[w] = sweep(c)
+		}(w, cm.Clone())
+	}
+	wg.Wait()
+	for w := range got {
+		if len(got[w]) != len(want) {
+			t.Fatalf("worker %d finished %d of %d scenarios", w, len(got[w]), len(want))
+		}
+		for r := range want {
+			if math.Float64bits(got[w][r]) != math.Float64bits(want[r]) {
+				t.Fatalf("worker %d, scenario %d: %.17g, serial %.17g", w, r, got[w][r], want[r])
+			}
+		}
+	}
+}

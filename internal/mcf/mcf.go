@@ -48,20 +48,13 @@ type Result struct {
 // demand can be routed simultaneously within arc capacities, with the
 // links in dead removed. Pairs whose demand is zero are ignored.
 func MaxConcurrentFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool) (*Result, error) {
-	return solveFlow(nil, g, tm, dead, true)
-}
-
-// MaxConcurrentFlowContext is MaxConcurrentFlow bounded by a context:
-// the simplex solve aborts promptly on deadline or cancellation, and
-// the error wraps the context error.
-func MaxConcurrentFlowContext(ctx context.Context, g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool) (*Result, error) {
-	return solveFlow(ctx, g, tm, dead, true)
+	return solveFlow(g, tm, dead, true)
 }
 
 // MaxThroughput computes the maximum total bandwidth Σ bw_st with
 // bw_st <= d_st that can be routed within capacities.
 func MaxThroughput(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool) (*Result, error) {
-	return solveFlow(nil, g, tm, dead, false)
+	return solveFlow(g, tm, dead, false)
 }
 
 // flowModel is a built (not yet compiled) MCF model plus the handles
@@ -212,7 +205,7 @@ func objectiveOf(sol *lp.Solution) (float64, error) {
 	}
 }
 
-func solveFlow(ctx context.Context, g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool, concurrent bool) (*Result, error) {
+func solveFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool, concurrent bool) (*Result, error) {
 	fm, err := buildFlow(g, tm, dead, concurrent)
 	if err != nil {
 		return nil, err
@@ -220,7 +213,7 @@ func solveFlow(ctx context.Context, g *topology.Graph, tm *traffic.Matrix, dead 
 	if len(fm.dsts) == 0 {
 		return &Result{Objective: math.Inf(1), FlowTo: map[topology.NodeID][]float64{}}, nil
 	}
-	sol, err := lp.SolveWithOptions(fm.m, lp.Options{Context: ctx})
+	sol, err := lp.Solve(fm.m)
 	if err != nil {
 		return nil, fmt.Errorf("mcf: %w", err)
 	}
@@ -301,25 +294,13 @@ func (s SweepStats) Metrics() map[string]float64 {
 	}
 }
 
-// OptimalUnderFailures computes the intrinsic network capability for
-// the demand-scale metric: the worst over all scenarios in fs of the
-// optimal per-scenario concurrent flow. It also returns the worst
-// scenario.
-func OptimalUnderFailures(g *topology.Graph, tm *traffic.Matrix, fs *failures.Set) (float64, failures.Scenario, error) {
-	return OptimalUnderFailuresContext(nil, g, tm, fs)
-}
-
-// OptimalUnderFailuresContext is OptimalUnderFailures bounded by a
-// context: the deadline is checked before every scenario's solve and
-// inside each solve's simplex loop. A nil ctx means no bound.
-func OptimalUnderFailuresContext(ctx context.Context, g *topology.Graph, tm *traffic.Matrix, fs *failures.Set) (float64, failures.Scenario, error) {
-	worst, sc, _, err := OptimalUnderFailuresStats(ctx, g, tm, fs)
-	return worst, sc, err
-}
-
-// OptimalUnderFailuresStats is OptimalUnderFailuresContext, also
-// reporting sweep statistics. The base MCF is compiled once; each
-// scenario re-solves it with the dead arcs' capacity rows zeroed,
+// OptimalUnderFailuresStats computes the intrinsic network capability
+// for the demand-scale metric: the worst over all scenarios in fs of
+// the optimal per-scenario concurrent flow, with the scenario that
+// attains it and the sweep's statistics. ctx bounds the sweep: it is
+// checked before every scenario's solve and inside each solve's simplex
+// loop, and a nil ctx means no bound. The base MCF is compiled once;
+// each scenario re-solves it with the dead arcs' capacity rows zeroed,
 // warm-started from the worker's previous basis. Scenarios are
 // pre-enumerated and swept by up to runtime.NumCPU() workers, each
 // owning its compiled clone and basis chain; results are merged by an

@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -120,7 +121,7 @@ func TestOptimalUnderFailuresFig1(t *testing.T) {
 	g, s, tt := fig1Graph()
 	tm := traffic.Single(g.NumNodes(), topology.Pair{Src: s, Dst: tt}, 1)
 	fs := failures.SingleLinks(g, 1)
-	z, _, err := OptimalUnderFailures(g, tm, fs)
+	z, _, _, err := OptimalUnderFailuresStats(context.Background(), g, tm, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestOptimalUnderFailuresFig1(t *testing.T) {
 
 	// And 1 unit under any two simultaneous failures (paper Fig. 2).
 	fs2 := failures.SingleLinks(g, 2)
-	z2, _, err := OptimalUnderFailures(g, tm, fs2)
+	z2, _, _, err := OptimalUnderFailuresStats(context.Background(), g, tm, fs2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func TestSweepCanceledContext(t *testing.T) {
 	tm := traffic.Single(g.NumNodes(), topology.Pair{Src: gad.S, Dst: gad.T}, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := OptimalUnderFailuresContext(ctx, g, tm, failures.SingleLinks(g, 1))
+	_, _, _, err := OptimalUnderFailuresStats(ctx, g, tm, failures.SingleLinks(g, 1))
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -128,7 +128,7 @@ func TestSweepDeadline(t *testing.T) {
 	tm := traffic.Single(g.NumNodes(), topology.Pair{Src: gad.S, Dst: gad.T}, 1)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, _, err := OptimalUnderFailuresContext(ctx, g, tm, failures.SingleLinks(g, 2))
+	_, _, _, err := OptimalUnderFailuresStats(ctx, g, tm, failures.SingleLinks(g, 2))
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
@@ -147,18 +147,16 @@ func TestFlowLPCertified(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range []lp.Factorization{lp.FactorDense, lp.FactorSparse} {
-			sol, err := lp.SolveWithOptions(fm.m, lp.Options{Factorization: f})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := lptest.Certify(fm.m, nil, sol); err != nil {
-				t.Fatalf("concurrent=%v, factorization %v: %v", concurrent, f, err)
-			}
-			if sol.Stats.Phase1Iters == 0 || sol.Stats.SlackStartRows == 0 {
-				t.Fatalf("concurrent=%v, factorization %v: %d phase-1 iterations, %d rows slack-started; want a mixed start",
-					concurrent, f, sol.Stats.Phase1Iters, sol.Stats.SlackStartRows)
-			}
+		sol, err := lp.Solve(fm.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lptest.Certify(fm.m, nil, sol); err != nil {
+			t.Fatalf("concurrent=%v: %v", concurrent, err)
+		}
+		if sol.Stats.Phase1Iters == 0 || sol.Stats.SlackStartRows == 0 {
+			t.Fatalf("concurrent=%v: %d phase-1 iterations, %d rows slack-started; want a mixed start",
+				concurrent, sol.Stats.Phase1Iters, sol.Stats.SlackStartRows)
 		}
 	}
 }

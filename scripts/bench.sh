@@ -34,7 +34,10 @@ set -- -run '^$' -bench "$pattern" -benchmem -count "$count"
 if [ -n "${BENCHTIME:-}" ]; then
 	set -- "$@" -benchtime "$BENCHTIME"
 fi
-go test "$@" . | tee "$tmp"
+# The root package holds the paper's exhibits and most ablations;
+# internal/core holds the dualize-vs-cuts ablation, which needs the
+# test-side dualizer.
+go test "$@" . ./internal/core | tee "$tmp"
 
 commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 

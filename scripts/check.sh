@@ -81,4 +81,7 @@ if ! printf '%s\n' "$smoke" | grep -Eq '^ops_failed +0$'; then
 	exit 1
 fi
 
+echo "== size (scripts/loc.sh; printed, gates nothing)"
+./scripts/loc.sh
+
 echo "OK"
