@@ -198,6 +198,15 @@ func (m *model) render(addr string, now time.Time) string {
 			fmt.Fprintf(&b, ", %.0f samples: P(unvalidated) <= %.3g at %.4g%% conf",
 				v, r.Field("epsilon"), 100*(1-r.Field("delta")))
 		}
+		if v := r.Field("dest_evals"); v > 0 {
+			fmt.Fprintf(&b, ", %.1f%% of %.0f destination emissions replayed", 100*r.Field("dest_replays")/v, v)
+		}
+		if v := r.Field("fallbacks"); v > 0 {
+			// Why scenarios went cold: a cold realization costs orders
+			// of magnitude more than a corrected one.
+			fmt.Fprintf(&b, ", %.0f cold (nobase %.0f rank %.0f singular %.0f residual %.0f)", v,
+				r.Field("fallbacks_nobase"), r.Field("fallbacks_rank"), r.Field("fallbacks_singular"), r.Field("fallbacks_residual"))
+		}
 		b.WriteString("\n")
 	}
 	return b.String()

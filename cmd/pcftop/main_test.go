@@ -29,7 +29,8 @@ func TestModelRender(t *testing.T) {
 	m.observe(telemetry.Record{Time: at(12), Kind: telemetry.KindRequest, Name: "solve", Outcome: "shed"})
 	m.observe(telemetry.Record{Time: at(13), Kind: telemetry.KindBreaker, Scheme: "PCF-CLS", Rung: 2})
 	m.observe(telemetry.Record{Time: at(14), Kind: telemetry.KindValidate, Name: "sampled", Epoch: 7,
-		Fields: map[string]float64{"scenarios": 63, "samples": 40, "epsilon": 0.0123, "delta": 0.05}})
+		Fields: map[string]float64{"scenarios": 63, "samples": 40, "epsilon": 0.0123, "delta": 0.05,
+			"dest_evals": 400, "dest_replays": 250, "fallbacks": 13, "fallbacks_rank": 12, "fallbacks_residual": 1}})
 
 	frame := m.render("http://test", at(20))
 	for _, want := range []string{
@@ -42,7 +43,8 @@ func TestModelRender(t *testing.T) {
 		"mlu 0.670",
 		"last solve: ok in 1.2s, 42 lp iters (p1 0 p2 30 dual 12, 5424 rows slack-started), basis 7580 nnz fill 1.12 refactors 66 eta<=316",
 		"last publish: epoch 7, value 0.7227",
-		"last validate: ok model=sampled, 63 scenarios, 40 samples: P(unvalidated) <= 0.0123 at 95% conf",
+		"last validate: ok model=sampled, 63 scenarios, 40 samples: P(unvalidated) <= 0.0123 at 95% conf" +
+			", 62.5% of 400 destination emissions replayed, 13 cold (nobase 0 rank 12 singular 0 residual 1)",
 	} {
 		if !strings.Contains(frame, want) {
 			t.Errorf("frame missing %q:\n%s", want, frame)

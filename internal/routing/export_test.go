@@ -16,6 +16,16 @@ func (s *Sweep) CachedCorrectors() int {
 	return n
 }
 
+// CorruptBaseFlow adds delta to the first recorded base flow of
+// destination di — the flow list a replayed destination is checked and
+// materialized from — and returns the undo.
+func (s *Sweep) CorruptBaseFlow(di int, delta float64) (restore func()) {
+	i := s.rec.flowOff[di]
+	old := s.rec.flowVal[i]
+	s.rec.flowVal[i] += delta
+	return func() { s.rec.flowVal[i] = old }
+}
+
 // Fig5CLSPlan is the conditional-LS, double-failure plan the sweep
 // tests use: small, yet with rank-k scenarios and cold fallbacks.
 var Fig5CLSPlan = fig5CLSPlan

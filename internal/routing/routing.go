@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"pcf/internal/core"
@@ -363,13 +364,30 @@ func ScenarioCapacity(g *topology.Graph, sc failures.Scenario, a topology.ArcID)
 	return g.ArcCapacity(a) * sc.CapScale(topology.LinkOf(a))
 }
 
+// capacityUnder is ScenarioCapacity for a caller walking many arcs of
+// one scenario: nominal says the scenario has no dead or degraded link,
+// resolved once, and then no arc pays the two map lookups.
+func capacityUnder(g *topology.Graph, sc failures.Scenario, nominal bool, a topology.ArcID) float64 {
+	if nominal {
+		return g.ArcCapacity(a)
+	}
+	return ScenarioCapacity(g, sc, a)
+}
+
+func isNominal(sc failures.Scenario) bool { return len(sc.Dead) == 0 && len(sc.Degraded) == 0 }
+
 // MLUOf returns the maximum link utilization of a realization under
 // its scenario's capacities. Degraded links divide their load by the
-// scaled capacity; dead links carry no flow and are skipped.
+// scaled capacity; dead links carry no flow and are skipped, as is any
+// arc with no load — it cannot raise the maximum.
 func MLUOf(g *topology.Graph, r *Realization) float64 {
+	nominal := isNominal(r.Scenario)
 	mlu := 0.0
 	for a, load := range r.ArcLoad {
-		if c := ScenarioCapacity(g, r.Scenario, topology.ArcID(a)); c > 0 {
+		if load <= 0 {
+			continue
+		}
+		if c := capacityUnder(g, r.Scenario, nominal, topology.ArcID(a)); c > 0 {
 			if u := load / c; u > mlu {
 				mlu = u
 			}
@@ -379,42 +397,47 @@ func MLUOf(g *topology.Graph, r *Realization) float64 {
 }
 
 // CheckRealization verifies Proposition 6's properties for one
-// realization: per-destination flow conservation at every node, and
-// arc loads within the scenario's (possibly degraded) capacity.
+// realization: arc loads within the scenario's (possibly degraded)
+// capacity, and per-destination flow conservation at every node. It
+// reports the first overloaded arc if there is one, else the first
+// destination in node order that misses balance, at its
+// lowest-numbered node.
 func CheckRealization(plan *core.Plan, r *Realization) error {
 	in := plan.Instance
 	g := in.Graph
+	nominal := isNominal(r.Scenario)
 	for a := 0; a < g.NumArcs(); a++ {
-		if c := ScenarioCapacity(g, r.Scenario, topology.ArcID(a)); r.ArcLoad[a] > c+1e-6 {
-			return fmt.Errorf("routing: arc %d (link %d) overloaded: %g > %g under scenario %v",
-				a, topology.LinkOf(topology.ArcID(a)), r.ArcLoad[a], c, r.Scenario)
+		if c := capacityUnder(g, r.Scenario, nominal, topology.ArcID(a)); r.ArcLoad[a] > c+1e-6 {
+			return overloadError(a, r.ArcLoad[a], c, r.Scenario)
 		}
 	}
-	for dst, flows := range r.TunnelTo {
-		// Node balance over the pair-level flow: tunnel l of pair
-		// (i,j) is an edge i->j carrying flows[l].
-		net := make([]float64, g.NumNodes())
-		for tid, v := range flows {
-			p := in.Tunnels.Tunnel(tid).Pair
-			net[p.Src] += v
-			net[p.Dst] -= v
+	dsts := make([]topology.NodeID, 0, len(r.TunnelTo))
+	for dst := range r.TunnelTo {
+		dsts = append(dsts, dst)
+	}
+	slices.Sort(dsts)
+	inbound := map[topology.NodeID][]topology.Pair{}
+	for _, p := range in.DemandPairs() {
+		if _, ok := r.TunnelTo[p.Dst]; ok {
+			inbound[p.Dst] = append(inbound[p.Dst], p)
 		}
-		for v := 0; v < g.NumNodes(); v++ {
-			node := topology.NodeID(v)
-			want := 0.0
-			if node != dst {
-				want = plan.ScaledDemand(topology.Pair{Src: node, Dst: dst})
-			} else {
-				for _, p := range in.DemandPairs() {
-					if p.Dst == dst {
-						want -= plan.ScaledDemand(p)
-					}
-				}
-			}
-			if math.Abs(net[v]-want) > 1e-6 {
-				return fmt.Errorf("routing: destination %d node %d ships %g, want %g under %v",
-					dst, v, net[v], want, r.Scenario)
-			}
+	}
+	// The balance target of a destination: the scaled demand v->dst at
+	// each source v, minus the total demand into dst at dst.
+	bal := newBalance(g.NumNodes())
+	var wantNodes []int32
+	var wantVals, vals []float64
+	var tuns []tunnels.ID
+	for _, dst := range dsts {
+		wantNodes, wantVals = append(wantNodes[:0], int32(dst)), append(wantVals[:0], 0)
+		for _, p := range inbound[dst] {
+			d := plan.ScaledDemand(p)
+			wantVals[0] -= d
+			wantNodes, wantVals = append(wantNodes, int32(p.Src)), append(wantVals, d)
+		}
+		tuns, vals = flattenFlows(r.TunnelTo[dst], tuns[:0], vals[:0])
+		if v, got, want := bal.imbalance(in.Tunnels, tuns, vals, wantNodes, wantVals); v >= 0 {
+			return balanceError(dst, v, got, want, r.Scenario)
 		}
 	}
 	return nil

@@ -171,14 +171,13 @@ func WorstMLUSearch(ctx context.Context, plan *core.Plan, opts core.SearchOption
 		if err != nil {
 			return nil, err
 		}
-		g := plan.Instance.Graph
 		sr := sw.newScratch()
 		opts.Eval = func(sc failures.Scenario) (float64, error) {
-			r, _, err := sw.realize(sc, sr)
+			cold, _, err := sw.realize(sc, sr)
 			if err != nil {
 				return 0, err
 			}
-			return MLUOf(g, r), nil
+			return sw.judge(sc, sr, cold, false)
 		}
 	}
 	return core.WorstScenarioSearch(ctx, plan, opts)

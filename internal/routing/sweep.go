@@ -1,8 +1,6 @@
 package routing
 
 import (
-	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -28,10 +26,23 @@ type SweepStats struct {
 	// SMWHits counts scenarios served by the Sherman–Morrison–Woodbury
 	// low-rank path (including unchanged scenarios served straight
 	// from the base solutions); Fallbacks counts scenarios that
-	// refactorized cold because of the rank guard, an ill-conditioned
-	// capacitance, or a residual check failure.
-	SMWHits   int
-	Fallbacks int
+	// refactorized cold, and the four counters after it split that
+	// number by cause: the engine has no factored base, the correction
+	// rank exceeds the guard (2k > n), no corrector could be built (a
+	// singular or ill-conditioned capacitance), or the corrected rows
+	// failed the residual guard.
+	SMWHits           int
+	Fallbacks         int
+	FallbacksNoBase   int
+	FallbacksRank     int
+	FallbacksSingular int
+	FallbacksResidual int
+	// DestEvals counts the per-destination emissions of the SMW-served
+	// scenarios; DestReplays those among them that replayed the
+	// engine's recorded base emission because the scenario provably
+	// could not change the destination (sweepemit.go).
+	DestEvals   int
+	DestReplays int
 	// MaxRank is the largest rank-k correction served by the SMW path.
 	MaxRank int
 	// BatchHits counts the SMW-served scenarios of this sweep whose
@@ -63,6 +74,12 @@ func (s SweepStats) Metrics() map[string]float64 {
 		"workers":             float64(s.Workers),
 		"smw_hits":            float64(s.SMWHits),
 		"fallbacks":           float64(s.Fallbacks),
+		"fallbacks_nobase":    float64(s.FallbacksNoBase),
+		"fallbacks_rank":      float64(s.FallbacksRank),
+		"fallbacks_singular":  float64(s.FallbacksSingular),
+		"fallbacks_residual":  float64(s.FallbacksResidual),
+		"dest_evals":          float64(s.DestEvals),
+		"dest_replays":        float64(s.DestReplays),
 		"max_rank":            float64(s.MaxRank),
 		"batch_hits":          float64(s.BatchHits),
 		"smw_hit_rate":        s.SMWHitRate(),
@@ -71,20 +88,43 @@ func (s SweepStats) Metrics() map[string]float64 {
 	}
 }
 
+// fallbackCause says why a scenario left the low-rank path.
+type fallbackCause uint8
+
+const (
+	causeNoBase fallbackCause = iota + 1
+	causeRank
+	causeSingular
+	causeResidual
+)
+
 // served says how the engine answered one scenario: through the
-// low-rank path (and with what correction rank, and whether the
-// corrector came out of the signature cache) or, as the zero value,
-// through the cold fallback.
+// low-rank path (with what correction rank, whether the corrector came
+// out of the signature cache, and how many of the destinations emitted
+// were replays) or through the cold fallback, and then why.
 type served struct {
 	smw      bool
 	rank     int
 	batchHit bool
+	evals    int
+	replays  int
+	cause    fallbackCause
 }
 
 // count folds one successfully served scenario into the stats.
 func (s *SweepStats) count(sv served) {
 	if !sv.smw {
 		s.Fallbacks++
+		switch sv.cause {
+		case causeNoBase:
+			s.FallbacksNoBase++
+		case causeRank:
+			s.FallbacksRank++
+		case causeSingular:
+			s.FallbacksSingular++
+		case causeResidual:
+			s.FallbacksResidual++
+		}
 		return
 	}
 	s.SMWHits++
@@ -92,6 +132,8 @@ func (s *SweepStats) count(sv served) {
 	if sv.batchHit {
 		s.BatchHits++
 	}
+	s.DestEvals += sv.evals
+	s.DestReplays += sv.replays
 }
 
 // add folds the counts of another sweep through the same engine (or of
@@ -101,6 +143,12 @@ func (s *SweepStats) add(o SweepStats) {
 	s.Workers = max(s.Workers, o.Workers)
 	s.SMWHits += o.SMWHits
 	s.Fallbacks += o.Fallbacks
+	s.FallbacksNoBase += o.FallbacksNoBase
+	s.FallbacksRank += o.FallbacksRank
+	s.FallbacksSingular += o.FallbacksSingular
+	s.FallbacksResidual += o.FallbacksResidual
+	s.DestEvals += o.DestEvals
+	s.DestReplays += o.DestReplays
 	s.MaxRank = max(s.MaxRank, o.MaxRank)
 	s.BatchHits += o.BatchHits
 	s.Total += o.Total
@@ -118,7 +166,7 @@ type sweepLS struct {
 
 // Sweep is the §4.1 realization engine: one object per plan, built
 // once (sweepbuild.go) and then shared read-only by every goroutine
-// that realizes scenarios through it (sweeprealize.go).
+// that realizes scenarios through it (sweeprealize.go, sweepemit.go).
 //
 // The build precomputes everything scenario-independent: the
 // "universe" pairs of interest (transitive closure of the demand pairs
@@ -126,12 +174,14 @@ type sweepLS struct {
 // superset of any scenario's pair set, so conditional LSs that only
 // activate under failures still have their rows in the base space),
 // the base reservation matrix as sparse rows with identity rows
-// padding pairs outside the no-failure set, its Markowitz LU, and the
-// base solutions of the aggregate and per-destination systems. Each
-// scenario is then a sparse rank-k row correction of that base, served
-// through Sherman–Morrison–Woodbury with inverse columns solved lazily
-// per updated row and correctors shared between scenarios with
-// identical update signatures. The one fallback is the cold Realize:
+// padding pairs outside the no-failure set, its Markowitz LU, the
+// base solutions of the aggregate and per-destination systems, and the
+// emission of the no-failure scenario per destination. Each scenario is
+// then a sparse rank-k row correction of that base, served through
+// Sherman–Morrison–Woodbury with inverse columns solved lazily per
+// updated row and correctors shared between scenarios with identical
+// update signatures; a destination the scenario provably cannot change
+// replays its recorded emission. The one fallback is the cold Realize:
 // taken when the correction is too large (2k > n), the capacitance is
 // ill-conditioned, or the corrected rows fail the residual guard.
 type Sweep struct {
@@ -144,6 +194,7 @@ type Sweep struct {
 	numTun    int
 	pairTun   [][]tunnels.ID                   // universe row -> tunnels of that pair
 	tunRow    []int                            // tunnel -> universe row (-1 if none)
+	tunRes    []float64                        // tunnel -> reservation (plan.TunnelRes, flat)
 	linkTuns  map[topology.LinkID][]tunnels.ID // link -> tunnels of universe pairs using it
 	ls        []sweepLS
 	localLS   [][]int // row -> indexes into ls with pairRow == row
@@ -151,13 +202,23 @@ type Sweep struct {
 	seeds     []int   // universe rows of positive-demand pairs
 	demand    []float64
 	dests     []topology.NodeID
-	checkWant map[topology.NodeID][]float64 // dst -> per-node balance targets
+
+	// The check's scenario-independent inputs, flat: destIndex maps a
+	// node to its position in dests (-1: not a destination), wantNodes
+	// lists per destination the nodes with a non-zero balance target,
+	// ascending, and wantVals — parallel to wantNodes.val — the targets;
+	// arcCap is the nominal arc capacities.
+	destIndex []int32
+	wantNodes jagged
+	wantVals  []float64
+	arcCap    []float64
 
 	baseInSet []bool
 	baseRows  [][]linsolve.SparseEntry // base matrix rows, ascending column
 	slu       *linsolve.SparseLU       // base factorization; nil: engine is cold-only
 	uBase     []float64                // base aggregate solution A⁻¹D
 	destBase  [][]float64              // base per-destination solutions A⁻¹D_t
+	rec       *baseEmission            // what emitDests produces on the empty scenario; set with slu
 
 	// invCache holds the columns of the base inverse the sweep has
 	// needed so far (int row -> []float64), batches the SMW correctors
@@ -191,41 +252,25 @@ type batchEntry struct {
 var SweepUpdateFault func(ups []linsolve.RowUpdate) error
 
 // Check verifies Proposition 6's properties for a realization of this
-// sweep's plan, like CheckRealization, but against the per-destination
-// balance targets precomputed once per plan. A destination outside the
-// precomputed set (a realization from a different plan) falls back to
-// the general check.
+// sweep's plan, like CheckRealization, but against the capacities and
+// per-destination balance targets precomputed once per plan. It reports
+// the first overloaded arc if there is one, else the first destination
+// in node order that misses balance, at its lowest-numbered node. A
+// realization of another shape (a destination outside the precomputed
+// set, a different arc count) falls back to the general check.
 func (s *Sweep) Check(r *Realization) error {
-	in := s.plan.Instance
-	g := in.Graph
-	for a := 0; a < g.NumArcs(); a++ {
-		if c := ScenarioCapacity(g, r.Scenario, topology.ArcID(a)); r.ArcLoad[a] > c+1e-6 {
-			return fmt.Errorf("routing: arc %d (link %d) overloaded: %g > %g under scenario %v",
-				a, topology.LinkOf(topology.ArcID(a)), r.ArcLoad[a], c, r.Scenario)
-		}
+	if len(r.ArcLoad) != len(s.arcCap) {
+		return CheckRealization(s.plan, r)
 	}
-	net := make([]float64, g.NumNodes())
-	for dst, flows := range r.TunnelTo {
-		want, ok := s.checkWant[dst]
-		if !ok {
+	for dst := range r.TunnelTo {
+		if int(dst) < 0 || int(dst) >= len(s.destIndex) || s.destIndex[dst] < 0 {
 			return CheckRealization(s.plan, r)
 		}
-		for i := range net {
-			net[i] = 0
-		}
-		for tid, v := range flows {
-			p := in.Tunnels.Tunnel(tid).Pair
-			net[p.Src] += v
-			net[p.Dst] -= v
-		}
-		for v := range net {
-			if math.Abs(net[v]-want[v]) > 1e-6 {
-				return fmt.Errorf("routing: destination %d node %d ships %g, want %g under %v",
-					dst, v, net[v], want[v], r.Scenario)
-			}
-		}
 	}
-	return nil
+	sr := s.pool.Get().(*sweepScratch)
+	_, err := s.judge(r.Scenario, sr, r, true)
+	s.pool.Put(sr)
+	return err
 }
 
 // BaseFactorTime reports the one-time precomputation cost.
@@ -247,6 +292,9 @@ func (s *Sweep) Stats() SweepStats {
 func (s *Sweep) Realize(sc failures.Scenario) (*Realization, error) {
 	sr := s.pool.Get().(*sweepScratch)
 	r, sv, err := s.realize(sc, sr)
+	if err == nil && r == nil {
+		r = s.materialize(sc, sr)
+	}
 	s.pool.Put(sr)
 	s.mu.Lock()
 	s.stats.Scenarios++

@@ -1,7 +1,8 @@
 package routing
 
 // The engine build: universe closure → plan indexes → base rows →
-// factor + base solves. Everything here runs once per plan.
+// factor + base solves → base emission record. Everything here runs
+// once per plan.
 
 import (
 	"context"
@@ -60,25 +61,29 @@ func (s *Sweep) build(ctx context.Context) error {
 			qs = append(qs, q)
 		}
 	}
-	s.closeUniverse(qs)
+	// Listed once: the traffic matrix is dense, so each listing scans
+	// every node pair.
+	demandPairs := s.plan.Instance.DemandPairs()
+	s.closeUniverse(qs, demandPairs)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.indexPlan(qs)
-	diagOK := s.buildBaseRows()
+	s.indexPlan(qs, demandPairs)
+	sr := s.newScratch()
+	diagOK := s.buildBaseRows(sr)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	if s.n == 0 || !diagOK {
 		return nil
 	}
-	return s.factorBase(ctx)
+	return s.factorBase(ctx, sr)
 }
 
 // closeUniverse fixes the engine's row space: the closure of the
 // positive-demand pairs through ALL positive-reservation LSs,
 // conditions ignored, in (src, dst) node order.
-func (s *Sweep) closeUniverse(qs []core.LogicalSequence) {
+func (s *Sweep) closeUniverse(qs []core.LogicalSequence, demandPairs []topology.Pair) {
 	in := s.plan.Instance
 	lsByPair := map[topology.Pair][]int{}
 	for i, q := range qs {
@@ -92,7 +97,7 @@ func (s *Sweep) closeUniverse(qs []core.LogicalSequence) {
 			queue = append(queue, p)
 		}
 	}
-	for _, p := range in.DemandPairs() {
+	for _, p := range demandPairs {
 		if s.plan.ScaledDemand(p) > 1e-12 {
 			add(p)
 		}
@@ -121,15 +126,17 @@ func (s *Sweep) closeUniverse(qs []core.LogicalSequence) {
 // indexPlan translates the plan into universe-row coordinates: tunnels
 // per row and per link, LS entries, the demand vector with its seed
 // rows and destinations, and Check's per-destination balance targets.
-func (s *Sweep) indexPlan(qs []core.LogicalSequence) {
+func (s *Sweep) indexPlan(qs []core.LogicalSequence, demandPairs []topology.Pair) {
 	in, plan, n := s.plan.Instance, s.plan, s.n
 
 	// Tunnel indexes per universe row, and the link -> tunnels map used
 	// to find tunnels a failed link kills.
 	s.pairTun = make([][]tunnels.ID, n)
 	s.tunRow = make([]int, s.numTun)
+	s.tunRes = make([]float64, s.numTun)
 	for i := range s.tunRow {
 		s.tunRow[i] = -1
+		s.tunRes[i] = plan.TunnelRes[tunnels.ID(i)]
 	}
 	for r, p := range s.pairs {
 		s.pairTun[r] = in.Tunnels.ForPair(p)
@@ -170,7 +177,7 @@ func (s *Sweep) indexPlan(qs []core.LogicalSequence) {
 		s.demand[r] = plan.ScaledDemand(p)
 	}
 	destSet := map[topology.NodeID]bool{}
-	for _, p := range in.DemandPairs() {
+	for _, p := range demandPairs {
 		if plan.ScaledDemand(p) > 1e-12 {
 			if r, ok := s.index[p]; ok {
 				s.seeds = append(s.seeds, r)
@@ -184,19 +191,45 @@ func (s *Sweep) indexPlan(qs []core.LogicalSequence) {
 		}
 	}
 
-	// The `want` vector CheckRealization recomputes per scenario is
-	// scenario-independent, so build it once. want[v] is the scaled
-	// demand v->dst; want[dst] is minus the total demand into dst.
-	s.checkWant = make(map[topology.NodeID][]float64, len(s.dests))
-	for _, dst := range s.dests {
-		s.checkWant[dst] = make([]float64, in.Graph.NumNodes())
+	// The check's inputs are scenario-independent, so build them once.
+	// A destination's balance target is the scaled demand v->dst at each
+	// source v and minus the total demand into dst at dst; it is summed
+	// dense in demand-pair order, then kept sparse.
+	g := in.Graph
+	nodes := g.NumNodes()
+	s.destIndex = make([]int32, nodes)
+	for v := range s.destIndex {
+		s.destIndex[v] = -1
 	}
-	for _, p := range in.DemandPairs() {
-		if w, ok := s.checkWant[p.Dst]; ok {
+	for di, dst := range s.dests {
+		s.destIndex[dst] = int32(di)
+	}
+	inbound := make([][]topology.Pair, len(s.dests))
+	for _, p := range demandPairs {
+		if di := s.destIndex[p.Dst]; di >= 0 {
+			inbound[di] = append(inbound[di], p)
+		}
+	}
+	w := make([]float64, nodes)
+	s.wantNodes.off = make([]int32, 1, len(s.dests)+1)
+	for di := range s.dests {
+		for _, p := range inbound[di] {
 			d := plan.ScaledDemand(p)
 			w[p.Src] += d
 			w[p.Dst] -= d
 		}
+		for v := range w {
+			if w[v] != 0 {
+				s.wantNodes.val = append(s.wantNodes.val, int32(v))
+				s.wantVals = append(s.wantVals, w[v])
+				w[v] = 0
+			}
+		}
+		s.wantNodes.off = append(s.wantNodes.off, int32(len(s.wantNodes.val)))
+	}
+	s.arcCap = make([]float64, g.NumArcs())
+	for a := range s.arcCap {
+		s.arcCap[a] = g.ArcCapacity(topology.ArcID(a))
 	}
 }
 
@@ -206,10 +239,10 @@ func (s *Sweep) indexPlan(qs []core.LogicalSequence) {
 // produces a spurious delta. Pairs outside the no-failure set get
 // identity rows: they carry no demand and no in-set row references
 // their column, so the in-set block solves exactly as the cold path's
-// smaller system. It reports whether every in-set pair has a live
-// reservation; if not, the engine stays cold-only.
-func (s *Sweep) buildBaseRows() bool {
-	sr := s.newScratch()
+// smaller system. It leaves the empty scenario activated in sr and
+// reports whether every in-set pair has a live reservation; if not, the
+// engine stays cold-only.
+func (s *Sweep) buildBaseRows(sr *sweepScratch) bool {
 	s.activate(failures.Scenario{}, sr)
 	s.baseInSet = make([]bool, s.n)
 	s.baseRows = make([][]linsolve.SparseEntry, s.n)
@@ -230,10 +263,12 @@ func (s *Sweep) buildBaseRows() bool {
 	return diagOK
 }
 
-// factorBase factors the base rows and solves the aggregate and
-// per-destination base systems. A numerical failure is not an error:
-// s.slu stays nil and the engine serves cold. Only cancellation is.
-func (s *Sweep) factorBase(ctx context.Context) error {
+// factorBase factors the base rows, solves the aggregate and
+// per-destination base systems and records the base emission through
+// sr, which still holds the empty scenario. A numerical failure is not
+// an error: s.slu stays nil and the engine serves cold. Only
+// cancellation is.
+func (s *Sweep) factorBase(ctx context.Context, sr *sweepScratch) error {
 	n := s.n
 	slu, err := linsolve.FactorSparseRows(s.baseRows, n)
 	if err != nil {
@@ -263,6 +298,7 @@ func (s *Sweep) factorBase(ctx context.Context) error {
 	}
 	if ok {
 		s.slu, s.uBase, s.destBase = slu, uBase, destBase
+		s.recordBase(sr)
 	}
 	return nil
 }

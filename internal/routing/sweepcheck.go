@@ -1,0 +1,168 @@
+package routing
+
+// The sweep's check of one served scenario: every arc against the
+// scenario's capacity (and the MLU, in the same pass), then every
+// destination's flow conservation — over the flat emission in the
+// scratch, or over the cold fallback's Realization.
+
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"pcf/internal/failures"
+	"pcf/internal/topology"
+	"pcf/internal/tunnels"
+)
+
+// balance is the one flow-conservation check (Proposition 6), over the
+// pair-level flow graph: tunnel l of pair (i,j) is an edge i->j carrying
+// its flow. It visits only the nodes a destination touches — the
+// endpoints of its flows and the nodes with a non-zero target; every
+// other node ships 0 and wants 0.
+type balance struct {
+	net, want []float64 // per node; zero between calls
+	seen      []bool    // per node; false between calls
+	touched   []int32
+}
+
+func newBalance(nodes int) balance {
+	return balance{net: make([]float64, nodes), want: make([]float64, nodes), seen: make([]bool, nodes)}
+}
+
+// imbalance returns the lowest-numbered node whose net outflow under
+// the flows misses its target by more than 1e-6, with that outflow and
+// target, or -1. The target is wantVals[i] at node wantNodes[i] (each
+// node listed once) and zero everywhere else.
+func (b *balance) imbalance(ts *tunnels.Set, tuns []tunnels.ID, vals []float64, wantNodes []int32, wantVals []float64) (node int, got, want float64) {
+	touch := func(v int32) {
+		if !b.seen[v] {
+			b.seen[v] = true
+			b.touched = append(b.touched, v)
+		}
+	}
+	for i, tid := range tuns {
+		p := ts.Tunnel(tid).Pair
+		touch(int32(p.Src))
+		touch(int32(p.Dst))
+		b.net[p.Src] += vals[i]
+		b.net[p.Dst] -= vals[i]
+	}
+	for i, v := range wantNodes {
+		touch(v)
+		b.want[v] = wantVals[i]
+	}
+	node = -1
+	for _, v := range b.touched {
+		if math.Abs(b.net[v]-b.want[v]) > 1e-6 && (node < 0 || int(v) < node) {
+			node, got, want = int(v), b.net[v], b.want[v]
+		}
+		b.net[v], b.want[v], b.seen[v] = 0, 0, false
+	}
+	b.touched = b.touched[:0]
+	return node, got, want
+}
+
+func overloadError(a int, load, c float64, sc failures.Scenario) error {
+	return fmt.Errorf("routing: arc %d (link %d) overloaded: %g > %g under scenario %v",
+		a, topology.LinkOf(topology.ArcID(a)), load, c, sc)
+}
+
+func balanceError(dst topology.NodeID, v int, got, want float64, sc failures.Scenario) error {
+	return fmt.Errorf("routing: destination %d node %d ships %g, want %g under %v", dst, v, got, want, sc)
+}
+
+// overlay writes the scenario's capacities for its dead and degraded
+// links into caps — nominal·CapScale, the product ScenarioCapacity
+// forms — or, with restore set, puts the nominal values back.
+func (s *Sweep) overlay(sc failures.Scenario, caps []float64, restore bool) {
+	set := func(l topology.LinkID, scale float64) {
+		if a := 2 * int(l); l >= 0 && a+1 < len(caps) {
+			if restore {
+				scale = 1
+			}
+			caps[a], caps[a+1] = s.arcCap[a]*scale, s.arcCap[a+1]*scale
+		}
+	}
+	for l, alpha := range sc.Degraded {
+		set(l, alpha)
+	}
+	for l, dead := range sc.Dead {
+		if dead {
+			set(l, 0)
+		}
+	}
+}
+
+// judge checks one served scenario and returns its maximum link
+// utilization: the flat emission in sr, or the cold Realization when
+// one is given. One pass over the arcs against a flat capacity array
+// with the scenario overlaid serves both the overload check and the
+// MLU; with check set, every destination is then balance-checked, in
+// node order. The first overloaded arc is reported if there is one,
+// else the first destination out of balance.
+func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, cold *Realization, check bool) (float64, error) {
+	arcLoad := sr.arcLoad
+	if cold != nil {
+		arcLoad = cold.ArcLoad
+	}
+	caps := sr.arcCap
+	s.overlay(sc, caps, false)
+	mlu, over := 0.0, -1
+	for a, load := range arcLoad {
+		c := caps[a]
+		if check && load > c+1e-6 {
+			over = a
+			break
+		}
+		// A load of zero never raises the maximum.
+		if load > 0 && c > 0 {
+			if u := load / c; u > mlu {
+				mlu = u
+			}
+		}
+	}
+	var err error
+	if over >= 0 {
+		err = overloadError(over, arcLoad[over], caps[over], sc)
+	}
+	s.overlay(sc, caps, true)
+	if err != nil || !check {
+		return mlu, err
+	}
+
+	ts := s.plan.Instance.Tunnels
+	for di, dst := range s.dests {
+		var tuns []tunnels.ID
+		var vals []float64
+		if cold == nil {
+			tuns, vals = s.destFlows(sr, di)
+		} else if flows, ok := cold.TunnelTo[dst]; ok {
+			// The scratch's flow arena is free once a scenario went cold.
+			sr.flowTun, sr.flowVal = flattenFlows(flows, sr.flowTun[:0], sr.flowVal[:0])
+			tuns, vals = sr.flowTun, sr.flowVal
+		} else {
+			continue
+		}
+		lo, hi := s.wantNodes.off[di], s.wantNodes.off[di+1]
+		if v, got, want := sr.bal.imbalance(ts, tuns, vals, s.wantNodes.val[lo:hi], s.wantVals[lo:hi]); v >= 0 {
+			return mlu, balanceError(dst, v, got, want, sc)
+		}
+	}
+	return mlu, nil
+}
+
+// flattenFlows appends a destination's flow map to tuns and vals in
+// tunnel order, so a Realization is balance-checked through the same
+// routine as a flat emission, and in the same summation order run to
+// run.
+func flattenFlows(flows map[tunnels.ID]float64, tuns []tunnels.ID, vals []float64) ([]tunnels.ID, []float64) {
+	for tid := range flows {
+		tuns = append(tuns, tid)
+	}
+	slices.Sort(tuns)
+	for _, tid := range tuns {
+		vals = append(vals, flows[tid])
+	}
+	return tuns, vals
+}

@@ -1,8 +1,8 @@
 package routing
 
 // The scenario hot path: mark rows → row deltas + signature → corrector
-// lookup → correct + residual guard → emit flows. Every stage reads the
-// shared Sweep and writes only the caller's scratch.
+// lookup → correct + residual guard → emit (sweepemit.go). Every stage
+// reads the shared Sweep and writes only the caller's scratch.
 
 import (
 	"encoding/binary"
@@ -12,7 +12,6 @@ import (
 
 	"pcf/internal/failures"
 	"pcf/internal/linsolve"
-	"pcf/internal/topology"
 	"pcf/internal/tunnels"
 )
 
@@ -25,6 +24,7 @@ type sweepScratch struct {
 	rowMark  []int32
 	colMark  []int32
 	deadTun  []int32 // epoch stamps per tunnel ID
+	destMark []int32 // epoch stamps per destination: the scenario can change it
 	lsActive []bool
 	rowVals  []float64
 	rows     []int
@@ -33,73 +33,101 @@ type sweepScratch struct {
 	// k-sized SMW correction scratch (grown on demand), so shared
 	// batched correctors stay read-only across workers.
 	smwZ, smwY []float64
-	// Per-destination tunnel-flow accumulation: dense per-tunnel sums
-	// with epoch marks, so the output map is built presized instead of
-	// grown entry by entry.
-	tunEpoch int32
-	tunMark  []int32
-	tunFlow  []float64
-	tunTouch []tunnels.ID
+
+	// The flat emission of the scenario last served through the
+	// low-rank path (sweepemit.go): the aggregate solution and pair
+	// count, the flows of the destinations emitted afresh as one
+	// (tunnel, flow) arena with an offset per destination — a replayed
+	// destination's flows are the engine's record — and the arc loads.
+	sol     []float64
+	inCount int
+	flowOff []int32
+	flowTun []tunnels.ID
+	flowVal []float64
+	arcLoad []float64
+
+	// The check's state (sweepcheck.go): the capacity array the
+	// scenario's dead and degraded links are overlaid on and restored
+	// from, and the node balance.
+	arcCap []float64
+	bal    balance
 }
 
 func (s *Sweep) newScratch() *sweepScratch {
+	g := s.plan.Instance.Graph
 	return &sweepScratch{
 		inSet:    make([]int32, s.n),
 		rowMark:  make([]int32, s.n),
 		colMark:  make([]int32, s.n),
 		deadTun:  make([]int32, s.numTun),
+		destMark: make([]int32, len(s.dests)),
 		lsActive: make([]bool, len(s.ls)),
 		rowVals:  make([]float64, s.n),
 		rows:     make([]int, 0, s.n),
 		touched:  make([]int, 0, 16),
 		x:        make([]float64, s.n),
 		xt:       make([]float64, s.n),
-		tunMark:  make([]int32, s.numTun),
-		tunFlow:  make([]float64, s.numTun),
-		tunTouch: make([]tunnels.ID, 0, 16),
+		flowOff:  make([]int32, len(s.dests)+1),
+		arcLoad:  make([]float64, g.NumArcs()),
+		arcCap:   append([]float64(nil), s.arcCap...),
+		bal:      newBalance(g.NumNodes()),
 	}
 }
 
-// realize serves one scenario and reports how.
+// realize serves one scenario and reports how. A scenario served
+// through the low-rank path leaves its flat emission in sr and returns
+// a nil Realization; the cold fallback returns the one it built.
 func (s *Sweep) realize(sc failures.Scenario, sr *sweepScratch) (*Realization, served, error) {
 	if s.n == 0 {
-		return s.emitFlows(sc, sr, nil, nil, 0)
+		sr.sol, sr.inCount = nil, 0
+		sv, err := s.emitDests(sc, sr, nil)
+		return nil, sv, err
 	}
-	inCount := s.activate(sc, sr)
-	ups, upScale, err := s.rowUpdates(sc, sr, s.changedRows(sr))
+	sr.inCount = s.activate(sc, sr)
+	rows := s.changedRows(sr)
+	ups, upScale, err := s.rowUpdates(sc, sr, rows)
 	if err != nil {
 		return nil, served{}, err
 	}
 	k := len(ups)
-	if s.slu == nil || 2*k > s.n {
-		return s.cold(sc)
+	if s.slu == nil {
+		return s.cold(sc, causeNoBase)
 	}
-	if k == 0 {
-		return s.emitFlows(sc, sr, s.uBase, nil, inCount)
+	if 2*k > s.n {
+		return s.cold(sc, causeRank)
 	}
-	upd, hit := s.corrector(ups)
-	if upd == nil {
-		return s.cold(sc)
+	sr.sol = s.uBase
+	var upd *linsolve.Updated
+	hit := false
+	if k > 0 {
+		if upd, hit = s.corrector(ups); upd == nil {
+			return s.cold(sc, causeSingular)
+		}
+		if cap(sr.smwZ) < k {
+			sr.smwZ = make([]float64, k)
+			sr.smwY = make([]float64, k)
+		}
+		if err := upd.CorrectIntoScratch(sr.x, s.uBase, sr.smwZ[:k], sr.smwY[:k]); err != nil {
+			return nil, served{}, fmt.Errorf("routing: aggregate system under %v: %w", sc, err)
+		}
+		if !s.residualOK(sr.x, ups, upScale) {
+			return s.cold(sc, causeResidual)
+		}
+		sr.sol = sr.x
 	}
-	if cap(sr.smwZ) < k {
-		sr.smwZ = make([]float64, k)
-		sr.smwY = make([]float64, k)
+	if err := s.checkU(sc, sr); err != nil {
+		return nil, served{}, err
 	}
-	if err := upd.CorrectIntoScratch(sr.x, s.uBase, sr.smwZ[:k], sr.smwY[:k]); err != nil {
-		return nil, served{}, fmt.Errorf("routing: aggregate system under %v: %w", sc, err)
-	}
-	if !s.residualOK(sr.x, ups, upScale) {
-		return s.cold(sc)
-	}
-	r, sv, err := s.emitFlows(sc, sr, sr.x, upd, inCount)
+	s.markAffected(sr, rows, ups)
+	sv, err := s.emitDests(sc, sr, upd)
 	sv.batchHit = hit
-	return r, sv, err
+	return nil, sv, err
 }
 
 // cold is the one fallback: a from-scratch Realize of the scenario.
-func (s *Sweep) cold(sc failures.Scenario) (*Realization, served, error) {
+func (s *Sweep) cold(sc failures.Scenario, why fallbackCause) (*Realization, served, error) {
 	r, err := Realize(s.plan, sc)
-	return r, served{}, err
+	return r, served{cause: why}, err
 }
 
 // activate stamps the scenario's state into the scratch under a fresh
@@ -119,7 +147,7 @@ func (s *Sweep) activate(sc failures.Scenario, sr *sweepScratch) int {
 				continue
 			}
 			sr.deadTun[tid] = ep
-			if r := s.tunRow[tid]; r >= 0 && s.plan.TunnelRes[tid] > 0 {
+			if r := s.tunRow[tid]; r >= 0 && s.tunRes[tid] > 0 {
 				sr.rowMark[r] = ep
 			}
 		}
@@ -222,7 +250,7 @@ func (s *Sweep) rowCoeffs(sr *sweepScratch, r int) float64 {
 	diag := 0.0
 	for _, tid := range s.pairTun[r] {
 		if sr.deadTun[tid] != ep {
-			diag += s.plan.TunnelRes[tid]
+			diag += s.tunRes[tid]
 		}
 	}
 	for _, qi := range s.localLS[r] {
@@ -381,77 +409,4 @@ func (s *Sweep) residualOK(x []float64, ups []linsolve.RowUpdate, upScale []floa
 		}
 	}
 	return true
-}
-
-// emitFlows turns the aggregate solution x into the Realization: the
-// utilizations of the pairs of interest (range-checked, Proposition 5)
-// and, per destination, the base solution corrected by the same upd
-// (nil: the base solution stands) spread over each pair's live tunnels.
-func (s *Sweep) emitFlows(sc failures.Scenario, sr *sweepScratch, x []float64, upd *linsolve.Updated, inCount int) (*Realization, served, error) {
-	in := s.plan.Instance
-	ep := sr.epoch
-	k := 0
-	if upd != nil {
-		k = upd.Rank()
-	}
-	res := &Realization{
-		Scenario: sc,
-		Pairs:    make([]topology.Pair, 0, inCount),
-		U:        make([]float64, 0, inCount),
-		TunnelTo: map[topology.NodeID]map[tunnels.ID]float64{},
-		ArcLoad:  make([]float64, in.Graph.NumArcs()),
-	}
-	for r := 0; r < s.n; r++ {
-		if sr.inSet[r] != ep {
-			continue
-		}
-		if x[r] < -1e-7 || x[r] > 1+1e-7 {
-			return nil, served{}, fmt.Errorf("routing: U[%v] = %g outside [0,1] under %v (Proposition 5 violated — plan not feasible for this scenario)",
-				s.pairs[r], x[r], sc)
-		}
-		res.Pairs = append(res.Pairs, s.pairs[r])
-		res.U = append(res.U, x[r])
-	}
-	for di, dst := range s.dests {
-		xt := s.destBase[di]
-		if upd != nil {
-			if err := upd.CorrectIntoScratch(sr.xt, xt, sr.smwZ[:k], sr.smwY[:k]); err != nil {
-				return nil, served{}, fmt.Errorf("routing: destination %d system under %v: %w", dst, sc, err)
-			}
-			xt = sr.xt
-		}
-		sr.tunEpoch++
-		tep := sr.tunEpoch
-		touched := sr.tunTouch[:0]
-		for r := 0; r < s.n; r++ {
-			if sr.inSet[r] != ep || xt[r] <= 1e-12 {
-				continue
-			}
-			for _, tid := range s.pairTun[r] {
-				if sr.deadTun[tid] == ep {
-					continue
-				}
-				rr := xt[r] * s.plan.TunnelRes[tid]
-				if rr <= 1e-12 {
-					continue
-				}
-				if sr.tunMark[tid] != tep {
-					sr.tunMark[tid] = tep
-					sr.tunFlow[tid] = 0
-					touched = append(touched, tid)
-				}
-				sr.tunFlow[tid] += rr
-				for _, a := range in.Tunnels.Tunnel(tid).Path.Arcs {
-					res.ArcLoad[a] += rr
-				}
-			}
-		}
-		flows := make(map[tunnels.ID]float64, len(touched))
-		for _, tid := range touched {
-			flows[tid] = sr.tunFlow[tid]
-		}
-		sr.tunTouch = touched
-		res.TunnelTo[dst] = flows
-	}
-	return res, served{smw: true, rank: k}, nil
 }

@@ -48,7 +48,9 @@ func designedSet(plan *core.Plan) []failures.Scenario {
 
 // sweepScenarios realizes the scenarios through sw (nil: through the
 // §4.2 proportional router) on a NumCPU-bounded worker pool with
-// per-worker scratch, and returns the outcomes in list order — the same
+// per-worker scratch, judging each served scenario straight from the
+// flat emission there (no Realization is built), and returns the
+// outcomes in list order — the same
 // deterministic contract as mcf's scenario sweep: workers claim indexes
 // from an atomic counter and the callers merge the slot array in order,
 // so worker scheduling never changes an answer. stopOnError selects the
@@ -84,7 +86,8 @@ func sweepScenarios(ctx context.Context, plan *core.Plan, sw *Sweep, check, stop
 			defer wg.Done()
 			var sr *sweepScratch
 			if sw != nil {
-				sr = sw.newScratch()
+				sr = sw.pool.Get().(*sweepScratch)
+				defer sw.pool.Put(sr)
 			}
 			for {
 				i := int(next.Add(1)) - 1
@@ -97,18 +100,23 @@ func sweepScenarios(ctx context.Context, plan *core.Plan, sw *Sweep, check, stop
 					slots[i].err = fmt.Errorf("routing: scenario sweep canceled at %v: %w", sc, err)
 					return
 				}
-				var r *Realization
+				var mlu float64
 				var err error
 				if sw != nil {
+					var cold *Realization
 					var sv served
-					if r, sv, err = sw.realize(sc, sr); err == nil {
+					if cold, sv, err = sw.realize(sc, sr); err == nil {
 						ws.count(sv)
-						if check {
-							err = sw.Check(r)
-						}
+						mlu, err = sw.judge(sc, sr, cold, check)
 					}
-				} else if r, err = RealizeProportional(plan, sc); err == nil && check {
-					err = CheckRealization(plan, r)
+				} else {
+					var r *Realization
+					if r, err = RealizeProportional(plan, sc); err == nil && check {
+						err = CheckRealization(plan, r)
+					}
+					if err == nil {
+						mlu = MLUOf(g, r)
+					}
 				}
 				if err != nil {
 					slots[i].err = err
@@ -117,7 +125,7 @@ func sweepScenarios(ctx context.Context, plan *core.Plan, sw *Sweep, check, stop
 					}
 					continue
 				}
-				slots[i].mlu = MLUOf(g, r)
+				slots[i].mlu = mlu
 			}
 		}(&perWorker[w])
 	}

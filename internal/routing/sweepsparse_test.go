@@ -171,7 +171,21 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 	if got := sw.Stats().Scenarios; got != warm.Scenarios {
 		t.Fatalf("cumulative Stats counts %d scenarios, want only the %d Realize calls", got, warm.Scenarios)
 	}
-	want := []string{"scenarios", "workers", "smw_hits", "fallbacks", "max_rank", "batch_hits",
+	for _, st := range []*SweepStats{cold, warm} {
+		if sum := st.FallbacksNoBase + st.FallbacksRank + st.FallbacksSingular + st.FallbacksResidual; sum != st.Fallbacks {
+			t.Fatalf("per-cause fallbacks sum to %d, Fallbacks = %d: %+v", sum, st.Fallbacks, st)
+		}
+		if st.DestEvals != st.SMWHits*len(sw.dests) || st.DestReplays > st.DestEvals {
+			t.Fatalf("DestEvals %d / DestReplays %d with %d SMW hits over %d destinations", st.DestEvals, st.DestReplays, st.SMWHits, len(sw.dests))
+		}
+	}
+	// Fig. 5's fallbacks are all the rank guard's (see
+	// TestSweepUpdateFaultFallsBack).
+	if warm.Fallbacks == 0 || warm.FallbacksRank != warm.Fallbacks {
+		t.Fatalf("fallbacks %d, of which rank guard %d", warm.Fallbacks, warm.FallbacksRank)
+	}
+	want := []string{"scenarios", "workers", "smw_hits", "fallbacks", "fallbacks_nobase", "fallbacks_rank",
+		"fallbacks_singular", "fallbacks_residual", "dest_evals", "dest_replays", "max_rank", "batch_hits",
 		"smw_hit_rate", "base_factor_time_ms", "total_ms"}
 	m := warm.Metrics()
 	if len(m) != len(want) {

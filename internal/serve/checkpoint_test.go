@@ -1,13 +1,25 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"pcf/internal/core"
+	"pcf/internal/failures"
+	"pcf/internal/linsolve"
+	"pcf/internal/routing"
+	"pcf/internal/telemetry"
+	"pcf/internal/topozoo"
+	"pcf/internal/traffic"
+	"pcf/internal/tunnels"
 )
 
 // TestStoreRoundTrip saves two epochs and checks LoadLatest returns
@@ -208,5 +220,107 @@ func TestStoreWritable(t *testing.T) {
 	}
 	if err := st.Writable(); err == nil {
 		t.Fatal("Writable on read-only dir: want error")
+	}
+}
+
+// TestRecoverCanceledMidSweepKeepsSnapshot: a context cancelled from
+// inside the validation sweep means the sweep did not finish, not that
+// the plan failed. Recover must surface the context error (never
+// ErrValidation), leave the snapshot where it is — no quarantine, no
+// "invalid" record — and a second Recover with a live context must
+// publish that very snapshot.
+func TestRecoverCanceledMidSweepKeepsSnapshot(t *testing.T) {
+	// Sprint, eight pairs: wide enough that single-link scenarios pass
+	// the rank guard and consult the update hook (the shared ring4 plan
+	// never does).
+	g := topozoo.MustLoad("Sprint")
+	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 5, Jitter: 0.4})
+	pairs := tm.TopPairs(8)
+	ts, err := tunnels.Select(g, pairs, tunnels.SelectOptions{PerPair: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &core.Instance{
+		Graph: g, TM: tm.Restrict(pairs), Tunnels: ts,
+		Failures: failures.SingleLinks(g, 1), Objective: core.DemandScale,
+	}
+	plan, err := core.SolvePCFTF(in, core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := NewStore(dir, in)
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	if err := st.Save(7, plan); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	var mu sync.Mutex
+	var published []telemetry.Record
+	reg := NewRegistry(st, t.Logf)
+	reg.Telemetry = telemetry.EmitterFunc(func(rec telemetry.Record) {
+		if rec.Kind == telemetry.KindPublish {
+			mu.Lock()
+			published = append(published, rec)
+			mu.Unlock()
+		}
+	})
+	publishRecords := func() []telemetry.Record {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]telemetry.Record(nil), published...)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	routing.SweepUpdateFault = func([]linsolve.RowUpdate) error {
+		if calls.Add(1) == 1 {
+			cancel()
+		}
+		return nil
+	}
+	defer func() { routing.SweepUpdateFault = nil }()
+
+	_, err = reg.Recover(ctx, in)
+	if calls.Load() == 0 {
+		t.Fatal("the sweep never reached a rank-k update: nothing cancelled it")
+	}
+	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrValidation) {
+		t.Fatalf("Recover under a mid-sweep cancel = %v, want context.Canceled and not ErrValidation", err)
+	}
+	if _, err := os.Stat(st.snapshotPath(7)); err != nil {
+		t.Fatalf("snapshot gone after a cancelled recovery: %v", err)
+	}
+	if quarantined, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(quarantined) != 0 {
+		t.Fatalf("cancelled recovery quarantined %v", quarantined)
+	}
+	if recs := publishRecords(); len(recs) != 0 {
+		t.Fatalf("cancelled recovery emitted publish records: %+v", recs)
+	}
+	if reg.Epoch() != 0 {
+		t.Fatalf("cancelled recovery published epoch %d", reg.Epoch())
+	}
+
+	// The same cancellation through Publish: no "invalid" record either.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	calls.Store(0)
+	cancel = cancel2
+	if _, err := reg.Publish(ctx2, plan); !errors.Is(err, context.Canceled) || errors.Is(err, ErrValidation) {
+		t.Fatalf("Publish under a mid-sweep cancel = %v, want context.Canceled and not ErrValidation", err)
+	}
+	if recs := publishRecords(); len(recs) != 0 {
+		t.Fatalf("cancelled publish emitted publish records (an \"invalid\" one?): %+v", recs)
+	}
+
+	routing.SweepUpdateFault = nil
+	pub, err := reg.Recover(context.Background(), in)
+	if err != nil {
+		t.Fatalf("second Recover with a live context: %v", err)
+	}
+	if pub.Epoch != 7 || reg.Epoch() != 7 {
+		t.Fatalf("recovered epoch %d (registry %d), want 7", pub.Epoch, reg.Epoch())
 	}
 }

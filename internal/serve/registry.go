@@ -166,8 +166,9 @@ func (r *Registry) publishLocked(ctx context.Context, epoch uint64, plan *core.P
 // disk), and swap in the very engine that passed. So the object that
 // serves /v1/realize is, by pointer identity, the object that was
 // validated, and each publication builds exactly one. A validation
-// failure wraps ErrValidation; an engine build cut short by ctx does
-// not. Caller holds mu.
+// failure wraps ErrValidation; an engine build or a sweep cut short by
+// ctx does not — it wraps the context error instead, so a caller never
+// mistakes "did not finish" for "failed". Caller holds mu.
 func (r *Registry) install(ctx context.Context, how string, epoch uint64, plan *core.Plan, checkpoint bool) (*Published, error) {
 	sweep, err := routing.NewSweepContext(ctx, plan)
 	if err != nil {
@@ -175,6 +176,10 @@ func (r *Registry) install(ctx context.Context, how string, epoch uint64, plan *
 	}
 	stats, err := sweep.ValidateStats(ctx)
 	if err != nil {
+		if ctx != nil && ctx.Err() != nil {
+			// The sweep did not finish; that says nothing about the plan.
+			return nil, fmt.Errorf("serve: validating epoch %d: %w", epoch, err)
+		}
 		return nil, fmt.Errorf("%w: %v", ErrValidation, err)
 	}
 	// The record's duration is the whole publication-time validation,

@@ -68,6 +68,15 @@ echo "== sampled-validation determinism (-count=2)"
 # cannot hide behind Go's test result cache.
 go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeterminism' ./internal/routing/ ./internal/failures/
 
+echo "== delta validation ≡ dense (-race -count=2)"
+# The sweep replays a recorded emission for every destination a scenario
+# cannot change and checks sparsely; the dense path it replaced lives on
+# as the test-file oracle and must agree bit for bit — loads, flows, MLU,
+# verdicts — serially and on a forced 4-worker pool, which is what the
+# race detector examines here (DESIGN.md §12). -count=2 keeps Go's test
+# cache from answering for a schedule-dependent regression.
+go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked' ./internal/routing/
+
 echo "== benchmark smoke (frozen API)"
 # benchmark/ may not change with the code it measures, so it compiles
 # against whatever the tree exports: a renamed or re-typed function it
