@@ -360,9 +360,15 @@ func BenchmarkSolveSynth1k(b *testing.B) {
 	if plan.Stats.Phase1Iters != 0 {
 		b.Fatalf("synth solve ran %d phase-1 iterations; the slack start should need none", plan.Stats.Phase1Iters)
 	}
+	// The master's basis is mostly slack: a kernel as large as the row
+	// count means refactor is handing the LU the whole basis again.
+	if plan.Stats.KernelDim == plan.Stats.Rows {
+		b.Fatalf("synth solve factored a kernel of all %d rows; single-entry columns should cover most of them", plan.Stats.Rows)
+	}
 	b.ReportMetric(float64(plan.Stats.LPIterations), "lp_iters")
 	b.ReportMetric(float64(plan.Stats.Refactors), "refactors")
 	b.ReportMetric(plan.Stats.FillRatio(), "fill_ratio")
+	b.ReportMetric(float64(plan.Stats.KernelDim), "kernel_dim")
 }
 
 // BenchmarkValidateSweepSynth1k measures full scenario validation of a

@@ -170,6 +170,9 @@ func (m *model) render(addr string, now time.Time) string {
 		}
 		if nnz := r.Field("basis_nnz"); nnz > 0 {
 			fmt.Fprintf(&b, ", basis %.0f nnz fill %.2f", nnz, r.Field("fill_ratio"))
+			if rows := r.Field("rows"); rows > 0 {
+				fmt.Fprintf(&b, " kernel %.0f/%.0f", r.Field("kernel_dim"), rows)
+			}
 			if v := r.Field("refactors"); v > 0 {
 				fmt.Fprintf(&b, " refactors %.0f", v)
 			}
@@ -204,8 +207,8 @@ func (m *model) render(addr string, now time.Time) string {
 		if v := r.Field("fallbacks"); v > 0 {
 			// Why scenarios went cold: a cold realization costs orders
 			// of magnitude more than a corrected one.
-			fmt.Fprintf(&b, ", %.0f cold (nobase %.0f rank %.0f singular %.0f residual %.0f)", v,
-				r.Field("fallbacks_nobase"), r.Field("fallbacks_rank"), r.Field("fallbacks_singular"), r.Field("fallbacks_residual"))
+			fmt.Fprintf(&b, ", %.0f cold (nobase %.0f singular %.0f residual %.0f)", v,
+				r.Field("fallbacks_nobase"), r.Field("fallbacks_singular"), r.Field("fallbacks_residual"))
 		}
 		b.WriteString("\n")
 	}

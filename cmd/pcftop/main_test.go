@@ -19,7 +19,7 @@ func TestModelRender(t *testing.T) {
 	m := newModel(30 * time.Second)
 	m.observe(telemetry.Record{Time: at(1), Kind: telemetry.KindSolve, Scheme: "PCF-CLS",
 		Dur: 1200 * time.Millisecond, Fields: map[string]float64{"lp_iterations": 42,
-			"phase2_iters": 30, "dual_iters": 12, "slack_start": 5424, "basis_nnz": 7580, "fill_ratio": 1.118, "refactors": 66, "eta_len_max": 316}})
+			"phase2_iters": 30, "dual_iters": 12, "slack_start": 5424, "basis_nnz": 7580, "fill_ratio": 1.118, "kernel_dim": 688, "rows": 5424, "refactors": 66, "eta_len_max": 316}})
 	m.observe(telemetry.Record{Time: at(2), Kind: telemetry.KindPublish, Scheme: "PCF-CLS",
 		Epoch: 7, Fields: map[string]float64{"value": 0.7227}})
 	for i := 0; i < 8; i++ {
@@ -30,7 +30,7 @@ func TestModelRender(t *testing.T) {
 	m.observe(telemetry.Record{Time: at(13), Kind: telemetry.KindBreaker, Scheme: "PCF-CLS", Rung: 2})
 	m.observe(telemetry.Record{Time: at(14), Kind: telemetry.KindValidate, Name: "sampled", Epoch: 7,
 		Fields: map[string]float64{"scenarios": 63, "samples": 40, "epsilon": 0.0123, "delta": 0.05,
-			"dest_evals": 400, "dest_replays": 250, "fallbacks": 13, "fallbacks_rank": 12, "fallbacks_residual": 1}})
+			"dest_evals": 400, "dest_replays": 250, "fallbacks": 13, "fallbacks_singular": 12, "fallbacks_residual": 1}})
 
 	frame := m.render("http://test", at(20))
 	for _, want := range []string{
@@ -41,10 +41,10 @@ func TestModelRender(t *testing.T) {
 		"shed 1 (11%)",
 		"by endpoint: realize 8 solve 1",
 		"mlu 0.670",
-		"last solve: ok in 1.2s, 42 lp iters (p1 0 p2 30 dual 12, 5424 rows slack-started), basis 7580 nnz fill 1.12 refactors 66 eta<=316",
+		"last solve: ok in 1.2s, 42 lp iters (p1 0 p2 30 dual 12, 5424 rows slack-started), basis 7580 nnz fill 1.12 kernel 688/5424 refactors 66 eta<=316",
 		"last publish: epoch 7, value 0.7227",
 		"last validate: ok model=sampled, 63 scenarios, 40 samples: P(unvalidated) <= 0.0123 at 95% conf" +
-			", 62.5% of 400 destination emissions replayed, 13 cold (nobase 0 rank 12 singular 0 residual 1)",
+			", 62.5% of 400 destination emissions replayed, 13 cold (nobase 0 singular 12 residual 1)",
 	} {
 		if !strings.Contains(frame, want) {
 			t.Errorf("frame missing %q:\n%s", want, frame)

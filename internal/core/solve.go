@@ -172,8 +172,9 @@ func buildSpecs(in *Instance, mv *masterVars, build advBuilder) []*advSpec {
 
 // absorbLPStats folds one LP solution's statistics into the aggregate:
 // iterations, slack-started rows and refactorizations accumulate
-// across rounds, factor sizes track the latest (largest master) solve,
-// and the eta-chain length keeps its maximum.
+// across rounds, factor sizes and the row count track the latest
+// (largest master) solve, and the eta-chain length and the kernel
+// dimension keep their maxima.
 func absorbLPStats(st *SolveStats, sol *lp.Solution) {
 	st.LPIterations += sol.Stats.Iterations()
 	st.Phase1Iters += sol.Stats.Phase1Iters
@@ -183,9 +184,9 @@ func absorbLPStats(st *SolveStats, sol *lp.Solution) {
 	st.Refactors += sol.Stats.Refactors
 	st.BasisNNZ = sol.Stats.BasisNNZ
 	st.FactorNNZ = sol.Stats.FactorNNZ
-	if sol.Stats.MaxEtaLen > st.MaxEtaLen {
-		st.MaxEtaLen = sol.Stats.MaxEtaLen
-	}
+	st.Rows = sol.Stats.Rows
+	st.MaxEtaLen = max(st.MaxEtaLen, sol.Stats.MaxEtaLen)
+	st.KernelDim = max(st.KernelDim, sol.Stats.KernelDim)
 }
 
 // cutExpr is the robust constraint of spec's pair evaluated at the

@@ -292,6 +292,12 @@ type SolveStats struct {
 	// MaxEtaLen is the longest eta-update chain reached between
 	// refactorizations.
 	MaxEtaLen int
+	// KernelDim is the largest kernel any refactorization handed to the
+	// LU (lp.SolveStats.KernelDim) and Rows the row count of the final
+	// master: a cut master's basis is mostly slack, so the first stays a
+	// fraction of the second.
+	KernelDim int
+	Rows      int
 }
 
 // FillRatio is FactorNNZ/BasisNNZ — the factorization fill-in growth
@@ -322,6 +328,8 @@ func (s SolveStats) Metrics() map[string]float64 {
 		"basis_nnz":       float64(s.BasisNNZ),
 		"fill_ratio":      s.FillRatio(),
 		"eta_len_max":     float64(s.MaxEtaLen),
+		"kernel_dim":      float64(s.KernelDim),
+		"rows":            float64(s.Rows),
 	}
 }
 

@@ -36,9 +36,10 @@ func sameAnswer(t *testing.T, label string, rows int, got, want *lp.Solution) {
 // in it. Across the corpus, a cold solve on a used workspace must be
 // bit-identical — values and duals — to the cold solve of a freshly
 // compiled copy: solved twice in a row, after AddRow raised the row
-// count, and after a warm start that pivoted, broke down and fell back
-// to the cold path inside one Solve (leaving a factored warm basis and
-// its eta chain behind in the workspace).
+// count (cold, then warm from the old basis), and after a warm start
+// that pivoted, broke down and fell back to the cold path inside one
+// Solve (leaving a partitioned, factored warm basis and its eta chain
+// behind in the workspace).
 func TestWorkspaceCarriesNothingOver(t *testing.T) {
 	fallbacks := 0
 	for i, m := range LPCorpus(7) {
@@ -92,6 +93,13 @@ func TestWorkspaceCarriesNothingOver(t *testing.T) {
 		capRow(used)
 		capRow(fresh)
 		sameAnswer(t, label+"/addrow", rows+1, solve(used, lp.Options{}), solve(fresh, lp.Options{}))
+		// And warm from the old basis, whose refactorization partitions a
+		// basis with a kernel into the re-sliced buffers straight away.
+		fresh = lp.Compile(m)
+		shrink(fresh)
+		capRow(fresh)
+		warm := lp.Options{WarmStart: first.Basis}
+		sameAnswer(t, label+"/addrow-warm", rows+1, solve(used, warm), solve(fresh, warm))
 	}
 	if fallbacks == 0 {
 		t.Fatal("no corpus model took the warm→cold fallback; the test lost its third case")

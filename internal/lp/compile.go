@@ -333,6 +333,32 @@ func (cm *Compiled) SetRowRHS(i int, rhs float64) {
 	cm.lrhs[i] = rhs
 }
 
+// setMinimize replaces the objective by min Σ_v costs[v]·x_v over the
+// model variables, in place: the standard-form cost row and the
+// expression solutions are valued by, laid out as Compile would from a
+// model carrying that objective (zero coefficients dropped, bound
+// shifts left to the expression). The expression is a new one: clones
+// share the old.
+func (cm *Compiled) setMinimize(costs []float64) {
+	cm.dir, cm.negObj = Minimize, false
+	cm.obj = &Expr{Terms: make([]Term, 0, len(costs))}
+	clear(cm.c)
+	for v, coeff := range costs {
+		if coeff == 0 {
+			continue
+		}
+		cm.obj.Terms = append(cm.obj.Terms, Term{Var: Var(v), Coeff: coeff})
+		r := cm.refs[v]
+		if r.inv {
+			coeff = -coeff
+		}
+		cm.c[r.pos] += coeff
+		if r.neg >= 0 {
+			cm.c[r.neg] -= coeff
+		}
+	}
+}
+
 // RowRHS reports the current model-space RHS of logical row i.
 func (cm *Compiled) RowRHS(i int) float64 { return cm.lrhs[i] }
 

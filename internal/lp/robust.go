@@ -46,6 +46,11 @@ type polyRow struct {
 type Polytope struct {
 	names []string
 	rows  []polyRow
+	// cm is the rows lowered to standard form for Minimize: compiled on
+	// its first call, re-costed on every later one, dropped by AddVar and
+	// AddRow. It makes Minimize unsafe for concurrent use on one
+	// Polytope.
+	cm *Compiled
 }
 
 // NewPolytope returns an empty adversary polytope.
@@ -53,6 +58,7 @@ func NewPolytope() *Polytope { return &Polytope{} }
 
 // AddVar adds an adversary variable w >= 0.
 func (p *Polytope) AddVar(name string) AdvVar {
+	p.cm = nil
 	p.names = append(p.names, name)
 	return AdvVar(len(p.names) - 1)
 }
@@ -65,6 +71,7 @@ func (p *Polytope) NumRows() int { return len(p.rows) }
 
 // AddRow adds a linear row over adversary variables.
 func (p *Polytope) AddRow(name string, terms []AdvTerm, sense Sense, rhs float64) {
+	p.cm = nil
 	p.rows = append(p.rows, polyRow{name: name, terms: terms, sense: sense, rhs: rhs})
 }
 
@@ -132,29 +139,31 @@ func RobustGE(m *Model, name string, p *Polytope, costs []*Expr, constPart, rhs 
 // Minimize solves min sum_j costs[j]*w_j over the polytope for numeric
 // costs. It returns the optimal value and an optimal adversary point.
 // This is the separation oracle used by the cutting-plane engine; it
-// computes the same inner optimum that RobustGE dualizes.
+// computes the same inner optimum that RobustGE dualizes. Only the cost
+// row differs between calls, so the rows are compiled once; every call
+// still solves cold, which makes its answer a function of the polytope
+// and the costs alone, not of the calls before it.
 func (p *Polytope) Minimize(costs []float64) (float64, []float64, error) {
 	if len(costs) != p.NumVars() {
 		return 0, nil, fmt.Errorf("lp: Minimize: %d costs for %d vars", len(costs), p.NumVars())
 	}
-	m := NewModel()
-	vars := make([]Var, p.NumVars())
-	for j := range vars {
-		vars[j] = m.AddNonNeg(p.names[j])
-	}
-	for _, row := range p.rows {
-		e := NewExpr()
-		for _, t := range row.terms {
-			e.Add(t.Coeff, vars[t.Var])
+	if p.cm == nil {
+		m := NewModel()
+		for _, name := range p.names {
+			m.AddNonNeg(name) // model variable j is adversary variable j
 		}
-		m.AddConstraint(row.name, e, row.sense, row.rhs)
+		for _, row := range p.rows {
+			e := NewExpr()
+			for _, t := range row.terms {
+				e.Add(t.Coeff, Var(t.Var))
+			}
+			m.AddConstraint(row.name, e, row.sense, row.rhs)
+		}
+		m.SetObjective(NewExpr(), Minimize)
+		p.cm = Compile(m)
 	}
-	obj := NewExpr()
-	for j, c := range costs {
-		obj.Add(c, vars[j])
-	}
-	m.SetObjective(obj, Minimize)
-	sol, err := Solve(m)
+	p.cm.setMinimize(costs)
+	sol, err := p.cm.Solve(Options{})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -166,8 +175,8 @@ func (p *Polytope) Minimize(costs []float64) (float64, []float64, error) {
 		return 0, nil, fmt.Errorf("lp: adversary subproblem %v", sol.Status)
 	}
 	w := make([]float64, p.NumVars())
-	for j, v := range vars {
-		w[j] = sol.Value(v)
+	for j := range w {
+		w[j] = sol.Value(Var(j))
 	}
 	return sol.Objective, w, nil
 }

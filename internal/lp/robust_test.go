@@ -178,6 +178,75 @@ func TestPolytopeMinimizeVertex(t *testing.T) {
 	approx(t, w[1], 0, "w2")
 }
 
+// TestPolytopeMinimizeReusesCompiledRows: Minimize compiles the rows on
+// its first call and only re-costs them afterwards, and every call
+// solves cold — so a polytope that has answered other costs before, or
+// was edited since, answers exactly (bit for bit: value and point) what
+// a freshly built copy answers.
+func TestPolytopeMinimizeReusesCompiledRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	build := func(vars int, extra bool) *Polytope {
+		p := NewPolytope()
+		terms := make([]AdvTerm, vars)
+		for j := range terms {
+			v := p.AddVar("w")
+			p.AddUpperBound(v, 1)
+			terms[j] = AdvTerm{v, 1}
+		}
+		p.AddRow("budget", terms, LE, 2)
+		if extra {
+			p.AddRow("pair", terms[:2], LE, 1)
+		}
+		return p
+	}
+	same := func(what string, p, fresh *Polytope, costs []float64) {
+		t.Helper()
+		gv, gw, gerr := p.Minimize(costs)
+		wv, ww, werr := fresh.Minimize(costs)
+		if gerr != nil || werr != nil {
+			t.Fatalf("%s: %v / %v", what, gerr, werr)
+		}
+		if math.Float64bits(gv) != math.Float64bits(wv) {
+			t.Fatalf("%s: value %.17g, fresh polytope %.17g", what, gv, wv)
+		}
+		for j := range ww {
+			if math.Float64bits(gw[j]) != math.Float64bits(ww[j]) {
+				t.Fatalf("%s: w[%d] = %.17g, fresh polytope %.17g", what, j, gw[j], ww[j])
+			}
+		}
+	}
+	draw := func(n int) []float64 {
+		costs := make([]float64, n)
+		for j := range costs {
+			if rng.Intn(4) > 0 { // zero costs drop out of the objective
+				costs[j] = rng.NormFloat64()
+			}
+		}
+		return costs
+	}
+	p := build(6, false)
+	for round := 0; round < 10; round++ {
+		same("re-costed", p, build(6, false), draw(6))
+	}
+	cm := p.cm
+	if cm == nil {
+		t.Fatal("Minimize kept no compiled rows")
+	}
+	p.AddRow("pair", []AdvTerm{{0, 1}, {1, 1}}, LE, 1)
+	same("after AddRow", p, build(6, true), []float64{-1, -1, -1, 0, 0, 0})
+	if p.cm == cm {
+		t.Fatal("AddRow kept the stale compiled rows")
+	}
+	cm = p.cm
+	v := p.AddVar("w")
+	p.AddUpperBound(v, 1)
+	if got, _, err := p.Minimize([]float64{0, 0, 0, 0, 0, 0, -1}); err != nil || p.cm == cm {
+		t.Fatalf("after AddVar: err %v, stale compiled rows kept: %v", err, p.cm == cm)
+	} else {
+		approx(t, got, -1, "new variable at its bound")
+	}
+}
+
 // TestRobustGuaranteeIsLowerBound property: for random instances the
 // dualized optimum never exceeds the true worst case computed by
 // direct separation (weak duality direction), and matches it (strong).

@@ -105,13 +105,22 @@ type SolveStats struct {
 	WarmHit     bool
 	// Refactors counts basis refactorizations across the solve.
 	Refactors int
-	// BasisNNZ and FactorNNZ are the nonzero counts of the last
-	// factored basis matrix and of its L+U factors.
+	// BasisNNZ is the nonzero count of the last refactored basis matrix
+	// and FactorNNZ of what a solve against it reads: the kernel's L+U
+	// factors, one pivot per covered row and the kernel columns'
+	// entries in covered rows (sparseFactor).
 	BasisNNZ  int
 	FactorNNZ int
 	// MaxEtaLen is the longest eta update chain carried between
 	// refactorizations.
 	MaxEtaLen int
+	// KernelDim is the largest kernel any refactorization of the solve
+	// handed to the LU — the basis columns left after every single-entry
+	// column has covered its row — and Rows the standard-form row count
+	// it is a share of. The kernel stays well under the rows wherever
+	// most of the basis is slack.
+	KernelDim int
+	Rows      int
 }
 
 // FillRatio reports the fill-in of the last factorization: factor
@@ -172,7 +181,7 @@ type simplexState struct {
 	// Per-phase iteration counters for SolveStats.
 	p1Iters, p2Iters, dualIters int
 	// Factorization telemetry for SolveStats.
-	refactors, maxEtaLen int
+	refactors, maxEtaLen, kernelDim int
 	// Diagnostics for SolveError: the phase currently running and the
 	// last phase objective observed.
 	phase   int
@@ -183,8 +192,8 @@ type simplexState struct {
 // stats.
 func (st *simplexState) fillFactorStats(stats *SolveStats) {
 	stats.Refactors = st.refactors
-	stats.BasisNNZ, stats.FactorNNZ = len(st.fac.rowEnt), st.fac.luNNZ
-	stats.MaxEtaLen = st.maxEtaLen
+	stats.BasisNNZ, stats.FactorNNZ = st.fac.basisNNZ, st.fac.luNNZ
+	stats.MaxEtaLen, stats.KernelDim, stats.Rows = st.maxEtaLen, st.kernelDim, st.m
 }
 
 // abortErr wraps a cause with the state's partial diagnostics.
@@ -219,7 +228,7 @@ func newSimplexState(cm *Compiled, opts Options) *simplexState {
 		st.xB[i] = cm.b[i] * st.col(j)[0].val // b_i/σ_i, σ_i = ±1
 	}
 	st.fac = cm.workspace()
-	st.fac.reset(st)
+	st.fac.refactor(st) // a diagonal: the kernel is empty, nothing to factor or to fail
 	return st
 }
 
@@ -330,6 +339,7 @@ func (st *simplexState) refactor() bool {
 		return false
 	}
 	st.refactors++
+	st.kernelDim = max(st.kernelDim, len(st.fac.kPos))
 	// xB = B⁻¹ * b.
 	st.fac.applyInv(st.cm.b, st.xB)
 	return true

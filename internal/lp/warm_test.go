@@ -235,9 +235,9 @@ func TestLazyNameRendering(t *testing.T) {
 }
 
 // TestSparseFactorSteadyStateAllocs: after one warm-up cycle the
-// factor's refactor, FTRAN, BTRAN and eta update run out of
-// its own reused buffers — a solve's hundred refactorizations allocate
-// nothing.
+// factor's refactor — partition, kernel transpose and LU — FTRAN,
+// BTRAN, inverse row, dense solve and eta update run out of its own
+// reused buffers: a solve's hundred refactorizations allocate nothing.
 func TestSparseFactorSteadyStateAllocs(t *testing.T) {
 	m := NewModel()
 	obj := NewExpr()
@@ -265,6 +265,8 @@ func TestSparseFactorSteadyStateAllocs(t *testing.T) {
 		if !st.refactor() {
 			t.Fatal("refactor failed")
 		}
+		st.fac.invRow(0, y)
+		st.fac.applyInv(cm.b, d)
 		st.ftran(enter, d)
 		r := 0
 		for d[r] == 0 {
@@ -275,7 +277,10 @@ func TestSparseFactorSteadyStateAllocs(t *testing.T) {
 		st.ftran(enter, d)
 	}
 	cycle()
+	if k := len(st.fac.kPos); k == 0 || k == st.m {
+		t.Fatalf("the optimal basis has a kernel of %d of %d rows: the cycle should cross both blocks of the solve", k, st.m)
+	}
 	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
-		t.Fatalf("refactor + ftran + btran + update allocates %v times per cycle in steady state", allocs)
+		t.Fatalf("refactor + solves + update allocates %v times per cycle in steady state", allocs)
 	}
 }

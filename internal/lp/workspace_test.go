@@ -28,8 +28,9 @@ func chainLP(n int) *Model {
 // to the Compiled, so from the second cold Solve on the only
 // allocations left are the per-solve bookkeeping (state vectors, phase
 // scratch, the Solution) — a fixed number of objects whatever the row
-// count — while a clone, which starts without a workspace, pays for
-// growing every arena again.
+// count — and every workspace buffer, the partition's included, stays
+// where it is, while a clone, which starts without a workspace, pays
+// for growing every arena again.
 func TestSecondColdSolveGrowsNoArena(t *testing.T) {
 	steady := func(cm *Compiled) int {
 		if sol, err := cm.Solve(Options{}); err != nil || sol.Status != StatusOptimal {
@@ -45,6 +46,22 @@ func TestSecondColdSolveGrowsNoArena(t *testing.T) {
 	warm := steady(large)
 	if warm != small {
 		t.Fatalf("a cold re-solve allocates %v objects at 301 rows and %v at 41: something grows with the factorization", warm, small)
+	}
+	// The partition's buffers are part of that workspace: one more solve
+	// must find every one of them where the last left it.
+	ws := large.fac
+	arenas := func() []any {
+		return []any{&ws.cover[0], &ws.kIdx[0], &ws.unit[0], &ws.kPos[:1][0], &ws.kRows[:1][0], &ws.kCols[:1][0],
+			&ws.rowPtr[:1][0], &ws.rhs[0], &ws.kb[:1][0], &ws.kx[:1][0], &ws.kw[:1][0]}
+	}
+	before := arenas()
+	if _, err := large.Solve(Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range arenas() {
+		if p != before[i] {
+			t.Fatalf("workspace buffer %d moved between two cold solves of one Compiled", i)
+		}
 	}
 	clone := testing.AllocsPerRun(5, func() { large.Clone() })
 	fresh := testing.AllocsPerRun(5, func() {

@@ -26,15 +26,15 @@ type SweepStats struct {
 	// SMWHits counts scenarios served by the Sherman–Morrison–Woodbury
 	// low-rank path (including unchanged scenarios served straight
 	// from the base solutions); Fallbacks counts scenarios that
-	// refactorized cold, and the four counters after it split that
-	// number by cause: the engine has no factored base, the correction
-	// rank exceeds the guard (2k > n), no corrector could be built (a
-	// singular or ill-conditioned capacitance), or the corrected rows
-	// failed the residual guard.
+	// refactorized cold, and the three counters after it split that
+	// number by cause: the engine has no factored base, no corrector
+	// could be built (a singular or ill-conditioned capacitance), or the
+	// corrected rows failed the residual guard. The correction's rank is
+	// not a cause: it counts distinct rows, so it never exceeds n, and
+	// the identity is exact up to there (DESIGN.md §12).
 	SMWHits           int
 	Fallbacks         int
 	FallbacksNoBase   int
-	FallbacksRank     int
 	FallbacksSingular int
 	FallbacksResidual int
 	// DestEvals counts the per-destination emissions of the SMW-served
@@ -75,7 +75,6 @@ func (s SweepStats) Metrics() map[string]float64 {
 		"smw_hits":            float64(s.SMWHits),
 		"fallbacks":           float64(s.Fallbacks),
 		"fallbacks_nobase":    float64(s.FallbacksNoBase),
-		"fallbacks_rank":      float64(s.FallbacksRank),
 		"fallbacks_singular":  float64(s.FallbacksSingular),
 		"fallbacks_residual":  float64(s.FallbacksResidual),
 		"dest_evals":          float64(s.DestEvals),
@@ -93,7 +92,6 @@ type fallbackCause uint8
 
 const (
 	causeNoBase fallbackCause = iota + 1
-	causeRank
 	causeSingular
 	causeResidual
 )
@@ -118,8 +116,6 @@ func (s *SweepStats) count(sv served) {
 		switch sv.cause {
 		case causeNoBase:
 			s.FallbacksNoBase++
-		case causeRank:
-			s.FallbacksRank++
 		case causeSingular:
 			s.FallbacksSingular++
 		case causeResidual:
@@ -144,7 +140,6 @@ func (s *SweepStats) add(o SweepStats) {
 	s.SMWHits += o.SMWHits
 	s.Fallbacks += o.Fallbacks
 	s.FallbacksNoBase += o.FallbacksNoBase
-	s.FallbacksRank += o.FallbacksRank
 	s.FallbacksSingular += o.FallbacksSingular
 	s.FallbacksResidual += o.FallbacksResidual
 	s.DestEvals += o.DestEvals

@@ -390,8 +390,7 @@ func TestNewSweepContextCanceled(t *testing.T) {
 // the cold path's bit for bit.
 func TestSweepUpdateFaultFallsBack(t *testing.T) {
 	plan := fig5CLSPlan(t)
-	// Baseline: without the fault, every scenario is either an SMW hit
-	// or a rank-guard fallback (2k > n) that never attempts an update.
+	// Baseline: without the fault every scenario is an SMW hit.
 	base := newSweep(t, plan)
 	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
 		if _, err := base.Realize(sc); err != nil {
@@ -434,7 +433,7 @@ func TestSweepUpdateFaultFallsBack(t *testing.T) {
 	st := sw.Stats()
 	// Every injected fault turned an SMW attempt into a counted
 	// fallback; scenarios served straight from the base solutions
-	// (k == 0) and rank-guard fallbacks are untouched by the hook.
+	// (k == 0) are untouched by the hook.
 	if st.SMWHits+fired != st0.SMWHits {
 		t.Fatalf("SMWHits = %d with %d faults, baseline %d", st.SMWHits, fired, st0.SMWHits)
 	}

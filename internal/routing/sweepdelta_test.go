@@ -37,7 +37,7 @@ func denseRealize(s *Sweep, sc failures.Scenario, sr *sweepScratch) (*Realizatio
 		return nil, served{}, err
 	}
 	k := len(ups)
-	if s.slu == nil || 2*k > s.n {
+	if s.slu == nil {
 		r, err := Realize(s.plan, sc)
 		return r, served{}, err
 	}
@@ -374,14 +374,15 @@ func beyondBudget(g *topology.Graph, seed int64, n int) []failures.Scenario {
 	return out
 }
 
-// btnaPlans solves the benchmark's BTNorthAmerica f=2 instance (40
-// pairs, gravity seed 1) as PCF-TF and, over BuildCLSQuick's bypass
-// sequences, as PCF-CLS.
-func btnaPlans(t *testing.T) (tf, cls *core.Plan) {
+// benchInstance prepares a zoo topology the way the benchmark's
+// workloads do (eval.Prepare, which this package cannot import): pruned
+// of degree-one nodes, the top pairs of the seed-1 gravity matrix, three
+// tunnels per pair, demand scaled to an MLU of 0.6.
+func benchInstance(t *testing.T, topo string, maxPairs, budget int) *core.Instance {
 	t.Helper()
-	g, _ := topozoo.MustLoad("BTNorthAmerica").PruneDegreeOne()
+	g, _ := topozoo.MustLoad(topo).PruneDegreeOne()
 	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 1, Jitter: 0.4})
-	pairs := tm.TopPairs(40)
+	pairs := tm.TopPairs(maxPairs)
 	tm = tm.Restrict(pairs)
 	ts, err := tunnels.Select(g, pairs, tunnels.SelectOptions{PerPair: 3})
 	if err != nil {
@@ -390,11 +391,20 @@ func btnaPlans(t *testing.T) (tf, cls *core.Plan) {
 	if tm, _, err = mcf.ScaleToMLU(g, tm, 0.6, 0.63); err != nil {
 		t.Fatal(err)
 	}
-	in := &core.Instance{
+	return &core.Instance{
 		Graph: g, TM: tm, Tunnels: ts,
-		Failures: failures.SingleLinks(g, 2), Objective: core.DemandScale,
+		Failures: failures.SingleLinks(g, budget), Objective: core.DemandScale,
 	}
-	if tf, err = core.SolvePCFTF(in, core.SolveOptions{}); err != nil {
+}
+
+// btnaPlans solves the benchmark's BTNorthAmerica f=2 instance (40
+// pairs, gravity seed 1) as PCF-TF and, over BuildCLSQuick's bypass
+// sequences, as PCF-CLS.
+func btnaPlans(t *testing.T) (tf, cls *core.Plan) {
+	t.Helper()
+	in := benchInstance(t, "BTNorthAmerica", 40, 2)
+	tf, err := core.SolvePCFTF(in, core.SolveOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	clsIn, _, err := core.BuildCLSQuick(in)
@@ -454,8 +464,25 @@ func TestDeltaEmissionMatchesDense(t *testing.T) {
 	if total.replays == 0 || total.replays == total.evals {
 		t.Fatalf("%d of %d destination emissions replayed: both branches must run", total.replays, total.evals)
 	}
-	if total.cold == 0 || total.checkErrs == 0 {
-		t.Fatalf("%d cold fallbacks and %d rejected scenarios: the comparison never saw one", total.cold, total.checkErrs)
+	if total.cold != 0 || total.checkErrs == 0 {
+		t.Fatalf("%d cold fallbacks (no scenario should leave the low-rank path on its own) and %d rejected scenarios (the comparison should see some)", total.cold, total.checkErrs)
+	}
+
+	// The cold branch of the comparison, which nothing reaches unforced
+	// now that rank is no cause: an injected corrector fault that is a
+	// pure function of the updates, so the engine, the reference and
+	// every sweep worker send the same scenarios cold.
+	SweepUpdateFault = func(ups []linsolve.RowUpdate) error {
+		if len(ups)%2 == 0 {
+			return linsolve.ErrIllConditioned
+		}
+		return nil
+	}
+	defer func() { SweepUpdateFault = nil }()
+	plan := fig5CLSPlan(t)
+	scenarios := append(designedSet(plan), beyondBudget(plan.Instance.Graph, 22, 300)...)
+	if tally := assertDeltaMatchesDense(t, "fig5-cls, even ranks faulted", plan, scenarios); tally.cold == 0 || tally.smw == 0 {
+		t.Fatalf("%d cold and %d low-rank scenarios under the injected fault: the comparison needs both", tally.cold, tally.smw)
 	}
 }
 

@@ -93,9 +93,6 @@ func (s *Sweep) realize(sc failures.Scenario, sr *sweepScratch) (*Realization, s
 	if s.slu == nil {
 		return s.cold(sc, causeNoBase)
 	}
-	if 2*k > s.n {
-		return s.cold(sc, causeRank)
-	}
 	sr.sol = s.uBase
 	var upd *linsolve.Updated
 	hit := false

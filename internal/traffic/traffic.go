@@ -6,6 +6,7 @@ package traffic
 
 import (
 	"bufio"
+	"container/heap"
 	"fmt"
 	"io"
 	"math"
@@ -78,41 +79,64 @@ func (m *Matrix) Pairs(threshold float64) []topology.Pair {
 }
 
 // TopPairs returns the k highest-demand pairs (all pairs if k <= 0 or
-// k exceeds the number of positive-demand pairs).
+// k exceeds the number of positive-demand pairs), in Pairs' order. It
+// keeps the k best seen so far in a heap with the worst on top, so a
+// synthetic topology's ~n² positive pairs cost one comparison each
+// rather than a full sort.
 func (m *Matrix) TopPairs(k int) []topology.Pair {
-	pairs := m.Pairs(0)
-	if k > 0 && k < len(pairs) {
-		pairs = pairs[:k]
+	if k <= 0 {
+		return m.Pairs(0)
 	}
-	return pairs
+	top := &worstFirst{m: m}
+	for s := range m.Demand {
+		for t, v := range m.Demand[s] {
+			if s == t || v <= 0 {
+				continue
+			}
+			p := topology.Pair{Src: topology.NodeID(s), Dst: topology.NodeID(t)}
+			if len(top.pairs) < k {
+				heap.Push(top, p)
+			} else if m.before(p, top.pairs[0]) {
+				top.pairs[0] = p
+				heap.Fix(top, 0)
+			}
+		}
+	}
+	sortPairsByDemand(top.pairs, m)
+	return top.pairs
+}
+
+// worstFirst is a heap of pairs whose root is the last under m.before.
+type worstFirst struct {
+	m     *Matrix
+	pairs []topology.Pair
+}
+
+func (h *worstFirst) Len() int           { return len(h.pairs) }
+func (h *worstFirst) Less(i, j int) bool { return h.m.before(h.pairs[j], h.pairs[i]) }
+func (h *worstFirst) Swap(i, j int)      { h.pairs[i], h.pairs[j] = h.pairs[j], h.pairs[i] }
+func (h *worstFirst) Push(p any)         { h.pairs = append(h.pairs, p.(topology.Pair)) }
+func (h *worstFirst) Pop() any {
+	p := h.pairs[len(h.pairs)-1]
+	h.pairs = h.pairs[:len(h.pairs)-1]
+	return p
+}
+
+// before is the order of Pairs: descending demand, then source, then
+// destination. It is total, so an unstable sort under it is still
+// deterministic.
+func (m *Matrix) before(a, b topology.Pair) bool {
+	if da, db := m.At(a), m.At(b); da > db || da < db {
+		return da > db
+	}
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	return a.Dst < b.Dst
 }
 
 func sortPairsByDemand(pairs []topology.Pair, m *Matrix) {
-	// Insertion-stable sort by descending demand then pair order.
-	lessKey := func(p topology.Pair) (float64, int32, int32) {
-		return -m.At(p), int32(p.Src), int32(p.Dst)
-	}
-	sortSlice(pairs, func(a, b topology.Pair) bool {
-		da, sa, ta := lessKey(a)
-		db, sb, tb := lessKey(b)
-		if da < db {
-			return true
-		}
-		if db < da {
-			return false
-		}
-		if sa != sb {
-			return sa < sb
-		}
-		return ta < tb
-	})
-}
-
-func sortSlice(p []topology.Pair, less func(a, b topology.Pair) bool) {
-	// The comparator is a total order (demand, then src, then dst), so
-	// an unstable sort is still deterministic. Synthetic topologies put
-	// ~n² positive pairs here; insertion sort does not survive that.
-	sort.Slice(p, func(i, j int) bool { return less(p[i], p[j]) })
+	sort.Slice(pairs, func(i, j int) bool { return m.before(pairs[i], pairs[j]) })
 }
 
 // Restrict zeroes all demands not in keep and returns the copy.

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -98,6 +99,43 @@ func TestPairsSortedByDemand(t *testing.T) {
 	top := m.TopPairs(2)
 	if len(top) != 2 || top[0] != (topology.Pair{Src: 1, Dst: 2}) {
 		t.Fatalf("top pairs %v", top)
+	}
+}
+
+// TestTopPairsMatchesFullSort: the bounded-heap selection returns
+// exactly the prefix of the full sort, on seeded matrices whose demands
+// are quantized so that many pairs tie and the (src, dst) tie-break
+// decides who makes the cut.
+func TestTopPairsMatchesFullSort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := 2 + rng.Intn(9)
+		m := NewMatrix(nodes)
+		for s := 0; s < nodes; s++ {
+			for d := 0; d < nodes; d++ {
+				if s != d && rng.Intn(4) > 0 {
+					m.Demand[s][d] = float64(rng.Intn(4)) // 0 drops the pair, 1–3 tie often
+				}
+			}
+		}
+		full := m.Pairs(0)
+		n := len(full)
+		for _, k := range []int{0, 1, n - 1, n, n + 3} {
+			want := full
+			if k > 0 && k < n {
+				want = full[:k]
+			}
+			got := m.TopPairs(k)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d, k=%d of %d: %d pairs, want %d", seed, k, n, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d, k=%d of %d: pair[%d] = %v (demand %g), full sort has %v (demand %g)",
+						seed, k, n, i, got[i], m.At(got[i]), want[i], m.At(want[i]))
+				}
+			}
+		}
 	}
 }
 

@@ -77,6 +77,16 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # cache from answering for a schedule-dependent regression.
 go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked' ./internal/routing/
 
+echo "== kernel solve ≡ full LU, high-rank scenarios ≡ cold (-race -count=2)"
+# lp factors only the kernel of a refactored basis (the columns left
+# once every single-entry column has covered its row) and solves the
+# rest by substitution; a full-basis LU sharing none of that code must
+# agree to 1e-12 (DESIGN.md §17). routing turns no scenario away for its
+# correction's rank; every designed scenario of the benchmark's Sprint
+# and BTNorthAmerica PCF-TF plans, k > n/2 included, must be served
+# low-rank within 1e-9 of a cold Realize (DESIGN.md §12).
+go test -race -count=2 -run 'TestKernelSolveMatchesFullLU|TestHighRankScenariosServedLowRank' ./internal/lp/ ./internal/routing/
+
 echo "== benchmark smoke (frozen API)"
 # benchmark/ may not change with the code it measures, so it compiles
 # against whatever the tree exports: a renamed or re-typed function it
