@@ -193,7 +193,7 @@ func BenchmarkSec52_TopSort(b *testing.B) {
 // intrinsic-capability baseline that re-solves an optimal
 // multi-commodity flow once per failure scenario — on the benchmark
 // Sprint instance. This is the hot path of every "Optimal" column in
-// the paper's figures; scripts/bench.sh records its trajectory.
+// the paper's figures.
 func BenchmarkScenarioSweep(b *testing.B) {
 	setup, err := eval.Prepare(eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 24, FailureBudget: 1})
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 // FloatCmp flags == and != between floating-point expressions. PCF's
 // guarantees are proofs about LPs whose solutions carry simplex
 // round-off, so exact equality on computed values silently breaks the
-// tolerance discipline the solvers rely on (FeasTol/OptTol in
+// tolerance discipline the solvers rely on (feasTol/optTol in
 // internal/lp, the 1e-6..1e-12 ladder in routing). Allowed without a
 // suppression:
 //

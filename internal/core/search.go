@@ -33,6 +33,12 @@ import (
 	"pcf/internal/lp"
 )
 
+const (
+	searchRestarts   = 4    // random restart combinations added to the LP candidates
+	searchMaxEvals   = 5000 // objective evaluations per search
+	searchSinglesCap = 64   // unit count up to which every single is a start, making Budget ≤ 1 exact
+)
+
 // SearchOptions configures WorstScenarioSearch.
 type SearchOptions struct {
 	// Eval scores a scenario (higher = worse for the plan, e.g. MLU).
@@ -40,23 +46,9 @@ type SearchOptions struct {
 	// EvalErrors) without aborting the search: beyond-design scenarios
 	// may legitimately fail to realize.
 	Eval func(failures.Scenario) (float64, error)
-	// Seed drives restart generation and neighborhood sampling; the
-	// whole search is deterministic given the seed.
+	// Seed drives restart generation; the whole search is
+	// deterministic given the seed.
 	Seed int64
-	// Restarts is the number of random restart combinations added to
-	// the LP candidates. Default 4.
-	Restarts int
-	// MaxEvals caps objective evaluations. Default 5000.
-	MaxEvals int
-	// NeighborSample, when positive, bounds how many neighbors each
-	// hill-climbing step examines (sampled deterministically);
-	// 0 examines the full add/remove/swap neighborhood.
-	NeighborSample int
-	// SinglesCap: when the unit count is at most this, every
-	// single-unit combination is added as a start, which makes the
-	// search exact for Budget ≤ 1 and exhaustive over pairs reachable
-	// from improving singles. Default 64.
-	SinglesCap int
 }
 
 // SearchResult is the outcome of a worst-scenario search.
@@ -72,19 +64,6 @@ type SearchResult struct {
 	EvalErrors   int
 	LPCandidates int
 	Improvements int
-}
-
-func (o SearchOptions) withDefaults() SearchOptions {
-	if o.Restarts == 0 {
-		o.Restarts = 4
-	}
-	if o.MaxEvals == 0 {
-		o.MaxEvals = 5000
-	}
-	if o.SinglesCap == 0 {
-		o.SinglesCap = 64
-	}
-	return o
 }
 
 // evalExprAt evaluates a master-variable expression at a fixed
@@ -178,7 +157,6 @@ func WorstScenarioSearch(ctx context.Context, plan *Plan, opts SearchOptions) (*
 	if opts.Eval == nil {
 		return nil, fmt.Errorf("core: WorstScenarioSearch needs an Eval objective")
 	}
-	opts = opts.withDefaults()
 	in := plan.Instance
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("core: worst-scenario search: %w", err)
@@ -198,7 +176,7 @@ func WorstScenarioSearch(ctx context.Context, plan *Plan, opts SearchOptions) (*
 		if v, ok := cache[key]; ok {
 			return v, nil
 		}
-		if res.Evals >= opts.MaxEvals {
+		if res.Evals >= searchMaxEvals {
 			return math.Inf(-1), nil
 		}
 		if ctx != nil {
@@ -228,13 +206,13 @@ func WorstScenarioSearch(ctx context.Context, plan *Plan, opts SearchOptions) (*
 	cands := lpCandidates(plan, budget)
 	res.LPCandidates = len(cands)
 	starts = append(starts, cands...)
-	if n <= opts.SinglesCap && budget >= 1 {
+	if n <= searchSinglesCap && budget >= 1 {
 		for u := 0; u < n; u++ {
 			starts = append(starts, []int{u})
 		}
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	for r := 0; r < opts.Restarts && budget >= 1; r++ {
+	for r := 0; r < searchRestarts && budget >= 1; r++ {
 		k := 1 + rng.Intn(budget)
 		perm := rng.Perm(n)[:k]
 		sort.Ints(perm)
@@ -255,10 +233,10 @@ func WorstScenarioSearch(ctx context.Context, plan *Plan, opts SearchOptions) (*
 		}
 		// Hill climb until no neighbor improves or budgets run out.
 		for step := 0; step < n*budget+1; step++ {
-			if res.Evals >= opts.MaxEvals {
+			if res.Evals >= searchMaxEvals {
 				break
 			}
-			neighbors := comboNeighbors(cur, n, budget, opts.NeighborSample, rng)
+			neighbors := comboNeighbors(cur, n, budget)
 			bestVal, bestIdx := curVal, -1
 			for i, nb := range neighbors {
 				v, err := evaluate(nb)
@@ -283,9 +261,8 @@ func WorstScenarioSearch(ctx context.Context, plan *Plan, opts SearchOptions) (*
 }
 
 // comboNeighbors generates the add/remove/swap neighborhood of a unit
-// combination in deterministic order, optionally sampled down to at
-// most sample entries.
-func comboNeighbors(combo []int, n, budget, sample int, rng *rand.Rand) [][]int {
+// combination in deterministic order.
+func comboNeighbors(combo []int, n, budget int) [][]int {
 	chosen := make(map[int]bool, len(combo))
 	for _, u := range combo {
 		chosen[u] = true
@@ -319,15 +296,6 @@ func comboNeighbors(combo []int, n, budget, sample int, rng *rand.Rand) [][]int 
 			sort.Ints(nb)
 			out = append(out, nb)
 		}
-	}
-	if sample > 0 && len(out) > sample {
-		idx := rng.Perm(len(out))[:sample]
-		sort.Ints(idx)
-		sampled := make([][]int, sample)
-		for i, j := range idx {
-			sampled[i] = out[j]
-		}
-		out = sampled
 	}
 	return out
 }

@@ -11,12 +11,13 @@ import (
 	"pcf/internal/tunnels"
 )
 
+const (
+	maxCutRounds = 60   // cutting-plane rounds before ErrCutLimit
+	cutTol       = 1e-7 // robust-constraint violation below which no cut is added
+)
+
 // SolveOptions tune the scheme solvers.
 type SolveOptions struct {
-	// MaxRounds bounds cutting-plane rounds (default 60).
-	MaxRounds int
-	// Tol is the constraint violation tolerance (default 1e-7).
-	Tol float64
 	// Context, when non-nil, bounds the whole solve: its deadline and
 	// cancellation are checked between cutting-plane rounds and inside
 	// the simplex iteration loop. Errors wrap the context error, so
@@ -31,12 +32,6 @@ type SolveOptions struct {
 }
 
 func (o SolveOptions) withDefaults() SolveOptions {
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 60
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-7
-	}
 	if o.LP.Context == nil {
 		o.LP.Context = o.Context
 	}
@@ -50,7 +45,7 @@ func (o SolveOptions) ctxErr() error {
 	return o.Context.Err()
 }
 
-// ErrCutLimit reports that lazy cut generation exhausted MaxRounds
+// ErrCutLimit reports that lazy cut generation exhausted maxCutRounds
 // without converging. Matched with errors.Is.
 var ErrCutLimit = errors.New("core: cut generation round limit exhausted")
 
@@ -256,7 +251,7 @@ func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 	stats.CompileTime = cm.CompileTime
 	var basis *lp.Basis
 	costBuf := make([]float64, 0, 64)
-	for round := 0; round < opts.MaxRounds; round++ {
+	for round := 0; round < maxCutRounds; round++ {
 		stats.Rounds = round + 1
 		if err := opts.ctxErr(); err != nil {
 			return nil, stats, fmt.Errorf("cut generation canceled after %d rounds (%d cuts): %w",
@@ -294,7 +289,7 @@ func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 			}
 			lhs := sol.Eval(spec.constPart) + inner
 			rhs := sol.Eval(spec.rhs)
-			if lhs < rhs-opts.Tol {
+			if lhs < rhs-cutTol {
 				cm.AddRow(cutPat.N(int(spec.pair.Src), int(spec.pair.Dst)),
 					spec.cutExpr(w), lp.GE, 0)
 				numCuts++
@@ -305,7 +300,7 @@ func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 			return sol, stats, nil
 		}
 	}
-	return nil, stats, fmt.Errorf("%w (%d rounds, %d cuts live)", ErrCutLimit, opts.MaxRounds, numCuts)
+	return nil, stats, fmt.Errorf("%w (%d rounds, %d cuts live)", ErrCutLimit, maxCutRounds, numCuts)
 }
 
 func extractPlan(in *Instance, scheme string, sol *lp.Solution, mv *masterVars, dur time.Duration) *Plan {

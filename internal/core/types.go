@@ -309,10 +309,9 @@ func (s SolveStats) FillRatio() float64 {
 	return float64(s.FactorNNZ) / float64(s.BasisNNZ)
 }
 
-// Metrics flattens the stats into the flat field schema shared by the
-// telemetry record model and the /debug/vars views (durations in
-// milliseconds). The keys are the one vocabulary for LP solve
-// statistics everywhere they surface.
+// Metrics flattens the stats into the flat field schema of the
+// telemetry record model (durations in milliseconds). The keys are the
+// one vocabulary for LP solve statistics everywhere they surface.
 func (s SolveStats) Metrics() map[string]float64 {
 	return map[string]float64{
 		"rounds":          float64(s.Rounds),

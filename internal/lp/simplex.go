@@ -13,18 +13,17 @@ import (
 // still aborts within a few dozen pivots.
 const ctxCheckPeriod = 32
 
+const (
+	feasTol      = 1e-9 // feasibility/zero tolerance on basic values and ratio-test pivots
+	optTol       = 1e-9 // reduced-cost optimality tolerance
+	blandTrigger = 300  // non-improving iterations before pricing switches to Bland's rule
+)
+
 // Options tune the simplex solver. The zero value selects defaults.
 type Options struct {
 	// MaxIter bounds total simplex iterations across both phases.
 	// Zero selects a default proportional to problem size.
 	MaxIter int
-	// FeasTol is the feasibility/zero tolerance.
-	FeasTol float64
-	// OptTol is the reduced-cost optimality tolerance.
-	OptTol float64
-	// BlandTrigger is the number of non-improving iterations after
-	// which the solver switches to Bland's rule to escape cycling.
-	BlandTrigger int
 	// RefactorEvery forces a basis refactorization at this iteration
 	// period, on top of the factor's own growth trigger. Zero selects
 	// the default, 1500 — which the growth trigger (an eta chain of
@@ -63,15 +62,6 @@ func (o Options) ctxErr() error {
 func (o Options) withDefaults(m, n int) Options {
 	if o.MaxIter == 0 {
 		o.MaxIter = 200*(m+n) + 20000
-	}
-	if o.FeasTol == 0 {
-		o.FeasTol = 1e-9
-	}
-	if o.OptTol == 0 {
-		o.OptTol = 1e-9
-	}
-	if o.BlandTrigger == 0 {
-		o.BlandTrigger = 300
 	}
 	if o.RefactorEvery == 0 {
 		// A backstop: the factor refactorizes long before on its own
@@ -364,7 +354,7 @@ func (st *simplexState) pivot(enter, leaveRow int, d []float64) {
 			continue
 		}
 		st.xB[i] -= theta * d[i]
-		if st.xB[i] < 0 && st.xB[i] > -st.opts.FeasTol {
+		if st.xB[i] < 0 && st.xB[i] > -feasTol {
 			st.xB[i] = 0
 		}
 	}
@@ -423,9 +413,9 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 		}
 		st.btran(costB, y)
 
-		useBland := noImprove >= st.opts.BlandTrigger
+		useBland := noImprove >= blandTrigger
 		enter := -1
-		bestRC := -st.opts.OptTol
+		bestRC := -optTol
 		// Price structural + slack columns.
 		for j := 0; j < cm.nCols; j++ {
 			if st.inB[j] {
@@ -435,7 +425,7 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 			for _, e := range cm.cols[j] {
 				rc -= y[e.row] * e.val
 			}
-			if rc < -st.opts.OptTol {
+			if rc < -optTol {
 				if useBland {
 					enter = j
 					break
@@ -471,7 +461,7 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 			// Distinguish true unboundedness from a degenerate state
 			// where only sub-threshold pivots remain: accept tiny
 			// pivots before declaring an unbounded ray.
-			pivTol = st.opts.FeasTol
+			pivTol = feasTol
 			for i := 0; i < m; i++ {
 				if d[i] > pivTol {
 					if theta := st.xB[i] / d[i]; theta < minTheta {
@@ -591,7 +581,7 @@ func (st *simplexState) runDual(cost []float64) (Status, error) {
 
 		// Leaving row: the most negative basic value.
 		r := -1
-		worst := -st.opts.FeasTol
+		worst := -feasTol
 		for i := 0; i < m; i++ {
 			if st.xB[i] < worst {
 				worst = st.xB[i]
@@ -607,7 +597,7 @@ func (st *simplexState) runDual(cost []float64) (Status, error) {
 		// to the cold solver.
 		if worst > lastWorst+1e-12 {
 			stall = 0
-		} else if stall++; stall > st.opts.BlandTrigger {
+		} else if stall++; stall > blandTrigger {
 			return StatusIterLimit, ErrNumerical
 		}
 		lastWorst = worst
@@ -890,7 +880,7 @@ func (cm *Compiled) solveWarm(st *simplexState) (*Solution, error) {
 			if st.xB[i] > 1e-6 {
 				artBad = true
 			}
-		} else if st.xB[i] < -st.opts.FeasTol {
+		} else if st.xB[i] < -feasTol {
 			primalBad = true
 		}
 	}

@@ -277,10 +277,9 @@ func (s SweepStats) WarmHitRate() float64 {
 	return float64(s.WarmHits) / float64(s.Scenarios)
 }
 
-// Metrics flattens the stats into the flat field schema shared by the
-// telemetry record model and the /debug/vars views (durations in
-// milliseconds). The keys are the one vocabulary for MCF-sweep
-// statistics everywhere they surface.
+// Metrics flattens the stats into the flat field schema of the
+// telemetry record model (durations in milliseconds). The keys are the
+// one vocabulary for MCF-sweep statistics everywhere they surface.
 func (s SweepStats) Metrics() map[string]float64 {
 	return map[string]float64{
 		"scenarios":       float64(s.Scenarios),

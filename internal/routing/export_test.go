@@ -29,3 +29,8 @@ func (s *Sweep) CorruptBaseFlow(di int, delta float64) (restore func()) {
 // Fig5CLSPlan is the conditional-LS, double-failure plan the sweep
 // tests use: small, yet with rank-k scenarios and cold fallbacks.
 var Fig5CLSPlan = fig5CLSPlan
+
+// SprintCLSPlan is the Sprint single-failure plan: eight pairs over
+// three tunnels each, so link sets beyond the budget have many distinct
+// signatures.
+var SprintCLSPlan = sprintCLSPlanOrSkip

@@ -95,6 +95,11 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 	if err != nil {
 		return nil, err
 	}
+	if sw != nil {
+		// The engine is this call's own, so its cache may also keep what
+		// the draws miss: at most one corrector each.
+		sw.batchCap += int64(opts.Samples)
+	}
 
 	// Exhaustive pass over the designed set: the hard guarantee. Any
 	// violation here is the caller's error, not a statistic.
@@ -131,6 +136,11 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 		// worker scheduling.
 		drawn := make([]failures.Scenario, opts.Samples)
 		for i := range drawn {
+			if i%256 == 0 && ctx != nil {
+				if err := ctx.Err(); err != nil {
+					return nil, fmt.Errorf("routing: sampled validation canceled after %d draws: %w", i, err)
+				}
+			}
 			drawn[i] = sampler.Next()
 		}
 		sslots, sStats := sweepScenarios(ctx, plan, sw, true, false, drawn)

@@ -1,7 +1,11 @@
 package routing
 
 import (
+	"context"
+	"errors"
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pcf/internal/core"
@@ -209,6 +213,44 @@ func TestValidateSampledNoSampler(t *testing.T) {
 	}
 	if rep.Coverage.Epsilon != 0 || rep.Coverage.TailMass != 0 {
 		t.Fatalf("epsilon %g tail %g, want 0", rep.Coverage.Epsilon, rep.Coverage.TailMass)
+	}
+}
+
+// errAfter is a context whose Err turns to Canceled after a fixed
+// number of calls: a cancellation placed at an exact point of a
+// deterministic call sequence.
+type errAfter struct {
+	context.Context
+	calls atomic.Int64
+	after int64
+}
+
+func (c *errAfter) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestValidateSampledCanceledBeforeSweep: a context that ends once the
+// designed-set pass is through stops the pre-draw loop — the sampled
+// sweep never starts and the error is the context's own.
+func TestValidateSampledCanceledBeforeSweep(t *testing.T) {
+	plan := fig1Plan(t, 1)
+	pm, err := failures.Uniform(plan.Instance.Failures, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Samples < 0 draws nothing: this run counts the Err calls of the
+	// engine build and the designed-set pass.
+	ctx := &errAfter{Context: context.Background(), after: math.MaxInt64}
+	if _, err := ValidateSampled(ctx, plan, SampleOptions{Model: pm, Samples: -1}); err != nil {
+		t.Fatal(err)
+	}
+	ctx = &errAfter{Context: context.Background(), after: ctx.calls.Load()}
+	_, err = ValidateSampled(ctx, plan, SampleOptions{Model: pm, Samples: 1000})
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "after 0 draws") {
+		t.Fatalf("err = %v, want the pre-draw loop's cancellation", err)
 	}
 }
 

@@ -8,12 +8,15 @@ package routing_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"pcf/internal/failures"
 	"pcf/internal/routing"
 	"pcf/internal/serve"
+	"pcf/internal/topology"
 )
 
 // TestPublishValidatesServedSweep: however an epoch arrives — Publish,
@@ -119,5 +122,63 @@ func TestExactValidateLeavesCacheBounded(t *testing.T) {
 	}
 	if cur, err := srv.Registry().Current(); err != nil || cur.Sweep != pub.Sweep {
 		t.Fatalf("the published engine changed under validation traffic: %v", err)
+	}
+}
+
+// TestRealizeLeavesCacheBounded: POST /v1/realize runs any client-chosen
+// link set through the published engine. Ten times the designed count
+// of distinct beyond-budget scenarios leave its corrector cache at or
+// under that count, and each answer still matches cold Realize to 1e-9.
+func TestRealizeLeavesCacheBounded(t *testing.T) {
+	plan := routing.SprintCLSPlan(t)
+	pub, err := serve.NewRegistry(nil, t.Logf).Publish(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := plan.Instance.Failures
+	bound := fs.NumScenariosExact()
+	numLinks := plan.Instance.Graph.NumLinks()
+	served, realized := 0, 0
+	var dead []topology.LinkID
+	var rec func(start int)
+	rec = func(start int) {
+		if served >= 10*bound {
+			return
+		}
+		if len(dead) > fs.Budget {
+			sc := failures.Scenario{Dead: map[topology.LinkID]bool{}}
+			for _, l := range dead {
+				sc.Dead[l] = true
+			}
+			served++
+			want, werr := routing.Realize(plan, sc)
+			got, gerr := pub.Sweep.Realize(sc)
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("under %v: cold err %v, engine err %v", sc, werr, gerr)
+			}
+			if werr == nil {
+				realized++
+				for a, w := range want.ArcLoad {
+					if d := math.Abs(got.ArcLoad[a] - w); d > 1e-9*math.Max(1, math.Abs(w)) {
+						t.Fatalf("under %v: ArcLoad[%d] = %.12g, cold has %.12g", sc, a, got.ArcLoad[a], w)
+					}
+				}
+			}
+		}
+		if len(dead) == fs.Budget+2 {
+			return
+		}
+		for l := start; l < numLinks; l++ {
+			dead = append(dead, topology.LinkID(l))
+			rec(l + 1)
+			dead = dead[:len(dead)-1]
+		}
+	}
+	rec(0)
+	if served < 10*bound || realized < bound {
+		t.Fatalf("served %d beyond-budget scenarios (%d realizable), want %d", served, realized, 10*bound)
+	}
+	if got := pub.Sweep.CachedCorrectors(); got > bound {
+		t.Fatalf("corrector cache holds %d entries after %d beyond-budget scenarios, bound %d", got, served, bound)
 	}
 }

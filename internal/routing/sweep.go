@@ -2,6 +2,7 @@ package routing
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pcf/internal/core"
@@ -64,10 +65,9 @@ func (s SweepStats) SMWHitRate() float64 {
 	return float64(s.SMWHits) / float64(s.Scenarios)
 }
 
-// Metrics flattens the stats into the flat field schema shared by the
-// telemetry record model and the /debug/vars views (durations in
-// milliseconds). The keys are the one vocabulary for validation-sweep
-// statistics everywhere they surface.
+// Metrics flattens the stats into the flat field schema of the
+// telemetry record model (durations in milliseconds). The keys are the
+// one vocabulary for validation-sweep statistics everywhere they surface.
 func (s SweepStats) Metrics() map[string]float64 {
 	return map[string]float64{
 		"scenarios":           float64(s.Scenarios),
@@ -218,9 +218,13 @@ type Sweep struct {
 	// invCache holds the columns of the base inverse the sweep has
 	// needed so far (int row -> []float64), batches the SMW correctors
 	// keyed by the byte signature of a scenario's row updates
-	// (string -> *batchEntry).
-	invCache sync.Map
-	batches  sync.Map
+	// (string -> *batchEntry). batchCap, the designed scenario count,
+	// bounds batches: the designed sweep cannot miss more often than
+	// that, so only client-chosen scenarios ever find the cache full.
+	invCache    sync.Map
+	batches     sync.Map
+	batchCap    int64
+	batchMisses atomic.Int64
 
 	baseTime time.Duration
 	pool     sync.Pool

@@ -43,6 +43,9 @@ func NewSweepContext(ctx context.Context, plan *core.Plan) (*Sweep, error) {
 		numTun:   plan.Instance.Tunnels.Len(),
 		linkTuns: map[topology.LinkID][]tunnels.ID{},
 	}
+	if fs := plan.Instance.Failures; fs != nil {
+		s.batchCap, _ = fs.NumScenarios()
+	}
 	if err := s.build(ctx); err != nil {
 		return nil, fmt.Errorf("routing: sweep precompute canceled: %w", err)
 	}

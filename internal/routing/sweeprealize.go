@@ -348,7 +348,8 @@ func upsKey(ups []linsolve.RowUpdate) string {
 // factorization, and a failed construction is memoized like a
 // successful one. Racing workers may each build an entry once; the
 // build is deterministic, so whichever copy wins the store is
-// interchangeable.
+// interchangeable. Once the engine has missed batchCap times, a missed
+// corrector is built, used and not kept.
 func (s *Sweep) corrector(ups []linsolve.RowUpdate) (*linsolve.Updated, bool) {
 	if hook := SweepUpdateFault; hook != nil && hook(ups) != nil {
 		return nil, false
@@ -366,6 +367,9 @@ func (s *Sweep) corrector(ups []linsolve.RowUpdate) (*linsolve.Updated, bool) {
 	}
 	if be.err == nil {
 		be.upd, be.err = linsolve.NewUpdated(s.n, ups, cols)
+	}
+	if s.batchMisses.Add(1) > s.batchCap {
+		return be.upd, false
 	}
 	v, _ := s.batches.LoadOrStore(key, be)
 	return v.(*batchEntry).upd, false

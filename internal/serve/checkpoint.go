@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"pcf/internal/core"
+	"pcf/internal/durable"
 )
 
 // Envelope is the epoch-stamped wrapper around a serialized plan. It
@@ -118,15 +120,7 @@ func (s *Store) Fingerprint() string { return s.fingerprint }
 // writes — the readiness report surfaces the result so load balancers
 // can evict a replica whose disk went read-only before its next Save
 // silently degrades durability.
-func (s *Store) Writable() error {
-	f, err := os.CreateTemp(s.dir, ".probe-*")
-	if err != nil {
-		return err
-	}
-	name := f.Name()
-	f.Close()
-	return os.Remove(name)
-}
+func (s *Store) Writable() error { return durable.Probe(s.dir) }
 
 // Fingerprint is a cheap structural hash of an instance: enough to
 // reject snapshots from a different topology, demand matrix, tunnel
@@ -149,13 +143,20 @@ func Fingerprint(in *core.Instance) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+func snapshotName(epoch uint64) string { return fmt.Sprintf("plan-%012d.json", epoch) }
+
 func (s *Store) snapshotPath(epoch uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("plan-%012d.json", epoch))
+	return filepath.Join(s.dir, snapshotName(epoch))
 }
 
-// Save checkpoints the plan under the given epoch, durably: the
-// snapshot is fsync'd before the atomic rename, and the directory is
-// fsync'd after, so a crash at any point leaves either the previous
+// isSnapshot reports whether a directory entry is a plan snapshot. The
+// zero-padded epoch makes name order epoch order.
+func isSnapshot(name string) bool {
+	return strings.HasPrefix(name, "plan-") && strings.HasSuffix(name, ".json")
+}
+
+// Save checkpoints the plan under the given epoch, durably
+// (durable.WriteFile): a crash at any point leaves either the previous
 // set of snapshots or the previous set plus this complete one — never
 // a torn file under the final name. When retention is configured, old
 // snapshots and quarantined files beyond the bound are deleted after
@@ -169,88 +170,17 @@ func (s *Store) Save(epoch uint64, plan *core.Plan) error {
 	if err != nil {
 		return err
 	}
-
-	tmp, err := os.CreateTemp(s.dir, "plan-*.tmp")
-	if err != nil {
-		return fmt.Errorf("serve: creating checkpoint temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	// Best-effort cleanup if any later step fails; after a successful
-	// rename the temp name no longer exists and the remove is a no-op.
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: syncing checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, s.snapshotPath(epoch)); err != nil {
-		return fmt.Errorf("serve: publishing checkpoint: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return fmt.Errorf("serve: syncing state dir: %w", err)
-	}
-	if s.retain > 0 {
-		if err := s.Retain(s.retain); err != nil {
-			return fmt.Errorf("serve: applying checkpoint retention: %w", err)
-		}
-	}
-	return nil
-}
-
-// Retain deletes all but the newest keep snapshots and the newest keep
-// quarantined (*.corrupt) files, then fsyncs the directory so the
-// deletions are durable. The zero-padded epoch in the file name makes
-// "newest" lexicographic.
-func (s *Store) Retain(keep int) error {
-	if keep <= 0 {
-		return nil
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("reading state dir: %w", err)
-	}
-	var snaps, corrupt []string
-	for _, e := range entries {
-		n := e.Name()
-		switch {
-		case strings.HasPrefix(n, "plan-") && strings.HasSuffix(n, ".json"):
-			snaps = append(snaps, n)
-		case strings.HasSuffix(n, ".corrupt"):
-			corrupt = append(corrupt, n)
-		}
-	}
-	deleted := 0
-	for _, group := range [][]string{snaps, corrupt} {
-		sort.Strings(group)
-		for _, name := range group[:max(0, len(group)-keep)] {
-			if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return fmt.Errorf("deleting %s: %w", name, err)
-			}
-			deleted++
-		}
-	}
-	if deleted > 0 {
-		if err := syncDir(s.dir); err != nil {
-			return fmt.Errorf("syncing state dir after retention: %w", err)
-		}
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
+	err = durable.WriteFile(s.dir, "plan-*.tmp", snapshotName(epoch), func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
+	})
+	if err != nil {
+		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
-	defer d.Close()
-	return d.Sync()
+	if err := durable.Retain(s.dir, s.retain, isSnapshot); err != nil {
+		return fmt.Errorf("serve: applying checkpoint retention: %w", err)
+	}
+	return nil
 }
 
 // ErrNoSnapshot reports that the store holds no loadable snapshot.
@@ -273,8 +203,7 @@ func (s *Store) LoadLatest(in *core.Instance, logf func(string, ...any)) (uint64
 	}
 	var names []string
 	for _, e := range entries {
-		n := e.Name()
-		if strings.HasPrefix(n, "plan-") && strings.HasSuffix(n, ".json") {
+		if n := e.Name(); isSnapshot(n) {
 			names = append(names, n)
 		}
 	}
@@ -290,7 +219,7 @@ func (s *Store) LoadLatest(in *core.Instance, logf func(string, ...any)) (uint64
 			continue // raced with cleanup; nothing to quarantine
 		}
 		logf("serve: quarantining snapshot %s: %v", name, err)
-		if qerr := os.Rename(path, path+".corrupt"); qerr != nil {
+		if qerr := durable.Quarantine(path); qerr != nil {
 			logf("serve: quarantine rename failed for %s: %v", name, qerr)
 		}
 	}

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pcf/internal/core"
+	"pcf/internal/durable"
 	"pcf/internal/routing"
 	"pcf/internal/telemetry"
 )
@@ -242,9 +242,8 @@ func (r *Registry) Recover(ctx context.Context, in *core.Instance) (*Published, 
 		if !errors.Is(err, ErrValidation) {
 			return pub, err
 		}
-		path := r.store.snapshotPath(epoch)
 		r.logf("serve: recovered epoch %d fails validation, quarantining: %v", epoch, err)
-		if qerr := os.Rename(path, path+".corrupt"); qerr != nil {
+		if qerr := durable.Quarantine(r.store.snapshotPath(epoch)); qerr != nil {
 			r.logf("serve: quarantine rename failed for epoch %d: %v", epoch, qerr)
 			return nil, fmt.Errorf("serve: epoch %d unquarantinable: %w", epoch, err)
 		}

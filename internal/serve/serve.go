@@ -76,7 +76,7 @@ type Config struct {
 	// (zero means the store default; negative disables retention).
 	RetainTelemetry int
 	// Telemetry, when non-nil, receives a copy of every record the
-	// server emits, in addition to the store and the expvar snapshot.
+	// server emits, in addition to the store.
 	// Tests use it to observe the stream synchronously.
 	Telemetry telemetry.Emitter
 	// Source stamps every emitted record's src dimension (default

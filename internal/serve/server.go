@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"math"
 	"net/http"
@@ -62,14 +61,12 @@ type Server struct {
 	draining bool
 	inflight sync.WaitGroup
 
-	mux  *http.ServeMux
-	vars *expvar.Map
+	mux *http.ServeMux
 
 	// tel is the telemetry store (memory-only without a TelemetryDir),
-	// snap the expvar projection over the same stream, emit the fan-out
-	// every producer writes to. One record schema, three views.
+	// emit the fan-out every producer writes to: the store plus the
+	// configured extra sink.
 	tel  *telemetry.Store
-	snap *telemetry.Snapshot
 	emit telemetry.Emitter
 
 	checksMu sync.RWMutex
@@ -112,15 +109,13 @@ func NewServer(cfg Config) (*Server, error) {
 		adm:      NewAdmission(cfg.MaxConcurrentSolves, cfg.MaxConcurrentRealizes, cfg.QueueDepth),
 		breakers: map[string]*Breaker{},
 		tel:      tel,
-		snap:     telemetry.NewSnapshot(),
 	}
-	s.emit = telemetry.Multi(tel, s.snap, cfg.Telemetry)
+	s.emit = telemetry.Multi(tel, cfg.Telemetry)
 	s.reg.Telemetry = telemetry.EmitterFunc(func(r telemetry.Record) {
 		r.Source = cfg.Source
 		s.emit.Emit(r)
 	})
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.initVars()
 	s.initMux()
 	return s, nil
 }
@@ -130,8 +125,8 @@ func NewServer(cfg Config) (*Server, error) {
 // own records into the same stream via Emitter.
 func (s *Server) Telemetry() *telemetry.Store { return s.tel }
 
-// Emitter is the server's record sink: the store, the expvar snapshot,
-// and any configured extra sink, behind one fan-out. Records emitted
+// Emitter is the server's record sink: the store and any configured
+// extra sink, behind one fan-out. Records emitted
 // here get the server's source stamp if they carry none.
 func (s *Server) Emitter() telemetry.Emitter {
 	return telemetry.EmitterFunc(func(r telemetry.Record) {
@@ -175,9 +170,6 @@ func (s *Server) Recover(ctx context.Context) (*Published, error) {
 // Registry exposes the plan registry (read-mostly; tests and cmd/pcfd
 // use it to inspect or seed epochs).
 func (s *Server) Registry() *Registry { return s.reg }
-
-// Admission exposes the admission gate for metrics and tests.
-func (s *Server) Admission() *Admission { return s.adm }
 
 // Instance exposes the prepared problem instance. The fleet replica
 // needs it to decode wire envelopes against the same topology the
@@ -271,7 +263,6 @@ func (s *Server) initMux() {
 	s.mux.HandleFunc("POST /v1/optimal", s.handleOptimal)
 	s.mux.HandleFunc("GET /v1/telemetry/query", s.handleTelemetryQuery)
 	s.mux.HandleFunc("GET /v1/telemetry/tail", s.handleTelemetryTail)
-	s.mux.HandleFunc("GET /debug/vars", s.handleVars)
 }
 
 // track accumulates one request's telemetry record while its handler
@@ -407,6 +398,12 @@ type Health struct {
 	// Checks carries registered component probes (e.g. the fleet
 	// replica's lease freshness).
 	Checks map[string]HealthCheck `json:"checks,omitempty"`
+	// The admission gate's live gauges and the telemetry store's own
+	// counters: the state no record carries. Reported, never degrading.
+	AdmissionShed          int64                `json:"admission_shed"`
+	AdmissionQueuedSolve   int64                `json:"admission_queued_solve"`
+	AdmissionQueuedRealize int64                `json:"admission_queued_realize"`
+	Telemetry              telemetry.StoreStats `json:"telemetry"`
 	// DegradedReasons explains a "degraded" status, one entry per
 	// failing condition.
 	DegradedReasons []string `json:"degraded_reasons,omitempty"`
@@ -439,6 +436,11 @@ func (s *Server) Health() Health {
 		Draining: draining,
 		Epoch:    s.reg.Epoch(),
 		Breakers: map[string]int{},
+
+		AdmissionShed:          s.adm.Shed(),
+		AdmissionQueuedSolve:   s.adm.Queued(ClassSolve),
+		AdmissionQueuedRealize: s.adm.Queued(ClassRealize),
+		Telemetry:              s.tel.Stats(),
 	}
 	_, curErr := s.reg.Current()
 	h.HasPlan = curErr == nil
@@ -552,7 +554,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, infoOf(pub))
+	// Sweep is the serving engine's live statistics: what it has
+	// answered since publication, which no record carries.
+	writeJSON(w, struct {
+		planInfo
+		Sweep map[string]float64 `json:"sweep"`
+	}{infoOf(pub), pub.Sweep.Stats().Metrics()})
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -879,6 +886,11 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// maxValidateSamples caps ?samples= on a sampled validation: the draws
+// are held in memory before the sweep starts, so the count must not be
+// the client's to choose freely.
+const maxValidateSamples = 100_000
+
 // sampleOptions parses the sampled-model query knobs: p (uniform unit
 // failure probability), samples, delta, seed, kcap.
 func (s *Server) sampleOptions(q url.Values, plan *core.Plan) (routing.SampleOptions, error) {
@@ -900,6 +912,9 @@ func (s *Server) sampleOptions(q url.Values, plan *core.Plan) (routing.SampleOpt
 		v, err := strconv.Atoi(raw)
 		if err != nil {
 			return opts, fmt.Errorf("serve: bad sample count %q: %w", raw, err)
+		}
+		if v > maxValidateSamples {
+			return opts, fmt.Errorf("serve: sample count %d above the limit %d", v, maxValidateSamples)
 		}
 		opts.Samples = v
 	}

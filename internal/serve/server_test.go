@@ -15,6 +15,7 @@ import (
 	"pcf/internal/core"
 	"pcf/internal/faultinject"
 	"pcf/internal/lp"
+	"pcf/internal/telemetry"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -65,11 +66,24 @@ func mustGet(t *testing.T, url string) *http.Response {
 	return resp
 }
 
+// groupCounts runs a grouped telemetry query and returns each group's
+// record count.
+func groupCounts(t *testing.T, url string) map[string]int {
+	t.Helper()
+	counts := map[string]int{}
+	for _, raw := range decodeBody(t, mustGet(t, url))["buckets"].([]any) {
+		b := raw.(map[string]any)
+		counts[b["group"].(string)] = int(b["count"].(float64))
+	}
+	return counts
+}
+
 // TestServerSolvePlanRealizeValidate walks the happy path end to end:
 // solve publishes epoch 1, plan and realize serve it, validate re-runs
-// the sweep, and /debug/vars exposes the engine statistics.
+// the sweep, and the record store, /v1/plan and /healthz expose the
+// engine statistics.
 func TestServerSolvePlanRealizeValidate(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 
 	// Before the first solve: no plan anywhere.
 	resp := mustGet(t, ts.URL+"/v1/plan")
@@ -137,24 +151,60 @@ func TestServerSolvePlanRealizeValidate(t *testing.T) {
 		t.Fatalf("validate = %v, want valid", val)
 	}
 
-	resp = mustGet(t, ts.URL+"/debug/vars")
-	vars := decodeBody(t, resp)
-	if int(vars["epoch"].(float64)) != 1 {
-		t.Fatalf("vars epoch = %v, want 1", vars["epoch"])
+	// The record store is the only statistics surface. The last
+	// successful solve and validation sweep are the newest ok records
+	// of their kinds, carrying the engines' Metrics().
+	recs, _, err := s.Telemetry().ReadSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, key := range []string{"core_solve_stats", "routing_sweep_stats", "serving_sweep_stats", "requests"} {
-		if _, ok := vars[key]; !ok {
-			t.Fatalf("vars missing %q: %v", key, vars)
+	lastOK := map[telemetry.Kind]telemetry.Record{}
+	for _, r := range recs {
+		if r.OutcomeOrOK() == "ok" {
+			lastOK[r.Kind] = r
 		}
 	}
-	if vars["core_solve_stats"] == nil {
-		t.Fatalf("core_solve_stats still nil after a solve")
+	if _, ok := lastOK[telemetry.KindSolve].Fields["lp_iterations"]; !ok {
+		t.Fatalf("last ok solve record carries no solver metrics: %+v", lastOK[telemetry.KindSolve])
 	}
+	if r := lastOK[telemetry.KindValidate]; r.Name != "exact" || r.Field("scenarios") < 1 {
+		t.Fatalf("last ok validate record = %+v, want the exact sweep's metrics", r)
+	}
+	// Request counts per endpoint, and the denied ones (the bad link id).
+	requests := groupCounts(t, ts.URL+"/v1/telemetry/query?kind=request&group_by=name")
+	if requests["solve"] != 1 || requests["realize"] != 2 || requests["validate"] != 1 {
+		t.Fatalf("request counts = %v, want solve 1, realize 2, validate 1", requests)
+	}
+	resp = mustGet(t, ts.URL+"/v1/telemetry/query?kind=request&outcome=error")
+	denied := decodeBody(t, resp)["buckets"].([]any)
+	if len(denied) != 1 || int(denied[0].(map[string]any)["count"].(float64)) != 2 {
+		t.Fatalf("denied requests = %v, want the 404 plan read and the bad-link realize", denied)
+	}
+	// The serving engine's live statistics ride on the plan it serves.
+	resp = mustGet(t, ts.URL+"/v1/plan")
+	sweep, _ := decodeBody(t, resp)["sweep"].(map[string]any)
+	if n, _ := sweep["scenarios"].(float64); n < 1 {
+		t.Fatalf("GET /v1/plan sweep = %v, want the realize counted", sweep)
+	}
+	resp = mustGet(t, ts.URL+"/debug/vars")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/vars: status %d, want 404", resp.StatusCode)
+	}
+	resp.Body.Close()
 
 	resp = mustGet(t, ts.URL+"/healthz")
 	health := decodeBody(t, resp)
-	if health["status"] != "ok" || health["draining"] != false {
+	if health["status"] != "ok" || health["draining"] != false || int(health["epoch"].(float64)) != 1 {
 		t.Fatalf("health = %v", health)
+	}
+	// The gauges no record carries: admission and the store's own counters.
+	for _, key := range []string{"admission_shed", "admission_queued_solve", "admission_queued_realize"} {
+		if v, ok := health[key].(float64); !ok || v != 0 {
+			t.Fatalf("health[%q] = %v, want 0 on an idle server", key, health[key])
+		}
+	}
+	if st, _ := health["telemetry"].(map[string]any); st == nil || st["appended"].(float64) < float64(len(recs)) {
+		t.Fatalf("health telemetry = %v, want the store's counters", health["telemetry"])
 	}
 }
 
@@ -365,9 +415,9 @@ func TestServerSheddingUnderLoad(t *testing.T) {
 	}()
 	// Wait for it to be queued, then overflow with a third.
 	for {
-		resp := mustGet(t, ts.URL+"/debug/vars")
-		vars := decodeBody(t, resp)
-		if q, _ := vars["admission_queued_solve"].(float64); q >= 1 {
+		resp := mustGet(t, ts.URL+"/healthz")
+		health := decodeBody(t, resp)
+		if q, _ := health["admission_queued_solve"].(float64); q >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {

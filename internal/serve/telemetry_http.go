@@ -13,7 +13,7 @@ import (
 // The telemetry HTTP surface: GET /v1/telemetry/query runs one
 // aggregation over the server's record store, GET /v1/telemetry/tail
 // long-polls for new records. Both serve pcftop and any operator
-// tooling that prefers JSON over scraping /debug/vars.
+// tooling; they are the daemon's only statistics surface.
 
 // maxTailWait caps how long one tail request may park before answering
 // with an empty batch; clients just poll again with the same cursor.

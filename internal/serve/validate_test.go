@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"pcf/internal/telemetry"
 )
 
 // TestServerSampledValidate drives /v1/validate?model=sampled end to
@@ -11,7 +13,7 @@ import (
 // validated, the same seed reproduces the same report, and the
 // coverage fields surface through /v1/telemetry/query.
 func TestServerSampledValidate(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 
 	resp := mustPost(t, ts.URL+"/v1/solve")
 	if resp.StatusCode != http.StatusOK {
@@ -68,18 +70,26 @@ func TestServerSampledValidate(t *testing.T) {
 		t.Fatalf("telemetry query shows no sampled validate records with epsilon: %v", tq)
 	}
 
-	// Knob validation is a client error, not a server failure.
-	for _, bad := range []string{
+	// Knob validation is a client error, not a server failure — and a
+	// sample count above the cap is refused before anything is sized by
+	// it. Each refusal is a request record with outcome error.
+	bad := []string{
 		"/v1/validate?model=nonsense",
 		"/v1/validate?model=sampled&p=2",
 		"/v1/validate?model=sampled&samples=abc",
+		"/v1/validate?model=sampled&samples=2000000000",
 		"/v1/validate?model=sampled&delta=7",
-	} {
-		resp := mustGet(t, ts.URL+bad)
+	}
+	for _, q := range bad {
+		resp := mustGet(t, ts.URL+q)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET %s: status %d, want 400", bad, resp.StatusCode)
+			t.Fatalf("GET %s: status %d, want 400", q, resp.StatusCode)
 		}
 		resp.Body.Close()
+	}
+	refused, err := s.Telemetry().Query(telemetry.Query{Kind: telemetry.KindRequest, Name: "validate", Outcome: "error"})
+	if err != nil || len(refused) != 1 || refused[0].Count != len(bad) {
+		t.Fatalf("refused validate request records = %v (err %v), want %d", refused, err, len(bad))
 	}
 
 	// Degraded scenario realization through the HTTP surface: MLU is

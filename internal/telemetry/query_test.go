@@ -239,47 +239,21 @@ func TestNearestRank(t *testing.T) {
 	}
 }
 
-func TestSnapshotEmitter(t *testing.T) {
-	snap := NewSnapshot()
-	snap.Emit(Record{Kind: KindRequest, Name: "/v1/solve"})
-	snap.Emit(Record{Kind: KindRequest, Name: "/v1/solve", Outcome: "shed"})
-	snap.Emit(Record{Kind: KindRequest, Name: "/v1/plan"})
-	snap.Emit(Record{Kind: KindSolve, Outcome: "error"})
-	snap.Emit(Record{Kind: KindSolve, Epoch: 7, Fields: map[string]float64{"rounds": 3}})
-
-	if got := snap.Total(); got != 5 {
-		t.Fatalf("Total = %d, want 5", got)
+// TestMultiFanOut: Multi reaches every non-nil sink in order and
+// collapses to the sink itself when only one remains.
+func TestMultiFanOut(t *testing.T) {
+	st := mustOpen(t, "", StoreConfig{})
+	t.Cleanup(func() { st.Close() })
+	var seen []Kind
+	tap := EmitterFunc(func(r Record) { seen = append(seen, r.Kind) })
+	Multi(st, nil, Discard, tap).Emit(Record{Kind: KindPublish})
+	if len(seen) != 1 || seen[0] != KindPublish {
+		t.Fatalf("tap saw %v, want one publish record", seen)
 	}
-	if got := snap.Count(KindRequest, ""); got != 3 {
-		t.Fatalf("request total = %d, want 3", got)
+	if got := st.Stats().Appended; got != 1 {
+		t.Fatalf("store appended %d records, want 1", got)
 	}
-	if got := snap.Count(KindRequest, "shed"); got != 1 {
-		t.Fatalf("request shed = %d, want 1", got)
-	}
-	if got := snap.Count(KindSolve, "ok"); got != 1 {
-		t.Fatalf("solve ok = %d, want 1", got)
-	}
-	nc := snap.NameCounts(KindRequest)
-	if nc["/v1/solve"] != 2 || nc["/v1/plan"] != 1 {
-		t.Fatalf("NameCounts = %v", nc)
-	}
-	last, ok := snap.Last(KindSolve)
-	if !ok || last.Epoch != 7 {
-		t.Fatalf("Last(solve) = %+v ok=%v, want the epoch-7 record", last, ok)
-	}
-	lastOK, ok := snap.LastOK(KindSolve)
-	if !ok || lastOK.Epoch != 7 {
-		t.Fatalf("LastOK(solve) = %+v ok=%v, want the epoch-7 record", lastOK, ok)
-	}
-	if _, ok := snap.LastOK(KindValidate); ok {
-		t.Fatal("LastOK reports a kind that never emitted")
-	}
-
-	// Multi fans out to both sinks; Discard absorbs.
-	snap2 := NewSnapshot()
-	m := Multi(snap2, nil, Discard)
-	m.Emit(Record{Kind: KindPublish})
-	if snap2.Total() != 1 {
-		t.Fatalf("Multi did not reach the snapshot: total %d", snap2.Total())
+	if got := Multi(nil, st); got != Emitter(st) {
+		t.Fatalf("Multi(nil, store) = %T, want the store itself", got)
 	}
 }

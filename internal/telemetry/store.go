@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,6 +15,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"pcf/internal/durable"
 )
 
 // StoreConfig parameterizes a Store. The zero value of every field has
@@ -122,10 +125,15 @@ func segName(firstSeq uint64) string {
 	return fmt.Sprintf("%s%016d%s", segPrefix, firstSeq, segSuffix)
 }
 
+// isSealed reports whether a file name is a sealed segment's.
+func isSealed(name string) bool {
+	return strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix)
+}
+
 // segStart parses the first-record sequence number out of a sealed
 // segment file name.
 func segStart(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+	if !isSealed(name) {
 		return 0, false
 	}
 	mid := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
@@ -204,7 +212,7 @@ func (s *Store) recover() error {
 				maxSeq = last
 			}
 			s.cfg.Logf("telemetry: salvaged %d records from torn segment %s", len(recs), name)
-		case strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix):
+		case isSealed(name):
 			recs, derr := decodeSegment(path)
 			if derr != nil || len(recs) == 0 {
 				s.cfg.Logf("telemetry: quarantining undecodable segment %s: %v", name, derr)
@@ -216,7 +224,7 @@ func (s *Store) recover() error {
 			}
 		}
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := durable.SyncDir(s.dir); err != nil {
 		return fmt.Errorf("telemetry: syncing store dir after recovery: %w", err)
 	}
 	s.nextSeq = maxSeq + 1
@@ -226,7 +234,7 @@ func (s *Store) recover() error {
 // quarantine renames a damaged file to *.corrupt so the next open does
 // not trip over it again.
 func (s *Store) quarantine(path string) {
-	if err := os.Rename(path, path+".corrupt"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := durable.Quarantine(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		s.cfg.Logf("telemetry: quarantine rename of %s failed: %v", path, err)
 		return
 	}
@@ -265,53 +273,21 @@ func decodeSegment(path string) ([]Record, error) {
 	return recs, nil
 }
 
-// writeSealed writes records to a sealed segment durably: temp file in
-// the same directory, fsync, atomic rename.
+// writeSealed writes records to a sealed segment durably.
 func writeSealed(path string, recs []Record) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "seg-*.tmp")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	w := bufio.NewWriter(tmp)
-	for _, r := range recs {
-		data, err := json.Marshal(r)
-		if err != nil {
-			tmp.Close()
-			return err
+	return durable.WriteFile(filepath.Dir(path), "seg-*.tmp", filepath.Base(path), func(f io.Writer) error {
+		w := bufio.NewWriter(f)
+		for _, r := range recs {
+			data, err := json.Marshal(r)
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(append(data, '\n')); err != nil {
+				return err
+			}
 		}
-		if _, err := w.Write(append(data, '\n')); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+		return w.Flush()
+	})
 }
 
 // flushLoop periodically flushes and fsyncs the active segment so a
@@ -435,7 +411,7 @@ func (s *Store) sealLocked() error {
 	if err := os.Rename(openPath, finalPath); err != nil {
 		return err
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := durable.SyncDir(s.dir); err != nil {
 		return err
 	}
 	s.sealedN++
@@ -446,41 +422,15 @@ func (s *Store) sealLocked() error {
 }
 
 // retainLocked prunes sealed segments and quarantined files beyond the
-// newest RetainSegments. Caller holds mu (or runs during Open, before
-// concurrency starts).
+// newest RetainSegments (the zero-padded seq makes name order age
+// order). Caller holds mu (or runs during Open, before concurrency
+// starts).
 func (s *Store) retainLocked() error {
-	keep := s.cfg.RetainSegments
-	if keep <= 0 || s.dir == "" {
+	if s.dir == "" {
 		return nil
 	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("telemetry: reading store dir for retention: %w", err)
-	}
-	var sealed, corrupt []string
-	for _, e := range entries {
-		n := e.Name()
-		switch {
-		case strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segSuffix):
-			sealed = append(sealed, n)
-		case strings.HasSuffix(n, ".corrupt"):
-			corrupt = append(corrupt, n)
-		}
-	}
-	deleted := 0
-	for _, group := range [][]string{sealed, corrupt} {
-		sort.Strings(group) // zero-padded seq makes newest lexicographic
-		for _, name := range group[:max(0, len(group)-keep)] {
-			if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return fmt.Errorf("telemetry: deleting %s: %w", name, err)
-			}
-			deleted++
-		}
-	}
-	if deleted > 0 {
-		if err := syncDir(s.dir); err != nil {
-			return fmt.Errorf("telemetry: syncing store dir after retention: %w", err)
-		}
+	if err := durable.Retain(s.dir, s.cfg.RetainSegments, isSealed); err != nil {
+		return fmt.Errorf("telemetry: retention: %w", err)
 	}
 	return nil
 }
@@ -533,13 +483,7 @@ func (s *Store) Writable() error {
 	if s.dir == "" {
 		return nil
 	}
-	f, err := os.CreateTemp(s.dir, ".probe-*")
-	if err != nil {
-		return err
-	}
-	name := f.Name()
-	f.Close()
-	return os.Remove(name)
+	return durable.Probe(s.dir)
 }
 
 // Persistent reports whether the store writes segments to disk.

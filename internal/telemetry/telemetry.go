@@ -4,11 +4,11 @@
 //
 // Everything that used to be an ad-hoc stats surface — core.SolveStats
 // behind a plan, routing.SweepStats behind a validation sweep,
-// mcf.SweepStats behind an optimal sweep, the per-server expvar maps,
-// bench JSON files under results/ — flows through the one Record
-// schema here. A Record is a point event (a request served, a solve
-// finished, an epoch published, a sync round, a lease grant, a
-// failover, a benchmark run) with typed dimensions (Kind, Source,
+// mcf.SweepStats behind an optimal sweep, per-server counters — flows
+// through the one Record schema here, and the store's query and tail
+// calls are the one way to read it back. A Record is a point event (a
+// request served, a solve finished, an epoch published, a sync round,
+// a lease grant, a failover) with typed dimensions (Kind, Source,
 // Name, Scheme, Outcome) and numeric payload (Epoch, Rung, Dur, and a
 // flat Fields map whose keys come from the engines' Metrics()
 // methods).
@@ -68,10 +68,6 @@ const (
 	// KindFailover is a front-end routing event (Outcome
 	// retry/eject/no_backend).
 	KindFailover Kind = "failover"
-	// KindBench is one benchmark measurement ingested from a
-	// scripts/bench.sh snapshot (Name is the benchmark, Fields carry
-	// ns_per_op and friends).
-	KindBench Kind = "bench"
 )
 
 // Record is the one event schema every telemetry producer emits.
@@ -87,10 +83,10 @@ type Record struct {
 	// Kind is the event type (see the Kind constants).
 	Kind Kind `json:"kind"`
 	// Source is the emitting component ("pcfd", "planner",
-	// "replica-1", "frontend", "bench", ...).
+	// "replica-1", "frontend", ...).
 	Source string `json:"src,omitempty"`
-	// Name refines the kind: the endpoint for requests, the benchmark
-	// for bench records, the push target for pushes.
+	// Name refines the kind: the endpoint for requests, the scenario
+	// model for validations, the push target for pushes.
 	Name string `json:"name,omitempty"`
 	// Scheme is the routing scheme involved, when one is.
 	Scheme string `json:"scheme,omitempty"`

@@ -87,6 +87,12 @@ echo "== kernel solve ≡ full LU, high-rank scenarios ≡ cold (-race -count=2)
 # low-rank within 1e-9 of a cold Realize (DESIGN.md §12).
 go test -race -count=2 -run 'TestKernelSolveMatchesFullLU|TestHighRankScenariosServedLowRank' ./internal/lp/ ./internal/routing/
 
+echo "== bench smoke (-benchtime 1x)"
+# Every Go benchmark once, for its tripwires: BenchmarkSolveSynth1k
+# b.Fatals on a phase-1 iteration or a kernel as large as the basis,
+# BenchmarkValidateSweepSynth1k on a sweep that replays nothing.
+go test -run '^$' -bench . -benchtime 1x . ./internal/core
+
 echo "== benchmark smoke (frozen API)"
 # benchmark/ may not change with the code it measures, so it compiles
 # against whatever the tree exports: a renamed or re-typed function it
