@@ -9,6 +9,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -112,82 +113,67 @@ func main() {
 		*topo, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs),
 		*f, setup.Failures.NumScenariosExact(), setup.MLU)
 
-	var plan *core.Plan
-	if *scheme == "best" {
-		in := &core.Instance{
-			Graph: setup.Graph, TM: setup.TM, Tunnels: setup.Tunnels,
-			Failures: setup.Failures, Objective: core.DemandScale,
+	plan, err := solve(ctx, os.Stdout, setup, name, *topo, telStore)
+	if err != nil {
+		die(err)
+	}
+	if *showRes {
+		printReservations(plan)
+	}
+	if *validate {
+		if _, err := routing.ValidateStats(ctx, plan, routing.ValidateOptions{}); err != nil {
+			die(fmt.Errorf("VALIDATION FAILED: %w", err))
 		}
-		clsIn, _, err := core.BuildCLSQuick(in)
-		if err != nil {
-			die(err)
-		}
-		start := time.Now()
-		plan, err = core.SolveBest(clsIn, core.SolveOptions{Context: ctx})
-		if err != nil {
-			die(err)
-		}
-		fmt.Printf("%s guaranteed demand scale: %.4f (solved in %v)\n",
-			plan.Scheme, plan.Value, time.Since(start).Round(time.Millisecond))
-		if telStore != nil {
-			fields := plan.Stats.Metrics()
-			fields["value"] = plan.Value
-			telStore.Emit(telemetry.Record{
-				Kind: telemetry.KindSolve, Source: "eval", Name: *topo,
-				Scheme: plan.Scheme, Dur: time.Since(start), Fields: fields,
-			})
-		}
-		if line := eval.StatsLine(plan.Stats); line != "" {
-			fmt.Printf("lp: %s\n", line)
-		}
-		if len(plan.Degraded) > 0 {
-			fmt.Printf("degraded: abandoned %s\n", strings.Join(plan.Degraded, ", "))
-		}
-	} else {
+		fmt.Printf("validated: all %d scenarios congestion-free with all admitted demand delivered\n",
+			setup.Failures.NumScenariosExact())
+	}
+}
+
+// solve runs the scheme (name "" is the best ladder), prints its result
+// to w and returns the plan it printed: -reservations and -validate act
+// on exactly that plan.
+func solve(ctx context.Context, w io.Writer, setup *eval.Setup, name, topo string, tel *telemetry.Store) (*core.Plan, error) {
+	if name != "" {
 		res, err := setup.RunContext(ctx, name)
 		if err != nil {
-			die(err)
+			return nil, err
 		}
-		fmt.Printf("%s guaranteed demand scale: %.4f (solved in %v)\n", res.Scheme, res.Value, res.Time.Round(1e6))
+		fmt.Fprintf(w, "%s guaranteed demand scale: %.4f (solved in %v)\n", res.Scheme, res.Value, res.Time.Round(1e6))
 		if res.Stats != "" {
-			fmt.Printf("lp: %s\n", res.Stats)
+			fmt.Fprintf(w, "lp: %s\n", res.Stats)
 		}
+		return res.Plan, nil
 	}
-
-	if *showRes || *validate {
-		if plan == nil {
-			// Recompute the plan itself for reservations / validation.
-			in := &core.Instance{
-				Graph: setup.Graph, TM: setup.TM, Tunnels: setup.Tunnels,
-				Failures: setup.Failures, Objective: core.DemandScale,
-			}
-			switch name {
-			case eval.SchemeFFC:
-				plan, err = core.SolveFFC(in, core.SolveOptions{Context: ctx})
-			case eval.SchemePCFTF:
-				plan, err = core.SolvePCFTF(in, core.SolveOptions{Context: ctx})
-			default:
-				clsIn, _, err2 := core.BuildCLSQuick(in)
-				if err2 != nil {
-					die(err2)
-				}
-				plan, err = core.SolvePCFCLS(clsIn, core.SolveOptions{Context: ctx})
-			}
-			if err != nil {
-				die(err)
-			}
-		}
-		if *showRes {
-			printReservations(plan)
-		}
-		if *validate {
-			if _, err := routing.ValidateStats(ctx, plan, routing.ValidateOptions{}); err != nil {
-				die(fmt.Errorf("VALIDATION FAILED: %w", err))
-			}
-			fmt.Printf("validated: all %d scenarios congestion-free with all admitted demand delivered\n",
-				setup.Failures.NumScenariosExact())
-		}
+	in := &core.Instance{
+		Graph: setup.Graph, TM: setup.TM, Tunnels: setup.Tunnels,
+		Failures: setup.Failures, Objective: core.DemandScale,
 	}
+	clsIn, _, err := core.BuildCLSQuick(in)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	plan, err := core.SolveBest(clsIn, core.SolveOptions{Context: ctx})
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "%s guaranteed demand scale: %.4f (solved in %v)\n",
+		plan.Scheme, plan.Value, time.Since(start).Round(time.Millisecond))
+	if tel != nil {
+		fields := plan.Stats.Metrics()
+		fields["value"] = plan.Value
+		tel.Emit(telemetry.Record{
+			Kind: telemetry.KindSolve, Source: "eval", Name: topo,
+			Scheme: plan.Scheme, Dur: time.Since(start), Fields: fields,
+		})
+	}
+	if line := eval.StatsLine(plan.Stats); line != "" {
+		fmt.Fprintf(w, "lp: %s\n", line)
+	}
+	if len(plan.Degraded) > 0 {
+		fmt.Fprintf(w, "degraded: abandoned %s\n", strings.Join(plan.Degraded, ", "))
+	}
+	return plan, nil
 }
 
 func printReservations(plan *core.Plan) {

@@ -235,6 +235,9 @@ type Result struct {
 	// telemetry records carry (see SolveStats.Metrics and friends).
 	// Nil when the scheme exposes no statistics.
 	Fields map[string]float64
+	// Plan is the plan the scheme solved, the one Value describes; nil
+	// for Optimal, which solves no plan.
+	Plan *core.Plan
 }
 
 // StatsLine formats a plan's solve statistics for display.
@@ -325,79 +328,25 @@ func (s *Setup) RunContext(ctx context.Context, scheme string) (Result, error) {
 func (s *Setup) runScheme(ctx context.Context, scheme string) (Result, error) {
 	start := time.Now()
 	solveOpts := core.SolveOptions{Context: ctx}
+	var plan *core.Plan
+	var in *core.Instance
+	var err error
+	extra := ""
 	switch scheme {
 	case SchemeFFC:
-		in := s.instance(s.Opts.FFCTunnels)
-		plan, err := core.SolveFFC(in, solveOpts)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scheme: scheme, Value: plan.Value, Time: plan.SolveTime, Stats: StatsLine(plan.Stats), Fields: plan.Stats.Metrics()}, nil
+		plan, err = core.SolveFFC(s.instance(s.Opts.FFCTunnels), solveOpts)
 	case SchemePCFTF:
-		plan, err := core.SolvePCFTF(s.instance(0), solveOpts)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scheme: scheme, Value: plan.Value, Time: plan.SolveTime, Stats: StatsLine(plan.Stats), Fields: plan.Stats.Metrics()}, nil
+		plan, err = core.SolvePCFTF(s.instance(0), solveOpts)
 	case SchemePCFLS:
-		in, err := s.lsInstance()
-		if err != nil {
-			return Result{}, err
+		if in, err = s.lsInstance(); err == nil {
+			plan, err = core.SolvePCFLS(in, solveOpts)
 		}
-		plan, err := core.SolvePCFLS(in, solveOpts)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scheme: scheme, Value: plan.Value, Time: plan.SolveTime, Stats: StatsLine(plan.Stats), Fields: plan.Stats.Metrics()}, nil
 	case SchemePCFCLS, SchemePCFCLSTopSort:
-		mode := s.Opts.CLSMode
-		if mode == "" {
-			if s.Graph.NumLinks() <= 24 {
-				mode = "flow"
-			} else {
-				mode = "quick"
-			}
+		if in, extra, err = s.clsInstance(scheme == SchemePCFCLSTopSort); err == nil {
+			plan, err = core.SolvePCFCLS(in, solveOpts)
 		}
-		var clsIn *core.Instance
-		var lss []core.LogicalSequence
-		var err error
-		if mode == "flow" {
-			clsIn, lss, err = core.BuildCLS(s.instance(0), core.FlowOptions{SparseSupport: 3})
-		} else {
-			clsIn, lss, err = core.BuildCLSQuick(s.instance(0))
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		if err := s.augmentUncondSegments(clsIn); err != nil {
-			return Result{}, err
-		}
-		extra := ""
-		if scheme == SchemePCFCLSTopSort {
-			kept, pruned := core.TopSortFilter(lss, s.Opts.FailureBudget == 1)
-			clsIn.LSs = kept
-			total := len(lss)
-			if total > 0 {
-				extra = fmt.Sprintf("pruned %d/%d LSs (%.2f%%)", pruned, total,
-					100*float64(pruned)/float64(total))
-			}
-			ts2, err := core.EnsureSegmentTunnels(clsIn.Tunnels, kept)
-			if err != nil {
-				return Result{}, err
-			}
-			clsIn.Tunnels = ts2
-		}
-		plan, err := core.SolvePCFCLS(clsIn, solveOpts)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scheme: scheme, Value: plan.Value, Time: time.Since(start), Extra: extra, Stats: StatsLine(plan.Stats), Fields: plan.Stats.Metrics()}, nil
 	case SchemeR3:
-		plan, err := core.SolveR3(s.instance(0), solveOpts)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Scheme: scheme, Value: plan.Value, Time: plan.SolveTime, Stats: StatsLine(plan.Stats), Fields: plan.Stats.Metrics()}, nil
+		plan, err = core.SolveR3(s.instance(0), solveOpts)
 	case SchemeOptimal:
 		if s.Opts.Objective == core.Throughput {
 			return Result{}, fmt.Errorf("eval: the paper does not compute the optimal for the throughput metric (combinatorial blow-up)")
@@ -411,8 +360,62 @@ func (s *Setup) runScheme(ctx context.Context, scheme string) (Result, error) {
 			res.Fields = sw.Metrics()
 		}
 		return res, nil
+	default:
+		return Result{}, fmt.Errorf("eval: unknown scheme %q", scheme)
 	}
-	return Result{}, fmt.Errorf("eval: unknown scheme %q", scheme)
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Scheme: scheme, Value: plan.Value, Time: plan.SolveTime, Extra: extra,
+		Stats: StatsLine(plan.Stats), Fields: plan.Stats.Metrics(), Plan: plan}
+	if scheme == SchemePCFCLS || scheme == SchemePCFCLSTopSort {
+		// A CLS plan's time includes deriving its logical sequences.
+		res.Time = time.Since(start)
+	}
+	return res, nil
+}
+
+// clsInstance derives the PCF-CLS instance: logical sequences from the
+// flow decomposition (small topologies, or CLSMode "flow") or the quick
+// builder, unconditional segments augmented, and with topSort only the
+// LSs TopSortFilter keeps. extra notes the pruned fraction.
+func (s *Setup) clsInstance(topSort bool) (*core.Instance, string, error) {
+	mode := s.Opts.CLSMode
+	if mode == "" {
+		if s.Graph.NumLinks() <= 24 {
+			mode = "flow"
+		} else {
+			mode = "quick"
+		}
+	}
+	var clsIn *core.Instance
+	var lss []core.LogicalSequence
+	var err error
+	if mode == "flow" {
+		clsIn, lss, err = core.BuildCLS(s.instance(0), core.FlowOptions{SparseSupport: 3})
+	} else {
+		clsIn, lss, err = core.BuildCLSQuick(s.instance(0))
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	if err := s.augmentUncondSegments(clsIn); err != nil {
+		return nil, "", err
+	}
+	if !topSort {
+		return clsIn, "", nil
+	}
+	kept, pruned := core.TopSortFilter(lss, s.Opts.FailureBudget == 1)
+	clsIn.LSs = kept
+	extra := ""
+	if total := len(lss); total > 0 {
+		extra = fmt.Sprintf("pruned %d/%d LSs (%.2f%%)", pruned, total,
+			100*float64(pruned)/float64(total))
+	}
+	if clsIn.Tunnels, err = core.EnsureSegmentTunnels(clsIn.Tunnels, kept); err != nil {
+		return nil, "", err
+	}
+	return clsIn, extra, nil
 }
 
 // augmentUncondSegments gives the segments of unconditional LSs the

@@ -29,7 +29,9 @@
 package fleet
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http"
 	"time"
 )
 
@@ -63,3 +65,11 @@ const (
 // heartbeats default to a third of the TTL so two consecutive
 // heartbeat losses still renew in time.
 const defaultLeaseTTL = 15 * time.Second
+
+// writeError answers with status and the JSON body {"error": msg}, the
+// shape every fleet role and the serving core use for a failure.
+func writeError(w http.ResponseWriter, status int, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+}

@@ -310,7 +310,7 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if len(candidates) == 0 {
 		f.noRoutes.Add(1)
 		f.failover("no_backend", "")
-		http.Error(w, `{"error":"`+ErrNoBackend.Error()+`"}`, http.StatusServiceUnavailable)
+		writeError(w, http.StatusServiceUnavailable, ErrNoBackend.Error())
 		return
 	}
 	// Buffer the body once so a failed attempt can be replayed
@@ -320,7 +320,7 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		var err error
 		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 		if err != nil {
-			http.Error(w, `{"error":"reading request body"}`, http.StatusBadRequest)
+			writeError(w, http.StatusBadRequest, "reading request body")
 			return
 		}
 	}
@@ -349,7 +349,7 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		f.failover("retry", b.base)
 	}
 	if !rec.wroteHeader {
-		http.Error(w, `{"error":"all backends failed"}`, http.StatusBadGateway)
+		writeError(w, http.StatusBadGateway, "all backends failed")
 	}
 }
 

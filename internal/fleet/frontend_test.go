@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -93,6 +94,47 @@ func TestFrontendFailsOverOnDeadBackend(t *testing.T) {
 	cores[1].Close()
 	if st := get("/v1/plan"); st != http.StatusBadGateway && st != http.StatusServiceUnavailable {
 		t.Fatalf("plan with no live backends: status %d, want 502/503", st)
+	}
+}
+
+// TestFleetErrorsAreJSON checks the fleet's own error replies carry the
+// content type of their {"error": …} bodies: the planner's plan fetch
+// before any publish (404) and a front end with no routable backend
+// (503).
+func TestFleetErrorsAreJSON(t *testing.T) {
+	planner := httptest.NewServer(NewPlanner(newCore(t, ""), PlannerConfig{Logf: t.Logf}))
+	defer planner.Close()
+	// Never probed, so its one backend is not routable.
+	fe, err := NewFrontend(FrontendConfig{Backends: []string{planner.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("building frontend: %v", err)
+	}
+	fts := httptest.NewServer(fe)
+	defer fts.Close()
+
+	for _, c := range []struct {
+		url  string
+		want int
+	}{
+		{planner.URL + PlanPath, http.StatusNotFound},
+		{fts.URL + "/v1/plan", http.StatusServiceUnavailable},
+	} {
+		resp, err := testClient.Get(c.url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", c.url, err)
+		}
+		var body struct{ Error string }
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("GET %s: status %d, want %d", c.url, resp.StatusCode, c.want)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("GET %s: Content-Type %q, want application/json", c.url, ct)
+		}
+		if derr != nil || body.Error == "" {
+			t.Errorf("GET %s: body is not {\"error\": …} (decode err %v)", c.url, derr)
+		}
 	}
 }
 

@@ -137,7 +137,7 @@ func (p *Planner) envelopeFor(pub *serve.Published) ([]byte, error) {
 func (p *Planner) handlePlanFetch(w http.ResponseWriter, r *http.Request) {
 	pub, err := p.srv.Registry().Current()
 	if err != nil {
-		http.Error(w, `{"error":"no plan published"}`, http.StatusNotFound)
+		writeError(w, http.StatusNotFound, "no plan published")
 		return
 	}
 	if raw := r.URL.Query().Get("after"); raw != "" {
@@ -150,7 +150,7 @@ func (p *Planner) handlePlanFetch(w http.ResponseWriter, r *http.Request) {
 	data, err := p.envelopeFor(pub)
 	if err != nil {
 		p.cfg.Logf("fleet: encoding envelope for epoch %d: %v", pub.Epoch, err)
-		http.Error(w, `{"error":"envelope encoding failed"}`, http.StatusInternalServerError)
+		writeError(w, http.StatusInternalServerError, "envelope encoding failed")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -163,7 +163,7 @@ func (p *Planner) handlePlanFetch(w http.ResponseWriter, r *http.Request) {
 func (p *Planner) handleLease(w http.ResponseWriter, r *http.Request) {
 	var hb heartbeat
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&hb); err != nil || hb.Replica == "" {
-		http.Error(w, `{"error":"bad heartbeat"}`, http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "bad heartbeat")
 		return
 	}
 	lease := p.granter.Grant(hb.Replica, hb.URL, hb.Epoch, p.srv.Registry().Epoch())

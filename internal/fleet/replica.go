@@ -112,9 +112,7 @@ func NewReplica(srv *serve.Server, cfg ReplicaConfig) *Replica {
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("POST "+PlanPath, r.handlePush)
 	r.mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusForbidden)
-		json.NewEncoder(w).Encode(map[string]any{"error": ErrReplicaReadOnly.Error()})
+		writeError(w, http.StatusForbidden, ErrReplicaReadOnly.Error())
 	})
 	r.mux.Handle("/", srv)
 	return r
@@ -194,13 +192,13 @@ func (r *Replica) Apply(ctx context.Context, env *serve.Envelope) (*serve.Publis
 func (r *Replica) handlePush(w http.ResponseWriter, req *http.Request) {
 	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 64<<20))
 	if err != nil {
-		http.Error(w, `{"error":"reading push body"}`, http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, "reading push body")
 		return
 	}
 	env, err := serve.DecodeEnvelope(data)
 	if err != nil {
 		r.rejectedInvalid.Add(1)
-		http.Error(w, `{"error":"undecodable envelope"}`, http.StatusUnprocessableEntity)
+		writeError(w, http.StatusUnprocessableEntity, "undecodable envelope")
 		return
 	}
 	if r.cfg.TransformEnvelope != nil {

@@ -34,9 +34,6 @@ type SampleOptions struct {
 	// KCap truncates the sampled failure-count range at (budget, KCap];
 	// mass beyond KCap is charged fully to ε. Default Budget+8.
 	KCap int
-	// Proportional validates the §6.2 proportional realization instead
-	// of the exact §4.1 one.
-	Proportional bool
 }
 
 // SampledReport is the outcome of a sampled validation run.
@@ -91,15 +88,13 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 	}
 	// One engine serves both passes; the sampled pass reuses whatever
 	// correctors the exhaustive one cached.
-	sw, err := engineFor(ctx, plan, ValidateOptions{Proportional: opts.Proportional})
+	sw, err := NewSweepContext(ctx, plan)
 	if err != nil {
 		return nil, err
 	}
-	if sw != nil {
-		// The engine is this call's own, so its cache may also keep what
-		// the draws miss: at most one corrector each.
-		sw.batchCap += int64(opts.Samples)
-	}
+	// The engine is this call's own, so its cache may also keep what the
+	// draws miss: at most one corrector each.
+	sw.batchCap += int64(opts.Samples)
 
 	// Exhaustive pass over the designed set: the hard guarantee. Any
 	// violation here is the caller's error, not a statistic.

@@ -16,18 +16,10 @@ const (
 	// work against the published plan.
 	ClassRealize
 	numClasses
+	// noAdmission is the class of a route that takes no admission slot:
+	// it reads state the server already holds.
+	noAdmission Class = -1
 )
-
-// String names the class for metrics and errors.
-func (c Class) String() string {
-	switch c {
-	case ClassSolve:
-		return "solve"
-	case ClassRealize:
-		return "realize"
-	}
-	return "unknown"
-}
 
 // Admission is a bounded two-stage work gate per class: up to
 // `workers` requests run concurrently, up to `queue` more wait for a

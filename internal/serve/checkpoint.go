@@ -113,9 +113,6 @@ func NewStore(dir string, in *core.Instance) (*Store, error) {
 // leaves behind (keep <= 0 means unlimited).
 func (s *Store) SetRetention(keep int) { s.retain = keep }
 
-// Fingerprint returns the instance fingerprint snapshots are tied to.
-func (s *Store) Fingerprint() string { return s.fingerprint }
-
 // Writable probes whether the checkpoint directory still accepts
 // writes — the readiness report surfaces the result so load balancers
 // can evict a replica whose disk went read-only before its next Save

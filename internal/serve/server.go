@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,13 +24,11 @@ import (
 	"pcf/internal/topology"
 )
 
-// Schemes the daemon can solve on demand. "best" runs the SolveBest
-// degradation ladder (under the breaker's current skip level); the
-// fixed schemes solve exactly one formulation and fail rather than
-// degrade.
-const (
-	SchemeBest = "best"
-)
+// SchemeBest names the SolveBest degradation ladder (run under the
+// breaker's current skip level) among the schemes the daemon solves on
+// demand; the fixed schemes solve exactly one formulation and fail
+// rather than degrade.
+const SchemeBest = "best"
 
 // fixedSchemes maps a request's scheme name to its solver. PCF-LS is
 // deliberately absent: it requires a conditional-free instance, which
@@ -182,15 +181,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // enter registers an in-flight request; it fails once draining has
-// begun. The returned func must be called when the request finishes.
-func (s *Server) enter() (func(), error) {
+// begun. Success must be paired with s.inflight.Done().
+func (s *Server) enter() error {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
 	if s.draining {
-		return nil, ErrDraining
+		return ErrDraining
 	}
 	s.inflight.Add(1)
-	return func() { s.inflight.Done() }, nil
+	return nil
 }
 
 // Shutdown drains the server: new requests are rejected with
@@ -233,86 +232,204 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// requestContext derives the handler context: the client's context
-// bounded by the (clamped) request timeout, and additionally canceled
-// when the server hard-cancels in-flight work at the drain deadline.
-func (s *Server) requestContext(r *http.Request, def time.Duration) (context.Context, context.CancelFunc) {
-	d := def
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
-		if parsed, err := time.ParseDuration(raw); err == nil && parsed > 0 {
-			d = parsed
-		}
-	}
-	if d > s.cfg.MaxRequestTimeout {
-		d = s.cfg.MaxRequestTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	return ctx, func() { stop(); cancel() }
-}
-
 // ---- HTTP surface ----
 
-func (s *Server) initMux() {
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /v1/plan", s.handlePlan)
-	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
-	s.mux.HandleFunc("POST /v1/realize", s.handleRealize)
-	s.mux.HandleFunc("GET /v1/validate", s.handleValidate)
-	s.mux.HandleFunc("POST /v1/optimal", s.handleOptimal)
-	s.mux.HandleFunc("GET /v1/telemetry/query", s.handleTelemetryQuery)
-	s.mux.HandleFunc("GET /v1/telemetry/tail", s.handleTelemetryTail)
+// route is one endpoint: data initMux builds once, run by the one
+// request lifecycle (ServeHTTP below).
+type route struct {
+	srv *Server
+	// name is the request record's Name; "" emits none (tail: a parked
+	// tail's own record would wake it and every other tail).
+	name  string
+	class Class
+	// timeout is the default deadline ?timeout= overrides (0: none).
+	timeout time.Duration
+	// gated routes are refused while draining; needsPlan routes load
+	// the current plan before parsing.
+	gated, needsPlan bool
+	// parse reads the request before admission (nil: nothing to read);
+	// its error is the client's (400). work returns the reply body.
+	parse func(*Server, *call) error
+	work  func(*Server, *call) (any, error)
 }
 
-// track accumulates one request's telemetry record while its handler
-// runs and emits it when the handler returns. The record's Epoch is
-// only ever set from the *Published the handler actually used, so a
-// request record can never name an epoch newer than the plan that
-// served it.
-type track struct {
-	s     *Server
+func (s *Server) initMux() {
+	solveT, realizeT := s.cfg.DefaultSolveTimeout, s.cfg.DefaultRealizeTimeout
+	routes := map[string]*route{
+		"GET /healthz":            {name: "healthz", class: noAdmission, work: (*Server).handleHealth},
+		"GET /v1/plan":            {name: "plan", class: noAdmission, gated: true, needsPlan: true, work: (*Server).handlePlan},
+		"POST /v1/solve":          {name: "solve", class: ClassSolve, timeout: solveT, gated: true, parse: (*Server).parseSolve, work: (*Server).handleSolve},
+		"POST /v1/realize":        {name: "realize", class: ClassRealize, timeout: realizeT, gated: true, needsPlan: true, parse: (*Server).parseScenario, work: (*Server).handleRealize},
+		"GET /v1/validate":        {name: "validate", class: ClassRealize, timeout: solveT, gated: true, needsPlan: true, parse: (*Server).parseValidate, work: (*Server).handleValidate},
+		"POST /v1/optimal":        {name: "optimal", class: ClassSolve, timeout: solveT, gated: true, work: (*Server).handleOptimal},
+		"GET /v1/telemetry/query": {name: "telemetry_query", class: noAdmission, work: (*Server).handleTelemetryQuery},
+		"GET /v1/telemetry/tail":  {class: noAdmission, work: (*Server).handleTelemetryTail},
+	}
+	s.mux = http.NewServeMux()
+	for pattern, rt := range routes {
+		rt.srv = s
+		s.mux.Handle(pattern, rt)
+	}
+}
+
+// call is one request in flight: what the lifecycle derived for it,
+// what its route's parse step read, and the request record it
+// accumulates. The record's Epoch is only ever set from the *Published
+// the request actually used, so a request record can never name an
+// epoch newer than the plan that served it.
+type call struct {
+	q     url.Values
+	ctx   context.Context
 	start time.Time
 	rec   telemetry.Record
+	pub   *Published
+	// stamped: rec.Epoch names the epoch the reply's X-PCF-Epoch carries.
+	stamped bool
+
+	// What the lifecycle holds until the reply is written.
+	entered bool
+	cancel  context.CancelFunc
+	stop    func() bool
+	release func()
+
+	// What the parse steps read: solve's scheme, realize's scenario,
+	// validate's model and sampling knobs.
+	scheme string
+	sc     failures.Scenario
+	sample *routing.SampleOptions
 }
 
-func (s *Server) track(endpoint string) *track {
-	return &track{
-		s:     s,
+// ServeHTTP is the request lifecycle every route shares. In order: the
+// request record, the drain gate, the deadline, the current plan, the
+// route's parse step, admission, its work, and the reply — writeError's
+// status and body, or X-PCF-Epoch and the JSON body.
+func (rt *route) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	c := &call{
+		q:     r.URL.Query(),
+		ctx:   r.Context(),
 		start: time.Now(),
-		rec: telemetry.Record{
-			Kind:   telemetry.KindRequest,
-			Source: s.cfg.Source,
-			Name:   endpoint,
-		},
+		rec:   telemetry.Record{Kind: telemetry.KindRequest, Source: rt.srv.cfg.Source, Name: rt.name},
+	}
+	defer rt.srv.finish(c)
+	v, err := rt.run(c)
+	rt.reply(w, c, v, err)
+}
+
+func (rt *route) run(c *call) (any, error) {
+	s := rt.srv
+	if rt.gated {
+		if err := s.enter(); err != nil {
+			return nil, err
+		}
+		c.entered = true
+	}
+	if rt.timeout > 0 {
+		d := rt.timeout
+		if raw := c.q.Get("timeout"); raw != "" {
+			parsed, err := time.ParseDuration(raw)
+			if err != nil || parsed <= 0 {
+				return nil, badRequest{fmt.Errorf("serve: bad timeout %q (want a positive Go duration)", raw)}
+			}
+			d = parsed
+		}
+		// Bounded by the clamp, and hard-canceled with everything else
+		// in flight at the drain deadline.
+		c.ctx, c.cancel = context.WithTimeout(c.ctx, min(d, s.cfg.MaxRequestTimeout))
+		c.stop = context.AfterFunc(s.baseCtx, c.cancel)
+	}
+	if rt.needsPlan {
+		pub, err := s.reg.Current()
+		if err != nil {
+			return nil, err
+		}
+		c.served(pub)
+	}
+	if rt.parse != nil {
+		if err := rt.parse(s, c); err != nil {
+			return nil, badRequest{err}
+		}
+	}
+	if rt.class != noAdmission {
+		release, err := s.adm.Acquire(c.ctx, rt.class)
+		if err != nil {
+			return nil, err
+		}
+		c.release = release
+		// A request whose deadline passed while it queued does no work.
+		if err := c.ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return rt.work(s, c)
+}
+
+// reply writes the response and emits the request record. A "degraded"
+// outcome (the one /healthz gives) answers 503 with its body.
+func (rt *route) reply(w http.ResponseWriter, c *call, v any, err error) {
+	s := rt.srv
+	if err != nil {
+		s.writeError(w, c, rt.class, err)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		if c.stamped {
+			w.Header().Set("X-PCF-Epoch", strconv.FormatUint(c.rec.Epoch, 10))
+		}
+		if c.rec.Outcome == "degraded" {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+		if plan, ok := v.(*core.Plan); ok {
+			// The full plan streams its own encoding.
+			if err := plan.WriteJSON(w); err != nil {
+				s.cfg.Logf("serve: streaming plan: %v", err)
+			}
+		} else {
+			writeJSON(w, v)
+		}
+	}
+	if rt.name == "" {
+		return
+	}
+	c.rec.Dur = time.Since(c.start)
+	if c.cancel != nil {
+		// The remaining deadline slack, so queries can watch how close
+		// requests run to their budgets.
+		dl, _ := c.ctx.Deadline()
+		c.field("deadline_slack_ms", float64(time.Until(dl))/float64(time.Millisecond))
+	}
+	s.emit.Emit(c.rec)
+}
+
+// finish releases what the lifecycle took, once the reply is written.
+func (s *Server) finish(c *call) {
+	if c.release != nil {
+		c.release()
+	}
+	if c.cancel != nil {
+		c.stop()
+		c.cancel()
+	}
+	if c.entered {
+		s.inflight.Done()
 	}
 }
 
 // served stamps the record with the plan that is answering the request.
-func (t *track) served(pub *Published) {
-	t.rec.Epoch = pub.Epoch
-	t.rec.Scheme = pub.Scheme
+func (c *call) served(pub *Published) {
+	c.pub = pub
+	c.stamped = true
+	c.rec.Epoch = pub.Epoch
+	c.rec.Scheme = pub.Scheme
 }
 
-func (t *track) field(name string, v float64) {
-	if t.rec.Fields == nil {
-		t.rec.Fields = map[string]float64{}
+func (c *call) field(name string, v float64) {
+	if c.rec.Fields == nil {
+		c.rec.Fields = map[string]float64{}
 	}
-	t.rec.Fields[name] = v
+	c.rec.Fields[name] = v
 }
 
-// done emits the record. ctx, when non-nil, contributes the remaining
-// deadline slack so queries can watch how close requests run to their
-// budgets.
-func (t *track) done(ctx context.Context) {
-	t.rec.Dur = time.Since(t.start)
-	if ctx != nil {
-		if dl, ok := ctx.Deadline(); ok {
-			t.field("deadline_slack_ms", float64(time.Until(dl))/float64(time.Millisecond))
-		}
-	}
-	t.s.emit.Emit(t.rec)
-}
+// badRequest marks a malformed request: writeError answers it 400.
+type badRequest struct{ error }
 
 // outcomeOf classifies a handler failure for the record stream: load
 // deliberately refused is "shed", everything else "error".
@@ -329,13 +446,16 @@ func outcomeOf(err error) string {
 	}
 }
 
-// writeError maps typed serving and solver failures onto HTTP
-// statuses and stamps the request record's outcome. Overload-shaped
-// failures carry a Retry-After hint.
-func (s *Server) writeError(tr *track, w http.ResponseWriter, class Class, err error) {
-	tr.rec.Outcome = outcomeOf(err)
+// writeError is the one mapping of typed serving and solver failures
+// onto HTTP statuses; it stamps the request record's outcome.
+// Overload-shaped failures carry a Retry-After hint.
+func (s *Server) writeError(w http.ResponseWriter, c *call, class Class, err error) {
+	c.rec.Outcome = outcomeOf(err)
 	status := http.StatusInternalServerError
+	var bad badRequest
 	switch {
+	case errors.As(err, &bad):
+		status = http.StatusBadRequest
 	case errors.Is(err, ErrOverloaded):
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", strconv.Itoa(s.adm.RetryAfterSeconds(class)))
@@ -353,7 +473,8 @@ func (s *Server) writeError(tr *track, w http.ResponseWriter, class Class, err e
 		status = http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded):
 		status = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
+	case errors.Is(err, context.Canceled),
+		errors.Is(err, telemetry.ErrStoreClosed):
 		status = http.StatusServiceUnavailable
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -486,28 +607,20 @@ func (s *Server) Health() Health {
 		h.DegradedReasons = append(h.DegradedReasons, "no plan published")
 	}
 	sort.Strings(h.DegradedReasons)
+	h.Status = "ok"
 	if len(h.DegradedReasons) > 0 {
 		h.Status = "degraded"
-	} else {
-		h.Status = "ok"
 	}
 	return h
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	tr := s.track("healthz")
-	defer tr.done(nil)
+func (s *Server) handleHealth(c *call) (any, error) {
 	h := s.Health()
-	tr.rec.Epoch = h.Epoch
+	c.stamped, c.rec.Epoch = true, h.Epoch
 	if h.Status != "ok" {
-		tr.rec.Outcome = "degraded"
+		c.rec.Outcome = "degraded"
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-PCF-Epoch", strconv.FormatUint(h.Epoch, 10))
-	if h.Status != "ok" {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	writeJSON(w, h)
+	return h, nil
 }
 
 // planInfo is the metadata block shared by plan and solve responses.
@@ -531,83 +644,44 @@ func infoOf(p *Published) planInfo {
 	}
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	tr := s.track("plan")
-	defer tr.done(nil)
-	done, err := s.enter()
-	if err != nil {
-		s.writeError(tr, w, ClassRealize, err)
-		return
-	}
-	defer done()
-	pub, err := s.reg.Current()
-	if err != nil {
-		s.writeError(tr, w, ClassRealize, err)
-		return
-	}
-	tr.served(pub)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-PCF-Epoch", strconv.FormatUint(pub.Epoch, 10))
-	if r.URL.Query().Get("full") == "1" {
-		if err := pub.Plan.WriteJSON(w); err != nil {
-			s.cfg.Logf("serve: streaming plan: %v", err)
-		}
-		return
+func (s *Server) handlePlan(c *call) (any, error) {
+	if c.q.Get("full") == "1" {
+		return c.pub.Plan, nil
 	}
 	// Sweep is the serving engine's live statistics: what it has
 	// answered since publication, which no record carries.
-	writeJSON(w, struct {
+	return struct {
 		planInfo
 		Sweep map[string]float64 `json:"sweep"`
-	}{infoOf(pub), pub.Sweep.Stats().Metrics()})
+	}{infoOf(c.pub), c.pub.Sweep.Stats().Metrics()}, nil
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	tr := s.track("solve")
-	done, err := s.enter()
-	if err != nil {
-		s.writeError(tr, w, ClassSolve, err)
-		tr.done(nil)
-		return
+func (s *Server) parseSolve(c *call) error {
+	c.scheme = c.q.Get("scheme")
+	if c.scheme == "" {
+		c.scheme = SchemeBest
 	}
-	defer done()
-	ctx, cancel := s.requestContext(r, s.cfg.DefaultSolveTimeout)
-	defer cancel()
-	defer tr.done(ctx)
+	c.rec.Scheme = c.scheme
+	if _, fixed := fixedSchemes[c.scheme]; !fixed && c.scheme != SchemeBest {
+		return fmt.Errorf("serve: unknown scheme %q", c.scheme)
+	}
+	return nil
+}
 
-	scheme := r.URL.Query().Get("scheme")
-	if scheme == "" {
-		scheme = SchemeBest
-	}
-	tr.rec.Scheme = scheme
-	fixed, isFixed := fixedSchemes[scheme]
-	if !isFixed && scheme != SchemeBest {
-		tr.rec.Outcome = "error"
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		writeJSON(w, map[string]any{"error": fmt.Sprintf("serve: unknown scheme %q", scheme)})
-		return
-	}
-
-	release, err := s.adm.Acquire(ctx, ClassSolve)
-	if err != nil {
-		s.writeError(tr, w, ClassSolve, err)
-		return
-	}
-	defer release()
-
+func (s *Server) handleSolve(c *call) (any, error) {
+	scheme := c.scheme
 	br := s.breaker(scheme)
 	level := br.Level()
-	tr.rec.Rung = level
-	opts := core.SolveOptions{Context: ctx}
+	c.rec.Rung = level
+	opts := core.SolveOptions{Context: c.ctx}
 	opts.LP.FaultHook = s.cfg.LPFaultHook
 
 	solveStart := time.Now()
 	var plan *core.Plan
-	if isFixed {
+	var err error
+	if fixed, isFixed := fixedSchemes[scheme]; isFixed {
 		if level > 0 {
-			s.writeError(tr, w, ClassSolve, fmt.Errorf("%w: %s", ErrBreakerOpen, scheme))
-			return
+			return nil, fmt.Errorf("%w: %s", ErrBreakerOpen, scheme)
 		}
 		plan, err = fixed(s.inst, opts)
 	} else {
@@ -633,8 +707,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		solveRec.Outcome = outcomeOf(err)
 		s.emit.Emit(solveRec)
-		s.writeError(tr, w, ClassSolve, err)
-		return
+		return nil, err
 	}
 	solveRec.Fields = plan.Stats.Metrics()
 	s.emit.Emit(solveRec)
@@ -642,27 +715,22 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.cfg.MutatePlan(plan)
 	}
 
-	pub, err := s.reg.Publish(ctx, plan)
+	pub, err := s.reg.Publish(c.ctx, plan)
 	if err != nil {
-		s.writeError(tr, w, ClassSolve, err)
-		return
+		return nil, err
 	}
-	tr.served(pub)
-
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-PCF-Epoch", strconv.FormatUint(pub.Epoch, 10))
-	resp := struct {
+	c.served(pub)
+	return struct {
 		planInfo
 		BreakerLevel int `json:"breaker_level"`
-	}{infoOf(pub), level}
-	writeJSON(w, resp)
+	}{infoOf(pub), level}, nil
 }
 
 // parseScenario reads ?links=3,7,12 (dead links) and
 // ?degraded=4@0.5,9@0.25 (links at a fraction of nominal capacity)
 // into a failure scenario over the instance's topology. A link listed
 // in both is dead; dead wins.
-func (s *Server) parseScenario(r *http.Request) (failures.Scenario, error) {
+func (s *Server) parseScenario(c *call) error {
 	sc := failures.Scenario{Dead: map[topology.LinkID]bool{}}
 	parseID := func(part string) (topology.LinkID, error) {
 		id, err := strconv.Atoi(strings.TrimSpace(part))
@@ -674,28 +742,28 @@ func (s *Server) parseScenario(r *http.Request) (failures.Scenario, error) {
 		}
 		return topology.LinkID(id), nil
 	}
-	if raw := strings.TrimSpace(r.URL.Query().Get("links")); raw != "" {
+	if raw := strings.TrimSpace(c.q.Get("links")); raw != "" {
 		for _, part := range strings.Split(raw, ",") {
 			l, err := parseID(part)
 			if err != nil {
-				return sc, err
+				return err
 			}
 			sc.Dead[l] = true
 		}
 	}
-	if raw := strings.TrimSpace(r.URL.Query().Get("degraded")); raw != "" {
+	if raw := strings.TrimSpace(c.q.Get("degraded")); raw != "" {
 		for _, part := range strings.Split(raw, ",") {
 			idStr, alphaStr, ok := strings.Cut(strings.TrimSpace(part), "@")
 			if !ok {
-				return sc, fmt.Errorf("serve: degraded entry %q is not id@alpha", part)
+				return fmt.Errorf("serve: degraded entry %q is not id@alpha", part)
 			}
 			l, err := parseID(idStr)
 			if err != nil {
-				return sc, err
+				return err
 			}
 			alpha, err := strconv.ParseFloat(alphaStr, 64)
 			if err != nil || math.IsNaN(alpha) || alpha <= 0 || alpha >= 1 {
-				return sc, fmt.Errorf("serve: degraded scale %q outside (0,1)", alphaStr)
+				return fmt.Errorf("serve: degraded scale %q outside (0,1)", alphaStr)
 			}
 			if sc.Dead[l] {
 				continue
@@ -708,51 +776,14 @@ func (s *Server) parseScenario(r *http.Request) (failures.Scenario, error) {
 			}
 		}
 	}
-	return sc, nil
+	c.sc = sc
+	return nil
 }
 
-func (s *Server) handleRealize(w http.ResponseWriter, r *http.Request) {
-	tr := s.track("realize")
-	done, err := s.enter()
+func (s *Server) handleRealize(c *call) (any, error) {
+	real, err := c.pub.Sweep.Realize(c.sc)
 	if err != nil {
-		s.writeError(tr, w, ClassRealize, err)
-		tr.done(nil)
-		return
-	}
-	defer done()
-	ctx, cancel := s.requestContext(r, s.cfg.DefaultRealizeTimeout)
-	defer cancel()
-	defer tr.done(ctx)
-
-	pub, err := s.reg.Current()
-	if err != nil {
-		s.writeError(tr, w, ClassRealize, err)
-		return
-	}
-	tr.served(pub)
-	sc, err := s.parseScenario(r)
-	if err != nil {
-		tr.rec.Outcome = "error"
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		writeJSON(w, map[string]any{"error": err.Error()})
-		return
-	}
-	release, err := s.adm.Acquire(ctx, ClassRealize)
-	if err != nil {
-		s.writeError(tr, w, ClassRealize, err)
-		return
-	}
-	defer release()
-	if err := ctx.Err(); err != nil {
-		s.writeError(tr, w, ClassRealize, err)
-		return
-	}
-
-	real, err := pub.Sweep.Realize(sc)
-	if err != nil {
-		s.writeError(tr, w, ClassRealize, err)
-		return
+		return nil, err
 	}
 	maxU := 0.0
 	for _, u := range real.U {
@@ -762,93 +793,105 @@ func (s *Server) handleRealize(w http.ResponseWriter, r *http.Request) {
 	}
 	mlu := routing.MLUOf(s.inst.Graph, real)
 	var deadLinks []int
-	for l, dead := range sc.Dead {
+	for l, dead := range c.sc.Dead {
 		if dead {
 			deadLinks = append(deadLinks, int(l))
 		}
 	}
-	tr.field("mlu", mlu)
-	tr.field("max_u", maxU)
-	tr.field("dead_links", float64(len(deadLinks)))
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-PCF-Epoch", strconv.FormatUint(pub.Epoch, 10))
-	writeJSON(w, map[string]any{
-		"epoch":      pub.Epoch,
-		"scheme":     pub.Scheme,
+	slices.Sort(deadLinks)
+	c.field("mlu", mlu)
+	c.field("max_u", maxU)
+	c.field("dead_links", float64(len(deadLinks)))
+	return map[string]any{
+		"epoch":      c.pub.Epoch,
+		"scheme":     c.pub.Scheme,
 		"dead_links": deadLinks,
 		"pairs":      len(real.Pairs),
 		"max_u":      maxU,
 		"mlu":        mlu,
-	})
+	}, nil
 }
 
-func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	tr := s.track("validate")
-	done, err := s.enter()
-	if err != nil {
-		s.writeError(tr, w, ClassRealize, err)
-		tr.done(nil)
-		return
-	}
-	defer done()
-	ctx, cancel := s.requestContext(r, s.cfg.DefaultSolveTimeout)
-	defer cancel()
-	defer tr.done(ctx)
+// maxValidateSamples caps ?samples= on a sampled validation: the draws
+// are held in memory before the sweep starts, so the count must not be
+// the client's to choose freely.
+const maxValidateSamples = 100_000
 
-	pub, err := s.reg.Current()
-	if err != nil {
-		s.writeError(tr, w, ClassRealize, err)
-		return
+// parseValidate reads ?model= (exact, the default, or sampled) and the
+// sampled model's knobs.
+func (s *Server) parseValidate(c *call) error {
+	q := c.q
+	switch model := q.Get("model"); model {
+	case "", "exact":
+		return nil
+	case "sampled":
+	default:
+		return fmt.Errorf("serve: unknown scenario model %q (want exact or sampled)", model)
 	}
-	tr.served(pub)
-	release, err := s.adm.Acquire(ctx, ClassRealize)
-	if err != nil {
-		s.writeError(tr, w, ClassRealize, err)
-		return
+	// p is the uniform unit failure probability.
+	var opts routing.SampleOptions
+	var err error
+	p := 0.01
+	if raw := q.Get("p"); raw != "" {
+		if p, err = strconv.ParseFloat(raw, 64); err != nil {
+			return fmt.Errorf("serve: bad unit probability %q: %w", raw, err)
+		}
 	}
-	defer release()
+	if opts.Model, err = failures.Uniform(c.pub.Plan.Instance.Failures, p); err != nil {
+		return err
+	}
+	if raw := q.Get("samples"); raw != "" {
+		if opts.Samples, err = strconv.Atoi(raw); err != nil {
+			return fmt.Errorf("serve: bad sample count %q: %w", raw, err)
+		}
+		if opts.Samples > maxValidateSamples {
+			return fmt.Errorf("serve: sample count %d above the limit %d", opts.Samples, maxValidateSamples)
+		}
+	}
+	if raw := q.Get("delta"); raw != "" {
+		opts.Delta, err = strconv.ParseFloat(raw, 64)
+		if err != nil || math.IsNaN(opts.Delta) || opts.Delta <= 0 || opts.Delta >= 1 {
+			return fmt.Errorf("serve: delta %q outside (0,1)", raw)
+		}
+	}
+	if raw := q.Get("seed"); raw != "" {
+		if opts.Seed, err = strconv.ParseInt(raw, 10, 64); err != nil {
+			return fmt.Errorf("serve: bad seed %q: %w", raw, err)
+		}
+	}
+	if raw := q.Get("kcap"); raw != "" {
+		if opts.KCap, err = strconv.Atoi(raw); err != nil {
+			return fmt.Errorf("serve: bad kcap %q: %w", raw, err)
+		}
+	}
+	c.sample = &opts
+	return nil
+}
 
-	q := r.URL.Query()
-	model := q.Get("model")
-	if model == "" {
-		model = "exact"
-	}
+func (s *Server) handleValidate(c *call) (any, error) {
+	model := "exact"
 	var stats *routing.SweepStats
 	var rep *routing.SampledReport
-	switch model {
-	case "exact":
+	var err error
+	if c.sample == nil {
 		// Through the published engine itself: no rebuild, and its
 		// corrector cache already holds the designed set's signatures.
-		stats, err = pub.Sweep.ValidateStats(ctx)
-	case "sampled":
-		var opts routing.SampleOptions
-		opts, err = s.sampleOptions(q, pub.Plan)
-		if err != nil {
-			tr.rec.Outcome = "error"
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			writeJSON(w, map[string]any{"error": err.Error()})
-			return
-		}
+		stats, err = c.pub.Sweep.ValidateStats(c.ctx)
+	} else {
+		model = "sampled"
 		// On an engine of its own: beyond-budget draws would otherwise
 		// grow the published engine's corrector cache without bound.
-		rep, err = routing.ValidateSampled(ctx, pub.Plan, opts)
+		rep, err = routing.ValidateSampled(c.ctx, c.pub.Plan, *c.sample)
 		if rep != nil {
 			stats = &rep.Stats
 		}
-	default:
-		tr.rec.Outcome = "error"
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		writeJSON(w, map[string]any{"error": fmt.Sprintf("serve: unknown scenario model %q (want exact or sampled)", model)})
-		return
 	}
 	valRec := telemetry.Record{
 		Kind:    telemetry.KindValidate,
 		Source:  s.cfg.Source,
 		Name:    model,
-		Scheme:  pub.Scheme,
-		Epoch:   pub.Epoch,
+		Scheme:  c.pub.Scheme,
+		Epoch:   c.pub.Epoch,
 		Outcome: outcomeOf(err),
 	}
 	if stats != nil {
@@ -865,13 +908,10 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.emit.Emit(valRec)
 	if err != nil {
-		s.writeError(tr, w, ClassRealize, err)
-		return
+		return nil, err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-PCF-Epoch", strconv.FormatUint(pub.Epoch, 10))
 	resp := map[string]any{
-		"epoch":     pub.Epoch,
+		"epoch":     c.pub.Epoch,
 		"valid":     true,
 		"model":     model,
 		"scenarios": stats.Scenarios,
@@ -883,86 +923,11 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		resp["coverage_summary"] = rep.Coverage.String()
 		resp["worst_mlu"] = rep.WorstMLU
 	}
-	writeJSON(w, resp)
+	return resp, nil
 }
 
-// maxValidateSamples caps ?samples= on a sampled validation: the draws
-// are held in memory before the sweep starts, so the count must not be
-// the client's to choose freely.
-const maxValidateSamples = 100_000
-
-// sampleOptions parses the sampled-model query knobs: p (uniform unit
-// failure probability), samples, delta, seed, kcap.
-func (s *Server) sampleOptions(q url.Values, plan *core.Plan) (routing.SampleOptions, error) {
-	opts := routing.SampleOptions{}
-	p := 0.01
-	if raw := q.Get("p"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return opts, fmt.Errorf("serve: bad unit probability %q: %w", raw, err)
-		}
-		p = v
-	}
-	pm, err := failures.Uniform(plan.Instance.Failures, p)
-	if err != nil {
-		return opts, err
-	}
-	opts.Model = pm
-	if raw := q.Get("samples"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			return opts, fmt.Errorf("serve: bad sample count %q: %w", raw, err)
-		}
-		if v > maxValidateSamples {
-			return opts, fmt.Errorf("serve: sample count %d above the limit %d", v, maxValidateSamples)
-		}
-		opts.Samples = v
-	}
-	if raw := q.Get("delta"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || math.IsNaN(v) || v <= 0 || v >= 1 {
-			return opts, fmt.Errorf("serve: delta %q outside (0,1)", raw)
-		}
-		opts.Delta = v
-	}
-	if raw := q.Get("seed"); raw != "" {
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return opts, fmt.Errorf("serve: bad seed %q: %w", raw, err)
-		}
-		opts.Seed = v
-	}
-	if raw := q.Get("kcap"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			return opts, fmt.Errorf("serve: bad kcap %q: %w", raw, err)
-		}
-		opts.KCap = v
-	}
-	return opts, nil
-}
-
-func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
-	tr := s.track("optimal")
-	done, err := s.enter()
-	if err != nil {
-		s.writeError(tr, w, ClassSolve, err)
-		tr.done(nil)
-		return
-	}
-	defer done()
-	ctx, cancel := s.requestContext(r, s.cfg.DefaultSolveTimeout)
-	defer cancel()
-	defer tr.done(ctx)
-
-	release, err := s.adm.Acquire(ctx, ClassSolve)
-	if err != nil {
-		s.writeError(tr, w, ClassSolve, err)
-		return
-	}
-	defer release()
-
-	z, worst, stats, err := mcf.OptimalUnderFailuresStats(ctx, s.inst.Graph, s.inst.TM, s.inst.Failures)
+func (s *Server) handleOptimal(c *call) (any, error) {
+	z, worst, stats, err := mcf.OptimalUnderFailuresStats(c.ctx, s.inst.Graph, s.inst.TM, s.inst.Failures)
 	mcfRec := telemetry.Record{
 		Kind:    telemetry.KindMCF,
 		Source:  s.cfg.Source,
@@ -974,14 +939,12 @@ func (s *Server) handleOptimal(w http.ResponseWriter, r *http.Request) {
 	}
 	s.emit.Emit(mcfRec)
 	if err != nil {
-		s.writeError(tr, w, ClassSolve, err)
-		return
+		return nil, err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, map[string]any{
+	return map[string]any{
 		"optimal":        z,
 		"worst_scenario": worst.String(),
 		"scenarios":      stats.Scenarios,
 		"warm_hits":      stats.WarmHits,
-	})
+	}, nil
 }

@@ -3,7 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
-	"net/http"
+	"fmt"
 	"strconv"
 	"time"
 
@@ -19,17 +19,11 @@ import (
 // with an empty batch; clients just poll again with the same cursor.
 const maxTailWait = 55 * time.Second
 
-func badQuery(w http.ResponseWriter, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadRequest)
-	writeJSON(w, map[string]any{"error": msg})
-}
-
-// parseQuery builds a telemetry.Query from URL parameters: kind, src,
-// name, scheme, outcome, since/until (RFC 3339), bucket (Go duration),
-// metric, group_by.
-func parseQuery(r *http.Request) (telemetry.Query, string) {
-	v := r.URL.Query()
+// handleTelemetryQuery builds a telemetry.Query from URL parameters —
+// kind, src, name, scheme, outcome, since/until (RFC 3339), bucket (Go
+// duration), metric, group_by — and runs it.
+func (s *Server) handleTelemetryQuery(c *call) (any, error) {
+	v := c.q
 	q := telemetry.Query{
 		Kind:    telemetry.Kind(v.Get("kind")),
 		Source:  v.Get("src"),
@@ -39,65 +33,41 @@ func parseQuery(r *http.Request) (telemetry.Query, string) {
 		Metric:  v.Get("metric"),
 		GroupBy: v.Get("group_by"),
 	}
-	if raw := v.Get("since"); raw != "" {
-		ts, err := time.Parse(time.RFC3339, raw)
-		if err != nil {
-			return q, "bad since (want RFC 3339): " + err.Error()
+	bounds := [...]*time.Time{&q.Since, &q.Until}
+	for i, key := range [...]string{"since", "until"} {
+		if raw := v.Get(key); raw != "" {
+			var err error
+			if *bounds[i], err = time.Parse(time.RFC3339, raw); err != nil {
+				return nil, badRequest{fmt.Errorf("bad %s (want RFC 3339): %w", key, err)}
+			}
 		}
-		q.Since = ts
-	}
-	if raw := v.Get("until"); raw != "" {
-		ts, err := time.Parse(time.RFC3339, raw)
-		if err != nil {
-			return q, "bad until (want RFC 3339): " + err.Error()
-		}
-		q.Until = ts
 	}
 	if raw := v.Get("bucket"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil || d < 0 {
-			return q, "bad bucket (want a positive Go duration)"
+			return nil, badRequest{errors.New("bad bucket (want a positive Go duration)")}
 		}
 		q.Bucket = d
 	}
-	return q, ""
-}
-
-func (s *Server) handleTelemetryQuery(w http.ResponseWriter, r *http.Request) {
-	tr := s.track("telemetry_query")
-	defer tr.done(nil)
-	q, msg := parseQuery(r)
-	if msg != "" {
-		tr.rec.Outcome = "error"
-		badQuery(w, msg)
-		return
-	}
 	buckets, err := s.tel.Query(q)
-	if err != nil {
-		tr.rec.Outcome = "error"
-		if errors.Is(err, telemetry.ErrBadQuery) {
-			badQuery(w, err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		writeJSON(w, map[string]any{"error": err.Error()})
-		return
+	if errors.Is(err, telemetry.ErrBadQuery) {
+		return nil, badRequest{err}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, map[string]any{"buckets": buckets})
+	if err != nil {
+		return nil, err
+	}
+	return map[string]any{"buckets": buckets}, nil
 }
 
-func (s *Server) handleTelemetryTail(w http.ResponseWriter, r *http.Request) {
-	// Tail requests deliberately do not emit request records: a parked
-	// tail producing a record would wake itself and every other tail.
-	v := r.URL.Query()
+// handleTelemetryTail answers the records after ?after= (at most
+// ?limit=), parking up to ?wait= for the first one.
+func (s *Server) handleTelemetryTail(c *call) (any, error) {
+	v := c.q
 	var after uint64
 	if raw := v.Get("after"); raw != "" {
 		n, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			badQuery(w, "bad after (want an unsigned cursor)")
-			return
+			return nil, badRequest{errors.New("bad after (want an unsigned cursor)")}
 		}
 		after = n
 	}
@@ -105,8 +75,7 @@ func (s *Server) handleTelemetryTail(w http.ResponseWriter, r *http.Request) {
 	if raw := v.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n <= 0 {
-			badQuery(w, "bad limit (want a positive integer)")
-			return
+			return nil, badRequest{errors.New("bad limit (want a positive integer)")}
 		}
 		limit = n
 	}
@@ -114,23 +83,18 @@ func (s *Server) handleTelemetryTail(w http.ResponseWriter, r *http.Request) {
 	if raw := v.Get("wait"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil || d < 0 {
-			badQuery(w, "bad wait (want a non-negative Go duration)")
-			return
+			return nil, badRequest{errors.New("bad wait (want a non-negative Go duration)")}
 		}
 		wait = min(d, maxTailWait)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	ctx, cancel := context.WithTimeout(c.ctx, wait)
 	defer cancel()
 	recs, cursor, err := s.tel.Tail(ctx, after, limit)
 	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		writeJSON(w, map[string]any{"error": err.Error()})
-		return
+		return nil, err
 	}
 	if recs == nil {
 		recs = []telemetry.Record{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, map[string]any{"records": recs, "cursor": cursor})
+	return map[string]any{"records": recs, "cursor": cursor}, nil
 }
