@@ -392,9 +392,17 @@ func BenchmarkValidateSweepSynth1k(b *testing.B) {
 	if st.DestReplays == 0 {
 		b.Fatalf("sweep replayed none of %d destination emissions; the base record should serve nearly all", st.DestEvals)
 	}
+	// Likewise for arcs: the few a link's destinations load are re-summed
+	// and checked, the record vouches for the rest. A sweep that checks
+	// every arc in every scenario has lost the record's arc verdicts.
+	arcs := st.Scenarios * plan.Instance.Graph.NumArcs()
+	if st.ArcChecks >= arcs {
+		b.Fatalf("sweep checked %d arcs in %d scenarios, every arc every time; the record should vouch for nearly all", st.ArcChecks, st.Scenarios)
+	}
 	b.ReportMetric(100*st.SMWHitRate(), "smw_hit_pct")
 	b.ReportMetric(float64(st.BatchHits), "batch_hits")
 	b.ReportMetric(100*float64(st.DestReplays)/float64(st.DestEvals), "dest_replay_pct")
+	b.ReportMetric(100*float64(st.ArcChecks)/float64(arcs), "arc_check_pct")
 }
 
 // ---- Ablation benchmarks (DESIGN.md §6) ----

@@ -26,7 +26,9 @@ type advSpec struct {
 	constPart *lp.Expr
 	rhs       *lp.Expr
 
-	// Bookkeeping for tests, condition building and scenario checks.
+	// Bookkeeping for tests, condition building and scenario checks;
+	// unitsOf is the solve's death-unit index (masterVars.unitsOf).
+	unitsOf  [][]int
 	xIdx     map[topology.LinkID]lp.AdvVar
 	yIdx     map[tunnels.ID]lp.AdvVar
 	hIdx     map[LSID]lp.AdvVar
@@ -41,7 +43,8 @@ type advSpec struct {
 // subset of the tunnels the all-death scenario over the same death
 // units kills, and is therefore dominated inside the death-only
 // polytope. Degradation instead tightens the master's capacity rows
-// (effectiveCapacity in solve.go).
+// (effectiveCapacity in solve.go). Every pair's adversary reads it, so a
+// solve builds it once (newMasterVars) and hands it down.
 func deathUnitsOf(fs *failures.Set, numLinks int) [][]int {
 	out := make([][]int, numLinks)
 	for ui, u := range fs.Units {
@@ -110,10 +113,9 @@ func (spec *advSpec) seedScenarios() []failures.Scenario {
 	if len(unitSet) == 0 {
 		// FFC-style specs have no explicit unit variables; derive the
 		// relevant units from the tunnels' links.
-		unitsOf := deathUnitsOf(spec.in.Failures, spec.in.Graph.NumLinks())
 		for tid := range spec.yIdx {
 			for _, l := range uniqueLinks(spec.in.Tunnels.Tunnel(tid).Path) {
-				for _, u := range unitsOf[l] {
+				for _, u := range spec.unitsOf[l] {
 					unitSet[u] = true
 				}
 			}
@@ -134,10 +136,13 @@ func (spec *advSpec) seedScenarios() []failures.Scenario {
 	return out
 }
 
-// masterVars holds the first-stage variable handles of the master LP.
+// masterVars holds what every pair's adversary is built against: the
+// first-stage variable handles of the master LP and the solve's
+// per-link death-unit index (deathUnitsOf).
 type masterVars struct {
-	a map[tunnels.ID]lp.Var
-	b map[LSID]lp.Var
+	unitsOf [][]int
+	a       map[tunnels.ID]lp.Var
+	b       map[LSID]lp.Var
 	// zExpr returns the z_p·d_p expression for a pair (zero expression
 	// for pairs with no demand).
 	zExpr func(p topology.Pair) *lp.Expr
@@ -173,6 +178,7 @@ func buildFFCAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
 		poly:      lp.NewPolytope(),
 		constPart: lp.NewExpr(),
 		rhs:       lp.NewExpr(),
+		unitsOf:   mv.unitsOf,
 		xIdx:      map[topology.LinkID]lp.AdvVar{},
 		yIdx:      map[tunnels.ID]lp.AdvVar{},
 		hIdx:      map[LSID]lp.AdvVar{},
@@ -189,7 +195,7 @@ func buildFFCAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
 		spec.addCost(y, lp.NewExpr().Add(-1, mv.a[tid]))
 		spec.constPart.Add(1, mv.a[tid])
 	}
-	pst := unitMaxShared(in, tun)
+	pst := unitMaxShared(in, mv.unitsOf, tun)
 	spec.poly.AddRow("tunnel-budget", budget, lp.LE, float64(in.Failures.Budget*pst))
 	spec.rhs.AddExpr(1, mv.zExpr(p))
 	spec.pad()
@@ -200,9 +206,8 @@ func buildFFCAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
 // number of the pair's tunnels that a single unit (link, SRLG, or
 // node) can take down. For single-link units it equals
 // tunnels.Set.MaxShared.
-func unitMaxShared(in *Instance, tun []tunnels.ID) int {
+func unitMaxShared(in *Instance, unitsOf [][]int, tun []tunnels.ID) int {
 	count := make(map[int]int)
-	unitsOf := deathUnitsOf(in.Failures, in.Graph.NumLinks())
 	for _, tid := range tun {
 		seen := map[int]bool{}
 		for _, l := range uniqueLinks(in.Tunnels.Tunnel(tid).Path) {
@@ -228,9 +233,10 @@ func unitMaxShared(in *Instance, tun []tunnels.ID) int {
 // variables under the failure budget, link variables x tied to their
 // units, and tunnel variables y tied to the links of the pair's
 // tunnels. extraLinks lists links (e.g. condition links) that must have
-// x variables even if no tunnel of the pair uses them. aVar resolves a
-// tunnel's reservation variable in the master.
-func baseLinkAdversary(in *Instance, p topology.Pair, tun []tunnels.ID,
+// x variables even if no tunnel of the pair uses them. unitsOf is the
+// solve's death-unit index; aVar resolves a tunnel's reservation
+// variable in the master.
+func baseLinkAdversary(in *Instance, unitsOf [][]int, p topology.Pair, tun []tunnels.ID,
 	extraLinks []topology.LinkID, aVar func(tunnels.ID) lp.Var) *advSpec {
 
 	spec := &advSpec{
@@ -239,6 +245,7 @@ func baseLinkAdversary(in *Instance, p topology.Pair, tun []tunnels.ID,
 		poly:      lp.NewPolytope(),
 		constPart: lp.NewExpr(),
 		rhs:       lp.NewExpr(),
+		unitsOf:   unitsOf,
 		xIdx:      map[topology.LinkID]lp.AdvVar{},
 		yIdx:      map[tunnels.ID]lp.AdvVar{},
 		hIdx:      map[LSID]lp.AdvVar{},
@@ -269,7 +276,6 @@ func baseLinkAdversary(in *Instance, p topology.Pair, tun []tunnels.ID,
 	// death units appear: degrade units cannot kill links or tunnels,
 	// so giving them adversary variables would only let a fractional
 	// adversary spend budget without flow-side effect.
-	unitsOf := deathUnitsOf(in.Failures, in.Graph.NumLinks())
 	unitVar := map[int]lp.AdvVar{}
 	var budget []lp.AdvTerm
 	for _, l := range relLinks {
@@ -406,7 +412,7 @@ func buildPCFAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
 			}
 		}
 	}
-	spec := baseLinkAdversary(in, p, in.Tunnels.ForPair(p), extra,
+	spec := baseLinkAdversary(in, mv.unitsOf, p, in.Tunnels.ForPair(p), extra,
 		func(tid tunnels.ID) lp.Var { return mv.a[tid] })
 
 	condVar := func(qid LSID) lp.AdvVar {

@@ -44,7 +44,7 @@ func SolveAugmentPCFTF(in *Instance, zTarget float64, opts SolveOptions) (*Augme
 	start := time.Now()
 
 	m := lp.NewModel()
-	mv := &masterVars{a: map[tunnels.ID]lp.Var{}, b: map[LSID]lp.Var{}}
+	mv := newMasterVars(in)
 	for _, p := range in.Tunnels.Pairs() {
 		for _, tid := range in.Tunnels.ForPair(p) {
 			mv.a[tid] = m.AddNonNeg(fmt.Sprintf("a[%d]", tid))

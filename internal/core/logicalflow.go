@@ -335,7 +335,7 @@ func SolveRestrictedFlow(in *Instance, opts FlowOptions) (*FlowPlan, error) {
 		for _, arc := range loaders[p] {
 			extra = append(extra, topology.LinkOf(arc))
 		}
-		spec := baseLinkAdversary(in, p, tun, extra,
+		spec := baseLinkAdversary(in, mv.unitsOf, p, tun, extra,
 			func(tid tunnels.ID) lp.Var { return mv.a[tid] })
 
 		// LHS: unconditional demand-flow reservation for this pair.

@@ -60,12 +60,22 @@ var (
 // advBuilder builds the per-pair adversary spec for a scheme.
 type advBuilder func(in *Instance, p topology.Pair, mv *masterVars) *advSpec
 
+// newMasterVars starts a master's variable handles, with the solve's
+// death-unit index built once for every pair's adversary.
+func newMasterVars(in *Instance) *masterVars {
+	return &masterVars{
+		unitsOf: deathUnitsOf(in.Failures, in.Graph.NumLinks()),
+		a:       map[tunnels.ID]lp.Var{},
+		b:       map[LSID]lp.Var{},
+	}
+}
+
 // buildMaster creates the master model: reservation variables, the
 // admitted-fraction variables, link capacity rows (paper eq. 3) and the
 // objective Θ(z).
 func buildMaster(in *Instance, withLS bool) (*lp.Model, *masterVars) {
 	m := lp.NewModel()
-	mv := &masterVars{a: map[tunnels.ID]lp.Var{}, b: map[LSID]lp.Var{}}
+	mv := newMasterVars(in)
 
 	for _, p := range in.Tunnels.Pairs() {
 		for _, tid := range in.Tunnels.ForPair(p) {

@@ -16,8 +16,8 @@ import (
 )
 
 // sweepCLSPlan builds a PCF-CLS plan on Sprint large enough that the
-// incremental sweep actually attempts rank-k SMW updates (tiny
-// instances hit the rank guard and never consult the fault hook).
+// incremental sweep attempts many rank-k SMW updates, each of which
+// consults the fault hook.
 func sweepCLSPlan(t *testing.T) *core.Plan {
 	t.Helper()
 	g := topozoo.MustLoad("Sprint")
@@ -157,7 +157,7 @@ func TestIllConditionedUpdatesSweep(t *testing.T) {
 	}
 	st := sw.Stats()
 	// Each injected failure converts one would-be SMW hit into a counted
-	// fallback; everything else (k == 0 scenarios, rank-guard fallbacks)
+	// fallback; everything else (k == 0 scenarios, any other fallback)
 	// is untouched.
 	if st.SMWHits+n != st0.SMWHits {
 		t.Fatalf("SMWHits = %d with %d injected faults, baseline %d", st.SMWHits, n, st0.SMWHits)

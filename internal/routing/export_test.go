@@ -18,12 +18,20 @@ func (s *Sweep) CachedCorrectors() int {
 
 // CorruptBaseFlow adds delta to the first recorded base flow of
 // destination di — the flow list a replayed destination is checked and
-// materialized from — and returns the undo.
+// materialized from — and returns the undo. Both recompute the record's
+// balance verdict for di, as recordBase would have.
 func (s *Sweep) CorruptBaseFlow(di int, delta float64) (restore func()) {
 	i := s.rec.flowOff[di]
 	old := s.rec.flowVal[i]
-	s.rec.flowVal[i] += delta
-	return func() { s.rec.flowVal[i] = old }
+	bal := newBalance(len(s.destIndex))
+	set := func(v float64) {
+		s.rec.flowVal[i] = v
+		lo, hi := s.rec.flowOff[di], s.rec.flowOff[di+1]
+		node, _, _ := s.imbalance(&bal, di, s.rec.flowTun[lo:hi], s.rec.flowVal[lo:hi])
+		s.rec.balanced[di] = node < 0
+	}
+	set(old + delta)
+	return func() { set(old) }
 }
 
 // Fig5CLSPlan is the conditional-LS, double-failure plan the sweep

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +45,12 @@ type SweepStats struct {
 	// could not change the destination (sweepemit.go).
 	DestEvals   int
 	DestReplays int
+	// ArcChecks counts the arcs the sweep's checks visited one by one:
+	// per flat emission, the arcs it re-summed plus the arcs the
+	// scenario's dead and degraded links overlay; per cold realization,
+	// every arc. Every other arc's verdict is the record's
+	// (sweepcheck.go).
+	ArcChecks int
 	// MaxRank is the largest rank-k correction served by the SMW path.
 	MaxRank int
 	// BatchHits counts the SMW-served scenarios of this sweep whose
@@ -79,6 +86,7 @@ func (s SweepStats) Metrics() map[string]float64 {
 		"fallbacks_residual":  float64(s.FallbacksResidual),
 		"dest_evals":          float64(s.DestEvals),
 		"dest_replays":        float64(s.DestReplays),
+		"arc_checks":          float64(s.ArcChecks),
 		"max_rank":            float64(s.MaxRank),
 		"batch_hits":          float64(s.BatchHits),
 		"smw_hit_rate":        s.SMWHitRate(),
@@ -144,6 +152,7 @@ func (s *SweepStats) add(o SweepStats) {
 	s.FallbacksResidual += o.FallbacksResidual
 	s.DestEvals += o.DestEvals
 	s.DestReplays += o.DestReplays
+	s.ArcChecks += o.ArcChecks
 	s.MaxRank = max(s.MaxRank, o.MaxRank)
 	s.BatchHits += o.BatchHits
 	s.Total += o.Total
@@ -176,9 +185,11 @@ type sweepLS struct {
 // Sherman–Morrison–Woodbury with inverse columns solved lazily per
 // updated row and correctors shared between scenarios with identical
 // update signatures; a destination the scenario provably cannot change
-// replays its recorded emission. The one fallback is the cold Realize:
-// taken when the correction is too large (2k > n), the capacitance is
-// ill-conditioned, or the corrected rows fail the residual guard.
+// replays its recorded emission, and an arc no changed destination
+// loads keeps its recorded load and verdict. The one fallback is the
+// cold Realize: taken when the engine has no factored base, the
+// capacitance is singular or ill-conditioned, or the corrected rows
+// fail the residual guard.
 type Sweep struct {
 	plan *core.Plan
 
@@ -217,12 +228,14 @@ type Sweep struct {
 
 	// invCache holds the columns of the base inverse the sweep has
 	// needed so far (int row -> []float64), batches the SMW correctors
-	// keyed by the byte signature of a scenario's row updates
-	// (string -> *batchEntry). batchCap, the designed scenario count,
-	// bounds batches: the designed sweep cannot miss more often than
-	// that, so only client-chosen scenarios ever find the cache full.
+	// keyed by a keySeed hash of the byte signature of a scenario's row
+	// updates (uint64 -> *batchEntry, which holds the signature).
+	// batchCap, the designed scenario count, bounds batches: the
+	// designed sweep cannot miss more often than that, so only
+	// client-chosen scenarios ever find the cache full.
 	invCache    sync.Map
 	batches     sync.Map
+	keySeed     maphash.Seed
 	batchCap    int64
 	batchMisses atomic.Int64
 
@@ -235,8 +248,10 @@ type Sweep struct {
 
 // batchEntry is one memoized SMW corrector (or the error its
 // construction produced — cached too, so an ill-conditioned group
-// falls back cold without refactoring the capacitance every time).
+// falls back cold without refactoring the capacitance every time),
+// under the signature it was built for.
 type batchEntry struct {
+	key string
 	upd *linsolve.Updated
 	err error
 }

@@ -7,6 +7,7 @@ package routing
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"sync/atomic"
 	"time"
 
@@ -42,6 +43,7 @@ func NewSweepContext(ctx context.Context, plan *core.Plan) (*Sweep, error) {
 		index:    map[topology.Pair]int{},
 		numTun:   plan.Instance.Tunnels.Len(),
 		linkTuns: map[topology.LinkID][]tunnels.ID{},
+		keySeed:  maphash.MakeSeed(),
 	}
 	if fs := plan.Instance.Failures; fs != nil {
 		s.batchCap, _ = fs.NumScenarios()

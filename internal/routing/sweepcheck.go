@@ -1,9 +1,10 @@
 package routing
 
-// The sweep's check of one served scenario: every arc against the
-// scenario's capacity (and the MLU, in the same pass), then every
-// destination's flow conservation — over the flat emission in the
-// scratch, or over the cold fallback's Realization.
+// The sweep's check of one served scenario: the arcs it changed against
+// the scenario's capacity (and the MLU, in the same pass) with the
+// engine's record vouching for the rest, then every destination's flow
+// conservation — over the flat emission in the scratch, or, every arc
+// visited, over the cold fallback's Realization.
 
 import (
 	"fmt"
@@ -73,15 +74,16 @@ func balanceError(dst topology.NodeID, v int, got, want float64, sc failures.Sce
 }
 
 // overlay writes the scenario's capacities for its dead and degraded
-// links into caps — nominal·CapScale, the product ScenarioCapacity
-// forms — or, with restore set, puts the nominal values back.
-func (s *Sweep) overlay(sc failures.Scenario, caps []float64, restore bool) {
+// links into sr.arcCap — nominal·CapScale, the product ScenarioCapacity
+// forms — and lists the arcs it wrote in sr.overlaid, for the check to
+// visit and for restoreCaps to put back.
+func (s *Sweep) overlay(sc failures.Scenario, sr *sweepScratch) {
+	caps := sr.arcCap
+	sr.overlaid = sr.overlaid[:0]
 	set := func(l topology.LinkID, scale float64) {
 		if a := 2 * int(l); l >= 0 && a+1 < len(caps) {
-			if restore {
-				scale = 1
-			}
 			caps[a], caps[a+1] = s.arcCap[a]*scale, s.arcCap[a+1]*scale
+			sr.overlaid = append(sr.overlaid, int32(a), int32(a+1))
 		}
 	}
 	for l, alpha := range sc.Degraded {
@@ -94,26 +96,36 @@ func (s *Sweep) overlay(sc failures.Scenario, caps []float64, restore bool) {
 	}
 }
 
+// restoreCaps undoes overlay.
+func (s *Sweep) restoreCaps(sr *sweepScratch) {
+	for _, a := range sr.overlaid {
+		sr.arcCap[a] = s.arcCap[a]
+	}
+}
+
 // judge checks one served scenario and returns its maximum link
 // utilization: the flat emission in sr, or the cold Realization when
-// one is given. One pass over the arcs against a flat capacity array
-// with the scenario overlaid serves both the overload check and the
-// MLU; with check set, every destination is then balance-checked, in
-// node order. The first overloaded arc is reported if there is one,
-// else the first destination out of balance.
+// one is given. Each arc visited is compared against its capacity with
+// the scenario overlaid and divided for the MLU. A cold realization has
+// every arc visited; a flat emission only the arcs it re-summed and the
+// arcs the scenario overlays, and every other arc — its base load
+// against its nominal capacity — carries the record's verdict: the
+// first base-overloaded arc among them, and the first of them in the
+// base-utilization ranking for the MLU. With check set, every
+// destination is then balance-checked, in node order; a replayed one
+// carries the record's verdict too. The first overloaded arc is
+// reported if there is one, else the first destination out of balance.
 func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, cold *Realization, check bool) (float64, error) {
-	arcLoad := sr.arcLoad
+	arcLoad, caps := sr.arcLoad, sr.arcCap
 	if cold != nil {
 		arcLoad = cold.ArcLoad
 	}
-	caps := sr.arcCap
-	s.overlay(sc, caps, false)
+	s.overlay(sc, sr)
 	mlu, over := 0.0, -1
-	for a, load := range arcLoad {
-		c := caps[a]
-		if check && load > c+1e-6 {
+	visit := func(a int) {
+		load, c := arcLoad[a], caps[a]
+		if check && load > c+1e-6 && (over < 0 || a < over) {
 			over = a
-			break
 		}
 		// A load of zero never raises the maximum.
 		if load > 0 && c > 0 {
@@ -122,20 +134,56 @@ func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, cold *Realization,
 			}
 		}
 	}
+	if cold != nil || s.rec == nil {
+		for a := range arcLoad {
+			visit(a)
+		}
+		sr.arcChecks = len(arcLoad)
+	} else {
+		for _, a := range sr.changed {
+			visit(int(a))
+		}
+		for _, a := range sr.overlaid {
+			visit(int(a))
+		}
+		sr.arcChecks = len(sr.changed) + len(sr.overlaid)
+		// An arc neither re-summed nor overlaid has its base load and its
+		// nominal capacity (an overlay that scaled by one left it so).
+		untouched := func(a int32) bool {
+			//lint:ignore pcflint/floatcmp the record's verdict holds for exactly the capacity it was taken at; any other is visited
+			return sr.arcCur[a] < 0 && caps[a] == s.arcCap[a]
+		}
+		if check {
+			for _, a := range s.rec.over {
+				if untouched(a) {
+					visit(int(a))
+					break
+				}
+			}
+		}
+		for _, a := range s.rec.ranked {
+			if untouched(a) {
+				visit(int(a))
+				break
+			}
+		}
+	}
 	var err error
 	if over >= 0 {
 		err = overloadError(over, arcLoad[over], caps[over], sc)
 	}
-	s.overlay(sc, caps, true)
+	s.restoreCaps(sr)
 	if err != nil || !check {
 		return mlu, err
 	}
 
-	ts := s.plan.Instance.Tunnels
 	for di, dst := range s.dests {
 		var tuns []tunnels.ID
 		var vals []float64
 		if cold == nil {
+			if s.replayed(sr, di) && s.rec.balanced[di] {
+				continue
+			}
 			tuns, vals = s.destFlows(sr, di)
 		} else if flows, ok := cold.TunnelTo[dst]; ok {
 			// The scratch's flow arena is free once a scenario went cold.
@@ -144,12 +192,18 @@ func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, cold *Realization,
 		} else {
 			continue
 		}
-		lo, hi := s.wantNodes.off[di], s.wantNodes.off[di+1]
-		if v, got, want := sr.bal.imbalance(ts, tuns, vals, s.wantNodes.val[lo:hi], s.wantVals[lo:hi]); v >= 0 {
+		if v, got, want := s.imbalance(&sr.bal, di, tuns, vals); v >= 0 {
 			return mlu, balanceError(dst, v, got, want, sc)
 		}
 	}
 	return mlu, nil
+}
+
+// imbalance balance-checks flows as destination di's against its
+// targets.
+func (s *Sweep) imbalance(bal *balance, di int, tuns []tunnels.ID, vals []float64) (node int, got, want float64) {
+	lo, hi := s.wantNodes.off[di], s.wantNodes.off[di+1]
+	return bal.imbalance(s.plan.Instance.Tunnels, tuns, vals, s.wantNodes.val[lo:hi], s.wantVals[lo:hi])
 }
 
 // flattenFlows appends a destination's flow map to tuns and vals in

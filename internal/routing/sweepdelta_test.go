@@ -10,6 +10,7 @@ package routing
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,7 +45,7 @@ func denseRealize(s *Sweep, sc failures.Scenario, sr *sweepScratch) (*Realizatio
 	if k == 0 {
 		return denseEmit(s, sc, sr, s.uBase, nil, inCount)
 	}
-	upd, _ := s.corrector(ups)
+	upd, _ := s.corrector(sr, ups)
 	if upd == nil {
 		r, err := Realize(s.plan, sc)
 		return r, served{}, err
@@ -612,7 +613,7 @@ func TestDeltaAffectedWithoutRowUpdate(t *testing.T) {
 // row and its emission must lose the segment's flow.
 func TestDeltaAffectedOnMembershipFlip(t *testing.T) {
 	// Link 3 is the condition's and carries nothing; pairs 4→2, 5→2 and
-	// 6→2 only widen the system past the rank guard (2k ≤ n).
+	// 6→2 only widen the system.
 	h := newHandPlan(7, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {4, 2}, {5, 2}, {6, 2}}, 1)
 	h.tunnel(0, 2, 1, 2)
 	seg := h.tunnel(0, 1, 1, 0)
@@ -873,10 +874,97 @@ func TestSweepVerdictDeterministic(t *testing.T) {
 	}
 }
 
+// withCapacities returns the plan over a copy of its graph with every
+// link's capacity scaled by f: the same reservations, the same flows,
+// other verdicts.
+func withCapacities(plan *core.Plan, f float64) *core.Plan {
+	g := plan.Instance.Graph
+	h := topology.New(g.Name)
+	for v := 0; v < g.NumNodes(); v++ {
+		h.AddNode(g.NodeName(topology.NodeID(v)))
+	}
+	for _, l := range g.Links() {
+		h.AddWeightedLink(l.A, l.B, f*l.Capacity, l.Weight)
+	}
+	in := *plan.Instance
+	in.Graph = h
+	return &core.Plan{Scheme: plan.Scheme, Objective: plan.Objective, Instance: &in,
+		Z: plan.Z, TunnelRes: plan.TunnelRes, LSRes: plan.LSRes}
+}
+
+// TestRecordedArcVerdicts: an arc a scenario neither re-sums nor
+// overlays carries the record's verdict — overloaded or not, and its
+// utilization — so the record must stand in for the dense arc pass
+// exactly, including where the base itself overloads. The plan is
+// Sprint CLS with its capacities cut until the base overloads the most
+// utilized third of its loaded arcs: a scenario's first overloaded arc
+// is sometimes one it re-summed or overlaid and sometimes one only the
+// record vouches for, and both must match the dense oracle's verdict,
+// as the unchecked MLU must match its MLU.
+func TestRecordedArcVerdicts(t *testing.T) {
+	base := sprintCLSPlanOrSkip(t)
+	unscaled := newSweep(t, base)
+	rec := unscaled.rec
+	third := rec.ranked[len(rec.ranked)/3]
+	plan := withCapacities(base, 0.999*unscaled.baseLoad(third)/base.Instance.Graph.ArcCapacity(topology.ArcID(third)))
+	scenarios := append(designedSet(plan), beyondBudget(plan.Instance.Graph, 26, 300)...)
+	if tally := assertDeltaMatchesDense(t, "sprint-cls, capacities cut", plan, scenarios); tally.checkErrs == 0 {
+		t.Fatal("no scenario overloads")
+	}
+	sw := newSweep(t, plan)
+	if len(sw.rec.over) <= len(rec.ranked)/3 {
+		t.Fatalf("the base overloads %d arcs, want more than %d", len(sw.rec.over), len(rec.ranked)/3)
+	}
+	g := plan.Instance.Graph
+	sr := sw.newScratch()
+	fromRecord, visited := 0, 0
+	for _, sc := range scenarios {
+		cold, _, err := sw.realize(sc, sr)
+		if err != nil || cold != nil {
+			continue
+		}
+		mlu, _ := sw.judge(sc, sr, nil, false)
+		if want := denseMLU(g, flatRealization(t, sw, sc, sr)); !bitsEq(mlu, want) {
+			t.Fatalf("under %v: unchecked MLU %.17g, reference %.17g", sc, mlu, want)
+		}
+		_, jerr := sw.judge(sc, sr, nil, true)
+		var a int
+		if jerr == nil {
+			continue
+		}
+		if n, _ := fmt.Sscanf(jerr.Error(), "routing: arc %d", &a); n != 1 {
+			continue
+		}
+		l := topology.LinkOf(topology.ArcID(a))
+		if _, degraded := sc.Degraded[l]; sr.arcCur[a] < 0 && !sc.Dead[l] && !degraded {
+			fromRecord++
+		} else {
+			visited++
+		}
+	}
+	if fromRecord == 0 || visited == 0 {
+		t.Fatalf("%d overload verdicts from the record, %d from visited arcs: need both", fromRecord, visited)
+	}
+
+	// An overlay that raises a capacity drops the base's most utilized
+	// arc below arcs it outranked: the ranking must pass over it.
+	for _, scale := range []float64{4, 1} {
+		sc := failures.Scenario{Degraded: map[topology.LinkID]float64{topology.LinkOf(topology.ArcID(sw.rec.ranked[0])): scale}}
+		if _, _, err := sw.realize(sc, sr); err != nil {
+			t.Fatal(err)
+		}
+		mlu, _ := sw.judge(sc, sr, nil, false)
+		if want := denseMLU(g, flatRealization(t, sw, sc, sr)); !bitsEq(mlu, want) {
+			t.Fatalf("under %v: unchecked MLU %.17g, reference %.17g", sc, mlu, want)
+		}
+	}
+}
+
 // TestSweepScenarioAllocs: a warm designed scenario through the sweep
 // path — realize, then judge from the flat emission — allocates nothing
-// that scales with destinations, arcs or nodes; what remains is the row
-// updates of a rank-k scenario and their signature.
+// that scales with destinations, arcs, nodes or its rank: the row
+// updates and their signature live in the worker's scratch, and a
+// batch hit is looked up without building a key.
 func TestSweepScenarioAllocs(t *testing.T) {
 	plan := sprintCLSPlanOrSkip(t)
 	sw := newSweep(t, plan)
@@ -898,10 +986,7 @@ func TestSweepScenarioAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// Per updated row: its column and value lists (grown by
-		// append); per scenario: the update and scale lists, the
-		// signature bytes and its string.
-		if limit := float64(4 + 6*sv.rank); allocs > limit {
+		if limit := 2.0; allocs > limit {
 			t.Fatalf("under %v (rank %d, %d destinations, %d arcs): %.0f allocations per scenario, want ≤ %.0f",
 				sc, sv.rank, len(sw.dests), len(sw.arcCap), allocs, limit)
 		}
@@ -909,4 +994,40 @@ func TestSweepScenarioAllocs(t *testing.T) {
 			t.Fatalf("under %v: a rank-0 scenario allocates %.0f times", sc, allocs)
 		}
 	}
+}
+
+// TestCorrectorHashCollision: the corrector cache is keyed by a hash of
+// the update signature, so two signatures can share a key, and the
+// entry's own signature decides. A scenario whose hash finds another
+// signature's entry — here a planted decoy that would send it cold — is
+// served by a corrector built for its own updates, uncached, bit for
+// bit as the dense oracle serves it, and the decoy stays.
+func TestCorrectorHashCollision(t *testing.T) {
+	plan := fig5CLSPlan(t)
+	sw := newSweep(t, plan)
+	sr, ref := sw.newScratch(), sw.newScratch()
+	for _, sc := range designedSet(plan) {
+		sw.activate(sc, sr)
+		ups, _, err := sw.rowUpdates(sc, sr, sw.changedRows(sr))
+		if err != nil || len(ups) == 0 {
+			continue
+		}
+		h := maphash.Bytes(sw.keySeed, upsKey(nil, ups))
+		decoy := &batchEntry{key: "decoy", err: linsolve.ErrSingular}
+		sw.batches.Store(h, decoy)
+		want, _, werr := denseRealize(sw, sc, ref)
+		cold, sv, err := sw.realize(sc, sr)
+		if err != nil || werr != nil {
+			t.Fatalf("under %v: %v (reference %v)", sc, err, werr)
+		}
+		if cold != nil || !sv.smw || sv.batchHit || sv.rank != len(ups) {
+			t.Fatalf("under %v: served %+v (cold %v); want a fresh rank-%d corrector", sc, sv, cold != nil, len(ups))
+		}
+		sameRealization(t, fmt.Sprintf("under %v", sc), flatRealization(t, sw, sc, sr), want)
+		if v, _ := sw.batches.Load(h); v != decoy {
+			t.Fatalf("under %v: the colliding entry was replaced", sc)
+		}
+		return
+	}
+	t.Fatal("no designed scenario makes a row update")
 }

@@ -7,6 +7,7 @@ package routing
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"sort"
 
@@ -34,28 +35,49 @@ type sweepScratch struct {
 	// batched correctors stay read-only across workers.
 	smwZ, smwY []float64
 
+	// The scenario's row updates (rowUpdates) — the list, the residual
+	// guard's scale per update, and one arena each for their columns
+	// and values, upEnd[j] ending update j's share — and their
+	// signature (upsKey). A corrector that keeps updates copies them.
+	ups     []linsolve.RowUpdate
+	upScale []float64
+	upCols  []int
+	upVals  []float64
+	upEnd   []int
+	key     []byte
+
 	// The flat emission of the scenario last served through the
 	// low-rank path (sweepemit.go): the aggregate solution and pair
 	// count, the flows of the destinations emitted afresh as one
 	// (tunnel, flow) arena with an offset per destination — a replayed
-	// destination's flows are the engine's record — and the arc loads.
+	// destination's flows are the engine's record — and the arc loads,
+	// which equal the record's base loads except on the arcs listed in
+	// changed. arcCur is -1 on every other arc and, on those, how far
+	// into the record's additions to the arc the re-sum has got.
 	sol     []float64
 	inCount int
 	flowOff []int32
 	flowTun []tunnels.ID
 	flowVal []float64
 	arcLoad []float64
+	arcCur  []int32
+	changed []int32
 
 	// The check's state (sweepcheck.go): the capacity array the
 	// scenario's dead and degraded links are overlaid on and restored
-	// from, and the node balance.
-	arcCap []float64
-	bal    balance
+	// from, the arcs overlaid, the node balance, and how many arcs the
+	// last check visited.
+	arcCap    []float64
+	overlaid  []int32
+	bal       balance
+	arcChecks int
 }
 
+// newScratch returns a worker's scratch holding the engine's base arc
+// loads (zero before the record exists).
 func (s *Sweep) newScratch() *sweepScratch {
 	g := s.plan.Instance.Graph
-	return &sweepScratch{
+	sr := &sweepScratch{
 		inSet:    make([]int32, s.n),
 		rowMark:  make([]int32, s.n),
 		colMark:  make([]int32, s.n),
@@ -69,9 +91,14 @@ func (s *Sweep) newScratch() *sweepScratch {
 		xt:       make([]float64, s.n),
 		flowOff:  make([]int32, len(s.dests)+1),
 		arcLoad:  make([]float64, g.NumArcs()),
+		arcCur:   make([]int32, g.NumArcs()),
 		arcCap:   append([]float64(nil), s.arcCap...),
 		bal:      newBalance(g.NumNodes()),
 	}
+	for a := range sr.arcCur {
+		sr.arcLoad[a], sr.arcCur[a] = s.baseLoad(int32(a)), -1
+	}
+	return sr
 }
 
 // realize serves one scenario and reports how. A scenario served
@@ -97,7 +124,7 @@ func (s *Sweep) realize(sc failures.Scenario, sr *sweepScratch) (*Realization, s
 	var upd *linsolve.Updated
 	hit := false
 	if k > 0 {
-		if upd, hit = s.corrector(ups); upd == nil {
+		if upd, hit = s.corrector(sr, ups); upd == nil {
 			return s.cold(sc, causeSingular)
 		}
 		if cap(sr.smwZ) < k {
@@ -269,10 +296,17 @@ func (s *Sweep) rowCoeffs(sr *sweepScratch, r int) float64 {
 // rowUpdates turns the candidate rows into the scenario's sparse row
 // deltas against the base matrix, with the per-row scale the residual
 // guard measures against. Rows that recompute to their base values
-// drop out.
+// drop out. Both lists, and the updates' columns and values, are sr's
+// arenas, valid until its next call.
 func (s *Sweep) rowUpdates(sc failures.Scenario, sr *sweepScratch, rows []int) ([]linsolve.RowUpdate, []float64, error) {
-	var ups []linsolve.RowUpdate
-	var upScale []float64
+	sr.ups, sr.upScale, sr.upEnd = sr.ups[:0], sr.upScale[:0], sr.upEnd[:0]
+	sr.upCols, sr.upVals = sr.upCols[:0], sr.upVals[:0]
+	emit := func(c int, d float64) {
+		if d != 0 {
+			sr.upCols = append(sr.upCols, c)
+			sr.upVals = append(sr.upVals, d)
+		}
+	}
 	for _, r := range rows {
 		diag := s.rowCoeffs(sr, r)
 		if diag <= 1e-12 && sr.inSet[r] == sr.epoch {
@@ -280,14 +314,7 @@ func (s *Sweep) rowUpdates(sc failures.Scenario, sr *sweepScratch, rows []int) (
 		}
 		// Merge the row's columns with the base row's entries, ascending
 		// — every other column is zero in both.
-		var cols []int
-		var vals []float64
-		emit := func(c int, d float64) {
-			if d != 0 {
-				cols = append(cols, c)
-				vals = append(vals, d)
-			}
-		}
+		lo := len(sr.upCols)
 		base := s.baseRows[r]
 		bi := 0
 		for _, c := range sr.touched {
@@ -304,75 +331,101 @@ func (s *Sweep) rowUpdates(sc failures.Scenario, sr *sweepScratch, rows []int) (
 		for ; bi < len(base); bi++ {
 			emit(base[bi].Col, -base[bi].Val)
 		}
-		if len(cols) > 0 {
-			ups = append(ups, linsolve.RowUpdate{Row: r, Cols: cols, Vals: vals})
-			upScale = append(upScale, 1+diag)
+		if len(sr.upCols) > lo {
+			sr.ups = append(sr.ups, linsolve.RowUpdate{Row: r})
+			sr.upScale = append(sr.upScale, 1+diag)
+			sr.upEnd = append(sr.upEnd, len(sr.upCols))
 		}
 	}
-	return ups, upScale, nil
+	// The arenas have stopped growing: slice each update's share.
+	lo := 0
+	for j, hi := range sr.upEnd {
+		sr.ups[j].Cols, sr.ups[j].Vals = sr.upCols[lo:hi:hi], sr.upVals[lo:hi:hi]
+		lo = hi
+	}
+	return sr.ups, sr.upScale, nil
 }
 
-// upsKey serializes a scenario's row updates into the byte signature
-// that batches SMW corrections: scenarios whose failed links produce
-// the same rows, columns, and bit-identical delta values share one
-// capacitance factorization. The signature is built from dead links
-// only, and deliberately so: degradation (Scenario.Degraded) scales
-// capacities but never touches the reservation matrix, so scenarios
-// differing only in degraded links share the same linear system — and
-// the same batch entry. Capacity effects apply downstream, where MLUOf
-// and the overload checks divide by ScenarioCapacity.
-func upsKey(ups []linsolve.RowUpdate) string {
-	sz := 0
+// upsKey appends to b the byte signature that batches SMW corrections:
+// scenarios whose failed links produce the same rows, columns, and
+// bit-identical delta values share one capacitance factorization. The
+// signature is built from dead links only, and deliberately so:
+// degradation (Scenario.Degraded) scales capacities but never touches
+// the reservation matrix, so scenarios differing only in degraded links
+// share the same linear system — and the same batch entry. Capacity
+// effects apply downstream, where MLUOf and the overload checks divide
+// by ScenarioCapacity.
+func upsKey(b []byte, ups []linsolve.RowUpdate) []byte {
 	for _, up := range ups {
-		sz += 2*binary.MaxVarintLen64 + len(up.Cols)*2*binary.MaxVarintLen64
-	}
-	b := make([]byte, 0, sz)
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		b = append(b, tmp[:binary.PutUvarint(tmp[:], v)]...)
-	}
-	for _, up := range ups {
-		put(uint64(up.Row))
-		put(uint64(len(up.Cols)))
+		b = binary.AppendUvarint(b, uint64(up.Row))
+		b = binary.AppendUvarint(b, uint64(len(up.Cols)))
 		for t, c := range up.Cols {
-			put(uint64(c))
-			put(math.Float64bits(up.Vals[t]))
+			b = binary.AppendUvarint(b, uint64(c))
+			b = binary.AppendUvarint(b, math.Float64bits(up.Vals[t]))
 		}
 	}
-	return string(b)
+	return b
 }
 
 // corrector returns the SMW corrector for a set of row updates and
 // whether it came out of the signature cache; nil sends the scenario
 // cold. Scenarios with the same signature share one capacitance
 // factorization, and a failed construction is memoized like a
-// successful one. Racing workers may each build an entry once; the
-// build is deterministic, so whichever copy wins the store is
-// interchangeable. Once the engine has missed batchCap times, a missed
-// corrector is built, used and not kept.
-func (s *Sweep) corrector(ups []linsolve.RowUpdate) (*linsolve.Updated, bool) {
+// successful one. The cache is keyed by a hash of the signature, which
+// is built in sr and compared against the entry's own copy, so a hit
+// allocates nothing; a miss copies the updates and the signature into
+// its entry (a hash shared by two signatures serves the second
+// uncached). Racing workers may each build an entry once; the build is
+// deterministic, so whichever copy wins the store is interchangeable.
+// Once the engine has missed batchCap times, a missed corrector is
+// built, used and not kept.
+func (s *Sweep) corrector(sr *sweepScratch, ups []linsolve.RowUpdate) (*linsolve.Updated, bool) {
 	if hook := SweepUpdateFault; hook != nil && hook(ups) != nil {
 		return nil, false
 	}
-	key := upsKey(ups)
-	if v, ok := s.batches.Load(key); ok {
-		return v.(*batchEntry).upd, true
+	sr.key = upsKey(sr.key[:0], ups)
+	h := maphash.Bytes(s.keySeed, sr.key)
+	if v, ok := s.batches.Load(h); ok {
+		if be := v.(*batchEntry); be.key == string(sr.key) {
+			return be.upd, true
+		}
 	}
-	be := &batchEntry{}
-	cols := make([][]float64, len(ups))
-	for j, up := range ups {
+	be := &batchEntry{key: string(sr.key)}
+	own := cloneUpdates(ups)
+	cols := make([][]float64, len(own))
+	for j, up := range own {
 		if cols[j], be.err = s.invCol(up.Row); be.err != nil {
 			break
 		}
 	}
 	if be.err == nil {
-		be.upd, be.err = linsolve.NewUpdated(s.n, ups, cols)
+		be.upd, be.err = linsolve.NewUpdated(s.n, own, cols)
 	}
 	if s.batchMisses.Add(1) > s.batchCap {
 		return be.upd, false
 	}
-	v, _ := s.batches.LoadOrStore(key, be)
-	return v.(*batchEntry).upd, false
+	if v, _ := s.batches.LoadOrStore(h, be); v.(*batchEntry).key == be.key {
+		return v.(*batchEntry).upd, false
+	}
+	return be.upd, false
+}
+
+// cloneUpdates deep-copies row updates into two fresh arenas, sized up
+// front so they never move.
+func cloneUpdates(ups []linsolve.RowUpdate) []linsolve.RowUpdate {
+	n := 0
+	for _, up := range ups {
+		n += len(up.Cols)
+	}
+	cols, vals := make([]int, 0, n), make([]float64, 0, n)
+	out := make([]linsolve.RowUpdate, len(ups))
+	for j, up := range ups {
+		lo := len(cols)
+		cols, vals = append(cols, up.Cols...), append(vals, up.Vals...)
+		hi := len(cols)
+		out[j] = linsolve.RowUpdate{Row: up.Row, Cols: cols[lo:hi:hi], Vals: vals[lo:hi:hi]}
+	}
+	return out
 }
 
 // invCol returns column r of the base inverse, solved on first use and

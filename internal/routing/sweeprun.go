@@ -108,6 +108,7 @@ func sweepScenarios(ctx context.Context, plan *core.Plan, sw *Sweep, check, stop
 					if cold, sv, err = sw.realize(sc, sr); err == nil {
 						ws.count(sv)
 						mlu, err = sw.judge(sc, sr, cold, check)
+						ws.ArcChecks += sr.arcChecks
 					}
 				} else {
 					var r *Realization

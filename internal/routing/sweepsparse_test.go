@@ -165,7 +165,7 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 	if warm.BatchHits != rankK {
 		t.Fatalf("warm pass BatchHits = %d, want exactly the %d rank-k scenarios", warm.BatchHits, rankK)
 	}
-	if warm.SMWHits != cold.SMWHits || warm.Fallbacks != cold.Fallbacks || warm.MaxRank != cold.MaxRank {
+	if warm.SMWHits != cold.SMWHits || warm.Fallbacks != cold.Fallbacks || warm.MaxRank != cold.MaxRank || warm.ArcChecks != cold.ArcChecks {
 		t.Fatalf("warm pass %+v disagrees with cold pass %+v", warm, cold)
 	}
 	if got := sw.Stats().Scenarios; got != warm.Scenarios {
@@ -185,7 +185,7 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 		t.Fatalf("%d fallbacks, max rank %d of n = %d; want none and a rank above n/2", warm.Fallbacks, warm.MaxRank, sw.n)
 	}
 	want := []string{"scenarios", "workers", "smw_hits", "fallbacks", "fallbacks_nobase",
-		"fallbacks_singular", "fallbacks_residual", "dest_evals", "dest_replays", "max_rank", "batch_hits",
+		"fallbacks_singular", "fallbacks_residual", "dest_evals", "dest_replays", "arc_checks", "max_rank", "batch_hits",
 		"smw_hit_rate", "base_factor_time_ms", "total_ms"}
 	m := warm.Metrics()
 	if len(m) != len(want) {

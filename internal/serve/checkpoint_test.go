@@ -230,8 +230,8 @@ func TestStoreWritable(t *testing.T) {
 // "invalid" record — and a second Recover with a live context must
 // publish that very snapshot.
 func TestRecoverCanceledMidSweepKeepsSnapshot(t *testing.T) {
-	// Sprint, eight pairs: wide enough that single-link scenarios pass
-	// the rank guard and consult the update hook (the shared ring4 plan
+	// Sprint, eight pairs: wide enough that single-link scenarios make
+	// row updates and consult the update hook (the shared ring4 plan
 	// never does).
 	g := topozoo.MustLoad("Sprint")
 	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 5, Jitter: 0.4})

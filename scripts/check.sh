@@ -70,12 +70,13 @@ go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeter
 
 echo "== delta validation ≡ dense (-race -count=2)"
 # The sweep replays a recorded emission for every destination a scenario
-# cannot change and checks sparsely; the dense path it replaced lives on
-# as the test-file oracle and must agree bit for bit — loads, flows, MLU,
+# cannot change, re-sums only the arcs the others load and takes every
+# other verdict from the record; the dense path it replaced lives on as
+# the test-file oracle and must agree bit for bit — loads, flows, MLU,
 # verdicts — serially and on a forced 4-worker pool, which is what the
 # race detector examines here (DESIGN.md §12). -count=2 keeps Go's test
 # cache from answering for a schedule-dependent regression.
-go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked' ./internal/routing/
+go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts' ./internal/routing/
 
 echo "== kernel solve ≡ full LU, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
@@ -90,7 +91,8 @@ go test -race -count=2 -run 'TestKernelSolveMatchesFullLU|TestHighRankScenariosS
 echo "== bench smoke (-benchtime 1x)"
 # Every Go benchmark once, for its tripwires: BenchmarkSolveSynth1k
 # b.Fatals on a phase-1 iteration or a kernel as large as the basis,
-# BenchmarkValidateSweepSynth1k on a sweep that replays nothing.
+# BenchmarkValidateSweepSynth1k on a sweep that replays nothing or
+# checks every arc of every scenario.
 go test -run '^$' -bench . -benchtime 1x . ./internal/core
 
 echo "== benchmark smoke (frozen API)"
