@@ -82,7 +82,8 @@ func FailFirstNStarts(n int, cause error) func(lp.FaultEvent) error {
 // being non-adjacent, have no tunnel reservation of their own. Their
 // two matrix rows are then scalar multiples of each other (rank
 // deficiency by construction). It exercises the linsolve.ErrSingular
-// path out of routing.Realize.
+// path out of the cold path's sparse factorization, which routing.Realize
+// and an engine that cannot factor its base both run.
 func NearSingularPlan() (*core.Plan, failures.Scenario) {
 	g := topology.New("ring4")
 	for i := 0; i < 4; i++ {
@@ -210,10 +211,10 @@ func LPCorpus(seed int64) []*lp.Model {
 // IllConditionedUpdates returns a hook for routing.SweepUpdateFault
 // that declares every everyN-th rank-k SMW update ill-conditioned
 // (wrapping linsolve.ErrIllConditioned), forcing those scenarios onto
-// the cold refactorization path. The sweep must count each forced
-// fallback in routing.SweepStats.Fallbacks and still produce results
-// bit-identical to a cold Realize — the fault changes the code path,
-// never the answer. everyN <= 1 fails every update. The second return
+// the cold path, which factors the scenario's own rows afresh. The sweep
+// must count each forced fallback in routing.SweepStats.Fallbacks and
+// still produce results bit-identical to routing.Realize, which runs
+// that same path — the fault changes the code path, never the answer. everyN <= 1 fails every update. The second return
 // value reports how many updates were failed so far.
 func IllConditionedUpdates(everyN int) (func([]linsolve.RowUpdate) error, func() int) {
 	if everyN < 1 {

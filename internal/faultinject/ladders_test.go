@@ -179,7 +179,8 @@ func TestSolveBestParentCanceled(t *testing.T) {
 
 // TestNearSingularPlan exercises the linsolve.ErrSingular path out of
 // routing.Realize: the hand-built cyclic plan passes the diagonal
-// pre-check but its reservation matrix is rank deficient.
+// pre-check but its reservation matrix is rank deficient, and the sparse
+// factorization of its rows says so.
 func TestNearSingularPlan(t *testing.T) {
 	plan, sc := NearSingularPlan()
 	_, err := routing.Realize(plan, sc)
@@ -193,8 +194,8 @@ func TestNearSingularPlan(t *testing.T) {
 		t.Fatalf("error does not wrap routing.ErrSingularMatrix: %v", err)
 	}
 	// The served path reports the same typed error: the engine cannot
-	// factor its base, stays cold-only, and its one fallback is the
-	// cold Realize above.
+	// factor its base, stays cold-only, and serves the scenario through
+	// the cold path Realize above ran.
 	sw, err := routing.NewSweepContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -203,9 +204,9 @@ func TestNearSingularPlan(t *testing.T) {
 		t.Fatalf("sweep error does not wrap routing.ErrSingularMatrix: %v", err)
 	}
 	// Neither of the paper's other mechanisms can save this plan — the
-	// Jacobi iteration diverges on the same singular matrix and the LS
-	// relation is cyclic — and both must say so rather than return an
-	// unverified realization.
+	// Jacobi iteration over the same sparse rows does not converge and
+	// the LS relation is cyclic — and both must say so rather than
+	// return an unverified realization.
 	if _, _, err := routing.RealizeIterative(plan, sc, 200, 0); !errors.Is(err, linsolve.ErrNoConvergence) {
 		t.Fatalf("iterative realization: want linsolve.ErrNoConvergence, got %v", err)
 	}

@@ -1,10 +1,13 @@
-// Package linsolve solves the dense linear systems that arise when PCF
+// Package linsolve solves the linear systems that arise when PCF
 // realizes logical-sequence reservations as a concrete routing (paper
 // §4.1): M·U = D where M is the reservation matrix, an invertible
-// M-matrix (Proposition 5). It provides a direct LU solver with partial
-// pivoting for exactness, and the Jacobi iteration that exploits the
-// M-matrix structure — the "simple and memory-efficient iterative
-// algorithms" the paper points to for distributed implementations.
+// M-matrix (Proposition 5), given as sparse rows. It provides a sparse
+// LU with Markowitz pivoting for exactness, Sherman–Morrison–Woodbury
+// corrections of a factored matrix under a few changed rows (their k×k
+// capacitance factored by a small dense LU with partial pivoting), and
+// the Jacobi iteration that exploits the M-matrix structure — the
+// "simple and memory-efficient iterative algorithms" the paper points
+// to for distributed implementations.
 package linsolve
 
 import (
@@ -22,7 +25,8 @@ var ErrSingular = errors.New("linsolve: singular matrix")
 // reaching the residual target. Matched with errors.Is.
 var ErrNoConvergence = errors.New("linsolve: iteration did not converge")
 
-// LU is an LU factorization with partial pivoting of an n x n matrix.
+// LU is an LU factorization with partial pivoting of a small dense
+// n x n matrix.
 type LU struct {
 	n    int
 	lu   []float64 // combined L (unit lower) and U factors, row-major
@@ -72,15 +76,6 @@ func Factor(a []float64, n int) (*LU, error) {
 	return f, nil
 }
 
-// Solve solves A x = b using the factorization.
-func (f *LU) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, f.n)
-	if err := f.SolveInto(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // SolveInto solves A x = b into a caller-owned buffer, for hot paths
 // that reuse scratch across many solves. x must not overlap b.
 func (f *LU) SolveInto(x, b []float64) error {
@@ -112,15 +107,6 @@ func (f *LU) SolveInto(x, b []float64) error {
 	return nil
 }
 
-// Solve is a convenience that factors and solves in one call.
-func Solve(a []float64, b []float64, n int) ([]float64, error) {
-	f, err := Factor(a, n)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
 // IterResult reports the outcome of an iterative solve.
 type IterResult struct {
 	X          []float64
@@ -129,74 +115,65 @@ type IterResult struct {
 }
 
 // Jacobi solves A x = b by Jacobi iteration, the fully parallel /
-// distributed iteration of the paper's §4.3. It converges for the
-// weakly chained diagonally dominant M-matrices produced by PCF's
-// reservation construction. maxIter bounds sweeps; tol is the max-norm
-// residual target.
-func Jacobi(a, b []float64, n, maxIter int, tol float64) (*IterResult, error) {
-	if len(a) != n*n || len(b) != n {
-		return nil, fmt.Errorf("linsolve: dimension mismatch")
+// distributed iteration of the paper's §4.3, with A given as sparse
+// rows (duplicate columns within a row are summed, as FactorSparseRows
+// sums them). It converges for the weakly chained diagonally dominant
+// M-matrices produced by PCF's reservation construction. maxIter
+// bounds sweeps; tol is the max-norm residual target.
+func Jacobi(rows [][]SparseEntry, b []float64, maxIter int, tol float64) (*IterResult, error) {
+	n := len(rows)
+	if len(b) != n {
+		return nil, fmt.Errorf("linsolve: %d sparse rows, rhs length %d", n, len(b))
 	}
-	for i := 0; i < n; i++ {
-		if math.Abs(a[i*n+i]) < 1e-13 {
+	diag := make([]float64, n)
+	for i, row := range rows {
+		for _, e := range row {
+			if e.Col < 0 || e.Col >= n {
+				return nil, fmt.Errorf("linsolve: row %d references column %d out of range [0,%d)", i, e.Col, n)
+			}
+			if e.Col == i {
+				diag[i] += e.Val
+			}
+		}
+		if math.Abs(diag[i]) < 1e-13 {
 			return nil, ErrSingular
 		}
 	}
+	// A diverged iterate makes the residual NaN, which is not converged:
+	// hence !(res <= tol) rather than res > tol.
 	x, next := make([]float64, n), make([]float64, n)
 	res := math.Inf(1)
 	it := 0
-	for ; it < maxIter && res > tol; it++ {
-		for i := 0; i < n; i++ {
+	for ; it < maxIter && !(res <= tol); it++ {
+		for i, row := range rows {
 			s := b[i]
-			row := a[i*n : i*n+n]
-			for j := 0; j < n; j++ {
-				if j != i {
-					s -= row[j] * x[j]
+			for _, e := range row {
+				if e.Col != i {
+					s -= e.Val * x[e.Col]
 				}
 			}
-			next[i] = s / row[i]
+			next[i] = s / diag[i]
 		}
 		x, next = next, x
-		res = Residual(a, x, b, n)
+		res = residual(rows, x, b)
 	}
-	if res > tol {
-		return &IterResult{X: x, Iterations: it, Residual: res},
-			fmt.Errorf("%w in %d iterations (residual %g)", ErrNoConvergence, maxIter, res)
+	out := &IterResult{X: x, Iterations: it, Residual: res}
+	if !(res <= tol) {
+		return out, fmt.Errorf("%w in %d iterations (residual %g)", ErrNoConvergence, maxIter, res)
 	}
-	return &IterResult{X: x, Iterations: it, Residual: res}, nil
+	return out, nil
 }
 
-// Residual returns the max-norm of A x - b.
-func Residual(a, x, b []float64, n int) float64 {
+// residual returns the max-norm of A x − b over sparse rows (NaN if any
+// row's is).
+func residual(rows [][]SparseEntry, x, b []float64) float64 {
 	worst := 0.0
-	for i := 0; i < n; i++ {
+	for i, row := range rows {
 		s := -b[i]
-		row := a[i*n : i*n+n]
-		for j := 0; j < n; j++ {
-			s += row[j] * x[j]
+		for _, e := range row {
+			s += e.Val * x[e.Col]
 		}
-		if v := math.Abs(s); v > worst {
-			worst = v
-		}
+		worst = max(worst, math.Abs(s))
 	}
 	return worst
-}
-
-// IsMMatrix reports whether the matrix has the M-matrix sign pattern:
-// nonpositive off-diagonals and positive diagonals. It is a necessary
-// condition used by the property tests for Proposition 5.
-func IsMMatrix(a []float64, n int, tolerance float64) bool {
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := a[i*n+j]
-			if i == j {
-				if v <= tolerance {
-					return false
-				}
-			} else if v > tolerance {
-				return false
-			}
-		}
-	}
-	return true
 }

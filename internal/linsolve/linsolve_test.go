@@ -1,15 +1,26 @@
 package linsolve
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// solve factors the dense matrix and solves one right-hand side.
+func solve(a, b []float64, n int) ([]float64, error) {
+	f, err := Factor(a, n)
+	if err != nil {
+		return nil, err
+	}
+	x := make([]float64, n)
+	return x, f.SolveInto(x, b)
+}
+
 func TestSolveIdentity(t *testing.T) {
 	a := []float64{1, 0, 0, 1}
-	x, err := Solve(a, []float64{3, 4}, 2)
+	x, err := solve(a, []float64{3, 4}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +34,7 @@ func TestSolveKnown3x3(t *testing.T) {
 	// 2x + y - z = 8; -3x - y + 2z = -11; -2x + y + 2z = -3
 	// Solution: x=2, y=3, z=-1.
 	a := []float64{2, 1, -1, -3, -1, 2, -2, 1, 2}
-	x, err := Solve(a, []float64{8, -11, -3}, 3)
+	x, err := solve(a, []float64{8, -11, -3}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +48,7 @@ func TestSolveKnown3x3(t *testing.T) {
 
 func TestSingularDetected(t *testing.T) {
 	a := []float64{1, 2, 2, 4}
-	if _, err := Solve(a, []float64{1, 2}, 2); err == nil {
+	if _, err := solve(a, []float64{1, 2}, 2); err == nil {
 		t.Fatal("expected singular error")
 	}
 }
@@ -45,7 +56,7 @@ func TestSingularDetected(t *testing.T) {
 func TestPivotingNeeded(t *testing.T) {
 	// Zero on the first diagonal entry forces a row swap.
 	a := []float64{0, 1, 1, 0}
-	x, err := Solve(a, []float64{5, 7}, 2)
+	x, err := solve(a, []float64{5, 7}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +88,11 @@ func TestJacobiMatchesLU(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + rng.Intn(8)
 		a, b := randDiagDominant(rng, n)
-		direct, err := Solve(a, b, n)
+		direct, err := solve(a, b, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jc, err := Jacobi(a, b, n, 20000, 1e-10)
+		jc, err := Jacobi(sparseFromDense(a, n), b, 20000, 1e-10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,8 +109,16 @@ func TestIterativeDivergenceReported(t *testing.T) {
 	// get an error rather than silent garbage.
 	a := []float64{1, 3, 3, 1}
 	b := []float64{1, 1}
-	if _, err := Jacobi(a, b, 2, 50, 1e-12); err == nil {
-		t.Fatal("expected non-convergence error")
+	res, err := Jacobi(sparseFromDense(a, 2), b, 50, 1e-12)
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("expected ErrNoConvergence, got %v", err)
+	}
+	if res == nil || res.Iterations != 50 {
+		t.Fatalf("partial result %+v, want the 50 sweeps it ran", res)
+	}
+	// A zero diagonal cannot be iterated on at all.
+	if _, err := Jacobi(sparseFromDense([]float64{0, 1, 1, 1}, 2), b, 50, 1e-12); !errors.Is(err, ErrSingular) {
+		t.Fatalf("zero diagonal: want ErrSingular, got %v", err)
 	}
 }
 
@@ -107,23 +126,11 @@ func TestResidual(t *testing.T) {
 	a := []float64{2, 0, 0, 2}
 	x := []float64{1, 1}
 	b := []float64{2, 3}
-	if r := Residual(a, x, b, 2); math.Abs(r-1) > 1e-12 {
+	if r := residual(sparseFromDense(a, 2), x, b); math.Abs(r-1) > 1e-12 {
 		t.Fatalf("residual = %g, want 1", r)
 	}
-}
-
-func TestIsMMatrix(t *testing.T) {
-	good := []float64{2, -1, -0.5, 3}
-	if !IsMMatrix(good, 2, 1e-9) {
-		t.Fatal("should be an M-matrix sign pattern")
-	}
-	badOff := []float64{2, 1, -0.5, 3}
-	if IsMMatrix(badOff, 2, 1e-9) {
-		t.Fatal("positive off-diagonal should fail")
-	}
-	badDiag := []float64{0, -1, -0.5, 3}
-	if IsMMatrix(badDiag, 2, 1e-9) {
-		t.Fatal("zero diagonal should fail")
+	if r := residual(sparseFromDense(a, 2), []float64{math.NaN(), 1}, b); !math.IsNaN(r) {
+		t.Fatalf("residual over a NaN iterate = %g, want NaN", r)
 	}
 }
 
@@ -135,11 +142,11 @@ func TestPropertyLURoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(15)
 		a, b := randDiagDominant(rng, n)
-		x, err := Solve(a, b, n)
+		x, err := solve(a, b, n)
 		if err != nil {
 			return false
 		}
-		return Residual(a, x, b, n) < 1e-8
+		return residual(sparseFromDense(a, n), x, b) < 1e-8
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
@@ -151,10 +158,13 @@ func TestDimensionMismatch(t *testing.T) {
 		t.Fatal("expected length error")
 	}
 	f, _ := Factor([]float64{1, 0, 0, 1}, 2)
-	if _, err := f.Solve([]float64{1}); err == nil {
+	if err := f.SolveInto(make([]float64, 2), []float64{1}); err == nil {
 		t.Fatal("expected rhs length error")
 	}
-	if _, err := Jacobi([]float64{1}, []float64{1, 2}, 2, 10, 1e-9); err == nil {
+	if _, err := Jacobi([][]SparseEntry{{{Col: 0, Val: 1}}}, []float64{1, 2}, 10, 1e-9); err == nil {
 		t.Fatal("expected dimension error")
+	}
+	if _, err := Jacobi([][]SparseEntry{{{Col: 1, Val: 1}}}, []float64{1}, 10, 1e-9); err == nil {
+		t.Fatal("expected column range error")
 	}
 }

@@ -27,8 +27,8 @@ type RowUpdate struct {
 	Vals []float64
 }
 
-// Updated solves systems of a row-updated matrix M = A + U·Vᵀ through
-// the Sherman–Morrison–Woodbury identity
+// Updated turns solutions of A into solutions of the row-updated
+// matrix M = A + U·Vᵀ through the Sherman–Morrison–Woodbury identity
 //
 //	M⁻¹ b = y − W · C⁻¹ · (Vᵀ y),   y = A⁻¹ b,
 //
@@ -39,7 +39,6 @@ type RowUpdate struct {
 // in, where a scenario touches only the few reservation-matrix rows
 // whose tunnels or logical sequences the failed links affect.
 type Updated struct {
-	base *LU
 	n    int
 	ups  []RowUpdate
 	w    [][]float64 // w[j] = A⁻¹ e_{ups[j].Row} (column of the inverse)
@@ -47,7 +46,7 @@ type Updated struct {
 	z, y []float64   // k-sized scratch, allocated on first CorrectInto
 }
 
-// RankUpdate prepares an SMW solver for A + updates, computing the
+// RankUpdate prepares an SMW corrector for A + updates, computing the
 // needed inverse columns with k solves against the base factorization.
 // It returns ErrSingular (wrapped) if the capacitance matrix is
 // singular — i.e. the updated matrix is — and ErrIllConditioned when
@@ -60,19 +59,14 @@ func (f *LU) RankUpdate(ups []RowUpdate) (*Updated, error) {
 			return nil, fmt.Errorf("linsolve: update row %d out of range [0,%d)", up.Row, f.n)
 		}
 		e[up.Row] = 1
-		x, err := f.Solve(e)
+		cols[j] = make([]float64, f.n)
+		err := f.SolveInto(cols[j], e)
 		e[up.Row] = 0
 		if err != nil {
 			return nil, err
 		}
-		cols[j] = x
 	}
-	u, err := NewUpdated(f.n, ups, cols)
-	if err != nil {
-		return nil, err
-	}
-	u.base = f
-	return u, nil
+	return NewUpdated(f.n, ups, cols)
 }
 
 // NewUpdated builds the SMW corrector from update rows and their base
@@ -81,9 +75,7 @@ func (f *LU) RankUpdate(ups []RowUpdate) (*Updated, error) {
 // (dense LU or SparseLU). Callers sweeping many scenarios against one
 // base factorization compute the inverse columns they need once and
 // pass views here; the columns are retained (not copied) and must not
-// be modified while the Updated is in use. The resulting Updated
-// supports CorrectInto / CorrectIntoScratch but not Solve, which needs
-// the base.
+// be modified while the Updated is in use.
 func NewUpdated(n int, ups []RowUpdate, cols [][]float64) (*Updated, error) {
 	k := len(ups)
 	if len(cols) != k {
@@ -196,20 +188,4 @@ func (u *Updated) CorrectIntoScratch(dst, y, z, yk []float64) error {
 		}
 	}
 	return nil
-}
-
-// Solve solves (A + updates) x = b. It needs the base factorization,
-// so it is unavailable on an Updated built with NewUpdated.
-func (u *Updated) Solve(b []float64) ([]float64, error) {
-	if u.base == nil {
-		return nil, fmt.Errorf("linsolve: Solve needs a base factorization (built with NewUpdated)")
-	}
-	y, err := u.base.Solve(b)
-	if err != nil {
-		return nil, err
-	}
-	if err := u.CorrectInto(y, y); err != nil {
-		return nil, err
-	}
-	return y, nil
 }

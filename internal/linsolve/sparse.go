@@ -57,8 +57,6 @@ type SparseLU struct {
 	urow             []luEntry // U rows: (original col, value), pivot excluded
 	ucol             []luEntry // U columns by step position: (step, value), for transpose solves
 	lptr, uptr, cptr []int
-
-	inputNNZ int
 }
 
 // SparseFactorizer is the factorization workspace: the active
@@ -188,7 +186,7 @@ func (w *SparseFactorizer) Factor(n int, ptr []int, ents []SparseEntry) (*Sparse
 		return nil, fmt.Errorf("linsolve: %d row offsets for n=%d", len(ptr), n)
 	}
 	f := &w.lu
-	f.n, f.inputNNZ = n, ptr[n]-ptr[0]
+	f.n = n
 	f.rowPerm, f.colPerm = resize(f.rowPerm, n), resize(f.colPerm, n)
 	f.rowPos, f.colPos = resize(f.rowPos, n), resize(f.colPos, n)
 	f.piv = resize(f.piv, n)
@@ -407,23 +405,11 @@ func sortEntries(row []SparseEntry) {
 // N returns the matrix dimension.
 func (f *SparseLU) N() int { return f.n }
 
-// InputNNZ returns the nonzero count of the factored matrix.
-func (f *SparseLU) InputNNZ() int { return f.inputNNZ }
-
 // FactorNNZ returns the nonzero count of the stored L and U factors
 // (pivots included), the fill-in measure the refactorization triggers
 // compare against.
 func (f *SparseLU) FactorNNZ() int {
 	return f.n + len(f.lcol) + len(f.urow) // n pivots
-}
-
-// Solve solves A x = b.
-func (f *SparseLU) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, f.n)
-	if err := f.SolveIntoScratch(x, b, make([]float64, f.n)); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // SolveInto solves A x = b into a caller-owned buffer. It allocates a
@@ -492,10 +478,4 @@ func (f *SparseLU) SolveTransposeIntoScratch(y, c, w []float64) error {
 		y[f.rowPerm[k]] = w[k]
 	}
 	return nil
-}
-
-// SolveTransposeInto solves Aᵀ y = c into a caller-owned buffer,
-// allocating a transient workspace.
-func (f *SparseLU) SolveTransposeInto(y, c []float64) error {
-	return f.SolveTransposeIntoScratch(y, c, make([]float64, f.n))
 }

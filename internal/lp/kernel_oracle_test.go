@@ -152,7 +152,7 @@ func (st *simplexState) compareWithFullLU() error {
 				rhs[i] = rng.NormFloat64()
 			}
 		}
-		if err := lu.SolveTransposeInto(want, rhs); err != nil {
+		if err := lu.SolveTransposeIntoScratch(want, rhs, make([]float64, len(rhs))); err != nil {
 			return err
 		}
 		st.btran(rhs, got)
@@ -170,7 +170,7 @@ func (st *simplexState) compareWithFullLU() error {
 	for r := 0; r < m; r += 1 + m/25 {
 		clear(rhs)
 		rhs[r] = 1
-		if err := lu.SolveTransposeInto(want, rhs); err != nil {
+		if err := lu.SolveTransposeIntoScratch(want, rhs, make([]float64, len(rhs))); err != nil {
 			return err
 		}
 		st.fac.invRow(r, got)

@@ -111,36 +111,6 @@ func (st *state) diag(p topology.Pair) float64 {
 	return total
 }
 
-// Matrix builds the reservation matrix M of §4.1 over the pairs of
-// interest (row-major, len(pairs) x len(pairs)).
-func (st *state) Matrix() []float64 {
-	n := len(st.pairs)
-	m := make([]float64, n*n)
-	for i, p := range st.pairs {
-		m[i*n+i] = st.diag(p)
-		// Row p gains -b_q for every active LS q that uses p as a
-		// segment, in the column of q's own pair.
-		for _, qid := range st.activeThr[p] {
-			q := st.plan.Instance.LSs[qid]
-			j, ok := st.index[q.Pair]
-			if !ok {
-				continue // q's pair carries nothing; its load is zero
-			}
-			m[i*n+j] -= st.plan.LSRes[qid]
-		}
-	}
-	return m
-}
-
-// demandVec returns the D vector: scaled demand per pair of interest.
-func (st *state) demandVec() []float64 {
-	d := make([]float64, len(st.pairs))
-	for i, p := range st.pairs {
-		d[i] = st.plan.ScaledDemand(p)
-	}
-	return d
-}
-
 // Realization is a concrete routing for one failure scenario.
 type Realization struct {
 	Scenario failures.Scenario
@@ -163,84 +133,18 @@ type Realization struct {
 var ErrSingularMatrix = errors.New("routing: reservation matrix singular")
 
 // Realize computes the routing for a scenario by solving the linear
-// systems of §4.1 with one shared LU factorization of the reservation
-// matrix over the pairs of interest: the aggregate utilizations first,
-// then one right-hand side per destination.
+// systems of §4.1 over the scenario's own reservation matrix, factored
+// once: the aggregate utilizations first, then one right-hand side per
+// destination. It is the engine's cold path, run on an engine built
+// without a base, so a Sweep answers a scenario that leaves its
+// low-rank path bit for bit as Realize does.
 func Realize(plan *core.Plan, sc failures.Scenario) (*Realization, error) {
-	st := newState(plan, sc)
-	n := len(st.pairs)
-	in := plan.Instance
-	res := &Realization{
-		Scenario: sc,
-		Pairs:    st.pairs,
-		TunnelTo: map[topology.NodeID]map[tunnels.ID]float64{},
-		ArcLoad:  make([]float64, in.Graph.NumArcs()),
+	s := newIndex(plan)
+	sr := s.newScratch()
+	if _, err := s.realize(sc, sr); err != nil {
+		return nil, err
 	}
-	if n == 0 {
-		return res, nil
-	}
-	mat := st.Matrix()
-	for i, p := range st.pairs {
-		if mat[i*n+i] <= 1e-12 {
-			return nil, fmt.Errorf("routing: pair %v of interest has no live reservation under %v", p, sc)
-		}
-	}
-	lu, err := linsolve.Factor(mat, n)
-	if err != nil {
-		return nil, fmt.Errorf("%w under %v: %w", ErrSingularMatrix, sc, err)
-	}
-	u, err := lu.Solve(st.demandVec())
-	if err != nil {
-		return nil, fmt.Errorf("routing: aggregate system under %v: %w", sc, err)
-	}
-	res.U = u
-	for i := range u {
-		if u[i] < -1e-7 || u[i] > 1+1e-7 {
-			return nil, fmt.Errorf("routing: U[%v] = %g outside [0,1] under %v (Proposition 5 violated — plan not feasible for this scenario)",
-				st.pairs[i], u[i], sc)
-		}
-	}
-	// Per-destination systems M·U_t = D_t, sharing the factorization.
-	destSet := map[topology.NodeID]bool{}
-	for _, p := range in.DemandPairs() {
-		if plan.ScaledDemand(p) > 1e-12 {
-			destSet[p.Dst] = true
-		}
-	}
-	for t := 0; t < in.Graph.NumNodes(); t++ {
-		dst := topology.NodeID(t)
-		if !destSet[dst] {
-			continue
-		}
-		dt := make([]float64, n)
-		for i, p := range st.pairs {
-			if p.Dst == dst {
-				dt[i] = plan.ScaledDemand(p)
-			}
-		}
-		ut, err := lu.Solve(dt)
-		if err != nil {
-			return nil, fmt.Errorf("routing: destination %d system under %v: %w", dst, sc, err)
-		}
-		flows := map[tunnels.ID]float64{}
-		for i, p := range st.pairs {
-			if ut[i] <= 1e-12 {
-				continue
-			}
-			for _, tid := range st.liveTun[p] {
-				r := ut[i] * plan.TunnelRes[tid]
-				if r <= 1e-12 {
-					continue
-				}
-				flows[tid] += r
-				for _, a := range in.Tunnels.Tunnel(tid).Path.Arcs {
-					res.ArcLoad[a] += r
-				}
-			}
-		}
-		res.TunnelTo[dst] = flows
-	}
-	return res, nil
+	return s.materialize(sc, sr), nil
 }
 
 // RealizeProportional computes the routing with the local proportional
@@ -566,9 +470,10 @@ const (
 // implementation the paper sketches in §4.3: each node pair repeatedly
 // updates its own utilization from its neighbors' values, which is
 // possible because M is a weakly chained diagonally dominant M-matrix
-// (Proposition 5) and therefore the iteration converges. Returns the
-// utilizations in the same pair order as Realize. maxSweeps <= 0 and
-// tol <= 0 select DefaultJacobiMaxSweeps and DefaultJacobiTol.
+// (Proposition 5) and therefore the iteration converges. It iterates on
+// the rows Realize factors and returns the utilizations in Realize's
+// pair order. maxSweeps <= 0 and tol <= 0 select DefaultJacobiMaxSweeps
+// and DefaultJacobiTol.
 func RealizeIterative(plan *core.Plan, sc failures.Scenario, maxSweeps int, tol float64) ([]topology.Pair, []float64, error) {
 	if maxSweeps <= 0 {
 		maxSweeps = DefaultJacobiMaxSweeps
@@ -576,25 +481,29 @@ func RealizeIterative(plan *core.Plan, sc failures.Scenario, maxSweeps int, tol 
 	if tol <= 0 {
 		tol = DefaultJacobiTol
 	}
-	st := newState(plan, sc)
-	n := len(st.pairs)
-	if n == 0 {
+	s := newIndex(plan)
+	if s.n == 0 {
 		return nil, nil, nil
 	}
-	mat := st.Matrix()
-	for i, p := range st.pairs {
-		if mat[i*n+i] <= 1e-12 {
-			return nil, nil, fmt.Errorf("routing: pair %v has no live reservation under %v", p, sc)
-		}
+	sr := s.newScratch()
+	s.activate(sc, sr)
+	if err := s.scenarioRows(sc, sr); err != nil {
+		return nil, nil, err
 	}
-	res, err := linsolve.Jacobi(mat, st.demandVec(), n, maxSweeps, tol)
+	res, err := linsolve.Jacobi(rowViews(sr.sys.ptr, sr.sys.ents), s.demand, maxSweeps, tol)
 	if err != nil {
 		return nil, nil, fmt.Errorf("routing: distributed iteration under %v: %w", sc, err)
 	}
-	for i, u := range res.X {
-		if u < -1e-6 || u > 1+1e-6 {
-			return nil, nil, fmt.Errorf("routing: iterative U[%v] = %g outside [0,1] under %v", st.pairs[i], u, sc)
+	var pairs []topology.Pair
+	var u []float64
+	for r, p := range s.pairs {
+		if sr.inSet[r] != sr.epoch {
+			continue
 		}
+		if x := res.X[r]; x < -1e-6 || x > 1+1e-6 {
+			return nil, nil, fmt.Errorf("routing: iterative U[%v] = %g outside [0,1] under %v", p, x, sc)
+		}
+		pairs, u = append(pairs, p), append(u, res.X[r])
 	}
-	return st.pairs, res.X, nil
+	return pairs, u, nil
 }

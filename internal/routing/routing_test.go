@@ -7,7 +7,6 @@ import (
 
 	"pcf/internal/core"
 	"pcf/internal/failures"
-	"pcf/internal/linsolve"
 	"pcf/internal/topology"
 	"pcf/internal/topozoo"
 	"pcf/internal/traffic"
@@ -39,10 +38,10 @@ func fig1Plan(t *testing.T, f int) *core.Plan {
 
 func TestRealizeTunnelOnlyPlan(t *testing.T) {
 	plan := fig1Plan(t, 1)
-	if err := validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan); err != nil {
 		t.Fatalf("linear-system validation: %v", err)
 	}
-	if err := validate(plan, ValidateOptions{Proportional: true}); err != nil {
+	if _, err := proportionalWorst(plan); err != nil {
 		t.Fatalf("proportional validation: %v", err)
 	}
 }
@@ -78,11 +77,45 @@ func corollaryPlan(t *testing.T) *core.Plan {
 
 func TestRealizeLSPlanAllScenarios(t *testing.T) {
 	plan := corollaryPlan(t)
-	if err := validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan); err != nil {
 		t.Fatalf("linear-system validation: %v", err)
 	}
-	if err := validate(plan, ValidateOptions{Proportional: true}); err != nil {
+	if _, err := proportionalWorst(plan); err != nil {
 		t.Fatalf("proportional validation: %v", err)
+	}
+}
+
+// isMMatrix reports whether the dense n×n matrix has the M-matrix sign
+// pattern: nonpositive off-diagonals and positive diagonals, both
+// beyond tolerance. It is a necessary condition of Proposition 5.
+func isMMatrix(a []float64, n int, tolerance float64) bool {
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			v := a[i*n+j]
+			if i == j {
+				if v <= tolerance {
+					return false
+				}
+			} else if v > tolerance {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func TestIsMMatrix(t *testing.T) {
+	good := []float64{2, -1, -0.5, 3}
+	if !isMMatrix(good, 2, 1e-9) {
+		t.Fatal("should be an M-matrix sign pattern")
+	}
+	badOff := []float64{2, 1, -0.5, 3}
+	if isMMatrix(badOff, 2, 1e-9) {
+		t.Fatal("positive off-diagonal should fail")
+	}
+	badDiag := []float64{0, -1, -0.5, 3}
+	if isMMatrix(badDiag, 2, 1e-9) {
+		t.Fatal("zero diagonal should fail")
 	}
 }
 
@@ -97,7 +130,7 @@ func TestProposition5(t *testing.T) {
 			return true
 		}
 		mat := st.Matrix()
-		if !linsolve.IsMMatrix(mat, n, 1e-12) {
+		if !isMMatrix(mat, n, 1e-12) {
 			t.Fatalf("not an M-matrix sign pattern under %v", sc)
 		}
 		r, err := Realize(plan, sc)
@@ -194,7 +227,7 @@ func TestConditionalLSRealization(t *testing.T) {
 	if math.Abs(plan.Value-1) > 1e-5 {
 		t.Fatalf("PCF-CLS value %g, want 1", plan.Value)
 	}
-	if err := validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan); err != nil {
 		t.Fatalf("validation: %v", err)
 	}
 }
@@ -299,7 +332,7 @@ func TestRealizeDeliversThroughputObjective(t *testing.T) {
 	if plan.Value < 2-1e-5 {
 		t.Fatalf("throughput %g, want >= 2", plan.Value)
 	}
-	if err := validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -396,18 +429,18 @@ func TestTopSortPlanProportionallyRealizable(t *testing.T) {
 	if plan.Value <= 0 {
 		t.Fatal("plan admits no traffic")
 	}
-	if err := validate(plan, ValidateOptions{Proportional: true}); err != nil {
+	if _, err := proportionalWorst(plan); err != nil {
 		t.Fatalf("proportional replay failed: %v", err)
 	}
 	// And the linear-system realization agrees on every scenario.
-	if err := validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan); err != nil {
 		t.Fatalf("linear replay failed: %v", err)
 	}
 }
 
 func TestWorstMLU(t *testing.T) {
 	plan := fig1Plan(t, 1)
-	mlu, sc, err := worstMLU(plan, ValidateOptions{})
+	mlu, sc, err := worstMLU(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +448,7 @@ func TestWorstMLU(t *testing.T) {
 		t.Fatalf("worst MLU = %g, want in (0, 1]", mlu)
 	}
 	_ = sc
-	mluP, _, err := worstMLU(plan, ValidateOptions{Proportional: true})
+	mluP, err := proportionalWorst(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,10 +509,10 @@ func TestMultiFailureCLSValidation(t *testing.T) {
 	if plan.Value <= 0 {
 		t.Fatal("no admitted traffic under double failures")
 	}
-	if err := validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan); err != nil {
 		t.Fatalf("double-failure validation: %v", err)
 	}
-	mlu, _, err := worstMLU(plan, ValidateOptions{})
+	mlu, _, err := worstMLU(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +550,7 @@ func TestThroughputCLSValidation(t *testing.T) {
 	if plan.Value <= 0 {
 		t.Fatal("zero throughput")
 	}
-	if err := validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan); err != nil {
 		t.Fatalf("throughput validation: %v", err)
 	}
 }

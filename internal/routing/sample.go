@@ -99,7 +99,7 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 	// Exhaustive pass over the designed set: the hard guarantee. Any
 	// violation here is the caller's error, not a statistic.
 	scenarios := designedSet(plan)
-	slots, exStats := sweepScenarios(ctx, plan, sw, true, true, scenarios)
+	slots, exStats := sweepScenarios(ctx, sw, true, true, scenarios)
 	if _, err := firstFailure(scenarios, slots); err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 			}
 			drawn[i] = sampler.Next()
 		}
-		sslots, sStats := sweepScenarios(ctx, plan, sw, true, false, drawn)
+		sslots, sStats := sweepScenarios(ctx, sw, true, false, drawn)
 		rep.Stats.add(*sStats)
 		for i := range sslots {
 			if !sslots[i].done {
@@ -178,11 +178,10 @@ func WorstMLUSearch(ctx context.Context, plan *core.Plan, opts core.SearchOption
 		}
 		sr := sw.newScratch()
 		opts.Eval = func(sc failures.Scenario) (float64, error) {
-			cold, _, err := sw.realize(sc, sr)
-			if err != nil {
+			if _, err := sw.realize(sc, sr); err != nil {
 				return 0, err
 			}
-			return sw.judge(sc, sr, cold, false)
+			return sw.judge(sc, sr, nil, false)
 		}
 	}
 	return core.WorstScenarioSearch(ctx, plan, opts)

@@ -100,7 +100,7 @@ func TestWorstMLUSearchMatchesEnumeration(t *testing.T) {
 		"fig1-degrade": degradedFig1Plan(t, 2, 0.5),
 	}
 	for name, plan := range plans {
-		worst, worstSc, err := worstMLU(plan, ValidateOptions{})
+		worst, worstSc, err := worstMLU(plan)
 		if err != nil {
 			t.Fatalf("%s: enumeration: %v", name, err)
 		}

@@ -27,13 +27,14 @@ type SweepStats struct {
 	BaseFactorTime time.Duration
 	// SMWHits counts scenarios served by the Sherman–Morrison–Woodbury
 	// low-rank path (including unchanged scenarios served straight
-	// from the base solutions); Fallbacks counts scenarios that
-	// refactorized cold, and the three counters after it split that
-	// number by cause: the engine has no factored base, no corrector
-	// could be built (a singular or ill-conditioned capacitance), or the
-	// corrected rows failed the residual guard. The correction's rank is
-	// not a cause: it counts distinct rows, so it never exceeds n, and
-	// the identity is exact up to there (DESIGN.md §12).
+	// from the base solutions); Fallbacks counts scenarios the cold path
+	// served — their own rows factored afresh — and the three counters
+	// after it split that number by cause: the engine has no factored
+	// base, no corrector could be built (a singular or ill-conditioned
+	// capacitance), or the corrected rows failed the residual guard. The
+	// correction's rank is not a cause: it counts distinct rows, so it
+	// never exceeds n, and the identity is exact up to there (DESIGN.md
+	// §12).
 	SMWHits           int
 	Fallbacks         int
 	FallbacksNoBase   int
@@ -46,9 +47,9 @@ type SweepStats struct {
 	DestEvals   int
 	DestReplays int
 	// ArcChecks counts the arcs the sweep's checks visited one by one:
-	// per flat emission, the arcs it re-summed plus the arcs the
-	// scenario's dead and degraded links overlay; per cold realization,
-	// every arc. Every other arc's verdict is the record's
+	// per scenario, the arcs its emission re-summed plus the arcs its
+	// dead and degraded links overlay (every arc, on an engine with no
+	// base record). Every other arc's verdict is the record's
 	// (sweepcheck.go).
 	ArcChecks int
 	// MaxRank is the largest rank-k correction served by the SMW path.
@@ -107,7 +108,7 @@ const (
 // served says how the engine answered one scenario: through the
 // low-rank path (with what correction rank, whether the corrector came
 // out of the signature cache, and how many of the destinations emitted
-// were replays) or through the cold fallback, and then why.
+// were replays) or through the cold path, and then why.
 type served struct {
 	smw      bool
 	rank     int
@@ -187,9 +188,12 @@ type sweepLS struct {
 // update signatures; a destination the scenario provably cannot change
 // replays its recorded emission, and an arc no changed destination
 // loads keeps its recorded load and verdict. The one fallback is the
-// cold Realize: taken when the engine has no factored base, the
-// capacitance is singular or ill-conditioned, or the corrected rows
-// fail the residual guard.
+// cold path (cold): the scenario's own sparse rows, built by the same
+// row routine, factored afresh and emitted the same way — taken when
+// the engine has no factored base, the capacitance is singular or
+// ill-conditioned, or the corrected rows fail the residual guard. An
+// engine built without a base (newIndex) serves only that path; it is
+// what Realize runs.
 type Sweep struct {
 	plan *core.Plan
 
@@ -221,7 +225,7 @@ type Sweep struct {
 
 	baseInSet []bool
 	baseRows  [][]linsolve.SparseEntry // base matrix rows, ascending column
-	slu       *linsolve.SparseLU       // base factorization; nil: engine is cold-only
+	slu       *linsolve.SparseLU       // base factorization; nil: the engine serves only the cold path
 	uBase     []float64                // base aggregate solution A⁻¹D
 	destBase  [][]float64              // base per-destination solutions A⁻¹D_t
 	rec       *baseEmission            // what emitDests produces on the empty scenario; set with slu
@@ -261,8 +265,9 @@ type batchEntry struct {
 // scenario onto the cold path, counted in SweepStats.Fallbacks exactly
 // like a genuinely ill-conditioned capacitance. It exists for fault
 // injection (internal/faultinject): tests prove the fallback stays
-// bit-equal to a cold Realize. Production code must leave it nil, and
-// it must not be changed while sweeps are running.
+// bit-equal to Realize and within 1e-9 of the dense oracle. Production
+// code must leave it nil, and it must not be changed while sweeps are
+// running.
 var SweepUpdateFault func(ups []linsolve.RowUpdate) error
 
 // Check verifies Proposition 6's properties for a realization of this
@@ -300,13 +305,15 @@ func (s *Sweep) Stats() SweepStats {
 }
 
 // Realize computes the routing for one scenario, using the low-rank
-// path when it applies and the cold path otherwise. The result is
-// identical to Realize(plan, sc) up to linear-solver round-off (1e-9
-// relative, property-tested). Safe for concurrent use.
+// path when it applies and the cold path otherwise. A scenario the cold
+// path serves is bit for bit Realize(plan, sc), which runs the same
+// routine; a low-rank one agrees with it to linear-solver round-off
+// (1e-9 relative, property-tested). Safe for concurrent use.
 func (s *Sweep) Realize(sc failures.Scenario) (*Realization, error) {
 	sr := s.pool.Get().(*sweepScratch)
-	r, sv, err := s.realize(sc, sr)
-	if err == nil && r == nil {
+	sv, err := s.realize(sc, sr)
+	var r *Realization
+	if err == nil {
 		r = s.materialize(sc, sr)
 	}
 	s.pool.Put(sr)

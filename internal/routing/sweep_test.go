@@ -150,19 +150,38 @@ func newSweep(t *testing.T, plan *core.Plan) *Sweep {
 }
 
 // validate and worstMLU are the stats-less shorthands most tests want.
-func validate(plan *core.Plan, opts ValidateOptions) error {
-	_, err := ValidateStats(nil, plan, opts)
+func validate(plan *core.Plan) error {
+	_, err := ValidateStats(nil, plan, ValidateOptions{})
 	return err
 }
 
-func worstMLU(plan *core.Plan, opts ValidateOptions) (float64, failures.Scenario, error) {
-	worst, sc, _, err := WorstMLUStats(nil, plan, opts)
+func worstMLU(plan *core.Plan) (float64, failures.Scenario, error) {
+	worst, sc, _, err := WorstMLUStats(nil, plan, ValidateOptions{})
 	return worst, sc, err
 }
 
+// proportionalWorst replays the designed set through the §4.2
+// proportional router: each scenario realized by RealizeProportional,
+// checked by CheckRealization, and the worst MLUOf returned — the
+// proportional counterpart of worstMLU.
+func proportionalWorst(plan *core.Plan) (float64, error) {
+	worst := 0.0
+	for _, sc := range designedSet(plan) {
+		r, err := RealizeProportional(plan, sc)
+		if err == nil {
+			err = CheckRealization(plan, r)
+		}
+		if err != nil {
+			return worst, err
+		}
+		worst = max(worst, MLUOf(plan.Instance.Graph, r))
+	}
+	return worst, nil
+}
+
 // assertSweepMatchesCold replays every scenario through both the
-// incremental engine and the cold per-scenario path and requires
-// agreement to 1e-9 relative — the tentpole's acceptance contract.
+// incremental engine and the dense oracle and requires agreement to
+// 1e-9 relative — the engine's acceptance contract.
 func assertSweepMatchesCold(t *testing.T, plan *core.Plan) {
 	t.Helper()
 	const tol = 1e-9
@@ -175,7 +194,7 @@ func assertSweepMatchesCold(t *testing.T, plan *core.Plan) {
 		return d <= tol
 	}
 	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
-		want, werr := Realize(plan, sc)
+		want, werr := denseRealize(plan, sc)
 		got, gerr := sw.Realize(sc)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("under %v: cold err %v, sweep err %v", sc, werr, gerr)
@@ -227,7 +246,7 @@ func assertSweepMatchesCold(t *testing.T, plan *core.Plan) {
 	if st.SMWHits == 0 {
 		t.Fatalf("sweep never took the low-rank path (stats %+v)", st)
 	}
-	if err := validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan); err != nil {
 		t.Fatalf("parallel validation: %v", err)
 	}
 }
@@ -260,13 +279,13 @@ func TestSweepMatchesColdSprintCLS(t *testing.T) {
 
 // TestWorstMLUMatchesSerialCold pins the deterministic-merge contract:
 // the parallel sweep returns the same worst utilization as a serial
-// cold loop, and the reported scenario attains it.
+// loop over the dense oracle, and the reported scenario attains it.
 func TestWorstMLUMatchesSerialCold(t *testing.T) {
 	for _, plan := range []*core.Plan{fig1Plan(t, 2), fig5CLSPlan(t)} {
 		worst := 0.0
 		g := plan.Instance.Graph
 		mluOf := func(sc failures.Scenario) float64 {
-			r, err := Realize(plan, sc)
+			r, err := denseRealize(plan, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +305,7 @@ func TestWorstMLUMatchesSerialCold(t *testing.T) {
 			}
 			return true
 		})
-		got, gotSc, err := worstMLU(plan, ValidateOptions{})
+		got, gotSc, err := worstMLU(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,19 +461,21 @@ func TestSweepUpdateFaultFallsBack(t *testing.T) {
 	}
 }
 
-// TestSweepProportional: the proportional option routes through the
-// same pool with per-scenario proportional realization.
+// TestSweepProportional: on a topologically sortable plan the §4.2
+// proportional router and the engine's sweep agree on the designed set
+// (Proposition 7): both validate, with the same worst MLU.
 func TestSweepProportional(t *testing.T) {
 	plan := corollaryPlan(t)
-	if err := validate(plan, ValidateOptions{Proportional: true}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := ValidateStats(nil, plan, ValidateOptions{Proportional: true})
+	prop, err := proportionalWorst(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SMWHits != 0 || st.Fallbacks != 0 {
-		t.Fatalf("proportional sweep reported SMW counters: %+v", st)
+	lin, _, err := worstMLU(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(prop-lin) > 1e-6 {
+		t.Fatalf("proportional worst MLU %g, engine %g", prop, lin)
 	}
 }
 
@@ -468,7 +489,7 @@ func TestSweepMultiWorkerDeterministic(t *testing.T) {
 		old := sweepWorkerCount
 		sweepWorkerCount = func() int { return 1 }
 		defer func() { sweepWorkerCount = old }()
-		return worstMLU(plan, ValidateOptions{})
+		return worstMLU(plan)
 	}()
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +512,7 @@ func TestSweepMultiWorkerDeterministic(t *testing.T) {
 			t.Fatalf("trial %d: pool did not scale: %d workers", trial, st.Workers)
 		}
 	}
-	if err := validate(plan, ValidateOptions{}); err != nil {
+	if err := validate(plan); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,13 +1,15 @@
 package routing
 
-// The engine build: universe closure → plan indexes → base rows →
-// factor + base solves → base emission record. Everything here runs
-// once per plan.
+// The engine build: universe closure → plan indexes (newIndex, all a
+// cold-only engine has) → base rows → factor + base solves → base
+// emission record. Everything here runs once per plan.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -38,6 +40,19 @@ func NewSweepContext(ctx context.Context, plan *core.Plan) (*Sweep, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	s := newIndex(plan)
+	if err := s.buildBase(ctx); err != nil {
+		return nil, fmt.Errorf("routing: sweep precompute canceled: %w", err)
+	}
+	s.baseTime = time.Since(start)
+	return s, nil
+}
+
+// newIndex returns the plan's engine without a base: the universe and
+// the plan in universe-row coordinates, and nothing factored, so every
+// scenario takes the cold path. Realize runs on one; NewSweepContext
+// goes on to build the base.
+func newIndex(plan *core.Plan) *Sweep {
 	s := &Sweep{
 		plan:     plan,
 		index:    map[topology.Pair]int{},
@@ -48,32 +63,28 @@ func NewSweepContext(ctx context.Context, plan *core.Plan) (*Sweep, error) {
 	if fs := plan.Instance.Failures; fs != nil {
 		s.batchCap, _ = fs.NumScenarios()
 	}
-	if err := s.build(ctx); err != nil {
-		return nil, fmt.Errorf("routing: sweep precompute canceled: %w", err)
-	}
 	s.pool.New = func() any { return s.newScratch() }
-	s.baseTime = time.Since(start)
-	return s, nil
-}
-
-// build runs the stages in order; its only error is ctx's.
-func (s *Sweep) build(ctx context.Context) error {
-	// Positive-reservation LSs, in instance order (the order every
-	// cold-path list is built in, so recomputed sums are bit-equal).
+	// Positive-reservation LSs, in instance order (the order every list
+	// of them is built in, so recomputed sums are bit-equal).
 	var qs []core.LogicalSequence
-	for _, q := range s.plan.Instance.LSs {
-		if s.plan.LSRes[q.ID] > 0 {
+	for _, q := range plan.Instance.LSs {
+		if plan.LSRes[q.ID] > 0 {
 			qs = append(qs, q)
 		}
 	}
 	// Listed once: the traffic matrix is dense, so each listing scans
 	// every node pair.
-	demandPairs := s.plan.Instance.DemandPairs()
+	demandPairs := plan.Instance.DemandPairs()
 	s.closeUniverse(qs, demandPairs)
+	s.indexPlan(qs, demandPairs)
+	return s
+}
+
+// buildBase runs the base stages in order; its only error is ctx's.
+func (s *Sweep) buildBase(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.indexPlan(qs, demandPairs)
 	sr := s.newScratch()
 	diagOK := s.buildBaseRows(sr)
 	if err := ctx.Err(); err != nil {
@@ -89,16 +100,14 @@ func (s *Sweep) build(ctx context.Context) error {
 // positive-demand pairs through ALL positive-reservation LSs,
 // conditions ignored, in (src, dst) node order.
 func (s *Sweep) closeUniverse(qs []core.LogicalSequence, demandPairs []topology.Pair) {
-	in := s.plan.Instance
 	lsByPair := map[topology.Pair][]int{}
 	for i, q := range qs {
 		lsByPair[q.Pair] = append(lsByPair[q.Pair], i)
 	}
-	inU := map[topology.Pair]bool{}
 	var queue []topology.Pair
 	add := func(p topology.Pair) {
-		if !inU[p] {
-			inU[p] = true
+		if _, ok := s.index[p]; !ok {
+			s.index[p] = -1 // its row is set once the order is
 			queue = append(queue, p)
 		}
 	}
@@ -107,23 +116,21 @@ func (s *Sweep) closeUniverse(qs []core.LogicalSequence, demandPairs []topology.
 			add(p)
 		}
 	}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, qi := range lsByPair[p] {
+	for i := 0; i < len(queue); i++ {
+		for _, qi := range lsByPair[queue[i]] {
 			for _, seg := range qs[qi].Segments() {
 				add(seg)
 			}
 		}
 	}
-	for a := 0; a < in.Graph.NumNodes(); a++ {
-		for b := 0; b < in.Graph.NumNodes(); b++ {
-			p := topology.Pair{Src: topology.NodeID(a), Dst: topology.NodeID(b)}
-			if inU[p] {
-				s.index[p] = len(s.pairs)
-				s.pairs = append(s.pairs, p)
-			}
-		}
+	// The queue holds every universe pair once; sorted, it is the row
+	// order.
+	slices.SortFunc(queue, func(a, b topology.Pair) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	s.pairs = queue
+	for r, p := range s.pairs {
+		s.index[p] = r
 	}
 	s.n = len(s.pairs)
 }
@@ -238,34 +245,26 @@ func (s *Sweep) indexPlan(qs []core.LogicalSequence, demandPairs []topology.Pair
 	}
 }
 
-// buildBaseRows builds the no-failure reservation matrix by running the
-// scenario path's own row routine on the empty scenario, so a row no
-// scenario changes recomputes to bit-identical coefficients and never
+// buildBaseRows builds the no-failure reservation matrix with the
+// scenario path's own row routine run on the empty scenario, so a row
+// no scenario changes recomputes to bit-identical coefficients and never
 // produces a spurious delta. Pairs outside the no-failure set get
 // identity rows: they carry no demand and no in-set row references
-// their column, so the in-set block solves exactly as the cold path's
-// smaller system. It leaves the empty scenario activated in sr and
-// reports whether every in-set pair has a live reservation; if not, the
-// engine stays cold-only.
+// their column, so the in-set block solves exactly as the scenario's
+// own system. It leaves the empty scenario activated in sr and reports
+// whether every in-set pair has a live reservation; if not, the engine
+// stays cold-only.
 func (s *Sweep) buildBaseRows(sr *sweepScratch) bool {
 	s.activate(failures.Scenario{}, sr)
-	s.baseInSet = make([]bool, s.n)
-	s.baseRows = make([][]linsolve.SparseEntry, s.n)
-	diagOK := true
-	for r := range s.baseRows {
-		s.baseInSet[r] = sr.inSet[r] == sr.epoch
-		if diag := s.rowCoeffs(sr, r); s.baseInSet[r] && diag <= 1e-12 {
-			diagOK = false
-		}
-		row := make([]linsolve.SparseEntry, 0, len(sr.touched))
-		for _, c := range sr.touched {
-			if sr.rowVals[c] != 0 {
-				row = append(row, linsolve.SparseEntry{Col: c, Val: sr.rowVals[c]})
-			}
-		}
-		s.baseRows[r] = row
+	if s.scenarioRows(failures.Scenario{}, sr) != nil {
+		return false
 	}
-	return diagOK
+	s.baseInSet = make([]bool, s.n)
+	for r := range s.baseInSet {
+		s.baseInSet[r] = sr.inSet[r] == sr.epoch
+	}
+	s.baseRows = rowViews(sr.sys.ptr, slices.Clone(sr.sys.ents))
+	return true
 }
 
 // factorBase factors the base rows, solves the aggregate and
@@ -279,25 +278,18 @@ func (s *Sweep) factorBase(ctx context.Context, sr *sweepScratch) error {
 	if err != nil {
 		return nil
 	}
-	w := make([]float64, n)
+	sys := sr.system()
 	uBase := make([]float64, n)
-	ok := slu.SolveIntoScratch(uBase, s.demand, w) == nil
+	ok := slu.SolveIntoScratch(uBase, s.demand, sys.w) == nil
 	destBase := make([][]float64, len(s.dests))
-	dt := make([]float64, n)
-	for di, dst := range s.dests {
+	for di := range s.dests {
 		if di%32 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		for r, p := range s.pairs {
-			dt[r] = 0
-			if p.Dst == dst {
-				dt[r] = s.demand[r]
-			}
-		}
 		destBase[di] = make([]float64, n)
-		if slu.SolveIntoScratch(destBase[di], dt, w) != nil {
+		if slu.SolveIntoScratch(destBase[di], s.destDemand(sys.dt, di), sys.w) != nil {
 			ok = false
 		}
 	}
@@ -306,4 +298,17 @@ func (s *Sweep) factorBase(ctx context.Context, sr *sweepScratch) error {
 		s.recordBase(sr)
 	}
 	return nil
+}
+
+// destDemand writes destination di's right-hand side D_t — the demand
+// of the rows whose pair ends at it — into dt and returns it.
+func (s *Sweep) destDemand(dt []float64, di int) []float64 {
+	dst := s.dests[di]
+	for r, p := range s.pairs {
+		dt[r] = 0
+		if p.Dst == dst {
+			dt[r] = s.demand[r]
+		}
+	}
+	return dt
 }

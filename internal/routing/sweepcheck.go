@@ -4,7 +4,7 @@ package routing
 // the scenario's capacity (and the MLU, in the same pass) with the
 // engine's record vouching for the rest, then every destination's flow
 // conservation — over the flat emission in the scratch, or, every arc
-// visited, over the cold fallback's Realization.
+// visited, over a Realization handed to Sweep.Check.
 
 import (
 	"fmt"
@@ -104,21 +104,22 @@ func (s *Sweep) restoreCaps(sr *sweepScratch) {
 }
 
 // judge checks one served scenario and returns its maximum link
-// utilization: the flat emission in sr, or the cold Realization when
-// one is given. Each arc visited is compared against its capacity with
-// the scenario overlaid and divided for the MLU. A cold realization has
-// every arc visited; a flat emission only the arcs it re-summed and the
-// arcs the scenario overlays, and every other arc — its base load
-// against its nominal capacity — carries the record's verdict: the
-// first base-overloaded arc among them, and the first of them in the
-// base-utilization ranking for the MLU. With check set, every
-// destination is then balance-checked, in node order; a replayed one
-// carries the record's verdict too. The first overloaded arc is
-// reported if there is one, else the first destination out of balance.
-func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, cold *Realization, check bool) (float64, error) {
+// utilization: the flat emission in sr, or r when one is given. Each
+// arc visited is compared against its capacity with the scenario
+// overlaid and divided for the MLU. A Realization, or an emission with
+// no record behind it, has every arc visited; a flat emission only the
+// arcs it re-summed and the arcs the scenario overlays, and every other
+// arc — its base load against its nominal capacity — carries the
+// record's verdict: the first base-overloaded arc among them, and the
+// first of them in the base-utilization ranking for the MLU. With check
+// set, every destination is then balance-checked, in node order; a
+// replayed one carries the record's verdict too. The first overloaded
+// arc is reported if there is one, else the first destination out of
+// balance.
+func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, r *Realization, check bool) (float64, error) {
 	arcLoad, caps := sr.arcLoad, sr.arcCap
-	if cold != nil {
-		arcLoad = cold.ArcLoad
+	if r != nil {
+		arcLoad = r.ArcLoad
 	}
 	s.overlay(sc, sr)
 	mlu, over := 0.0, -1
@@ -134,7 +135,7 @@ func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, cold *Realization,
 			}
 		}
 	}
-	if cold != nil || s.rec == nil {
+	if r != nil || s.rec == nil {
 		for a := range arcLoad {
 			visit(a)
 		}
@@ -180,13 +181,13 @@ func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, cold *Realization,
 	for di, dst := range s.dests {
 		var tuns []tunnels.ID
 		var vals []float64
-		if cold == nil {
+		if r == nil {
 			if s.replayed(sr, di) && s.rec.balanced[di] {
 				continue
 			}
 			tuns, vals = s.destFlows(sr, di)
-		} else if flows, ok := cold.TunnelTo[dst]; ok {
-			// The scratch's flow arena is free once a scenario went cold.
+		} else if flows, ok := r.TunnelTo[dst]; ok {
+			// Check's scratch holds no emission anyone reads.
 			sr.flowTun, sr.flowVal = flattenFlows(flows, sr.flowTun[:0], sr.flowVal[:0])
 			tuns, vals = sr.flowTun, sr.flowVal
 		} else {

@@ -2,10 +2,12 @@ package routing
 
 // Delta ≡ dense, bit for bit. The engine replays a recorded emission
 // for every destination a scenario cannot change and checks sparsely;
-// the reference below is the dense path it replaced — every destination
-// corrected, row-scanned and poured into maps, every node balanced,
-// every arc looked up through ScenarioCapacity — kept here, in the test
-// file only, as the oracle.
+// the reference below is the dense emission it replaced — every
+// destination corrected, row-scanned and poured into maps, every node
+// balanced, every arc looked up through ScenarioCapacity — kept here, in
+// the test file only, as the oracle. (Its cold scenarios are Realize's,
+// the one cold path; the dense linear-system oracle is
+// denseoracle_test.go's.)
 
 import (
 	"context"
@@ -25,12 +27,16 @@ import (
 	"pcf/internal/tunnels"
 )
 
-// denseRealize is the scenario path with the dense emission: the
+// realizeDenseEmit is the scenario path with the dense emission: the
 // engine's own marking, row updates, corrector and residual guard, then
 // denseEmit for every destination.
-func denseRealize(s *Sweep, sc failures.Scenario, sr *sweepScratch) (*Realization, served, error) {
+func realizeDenseEmit(s *Sweep, sc failures.Scenario, sr *sweepScratch) (*Realization, served, error) {
 	if s.n == 0 {
 		return denseEmit(s, sc, sr, nil, nil, 0)
+	}
+	if s.slu == nil {
+		r, err := Realize(s.plan, sc)
+		return r, served{}, err
 	}
 	inCount := s.activate(sc, sr)
 	ups, upScale, err := s.rowUpdates(sc, sr, s.changedRows(sr))
@@ -38,10 +44,6 @@ func denseRealize(s *Sweep, sc failures.Scenario, sr *sweepScratch) (*Realizatio
 		return nil, served{}, err
 	}
 	k := len(ups)
-	if s.slu == nil {
-		r, err := Realize(s.plan, sc)
-		return r, served{}, err
-	}
 	if k == 0 {
 		return denseEmit(s, sc, sr, s.uBase, nil, inCount)
 	}
@@ -271,8 +273,8 @@ func assertDeltaMatchesDense(t *testing.T, name string, plan *core.Plan, scenari
 	wantErr := make([]bool, len(scenarios))
 	for i, sc := range scenarios {
 		what := fmt.Sprintf("%s under %v", name, sc)
-		want, wsv, werr := denseRealize(sw, sc, ref)
-		cold, sv, gerr := sw.realize(sc, sr)
+		want, wsv, werr := realizeDenseEmit(sw, sc, ref)
+		sv, gerr := sw.realize(sc, sr)
 		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
 			t.Fatalf("%s: engine err %v, reference err %v", what, gerr, werr)
 		}
@@ -285,23 +287,21 @@ func assertDeltaMatchesDense(t *testing.T, name string, plan *core.Plan, scenari
 			wantErr[i] = true
 			continue
 		}
-		if sv.smw != wsv.smw || sv.rank != wsv.rank || (cold == nil) != sv.smw {
-			t.Fatalf("%s: engine served %+v (cold %v), reference %+v", what, sv, cold != nil, wsv)
+		if sv.smw != wsv.smw || sv.rank != wsv.rank {
+			t.Fatalf("%s: engine served %+v, reference %+v", what, sv, wsv)
 		}
-		got := cold
-		if cold == nil {
+		if sv.smw {
 			tally.smw++
 			tally.evals += sv.evals
 			tally.replays += sv.replays
-			got = flatRealization(t, sw, sc, sr)
 		} else {
 			tally.cold++
 		}
-		sameRealization(t, what+" (flat)", got, want)
+		sameRealization(t, what+" (flat)", flatRealization(t, sw, sc, sr), want)
 		sameRealization(t, what+" (Realize)", pub, want)
 
 		cerr := denseCheck(plan, want)
-		mlu, jerr := sw.judge(sc, sr, cold, true)
+		mlu, jerr := sw.judge(sc, sr, nil, true)
 		if (cerr == nil) != (jerr == nil) {
 			t.Fatalf("%s: engine check %v, reference check %v", what, jerr, cerr)
 		}
@@ -337,7 +337,7 @@ func assertDeltaMatchesDense(t *testing.T, name string, plan *core.Plan, scenari
 	old := sweepWorkerCount
 	sweepWorkerCount = func() int { return 4 }
 	defer func() { sweepWorkerCount = old }()
-	slots, stats := sweepScenarios(context.Background(), plan, sw, true, false, scenarios)
+	slots, stats := sweepScenarios(context.Background(), sw, true, false, scenarios)
 	for i := range slots {
 		if !slots[i].done || (slots[i].err != nil) != wantErr[i] || (!wantErr[i] && !bitsEq(slots[i].mlu, wantMLU[i])) {
 			t.Fatalf("%s under %v: 4-worker sweep slot %+v, reference mlu %.17g err %v", name, scenarios[i], slots[i], wantMLU[i], wantErr[i])
@@ -591,7 +591,7 @@ func TestDeltaAffectedWithoutRowUpdate(t *testing.T) {
 	if len(rows) != 1 || len(ups) != 0 {
 		t.Fatalf("marked rows %v, updates %v: want one marked row and no update", rows, ups)
 	}
-	_, sv, err := sw.realize(sc, sr)
+	sv, err := sw.realize(sc, sr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +650,7 @@ func TestDeltaAffectedOnMembershipFlip(t *testing.T) {
 	if !found {
 		t.Fatalf("updates %+v: want segment row %d updated in the parent's column %d only, its diagonal unmoved", ups, segRow, parent)
 	}
-	_, sv, err := sw.realize(sc, sr)
+	sv, err := sw.realize(sc, sr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,7 +703,7 @@ func TestSparseBalanceMutations(t *testing.T) {
 	}
 	mutate := func(name string, edit func(tuns [][]tunnels.ID, vals [][]float64) (di int)) {
 		sr := sw.newScratch()
-		if _, _, err := sw.realize(sc, sr); err != nil {
+		if _, err := sw.realize(sc, sr); err != nil {
 			t.Fatal(err)
 		}
 		tuns := make([][]tunnels.ID, len(sw.dests))
@@ -790,11 +790,11 @@ func TestReplayedDestinationIsChecked(t *testing.T) {
 	sr := sw.newScratch()
 	replayed, fresh := 0, 0
 	for _, sc := range designedSet(plan) {
-		cold, sv, err := sw.realize(sc, sr)
+		sv, err := sw.realize(sc, sr)
 		if err != nil || !sv.smw {
 			continue
 		}
-		_, jerr := sw.judge(sc, sr, cold, true)
+		_, jerr := sw.judge(sc, sr, nil, true)
 		if sr.destMark[di] != sr.epoch {
 			replayed++
 			if d, _ := balanceVerdict(t, jerr); d != int(sw.dests[di]) {
@@ -919,8 +919,8 @@ func TestRecordedArcVerdicts(t *testing.T) {
 	sr := sw.newScratch()
 	fromRecord, visited := 0, 0
 	for _, sc := range scenarios {
-		cold, _, err := sw.realize(sc, sr)
-		if err != nil || cold != nil {
+		sv, err := sw.realize(sc, sr)
+		if err != nil || !sv.smw {
 			continue
 		}
 		mlu, _ := sw.judge(sc, sr, nil, false)
@@ -950,7 +950,7 @@ func TestRecordedArcVerdicts(t *testing.T) {
 	// arc below arcs it outranked: the ranking must pass over it.
 	for _, scale := range []float64{4, 1} {
 		sc := failures.Scenario{Degraded: map[topology.LinkID]float64{topology.LinkOf(topology.ArcID(sw.rec.ranked[0])): scale}}
-		if _, _, err := sw.realize(sc, sr); err != nil {
+		if _, err := sw.realize(sc, sr); err != nil {
 			t.Fatal(err)
 		}
 		mlu, _ := sw.judge(sc, sr, nil, false)
@@ -973,14 +973,14 @@ func TestSweepScenarioAllocs(t *testing.T) {
 	}
 	sr := sw.newScratch()
 	for _, sc := range designedSet(plan) {
-		_, sv, err := sw.realize(sc, sr)
+		sv, err := sw.realize(sc, sr)
 		if err != nil || !sv.smw {
 			continue
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			cold, _, err := sw.realize(sc, sr)
+			_, err := sw.realize(sc, sr)
 			if err == nil {
-				_, err = sw.judge(sc, sr, cold, true)
+				_, err = sw.judge(sc, sr, nil, true)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -1015,13 +1015,13 @@ func TestCorrectorHashCollision(t *testing.T) {
 		h := maphash.Bytes(sw.keySeed, upsKey(nil, ups))
 		decoy := &batchEntry{key: "decoy", err: linsolve.ErrSingular}
 		sw.batches.Store(h, decoy)
-		want, _, werr := denseRealize(sw, sc, ref)
-		cold, sv, err := sw.realize(sc, sr)
+		want, _, werr := realizeDenseEmit(sw, sc, ref)
+		sv, err := sw.realize(sc, sr)
 		if err != nil || werr != nil {
 			t.Fatalf("under %v: %v (reference %v)", sc, err, werr)
 		}
-		if cold != nil || !sv.smw || sv.batchHit || sv.rank != len(ups) {
-			t.Fatalf("under %v: served %+v (cold %v); want a fresh rank-%d corrector", sc, sv, cold != nil, len(ups))
+		if !sv.smw || sv.batchHit || sv.rank != len(ups) {
+			t.Fatalf("under %v: served %+v; want a fresh rank-%d corrector", sc, sv, len(ups))
 		}
 		sameRealization(t, fmt.Sprintf("under %v", sc), flatRealization(t, sw, sc, sr), want)
 		if v, _ := sw.batches.Load(h); v != decoy {

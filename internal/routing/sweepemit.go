@@ -83,7 +83,7 @@ type arcRun struct{ arc, lo, hi int32 }
 // flow list names it at most once and its arc additions are exactly
 // the list expanded along each tunnel's path.
 func (s *Sweep) recordBase(sr *sweepScratch) {
-	if _, err := s.emitDests(failures.Scenario{}, sr, nil); err != nil {
+	if _, err := s.emitDests(failures.Scenario{}, sr, nil, nil); err != nil {
 		s.slu = nil // no record, no low-rank path: serve cold
 		return
 	}
@@ -209,16 +209,17 @@ func (s *Sweep) markAffected(sr *sweepScratch, rows []int, ups []linsolve.RowUpd
 
 // emitDests writes the flat emission of the activated scenario into sr,
 // destination by destination in node order: an unaffected destination
-// replays the engine's record and costs nothing, any other has its base
-// solution corrected by upd (nil: it stands) and spread over each
-// pair's live tunnels. Arc loads start from the record's: the arcs the
-// previous emission re-summed go back to their base loads, and only the
-// arcs an affected destination loads — in the record or afresh — are
-// re-summed, from the first addition that changes (resumeArc, catchUp).
-// Each affected destination passes over its recorded runs before it
-// emits, so every addition a re-sum's cursor walks is a replayed
-// destination's.
-func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.Updated) (served, error) {
+// replays the engine's record and costs nothing, any other has its
+// solution (destSolution) spread over each pair's live tunnels. Arc
+// loads start from the record's: the arcs the previous emission
+// re-summed go back to their base loads, and only the arcs an affected
+// destination loads — in the record or afresh — are re-summed, from the
+// first addition that changes (resumeArc, catchUp). Each affected
+// destination passes over its recorded runs before it emits, so every
+// addition a re-sum's cursor walks is a replayed destination's; with
+// every destination affected, as on the cold path, each re-sum starts
+// from zero.
+func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.Updated, lu *linsolve.SparseLU) (served, error) {
 	in := s.plan.Instance
 	ep := sr.epoch
 	rec := s.rec
@@ -248,12 +249,9 @@ func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.
 				s.resumeArc(sr, run)
 			}
 		}
-		xt := s.destBase[di]
-		if upd != nil {
-			if err := upd.CorrectIntoScratch(sr.xt, xt, sr.smwZ[:k], sr.smwY[:k]); err != nil {
-				return served{}, fmt.Errorf("routing: destination %d system under %v: %w", dst, sc, err)
-			}
-			xt = sr.xt
+		xt, err := s.destSolution(sr, di, upd, lu)
+		if err != nil {
+			return served{}, fmt.Errorf("routing: destination %d system under %v: %w", dst, sc, err)
 		}
 		for r := 0; r < s.n; r++ {
 			if sr.inSet[r] != ep || xt[r] <= 1e-12 {
@@ -286,6 +284,20 @@ func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.
 		s.catchUp(sr, a, len(s.dests))
 	}
 	return sv, nil
+}
+
+// destSolution returns destination di's solution under the activated
+// scenario: solved against the scenario's own factors lu on the cold
+// path, else the base solution corrected by upd (nil: it stands).
+func (s *Sweep) destSolution(sr *sweepScratch, di int, upd *linsolve.Updated, lu *linsolve.SparseLU) ([]float64, error) {
+	switch {
+	case lu != nil:
+		return sr.xt, lu.SolveIntoScratch(sr.xt, s.destDemand(sr.sys.dt, di), sr.sys.w)
+	case upd != nil:
+		k := upd.Rank()
+		return sr.xt, upd.CorrectIntoScratch(sr.xt, s.destBase[di], sr.smwZ[:k], sr.smwY[:k])
+	}
+	return s.destBase[di], nil
 }
 
 // baseLoad is arc a's load on the empty scenario: the record's, or zero

@@ -1,8 +1,10 @@
 package routing
 
 // The scenario hot path: mark rows → row deltas + signature → corrector
-// lookup → correct + residual guard → emit (sweepemit.go). Every stage
-// reads the shared Sweep and writes only the caller's scratch.
+// lookup → correct + residual guard → emit (sweepemit.go), and the one
+// cold path beside it: the scenario's own rows, factored afresh, then
+// the same emission. Every stage reads the shared Sweep and writes only
+// the caller's scratch.
 
 import (
 	"encoding/binary"
@@ -34,6 +36,7 @@ type sweepScratch struct {
 	// k-sized SMW correction scratch (grown on demand), so shared
 	// batched correctors stay read-only across workers.
 	smwZ, smwY []float64
+	sys        *sysScratch // see system
 
 	// The scenario's row updates (rowUpdates) — the list, the residual
 	// guard's scale per update, and one arena each for their columns
@@ -46,14 +49,14 @@ type sweepScratch struct {
 	upEnd   []int
 	key     []byte
 
-	// The flat emission of the scenario last served through the
-	// low-rank path (sweepemit.go): the aggregate solution and pair
-	// count, the flows of the destinations emitted afresh as one
-	// (tunnel, flow) arena with an offset per destination — a replayed
-	// destination's flows are the engine's record — and the arc loads,
-	// which equal the record's base loads except on the arcs listed in
-	// changed. arcCur is -1 on every other arc and, on those, how far
-	// into the record's additions to the arc the re-sum has got.
+	// The flat emission of the scenario last served (sweepemit.go): the
+	// aggregate solution and pair count, the flows of the destinations
+	// emitted afresh as one (tunnel, flow) arena with an offset per
+	// destination — a replayed destination's flows are the engine's
+	// record — and the arc loads, which equal the record's base loads
+	// except on the arcs listed in changed. arcCur is -1 on every other
+	// arc and, on those, how far into the record's additions to the arc
+	// the re-sum has got.
 	sol     []float64
 	inCount int
 	flowOff []int32
@@ -71,6 +74,26 @@ type sweepScratch struct {
 	overlaid  []int32
 	bal       balance
 	arcChecks int
+}
+
+// sysScratch is the part of a worker's scratch that lays out and solves
+// a scenario's whole system — the base build, the cold path and the
+// Jacobi exhibit use it.
+type sysScratch struct {
+	ptr   []int // row r is ents[ptr[r]:ptr[r+1]]
+	ents  []linsolve.SparseEntry
+	fact  linsolve.SparseFactorizer // its factors stay until the next Factor
+	dt, w []float64                 // a destination's right-hand side; solve workspace
+}
+
+// system returns sr's whole-system scratch, allocated on first use, so a
+// worker the low-rank path serves carries none of it.
+func (sr *sweepScratch) system() *sysScratch {
+	if sr.sys == nil {
+		n := len(sr.x)
+		sr.sys = &sysScratch{dt: make([]float64, n), w: make([]float64, n)}
+	}
+	return sr.sys
 }
 
 // newScratch returns a worker's scratch holding the engine's base arc
@@ -101,57 +124,78 @@ func (s *Sweep) newScratch() *sweepScratch {
 	return sr
 }
 
-// realize serves one scenario and reports how. A scenario served
-// through the low-rank path leaves its flat emission in sr and returns
-// a nil Realization; the cold fallback returns the one it built.
-func (s *Sweep) realize(sc failures.Scenario, sr *sweepScratch) (*Realization, served, error) {
+// realize serves one scenario, leaving its flat emission in sr, and
+// reports how: through the low-rank path, or through the cold path when
+// the engine has no base, no corrector could be built or the residual
+// guard trips.
+func (s *Sweep) realize(sc failures.Scenario, sr *sweepScratch) (served, error) {
 	if s.n == 0 {
 		sr.sol, sr.inCount = nil, 0
-		sv, err := s.emitDests(sc, sr, nil)
-		return nil, sv, err
+		return s.emitDests(sc, sr, nil, nil)
 	}
 	sr.inCount = s.activate(sc, sr)
+	if s.slu == nil {
+		return s.cold(sc, sr, causeNoBase)
+	}
 	rows := s.changedRows(sr)
 	ups, upScale, err := s.rowUpdates(sc, sr, rows)
 	if err != nil {
-		return nil, served{}, err
+		return served{}, err
 	}
 	k := len(ups)
-	if s.slu == nil {
-		return s.cold(sc, causeNoBase)
-	}
 	sr.sol = s.uBase
 	var upd *linsolve.Updated
 	hit := false
 	if k > 0 {
 		if upd, hit = s.corrector(sr, ups); upd == nil {
-			return s.cold(sc, causeSingular)
+			return s.cold(sc, sr, causeSingular)
 		}
 		if cap(sr.smwZ) < k {
 			sr.smwZ = make([]float64, k)
 			sr.smwY = make([]float64, k)
 		}
 		if err := upd.CorrectIntoScratch(sr.x, s.uBase, sr.smwZ[:k], sr.smwY[:k]); err != nil {
-			return nil, served{}, fmt.Errorf("routing: aggregate system under %v: %w", sc, err)
+			return served{}, fmt.Errorf("routing: aggregate system under %v: %w", sc, err)
 		}
 		if !s.residualOK(sr.x, ups, upScale) {
-			return s.cold(sc, causeResidual)
+			return s.cold(sc, sr, causeResidual)
 		}
 		sr.sol = sr.x
 	}
 	if err := s.checkU(sc, sr); err != nil {
-		return nil, served{}, err
+		return served{}, err
 	}
 	s.markAffected(sr, rows, ups)
-	sv, err := s.emitDests(sc, sr, upd)
+	sv, err := s.emitDests(sc, sr, upd, nil)
 	sv.batchHit = hit
-	return nil, sv, err
+	return sv, err
 }
 
-// cold is the one fallback: a from-scratch Realize of the scenario.
-func (s *Sweep) cold(sc failures.Scenario, why fallbackCause) (*Realization, served, error) {
-	r, err := Realize(s.plan, sc)
-	return r, served{cause: why}, err
+// cold is the one fallback, and all a cold-only engine does: the
+// activated scenario's own rows, factored afresh, solved for the
+// aggregate and every destination, then range-checked and emitted as a
+// low-rank scenario is, every destination affected.
+func (s *Sweep) cold(sc failures.Scenario, sr *sweepScratch, why fallbackCause) (served, error) {
+	if err := s.scenarioRows(sc, sr); err != nil {
+		return served{}, err
+	}
+	sys := sr.sys
+	lu, err := sys.fact.Factor(s.n, sys.ptr, sys.ents)
+	if err != nil {
+		return served{}, fmt.Errorf("%w under %v: %w", ErrSingularMatrix, sc, err)
+	}
+	if err := lu.SolveIntoScratch(sr.x, s.demand, sys.w); err != nil {
+		return served{}, fmt.Errorf("routing: aggregate system under %v: %w", sc, err)
+	}
+	sr.sol = sr.x
+	if err := s.checkU(sc, sr); err != nil {
+		return served{}, err
+	}
+	for di := range sr.destMark {
+		sr.destMark[di] = sr.epoch
+	}
+	_, err = s.emitDests(sc, sr, nil, lu)
+	return served{cause: why}, err
 }
 
 // activate stamps the scenario's state into the scratch under a fresh
@@ -293,6 +337,45 @@ func (s *Sweep) rowCoeffs(sr *sweepScratch, r int) float64 {
 	return diag
 }
 
+// liveCoeffs is rowCoeffs where the row must be solvable: a pair of
+// interest with no live reservation is the scenario's error.
+func (s *Sweep) liveCoeffs(sc failures.Scenario, sr *sweepScratch, r int) (float64, error) {
+	diag := s.rowCoeffs(sr, r)
+	if diag <= 1e-12 && sr.inSet[r] == sr.epoch {
+		return 0, fmt.Errorf("routing: pair %v of interest has no live reservation under %v", s.pairs[r], sc)
+	}
+	return diag, nil
+}
+
+// scenarioRows lays out the activated scenario's reservation matrix in
+// sr's whole-system scratch: every universe row as rowCoeffs builds it,
+// ascending columns and no stored zeros, the identity outside the set.
+func (s *Sweep) scenarioRows(sc failures.Scenario, sr *sweepScratch) error {
+	sys := sr.system()
+	sys.ptr, sys.ents = append(sys.ptr[:0], 0), sys.ents[:0]
+	for r := 0; r < s.n; r++ {
+		if _, err := s.liveCoeffs(sc, sr, r); err != nil {
+			return err
+		}
+		for _, c := range sr.touched {
+			if v := sr.rowVals[c]; v != 0 {
+				sys.ents = append(sys.ents, linsolve.SparseEntry{Col: c, Val: v})
+			}
+		}
+		sys.ptr = append(sys.ptr, len(sys.ents))
+	}
+	return nil
+}
+
+// rowViews slices a row arena into one view per row.
+func rowViews(ptr []int, ents []linsolve.SparseEntry) [][]linsolve.SparseEntry {
+	rows := make([][]linsolve.SparseEntry, len(ptr)-1)
+	for r := range rows {
+		rows[r] = ents[ptr[r]:ptr[r+1]:ptr[r+1]]
+	}
+	return rows
+}
+
 // rowUpdates turns the candidate rows into the scenario's sparse row
 // deltas against the base matrix, with the per-row scale the residual
 // guard measures against. Rows that recompute to their base values
@@ -308,9 +391,9 @@ func (s *Sweep) rowUpdates(sc failures.Scenario, sr *sweepScratch, rows []int) (
 		}
 	}
 	for _, r := range rows {
-		diag := s.rowCoeffs(sr, r)
-		if diag <= 1e-12 && sr.inSet[r] == sr.epoch {
-			return nil, nil, fmt.Errorf("routing: pair %v of interest has no live reservation under %v", s.pairs[r], sc)
+		diag, err := s.liveCoeffs(sc, sr, r)
+		if err != nil {
+			return nil, nil, err
 		}
 		// Merge the row's columns with the base row's entries, ascending
 		// — every other column is zero in both.
@@ -448,7 +531,7 @@ func (s *Sweep) invCol(r int) ([]float64, error) {
 // residualOK is the guard on the corrected aggregate solution: every
 // updated row of the scenario's system must reproduce its demand to
 // 1e-6 of the row's scale. If the rank-k identity lost accuracy, the
-// caller refactorizes cold rather than return drift.
+// caller takes the cold path rather than return drift.
 func (s *Sweep) residualOK(x []float64, ups []linsolve.RowUpdate, upScale []float64) bool {
 	for j, up := range ups {
 		acc := -s.demand[up.Row]

@@ -27,15 +27,6 @@ type sweepSlot struct {
 	done bool
 }
 
-// engineFor builds the engine a sweep of the plan runs through: nil
-// when the options select the proportional router, which needs none.
-func engineFor(ctx context.Context, plan *core.Plan, opts ValidateOptions) (*Sweep, error) {
-	if opts.Proportional {
-		return nil, nil
-	}
-	return NewSweepContext(ctx, plan)
-}
-
 // designedSet enumerates the plan's designed failure scenarios.
 func designedSet(plan *core.Plan) []failures.Scenario {
 	var scenarios []failures.Scenario
@@ -46,29 +37,25 @@ func designedSet(plan *core.Plan) []failures.Scenario {
 	return scenarios
 }
 
-// sweepScenarios realizes the scenarios through sw (nil: through the
-// §4.2 proportional router) on a NumCPU-bounded worker pool with
-// per-worker scratch, judging each served scenario straight from the
-// flat emission there (no Realization is built), and returns the
-// outcomes in list order — the same
-// deterministic contract as mcf's scenario sweep: workers claim indexes
-// from an atomic counter and the callers merge the slot array in order,
-// so worker scheduling never changes an answer. stopOnError selects the
-// designed-set contract — a worker bails at its first failing scenario
-// — while the sampled path sets it false and keeps sweeping, since
-// beyond-budget scenarios are expected to fail sometimes and each
-// outcome is a measurement, not an abort. The stats count this call's
-// scenarios only, whoever else is using the engine meanwhile. A nil ctx
-// means no deadline.
-func sweepScenarios(ctx context.Context, plan *core.Plan, sw *Sweep, check, stopOnError bool, scenarios []failures.Scenario) ([]sweepSlot, *SweepStats) {
+// sweepScenarios realizes the scenarios through sw on a NumCPU-bounded
+// worker pool with per-worker scratch, judging each served scenario
+// straight from the flat emission there (no Realization is built), and
+// returns the outcomes in list order — the same deterministic contract
+// as mcf's scenario sweep: workers claim indexes from an atomic counter
+// and the callers merge the slot array in order, so worker scheduling
+// never changes an answer. stopOnError selects the designed-set
+// contract — a worker bails at its first failing scenario — while the
+// sampled path sets it false and keeps sweeping, since beyond-budget
+// scenarios are expected to fail sometimes and each outcome is a
+// measurement, not an abort. The stats count this call's scenarios
+// only, whoever else is using the engine meanwhile. A nil ctx means no
+// deadline.
+func sweepScenarios(ctx context.Context, sw *Sweep, check, stopOnError bool, scenarios []failures.Scenario) ([]sweepSlot, *SweepStats) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	stats := &SweepStats{Scenarios: len(scenarios)}
-	if sw != nil {
-		stats.BaseFactorTime = sw.baseTime
-	}
+	stats := &SweepStats{Scenarios: len(scenarios), BaseFactorTime: sw.baseTime}
 	workers := sweepWorkerCount()
 	if workers > len(scenarios) {
 		workers = len(scenarios)
@@ -77,18 +64,14 @@ func sweepScenarios(ctx context.Context, plan *core.Plan, sw *Sweep, check, stop
 
 	slots := make([]sweepSlot, len(scenarios))
 	perWorker := make([]SweepStats, workers)
-	g := plan.Instance.Graph
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(ws *SweepStats) {
 			defer wg.Done()
-			var sr *sweepScratch
-			if sw != nil {
-				sr = sw.pool.Get().(*sweepScratch)
-				defer sw.pool.Put(sr)
-			}
+			sr := sw.pool.Get().(*sweepScratch)
+			defer sw.pool.Put(sr)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(scenarios) {
@@ -101,23 +84,11 @@ func sweepScenarios(ctx context.Context, plan *core.Plan, sw *Sweep, check, stop
 					return
 				}
 				var mlu float64
-				var err error
-				if sw != nil {
-					var cold *Realization
-					var sv served
-					if cold, sv, err = sw.realize(sc, sr); err == nil {
-						ws.count(sv)
-						mlu, err = sw.judge(sc, sr, cold, check)
-						ws.ArcChecks += sr.arcChecks
-					}
-				} else {
-					var r *Realization
-					if r, err = RealizeProportional(plan, sc); err == nil && check {
-						err = CheckRealization(plan, r)
-					}
-					if err == nil {
-						mlu = MLUOf(g, r)
-					}
+				sv, err := sw.realize(sc, sr)
+				if err == nil {
+					ws.count(sv)
+					mlu, err = sw.judge(sc, sr, nil, check)
+					ws.ArcChecks += sr.arcChecks
 				}
 				if err != nil {
 					slots[i].err = err
@@ -155,12 +126,11 @@ func firstFailure(scenarios []failures.Scenario, slots []sweepSlot) (int, error)
 	return len(slots), nil
 }
 
-// ValidateOptions tune plan validation.
-type ValidateOptions struct {
-	// Proportional uses the §4.2 local proportional router instead of
-	// the linear-system realization.
-	Proportional bool
-}
+// ValidateOptions is the options argument of the one-shot validation
+// entry points. It has no fields: validation always realizes through
+// the plan's engine. (The §4.2 proportional router is
+// RealizeProportional, called for its own sake.)
+type ValidateOptions struct{}
 
 // ValidateStats replays every scenario of the plan's designed failure
 // set through the engine, realizes the routing, and verifies the
@@ -171,26 +141,21 @@ type ValidateOptions struct {
 // a cancellation as the error of the first unrealized one. The
 // statistics are returned even when validation fails.
 func (s *Sweep) ValidateStats(ctx context.Context) (*SweepStats, error) {
-	return validateDesigned(ctx, s.plan, s)
-}
-
-func validateDesigned(ctx context.Context, plan *core.Plan, sw *Sweep) (*SweepStats, error) {
-	scenarios := designedSet(plan)
-	slots, stats := sweepScenarios(ctx, plan, sw, true, true, scenarios)
+	scenarios := designedSet(s.plan)
+	slots, stats := sweepScenarios(ctx, s, true, true, scenarios)
 	_, err := firstFailure(scenarios, slots)
 	return stats, err
 }
 
 // ValidateStats is the one-shot form of (*Sweep).ValidateStats: it
-// builds the plan's engine (none for the proportional router), validates
-// through it and discards it.
-func ValidateStats(ctx context.Context, plan *core.Plan, opts ValidateOptions) (*SweepStats, error) {
+// builds the plan's engine, validates through it and discards it.
+func ValidateStats(ctx context.Context, plan *core.Plan, _ ValidateOptions) (*SweepStats, error) {
 	start := time.Now()
-	sw, err := engineFor(ctx, plan, opts)
+	sw, err := NewSweepContext(ctx, plan)
 	if err != nil {
 		return &SweepStats{Total: time.Since(start)}, err
 	}
-	stats, err := validateDesigned(ctx, plan, sw)
+	stats, err := sw.ValidateStats(ctx)
 	stats.Total += stats.BaseFactorTime
 	return stats, err
 }
@@ -201,14 +166,14 @@ func ValidateStats(ctx context.Context, plan *core.Plan, opts ValidateOptions) (
 // sweep statistics. On error it returns the worst utilization over the
 // scenarios preceding the failing one in enumeration order (a serial
 // loop's behavior).
-func WorstMLUStats(ctx context.Context, plan *core.Plan, opts ValidateOptions) (float64, failures.Scenario, *SweepStats, error) {
+func WorstMLUStats(ctx context.Context, plan *core.Plan, _ ValidateOptions) (float64, failures.Scenario, *SweepStats, error) {
 	start := time.Now()
-	sw, err := engineFor(ctx, plan, opts)
+	sw, err := NewSweepContext(ctx, plan)
 	if err != nil {
 		return 0, failures.Scenario{}, &SweepStats{Total: time.Since(start)}, err
 	}
 	scenarios := designedSet(plan)
-	slots, stats := sweepScenarios(ctx, plan, sw, false, true, scenarios)
+	slots, stats := sweepScenarios(ctx, sw, false, true, scenarios)
 	stats.Total += stats.BaseFactorTime
 	ok, err := firstFailure(scenarios, slots)
 	worst, at := worstOf(slots[:ok])

@@ -141,7 +141,7 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 	rankK := 0
 	sr := sw.newScratch()
 	for _, sc := range designedSet(plan) {
-		_, sv, err := sw.realize(sc, sr)
+		sv, err := sw.realize(sc, sr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 // f=1 and BTNorthAmerica PCF-TF f=2 plans every designed scenario —
 // those whose updates touch more than half the rows included — is
 // served by the SMW identity, and its flows, arc loads, MLU and check
-// verdict agree with a cold Realize to 1e-9.
+// verdict agree with the dense oracle to 1e-9.
 func TestHighRankScenariosServedLowRank(t *testing.T) {
 	near := func(got, want float64) bool {
 		return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want))
@@ -225,15 +225,15 @@ func TestHighRankScenariosServedLowRank(t *testing.T) {
 		sr := sw.newScratch()
 		highRank, maxRank := 0, 0
 		for _, sc := range designedSet(plan) {
-			want, werr := Realize(plan, sc)
-			cold, sv, gerr := sw.realize(sc, sr)
+			want, werr := denseRealize(plan, sc)
+			sv, gerr := sw.realize(sc, sr)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("%s under %v: engine err %v, cold err %v", tc.topo, sc, gerr, werr)
 			}
 			if werr != nil {
 				continue
 			}
-			if !sv.smw || cold != nil {
+			if !sv.smw {
 				t.Fatalf("%s under %v: went cold (cause %d)", tc.topo, sc, sv.cause)
 			}
 			if maxRank = max(maxRank, sv.rank); 2*sv.rank > sw.n {

@@ -74,9 +74,12 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # other verdict from the record; the dense path it replaced lives on as
 # the test-file oracle and must agree bit for bit — loads, flows, MLU,
 # verdicts — serially and on a forced 4-worker pool, which is what the
-# race detector examines here (DESIGN.md §12). -count=2 keeps Go's test
-# cache from answering for a schedule-dependent regression.
-go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts' ./internal/routing/
+# race detector examines here (DESIGN.md §12). The one cold path (the
+# scenario's own sparse rows, factored afresh; Realize runs it too) is
+# held to the dense n×n oracle at 1e-9 with every corrected scenario
+# forced cold. -count=2 keeps Go's test cache from answering for a
+# schedule-dependent regression.
+go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle' ./internal/routing/
 
 echo "== kernel solve ≡ full LU, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
@@ -85,7 +88,7 @@ echo "== kernel solve ≡ full LU, high-rank scenarios ≡ cold (-race -count=2)
 # agree to 1e-12 (DESIGN.md §17). routing turns no scenario away for its
 # correction's rank; every designed scenario of the benchmark's Sprint
 # and BTNorthAmerica PCF-TF plans, k > n/2 included, must be served
-# low-rank within 1e-9 of a cold Realize (DESIGN.md §12).
+# low-rank within 1e-9 of the dense oracle (DESIGN.md §12).
 go test -race -count=2 -run 'TestKernelSolveMatchesFullLU|TestHighRankScenariosServedLowRank' ./internal/lp/ ./internal/routing/
 
 echo "== bench smoke (-benchtime 1x)"
