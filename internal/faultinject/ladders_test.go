@@ -190,18 +190,22 @@ func TestNearSingularPlan(t *testing.T) {
 	if !errors.Is(err, linsolve.ErrSingular) {
 		t.Fatalf("error does not wrap linsolve.ErrSingular: %v", err)
 	}
-	if !errors.Is(err, routing.ErrSingularMatrix) {
-		t.Fatalf("error does not wrap routing.ErrSingularMatrix: %v", err)
+	if !errors.Is(err, routing.ErrSingularMatrix) || !errors.Is(err, routing.ErrUnrealizable) {
+		t.Fatalf("error does not wrap routing.ErrSingularMatrix and routing.ErrUnrealizable: %v", err)
 	}
 	// The served path reports the same typed error: the engine cannot
 	// factor its base, stays cold-only, and serves the scenario through
-	// the cold path Realize above ran.
+	// the cold path Realize above ran — and so does Outcome, what pcfd
+	// answers a realize with (422, the scenario's fault).
 	sw, err := routing.NewSweepContext(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sw.Realize(sc); !errors.Is(err, routing.ErrSingularMatrix) {
 		t.Fatalf("sweep error does not wrap routing.ErrSingularMatrix: %v", err)
+	}
+	if _, err := sw.Outcome(sc); !errors.Is(err, routing.ErrSingularMatrix) || !errors.Is(err, routing.ErrUnrealizable) {
+		t.Fatalf("Outcome error does not wrap routing.ErrSingularMatrix and routing.ErrUnrealizable: %v", err)
 	}
 	// Neither of the paper's other mechanisms can save this plan — the
 	// Jacobi iteration over the same sparse rows does not converge and

@@ -60,6 +60,20 @@ type BackendStatus struct {
 	Epoch    uint64 `json:"epoch"`
 }
 
+// copyBuffers is the httputil.BufferPool every backend's proxy copies
+// response bodies through, so a proxied response reuses a buffer
+// instead of allocating a fresh 32 KB one.
+type copyBuffers struct{ pool sync.Pool }
+
+func (p *copyBuffers) Get() []byte {
+	if buf, ok := p.pool.Get().(*[]byte); ok {
+		return *buf
+	}
+	return make([]byte, 32<<10)
+}
+
+func (p *copyBuffers) Put(buf []byte) { p.pool.Put(&buf) }
+
 // proxyErrKey carries a per-attempt error slot through the request
 // context so the shared ErrorHandler can report transport failures
 // back to the attempt loop without touching the ResponseWriter.
@@ -107,6 +121,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		cfg:         cfg,
 		probeClient: &http.Client{Transport: cfg.Transport, Timeout: cfg.ProbeTimeout},
 	}
+	buffers := &copyBuffers{}
 	for _, base := range cfg.Backends {
 		u, err := url.Parse(base)
 		if err != nil || u.Host == "" {
@@ -118,8 +133,9 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 				pr.SetURL(u)
 				pr.Out.Host = u.Host
 			},
-			Transport: cfg.Transport,
-			ErrorLog:  log.New(io.Discard, "", 0),
+			Transport:  cfg.Transport,
+			BufferPool: buffers,
+			ErrorLog:   log.New(io.Discard, "", 0),
 			ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
 				if slot, ok := r.Context().Value(proxyErrKey{}).(*error); ok {
 					*slot = err
@@ -314,9 +330,11 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Buffer the body once so a failed attempt can be replayed
-	// byte-identically against the next backend.
+	// byte-identically against the next backend. A request without one
+	// (every realize) replays as it came: the clone keeps http.NoBody.
 	var body []byte
-	if r.Body != nil {
+	hasBody := r.Body != nil && r.Body != http.NoBody
+	if hasBody {
 		var err error
 		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 		if err != nil {
@@ -330,8 +348,10 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		var attemptErr error
 		ctx := context.WithValue(r.Context(), proxyErrKey{}, &attemptErr)
 		req := r.Clone(ctx)
-		req.Body = io.NopCloser(bytes.NewReader(body))
-		req.ContentLength = int64(len(body))
+		if hasBody {
+			req.Body = io.NopCloser(bytes.NewReader(body))
+			req.ContentLength = int64(len(body))
+		}
 		f.dispatch(b, rec, req, &attemptErr)
 		if attemptErr == nil {
 			return

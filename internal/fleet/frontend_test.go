@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -135,6 +138,49 @@ func TestFleetErrorsAreJSON(t *testing.T) {
 		if derr != nil || body.Error == "" {
 			t.Errorf("GET %s: body is not {\"error\": …} (decode err %v)", c.url, derr)
 		}
+	}
+}
+
+// TestFrontendProxyBuffers: a warm realize proxied through the front
+// end to a live backend allocates well under one 32 KB copy buffer per
+// request, counting everything the process does for it — front end,
+// proxy transport and the backend serving it. Without the shared
+// BufferPool every proxied response allocated a fresh buffer.
+func TestFrontendProxyBuffers(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("the race detector's own allocations would count against the budget")
+	}
+	srv := newCore(t, "")
+	publishEpochs(t, srv, 1)
+	backend := httptest.NewServer(srv)
+	defer backend.Close()
+	fe, err := NewFrontend(FrontendConfig{Backends: []string{backend.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe.ProbeOnce(context.Background())
+	req := httptest.NewRequest(http.MethodPost, "/v1/realize?links=0", nil)
+	realize := func() {
+		w := httptest.NewRecorder()
+		fe.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("realize through the front end: status %d: %s", w.Code, w.Body)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		realize() // warm the connection, the pools and the engine's caches
+	}
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		realize()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / n
+	t.Logf("%.1f KB allocated per proxied realize", kb)
+	if kb >= 16 {
+		t.Fatalf("%.1f KB allocated per proxied realize, want < 16", kb)
 	}
 }
 

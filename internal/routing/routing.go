@@ -132,6 +132,22 @@ type Realization struct {
 // errors.Is.
 var ErrSingularMatrix = errors.New("routing: reservation matrix singular")
 
+// ErrUnrealizable reports that the plan cannot carry a scenario: a pair
+// of interest has no live reservation, an aggregate utilization falls
+// outside [0,1] (Proposition 5 fails), or the reservation matrix is
+// singular (ErrSingularMatrix, which such errors wrap too). The scenario
+// is at fault, not the engine or the plan; within the plan's designed
+// failure set none occurs.
+var ErrUnrealizable = errors.New("routing: scenario not realizable by the plan")
+
+// unrealizable marks a scenario's error as ErrUnrealizable without
+// changing its text.
+type unrealizable struct{ error }
+
+func (unrealizable) Is(target error) bool { return target == ErrUnrealizable }
+
+func (e unrealizable) Unwrap() error { return e.error }
+
 // Realize computes the routing for a scenario by solving the linear
 // systems of §4.1 over the scenario's own reservation matrix, factored
 // once: the aggregate utilizations first, then one right-hand side per

@@ -247,7 +247,7 @@ type Sweep struct {
 	pool     sync.Pool
 
 	mu    sync.Mutex
-	stats SweepStats // cumulative over Realize calls; guarded by mu
+	stats SweepStats // cumulative over Realize and Outcome calls; guarded by mu
 }
 
 // batchEntry is one memoized SMW corrector (or the error its
@@ -296,12 +296,24 @@ func (s *Sweep) Check(r *Realization) error {
 func (s *Sweep) BaseFactorTime() time.Duration { return s.baseTime }
 
 // Stats snapshots the engine's cumulative counters over the scenarios
-// served through Realize. Sweeps run through the engine (ValidateStats)
-// count per call instead and leave these alone.
+// served one at a time, through Realize or Outcome. Sweeps run through
+// the engine (ValidateStats) count per call instead and leave these
+// alone.
 func (s *Sweep) Stats() SweepStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stats
+}
+
+// tally folds one scenario served through Realize or Outcome into the
+// cumulative stats.
+func (s *Sweep) tally(sv served, err error) {
+	s.mu.Lock()
+	s.stats.Scenarios++
+	if err == nil {
+		s.stats.count(sv)
+	}
+	s.mu.Unlock()
 }
 
 // Realize computes the routing for one scenario, using the low-rank
@@ -317,11 +329,43 @@ func (s *Sweep) Realize(sc failures.Scenario) (*Realization, error) {
 		r = s.materialize(sc, sr)
 	}
 	s.pool.Put(sr)
-	s.mu.Lock()
-	s.stats.Scenarios++
-	if err == nil {
-		s.stats.count(sv)
-	}
-	s.mu.Unlock()
+	s.tally(sv, err)
 	return r, err
+}
+
+// Outcome is what one realized scenario comes to, without its flows.
+type Outcome struct {
+	// Pairs is the number of pairs of interest (len(Realization.Pairs)).
+	Pairs int
+	// MaxU is the largest aggregate utilization among them, 0 if none.
+	MaxU float64
+	// MLU is the maximum link utilization under the scenario's
+	// capacities, MLUOf of the realization.
+	MLU float64
+}
+
+// Outcome serves one scenario exactly as Realize does and reports what
+// it comes to, read from the flat emission in the worker's scratch: no
+// Realization is built. The MLU is the check's (judge), which visits
+// only the arcs the scenario re-summed or overlays and takes every
+// other arc from the engine's record; it is bit-equal to MLUOf of
+// Realize's answer, and MaxU to the largest of its U. Errors are
+// Realize's, counted the same way in Stats. A warm scenario allocates
+// nothing. Safe for concurrent use.
+func (s *Sweep) Outcome(sc failures.Scenario) (Outcome, error) {
+	sr := s.pool.Get().(*sweepScratch)
+	sv, err := s.realize(sc, sr)
+	var out Outcome
+	if err == nil {
+		out.Pairs = sr.inCount
+		for r := 0; r < s.n; r++ {
+			if sr.inSet[r] == sr.epoch && sr.sol[r] > out.MaxU {
+				out.MaxU = sr.sol[r]
+			}
+		}
+		out.MLU, _ = s.judge(sc, sr, nil, false)
+	}
+	s.pool.Put(sr)
+	s.tally(sv, err)
+	return out, err
 }

@@ -182,7 +182,7 @@ func (s *Sweep) cold(sc failures.Scenario, sr *sweepScratch, why fallbackCause) 
 	sys := sr.sys
 	lu, err := sys.fact.Factor(s.n, sys.ptr, sys.ents)
 	if err != nil {
-		return served{}, fmt.Errorf("%w under %v: %w", ErrSingularMatrix, sc, err)
+		return served{}, unrealizable{fmt.Errorf("%w under %v: %w", ErrSingularMatrix, sc, err)}
 	}
 	if err := lu.SolveIntoScratch(sr.x, s.demand, sys.w); err != nil {
 		return served{}, fmt.Errorf("routing: aggregate system under %v: %w", sc, err)
@@ -342,7 +342,7 @@ func (s *Sweep) rowCoeffs(sr *sweepScratch, r int) float64 {
 func (s *Sweep) liveCoeffs(sc failures.Scenario, sr *sweepScratch, r int) (float64, error) {
 	diag := s.rowCoeffs(sr, r)
 	if diag <= 1e-12 && sr.inSet[r] == sr.epoch {
-		return 0, fmt.Errorf("routing: pair %v of interest has no live reservation under %v", s.pairs[r], sc)
+		return 0, unrealizable{fmt.Errorf("routing: pair %v of interest has no live reservation under %v", s.pairs[r], sc)}
 	}
 	return diag, nil
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"pcf/internal/core"
+	"pcf/internal/eval"
 	"pcf/internal/failures"
 	"pcf/internal/telemetry"
 	"pcf/internal/topology"
@@ -244,15 +248,11 @@ func TestRealizeDeadLinksSorted(t *testing.T) {
 	}
 }
 
-// TestRealizeAllocs holds the request path's allocations per realize
-// (ServeHTTP, one recorder per call) at or below the 73 it took before
-// the route table replaced the per-handler lifecycle copies.
-func TestRealizeAllocs(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
-		t.Skip("the race detector's own allocations would count against the budget")
-	}
-	_, plan := testPlan(t)
-	s, err := NewServer(Config{Instance: testInstance()})
+// realizeAllocs is the allocations per warm realize request of one dead
+// link (ServeHTTP, one recorder per call) on a server publishing plan.
+func realizeAllocs(t *testing.T, in *core.Instance, plan *core.Plan) float64 {
+	t.Helper()
+	s, err := NewServer(Config{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,121 @@ func TestRealizeAllocs(t *testing.T) {
 		}
 	}
 	realize() // warm the engine's corrector cache for the scenario
-	if allocs := testing.AllocsPerRun(100, realize); allocs > 73 {
-		t.Fatalf("%.0f allocations per realize request, want <= 73", allocs)
+	return testing.AllocsPerRun(100, realize)
+}
+
+// TestRealizeAllocs holds the request path's allocations per realize
+// to what the lifecycle, the record and the reply take, and shows they
+// no longer scale with the plan: the engine's Outcome allocates nothing,
+// so BTNorthAmerica PCF-TF f=2 (40 pairs) costs what the 4-node test
+// plan does. Building a Realization took 60 and 97.
+func TestRealizeAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's own allocations would count against the budget")
+	}
+	const budget = 37
+	_, plan := testPlan(t)
+	small := realizeAllocs(t, testInstance(), plan)
+	if small > budget {
+		t.Fatalf("%.0f allocations per realize request, want <= %d", small, budget)
+	}
+	if testing.Short() {
+		return
+	}
+	setup, err := eval.Prepare(eval.Options{Topology: "BTNorthAmerica", Seed: 1, MaxPairs: 40, FailureBudget: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &core.Instance{
+		Graph: setup.Graph, TM: setup.TM, Tunnels: setup.Tunnels,
+		Failures: setup.Failures, Objective: core.DemandScale,
+	}
+	btna, err := core.SolvePCFTF(in, core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := realizeAllocs(t, in, btna)
+	t.Logf("%.0f allocations per realize request on the test plan, %.0f on BTNorthAmerica", small, large)
+	if math.Abs(large-small) > 2 {
+		t.Fatalf("%.0f allocations per BTNorthAmerica realize request, %.0f on the test plan: want within 2", large, small)
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, whose own allocations would count against a budget.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// TestRealizeReplyBytes: the typed realize reply encodes byte for byte
+// as the map[string]any it replaced, with and without dead links.
+func TestRealizeReplyBytes(t *testing.T) {
+	for _, r := range []realizeReply{
+		{DeadLinks: []int{3, 5, 9}, Epoch: 7, MaxU: 0.6123456789012345, MLU: 0.54, Pairs: 20, Scheme: "PCF-CLS"},
+		{Epoch: 1, MaxU: 1, MLU: 0, Pairs: 1, Scheme: "PCF-TF"},
+		{DeadLinks: []int{0}, Epoch: 18446744073709551615, MaxU: 1e-21, MLU: 3.5e21, Scheme: `"quoted" <tf>`},
+	} {
+		legacy := map[string]any{
+			"epoch":      r.Epoch,
+			"scheme":     r.Scheme,
+			"dead_links": r.DeadLinks,
+			"pairs":      r.Pairs,
+			"max_u":      r.MaxU,
+			"mlu":        r.MLU,
+		}
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		writeJSON(got, r)
+		writeJSON(want, legacy)
+		if got.Body.String() != want.Body.String() {
+			t.Fatalf("typed reply encodes\n%s\nthe map encodes\n%s", got.Body, want.Body)
+		}
+	}
+}
+
+// TestRealizeUnrealizable: a scenario the plan cannot carry is the
+// client's scenario at fault, not the server — 422, outcome error. On
+// the test plan every 3-link set leaves the demand pair no live
+// reservation or a singular system.
+func TestRealizeUnrealizable(t *testing.T) {
+	var recs []telemetry.Record
+	s, err := NewServer(Config{Instance: testInstance(), Telemetry: telemetry.EmitterFunc(func(r telemetry.Record) {
+		if r.Kind == telemetry.KindRequest && r.Name == "realize" {
+			recs = append(recs, r)
+		}
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, plan := testPlan(t)
+	if _, err := s.Registry().Publish(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	links := s.inst.Graph.NumLinks()
+	sets := 0
+	for a := 0; a < links; a++ {
+		for b := a + 1; b < links; b++ {
+			for c := b + 1; c < links; c++ {
+				sets++
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, fmt.Sprintf("/v1/realize?links=%d,%d,%d", a, b, c), nil))
+				var body struct{ Error string }
+				if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || body.Error == "" {
+					t.Errorf("links %d,%d,%d: body %s is not {\"error\": …}", a, b, c, w.Body)
+				}
+				if w.Code != http.StatusUnprocessableEntity {
+					t.Errorf("links %d,%d,%d: status %d, want 422: %s", a, b, c, w.Code, body.Error)
+				}
+			}
+		}
+	}
+	if sets == 0 || len(recs) != sets {
+		t.Fatalf("%d realize records for %d 3-link sets", len(recs), sets)
+	}
+	for _, r := range recs {
+		if r.Outcome != "error" {
+			t.Errorf("record %+v: outcome %q, want error", r, r.Outcome)
+		}
 	}
 }

@@ -468,6 +468,7 @@ func (s *Server) writeError(w http.ResponseWriter, c *call, class Class, err err
 	case errors.Is(err, ErrNoPlan):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrValidation),
+		errors.Is(err, routing.ErrUnrealizable),
 		errors.Is(err, lp.ErrInfeasible),
 		errors.Is(err, lp.ErrUnbounded):
 		status = http.StatusUnprocessableEntity
@@ -780,18 +781,26 @@ func (s *Server) parseScenario(c *call) error {
 	return nil
 }
 
+// realizeReply is the /v1/realize body. Its fields are declared in
+// sorted key order, the order encoding/json writes a map's keys in, so
+// its bytes are those of the map[string]any the handler once built.
+type realizeReply struct {
+	DeadLinks []int   `json:"dead_links"`
+	Epoch     uint64  `json:"epoch"`
+	MaxU      float64 `json:"max_u"`
+	MLU       float64 `json:"mlu"`
+	Pairs     int     `json:"pairs"`
+	Scheme    string  `json:"scheme"`
+}
+
+// handleRealize answers from the engine's Outcome: the scenario is
+// realized and judged in the engine's scratch, and no Realization is
+// built.
 func (s *Server) handleRealize(c *call) (any, error) {
-	real, err := c.pub.Sweep.Realize(c.sc)
+	out, err := c.pub.Sweep.Outcome(c.sc)
 	if err != nil {
 		return nil, err
 	}
-	maxU := 0.0
-	for _, u := range real.U {
-		if u > maxU {
-			maxU = u
-		}
-	}
-	mlu := routing.MLUOf(s.inst.Graph, real)
 	var deadLinks []int
 	for l, dead := range c.sc.Dead {
 		if dead {
@@ -799,16 +808,16 @@ func (s *Server) handleRealize(c *call) (any, error) {
 		}
 	}
 	slices.Sort(deadLinks)
-	c.field("mlu", mlu)
-	c.field("max_u", maxU)
+	c.field("mlu", out.MLU)
+	c.field("max_u", out.MaxU)
 	c.field("dead_links", float64(len(deadLinks)))
-	return map[string]any{
-		"epoch":      c.pub.Epoch,
-		"scheme":     c.pub.Scheme,
-		"dead_links": deadLinks,
-		"pairs":      len(real.Pairs),
-		"max_u":      maxU,
-		"mlu":        mlu,
+	return realizeReply{
+		DeadLinks: deadLinks,
+		Epoch:     c.pub.Epoch,
+		MaxU:      out.MaxU,
+		MLU:       out.MLU,
+		Pairs:     out.Pairs,
+		Scheme:    c.pub.Scheme,
 	}, nil
 }
 
@@ -862,6 +871,9 @@ func (s *Server) parseValidate(c *call) error {
 	if raw := q.Get("kcap"); raw != "" {
 		if opts.KCap, err = strconv.Atoi(raw); err != nil {
 			return fmt.Errorf("serve: bad kcap %q: %w", raw, err)
+		}
+		if budget := c.pub.Plan.Instance.Failures.Budget; opts.KCap <= budget {
+			return fmt.Errorf("serve: kcap %d must exceed the plan's failure budget %d", opts.KCap, budget)
 		}
 	}
 	c.sample = &opts

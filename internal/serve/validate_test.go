@@ -72,13 +72,16 @@ func TestServerSampledValidate(t *testing.T) {
 
 	// Knob validation is a client error, not a server failure — and a
 	// sample count above the cap is refused before anything is sized by
-	// it. Each refusal is a request record with outcome error.
+	// it, as is a kcap at or below the plan's failure budget (1 here).
+	// Each refusal is a request record with outcome error.
 	bad := []string{
 		"/v1/validate?model=nonsense",
 		"/v1/validate?model=sampled&p=2",
 		"/v1/validate?model=sampled&samples=abc",
 		"/v1/validate?model=sampled&samples=2000000000",
 		"/v1/validate?model=sampled&delta=7",
+		"/v1/validate?model=sampled&kcap=-3",
+		"/v1/validate?model=sampled&kcap=1",
 	}
 	for _, q := range bad {
 		resp := mustGet(t, ts.URL+q)

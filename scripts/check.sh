@@ -58,7 +58,7 @@ echo "== fleet chaos smoke (-race -short)"
 # full (slow) mode only when -short is not set there; this explicit
 # short pass mirrors the CI chaos-smoke job so a local gate run always
 # exercises the kill/partition/tear schedule the same way CI does.
-go test -race -short -count=1 -run 'TestFleetChaosSoak' ./internal/fleet/
+go test -race -short -count=1 -run 'TestFleetChaosSoak|TestFrontend' ./internal/fleet/
 
 echo "== sampled-validation determinism (-count=2)"
 # The coverage report of a sampled validation must be byte-identical
@@ -77,9 +77,11 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # race detector examines here (DESIGN.md §12). The one cold path (the
 # scenario's own sparse rows, factored afresh; Realize runs it too) is
 # held to the dense n×n oracle at 1e-9 with every corrected scenario
-# forced cold. -count=2 keeps Go's test cache from answering for a
+# forced cold. Outcome, what /v1/realize runs, must equal Realize +
+# MLUOf bit for bit on a warm, a forced-cold and a cold-only engine.
+# -count=2 keeps Go's test cache from answering for a
 # schedule-dependent regression.
-go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle' ./internal/routing/
+go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize' ./internal/routing/
 
 echo "== kernel solve ≡ full LU, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
