@@ -366,6 +366,9 @@ func BenchmarkSolveSynth1k(b *testing.B) {
 		b.Fatalf("synth solve factored a kernel of all %d rows; single-entry columns should cover most of them", plan.Stats.Rows)
 	}
 	b.ReportMetric(float64(plan.Stats.LPIterations), "lp_iters")
+	// Solve time per pivot, as benchmark/'s lp.us_per_iter reads it: the
+	// whole solve (compile, separation included) over the iterations.
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*plan.Stats.LPIterations), "us_per_iter")
 	b.ReportMetric(float64(plan.Stats.Refactors), "refactors")
 	b.ReportMetric(plan.Stats.FillRatio(), "fill_ratio")
 	b.ReportMetric(float64(plan.Stats.KernelDim), "kernel_dim")

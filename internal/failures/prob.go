@@ -211,7 +211,8 @@ type Coverage struct {
 	// TruncatedMass = P(K > KCap); never sampled, counted fully
 	// against Epsilon rather than silently dropped.
 	TruncatedMass float64 `json:"truncated_mass"`
-	// KCap is the sampler's count truncation point.
+	// KCap is the sampler's count truncation point: the one requested,
+	// or the unit count when that is smaller.
 	KCap int `json:"kcap"`
 	// Samples and SampleFailures are the tail draws and how many of
 	// them violated the congestion-free check.

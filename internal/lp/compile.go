@@ -359,6 +359,18 @@ func (cm *Compiled) setMinimize(costs []float64) {
 	}
 }
 
+// multiEntryNNZ counts the nonzeros of the std columns with two or more
+// entries: the most a basis's kernel columns can hold between them.
+func (cm *Compiled) multiEntryNNZ() int {
+	n := 0
+	for _, col := range cm.cols {
+		if len(col) > 1 {
+			n += len(col)
+		}
+	}
+	return n
+}
+
 // RowRHS reports the current model-space RHS of logical row i.
 func (cm *Compiled) RowRHS(i int) float64 { return cm.lrhs[i] }
 

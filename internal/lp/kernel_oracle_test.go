@@ -155,7 +155,7 @@ func (st *simplexState) compareWithFullLU() error {
 		if err := lu.SolveTransposeIntoScratch(want, rhs, make([]float64, len(rhs))); err != nil {
 			return err
 		}
-		st.btran(rhs, got)
+		st.fac.btran(rhs, nonZeros(rhs), got)
 		if err := agree("btran", got, want); err != nil {
 			return err
 		}
@@ -179,4 +179,25 @@ func (st *simplexState) compareWithFullLU() error {
 		}
 	}
 	return nil
+}
+
+// colVec materializes std column j (including artificials) densely into
+// dst.
+func (st *simplexState) colVec(j int, dst []float64) {
+	clear(dst)
+	for _, e := range st.col(j) {
+		dst[e.row] = e.val
+	}
+}
+
+// nonZeros lists the positions where v is non-zero, ascending: what
+// btran takes beside its input.
+func nonZeros(v []float64) []int {
+	var nz []int
+	for p, x := range v {
+		if x != 0 {
+			nz = append(nz, p)
+		}
+	}
+	return nz
 }

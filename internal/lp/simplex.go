@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -164,6 +165,11 @@ type simplexState struct {
 	artSign []float64
 	artCol  [1]entry // col's scratch for an artificial column
 	inB     []bool   // whether std column j is basic
+	// costs is c_B of the running phase; y, d and rho are the
+	// iteration's prices, entering direction and row of B⁻¹. All live in
+	// the Compiled's workspace (useWorkspace).
+	costs     basicCosts
+	y, d, rho []float64
 	// slackRows counts rows a cold start put on their own slack; the
 	// other m-slackRows started on an artificial.
 	slackRows int
@@ -217,9 +223,18 @@ func newSimplexState(cm *Compiled, opts Options) *simplexState {
 		st.inB[j] = true
 		st.xB[i] = cm.b[i] * st.col(j)[0].val // b_i/σ_i, σ_i = ±1
 	}
-	st.fac = cm.workspace()
+	st.useWorkspace()
 	st.fac.refactor(st) // a diagonal: the kernel is empty, nothing to factor or to fail
 	return st
+}
+
+// useWorkspace points the state at the Compiled's workspace: the factor
+// and the iteration's vectors.
+func (st *simplexState) useWorkspace() {
+	f := st.cm.workspace()
+	st.fac = f
+	st.costs = basicCosts{cB: f.cB, nz: f.cNZ[:0]}
+	st.y, st.d, st.rho = f.y, f.d, f.rho
 }
 
 // newWarmState builds a state whose basis is the supplied warm basis,
@@ -266,7 +281,7 @@ func newWarmState(cm *Compiled, opts Options, ws *Basis) *simplexState {
 			st.inB[cm.nCols+i] = true
 		}
 	}
-	st.fac = cm.workspace()
+	st.useWorkspace()
 	return st
 }
 
@@ -296,24 +311,58 @@ func (st *simplexState) col(j int) []entry {
 	return st.artCol[:]
 }
 
-// colVec materializes std column j (including artificials) densely into dst.
-func (st *simplexState) colVec(j int, dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for _, e := range st.col(j) {
-		dst[e.row] = e.val
-	}
-}
-
 // ftran computes d = B⁻¹ * col(j).
 func (st *simplexState) ftran(j int, d []float64) {
 	st.fac.ftran(st, j, d)
 }
 
-// btran computes y = costB' * B⁻¹ for the supplied basic costs.
-func (st *simplexState) btran(costB, y []float64) {
-	st.fac.btran(costB, y)
+// btran computes y = c_Bᵀ·B⁻¹ for the running phase's basic costs.
+func (st *simplexState) btran(y []float64) {
+	st.fac.btran(st.costs.cB, st.costs.nz, y)
+}
+
+// basicCosts is BTRAN's input during a phase: c_B, the phase cost of
+// the column basic at each position, and nz, the ascending positions
+// where it is non-zero. A pivot changes one basic column, so pivot
+// updates one entry of each instead of gathering all m again.
+type basicCosts struct {
+	cost []float64 // the phase's cost per std column
+	cB   []float64
+	nz   []int
+}
+
+// reset gathers c_B for cost over basis.
+func (bc *basicCosts) reset(cost []float64, basis []int) {
+	bc.cost, bc.nz = cost, bc.nz[:0]
+	for p, j := range basis {
+		bc.cB[p] = cost[j]
+		if cost[j] != 0 {
+			bc.nz = append(bc.nz, p)
+		}
+	}
+}
+
+// set records that column j became basic at position p.
+func (bc *basicCosts) set(p, j int) {
+	v := bc.cost[j]
+	bc.cB[p] = v
+	i, in := slices.BinarySearch(bc.nz, p)
+	switch {
+	case v != 0 && !in:
+		bc.nz = slices.Insert(bc.nz, i, p)
+	case v == 0 && in:
+		bc.nz = slices.Delete(bc.nz, i, i+1)
+	}
+}
+
+// objective is c_Bᵀx_B, summed over nz in ascending position order: the
+// terms left out are exact zeros.
+func (bc *basicCosts) objective(xB []float64) float64 {
+	obj := 0.0
+	for _, p := range bc.nz {
+		obj += bc.cB[p] * xB[p]
+	}
+	return obj
 }
 
 // refactor rebuilds the basis factorization from the current basis
@@ -346,14 +395,9 @@ func (st *simplexState) needRefactor(sinceRefactor int) bool {
 // factorization absorbs the pivot as an appended eta rather than
 // refactoring.
 func (st *simplexState) pivot(enter, leaveRow int, d []float64) {
-	m := st.m
-	pd := d[leaveRow]
-	theta := st.xB[leaveRow] / pd
-	for i := 0; i < m; i++ {
-		if i == leaveRow {
-			continue
-		}
-		st.xB[i] -= theta * d[i]
+	theta := st.xB[leaveRow] / d[leaveRow]
+	for i, di := range d { // leaveRow too: its value is overwritten below
+		st.xB[i] -= theta * di
 		if st.xB[i] < 0 && st.xB[i] > -feasTol {
 			st.xB[i] = 0
 		}
@@ -366,17 +410,35 @@ func (st *simplexState) pivot(enter, leaveRow int, d []float64) {
 	st.inB[st.basis[leaveRow]] = false
 	st.inB[enter] = true
 	st.basis[leaveRow] = enter
+	st.costs.set(leaveRow, enter)
+	if h := st.fac.hooks; h != nil && h.pivot != nil {
+		h.pivot(st, enter, leaveRow)
+	}
+}
+
+// ratioRows lists the rows whose direction entry exceeds pivTol — the
+// ratio test's candidates, ascending, in BTRAN's position list, which
+// is free until the next BTRAN — and the least ratio xB/d among them.
+func (st *simplexState) ratioRows(d []float64, pivTol float64) ([]int, float64) {
+	cand, minTheta := st.fac.nz[:0], math.Inf(1)
+	for i, di := range d {
+		if di > pivTol {
+			cand = append(cand, i)
+			if theta := st.xB[i] / di; theta < minTheta {
+				minTheta = theta
+			}
+		}
+	}
+	return cand, minTheta
 }
 
 // runPhase runs primal simplex iterations with the given cost vector
 // (length nCols + m where the artificial block carries artCost). It
 // returns the terminal status for this phase.
 func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
-	m := st.m
 	cm := st.cm
-	costB := make([]float64, m)
-	y := make([]float64, m)
-	d := make([]float64, m)
+	y, d := st.y, st.d
+	st.costs.reset(cost, st.basis)
 	noImprove := 0
 	lastObj := math.Inf(1)
 	sinceRefactor := 0
@@ -408,10 +470,7 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 		}
 		sinceRefactor++
 
-		for i := 0; i < m; i++ {
-			costB[i] = cost[st.basis[i]]
-		}
-		st.btran(costB, y)
+		st.btran(y)
 
 		useBland := noImprove >= blandTrigger
 		enter := -1
@@ -445,30 +504,16 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 
 		st.ftran(enter, d)
 		// Two-pass ratio test (Harris style): find the minimal ratio,
-		// then among near-ties pick the row with the largest pivot
-		// magnitude for numerical stability. Under Bland's rule the
-		// smallest basis index wins instead to guarantee termination.
-		pivTol := 1e-8
-		minTheta := math.Inf(1)
-		for i := 0; i < m; i++ {
-			if d[i] > pivTol {
-				if theta := st.xB[i] / d[i]; theta < minTheta {
-					minTheta = theta
-				}
-			}
-		}
+		// then among near-ties — the first pass's candidate rows only —
+		// pick the row with the largest pivot magnitude for numerical
+		// stability. Under Bland's rule the smallest basis index wins
+		// instead to guarantee termination.
+		cand, minTheta := st.ratioRows(d, 1e-8)
 		if math.IsInf(minTheta, 1) {
 			// Distinguish true unboundedness from a degenerate state
 			// where only sub-threshold pivots remain: accept tiny
 			// pivots before declaring an unbounded ray.
-			pivTol = feasTol
-			for i := 0; i < m; i++ {
-				if d[i] > pivTol {
-					if theta := st.xB[i] / d[i]; theta < minTheta {
-						minTheta = theta
-					}
-				}
-			}
+			cand, minTheta = st.ratioRows(d, feasTol)
 		}
 		if math.IsInf(minTheta, 1) {
 			// An apparent unbounded ray can be an artifact of a drifted
@@ -490,10 +535,7 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 		leave := -1
 		thetaCap := minTheta + 1e-9*(1+math.Abs(minTheta))
 		bestPiv := 0.0
-		for i := 0; i < m; i++ {
-			if d[i] <= pivTol {
-				continue
-			}
+		for _, i := range cand {
 			theta := st.xB[i] / d[i]
 			if theta > thetaCap {
 				continue
@@ -525,11 +567,7 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 		st.pivot(enter, leave, d)
 		*iters++
 
-		obj := 0.0
-		for i := 0; i < m; i++ {
-			obj += cost[st.basis[i]] * st.xB[i]
-		}
-		if obj < lastObj-1e-12 {
+		if obj := st.costs.objective(st.xB); obj < lastObj-1e-12 {
 			lastObj = obj
 			noImprove = 0
 		} else {
@@ -552,10 +590,8 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 func (st *simplexState) runDual(cost []float64) (Status, error) {
 	m := st.m
 	cm := st.cm
-	costB := make([]float64, m)
-	y := make([]float64, m)
-	d := make([]float64, m)
-	rho := make([]float64, m)
+	y, d, rho := st.y, st.d, st.rho
+	st.costs.reset(cost, st.basis)
 	st.phase = 3
 	sinceRefactor := 0
 	stall := 0
@@ -602,10 +638,7 @@ func (st *simplexState) runDual(cost []float64) (Status, error) {
 		}
 		lastWorst = worst
 
-		for i := 0; i < m; i++ {
-			costB[i] = cost[st.basis[i]]
-		}
-		st.btran(costB, y)
+		st.btran(y)
 		st.fac.invRow(r, rho)
 
 		// Entering column: among columns with a negative pivot-row
@@ -673,14 +706,10 @@ func (st *simplexState) runDual(cost []float64) (Status, error) {
 // has a reduced cost above -tol, i.e. the basis is usable as a dual
 // simplex start.
 func (st *simplexState) dualFeasible(cost []float64, tol float64) bool {
-	m := st.m
 	cm := st.cm
-	costB := make([]float64, m)
-	y := make([]float64, m)
-	for i := 0; i < m; i++ {
-		costB[i] = cost[st.basis[i]]
-	}
-	st.btran(costB, y)
+	y := st.y
+	st.costs.reset(cost, st.basis)
+	st.btran(y)
 	for j := 0; j < cm.nCols; j++ {
 		if st.inB[j] {
 			continue
@@ -700,10 +729,8 @@ func (st *simplexState) dualFeasible(cost []float64, tol float64) bool {
 // the basis where possible. Rows where no structural pivot exists are
 // redundant; their artificial stays basic at zero.
 func (st *simplexState) driveOutArtificials() {
-	m := st.m
-	d := make([]float64, m)
-	rho := make([]float64, m)
-	for i := 0; i < m; i++ {
+	d, rho := st.d, st.rho
+	for i := 0; i < st.m; i++ {
 		if st.basis[i] < st.cm.nCols {
 			continue
 		}
@@ -954,16 +981,12 @@ func (st *simplexState) extract(status Status, cost []float64) *Solution {
 	}
 	sol.Objective = obj
 
-	// Duals: y = costB' * binv, mapped back to logical rows.
-	m := st.m
-	costB := make([]float64, m)
-	for i := 0; i < m; i++ {
-		costB[i] = cost[st.basis[i]]
-	}
-	y := make([]float64, m)
-	st.btran(costB, y)
+	// Duals: y = c_Bᵀ·B⁻¹, mapped back to logical rows.
+	y := st.y
+	st.costs.reset(cost, st.basis)
+	st.btran(y)
 	duals := make([]float64, cm.nLogical)
-	for r := 0; r < m; r++ {
+	for r := 0; r < st.m; r++ {
 		lr := cm.rowOf[r]
 		if lr < 0 {
 			continue

@@ -236,8 +236,11 @@ func TestLazyNameRendering(t *testing.T) {
 
 // TestSparseFactorSteadyStateAllocs: after one warm-up cycle the
 // factor's refactor — partition, kernel transpose and LU — FTRAN,
-// BTRAN, inverse row, dense solve and eta update run out of its own
-// reused buffers: a solve's hundred refactorizations allocate nothing.
+// BTRAN from c_B's non-zero list, inverse row, dense solve, the ratio
+// test's candidate list and a pivot there and back (eta update, c_B and
+// its list gaining a position and losing it) run out of the workspace's
+// reused buffers: a simplex iteration allocates nothing, and neither do
+// a solve's hundred refactorizations.
 func TestSparseFactorSteadyStateAllocs(t *testing.T) {
 	m := NewModel()
 	obj := NewExpr()
@@ -260,27 +263,43 @@ func TestSparseFactorSteadyStateAllocs(t *testing.T) {
 	for st.inB[enter] {
 		enter++
 	}
-	d, y, costB := make([]float64, st.m), make([]float64, st.m), make([]float64, st.m)
+	d, y := st.d, st.y
+	st.ftran(enter, d)
+	r := 0
+	for d[r] == 0 {
+		r++
+	}
+	// The costs make the pivot in add position r to c_B's non-zero list
+	// and the pivot back take it out.
+	left := st.basis[r]
+	probe := append([]float64(nil), cost...)
+	probe[enter], probe[left] = 1, 0
+	st.costs.reset(probe, st.basis)
+	listed := 0
 	cycle := func() {
 		if !st.refactor() {
 			t.Fatal("refactor failed")
 		}
 		st.fac.invRow(0, y)
 		st.fac.applyInv(cm.b, d)
+		st.btran(y)
 		st.ftran(enter, d)
-		r := 0
-		for d[r] == 0 {
-			r++
-		}
-		st.fac.update(r, d)
-		st.btran(costB, y) // both now run through the eta
-		st.ftran(enter, d)
+		st.ratioRows(d, 1e-8)
+		st.pivot(enter, r, d)
+		listed = len(st.costs.nz)
+		st.btran(y) // through the eta
+		st.ftran(left, d)
+		st.pivot(left, r, d)
+		st.btran(y)
 	}
 	cycle()
 	if k := len(st.fac.kPos); k == 0 || k == st.m {
 		t.Fatalf("the optimal basis has a kernel of %d of %d rows: the cycle should cross both blocks of the solve", k, st.m)
 	}
+	if listed != len(st.costs.nz)+1 {
+		t.Fatalf("c_B lists %d positions after the pivot and %d after the pivot back, want one more", listed, len(st.costs.nz))
+	}
 	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
-		t.Fatalf("refactor + solves + update allocates %v times per cycle in steady state", allocs)
+		t.Fatalf("refactor + solves + two pivots allocate %v times per cycle in steady state", allocs)
 	}
 }

@@ -32,7 +32,8 @@ type SampleOptions struct {
 	// byte-identical coverage report.
 	Seed int64
 	// KCap truncates the sampled failure-count range at (budget, KCap];
-	// mass beyond KCap is charged fully to ε. Default Budget+8.
+	// mass beyond KCap is charged fully to ε. Default Budget+8; above the
+	// unit count it is the unit count, which the report then carries.
 	KCap int
 }
 
@@ -117,7 +118,7 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 	cov.ExhaustiveMass = 1 - tail
 	cov.TailMass = tail
 	cov.TruncatedMass = tail
-	cov.KCap = opts.KCap
+	cov.KCap = min(opts.KCap, len(fs.Units)) // where the sampler clamps it
 	cov.Delta = opts.Delta
 	cov.Seed = opts.Seed
 

@@ -254,6 +254,27 @@ func TestValidateSampledCanceledBeforeSweep(t *testing.T) {
 	}
 }
 
+// TestSampledReportsClampedKCap: the sampler truncates the failure count
+// at the unit count, and the coverage report says so instead of echoing
+// a larger kcap it never used.
+func TestSampledReportsClampedKCap(t *testing.T) {
+	plan := fig1Plan(t, 1)
+	pm, err := failures.Uniform(plan.Instance.Failures, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := len(plan.Instance.Failures.Units)
+	for _, kcap := range []int{2, units, units + 1, 1 << 30} {
+		rep, err := ValidateSampled(context.Background(), plan, SampleOptions{Model: pm, Samples: 5, KCap: kcap})
+		if err != nil {
+			t.Fatalf("kcap %d: %v", kcap, err)
+		}
+		if want := min(kcap, units); rep.Coverage.KCap != want {
+			t.Fatalf("kcap %d over %d units: the report says %d, want %d", kcap, units, rep.Coverage.KCap, want)
+		}
+	}
+}
+
 // TestValidateSampledRejects pins the option validation.
 func TestValidateSampledRejects(t *testing.T) {
 	plan := fig1Plan(t, 1)

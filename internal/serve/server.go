@@ -826,6 +826,12 @@ func (s *Server) handleRealize(c *call) (any, error) {
 // the client's to choose freely.
 const maxValidateSamples = 100_000
 
+// maxKCapOverBudget caps ?kcap= at the plan's failure budget plus this
+// many failed units: the tail sampler's table holds a row of kcap+1
+// probabilities per unit, so the truncation point must not be the
+// client's to choose freely either.
+const maxKCapOverBudget = 64
+
 // parseValidate reads ?model= (exact, the default, or sampled) and the
 // sampled model's knobs.
 func (s *Server) parseValidate(c *call) error {
@@ -872,8 +878,12 @@ func (s *Server) parseValidate(c *call) error {
 		if opts.KCap, err = strconv.Atoi(raw); err != nil {
 			return fmt.Errorf("serve: bad kcap %q: %w", raw, err)
 		}
-		if budget := c.pub.Plan.Instance.Failures.Budget; opts.KCap <= budget {
+		budget := c.pub.Plan.Instance.Failures.Budget
+		if opts.KCap <= budget {
 			return fmt.Errorf("serve: kcap %d must exceed the plan's failure budget %d", opts.KCap, budget)
+		}
+		if opts.KCap > budget+maxKCapOverBudget {
+			return fmt.Errorf("serve: kcap %d above the limit %d (failure budget %d + %d)", opts.KCap, budget+maxKCapOverBudget, budget, maxKCapOverBudget)
 		}
 	}
 	c.sample = &opts

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -70,9 +71,26 @@ func TestServerSampledValidate(t *testing.T) {
 		t.Fatalf("telemetry query shows no sampled validate records with epsilon: %v", tq)
 	}
 
+	// The truncation point is reported as the sampler used it: a kcap at
+	// its cap, the budget (1 here) + maxKCapOverBudget, is over the unit
+	// count, and the report carries the unit count.
+	pub, err := s.Registry().Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := len(pub.Plan.Instance.Failures.Units)
+	resp = mustGet(t, ts.URL+fmt.Sprintf("/v1/validate?model=sampled&p=0.05&samples=10&kcap=%d", 1+maxKCapOverBudget))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sampled validate at the kcap limit: status %d", resp.StatusCode)
+	}
+	capped := decodeBody(t, resp)
+	if kcap, _ := capped["coverage"].(map[string]any)["kcap"].(float64); units >= 1+maxKCapOverBudget || int(kcap) != units {
+		t.Fatalf("kcap %d over %d units reported as %v, want %d", 1+maxKCapOverBudget, units, kcap, units)
+	}
+
 	// Knob validation is a client error, not a server failure — and a
-	// sample count above the cap is refused before anything is sized by
-	// it, as is a kcap at or below the plan's failure budget (1 here).
+	// sample count or a kcap above its cap is refused before anything is
+	// sized by it, as is a kcap at or below the plan's failure budget.
 	// Each refusal is a request record with outcome error.
 	bad := []string{
 		"/v1/validate?model=nonsense",
@@ -82,6 +100,8 @@ func TestServerSampledValidate(t *testing.T) {
 		"/v1/validate?model=sampled&delta=7",
 		"/v1/validate?model=sampled&kcap=-3",
 		"/v1/validate?model=sampled&kcap=1",
+		fmt.Sprintf("/v1/validate?model=sampled&kcap=%d", 2+maxKCapOverBudget),
+		"/v1/validate?model=sampled&kcap=1073741824",
 	}
 	for _, q := range bad {
 		resp := mustGet(t, ts.URL+q)

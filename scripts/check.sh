@@ -83,15 +83,18 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # schedule-dependent regression.
 go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize' ./internal/routing/
 
-echo "== kernel solve ≡ full LU, high-rank scenarios ≡ cold (-race -count=2)"
+echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
 # once every single-entry column has covered its row) and solves the
 # rest by substitution; a full-basis LU sharing none of that code must
-# agree to 1e-12 (DESIGN.md §17). routing turns no scenario away for its
-# correction's rank; every designed scenario of the benchmark's Sprint
-# and BTNorthAmerica PCF-TF plans, k > n/2 included, must be served
-# low-rank within 1e-9 of the dense oracle (DESIGN.md §12).
-go test -race -count=2 -run 'TestKernelSolveMatchesFullLU|TestHighRankScenariosServedLowRank' ./internal/lp/ ./internal/routing/
+# agree to 1e-12 (DESIGN.md §17). BTRAN follows only the non-zeros of
+# its input; the dense BTRAN it replaced is the test oracle, and every
+# BTRAN of cold, warm and dual solves must equal it entry for entry,
+# with the same pivots and bit-equal values. routing turns no scenario
+# away for its correction's rank; every designed scenario of the
+# benchmark's Sprint and BTNorthAmerica PCF-TF plans, k > n/2 included,
+# must be served low-rank within 1e-9 of the dense oracle (DESIGN.md §12).
+go test -race -count=2 -run 'TestKernelSolveMatchesFullLU|TestBTRANMatchesDenseOracle|TestBTRANWalksMatchDenseOracle|TestHighRankScenariosServedLowRank' ./internal/lp/ ./internal/routing/
 
 echo "== bench smoke (-benchtime 1x)"
 # Every Go benchmark once, for its tripwires: BenchmarkSolveSynth1k
