@@ -374,6 +374,28 @@ func BenchmarkSolveSynth1k(b *testing.B) {
 	b.ReportMetric(float64(plan.Stats.KernelDim), "kernel_dim")
 }
 
+// BenchmarkPrepareSynth1k measures eval.Prepare with the benchmark's
+// synth1k-tf-f1 options: the 1000-node Waxman graph, its gravity
+// matrix, 3 tunnels for each of 250 pairs (the disjoint-path search
+// builds each of the pairs' sources' first tree once) and the
+// tunnel-routing scale. internal/eval's TestPrepareFingerprints pins
+// what it prepares.
+func BenchmarkPrepareSynth1k(b *testing.B) {
+	var setup *eval.Setup
+	for i := 0; i < b.N; i++ {
+		var err error
+		setup, err = eval.Prepare(eval.Options{
+			Synth: "waxman", SynthNodes: 1000, Seed: 1,
+			MaxPairs: 250, FailureBudget: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "prepare_ms")
+	b.ReportMetric(float64(setup.Tunnels.Len()), "tunnels")
+}
+
 // BenchmarkValidateSweepSynth1k measures full scenario validation of a
 // 1000-node synthetic plan: a 250-pair realization universe whose
 // ~2000 single-failure scenarios the sweep serves as batched SMW

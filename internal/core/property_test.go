@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -330,6 +332,33 @@ func TestInstanceValidation(t *testing.T) {
 	}
 	if err := bad4.Validate(); err == nil {
 		t.Fatal("uncovered demand pair accepted")
+	}
+}
+
+// TestNegativeBudgetIsTyped: a failure set with a negative budget holds
+// no scenario, not even the no-failure seed cut. Every scheme refuses it
+// up front with ErrNegativeBudget instead of an internal error from the
+// cut loop.
+func TestNegativeBudgetIsTyped(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		solve func(*Instance, SolveOptions) (*Plan, error)
+	}{
+		{"FFC", SolveFFC},
+		{"PCF-TF", SolvePCFTF},
+		{"PCF-LS", SolvePCFLS},
+		{"PCF-CLS", SolvePCFCLS},
+		{"best", SolveBest},
+		{"R3", SolveR3},
+	} {
+		in := fig1Instance(3, 1)
+		in.Failures.Budget = -1
+		_, err := tc.solve(in, SolveOptions{})
+		if !errors.Is(err, ErrNegativeBudget) {
+			t.Errorf("%s: error %v, want ErrNegativeBudget", tc.name, err)
+		} else if strings.Contains(err.Error(), "internal") {
+			t.Errorf("%s: error %q still reads as internal", tc.name, err)
+		}
 	}
 }
 

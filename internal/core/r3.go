@@ -47,6 +47,9 @@ func SolveR3(in *Instance, opts SolveOptions) (*Plan, error) {
 	if err := in.TM.Validate(); err != nil {
 		return nil, fmt.Errorf("R3: %w", err)
 	}
+	if in.Failures.Budget < 0 {
+		return nil, fmt.Errorf("R3: %w %d", ErrNegativeBudget, in.Failures.Budget)
+	}
 	plan := &Plan{
 		Scheme:    "R3",
 		Objective: in.Objective,

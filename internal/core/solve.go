@@ -49,6 +49,11 @@ func (o SolveOptions) ctxErr() error {
 // without converging. Matched with errors.Is.
 var ErrCutLimit = errors.New("core: cut generation round limit exhausted")
 
+// ErrNegativeBudget reports an instance whose failure set has a negative
+// budget: no scenario, not even the no-failure one, lies within it.
+// Matched with errors.Is.
+var ErrNegativeBudget = errors.New("core: negative failure budget")
+
 var (
 	aPat     = lp.Pat("a[%d]")
 	bPat     = lp.Pat("b[%d]")

@@ -212,6 +212,9 @@ func (in *Instance) Validate() error {
 	if in.TM.N() != in.Graph.NumNodes() {
 		return fmt.Errorf("core: TM dimension %d != %d nodes", in.TM.N(), in.Graph.NumNodes())
 	}
+	if in.Failures.Budget < 0 {
+		return fmt.Errorf("%w %d", ErrNegativeBudget, in.Failures.Budget)
+	}
 	if err := in.TM.Validate(); err != nil {
 		return err
 	}

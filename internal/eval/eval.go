@@ -65,6 +65,21 @@ type Options struct {
 	MLULow, MLUHigh float64
 }
 
+// check rejects the option values that have no meaning rather than
+// letting them reach the solver: a negative failure budget would
+// prepare an instance with no scenarios at all, and a negative pair cap
+// would silently mean every pair. Zero keeps its documented default.
+// The errors name the command-line flag that sets each field.
+func (o Options) check() error {
+	if o.FailureBudget < 0 {
+		return fmt.Errorf("eval: the failure budget (-f) must be nonnegative, got %d", o.FailureBudget)
+	}
+	if o.MaxPairs < 0 {
+		return fmt.Errorf("eval: the pair cap (-pairs) must be nonnegative, got %d", o.MaxPairs)
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
 	if o.TunnelsPerPair == 0 {
 		o.TunnelsPerPair = 3
@@ -116,6 +131,9 @@ func (s *Setup) emit(rec telemetry.Record) {
 // splits sub-links, generates and scales the traffic matrix, and
 // selects tunnels.
 func Prepare(o Options) (*Setup, error) {
+	if err := o.check(); err != nil {
+		return nil, err
+	}
 	o = o.withDefaults()
 	var g *topology.Graph
 	var err error

@@ -19,6 +19,9 @@ import (
 // loaded matrix. Both pcfplan and pcfd load their instances through
 // this path.
 func PrepareFiles(linksPath, tmPath string, o Options) (*Setup, error) {
+	if err := o.check(); err != nil {
+		return nil, err
+	}
 	o = o.withDefaults()
 	lf, err := os.Open(linksPath)
 	if err != nil {

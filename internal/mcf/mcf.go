@@ -240,14 +240,33 @@ func solveFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]b
 // MinMLU returns the maximum link utilization of an optimal routing of
 // the full matrix (the inverse of the max concurrent flow scale).
 func MinMLU(g *topology.Graph, tm *traffic.Matrix) (float64, error) {
-	res, err := MaxConcurrentFlow(g, tm, nil)
+	mlu, _, err := minMLU(g, tm, nil)
+	return mlu, err
+}
+
+// minMLU is MinMLU on a solve warm-started from warm when it is
+// non-nil, returning the solution too (nil when the matrix has no
+// demand): MaxConcurrentFlow without the per-arc flows.
+func minMLU(g *topology.Graph, tm *traffic.Matrix, warm *lp.Basis) (float64, *lp.Solution, error) {
+	fm, err := buildFlow(g, tm, nil, true)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	if res.Objective <= 0 {
-		return math.Inf(1), nil
+	if len(fm.dsts) == 0 {
+		return 0, nil, nil // no demand: the scale is unbounded
 	}
-	return 1 / res.Objective, nil
+	sol, err := lp.Compile(fm.m).Solve(lp.Options{WarmStart: warm})
+	if err != nil {
+		return 0, nil, fmt.Errorf("mcf: %w", err)
+	}
+	z, err := objectiveOf(sol)
+	if err != nil {
+		return 0, nil, err
+	}
+	if z <= 0 {
+		return math.Inf(1), sol, nil
+	}
+	return 1 / z, sol, nil
 }
 
 // SweepStats reports how a scenario sweep went.
@@ -473,25 +492,40 @@ func sweepSolve(ctx context.Context, comp *lp.Compiled, fm *flowModel, sc failur
 // in [lo, hi], reproducing the paper's evaluation setup. It returns
 // the scaled matrix and the achieved MLU.
 func ScaleToMLU(g *topology.Graph, tm *traffic.Matrix, lo, hi float64) (*traffic.Matrix, float64, error) {
+	scaled, got, _, err := scaleToMLU(g, tm, lo, hi)
+	return scaled, got, err
+}
+
+// scaleToMLU is ScaleToMLU that also returns the confirming solve.
+// Scaling the matrix by α changes only the z column of the flow LP:
+// each balance row's -d·z becomes -(α·d)·z, and the layout of the
+// standard form does not depend on coefficient values. The first
+// solve's optimal basis therefore stays primal feasible (z's value
+// scales by 1/α, every other basic value is unchanged) and dual
+// feasible (z is basic and the only cost, so every reduced cost scales
+// by 1/α > 0), and the confirmation starts from it: a real solve with
+// its range check, usually without a pivot, that the warm dispatch
+// redoes cold on any doubt.
+func scaleToMLU(g *topology.Graph, tm *traffic.Matrix, lo, hi float64) (*traffic.Matrix, float64, *lp.Solution, error) {
 	if lo <= 0 || hi <= lo {
-		return nil, 0, fmt.Errorf("mcf: bad MLU target [%g, %g]", lo, hi)
+		return nil, 0, nil, fmt.Errorf("mcf: bad MLU target [%g, %g]", lo, hi)
 	}
-	mlu, err := MinMLU(g, tm)
+	mlu, sol, err := minMLU(g, tm, nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	if math.IsInf(mlu, 1) || mlu == 0 {
-		return nil, 0, fmt.Errorf("mcf: cannot scale matrix with MLU %v", mlu)
+		return nil, 0, nil, fmt.Errorf("mcf: cannot scale matrix with MLU %v", mlu)
 	}
 	// MLU scales linearly with the matrix.
 	target := (lo + hi) / 2
 	scaled := tm.Scale(target / mlu)
-	got, err := MinMLU(g, scaled)
+	got, confirm, err := minMLU(g, scaled, sol.Basis)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	if got < lo-1e-6 || got > hi+1e-6 {
-		return nil, 0, fmt.Errorf("mcf: scaling landed at MLU %g, outside [%g, %g]", got, lo, hi)
+		return nil, 0, nil, fmt.Errorf("mcf: scaling landed at MLU %g, outside [%g, %g]", got, lo, hi)
 	}
-	return scaled, got, nil
+	return scaled, got, confirm, nil
 }

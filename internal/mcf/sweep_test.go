@@ -160,3 +160,46 @@ func TestFlowLPCertified(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleConfirmationWarm: ScaleToMLU's confirming solve starts from
+// the first solve's basis, which scaling the matrix leaves optimal, so
+// it is a warm hit without a pivot; the scaled matrix is bit-equal to
+// scaling by a cold MinMLU and the MLU within 1e-12 of a cold
+// confirmation — on the instances eval.Prepare builds.
+func TestScaleConfirmationWarm(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		pairs int
+	}{{"Sprint", 45}, {"GEANT", 60}, {"BTNorthAmerica", 40}} {
+		g, _ := topozoo.MustLoad(tc.name).PruneDegreeOne()
+		tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 1, Jitter: 0.4})
+		tm = tm.Restrict(tm.TopPairs(tc.pairs))
+		scaled, got, confirm, err := scaleToMLU(g, tm, 0.6, 0.63)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !confirm.Stats.WarmHit || confirm.Stats.Iterations() != 0 {
+			t.Errorf("%s: confirming solve warm hit %v after %d pivots; want a hit with none",
+				tc.name, confirm.Stats.WarmHit, confirm.Stats.Iterations())
+		}
+		mlu, err := MinMLU(g, tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tm.Scale(0.615 / mlu)
+		for s, row := range want.Demand {
+			for d, v := range row {
+				if math.Float64bits(scaled.Demand[s][d]) != math.Float64bits(v) {
+					t.Fatalf("%s: scaled demand %d->%d is %v, cold scaling gives %v", tc.name, s, d, scaled.Demand[s][d], v)
+				}
+			}
+		}
+		cold, err := MinMLU(g, scaled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-cold) > 1e-12 {
+			t.Errorf("%s: warm confirmation MLU %.17g, cold %.17g", tc.name, got, cold)
+		}
+	}
+}

@@ -7,8 +7,11 @@
 package tunnels
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"pcf/internal/topology"
@@ -148,7 +151,9 @@ type SelectOptions struct {
 // Select chooses tunnels for every listed pair. For each pair it first
 // takes fully link-disjoint shortest paths while they exist, then fills
 // the remaining slots with penalized shortest paths, skipping exact
-// duplicates.
+// duplicates. Pairs are searched grouped by source, so the first
+// augmenting tree of a source is built once for all its pairs, and the
+// tunnels are added in the caller's pair order: IDs follow pairs.
 func Select(g *topology.Graph, pairs []topology.Pair, opts SelectOptions) (*Set, error) {
 	if opts.PerPair <= 0 {
 		return nil, fmt.Errorf("tunnels: PerPair must be positive")
@@ -162,63 +167,83 @@ func Select(g *topology.Graph, pairs []topology.Pair, opts SelectOptions) (*Set,
 	if penalty == 0 {
 		penalty = 16
 	}
-	set := NewSet(g)
-	for _, pair := range pairs {
+	bySrc := make([]int, len(pairs))
+	for i := range bySrc {
+		bySrc[i] = i
+	}
+	slices.SortStableFunc(bySrc, func(i, j int) int { return cmp.Compare(pairs[i].Src, pairs[j].Src) })
+	chosen := make([][]topology.Path, len(pairs))
+	s := newSearch(g)
+	for k, i := range bySrc {
+		pair := pairs[i]
+		if k == 0 || pairs[bySrc[k-1]].Src != pair.Src {
+			s.firstTree(pair.Src)
+		}
 		// Phase 1: a maximum set of link-disjoint paths (up to
 		// PerPair), found by successive shortest augmenting paths in
 		// the unit-capacity residual graph (Suurballe-style, so two
 		// disjoint tunnels exist whenever the graph is 2-edge-
 		// connected, matching the paper's setup).
-		chosen := disjointPaths(g, pair, opts.PerPair)
-		numDisjoint := len(chosen)
-		used := make(map[topology.LinkID]int)
-		for _, p := range chosen {
-			for _, a := range p.Arcs {
-				used[topology.LinkOf(a)]++
-			}
+		if paths := s.disjointPaths(pair, opts.PerPair); len(paths) > 0 {
+			chosen[i] = complete(g, pair, paths, opts.PerPair, penalty)
 		}
-		if len(chosen) == 0 {
+	}
+	set := NewSet(g)
+	for i, pair := range pairs {
+		if len(chosen[i]) == 0 {
 			return nil, fmt.Errorf("tunnels: no path for pair %v", pair)
 		}
-		// Phase 2: fill the remaining slots from Yen's k-shortest-path
-		// enumeration under usage-penalized weights, preferring low
-		// overlap with the chosen set and then shorter length.
-		if len(chosen) < opts.PerPair {
-			weight := func(l topology.LinkID) float64 {
-				w := g.Link(l).Weight
-				for i := 0; i < used[l]; i++ {
-					w *= penalty
-				}
-				return w
-			}
-			enum := g.KShortestPaths(pair.Src, pair.Dst, 4*opts.PerPair, weight)
-			for _, p := range enum {
-				if len(chosen) >= opts.PerPair {
-					break
-				}
-				if !containsPath(chosen, p) {
-					chosen = append(chosen, p)
-					for _, a := range p.Arcs {
-						used[topology.LinkOf(a)]++
-					}
-				}
-			}
-		}
-		// Shorter tunnels first within each group, but fully disjoint
-		// paths always precede penalized ones: Restrict(k) must keep
-		// the most-disjoint prefix (FFC's 2-tunnel configuration
-		// relies on a disjoint pair).
-		disjointPart := chosen[:numDisjoint]
-		extraPart := chosen[numDisjoint:]
-		sort.SliceStable(disjointPart, func(i, j int) bool { return len(disjointPart[i].Arcs) < len(disjointPart[j].Arcs) })
-		sort.SliceStable(extraPart, func(i, j int) bool { return len(extraPart[i].Arcs) < len(extraPart[j].Arcs) })
-		for _, p := range chosen {
+		for _, p := range chosen[i] {
 			if _, err := set.Add(pair, p); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return set, nil
+}
+
+// complete is phase 2 of Select: it fills the slots the link-disjoint
+// paths in chosen leave from Yen's k-shortest-path enumeration under
+// usage-penalized weights, preferring low overlap with the chosen set
+// and then shorter length, and orders the result.
+func complete(g *topology.Graph, pair topology.Pair, chosen []topology.Path, perPair int, penalty float64) []topology.Path {
+	numDisjoint := len(chosen)
+	used := make(map[topology.LinkID]int)
+	for _, p := range chosen {
+		for _, a := range p.Arcs {
+			used[topology.LinkOf(a)]++
+		}
+	}
+	if len(chosen) < perPair {
+		weight := func(l topology.LinkID) float64 {
+			w := g.Link(l).Weight
+			for i := 0; i < used[l]; i++ {
+				w *= penalty
+			}
+			return w
+		}
+		enum := g.KShortestPaths(pair.Src, pair.Dst, 4*perPair, weight)
+		for _, p := range enum {
+			if len(chosen) >= perPair {
+				break
+			}
+			if !containsPath(chosen, p) {
+				chosen = append(chosen, p)
+				for _, a := range p.Arcs {
+					used[topology.LinkOf(a)]++
+				}
+			}
+		}
+	}
+	// Shorter tunnels first within each group, but fully disjoint
+	// paths always precede penalized ones: Restrict(k) must keep
+	// the most-disjoint prefix (FFC's 2-tunnel configuration
+	// relies on a disjoint pair).
+	disjointPart := chosen[:numDisjoint]
+	extraPart := chosen[numDisjoint:]
+	sort.SliceStable(disjointPart, func(i, j int) bool { return len(disjointPart[i].Arcs) < len(disjointPart[j].Arcs) })
+	sort.SliceStable(extraPart, func(i, j int) bool { return len(extraPart[i].Arcs) < len(extraPart[j].Arcs) })
+	return chosen
 }
 
 func containsPath(paths []topology.Path, p topology.Path) bool {
@@ -259,74 +284,155 @@ func (s *Set) Restrict(k int) *Set {
 	return out
 }
 
+// search is the link-disjoint path search over one graph: the graph as
+// flat per-arc slices, built once per Select, and the label, worklist
+// and usage buffers every pair reuses.
+type search struct {
+	g          *topology.Graph
+	tail, head []topology.NodeID // per arc
+	weight     []float64         // per arc: its link's weight
+	usage      []int8            // per link: 0 unused, +1 used forward, -1 used in reverse
+	cost       []float64         // per arc: residual cost of the running augmentation, +Inf if none
+	dist       []float64         // per node: the running tree's labels ...
+	prev       []topology.ArcID  // ... and predecessor arcs, -1 for none
+	first      []topology.ArcID  // predecessor arcs of the current source's first tree
+	cur, next  []uint64          // arc bitsets: this pass's worklist and the next one's
+}
+
+func newSearch(g *topology.Graph) *search {
+	n, arcs := g.NumNodes(), g.NumArcs()
+	s := &search{
+		g:      g,
+		tail:   make([]topology.NodeID, arcs),
+		head:   make([]topology.NodeID, arcs),
+		weight: make([]float64, arcs),
+		usage:  make([]int8, g.NumLinks()),
+		cost:   make([]float64, arcs),
+		dist:   make([]float64, n),
+		prev:   make([]topology.ArcID, n),
+		first:  make([]topology.ArcID, n),
+		cur:    make([]uint64, (arcs+63)/64),
+		next:   make([]uint64, (arcs+63)/64),
+	}
+	for a := range s.tail {
+		s.tail[a], s.head[a] = g.ArcEnds(topology.ArcID(a))
+		s.weight[a] = g.Link(topology.LinkOf(topology.ArcID(a))).Weight
+	}
+	return s
+}
+
+// firstTree builds the shortest-path tree of src's first augmentation,
+// which sees no usage and so serves every pair from src.
+func (s *search) firstTree(src topology.NodeID) {
+	clear(s.usage)
+	s.tree(src)
+	copy(s.first, s.prev)
+}
+
+// tree runs Bellman-Ford from src over the residual arcs of the current
+// usage into dist and prev. A used link may only be cancelled: its
+// reverse arc is residual at negative cost, its own direction not at
+// all. The passes are those of in-place Bellman-Ford — each takes the
+// arcs in ID order and improves labels as it goes, until a pass
+// improves nothing or n passes ran — but a pass evaluates only the arcs
+// whose tail label moved since their last evaluation. Every skipped
+// evaluation would fail: its tail is unchanged and its head's label has
+// only fallen since. So labels, predecessors and pass count are exactly
+// those of evaluating every arc in every pass (the full pass that
+// oracle_test.go keeps). A relaxed node marks its arcs in cur when they
+// come after the arc being evaluated (they run later in this pass) and
+// in next otherwise.
+func (s *search) tree(src topology.NodeID) {
+	for a := range s.cost {
+		l := a / 2
+		switch dir := s.usage[l]; {
+		case dir == 0:
+			s.cost[a] = s.weight[a] // either direction available
+		case (dir > 0) == (a%2 == 1):
+			s.cost[a] = -s.weight[a] // only cancellation allowed
+		default:
+			s.cost[a] = math.Inf(1)
+		}
+	}
+	for i := range s.dist {
+		s.dist[i] = math.Inf(1)
+		s.prev[i] = -1
+	}
+	s.dist[src] = 0
+	cur, next := s.cur, s.next
+	s.mark(src, -1, cur, cur)
+	for pass := 0; pass < len(s.dist); pass++ {
+		pending := false
+		for w := range cur {
+			for cur[w] != 0 {
+				b := bits.TrailingZeros64(cur[w])
+				cur[w] &^= 1 << b
+				a := w*64 + b
+				from, to := s.tail[a], s.head[a]
+				if d := s.dist[from] + s.cost[a]; d < s.dist[to]-1e-12 {
+					s.dist[to] = d
+					s.prev[to] = topology.ArcID(a)
+					pending = s.mark(to, a, cur, next) || pending
+				}
+			}
+		}
+		if !pending {
+			break
+		}
+		cur, next = next, cur
+	}
+	clear(cur) // the pass cap can stop the search with work queued
+}
+
+// mark queues v's residual out-arcs after its label moved while arc at
+// was evaluated: those after at into cur, the rest into next. It
+// reports whether it queued any into next.
+func (s *search) mark(v topology.NodeID, at int, cur, next []uint64) bool {
+	queued := false
+	for _, o := range s.g.OutArcs(v) {
+		if math.IsInf(s.cost[o], 1) {
+			continue // never relaxes under this usage
+		}
+		if int(o) > at {
+			cur[o/64] |= 1 << (o % 64)
+		} else {
+			next[o/64] |= 1 << (o % 64)
+			queued = true
+		}
+	}
+	return queued
+}
+
 // disjointPaths computes up to k link-disjoint src->dst paths of small
 // total length via successive shortest augmenting paths on the
 // unit-capacity (per link) residual graph. Reversing a used link has
-// negative cost, so Bellman-Ford finds the augmenting paths.
-func disjointPaths(g *topology.Graph, pair topology.Pair, k int) []topology.Path {
-	n := g.NumNodes()
-	// usage[l]: 0 = unused, +1 = used in forward arc dir, -1 = reverse.
-	usage := make(map[topology.LinkID]int)
+// negative cost, so Bellman-Ford (tree) finds the augmenting paths; the
+// first comes from the source's tree, which firstTree must have built.
+func (s *search) disjointPaths(pair topology.Pair, k int) []topology.Path {
+	g := s.g
+	clear(s.usage)
 	flows := 0
-	for flows < k {
-		// Bellman-Ford over residual arcs.
-		dist := make([]float64, n)
-		prevArc := make([]topology.ArcID, n)
-		for i := range dist {
-			dist[i] = math.Inf(1)
-			prevArc[i] = -1
+	for prev := s.first; flows < k; prev = s.prev {
+		if flows > 0 {
+			s.tree(pair.Src)
 		}
-		dist[pair.Src] = 0
-		for iter := 0; iter < n; iter++ {
-			improved := false
-			for li := 0; li < g.NumLinks(); li++ {
-				l := g.Link(topology.LinkID(li))
-				for _, arc := range []topology.ArcID{l.Forward(), l.Reverse()} {
-					from, to := g.ArcEnds(arc)
-					var cost float64
-					switch usage[l.ID] {
-					case 0:
-						cost = l.Weight // either direction available
-					case +1:
-						if arc != l.Reverse() {
-							continue // only cancellation allowed
-						}
-						cost = -l.Weight
-					case -1:
-						if arc != l.Forward() {
-							continue
-						}
-						cost = -l.Weight
-					}
-					if dist[from]+cost < dist[to]-1e-12 {
-						dist[to] = dist[from] + cost
-						prevArc[to] = arc
-						improved = true
-					}
-				}
-			}
-			if !improved {
-				break
-			}
-		}
-		if prevArc[pair.Dst] == -1 {
+		if prev[pair.Dst] == -1 {
 			break // no more disjoint paths
 		}
-		// Apply the augmenting path to the usage map.
+		// Apply the augmenting path to the usage.
 		for at := pair.Dst; at != pair.Src; {
-			arc := prevArc[at]
+			arc := prev[at]
 			l := topology.LinkOf(arc)
-			dir := +1
+			dir := int8(+1)
 			if arc == g.Link(l).Reverse() {
 				dir = -1
 			}
-			if usage[l] == -dir {
-				usage[l] = 0 // cancellation
+			if s.usage[l] == -dir {
+				s.usage[l] = 0 // cancellation
 			} else {
-				usage[l] = dir
+				s.usage[l] = dir
 			}
-			from, _ := g.ArcEnds(arc)
-			at = from
+			at = s.tail[arc]
 		}
 		flows++
 	}
@@ -336,23 +442,16 @@ func disjointPaths(g *topology.Graph, pair topology.Pair, k int) []topology.Path
 	// Decompose the flow into paths by walking from src. Iterate links
 	// in ID order so the decomposition (and therefore tunnel selection)
 	// is deterministic.
-	usedLinks := make([]topology.LinkID, 0, len(usage))
-	for l := range usage {
-		usedLinks = append(usedLinks, l)
-	}
-	sort.Slice(usedLinks, func(i, j int) bool { return usedLinks[i] < usedLinks[j] })
 	outArcs := map[topology.NodeID][]topology.ArcID{}
-	for _, l := range usedLinks {
-		dir := usage[l]
+	for l, dir := range s.usage {
 		if dir == 0 {
 			continue
 		}
-		arc := g.Link(l).Forward()
+		arc := g.Link(topology.LinkID(l)).Forward()
 		if dir == -1 {
-			arc = g.Link(l).Reverse()
+			arc = g.Link(topology.LinkID(l)).Reverse()
 		}
-		from, _ := g.ArcEnds(arc)
-		outArcs[from] = append(outArcs[from], arc)
+		outArcs[s.tail[arc]] = append(outArcs[s.tail[arc]], arc)
 	}
 	var paths []topology.Path
 	for f := 0; f < flows; f++ {
@@ -366,8 +465,7 @@ func disjointPaths(g *topology.Graph, pair topology.Pair, k int) []topology.Path
 			arc := list[0]
 			outArcs[at] = list[1:]
 			arcs = append(arcs, arc)
-			_, to := g.ArcEnds(arc)
-			at = to
+			at = s.head[arc]
 		}
 		paths = append(paths, topology.Path{Arcs: arcs})
 	}

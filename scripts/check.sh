@@ -96,11 +96,23 @@ echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold
 # must be served low-rank within 1e-9 of the dense oracle (DESIGN.md §12).
 go test -race -count=2 -run 'TestKernelSolveMatchesFullLU|TestBTRANMatchesDenseOracle|TestBTRANWalksMatchDenseOracle|TestHighRankScenariosServedLowRank' ./internal/lp/ ./internal/routing/
 
+echo "== tunnel search ≡ full pass, prepare fingerprints, warm confirmation (-count=2)"
+# The disjoint-path search evaluates only arcs whose tail label moved and
+# builds each source's first tree once; the full-pass Bellman-Ford it
+# replaced is the test oracle and must give the same paths, and Select
+# the same tunnel IDs, on every graph and k (DESIGN.md §11). The
+# prepared instance of the benchmark's option sets and a 2 000-node
+# Waxman graph is pinned by golden fingerprints, and the MLU-scaling
+# confirmation must be a warm hit with no pivot. Single-threaded, so no
+# -race; -count=2 keeps Go's test cache from answering.
+go test -count=2 -run 'TestSearchMatchesFullPass|TestSelectMatchesFullPass|TestPrepareFingerprints|TestScaleConfirmationWarm' ./internal/tunnels/ ./internal/eval/ ./internal/mcf/
+
 echo "== bench smoke (-benchtime 1x)"
 # Every Go benchmark once, for its tripwires: BenchmarkSolveSynth1k
 # b.Fatals on a phase-1 iteration or a kernel as large as the basis,
 # BenchmarkValidateSweepSynth1k on a sweep that replays nothing or
-# checks every arc of every scenario.
+# checks every arc of every scenario. BenchmarkPrepareSynth1k reports
+# the cold start's prepare_ms and tunnel count.
 go test -run '^$' -bench . -benchtime 1x . ./internal/core
 
 echo "== benchmark smoke (frozen API)"
