@@ -6,10 +6,11 @@ package routing
 // SweepBuilds reports how many engines have been constructed so far.
 func SweepBuilds() int64 { return sweepBuilds.Load() }
 
-// CachedCorrectors counts the engine's memoized SMW correctors.
+// CachedCorrectors counts the SMW correctors the view has memoized —
+// on a fork, its own, not its parent's.
 func (s *Sweep) CachedCorrectors() int {
 	n := 0
-	s.batches.Range(func(_, _ any) bool {
+	s.cors.m.Range(func(_, _ any) bool {
 		n++
 		return true
 	})
@@ -37,6 +38,10 @@ func (s *Sweep) CorruptBaseFlow(di int, delta float64) (restore func()) {
 // Fig5CLSPlan is the conditional-LS, double-failure plan the sweep
 // tests use: small, yet with rank-k scenarios and cold fallbacks.
 var Fig5CLSPlan = fig5CLSPlan
+
+// DistinctBeyondBudget lists distinct link sets past a plan's failure
+// budget, smallest first.
+var DistinctBeyondBudget = distinctBeyondBudget
 
 // SprintCLSPlan is the Sprint single-failure plan: eight pairs over
 // three tunnels each, so link sets beyond the budget have many distinct

@@ -328,7 +328,7 @@ func CheckRealization(plan *core.Plan, r *Realization) error {
 	nominal := isNominal(r.Scenario)
 	for a := 0; a < g.NumArcs(); a++ {
 		if c := capacityUnder(g, r.Scenario, nominal, topology.ArcID(a)); r.ArcLoad[a] > c+1e-6 {
-			return overloadError(a, r.ArcLoad[a], c, r.Scenario)
+			return overloadError{a, r.ArcLoad[a], c, r.Scenario}
 		}
 	}
 	dsts := make([]topology.NodeID, 0, len(r.TunnelTo))
@@ -357,7 +357,7 @@ func CheckRealization(plan *core.Plan, r *Realization) error {
 		}
 		tuns, vals = flattenFlows(r.TunnelTo[dst], tuns[:0], vals[:0])
 		if v, got, want := bal.imbalance(in.Tunnels, tuns, vals, wantNodes, wantVals); v >= 0 {
-			return balanceError(dst, v, got, want, r.Scenario)
+			return balanceError{dst, v, got, want, r.Scenario}
 		}
 	}
 	return nil

@@ -57,13 +57,24 @@ type SampledReport struct {
 // checked. A designed-set violation is a hard error, exactly as
 // ValidateStats reports it. A sampled-scenario violation is not — beyond-
 // budget scenarios carry no guarantee — it is counted in
-// Coverage.SampleFailures and priced into ε. Deterministic given
-// opts.Seed: samples are pre-drawn serially before the parallel sweep,
-// and outcomes merge in draw order.
-func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (*SampledReport, error) {
+// Coverage.SampleFailures and priced into ε. A cancellation anywhere,
+// the tail sweep included, is the call's error and yields no report.
+// Deterministic given opts.Seed: samples are pre-drawn serially before
+// the parallel sweep, and outcomes merge in draw order.
+//
+// The designed pass runs through s itself, so on a published engine
+// every corrector it needs is already cached. The draws run through a
+// fork of s (fork): it shares the engine, reads s's correctors first and
+// keeps its own misses, so s's cache stays at what it held. Safe for
+// concurrent use, beside any other use of s.
+func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*SampledReport, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if opts.Model == nil {
 		return nil, fmt.Errorf("routing: sampled validation needs a probability model")
 	}
+	plan := s.plan
 	fs := plan.Instance.Failures
 	if fs == nil || len(opts.Model.P) != len(fs.Units) {
 		return nil, fmt.Errorf("routing: probability model has %d units, plan's failure set %d",
@@ -87,25 +98,14 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 	if opts.KCap <= fs.Budget {
 		return nil, fmt.Errorf("routing: kcap %d must exceed the budget %d", opts.KCap, fs.Budget)
 	}
-	// One engine serves both passes; the sampled pass reuses whatever
-	// correctors the exhaustive one cached.
-	sw, err := NewSweepContext(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	// The engine is this call's own, so its cache may also keep what the
-	// draws miss: at most one corrector each.
-	sw.batchCap += int64(opts.Samples)
-
 	// Exhaustive pass over the designed set: the hard guarantee. Any
 	// violation here is the caller's error, not a statistic.
 	scenarios := designedSet(plan)
-	slots, exStats := sweepScenarios(ctx, sw, true, true, scenarios)
+	slots, exStats := sweepScenarios(ctx, s, true, true, scenarios)
 	if _, err := firstFailure(scenarios, slots); err != nil {
 		return nil, err
 	}
 	rep := &SampledReport{Stats: *exStats}
-	rep.Stats.Total += rep.Stats.BaseFactorTime
 	if worst, at := worstOf(slots); at >= 0 {
 		rep.WorstMLU, rep.WorstScenario = worst, scenarios[at]
 	}
@@ -132,19 +132,23 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 		// worker scheduling.
 		drawn := make([]failures.Scenario, opts.Samples)
 		for i := range drawn {
-			if i%256 == 0 && ctx != nil {
+			if i%256 == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, fmt.Errorf("routing: sampled validation canceled after %d draws: %w", i, err)
 				}
 			}
 			drawn[i] = sampler.Next()
 		}
-		sslots, sStats := sweepScenarios(ctx, sw, true, false, drawn)
+		// A draw's corrector is kept by the fork, at most one per draw.
+		sslots, sStats := sweepScenarios(ctx, s.fork(int64(opts.Samples)), true, false, drawn)
 		rep.Stats.add(*sStats)
+		// A slot the cancellation reached holds the context's error, not
+		// a measurement, and slots past it hold nothing: the call fails.
+		// With the context live throughout, every slot was swept.
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("routing: sampled validation canceled in the tail sweep: %w", err)
+		}
 		for i := range sslots {
-			if !sslots[i].done {
-				return nil, fmt.Errorf("routing: sampled scenario %v was never validated", drawn[i])
-			}
 			if sslots[i].err != nil {
 				// Realization or check failure on a beyond-budget
 				// scenario: a measurement, priced into ε.
@@ -163,6 +167,21 @@ func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (
 	}
 	cov.ComputeEpsilon()
 	return rep, nil
+}
+
+// ValidateSampled is the one-shot form of (*Sweep).ValidateSampled: it
+// builds the plan's engine, validates through it and discards it; the
+// reported Total includes the build.
+func ValidateSampled(ctx context.Context, plan *core.Plan, opts SampleOptions) (*SampledReport, error) {
+	sw, err := NewSweepContext(ctx, plan)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := sw.ValidateSampled(ctx, opts)
+	if rep != nil {
+		rep.Stats.Total += rep.Stats.BaseFactorTime
+	}
+	return rep, err
 }
 
 // WorstMLUSearch runs the adversarial worst-scenario search

@@ -3,7 +3,9 @@ package routing
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -253,6 +255,240 @@ func TestValidateSampledCanceledBeforeSweep(t *testing.T) {
 		t.Fatalf("err = %v, want the pre-draw loop's cancellation", err)
 	}
 }
+
+// TestValidateSampledCanceledInTail: a cancellation that lands in the
+// tail sweep — at its first, a middle or its last draw — is the call's
+// error, wrapping the context's, and yields no report; the draw it
+// reached is not counted as a sample failure. One worker makes the
+// Err-call sequence deterministic: after the engine build, the
+// designed-set pass and the pre-draw loop, one call per draw in draw
+// order, then the check once the tail sweep returns.
+func TestValidateSampledCanceledInTail(t *testing.T) {
+	old := sweepWorkerCount
+	sweepWorkerCount = func() int { return 1 }
+	defer func() { sweepWorkerCount = old }()
+	plan := fig1Plan(t, 1)
+	pm, err := failures.Uniform(plan.Instance.Failures, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const samples = 60
+	opts := SampleOptions{Model: pm, Samples: samples, Seed: 5}
+	// Samples < 0 draws nothing: this run counts the Err calls of the
+	// build and the designed-set pass; the pre-draw loop adds one.
+	ctx := &errAfter{Context: context.Background(), after: math.MaxInt64}
+	if _, err := ValidateSampled(ctx, plan, SampleOptions{Model: pm, Samples: -1}); err != nil {
+		t.Fatal(err)
+	}
+	beforeTail := ctx.calls.Load() + 1
+	ctx = &errAfter{Context: context.Background(), after: math.MaxInt64}
+	if _, err := ValidateSampled(ctx, plan, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ctx.calls.Load(), beforeTail+samples+1; got != want {
+		t.Fatalf("a clean run made %d Err calls, want %d: the count this test cancels by is off", got, want)
+	}
+	for _, tc := range []struct {
+		name string
+		draw int64
+	}{{"first", 0}, {"middle", samples / 2}, {"last", samples - 1}} {
+		ctx := &errAfter{Context: context.Background(), after: beforeTail + tc.draw}
+		rep, err := ValidateSampled(ctx, plan, opts)
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "tail sweep") {
+			t.Fatalf("canceled at the %s draw: err = %v, want the tail sweep's cancellation", tc.name, err)
+		}
+		if rep != nil {
+			t.Fatalf("canceled at the %s draw: a report came back: %s", tc.name, rep.Coverage)
+		}
+	}
+}
+
+// distinctBeyondBudget lists up to limit distinct link sets past the plan's
+// failure budget as scenarios: every set of budget+1 links in
+// lexicographic order, then of budget+2, and so on.
+func distinctBeyondBudget(plan *core.Plan, limit int) []failures.Scenario {
+	numLinks := plan.Instance.Graph.NumLinks()
+	var out []failures.Scenario
+	var dead []topology.LinkID
+	var rec func(start, size int)
+	rec = func(start, size int) {
+		if len(out) == limit {
+			return
+		}
+		if len(dead) == size {
+			sc := failures.Scenario{Dead: map[topology.LinkID]bool{}}
+			for _, l := range dead {
+				sc.Dead[l] = true
+			}
+			out = append(out, sc)
+			return
+		}
+		for l := start; l < numLinks; l++ {
+			dead = append(dead, topology.LinkID(l))
+			rec(l+1, size)
+			dead = dead[:len(dead)-1]
+		}
+	}
+	for size := plan.Instance.Failures.Budget + 1; size <= numLinks && len(out) < limit; size++ {
+		rec(0, size)
+	}
+	return out
+}
+
+// TestSampledOnPublishedMatchesOneShot: a sampled validation through a
+// published engine — its designed set swept, its corrector cache warm —
+// reports exactly what the one-shot form reports on a fresh engine: the
+// coverage struct, the worst MLU's bits and scenario, and the scenario,
+// SMW-hit and fallback counts. It runs on a forced 4-worker pool while
+// another goroutine serves beyond-budget link sets through the same
+// engine's Outcome, so under -race it is also the check that the fork
+// reads the parent's cache while the parent writes it.
+func TestSampledOnPublishedMatchesOneShot(t *testing.T) {
+	old := sweepWorkerCount
+	sweepWorkerCount = func() int { return 4 }
+	defer func() { sweepWorkerCount = old }()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		plan func(*testing.T) *core.Plan
+	}{
+		{"fig1-f1", func(t *testing.T) *core.Plan { return fig1Plan(t, 1) }},
+		{"fig5-cls", fig5CLSPlan},
+		{"sprint-cls", sprintCLSPlanOrSkip},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := tc.plan(t)
+			fs := plan.Instance.Failures
+			pub := newSweep(t, plan)
+			if _, err := pub.ValidateStats(ctx); err != nil {
+				t.Fatal(err)
+			}
+			traffic := distinctBeyondBudget(plan, 200)
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					pub.Outcome(traffic[i%len(traffic)]) // beyond budget: an error is an answer too
+				}
+			}()
+			defer func() {
+				close(stop)
+				<-done
+			}()
+			pm, err := failures.Uniform(fs, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []int64{1, 2, 7} {
+				for _, kcap := range []int{0, fs.Budget + 1, fs.Budget + 3} {
+					opts := SampleOptions{Model: pm, Samples: 150, Delta: 0.05, Seed: seed, KCap: kcap}
+					at := fmt.Sprintf("seed %d kcap %d", seed, kcap)
+					want, err := ValidateSampled(ctx, plan, opts)
+					if err != nil {
+						t.Fatalf("%s: one-shot: %v", at, err)
+					}
+					got, err := pub.ValidateSampled(ctx, opts)
+					if err != nil {
+						t.Fatalf("%s: published: %v", at, err)
+					}
+					if got.Coverage != want.Coverage {
+						t.Fatalf("%s: coverage\n got %+v\nwant %+v", at, got.Coverage, want.Coverage)
+					}
+					if math.Float64bits(got.WorstMLU) != math.Float64bits(want.WorstMLU) ||
+						!reflect.DeepEqual(got.WorstScenario, want.WorstScenario) {
+						t.Fatalf("%s: worst %v under %v, one-shot %v under %v", at, got.WorstMLU, got.WorstScenario, want.WorstMLU, want.WorstScenario)
+					}
+					g, w := got.Stats, want.Stats
+					if g.Scenarios != w.Scenarios || g.SMWHits != w.SMWHits || g.Fallbacks != w.Fallbacks {
+						t.Fatalf("%s: %d scenarios, %d SMW hits, %d fallbacks; one-shot %d, %d, %d",
+							at, g.Scenarios, g.SMWHits, g.Fallbacks, w.Scenarios, w.SMWHits, w.Fallbacks)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestForkCacheBounded: a fork keeps at most its bound of correctors
+// however many distinct scenarios it serves, never writes its parent's
+// cache, and answers each scenario bit for bit as the parent engine's
+// own sweep does. One worker: no two racing misses of one signature,
+// so publication's sweep keeps every designed corrector.
+func TestForkCacheBounded(t *testing.T) {
+	old := sweepWorkerCount
+	sweepWorkerCount = func() int { return 1 }
+	defer func() { sweepWorkerCount = old }()
+	plan := sprintCLSPlanOrSkip(t)
+	ctx := context.Background()
+	pub := newSweep(t, plan)
+	if _, err := pub.ValidateStats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	designed := pub.CachedCorrectors()
+	const bound = 40
+	// The parent's signatures are the parent's hits: a fork sweeping the
+	// designed set builds no corrector.
+	f := pub.fork(bound)
+	if _, stats := sweepScenarios(ctx, f, true, true, designedSet(plan)); stats.BatchHits == 0 || f.CachedCorrectors() != 0 {
+		t.Fatalf("a fork swept the designed set with %d batch hits and kept %d correctors, want hits and none kept",
+			stats.BatchHits, f.CachedCorrectors())
+	}
+	scs := distinctBeyondBudget(plan, 10*bound)
+	if len(scs) < 10*bound {
+		t.Fatalf("only %d beyond-budget link sets, want %d", len(scs), 10*bound)
+	}
+	f = pub.fork(bound)
+	slots, _ := sweepScenarios(ctx, f, true, false, scs)
+	if got := f.CachedCorrectors(); got == 0 || got > bound {
+		t.Fatalf("the fork holds %d correctors after %d distinct scenarios, want 1..%d", got, len(scs), bound)
+	}
+	if got := pub.CachedCorrectors(); got != designed {
+		t.Fatalf("the fork moved its parent's cache from %d to %d correctors", designed, got)
+	}
+	ref, _ := sweepScenarios(ctx, newSweep(t, plan), true, false, scs)
+	for i := range slots {
+		if math.Float64bits(slots[i].mlu) != math.Float64bits(ref[i].mlu) || fmt.Sprint(slots[i].err) != fmt.Sprint(ref[i].err) {
+			t.Fatalf("under %v: fork %v (%v), fresh engine %v (%v)", scs[i], slots[i].mlu, slots[i].err, ref[i].mlu, ref[i].err)
+		}
+	}
+}
+
+// TestVerdictErrorsFormatLazily: the verdict errors format only when
+// read, in the words they always had, and keep their identity:
+// ErrUnrealizable for a missing reservation or a U out of range.
+func TestVerdictErrorsFormatLazily(t *testing.T) {
+	sc := failures.Scenario{Dead: map[topology.LinkID]bool{3: true, 1: true}}
+	p := topology.Pair{Src: 2, Dst: 5}
+	cases := []struct {
+		err          error
+		want         string
+		unrealizable bool
+	}{
+		{overloadError{7, 1.5, 1, sc}, "routing: arc 7 (link 3) overloaded: 1.5 > 1 under scenario {dead links [1 3]}", false},
+		{balanceError{4, 2, 0.25, 0.5, sc}, "routing: destination 4 node 2 ships 0.25, want 0.5 under {dead links [1 3]}", false},
+		{unrealizable{noReservationError{p, sc}}, fmt.Sprintf("routing: pair %v of interest has no live reservation under {dead links [1 3]}", p), true},
+		{unrealizable{utilizationError{p, 1.25, sc}}, fmt.Sprintf("routing: U[%v] = 1.25 outside [0,1] under {dead links [1 3]} (Proposition 5 violated — plan not feasible for this scenario)", p), true},
+	}
+	for _, c := range cases {
+		if got := c.err.Error(); got != c.want {
+			t.Fatalf("message\n got %q\nwant %q", got, c.want)
+		}
+		if errors.Is(c.err, ErrUnrealizable) != c.unrealizable || errors.Is(c.err, ErrSingularMatrix) {
+			t.Fatalf("%q: errors.Is(ErrUnrealizable) = %v, want %v", c.want, errors.Is(c.err, ErrUnrealizable), c.unrealizable)
+		}
+	}
+	// Building one is boxing its operands, nothing more.
+	if allocs := testing.AllocsPerRun(100, func() { verdictSink = unrealizable{utilizationError{p, 1.25, sc}} }); allocs > 2 {
+		t.Fatalf("building a verdict error allocates %v times; it formats eagerly", allocs)
+	}
+}
+
+var verdictSink error
 
 // TestSampledReportsClampedKCap: the sampler truncates the failure count
 // at the unit count, and the coverage report says so instead of echoing

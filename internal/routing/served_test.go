@@ -13,10 +13,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"pcf/internal/failures"
 	"pcf/internal/routing"
 	"pcf/internal/serve"
-	"pcf/internal/topology"
 )
 
 // TestPublishValidatesServedSweep: however an epoch arrives — Publish,
@@ -81,10 +79,10 @@ func TestPublishValidatesServedSweep(t *testing.T) {
 	}
 }
 
-// TestExactValidateLeavesCacheBounded: /v1/validate?model=exact sweeps
-// through the published engine and builds none; the sampled model,
-// whose beyond-budget draws have signatures of their own, builds one
-// private engine per request. Either way the published engine's
+// TestExactValidateLeavesCacheBounded: /v1/validate sweeps through the
+// published engine and builds none, under either model. The sampled
+// model's beyond-budget draws, whose signatures are their own, run on a
+// fork that keeps its correctors apart, so the published engine's
 // corrector cache stays at the designed set's signatures.
 func TestExactValidateLeavesCacheBounded(t *testing.T) {
 	plan := routing.Fig5CLSPlan(t)
@@ -101,7 +99,7 @@ func TestExactValidateLeavesCacheBounded(t *testing.T) {
 	if designed == 0 {
 		t.Fatal("publication cached no corrector")
 	}
-	get := func(query string, wantBuilds int64) {
+	get := func(query string) {
 		t.Helper()
 		before := routing.SweepBuilds()
 		w := httptest.NewRecorder()
@@ -109,16 +107,17 @@ func TestExactValidateLeavesCacheBounded(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("GET /v1/validate?%s: status %d: %s", query, w.Code, w.Body)
 		}
-		if got := routing.SweepBuilds() - before; got != wantBuilds {
-			t.Fatalf("GET /v1/validate?%s built %d engines, want %d", query, got, wantBuilds)
+		if got := routing.SweepBuilds() - before; got != 0 {
+			t.Fatalf("GET /v1/validate?%s built %d engines, want 0", query, got)
 		}
 		if got := pub.Sweep.CachedCorrectors(); got != designed {
-			t.Fatalf("GET /v1/validate?%s grew the published corrector cache from %d to %d", query, designed, got)
+			t.Fatalf("GET /v1/validate?%s moved the published corrector cache from %d to %d", query, designed, got)
 		}
 	}
 	for seed := 1; seed <= 4; seed++ {
-		get("model=exact", 0)
-		get(fmt.Sprintf("model=sampled&p=0.05&samples=40&seed=%d", seed), 1)
+		get("model=exact")
+		get(fmt.Sprintf("model=sampled&p=0.05&samples=40&seed=%d", seed))
+		get(fmt.Sprintf("model=sampled&p=0.3&samples=200&kcap=6&seed=%d", seed))
 	}
 	if cur, err := srv.Registry().Current(); err != nil || cur.Sweep != pub.Sweep {
 		t.Fatalf("the published engine changed under validation traffic: %v", err)
@@ -135,50 +134,28 @@ func TestRealizeLeavesCacheBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := plan.Instance.Failures
-	bound := fs.NumScenariosExact()
-	numLinks := plan.Instance.Graph.NumLinks()
-	served, realized := 0, 0
-	var dead []topology.LinkID
-	var rec func(start int)
-	rec = func(start int) {
-		if served >= 10*bound {
-			return
+	bound := plan.Instance.Failures.NumScenariosExact()
+	scs := routing.DistinctBeyondBudget(plan, 10*bound)
+	realized := 0
+	for _, sc := range scs {
+		want, werr := routing.Realize(plan, sc)
+		got, gerr := pub.Sweep.Realize(sc)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("under %v: cold err %v, engine err %v", sc, werr, gerr)
 		}
-		if len(dead) > fs.Budget {
-			sc := failures.Scenario{Dead: map[topology.LinkID]bool{}}
-			for _, l := range dead {
-				sc.Dead[l] = true
-			}
-			served++
-			want, werr := routing.Realize(plan, sc)
-			got, gerr := pub.Sweep.Realize(sc)
-			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("under %v: cold err %v, engine err %v", sc, werr, gerr)
-			}
-			if werr == nil {
-				realized++
-				for a, w := range want.ArcLoad {
-					if d := math.Abs(got.ArcLoad[a] - w); d > 1e-9*math.Max(1, math.Abs(w)) {
-						t.Fatalf("under %v: ArcLoad[%d] = %.12g, cold has %.12g", sc, a, got.ArcLoad[a], w)
-					}
+		if werr == nil {
+			realized++
+			for a, w := range want.ArcLoad {
+				if d := math.Abs(got.ArcLoad[a] - w); d > 1e-9*math.Max(1, math.Abs(w)) {
+					t.Fatalf("under %v: ArcLoad[%d] = %.12g, cold has %.12g", sc, a, got.ArcLoad[a], w)
 				}
 			}
 		}
-		if len(dead) == fs.Budget+2 {
-			return
-		}
-		for l := start; l < numLinks; l++ {
-			dead = append(dead, topology.LinkID(l))
-			rec(l + 1)
-			dead = dead[:len(dead)-1]
-		}
 	}
-	rec(0)
-	if served < 10*bound || realized < bound {
-		t.Fatalf("served %d beyond-budget scenarios (%d realizable), want %d", served, realized, 10*bound)
+	if len(scs) < 10*bound || realized < bound {
+		t.Fatalf("served %d beyond-budget scenarios (%d realizable), want %d", len(scs), realized, 10*bound)
 	}
 	if got := pub.Sweep.CachedCorrectors(); got > bound {
-		t.Fatalf("corrector cache holds %d entries after %d beyond-budget scenarios, bound %d", got, served, bound)
+		t.Fatalf("corrector cache holds %d entries after %d beyond-budget scenarios, bound %d", got, len(scs), bound)
 	}
 }

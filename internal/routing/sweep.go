@@ -194,7 +194,22 @@ type sweepLS struct {
 // ill-conditioned, or the corrected rows fail the residual guard. An
 // engine built without a base (newIndex) serves only that path; it is
 // what Realize runs.
+//
+// A Sweep is one view of its engine. Every view shares the build
+// products and the inverse-column cache, which depend on the plan
+// alone; the corrector cache is the view's own. The engine
+// NewSweepContext returns is the only view most callers see; a fork
+// (ValidateSampled's tail) reads it and keeps its own misses apart.
 type Sweep struct {
+	*engine
+	cors   *correctors // the correctors this view builds and keeps
+	parent *correctors // a fork's: its parent's, read first, never written
+}
+
+// engine is what every view of a Sweep shares: the build products,
+// read-only once the build returns, the inverse columns solved so far,
+// the scratch pool and the single-scenario counters.
+type engine struct {
 	plan *core.Plan
 
 	n     int
@@ -231,23 +246,69 @@ type Sweep struct {
 	rec       *baseEmission            // what emitDests produces on the empty scenario; set with slu
 
 	// invCache holds the columns of the base inverse the sweep has
-	// needed so far (int row -> []float64), batches the SMW correctors
-	// keyed by a keySeed hash of the byte signature of a scenario's row
-	// updates (uint64 -> *batchEntry, which holds the signature).
-	// batchCap, the designed scenario count, bounds batches: the
-	// designed sweep cannot miss more often than that, so only
-	// client-chosen scenarios ever find the cache full.
-	invCache    sync.Map
-	batches     sync.Map
-	keySeed     maphash.Seed
-	batchCap    int64
-	batchMisses atomic.Int64
+	// needed so far (int row -> []float64); keySeed hashes the corrector
+	// signatures of every view.
+	invCache sync.Map
+	keySeed  maphash.Seed
 
 	baseTime time.Duration
 	pool     sync.Pool
 
 	mu    sync.Mutex
 	stats SweepStats // cumulative over Realize and Outcome calls; guarded by mu
+}
+
+// correctors is a view's cache of SMW correctors, keyed by a keySeed
+// hash of the byte signature of a scenario's row updates (uint64 ->
+// *batchEntry, which holds the signature). cap bounds it: once the view
+// has missed cap times, a missed corrector is built, used and not kept.
+// An engine's cap is its designed scenario count — the designed sweep
+// cannot miss more often than that, so only client-chosen scenarios
+// ever find the cache full — and a fork's its draw count.
+type correctors struct {
+	m      sync.Map
+	cap    int64
+	misses atomic.Int64
+}
+
+// load returns the corrector cached under h if its entry was built for
+// signature key (nil with ok: a memoized failed construction). A nil
+// cache holds nothing.
+func (c *correctors) load(h uint64, key []byte) (upd *linsolve.Updated, ok bool) {
+	if c == nil {
+		return nil, false
+	}
+	if v, found := c.m.Load(h); found {
+		if be := v.(*batchEntry); be.key == string(key) {
+			return be.upd, true
+		}
+	}
+	return nil, false
+}
+
+// keep stores a freshly built entry under h while the cache is within
+// its bound, and returns the corrector to serve: the cached one, or be's
+// when the bound is spent or h already holds another signature's entry.
+// Racing workers may each build an entry once; the build is
+// deterministic, so whichever copy wins the store is interchangeable.
+func (c *correctors) keep(h uint64, be *batchEntry) *linsolve.Updated {
+	if c.misses.Add(1) > c.cap {
+		return be.upd
+	}
+	if v, _ := c.m.LoadOrStore(h, be); v.(*batchEntry).key == be.key {
+		return v.(*batchEntry).upd
+	}
+	return be.upd
+}
+
+// fork returns a view of s for a sweep of client-chosen scenarios. It
+// shares s's engine: the build products and the inverse columns, which
+// depend on the plan alone (there are at most n columns). The
+// correctors are the scenarios', so it reads s's first, never writes
+// them, and keeps at most bound of its own. It is dropped with the
+// call that made it.
+func (s *Sweep) fork(bound int64) *Sweep {
+	return &Sweep{engine: s.engine, cors: &correctors{cap: bound}, parent: s.cors}
 }
 
 // batchEntry is one memoized SMW corrector (or the error its

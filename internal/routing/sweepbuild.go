@@ -54,14 +54,17 @@ func NewSweepContext(ctx context.Context, plan *core.Plan) (*Sweep, error) {
 // goes on to build the base.
 func newIndex(plan *core.Plan) *Sweep {
 	s := &Sweep{
-		plan:     plan,
-		index:    map[topology.Pair]int{},
-		numTun:   plan.Instance.Tunnels.Len(),
-		linkTuns: map[topology.LinkID][]tunnels.ID{},
-		keySeed:  maphash.MakeSeed(),
+		engine: &engine{
+			plan:     plan,
+			index:    map[topology.Pair]int{},
+			numTun:   plan.Instance.Tunnels.Len(),
+			linkTuns: map[topology.LinkID][]tunnels.ID{},
+			keySeed:  maphash.MakeSeed(),
+		},
+		cors: &correctors{},
 	}
 	if fs := plan.Instance.Failures; fs != nil {
-		s.batchCap, _ = fs.NumScenarios()
+		s.cors.cap, _ = fs.NumScenarios()
 	}
 	s.pool.New = func() any { return s.newScratch() }
 	// Positive-reservation LSs, in instance order (the order every list

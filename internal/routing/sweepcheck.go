@@ -64,13 +64,55 @@ func (b *balance) imbalance(ts *tunnels.Set, tuns []tunnels.ID, vals []float64, 
 	return node, got, want
 }
 
-func overloadError(a int, load, c float64, sc failures.Scenario) error {
-	return fmt.Errorf("routing: arc %d (link %d) overloaded: %g > %g under scenario %v",
-		a, topology.LinkOf(topology.ArcID(a)), load, c, sc)
+// The verdict errors keep their operands and format only when read: a
+// sampled validation's tail counts its failed draws and never prints
+// them. Each keeps its scenario by value, maps shared: read after the
+// caller changed those maps, it names the changed scenario.
+
+// overloadError: arc a carries load past its capacity c.
+type overloadError struct {
+	a       int
+	load, c float64
+	sc      failures.Scenario
 }
 
-func balanceError(dst topology.NodeID, v int, got, want float64, sc failures.Scenario) error {
-	return fmt.Errorf("routing: destination %d node %d ships %g, want %g under %v", dst, v, got, want, sc)
+func (e overloadError) Error() string {
+	return fmt.Sprintf("routing: arc %d (link %d) overloaded: %g > %g under scenario %v",
+		e.a, topology.LinkOf(topology.ArcID(e.a)), e.load, e.c, e.sc)
+}
+
+// balanceError: node v ships got toward destination dst, not want.
+type balanceError struct {
+	dst       topology.NodeID
+	v         int
+	got, want float64
+	sc        failures.Scenario
+}
+
+func (e balanceError) Error() string {
+	return fmt.Sprintf("routing: destination %d node %d ships %g, want %g under %v", e.dst, e.v, e.got, e.want, e.sc)
+}
+
+// noReservationError: pair p is of interest but has no live reservation.
+type noReservationError struct {
+	p  topology.Pair
+	sc failures.Scenario
+}
+
+func (e noReservationError) Error() string {
+	return fmt.Sprintf("routing: pair %v of interest has no live reservation under %v", e.p, e.sc)
+}
+
+// utilizationError: pair p's aggregate utilization u lies outside [0,1].
+type utilizationError struct {
+	p  topology.Pair
+	u  float64
+	sc failures.Scenario
+}
+
+func (e utilizationError) Error() string {
+	return fmt.Sprintf("routing: U[%v] = %g outside [0,1] under %v (Proposition 5 violated — plan not feasible for this scenario)",
+		e.p, e.u, e.sc)
 }
 
 // overlay writes the scenario's capacities for its dead and degraded
@@ -171,7 +213,7 @@ func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, r *Realization, ch
 	}
 	var err error
 	if over >= 0 {
-		err = overloadError(over, arcLoad[over], caps[over], sc)
+		err = overloadError{over, arcLoad[over], caps[over], sc}
 	}
 	s.restoreCaps(sr)
 	if err != nil || !check {
@@ -194,7 +236,7 @@ func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, r *Realization, ch
 			continue
 		}
 		if v, got, want := s.imbalance(&sr.bal, di, tuns, vals); v >= 0 {
-			return mlu, balanceError(dst, v, got, want, sc)
+			return mlu, balanceError{dst, v, got, want, sc}
 		}
 	}
 	return mlu, nil

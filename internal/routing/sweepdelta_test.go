@@ -133,7 +133,7 @@ func denseCheck(plan *core.Plan, r *Realization) error {
 	g := in.Graph
 	for a := 0; a < g.NumArcs(); a++ {
 		if c := ScenarioCapacity(g, r.Scenario, topology.ArcID(a)); r.ArcLoad[a] > c+1e-6 {
-			return overloadError(a, r.ArcLoad[a], c, r.Scenario)
+			return overloadError{a, r.ArcLoad[a], c, r.Scenario}
 		}
 	}
 	demandPairs := in.DemandPairs()
@@ -162,7 +162,7 @@ func denseCheck(plan *core.Plan, r *Realization) error {
 				}
 			}
 			if math.Abs(net[v]-want) > 1e-6 {
-				return balanceError(dst, v, net[v], want, r.Scenario)
+				return balanceError{dst, v, net[v], want, r.Scenario}
 			}
 		}
 	}
@@ -1014,7 +1014,7 @@ func TestCorrectorHashCollision(t *testing.T) {
 		}
 		h := maphash.Bytes(sw.keySeed, upsKey(nil, ups))
 		decoy := &batchEntry{key: "decoy", err: linsolve.ErrSingular}
-		sw.batches.Store(h, decoy)
+		sw.cors.m.Store(h, decoy)
 		want, _, werr := realizeDenseEmit(sw, sc, ref)
 		sv, err := sw.realize(sc, sr)
 		if err != nil || werr != nil {
@@ -1024,7 +1024,7 @@ func TestCorrectorHashCollision(t *testing.T) {
 			t.Fatalf("under %v: served %+v; want a fresh rank-%d corrector", sc, sv, len(ups))
 		}
 		sameRealization(t, fmt.Sprintf("under %v", sc), flatRealization(t, sw, sc, sr), want)
-		if v, _ := sw.batches.Load(h); v != decoy {
+		if v, _ := sw.cors.m.Load(h); v != decoy {
 			t.Fatalf("under %v: the colliding entry was replaced", sc)
 		}
 		return

@@ -176,8 +176,7 @@ func (s *Sweep) checkU(sc failures.Scenario, sr *sweepScratch) error {
 	ep, x := sr.epoch, sr.sol
 	for r := 0; r < s.n; r++ {
 		if sr.inSet[r] == ep && (x[r] < -1e-7 || x[r] > 1+1e-7) {
-			return unrealizable{fmt.Errorf("routing: U[%v] = %g outside [0,1] under %v (Proposition 5 violated — plan not feasible for this scenario)",
-				s.pairs[r], x[r], sc)}
+			return unrealizable{utilizationError{s.pairs[r], x[r], sc}}
 		}
 	}
 	return nil

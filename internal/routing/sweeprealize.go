@@ -342,7 +342,7 @@ func (s *Sweep) rowCoeffs(sr *sweepScratch, r int) float64 {
 func (s *Sweep) liveCoeffs(sc failures.Scenario, sr *sweepScratch, r int) (float64, error) {
 	diag := s.rowCoeffs(sr, r)
 	if diag <= 1e-12 && sr.inSet[r] == sr.epoch {
-		return 0, unrealizable{fmt.Errorf("routing: pair %v of interest has no live reservation under %v", s.pairs[r], sc)}
+		return 0, unrealizable{noReservationError{s.pairs[r], sc}}
 	}
 	return diag, nil
 }
@@ -458,20 +458,19 @@ func upsKey(b []byte, ups []linsolve.RowUpdate) []byte {
 // is built in sr and compared against the entry's own copy, so a hit
 // allocates nothing; a miss copies the updates and the signature into
 // its entry (a hash shared by two signatures serves the second
-// uncached). Racing workers may each build an entry once; the build is
-// deterministic, so whichever copy wins the store is interchangeable.
-// Once the engine has missed batchCap times, a missed corrector is
-// built, used and not kept.
+// uncached). A fork looks in its parent's cache first, then in its own,
+// and keeps what it builds in its own (correctors.keep).
 func (s *Sweep) corrector(sr *sweepScratch, ups []linsolve.RowUpdate) (*linsolve.Updated, bool) {
 	if hook := SweepUpdateFault; hook != nil && hook(ups) != nil {
 		return nil, false
 	}
 	sr.key = upsKey(sr.key[:0], ups)
 	h := maphash.Bytes(s.keySeed, sr.key)
-	if v, ok := s.batches.Load(h); ok {
-		if be := v.(*batchEntry); be.key == string(sr.key) {
-			return be.upd, true
-		}
+	if upd, ok := s.parent.load(h, sr.key); ok {
+		return upd, true
+	}
+	if upd, ok := s.cors.load(h, sr.key); ok {
+		return upd, true
 	}
 	be := &batchEntry{key: string(sr.key)}
 	own := cloneUpdates(ups)
@@ -484,13 +483,7 @@ func (s *Sweep) corrector(sr *sweepScratch, ups []linsolve.RowUpdate) (*linsolve
 	if be.err == nil {
 		be.upd, be.err = linsolve.NewUpdated(s.n, own, cols)
 	}
-	if s.batchMisses.Add(1) > s.batchCap {
-		return be.upd, false
-	}
-	if v, _ := s.batches.LoadOrStore(h, be); v.(*batchEntry).key == be.key {
-		return v.(*batchEntry).upd, false
-	}
-	return be.upd, false
+	return s.cors.keep(h, be), false
 }
 
 // cloneUpdates deep-copies row updates into two fresh arenas, sized up

@@ -895,15 +895,16 @@ func (s *Server) handleValidate(c *call) (any, error) {
 	var stats *routing.SweepStats
 	var rep *routing.SampledReport
 	var err error
+	// Through the published engine itself: no rebuild, and its corrector
+	// cache already holds the designed set's signatures. The sampled
+	// model's beyond-budget draws run on a per-request fork of it, which
+	// keeps their correctors apart, so the published cache stays at the
+	// designed set's.
 	if c.sample == nil {
-		// Through the published engine itself: no rebuild, and its
-		// corrector cache already holds the designed set's signatures.
 		stats, err = c.pub.Sweep.ValidateStats(c.ctx)
 	} else {
 		model = "sampled"
-		// On an engine of its own: beyond-budget draws would otherwise
-		// grow the published engine's corrector cache without bound.
-		rep, err = routing.ValidateSampled(c.ctx, c.pub.Plan, *c.sample)
+		rep, err = c.pub.Sweep.ValidateSampled(c.ctx, *c.sample)
 		if rep != nil {
 			stats = &rep.Stats
 		}

@@ -1,11 +1,17 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"pcf/internal/linsolve"
+	"pcf/internal/routing"
 	"pcf/internal/telemetry"
 )
 
@@ -132,4 +138,57 @@ func TestServerSampledValidate(t *testing.T) {
 		t.Fatalf("degraded with bad alpha: status %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestSampledValidateTailDeadline: a deadline that expires while a
+// sampled validation sweeps its draws answers 504, as a deadline does
+// anywhere else — not 500, and not a report with the draws it cut short
+// counted as failures. One draw's rank-k update stalls past the
+// deadline; the designed pass before it is untouched.
+func TestSampledValidateTailDeadline(t *testing.T) {
+	in, plan := testPlan(t)
+	s, err := NewServer(Config{Instance: in, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Registry().Publish(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	get := func(query string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/validate?"+query, nil))
+		return w
+	}
+	const timeout = 300 * time.Millisecond
+	var calls, stallAt atomic.Int64
+	var stalledAfter atomic.Int64 // since the request began, in ns
+	var start time.Time
+	routing.SweepUpdateFault = func([]linsolve.RowUpdate) error {
+		if calls.Add(1) == stallAt.Load() {
+			stalledAfter.Store(int64(time.Since(start)))
+			time.Sleep(timeout + 100*time.Millisecond)
+		}
+		return nil
+	}
+	defer func() { routing.SweepUpdateFault = nil }()
+
+	// No draws: this request counts the designed pass's rank-k updates.
+	if w := get("model=sampled&p=0.3&samples=-1"); w.Code != http.StatusOK {
+		t.Fatalf("sampled validate without draws: status %d: %s", w.Code, w.Body)
+	}
+	designed := calls.Load()
+	calls.Store(0)
+	stallAt.Store(designed + 1)
+	start = time.Now()
+	w := get(fmt.Sprintf("model=sampled&p=0.3&samples=200&seed=3&timeout=%s", timeout))
+	if calls.Load() <= designed {
+		t.Fatal("no draw reached a rank-k update: nothing stalled the tail")
+	}
+	if d := time.Duration(stalledAfter.Load()); d >= timeout {
+		t.Fatalf("the tail began %v into a %v deadline: the designed pass used it up, so the tail was never reached in time", d, timeout)
+	}
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("deadline inside the tail sweep: status %d, want 504: %s", w.Code, w.Body)
+	}
 }

@@ -60,13 +60,19 @@ echo "== fleet chaos smoke (-race -short)"
 # exercises the kill/partition/tear schedule the same way CI does.
 go test -race -short -count=1 -run 'TestFleetChaosSoak|TestFrontend' ./internal/fleet/
 
-echo "== sampled-validation determinism (-count=2)"
+echo "== sampled-validation determinism (-race -count=2)"
 # The coverage report of a sampled validation must be byte-identical
 # for the same seed, run after run, regardless of sweep-worker
-# scheduling (DESIGN.md §18). -count=2 forces two fresh runs of the
-# determinism property so a time- or schedule-dependent regression
-# cannot hide behind Go's test result cache.
-go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeterminism' ./internal/routing/ ./internal/failures/
+# scheduling (DESIGN.md §18). It must also be identical whether the
+# request runs through the published engine — the designed pass on its
+# warm cache, the draws on a fork of it — or through a fresh one-shot
+# engine, on a 4-worker pool while another goroutine realizes
+# beyond-budget link sets through the same engine. A cancellation in
+# the tail sweep, at its first, a middle or its last draw, must be the
+# call's error. -count=2 forces two fresh runs so a time- or
+# schedule-dependent regression cannot hide behind Go's test result
+# cache.
+go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeterminism|TestSampledOnPublishedMatchesOneShot|TestValidateSampledCanceledInTail' ./internal/routing/ ./internal/failures/
 
 echo "== delta validation ≡ dense (-race -count=2)"
 # The sweep replays a recorded emission for every destination a scenario
