@@ -4,10 +4,11 @@
 // M-matrix (Proposition 5), given as sparse rows. It provides a sparse
 // LU with Markowitz pivoting for exactness, Sherman–Morrison–Woodbury
 // corrections of a factored matrix under a few changed rows (their k×k
-// capacitance factored by a small dense LU with partial pivoting), and
-// the Jacobi iteration that exploits the M-matrix structure — the
-// "simple and memory-efficient iterative algorithms" the paper points
-// to for distributed implementations.
+// capacitance factored by partial pivoting in a reused workspace, each
+// corrector keeping only the nonzeros of its rows, factors and inverse
+// columns), and the Jacobi iteration that exploits the M-matrix
+// structure — the "simple and memory-efficient iterative algorithms"
+// the paper points to for distributed implementations.
 package linsolve
 
 import (
@@ -41,39 +42,51 @@ func Factor(a []float64, n int) (*LU, error) {
 	}
 	f := &LU{n: n, lu: make([]float64, n*n), perm: make([]int, n)}
 	copy(f.lu, a)
-	for i := range f.perm {
-		f.perm[i] = i
+	if err := factorDense(f.lu, f.perm, n); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// factorDense factors the row-major n×n matrix lu in place by Gaussian
+// elimination with partial pivoting, leaving the multipliers of the
+// unit lower factor below the diagonal, U on and above it, and the row
+// permutation in perm. Factor and the SMW capacitance share it, so both
+// pivot alike on the same numbers.
+func factorDense(lu []float64, perm []int, n int) error {
+	for i := range perm {
+		perm[i] = i
 	}
 	for c := 0; c < n; c++ {
 		// Partial pivot.
 		p, best := -1, 0.0
 		for r := c; r < n; r++ {
-			if v := math.Abs(f.lu[r*n+c]); v > best {
+			if v := math.Abs(lu[r*n+c]); v > best {
 				best, p = v, r
 			}
 		}
 		if p < 0 || best < 1e-13 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != c {
 			for j := 0; j < n; j++ {
-				f.lu[p*n+j], f.lu[c*n+j] = f.lu[c*n+j], f.lu[p*n+j]
+				lu[p*n+j], lu[c*n+j] = lu[c*n+j], lu[p*n+j]
 			}
-			f.perm[p], f.perm[c] = f.perm[c], f.perm[p]
+			perm[p], perm[c] = perm[c], perm[p]
 		}
-		pv := f.lu[c*n+c]
+		pv := lu[c*n+c]
 		for r := c + 1; r < n; r++ {
-			m := f.lu[r*n+c] / pv
-			f.lu[r*n+c] = m
+			m := lu[r*n+c] / pv
+			lu[r*n+c] = m
 			if m == 0 {
 				continue
 			}
 			for j := c + 1; j < n; j++ {
-				f.lu[r*n+j] -= m * f.lu[c*n+j]
+				lu[r*n+j] -= m * lu[c*n+j]
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // SolveInto solves A x = b into a caller-owned buffer, for hot paths

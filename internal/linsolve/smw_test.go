@@ -2,8 +2,10 @@ package linsolve
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -313,5 +315,311 @@ func TestRankUpdateValidation(t *testing.T) {
 	}
 	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
 		t.Fatalf("rank-0 solve = %v, want [2 3]", x)
+	}
+}
+
+// denseCorrect is the SMW correction as it was before correctors kept
+// only their nonzeros, kept here as the oracle: the capacitance formed
+// and factored as a dense k×k LU, its verdicts (ErrSingular,
+// ErrIllConditioned), then z = Vᵀy, a dense solve for yk and every
+// entry of every inverse column subtracted.
+func denseCorrect(n int, ups []RowUpdate, cols [][]float64, dst, y []float64) error {
+	k := len(ups)
+	c := make([]float64, k*k)
+	maxEntry := 0.0
+	for i, up := range ups {
+		for j := 0; j < k; j++ {
+			s := 0.0
+			for t, cc := range up.Cols {
+				s += up.Vals[t] * cols[j][cc]
+			}
+			if i == j {
+				s += 1
+			}
+			c[i*k+j] = s
+			if v := math.Abs(s); v > maxEntry {
+				maxEntry = v
+			}
+		}
+	}
+	cf, err := Factor(c, k)
+	if err != nil {
+		return err
+	}
+	minPivot := math.Inf(1)
+	for i := 0; i < k; i++ {
+		if v := math.Abs(cf.lu[i*k+i]); v < minPivot {
+			minPivot = v
+		}
+	}
+	if k > 0 && maxEntry > capCondLimit*minPivot {
+		return ErrIllConditioned
+	}
+	z, yk := make([]float64, k), make([]float64, k)
+	for i, up := range ups {
+		s := 0.0
+		for t, cc := range up.Cols {
+			s += up.Vals[t] * y[cc]
+		}
+		z[i] = s
+	}
+	if err := cf.SolveInto(yk, z); err != nil {
+		return err
+	}
+	if n > 0 && &dst[0] != &y[0] {
+		copy(dst, y)
+	}
+	for j, col := range cols {
+		f := yk[j]
+		if f == 0 {
+			continue
+		}
+		for i := range dst {
+			dst[i] -= f * col[i]
+		}
+	}
+	return nil
+}
+
+// inverseColumns solves base for the inverse column of each updated row.
+func inverseColumns(t *testing.T, base *LU, ups []RowUpdate) [][]float64 {
+	t.Helper()
+	cols := make([][]float64, len(ups))
+	for j, up := range ups {
+		e := make([]float64, base.n)
+		e[up.Row] = 1
+		var err error
+		if cols[j], err = solveWith(base, nil, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cols
+}
+
+// blockMMatrix is randomMMatrix's kind of matrix, block-diagonal with
+// blocks of size b: the inverse is block-diagonal too, so an update
+// that stays inside its row's block couples only rows of one block.
+// b = 1 is the diagonal base a PCF-TF plan has.
+func blockMMatrix(rng *rand.Rand, n, b int) []float64 {
+	a := make([]float64, n*n)
+	for lo := 0; lo < n; lo += b {
+		hi := min(lo+b, n)
+		blk := randomMMatrix(rng, hi-lo)
+		for i := lo; i < hi; i++ {
+			copy(a[i*n+lo:i*n+hi], blk[(i-lo)*(hi-lo):(i-lo+1)*(hi-lo)])
+		}
+	}
+	return a
+}
+
+// blockRowUpdates perturbs k distinct rows, in ascending row order, each
+// in columns of its own block only — the diagonal bumped, other block
+// columns replaced by fresh nonpositive values — so C = I + VᵀW is
+// block-diagonal with the base's blocks (diagonal for b = 1).
+func blockRowUpdates(rng *rand.Rand, a []float64, n, b, k int) []RowUpdate {
+	rows := rng.Perm(n)[:k]
+	slices.Sort(rows)
+	ups := make([]RowUpdate, 0, k)
+	for _, r := range rows {
+		lo, hi := r/b*b, min(r/b*b+b, n)
+		up := RowUpdate{Row: r}
+		grown := 0.0
+		for c := lo; c < hi; c++ {
+			if c == r || rng.Float64() >= 0.5 {
+				continue
+			}
+			next := -rng.Float64()
+			if delta := next - a[r*n+c]; delta != 0 {
+				up.Cols, up.Vals = append(up.Cols, c), append(up.Vals, delta)
+				grown += math.Abs(next)
+			}
+		}
+		up.Cols, up.Vals = append(up.Cols, r), append(up.Vals, grown+0.5+rng.Float64())
+		ups = append(ups, up)
+	}
+	return ups
+}
+
+// sameUnderEq requires got and want to be equal entry by entry under
+// ==, the sparse correction's contract with the dense one: bit-equal
+// but for the sign of an exact zero.
+func sameUnderEq(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		//lint:ignore pcflint/floatcmp the sparse correction adds the dense one's terms in its order and skips only exact-zero products, so the sums are equal, not close
+		if got[i] != want[i] {
+			t.Fatalf("%s: entry %d = %.17g, dense oracle %.17g", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSparseCorrectorMatchesDense: on seeded M-matrix bases whose
+// capacitance is diagonal, block-diagonal or fully dense, the sparse
+// corrector equals the dense oracle under == for dense, sparse and
+// untouched (z = 0) right-hand sides, into a separate dst and into y
+// itself, and the factors it keeps are as sparse as the capacitance: a
+// diagonal one stores no off-diagonal factor entry. Every corrector is
+// built in one reused workspace and must not share it with the last.
+func TestSparseCorrectorMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	shapes := []struct {
+		name  string
+		block func(n int) int // block size of the base; n: fully dense
+	}{
+		{"diagonal", func(int) int { return 1 }},
+		{"block-diagonal", func(int) int { return 4 }},
+		{"dense", func(n int) int { return n }},
+	}
+	// One workspace for every trial, as a sweep worker has, so k grows
+	// and shrinks under it; prev is the last trial's corrector with a
+	// right-hand side and its oracle answer.
+	var work UpdateFactorizer
+	var prev struct {
+		upd     *Updated
+		y, want []float64
+	}
+	for _, sh := range shapes {
+		for trial := 0; trial < 60; trial++ {
+			n := 3 + rng.Intn(38)
+			k := 1 + rng.Intn(n/2+1)
+			b := sh.block(n)
+			a := blockMMatrix(rng, n, b)
+			base, err := Factor(a, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ups []RowUpdate
+			if b == n {
+				ups = randomRowUpdates(rng, a, n, k)
+			} else {
+				ups = blockRowUpdates(rng, a, n, b, k)
+			}
+			cols := inverseColumns(t, base, ups)
+			upd, err := work.Factor(n, ups, cols)
+			if err != nil {
+				t.Fatalf("%s trial %d: %v", sh.name, trial, err)
+			}
+			// A corrector owns what it reads: building this one in the
+			// workspace left the last one's answers as they were.
+			if prev.upd != nil {
+				got := make([]float64, len(prev.y))
+				if err := prev.upd.CorrectInto(got, prev.y); err != nil {
+					t.Fatal(err)
+				}
+				sameUnderEq(t, fmt.Sprintf("%s trial %d: the previous corrector", sh.name, trial), got, prev.want)
+			}
+			if b == 1 && len(upd.lVal)+len(upd.uVal) != 0 {
+				t.Fatalf("%s trial %d: a diagonal capacitance kept %d off-diagonal factor entries", sh.name, trial, len(upd.lVal)+len(upd.uVal))
+			}
+			// Right-hand sides: dense, two-thirds zeros, and zero on
+			// every column an update reads.
+			dense, sparse, untouched := make([]float64, n), make([]float64, n), make([]float64, n)
+			read := make([]bool, n)
+			for _, up := range ups {
+				for _, c := range up.Cols {
+					read[c] = true
+				}
+			}
+			for i := range dense {
+				dense[i] = rng.NormFloat64()
+				if rng.Intn(3) == 0 {
+					sparse[i] = rng.NormFloat64()
+				}
+				if !read[i] {
+					untouched[i] = rng.NormFloat64()
+				}
+			}
+			for _, y := range [][]float64{dense, sparse, untouched} {
+				what := fmt.Sprintf("%s trial %d (n=%d k=%d)", sh.name, trial, n, k)
+				want := make([]float64, n)
+				if err := denseCorrect(n, ups, cols, want, y); err != nil {
+					t.Fatalf("%s: oracle: %v", what, err)
+				}
+				got := make([]float64, n)
+				if err := upd.CorrectIntoScratch(got, y, make([]float64, k), make([]float64, k)); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				sameUnderEq(t, what, got, want)
+				aliased := slices.Clone(y)
+				if err := upd.CorrectInto(aliased, aliased); err != nil {
+					t.Fatalf("%s: aliased: %v", what, err)
+				}
+				sameUnderEq(t, what+" aliased", aliased, want)
+				prev.upd, prev.y, prev.want = upd, y, want
+			}
+			untouchedOut := make([]float64, n)
+			if err := upd.CorrectInto(untouchedOut, untouched); err != nil {
+				t.Fatal(err)
+			}
+			sameUnderEq(t, "untouched right-hand side", untouchedOut, untouched)
+		}
+	}
+}
+
+// TestSparseCorrectorVerdicts: the corrector refuses exactly where the
+// dense oracle does, with the same error — a singular capacitance, an
+// ill-conditioned one — and the empty cases are defined: n = 0 (which
+// used to panic on the aliasing test) and k = 0 leave dst = y, into a
+// separate dst or y itself.
+func TestSparseCorrectorVerdicts(t *testing.T) {
+	id := []float64{1, 0, 0, 0, 1, 0, 0, 0, 1}
+	for _, tc := range []struct {
+		name string
+		n    int
+		a    []float64
+		ups  []RowUpdate
+		want error // nil: corrects
+	}{
+		{"singular", 3, id, []RowUpdate{{Row: 0, Cols: []int{0}, Vals: []float64{-1}}}, ErrSingular},
+		{"ill-conditioned", 3, id, []RowUpdate{
+			{Row: 0, Cols: []int{0}, Vals: []float64{-1 + 1e-12}},
+			{Row: 1, Cols: []int{1}, Vals: []float64{1}},
+		}, ErrIllConditioned},
+		{"k = 0", 3, id, nil, nil},
+		{"n = 0", 0, nil, nil, nil},
+	} {
+		base, err := Factor(tc.a, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := inverseColumns(t, base, tc.ups)
+		y := make([]float64, tc.n)
+		for i := range y {
+			y[i] = float64(i + 1)
+		}
+		oracleErr := denseCorrect(tc.n, tc.ups, cols, make([]float64, tc.n), y)
+		upd, err := NewUpdated(tc.n, tc.ups, cols)
+		if !errors.Is(err, tc.want) || !errors.Is(oracleErr, tc.want) || (tc.want == nil) != (err == nil) {
+			t.Fatalf("%s: NewUpdated error %v, oracle %v, want %v", tc.name, err, oracleErr, tc.want)
+		}
+		if err != nil {
+			if _, rerr := base.RankUpdate(tc.ups); !errors.Is(rerr, tc.want) {
+				t.Fatalf("%s: RankUpdate error %v, want %v", tc.name, rerr, tc.want)
+			}
+			continue
+		}
+		dst := make([]float64, tc.n)
+		if err := upd.CorrectInto(dst, y); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sameUnderEq(t, tc.name, dst, y)
+		aliased := slices.Clone(y)
+		if err := upd.CorrectInto(aliased, aliased); err != nil {
+			t.Fatalf("%s: aliased: %v", tc.name, err)
+		}
+		sameUnderEq(t, tc.name+" aliased", aliased, y)
+	}
+	// The path the panic took: an empty base, its rank-0 update, then an
+	// empty correction.
+	base, err := Factor(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := base.RankUpdate(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := upd.CorrectInto([]float64{}, []float64{}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -34,8 +34,12 @@ type sweepScratch struct {
 	touched  []int // columns of the row rowCoeffs last built, ascending
 	x, xt    []float64
 	// k-sized SMW correction scratch (grown on demand), so shared
-	// batched correctors stay read-only across workers.
+	// batched correctors stay read-only across workers; the workspace a
+	// missed corrector's capacitance is factored in, and the inverse
+	// columns it is built from.
 	smwZ, smwY []float64
+	capWork    linsolve.UpdateFactorizer
+	invCols    [][]float64
 	sys        *sysScratch // see system
 
 	// The scenario's row updates (rowUpdates) — the list, the residual
@@ -77,8 +81,8 @@ type sweepScratch struct {
 }
 
 // sysScratch is the part of a worker's scratch that lays out and solves
-// a scenario's whole system — the base build, the cold path and the
-// Jacobi exhibit use it.
+// a scenario's whole system — the base build, the cold path, the
+// inverse-column solves (invCol) and the Jacobi exhibit use it.
 type sysScratch struct {
 	ptr   []int // row r is ents[ptr[r]:ptr[r+1]]
 	ents  []linsolve.SparseEntry
@@ -456,8 +460,10 @@ func upsKey(b []byte, ups []linsolve.RowUpdate) []byte {
 // factorization, and a failed construction is memoized like a
 // successful one. The cache is keyed by a hash of the signature, which
 // is built in sr and compared against the entry's own copy, so a hit
-// allocates nothing; a miss copies the updates and the signature into
-// its entry (a hash shared by two signatures serves the second
+// allocates nothing; a miss factors the capacitance in sr's workspace
+// and keeps, in its entry, the signature and a corrector holding only
+// its nonzeros — the updates, the factors and the inverse columns are
+// copied in (a hash shared by two signatures serves the second
 // uncached). A fork looks in its parent's cache first, then in its own,
 // and keeps what it builds in its own (correctors.keep).
 func (s *Sweep) corrector(sr *sweepScratch, ups []linsolve.RowUpdate) (*linsolve.Updated, bool) {
@@ -473,48 +479,35 @@ func (s *Sweep) corrector(sr *sweepScratch, ups []linsolve.RowUpdate) (*linsolve
 		return upd, true
 	}
 	be := &batchEntry{key: string(sr.key)}
-	own := cloneUpdates(ups)
-	cols := make([][]float64, len(own))
-	for j, up := range own {
-		if cols[j], be.err = s.invCol(up.Row); be.err != nil {
+	sr.invCols = sr.invCols[:0]
+	for _, up := range ups {
+		col, err := s.invCol(sr, up.Row)
+		if err != nil {
+			be.err = err
 			break
 		}
+		sr.invCols = append(sr.invCols, col)
 	}
 	if be.err == nil {
-		be.upd, be.err = linsolve.NewUpdated(s.n, own, cols)
+		be.upd, be.err = sr.capWork.Factor(s.n, ups, sr.invCols)
 	}
 	return s.cors.keep(h, be), false
 }
 
-// cloneUpdates deep-copies row updates into two fresh arenas, sized up
-// front so they never move.
-func cloneUpdates(ups []linsolve.RowUpdate) []linsolve.RowUpdate {
-	n := 0
-	for _, up := range ups {
-		n += len(up.Cols)
-	}
-	cols, vals := make([]int, 0, n), make([]float64, 0, n)
-	out := make([]linsolve.RowUpdate, len(ups))
-	for j, up := range ups {
-		lo := len(cols)
-		cols, vals = append(cols, up.Cols...), append(vals, up.Vals...)
-		hi := len(cols)
-		out[j] = linsolve.RowUpdate{Row: up.Row, Cols: cols[lo:hi:hi], Vals: vals[lo:hi:hi]}
-	}
-	return out
-}
-
-// invCol returns column r of the base inverse, solved on first use and
-// memoized, so only the rows scenarios actually touch are ever solved.
-func (s *Sweep) invCol(r int) ([]float64, error) {
+// invCol returns column r of the base inverse, solved on first use
+// through sr's whole-system scratch and memoized, so only the rows
+// scenarios actually touch are ever solved and each allocates only its
+// column.
+func (s *Sweep) invCol(sr *sweepScratch, r int) ([]float64, error) {
 	if v, ok := s.invCache.Load(r); ok {
 		return v.([]float64), nil
 	}
-	e := make([]float64, s.n)
-	w := make([]float64, s.n)
-	col := make([]float64, s.n)
+	sys := sr.system()
+	e := sys.dt
+	clear(e)
 	e[r] = 1
-	if err := s.slu.SolveIntoScratch(col, e, w); err != nil {
+	col := make([]float64, s.n)
+	if err := s.slu.SolveIntoScratch(col, e, sys.w); err != nil {
 		return nil, err
 	}
 	v, _ := s.invCache.LoadOrStore(r, col)

@@ -85,9 +85,16 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # held to the dense n×n oracle at 1e-9 with every corrected scenario
 # forced cold. Outcome, what /v1/realize runs, must equal Realize +
 # MLUOf bit for bit on a warm, a forced-cold and a cold-only engine.
+# An SMW corrector keeps only its nonzeros: it must equal the dense
+# correction it replaced (linsolve's test-file oracle) under ==, with
+# the same singular / ill-conditioned verdicts; every realization of
+# the four benchmark plans must hash to the goldens recorded with the
+# dense corrector; and a corrector-cache miss must allocate five
+# objects at any rank, bytes linear in its nonzeros (skipped under
+# -race, whose own allocations would count).
 # -count=2 keeps Go's test cache from answering for a
 # schedule-dependent regression.
-go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize' ./internal/routing/
+go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestCorrectionFingerprints|TestCorrectorFootprint' ./internal/routing/ ./internal/linsolve/
 
 echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
