@@ -334,20 +334,12 @@ func (u *Updated) CorrectIntoScratch(dst, y, z, yk []float64) error {
 		}
 		yk[i] = s / u.diag[i]
 	}
-	// dst -= W yk. A column with no zero is subtracted as the dense
-	// loop does, without its row indices (which are then 0..n-1).
+	// dst -= W yk.
 	for j, f := range yk {
 		if f == 0 {
 			continue
 		}
 		rows, vals := u.wRow[u.wOff[j]:u.wOff[j+1]], u.wVal[u.wOff[j]:u.wOff[j+1]]
-		if len(vals) == len(dst) {
-			full := dst[:len(vals)]
-			for i, v := range vals {
-				full[i] -= f * v
-			}
-			continue
-		}
 		for t, r := range rows {
 			dst[r] -= f * vals[t]
 		}

@@ -90,8 +90,8 @@ type sysScratch struct {
 	dt, w []float64                 // a destination's right-hand side; solve workspace
 }
 
-// system returns sr's whole-system scratch, allocated on first use, so a
-// worker the low-rank path serves carries none of it.
+// system returns sr's whole-system scratch, allocated on the worker's
+// first cold solve or first inverse-column solve (invCol).
 func (sr *sweepScratch) system() *sysScratch {
 	if sr.sys == nil {
 		n := len(sr.x)

@@ -88,13 +88,14 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # An SMW corrector keeps only its nonzeros: it must equal the dense
 # correction it replaced (linsolve's test-file oracle) under ==, with
 # the same singular / ill-conditioned verdicts; every realization of
-# the four benchmark plans must hash to the goldens recorded with the
-# dense corrector; and a corrector-cache miss must allocate five
-# objects at any rank, bytes linear in its nonzeros (skipped under
-# -race, whose own allocations would count).
+# the four benchmark plans, prepared by eval.Prepare as the benchmark
+# prepares them, must hash to the goldens recorded with the dense
+# corrector; and a corrector-cache miss must allocate five objects at
+# any rank, bytes linear in its nonzeros (skipped under -race, whose own
+# allocations would count).
 # -count=2 keeps Go's test cache from answering for a
 # schedule-dependent regression.
-go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestCorrectionFingerprints|TestCorrectorFootprint' ./internal/routing/ ./internal/linsolve/
+go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestCorrectionFingerprints|TestCorrectorFootprint' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
 
 echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
