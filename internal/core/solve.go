@@ -305,8 +305,7 @@ func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 			lhs := sol.Eval(spec.constPart) + inner
 			rhs := sol.Eval(spec.rhs)
 			if lhs < rhs-cutTol {
-				cm.AddRow(cutPat.N(int(spec.pair.Src), int(spec.pair.Dst)),
-					spec.cutExpr(w), lp.GE, 0)
+				cm.AddRow(spec.cutExpr(w), lp.GE, 0)
 				numCuts++
 				violated++
 			}

@@ -16,7 +16,6 @@ import (
 	"pcf/internal/core"
 	"pcf/internal/failures"
 	"pcf/internal/mcf"
-	"pcf/internal/routing"
 	"pcf/internal/telemetry"
 	"pcf/internal/topology"
 	"pcf/internal/topozoo"
@@ -61,9 +60,14 @@ type Options struct {
 	// "quick" uses the direct shortest-path/bypass heuristic, and
 	// "" (auto) picks flow for small graphs and quick otherwise.
 	CLSMode string
-	// MLULow/MLUHigh is the target optimal no-failure MLU range.
-	MLULow, MLUHigh float64
 }
+
+// The target range of the optimal no-failure MLU the demands are scaled
+// into.
+const (
+	mluLow  = 0.6
+	mluHigh = 0.63
+)
 
 // check rejects the option values that have no meaning rather than
 // letting them reach the solver: a negative failure budget would
@@ -89,12 +93,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FailureBudget == 0 {
 		o.FailureBudget = 1
-	}
-	if o.MLULow == 0 {
-		o.MLULow = 0.6
-	}
-	if o.MLUHigh == 0 {
-		o.MLUHigh = 0.63
 	}
 	return o
 }
@@ -171,9 +169,9 @@ func Prepare(o Options) (*Setup, error) {
 	}
 	var mlu float64
 	if o.Synth != "" {
-		tm, mlu, err = scaleByTunnels(g, tm, pairs, ts, o.MLULow)
+		tm, mlu, err = scaleByTunnels(g, tm, pairs, ts, mluLow)
 	} else {
-		tm, mlu, err = mcf.ScaleToMLU(g, tm, o.MLULow, o.MLUHigh)
+		tm, mlu, err = mcf.ScaleToMLU(g, tm, mluLow, mluHigh)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("eval: %s: %w", o.Topology, err)
@@ -282,17 +280,6 @@ func SweepStatsLine(st *mcf.SweepStats) string {
 		st.WarmHits, 100*st.WarmHitRate(), st.Workers)
 }
 
-// RealizeSweepLine formats a validation sweep's statistics for
-// display — the realization-side counterpart of SweepStatsLine.
-func RealizeSweepLine(st *routing.SweepStats) string {
-	if st == nil {
-		return ""
-	}
-	return fmt.Sprintf("factor %v, %d scenarios, SMW %d (%.0f%% hit, max rank %d), %d fallbacks, %d workers",
-		st.BaseFactorTime.Round(time.Microsecond), st.Scenarios,
-		st.SMWHits, 100*st.SMWHitRate(), st.MaxRank, st.Fallbacks, st.Workers)
-}
-
 // Scheme names understood by Run.
 const (
 	SchemeFFC           = "FFC"
@@ -303,11 +290,6 @@ const (
 	SchemeR3            = "R3"
 	SchemeOptimal       = "Optimal"
 )
-
-// AllSchemes lists the schemes in the paper's presentation order.
-var AllSchemes = []string{
-	SchemeFFC, SchemePCFTF, SchemePCFLS, SchemePCFCLS, SchemeOptimal,
-}
 
 // Run executes one scheme on the setup.
 func (s *Setup) Run(scheme string) (Result, error) {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"pcf/internal/core"
-	"pcf/internal/routing"
 )
 
 func TestPrepareSprint(t *testing.T) {
@@ -242,19 +241,5 @@ func TestValidationSweepTable(t *testing.T) {
 	}
 	if mlu > 1+1e-6 {
 		t.Fatalf("worst MLU %g exceeds 1 despite scale %g", mlu, scale)
-	}
-}
-
-// TestRealizeSweepLine checks the stats formatter.
-func TestRealizeSweepLine(t *testing.T) {
-	if RealizeSweepLine(nil) != "" {
-		t.Fatal("nil stats should format empty")
-	}
-	st := &routing.SweepStats{Scenarios: 10, Workers: 2, SMWHits: 9, Fallbacks: 1, MaxRank: 4}
-	line := RealizeSweepLine(st)
-	for _, want := range []string{"10 scenarios", "SMW 9", "90% hit", "max rank 4", "1 fallbacks", "2 workers"} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("line %q missing %q", line, want)
-		}
 	}
 }

@@ -23,7 +23,6 @@ package failures
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"pcf/internal/topology"
@@ -318,21 +317,6 @@ func (fs *Set) UnitsOf(numLinks int) [][]int {
 	return out
 }
 
-// HasDegradation reports whether any unit degrades rather than kills
-// its links, i.e. whether scenarios from this set can carry Degraded
-// entries.
-func (fs *Set) HasDegradation() bool {
-	if fs == nil {
-		return false
-	}
-	for _, u := range fs.Units {
-		if u.Alpha > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // WorstCapScale returns the smallest capacity scale any single
 // scenario in the set can impose on a link while the link stays alive:
 // the minimum Alpha over degrade units containing it (1 if none, or if
@@ -369,103 +353,6 @@ func (fs *Set) Degrade(alpha float64) *Set {
 		units[i] = Unit{Name: u.Name, Links: u.Links, Alpha: alpha}
 	}
 	return &Set{Units: units, Budget: fs.Budget}
-}
-
-// RegionalOptions configures the correlated regional failure
-// generator.
-type RegionalOptions struct {
-	// Regions is the number of regional units to generate.
-	Regions int
-	// Radius is the hop radius of each region: a region centered on
-	// node c contains every link both of whose endpoints are within
-	// Radius hops of c. Hop distance stands in for geography — the
-	// synth generators (waxman in particular) wire nearby nodes
-	// together, so hop balls are spatially coherent there, and the
-	// model needs no coordinates on real topologies.
-	Radius int
-	// Budget is the failure budget over units.
-	Budget int
-	// Alpha, when in (0,1), makes regions degrade their links to
-	// Alpha times capacity instead of killing them.
-	Alpha float64
-	// Seed drives center selection; the same (graph, options) pair
-	// always yields the same set.
-	Seed int64
-	// Singletons adds a singleton death unit for every link not
-	// covered by any region, so isolated links can still fail.
-	Singletons bool
-}
-
-// Regional returns a correlated failure model for g: Regions hop-ball
-// regions around seeded, deterministically chosen centers, each a unit
-// that fails (or degrades) all its links together. Centers are sampled
-// without replacement; if the graph has fewer nodes than Regions, every
-// node centers a region.
-func Regional(g *topology.Graph, o RegionalOptions) *Set {
-	rng := rand.New(rand.NewSource(o.Seed))
-	nn := g.NumNodes()
-	k := o.Regions
-	if k > nn {
-		k = nn
-	}
-	perm := rng.Perm(nn)
-	centers := perm[:k]
-	sort.Ints(centers)
-
-	var units []Unit
-	covered := make(map[topology.LinkID]bool)
-	for _, c := range centers {
-		within := hopBall(g, topology.NodeID(c), o.Radius)
-		var links []topology.LinkID
-		for i := 0; i < g.NumLinks(); i++ {
-			l := g.Link(topology.LinkID(i))
-			if within[l.A] && within[l.B] {
-				links = append(links, topology.LinkID(i))
-			}
-		}
-		if len(links) == 0 {
-			continue
-		}
-		for _, l := range links {
-			covered[l] = true
-		}
-		units = append(units, Unit{
-			Name:  fmt.Sprintf("region%d", c),
-			Links: links,
-			Alpha: o.Alpha,
-		})
-	}
-	if o.Singletons {
-		for i := 0; i < g.NumLinks(); i++ {
-			if !covered[topology.LinkID(i)] {
-				units = append(units, Unit{
-					Name:  fmt.Sprintf("link%d", i),
-					Links: []topology.LinkID{topology.LinkID(i)},
-				})
-			}
-		}
-	}
-	return &Set{Units: units, Budget: o.Budget}
-}
-
-// hopBall returns the set of nodes within radius hops of center.
-func hopBall(g *topology.Graph, center topology.NodeID, radius int) map[topology.NodeID]bool {
-	within := map[topology.NodeID]bool{center: true}
-	frontier := []topology.NodeID{center}
-	for d := 0; d < radius && len(frontier) > 0; d++ {
-		var next []topology.NodeID
-		for _, n := range frontier {
-			for _, a := range g.OutArcs(n) {
-				_, to := g.ArcEnds(a)
-				if !within[to] {
-					within[to] = true
-					next = append(next, to)
-				}
-			}
-		}
-		frontier = next
-	}
-	return within
 }
 
 // Disconnects reports whether some scenario in the set disconnects the

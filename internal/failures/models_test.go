@@ -162,9 +162,6 @@ func TestNodesEmptyList(t *testing.T) {
 func TestDegradedScenario(t *testing.T) {
 	g := square()
 	fs := SingleLinks(g, 2).Degrade(0.5)
-	if !fs.HasDegradation() {
-		t.Fatal("Degrade(0.5) should report degradation")
-	}
 	sc := fs.ScenarioOf([]int{0, 2})
 	if len(sc.Dead) != 0 {
 		t.Fatalf("degraded units killed links: %v", sc)
@@ -228,89 +225,6 @@ func TestWorstCapScale(t *testing.T) {
 	}
 	if got := (&Set{Units: fs.Units, Budget: 0}).WorstCapScale(0); !feq(got, 1) {
 		t.Fatalf("budget 0 worst scale = %v, want 1", got)
-	}
-}
-
-// --- regional generator ---
-
-func ladder(n int) *topology.Graph {
-	g := topology.New("ladder")
-	for i := 0; i < n; i++ {
-		g.AddNode("n")
-	}
-	for i := 0; i+1 < n; i++ {
-		g.AddLink(topology.NodeID(i), topology.NodeID(i+1), 1)
-	}
-	return g
-}
-
-func TestRegionalDeterministicAndLocal(t *testing.T) {
-	g := ladder(12)
-	o := RegionalOptions{Regions: 3, Radius: 2, Budget: 1, Seed: 9, Singletons: true}
-	a, b := Regional(g, o), Regional(g, o)
-	if len(a.Units) == 0 || len(a.Units) != len(b.Units) {
-		t.Fatalf("units %d vs %d", len(a.Units), len(b.Units))
-	}
-	for i := range a.Units {
-		if a.Units[i].Name != b.Units[i].Name || len(a.Units[i].Links) != len(b.Units[i].Links) {
-			t.Fatalf("unit %d differs between identical seeds", i)
-		}
-	}
-	// Regions on a path graph with radius 2 span at most 4 consecutive
-	// links (locality), and every link is covered thanks to singletons.
-	covered := map[topology.LinkID]bool{}
-	for _, u := range a.Units {
-		if strings.HasPrefix(u.Name, "region") {
-			if len(u.Links) > 4 {
-				t.Fatalf("region %s spans %d links on a path with radius 2", u.Name, len(u.Links))
-			}
-			for i := 1; i < len(u.Links); i++ {
-				if int(u.Links[i])-int(u.Links[i-1]) > 1 {
-					t.Fatalf("region %s is not contiguous: %v", u.Name, u.Links)
-				}
-			}
-		}
-		for _, l := range u.Links {
-			covered[l] = true
-		}
-	}
-	if len(covered) != g.NumLinks() {
-		t.Fatalf("covered %d of %d links", len(covered), g.NumLinks())
-	}
-	if c, d := Regional(g, o), Regional(g, RegionalOptions{Regions: 3, Radius: 2, Budget: 1, Seed: 10, Singletons: true}); len(c.Units) > 0 && len(d.Units) > 0 {
-		same := len(c.Units) == len(d.Units)
-		if same {
-			for i := range c.Units {
-				if c.Units[i].Name != d.Units[i].Name {
-					same = false
-					break
-				}
-			}
-		}
-		if same {
-			t.Fatal("different seeds produced identical regions")
-		}
-	}
-}
-
-func TestRegionalDegraded(t *testing.T) {
-	g := ladder(8)
-	fs := Regional(g, RegionalOptions{Regions: 2, Radius: 1, Budget: 1, Alpha: 0.5, Seed: 3})
-	if !fs.HasDegradation() {
-		t.Fatal("alpha regions should degrade")
-	}
-	for _, u := range fs.Units {
-		if !feq(u.Alpha, 0.5) {
-			t.Fatalf("unit %s alpha = %v", u.Name, u.Alpha)
-		}
-	}
-}
-
-func TestRegionalMoreRegionsThanNodes(t *testing.T) {
-	g := square()
-	fs := Regional(g, RegionalOptions{Regions: 99, Radius: 1, Budget: 1, Seed: 1})
-	if len(fs.Units) == 0 || len(fs.Units) > g.NumNodes() {
-		t.Fatalf("units = %d", len(fs.Units))
 	}
 }
 

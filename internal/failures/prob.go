@@ -38,20 +38,6 @@ func Uniform(fs *Set, p float64) (*ProbModel, error) {
 	return &ProbModel{Set: fs, P: ps}, nil
 }
 
-// NewProbModel builds a ProbModel with explicit per-unit
-// probabilities; len(p) must match the unit count.
-func NewProbModel(fs *Set, p []float64) (*ProbModel, error) {
-	if len(p) != len(fs.Units) {
-		return nil, fmt.Errorf("failures: %d probabilities for %d units", len(p), len(fs.Units))
-	}
-	for i, pi := range p {
-		if math.IsNaN(pi) || pi < 0 || pi > 1 {
-			return nil, fmt.Errorf("failures: unit %d probability %v outside [0,1]", i, pi)
-		}
-	}
-	return &ProbModel{Set: fs, P: append([]float64(nil), p...)}, nil
-}
-
 // CountDist returns the Poisson-binomial distribution of the failure
 // count K truncated at kcap: pk[k] = P(K = k) for k = 0..kcap, and
 // over = P(K > kcap). Exact DP in O(units · kcap).

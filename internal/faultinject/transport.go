@@ -4,18 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
-	"time"
 )
 
 // ChaosTransport is an http.RoundTripper that injects fleet-transport
 // faults between a client and its backends: per-host partitions
-// (connection-level failure before any bytes move), seeded delivery
-// delays, dropped responses, and torn response bodies (truncated
-// mid-envelope, so decoders see invalid JSON the way a killed
-// connection would leave it). The fleet chaos soak wires it under the
+// (connection-level failure before any bytes move), dropped
+// responses, and torn response bodies (truncated mid-envelope, so
+// decoders see invalid JSON the way a killed connection would leave
+// it). The fleet chaos soak wires it under the
 // replica fetch/heartbeat client to prove that no torn or withheld
 // envelope ever becomes a served plan.
 //
@@ -30,8 +28,6 @@ type ChaosTransport struct {
 	partitioned map[string]bool // host:port → unreachable
 	dropEveryN  int             // every Nth response vanishes
 	tearEveryN  int             // every Nth response body is truncated
-	maxDelay    time.Duration   // uniform seeded delay in [0, maxDelay)
-	rng         *rand.Rand      // guarded by mu
 
 	reqs    int64
 	blocked int64
@@ -47,14 +43,10 @@ type ChaosTransportStats struct {
 	Torn     int64 // response bodies truncated mid-envelope
 }
 
-// NewChaosTransport builds a transport with all faults off. seed feeds
-// the delay jitter; base nil selects http.DefaultTransport.
-func NewChaosTransport(seed int64, base http.RoundTripper) *ChaosTransport {
-	return &ChaosTransport{
-		Base:        base,
-		partitioned: map[string]bool{},
-		rng:         rand.New(rand.NewSource(seed)),
-	}
+// NewChaosTransport builds a transport with all faults off; base nil
+// selects http.DefaultTransport.
+func NewChaosTransport(base http.RoundTripper) *ChaosTransport {
+	return &ChaosTransport{Base: base, partitioned: map[string]bool{}}
 }
 
 // SetPartition makes the host (a "host:port" URL host) unreachable
@@ -85,14 +77,6 @@ func (t *ChaosTransport) SetTearEveryN(n int) {
 	t.tearEveryN = n
 }
 
-// SetMaxDelay adds a uniform seeded delay in [0, d) to every round
-// trip (d <= 0 disables). The delay respects request cancellation.
-func (t *ChaosTransport) SetMaxDelay(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.maxDelay = d
-}
-
 // Stats snapshots the fault counters.
 func (t *ChaosTransport) Stats() ChaosTransportStats {
 	t.mu.Lock()
@@ -106,10 +90,6 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	t.reqs++
 	n := t.reqs
 	blocked := t.partitioned[req.URL.Host]
-	delay := time.Duration(0)
-	if t.maxDelay > 0 {
-		delay = time.Duration(t.rng.Int63n(int64(t.maxDelay)))
-	}
 	drop := t.dropEveryN > 0 && n%int64(t.dropEveryN) == 0
 	tear := t.tearEveryN > 0 && n%int64(t.tearEveryN) == 0
 	if blocked {
@@ -119,15 +99,6 @@ func (t *ChaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	if blocked {
 		return nil, fmt.Errorf("faultinject: host %s partitioned", req.URL.Host)
-	}
-	if delay > 0 {
-		timer := time.NewTimer(delay)
-		select {
-		case <-timer.C:
-		case <-req.Context().Done():
-			timer.Stop()
-			return nil, req.Context().Err()
-		}
 	}
 
 	base := t.Base

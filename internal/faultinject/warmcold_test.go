@@ -76,7 +76,7 @@ func TestWarmColdEquivalenceCorpus(t *testing.T) {
 		// checkWarmEqualsCold then verifies warm and cold agree on the
 		// infeasibility, which is exactly the contract.
 		v0 := lp.Var(0)
-		cm.AddRow(lp.Lit("t.cap"), lp.NewExpr().Add(1, v0), lp.LE, sol.Value(v0)/2)
+		cm.AddRow(lp.NewExpr().Add(1, v0), lp.LE, sol.Value(v0)/2)
 		basis = checkWarmEqualsCold(t, label+"/addrow", cm, basis)
 
 		probe, err := cm.Solve(lp.Options{WarmStart: basis})
@@ -163,7 +163,7 @@ func TestWarmColdEquivalenceGadgets(t *testing.T) {
 			cm.SetRowRHS(rev, s2)
 		}
 		// Appended violated cut: z at most half its optimum.
-		cm.AddRow(lp.Lit("t.cut"), lp.NewExpr().Add(1, lp.Var(0)), lp.LE, sol.Objective/2)
+		cm.AddRow(lp.NewExpr().Add(1, lp.Var(0)), lp.LE, sol.Objective/2)
 		checkWarmEqualsCold(t, name+"/cut", cm, basis)
 	}
 }

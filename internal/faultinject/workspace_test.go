@@ -88,7 +88,7 @@ func TestWorkspaceCarriesNothingOver(t *testing.T) {
 		// Appended row: m grows, the workspace's buffers are re-sliced.
 		v0 := lp.Var(0)
 		capRow := func(cm *lp.Compiled) {
-			cm.AddRow(lp.Lit("t.cap"), lp.NewExpr().Add(1, v0), lp.LE, first.Value(v0)/2)
+			cm.AddRow(lp.NewExpr().Add(1, v0), lp.LE, first.Value(v0)/2)
 		}
 		capRow(used)
 		capRow(fresh)

@@ -133,7 +133,7 @@ func TestFleetChaosSoak(t *testing.T) {
 			name:       fmt.Sprintf("replica-%d", i),
 			dir:        filepath.Join(t.TempDir(), fmt.Sprintf("r%d", i)),
 			plannerURL: pts.URL,
-			chaos:      faultinject.NewChaosTransport(int64(1000+i), nil),
+			chaos:      faultinject.NewChaosTransport(nil),
 		}
 		nodes[i].start()
 		defer nodes[i].kill()

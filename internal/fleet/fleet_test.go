@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -79,6 +80,47 @@ func TestPlannerPlanAndLeaseEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("nameless heartbeat: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestPlanFetchAfter: the conditional fetch answers 304 at or past the
+// current epoch, the envelope below it, and 400 to an after that is not
+// an epoch, rather than treating it as no condition.
+func TestPlanFetchAfter(t *testing.T) {
+	srv := newCore(t, "")
+	ts := httptest.NewServer(NewPlanner(srv, PlannerConfig{LeaseTTL: time.Second, Logf: t.Logf}))
+	defer ts.Close()
+	current := publishEpochs(t, srv, 2)
+	for _, tc := range []struct {
+		after string
+		want  int
+	}{
+		{"garbage", http.StatusBadRequest},
+		{"-1", http.StatusBadRequest},
+		{"1.5", http.StatusBadRequest},
+		{fmt.Sprint(current), http.StatusNotModified},
+		{fmt.Sprint(current + 1), http.StatusNotModified},
+		{fmt.Sprint(current - 1), http.StatusOK},
+	} {
+		resp, err := testClient.Get(ts.URL + PlanPath + "?after=" + tc.after)
+		if err != nil {
+			t.Fatalf("after=%s: %v", tc.after, err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("after=%s: status %d, want %d", tc.after, resp.StatusCode, tc.want)
+		}
+		if tc.want == http.StatusOK {
+			env, err := serve.DecodeEnvelope(buf.Bytes())
+			if err != nil {
+				t.Fatalf("after=%s: %v", tc.after, err)
+			}
+			if env.Epoch != current {
+				t.Fatalf("after=%s: envelope epoch %d, want %d", tc.after, env.Epoch, current)
+			}
+		}
 	}
 }
 

@@ -133,19 +133,24 @@ func (p *Planner) envelopeFor(pub *serve.Published) ([]byte, error) {
 
 // handlePlanFetch serves the newest envelope. ?after=<epoch> turns the
 // fetch conditional: 304 when the replica is already current, so the
-// steady-state poll costs a header exchange, not a plan transfer.
+// steady-state poll costs a header exchange, not a plan transfer. An
+// after that is not an epoch is a 400.
 func (p *Planner) handlePlanFetch(w http.ResponseWriter, r *http.Request) {
+	raw := r.URL.Query().Get("after")
+	after, perr := strconv.ParseUint(raw, 10, 64)
+	if raw != "" && perr != nil {
+		writeError(w, http.StatusBadRequest, "bad after "+strconv.Quote(raw)+" (want an epoch)")
+		return
+	}
 	pub, err := p.srv.Registry().Current()
 	if err != nil {
 		writeError(w, http.StatusNotFound, "no plan published")
 		return
 	}
-	if raw := r.URL.Query().Get("after"); raw != "" {
-		if after, perr := strconv.ParseUint(raw, 10, 64); perr == nil && pub.Epoch <= after {
-			w.Header().Set("X-PCF-Epoch", strconv.FormatUint(pub.Epoch, 10))
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
+	if raw != "" && pub.Epoch <= after {
+		w.Header().Set("X-PCF-Epoch", strconv.FormatUint(pub.Epoch, 10))
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
 	data, err := p.envelopeFor(pub)
 	if err != nil {

@@ -40,11 +40,6 @@ type ReplicaConfig struct {
 	// JitterSeed seeds the backoff jitter; fixed seeds make chaos runs
 	// reproducible.
 	JitterSeed int64
-	// TransformEnvelope, when non-nil, may replace each fetched or
-	// pushed envelope before it is applied. It exists for fault
-	// injection (torn or corrupted envelopes must never become served
-	// plans); production configs leave it nil.
-	TransformEnvelope func(*serve.Envelope) *serve.Envelope
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -200,9 +195,6 @@ func (r *Replica) handlePush(w http.ResponseWriter, req *http.Request) {
 		r.rejectedInvalid.Add(1)
 		writeError(w, http.StatusUnprocessableEntity, "undecodable envelope")
 		return
-	}
-	if r.cfg.TransformEnvelope != nil {
-		env = r.cfg.TransformEnvelope(env)
 	}
 	pub, err := r.Apply(req.Context(), env)
 	w.Header().Set("Content-Type", "application/json")
@@ -368,9 +360,6 @@ func (r *Replica) fetchAndApply(ctx context.Context) error {
 	env, err := serve.DecodeEnvelope(data)
 	if err != nil {
 		return err
-	}
-	if r.cfg.TransformEnvelope != nil {
-		env = r.cfg.TransformEnvelope(env)
 	}
 	_, err = r.Apply(ctx, env)
 	if errors.Is(err, serve.ErrEpochRegression) {

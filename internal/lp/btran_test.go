@@ -69,7 +69,7 @@ func TestBTRANMatchesDenseOracle(t *testing.T) {
 		})
 		step("rhs-restore")
 		v0 := lp.Var(0)
-		both(func(cm *lp.Compiled) { cm.AddRow(lp.Lit("t.cap"), lp.NewExpr().Add(1, v0), lp.LE, sol.Value(v0)/2) })
+		both(func(cm *lp.Compiled) { cm.AddRow(lp.NewExpr().Add(1, v0), lp.LE, sol.Value(v0)/2) })
 		if probe := step("addrow"); probe.Status == lp.StatusOptimal {
 			vLast := lp.Var(m.NumVars() - 1)
 			both(func(cm *lp.Compiled) { cm.FixVar(vLast, probe.Value(vLast)) })

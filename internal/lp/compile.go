@@ -61,7 +61,6 @@ type Compiled struct {
 	slack   []int     // slack/surplus column per std row, or -1 for EQ rows
 	stdRow  []int     // std row per logical row
 	lrhs    []float64 // current model-space RHS per logical row
-	rowName []Name    // names of appended rows (index: logical - nModelCons)
 
 	nLogical   int // model constraint rows plus appended rows
 	nModelCons int // constraint rows present at compile time
@@ -271,7 +270,7 @@ func (cm *Compiled) ensureOwn(j int) {
 // Solve with a WarmStart basis captured before the append starts the
 // new rows on their slack (or a signed artificial for EQ rows), so
 // only the incremental work is re-done.
-func (cm *Compiled) AddRow(name Name, expr *Expr, sense Sense, rhs float64) int {
+func (cm *Compiled) AddRow(expr *Expr, sense Sense, rhs float64) int {
 	e := expr.Clone()
 	e.compact()
 	rhs -= e.Offset
@@ -305,7 +304,6 @@ func (cm *Compiled) AddRow(name Name, expr *Expr, sense Sense, rhs float64) int 
 	cm.slack = append(cm.slack, slackCol)
 	cm.stdRow = append(cm.stdRow, r)
 	cm.lrhs = append(cm.lrhs, rhs)
-	cm.rowName = append(cm.rowName, name)
 	for _, t := range terms {
 		if t.v != 0 {
 			cm.ensureOwn(t.col)
@@ -378,8 +376,6 @@ func (cm *Compiled) RowRHS(i int) float64 { return cm.lrhs[i] }
 // appended rows).
 func (cm *Compiled) NumRows() int { return cm.nLogical }
 
-var fixPat = Pat("fix.var[%d]")
-
 // FixVar pins variable v to val by adding (or updating) an equality
 // row v = val, and returns that row's logical index. Unlike changing
 // the variable's bounds, this keeps the standard-form layout stable
@@ -389,17 +385,9 @@ func (cm *Compiled) FixVar(v Var, val float64) int {
 		cm.SetRowRHS(row, val)
 		return row
 	}
-	row := cm.AddRow(fixPat.N(int(v)), NewExpr().Add(1, v), EQ, val)
+	row := cm.AddRow(NewExpr().Add(1, v), EQ, val)
 	cm.fixRow[v] = row
 	return row
-}
-
-// RowName reports the name of logical row i for diagnostics.
-func (cm *Compiled) RowName(i int) Name {
-	if i < cm.nModelCons {
-		return cm.model.cons[i].Name
-	}
-	return cm.rowName[i-cm.nModelCons]
 }
 
 // Clone returns an independently mutable view sharing the immutable
@@ -421,7 +409,6 @@ func (cm *Compiled) Clone() *Compiled {
 	d.slack = append([]int(nil), cm.slack...)
 	d.stdRow = append([]int(nil), cm.stdRow...)
 	d.lrhs = append([]float64(nil), cm.lrhs...)
-	d.rowName = append([]Name(nil), cm.rowName...)
 	d.fac = nil // the clone may solve concurrently with cm: it grows its own workspace
 	d.fixRow = make(map[Var]int, len(cm.fixRow))
 	for v, r := range cm.fixRow {

@@ -92,7 +92,7 @@ func TestWarmAfterAddRow(t *testing.T) {
 	}
 	// Append a violated cut: z <= half its current optimum.
 	cut := sol.Objective / 2
-	cm.AddRow(Lit("cut"), NewExpr().Add(1, z), LE, cut)
+	cm.AddRow(NewExpr().Add(1, z), LE, cut)
 	warm, err := cm.Solve(Options{WarmStart: sol.Basis})
 	if err != nil || warm.Status != StatusOptimal {
 		t.Fatalf("warm solve: %v status %v", err, warm.Status)

@@ -1,11 +1,10 @@
 // Package mcf solves multi-commodity flow problems: the maximum
-// concurrent flow (demand scale / inverse MLU) and maximum throughput
-// objectives, optionally under a set of dead links. It implements the
-// paper's "intrinsic network capability" baseline — the performance of
-// a network that responds to each failure with an optimal
-// multi-commodity flow — by exhaustive scenario enumeration (§5), and
-// the MLU-targeted traffic-matrix scaling used to generate evaluation
-// demands.
+// concurrent flow (demand scale / inverse MLU), optionally under a set
+// of dead links. It implements the paper's "intrinsic network
+// capability" baseline — the performance of a network that responds to
+// each failure with an optimal multi-commodity flow — by exhaustive
+// scenario enumeration (§5), and the MLU-targeted traffic-matrix
+// scaling used to generate evaluation demands.
 //
 // Flows are aggregated per destination, so the LP has O(V·E) variables
 // rather than O(V^2·E). The scenario sweep compiles the base MCF once
@@ -31,14 +30,13 @@ import (
 
 var (
 	flowPat = lp.Pat("f[t%d,a%d]")
-	bwPat   = lp.Pat("bw[%d,%d]")
 	balPat  = lp.Pat("bal[t%d,v%d]")
 	capPat  = lp.Pat("cap[a%d]")
 )
 
 // Result reports an optimal flow.
 type Result struct {
-	// Objective is the optimal value (demand scale z, or throughput).
+	// Objective is the optimal value (the demand scale z).
 	Objective float64
 	// FlowTo[t][a] is the flow toward destination t on arc a.
 	FlowTo map[topology.NodeID][]float64
@@ -48,13 +46,7 @@ type Result struct {
 // demand can be routed simultaneously within arc capacities, with the
 // links in dead removed. Pairs whose demand is zero are ignored.
 func MaxConcurrentFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool) (*Result, error) {
-	return solveFlow(g, tm, dead, true)
-}
-
-// MaxThroughput computes the maximum total bandwidth Σ bw_st with
-// bw_st <= d_st that can be routed within capacities.
-func MaxThroughput(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool) (*Result, error) {
-	return solveFlow(g, tm, dead, false)
+	return solveFlow(g, tm, dead)
 }
 
 // flowModel is a built (not yet compiled) MCF model plus the handles
@@ -63,7 +55,6 @@ type flowModel struct {
 	m       *lp.Model
 	flow    map[topology.NodeID][]lp.Var
 	z       lp.Var
-	bw      map[topology.Pair]lp.Var
 	dsts    []topology.NodeID
 	numArcs int
 	capRow  []int // logical capacity row per arc, or -1
@@ -73,7 +64,7 @@ type flowModel struct {
 // variables; the scenario sweep instead builds with dead == nil and
 // disables arcs by zeroing their capacity rows, which keeps one
 // compiled layout valid for every scenario.
-func buildFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool, concurrent bool) (*flowModel, error) {
+func buildFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool) (*flowModel, error) {
 	if tm.N() != g.NumNodes() {
 		return nil, fmt.Errorf("mcf: matrix is %dx%d but graph has %d nodes", tm.N(), tm.N(), g.NumNodes())
 	}
@@ -113,19 +104,7 @@ func buildFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]b
 		fm.flow[t] = vars
 	}
 
-	if concurrent {
-		fm.z = m.AddNonNeg("z")
-	} else {
-		fm.bw = make(map[topology.Pair]lp.Var)
-		for s := 0; s < n; s++ {
-			for t := 0; t < n; t++ {
-				if d := tm.Demand[s][t]; d > 0 {
-					p := topology.Pair{Src: topology.NodeID(s), Dst: topology.NodeID(t)}
-					fm.bw[p] = m.AddVarN(bwPat.N(s, t), 0, d)
-				}
-			}
-		}
-	}
+	fm.z = m.AddNonNeg("z")
 
 	// Flow balance at every node v != t for each destination t:
 	//   out(v) - in(v) = scaled demand from v to t.
@@ -146,14 +125,8 @@ func buildFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]b
 					e.Add(-1, vars[rev])
 				}
 			}
-			d := tm.Demand[v][t]
-			if concurrent {
-				if d > 0 {
-					e.Add(-d, fm.z)
-				}
-			} else if d > 0 {
-				p := topology.Pair{Src: topology.NodeID(v), Dst: t}
-				e.Add(-1, fm.bw[p])
+			if d := tm.Demand[v][t]; d > 0 {
+				e.Add(-d, fm.z)
 			}
 			m.AddConstraintN(balPat.N(int(t), v), e, lp.EQ, 0)
 		}
@@ -177,15 +150,7 @@ func buildFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]b
 		fm.capRow[a] = m.AddConstraintN(capPat.N(a), e, lp.LE, g.ArcCapacity(topology.ArcID(a)))
 	}
 
-	obj := lp.NewExpr()
-	if concurrent {
-		obj.Add(1, fm.z)
-	} else {
-		for _, v := range fm.bw {
-			obj.Add(1, v)
-		}
-	}
-	m.SetObjective(obj, lp.Maximize)
+	m.SetObjective(lp.NewExpr().Add(1, fm.z), lp.Maximize)
 	return fm, nil
 }
 
@@ -205,8 +170,8 @@ func objectiveOf(sol *lp.Solution) (float64, error) {
 	}
 }
 
-func solveFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool, concurrent bool) (*Result, error) {
-	fm, err := buildFlow(g, tm, dead, concurrent)
+func solveFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool) (*Result, error) {
+	fm, err := buildFlow(g, tm, dead)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +213,7 @@ func MinMLU(g *topology.Graph, tm *traffic.Matrix) (float64, error) {
 // non-nil, returning the solution too (nil when the matrix has no
 // demand): MaxConcurrentFlow without the per-arc flows.
 func minMLU(g *topology.Graph, tm *traffic.Matrix, warm *lp.Basis) (float64, *lp.Solution, error) {
-	fm, err := buildFlow(g, tm, nil, true)
+	fm, err := buildFlow(g, tm, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -339,7 +304,7 @@ func OptimalUnderFailuresStats(ctx context.Context, g *topology.Graph, tm *traff
 		return math.Inf(1), failures.Scenario{}, stats, nil
 	}
 
-	fm, err := buildFlow(g, tm, nil, true)
+	fm, err := buildFlow(g, tm, nil)
 	if err != nil {
 		return 0, failures.Scenario{}, stats, err
 	}

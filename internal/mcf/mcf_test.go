@@ -63,24 +63,6 @@ func TestDisconnectedGivesZero(t *testing.T) {
 	approx(t, res.Objective, 0, "disconnected")
 }
 
-func TestMaxThroughputCapsAtDemand(t *testing.T) {
-	g, s, tt := twoPath()
-	// Demand 1 but capacity 5: throughput limited by demand.
-	tm := traffic.Single(g.NumNodes(), topology.Pair{Src: s, Dst: tt}, 1)
-	res, err := MaxThroughput(g, tm, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, res.Objective, 1, "throughput demand-limited")
-	// Demand 100: limited by capacity 5.
-	tm2 := traffic.Single(g.NumNodes(), topology.Pair{Src: s, Dst: tt}, 100)
-	res2, err := MaxThroughput(g, tm2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, res2.Objective, 5, "throughput capacity-limited")
-}
-
 func TestMultiCommodityShareCapacity(t *testing.T) {
 	// Triangle, capacity 1 per link. Demands a->b and b->a of 1 each.
 	// Each can use its direct arc (capacity 1 per direction) plus the

@@ -134,30 +134,28 @@ func TestSweepDeadline(t *testing.T) {
 	}
 }
 
-// TestFlowLPCertified certifies the Sprint flow LPs from first
-// principles (lptest.Certify). They are the solver's equality-heavy
+// TestFlowLPCertified certifies the Sprint flow LP from first
+// principles (lptest.Certify). It is the solver's equality-heavy
 // input: one conservation row per (destination, node), each of which a
 // cold solve must start on an artificial and clear in phase 1.
 func TestFlowLPCertified(t *testing.T) {
 	g := topozoo.MustLoad("Sprint")
 	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 3, Jitter: 0.4})
 	tm = tm.Restrict(tm.TopPairs(10))
-	for _, concurrent := range []bool{true, false} {
-		fm, err := buildFlow(g, tm, nil, concurrent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, err := lp.Solve(fm.m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lptest.Certify(fm.m, nil, sol); err != nil {
-			t.Fatalf("concurrent=%v: %v", concurrent, err)
-		}
-		if sol.Stats.Phase1Iters == 0 || sol.Stats.SlackStartRows == 0 {
-			t.Fatalf("concurrent=%v: %d phase-1 iterations, %d rows slack-started; want a mixed start",
-				concurrent, sol.Stats.Phase1Iters, sol.Stats.SlackStartRows)
-		}
+	fm, err := buildFlow(g, tm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := lp.Solve(fm.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lptest.Certify(fm.m, nil, sol); err != nil {
+		t.Fatal(err)
+	}
+	if sol.Stats.Phase1Iters == 0 || sol.Stats.SlackStartRows == 0 {
+		t.Fatalf("%d phase-1 iterations, %d rows slack-started; want a mixed start",
+			sol.Stats.Phase1Iters, sol.Stats.SlackStartRows)
 	}
 }
 

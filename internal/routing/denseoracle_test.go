@@ -6,7 +6,8 @@ package routing
 // through maps. Non-test code now has one linear-system representation,
 // the scenario's sparse rows, and this is kept here as the reference
 // every SMW-vs-cold suite holds the engine to at 1e-9 — it shares no
-// solver and no emission code with what it checks.
+// solver, no emission code and no pairs-of-interest closure with what
+// it checks.
 
 import (
 	"context"
@@ -20,6 +21,96 @@ import (
 	"pcf/internal/topology"
 	"pcf/internal/tunnels"
 )
+
+// state is the oracle's own failure-dependent view of a plan: which
+// tunnels are live, which LSs are active, and the pairs of interest,
+// found from maps over the instance with no use of the engine's index
+// (Sweep.activate computes the same closure for production).
+type state struct {
+	plan      *core.Plan
+	sc        failures.Scenario
+	liveTun   map[topology.Pair][]tunnels.ID
+	activeLoc map[topology.Pair][]core.LSID // L_x(p): active LSs of the pair
+	activeThr map[topology.Pair][]core.LSID // Q_x(p): active LSs using p as a segment
+	pairs     []topology.Pair               // pairs of interest, deterministic order
+	index     map[topology.Pair]int
+}
+
+func newState(plan *core.Plan, sc failures.Scenario) *state {
+	in := plan.Instance
+	st := &state{
+		plan:      plan,
+		sc:        sc,
+		liveTun:   map[topology.Pair][]tunnels.ID{},
+		activeLoc: map[topology.Pair][]core.LSID{},
+		activeThr: map[topology.Pair][]core.LSID{},
+		index:     map[topology.Pair]int{},
+	}
+	for _, p := range in.Tunnels.Pairs() {
+		for _, tid := range in.Tunnels.ForPair(p) {
+			if sc.Alive(in.Tunnels.Tunnel(tid).Path) {
+				st.liveTun[p] = append(st.liveTun[p], tid)
+			}
+		}
+	}
+	for _, q := range in.LSs {
+		if plan.LSRes[q.ID] <= 0 || !q.Cond.Holds(sc) {
+			continue
+		}
+		st.activeLoc[q.Pair] = append(st.activeLoc[q.Pair], q.ID)
+		for _, seg := range q.Segments() {
+			st.activeThr[seg] = append(st.activeThr[seg], q.ID)
+		}
+	}
+	// Pairs of interest: transitive closure from positive demands
+	// through active LSs with positive reservation (appendix
+	// definition).
+	inP := map[topology.Pair]bool{}
+	var queue []topology.Pair
+	add := func(p topology.Pair) {
+		if !inP[p] {
+			inP[p] = true
+			queue = append(queue, p)
+		}
+	}
+	for _, p := range in.DemandPairs() {
+		if plan.ScaledDemand(p) > 1e-12 {
+			add(p)
+		}
+	}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		for _, qid := range st.activeLoc[p] {
+			for _, seg := range in.LSs[qid].Segments() {
+				add(seg)
+			}
+		}
+	}
+	// Deterministic order.
+	for s := 0; s < in.Graph.NumNodes(); s++ {
+		for t := 0; t < in.Graph.NumNodes(); t++ {
+			p := topology.Pair{Src: topology.NodeID(s), Dst: topology.NodeID(t)}
+			if inP[p] {
+				st.index[p] = len(st.pairs)
+				st.pairs = append(st.pairs, p)
+			}
+		}
+	}
+	return st
+}
+
+// diag returns the total live reservation available to pair p.
+func (st *state) diag(p topology.Pair) float64 {
+	total := 0.0
+	for _, tid := range st.liveTun[p] {
+		total += st.plan.TunnelRes[tid]
+	}
+	for _, qid := range st.activeLoc[p] {
+		total += st.plan.LSRes[qid]
+	}
+	return total
+}
 
 // Matrix builds the reservation matrix M of §4.1 over the pairs of
 // interest (row-major, len(pairs) x len(pairs)).

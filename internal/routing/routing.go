@@ -23,94 +23,6 @@ import (
 	"pcf/internal/tunnels"
 )
 
-// state captures the failure-dependent view of a plan: which tunnels
-// are live, which LSs are active, and the pairs of interest.
-type state struct {
-	plan      *core.Plan
-	sc        failures.Scenario
-	liveTun   map[topology.Pair][]tunnels.ID
-	activeLoc map[topology.Pair][]core.LSID // L_x(p): active LSs of the pair
-	activeThr map[topology.Pair][]core.LSID // Q_x(p): active LSs using p as a segment
-	pairs     []topology.Pair               // pairs of interest, deterministic order
-	index     map[topology.Pair]int
-}
-
-func newState(plan *core.Plan, sc failures.Scenario) *state {
-	in := plan.Instance
-	st := &state{
-		plan:      plan,
-		sc:        sc,
-		liveTun:   map[topology.Pair][]tunnels.ID{},
-		activeLoc: map[topology.Pair][]core.LSID{},
-		activeThr: map[topology.Pair][]core.LSID{},
-		index:     map[topology.Pair]int{},
-	}
-	for _, p := range in.Tunnels.Pairs() {
-		for _, tid := range in.Tunnels.ForPair(p) {
-			if sc.Alive(in.Tunnels.Tunnel(tid).Path) {
-				st.liveTun[p] = append(st.liveTun[p], tid)
-			}
-		}
-	}
-	for _, q := range in.LSs {
-		if plan.LSRes[q.ID] <= 0 || !q.Cond.Holds(sc) {
-			continue
-		}
-		st.activeLoc[q.Pair] = append(st.activeLoc[q.Pair], q.ID)
-		for _, seg := range q.Segments() {
-			st.activeThr[seg] = append(st.activeThr[seg], q.ID)
-		}
-	}
-	// Pairs of interest: transitive closure from positive demands
-	// through active LSs with positive reservation (appendix
-	// definition).
-	inP := map[topology.Pair]bool{}
-	var queue []topology.Pair
-	add := func(p topology.Pair) {
-		if !inP[p] {
-			inP[p] = true
-			queue = append(queue, p)
-		}
-	}
-	for _, p := range in.DemandPairs() {
-		if plan.ScaledDemand(p) > 1e-12 {
-			add(p)
-		}
-	}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, qid := range st.activeLoc[p] {
-			for _, seg := range in.LSs[qid].Segments() {
-				add(seg)
-			}
-		}
-	}
-	// Deterministic order.
-	for s := 0; s < in.Graph.NumNodes(); s++ {
-		for t := 0; t < in.Graph.NumNodes(); t++ {
-			p := topology.Pair{Src: topology.NodeID(s), Dst: topology.NodeID(t)}
-			if inP[p] {
-				st.index[p] = len(st.pairs)
-				st.pairs = append(st.pairs, p)
-			}
-		}
-	}
-	return st
-}
-
-// diag returns the total live reservation available to pair p.
-func (st *state) diag(p topology.Pair) float64 {
-	total := 0.0
-	for _, tid := range st.liveTun[p] {
-		total += st.plan.TunnelRes[tid]
-	}
-	for _, qid := range st.activeLoc[p] {
-		total += st.plan.LSRes[qid]
-	}
-	return total
-}
-
 // Realization is a concrete routing for one failure scenario.
 type Realization struct {
 	Scenario failures.Scenario
@@ -167,42 +79,51 @@ func Realize(plan *core.Plan, sc failures.Scenario) (*Realization, error) {
 // scheme of §4.2: traffic of each pair is split over its live tunnels
 // and active LSs in proportion to their reservations, processing pairs
 // in topological order. It fails if the active LSs are not
-// topologically sortable.
+// topologically sortable. The pairs of interest, live tunnels and
+// active LSs are the engine's (activate), so the scheme shares them
+// with Realize.
 func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, error) {
-	st := newState(plan, sc)
 	in := plan.Instance
+	s := newIndex(plan)
+	sr := s.newScratch()
+	s.activate(sc, sr)
+	ep := sr.epoch
 	res := &Realization{
 		Scenario: sc,
-		Pairs:    st.pairs,
 		TunnelTo: map[topology.NodeID]map[tunnels.ID]float64{},
 		ArcLoad:  make([]float64, in.Graph.NumArcs()),
 	}
-	if len(st.pairs) == 0 {
+	for r, p := range s.pairs {
+		if sr.inSet[r] == ep {
+			res.Pairs = append(res.Pairs, p)
+		}
+	}
+	if len(res.Pairs) == 0 {
 		return res, nil
 	}
+	// The active LSs in the engine's order, and the pairs to order: the
+	// pairs of interest, then any other pair an active LS names.
 	var activeLSs []core.LogicalSequence
-	for _, q := range in.LSs {
-		if plan.LSRes[q.ID] > 0 && q.Cond.Holds(sc) {
-			activeLSs = append(activeLSs, q)
-		}
-	}
-	// Order pairs so that LS pairs precede their segments.
-	lsPairs := map[topology.Pair]bool{}
-	for _, q := range activeLSs {
-		lsPairs[q.Pair] = true
-		for _, seg := range q.Segments() {
-			lsPairs[seg] = true
-		}
-	}
 	var universe []topology.Pair
 	seen := map[topology.Pair]bool{}
-	for _, p := range st.pairs {
-		universe = append(universe, p)
-		seen[p] = true
-	}
-	for p := range lsPairs {
+	add := func(p topology.Pair) {
 		if !seen[p] {
+			seen[p] = true
 			universe = append(universe, p)
+		}
+	}
+	for _, p := range res.Pairs {
+		add(p)
+	}
+	for qi, e := range s.ls {
+		if !sr.lsActive[qi] {
+			continue
+		}
+		q := in.LSs[e.id]
+		activeLSs = append(activeLSs, q)
+		add(q.Pair)
+		for _, seg := range q.Segments() {
+			add(seg)
 		}
 	}
 	order, err := core.TopologicalPairOrder(activeLSs, universe)
@@ -210,33 +131,26 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 		return nil, fmt.Errorf("routing: under scenario %v: %w", sc, err)
 	}
 
-	// Per-destination demand propagated down the topological order.
-	destSet := map[topology.NodeID]bool{}
-	for _, p := range in.DemandPairs() {
-		if plan.ScaledDemand(p) > 1e-12 {
-			destSet[p.Dst] = true
-		}
-	}
-	uAgg := make(map[topology.Pair]float64)
-	for t := 0; t < in.Graph.NumNodes(); t++ {
-		dst := topology.NodeID(t)
-		if !destSet[dst] {
-			continue
-		}
-		// load[p] is the traffic for destination dst pair p must carry.
-		load := map[topology.Pair]float64{}
-		for _, p := range st.pairs {
-			if p.Dst == dst {
-				load[p] += plan.ScaledDemand(p)
+	// Per-destination demand propagated down the topological order;
+	// load[r] is the traffic for the destination universe row r must
+	// carry. Only pairs of interest ever carry any.
+	load := make([]float64, s.n)
+	uAgg := make([]float64, s.n)
+	for _, dst := range s.dests {
+		for r, p := range s.pairs {
+			load[r] = 0
+			if sr.inSet[r] == ep && p.Dst == dst {
+				load[r] = s.demand[r]
 			}
 		}
 		flows := map[tunnels.ID]float64{}
 		for _, p := range order {
-			d := load[p]
-			if d <= 1e-12 {
+			r, ok := s.index[p]
+			if !ok || load[r] <= 1e-12 {
 				continue
 			}
-			total := st.diag(p)
+			d := load[r]
+			total := s.liveRes(sr, r)
 			if total <= 1e-12 {
 				return nil, fmt.Errorf("routing: pair %v must carry %g but has no live reservation under %v", p, d, sc)
 			}
@@ -244,35 +158,44 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 			if u > 1+1e-7 {
 				return nil, fmt.Errorf("routing: pair %v oversubscribed (u=%g) under %v", p, u, sc)
 			}
-			uAgg[p] += u
-			for _, tid := range st.liveTun[p] {
-				r := u * plan.TunnelRes[tid]
-				if r <= 1e-12 {
+			uAgg[r] += u
+			for _, tid := range s.pairTun[r] {
+				if sr.deadTun[tid] == ep {
 					continue
 				}
-				flows[tid] += r
+				f := u * s.tunRes[tid]
+				if f <= 1e-12 {
+					continue
+				}
+				flows[tid] += f
 				for _, a := range in.Tunnels.Tunnel(tid).Path.Arcs {
-					res.ArcLoad[a] += r
+					res.ArcLoad[a] += f
 				}
 			}
-			for _, qid := range st.activeLoc[p] {
-				bq := u * plan.LSRes[qid]
+			for _, qi := range s.localLS[r] {
+				if !sr.lsActive[qi] {
+					continue
+				}
+				bq := u * s.ls[qi].res
 				if bq <= 1e-12 {
 					continue
 				}
-				for _, seg := range in.LSs[qid].Segments() {
-					load[seg] += bq
+				for _, sg := range s.ls[qi].segRows {
+					load[sg] += bq
 				}
 			}
 		}
 		res.TunnelTo[dst] = flows
 	}
-	res.U = make([]float64, len(st.pairs))
-	for i, p := range st.pairs {
-		res.U[i] = uAgg[p]
-		if res.U[i] > 1+1e-6 {
-			return nil, fmt.Errorf("routing: pair %v aggregate utilization %g > 1 under %v", p, res.U[i], sc)
+	res.U = make([]float64, 0, len(res.Pairs))
+	for r := range s.pairs {
+		if sr.inSet[r] != ep {
+			continue
 		}
+		if uAgg[r] > 1+1e-6 {
+			return nil, fmt.Errorf("routing: pair %v aggregate utilization %g > 1 under %v", s.pairs[r], uAgg[r], sc)
+		}
+		res.U = append(res.U, uAgg[r])
 	}
 	return res, nil
 }
@@ -321,9 +244,13 @@ func MLUOf(g *topology.Graph, r *Realization) float64 {
 // capacity, and per-destination flow conservation at every node. It
 // reports the first overloaded arc if there is one, else the first
 // destination in node order that misses balance, at its
-// lowest-numbered node.
+// lowest-numbered node. A realization that does not fit the plan is an
+// error (checkShape).
 func CheckRealization(plan *core.Plan, r *Realization) error {
 	in := plan.Instance
+	if err := checkShape(in, r); err != nil {
+		return err
+	}
 	g := in.Graph
 	nominal := isNominal(r.Scenario)
 	for a := 0; a < g.NumArcs(); a++ {
@@ -359,6 +286,40 @@ func CheckRealization(plan *core.Plan, r *Realization) error {
 		if v, got, want := bal.imbalance(in.Tunnels, tuns, vals, wantNodes, wantVals); v >= 0 {
 			return balanceError{dst, v, got, want, r.Scenario}
 		}
+	}
+	return nil
+}
+
+// checkShape reports the first way a realization does not fit the
+// instance the checks index it by: another arc count, else the lowest
+// destination outside the node range, else the lowest tunnel id outside
+// the tunnel set that carries a flow.
+func checkShape(in *core.Instance, r *Realization) error {
+	if arcs := in.Graph.NumArcs(); len(r.ArcLoad) != arcs {
+		return fmt.Errorf("routing: realization has %d arc loads, the plan's graph %d arcs", len(r.ArcLoad), arcs)
+	}
+	nodes, tuns := in.Graph.NumNodes(), in.Tunnels.Len()
+	var dstOut, tunOut bool
+	var badDst, tunDst topology.NodeID
+	var badTun tunnels.ID
+	for dst, flows := range r.TunnelTo {
+		if dst < 0 || int(dst) >= nodes {
+			if !dstOut || dst < badDst {
+				dstOut, badDst = true, dst
+			}
+			continue
+		}
+		for tid := range flows {
+			if (tid < 0 || int(tid) >= tuns) && (!tunOut || tid < badTun) {
+				tunOut, badTun, tunDst = true, tid, dst
+			}
+		}
+	}
+	switch {
+	case dstOut:
+		return fmt.Errorf("routing: realization routes to destination %d, outside the plan's %d nodes", badDst, nodes)
+	case tunOut:
+		return fmt.Errorf("routing: realization's flow to destination %d is on tunnel %d, outside the plan's %d tunnels", tunDst, badTun, tuns)
 	}
 	return nil
 }

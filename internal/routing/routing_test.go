@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"pcf/internal/core"
@@ -305,6 +306,49 @@ func TestCheckRealizationCatchesOverload(t *testing.T) {
 	r.ArcLoad[0] = plan.Instance.Graph.ArcCapacity(0) + 1
 	if err := CheckRealization(plan, r); err == nil {
 		t.Fatal("overload not caught")
+	}
+}
+
+// TestCheckRejectsMisshapenRealization: a realization that does not fit
+// the plan — an arc count cut short, a destination past the node range,
+// a flow on a tunnel past the tunnel set — is an error naming the
+// mismatch, from Sweep.Check and CheckRealization alike, never a panic.
+func TestCheckRejectsMisshapenRealization(t *testing.T) {
+	plan := fig1Plan(t, 1)
+	sw := newSweep(t, plan)
+	sc := failures.Scenario{Dead: map[topology.LinkID]bool{}}
+	for _, tc := range []struct {
+		name   string
+		mangle func(r *Realization)
+		want   string
+	}{
+		{"arc count", func(r *Realization) { r.ArcLoad = r.ArcLoad[:1] }, "has 1 arc loads"},
+		{"destination", func(r *Realization) { r.TunnelTo[999] = map[tunnels.ID]float64{0: 1} }, "destination 999, outside"},
+		{"tunnel", func(r *Realization) {
+			for dst := range r.TunnelTo {
+				r.TunnelTo[dst][12345] = 1
+			}
+		}, "tunnel 12345, outside"},
+	} {
+		for _, entry := range []struct {
+			name  string
+			check func(*Realization) error
+		}{
+			{"Sweep.Check", sw.Check},
+			{"CheckRealization", func(r *Realization) error { return CheckRealization(plan, r) }},
+		} {
+			r, err := Realize(plan, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := entry.check(r); err != nil {
+				t.Fatalf("%s: healthy realization flagged: %v", entry.name, err)
+			}
+			tc.mangle(r)
+			if err := entry.check(r); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s on a bad %s: %v, want an error containing %q", entry.name, tc.name, err, tc.want)
+			}
+		}
 	}
 }
 

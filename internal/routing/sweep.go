@@ -162,8 +162,9 @@ func (s *SweepStats) add(o SweepStats) {
 // sweepLS is a positive-reservation logical sequence translated into
 // universe-row coordinates.
 type sweepLS struct {
-	pairRow    int   // universe row of q.Pair, or -1 if not of interest
-	segRows    []int // universe rows of the segments, multiplicity kept
+	id         core.LSID // the instance LS it stands for
+	pairRow    int       // universe row of q.Pair, or -1 if not of interest
+	segRows    []int     // universe rows of the segments, multiplicity kept
 	res        float64
 	cond       *core.Condition
 	baseActive bool // active in the no-failure scenario
@@ -336,14 +337,15 @@ var SweepUpdateFault func(ups []linsolve.RowUpdate) error
 // per-destination balance targets precomputed once per plan. It reports
 // the first overloaded arc if there is one, else the first destination
 // in node order that misses balance, at its lowest-numbered node. A
-// realization of another shape (a destination outside the precomputed
-// set, a different arc count) falls back to the general check.
+// realization that does not fit the plan is an error (checkShape); one
+// with a destination outside the precomputed set falls back to the
+// general check.
 func (s *Sweep) Check(r *Realization) error {
-	if len(r.ArcLoad) != len(s.arcCap) {
-		return CheckRealization(s.plan, r)
+	if err := checkShape(s.plan.Instance, r); err != nil {
+		return err
 	}
 	for dst := range r.TunnelTo {
-		if int(dst) < 0 || int(dst) >= len(s.destIndex) || s.destIndex[dst] < 0 {
+		if s.destIndex[dst] < 0 {
 			return CheckRealization(s.plan, r)
 		}
 	}

@@ -166,7 +166,7 @@ func (s *Sweep) indexPlan(qs []core.LogicalSequence, demandPairs []topology.Pair
 	s.localLS = make([][]int, n)
 	s.throughLS = make([][]int, n)
 	for _, q := range qs {
-		e := sweepLS{pairRow: -1, res: plan.LSRes[q.ID], cond: q.Cond, baseActive: q.Cond.Holds(failures.Scenario{})}
+		e := sweepLS{id: q.ID, pairRow: -1, res: plan.LSRes[q.ID], cond: q.Cond, baseActive: q.Cond.Holds(failures.Scenario{})}
 		if r, ok := s.index[q.Pair]; ok {
 			e.pairRow = r
 		}

@@ -319,17 +319,7 @@ func (s *Sweep) rowCoeffs(sr *sweepScratch, r int) float64 {
 		touch(r, 1)
 		return 0
 	}
-	diag := 0.0
-	for _, tid := range s.pairTun[r] {
-		if sr.deadTun[tid] != ep {
-			diag += s.tunRes[tid]
-		}
-	}
-	for _, qi := range s.localLS[r] {
-		if sr.lsActive[qi] {
-			diag += s.ls[qi].res
-		}
-	}
+	diag := s.liveRes(sr, r)
 	touch(r, diag)
 	for _, qi := range s.throughLS[r] {
 		e := &s.ls[qi]
@@ -339,6 +329,24 @@ func (s *Sweep) rowCoeffs(sr *sweepScratch, r int) float64 {
 	}
 	sort.Ints(sr.touched)
 	return diag
+}
+
+// liveRes is row r's live reservation under the activated scenario:
+// its live tunnels' reservations, then its active local LSs', summed in
+// that order.
+func (s *Sweep) liveRes(sr *sweepScratch, r int) float64 {
+	total := 0.0
+	for _, tid := range s.pairTun[r] {
+		if sr.deadTun[tid] != sr.epoch {
+			total += s.tunRes[tid]
+		}
+	}
+	for _, qi := range s.localLS[r] {
+		if sr.lsActive[qi] {
+			total += s.ls[qi].res
+		}
+	}
+	return total
 }
 
 // liveCoeffs is rowCoeffs where the row must be solvable: a pair of

@@ -96,11 +96,10 @@ type Config struct {
 	QueueDepth            int
 
 	// DefaultSolveTimeout / DefaultRealizeTimeout apply when a request
-	// carries no ?timeout=; MaxRequestTimeout caps what a client may
+	// carries no ?timeout=; maxRequestTimeout caps what a client may
 	// ask for.
 	DefaultSolveTimeout   time.Duration
 	DefaultRealizeTimeout time.Duration
-	MaxRequestTimeout     time.Duration
 
 	// DrainTimeout bounds graceful shutdown: in-flight requests get
 	// this long to finish before their contexts are hard-canceled.
@@ -126,6 +125,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// maxRequestTimeout caps the deadline a request's ?timeout= may ask for.
+const maxRequestTimeout = 5 * time.Minute
+
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrentSolves <= 0 {
 		c.MaxConcurrentSolves = 1
@@ -144,9 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultRealizeTimeout <= 0 {
 		c.DefaultRealizeTimeout = 10 * time.Second
-	}
-	if c.MaxRequestTimeout <= 0 {
-		c.MaxRequestTimeout = 5 * time.Minute
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second

@@ -334,7 +334,7 @@ func (rt *route) run(c *call) (any, error) {
 		}
 		// Bounded by the clamp, and hard-canceled with everything else
 		// in flight at the drain deadline.
-		c.ctx, c.cancel = context.WithTimeout(c.ctx, min(d, s.cfg.MaxRequestTimeout))
+		c.ctx, c.cancel = context.WithTimeout(c.ctx, min(d, maxRequestTimeout))
 		c.stop = context.AfterFunc(s.baseCtx, c.cancel)
 	}
 	if rt.needsPlan {

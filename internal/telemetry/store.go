@@ -29,10 +29,6 @@ type StoreConfig struct {
 	// newest K quarantined (*.corrupt) files (default 64; negative
 	// disables retention). The open segment never counts against it.
 	RetainSegments int
-	// FlushInterval is the background fsync cadence for the active
-	// segment (default 1s; negative disables the flusher — Emit still
-	// writes through the OS, Sync and seals still fsync).
-	FlushInterval time.Duration
 	// MemoryRecords bounds the in-memory ring of a memory-only store
 	// (dir "") — oldest records are dropped beyond it (default
 	// 4×SegmentRecords). Ignored for persistent stores, whose ring
@@ -48,9 +44,6 @@ func (c StoreConfig) withDefaults() StoreConfig {
 	}
 	if c.RetainSegments == 0 {
 		c.RetainSegments = 64
-	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = time.Second
 	}
 	if c.MemoryRecords <= 0 {
 		c.MemoryRecords = 4 * c.SegmentRecords
@@ -167,11 +160,7 @@ func Open(dir string, cfg StoreConfig) (*Store, error) {
 	if err := s.recover(); err != nil {
 		return nil, err
 	}
-	if cfg.FlushInterval > 0 {
-		go s.flushLoop()
-	} else {
-		close(s.flusherDone)
-	}
+	go s.flushLoop()
 	return s, nil
 }
 
@@ -290,12 +279,16 @@ func writeSealed(path string, recs []Record) error {
 	})
 }
 
-// flushLoop periodically flushes and fsyncs the active segment so a
-// crash loses at most FlushInterval of buffered records. It is joined
-// by Close via the done/flusherDone pair.
+// flushInterval is the background fsync cadence for a persistent
+// store's active segment.
+const flushInterval = time.Second
+
+// flushLoop flushes and fsyncs the active segment every flushInterval,
+// so a crash loses at most that much of the buffered records. It is
+// joined by Close via the done/flusherDone pair.
 func (s *Store) flushLoop() {
 	defer close(s.flusherDone)
-	ticker := time.NewTicker(s.cfg.FlushInterval)
+	ticker := time.NewTicker(flushInterval)
 	defer ticker.Stop()
 	for {
 		select {

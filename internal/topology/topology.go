@@ -452,63 +452,6 @@ func (g *Graph) ShortestPath(src, dst NodeID, weight func(LinkID) float64, banne
 	return Path{Arcs: arcs}, true
 }
 
-// WidestPath returns the path from src to dst maximizing the minimum
-// weight given by width (a "capacity" per link), used by the paper's
-// logical-flow decomposition heuristic (§3.5). Links with width <= 0
-// are unusable. Returns the path, its bottleneck width, and success.
-func (g *Graph) WidestPath(src, dst NodeID, width func(ArcID) float64) (Path, float64, bool) {
-	n := g.NumNodes()
-	best := make([]float64, n)
-	prev := make([]ArcID, n)
-	done := make([]bool, n)
-	for i := range best {
-		best[i] = 0
-		prev[i] = -1
-	}
-	best[src] = math.Inf(1)
-	// Max-heap via negated widths in the min-heap.
-	pq := &priorityQueue{{src, math.Inf(-1)}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
-		u := it.node
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == dst {
-			break
-		}
-		for _, a := range g.out[u] {
-			w := width(a)
-			if w <= 0 {
-				continue
-			}
-			_, v := g.ArcEnds(a)
-			cand := math.Min(best[u], w)
-			if cand > best[v]+1e-15 {
-				best[v] = cand
-				prev[v] = a
-				heap.Push(pq, pqItem{v, -cand})
-			}
-		}
-	}
-	if src != dst && prev[dst] == -1 {
-		return Path{}, 0, false
-	}
-	var rev []ArcID
-	for at := dst; at != src; {
-		a := prev[at]
-		rev = append(rev, a)
-		from, _ := g.ArcEnds(a)
-		at = from
-	}
-	arcs := make([]ArcID, len(rev))
-	for i := range rev {
-		arcs[i] = rev[len(rev)-1-i]
-	}
-	return Path{Arcs: arcs}, best[dst], true
-}
-
 // AllPairs returns every ordered pair of distinct nodes.
 func (g *Graph) AllPairs() []Pair {
 	n := g.NumNodes()

@@ -94,33 +94,6 @@ func TestShortestPathUnreachable(t *testing.T) {
 	}
 }
 
-func TestWidestPath(t *testing.T) {
-	// Two routes s->t: direct width 2, via m widths (5, 4) -> widest is 4.
-	g := New("w")
-	s := g.AddNode("s")
-	m := g.AddNode("m")
-	tt := g.AddNode("t")
-	direct := g.AddLink(s, tt, 2)
-	l1 := g.AddLink(s, m, 5)
-	l2 := g.AddLink(m, tt, 4)
-	width := func(a ArcID) float64 {
-		switch LinkOf(a) {
-		case direct:
-			return 2
-		case l1:
-			return 5
-		case l2:
-			return 4
-		}
-		return 0
-	}
-	p, w, ok := g.WidestPath(s, tt, width)
-	//lint:ignore pcflint/floatcmp the widest-path width is one of the input integer capacities, unmodified
-	if !ok || w != 4 || len(p.Arcs) != 2 {
-		t.Fatalf("widest: ok=%v w=%g arcs=%d", ok, w, len(p.Arcs))
-	}
-}
-
 func TestPruneDegreeOne(t *testing.T) {
 	// Triangle with a tail: d-e hangs off a.
 	g := triangle()

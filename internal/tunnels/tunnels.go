@@ -104,17 +104,6 @@ func (s *Set) Pairs() []topology.Pair {
 	return out
 }
 
-// UsingLink returns the tunnels (across all pairs) that traverse link l.
-func (s *Set) UsingLink(l topology.LinkID) []ID {
-	var out []ID
-	for _, t := range s.tunnels {
-		if t.Path.UsesLink(l) {
-			out = append(out, t.ID)
-		}
-	}
-	return out
-}
-
 // MaxShared returns p_st for the pair: the maximum number of the
 // pair's tunnels that share a single link (FFC's structure parameter).
 func (s *Set) MaxShared(p topology.Pair) int {

@@ -132,20 +132,6 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
-func TestUsingLink(t *testing.T) {
-	g := diamond()
-	pair := topology.Pair{Src: 0, Dst: 3}
-	s, _ := Select(g, []topology.Pair{pair}, SelectOptions{PerPair: 2})
-	count := 0
-	for l := 0; l < g.NumLinks(); l++ {
-		count += len(s.UsingLink(topology.LinkID(l)))
-	}
-	// Each tunnel uses 2 links; total link-uses = 4.
-	if count != 4 {
-		t.Fatalf("link uses = %d, want 4", count)
-	}
-}
-
 func TestParallelLinksAsDisjointTunnels(t *testing.T) {
 	g := topology.New("par")
 	a := g.AddNode("a")

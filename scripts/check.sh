@@ -92,10 +92,14 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # prepares them, must hash to the goldens recorded with the dense
 # corrector; and a corrector-cache miss must allocate five objects at
 # any rank, bytes linear in its nonzeros (skipped under -race, whose own
-# allocations would count).
+# allocations would count). Both checks answer a realization that does
+# not fit the plan (arc count, destination or tunnel out of range) with
+# an error naming it, never a panic; and the §4.2 proportional router,
+# which reads its pairs of interest off the engine's closure, must hash
+# to the goldens recorded before it did.
 # -count=2 keeps Go's test cache from answering for a
 # schedule-dependent regression.
-go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestCorrectionFingerprints|TestCorrectorFootprint' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
+go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestCorrectionFingerprints|TestCorrectorFootprint|TestCheckRejectsMisshapenRealization|TestProportionalGolden' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
 
 echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
