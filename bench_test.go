@@ -420,9 +420,9 @@ func BenchmarkValidateSweepSynth1k(b *testing.B) {
 	// Likewise for arcs: the few a link's destinations load are re-summed
 	// and checked, the record vouches for the rest. A sweep that checks
 	// every arc in every scenario has lost the record's arc verdicts.
-	arcs := st.Scenarios * plan.Instance.Graph.NumArcs()
+	arcs := st.Classes * plan.Instance.Graph.NumArcs()
 	if st.ArcChecks >= arcs {
-		b.Fatalf("sweep checked %d arcs in %d scenarios, every arc every time; the record should vouch for nearly all", st.ArcChecks, st.Scenarios)
+		b.Fatalf("sweep checked %d arcs in %d realized scenarios, every arc every time; the record should vouch for nearly all", st.ArcChecks, st.Classes)
 	}
 	b.ReportMetric(100*st.SMWHitRate(), "smw_hit_pct")
 	b.ReportMetric(float64(st.BatchHits), "batch_hits")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // This file is the dataflow half of the pcflint framework: an
@@ -508,17 +507,4 @@ func inspectShallow(n ast.Node, fn func(ast.Node) bool) {
 		}
 		return fn(m)
 	})
-}
-
-// funcName renders a function or method declaration name for
-// diagnostics ("(*Registry).Publish", "Solve").
-func funcName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	recv := exprString(fd.Recv.List[0].Type)
-	if strings.HasPrefix(recv, "*") {
-		return "(" + recv + ")." + fd.Name.Name
-	}
-	return recv + "." + fd.Name.Name
 }

@@ -218,19 +218,25 @@ func (fs *Set) ScenarioOf(combo []int) Scenario {
 	return sc
 }
 
-// scenario is the original unexported spelling, kept for the internal
-// call sites.
-func (fs *Set) scenario(combo []int) Scenario { return fs.ScenarioOf(combo) }
-
 // Enumerate calls fn for every scenario with at most Budget failed
 // units, including the no-failure scenario. If fn returns false the
 // enumeration stops early and Enumerate returns false.
 func (fs *Set) Enumerate(fn func(Scenario) bool) bool {
+	return fs.EnumerateCombos(func(combo []int) bool { return fn(fs.ScenarioOf(combo)) })
+}
+
+// EnumerateCombos calls fn with the unit combination of every scenario
+// Enumerate visits, in the same order — ascending unit indexes, each
+// combination before its extensions — without materializing the
+// scenario. fn must not keep or modify combo, which is reused. If fn
+// returns false the enumeration stops early and EnumerateCombos returns
+// false.
+func (fs *Set) EnumerateCombos(fn func(combo []int) bool) bool {
 	n := len(fs.Units)
 	combo := make([]int, 0, fs.Budget)
 	var rec func(start int) bool
 	rec = func(start int) bool {
-		if !fn(fs.scenario(combo)) {
+		if !fn(combo) {
 			return false
 		}
 		if len(combo) == fs.Budget {
@@ -251,7 +257,7 @@ func (fs *Set) Enumerate(fn func(Scenario) bool) bool {
 // Count returns the number of scenarios Enumerate visits.
 func (fs *Set) Count() int {
 	total := 0
-	fs.Enumerate(func(Scenario) bool { total++; return true })
+	fs.EnumerateCombos(func([]int) bool { total++; return true })
 	return total
 }
 

@@ -62,11 +62,12 @@ type SampledReport struct {
 // Deterministic given opts.Seed: samples are pre-drawn serially before
 // the parallel sweep, and outcomes merge in draw order.
 //
-// The designed pass runs through s itself, so on a published engine
-// every corrector it needs is already cached. The draws run through a
-// fork of s (fork): it shares the engine, reads s's correctors first and
-// keeps its own misses, so s's cache stays at what it held. Safe for
-// concurrent use, beside any other use of s.
+// The designed pass runs through s itself, one representative per
+// class of scenarios as in ValidateStats, so on a published engine the
+// classes and every corrector it needs are already built. The draws
+// run through a fork of s (fork): it shares the engine, reads s's
+// correctors first and keeps its own misses, so s's cache stays at what
+// it held. Safe for concurrent use, beside any other use of s.
 func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*SampledReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -100,21 +101,23 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 	}
 	// Exhaustive pass over the designed set: the hard guarantee. Any
 	// violation here is the caller's error, not a statistic.
-	scenarios := designedSet(plan)
-	slots, exStats := sweepScenarios(ctx, s, true, true, scenarios)
-	if _, err := firstFailure(scenarios, slots); err != nil {
+	at, slots, exStats, err := s.sweepDesigned(ctx, true)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := firstFailure(slots, at); err != nil {
 		return nil, err
 	}
 	rep := &SampledReport{Stats: *exStats}
-	if worst, at := worstOf(slots); at >= 0 {
-		rep.WorstMLU, rep.WorstScenario = worst, scenarios[at]
+	if worst, i := worstOf(slots); i >= 0 {
+		rep.WorstMLU, rep.WorstScenario = worst, at(i)
 	}
 
 	tail := opts.Model.TailMass(fs.Budget)
 	cov := &rep.Coverage
 	cov.Model = "sampled"
 	cov.Budget = fs.Budget
-	cov.Exhaustive = int64(len(scenarios))
+	cov.Exhaustive = int64(exStats.Scenarios)
 	cov.ExhaustiveMass = 1 - tail
 	cov.TailMass = tail
 	cov.TruncatedMass = tail
@@ -140,7 +143,7 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 			drawn[i] = sampler.Next()
 		}
 		// A draw's corrector is kept by the fork, at most one per draw.
-		sslots, sStats := sweepScenarios(ctx, s.fork(int64(opts.Samples)), true, false, drawn)
+		sslots, sStats := sweep(ctx, s.fork(int64(opts.Samples)), true, false, len(drawn), func(i int) failures.Scenario { return drawn[i] })
 		rep.Stats.add(*sStats)
 		// A slot the cancellation reached holds the context's error, not
 		// a measurement, and slots past it hold nothing: the call fails.

@@ -16,9 +16,14 @@ import (
 // SweepStats reports how a scenario sweep went — the validation-path
 // counterpart of mcf.SweepStats.
 type SweepStats struct {
-	// Scenarios is the number of failure scenarios realized; Workers
-	// the goroutines that swept them.
+	// Scenarios is the number of failure scenarios the sweep answered
+	// for: on a designed sweep the whole designed set. Classes is the
+	// number it realized: on a designed sweep one representative per
+	// class of scenarios that realize bit-identically (sweepclass.go),
+	// elsewhere every scenario. Every counter below counts realized
+	// scenarios. Workers is the goroutines that swept them.
 	Scenarios int
+	Classes   int
 	Workers   int
 	// BaseFactorTime is the one-time cost of building the engine the
 	// sweep ran through: the base (no-failure) reservation matrix, its
@@ -67,10 +72,10 @@ type SweepStats struct {
 // SMWHitRate is the fraction of scenario realizations served by the
 // low-rank path.
 func (s SweepStats) SMWHitRate() float64 {
-	if s.Scenarios == 0 {
+	if s.Classes == 0 {
 		return 0
 	}
-	return float64(s.SMWHits) / float64(s.Scenarios)
+	return float64(s.SMWHits) / float64(s.Classes)
 }
 
 // Metrics flattens the stats into the flat field schema of the
@@ -79,6 +84,7 @@ func (s SweepStats) SMWHitRate() float64 {
 func (s SweepStats) Metrics() map[string]float64 {
 	return map[string]float64{
 		"scenarios":           float64(s.Scenarios),
+		"classes":             float64(s.Classes),
 		"workers":             float64(s.Workers),
 		"smw_hits":            float64(s.SMWHits),
 		"fallbacks":           float64(s.Fallbacks),
@@ -145,6 +151,7 @@ func (s *SweepStats) count(sv served) {
 // one worker of this sweep) into s.
 func (s *SweepStats) add(o SweepStats) {
 	s.Scenarios += o.Scenarios
+	s.Classes += o.Classes
 	s.Workers = max(s.Workers, o.Workers)
 	s.SMWHits += o.SMWHits
 	s.Fallbacks += o.Fallbacks
@@ -251,6 +258,11 @@ type engine struct {
 	// signatures of every view.
 	invCache sync.Map
 	keySeed  maphash.Seed
+
+	// classes partitions the designed set (sweepclass.go); the first
+	// designed sweep through any view builds it under classMu.
+	classMu sync.Mutex
+	classes *designedClasses
 
 	baseTime time.Duration
 	pool     sync.Pool
@@ -373,6 +385,7 @@ func (s *Sweep) Stats() SweepStats {
 func (s *Sweep) tally(sv served, err error) {
 	s.mu.Lock()
 	s.stats.Scenarios++
+	s.stats.Classes++
 	if err == nil {
 		s.stats.count(sv)
 	}

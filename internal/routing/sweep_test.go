@@ -149,6 +149,21 @@ func newSweep(t *testing.T, plan *core.Plan) *Sweep {
 	return sw
 }
 
+// designedSet enumerates the plan's designed failure scenarios.
+func designedSet(plan *core.Plan) []failures.Scenario {
+	var scenarios []failures.Scenario
+	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
+		scenarios = append(scenarios, sc)
+		return true
+	})
+	return scenarios
+}
+
+// sweepScenarios sweeps a scenario list through sw.
+func sweepScenarios(ctx context.Context, sw *Sweep, check, stopOnError bool, scenarios []failures.Scenario) ([]sweepSlot, *SweepStats) {
+	return sweep(ctx, sw, check, stopOnError, len(scenarios), func(i int) failures.Scenario { return scenarios[i] })
+}
+
 // validate and worstMLU are the stats-less shorthands most tests want.
 func validate(plan *core.Plan) error {
 	_, err := ValidateStats(nil, plan, ValidateOptions{})
@@ -332,8 +347,11 @@ func TestValidateStats(t *testing.T) {
 	if st.Workers < 1 {
 		t.Fatalf("Workers = %d", st.Workers)
 	}
-	if st.SMWHits+st.Fallbacks != st.Scenarios {
-		t.Fatalf("SMWHits %d + Fallbacks %d != Scenarios %d", st.SMWHits, st.Fallbacks, st.Scenarios)
+	if st.Classes < 1 || st.Classes > st.Scenarios {
+		t.Fatalf("Classes = %d of %d scenarios", st.Classes, st.Scenarios)
+	}
+	if st.SMWHits+st.Fallbacks != st.Classes {
+		t.Fatalf("SMWHits %d + Fallbacks %d != Classes %d", st.SMWHits, st.Fallbacks, st.Classes)
 	}
 	if st.SMWHits == 0 {
 		t.Fatal("no low-rank hits on Fig1")

@@ -612,19 +612,7 @@ func TestDeltaAffectedWithoutRowUpdate(t *testing.T) {
 // the parent's column. The destination is affected through the marked
 // row and its emission must lose the segment's flow.
 func TestDeltaAffectedOnMembershipFlip(t *testing.T) {
-	// Link 3 is the condition's and carries nothing; pairs 4→2, 5→2 and
-	// 6→2 only widen the system.
-	h := newHandPlan(7, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {4, 2}, {5, 2}, {6, 2}}, 1)
-	h.tunnel(0, 2, 1, 2)
-	seg := h.tunnel(0, 1, 1, 0)
-	h.tunnel(1, 2, 1, 1)
-	h.demand(0, 2, 1)
-	h.ls(0, 2, 1, core.LinkAlive(3), 1)
-	for i, v := range []int{4, 5, 6} {
-		h.tunnel(v, 2, 1, 4+i)
-		h.demand(v, 2, 0.5)
-	}
-	plan := h.plan()
+	plan, seg := membershipFlipPlan()
 	sw := newSweep(t, plan)
 	if sw.slu == nil || sw.rec == nil {
 		t.Fatal("engine is cold-only")
@@ -664,6 +652,24 @@ func TestDeltaAffectedOnMembershipFlip(t *testing.T) {
 		}
 	}
 	assertDeltaMatchesDense(t, "membership-flip", plan, designedSet(plan))
+}
+
+// membershipFlipPlan is TestDeltaAffectedOnMembershipFlip's plan and
+// its segment tunnel 0→1. Link 3 is the condition's and carries
+// nothing, so killing it flips the sequence and kills no tunnel; pairs
+// 4→2, 5→2 and 6→2 only widen the system.
+func membershipFlipPlan() (*core.Plan, tunnels.ID) {
+	h := newHandPlan(7, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {4, 2}, {5, 2}, {6, 2}}, 1)
+	h.tunnel(0, 2, 1, 2)
+	seg := h.tunnel(0, 1, 1, 0)
+	h.tunnel(1, 2, 1, 1)
+	h.demand(0, 2, 1)
+	h.ls(0, 2, 1, core.LinkAlive(3), 1)
+	for i, v := range []int{4, 5, 6} {
+		h.tunnel(v, 2, 1, 4+i)
+		h.demand(v, 2, 0.5)
+	}
+	return h.plan(), seg
 }
 
 // balanceVerdict parses "destination d node v" out of a balance error.

@@ -27,42 +27,29 @@ type sweepSlot struct {
 	done bool
 }
 
-// designedSet enumerates the plan's designed failure scenarios.
-func designedSet(plan *core.Plan) []failures.Scenario {
-	var scenarios []failures.Scenario
-	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
-		scenarios = append(scenarios, sc)
-		return true
-	})
-	return scenarios
-}
-
-// sweepScenarios realizes the scenarios through sw on a NumCPU-bounded
-// worker pool with per-worker scratch, judging each served scenario
-// straight from the flat emission there (no Realization is built), and
-// returns the outcomes in list order — the same deterministic contract
-// as mcf's scenario sweep: workers claim indexes from an atomic counter
-// and the callers merge the slot array in order, so worker scheduling
-// never changes an answer. stopOnError selects the designed-set
-// contract — a worker bails at its first failing scenario — while the
-// sampled path sets it false and keeps sweeping, since beyond-budget
-// scenarios are expected to fail sometimes and each outcome is a
-// measurement, not an abort. The stats count this call's scenarios
-// only, whoever else is using the engine meanwhile. A nil ctx means no
-// deadline.
-func sweepScenarios(ctx context.Context, sw *Sweep, check, stopOnError bool, scenarios []failures.Scenario) ([]sweepSlot, *SweepStats) {
+// sweep realizes n scenarios through sw on a NumCPU-bounded worker
+// pool with per-worker scratch — the i-th is at(i), built by the worker
+// that claims it — judging each served scenario straight from the flat
+// emission there (no Realization is built), and returns the outcomes in
+// index order: the same deterministic contract as mcf's scenario sweep.
+// Workers claim indexes from an atomic counter and the callers merge
+// the slot array in order, so worker scheduling never changes an
+// answer. stopOnError selects the designed-set contract — a worker
+// bails at its first failing scenario — while the sampled path sets it
+// false and keeps sweeping, since beyond-budget scenarios are expected
+// to fail sometimes and each outcome is a measurement, not an abort.
+// The stats count this call's scenarios only, whoever else is using the
+// engine meanwhile. A nil ctx means no deadline.
+func sweep(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, at func(int) failures.Scenario) ([]sweepSlot, *SweepStats) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	stats := &SweepStats{Scenarios: len(scenarios), BaseFactorTime: sw.baseTime}
-	workers := sweepWorkerCount()
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
+	stats := &SweepStats{Scenarios: n, Classes: n, BaseFactorTime: sw.baseTime}
+	workers := min(sweepWorkerCount(), n)
 	stats.Workers = workers
 
-	slots := make([]sweepSlot, len(scenarios))
+	slots := make([]sweepSlot, n)
 	perWorker := make([]SweepStats, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -74,10 +61,10 @@ func sweepScenarios(ctx context.Context, sw *Sweep, check, stopOnError bool, sce
 			defer sw.pool.Put(sr)
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(scenarios) {
+				if i >= n {
 					return
 				}
-				sc := scenarios[i]
+				sc := at(i)
 				slots[i].done = true
 				if err := ctx.Err(); err != nil {
 					slots[i].err = fmt.Errorf("routing: scenario sweep canceled at %v: %w", sc, err)
@@ -109,18 +96,43 @@ func sweepScenarios(ctx context.Context, sw *Sweep, check, stopOnError bool, sce
 	return slots, stats
 }
 
-// firstFailure scans a designed-set sweep in enumeration order and
-// returns the first scenario's error, so the verdict is independent of
-// scheduling. A slot no worker reached is only possible when every
-// worker bailed early, and then an earlier slot carries the triggering
-// error; finding one first means a logic error upstream.
-func firstFailure(scenarios []failures.Scenario, slots []sweepSlot) (int, error) {
+// sweepDesigned sweeps the designed set through s: one representative
+// per class (sweepclass.go), slot i holding class i's outcome, which is
+// every member's bit for bit, and at(i) materializing its
+// representative. Classes are in the enumeration order of their
+// representatives, each a class's first member, so the first failing
+// slot is the designed set's first failing scenario, and the first slot
+// of the largest MLU its first scenario of that MLU. The stats count
+// the designed set as its Scenarios and the classes realized as its
+// Classes; Total includes the class build if this call made it.
+func (s *Sweep) sweepDesigned(ctx context.Context, check bool) (at func(int) failures.Scenario, slots []sweepSlot, stats *SweepStats, err error) {
+	start := time.Now()
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cls, err := s.designed(ctx)
+	if err != nil {
+		return nil, nil, &SweepStats{BaseFactorTime: s.baseTime, Total: time.Since(start)}, err
+	}
+	at = cls.at(s.plan.Instance.Failures)
+	slots, stats = sweep(ctx, s, check, true, cls.len(), at)
+	stats.Scenarios = cls.count
+	stats.Total = time.Since(start)
+	return at, slots, stats, nil
+}
+
+// firstFailure scans a sweep's slots in order and returns the first
+// one's error, so the verdict is independent of scheduling; at(i) is
+// slot i's scenario. A slot no worker reached is only possible when
+// every worker bailed early, and then an earlier slot carries the
+// triggering error; finding one first means a logic error upstream.
+func firstFailure(slots []sweepSlot, at func(int) failures.Scenario) (int, error) {
 	for i := range slots {
 		if slots[i].err != nil {
 			return i, slots[i].err
 		}
 		if !slots[i].done {
-			return i, fmt.Errorf("routing: scenario %v was never swept", scenarios[i])
+			return i, fmt.Errorf("routing: scenario %v was never swept", at(i))
 		}
 	}
 	return len(slots), nil
@@ -135,15 +147,20 @@ type ValidateOptions struct{}
 // ValidateStats replays every scenario of the plan's designed failure
 // set through the engine, realizes the routing, and verifies the
 // congestion-free property: all admitted demand is delivered and no arc
-// exceeds its capacity. Scenarios are swept in parallel; the reported
-// error is the first failing scenario in enumeration order, independent
-// of scheduling. The sweep checks ctx before every scenario and reports
-// a cancellation as the error of the first unrealized one. The
-// statistics are returned even when validation fails.
+// exceeds its capacity. Scenarios that realize bit-identically are
+// realized once, through their class's representative; the others
+// share its verdict (sweepDesigned). Representatives are swept in
+// parallel; the reported error is the first failing scenario in
+// enumeration order, independent of scheduling. The sweep checks ctx
+// before every representative and reports a cancellation as the error
+// of the first unrealized one. The statistics are returned even when
+// validation fails.
 func (s *Sweep) ValidateStats(ctx context.Context) (*SweepStats, error) {
-	scenarios := designedSet(s.plan)
-	slots, stats := sweepScenarios(ctx, s, true, true, scenarios)
-	_, err := firstFailure(scenarios, slots)
+	at, slots, stats, err := s.sweepDesigned(ctx, true)
+	if err != nil {
+		return stats, err
+	}
+	_, err = firstFailure(slots, at)
 	return stats, err
 }
 
@@ -163,28 +180,32 @@ func ValidateStats(ctx context.Context, plan *core.Plan, _ ValidateOptions) (*Sw
 // WorstMLUStats replays every protected scenario and returns the
 // maximum link utilization observed and the scenario that produces it —
 // the data-plane counterpart of the plan's 1/z guarantee — with the
-// sweep statistics. On error it returns the worst utilization over the
-// scenarios preceding the failing one in enumeration order (a serial
-// loop's behavior).
+// sweep statistics. It realizes one representative per class of
+// scenarios, as ValidateStats does; the scenario reported is the first
+// in enumeration order to attain the maximum. On error it returns the
+// worst utilization over the scenarios preceding the failing one in
+// enumeration order (a serial loop's behavior).
 func WorstMLUStats(ctx context.Context, plan *core.Plan, _ ValidateOptions) (float64, failures.Scenario, *SweepStats, error) {
 	start := time.Now()
 	sw, err := NewSweepContext(ctx, plan)
 	if err != nil {
 		return 0, failures.Scenario{}, &SweepStats{Total: time.Since(start)}, err
 	}
-	scenarios := designedSet(plan)
-	slots, stats := sweepScenarios(ctx, sw, false, true, scenarios)
+	at, slots, stats, err := sw.sweepDesigned(ctx, false)
 	stats.Total += stats.BaseFactorTime
-	ok, err := firstFailure(scenarios, slots)
-	worst, at := worstOf(slots[:ok])
-	if at < 0 {
+	if err != nil {
 		return 0, failures.Scenario{}, stats, err
 	}
-	return worst, scenarios[at], stats, err
+	ok, err := firstFailure(slots, at)
+	worst, i := worstOf(slots[:ok])
+	if i < 0 {
+		return 0, failures.Scenario{}, stats, err
+	}
+	return worst, at(i), stats, err
 }
 
 // worstOf returns the largest utilization among successfully swept
-// slots and its index (-1 when none is positive).
+// slots and the first slot to attain it (-1 when none is positive).
 func worstOf(slots []sweepSlot) (float64, int) {
 	worst, at := 0.0, -1
 	for i := range slots {

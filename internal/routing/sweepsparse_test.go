@@ -138,16 +138,24 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The sweeps realize one representative per class: count the
+	// rank-k ones among them.
+	cls, err := sw.designed(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rankK := 0
 	sr := sw.newScratch()
-	for _, sc := range designedSet(plan) {
-		sv, err := sw.realize(sc, sr)
+	for i := 0; i < cls.len(); i++ {
+		sv, err := sw.realize(cls.at(plan.Instance.Failures)(i), sr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sv.smw && sv.rank > 0 {
 			rankK++
 		}
+	}
+	for _, sc := range designedSet(plan) {
 		if _, err := sw.Realize(sc); err != nil {
 			t.Fatal(err)
 		}
@@ -172,6 +180,9 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 		t.Fatalf("cumulative Stats counts %d scenarios, want only the %d Realize calls", got, warm.Scenarios)
 	}
 	for _, st := range []*SweepStats{cold, warm} {
+		if st.Classes != cls.len() || st.SMWHits+st.Fallbacks != st.Classes {
+			t.Fatalf("SMWHits %d + Fallbacks %d over %d classes, the set has %d", st.SMWHits, st.Fallbacks, st.Classes, cls.len())
+		}
 		if sum := st.FallbacksNoBase + st.FallbacksSingular + st.FallbacksResidual; sum != st.Fallbacks {
 			t.Fatalf("per-cause fallbacks sum to %d, Fallbacks = %d: %+v", sum, st.Fallbacks, st)
 		}
@@ -184,7 +195,7 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 	if warm.Fallbacks != 0 || 2*warm.MaxRank <= sw.n {
 		t.Fatalf("%d fallbacks, max rank %d of n = %d; want none and a rank above n/2", warm.Fallbacks, warm.MaxRank, sw.n)
 	}
-	want := []string{"scenarios", "workers", "smw_hits", "fallbacks", "fallbacks_nobase",
+	want := []string{"scenarios", "classes", "workers", "smw_hits", "fallbacks", "fallbacks_nobase",
 		"fallbacks_singular", "fallbacks_residual", "dest_evals", "dest_replays", "arc_checks", "max_rank", "batch_hits",
 		"smw_hit_rate", "base_factor_time_ms", "total_ms"}
 	m := warm.Metrics()

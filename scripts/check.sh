@@ -96,10 +96,14 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # not fit the plan (arc count, destination or tunnel out of range) with
 # an error naming it, never a panic; and the §4.2 proportional router,
 # which reads its pairs of interest off the engine's closure, must hash
-# to the goldens recorded before it did.
+# to the goldens recorded before it did. A designed sweep realizes one
+# scenario per class of bit-identical ones: every member must realize to
+# its representative's MLU and verdict, and ValidateStats, WorstMLUStats
+# and ValidateSampled must answer as the per-scenario sweep (the
+# test-file referee) does, on failing plans and degraded SRLGs too.
 # -count=2 keeps Go's test cache from answering for a
 # schedule-dependent regression.
-go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestCorrectionFingerprints|TestCorrectorFootprint|TestCheckRejectsMisshapenRealization|TestProportionalGolden' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
+go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestCorrectionFingerprints|TestCorrectorFootprint|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
 
 echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
