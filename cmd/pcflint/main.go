@@ -2,19 +2,19 @@
 // (internal/analysis) over the module: tolerance-aware float
 // comparisons, context checks in unbounded solve loops, never-dropped
 // solver errors, no panics in library code, immutability of published
-// plans, and the CFG-backed concurrency suite (lockheld, goroleak,
-// ctxhttp, atomicmix). It is part of the contributor gate
-// (scripts/check.sh runs it between go vet and go build).
+// plans, and deadline-carrying HTTP. It also reports suppression
+// directives that are malformed, name no analyzer, or suppress
+// nothing. It is part of the contributor gate (scripts/check.sh runs
+// it between go vet and go build).
 //
 // Usage:
 //
-//	pcflint [-json] [-tests] [-timing] [-analyzers a,b,...] [packages...]
+//	pcflint [-json] [-tests] [-analyzers a,b,...] [packages...]
 //
 // Package patterns are ./... (default), ./dir/... or plain
-// directories. -timing appends a per-analyzer wall-time column (in
-// -json mode the output becomes {"diagnostics": [...], "timing":
-// {...}} with milliseconds per analyzer). Exit status: 0 clean, 1
-// diagnostics reported, 2 the module failed to load or type-check.
+// directories. -json prints the diagnostics as one JSON array. Exit
+// status: 0 clean, 1 diagnostics reported, 2 the module failed to load
+// or type-check.
 package main
 
 import (
@@ -33,7 +33,6 @@ func main() {
 	withTests := flag.Bool("tests", false, "also analyze in-package _test.go files")
 	names := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	timing := flag.Bool("timing", false, "report per-analyzer wall time")
 	flag.Parse()
 
 	if *list {
@@ -72,7 +71,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags, timings := analysis.RunTimed(pkgs, analyzers)
+	diags := analysis.Run(pkgs, analyzers)
 	if diags == nil {
 		// A clean run must emit [] in -json mode, not null.
 		diags = []analysis.Diagnostic{}
@@ -80,29 +79,13 @@ func main() {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		// Without -timing the output stays a bare diagnostics array, so
-		// existing consumers keep parsing it.
-		var payload any = diags
-		if *timing {
-			ms := map[string]float64{}
-			for _, t := range timings {
-				ms[t.Analyzer] = float64(t.Duration.Microseconds()) / 1000
-			}
-			payload = struct {
-				Diagnostics []analysis.Diagnostic `json:"diagnostics"`
-				Timing      map[string]float64    `json:"timing"`
-			}{Diagnostics: diags, Timing: ms}
-		}
-		if err := enc.Encode(payload); err != nil {
+		if err := enc.Encode(diags); err != nil {
 			log("%v", err)
 			os.Exit(2)
 		}
 	} else {
 		for _, d := range diags {
 			fmt.Println(d)
-		}
-		if *timing {
-			fmt.Print(analysis.FormatTimings(timings))
 		}
 	}
 	if len(diags) > 0 {

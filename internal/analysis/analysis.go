@@ -1,24 +1,21 @@
-// Package analysis is the pcflint static-analysis framework: a small,
-// stdlib-only (go/parser, go/ast, go/types, go/token) analyzer driver
-// that loads the module, type-checks every package, and runs a
-// pluggable set of project-specific analyzers. The analyzers encode
-// invariants the compiler cannot see but PCF's correctness proofs rely
-// on: tolerance-aware float comparisons, context checks inside
-// unbounded solve loops, never-discarded solver errors, typed errors
-// instead of panics in library code, and immutability of published
-// plans — plus, on the CFG/dataflow layer in cfg.go, the serving
-// fleet's concurrency discipline: no blocking calls under a mutex,
-// no lifecycle-less goroutines, deadline-carrying HTTP, and no mixed
-// atomic/plain field access. DESIGN.md §10 documents the original
-// analyzers, §15 the CFG construction rules and the concurrency
-// analyzers.
+// Package analysis is pcflint's static-analysis framework: a small,
+// stdlib-only (go/parser, go/ast, go/types, go/token) driver that
+// loads the module, type-checks every package, and runs the
+// project-specific analyzers. Each guards an invariant the compiler
+// cannot see but PCF's guarantee or its serving path relies on:
+// tolerance-aware float comparisons, context checks inside unbounded
+// solve loops, never-discarded solver errors, typed errors instead of
+// panics in library code, immutability of published plans, and
+// deadline-carrying HTTP. DESIGN.md §10 documents the analyzers, §15
+// the record each one earned its place with.
 //
 // Diagnostics can be suppressed per line with a directive comment
 //
 //	//lint:ignore pcflint/<analyzer> <reason>
 //
 // placed on the offending line or on the line directly above it. The
-// reason is mandatory; a directive without one is itself reported.
+// reason is mandatory; a directive without one, one naming an unknown
+// analyzer, and one that suppresses nothing are each reported.
 package analysis
 
 import (
@@ -29,7 +26,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one analyzer finding at a source position.
@@ -100,10 +96,7 @@ func All() []*Analyzer {
 		CheckedErr,
 		NoPanic,
 		MutAfterPub,
-		LockHeld,
-		GoroLeak,
 		CtxHTTP,
-		AtomicMix,
 	}
 }
 
@@ -165,40 +158,15 @@ func collectIgnores(fset *token.FileSet, f *ast.File) []ignoreDirective {
 	return out
 }
 
-// AnalyzerTiming is the wall time one analyzer spent across every
-// package of a run.
-type AnalyzerTiming struct {
-	Analyzer string
-	Duration time.Duration
-}
-
-// FormatTimings renders per-analyzer wall times as an aligned column,
-// one analyzer per line in the (already sorted) input order.
-func FormatTimings(timings []AnalyzerTiming) string {
-	var b strings.Builder
-	for _, t := range timings {
-		fmt.Fprintf(&b, "%-12s %10.3fms\n", t.Analyzer, float64(t.Duration.Microseconds())/1000)
-	}
-	return b.String()
-}
-
 // Run executes the analyzers over the loaded packages, applies the
 // suppression directives, and returns the surviving diagnostics sorted
-// by position.
+// by position. A directive that is malformed, names an unknown
+// analyzer, or suppresses nothing is reported as a "directive"
+// diagnostic. The last is reported only where the named analyzer ran
+// over the directive's package, so an -analyzers subset or a Match
+// scope never turns a working suppression into a finding.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(pkgs, analyzers)
-	return diags
-}
-
-// RunTimed is Run plus the per-analyzer wall time aggregated across
-// packages, sorted by analyzer name with one entry per analyzer in the
-// run set. The diagnostics are identical to Run's.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming) {
 	var diags []Diagnostic
-	elapsed := map[string]time.Duration{}
-	for _, a := range analyzers {
-		elapsed[a.Name] = 0
-	}
 	// known analyzer names, for validating suppression directives:
 	// always the full suite, so `-analyzers floatcmp` does not start
 	// flagging valid suppressions for the analyzers it skipped.
@@ -206,55 +174,25 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerT
 	for _, a := range All() {
 		known[a.Name] = true
 	}
-	// suppressed[file][line][analyzer]
-	suppressed := map[string]map[int]map[string]bool{}
-	note := func(file string, line int, analyzer string) {
-		if suppressed[file] == nil {
-			suppressed[file] = map[int]map[string]bool{}
-		}
-		if suppressed[file][line] == nil {
-			suppressed[file][line] = map[string]bool{}
-		}
-		suppressed[file][line][analyzer] = true
+	// covers maps a suppressed (file, line, analyzer) to the directives
+	// reaching it; stale holds, for each directive that must suppress
+	// something, the diagnostic reported if it does not.
+	type site struct {
+		file     string
+		line     int
+		analyzer string
 	}
+	covers := map[site][]*ignoreDirective{}
+	stale := map[*ignoreDirective]Diagnostic{}
 
 	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range collectIgnores(pkg.Fset, f) {
-				file := pkg.Fset.Position(d.pos).Filename
-				if d.bad {
-					diags = append(diags, Diagnostic{
-						Analyzer: "directive",
-						File:     file,
-						Line:     d.line,
-						Col:      pkg.Fset.Position(d.pos).Column,
-						Message:  "malformed suppression; want //lint:ignore pcflint/<analyzer> <reason>",
-					})
-					continue
-				}
-				if !known[d.analyzer] {
-					diags = append(diags, Diagnostic{
-						Analyzer: "directive",
-						File:     file,
-						Line:     d.line,
-						Col:      pkg.Fset.Position(d.pos).Column,
-						Message:  fmt.Sprintf("suppression names unknown analyzer %q; see pcflint -list", d.analyzer),
-					})
-					continue
-				}
-				note(file, d.line, d.analyzer)
-				if d.groupEnd != d.line {
-					// The directive's comment group continues past it;
-					// also suppress the code line the group ends above.
-					note(file, d.groupEnd, d.analyzer)
-				}
-			}
-		}
+		ran := map[string]bool{}
 		for _, a := range analyzers {
 			if a.Match != nil && !a.Match(pkg.Path) {
 				continue
 			}
-			pass := &Pass{
+			ran[a.Name] = true
+			a.Run(&Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,
 				Files:    pkg.Files,
@@ -262,20 +200,52 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerT
 				PkgPath:  pkg.Path,
 				Info:     pkg.Info,
 				report:   func(d Diagnostic) { diags = append(diags, d) },
+			})
+		}
+		for _, f := range pkg.Files {
+			for _, d := range collectIgnores(pkg.Fset, f) {
+				position := pkg.Fset.Position(d.pos)
+				at := Diagnostic{Analyzer: "directive", File: position.Filename, Line: d.line, Col: position.Column}
+				switch {
+				case d.bad:
+					at.Message = "malformed suppression; want //lint:ignore pcflint/<analyzer> <reason>"
+					diags = append(diags, at)
+				case !known[d.analyzer]:
+					at.Message = fmt.Sprintf("suppression names unknown analyzer %q; see pcflint -list", d.analyzer)
+					diags = append(diags, at)
+				default:
+					// The directive covers its own line and, when its
+					// comment group continues past it, the line the
+					// group ends on: each suppresses itself and the
+					// line below.
+					for _, line := range []int{d.line, d.groupEnd} {
+						k := site{at.File, line, d.analyzer}
+						covers[k] = append(covers[k], &d)
+					}
+					if ran[d.analyzer] {
+						at.Message = fmt.Sprintf("suppression of pcflint/%s suppresses nothing; remove it", d.analyzer)
+						stale[&d] = at
+					}
+				}
 			}
-			start := time.Now()
-			a.Run(pass)
-			elapsed[a.Name] += time.Since(start)
 		}
 	}
 
 	kept := diags[:0]
 	for _, d := range diags {
-		byLine := suppressed[d.File]
-		if byLine != nil && (byLine[d.Line][d.Analyzer] || byLine[d.Line-1][d.Analyzer]) {
-			continue
+		suppressed := false
+		for _, line := range []int{d.Line, d.Line - 1} {
+			for _, dir := range covers[site{d.File, line, d.Analyzer}] {
+				delete(stale, dir)
+				suppressed = true
+			}
 		}
-		kept = append(kept, d)
+		if !suppressed {
+			kept = append(kept, d)
+		}
+	}
+	for _, at := range stale {
+		kept = append(kept, at)
 	}
 	sort.Slice(kept, func(i, j int) bool {
 		if kept[i].File != kept[j].File {
@@ -289,13 +259,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerT
 		}
 		return kept[i].Analyzer < kept[j].Analyzer
 	})
-
-	timings := make([]AnalyzerTiming, 0, len(elapsed))
-	for name, dur := range elapsed {
-		timings = append(timings, AnalyzerTiming{Analyzer: name, Duration: dur})
-	}
-	sort.Slice(timings, func(i, j int) bool { return timings[i].Analyzer < timings[j].Analyzer })
-	return kept, timings
+	return kept
 }
 
 // pathHasSuffix reports whether the import path ends with the given

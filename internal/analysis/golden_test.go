@@ -107,15 +107,7 @@ func TestCtxLoopRoutingGolden(t *testing.T) {
 func TestCheckedErrGolden(t *testing.T)  { runGolden(t, CheckedErr, "checkederr") }
 func TestNoPanicGolden(t *testing.T)     { runGolden(t, NoPanic, "internal/quiet") }
 func TestMutAfterPubGolden(t *testing.T) { runGolden(t, MutAfterPub, "mutafterpub") }
-func TestLockHeldGolden(t *testing.T)    { runGolden(t, LockHeld, "lockheld") }
-func TestGoroLeakGolden(t *testing.T)    { runGolden(t, GoroLeak, "internal/fleet") }
-
-// TestGoroLeakTelemetryGolden covers the analyzer's telemetry scope:
-// the store's flusher pattern (defer close of a joined done channel)
-// passes, a fire-and-forget loop reports.
-func TestGoroLeakTelemetryGolden(t *testing.T) { runGolden(t, GoroLeak, "internal/telemetry") }
-func TestCtxHTTPGolden(t *testing.T)           { runGolden(t, CtxHTTP, "ctxhttp") }
-func TestAtomicMixGolden(t *testing.T)         { runGolden(t, AtomicMix, "atomicmix") }
+func TestCtxHTTPGolden(t *testing.T)     { runGolden(t, CtxHTTP, "ctxhttp") }
 
 // TestCtxHTTPTestFilesGolden reloads the ctxhttp fixture with its
 // _test.go file: the client-literal rule goes quiet there while the
@@ -126,20 +118,32 @@ func TestCtxHTTPTestFilesGolden(t *testing.T) {
 
 // TestSuppression checks the directive machinery end to end: right-
 // analyzer directives on the same line or the line above suppress,
-// wrong-analyzer directives do not, and a directive without a reason
-// is itself reported as malformed.
+// wrong-analyzer directives do not, and a directive without a reason or
+// one that suppresses nothing is itself reported.
 func TestSuppression(t *testing.T) {
-	directives := runGolden(t, FloatCmp, "suppress")
-	if len(directives) != 1 {
-		t.Fatalf("got %d directive diagnostics, want 1: %v", len(directives), directives)
+	check := func(diags []Diagnostic) {
+		t.Helper()
+		want := map[int]string{15: "malformed suppression", 17: "pcflint/floatcmp suppresses nothing"}
+		var got []Diagnostic
+		for _, d := range diags {
+			if d.Analyzer == "directive" {
+				got = append(got, d)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("got %d directive diagnostics, want %d: %v", len(got), len(want), got)
+		}
+		for _, d := range got {
+			if !strings.Contains(d.Message, want[d.Line]) || filepath.Base(d.File) != "suppress.go" {
+				t.Errorf("directive diagnostic %v, want suppress.go:%d %q", d, d.Line, want[d.Line])
+			}
+		}
 	}
-	d := directives[0]
-	if !strings.Contains(d.Message, "malformed suppression") {
-		t.Errorf("directive diagnostic message = %q, want malformed suppression", d.Message)
-	}
-	if filepath.Base(d.File) != "suppress.go" {
-		t.Errorf("directive diagnostic in %s, want suppress.go", d.File)
-	}
+	// The nopanic directive on line 13 suppresses nothing either. It is
+	// not reported when nopanic is left out of the run, nor when
+	// nopanic runs but its Match scope leaves this package out.
+	check(runGolden(t, FloatCmp, "suppress"))
+	check(Run(loadFixture(t, "suppress"), []*Analyzer{FloatCmp, NoPanic}))
 }
 
 // TestAnalyzerScoping checks that Match keeps analyzers out of
@@ -160,12 +164,6 @@ func TestAnalyzerScoping(t *testing.T) {
 	}
 	if !NoPanic.Match("pcf/internal/lp") || !NoPanic.Match("internal/lp") {
 		t.Error("nopanic should match internal packages in both path styles")
-	}
-	if !GoroLeak.Match("internal/serve") || !GoroLeak.Match("pcf/internal/fleet") || !GoroLeak.Match("pcf/internal/telemetry") {
-		t.Error("goroleak should match internal/serve, internal/fleet and internal/telemetry in both path styles")
-	}
-	if GoroLeak.Match("internal/routing") {
-		t.Error("goroleak should not match internal/routing")
 	}
 }
 

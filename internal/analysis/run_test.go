@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
-	"time"
 )
 
 // loadFixture loads one testdata/src directory in bare mode.
@@ -21,50 +19,6 @@ func loadFixture(t *testing.T, dir string) []*Package {
 		t.Fatalf("load %s: %v", dir, err)
 	}
 	return pkgs
-}
-
-// TestRunTimed checks the timing contract: identical diagnostics to
-// Run, one entry per analyzer in the run set, sorted by name.
-func TestRunTimed(t *testing.T) {
-	pkgs := loadFixture(t, "floatcmp")
-	analyzers := []*Analyzer{NoPanic, FloatCmp, AtomicMix}
-	plain := Run(pkgs, analyzers)
-	timed, timings := RunTimed(pkgs, analyzers)
-	if !reflect.DeepEqual(plain, timed) {
-		t.Errorf("RunTimed diagnostics differ from Run:\n%v\nvs\n%v", timed, plain)
-	}
-	var names []string
-	for _, tm := range timings {
-		names = append(names, tm.Analyzer)
-		if tm.Duration < 0 {
-			t.Errorf("negative duration for %s", tm.Analyzer)
-		}
-	}
-	want := []string{"atomicmix", "floatcmp", "nopanic"}
-	if !reflect.DeepEqual(names, want) {
-		t.Errorf("timing analyzers = %v, want %v (sorted, one per analyzer)", names, want)
-	}
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("timings not sorted: %v", names)
-	}
-}
-
-// TestFormatTimings pins the human-readable column layout with
-// fabricated durations, so the -timing output is deterministic
-// modulo the measured numbers.
-func TestFormatTimings(t *testing.T) {
-	got := FormatTimings([]AnalyzerTiming{
-		{Analyzer: "atomicmix", Duration: 1500 * time.Microsecond},
-		{Analyzer: "lockheld", Duration: 42 * time.Millisecond},
-	})
-	want := "atomicmix         1.500ms\n" +
-		"lockheld         42.000ms\n"
-	if got != want {
-		t.Errorf("FormatTimings:\n%q\nwant\n%q", got, want)
-	}
-	if FormatTimings(nil) != "" {
-		t.Errorf("FormatTimings(nil) = %q, want empty", FormatTimings(nil))
-	}
 }
 
 // TestSuppressionJSONRoundTrip checks that a multi-word-reason

@@ -1,7 +1,7 @@
 // Package suppress exercises the //lint:ignore directive handling:
 // a well-formed directive for the right analyzer on the offending line
 // or the line above suppresses; wrong-analyzer and malformed
-// directives do not.
+// directives do not, and one with nothing to suppress is reported.
 package suppress
 
 var sink bool
@@ -14,4 +14,6 @@ func directives(a, b float64) {
 	sink = a == b // want "floating-point == comparison"
 	//lint:ignore pcflint/floatcmp
 	sink = a != b // want "floating-point != comparison"
+	//lint:ignore pcflint/floatcmp golden test: nothing below compares floats for equality
+	sink = a < b
 }

@@ -430,9 +430,6 @@ func TestPlanHelpers(t *testing.T) {
 	if got := plan.ScaledDemand(pair); math.Abs(got-plan.Value) > 1e-6 {
 		t.Fatalf("scaled demand %g, want %g", got, plan.Value)
 	}
-	if got := plan.TotalThroughput(); math.Abs(got-plan.Value) > 1e-6 {
-		t.Fatalf("total throughput %g, want %g", got, plan.Value)
-	}
 }
 
 // TestScenarioPointIsVertex: scenarioPoint always lies in the

@@ -339,12 +339,3 @@ func (s SolveStats) Metrics() map[string]float64 {
 func (p *Plan) ScaledDemand(pair topology.Pair) float64 {
 	return p.Z[pair] * p.Instance.TM.At(pair)
 }
-
-// TotalThroughput returns Σ_p z_p d_p.
-func (p *Plan) TotalThroughput() float64 {
-	total := 0.0
-	for pair, z := range p.Z {
-		total += z * p.Instance.TM.At(pair)
-	}
-	return total
-}

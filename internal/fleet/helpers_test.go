@@ -170,7 +170,6 @@ func listenLocal(t *testing.T, addr string) net.Listener {
 // serveOn runs handler on ln with an http.Server the caller can Close.
 func serveOn(ln net.Listener, handler http.Handler) *http.Server {
 	hs := &http.Server{Handler: handler}
-	//lint:ignore pcflint/goroleak Serve returns when the test closes hs (Close drops the listener); the server is the lifecycle
 	go hs.Serve(ln)
 	return hs
 }

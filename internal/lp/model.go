@@ -193,9 +193,6 @@ func (m *Model) AddNonNeg(name string) Var { return m.AddVar(name, 0, math.Inf(1
 // AddNonNegN is AddNonNeg with a lazy Name.
 func (m *Model) AddNonNegN(name Name) Var { return m.AddVarN(name, 0, math.Inf(1)) }
 
-// VarName returns the name of v.
-func (m *Model) VarName(v Var) string { return m.names[v].String() }
-
 // Bounds returns the lower and upper bound of v.
 func (m *Model) Bounds(v Var) (lo, hi float64) { return m.lower[v], m.upper[v] }
 

@@ -142,7 +142,9 @@ func RobustGE(m *Model, name string, p *Polytope, costs []*Expr, constPart, rhs 
 // computes the same inner optimum that RobustGE dualizes. Only the cost
 // row differs between calls, so the rows are compiled once; every call
 // still solves cold, which makes its answer a function of the polytope
-// and the costs alone, not of the calls before it.
+// and the costs alone, not of the calls before it. Minimize is not safe
+// for concurrent use on one Polytope: every call writes its costs into
+// the rows the Polytope keeps compiled.
 func (p *Polytope) Minimize(costs []float64) (float64, []float64, error) {
 	if len(costs) != p.NumVars() {
 		return 0, nil, fmt.Errorf("lp: Minimize: %d costs for %d vars", len(costs), p.NumVars())

@@ -344,8 +344,8 @@ func TestDuplicateVarNames(t *testing.T) {
 	m := NewModel()
 	a := m.AddNonNeg("x")
 	b := m.AddNonNeg("x")
-	if m.VarName(a) == m.VarName(b) {
-		t.Fatalf("duplicate names not disambiguated: %q", m.VarName(a))
+	if m.names[a].String() == m.names[b].String() {
+		t.Fatalf("duplicate names not disambiguated: %q", m.names[a])
 	}
 }
 

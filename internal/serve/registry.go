@@ -237,7 +237,6 @@ func (r *Registry) Recover(ctx context.Context, in *core.Instance) (*Published, 
 		if err != nil {
 			return nil, err
 		}
-		//lint:ignore pcflint/lockheld recovery runs once at startup before any request can contend; holding mu serializes recovery against a concurrent Publish, which is the point
 		pub, err := r.install(ctx, "recover", epoch, plan, false)
 		if !errors.Is(err, ErrValidation) {
 			return pub, err

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 
 	"pcf/internal/core"
 	"pcf/internal/faultinject"
+	"pcf/internal/leaktest"
 	"pcf/internal/lp"
 	"pcf/internal/telemetry"
 )
@@ -548,4 +550,133 @@ func TestServerDrain(t *testing.T) {
 		t.Fatalf("hard-canceled solve returned 200")
 	}
 	resp.Body.Close()
+}
+
+// TestServerShutdownEndsDrainWaiter: the goroutine Shutdown starts to
+// wait out in-flight requests is gone on each of Shutdown's exits: the
+// drain finished, the caller's context ended, or the drain deadline
+// passed. A held solve stands for a handler that unwinds only once its
+// context is canceled.
+func TestServerShutdownEndsDrainWaiter(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name    string
+		held    bool // a solve is in flight, held until canceled
+		drain   time.Duration
+		ctx     context.Context
+		wantErr error
+	}{
+		{"drained", false, time.Minute, context.Background(), nil},
+		{"ctx-done", true, time.Minute, canceled, context.Canceled},
+		{"deadline", true, 50 * time.Millisecond, context.Background(), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var s *Server
+			started := make(chan struct{}, 1)
+			release := make(chan struct{})
+			hook := func(ev lp.FaultEvent) error {
+				if tc.held && ev.Point == lp.FaultIteration {
+					select {
+					case started <- struct{}{}:
+					default:
+					}
+					select {
+					case <-s.baseCtx.Done():
+					case <-release: // the test is over
+					}
+				}
+				return nil
+			}
+			s, ts := newTestServer(t, Config{LPFaultHook: hook, DrainTimeout: tc.drain})
+			t.Cleanup(func() { close(release) })
+
+			solved := make(chan struct{})
+			go func() {
+				defer close(solved)
+				if resp, err := testClient.Post(ts.URL+"/v1/solve", "", nil); err == nil {
+					resp.Body.Close()
+				}
+			}()
+			if tc.held {
+				<-started
+			} else {
+				<-solved
+			}
+			shut := make(chan error, 1)
+			go func() { shut <- s.Shutdown(tc.ctx) }()
+			select {
+			case err := <-shut:
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("Shutdown = %v, want %v", err, tc.wantErr)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Shutdown did not return")
+			}
+			leaktest.Gone(t, "serve.(*Server).Shutdown.func1")
+		})
+	}
+}
+
+// TestServerOnPublishHoldsOnlyPublishers: OnPublish runs under the
+// publication lock. While it is held, Current and Epoch answer at once
+// and a second Publish waits for it.
+func TestServerOnPublishHoldsOnlyPublishers(t *testing.T) {
+	_, plan := testPlan(t)
+	reg := NewRegistry(nil, nil)
+	if _, err := reg.Publish(context.Background(), plan); err != nil {
+		t.Fatalf("first publish: %v", err)
+	}
+	entered, held := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	t.Cleanup(release)
+	reg.OnPublish = func(pub *Published) {
+		if pub.Epoch == 2 {
+			close(entered)
+			<-held
+		}
+	}
+	published := make(chan uint64, 2)
+	publish := func() {
+		pub, err := reg.Publish(context.Background(), plan)
+		if err != nil {
+			t.Errorf("publish: %v", err)
+			published <- 0
+			return
+		}
+		published <- pub.Epoch
+	}
+	go publish()
+	<-entered
+
+	answered := make(chan uint64, 2)
+	go func() {
+		if pub, err := reg.Current(); err == nil {
+			answered <- pub.Epoch
+		} else {
+			answered <- 0
+		}
+		answered <- reg.Epoch()
+	}()
+	for _, read := range []string{"Current", "Epoch"} {
+		select {
+		case got := <-answered:
+			if got != 2 {
+				t.Fatalf("%s answered epoch %d under OnPublish, want 2", read, got)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s blocked behind OnPublish", read)
+		}
+	}
+
+	go publish()
+	select {
+	case epoch := <-published:
+		t.Fatalf("publish of epoch %d finished while OnPublish held the lock", epoch)
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	if first, second := <-published, <-published; first != 2 || second != 3 {
+		t.Fatalf("publishes finished as epochs %d, %d; want 2, 3", first, second)
+	}
 }

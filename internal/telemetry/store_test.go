@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pcf/internal/leaktest"
 )
 
 // crash simulates a process death mid-segment: buffered bytes reach the
@@ -405,5 +407,29 @@ func TestStoreWritableProbe(t *testing.T) {
 	}
 	if err := s.Writable(); err == nil {
 		t.Fatal("Writable succeeded on a read-only directory")
+	}
+}
+
+// TestStoreCloseEndsFlusher checks the lifecycle of the one goroutine a
+// store starts: Close on a disk-backed store joins its background
+// flusher, which is gone afterwards.
+func TestStoreCloseEndsFlusher(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), StoreConfig{})
+	emitN(s, 3, KindRequest)
+	joined := make(chan bool, 1)
+	go func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+		select {
+		case <-s.flusherDone:
+			joined <- true
+		default:
+			joined <- false
+		}
+	}()
+	leaktest.Gone(t, "telemetry.(*Store).flushLoop")
+	if !<-joined {
+		t.Fatal("Close returned before its flusher ended")
 	}
 }

@@ -147,9 +147,6 @@ func (g *Graph) ArcCapacity(a ArcID) float64 { return g.links[a/2].Capacity }
 // not be modified.
 func (g *Graph) OutArcs(n NodeID) []ArcID { return g.out[n] }
 
-// Degree returns the number of incident links of node n.
-func (g *Graph) Degree(n NodeID) int { return len(g.out[n]) }
-
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{Name: g.Name}
@@ -345,17 +342,6 @@ func (p Path) Links() []LinkID {
 	return out
 }
 
-// UsesLink reports whether the path traverses the given link (either
-// direction).
-func (p Path) UsesLink(l LinkID) bool {
-	for _, a := range p.Arcs {
-		if LinkOf(a) == l {
-			return true
-		}
-	}
-	return false
-}
-
 // Nodes reconstructs the node sequence of the path in graph g.
 func (p Path) Nodes(g *Graph) []NodeID {
 	if len(p.Arcs) == 0 {
@@ -450,20 +436,6 @@ func (g *Graph) ShortestPath(src, dst NodeID, weight func(LinkID) float64, banne
 		arcs[i] = rev[len(rev)-1-i]
 	}
 	return Path{Arcs: arcs}, true
-}
-
-// AllPairs returns every ordered pair of distinct nodes.
-func (g *Graph) AllPairs() []Pair {
-	n := g.NumNodes()
-	pairs := make([]Pair, 0, n*(n-1))
-	for s := 0; s < n; s++ {
-		for t := 0; t < n; t++ {
-			if s != t {
-				pairs = append(pairs, Pair{NodeID(s), NodeID(t)})
-			}
-		}
-	}
-	return pairs
 }
 
 // TotalCapacity sums the capacity over all links.

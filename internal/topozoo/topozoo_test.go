@@ -2,6 +2,7 @@ package topozoo
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"pcf/internal/failures"
@@ -73,7 +74,7 @@ func TestFig1Gadget(t *testing.T) {
 	// l3 and l4 share link 3-t; l1, l2, l3 are mutually disjoint.
 	shares := func(a, b topology.Path) bool {
 		for _, l := range a.Links() {
-			if b.UsesLink(l) {
+			if slices.Contains(b.Links(), l) {
 				return true
 			}
 		}
