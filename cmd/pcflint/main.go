@@ -1,7 +1,6 @@
 // Command pcflint runs the repo's project-specific static analyzers
 // (internal/analysis) over the module: tolerance-aware float
-// comparisons, context checks in unbounded solve loops, never-dropped
-// solver errors, no panics in library code, immutability of published
+// comparisons, never-dropped solver errors, no panics in library code, immutability of published
 // plans, and deadline-carrying HTTP. It also reports suppression
 // directives that are malformed, name no analyzer, or suppress
 // nothing. It is part of the contributor gate (scripts/check.sh runs

@@ -3,8 +3,7 @@
 // loads the module, type-checks every package, and runs the
 // project-specific analyzers. Each guards an invariant the compiler
 // cannot see but PCF's guarantee or its serving path relies on:
-// tolerance-aware float comparisons, context checks inside unbounded
-// solve loops, never-discarded solver errors, typed errors instead of
+// tolerance-aware float comparisons, never-discarded solver errors, typed errors instead of
 // panics in library code, immutability of published plans, and
 // deadline-carrying HTTP. DESIGN.md §10 documents the analyzers, §15
 // the record each one earned its place with.
@@ -92,7 +91,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 func All() []*Analyzer {
 	return []*Analyzer{
 		FloatCmp,
-		CtxLoop,
 		CheckedErr,
 		NoPanic,
 		MutAfterPub,

@@ -99,11 +99,7 @@ func runGoldenLoader(t *testing.T, a *Analyzer, includeTests bool, dirs ...strin
 	return directives
 }
 
-func TestFloatCmpGolden(t *testing.T) { runGolden(t, FloatCmp, "floatcmp") }
-func TestCtxLoopGolden(t *testing.T)  { runGolden(t, CtxLoop, "internal/lp") }
-func TestCtxLoopRoutingGolden(t *testing.T) {
-	runGolden(t, CtxLoop, "internal/routing")
-}
+func TestFloatCmpGolden(t *testing.T)    { runGolden(t, FloatCmp, "floatcmp") }
 func TestCheckedErrGolden(t *testing.T)  { runGolden(t, CheckedErr, "checkederr") }
 func TestNoPanicGolden(t *testing.T)     { runGolden(t, NoPanic, "internal/quiet") }
 func TestMutAfterPubGolden(t *testing.T) { runGolden(t, MutAfterPub, "mutafterpub") }
@@ -147,18 +143,9 @@ func TestSuppression(t *testing.T) {
 }
 
 // TestAnalyzerScoping checks that Match keeps analyzers out of
-// packages they do not apply to: ctxloop and nopanic are inert outside
-// their internal/ scopes even when violations are present.
+// packages they do not apply to: nopanic is inert outside its
+// internal/ scope even when violations are present.
 func TestAnalyzerScoping(t *testing.T) {
-	if CtxLoop.Match("internal/lp") != true || CtxLoop.Match("pcf/internal/lp") != true {
-		t.Error("ctxloop should match internal/lp in both path styles")
-	}
-	if CtxLoop.Match("internal/topology") {
-		t.Error("ctxloop should not match internal/topology")
-	}
-	if !CtxLoop.Match("internal/routing") || !CtxLoop.Match("pcf/internal/routing") {
-		t.Error("ctxloop should match internal/routing in both path styles")
-	}
 	if NoPanic.Match("cmd/pcflint") {
 		t.Error("nopanic should not match cmd/ packages")
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"pcf/internal/failures"
@@ -188,7 +187,7 @@ func buildFFCAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
 	tun := in.Tunnels.ForPair(p)
 	budget := make([]lp.AdvTerm, 0, len(tun))
 	for _, tid := range tun {
-		y := spec.poly.AddVar(fmt.Sprintf("y%d", tid))
+		y := spec.poly.AddVar()
 		spec.yIdx[tid] = y
 		spec.poly.AddUpperBound(y, 1)
 		budget = append(budget, lp.AdvTerm{Var: y, Coeff: 1})
@@ -196,7 +195,7 @@ func buildFFCAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
 		spec.constPart.Add(1, mv.a[tid])
 	}
 	pst := unitMaxShared(in, mv.unitsOf, tun)
-	spec.poly.AddRow("tunnel-budget", budget, lp.LE, float64(in.Failures.Budget*pst))
+	spec.poly.AddRow(budget, lp.LE, float64(in.Failures.Budget*pst))
 	spec.rhs.AddExpr(1, mv.zExpr(p))
 	spec.pad()
 	return spec
@@ -281,7 +280,7 @@ func baseLinkAdversary(in *Instance, unitsOf [][]int, p topology.Pair, tun []tun
 	for _, l := range relLinks {
 		for _, u := range unitsOf[l] {
 			if _, ok := unitVar[u]; !ok {
-				s := poly.AddVar(fmt.Sprintf("s%d", u))
+				s := poly.AddVar()
 				unitVar[u] = s
 				spec.unitVars[u] = s
 				poly.AddUpperBound(s, 1)
@@ -290,11 +289,11 @@ func baseLinkAdversary(in *Instance, unitsOf [][]int, p topology.Pair, tun []tun
 			}
 		}
 	}
-	poly.AddRow("unit-budget", budget, lp.LE, float64(in.Failures.Budget))
+	poly.AddRow(budget, lp.LE, float64(in.Failures.Budget))
 
 	// Link failure variables tied to their units.
 	for _, l := range relLinks {
-		x := poly.AddVar(fmt.Sprintf("x%d", l))
+		x := poly.AddVar()
 		spec.xIdx[l] = x
 		spec.addCost(x, nil)
 		poly.AddUpperBound(x, 1)
@@ -303,11 +302,10 @@ func baseLinkAdversary(in *Instance, unitsOf [][]int, p topology.Pair, tun []tun
 		for _, u := range unitsOf[l] {
 			up = append(up, lp.AdvTerm{Var: unitVar[u], Coeff: -1})
 		}
-		poly.AddRow(fmt.Sprintf("x%d-up", l), up, lp.LE, 0)
+		poly.AddRow(up, lp.LE, 0)
 		// s_u <= x_e: a failed unit kills all its links.
 		for _, u := range unitsOf[l] {
-			poly.AddRow(fmt.Sprintf("x%d-lo-u%d", l, u),
-				[]lp.AdvTerm{{Var: unitVar[u], Coeff: 1}, {Var: x, Coeff: -1}}, lp.LE, 0)
+			poly.AddRow([]lp.AdvTerm{{Var: unitVar[u], Coeff: 1}, {Var: x, Coeff: -1}}, lp.LE, 0)
 		}
 	}
 
@@ -322,7 +320,7 @@ func baseLinkAdversary(in *Instance, unitsOf [][]int, p topology.Pair, tun []tun
 
 	// Tunnel failure variables (paper eq. 4).
 	for _, tid := range tun {
-		y := poly.AddVar(fmt.Sprintf("y%d", tid))
+		y := poly.AddVar()
 		spec.yIdx[tid] = y
 		spec.addCost(y, lp.NewExpr().Add(-1, aVar(tid)))
 		spec.constPart.Add(1, aVar(tid))
@@ -332,12 +330,11 @@ func baseLinkAdversary(in *Instance, unitsOf [][]int, p topology.Pair, tun []tun
 		for _, l := range links {
 			x := spec.xIdx[l]
 			// x_e - y_l <= 0: a dead link kills the tunnel.
-			poly.AddRow(fmt.Sprintf("y%d-ge-x%d", tid, l),
-				[]lp.AdvTerm{{Var: x, Coeff: 1}, {Var: y, Coeff: -1}}, lp.LE, 0)
+			poly.AddRow([]lp.AdvTerm{{Var: x, Coeff: 1}, {Var: y, Coeff: -1}}, lp.LE, 0)
 			sum = append(sum, lp.AdvTerm{Var: x, Coeff: -1})
 		}
 		// y_l - Σ x_e <= 0: a tunnel fails only via a link failure.
-		poly.AddRow(fmt.Sprintf("y%d-le-sumx", tid), sum, lp.LE, 0)
+		poly.AddRow(sum, lp.LE, 0)
 		if multiUnit {
 			// Tightening for grouped failures: a tunnel fails only if
 			// some UNIT touching it fails, and each unit can kill the
@@ -356,7 +353,7 @@ func baseLinkAdversary(in *Instance, unitsOf [][]int, p topology.Pair, tun []tun
 					}
 				}
 			}
-			poly.AddRow(fmt.Sprintf("y%d-le-units", tid), row, lp.LE, 0)
+			poly.AddRow(row, lp.LE, 0)
 		}
 	}
 	return spec
@@ -367,22 +364,20 @@ func baseLinkAdversary(in *Instance, unitsOf [][]int, p topology.Pair, tun []tun
 // referenced by the condition must already have x variables. For the
 // common single-dead-link condition the linearization collapses to
 // h = x_e, so the link variable itself is returned.
-func (spec *advSpec) conditionVar(name string, cond *Condition) lp.AdvVar {
+func (spec *advSpec) conditionVar(cond *Condition) lp.AdvVar {
 	if len(cond.AliveLinks) == 0 && len(cond.DeadLinks) == 1 {
 		return spec.xIdx[cond.DeadLinks[0]]
 	}
 	poly := spec.poly
-	h := poly.AddVar(name)
+	h := poly.AddVar()
 	spec.conds[h] = cond
 	spec.addCost(h, nil)
 	poly.AddUpperBound(h, 1)
 	for _, l := range cond.AliveLinks {
-		poly.AddRow(fmt.Sprintf("%s-alive%d", name, l),
-			[]lp.AdvTerm{{Var: h, Coeff: 1}, {Var: spec.xIdx[l], Coeff: 1}}, lp.LE, 1)
+		poly.AddRow([]lp.AdvTerm{{Var: h, Coeff: 1}, {Var: spec.xIdx[l], Coeff: 1}}, lp.LE, 1)
 	}
 	for _, l := range cond.DeadLinks {
-		poly.AddRow(fmt.Sprintf("%s-dead%d", name, l),
-			[]lp.AdvTerm{{Var: h, Coeff: 1}, {Var: spec.xIdx[l], Coeff: -1}}, lp.LE, 0)
+		poly.AddRow([]lp.AdvTerm{{Var: h, Coeff: 1}, {Var: spec.xIdx[l], Coeff: -1}}, lp.LE, 0)
 	}
 	// (1-h) - Σ_{η} x_e - Σ_{ξ} (1-x_e) <= 0.
 	row := []lp.AdvTerm{{Var: h, Coeff: -1}}
@@ -392,7 +387,7 @@ func (spec *advSpec) conditionVar(name string, cond *Condition) lp.AdvVar {
 	for _, l := range cond.DeadLinks {
 		row = append(row, lp.AdvTerm{Var: spec.xIdx[l], Coeff: 1})
 	}
-	poly.AddRow(name+"-force", row, lp.LE, float64(len(cond.DeadLinks))-1)
+	poly.AddRow(row, lp.LE, float64(len(cond.DeadLinks))-1)
 	return h
 }
 
@@ -419,7 +414,7 @@ func buildPCFAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
 		if h, ok := spec.hIdx[qid]; ok {
 			return h
 		}
-		h := spec.conditionVar(fmt.Sprintf("h%d", qid), in.LSs[qid].Cond)
+		h := spec.conditionVar(in.LSs[qid].Cond)
 		spec.hIdx[qid] = h
 		return h
 	}

@@ -47,7 +47,7 @@ func SolveAugmentPCFTF(in *Instance, zTarget float64, opts SolveOptions) (*Augme
 	mv := newMasterVars(in)
 	for _, p := range in.Tunnels.Pairs() {
 		for _, tid := range in.Tunnels.ForPair(p) {
-			mv.a[tid] = m.AddNonNeg(fmt.Sprintf("a[%d]", tid))
+			mv.a[tid] = m.AddNonNeg()
 		}
 	}
 	// The target scale is a constant: zExpr returns zTarget·d.
@@ -57,7 +57,7 @@ func SolveAugmentPCFTF(in *Instance, zTarget float64, opts SolveOptions) (*Augme
 	// Capacity per arc with a per-link augmentation variable.
 	extra := make([]lp.Var, in.Graph.NumLinks())
 	for l := 0; l < in.Graph.NumLinks(); l++ {
-		extra[l] = m.AddNonNeg(fmt.Sprintf("extra[%d]", l))
+		extra[l] = m.AddNonNeg()
 	}
 	perArc := make([][]lp.Var, in.Graph.NumArcs())
 	for _, p := range in.Tunnels.Pairs() {
@@ -76,8 +76,7 @@ func SolveAugmentPCFTF(in *Instance, zTarget float64, opts SolveOptions) (*Augme
 			e.Add(1, v)
 		}
 		e.Add(-1, extra[topology.LinkOf(topology.ArcID(arc))])
-		m.AddConstraintN(capPat.N(arc), e, lp.LE,
-			in.Graph.ArcCapacity(topology.ArcID(arc)))
+		m.AddConstraint(e, lp.LE, in.Graph.ArcCapacity(topology.ArcID(arc)))
 	}
 	obj := lp.NewExpr()
 	for _, v := range extra {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -9,14 +8,14 @@ import (
 )
 
 // degradable reports whether a rung failure should drop to the next
-// rung: numerical breakdown, an exhausted iteration or cut budget, or a
-// rung-local timeout. Infeasibility does not qualify — CLS is the most
-// expressive scheme, so if it is infeasible every lower rung is too.
+// rung: numerical breakdown or an exhausted iteration or cut budget.
+// Infeasibility does not qualify — CLS is the most expressive scheme, so
+// if it is infeasible every lower rung is too — and neither does a
+// deadline, which only the overall Context sets.
 func degradable(err error) bool {
 	return errors.Is(err, lp.ErrNumerical) ||
 		errors.Is(err, lp.ErrIterLimit) ||
-		errors.Is(err, ErrCutLimit) ||
-		errors.Is(err, context.DeadlineExceeded)
+		errors.Is(err, ErrCutLimit)
 }
 
 // stripConditional returns a copy of in with only the unconditional
@@ -36,12 +35,12 @@ func stripConditional(in *Instance) *Instance {
 
 // SolveBest runs the solve degradation ladder: PCF-CLS, then PCF-LS
 // (conditional logical sequences stripped), then FFC. A rung is
-// abandoned — and recorded in Plan.Degraded — when it times out
-// (RungTimeout), breaks down numerically, or exhausts an iteration or
-// cut budget; any other failure, and cancellation of the overall
-// Context, aborts the ladder immediately. Every rung optimizes the
-// same congestion-free model family, so a downgrade weakens
-// optimality, never the proved guarantee of the plan that is returned.
+// abandoned — and recorded in Plan.Degraded — when it breaks down
+// numerically or exhausts an iteration or cut budget; any other
+// failure, and cancellation of the overall Context, aborts the ladder
+// immediately. Every rung optimizes the same congestion-free model
+// family, so a downgrade weakens optimality, never the proved guarantee
+// of the plan that is returned.
 func SolveBest(in *Instance, opts SolveOptions) (*Plan, error) {
 	return SolveBestFrom(in, opts, 0)
 }
@@ -84,27 +83,13 @@ func SolveBestFrom(in *Instance, opts SolveOptions, skip int) (*Plan, error) {
 		if err := opts.ctxErr(); err != nil {
 			return nil, fmt.Errorf("core: SolveBest canceled before %s: %w", r.name, err)
 		}
-		rungOpts := opts
-		var cancel context.CancelFunc
-		if opts.RungTimeout > 0 {
-			parent := opts.Context
-			if parent == nil {
-				parent = context.Background()
-			}
-			rungOpts.Context, cancel = context.WithTimeout(parent, opts.RungTimeout)
-			rungOpts.LP.Context = rungOpts.Context
-		}
-		plan, err := r.solve(r.inst, rungOpts)
-		if cancel != nil {
-			cancel()
-		}
+		plan, err := r.solve(r.inst, opts)
 		if err == nil {
 			plan.Degraded = degraded
 			return plan, nil
 		}
-		// A rung-local deadline is degradable only while the overall
-		// context is still live; otherwise the whole solve is out of
-		// time and retrying lower rungs would just burn the caller.
+		// A degradable failure under a context that has since expired
+		// still aborts: retrying lower rungs would just burn the caller.
 		if !degradable(err) || opts.ctxErr() != nil {
 			return nil, fmt.Errorf("core: SolveBest %s: %w", r.name, err)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"pcf/internal/lp"
@@ -25,16 +24,6 @@ import (
 //
 // with logical segments restricted to adjacent node pairs, so a flow's
 // support graph is the physical topology.
-
-var (
-	bwPairPat = lp.Pat("bw[(%d->%d)]")
-	pSegPat   = lp.Pat("p[t%d,(%d->%d)]")
-	fbPat     = lp.Pat("fb[t%d]-v%d")
-	fixPat    = lp.Pat("fix[(%d->%d)]")
-	bypPat    = lp.Pat("byp[%d]")
-	pbSegPat  = lp.Pat("pb[%d,(%d->%d)]")
-	fbbPat    = lp.Pat("fbb[%d]-v%d")
-)
 
 // FlowPlan is the result of the restricted logical-flow model.
 type FlowPlan struct {
@@ -191,7 +180,7 @@ func SolveRestrictedFlow(in *Instance, opts FlowOptions) (*FlowPlan, error) {
 
 	bw := map[topology.Pair]lp.Var{}
 	for _, p := range demand {
-		bw[p] = m.AddNonNegN(bwPairPat.N(int(p.Src), int(p.Dst)))
+		bw[p] = m.AddNonNeg()
 	}
 
 	orderedSegs := func(set map[topology.Pair]bool) []topology.Pair {
@@ -208,14 +197,14 @@ func SolveRestrictedFlow(in *Instance, opts FlowOptions) (*FlowPlan, error) {
 	for _, t := range dests {
 		pDest[t] = map[topology.Pair]lp.Var{}
 		for _, seg := range orderedSegs(destSegs[t]) {
-			pDest[t][seg] = m.AddNonNegN(pSegPat.N(int(t), int(seg.Src), int(seg.Dst)))
+			pDest[t][seg] = m.AddNonNeg()
 		}
 	}
 	// Flow balance for each destination aggregate (paper eq. 8,
 	// aggregated): out(v) - in(v) = b_{(v,t)} for v != t. Nodes with no
 	// incident support variable and no demand are skipped (their
 	// balance is trivially 0 = 0).
-	addBalance := func(rowName func(v int) lp.Name, vars map[topology.Pair]lp.Var, source map[topology.Pair]lp.Var, skip topology.NodeID, singleSrc topology.NodeID, srcVar lp.Var) error {
+	addBalance := func(vars map[topology.Pair]lp.Var, source map[topology.Pair]lp.Var, skip topology.NodeID, singleSrc topology.NodeID, srcVar lp.Var) {
 		touched := map[topology.NodeID]bool{}
 		for seg := range vars {
 			touched[seg.Src] = true
@@ -252,21 +241,17 @@ func SolveRestrictedFlow(in *Instance, opts FlowOptions) (*FlowPlan, error) {
 			if len(e.Terms) == 0 {
 				continue
 			}
-			m.AddConstraintN(rowName(v), e, lp.EQ, 0)
+			m.AddConstraint(e, lp.EQ, 0)
 		}
-		return nil
 	}
 	for _, t := range dests {
-		t := t
-		if err := addBalance(func(v int) lp.Name { return fbPat.N(int(t), v) }, pDest[t], bw, t, -1, -1); err != nil {
-			return nil, err
-		}
+		addBalance(pDest[t], bw, t, -1, -1)
 	}
 	if opts.GeneralizedR3 {
 		// b_w = z_st d_st exactly.
 		for _, p := range demand {
 			e := lp.NewExpr().Add(1, bw[p]).AddExpr(-1, mv.zExpr(p))
-			m.AddConstraintN(fixPat.N(int(p.Src), int(p.Dst)), e, lp.EQ, 0)
+			m.AddConstraint(e, lp.EQ, 0)
 		}
 	}
 
@@ -279,16 +264,13 @@ func SolveRestrictedFlow(in *Instance, opts FlowOptions) (*FlowPlan, error) {
 		if len(bypassSegs[a0]) == 0 {
 			continue // no alternative route exists (bridge in sparse mode)
 		}
-		bypassRes[arc] = m.AddNonNegN(bypPat.N(a0))
+		bypassRes[arc] = m.AddNonNeg()
 		pBypass[arc] = map[topology.Pair]lp.Var{}
 		for _, seg := range orderedSegs(bypassSegs[a0]) {
-			pBypass[arc][seg] = m.AddNonNegN(pbSegPat.N(a0, int(seg.Src), int(seg.Dst)))
+			pBypass[arc][seg] = m.AddNonNeg()
 		}
 		from, to := g.ArcEnds(arc)
-		a0 := a0
-		if err := addBalance(func(v int) lp.Name { return fbbPat.N(a0, v) }, pBypass[arc], nil, to, from, bypassRes[arc]); err != nil {
-			return nil, err
-		}
+		addBalance(pBypass[arc], nil, to, from, bypassRes[arc])
 	}
 
 	// Robust constraints. Constraint pairs: demand pairs plus every
@@ -349,7 +331,7 @@ func SolveRestrictedFlow(in *Instance, opts FlowOptions) (*FlowPlan, error) {
 			if _, ok := bypassRes[arc]; !ok || arcPair(g, arc) != p {
 				continue
 			}
-			h := spec.conditionVar("hb"+strconv.Itoa(a0), LinkDead(topology.LinkOf(arc)))
+			h := spec.conditionVar(LinkDead(topology.LinkOf(arc)))
 			spec.addCost(h, lp.NewExpr().Add(1, bypassRes[arc]))
 		}
 		// RHS: support required on this segment by destination flows
@@ -360,7 +342,7 @@ func SolveRestrictedFlow(in *Instance, opts FlowOptions) (*FlowPlan, error) {
 			}
 		}
 		for _, arc := range loaders[p] {
-			h := spec.conditionVar("hs"+strconv.Itoa(int(arc)), LinkDead(topology.LinkOf(arc)))
+			h := spec.conditionVar(LinkDead(topology.LinkOf(arc)))
 			spec.addCost(h, lp.NewExpr().Add(-1, pBypass[arc][p]))
 		}
 		spec.rhs.AddExpr(1, mv.zExpr(p))

@@ -12,8 +12,6 @@ import (
 	"pcf/internal/tunnels"
 )
 
-var resilPat = lp.Pat("resil[(%d->%d)]")
-
 // solveDualized is the reference the engine tests hold solveRobust to:
 // the paper's appendix-D2 formulation. It builds the very master and
 // adversary specs solveScheme builds for a tunnel scheme, replaces
@@ -25,8 +23,7 @@ func solveDualized(in *Instance, build advBuilder) (float64, error) {
 	stripped.LSs = nil
 	m, mv := buildMaster(&stripped, false)
 	for _, spec := range buildSpecs(&stripped, mv, build) {
-		lp.RobustGE(m, resilPat.N(int(spec.pair.Src), int(spec.pair.Dst)).String(),
-			spec.poly, spec.costs, spec.constPart, spec.rhs)
+		lp.RobustGE(m, spec.poly, spec.costs, spec.constPart, spec.rhs)
 	}
 	sol, err := lp.Solve(m)
 	if err != nil {

@@ -23,17 +23,6 @@ import (
 //     in the paper's Fig. 5 — R3 provides no guarantee and carries 0.
 //   - R3 cannot model node failures at all (§3.5).
 
-var (
-	rPat    = lp.Pat("r[t%d,a%d]")
-	rbPat   = lp.Pat("rb[t%d,v%d]")
-	pPat    = lp.Pat("p[%d,a%d]")
-	pbPat   = lp.Pat("pb[%d,v%d]")
-	lamPat  = lp.Pat("lam[a%d]")
-	sigPat  = lp.Pat("sig[e%d,a%d]")
-	dualPat = lp.Pat("dual[e%d,a%d]")
-	congPat = lp.Pat("cong[a%d]")
-)
-
 // SolveR3 computes R3's guaranteed demand scale. The failure set must
 // be link-based (every unit a single link).
 func SolveR3(in *Instance, opts SolveOptions) (*Plan, error) {
@@ -74,7 +63,7 @@ func SolveR3(in *Instance, opts SolveOptions) (*Plan, error) {
 	demand := in.DemandPairs()
 
 	m := lp.NewModel()
-	z := m.AddNonNeg("z")
+	z := m.AddNonNeg()
 
 	// Base routing aggregated per destination.
 	destSet := map[topology.NodeID]bool{}
@@ -91,7 +80,7 @@ func SolveR3(in *Instance, opts SolveOptions) (*Plan, error) {
 	for _, t := range dests {
 		vars := make([]lp.Var, numArcs)
 		for a := 0; a < numArcs; a++ {
-			vars[a] = m.AddNonNegN(rPat.N(int(t), a))
+			vars[a] = m.AddNonNeg()
 		}
 		r[t] = vars
 		for v := 0; v < n; v++ {
@@ -106,7 +95,7 @@ func SolveR3(in *Instance, opts SolveOptions) (*Plan, error) {
 			if d := in.TM.Demand[v][t]; d > 0 {
 				e.Add(-d, z)
 			}
-			m.AddConstraintN(rbPat.N(int(t), v), e, lp.EQ, 0)
+			m.AddConstraint(e, lp.EQ, 0)
 		}
 	}
 
@@ -124,7 +113,7 @@ func SolveR3(in *Instance, opts SolveOptions) (*Plan, error) {
 				vars[a] = -1
 				continue
 			}
-			vars[a] = m.AddNonNegN(pPat.N(a0, a))
+			vars[a] = m.AddNonNeg()
 		}
 		p[a0] = vars
 		for v := 0; v < n; v++ {
@@ -144,7 +133,7 @@ func SolveR3(in *Instance, opts SolveOptions) (*Plan, error) {
 			if topology.NodeID(v) == from {
 				rhs = 1
 			}
-			m.AddConstraintN(pbPat.N(a0, v), e, lp.EQ, rhs)
+			m.AddConstraint(e, lp.EQ, rhs)
 		}
 	}
 
@@ -154,7 +143,7 @@ func SolveR3(in *Instance, opts SolveOptions) (*Plan, error) {
 	//   λ_a + σ_{e,a} >= c_e·(p_{fwd(e)}(a) + p_{rev(e)}(a))  ∀ links e.
 	for a := 0; a < numArcs; a++ {
 		arc := topology.ArcID(a)
-		lam := m.AddNonNegN(lamPat.N(a))
+		lam := m.AddNonNeg()
 		row := lp.NewExpr()
 		for _, t := range dests {
 			row.Add(1, r[t][a])
@@ -168,7 +157,7 @@ func SolveR3(in *Instance, opts SolveOptions) (*Plan, error) {
 			if !hasTerm {
 				continue
 			}
-			sig := m.AddNonNegN(sigPat.N(e, a))
+			sig := m.AddNonNeg()
 			row.Add(1, sig)
 			dualRow := lp.NewExpr().Add(1, lam).Add(1, sig)
 			ce := g.Link(link).Capacity
@@ -178,9 +167,9 @@ func SolveR3(in *Instance, opts SolveOptions) (*Plan, error) {
 			if p[rev][a] >= 0 {
 				dualRow.Add(-ce, p[rev][a])
 			}
-			m.AddConstraintN(dualPat.N(e, a), dualRow, lp.GE, 0)
+			m.AddConstraint(dualRow, lp.GE, 0)
 		}
-		m.AddConstraintN(congPat.N(a), row, lp.LE, g.ArcCapacity(arc))
+		m.AddConstraint(row, lp.LE, g.ArcCapacity(arc))
 	}
 
 	m.SetObjective(lp.NewExpr().Add(1, z), lp.Maximize)

@@ -23,9 +23,6 @@ type SolveOptions struct {
 	// the simplex iteration loop. Errors wrap the context error, so
 	// errors.Is(err, context.DeadlineExceeded) works.
 	Context context.Context
-	// RungTimeout, when positive, bounds each rung of SolveBest's
-	// degradation ladder separately (within the overall Context).
-	RungTimeout time.Duration
 	// LP passes options to the simplex solver. Its Context field is
 	// filled from Context above unless already set.
 	LP lp.Options
@@ -54,14 +51,6 @@ var ErrCutLimit = errors.New("core: cut generation round limit exhausted")
 // Matched with errors.Is.
 var ErrNegativeBudget = errors.New("core: negative failure budget")
 
-var (
-	aPat     = lp.Pat("a[%d]")
-	bPat     = lp.Pat("b[%d]")
-	zPairPat = lp.Pat("z[(%d->%d)]")
-	capPat   = lp.Pat("cap[a%d]")
-	cutPat   = lp.Pat("cut[(%d->%d)]")
-)
-
 // advBuilder builds the per-pair adversary spec for a scheme.
 type advBuilder func(in *Instance, p topology.Pair, mv *masterVars) *advSpec
 
@@ -84,19 +73,19 @@ func buildMaster(in *Instance, withLS bool) (*lp.Model, *masterVars) {
 
 	for _, p := range in.Tunnels.Pairs() {
 		for _, tid := range in.Tunnels.ForPair(p) {
-			mv.a[tid] = m.AddNonNegN(aPat.N(int(tid)))
+			mv.a[tid] = m.AddNonNeg()
 		}
 	}
 	if withLS {
 		for _, q := range in.LSs {
-			mv.b[q.ID] = m.AddNonNegN(bPat.N(int(q.ID)))
+			mv.b[q.ID] = m.AddNonNeg()
 		}
 	}
 
 	demand := in.DemandPairs()
 	switch in.Objective {
 	case DemandScale:
-		z := m.AddNonNeg("z")
+		z := m.AddNonNeg()
 		mv.zExpr = func(p topology.Pair) *lp.Expr {
 			if d := in.TM.At(p); d > 0 {
 				return lp.NewExpr().Add(d, z)
@@ -108,7 +97,7 @@ func buildMaster(in *Instance, withLS bool) (*lp.Model, *masterVars) {
 		zp := map[topology.Pair]lp.Var{}
 		obj := lp.NewExpr()
 		for _, p := range demand {
-			v := m.AddVarN(zPairPat.N(int(p.Src), int(p.Dst)), 0, 1)
+			v := m.AddVar(0, 1)
 			zp[p] = v
 			obj.Add(in.TM.At(p), v)
 		}
@@ -147,7 +136,7 @@ func buildMaster(in *Instance, withLS bool) (*lp.Model, *masterVars) {
 		}
 		rhs := in.Graph.ArcCapacity(topology.ArcID(arc)) *
 			in.Failures.WorstCapScale(topology.LinkOf(topology.ArcID(arc)))
-		m.AddConstraintN(capPat.N(arc), e, lp.LE, rhs)
+		m.AddConstraint(e, lp.LE, rhs)
 	}
 	return m, mv
 }
@@ -229,8 +218,7 @@ func seedMaster(base *lp.Model, specs []*advSpec) (int, error) {
 			if !spec.poly.Contains(w, 1e-9) {
 				return 0, fmt.Errorf("internal: seed scenario %v is not a polytope point for %v", sc, spec.pair)
 			}
-			base.AddConstraintN(cutPat.N(int(spec.pair.Src), int(spec.pair.Dst)),
-				spec.cutExpr(w), lp.GE, 0)
+			base.AddConstraint(spec.cutExpr(w), lp.GE, 0)
 			numCuts++
 		}
 	}

@@ -146,12 +146,11 @@ func LPCorpus(seed int64) []*lp.Model {
 		obj := lp.NewExpr()
 		vars := make([]lp.Var, n+1)
 		for i := range vars {
-			vars[i] = m.AddVar(fmt.Sprintf("x%d", i), 0, 1)
+			vars[i] = m.AddVar(0, 1)
 			obj.Add(1, vars[i])
 		}
 		for i := 0; i < n; i++ {
-			m.AddConstraint(fmt.Sprintf("c%d", i),
-				lp.NewExpr().Add(1, vars[i]).Add(1, vars[i+1]), lp.GE, 1)
+			m.AddConstraint(lp.NewExpr().Add(1, vars[i]).Add(1, vars[i+1]), lp.GE, 1)
 		}
 		m.SetObjective(obj, lp.Minimize)
 		return m
@@ -175,7 +174,7 @@ func LPCorpus(seed int64) []*lp.Model {
 		obj := lp.NewExpr()
 		vars := make([]lp.Var, nv)
 		for j := range vars {
-			vars[j] = m.AddVar(fmt.Sprintf("v%d", j), 0, 1+4*rng.Float64())
+			vars[j] = m.AddVar(0, 1+4*rng.Float64())
 			obj.Add(0.1+rng.Float64(), vars[j])
 		}
 		for i := 0; i < nc; i++ {
@@ -190,17 +189,15 @@ func LPCorpus(seed int64) []*lp.Model {
 			if terms == 0 {
 				e.Add(1, vars[rng.Intn(nv)])
 			}
-			m.AddConstraint(fmt.Sprintf("cap%d", i), e, lp.LE, 0.5+2*rng.Float64())
+			m.AddConstraint(e, lp.LE, 0.5+2*rng.Float64())
 		}
 		if k%2 == 0 {
 			// A floor of 0 on a nonneg sum is always satisfiable.
-			m.AddConstraint("floor",
-				lp.NewExpr().Add(1, vars[0]).Add(1, vars[nv-1]), lp.GE, 0)
+			m.AddConstraint(lp.NewExpr().Add(1, vars[0]).Add(1, vars[nv-1]), lp.GE, 0)
 		}
 		if k%3 == 0 {
 			// Couple two variables; both sides can move freely in [0, ub].
-			m.AddConstraint("eq",
-				lp.NewExpr().Add(1, vars[0]).Add(-1, vars[1]), lp.EQ, 0)
+			m.AddConstraint(lp.NewExpr().Add(1, vars[0]).Add(-1, vars[1]), lp.EQ, 0)
 		}
 		m.SetObjective(obj, lp.Maximize)
 		corpus = append(corpus, m)

@@ -87,8 +87,8 @@ func TestWarmColdEquivalenceCorpus(t *testing.T) {
 			continue // appended cap made the model infeasible; agreement verified above
 		}
 		vLast := lp.Var(m.NumVars() - 1)
-		cm.FixVar(vLast, probe.Value(vLast))
-		checkWarmEqualsCold(t, label+"/fixvar", cm, probe.Basis)
+		cm.AddRow(lp.NewExpr().Add(1, vLast), lp.EQ, probe.Value(vLast))
+		checkWarmEqualsCold(t, label+"/pin", cm, probe.Basis)
 	}
 }
 
@@ -98,15 +98,13 @@ func TestWarmColdEquivalenceCorpus(t *testing.T) {
 func gadgetFlowModel(gad *topozoo.Gadget) (*lp.Model, []int) {
 	g := gad.Graph
 	m := lp.NewModel()
-	z := m.AddNonNeg("z")
+	z := m.AddNonNeg()
 	n := g.NumNodes()
 	numArcs := g.NumArcs()
-	flowPat := lp.Pat("f[a%d]")
 	vars := make([]lp.Var, numArcs)
 	for a := 0; a < numArcs; a++ {
-		vars[a] = m.AddNonNegN(flowPat.N(a))
+		vars[a] = m.AddNonNeg()
 	}
-	balPat := lp.Pat("bal[v%d]")
 	for v := 0; v < n; v++ {
 		if topology.NodeID(v) == gad.T {
 			continue
@@ -119,13 +117,12 @@ func gadgetFlowModel(gad *topozoo.Gadget) (*lp.Model, []int) {
 		if topology.NodeID(v) == gad.S {
 			e.Add(-1, z)
 		}
-		m.AddConstraintN(balPat.N(v), e, lp.EQ, 0)
+		m.AddConstraint(e, lp.EQ, 0)
 	}
-	capPat := lp.Pat("cap[a%d]")
 	capRows := make([]int, numArcs)
 	for a := 0; a < numArcs; a++ {
 		e := lp.NewExpr().Add(1, vars[a])
-		capRows[a] = m.AddConstraintN(capPat.N(a), e, lp.LE, g.ArcCapacity(topology.ArcID(a)))
+		capRows[a] = m.AddConstraint(e, lp.LE, g.ArcCapacity(topology.ArcID(a)))
 	}
 	m.SetObjective(lp.NewExpr().Add(1, z), lp.Maximize)
 	return m, capRows

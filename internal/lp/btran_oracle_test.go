@@ -182,7 +182,7 @@ func TestBTRANWalksMatchDenseOracle(t *testing.T) {
 	x := make([]Var, cols)
 	obj := NewExpr()
 	for j := range x {
-		x[j] = m.AddNonNeg("x")
+		x[j] = m.AddNonNeg()
 		obj.Add(1+rng.Float64(), x[j])
 	}
 	for i := 0; i < rows; i++ {
@@ -192,7 +192,7 @@ func TestBTRANWalksMatchDenseOracle(t *testing.T) {
 				e.Add(1+rng.Float64(), x[j])
 			}
 		}
-		m.AddConstraint("r", e, LE, 10)
+		m.AddConstraint(e, LE, 10)
 	}
 	m.SetObjective(obj, Maximize)
 	cm := Compile(m)

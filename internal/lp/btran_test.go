@@ -14,7 +14,8 @@ import (
 // cut masters and the Sprint flow LP is compiled twice and taken through
 // the same steps: a cold solve, then warm re-solves after every
 // right-hand side is cut by 30 % (the dual simplex), after it is put
-// back, after an appended row and after a FixVar pin. One copy solves on
+// back, after an appended row and after an appended EQ row pinning a
+// variable at its current value. One copy solves on
 // the non-zero walk alone; on the other every BTRAN also runs the dense
 // oracle (btran_oracle_test.go) and must match it entry for entry, and
 // the solve goes on with the oracle's prices. Both must make the same
@@ -72,8 +73,8 @@ func TestBTRANMatchesDenseOracle(t *testing.T) {
 		both(func(cm *lp.Compiled) { cm.AddRow(lp.NewExpr().Add(1, v0), lp.LE, sol.Value(v0)/2) })
 		if probe := step("addrow"); probe.Status == lp.StatusOptimal {
 			vLast := lp.Var(m.NumVars() - 1)
-			both(func(cm *lp.Compiled) { cm.FixVar(vLast, probe.Value(vLast)) })
-			step("fixvar")
+			both(func(cm *lp.Compiled) { cm.AddRow(lp.NewExpr().Add(1, vLast), lp.EQ, probe.Value(vLast)) })
+			step("pin")
 		}
 	}
 	t.Logf("%d BTRANs checked; %d phase-1 and %d dual iterations, %d warm hits", checked, phase1Iters, dualIters, warmHits)

@@ -12,10 +12,10 @@ import (
 // b > 0 and EQ rows need an artificial. Every answer is certified.
 func TestSlackStartRule(t *testing.T) {
 	m := lp.NewModel()
-	x, y, z := m.AddNonNeg("x"), m.AddNonNeg("y"), m.AddVar("z", 0, 4) // z's bound is one more LE row
-	m.AddConstraint("cap", lp.NewExpr().Add(1, x).Add(2, y), lp.LE, 10)
-	m.AddConstraint("cut", lp.NewExpr().Add(1, x).Add(-1, y), lp.GE, 0)
-	m.AddConstraint("cut-", lp.NewExpr().Add(1, z).Add(-1, y), lp.GE, -1)
+	x, y, z := m.AddNonNeg(), m.AddNonNeg(), m.AddVar(0, 4) // z's bound is one more LE row
+	m.AddConstraint(lp.NewExpr().Add(1, x).Add(2, y), lp.LE, 10)
+	m.AddConstraint(lp.NewExpr().Add(1, x).Add(-1, y), lp.GE, 0)
+	m.AddConstraint(lp.NewExpr().Add(1, z).Add(-1, y), lp.GE, -1)
 	m.SetObjective(lp.NewExpr().Add(1, x).Add(1, y).Add(1, z), lp.Maximize)
 	sol, err := lp.Solve(m)
 	if err != nil {
@@ -29,8 +29,8 @@ func TestSlackStartRule(t *testing.T) {
 			sol.Stats.SlackStartRows, sol.Stats.Phase1Iters)
 	}
 
-	m.AddConstraint("floor", lp.NewExpr().Add(1, x), lp.GE, 1)
-	m.AddConstraint("tie", lp.NewExpr().Add(1, y).Add(-1, z), lp.EQ, 0)
+	m.AddConstraint(lp.NewExpr().Add(1, x), lp.GE, 1)
+	m.AddConstraint(lp.NewExpr().Add(1, y).Add(-1, z), lp.EQ, 0)
 	sol, err = lp.Solve(m)
 	if err != nil {
 		t.Fatal(err)
@@ -50,10 +50,10 @@ func TestSlackStartRule(t *testing.T) {
 // certifies the cold and the warm answer against the edited rows.
 func TestCertifyAfterNegativeRHS(t *testing.T) {
 	m := lp.NewModel()
-	x, y := m.AddNonNeg("x"), m.AddNonNeg("y")
-	le := m.AddConstraint("le", lp.NewExpr().Add(1, x).Add(-1, y), lp.LE, 4)
-	ge := m.AddConstraint("ge", lp.NewExpr().Add(1, x).Add(1, y), lp.GE, 3)
-	m.AddConstraint("cap", lp.NewExpr().Add(1, x).Add(1, y), lp.LE, 20)
+	x, y := m.AddNonNeg(), m.AddNonNeg()
+	le := m.AddConstraint(lp.NewExpr().Add(1, x).Add(-1, y), lp.LE, 4)
+	ge := m.AddConstraint(lp.NewExpr().Add(1, x).Add(1, y), lp.GE, 3)
+	m.AddConstraint(lp.NewExpr().Add(1, x).Add(1, y), lp.LE, 20)
 	m.SetObjective(lp.NewExpr().Add(2, x).Add(1, y), lp.Minimize)
 	cm := lp.Compile(m)
 	first, err := cm.Solve(lp.Options{})
@@ -91,8 +91,8 @@ func TestCertifyAfterNegativeRHS(t *testing.T) {
 // wrong answer fails it.
 func TestCertifyRejects(t *testing.T) {
 	m := lp.NewModel()
-	x := m.AddNonNeg("x")
-	m.AddConstraint("cap", lp.NewExpr().Add(1, x), lp.LE, 3)
+	x := m.AddNonNeg()
+	m.AddConstraint(lp.NewExpr().Add(1, x), lp.LE, 3)
 	m.SetObjective(lp.NewExpr().Add(1, x), lp.Maximize)
 	cm := lp.Compile(m)
 	sol, err := cm.Solve(lp.Options{})

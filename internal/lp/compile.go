@@ -37,13 +37,11 @@ type colRef struct {
 
 // Compiled is a model lowered to sparse standard form. It is produced
 // by Compile, solved (repeatedly) with Solve, and extended in place
-// with AddRow, SetRowRHS, and FixVar without recompiling. A Compiled
+// with AddRow and SetRowRHS without recompiling. A Compiled
 // is not safe for concurrent mutation or solving; use Clone to give
 // each worker its own view (clones share the immutable column data
 // copy-on-write).
 type Compiled struct {
-	model *Model // names and bounds for diagnostics; never mutated here
-
 	nRows int // standard-form rows
 	nCols int // standard-form columns (structural + slack/surplus)
 
@@ -71,8 +69,6 @@ type Compiled struct {
 	obj      *Expr
 	dir      Direction
 
-	fixRow map[Var]int // logical row pinning each FixVar'ed variable
-
 	// fac is the basis-factorization workspace every Solve of this
 	// Compiled runs in (see workspace); nil until the first solve.
 	fac *sparseFactor
@@ -95,13 +91,11 @@ type rowTerm struct {
 func Compile(mod *Model) *Compiled {
 	start := time.Now()
 	cm := &Compiled{
-		model:      mod,
 		nModel:     mod.NumVars(),
 		nModelCons: mod.NumConstraints(),
 		nLogical:   mod.NumConstraints(),
 		obj:        mod.obj.Clone(),
 		dir:        mod.dir,
-		fixRow:     make(map[Var]int),
 	}
 	cm.refs = make([]colRef, mod.NumVars())
 
@@ -268,8 +262,9 @@ func (cm *Compiled) ensureOwn(j int) {
 // recompiling and returns its logical row index (continuing the
 // model's constraint numbering, e.g. for Solution.Dual). The next
 // Solve with a WarmStart basis captured before the append starts the
-// new rows on their slack (or a signed artificial for EQ rows), so
-// only the incremental work is re-done.
+// new rows on their slack, so only the incremental work is re-done; an
+// EQ row starts on a signed artificial, and one the basis leaves
+// carrying value sends the solve cold.
 func (cm *Compiled) AddRow(expr *Expr, sense Sense, rhs float64) int {
 	e := expr.Clone()
 	e.compact()
@@ -376,20 +371,6 @@ func (cm *Compiled) RowRHS(i int) float64 { return cm.lrhs[i] }
 // appended rows).
 func (cm *Compiled) NumRows() int { return cm.nLogical }
 
-// FixVar pins variable v to val by adding (or updating) an equality
-// row v = val, and returns that row's logical index. Unlike changing
-// the variable's bounds, this keeps the standard-form layout stable
-// so warm bases remain valid.
-func (cm *Compiled) FixVar(v Var, val float64) int {
-	if row, ok := cm.fixRow[v]; ok {
-		cm.SetRowRHS(row, val)
-		return row
-	}
-	row := cm.AddRow(NewExpr().Add(1, v), EQ, val)
-	cm.fixRow[v] = row
-	return row
-}
-
 // Clone returns an independently mutable view sharing the immutable
 // column data (copied lazily if the clone appends rows). Cloning is
 // how the parallel scenario sweep gives each worker its own RHS
@@ -410,19 +391,14 @@ func (cm *Compiled) Clone() *Compiled {
 	d.stdRow = append([]int(nil), cm.stdRow...)
 	d.lrhs = append([]float64(nil), cm.lrhs...)
 	d.fac = nil // the clone may solve concurrently with cm: it grows its own workspace
-	d.fixRow = make(map[Var]int, len(cm.fixRow))
-	for v, r := range cm.fixRow {
-		d.fixRow[v] = r
-	}
 	return &d
 }
 
 // Basis identifies the basic column of every standard-form row of a
 // solved Compiled. It is captured on optimal solutions (Solution.
 // Basis) and fed back through Options.WarmStart; a basis stays valid
-// across SetRowRHS/FixVar edits and AddRow appends on the same
-// Compiled (rows appended after capture start on their slack or an
-// artificial).
+// across SetRowRHS edits and AddRow appends on the same Compiled (rows
+// appended after capture start on their slack or an artificial).
 type Basis struct {
 	cols  []int // basic std column per row; -(r+1) encodes row r's artificial
 	nRows int

@@ -48,8 +48,9 @@ type SolveError struct {
 	// Iterations is the number of simplex iterations completed across
 	// both phases when the solve aborted.
 	Iterations int
-	// Phase is the simplex phase (1 or 2) that aborted, or 0 when the
-	// solve never started iterating.
+	// Phase is the simplex phase that aborted (1 or 2 for the primal
+	// phases, 3 for the dual simplex), or 0 when the solve never started
+	// iterating.
 	Phase int
 	// LastObjective is the most recent phase objective observed (the
 	// phase-1 infeasibility sum or the phase-2 cost), +Inf if no

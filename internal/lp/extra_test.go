@@ -3,45 +3,8 @@ package lp
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
-
-func TestModelClone(t *testing.T) {
-	m := NewModel()
-	x := m.AddVar("x", 0, 5)
-	m.AddConstraint("c", NewExpr().Add(1, x), LE, 3)
-	m.SetObjective(NewExpr().Add(1, x), Maximize)
-
-	c := m.Clone()
-	// Mutating the clone must not affect the original.
-	y := c.AddNonNeg("y")
-	c.AddConstraint("c2", NewExpr().Add(1, y), LE, 1)
-	if m.NumVars() != 1 || m.NumConstraints() != 1 {
-		t.Fatal("clone mutated original")
-	}
-	solOrig := mustOptimal(t, m)
-	approx(t, solOrig.Objective, 3, "original objective")
-	solClone, err := Solve(c)
-	if err != nil || solClone.Status != StatusOptimal {
-		t.Fatalf("clone solve: %v %v", err, solClone.Status)
-	}
-	approx(t, solClone.Objective, 3, "clone objective")
-}
-
-func TestModelString(t *testing.T) {
-	m := NewModel()
-	x := m.AddNonNeg("alpha")
-	y := m.AddNonNeg("beta")
-	m.AddConstraint("row1", NewExpr().Add(2, x).Add(-1, y), LE, 7)
-	m.SetObjective(NewExpr().Add(3, x), Maximize)
-	s := m.String()
-	for _, want := range []string{"maximize", "alpha", "beta", "row1", "<=", "7"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() missing %q:\n%s", want, s)
-		}
-	}
-}
 
 func TestSenseString(t *testing.T) {
 	if LE.String() != "<=" || GE.String() != ">=" || EQ.String() != "=" {
@@ -60,14 +23,14 @@ func TestIterLimitStatus(t *testing.T) {
 	m := NewModel()
 	vars := make([]Var, 12)
 	for i := range vars {
-		vars[i] = m.AddVar("x", 0, 1)
+		vars[i] = m.AddVar(0, 1)
 	}
 	obj := NewExpr()
 	for _, v := range vars {
 		obj.Add(1, v)
 	}
 	for i := 0; i+1 < len(vars); i++ {
-		m.AddConstraint("c", NewExpr().Add(1, vars[i]).Add(1, vars[i+1]), LE, 1.5)
+		m.AddConstraint(NewExpr().Add(1, vars[i]).Add(1, vars[i+1]), LE, 1.5)
 	}
 	m.SetObjective(obj, Maximize)
 	sol, err := SolveWithOptions(m, Options{MaxIter: 1})
@@ -86,15 +49,15 @@ func TestVarBoundsPanic(t *testing.T) {
 		}
 	}()
 	m := NewModel()
-	m.AddVar("x", 2, 1)
+	m.AddVar(2, 1)
 }
 
 func TestDualOnEqualityRow(t *testing.T) {
 	// max x+y s.t. x+y = 4 (dual 1), x <= 3.
 	m := NewModel()
-	x := m.AddVar("x", 0, 3)
-	y := m.AddNonNeg("y")
-	eq := m.AddConstraint("eq", NewExpr().Add(1, x).Add(1, y), EQ, 4)
+	x := m.AddVar(0, 3)
+	y := m.AddNonNeg()
+	eq := m.AddConstraint(NewExpr().Add(1, x).Add(1, y), EQ, 4)
 	m.SetObjective(NewExpr().Add(1, x).Add(1, y), Maximize)
 	sol := mustOptimal(t, m)
 	approx(t, sol.Objective, 4, "objective")
@@ -110,7 +73,7 @@ func TestHighlyDegenerateAssignment(t *testing.T) {
 	for i := range x {
 		x[i] = make([]Var, n)
 		for j := range x[i] {
-			x[i][j] = m.AddNonNeg("x")
+			x[i][j] = m.AddNonNeg()
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -119,8 +82,8 @@ func TestHighlyDegenerateAssignment(t *testing.T) {
 			rowE.Add(1, x[i][j])
 			colE.Add(1, x[j][i])
 		}
-		m.AddConstraint("r", rowE, EQ, 1)
-		m.AddConstraint("c", colE, EQ, 1)
+		m.AddConstraint(rowE, EQ, 1)
+		m.AddConstraint(colE, EQ, 1)
 	}
 	rng := rand.New(rand.NewSource(3))
 	obj := NewExpr()
@@ -181,7 +144,7 @@ func BenchmarkSolveTransportation(b *testing.B) {
 		for i := range x {
 			x[i] = make([]Var, markets)
 			for j := range x[i] {
-				x[i][j] = m.AddNonNeg("x")
+				x[i][j] = m.AddNonNeg()
 			}
 		}
 		for i := 0; i < plants; i++ {
@@ -189,14 +152,14 @@ func BenchmarkSolveTransportation(b *testing.B) {
 			for j := 0; j < markets; j++ {
 				e.Add(1, x[i][j])
 			}
-			m.AddConstraint("s", e, LE, supply[i])
+			m.AddConstraint(e, LE, supply[i])
 		}
 		for j := 0; j < markets; j++ {
 			e := NewExpr()
 			for i := 0; i < plants; i++ {
 				e.Add(1, x[i][j])
 			}
-			m.AddConstraint("d", e, GE, demand[j])
+			m.AddConstraint(e, GE, demand[j])
 		}
 		obj := NewExpr()
 		for i := 0; i < plants; i++ {
@@ -225,16 +188,16 @@ func BenchmarkRobustCompile(b *testing.B) {
 		constPart := NewExpr()
 		var bud []AdvTerm
 		for k := 0; k < 20; k++ {
-			a := m.AddNonNeg("a")
-			y := p.AddVar("y")
+			a := m.AddNonNeg()
+			y := p.AddVar()
 			p.AddUpperBound(y, 1)
 			bud = append(bud, AdvTerm{y, 1})
 			costs[k] = NewExpr().Add(-1, a)
 			constPart.Add(1, a)
 		}
-		p.AddRow("budget", bud, LE, 2)
-		z := m.AddNonNeg("z")
-		RobustGE(m, "r", p, costs, constPart, NewExpr().Add(1, z))
+		p.AddRow(bud, LE, 2)
+		z := m.AddNonNeg()
+		RobustGE(m, p, costs, constPart, NewExpr().Add(1, z))
 	}
 }
 
@@ -250,18 +213,18 @@ func TestRandomWithEqualityAndFreeVars(t *testing.T) {
 		for i := range vars {
 			switch rng.Intn(3) {
 			case 0:
-				vars[i] = m.AddVar("x", 0, 1+4*rng.Float64())
+				vars[i] = m.AddVar(0, 1+4*rng.Float64())
 			case 1:
-				vars[i] = m.AddVar("x", -2, 3)
+				vars[i] = m.AddVar(-2, 3)
 			default:
 				// Free variable, later pinned by constraints.
-				vars[i] = m.AddVar("x", math.Inf(-1), math.Inf(1))
+				vars[i] = m.AddVar(math.Inf(-1), math.Inf(1))
 			}
 		}
 		// Box everything so the LP stays bounded even with free vars.
 		for i := range vars {
-			m.AddConstraint("lo", NewExpr().Add(1, vars[i]), GE, -4)
-			m.AddConstraint("hi", NewExpr().Add(1, vars[i]), LE, 4)
+			m.AddConstraint(NewExpr().Add(1, vars[i]), GE, -4)
+			m.AddConstraint(NewExpr().Add(1, vars[i]), LE, 4)
 		}
 		k := 1 + rng.Intn(3)
 		for r := 0; r < k; r++ {
@@ -270,7 +233,7 @@ func TestRandomWithEqualityAndFreeVars(t *testing.T) {
 				e.Add(math.Floor(5*rng.Float64()-2), vars[i])
 			}
 			sense := []Sense{LE, GE, EQ}[rng.Intn(3)]
-			m.AddConstraint("r", e, sense, math.Floor(6*rng.Float64()-2))
+			m.AddConstraint(e, sense, math.Floor(6*rng.Float64()-2))
 		}
 		obj := NewExpr()
 		for i := 0; i < n; i++ {

@@ -20,12 +20,12 @@ import (
 // tunnels use — the live tunnels' reservations must cover d·z.
 func cutMaster(g *topology.Graph, tm *traffic.Matrix, ts *tunnels.Set) *lp.Model {
 	m := lp.NewModel()
-	z := m.AddNonNeg("z")
+	z := m.AddNonNeg()
 	res := map[tunnels.ID]lp.Var{}
 	perArc := make([]*lp.Expr, g.NumArcs())
 	for _, p := range ts.Pairs() {
 		for _, id := range ts.ForPair(p) {
-			res[id] = m.AddNonNeg("a")
+			res[id] = m.AddNonNeg()
 			for _, arc := range ts.Tunnel(id).Path.Arcs {
 				if perArc[arc] == nil {
 					perArc[arc] = lp.NewExpr()
@@ -36,7 +36,7 @@ func cutMaster(g *topology.Graph, tm *traffic.Matrix, ts *tunnels.Set) *lp.Model
 	}
 	for arc, e := range perArc {
 		if e != nil {
-			m.AddConstraint("cap", e, lp.LE, g.ArcCapacity(topology.ArcID(arc)))
+			m.AddConstraint(e, lp.LE, g.ArcCapacity(topology.ArcID(arc)))
 		}
 	}
 	for _, p := range ts.Pairs() {
@@ -55,7 +55,7 @@ func cutMaster(g *topology.Graph, tm *traffic.Matrix, ts *tunnels.Set) *lp.Model
 				}
 			}
 			if hit {
-				m.AddConstraint("cut", e, lp.GE, 0)
+				m.AddConstraint(e, lp.GE, 0)
 			}
 		}
 	}
@@ -70,7 +70,7 @@ func cutMaster(g *topology.Graph, tm *traffic.Matrix, ts *tunnels.Set) *lp.Model
 // bases get close to all-structural.
 func flowLP(g *topology.Graph, tm *traffic.Matrix) *lp.Model {
 	m := lp.NewModel()
-	z := m.AddNonNeg("z")
+	z := m.AddNonNeg()
 	n := g.NumNodes()
 	perArc := make([]*lp.Expr, g.NumArcs())
 	for a := range perArc {
@@ -86,7 +86,7 @@ func flowLP(g *topology.Graph, tm *traffic.Matrix) *lp.Model {
 		}
 		flow := make([]lp.Var, g.NumArcs())
 		for a := range flow {
-			flow[a] = m.AddNonNeg("f")
+			flow[a] = m.AddNonNeg()
 			perArc[a].Add(1, flow[a])
 		}
 		for v := 0; v < n; v++ {
@@ -100,12 +100,12 @@ func flowLP(g *topology.Graph, tm *traffic.Matrix) *lp.Model {
 			if d := tm.Demand[v][t]; d > 0 {
 				e.Add(-d, z)
 			}
-			m.AddConstraint("bal", e, lp.EQ, 0)
+			m.AddConstraint(e, lp.EQ, 0)
 		}
 	}
 	for a, e := range perArc {
 		if len(e.Terms) > 0 {
-			m.AddConstraint("cap", e, lp.LE, g.ArcCapacity(topology.ArcID(a)))
+			m.AddConstraint(e, lp.LE, g.ArcCapacity(topology.ArcID(a)))
 		}
 	}
 	m.SetObjective(lp.NewExpr().Add(1, z), lp.Maximize)
@@ -183,10 +183,10 @@ func TestKernelSolveMatchesFullLU(t *testing.T) {
 	// k = m: three equalities over three variables, two per row, so no
 	// basic column of the optimal basis has a single entry.
 	m := lp.NewModel()
-	x := []lp.Var{m.AddNonNeg("x0"), m.AddNonNeg("x1"), m.AddNonNeg("x2")}
+	x := []lp.Var{m.AddNonNeg(), m.AddNonNeg(), m.AddNonNeg()}
 	eq := make([]int, 3)
 	for i, rhs := range []float64{3, 4, 5} {
-		eq[i] = m.AddConstraint("eq", lp.NewExpr().Add(1, x[i]).Add(1, x[(i+1)%3]), lp.EQ, rhs)
+		eq[i] = m.AddConstraint(lp.NewExpr().Add(1, x[i]).Add(1, x[(i+1)%3]), lp.EQ, rhs)
 	}
 	m.SetObjective(lp.NewExpr().Add(1, x[0]), lp.Minimize)
 	cm := lp.Compile(m)
@@ -205,9 +205,9 @@ func TestKernelSolveMatchesFullLU(t *testing.T) {
 	// Hand-placed bases over two "≤" rows: u sits in row 0 only, w in
 	// row 1 only, v in both.
 	m = lp.NewModel()
-	u, v, w := m.AddNonNeg("u"), m.AddNonNeg("v"), m.AddNonNeg("w")
-	r0 := m.AddConstraint("r0", lp.NewExpr().Add(2, u).Add(1, v), lp.LE, 4)
-	r1 := m.AddConstraint("r1", lp.NewExpr().Add(1, w).Add(3, v), lp.LE, 6)
+	u, v, w := m.AddNonNeg(), m.AddNonNeg(), m.AddNonNeg()
+	r0 := m.AddConstraint(lp.NewExpr().Add(2, u).Add(1, v), lp.LE, 4)
+	r1 := m.AddConstraint(lp.NewExpr().Add(1, w).Add(3, v), lp.LE, 6)
 	m.SetObjective(lp.NewExpr().Add(1, u).Add(1, v).Add(1, w), lp.Maximize)
 	cm = lp.Compile(m)
 	s0, s1 := cm.SlackColumn(r0), cm.SlackColumn(r1)

@@ -1,5 +1,5 @@
 // Package lp provides a self-contained linear programming toolkit: a
-// model builder with named variables and linear constraints, a two-phase
+// model builder over numbered variables and linear constraints, a two-phase
 // primal simplex solver, and a robust-constraint compiler that dualizes
 // inner adversarial minimizations (the technique PCF's appendix uses to
 // keep its failure-resilient models polynomial size).
@@ -16,7 +16,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 )
 
 // Sense is the direction of a constraint row.
@@ -119,7 +118,6 @@ func (e *Expr) compact() {
 
 // Constraint is a single linear constraint LHS sense RHS.
 type Constraint struct {
-	Name  Name
 	Expr  *Expr
 	Sense Sense
 	RHS   float64
@@ -138,78 +136,48 @@ const (
 // Model is a linear program under construction. The zero value is not
 // usable; create models with NewModel.
 type Model struct {
-	names   []Name
-	lower   []float64
-	upper   []float64
-	cons    []Constraint
-	obj     *Expr
-	dir     Direction
-	varBy   map[string]Var
-	nameDup map[string]int
+	lower []float64
+	upper []float64
+	cons  []Constraint
+	obj   *Expr
+	dir   Direction
 }
 
 // NewModel returns an empty model.
-func NewModel() *Model {
-	return &Model{obj: &Expr{}, varBy: make(map[string]Var), nameDup: make(map[string]int)}
-}
+func NewModel() *Model { return &Model{obj: &Expr{}} }
 
 // NumVars reports the number of variables added so far.
-func (m *Model) NumVars() int { return len(m.names) }
+func (m *Model) NumVars() int { return len(m.lower) }
 
 // NumConstraints reports the number of constraint rows added so far.
 func (m *Model) NumConstraints() int { return len(m.cons) }
 
 // AddVar adds a variable with the given bounds. Use math.Inf(1) for an
-// unbounded-above variable. Names must be unique; a duplicate name gets
-// a numeric suffix so that debugging output stays readable.
-func (m *Model) AddVar(name string, lower, upper float64) Var {
-	if _, ok := m.varBy[name]; ok {
-		m.nameDup[name]++
-		name = fmt.Sprintf("%s#%d", name, m.nameDup[name])
-	}
-	v := m.AddVarN(Lit(name), lower, upper)
-	m.varBy[name] = v
-	return v
-}
-
-// AddVarN is AddVar with a lazy Name. It skips the duplicate-name
-// bookkeeping (and its rendering cost): pattern-named variables are
-// unique by construction at their naming sites.
-func (m *Model) AddVarN(name Name, lower, upper float64) Var {
+// unbounded-above variable.
+func (m *Model) AddVar(lower, upper float64) Var {
 	if lower > upper {
 		//lint:ignore pcflint/nopanic documented model-builder precondition; bounds are authored in code, and a silently clamped model would solve the wrong LP
-		panic(fmt.Sprintf("lp: variable %s has lower bound %g > upper bound %g", name, lower, upper))
+		panic(fmt.Sprintf("lp: variable %d has lower bound %g > upper bound %g", len(m.lower), lower, upper))
 	}
-	v := Var(len(m.names))
-	m.names = append(m.names, name)
 	m.lower = append(m.lower, lower)
 	m.upper = append(m.upper, upper)
-	return v
+	return Var(len(m.lower) - 1)
 }
 
 // AddNonNeg adds a variable bounded to [0, +inf).
-func (m *Model) AddNonNeg(name string) Var { return m.AddVar(name, 0, math.Inf(1)) }
-
-// AddNonNegN is AddNonNeg with a lazy Name.
-func (m *Model) AddNonNegN(name Name) Var { return m.AddVarN(name, 0, math.Inf(1)) }
+func (m *Model) AddNonNeg() Var { return m.AddVar(0, math.Inf(1)) }
 
 // Bounds returns the lower and upper bound of v.
 func (m *Model) Bounds(v Var) (lo, hi float64) { return m.lower[v], m.upper[v] }
 
 // AddConstraint adds expr sense rhs as a row and returns its index.
-func (m *Model) AddConstraint(name string, expr *Expr, sense Sense, rhs float64) int {
-	return m.AddConstraintN(Lit(name), expr, sense, rhs)
-}
-
-// AddConstraintN is AddConstraint with a lazy Name, deferring the
-// name's rendering to diagnostics that actually need it.
-func (m *Model) AddConstraintN(name Name, expr *Expr, sense Sense, rhs float64) int {
+func (m *Model) AddConstraint(expr *Expr, sense Sense, rhs float64) int {
 	e := expr.Clone()
 	e.compact()
 	// Fold the expression offset into the right-hand side.
 	rhs -= e.Offset
 	e.Offset = 0
-	m.cons = append(m.cons, Constraint{Name: name, Expr: e, Sense: sense, RHS: rhs})
+	m.cons = append(m.cons, Constraint{Expr: e, Sense: sense, RHS: rhs})
 	return len(m.cons) - 1
 }
 
@@ -271,7 +239,6 @@ type Solution struct {
 	Stats  SolveStats
 	values []float64
 	duals  []float64
-	model  *Model
 }
 
 // Value returns the optimal value of v.
@@ -306,76 +273,6 @@ func (s *Solution) Eval(e *Expr) float64 {
 		total += t.Coeff * s.Value(t.Var)
 	}
 	return total
-}
-
-// String renders the model in an LP-format-like listing, useful in
-// tests and debugging. Large models are truncated.
-func (m *Model) String() string {
-	var b strings.Builder
-	if m.dir == Maximize {
-		b.WriteString("maximize ")
-	} else {
-		b.WriteString("minimize ")
-	}
-	b.WriteString(m.exprString(m.obj))
-	b.WriteString("\nsubject to\n")
-	const maxRows = 200
-	for i, c := range m.cons {
-		if i >= maxRows {
-			fmt.Fprintf(&b, "  ... (%d more rows)\n", len(m.cons)-maxRows)
-			break
-		}
-		fmt.Fprintf(&b, "  %s: %s %s %g\n", c.Name, m.exprString(c.Expr), c.Sense, c.RHS)
-	}
-	return b.String()
-}
-
-func (m *Model) exprString(e *Expr) string {
-	var b strings.Builder
-	for i, t := range e.Terms {
-		if i > 0 {
-			if t.Coeff >= 0 {
-				b.WriteString(" + ")
-			} else {
-				b.WriteString(" - ")
-			}
-		} else if t.Coeff < 0 {
-			b.WriteString("-")
-		}
-		c := math.Abs(t.Coeff)
-		//lint:ignore pcflint/floatcmp exact compare against 1 only drops the coefficient from debug output; no numerical decision depends on it
-		if c != 1 {
-			fmt.Fprintf(&b, "%g ", c)
-		}
-		b.WriteString(m.names[t.Var].String())
-	}
-	if e.Offset != 0 || len(e.Terms) == 0 {
-		fmt.Fprintf(&b, " + %g", e.Offset)
-	}
-	return b.String()
-}
-
-// Clone returns a deep copy of the model; constraints and objective
-// added to the copy do not affect the original. Used by the
-// cutting-plane engine to rebuild masters with a different cut set.
-func (m *Model) Clone() *Model {
-	c := NewModel()
-	c.names = append([]Name(nil), m.names...)
-	c.lower = append([]float64(nil), m.lower...)
-	c.upper = append([]float64(nil), m.upper...)
-	for name, v := range m.varBy {
-		c.varBy[name] = v
-	}
-	for name, n := range m.nameDup {
-		c.nameDup[name] = n
-	}
-	c.cons = make([]Constraint, len(m.cons))
-	for i, con := range m.cons {
-		c.cons[i] = Constraint{Name: con.Name, Expr: con.Expr.Clone(), Sense: con.Sense, RHS: con.RHS}
-	}
-	c.obj = m.obj.Clone()
-	c.dir = m.dir
-	return c
 }
 
 // Perturb applies a deterministic multiplicative perturbation of

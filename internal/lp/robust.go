@@ -34,7 +34,6 @@ type AdvTerm struct {
 }
 
 type polyRow struct {
-	name  string
 	terms []AdvTerm
 	sense Sense
 	rhs   float64
@@ -44,7 +43,7 @@ type polyRow struct {
 // implicitly nonnegative; all other structure (upper bounds, budgets,
 // coupling rows) is expressed as rows.
 type Polytope struct {
-	names []string
+	nVars int
 	rows  []polyRow
 	// cm is the rows lowered to standard form for Minimize: compiled on
 	// its first call, re-costed on every later one, dropped by AddVar and
@@ -57,27 +56,27 @@ type Polytope struct {
 func NewPolytope() *Polytope { return &Polytope{} }
 
 // AddVar adds an adversary variable w >= 0.
-func (p *Polytope) AddVar(name string) AdvVar {
+func (p *Polytope) AddVar() AdvVar {
 	p.cm = nil
-	p.names = append(p.names, name)
-	return AdvVar(len(p.names) - 1)
+	p.nVars++
+	return AdvVar(p.nVars - 1)
 }
 
 // NumVars reports the number of adversary variables.
-func (p *Polytope) NumVars() int { return len(p.names) }
+func (p *Polytope) NumVars() int { return p.nVars }
 
 // NumRows reports the number of polytope rows.
 func (p *Polytope) NumRows() int { return len(p.rows) }
 
 // AddRow adds a linear row over adversary variables.
-func (p *Polytope) AddRow(name string, terms []AdvTerm, sense Sense, rhs float64) {
+func (p *Polytope) AddRow(terms []AdvTerm, sense Sense, rhs float64) {
 	p.cm = nil
-	p.rows = append(p.rows, polyRow{name: name, terms: terms, sense: sense, rhs: rhs})
+	p.rows = append(p.rows, polyRow{terms: terms, sense: sense, rhs: rhs})
 }
 
 // AddUpperBound adds w <= ub as a row.
 func (p *Polytope) AddUpperBound(v AdvVar, ub float64) {
-	p.AddRow(p.names[v]+"<=ub", []AdvTerm{{v, 1}}, LE, ub)
+	p.AddRow([]AdvTerm{{v, 1}}, LE, ub)
 }
 
 // RobustGE compiles the robust constraint
@@ -85,13 +84,12 @@ func (p *Polytope) AddUpperBound(v AdvVar, ub float64) {
 //	constPart + min_{w in p} sum_j costs[j]*w_j >= rhs
 //
 // into the master model. costs[j] may be nil, meaning zero cost for
-// that adversary variable. All introduced dual variables are prefixed
-// with name for debuggability.
-func RobustGE(m *Model, name string, p *Polytope, costs []*Expr, constPart, rhs *Expr) {
+// that adversary variable.
+func RobustGE(m *Model, p *Polytope, costs []*Expr, constPart, rhs *Expr) {
 	if len(costs) != p.NumVars() {
 		//lint:ignore pcflint/nopanic documented dualization precondition; an arity mismatch is a bug in the adversary builder, not a data condition
-		panic(fmt.Sprintf("lp: RobustGE %s: %d cost expressions for %d adversary vars",
-			name, len(costs), p.NumVars()))
+		panic(fmt.Sprintf("lp: RobustGE: %d cost expressions for %d adversary vars",
+			len(costs), p.NumVars()))
 	}
 	// One dual variable per polytope row.
 	duals := make([]Var, len(p.rows))
@@ -105,7 +103,7 @@ func RobustGE(m *Model, name string, p *Polytope, costs []*Expr, constPart, rhs 
 		case EQ:
 			lo, hi = math.Inf(-1), math.Inf(1)
 		}
-		duals[r] = m.AddVar(fmt.Sprintf("%s.u[%s]", name, row.name), lo, hi)
+		duals[r] = m.AddVar(lo, hi)
 	}
 	// Guarantee row: constPart + sum_r rhs_r * u_r - rhs >= 0.
 	g := NewExpr()
@@ -118,7 +116,7 @@ func RobustGE(m *Model, name string, p *Polytope, costs []*Expr, constPart, rhs 
 	if rhs != nil {
 		g.AddExpr(-1, rhs)
 	}
-	m.AddConstraint(name+".guarantee", g, GE, 0)
+	m.AddConstraint(g, GE, 0)
 
 	// Dual feasibility: for each adversary var j, sum_r A_rj u_r <= costs_j.
 	colTerms := make([][]Term, p.NumVars())
@@ -132,7 +130,7 @@ func RobustGE(m *Model, name string, p *Polytope, costs []*Expr, constPart, rhs 
 		if costs[j] != nil {
 			e.AddExpr(-1, costs[j])
 		}
-		m.AddConstraint(fmt.Sprintf("%s.dual[%s]", name, p.names[j]), e, LE, 0)
+		m.AddConstraint(e, LE, 0)
 	}
 }
 
@@ -151,15 +149,15 @@ func (p *Polytope) Minimize(costs []float64) (float64, []float64, error) {
 	}
 	if p.cm == nil {
 		m := NewModel()
-		for _, name := range p.names {
-			m.AddNonNeg(name) // model variable j is adversary variable j
+		for j := 0; j < p.nVars; j++ {
+			m.AddNonNeg() // model variable j is adversary variable j
 		}
 		for _, row := range p.rows {
 			e := NewExpr()
 			for _, t := range row.terms {
 				e.Add(t.Coeff, Var(t.Var))
 			}
-			m.AddConstraint(row.name, e, row.sense, row.rhs)
+			m.AddConstraint(e, row.sense, row.rhs)
 		}
 		m.SetObjective(NewExpr(), Minimize)
 		p.cm = Compile(m)

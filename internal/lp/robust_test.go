@@ -17,24 +17,24 @@ func TestRobustKnapsackAdversary(t *testing.T) {
 	m := NewModel()
 	a := make([]Var, k)
 	for i := range a {
-		a[i] = m.AddNonNeg("a")
+		a[i] = m.AddNonNeg()
 	}
-	z := m.AddNonNeg("z")
+	z := m.AddNonNeg()
 	budget := NewExpr()
 	for _, v := range a {
 		budget.Add(1, v)
 	}
-	m.AddConstraint("budget", budget, LE, C)
+	m.AddConstraint(budget, LE, C)
 
 	p := NewPolytope()
 	y := make([]AdvVar, k)
 	bud := make([]AdvTerm, k)
 	for i := range y {
-		y[i] = p.AddVar("y")
+		y[i] = p.AddVar()
 		p.AddUpperBound(y[i], 1)
 		bud[i] = AdvTerm{y[i], 1}
 	}
-	p.AddRow("fail-budget", bud, LE, f)
+	p.AddRow(bud, LE, f)
 
 	// constPart = sum a_l; costs_j = -a_j (inner min of sum a_l(1-y_l)).
 	constPart := NewExpr()
@@ -43,7 +43,7 @@ func TestRobustKnapsackAdversary(t *testing.T) {
 		constPart.Add(1, a[i])
 		costs[i] = NewExpr().Add(-1, a[i])
 	}
-	RobustGE(m, "resil", p, costs, constPart, NewExpr().Add(1, z))
+	RobustGE(m, p, costs, constPart, NewExpr().Add(1, z))
 	m.SetObjective(NewExpr().Add(1, z), Maximize)
 	sol := mustOptimal(t, m)
 	approx(t, sol.Objective, C*float64(k-f)/float64(k), "guaranteed bandwidth")
@@ -63,23 +63,23 @@ func TestRobustMatchesSeparation(t *testing.T) {
 		m := NewModel()
 		a := make([]Var, k)
 		for i := range a {
-			a[i] = m.AddVar("a", 0, caps[i])
+			a[i] = m.AddVar(0, caps[i])
 		}
-		z := m.AddNonNeg("z")
+		z := m.AddNonNeg()
 
 		p := NewPolytope()
 		costs := make([]*Expr, k)
 		constPart := NewExpr()
 		bud := make([]AdvTerm, 0, k)
 		for i := 0; i < k; i++ {
-			y := p.AddVar("y")
+			y := p.AddVar()
 			p.AddUpperBound(y, 1)
 			bud = append(bud, AdvTerm{y, 1})
 			costs[i] = NewExpr().Add(-1, a[i])
 			constPart.Add(1, a[i])
 		}
-		p.AddRow("budget", bud, LE, float64(f))
-		RobustGE(m, "r", p, costs, constPart, NewExpr().Add(1, z))
+		p.AddRow(bud, LE, float64(f))
+		RobustGE(m, p, costs, constPart, NewExpr().Add(1, z))
 		m.SetObjective(NewExpr().Add(1, z), Maximize)
 		sol := mustOptimal(t, m)
 
@@ -116,19 +116,19 @@ func TestRobustWithEqualityRows(t *testing.T) {
 	// ... instead make available = a + b*h with budget x <= 1, and the
 	// worst case is x = 0 (h = 0): guarantee = a.
 	m := NewModel()
-	a := m.AddVar("a", 0, 1)
-	b := m.AddVar("b", 0, 2)
-	z := m.AddNonNeg("z")
+	a := m.AddVar(0, 1)
+	b := m.AddVar(0, 2)
+	z := m.AddNonNeg()
 
 	p := NewPolytope()
-	x := p.AddVar("x")
-	h := p.AddVar("h")
+	x := p.AddVar()
+	h := p.AddVar()
 	p.AddUpperBound(x, 1)
-	p.AddRow("h=x", []AdvTerm{{h, 1}, {x, -1}}, EQ, 0)
+	p.AddRow([]AdvTerm{{h, 1}, {x, -1}}, EQ, 0)
 
 	costs := []*Expr{nil, NewExpr().Add(1, b)} // cost on h is +b
 	constPart := NewExpr().Add(1, a)
-	RobustGE(m, "cond", p, costs, constPart, NewExpr().Add(1, z))
+	RobustGE(m, p, costs, constPart, NewExpr().Add(1, z))
 	m.SetObjective(NewExpr().Add(1, z), Maximize)
 	sol := mustOptimal(t, m)
 	approx(t, sol.Objective, 1, "guarantee ignores conditional reservation")
@@ -142,19 +142,19 @@ func TestRobustConditionalHelps(t *testing.T) {
 	// when h=x. Guarantee = min over x in [0,1] of a(1-x) + b*x.
 	// With a <= 2, b <= 1.5 the best is z = min(a, b) = 1.5.
 	m := NewModel()
-	a := m.AddVar("a", 0, 2)
-	b := m.AddVar("b", 0, 1.5)
-	z := m.AddNonNeg("z")
+	a := m.AddVar(0, 2)
+	b := m.AddVar(0, 1.5)
+	z := m.AddNonNeg()
 
 	p := NewPolytope()
-	x := p.AddVar("x")
-	h := p.AddVar("h")
+	x := p.AddVar()
+	h := p.AddVar()
 	p.AddUpperBound(x, 1)
-	p.AddRow("h=x", []AdvTerm{{h, 1}, {x, -1}}, EQ, 0)
+	p.AddRow([]AdvTerm{{h, 1}, {x, -1}}, EQ, 0)
 
 	costs := []*Expr{NewExpr().Add(-1, a), NewExpr().Add(1, b)}
 	constPart := NewExpr().Add(1, a)
-	RobustGE(m, "cond", p, costs, constPart, NewExpr().Add(1, z))
+	RobustGE(m, p, costs, constPart, NewExpr().Add(1, z))
 	m.SetObjective(NewExpr().Add(1, z), Maximize)
 	sol := mustOptimal(t, m)
 	approx(t, sol.Objective, 1.5, "conditional backup guarantee")
@@ -164,11 +164,11 @@ func TestRobustConditionalHelps(t *testing.T) {
 // the polytope and achieves the LP lower bound.
 func TestPolytopeMinimizeVertex(t *testing.T) {
 	p := NewPolytope()
-	v1 := p.AddVar("w1")
-	v2 := p.AddVar("w2")
+	v1 := p.AddVar()
+	v2 := p.AddVar()
 	p.AddUpperBound(v1, 1)
 	p.AddUpperBound(v2, 1)
-	p.AddRow("sum", []AdvTerm{{v1, 1}, {v2, 1}}, LE, 1)
+	p.AddRow([]AdvTerm{{v1, 1}, {v2, 1}}, LE, 1)
 	val, w, err := p.Minimize([]float64{-3, -2})
 	if err != nil {
 		t.Fatal(err)
@@ -189,13 +189,13 @@ func TestPolytopeMinimizeReusesCompiledRows(t *testing.T) {
 		p := NewPolytope()
 		terms := make([]AdvTerm, vars)
 		for j := range terms {
-			v := p.AddVar("w")
+			v := p.AddVar()
 			p.AddUpperBound(v, 1)
 			terms[j] = AdvTerm{v, 1}
 		}
-		p.AddRow("budget", terms, LE, 2)
+		p.AddRow(terms, LE, 2)
 		if extra {
-			p.AddRow("pair", terms[:2], LE, 1)
+			p.AddRow(terms[:2], LE, 1)
 		}
 		return p
 	}
@@ -232,13 +232,13 @@ func TestPolytopeMinimizeReusesCompiledRows(t *testing.T) {
 	if cm == nil {
 		t.Fatal("Minimize kept no compiled rows")
 	}
-	p.AddRow("pair", []AdvTerm{{0, 1}, {1, 1}}, LE, 1)
+	p.AddRow([]AdvTerm{{0, 1}, {1, 1}}, LE, 1)
 	same("after AddRow", p, build(6, true), []float64{-1, -1, -1, 0, 0, 0})
 	if p.cm == cm {
 		t.Fatal("AddRow kept the stale compiled rows")
 	}
 	cm = p.cm
-	v := p.AddVar("w")
+	v := p.AddVar()
 	p.AddUpperBound(v, 1)
 	if got, _, err := p.Minimize([]float64{0, 0, 0, 0, 0, 0, -1}); err != nil || p.cm == cm {
 		t.Fatalf("after AddVar: err %v, stale compiled rows kept: %v", err, p.cm == cm)
@@ -259,24 +259,24 @@ func TestRobustGuaranteeIsLowerBound(t *testing.T) {
 		a := make([]Var, k)
 		capTotal := NewExpr()
 		for i := range a {
-			a[i] = m.AddNonNeg("a")
+			a[i] = m.AddNonNeg()
 			capTotal.Add(1, a[i])
 		}
-		m.AddConstraint("cap", capTotal, LE, 5+5*rng.Float64())
-		z := m.AddNonNeg("z")
+		m.AddConstraint(capTotal, LE, 5+5*rng.Float64())
+		z := m.AddNonNeg()
 		p := NewPolytope()
 		costs := make([]*Expr, k)
 		constPart := NewExpr()
 		bud := make([]AdvTerm, 0, k)
 		for i := 0; i < k; i++ {
-			y := p.AddVar("y")
+			y := p.AddVar()
 			p.AddUpperBound(y, 1)
 			bud = append(bud, AdvTerm{y, 1})
 			costs[i] = NewExpr().Add(-1, a[i])
 			constPart.Add(1, a[i])
 		}
-		p.AddRow("budget", bud, LE, 1+float64(rng.Intn(k)))
-		RobustGE(m, "r", p, costs, constPart, NewExpr().Add(1, z))
+		p.AddRow(bud, LE, 1+float64(rng.Intn(k)))
+		RobustGE(m, p, costs, constPart, NewExpr().Add(1, z))
 		m.SetObjective(NewExpr().Add(1, z), Maximize)
 		sol, err := Solve(m)
 		if err != nil || sol.Status != StatusOptimal {
@@ -308,13 +308,13 @@ func TestRobustPanicsOnBadCosts(t *testing.T) {
 	}()
 	m := NewModel()
 	p := NewPolytope()
-	p.AddVar("w")
-	RobustGE(m, "bad", p, nil, nil, nil)
+	p.AddVar()
+	RobustGE(m, p, nil, nil, nil)
 }
 
 func TestContainsTolerance(t *testing.T) {
 	p := NewPolytope()
-	w := p.AddVar("w")
+	w := p.AddVar()
 	p.AddUpperBound(w, 1)
 	if !p.Contains([]float64{1 + 1e-9}, 1e-7) {
 		t.Fatal("should accept within tolerance")

@@ -44,11 +44,11 @@ type Options struct {
 	FaultHook func(FaultEvent) error
 	// WarmStart, when non-nil, is an optimal basis from a previous
 	// solve of the same Compiled (Solution.Basis), possibly captured
-	// before SetRowRHS/FixVar edits or AddRow appends. The solver
-	// restores primal feasibility from it with the dual simplex (RHS
-	// edits) or a warm phase 1 (appended equality rows) and falls back
-	// to a cold solve whenever the basis proves unusable, so a warm
-	// start never changes the result — only the work to reach it.
+	// before SetRowRHS edits or AddRow appends. The solver restores
+	// primal feasibility from it with the dual simplex and falls back
+	// to a cold solve whenever the basis proves unusable (an artificial
+	// it leaves carrying value included), so a warm start never changes
+	// the result — only the work to reach it.
 	WarmStart *Basis
 }
 
@@ -844,7 +844,7 @@ func (cm *Compiled) Solve(opts Options) (*Solution, error) {
 				return nil, err
 			}
 			if status != StatusOptimal {
-				return &Solution{Status: status, model: cm.model}, nil
+				return &Solution{Status: status}, nil
 			}
 		}
 
@@ -876,11 +876,12 @@ func (cm *Compiled) Solve(opts Options) (*Solution, error) {
 }
 
 // solveWarm runs the warm-start pipeline on an installed basis:
-// refactor, restore primal feasibility (dual simplex after RHS edits
-// and appended inequality cuts; a warm phase 1 when appended equality
-// rows left artificials carrying value), then primal phase 2. A (nil,
-// nil) return means the basis was unusable and the caller should
-// solve cold; an ErrNumerical return degrades the same way.
+// refactor, restore primal feasibility with the dual simplex (after
+// RHS edits and appended inequality cuts), then primal phase 2. A
+// (nil, nil) return means the basis was unusable — singular, dual
+// infeasible, or leaving a basic artificial carrying value (an
+// appended equality row the basis does not satisfy) — and the caller
+// should solve cold; an ErrNumerical return degrades the same way.
 func (cm *Compiled) solveWarm(st *simplexState) (*Solution, error) {
 	if !st.refactor() {
 		return nil, nil
@@ -901,33 +902,18 @@ func (cm *Compiled) solveWarm(st *simplexState) (*Solution, error) {
 		return nil, nil
 	}
 
-	artBad, primalBad := false, false
+	primalBad := false
 	for i := 0; i < m; i++ {
 		if st.basis[i] >= cm.nCols {
 			if st.xB[i] > 1e-6 {
-				artBad = true
+				return nil, nil
 			}
 		} else if st.xB[i] < -feasTol {
 			primalBad = true
 		}
 	}
 	cost2 := cm.phase2Cost()
-	switch {
-	case artBad && primalBad:
-		// Mixed damage (appended EQ rows plus RHS edits on the same
-		// basis); rare enough that the cold path is the simpler proof.
-		return nil, nil
-	case artBad:
-		// Appended equality rows: a warm phase 1 drives the new
-		// artificials to zero from an already-feasible start.
-		status, err := st.phase1()
-		if err != nil {
-			return nil, err
-		}
-		if status != StatusOptimal {
-			return nil, nil // let the cold solve confirm infeasibility
-		}
-	case primalBad:
+	if primalBad {
 		if !st.dualFeasible(cost2, 1e-7) {
 			return nil, nil
 		}
@@ -951,7 +937,7 @@ func (cm *Compiled) solveWarm(st *simplexState) (*Solution, error) {
 
 func (st *simplexState) extract(status Status, cost []float64) *Solution {
 	cm := st.cm
-	sol := &Solution{Status: status, model: cm.model}
+	sol := &Solution{Status: status}
 	if status != StatusOptimal && status != StatusIterLimit {
 		return sol
 	}

@@ -30,10 +30,10 @@ func mustOptimal(t *testing.T, m *Model) *Solution {
 func TestMaximizeSimple2D(t *testing.T) {
 	// max 3x + 2y s.t. x+y <= 4, x+3y <= 6, x,y >= 0. Optimum at (4,0): 12.
 	m := NewModel()
-	x := m.AddNonNeg("x")
-	y := m.AddNonNeg("y")
-	m.AddConstraint("c1", NewExpr().Add(1, x).Add(1, y), LE, 4)
-	m.AddConstraint("c2", NewExpr().Add(1, x).Add(3, y), LE, 6)
+	x := m.AddNonNeg()
+	y := m.AddNonNeg()
+	m.AddConstraint(NewExpr().Add(1, x).Add(1, y), LE, 4)
+	m.AddConstraint(NewExpr().Add(1, x).Add(3, y), LE, 6)
 	m.SetObjective(NewExpr().Add(3, x).Add(2, y), Maximize)
 	sol := mustOptimal(t, m)
 	approx(t, sol.Objective, 12, "objective")
@@ -44,9 +44,9 @@ func TestMaximizeSimple2D(t *testing.T) {
 func TestMinimizeWithGE(t *testing.T) {
 	// min 2x + 3y s.t. x + y >= 10, x >= 2, y >= 3. Optimum 2*7+3*3 = 23.
 	m := NewModel()
-	x := m.AddVar("x", 2, math.Inf(1))
-	y := m.AddVar("y", 3, math.Inf(1))
-	m.AddConstraint("sum", NewExpr().Add(1, x).Add(1, y), GE, 10)
+	x := m.AddVar(2, math.Inf(1))
+	y := m.AddVar(3, math.Inf(1))
+	m.AddConstraint(NewExpr().Add(1, x).Add(1, y), GE, 10)
 	m.SetObjective(NewExpr().Add(2, x).Add(3, y), Minimize)
 	sol := mustOptimal(t, m)
 	approx(t, sol.Objective, 23, "objective")
@@ -57,9 +57,9 @@ func TestMinimizeWithGE(t *testing.T) {
 func TestEqualityConstraint(t *testing.T) {
 	// max x + y s.t. x + 2y = 4, x <= 3. Optimum x=3,y=0.5 -> 3.5.
 	m := NewModel()
-	x := m.AddVar("x", 0, 3)
-	y := m.AddNonNeg("y")
-	m.AddConstraint("eq", NewExpr().Add(1, x).Add(2, y), EQ, 4)
+	x := m.AddVar(0, 3)
+	y := m.AddNonNeg()
+	m.AddConstraint(NewExpr().Add(1, x).Add(2, y), EQ, 4)
 	m.SetObjective(NewExpr().Add(1, x).Add(1, y), Maximize)
 	sol := mustOptimal(t, m)
 	approx(t, sol.Objective, 3.5, "objective")
@@ -69,9 +69,9 @@ func TestEqualityConstraint(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	m := NewModel()
-	x := m.AddNonNeg("x")
-	m.AddConstraint("lo", NewExpr().Add(1, x), GE, 5)
-	m.AddConstraint("hi", NewExpr().Add(1, x), LE, 3)
+	x := m.AddNonNeg()
+	m.AddConstraint(NewExpr().Add(1, x), GE, 5)
+	m.AddConstraint(NewExpr().Add(1, x), LE, 3)
 	m.SetObjective(NewExpr().Add(1, x), Maximize)
 	sol, err := Solve(m)
 	if err != nil {
@@ -84,9 +84,9 @@ func TestInfeasible(t *testing.T) {
 
 func TestUnbounded(t *testing.T) {
 	m := NewModel()
-	x := m.AddNonNeg("x")
-	y := m.AddNonNeg("y")
-	m.AddConstraint("c", NewExpr().Add(1, x).Add(-1, y), LE, 1)
+	x := m.AddNonNeg()
+	y := m.AddNonNeg()
+	m.AddConstraint(NewExpr().Add(1, x).Add(-1, y), LE, 1)
 	m.SetObjective(NewExpr().Add(1, x), Maximize)
 	sol, err := Solve(m)
 	if err != nil {
@@ -103,12 +103,12 @@ func TestUnbounded(t *testing.T) {
 // happen once, not once per remaining iteration.
 func TestUnboundedAfterPivots(t *testing.T) {
 	m := NewModel()
-	u := m.AddNonNeg("u")
-	x := m.AddNonNeg("x")
-	y := m.AddNonNeg("y")
-	w := m.AddNonNeg("w")
-	m.AddConstraint("c1", NewExpr().Add(1, x).Add(-1, y), LE, 1)
-	m.AddConstraint("c2", NewExpr().Add(1, u).Add(1, w), LE, 2)
+	u := m.AddNonNeg()
+	x := m.AddNonNeg()
+	y := m.AddNonNeg()
+	w := m.AddNonNeg()
+	m.AddConstraint(NewExpr().Add(1, x).Add(-1, y), LE, 1)
+	m.AddConstraint(NewExpr().Add(1, u).Add(1, w), LE, 2)
 	m.SetObjective(NewExpr().Add(1, x).Add(3, w), Maximize)
 	sol, err := SolveWithOptions(m, Options{})
 	if err != nil {
@@ -126,11 +126,11 @@ func TestFreeVariable(t *testing.T) {
 	// min |style| problem: min x' s.t. x' >= x - 5, x' >= 5 - x with x free
 	// fixed by x = 2 via equality. Optimum x'=3.
 	m := NewModel()
-	x := m.AddVar("x", math.Inf(-1), math.Inf(1))
-	ax := m.AddNonNeg("absx")
-	m.AddConstraint("fix", NewExpr().Add(1, x), EQ, 2)
-	m.AddConstraint("a1", NewExpr().Add(1, ax).Add(-1, x), GE, -5)
-	m.AddConstraint("a2", NewExpr().Add(1, ax).Add(1, x), GE, 5)
+	x := m.AddVar(math.Inf(-1), math.Inf(1))
+	ax := m.AddNonNeg()
+	m.AddConstraint(NewExpr().Add(1, x), EQ, 2)
+	m.AddConstraint(NewExpr().Add(1, ax).Add(-1, x), GE, -5)
+	m.AddConstraint(NewExpr().Add(1, ax).Add(1, x), GE, 5)
 	m.SetObjective(NewExpr().Add(1, ax), Minimize)
 	sol := mustOptimal(t, m)
 	approx(t, sol.Objective, 3, "objective")
@@ -140,7 +140,7 @@ func TestFreeVariable(t *testing.T) {
 func TestNegativeLowerBound(t *testing.T) {
 	// max x with x in [-4, -1].
 	m := NewModel()
-	x := m.AddVar("x", -4, -1)
+	x := m.AddVar(-4, -1)
 	m.SetObjective(NewExpr().Add(1, x), Maximize)
 	sol := mustOptimal(t, m)
 	approx(t, sol.Objective, -1, "objective")
@@ -150,7 +150,7 @@ func TestNegativeLowerBound(t *testing.T) {
 func TestUpperBoundedOnly(t *testing.T) {
 	// min x with x <= 7 (and unbounded below) is unbounded.
 	m := NewModel()
-	x := m.AddVar("x", math.Inf(-1), 7)
+	x := m.AddVar(math.Inf(-1), 7)
 	m.SetObjective(NewExpr().Add(1, x), Minimize)
 	sol, err := Solve(m)
 	if err != nil {
@@ -161,7 +161,7 @@ func TestUpperBoundedOnly(t *testing.T) {
 	}
 	// max x with x <= 7: optimum 7.
 	m2 := NewModel()
-	x2 := m2.AddVar("x", math.Inf(-1), 7)
+	x2 := m2.AddVar(math.Inf(-1), 7)
 	m2.SetObjective(NewExpr().Add(1, x2), Maximize)
 	sol2 := mustOptimal(t, m2)
 	approx(t, sol2.Objective, 7, "objective")
@@ -169,7 +169,7 @@ func TestUpperBoundedOnly(t *testing.T) {
 
 func TestObjectiveOffset(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar("x", 0, 2)
+	x := m.AddVar(0, 2)
 	m.SetObjective(NewExpr().Add(3, x).AddConst(10), Maximize)
 	sol := mustOptimal(t, m)
 	approx(t, sol.Objective, 16, "objective")
@@ -178,12 +178,12 @@ func TestObjectiveOffset(t *testing.T) {
 func TestDegenerateDiet(t *testing.T) {
 	// Classic diet-style LP with degenerate vertices.
 	m := NewModel()
-	a := m.AddNonNeg("a")
-	b := m.AddNonNeg("b")
-	c := m.AddNonNeg("c")
-	m.AddConstraint("protein", NewExpr().Add(2, a).Add(3, b).Add(1, c), GE, 10)
-	m.AddConstraint("fat", NewExpr().Add(1, a).Add(1, b).Add(2, c), GE, 8)
-	m.AddConstraint("cal", NewExpr().Add(4, a).Add(2, b).Add(1, c), GE, 12)
+	a := m.AddNonNeg()
+	b := m.AddNonNeg()
+	c := m.AddNonNeg()
+	m.AddConstraint(NewExpr().Add(2, a).Add(3, b).Add(1, c), GE, 10)
+	m.AddConstraint(NewExpr().Add(1, a).Add(1, b).Add(2, c), GE, 8)
+	m.AddConstraint(NewExpr().Add(4, a).Add(2, b).Add(1, c), GE, 12)
 	m.SetObjective(NewExpr().Add(1.5, a).Add(2, b).Add(1, c), Minimize)
 	sol := mustOptimal(t, m)
 	// Verify feasibility and optimality against brute enumeration.
@@ -201,7 +201,7 @@ func TestTransportation(t *testing.T) {
 	for i := range x {
 		x[i] = make([]Var, 3)
 		for j := range x[i] {
-			x[i][j] = m.AddNonNeg("x")
+			x[i][j] = m.AddNonNeg()
 		}
 	}
 	for i := 0; i < 2; i++ {
@@ -209,14 +209,14 @@ func TestTransportation(t *testing.T) {
 		for j := 0; j < 3; j++ {
 			e.Add(1, x[i][j])
 		}
-		m.AddConstraint("supply", e, LE, supply[i])
+		m.AddConstraint(e, LE, supply[i])
 	}
 	for j := 0; j < 3; j++ {
 		e := NewExpr()
 		for i := 0; i < 2; i++ {
 			e.Add(1, x[i][j])
 		}
-		m.AddConstraint("demand", e, GE, demand[j])
+		m.AddConstraint(e, GE, demand[j])
 	}
 	obj := NewExpr()
 	for i := 0; i < 2; i++ {
@@ -234,10 +234,10 @@ func TestTransportation(t *testing.T) {
 func TestDualValuesMax(t *testing.T) {
 	// max 3x+2y s.t. x+y<=4 (dual 2.5), x-y<=2 (dual 0.5).
 	m := NewModel()
-	x := m.AddNonNeg("x")
-	y := m.AddNonNeg("y")
-	c1 := m.AddConstraint("c1", NewExpr().Add(1, x).Add(1, y), LE, 4)
-	c2 := m.AddConstraint("c2", NewExpr().Add(1, x).Add(-1, y), LE, 2)
+	x := m.AddNonNeg()
+	y := m.AddNonNeg()
+	c1 := m.AddConstraint(NewExpr().Add(1, x).Add(1, y), LE, 4)
+	c2 := m.AddConstraint(NewExpr().Add(1, x).Add(-1, y), LE, 2)
 	m.SetObjective(NewExpr().Add(3, x).Add(2, y), Maximize)
 	sol := mustOptimal(t, m)
 	approx(t, sol.Objective, 11, "objective")
@@ -255,7 +255,7 @@ func TestStrongDualityRandom(t *testing.T) {
 		m := NewModel()
 		vars := make([]Var, n)
 		for i := range vars {
-			vars[i] = m.AddNonNeg("x")
+			vars[i] = m.AddNonNeg()
 		}
 		rhs := make([]float64, k)
 		rows := make([]int, k)
@@ -265,14 +265,14 @@ func TestStrongDualityRandom(t *testing.T) {
 				e.Add(float64(rng.Intn(7)), vars[i]) // nonneg coeffs keep it bounded
 			}
 			rhs[r] = 1 + 10*rng.Float64()
-			rows[r] = m.AddConstraint("r", e, LE, rhs[r])
+			rows[r] = m.AddConstraint(e, LE, rhs[r])
 		}
 		// Ensure every var is bounded: add sum <= big.
 		all := NewExpr()
 		for _, v := range vars {
 			all.Add(1, v)
 		}
-		capIdx := m.AddConstraint("cap", all, LE, 50)
+		capIdx := m.AddConstraint(all, LE, 50)
 		obj := NewExpr()
 		for _, v := range vars {
 			obj.Add(rng.Float64()*5, v)
@@ -295,7 +295,7 @@ func TestRandomVsBruteForce(t *testing.T) {
 		m := NewModel()
 		vars := make([]Var, n)
 		for i := range vars {
-			vars[i] = m.AddVar("x", 0, 1+9*rng.Float64())
+			vars[i] = m.AddVar(0, 1+9*rng.Float64())
 		}
 		for r := 0; r < k; r++ {
 			e := NewExpr()
@@ -306,7 +306,7 @@ func TestRandomVsBruteForce(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				sense = GE
 			}
-			m.AddConstraint("r", e, sense, math.Floor(12*rng.Float64()-2))
+			m.AddConstraint(e, sense, math.Floor(12*rng.Float64()-2))
 		}
 		obj := NewExpr()
 		for i := 0; i < n; i++ {
@@ -333,28 +333,19 @@ func TestRandomVsBruteForce(t *testing.T) {
 
 func TestSolutionEval(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar("x", 0, 5)
+	x := m.AddVar(0, 5)
 	m.SetObjective(NewExpr().Add(1, x), Maximize)
 	sol := mustOptimal(t, m)
 	got := sol.Eval(NewExpr().Add(2, x).AddConst(1))
 	approx(t, got, 11, "eval")
 }
 
-func TestDuplicateVarNames(t *testing.T) {
-	m := NewModel()
-	a := m.AddNonNeg("x")
-	b := m.AddNonNeg("x")
-	if m.names[a].String() == m.names[b].String() {
-		t.Fatalf("duplicate names not disambiguated: %q", m.names[a])
-	}
-}
-
 func TestExprCompact(t *testing.T) {
 	m := NewModel()
-	x := m.AddVar("x", 0, 10)
+	x := m.AddVar(0, 10)
 	// 2x + 3x - 5x == 0x: constraint reduces to 0 <= 4, trivially true.
 	e := NewExpr().Add(2, x).Add(3, x).Add(-5, x)
-	m.AddConstraint("zero", e, LE, 4)
+	m.AddConstraint(e, LE, 4)
 	m.SetObjective(NewExpr().Add(1, x), Maximize)
 	sol := mustOptimal(t, m)
 	approx(t, sol.Objective, 10, "objective")
@@ -363,10 +354,10 @@ func TestExprCompact(t *testing.T) {
 func TestLargeSparseChain(t *testing.T) {
 	// Chain flow: max z s.t. z <= x_i for a path of 200 capacitated hops.
 	m := NewModel()
-	z := m.AddNonNeg("z")
+	z := m.AddNonNeg()
 	for i := 0; i < 200; i++ {
-		x := m.AddVar("x", 0, float64(100+i%7))
-		m.AddConstraint("le", NewExpr().Add(1, z).Add(-1, x), LE, 0)
+		x := m.AddVar(0, float64(100+i%7))
+		m.AddConstraint(NewExpr().Add(1, z).Add(-1, x), LE, 0)
 	}
 	m.SetObjective(NewExpr().Add(1, z), Maximize)
 	sol := mustOptimal(t, m)

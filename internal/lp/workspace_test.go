@@ -14,11 +14,11 @@ func chainLP(n int) *Model {
 	obj := NewExpr()
 	x := make([]Var, n+1)
 	for i := range x {
-		x[i] = m.AddVar("x", 0, 1)
+		x[i] = m.AddVar(0, 1)
 		obj.Add(1, x[i])
 	}
 	for i := 0; i < n; i++ {
-		m.AddConstraint("c", NewExpr().Add(1, x[i]).Add(1, x[i+1]), GE, 1)
+		m.AddConstraint(NewExpr().Add(1, x[i]).Add(1, x[i+1]), GE, 1)
 	}
 	m.SetObjective(obj, Minimize)
 	return m

@@ -28,12 +28,6 @@ import (
 	"pcf/internal/traffic"
 )
 
-var (
-	flowPat = lp.Pat("f[t%d,a%d]")
-	balPat  = lp.Pat("bal[t%d,v%d]")
-	capPat  = lp.Pat("cap[a%d]")
-)
-
 // Result reports an optimal flow.
 type Result struct {
 	// Objective is the optimal value (the demand scale z).
@@ -96,7 +90,7 @@ func buildFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]b
 		vars := make([]lp.Var, numArcs)
 		for a := 0; a < numArcs; a++ {
 			if liveArc[a] {
-				vars[a] = m.AddNonNegN(flowPat.N(int(t), a))
+				vars[a] = m.AddNonNeg()
 			} else {
 				vars[a] = -1
 			}
@@ -104,7 +98,7 @@ func buildFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]b
 		fm.flow[t] = vars
 	}
 
-	fm.z = m.AddNonNeg("z")
+	fm.z = m.AddNonNeg()
 
 	// Flow balance at every node v != t for each destination t:
 	//   out(v) - in(v) = scaled demand from v to t.
@@ -128,7 +122,7 @@ func buildFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]b
 			if d := tm.Demand[v][t]; d > 0 {
 				e.Add(-d, fm.z)
 			}
-			m.AddConstraintN(balPat.N(int(t), v), e, lp.EQ, 0)
+			m.AddConstraint(e, lp.EQ, 0)
 		}
 	}
 	// Arc capacities across destinations.
@@ -147,7 +141,7 @@ func buildFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]b
 		if len(e.Terms) == 0 {
 			continue
 		}
-		fm.capRow[a] = m.AddConstraintN(capPat.N(a), e, lp.LE, g.ArcCapacity(topology.ArcID(a)))
+		fm.capRow[a] = m.AddConstraint(e, lp.LE, g.ArcCapacity(topology.ArcID(a)))
 	}
 
 	m.SetObjective(lp.NewExpr().Add(1, fm.z), lp.Maximize)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,6 +120,47 @@ func TestSweepCanceledContext(t *testing.T) {
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
+}
+
+// errAfter is a context whose Err turns to Canceled after a fixed
+// number of calls: a cancellation placed at an exact point of a
+// deterministic call sequence.
+type errAfter struct {
+	context.Context
+	calls atomic.Int64
+	after int64
+}
+
+func (c *errAfter) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSweepWorkerHonorsCancel: a cancellation that lands just after the
+// base solve is seen by the scenario workers' own check, before any
+// scenario's LP starts. The base solve's context checks are counted by
+// moving the cancellation later until the base solve survives it.
+func TestSweepWorkerHonorsCancel(t *testing.T) {
+	gad := topozoo.Fig4(3, 2, 3)
+	g := gad.Graph
+	tm := traffic.Single(g.NumNodes(), topology.Pair{Src: gad.S, Dst: gad.T}, 1)
+	fs := failures.SingleLinks(g, 1)
+	for after := int64(0); after < 100; after++ {
+		_, _, _, err := OptimalUnderFailuresStats(&errAfter{Context: context.Background(), after: after}, g, tm, fs)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel after %d context checks: want context.Canceled, got %v", after, err)
+		}
+		if strings.Contains(err.Error(), "base solve") {
+			continue
+		}
+		if !strings.Contains(err.Error(), "scenario enumeration canceled") {
+			t.Fatalf("first cancellation past the base solve: want the workers' check, got %v", err)
+		}
+		return
+	}
+	t.Fatal("the base solve outlasted 100 context checks")
 }
 
 // TestSweepDeadline: an already-expired deadline surfaces promptly as
