@@ -1,9 +1,9 @@
-// pcffe is the stateless fleet front end: a health-checking reverse
-// proxy that spreads realize/validate/optimal traffic across pcfd
-// serving replicas. It actively probes each backend's /healthz,
-// prefers fresh healthy replicas (newest epoch), ejects dead or
-// degraded ones, and fails idempotent requests over to the next
-// backend when a dispatch dies before any response byte is written.
+// pcffe is the stateless fleet front end: a health-checking forwarder
+// that spreads realize/validate/optimal traffic across pcfd serving
+// replicas. It actively probes each backend's /healthz, prefers fresh
+// healthy replicas (newest epoch), ejects dead or degraded ones, reads
+// each reply whole before answering, and fails idempotent requests
+// over to the next backend when a reply does not arrive complete.
 //
 //	pcffe -listen :8090 \
 //	      -backends http://replica1:8081,http://replica2:8082,http://replica3:8083

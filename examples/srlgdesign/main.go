@@ -60,8 +60,8 @@ func main() {
 
 	// The shared conduit: ring[0] (r0-r1) and ring[5] (r5-r0) fail
 	// together.
-	srlg := [][]topology.LinkID{{ring[0], ring[5]}}
-	solve("any 1 SRLG (conduit) failure:", failures.SRLGs(g, srlg, 1))
+	srlg := []failures.SRLGSpec{{Links: []topology.LinkID{ring[0], ring[5]}}}
+	solve("any 1 SRLG (conduit) failure:", failures.SRLGSet(g, srlg, 1))
 
 	// Any single transit router failure. (Traffic endpoints r0, r2,
 	// r3, r5 are excluded: no scheme can serve a demand whose own

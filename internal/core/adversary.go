@@ -35,8 +35,8 @@ type advSpec struct {
 	conds    map[lp.AdvVar]*Condition
 }
 
-// deathUnitsOf filters Set.UnitsOf down to units that kill their
-// links (Alpha == 0). Degrade units (Alpha > 0) leave their links
+// deathUnitsOf returns, for each link, the indices of the units that
+// contain it and kill their links (Alpha == 0). Degrade units (Alpha > 0) leave their links
 // alive, so they never drive link or tunnel failure variables: a
 // scenario that spends part of its budget on degrade units kills a
 // subset of the tunnels the all-death scenario over the same death

@@ -75,7 +75,7 @@ func TestAugmentRejectsBadTarget(t *testing.T) {
 
 // TestAugmentUnreachableTargetIsTyped: three failures cut every Fig. 1
 // tunnel at once, so no added capacity guarantees anything. The error
-// must match lp.ErrInfeasible (what degradable and pcfd's breaker key
+// must match lp.ErrInfeasible (what Degradable and pcfd's breaker key
 // on) and still carry the hint.
 func TestAugmentUnreachableTargetIsTyped(t *testing.T) {
 	_, err := SolveAugmentPCFTF(fig1Instance(4, 3), 1.0, SolveOptions{})

@@ -7,12 +7,15 @@ import (
 	"pcf/internal/lp"
 )
 
-// degradable reports whether a rung failure should drop to the next
-// rung: numerical breakdown or an exhausted iteration or cut budget.
-// Infeasibility does not qualify — CLS is the most expressive scheme, so
-// if it is infeasible every lower rung is too — and neither does a
-// deadline, which only the overall Context sets.
-func degradable(err error) bool {
+// Degradable reports whether a rung failure should drop to the next
+// rung, and whether a solve failure counts toward tripping pcfd's
+// circuit breaker: numerical breakdown or an exhausted iteration or
+// cut budget, failure modes where retrying the same rung keeps burning
+// the budget of every request. Infeasibility does not qualify — CLS is
+// the most expressive scheme, so if it is infeasible every lower rung
+// is too — and neither does a deadline, which only the overall Context
+// sets and which indicts the request's budget, not the rung.
+func Degradable(err error) bool {
 	return errors.Is(err, lp.ErrNumerical) ||
 		errors.Is(err, lp.ErrIterLimit) ||
 		errors.Is(err, ErrCutLimit)
@@ -90,7 +93,7 @@ func SolveBestFrom(in *Instance, opts SolveOptions, skip int) (*Plan, error) {
 		}
 		// A degradable failure under a context that has since expired
 		// still aborts: retrying lower rungs would just burn the caller.
-		if !degradable(err) || opts.ctxErr() != nil {
+		if !Degradable(err) || opts.ctxErr() != nil {
 			return nil, fmt.Errorf("core: SolveBest %s: %w", r.name, err)
 		}
 		degraded = append(degraded, r.name)

@@ -99,7 +99,7 @@ func TestR3RejectsSRLG(t *testing.T) {
 		Graph:     g,
 		TM:        traffic.Single(g.NumNodes(), pair, 1),
 		Tunnels:   linkTunnels(g),
-		Failures:  failures.SRLGs(g, [][]topology.LinkID{{0, 1}}, 1),
+		Failures:  failures.SRLGSet(g, []failures.SRLGSpec{{Links: []topology.LinkID{0, 1}}}, 1),
 		Objective: DemandScale,
 	}
 	if _, err := SolveR3(in, SolveOptions{}); err == nil {

@@ -220,7 +220,7 @@ func TestSRLGConservativeVsLinks(t *testing.T) {
 	g := gad.Graph
 	// Group links 0 (s-1) and 2 (s-2) as one SRLG.
 	srlgIn := *gad
-	srlgIn.Failures = failures.SRLGs(g, [][]topology.LinkID{{0, 2}}, 1)
+	srlgIn.Failures = failures.SRLGSet(g, []failures.SRLGSpec{{Links: []topology.LinkID{0, 2}}}, 1)
 	srlg, err := SolvePCFTF(&srlgIn, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)

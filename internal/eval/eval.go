@@ -529,14 +529,3 @@ func Ratio(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// CDF returns the sorted values and cumulative fractions for plotting.
-func CDF(values []float64) (sorted []float64, frac []float64) {
-	sorted = append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	frac = make([]float64, len(sorted))
-	for i := range sorted {
-		frac[i] = float64(i+1) / float64(len(sorted))
-	}
-	return sorted, frac
-}

@@ -60,31 +60,6 @@ func SingleLinks(g *topology.Graph, f int) *Set {
 	return &Set{Units: units, Budget: f}
 }
 
-// SRLGs returns a model where each shared-risk link group is a unit
-// and at most f groups fail. Links not covered by any group are given
-// their own singleton unit so they can still fail individually.
-func SRLGs(g *topology.Graph, groups [][]topology.LinkID, f int) *Set {
-	covered := make(map[topology.LinkID]bool)
-	var units []Unit
-	for i, grp := range groups {
-		links := append([]topology.LinkID(nil), grp...)
-		sort.Slice(links, func(a, b int) bool { return links[a] < links[b] })
-		units = append(units, Unit{Name: fmt.Sprintf("srlg%d", i), Links: links})
-		for _, l := range links {
-			covered[l] = true
-		}
-	}
-	for i := 0; i < g.NumLinks(); i++ {
-		if !covered[topology.LinkID(i)] {
-			units = append(units, Unit{
-				Name:  fmt.Sprintf("link%d", i),
-				Links: []topology.LinkID{topology.LinkID(i)},
-			})
-		}
-	}
-	return &Set{Units: units, Budget: f}
-}
-
 // Nodes returns a model where each listed node is a failure unit (all
 // its incident links fail) and at most f nodes fail.
 func Nodes(g *topology.Graph, nodes []topology.NodeID, f int) *Set {
@@ -310,17 +285,6 @@ func binomial(n, k int) (int64, bool) {
 		c = c * m / int64(i+1)
 	}
 	return c, true
-}
-
-// UnitsOf returns, for each link, the unit indices containing it.
-func (fs *Set) UnitsOf(numLinks int) [][]int {
-	out := make([][]int, numLinks)
-	for ui, u := range fs.Units {
-		for _, l := range u.Links {
-			out[l] = append(out[l], ui)
-		}
-	}
-	return out
 }
 
 // WorstCapScale returns the smallest capacity scale any single

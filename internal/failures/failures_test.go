@@ -2,6 +2,7 @@ package failures
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"pcf/internal/topology"
@@ -97,7 +98,7 @@ func TestScenarioAlive(t *testing.T) {
 
 func TestSRLGs(t *testing.T) {
 	g := square()
-	fs := SRLGs(g, [][]topology.LinkID{{0, 2}}, 1)
+	fs := SRLGSet(g, []SRLGSpec{{Links: []topology.LinkID{2, 0}}}, 1)
 	// 1 group + 2 uncovered singleton links = 3 units.
 	if len(fs.Units) != 3 {
 		t.Fatalf("units = %d, want 3", len(fs.Units))
@@ -128,13 +129,16 @@ func TestNodes(t *testing.T) {
 
 func TestUnitsOf(t *testing.T) {
 	g := square()
-	fs := SRLGs(g, [][]topology.LinkID{{0, 2}}, 1)
-	uo := fs.UnitsOf(g.NumLinks())
-	if len(uo[0]) != 1 || len(uo[2]) != 1 || uo[0][0] != uo[2][0] {
-		t.Fatalf("links 0 and 2 should map to the same unit: %v", uo)
+	fs := SRLGSet(g, []SRLGSpec{{Links: []topology.LinkID{2, 0}}}, 1)
+	// Links 0 and 2 share the group's dying unit; links 1 and 3 each
+	// have a singleton unit of their own.
+	if got := fs.Units[0].Links; !slices.Equal(got, []topology.LinkID{0, 2}) || fs.Units[0].Alpha != 0 {
+		t.Fatalf("group unit = %+v, want links [0 2] dying", fs.Units[0])
 	}
-	if len(uo[1]) != 1 || uo[1][0] == uo[0][0] {
-		t.Fatalf("link 1 should have its own unit: %v", uo)
+	for i, want := range []topology.LinkID{1, 3} {
+		if got := fs.Units[1+i].Links; !slices.Equal(got, []topology.LinkID{want}) {
+			t.Fatalf("unit %d links = %v, want [%d]", 1+i, got, want)
+		}
 	}
 }
 

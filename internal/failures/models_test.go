@@ -2,6 +2,7 @@ package failures
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,14 +77,13 @@ func TestNumScenariosSaturates(t *testing.T) {
 func TestSRLGsOverlappingGroups(t *testing.T) {
 	g := square()
 	// Two groups share link 1; unit membership must reflect both.
-	fs := SRLGs(g, [][]topology.LinkID{{0, 1}, {1, 2}}, 2)
+	fs := SRLGSet(g, []SRLGSpec{{Links: []topology.LinkID{0, 1}}, {Links: []topology.LinkID{1, 2}}}, 2)
 	// 2 groups + 1 uncovered singleton (link 3) = 3 units.
 	if len(fs.Units) != 3 {
 		t.Fatalf("units = %d, want 3", len(fs.Units))
 	}
-	uo := fs.UnitsOf(g.NumLinks())
-	if len(uo[1]) != 2 {
-		t.Fatalf("shared link 1 should belong to 2 units, got %v", uo[1])
+	if !slices.Contains(fs.Units[0].Links, 1) || !slices.Contains(fs.Units[1].Links, 1) {
+		t.Fatalf("shared link 1 should belong to both groups: %+v", fs.Units)
 	}
 	// Failing both groups kills 0,1,2 — and disconnects the square.
 	sc := fs.ScenarioOf([]int{0, 1})
@@ -97,14 +97,13 @@ func TestSRLGsOverlappingGroups(t *testing.T) {
 
 func TestSRLGsUncoveredLinksGetSingletons(t *testing.T) {
 	g := square()
-	fs := SRLGs(g, [][]topology.LinkID{{0}}, 1)
+	fs := SRLGSet(g, []SRLGSpec{{Links: []topology.LinkID{0}}}, 1)
 	if len(fs.Units) != 4 {
 		t.Fatalf("units = %d, want 1 group + 3 singletons", len(fs.Units))
 	}
-	uo := fs.UnitsOf(g.NumLinks())
-	for l := 0; l < 4; l++ {
-		if len(uo[l]) != 1 {
-			t.Fatalf("link %d in %d units", l, len(uo[l]))
+	for i, u := range fs.Units {
+		if !slices.Equal(u.Links, []topology.LinkID{topology.LinkID(i)}) {
+			t.Fatalf("unit %d links = %v, want [%d]: every link in exactly one unit", i, u.Links, i)
 		}
 	}
 }

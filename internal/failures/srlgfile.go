@@ -86,10 +86,10 @@ func ReadSRLGs(r io.Reader, numLinks int) ([]SRLGSpec, error) {
 	return specs, nil
 }
 
-// SRLGSet builds a failure model from parsed specs: each group is one
-// unit (death or degradation per its alpha), and links not covered by
-// any group get singleton death units so they can still fail
-// individually, mirroring SRLGs.
+// SRLGSet returns a model where each shared-risk link group is one
+// unit — death, or degradation to its Alpha when that is positive —
+// and at most f units fail. Links not covered by any group get
+// singleton death units so they can still fail individually.
 func SRLGSet(g *topology.Graph, specs []SRLGSpec, f int) *Set {
 	covered := make(map[topology.LinkID]bool)
 	var units []Unit

@@ -14,10 +14,11 @@
 //     planner for leases. A replica whose lease expires keeps serving
 //     its last validated plan read-only and reports itself degraded
 //     through /healthz;
-//   - a stateless front end (NewFrontend) on httputil.ReverseProxy
-//     spreads realize/validate/optimal traffic across replicas with
-//     active /healthz probing, ejection of dead or stale-epoch
-//     backends, and failover retry of idempotent requests.
+//   - a stateless front end (NewFrontend) forwards whole replies:
+//     it spreads realize/validate/optimal traffic across replicas
+//     with active /healthz probing, ejection of dead or stale-epoch
+//     backends, and failover retry of idempotent requests whose
+//     reply did not arrive complete.
 //
 // The per-node guarantee of serve — no plan is visible that did not
 // pass the full congestion-free validation sweep, and served epochs

@@ -6,9 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
+	"maps"
 	"net/http"
-	"net/http/httputil"
 	"net/url"
 	"sort"
 	"sync"
@@ -27,7 +26,7 @@ type FrontendConfig struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds each probe (0 = ProbeInterval, capped at 2s).
 	ProbeTimeout time.Duration
-	// Transport carries both proxied requests and probes; nil means
+	// Transport carries both forwarded requests and probes; nil means
 	// http.DefaultTransport. Chaos tests inject faults here.
 	Transport http.RoundTripper
 	// Telemetry receives a failover record per routing decision that
@@ -42,9 +41,8 @@ type FrontendConfig struct {
 
 // backend is the front end's view of one replica.
 type backend struct {
-	base  string
-	url   *url.URL
-	proxy *httputil.ReverseProxy
+	base string
+	url  *url.URL
 
 	alive    atomic.Bool
 	degraded atomic.Bool
@@ -60,33 +58,35 @@ type BackendStatus struct {
 	Epoch    uint64 `json:"epoch"`
 }
 
-// copyBuffers is the httputil.BufferPool every backend's proxy copies
-// response bodies through, so a proxied response reuses a buffer
-// instead of allocating a fresh 32 KB one.
-type copyBuffers struct{ pool sync.Pool }
+// maxBody bounds a request body the front end keeps for replay and a
+// reply it reads before answering.
+const maxBody = 64 << 20
 
-func (p *copyBuffers) Get() []byte {
-	if buf, ok := p.pool.Get().(*[]byte); ok {
-		return *buf
+// replyBuffers holds the buffers replies are read into, so a forwarded
+// reply reuses one instead of growing a fresh one.
+var replyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// dropHopHeaders deletes the headers that belong to one connection
+// (RFC 9110 §7.6.1): they are forwarded in neither direction.
+func dropHopHeaders(h http.Header) {
+	for _, k := range [...]string{
+		"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
+		"Proxy-Connection", "Te", "Trailer", "Transfer-Encoding", "Upgrade",
+	} {
+		h.Del(k)
 	}
-	return make([]byte, 32<<10)
 }
 
-func (p *copyBuffers) Put(buf []byte) { p.pool.Put(&buf) }
-
-// proxyErrKey carries a per-attempt error slot through the request
-// context so the shared ErrorHandler can report transport failures
-// back to the attempt loop without touching the ResponseWriter.
-type proxyErrKey struct{}
-
-// Frontend is the stateless fleet entry point: a reverse proxy that
+// Frontend is the stateless fleet entry point: a forwarder that
 // spreads read traffic (realize/validate/optimal) across serving
 // replicas. An active probe loop tracks which backends are alive,
 // degraded, and at which epoch; routing prefers fresh healthy
 // backends, falls back to healthy-but-stale ones (availability beats
 // strict freshness during plan propagation), and ejects dead ones
-// within one probe interval. Idempotent requests that fail before any
-// response byte is written fail over to the next backend.
+// within one probe interval. Every reply is one bounded JSON value, so
+// each is read whole before the client sees a byte of it: an
+// idempotent request whose reply does not arrive complete fails over
+// to the next backend.
 type Frontend struct {
 	cfg      FrontendConfig
 	backends []*backend
@@ -94,8 +94,7 @@ type Frontend struct {
 
 	probeClient *http.Client
 
-	retries  atomic.Int64 // failover re-dispatches performed
-	noRoutes atomic.Int64 // requests refused with ErrNoBackend
+	retries atomic.Int64 // failover re-dispatches performed
 }
 
 // NewFrontend builds a front end over the given replica URLs. All
@@ -117,34 +116,19 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.Discard
 	}
+	if cfg.Transport == nil {
+		cfg.Transport = http.DefaultTransport
+	}
 	f := &Frontend{
 		cfg:         cfg,
 		probeClient: &http.Client{Transport: cfg.Transport, Timeout: cfg.ProbeTimeout},
 	}
-	buffers := &copyBuffers{}
 	for _, base := range cfg.Backends {
 		u, err := url.Parse(base)
 		if err != nil || u.Host == "" {
 			return nil, fmt.Errorf("fleet: bad backend URL %q", base)
 		}
-		b := &backend{base: base, url: u}
-		b.proxy = &httputil.ReverseProxy{
-			Rewrite: func(pr *httputil.ProxyRequest) {
-				pr.SetURL(u)
-				pr.Out.Host = u.Host
-			},
-			Transport:  cfg.Transport,
-			BufferPool: buffers,
-			ErrorLog:   log.New(io.Discard, "", 0),
-			ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
-				if slot, ok := r.Context().Value(proxyErrKey{}).(*error); ok {
-					*slot = err
-					return
-				}
-				w.WriteHeader(http.StatusBadGateway)
-			},
-		}
-		f.backends = append(f.backends, b)
+		f.backends = append(f.backends, &backend{base: base, url: u})
 	}
 	return f, nil
 }
@@ -203,7 +187,8 @@ func (f *Frontend) probe(ctx context.Context, b *backend) {
 	}
 	resp, err := f.probeClient.Do(req)
 	if err != nil {
-		if b.alive.CompareAndSwap(true, false) {
+		// A round cancelled by shutdown says nothing about the backend.
+		if ctx.Err() == nil && b.alive.CompareAndSwap(true, false) {
 			f.cfg.Logf("fleet: frontend ejecting %s: %v", b.base, err)
 			f.failover("eject", b.base)
 		}
@@ -290,32 +275,8 @@ func retryable(r *http.Request) bool {
 	return false
 }
 
-// writeRecorder tracks whether any response byte or header reached
-// the client — the line past which failover is impossible.
-type writeRecorder struct {
-	http.ResponseWriter
-	wroteHeader bool
-}
-
-func (w *writeRecorder) WriteHeader(code int) {
-	w.wroteHeader = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *writeRecorder) Write(p []byte) (int, error) {
-	w.wroteHeader = true
-	return w.ResponseWriter.Write(p)
-}
-
-// Flush keeps the proxy's streaming path working through the wrapper.
-func (w *writeRecorder) Flush() {
-	if fl, ok := w.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
 // ServeHTTP implements http.Handler: /healthz reports the front end's
-// own routing view; everything else is dispatched across the backend
+// own routing view; everything else is forwarded across the backend
 // tiers with failover.
 func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == "/healthz" && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
@@ -324,7 +285,6 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	candidates := f.pick()
 	if len(candidates) == 0 {
-		f.noRoutes.Add(1)
 		f.failover("no_backend", "")
 		writeError(w, http.StatusServiceUnavailable, ErrNoBackend.Error())
 		return
@@ -333,61 +293,72 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// byte-identically against the next backend. A request without one
 	// (every realize) replays as it came: the clone keeps http.NoBody.
 	var body []byte
-	hasBody := r.Body != nil && r.Body != http.NoBody
-	if hasBody {
+	if r.Body != nil && r.Body != http.NoBody {
 		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "reading request body")
 			return
 		}
 	}
-	rec := &writeRecorder{ResponseWriter: w}
+	buf := replyBuffers.Get().(*bytes.Buffer)
+	defer replyBuffers.Put(buf)
 	canRetry := retryable(r)
 	for i, b := range candidates {
-		var attemptErr error
-		ctx := context.WithValue(r.Context(), proxyErrKey{}, &attemptErr)
-		req := r.Clone(ctx)
-		if hasBody {
-			req.Body = io.NopCloser(bytes.NewReader(body))
-			req.ContentLength = int64(len(body))
-		}
-		f.dispatch(b, rec, req, &attemptErr)
-		if attemptErr == nil {
+		resp, err := f.forward(b, r, body, buf)
+		if err == nil {
+			maps.Copy(w.Header(), resp.Header)
+			w.WriteHeader(resp.StatusCode)
+			w.Write(buf.Bytes())
 			return
 		}
-		// The backend failed without a byte reaching the client. Eject
-		// it immediately — the next probe round re-admits it if it
+		if r.Context().Err() != nil {
+			// The client hung up: the failure is its own, not the
+			// backend's, and nobody is left to answer.
+			return
+		}
+		// The backend's reply did not arrive complete. Eject it
+		// immediately — the next probe round re-admits it if it
 		// recovered — and fail over when the request allows it.
 		b.alive.Store(false)
 		f.failover("eject", b.base)
-		f.cfg.Logf("fleet: frontend attempt %d to %s failed: %v", i+1, b.base, attemptErr)
-		if rec.wroteHeader || !canRetry || i == len(candidates)-1 {
+		f.cfg.Logf("fleet: frontend attempt %d to %s failed: %v", i+1, b.base, err)
+		if !canRetry || i == len(candidates)-1 {
 			break
 		}
 		f.retries.Add(1)
 		f.failover("retry", b.base)
 	}
-	if !rec.wroteHeader {
-		writeError(w, http.StatusBadGateway, "all backends failed")
-	}
+	writeError(w, http.StatusBadGateway, "all backends failed")
 }
 
-// dispatch runs one proxy attempt, converting a mid-body abort (the
-// proxy panics with ErrAbortHandler when the backend dies while
-// streaming) into an attempt error when no byte was written yet.
-func (f *Frontend) dispatch(b *backend, rec *writeRecorder, req *http.Request, attemptErr *error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if p == http.ErrAbortHandler && !rec.wroteHeader {
-				*attemptErr = fmt.Errorf("fleet: backend %s aborted before responding", b.base)
-				return
-			}
-			//lint:ignore pcflint/nopanic re-raising a foreign panic (or a mid-stream abort) from a recover is the only correct move
-			panic(p)
-		}
-	}()
-	b.proxy.ServeHTTP(rec, req)
+// forward sends one attempt of r to b's scheme and host and reads the
+// whole reply, whatever its status, into buf. The returned response
+// carries the status and the end-to-end headers; its body is spent. An
+// error means no complete reply came back.
+func (f *Frontend) forward(b *backend, r *http.Request, body []byte, buf *bytes.Buffer) (*http.Response, error) {
+	out := r.Clone(r.Context())
+	out.RequestURI, out.Close = "", false
+	out.URL.Scheme, out.URL.Host, out.Host = b.url.Scheme, b.url.Host, b.url.Host
+	if body != nil {
+		out.Body = io.NopCloser(bytes.NewReader(body))
+		out.ContentLength = int64(len(body))
+	}
+	dropHopHeaders(out.Header)
+	resp, err := f.cfg.Transport.RoundTrip(out)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBody+1)); err != nil {
+		return nil, err
+	}
+	if buf.Len() > maxBody {
+		return nil, fmt.Errorf("fleet: reply from %s exceeds %d bytes", b.base, maxBody)
+	}
+	dropHopHeaders(resp.Header)
+	return resp, nil
 }
 
 // handleHealth reports the front end's routing view: ok while at

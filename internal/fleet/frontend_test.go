@@ -1,16 +1,22 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
+
+	"pcf/internal/telemetry"
 )
 
 func TestRetryable(t *testing.T) {
@@ -141,12 +147,12 @@ func TestFleetErrorsAreJSON(t *testing.T) {
 	}
 }
 
-// TestFrontendProxyBuffers: a warm realize proxied through the front
-// end to a live backend allocates well under one 32 KB copy buffer per
-// request, counting everything the process does for it — front end,
-// proxy transport and the backend serving it. Without the shared
-// BufferPool every proxied response allocated a fresh buffer.
-func TestFrontendProxyBuffers(t *testing.T) {
+// TestFrontendForwardBuffers: a warm realize forwarded through the
+// front end to a live backend allocates well under 16 KB per request,
+// counting everything the process does for it — front end, transport
+// and the backend serving it. Replies are read into pooled buffers, so
+// a forwarded reply grows none afresh.
+func TestFrontendForwardBuffers(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
 		t.Skip("the race detector's own allocations would count against the budget")
 	}
@@ -178,9 +184,163 @@ func TestFrontendProxyBuffers(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / n
-	t.Logf("%.1f KB allocated per proxied realize", kb)
+	t.Logf("%.1f KB allocated per forwarded realize", kb)
 	if kb >= 16 {
-		t.Fatalf("%.1f KB allocated per proxied realize, want < 16", kb)
+		t.Fatalf("%.1f KB allocated per forwarded realize, want < 16", kb)
+	}
+}
+
+// newLiveFrontend starts two serving cores at epoch 1 and a front end
+// over them with cfg's other fields, probed once so both are routable.
+func newLiveFrontend(t *testing.T, cfg FrontendConfig) *Frontend {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		srv := newCore(t, "")
+		publishEpochs(t, srv, 1)
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		cfg.Backends = append(cfg.Backends, ts.URL)
+	}
+	cfg.ProbeInterval = time.Hour // probes only when the test says so
+	fe, err := NewFrontend(cfg)
+	if err != nil {
+		t.Fatalf("building frontend: %v", err)
+	}
+	fe.ProbeOnce(context.Background())
+	return fe
+}
+
+// tearFirst passes every exchange through to the backend except the
+// first non-probe reply, whose body it cuts after half its bytes with
+// io.ErrUnexpectedEOF: a backend that dies after sending its headers.
+type tearFirst struct {
+	torn atomic.Value // string: host of the backend whose reply was torn
+}
+
+func (tr *tearFirst) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.URL.Path == "/healthz" || !tr.torn.CompareAndSwap(nil, req.URL.Host) {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(io.MultiReader(bytes.NewReader(body[:len(body)/2]), iotest.ErrReader(io.ErrUnexpectedEOF)))
+	return resp, nil
+}
+
+// TestFrontendFailsOverTornReply: a backend whose reply breaks off
+// after its headers is ejected, and the client gets one complete reply
+// from the next backend instead of a cut connection.
+func TestFrontendFailsOverTornReply(t *testing.T) {
+	tr := &tearFirst{}
+	fe := newLiveFrontend(t, FrontendConfig{Transport: tr, Logf: t.Logf})
+	fts := httptest.NewServer(fe)
+	defer fts.Close()
+
+	resp, err := testClient.Post(fts.URL+"/v1/realize?links=0", "application/json", nil)
+	if err != nil {
+		t.Fatalf("realize through a torn backend: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !json.Valid(body) {
+		t.Fatalf("realize through a torn backend: status %d, read err %v, body %q; want one complete 200",
+			resp.StatusCode, err, body)
+	}
+	torn, _ := tr.torn.Load().(string)
+	for _, b := range fe.Backends() {
+		if wantAlive := "http://"+torn != b.URL; b.Alive != wantAlive {
+			t.Errorf("backend %s alive = %v, want %v (torn: %s)", b.URL, b.Alive, wantAlive, torn)
+		}
+	}
+	if n := fe.retries.Load(); n != 1 {
+		t.Errorf("retries = %d, want 1", n)
+	}
+}
+
+// TestFrontendForwardsEndToEndHeaders: a client's Connection: close
+// governs its own connection only and does not reach the backend,
+// while the reply's end-to-end headers reach the client.
+func TestFrontendForwardsEndToEndHeaders(t *testing.T) {
+	var served, sawClose atomic.Bool
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.Write([]byte(`{"status":"ok","epoch":7}`))
+			return
+		}
+		served.Store(true)
+		sawClose.Store(r.Close)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-PCF-Epoch", "7")
+		w.Write([]byte(`{}`))
+	}))
+	defer backend.Close()
+	fe, err := NewFrontend(FrontendConfig{Backends: []string{backend.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe.ProbeOnce(context.Background())
+	fts := httptest.NewServer(fe)
+	defer fts.Close()
+
+	req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, fts.URL+"/v1/plan", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Close = true
+	resp, err := testClient.Do(req)
+	if err != nil {
+		t.Fatalf("GET /v1/plan: %v", err)
+	}
+	resp.Body.Close()
+	if !served.Load() || sawClose.Load() {
+		t.Errorf("backend served %v, saw Connection: close %v; want served without it", served.Load(), sawClose.Load())
+	}
+	if ct, ep := resp.Header.Get("Content-Type"), resp.Header.Get("X-PCF-Epoch"); ct != "application/json" || ep != "7" {
+		t.Errorf("client got Content-Type %q, X-PCF-Epoch %q; want application/json, 7", ct, ep)
+	}
+}
+
+// TestFrontendClientCancelEjectsNothing: a client that hangs up, and a
+// probe round cancelled by shutdown, say nothing about the backends.
+// Neither may eject one, retry, or emit a failover record — else one
+// impatient client marks every backend dead and every other client
+// gets ErrNoBackend until the next probe round.
+func TestFrontendClientCancelEjectsNothing(t *testing.T) {
+	var mu sync.Mutex
+	var records []telemetry.Record
+	fe := newLiveFrontend(t, FrontendConfig{
+		Logf: t.Logf,
+		Telemetry: telemetry.EmitterFunc(func(r telemetry.Record) {
+			mu.Lock()
+			defer mu.Unlock()
+			records = append(records, r)
+		}),
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	w := httptest.NewRecorder()
+	fe.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/realize?links=0", nil).WithContext(ctx))
+	fe.ProbeOnce(ctx)
+
+	if w.Body.Len() != 0 {
+		t.Errorf("answered a client that hung up: status %d, body %q", w.Code, w.Body)
+	}
+	if n := fe.retries.Load(); n != 0 {
+		t.Errorf("retries = %d, want 0", n)
+	}
+	for _, b := range fe.Backends() {
+		if !b.Alive {
+			t.Errorf("backend %s ejected by a cancelled request or probe", b.URL)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(records) != 0 {
+		t.Errorf("failover records %+v, want none", records)
 	}
 }
 

@@ -88,7 +88,6 @@ type Replica struct {
 	applied           atomic.Int64 // envelopes validated and installed
 	rejectedInvalid   atomic.Int64 // failed decode or local validation
 	rejectedRegressed atomic.Int64 // non-advancing epochs refused
-	syncFailures      atomic.Int64 // failed heartbeat/fetch round trips
 }
 
 // NewReplica builds the replica role around a serving core and
@@ -236,7 +235,6 @@ func (r *Replica) Run(ctx context.Context) {
 			if ctx.Err() != nil {
 				return
 			}
-			r.syncFailures.Add(1)
 			r.cfg.Logf("fleet: %s sync: %v", r.cfg.Name, err)
 			delay = r.withJitter(backoff)
 			backoff = min(2*backoff, r.cfg.BackoffMax)

@@ -1,29 +1,14 @@
 package serve
 
 import (
-	"errors"
 	"sync"
 	"time"
 
 	"pcf/internal/core"
-	"pcf/internal/lp"
 )
 
-// Trippable reports whether a solve failure should count toward
-// tripping a circuit breaker: the solver broke down numerically or
-// exhausted its cut budget — failure modes where retrying the same
-// rung keeps burning the budget of every request. Deadline and
-// infeasibility failures do not qualify: a deadline indicts the
-// request's budget, infeasibility the instance, and neither is cured
-// by a lower rung.
-func Trippable(err error) bool {
-	return errors.Is(err, lp.ErrNumerical) ||
-		errors.Is(err, lp.ErrIterLimit) ||
-		errors.Is(err, core.ErrCutLimit)
-}
-
 // Breaker is a leveled circuit breaker: BreakerThreshold consecutive
-// trippable failures raise the level by one (up to maxLevel), and each
+// degradable failures (core.Degradable) raise the level by one (up to maxLevel), and each
 // cooldown period with no further trip anneals one level back. For the
 // "best" scheme the level is the number of SolveBest rungs to skip
 // (core.SolveBestFrom), so a CLS formulation that keeps breaking
@@ -77,7 +62,7 @@ func (b *Breaker) Level() int {
 // Record feeds one solve outcome into the breaker. A success resets
 // the consecutive-failure count (the level anneals only by time, so a
 // lucky success does not immediately re-expose a broken rung); a
-// trippable failure counts toward the next trip; any other failure
+// degradable failure counts toward the next trip; any other failure
 // leaves the count unchanged.
 func (b *Breaker) Record(err error) {
 	b.mu.Lock()
@@ -86,7 +71,7 @@ func (b *Breaker) Record(err error) {
 	switch {
 	case err == nil:
 		b.consecutive = 0
-	case Trippable(err):
+	case core.Degradable(err):
 		b.consecutive++
 		if b.consecutive >= b.threshold && b.level < b.maxLevel {
 			b.level++

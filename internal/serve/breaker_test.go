@@ -1,37 +1,13 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
-	"pcf/internal/core"
 	"pcf/internal/lp"
 )
-
-func TestTrippable(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{nil, false},
-		{lp.ErrNumerical, true},
-		{fmt.Errorf("wrap: %w", lp.ErrNumerical), true},
-		{lp.ErrIterLimit, true},
-		{core.ErrCutLimit, true},
-		{lp.ErrInfeasible, false},
-		{context.DeadlineExceeded, false},
-		{errors.New("unrelated"), false},
-	}
-	for _, c := range cases {
-		if got := Trippable(c.err); got != c.want {
-			t.Errorf("Trippable(%v) = %v, want %v", c.err, got, c.want)
-		}
-	}
-}
 
 // TestBreakerTripAndAnneal drives a breaker through a full cycle with
 // an injected clock: trip at the threshold, climb one level per trip,

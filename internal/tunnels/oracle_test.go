@@ -136,7 +136,7 @@ func fullPassSelect(g *topology.Graph, pairs []topology.Pair, perPair int) (*Set
 		if len(chosen) == 0 {
 			return nil, fmt.Errorf("tunnels: no path for pair %v", pair)
 		}
-		for _, p := range complete(g, pair, chosen, perPair, 16) {
+		for _, p := range complete(g, pair, chosen, perPair) {
 			if _, err := set.Add(pair, p); err != nil {
 				return nil, err
 			}

@@ -131,11 +131,12 @@ func (s *Set) MaxShared(p topology.Pair) int {
 type SelectOptions struct {
 	// PerPair is the number of tunnels to select per pair.
 	PerPair int
-	// Penalty multiplies the weight of a link each time an already
-	// selected tunnel for the pair uses it. Defaults to 16 (strongly
-	// prefer disjointness, as the paper does).
-	Penalty float64
 }
+
+// penalty multiplies the weight of a link each time an already
+// selected tunnel for the pair uses it: phase 2 strongly prefers
+// disjointness, as the paper does.
+const penalty = 16
 
 // Select chooses tunnels for every listed pair. For each pair it first
 // takes fully link-disjoint shortest paths while they exist, then fills
@@ -146,15 +147,6 @@ type SelectOptions struct {
 func Select(g *topology.Graph, pairs []topology.Pair, opts SelectOptions) (*Set, error) {
 	if opts.PerPair <= 0 {
 		return nil, fmt.Errorf("tunnels: PerPair must be positive")
-	}
-	if opts.Penalty < 0 {
-		// A negative penalty would feed negative weights into the
-		// shortest-path machinery, which rejects them.
-		return nil, fmt.Errorf("tunnels: Penalty must be nonnegative, got %g", opts.Penalty)
-	}
-	penalty := opts.Penalty
-	if penalty == 0 {
-		penalty = 16
 	}
 	bySrc := make([]int, len(pairs))
 	for i := range bySrc {
@@ -174,7 +166,7 @@ func Select(g *topology.Graph, pairs []topology.Pair, opts SelectOptions) (*Set,
 		// disjoint tunnels exist whenever the graph is 2-edge-
 		// connected, matching the paper's setup).
 		if paths := s.disjointPaths(pair, opts.PerPair); len(paths) > 0 {
-			chosen[i] = complete(g, pair, paths, opts.PerPair, penalty)
+			chosen[i] = complete(g, pair, paths, opts.PerPair)
 		}
 	}
 	set := NewSet(g)
@@ -195,7 +187,7 @@ func Select(g *topology.Graph, pairs []topology.Pair, opts SelectOptions) (*Set,
 // paths in chosen leave from Yen's k-shortest-path enumeration under
 // usage-penalized weights, preferring low overlap with the chosen set
 // and then shorter length, and orders the result.
-func complete(g *topology.Graph, pair topology.Pair, chosen []topology.Path, perPair int, penalty float64) []topology.Path {
+func complete(g *topology.Graph, pair topology.Pair, chosen []topology.Path, perPair int) []topology.Path {
 	numDisjoint := len(chosen)
 	used := make(map[topology.LinkID]int)
 	for _, p := range chosen {

@@ -142,13 +142,17 @@ echo "== benchmark smoke (frozen API)"
 # against whatever the tree exports: a renamed or re-typed function it
 # calls must fail here, not in the pipeline that runs the benchmark
 # afterwards. A 2-second sprint run builds it, drives every end-to-end
-# phase once through the daemon's HTTP surface and checks every reply.
-smoke=$(bash benchmark/run.sh --workload sprint-tf-f1 --seed 1 --seconds 2 --trace 0)
-if ! printf '%s\n' "$smoke" | grep -Eq '^ops_failed +0$'; then
-	echo "benchmark smoke did not report ops_failed 0:" >&2
-	printf '%s\n' "$smoke" >&2
-	exit 1
-fi
+# phase once through the daemon's HTTP surface and checks every reply;
+# a 2-second fleet run does the same through the planner, three
+# replicas and the front end, the only workload that reaches fleet.
+for workload in sprint-tf-f1 fleet-btna-tf-f2; do
+	smoke=$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0)
+	if ! printf '%s\n' "$smoke" | grep -Eq '^ops_failed +0$'; then
+		echo "benchmark smoke ($workload) did not report ops_failed 0:" >&2
+		printf '%s\n' "$smoke" >&2
+		exit 1
+	fi
+done
 
 echo "== size (scripts/loc.sh; printed, gates nothing)"
 ./scripts/loc.sh
