@@ -9,10 +9,12 @@
 //	curl -X POST 'localhost:8080/v1/realize?links=3'
 //
 // With -role the daemon joins a fleet: a planner additionally
-// publishes epoch-stamped plan envelopes and grants leases over
-// /v1/fleet/*; a replica pulls validated plans from its planner,
-// re-validates them locally, and refuses direct solves. cmd/pcffe is
-// the matching front end.
+// publishes epoch-stamped plan envelopes over /v1/fleet/*, and every
+// replica sync there renews that replica's lease; a replica pulls
+// validated plans from its planner, re-validates them locally, and
+// refuses direct solves. cmd/pcffe is the matching front end. A
+// planner needs -state: one that restarted without its checkpoints
+// would publish from epoch 1 again, below what its replicas serve.
 //
 //	pcfd -role planner  -topology Sprint -state /var/lib/pcfd-planner
 //	pcfd -role replica  -topology Sprint -planner http://planner:8080 \
@@ -46,6 +48,28 @@ func die(err error) {
 	os.Exit(eval.ExitCode(err))
 }
 
+// checkRole refuses a -role the other flags cannot carry out. A
+// replica needs its planner's URL. A planner needs -state: without it
+// a restart publishes from epoch 1 again, and every replica already
+// past that refuses the new epochs as regressions while its lease,
+// renewed by each sync, stays fresh.
+func checkRole(role, plannerURL, stateDir string) error {
+	switch role {
+	case "":
+	case "planner":
+		if stateDir == "" {
+			return errors.New("-role planner requires -state")
+		}
+	case "replica":
+		if plannerURL == "" {
+			return errors.New("-role replica requires -planner")
+		}
+	default:
+		return fmt.Errorf("unknown -role %q (want planner, replica, or empty)", role)
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pcfd: ")
@@ -56,7 +80,7 @@ func main() {
 	pairs := flag.Int("pairs", 20, "top-K demand pairs")
 	seed := flag.Int64("seed", 1, "traffic matrix seed")
 	f := flag.Int("f", 1, "simultaneous link failures to protect against")
-	stateDir := flag.String("state", "", "checkpoint directory (empty = no persistence)")
+	stateDir := flag.String("state", "", "checkpoint directory (empty = no persistence; required with -role planner)")
 	telemetryDir := flag.String("telemetry", "", "telemetry record store directory (empty = <state>/telemetry, or memory-only without -state)")
 	retainTelemetry := flag.Int("retain-telemetry", 0, "telemetry segments to keep (0 = default, negative = unlimited)")
 	solveOnStart := flag.Bool("solve-on-start", true, "solve and publish a plan at boot when no checkpoint recovers")
@@ -73,20 +97,16 @@ func main() {
 	plannerURL := flag.String("planner", "", "planner base URL (required with -role replica)")
 	advertise := flag.String("advertise", "", "this replica's base URL as the planner reaches it (enables push)")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "planner: lease lifetime granted to replicas")
-	syncInterval := flag.Duration("sync-interval", 0, "replica: heartbeat/sync cadence (0 = a third of the lease TTL)")
+	syncInterval := flag.Duration("sync-interval", 0, "replica: sync cadence, each sync renewing the lease (0 = a third of the lease TTL)")
 	flag.Parse()
 
-	switch *role {
-	case "", "planner":
-	case "replica":
-		if *plannerURL == "" {
-			die(errors.New("-role replica requires -planner"))
-		}
+	if err := checkRole(*role, *plannerURL, *stateDir); err != nil {
+		die(err)
+	}
+	if *role == "replica" {
 		// Plans reach a replica only through the planner's distribution
 		// path; a boot solve would fork the epoch sequence.
 		*solveOnStart = false
-	default:
-		die(fmt.Errorf("unknown -role %q (want planner, replica, or empty)", *role))
 	}
 
 	var setup *eval.Setup
@@ -179,7 +199,7 @@ func main() {
 	case "planner":
 		planner = fleet.NewPlanner(srv, fleet.PlannerConfig{LeaseTTL: *leaseTTL, Logf: log.Printf})
 		handler = planner
-		log.Printf("fleet planner: plan distribution on %s, leases on %s", fleet.PlanPath, fleet.LeasePath)
+		log.Printf("fleet planner: plan distribution and lease renewal on %s", fleet.PlanPath)
 	case "replica":
 		rep := fleet.NewReplica(srv, fleet.ReplicaConfig{
 			Name:         *listen,

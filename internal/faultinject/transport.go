@@ -14,7 +14,7 @@ import (
 // responses, and torn response bodies (truncated mid-envelope, so
 // decoders see invalid JSON the way a killed connection would leave
 // it). The fleet chaos soak wires it under the
-// replica fetch/heartbeat client to prove that no torn or withheld
+// replica sync client to prove that no torn or withheld
 // envelope ever becomes a served plan.
 //
 // All knobs are safe for concurrent use; counters report how often

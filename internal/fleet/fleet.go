@@ -4,16 +4,17 @@
 // format. Three roles:
 //
 //   - a planner (NewPlanner) validates and publishes epoch-stamped
-//     envelopes over /v1/fleet/plan, grants monotone leases over
-//     /v1/fleet/lease, and pushes fresh envelopes to replicas that
+//     envelopes over /v1/fleet/plan, renews the lease of every replica
+//     that syncs there, and pushes fresh envelopes to replicas that
 //     advertised a URL;
 //   - serving replicas (NewReplica) pull — or accept pushes of —
 //     envelopes, re-validate every plan locally before hot-swapping
 //     (validation is never trusted across the wire; the registry's
-//     PublishExternal refuses epoch regressions), and heartbeat the
-//     planner for leases. A replica whose lease expires keeps serving
-//     its last validated plan read-only and reports itself degraded
-//     through /healthz;
+//     PublishExternal refuses epoch regressions). A replica's sync is
+//     one conditional fetch that names it; every answer carries the
+//     lease TTL and so renews its lease. A replica whose lease expires
+//     keeps serving its last validated plan read-only and reports
+//     itself degraded through /healthz;
 //   - a stateless front end (NewFrontend) forwards whole replies:
 //     it spreads realize/validate/optimal traffic across replicas
 //     with active /healthz probing, ejection of dead or stale-epoch
@@ -38,10 +39,6 @@ import (
 
 // Typed fleet failures, selected on with errors.Is.
 var (
-	// ErrStaleLease reports a lease grant whose term does not advance
-	// the holder's: a partitioned or restarted planner re-granting old
-	// state must not roll a replica's view backwards.
-	ErrStaleLease = errors.New("fleet: stale lease term refused")
 	// ErrNoBackend reports that the front end has no routable backend
 	// for a request.
 	ErrNoBackend = errors.New("fleet: no routable backend")
@@ -54,17 +51,16 @@ var (
 // Wire paths of the fleet control plane.
 const (
 	// PlanPath serves (GET, planner) and accepts (POST, replica)
-	// epoch-stamped plan envelopes.
+	// epoch-stamped plan envelopes; a GET that names a replica is its
+	// sync round and renews its lease.
 	PlanPath = "/v1/fleet/plan"
-	// LeasePath grants leases to heartbeating replicas (POST, planner).
-	LeasePath = "/v1/fleet/lease"
 	// StatusPath reports the planner's fleet view (GET, planner).
 	StatusPath = "/v1/fleet/status"
 )
 
 // defaultLeaseTTL is the lease lifetime when a config leaves it zero;
-// heartbeats default to a third of the TTL so two consecutive
-// heartbeat losses still renew in time.
+// syncs default to a third of the TTL so two consecutive lost syncs
+// still renew in time.
 const defaultLeaseTTL = 15 * time.Second
 
 // writeError answers with status and the JSON body {"error": msg}, the

@@ -1,95 +1,64 @@
 package fleet
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 )
 
-// Lease is one planner→replica grant: permission to consider oneself
-// a live member of the fleet for TTL, stamped with a term that is
-// strictly monotone across every grant the planner ever makes. The
-// lease does NOT gate serving — a replica with an expired lease keeps
-// serving its last locally validated plan read-only — it gates
-// freshness: an expired lease means the replica can no longer prove
-// it is tracking the newest epoch, so it reports itself degraded and
-// front ends deprioritize it.
-type Lease struct {
-	// Term increases by one on every grant the planner makes, across
-	// all replicas. A holder refuses any grant whose term does not
-	// advance its own high-water mark, so a stale or replayed grant
-	// can never extend (or shrink) a newer lease.
-	Term uint64 `json:"term"`
-	// Epoch is the newest validated epoch the planner had published at
-	// grant time; a replica behind it fetches immediately instead of
-	// waiting for its next poll.
-	Epoch uint64 `json:"epoch"`
-	// TTLMillis is the grant lifetime from the holder's receipt.
-	TTLMillis int64 `json:"ttl_ms"`
-	// Replica echoes the heartbeating replica's name.
-	Replica string `json:"replica"`
-}
+// leaseTTLHeader carries the lease lifetime, in milliseconds, on every
+// answer to a named sync. A replica that receives it holds a lease for
+// that long from receipt. The lease does NOT gate serving — a replica
+// whose lease lapsed keeps serving its last locally validated plan
+// read-only — it gates freshness: a lapsed lease means the replica can
+// no longer prove it is tracking the newest epoch, so it reports itself
+// degraded and front ends deprioritize it.
+const leaseTTLHeader = "X-PCF-Lease-TTL-Ms"
 
-// TTL returns the grant lifetime as a duration.
-func (l Lease) TTL() time.Duration { return time.Duration(l.TTLMillis) * time.Millisecond }
-
-// ReplicaStatus is the planner's view of one heartbeating replica.
+// ReplicaStatus is the planner's view of one syncing replica.
 type ReplicaStatus struct {
 	Replica  string    `json:"replica"`
 	URL      string    `json:"url,omitempty"` // advertised base URL, for push
 	Epoch    uint64    `json:"epoch"`         // last epoch the replica reported serving
-	Term     uint64    `json:"term"`          // term of its latest grant
 	LastSeen time.Time `json:"last_seen"`
 }
 
-// Granter is the planner-side lease authority: one monotone term
-// counter and a last-seen table. It is deliberately not a consensus
-// protocol — there is one planner, and the term order it defines is
-// what replicas use to reject stale grants.
-type Granter struct {
+// granter is the planner-side lease authority: the TTL it grants and a
+// last-seen table of the replicas that synced.
+type granter struct {
 	mu       sync.Mutex
 	ttl      time.Duration
 	now      func() time.Time
-	term     uint64
 	replicas map[string]*ReplicaStatus
 }
 
-// NewGranter builds a granter; ttl <= 0 selects the default.
-func NewGranter(ttl time.Duration) *Granter {
+// newGranter builds a granter; ttl <= 0 selects the default.
+func newGranter(ttl time.Duration) *granter {
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
 	}
-	return &Granter{ttl: ttl, now: time.Now, replicas: map[string]*ReplicaStatus{}}
+	return &granter{ttl: ttl, now: time.Now, replicas: map[string]*ReplicaStatus{}}
 }
 
-// TTL reports the grant lifetime.
-func (g *Granter) TTL() time.Duration { return g.ttl }
-
-// Grant issues the next lease to a heartbeating replica, recording the
-// epoch it reports serving and (when non-empty) its advertised URL.
-// newestEpoch is stamped into the lease so the replica learns how far
-// behind it is in the same round trip.
-func (g *Granter) Grant(replica, url string, replicaEpoch, newestEpoch uint64) Lease {
+// grant records a sync from replica: the epoch it reports serving and
+// (when non-empty) its advertised URL.
+func (g *granter) grant(replica, url string, replicaEpoch uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.term++
 	st := g.replicas[replica]
 	if st == nil {
 		st = &ReplicaStatus{Replica: replica}
 		g.replicas[replica] = st
 	}
 	st.Epoch = replicaEpoch
-	st.Term = g.term
 	st.LastSeen = g.now()
 	if url != "" {
 		st.URL = url
 	}
-	return Lease{Term: g.term, Epoch: newestEpoch, TTLMillis: g.ttl.Milliseconds(), Replica: replica}
 }
 
-// Replicas snapshots the fleet view, sorted by replica name.
-func (g *Granter) Replicas() []ReplicaStatus {
+// snapshot returns the fleet view, sorted by replica name.
+func (g *granter) snapshot() []ReplicaStatus {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make([]ReplicaStatus, 0, len(g.replicas))
@@ -100,9 +69,9 @@ func (g *Granter) Replicas() []ReplicaStatus {
 	return out
 }
 
-// PushTargets lists the advertised URLs of replicas seen within the
+// pushTargets lists the advertised URLs of replicas seen within the
 // given horizon — the planner pushes fresh envelopes to these.
-func (g *Granter) PushTargets(horizon time.Duration) []string {
+func (g *granter) pushTargets(horizon time.Duration) []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	cutoff := g.now().Add(-horizon)
@@ -116,49 +85,35 @@ func (g *Granter) PushTargets(horizon time.Duration) []string {
 	return urls
 }
 
-// Holder is the replica-side lease state: the newest term observed
-// and when the current grant expires. The term high-water mark is
-// monotone even across grants the holder rejects — once a term is
-// seen, nothing older is ever accepted.
-type Holder struct {
+// holder is the replica-side lease state: when the latest renewal
+// expires. Renewals need no ordering: the replica syncs serially, so
+// every renewal it sees is the newest.
+type holder struct {
 	mu      sync.Mutex
 	now     func() time.Time
-	maxTerm uint64
-	cur     Lease
-	expires time.Time
-	held    bool
+	expires time.Time // zero until the first renewal
 }
 
-// NewHolder builds an empty holder (no lease, not fresh).
-func NewHolder() *Holder { return &Holder{now: time.Now} }
+func newHolder() *holder { return &holder{now: time.Now} }
 
-// Observe installs a grant. A grant whose term does not strictly
-// advance the high-water mark is refused with ErrStaleLease — it may
-// come from a replayed response or a planner that lost state.
-func (h *Holder) Observe(l Lease) error {
+// renew extends the lease to ttl from now.
+func (h *holder) renew(ttl time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if l.Term <= h.maxTerm {
-		return fmt.Errorf("%w: term %d, already observed %d", ErrStaleLease, l.Term, h.maxTerm)
-	}
-	h.maxTerm = l.Term
-	h.cur = l
-	h.expires = h.now().Add(l.TTL())
-	h.held = true
-	return nil
+	h.expires = h.now().Add(ttl)
 }
 
-// Fresh reports whether the holder has an unexpired lease.
-func (h *Holder) Fresh() bool {
+// fresh reports whether the holder has an unexpired lease.
+func (h *holder) fresh() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.held && h.now().Before(h.expires)
+	return h.now().Before(h.expires)
 }
 
-// Current returns the latest accepted lease, its expiry, and whether
-// any lease was ever held.
-func (h *Holder) Current() (Lease, time.Time, bool) {
+// expiry returns when the latest renewal expires; zero means no lease
+// was ever held.
+func (h *holder) expiry() time.Time {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.cur, h.expires, h.held
+	return h.expires
 }

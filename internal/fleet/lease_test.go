@@ -1,101 +1,49 @@
 package fleet
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
 
-func TestGranterTermsStrictlyMonotone(t *testing.T) {
-	g := NewGranter(time.Second)
-	var prev uint64
-	for i := 0; i < 10; i++ {
-		// Terms advance across ALL replicas, not per replica: the total
-		// order is what lets a holder reject any stale grant.
-		for _, name := range []string{"a", "b", "c"} {
-			l := g.Grant(name, "", 0, 7)
-			if l.Term <= prev {
-				t.Fatalf("term %d did not advance past %d", l.Term, prev)
-			}
-			if l.Epoch != 7 {
-				t.Fatalf("lease epoch = %d, want 7", l.Epoch)
-			}
-			prev = l.Term
-		}
-	}
-	reps := g.Replicas()
-	if len(reps) != 3 {
-		t.Fatalf("Replicas() = %d entries, want 3", len(reps))
-	}
-	if reps[0].Replica != "a" || reps[2].Replica != "c" {
-		t.Fatalf("Replicas() not sorted: %+v", reps)
-	}
-}
-
-func TestHolderRejectsStaleAndReplayedLeases(t *testing.T) {
-	h := NewHolder()
-	if h.Fresh() {
-		t.Fatal("empty holder reports fresh")
-	}
-	l5 := Lease{Term: 5, TTLMillis: 60_000}
-	if err := h.Observe(l5); err != nil {
-		t.Fatalf("observing first lease: %v", err)
-	}
-	if !h.Fresh() {
-		t.Fatal("holder not fresh after a 60s grant")
-	}
-	// A replayed grant (same term) and an older grant must both be
-	// refused — and must not disturb the held lease.
-	if err := h.Observe(l5); !errors.Is(err, ErrStaleLease) {
-		t.Fatalf("replayed lease: err = %v, want ErrStaleLease", err)
-	}
-	if err := h.Observe(Lease{Term: 3, TTLMillis: 60_000}); !errors.Is(err, ErrStaleLease) {
-		t.Fatalf("older lease: err = %v, want ErrStaleLease", err)
-	}
-	cur, _, held := h.Current()
-	if !held || cur.Term != 5 {
-		t.Fatalf("held lease disturbed: term %d, want 5", cur.Term)
-	}
-	if err := h.Observe(Lease{Term: 6, TTLMillis: 60_000}); err != nil {
-		t.Fatalf("advancing lease refused: %v", err)
-	}
-}
-
 func TestHolderExpiry(t *testing.T) {
-	h := NewHolder()
+	h := newHolder()
+	if h.fresh() || !h.expiry().IsZero() {
+		t.Fatal("empty holder reports a lease")
+	}
 	now := time.Unix(1000, 0)
 	h.now = func() time.Time { return now }
-	if err := h.Observe(Lease{Term: 1, TTLMillis: 100}); err != nil {
-		t.Fatalf("observe: %v", err)
-	}
-	if !h.Fresh() {
-		t.Fatal("lease not fresh immediately after grant")
+	h.renew(100 * time.Millisecond)
+	if !h.fresh() {
+		t.Fatal("lease not fresh immediately after renewal")
 	}
 	now = now.Add(99 * time.Millisecond)
-	if !h.Fresh() {
+	if !h.fresh() {
 		t.Fatal("lease expired before its TTL")
 	}
 	now = now.Add(2 * time.Millisecond)
-	if h.Fresh() {
+	if h.fresh() {
 		t.Fatal("lease still fresh past its TTL")
 	}
-	// An expired lease is still the current one — the replica keeps
-	// serving on it, degraded.
-	if _, _, held := h.Current(); !held {
+	// An expired lease is still remembered — the replica keeps serving
+	// on it, degraded.
+	if h.expiry().IsZero() {
 		t.Fatal("expired lease dropped entirely; want held-but-stale")
 	}
 }
 
 func TestPushTargetsHorizon(t *testing.T) {
-	g := NewGranter(time.Second)
+	g := newGranter(time.Second)
 	now := time.Unix(2000, 0)
 	g.now = func() time.Time { return now }
-	g.Grant("old", "http://old:1", 0, 0)
+	g.grant("old", "http://old:1", 0)
 	now = now.Add(10 * time.Second)
-	g.Grant("fresh", "http://fresh:1", 0, 0)
-	g.Grant("mute", "", 0, 0) // never advertised a URL
-	got := g.PushTargets(2 * time.Second)
+	g.grant("fresh", "http://fresh:1", 0)
+	g.grant("mute", "", 0) // never advertised a URL
+	got := g.pushTargets(2 * time.Second)
 	if len(got) != 1 || got[0] != "http://fresh:1" {
-		t.Fatalf("PushTargets = %v, want only http://fresh:1", got)
+		t.Fatalf("pushTargets = %v, want only http://fresh:1", got)
+	}
+	if reps := g.snapshot(); len(reps) != 3 || reps[0].Replica != "fresh" || reps[2].Replica != "old" {
+		t.Fatalf("snapshot = %+v, want fresh, mute, old in name order", reps)
 	}
 }

@@ -44,7 +44,7 @@ func TestPlannerDrainEndsPushes(t *testing.T) {
 		PushClient:  &http.Client{},
 		PushTimeout: 100 * time.Millisecond,
 	})
-	planner.Granter().Grant("r1", target, 0, 0)
+	planner.granter.grant("r1", target, 0)
 	publishEpochs(t, plannerCore, 1)
 	waitFor(t, 5*time.Second, "the push to reach the replica", func() bool { return arrived.Load() == 1 })
 

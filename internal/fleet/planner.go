@@ -15,19 +15,9 @@ import (
 	"pcf/internal/telemetry"
 )
 
-// heartbeat is the replica→planner lease request body.
-type heartbeat struct {
-	Replica string `json:"replica"`
-	// URL, when non-empty, advertises where the planner can push fresh
-	// envelopes (the replica's base URL).
-	URL string `json:"url,omitempty"`
-	// Epoch is the epoch the replica currently serves.
-	Epoch uint64 `json:"epoch"`
-}
-
 // PlannerConfig parameterizes a Planner.
 type PlannerConfig struct {
-	// LeaseTTL is the lease lifetime granted to heartbeating replicas
+	// LeaseTTL is the lease lifetime granted to syncing replicas
 	// (0 = default).
 	LeaseTTL time.Duration
 	// PushClient performs envelope pushes to advertised replica URLs;
@@ -42,14 +32,14 @@ type PlannerConfig struct {
 
 // Planner wraps a serve.Server with the fleet control plane: it
 // publishes epoch-stamped envelopes of every validated plan over
-// /v1/fleet/plan, grants monotone leases over /v1/fleet/lease, and
-// best-effort pushes fresh envelopes to replicas that advertised a
+// /v1/fleet/plan, renews the lease of every replica that syncs there,
+// and best-effort pushes fresh envelopes to replicas that advertised a
 // URL. Plans still enter the world only through the server's
 // validating registry — the planner adds distribution, not a second
 // publication path.
 type Planner struct {
 	srv         *serve.Server
-	granter     *Granter
+	granter     *granter
 	mux         *http.ServeMux
 	cfg         PlannerConfig
 	fingerprint string
@@ -83,24 +73,20 @@ func NewPlanner(srv *serve.Server, cfg PlannerConfig) *Planner {
 	}
 	p := &Planner{
 		srv:         srv,
-		granter:     NewGranter(cfg.LeaseTTL),
+		granter:     newGranter(cfg.LeaseTTL),
 		cfg:         cfg,
 		fingerprint: serve.Fingerprint(srv.Instance()),
 	}
 	srv.Registry().OnPublish = p.onPublish
 	p.mux = http.NewServeMux()
 	p.mux.HandleFunc("GET "+PlanPath, p.handlePlanFetch)
-	p.mux.HandleFunc("POST "+LeasePath, p.handleLease)
 	p.mux.HandleFunc("GET "+StatusPath, p.handleStatus)
 	p.mux.Handle("/", srv)
 	return p
 }
 
-// Granter exposes the lease authority (tests and /v1/fleet/status).
-func (p *Planner) Granter() *Granter { return p.granter }
-
 // emit stamps a record as the planner's and hands it to the core's
-// sink, so grants and pushes are queryable next to solve/publish
+// sink, so syncs and pushes are queryable next to solve/publish
 // records on the same node.
 func (p *Planner) emit(rec telemetry.Record) {
 	rec.Source = "planner"
@@ -135,12 +121,28 @@ func (p *Planner) envelopeFor(pub *serve.Published) ([]byte, error) {
 // fetch conditional: 304 when the replica is already current, so the
 // steady-state poll costs a header exchange, not a plan transfer. An
 // after that is not an epoch is a 400.
+//
+// A fetch that names a replica (?replica=<name>[&url=<advertise>]) is
+// that replica's whole sync round: the planner records it in its table
+// — after is the epoch it serves — and every answer carries the lease
+// TTL, which renews the replica's lease.
 func (p *Planner) handlePlanFetch(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.Query().Get("after")
+	q := r.URL.Query()
+	raw := q.Get("after")
 	after, perr := strconv.ParseUint(raw, 10, 64)
 	if raw != "" && perr != nil {
 		writeError(w, http.StatusBadRequest, "bad after "+strconv.Quote(raw)+" (want an epoch)")
 		return
+	}
+	if name := q.Get("replica"); name != "" {
+		p.granter.grant(name, q.Get("url"), after)
+		p.emit(telemetry.Record{
+			Kind:   telemetry.KindLease,
+			Name:   name,
+			Epoch:  p.srv.Registry().Epoch(),
+			Fields: map[string]float64{"replica_epoch": float64(after)},
+		})
+		w.Header().Set(leaseTTLHeader, strconv.FormatInt(p.granter.ttl.Milliseconds(), 10))
 	}
 	pub, err := p.srv.Registry().Current()
 	if err != nil {
@@ -163,35 +165,13 @@ func (p *Planner) handlePlanFetch(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// handleLease grants the next monotone lease to a heartbeating
-// replica.
-func (p *Planner) handleLease(w http.ResponseWriter, r *http.Request) {
-	var hb heartbeat
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&hb); err != nil || hb.Replica == "" {
-		writeError(w, http.StatusBadRequest, "bad heartbeat")
-		return
-	}
-	lease := p.granter.Grant(hb.Replica, hb.URL, hb.Epoch, p.srv.Registry().Epoch())
-	p.emit(telemetry.Record{
-		Kind:  telemetry.KindLease,
-		Name:  hb.Replica,
-		Epoch: lease.Epoch,
-		Fields: map[string]float64{
-			"term":          float64(lease.Term),
-			"replica_epoch": float64(hb.Epoch),
-		},
-	})
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(lease)
-}
-
 // handleStatus reports the planner's fleet view.
 func (p *Planner) handleStatus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
 		"newest_epoch": p.srv.Registry().Epoch(),
-		"lease_ttl_ms": p.granter.TTL().Milliseconds(),
-		"replicas":     p.granter.Replicas(),
+		"lease_ttl_ms": p.granter.ttl.Milliseconds(),
+		"replicas":     p.granter.snapshot(),
 		"push_ok":      p.pushOK.Load(),
 		"push_failed":  p.pushFailed.Load(),
 	})
@@ -201,7 +181,7 @@ func (p *Planner) handleStatus(w http.ResponseWriter, r *http.Request) {
 // swap; it kicks the actual pushing onto a goroutine so publication
 // latency never waits on replica sockets.
 func (p *Planner) onPublish(pub *serve.Published) {
-	targets := p.granter.PushTargets(2 * p.granter.TTL())
+	targets := p.granter.pushTargets(2 * p.granter.ttl)
 	if len(targets) == 0 {
 		return
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,9 +8,9 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pcf/internal/serve"
@@ -20,22 +19,22 @@ import (
 
 // ReplicaConfig parameterizes a Replica.
 type ReplicaConfig struct {
-	// Name identifies this replica to the planner (lease table, logs).
+	// Name identifies this replica to the planner (replica table, logs).
 	Name string
 	// PlannerURL is the planner's base URL (scheme://host:port).
 	PlannerURL string
 	// AdvertiseURL, when non-empty, is this replica's base URL as the
 	// planner should see it; advertising enables envelope pushes.
 	AdvertiseURL string
-	// Client performs heartbeats and fetches; nil builds one with a
-	// 10s timeout. Chaos tests install a faultinject.ChaosTransport
+	// Client performs the sync requests; nil builds one with a 10s
+	// timeout. Chaos tests install a faultinject.ChaosTransport
 	// here.
 	Client *http.Client
-	// Interval is the steady-state heartbeat/sync cadence (0 = a third
-	// of the default lease TTL).
+	// Interval is the steady-state sync cadence; each sync renews the
+	// lease (0 = a third of the default lease TTL).
 	Interval time.Duration
 	// BackoffMin/BackoffMax bound the exponential retry backoff after
-	// failed heartbeats or fetches (0 = Interval / 10×Interval).
+	// failed syncs (0 = Interval / 10×Interval).
 	BackoffMin, BackoffMax time.Duration
 	// JitterSeed seeds the backoff jitter; fixed seeds make chaos runs
 	// reproducible.
@@ -72,22 +71,18 @@ func (c ReplicaConfig) withDefaults() ReplicaConfig {
 // Replica wraps a serve.Server into a fleet serving replica: it pulls
 // epoch-stamped envelopes from the planner (and accepts pushes),
 // re-validates every plan locally before hot-swapping it in, and
-// heartbeats for a lease. Solve traffic is refused — plans enter a
-// replica only through the distribution path, which funnels into the
-// registry's validating, epoch-monotone PublishExternal.
+// renews its lease with every sync. Solve traffic is refused — plans
+// enter a replica only through the distribution path, which funnels
+// into the registry's validating, epoch-monotone PublishExternal.
 type Replica struct {
 	srv         *serve.Server
 	cfg         ReplicaConfig
-	holder      *Holder
+	holder      *holder
 	mux         *http.ServeMux
 	fingerprint string
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
-
-	applied           atomic.Int64 // envelopes validated and installed
-	rejectedInvalid   atomic.Int64 // failed decode or local validation
-	rejectedRegressed atomic.Int64 // non-advancing epochs refused
 }
 
 // NewReplica builds the replica role around a serving core and
@@ -98,7 +93,7 @@ func NewReplica(srv *serve.Server, cfg ReplicaConfig) *Replica {
 	r := &Replica{
 		srv:         srv,
 		cfg:         cfg,
-		holder:      NewHolder(),
+		holder:      newHolder(),
 		fingerprint: serve.Fingerprint(srv.Instance()),
 		jitter:      rand.New(rand.NewSource(cfg.JitterSeed)),
 	}
@@ -118,40 +113,27 @@ func (r *Replica) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	r.mux.ServeHTTP(w, req)
 }
 
-// Holder exposes the replica's lease state.
-func (r *Replica) Holder() *Holder { return r.holder }
-
 // emit stamps a record with this replica's name and hands it to the
-// core's sink, so fleet sync/lease records land in the same store (and
+// core's sink, so fleet sync records land in the same store (and
 // snapshot, and query API) as the node's own request records.
 func (r *Replica) emit(rec telemetry.Record) {
 	rec.Source = r.cfg.Name
 	r.srv.Emitter().Emit(rec)
 }
 
-// Applied reports how many envelopes were validated and installed.
-func (r *Replica) Applied() int64 { return r.applied.Load() }
-
-// RejectedInvalid reports envelopes refused by decode or local
-// validation.
-func (r *Replica) RejectedInvalid() int64 { return r.rejectedInvalid.Load() }
-
-// RejectedRegressed reports envelopes refused for epoch regression.
-func (r *Replica) RejectedRegressed() int64 { return r.rejectedRegressed.Load() }
-
 // leaseCheck is the /healthz readiness contribution: a replica whose
 // lease expired keeps serving read-only but reports itself degraded.
 func (r *Replica) leaseCheck() serve.HealthCheck {
-	lease, expires, held := r.holder.Current()
+	expires := r.holder.expiry()
 	switch {
-	case !held:
+	case expires.IsZero():
 		return serve.HealthCheck{OK: false, Detail: "no lease held yet"}
-	case !r.holder.Fresh():
+	case !r.holder.fresh():
 		return serve.HealthCheck{OK: false,
-			Detail: fmt.Sprintf("lease term %d expired %s ago", lease.Term, time.Since(expires).Round(time.Millisecond))}
+			Detail: fmt.Sprintf("lease expired %s ago", time.Since(expires).Round(time.Millisecond))}
 	default:
 		return serve.HealthCheck{OK: true,
-			Detail: fmt.Sprintf("lease term %d fresh for %s", lease.Term, time.Until(expires).Round(time.Millisecond))}
+			Detail: fmt.Sprintf("lease fresh for %s", time.Until(expires).Round(time.Millisecond))}
 	}
 }
 
@@ -163,18 +145,11 @@ func (r *Replica) leaseCheck() serve.HealthCheck {
 func (r *Replica) Apply(ctx context.Context, env *serve.Envelope) (*serve.Published, error) {
 	plan, err := env.DecodePlan(r.srv.Instance(), r.fingerprint)
 	if err != nil {
-		r.rejectedInvalid.Add(1)
 		return nil, fmt.Errorf("fleet: envelope for epoch %d undecodable: %w", env.Epoch, err)
 	}
 	pub, err := r.srv.Registry().PublishExternal(ctx, env.Epoch, plan)
-	switch {
-	case err == nil:
-		r.applied.Add(1)
+	if err == nil {
 		r.cfg.Logf("fleet: %s installed epoch %d (scheme %s)", r.cfg.Name, pub.Epoch, pub.Scheme)
-	case errors.Is(err, serve.ErrEpochRegression):
-		r.rejectedRegressed.Add(1)
-	default:
-		r.rejectedInvalid.Add(1)
 	}
 	return pub, err
 }
@@ -191,7 +166,6 @@ func (r *Replica) handlePush(w http.ResponseWriter, req *http.Request) {
 	}
 	env, err := serve.DecodeEnvelope(data)
 	if err != nil {
-		r.rejectedInvalid.Add(1)
 		writeError(w, http.StatusUnprocessableEntity, "undecodable envelope")
 		return
 	}
@@ -210,12 +184,11 @@ func (r *Replica) handlePush(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// Run drives the heartbeat/sync loop until ctx ends: each round
-// heartbeats the planner (renewing the lease and learning the newest
-// epoch), then fetches and applies the newest envelope if the local
-// registry is behind. Failed rounds back off exponentially with
-// seeded jitter between BackoffMin and BackoffMax; a successful round
-// resets the cadence to Interval.
+// Run drives the sync loop until ctx ends: each round is one
+// conditional fetch that renews the lease and, when the local registry
+// is behind, brings the newest envelope to apply. Failed rounds back
+// off exponentially with seeded jitter between BackoffMin and
+// BackoffMax; a successful round resets the cadence to Interval.
 func (r *Replica) Run(ctx context.Context) {
 	delay := time.Duration(0) // first round immediately
 	backoff := r.cfg.BackoffMin
@@ -246,7 +219,7 @@ func (r *Replica) Run(ctx context.Context) {
 }
 
 // withJitter spreads d by ±25% so a fleet of replicas does not
-// heartbeat in lockstep.
+// sync in lockstep.
 func (r *Replica) withJitter(d time.Duration) time.Duration {
 	r.jitterMu.Lock()
 	defer r.jitterMu.Unlock()
@@ -257,9 +230,12 @@ func (r *Replica) withJitter(d time.Duration) time.Duration {
 	return time.Duration(int64(d) - half/2 + r.jitter.Int63n(half+1))
 }
 
-// syncOnce is one heartbeat + conditional fetch round. Every round —
-// success or failure — leaves a sync record behind; each lease grant
-// observed leaves a lease record with its accept/stale outcome.
+// syncOnce is one sync round: GET the plan after the served epoch,
+// naming this replica. Any answer that carries the lease TTL renews
+// the lease — the planner saw the sync — even if the envelope then
+// fails to decode; a torn envelope surfaces as a retriable error and
+// leaves the registry untouched. Every round, success or failure,
+// leaves a sync record behind.
 func (r *Replica) syncOnce(ctx context.Context) (err error) {
 	start := time.Now()
 	defer func() {
@@ -274,68 +250,12 @@ func (r *Replica) syncOnce(ctx context.Context) (err error) {
 		}
 		r.emit(rec)
 	}()
-	lease, err := r.heartbeat(ctx)
-	if err != nil {
-		return fmt.Errorf("heartbeat: %w", err)
+	u := fmt.Sprintf("%s%s?after=%d&replica=%s", r.cfg.PlannerURL, PlanPath,
+		r.srv.Registry().Epoch(), url.QueryEscape(r.cfg.Name))
+	if r.cfg.AdvertiseURL != "" {
+		u += "&url=" + url.QueryEscape(r.cfg.AdvertiseURL)
 	}
-	leaseRec := telemetry.Record{
-		Kind:  telemetry.KindLease,
-		Name:  "observe",
-		Epoch: lease.Epoch,
-		Fields: map[string]float64{
-			"term":   float64(lease.Term),
-			"ttl_ms": float64(lease.TTLMillis),
-		},
-	}
-	if oerr := r.holder.Observe(lease); oerr != nil {
-		// A stale term is suspicious but not fatal to syncing: refuse
-		// the grant, keep the newer lease we already hold.
-		leaseRec.Outcome = "stale"
-		r.cfg.Logf("fleet: %s refused lease: %v", r.cfg.Name, oerr)
-	}
-	r.emit(leaseRec)
-	if lease.Epoch > r.srv.Registry().Epoch() {
-		if err := r.fetchAndApply(ctx); err != nil {
-			return fmt.Errorf("fetch: %w", err)
-		}
-	}
-	return nil
-}
-
-// heartbeat posts the replica's identity and served epoch; the
-// response is the next lease grant.
-func (r *Replica) heartbeat(ctx context.Context) (Lease, error) {
-	hb := heartbeat{Replica: r.cfg.Name, URL: r.cfg.AdvertiseURL, Epoch: r.srv.Registry().Epoch()}
-	body, err := json.Marshal(hb)
-	if err != nil {
-		return Lease{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.cfg.PlannerURL+LeasePath, bytes.NewReader(body))
-	if err != nil {
-		return Lease{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.cfg.Client.Do(req)
-	if err != nil {
-		return Lease{}, err
-	}
-	defer drainBody(resp)
-	if resp.StatusCode != http.StatusOK {
-		return Lease{}, fmt.Errorf("planner lease status %d", resp.StatusCode)
-	}
-	var lease Lease
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&lease); err != nil {
-		return Lease{}, fmt.Errorf("decoding lease: %w", err)
-	}
-	return lease, nil
-}
-
-// fetchAndApply pulls the newest envelope (conditional on the local
-// epoch) and applies it. A torn response fails envelope decoding and
-// surfaces as a retriable fetch error — the registry is untouched.
-func (r *Replica) fetchAndApply(ctx context.Context) error {
-	url := fmt.Sprintf("%s%s?after=%d", r.cfg.PlannerURL, PlanPath, r.srv.Registry().Epoch())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return err
 	}
@@ -344,6 +264,9 @@ func (r *Replica) fetchAndApply(ctx context.Context) error {
 		return err
 	}
 	defer drainBody(resp)
+	if ms, err := strconv.ParseInt(resp.Header.Get(leaseTTLHeader), 10, 64); err == nil {
+		r.holder.renew(time.Duration(ms) * time.Millisecond)
+	}
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusNotModified, http.StatusNotFound:

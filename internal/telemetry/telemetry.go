@@ -56,11 +56,12 @@ const (
 	// KindBreaker is a circuit-breaker level transition (Fields carry
 	// the new level and trip count).
 	KindBreaker Kind = "breaker"
-	// KindSync is one replica heartbeat/fetch round (Outcome
-	// ok/error).
+	// KindSync is one replica sync round: a conditional plan fetch
+	// that renews the lease (Outcome ok/error).
 	KindSync Kind = "sync"
-	// KindLease is a lease grant (planner side) or observation
-	// (replica side; Outcome ok/stale).
+	// KindLease is the planner's side of a sync: a lease renewed for
+	// the replica Name (Epoch is the planner's newest, Fields carry
+	// replica_epoch).
 	KindLease Kind = "lease"
 	// KindPush is one planner envelope push attempt (Name is the
 	// target URL).

@@ -57,8 +57,9 @@ echo "== fleet chaos smoke (-race -short)"
 # The fleet soak also runs inside `go test -race ./...` above, but in
 # full (slow) mode only when -short is not set there; this explicit
 # short pass mirrors the CI chaos-smoke job so a local gate run always
-# exercises the kill/partition/tear schedule the same way CI does.
-go test -race -short -count=1 -run 'TestFleetChaosSoak|TestFrontend|TestPlannerDrain' ./internal/fleet/
+# exercises the kill/partition/tear schedule the same way CI does,
+# with the same lifecycle and sync-protocol tests beside it.
+go test -race -short -count=1 -run 'TestFleetChaosSoak|TestFrontend|TestPlannerDrain|TestReplicaLeaseSurvivesPlannerRestart|TestReplicaSyncIsOneRequest' ./internal/fleet/
 
 echo "== sampled-validation determinism (-race -count=2)"
 # The coverage report of a sampled validation must be byte-identical
