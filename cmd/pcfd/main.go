@@ -70,6 +70,26 @@ func checkRole(role, plannerURL, stateDir string) error {
 	return nil
 }
 
+// prepare builds the instance pcfd serves from its -topology, -links
+// and -tm flags: eval's PCF-CLS instance, the one pcfeval and pcfplan
+// solve, so the ladder's top rung guarantees what they report. The
+// lower rungs ignore the logical sequences they cannot use.
+func prepare(topo, linksFile, tmFile string, o eval.Options) (*eval.Setup, *core.Instance, error) {
+	var setup *eval.Setup
+	var err error
+	if linksFile != "" {
+		setup, err = eval.PrepareFiles(linksFile, tmFile, o)
+	} else {
+		o.Topology = topo
+		setup, err = eval.Prepare(o)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	in, err := setup.CLSInstance()
+	return setup, in, err
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pcfd: ")
@@ -109,33 +129,14 @@ func main() {
 		*solveOnStart = false
 	}
 
-	var setup *eval.Setup
-	var err error
-	if *linksFile != "" {
-		setup, err = eval.PrepareFiles(*linksFile, *tmFile, eval.Options{
-			Seed: *seed, MaxPairs: *pairs, FailureBudget: *f, TunnelsPerPair: 3,
-		})
-		*topo = *linksFile
-	} else {
-		setup, err = eval.Prepare(eval.Options{
-			Topology: *topo, Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
-		})
-	}
-	if err != nil {
-		die(err)
-	}
-	in := &core.Instance{
-		Graph: setup.Graph, TM: setup.TM, Tunnels: setup.Tunnels,
-		Failures: setup.Failures, Objective: core.DemandScale,
-	}
-	// The CLS augmentation gives the solve ladder its top rungs; FFC
-	// ignores the extra logical sequences.
-	clsIn, _, err := core.BuildCLSQuick(in)
+	setup, in, err := prepare(*topo, *linksFile, *tmFile, eval.Options{
+		Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
+	})
 	if err != nil {
 		die(err)
 	}
 	log.Printf("%s: %d nodes, %d links, %d pairs, f=%d (%d scenarios)",
-		*topo, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs),
+		setup.Opts.Topology, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs),
 		*f, setup.Failures.NumScenariosExact())
 
 	// Telemetry rides with the checkpoints by default: a daemon given
@@ -145,7 +146,7 @@ func main() {
 	}
 
 	srv, err := serve.NewServer(serve.Config{
-		Instance:              clsIn,
+		Instance:              in,
 		StateDir:              *stateDir,
 		TelemetryDir:          *telemetryDir,
 		RetainTelemetry:       *retainTelemetry,
@@ -174,7 +175,7 @@ func main() {
 		log.Printf("no checkpoint to recover, starting empty")
 		if *solveOnStart {
 			start := time.Now()
-			plan, err := core.SolveBest(clsIn, core.SolveOptions{Context: context.Background()})
+			plan, err := core.SolveBest(in, core.SolveOptions{Context: context.Background()})
 			if err != nil {
 				die(fmt.Errorf("boot solve: %w", err))
 			}

@@ -1,6 +1,18 @@
 package main
 
-import "testing"
+import (
+	"context"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"pcf/internal/core"
+	"pcf/internal/eval"
+	"pcf/internal/topozoo"
+)
 
 func TestCheckRole(t *testing.T) {
 	for _, tc := range []struct {
@@ -18,6 +30,59 @@ func TestCheckRole(t *testing.T) {
 		err := checkRole(tc.role, tc.planner, tc.state)
 		if (err == nil) != tc.ok {
 			t.Errorf("checkRole(%q, %q, %q) = %v, want ok %v", tc.role, tc.planner, tc.state, err, tc.ok)
+		}
+	}
+}
+
+// TestPrepareServesEvalCLS: the ladder pcfd serves solves eval's
+// PCF-CLS instance, so on Xeex its plan is PCF-CLS at the value eval
+// reports for that scheme, from -topology and from -links alike. The
+// daemon once solved core.BuildCLSQuick's bare instance, whose
+// segments had one direct-link tunnel each (0.1913 against 0.4605 from
+// -topology).
+func TestPrepareServesEvalCLS(t *testing.T) {
+	g, err := topozoo.Load("Xeex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines strings.Builder
+	for _, l := range g.Links() {
+		fmt.Fprintf(&lines, "%d %d %g\n", l.A, l.B, l.Capacity)
+	}
+	links := filepath.Join(t.TempDir(), "xeex.links")
+	if err := os.WriteFile(links, []byte(lines.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := eval.Options{Seed: 1, MaxPairs: 20, FailureBudget: 1}
+	for _, tc := range []struct {
+		flag, topo, links string
+		eval              func() (*eval.Setup, error)
+	}{
+		{"-topology", "Xeex", "", func() (*eval.Setup, error) {
+			zo := o
+			zo.Topology = "Xeex"
+			return eval.Prepare(zo)
+		}},
+		{"-links", "", links, func() (*eval.Setup, error) { return eval.PrepareFiles(links, "", o) }},
+	} {
+		_, in, err := prepare(tc.topo, tc.links, "", o)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.flag, err)
+		}
+		plan, err := core.SolveBest(in, core.SolveOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.flag, err)
+		}
+		setup, err := tc.eval()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.flag, err)
+		}
+		want, err := setup.Run(context.Background(), eval.SchemePCFCLS)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.flag, err)
+		}
+		if plan.Scheme != eval.SchemePCFCLS || math.Float64bits(plan.Value) != math.Float64bits(want.Value) {
+			t.Errorf("%s: pcfd's ladder answers %s %.4f, eval's PCF-CLS %.4f", tc.flag, plan.Scheme, plan.Value, want.Value)
 		}
 	}
 }

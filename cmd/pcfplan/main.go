@@ -56,19 +56,8 @@ func main() {
 		defer cancel()
 	}
 
-	var name string
-	switch *scheme {
-	case "ffc":
-		name = eval.SchemeFFC
-	case "pcf-tf":
-		name = eval.SchemePCFTF
-	case "pcf-ls":
-		name = eval.SchemePCFLS
-	case "pcf-cls":
-		name = eval.SchemePCFCLS
-	case "best":
-		// Handled below: degradation ladder over PCF-CLS → PCF-LS → FFC.
-	default:
+	name, ok := schemes[*scheme]
+	if !ok {
 		log.Fatalf("unknown scheme %q", *scheme)
 	}
 
@@ -76,9 +65,8 @@ func main() {
 	var err error
 	if *linksFile != "" {
 		setup, err = eval.PrepareFiles(*linksFile, *tmFile, eval.Options{
-			Seed: *seed, MaxPairs: *pairs, FailureBudget: *f, TunnelsPerPair: 3,
+			Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
 		})
-		*topo = *linksFile
 	} else {
 		setup, err = eval.Prepare(eval.Options{
 			Topology: *topo, Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
@@ -100,9 +88,8 @@ func main() {
 			die(err)
 		}
 	}
-	var telStore *telemetry.Store
 	if *telemetryDir != "" {
-		telStore, err = telemetry.Open(*telemetryDir, telemetry.StoreConfig{Logf: log.Printf})
+		telStore, err := telemetry.Open(*telemetryDir, telemetry.StoreConfig{Logf: log.Printf})
 		if err != nil {
 			die(err)
 		}
@@ -110,10 +97,10 @@ func main() {
 		setup.Telemetry = telStore
 	}
 	fmt.Printf("%s: %d nodes, %d links, %d pairs, f=%d (%d scenarios), no-failure MLU %.3f\n",
-		*topo, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs),
+		setup.Opts.Topology, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs),
 		*f, setup.Failures.NumScenariosExact(), setup.MLU)
 
-	plan, err := solve(ctx, os.Stdout, setup, name, *topo, telStore)
+	plan, err := solve(ctx, os.Stdout, setup, name)
 	if err != nil {
 		die(err)
 	}
@@ -129,51 +116,32 @@ func main() {
 	}
 }
 
-// solve runs the scheme (name "" is the best ladder), prints its result
-// to w and returns the plan it printed: -reservations and -validate act
-// on exactly that plan.
-func solve(ctx context.Context, w io.Writer, setup *eval.Setup, name, topo string, tel *telemetry.Store) (*core.Plan, error) {
-	if name != "" {
-		res, err := setup.RunContext(ctx, name)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "%s guaranteed demand scale: %.4f (solved in %v)\n", res.Scheme, res.Value, res.Time.Round(1e6))
-		if res.Stats != "" {
-			fmt.Fprintf(w, "lp: %s\n", res.Stats)
-		}
-		return res.Plan, nil
-	}
-	in := &core.Instance{
-		Graph: setup.Graph, TM: setup.TM, Tunnels: setup.Tunnels,
-		Failures: setup.Failures, Objective: core.DemandScale,
-	}
-	clsIn, _, err := core.BuildCLSQuick(in)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	plan, err := core.SolveBest(clsIn, core.SolveOptions{Context: ctx})
+// schemes maps -scheme to the eval scheme it runs; best is the
+// degradation ladder over PCF-CLS → PCF-LS → FFC.
+var schemes = map[string]string{
+	"ffc":     eval.SchemeFFC,
+	"pcf-tf":  eval.SchemePCFTF,
+	"pcf-ls":  eval.SchemePCFLS,
+	"pcf-cls": eval.SchemePCFCLS,
+	"best":    eval.SchemeBest,
+}
+
+// solve runs the scheme, prints its result to w and returns the plan
+// it printed: -reservations and -validate act on exactly that plan.
+func solve(ctx context.Context, w io.Writer, setup *eval.Setup, name string) (*core.Plan, error) {
+	res, err := setup.Run(ctx, name)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(w, "%s guaranteed demand scale: %.4f (solved in %v)\n",
-		plan.Scheme, plan.Value, time.Since(start).Round(time.Millisecond))
-	if tel != nil {
-		fields := plan.Stats.Metrics()
-		fields["value"] = plan.Value
-		tel.Emit(telemetry.Record{
-			Kind: telemetry.KindSolve, Source: "eval", Name: topo,
-			Scheme: plan.Scheme, Dur: time.Since(start), Fields: fields,
-		})
+		res.Plan.Scheme, res.Value, res.Time.Round(time.Millisecond))
+	if res.Stats != "" {
+		fmt.Fprintf(w, "lp: %s\n", res.Stats)
 	}
-	if line := eval.StatsLine(plan.Stats); line != "" {
-		fmt.Fprintf(w, "lp: %s\n", line)
+	if len(res.Plan.Degraded) > 0 {
+		fmt.Fprintf(w, "degraded: abandoned %s\n", strings.Join(res.Plan.Degraded, ", "))
 	}
-	if len(plan.Degraded) > 0 {
-		fmt.Fprintf(w, "degraded: abandoned %s\n", strings.Join(plan.Degraded, ", "))
-	}
-	return plan, nil
+	return res.Plan, nil
 }
 
 func printReservations(plan *core.Plan) {

@@ -11,28 +11,38 @@ import (
 
 // TestSolveReturnsReportedPlan: the plan -validate and -reservations
 // act on is the plan pcfplan reported, for every plan scheme — not a
-// re-solve with other tunnels or another formulation.
+// re-solve with other tunnels or another formulation. best runs the
+// ladder on the instance pcf-cls solves, so where its top rung holds
+// both report the same PCF-CLS value; on Xeex best once solved a
+// weaker instance and reported 0.1913 against pcf-cls's 0.4605.
 func TestSolveReturnsReportedPlan(t *testing.T) {
-	setup, err := eval.Prepare(eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 20, FailureBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{eval.SchemeFFC, eval.SchemePCFTF, eval.SchemePCFLS, eval.SchemePCFCLS, ""} {
-		var out bytes.Buffer
-		plan, err := solve(context.Background(), &out, setup, name, "Sprint", nil)
+	for _, topo := range []string{"Sprint", "Xeex"} {
+		setup, err := eval.Prepare(eval.Options{Topology: topo, Seed: 1, MaxPairs: 20, FailureBudget: 1})
 		if err != nil {
-			t.Fatalf("scheme %q: %v", name, err)
+			t.Fatal(err)
 		}
-		var scheme string
-		var value float64
-		if _, err := fmt.Sscanf(out.String(), "%s guaranteed demand scale: %f", &scheme, &value); err != nil {
-			t.Fatalf("scheme %q: unparseable report %q: %v", name, out.String(), err)
+		reported := map[string]string{}
+		for _, name := range []string{eval.SchemeFFC, eval.SchemePCFTF, eval.SchemePCFLS, eval.SchemePCFCLS, eval.SchemeBest} {
+			var out bytes.Buffer
+			plan, err := solve(context.Background(), &out, setup, name)
+			if err != nil {
+				t.Fatalf("%s scheme %q: %v", topo, name, err)
+			}
+			var scheme string
+			var value float64
+			if _, err := fmt.Sscanf(out.String(), "%s guaranteed demand scale: %f", &scheme, &value); err != nil {
+				t.Fatalf("%s scheme %q: unparseable report %q: %v", topo, name, out.String(), err)
+			}
+			if name != eval.SchemeBest && scheme != name {
+				t.Errorf("%s scheme %q reported as %s", topo, name, scheme)
+			}
+			if plan.Scheme != scheme || fmt.Sprintf("%.4f", plan.Value) != fmt.Sprintf("%.4f", value) {
+				t.Errorf("%s scheme %q: reported %s %.4f, returned plan is %s %.4f", topo, name, scheme, value, plan.Scheme, plan.Value)
+			}
+			reported[name] = fmt.Sprintf("%s %.4f", scheme, value)
 		}
-		if name != "" && scheme != name {
-			t.Errorf("scheme %q reported as %s", name, scheme)
-		}
-		if plan.Scheme != scheme || fmt.Sprintf("%.4f", plan.Value) != fmt.Sprintf("%.4f", value) {
-			t.Errorf("scheme %q: reported %s %.4f, returned plan is %s %.4f", name, scheme, value, plan.Scheme, plan.Value)
+		if reported[eval.SchemeBest] != reported[eval.SchemePCFCLS] {
+			t.Errorf("%s: best reported %s, pcf-cls %s", topo, reported[eval.SchemeBest], reported[eval.SchemePCFCLS])
 		}
 	}
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -43,7 +44,7 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "scheme\tdemand scale\tvs FFC\tsolve time")
 	for _, sch := range schemes {
-		r, err := setup.Run(sch)
+		r, err := setup.Run(context.Background(), sch)
 		if err != nil {
 			log.Fatalf("%s: %v", sch, err)
 		}

@@ -257,8 +257,11 @@ func hasDirectTunnel(ts *tunnels.Set, p topology.Pair, l topology.LinkID) bool {
 // demand pair (unconditional) plus, per link direction, the shortest
 // bypass path avoiding the link (conditioned on that link being dead).
 // It captures the structure PCF-CLS needs — always-active spine LSs
-// and failure-activated bypass LSs — at a fraction of the cost, and is
-// what the evaluation uses on the largest topologies (EXPERIMENTS.md).
+// and failure-activated bypass LSs — at a fraction of the cost. The
+// spine segments get only the direct-link tunnels EnsureSegmentTunnels
+// adds, which one failure kills; eval.Setup.CLSInstance gives each of
+// them a full tunnel set, and that is the PCF-CLS instance every entry
+// point solves. BuildCLS stays as the paper's §3.5 pipeline.
 func BuildCLSQuick(in *Instance) (*Instance, []LogicalSequence, error) {
 	g := in.Graph
 	var lss []LogicalSequence

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestDeterministicRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := s.Run("FFC")
+		r, err := s.Run(context.Background(), "FFC")
 		if err != nil {
 			t.Fatal(err)
 		}

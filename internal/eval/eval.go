@@ -55,11 +55,6 @@ type Options struct {
 	SubLinkSplit int
 	// Objective is the metric (demand scale by default).
 	Objective core.Objective
-	// CLSMode selects how PCF-CLS generates logical sequences:
-	// "flow" runs the paper's logical-flow decomposition (§3.5),
-	// "quick" uses the direct shortest-path/bypass heuristic, and
-	// "" (auto) picks flow for small graphs and quick otherwise.
-	CLSMode string
 }
 
 // The target range of the optimal no-failure MLU the demands are scaled
@@ -239,7 +234,8 @@ type Result struct {
 	Scheme string
 	// Value is the metric (demand scale, or total throughput).
 	Value float64
-	// Time is the offline solve time.
+	// Time is the offline solve time, deriving the scheme's instance
+	// included.
 	Time time.Duration
 	// Extra carries scheme-specific notes (e.g. pruned LS fraction).
 	Extra string
@@ -280,29 +276,26 @@ func SweepStatsLine(st *mcf.SweepStats) string {
 		st.WarmHits, 100*st.WarmHitRate(), st.Workers)
 }
 
-// Scheme names understood by Run.
+// Scheme names understood by Run. SchemeBest is core.SolveBest's
+// degradation ladder (PCF-CLS, then PCF-LS, then FFC) on the PCF-CLS
+// instance, under the name pcfd serves it by.
 const (
 	SchemeFFC           = "FFC"
 	SchemePCFTF         = "PCF-TF"
 	SchemePCFLS         = "PCF-LS"
 	SchemePCFCLS        = "PCF-CLS"
 	SchemePCFCLSTopSort = "PCF-CLS-TopSort"
+	SchemeBest          = "best"
 	SchemeR3            = "R3"
 	SchemeOptimal       = "Optimal"
 )
 
-// Run executes one scheme on the setup.
-func (s *Setup) Run(scheme string) (Result, error) {
-	return s.RunContext(nil, scheme)
-}
-
-// RunContext executes one scheme on the setup under a context: the
-// deadline and cancellation propagate into every LP solve and scenario
-// enumeration, and the resulting error wraps the context error. A nil
-// ctx means no bound. Each run leaves one telemetry record behind when
-// the setup has a sink: solve records for the plan schemes, an mcf
-// record for the optimal sweep.
-func (s *Setup) RunContext(ctx context.Context, scheme string) (Result, error) {
+// Run executes one scheme on the setup under ctx: the deadline and
+// cancellation propagate into every LP solve and scenario enumeration,
+// and the resulting error wraps the context error. Each run leaves one
+// telemetry record behind when the setup has a sink: solve records for
+// the plan schemes, an mcf record for the optimal sweep.
+func (s *Setup) Run(ctx context.Context, scheme string) (Result, error) {
 	start := time.Now()
 	res, err := s.runScheme(ctx, scheme)
 	kind := telemetry.KindSolve
@@ -313,7 +306,6 @@ func (s *Setup) RunContext(ctx context.Context, scheme string) (Result, error) {
 	if err != nil {
 		rec.Outcome = "error"
 	} else {
-		rec.Dur = res.Time
 		rec.Fields = map[string]float64{"value": res.Value}
 		for k, v := range res.Fields {
 			rec.Fields[k] = v
@@ -323,8 +315,7 @@ func (s *Setup) RunContext(ctx context.Context, scheme string) (Result, error) {
 	return res, err
 }
 
-// runScheme dispatches one scheme run; RunContext wraps it with
-// telemetry.
+// runScheme dispatches one scheme run; Run wraps it with telemetry.
 func (s *Setup) runScheme(ctx context.Context, scheme string) (Result, error) {
 	start := time.Now()
 	solveOpts := core.SolveOptions{Context: ctx}
@@ -341,9 +332,18 @@ func (s *Setup) runScheme(ctx context.Context, scheme string) (Result, error) {
 		if in, err = s.lsInstance(); err == nil {
 			plan, err = core.SolvePCFLS(in, solveOpts)
 		}
-	case SchemePCFCLS, SchemePCFCLSTopSort:
-		if in, extra, err = s.clsInstance(scheme == SchemePCFCLSTopSort); err == nil {
+	case SchemePCFCLS:
+		if in, err = s.CLSInstance(); err == nil {
 			plan, err = core.SolvePCFCLS(in, solveOpts)
+		}
+	case SchemePCFCLSTopSort:
+		if in, err = s.CLSInstance(); err == nil {
+			extra = s.topSort(in)
+			plan, err = core.SolvePCFCLS(in, solveOpts)
+		}
+	case SchemeBest:
+		if in, err = s.CLSInstance(); err == nil {
+			plan, err = core.SolveBest(in, solveOpts)
 		}
 	case SchemeR3:
 		plan, err = core.SolveR3(s.instance(0), solveOpts)
@@ -366,78 +366,59 @@ func (s *Setup) runScheme(ctx context.Context, scheme string) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Scheme: scheme, Value: plan.Value, Time: plan.SolveTime, Extra: extra,
-		Stats: StatsLine(plan.Stats), Fields: plan.Stats.Metrics(), Plan: plan}
-	if scheme == SchemePCFCLS || scheme == SchemePCFCLSTopSort {
-		// A CLS plan's time includes deriving its logical sequences.
-		res.Time = time.Since(start)
-	}
-	return res, nil
+	return Result{Scheme: scheme, Value: plan.Value, Time: time.Since(start), Extra: extra,
+		Stats: StatsLine(plan.Stats), Fields: plan.Stats.Metrics(), Plan: plan}, nil
 }
 
-// clsInstance derives the PCF-CLS instance: logical sequences from the
-// flow decomposition (small topologies, or CLSMode "flow") or the quick
-// builder, unconditional segments augmented, and with topSort only the
-// LSs TopSortFilter keeps. extra notes the pruned fraction.
-func (s *Setup) clsInstance(topSort bool) (*core.Instance, string, error) {
-	mode := s.Opts.CLSMode
-	if mode == "" {
-		if s.Graph.NumLinks() <= 24 {
-			mode = "flow"
-		} else {
-			mode = "quick"
-		}
-	}
-	var clsIn *core.Instance
-	var lss []core.LogicalSequence
-	var err error
-	if mode == "flow" {
-		clsIn, lss, err = core.BuildCLS(s.instance(0), core.FlowOptions{SparseSupport: 3})
-	} else {
-		clsIn, lss, err = core.BuildCLSQuick(s.instance(0))
-	}
+// CLSInstance is the PCF-CLS instance: core.BuildCLSQuick's
+// shortest-path and bypass logical sequences, with every segment of an
+// unconditional sequence given TunnelsPerPair tunnels. It is what every
+// entry point that solves PCF-CLS solves — the PCF-CLS schemes here,
+// SchemeBest, and pcfd's ladder.
+func (s *Setup) CLSInstance() (*core.Instance, error) {
+	in, _, err := core.BuildCLSQuick(s.instance(0))
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	if err := s.augmentUncondSegments(clsIn); err != nil {
-		return nil, "", err
+	if in.Tunnels, err = s.segmentTunnels(in.Tunnels, in.LSs); err != nil {
+		return nil, err
 	}
-	if !topSort {
-		return clsIn, "", nil
-	}
-	kept, pruned := core.TopSortFilter(lss, s.Opts.FailureBudget == 1)
-	clsIn.LSs = kept
-	extra := ""
-	if total := len(lss); total > 0 {
-		extra = fmt.Sprintf("pruned %d/%d LSs (%.2f%%)", pruned, total,
-			100*float64(pruned)/float64(total))
-	}
-	if clsIn.Tunnels, err = core.EnsureSegmentTunnels(clsIn.Tunnels, kept); err != nil {
-		return nil, "", err
-	}
-	return clsIn, extra, nil
+	return in, nil
 }
 
-// augmentUncondSegments gives the segments of unconditional LSs the
-// same resilient multi-tunnel treatment the PCF-LS configuration uses:
-// an always-active LS is only as strong as its weakest segment, so a
-// single direct-link tunnel there wastes the LS under that link's
-// failure. Conditional (bypass) LSs don't need this — their activation
-// already encodes the failure they protect against.
-func (s *Setup) augmentUncondSegments(in *core.Instance) error {
+// topSort keeps only the LSs core.TopSortFilter keeps (their segments
+// are already covered) and returns a note of the pruned fraction.
+func (s *Setup) topSort(in *core.Instance) string {
+	total := len(in.LSs)
+	kept, pruned := core.TopSortFilter(in.LSs, s.Opts.FailureBudget == 1)
+	in.LSs = kept
+	if total == 0 {
+		return ""
+	}
+	return fmt.Sprintf("pruned %d/%d LSs (%.2f%%)", pruned, total, 100*float64(pruned)/float64(total))
+}
+
+// segmentTunnels returns ts extended so that every segment of an
+// unconditional LS in lss has TunnelsPerPair tunnels: an always-active
+// LS is only as strong as its weakest segment, so a single direct-link
+// tunnel there wastes the LS under that link's failure. Conditional
+// (bypass) LSs don't need this — their activation already encodes the
+// failure they protect against. Paths ts already holds are not added
+// twice.
+func (s *Setup) segmentTunnels(ts *tunnels.Set, lss []core.LogicalSequence) (*tunnels.Set, error) {
 	segSet := map[topology.Pair]bool{}
-	for _, q := range in.LSs {
+	for _, q := range lss {
 		if q.Cond != nil {
 			continue
 		}
 		for _, seg := range q.Segments() {
-			if len(in.Tunnels.ForPair(seg)) < s.Opts.TunnelsPerPair {
+			if len(ts.ForPair(seg)) < s.Opts.TunnelsPerPair {
 				segSet[seg] = true
 			}
 		}
 	}
 	if len(segSet) == 0 {
-		return nil
+		return ts, nil
 	}
 	var segPairs []topology.Pair
 	for p := range segSet {
@@ -449,76 +430,36 @@ func (s *Setup) augmentUncondSegments(in *core.Instance) error {
 		}
 		return segPairs[i].Dst < segPairs[j].Dst
 	})
-	segTs, err := tunnels.Select(in.Graph, segPairs, tunnels.SelectOptions{PerPair: s.Opts.TunnelsPerPair})
+	segTs, err := tunnels.Select(s.Graph, segPairs, tunnels.SelectOptions{PerPair: s.Opts.TunnelsPerPair})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	merged := tunnels.NewSet(in.Graph)
+	merged := tunnels.NewSet(s.Graph)
 	seen := map[string]bool{}
-	addAll := func(ts *tunnels.Set) {
-		for _, p := range ts.Pairs() {
-			for _, id := range ts.ForPair(p) {
-				path := ts.Tunnel(id).Path
-				k := fmt.Sprint(p, path.Arcs)
-				if seen[k] {
-					continue
+	for _, set := range []*tunnels.Set{ts, segTs} {
+		for _, p := range set.Pairs() {
+			for _, id := range set.ForPair(p) {
+				path := set.Tunnel(id).Path
+				if k := fmt.Sprint(p, path.Arcs); !seen[k] {
+					seen[k] = true
+					merged.MustAdd(p, path)
 				}
-				seen[k] = true
-				merged.MustAdd(p, path)
 			}
 		}
 	}
-	addAll(in.Tunnels)
-	addAll(segTs)
-	in.Tunnels = merged
-	return nil
+	return merged, nil
 }
 
 // lsInstance builds the PCF-LS configuration of §5: one unconditional
-// shortest-path LS per demand pair, with tunnels selected for every LS
-// segment pair as well.
+// shortest-path LS per demand pair, its segments given tunnels of
+// their own.
 func (s *Setup) lsInstance() (*core.Instance, error) {
 	in := s.instance(0)
-	lss := core.ShortestPathLSs(s.Graph, s.Pairs)
-	// Segment pairs need resilient tunnel sets of their own (an
-	// unconditional LS is only as strong as its weakest segment).
-	segSet := map[topology.Pair]bool{}
-	for _, q := range lss {
-		for _, seg := range q.Segments() {
-			if len(in.Tunnels.ForPair(seg)) == 0 {
-				segSet[seg] = true
-			}
-		}
+	in.LSs = core.ShortestPathLSs(s.Graph, s.Pairs)
+	var err error
+	if in.Tunnels, err = s.segmentTunnels(in.Tunnels, in.LSs); err != nil {
+		return nil, err
 	}
-	if len(segSet) > 0 {
-		var segPairs []topology.Pair
-		for p := range segSet {
-			segPairs = append(segPairs, p)
-		}
-		sort.Slice(segPairs, func(i, j int) bool {
-			if segPairs[i].Src != segPairs[j].Src {
-				return segPairs[i].Src < segPairs[j].Src
-			}
-			return segPairs[i].Dst < segPairs[j].Dst
-		})
-		segTs, err := tunnels.Select(s.Graph, segPairs, tunnels.SelectOptions{PerPair: s.Opts.TunnelsPerPair})
-		if err != nil {
-			return nil, err
-		}
-		merged := tunnels.NewSet(s.Graph)
-		for _, p := range in.Tunnels.Pairs() {
-			for _, id := range in.Tunnels.ForPair(p) {
-				merged.MustAdd(p, in.Tunnels.Tunnel(id).Path)
-			}
-		}
-		for _, p := range segTs.Pairs() {
-			for _, id := range segTs.ForPair(p) {
-				merged.MustAdd(p, segTs.Tunnel(id).Path)
-			}
-		}
-		in.Tunnels = merged
-	}
-	in.LSs = lss
 	return in, nil
 }
 

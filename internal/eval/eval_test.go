@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -39,7 +40,7 @@ func TestRunUnknownScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run("nope"); err == nil {
+	if _, err := s.Run(context.Background(), "nope"); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -49,7 +50,7 @@ func TestRunOptimalRejectsThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(SchemeOptimal); err == nil {
+	if _, err := s.Run(context.Background(), SchemeOptimal); err == nil {
 		t.Fatal("optimal under throughput should be rejected (as in the paper)")
 	}
 }
@@ -61,7 +62,7 @@ func TestSchemeOrderingOnSprint(t *testing.T) {
 	}
 	vals := map[string]float64{}
 	for _, sch := range []string{SchemeFFC, SchemePCFTF, SchemeOptimal} {
-		r, err := s.Run(sch)
+		r, err := s.Run(context.Background(), sch)
 		if err != nil {
 			t.Fatalf("%s: %v", sch, err)
 		}
@@ -194,7 +195,7 @@ func TestSubLinkPreparation(t *testing.T) {
 	if s.Failures.Budget != 3 {
 		t.Fatal("budget not propagated")
 	}
-	r, err := s.Run(SchemeFFC)
+	r, err := s.Run(context.Background(), SchemeFFC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,5 +233,30 @@ func TestValidationSweepTable(t *testing.T) {
 	}
 	if mlu > 1+1e-6 {
 		t.Fatalf("worst MLU %g exceeds 1 despite scale %g", mlu, scale)
+	}
+}
+
+// TestBestAnswersOnCLSRung: SchemeBest runs the ladder on CLSInstance,
+// so where its top rung holds it answers PCF-CLS at the value
+// SchemePCFCLS reports, bit for bit. On these three topologies the
+// ladder once ran on core.BuildCLSQuick's bare instance instead and
+// answered lower (Xeex 0.1913 against 0.4605).
+func TestBestAnswersOnCLSRung(t *testing.T) {
+	for _, name := range []string{"Xeex", "Integra", "BTNorthAmerica"} {
+		s, err := Prepare(Options{Topology: name, Seed: 1, MaxPairs: 20, FailureBudget: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, err := s.Run(context.Background(), SchemeBest)
+		if err != nil {
+			t.Fatalf("%s best: %v", name, err)
+		}
+		cls, err := s.Run(context.Background(), SchemePCFCLS)
+		if err != nil {
+			t.Fatalf("%s PCF-CLS: %v", name, err)
+		}
+		if best.Plan.Scheme != SchemePCFCLS || math.Float64bits(best.Value) != math.Float64bits(cls.Value) {
+			t.Errorf("%s: best answered %s %.4f, PCF-CLS %.4f", name, best.Plan.Scheme, best.Value, cls.Value)
+		}
 	}
 }

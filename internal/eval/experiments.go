@@ -76,8 +76,6 @@ type Config struct {
 	// topologies with at most this many links (scenario enumeration
 	// times MCF grows quickly; the paper saw >2-day solves).
 	OptimalMaxLinks int
-	// CLSMode forwards to Options.CLSMode.
-	CLSMode string
 	// SRLGFile, when set, replaces every prepared setup's failure model
 	// with the shared-risk groups in the file (Setup.ApplySRLGFile) for
 	// the validation-facing experiments.
@@ -347,20 +345,20 @@ func Fig9(cfg Config) (*Table, error) {
 // scale ratios relative to FFC (and the optimal when affordable).
 func schemesVsFFC(cfg Config, setup *Setup) (map[string]float64, error) {
 	out := map[string]float64{}
-	ffc, err := setup.Run(SchemeFFC)
+	ffc, err := setup.Run(context.Background(), SchemeFFC)
 	if err != nil {
 		return nil, err
 	}
 	out[SchemeFFC] = ffc.Value
 	for _, sch := range []string{SchemePCFTF, SchemePCFLS, SchemePCFCLS} {
-		r, err := setup.Run(sch)
+		r, err := setup.Run(context.Background(), sch)
 		if err != nil {
 			return nil, err
 		}
 		out[sch] = r.Value
 	}
 	if setup.Graph.NumLinks() <= cfg.OptimalMaxLinks && setup.Opts.FailureBudget == 1 {
-		r, err := setup.Run(SchemeOptimal)
+		r, err := setup.Run(context.Background(), SchemeOptimal)
 		if err != nil {
 			return nil, err
 		}
@@ -396,7 +394,7 @@ func Fig10(cfg Config) (*Table, error) {
 	for seed := 0; seed < cfg.Seeds; seed++ {
 		setup, err := Prepare(Options{
 			Topology: cfg.RefTopology, Seed: int64(seed + 1),
-			MaxPairs: cfg.MaxPairs, FailureBudget: 1, CLSMode: cfg.CLSMode,
+			MaxPairs: cfg.MaxPairs, FailureBudget: 1,
 		})
 		if err != nil {
 			return nil, err
@@ -424,7 +422,7 @@ func Fig11(cfg Config) (*Table, error) {
 		}
 		setup, err := Prepare(Options{
 			Topology: name, Seed: 1,
-			MaxPairs: cfg.pairCap(entry.NumLinks()), FailureBudget: 1, CLSMode: cfg.CLSMode,
+			MaxPairs: cfg.pairCap(entry.NumLinks()), FailureBudget: 1,
 		})
 		if err != nil {
 			return nil, err
@@ -451,7 +449,7 @@ func Fig12(cfg Config) (*Table, error) {
 		setup, err := Prepare(Options{
 			Topology: name, Seed: 1,
 			MaxPairs: cfg.pairCap(0), FailureBudget: 3, SubLinkSplit: 2,
-			TunnelsPerPair: 6, FFCTunnels: 4, CLSMode: cfg.CLSMode,
+			TunnelsPerPair: 6, FFCTunnels: 4,
 		})
 		if err != nil {
 			return nil, err
@@ -482,21 +480,21 @@ func Fig13(cfg Config) (*Table, error) {
 			Topology: name, Seed: 1,
 			MaxPairs: cfg.pairCap(0), FailureBudget: 3, SubLinkSplit: 2,
 			TunnelsPerPair: 6, FFCTunnels: 4,
-			Objective: core.Throughput, CLSMode: cfg.CLSMode,
+			Objective: core.Throughput,
 		})
 		if err != nil {
 			return nil, err
 		}
 		total := setup.TM.Total()
 		overhead := func(thr float64) float64 { return 1 - thr/total }
-		ffc, err := setup.Run(SchemeFFC)
+		ffc, err := setup.Run(context.Background(), SchemeFFC)
 		if err != nil {
 			return nil, err
 		}
 		ffcOv := overhead(ffc.Value)
 		row := []string{name, f4(ffcOv)}
 		for _, sch := range []string{SchemePCFTF, SchemePCFLS, SchemePCFCLS} {
-			r, err := setup.Run(sch)
+			r, err := setup.Run(context.Background(), sch)
 			if err != nil {
 				return nil, err
 			}
@@ -530,18 +528,18 @@ func Fig14(cfg Config) (*Table, error) {
 		setup, err := Prepare(Options{
 			Topology: e.Name, Seed: 1,
 			MaxPairs: cfg.pairCap(0), FailureBudget: 3, SubLinkSplit: 2,
-			TunnelsPerPair: 6, CLSMode: cfg.CLSMode,
+			TunnelsPerPair: 6,
 		})
 		if err != nil {
 			return nil, err
 		}
 		row := []string{e.Name, fmt.Sprintf("%d", setup.Graph.NumLinks())}
-		tf, err := setup.Run(SchemePCFTF)
+		tf, err := setup.Run(context.Background(), SchemePCFTF)
 		if err != nil {
 			return nil, err
 		}
 		row = append(row, tf.Time.Round(time.Millisecond).String())
-		cls, err := setup.Run(SchemePCFCLS)
+		cls, err := setup.Run(context.Background(), SchemePCFCLS)
 		if err != nil {
 			return nil, err
 		}
@@ -553,7 +551,7 @@ func Fig14(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			opt, err := s1.Run(SchemeOptimal)
+			opt, err := s1.Run(context.Background(), SchemeOptimal)
 			if err != nil {
 				return nil, err
 			}
@@ -581,20 +579,20 @@ func Sec52(cfg Config) (*Table, error) {
 		}
 		setup, err := Prepare(Options{
 			Topology: name, Seed: 1,
-			MaxPairs: cfg.pairCap(entry.NumLinks()), FailureBudget: 1, CLSMode: cfg.CLSMode,
+			MaxPairs: cfg.pairCap(entry.NumLinks()), FailureBudget: 1,
 		})
 		if err != nil {
 			return nil, err
 		}
-		cls, err := setup.Run(SchemePCFCLS)
+		cls, err := setup.Run(context.Background(), SchemePCFCLS)
 		if err != nil {
 			return nil, err
 		}
-		tsr, err := setup.Run(SchemePCFCLSTopSort)
+		tsr, err := setup.Run(context.Background(), SchemePCFCLSTopSort)
 		if err != nil {
 			return nil, err
 		}
-		ffc, err := setup.Run(SchemeFFC)
+		ffc, err := setup.Run(context.Background(), SchemeFFC)
 		if err != nil {
 			return nil, err
 		}
@@ -653,53 +651,28 @@ func NodeFailures(cfg Config) (*Table, error) {
 		Columns: []string{"topology", "FFC", "PCF-TF", "PCF-CLS"},
 	}
 	for _, name := range cfg.Topologies {
+		// FFC keeps the PCF schemes' three tunnels per pair here.
 		setup, err := Prepare(Options{
-			Topology: name, Seed: 1, MaxPairs: cfg.pairCap(0), FailureBudget: 1,
-			CLSMode: cfg.CLSMode,
+			Topology: name, Seed: 1, MaxPairs: cfg.pairCap(0), FailureBudget: 1, FFCTunnels: 3,
 		})
 		if err != nil {
 			return nil, err
 		}
-		// Transit nodes: not an endpoint of any demand pair.
-		endpoint := map[topology.NodeID]bool{}
-		for _, p := range setup.Pairs {
-			endpoint[p.Src] = true
-			endpoint[p.Dst] = true
-		}
-		var transit []topology.NodeID
-		for v := 0; v < setup.Graph.NumNodes(); v++ {
-			if !endpoint[topology.NodeID(v)] {
-				transit = append(transit, topology.NodeID(v))
-			}
-		}
-		if len(transit) == 0 {
+		// The one error "transit" returns: every node is a demand
+		// endpoint, so there is no transit router to fail.
+		if err := setup.ApplyNodeFailures("transit"); err != nil {
 			t.Rows = append(t.Rows, []string{name, "-", "-", "-"})
 			continue
 		}
-		fs := failures.Nodes(setup.Graph, transit, 1)
-		mk := func() *core.Instance {
-			return &core.Instance{
-				Graph: setup.Graph, TM: setup.TM, Tunnels: setup.Tunnels,
-				Failures: fs, Objective: core.DemandScale,
+		row := []string{name}
+		for _, sch := range []string{SchemeFFC, SchemePCFTF, SchemePCFCLS} {
+			r, err := setup.Run(context.Background(), sch)
+			if err != nil {
+				return nil, err
 			}
+			row = append(row, f4(r.Value))
 		}
-		ffc, err := core.SolveFFC(mk(), core.SolveOptions{})
-		if err != nil {
-			return nil, err
-		}
-		tf, err := core.SolvePCFTF(mk(), core.SolveOptions{})
-		if err != nil {
-			return nil, err
-		}
-		clsIn, _, err := core.BuildCLSQuick(mk())
-		if err != nil {
-			return nil, err
-		}
-		cls, err := core.SolvePCFCLS(clsIn, core.SolveOptions{})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{name, f4(ffc.Value), f4(tf.Value), f4(cls.Value)})
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }
@@ -721,7 +694,6 @@ func ValidationSweep(cfg Config) (*Table, error) {
 	for _, name := range cfg.Topologies {
 		setup, err := Prepare(Options{
 			Topology: name, Seed: 1, MaxPairs: cfg.pairCap(0), FailureBudget: 1,
-			CLSMode: cfg.CLSMode,
 		})
 		if err != nil {
 			return nil, err
@@ -769,7 +741,7 @@ func DegradedVsBinary(cfg Config) (*Table, error) {
 	for _, f := range []int{1, 2} {
 		setup, err := Prepare(Options{
 			Topology: cfg.RefTopology, Seed: 1, MaxPairs: cfg.pairCap(0),
-			FailureBudget: f, CLSMode: cfg.CLSMode,
+			FailureBudget: f,
 		})
 		if err != nil {
 			return nil, err

@@ -74,7 +74,7 @@ type Server struct {
 
 // NewServer builds a server from the config. The instance must already
 // carry whatever logical sequences the configured schemes need (cmd/
-// pcfd runs core.BuildCLSQuick during preparation).
+// pcfd serves eval's PCF-CLS instance, Setup.CLSInstance).
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Instance == nil {

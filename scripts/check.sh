@@ -130,6 +130,15 @@ echo "== tunnel search ≡ full pass, prepare fingerprints, warm confirmation (-
 # -race; -count=2 keeps Go's test cache from answering.
 go test -count=2 -run 'TestSearchMatchesFullPass|TestSelectMatchesFullPass|TestPrepareFingerprints|TestScaleConfirmationWarm' ./internal/tunnels/ ./internal/eval/ ./internal/mcf/
 
+echo "== one PCF-CLS instance (-count=2)"
+# eval.Setup.CLSInstance is the one PCF-CLS instance: eval's SchemeBest
+# must answer on the PCF-CLS rung at SchemePCFCLS's value, bit for bit,
+# pcfplan -scheme best must print -scheme pcf-cls's value, and SolveBest
+# on the instance pcfd prepares (from -topology and from -links) must
+# give eval's PCF-CLS value. -count=2 keeps Go's test cache from
+# answering.
+go test -count=2 -run 'TestBestAnswersOnCLSRung|TestSolveReturnsReportedPlan|TestPrepareServesEvalCLS' ./internal/eval/ ./cmd/pcfplan/ ./cmd/pcfd/
+
 echo "== bench smoke (-benchtime 1x)"
 # Every Go benchmark once, for its tripwires: BenchmarkSolveSynth1k
 # b.Fatals on a phase-1 iteration or a kernel as large as the basis,
