@@ -472,10 +472,8 @@ func BenchmarkAblation_LSChoiceQuick(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_LinearSystem compares the direct solve of the
-// online routing system — the sparse Markowitz LU every realization
-// factors — against the distributed-style Jacobi iteration the paper
-// suggests (§4.3), both over the same sparse rows.
+// BenchmarkAblation_LinearSystem times the direct solve of the online
+// routing system: the sparse Markowitz LU every realization factors.
 func BenchmarkAblation_LinearSystem(b *testing.B) {
 	// A representative diagonally dominant reservation-style system.
 	n := 60
@@ -500,13 +498,6 @@ func BenchmarkAblation_LinearSystem(b *testing.B) {
 				err = lu.SolveInto(x, rhs)
 			}
 			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Jacobi", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := linsolve.Jacobi(rows, rhs, 10000, 1e-9); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -70,19 +70,13 @@ func checkRole(role, plannerURL, stateDir string) error {
 	return nil
 }
 
-// prepare builds the instance pcfd serves from its -topology, -links
-// and -tm flags: eval's PCF-CLS instance, the one pcfeval and pcfplan
-// solve, so the ladder's top rung guarantees what they report. The
-// lower rungs ignore the logical sequences they cannot use.
+// prepare builds the instance pcfd serves from its -topology, -links,
+// -tm and -f flags: eval's PCF-CLS instance, the one pcfeval and
+// pcfplan solve, so the ladder's top rung guarantees what they report.
+// The lower rungs ignore the logical sequences they cannot use.
 func prepare(topo, linksFile, tmFile string, o eval.Options) (*eval.Setup, *core.Instance, error) {
-	var setup *eval.Setup
-	var err error
-	if linksFile != "" {
-		setup, err = eval.PrepareFiles(linksFile, tmFile, o)
-	} else {
-		o.Topology = topo
-		setup, err = eval.Prepare(o)
-	}
+	o.Topology = topo
+	setup, err := eval.PrepareFlags(linksFile, tmFile, o)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -137,7 +131,7 @@ func main() {
 	}
 	log.Printf("%s: %d nodes, %d links, %d pairs, f=%d (%d scenarios)",
 		setup.Opts.Topology, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs),
-		*f, setup.Failures.NumScenariosExact())
+		setup.Failures.Budget, setup.Failures.NumScenariosExact())
 
 	// Telemetry rides with the checkpoints by default: a daemon given
 	// a state dir keeps its record stream next to its plans.

@@ -86,3 +86,13 @@ func TestPrepareServesEvalCLS(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareRefusesZeroBudget: pcfd -f 0 is refused with an error
+// naming -f. Options reads a zero budget as unset, so the daemon once
+// logged "f=0" and served f=1's plan.
+func TestPrepareRefusesZeroBudget(t *testing.T) {
+	_, _, err := prepare("Sprint", "", "", eval.Options{Seed: 1, MaxPairs: 10, FailureBudget: 0})
+	if err == nil || !strings.Contains(err.Error(), "(-f)") || eval.ExitCode(err) != eval.ExitFailure {
+		t.Fatalf("prepare with -f 0: %v, want an error naming -f (exit %d)", err, eval.ExitFailure)
+	}
+}

@@ -61,17 +61,9 @@ func main() {
 		log.Fatalf("unknown scheme %q", *scheme)
 	}
 
-	var setup *eval.Setup
-	var err error
-	if *linksFile != "" {
-		setup, err = eval.PrepareFiles(*linksFile, *tmFile, eval.Options{
-			Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
-		})
-	} else {
-		setup, err = eval.Prepare(eval.Options{
-			Topology: *topo, Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
-		})
-	}
+	setup, err := eval.PrepareFlags(*linksFile, *tmFile, eval.Options{
+		Topology: *topo, Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
+	})
 	if err != nil {
 		die(err)
 	}
@@ -98,7 +90,7 @@ func main() {
 	}
 	fmt.Printf("%s: %d nodes, %d links, %d pairs, f=%d (%d scenarios), no-failure MLU %.3f\n",
 		setup.Opts.Topology, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs),
-		*f, setup.Failures.NumScenariosExact(), setup.MLU)
+		setup.Failures.Budget, setup.Failures.NumScenariosExact(), setup.MLU)
 
 	plan, err := solve(ctx, os.Stdout, setup, name)
 	if err != nil {

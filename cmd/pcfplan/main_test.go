@@ -3,7 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"pcf/internal/eval"
@@ -44,5 +48,28 @@ func TestSolveReturnsReportedPlan(t *testing.T) {
 		if reported[eval.SchemeBest] != reported[eval.SchemePCFCLS] {
 			t.Errorf("%s: best reported %s, pcf-cls %s", topo, reported[eval.SchemeBest], reported[eval.SchemePCFCLS])
 		}
+	}
+}
+
+// TestZeroFailureBudgetRefused: pcfplan -f 0 exits 1 naming -f before
+// it prints a header. Options reads a zero budget as unset, so pcfplan
+// once printed "f=0 (18 scenarios)" and returned f=1's value.
+func TestZeroFailureBudgetRefused(t *testing.T) {
+	if os.Getenv("PCFPLAN_TEST_MAIN") != "" {
+		os.Args = []string{"pcfplan", "-topology", "Sprint", "-pairs", "10", "-f", "0"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestZeroFailureBudgetRefused$")
+	cmd.Env = append(os.Environ(), "PCFPLAN_TEST_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != eval.ExitFailure {
+		t.Fatalf("pcfplan -f 0: %v, want exit %d; stdout %q", err, eval.ExitFailure, stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "(-f)") || strings.Contains(stdout.String(), "f=") {
+		t.Fatalf("pcfplan -f 0: stderr %q does not name -f, or stdout %q has a header", stderr.String(), stdout.String())
 	}
 }

@@ -19,7 +19,7 @@ import (
 // assignment through a field selector of these types (direct field
 // writes, element writes through a field, delete on a field map). The
 // defining packages stay free to build and post-process their own
-// values (extractPlan, RemoveCycles, NewEnvelope); everyone else
+// values (extractPlan, materialize, NewEnvelope); everyone else
 // builds a new value instead of editing in place.
 var MutAfterPub = &Analyzer{
 	Name: "mutafterpub",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"pcf/internal/failures"
@@ -239,6 +240,88 @@ func TestTopSortBasics(t *testing.T) {
 	}
 	if kept[0].ID != 0 {
 		t.Fatal("kept LS should be re-IDed to 0")
+	}
+}
+
+// sortableUnderSingleFailures reports per-scenario sortability in the
+// single-link-failure regime: in any scenario at most one link is dead,
+// so only the unconditional LSs plus that one link's conditional LSs
+// are active together (§4.2's requirement applies scenario by
+// scenario). It checks each scenario's active set on its own, where
+// TopSortFilter keeps one relation per link as it goes.
+func sortableUnderSingleFailures(lss []LogicalSequence) bool {
+	if !singleDeadConds(lss) {
+		return IsTopologicallySortable(lss)
+	}
+	var uncond []LogicalSequence
+	byLink := map[topology.LinkID][]LogicalSequence{}
+	for _, q := range lss {
+		if q.Cond == nil {
+			uncond = append(uncond, q)
+		} else {
+			byLink[q.Cond.DeadLinks[0]] = append(byLink[q.Cond.DeadLinks[0]], q)
+		}
+	}
+	if !IsTopologicallySortable(uncond) {
+		return false
+	}
+	for _, conds := range byLink {
+		if !IsTopologicallySortable(append(slices.Clip(uncond), conds...)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTopSortFilterSortablePerScenario: §5.2's PCF-CLS-TopSort filter
+// keeps a set that is topologically sortable in every single-failure
+// scenario. Sprint's PCF-CLS logical sequences are cyclic only across
+// scenarios, so the filter keeps what the global check would prune;
+// two LSs that form a cycle when the same link is dead lose one.
+func TestTopSortFilterSortablePerScenario(t *testing.T) {
+	g := topozoo.MustLoad("Sprint")
+	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 5, Jitter: 0.4})
+	pairs := tm.TopPairs(12)
+	ts, err := tunnels.Select(g, pairs, tunnels.SelectOptions{PerPair: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lss, err := BuildCLSQuick(&Instance{
+		Graph:     g,
+		TM:        tm.Restrict(pairs),
+		Tunnels:   ts,
+		Failures:  failures.SingleLinks(g, 1),
+		Objective: DemandScale,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if IsTopologicallySortable(lss) {
+		t.Fatal("Sprint's CLS LSs are globally sortable; the per-scenario check is not exercised")
+	}
+	kept, _ := TopSortFilter(lss, true)
+	if !sortableUnderSingleFailures(kept) {
+		t.Fatal("filtered LSs must be per-scenario sortable")
+	}
+
+	// (0,2) via 3 and (0,3) via 2 need each other: a cycle when both
+	// are active.
+	dead := func(l topology.LinkID) *Condition { return &Condition{DeadLinks: []topology.LinkID{l}} }
+	for _, tc := range []struct {
+		a, b topology.LinkID
+		keep int
+	}{{5, 6, 2}, {5, 5, 1}} {
+		cyc := []LogicalSequence{
+			{ID: 0, Pair: topology.Pair{Src: 0, Dst: 2}, Hops: []topology.NodeID{3}, Cond: dead(tc.a)},
+			{ID: 1, Pair: topology.Pair{Src: 0, Dst: 3}, Hops: []topology.NodeID{2}, Cond: dead(tc.b)},
+		}
+		if got := sortableUnderSingleFailures(cyc); got != (tc.keep == 2) {
+			t.Fatalf("dead links %d and %d: per-scenario sortable = %v", tc.a, tc.b, got)
+		}
+		kept, _ := TopSortFilter(cyc, true)
+		if len(kept) != tc.keep || !sortableUnderSingleFailures(kept) {
+			t.Fatalf("dead links %d and %d: kept %d LSs, want %d", tc.a, tc.b, len(kept), tc.keep)
+		}
 	}
 }
 

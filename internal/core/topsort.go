@@ -61,7 +61,8 @@ func (d *pairDag) add(q LogicalSequence) {
 // IsTopologicallySortable reports whether the LS set admits a single
 // topological order over node pairs valid in every scenario — the
 // conservative global check. Per-scenario sortability (what §4.2
-// actually requires) is weaker; see SortableUnderSingleFailures.
+// actually requires) is weaker; TopSortFilter checks it exactly under
+// single-dead-link conditions.
 func IsTopologicallySortable(lss []LogicalSequence) bool {
 	d := newPairDag()
 	for _, q := range lss {
@@ -87,39 +88,6 @@ func singleDeadConds(lss []LogicalSequence) bool {
 	return true
 }
 
-// SortableUnderSingleFailures reports per-scenario sortability for the
-// single-link-failure regime: in any scenario at most one link is
-// dead, so only the unconditional LSs plus that one link's conditional
-// LSs are active together (§4.2's requirement applies scenario by
-// scenario). Requires single-dead-link conditions.
-func SortableUnderSingleFailures(lss []LogicalSequence) bool {
-	if !singleDeadConds(lss) {
-		return IsTopologicallySortable(lss)
-	}
-	base := newPairDag()
-	byLink := map[topology.LinkID][]LogicalSequence{}
-	for _, q := range lss {
-		if q.Cond == nil {
-			if base.wouldCycle(q) {
-				return false
-			}
-			base.add(q)
-		} else {
-			byLink[q.Cond.DeadLinks[0]] = append(byLink[q.Cond.DeadLinks[0]], q)
-		}
-	}
-	for _, conds := range byLink {
-		d := base.clone()
-		for _, q := range conds {
-			if d.wouldCycle(q) {
-				return false
-			}
-			d.add(q)
-		}
-	}
-	return true
-}
-
 // TopSortFilter greedily keeps LSs that preserve per-scenario
 // topological sortability, in input order, exactly as §5.2's
 // PCF-CLS-TopSort does. When every condition is a single dead link and
@@ -132,7 +100,6 @@ func TopSortFilter(lss []LogicalSequence, singleFailure bool) ([]LogicalSequence
 	base := newPairDag() // unconditional relation
 	perLink := map[topology.LinkID]*pairDag{}
 	var kept []LogicalSequence
-	var keptUncond []LogicalSequence
 	pruned := 0
 
 	linkDag := func(l topology.LinkID) *pairDag {
@@ -171,7 +138,6 @@ func TopSortFilter(lss []LogicalSequence, singleFailure bool) ([]LogicalSequence
 			for _, d := range perLink {
 				d.add(q)
 			}
-			keptUncond = append(keptUncond, q)
 		} else {
 			d := linkDag(q.Cond.DeadLinks[0])
 			if d.wouldCycle(q) {
@@ -183,7 +149,6 @@ func TopSortFilter(lss []LogicalSequence, singleFailure bool) ([]LogicalSequence
 		q.ID = LSID(len(kept))
 		kept = append(kept, q)
 	}
-	_ = keptUncond
 	return kept, pruned
 }
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"os"
 
 	"pcf/internal/failures"
@@ -16,8 +17,7 @@ import (
 // case a gravity matrix is generated from o.Seed. Unlike Prepare, the
 // traffic matrix is not rescaled to a target MLU — the files are taken
 // as given; the returned MLU is the optimal no-failure MLU of the
-// loaded matrix. Both pcfplan and pcfd load their instances through
-// this path.
+// loaded matrix.
 func PrepareFiles(linksPath, tmPath string, o Options) (*Setup, error) {
 	if err := o.check(); err != nil {
 		return nil, err
@@ -67,4 +67,19 @@ func PrepareFiles(linksPath, tmPath string, o Options) (*Setup, error) {
 		Tunnels:  ts,
 		Failures: failures.SingleLinks(g, o.FailureBudget),
 	}, nil
+}
+
+// PrepareFlags prepares the Setup pcfplan and pcfd name with their
+// flags: from the links file (and traffic file) when linksPath is set,
+// else from o.Topology. It refuses a failure budget below 1, naming
+// -f: Options reads a zero FailureBudget as unset, and so as 1, but a
+// -f given as 0 is not unset.
+func PrepareFlags(linksPath, tmPath string, o Options) (*Setup, error) {
+	if o.FailureBudget < 1 {
+		return nil, fmt.Errorf("eval: the failure budget (-f) must be at least 1, got %d", o.FailureBudget)
+	}
+	if linksPath != "" {
+		return PrepareFiles(linksPath, tmPath, o)
+	}
+	return Prepare(o)
 }

@@ -194,13 +194,9 @@ func TestNearSingularPlan(t *testing.T) {
 	if _, err := sw.Outcome(sc); !errors.Is(err, routing.ErrSingularMatrix) || !errors.Is(err, routing.ErrUnrealizable) {
 		t.Fatalf("Outcome error does not wrap routing.ErrSingularMatrix and routing.ErrUnrealizable: %v", err)
 	}
-	// Neither of the paper's other mechanisms can save this plan — the
-	// Jacobi iteration over the same sparse rows does not converge and
-	// the LS relation is cyclic — and both must say so rather than
-	// return an unverified realization.
-	if _, _, err := routing.RealizeIterative(plan, sc, 200, 0); !errors.Is(err, linsolve.ErrNoConvergence) {
-		t.Fatalf("iterative realization: want linsolve.ErrNoConvergence, got %v", err)
-	}
+	// The paper's other mechanism cannot save this plan either — the
+	// LS relation is cyclic — and must say so rather than return an
+	// unverified realization.
 	if _, err := routing.RealizeProportional(plan, sc); err == nil {
 		t.Fatal("proportional realization accepted a cyclic LS relation")
 	}
@@ -307,7 +303,7 @@ func TestPerturbDeterministic(t *testing.T) {
 	}
 	solvePerturbed := func() float64 {
 		m := chainModel(12)
-		m.Perturb(7, 1e-8)
+		Perturb(m, 7, 1e-8)
 		sol, err := lp.Solve(m)
 		if err != nil {
 			t.Fatal(err)

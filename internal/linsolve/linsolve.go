@@ -2,13 +2,12 @@
 // realizes logical-sequence reservations as a concrete routing (paper
 // §4.1): M·U = D where M is the reservation matrix, an invertible
 // M-matrix (Proposition 5), given as sparse rows. It provides a sparse
-// LU with Markowitz pivoting for exactness, Sherman–Morrison–Woodbury
+// LU with Markowitz pivoting for exactness, and Sherman–Morrison–Woodbury
 // corrections of a factored matrix under a few changed rows (their k×k
 // capacitance factored by partial pivoting in a reused workspace, each
 // corrector keeping only the nonzeros of its rows, factors and inverse
-// columns), and the Jacobi iteration that exploits the M-matrix
-// structure — the "simple and memory-efficient iterative algorithms"
-// the paper points to for distributed implementations.
+// columns). The paper's §4.3 Jacobi iteration is not provided: it
+// converges only on matrices the LU solves (DESIGN.md §9).
 package linsolve
 
 import (
@@ -20,11 +19,6 @@ import (
 // ErrSingular is returned when the coefficient matrix is numerically
 // singular.
 var ErrSingular = errors.New("linsolve: singular matrix")
-
-// ErrNoConvergence is returned (wrapped, alongside a partial
-// IterResult) when an iterative solve exhausts its sweep budget before
-// reaching the residual target. Matched with errors.Is.
-var ErrNoConvergence = errors.New("linsolve: iteration did not converge")
 
 // LU is an LU factorization with partial pivoting of a small dense
 // n x n matrix.
@@ -118,75 +112,4 @@ func (f *LU) SolveInto(x, b []float64) error {
 		x[i] = s / f.lu[i*n+i]
 	}
 	return nil
-}
-
-// IterResult reports the outcome of an iterative solve.
-type IterResult struct {
-	X          []float64
-	Iterations int
-	Residual   float64
-}
-
-// Jacobi solves A x = b by Jacobi iteration, the fully parallel /
-// distributed iteration of the paper's §4.3, with A given as sparse
-// rows (duplicate columns within a row are summed, as FactorSparseRows
-// sums them). It converges for the weakly chained diagonally dominant
-// M-matrices produced by PCF's reservation construction. maxIter
-// bounds sweeps; tol is the max-norm residual target.
-func Jacobi(rows [][]SparseEntry, b []float64, maxIter int, tol float64) (*IterResult, error) {
-	n := len(rows)
-	if len(b) != n {
-		return nil, fmt.Errorf("linsolve: %d sparse rows, rhs length %d", n, len(b))
-	}
-	diag := make([]float64, n)
-	for i, row := range rows {
-		for _, e := range row {
-			if e.Col < 0 || e.Col >= n {
-				return nil, fmt.Errorf("linsolve: row %d references column %d out of range [0,%d)", i, e.Col, n)
-			}
-			if e.Col == i {
-				diag[i] += e.Val
-			}
-		}
-		if math.Abs(diag[i]) < 1e-13 {
-			return nil, ErrSingular
-		}
-	}
-	// A diverged iterate makes the residual NaN, which is not converged:
-	// hence !(res <= tol) rather than res > tol.
-	x, next := make([]float64, n), make([]float64, n)
-	res := math.Inf(1)
-	it := 0
-	for ; it < maxIter && !(res <= tol); it++ {
-		for i, row := range rows {
-			s := b[i]
-			for _, e := range row {
-				if e.Col != i {
-					s -= e.Val * x[e.Col]
-				}
-			}
-			next[i] = s / diag[i]
-		}
-		x, next = next, x
-		res = residual(rows, x, b)
-	}
-	out := &IterResult{X: x, Iterations: it, Residual: res}
-	if !(res <= tol) {
-		return out, fmt.Errorf("%w in %d iterations (residual %g)", ErrNoConvergence, maxIter, res)
-	}
-	return out, nil
-}
-
-// residual returns the max-norm of A x − b over sparse rows (NaN if any
-// row's is).
-func residual(rows [][]SparseEntry, x, b []float64) float64 {
-	worst := 0.0
-	for i, row := range rows {
-		s := -b[i]
-		for _, e := range row {
-			s += e.Val * x[e.Col]
-		}
-		worst = max(worst, math.Abs(s))
-	}
-	return worst
 }

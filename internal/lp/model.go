@@ -14,7 +14,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -273,18 +272,4 @@ func (s *Solution) Eval(e *Expr) float64 {
 		total += t.Coeff * s.Value(t.Var)
 	}
 	return total
-}
-
-// Perturb applies a deterministic multiplicative perturbation of
-// relative size eps to every nonzero constraint coefficient, driven by
-// the given seed. It exists for fault injection and conditioning
-// experiments: the same (seed, eps) always yields the same perturbed
-// model, so tests that provoke numerical trouble are reproducible.
-func (m *Model) Perturb(seed int64, eps float64) {
-	rng := rand.New(rand.NewSource(seed))
-	for _, con := range m.cons {
-		for i := range con.Expr.Terms {
-			con.Expr.Terms[i].Coeff *= 1 + eps*(2*rng.Float64()-1)
-		}
-	}
 }

@@ -12,13 +12,10 @@ package routing
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 
 	"pcf/internal/core"
 	"pcf/internal/failures"
-	"pcf/internal/linsolve"
 	"pcf/internal/topology"
 	"pcf/internal/tunnels"
 )
@@ -322,165 +319,4 @@ func checkShape(in *core.Instance, r *Realization) error {
 		return fmt.Errorf("routing: realization's flow to destination %d is on tunnel %d, outside the plan's %d tunnels", tunDst, badTun, tuns)
 	}
 	return nil
-}
-
-// RemoveCycles cancels circulation in the per-destination tunnel flows
-// of a realization (Proposition 6 notes the linear-system solution may
-// contain loops that can be subtracted in post-processing). Cycles are
-// found on the pair-level flow graph — tunnel l of pair (i,j) is an
-// edge i->j — and cancelled by reducing every tunnel on the cycle by
-// the bottleneck amount. Arc loads are rebuilt afterwards.
-func RemoveCycles(plan *core.Plan, r *Realization) {
-	in := plan.Instance
-	for dst, flows := range r.TunnelTo {
-		for {
-			cyc := findFlowCycle(in, flows)
-			if cyc == nil {
-				break
-			}
-			// Bottleneck over the cycle.
-			min := math.Inf(1)
-			for _, tid := range cyc {
-				if flows[tid] < min {
-					min = flows[tid]
-				}
-			}
-			for _, tid := range cyc {
-				flows[tid] -= min
-				if flows[tid] <= 1e-12 {
-					delete(flows, tid)
-				}
-			}
-		}
-		r.TunnelTo[dst] = flows
-	}
-	// Rebuild arc loads.
-	for a := range r.ArcLoad {
-		r.ArcLoad[a] = 0
-	}
-	for _, flows := range r.TunnelTo {
-		for tid, v := range flows {
-			for _, a := range in.Tunnels.Tunnel(tid).Path.Arcs {
-				r.ArcLoad[a] += v
-			}
-		}
-	}
-}
-
-// findFlowCycle returns the tunnel IDs of one directed cycle in the
-// pair-level flow graph, or nil. Iteration orders are sorted so the
-// cancellation is deterministic.
-func findFlowCycle(in *core.Instance, flows map[tunnels.ID]float64) []tunnels.ID {
-	// Build adjacency: node -> outgoing tunnels with positive flow.
-	ids := make([]tunnels.ID, 0, len(flows))
-	for tid, v := range flows {
-		if v > 1e-12 {
-			ids = append(ids, tid)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	adj := map[topology.NodeID][]tunnels.ID{}
-	for _, tid := range ids {
-		p := in.Tunnels.Tunnel(tid).Pair
-		adj[p.Src] = append(adj[p.Src], tid)
-	}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[topology.NodeID]int{}
-	parent := map[topology.NodeID]tunnels.ID{}
-	var cycle []tunnels.ID
-	var dfs func(n topology.NodeID) topology.NodeID
-	dfs = func(n topology.NodeID) topology.NodeID {
-		color[n] = gray
-		for _, tid := range adj[n] {
-			next := in.Tunnels.Tunnel(tid).Pair.Dst
-			switch color[next] {
-			case gray:
-				// Found a cycle; unwind from n back to next.
-				cycle = []tunnels.ID{tid}
-				at := n
-				for at != next {
-					ptid := parent[at]
-					cycle = append(cycle, ptid)
-					at = in.Tunnels.Tunnel(ptid).Pair.Src
-				}
-				return next
-			case white:
-				parent[next] = tid
-				if head := dfs(next); head >= 0 {
-					return head
-				}
-			}
-		}
-		color[n] = black
-		return -1
-	}
-	starts := make([]topology.NodeID, 0, len(adj))
-	for n := range adj {
-		starts = append(starts, n)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for _, n := range starts {
-		if color[n] == white {
-			if dfs(n) >= 0 {
-				return cycle
-			}
-		}
-	}
-	return nil
-}
-
-// Defaults of the distributed Jacobi realization (§4.3): enough sweeps
-// for the weakly chained diagonally dominant matrices of Proposition 5
-// to contract, and a residual target well inside the 1e-6..1e-7
-// feasibility tolerances the realization checks apply downstream.
-const (
-	DefaultJacobiMaxSweeps = 20000
-	DefaultJacobiTol       = 1e-9
-)
-
-// RealizeIterative computes the aggregate utilizations U with the
-// Jacobi iteration instead of a direct solve — the fully distributed
-// implementation the paper sketches in §4.3: each node pair repeatedly
-// updates its own utilization from its neighbors' values, which is
-// possible because M is a weakly chained diagonally dominant M-matrix
-// (Proposition 5) and therefore the iteration converges. It iterates on
-// the rows Realize factors and returns the utilizations in Realize's
-// pair order. maxSweeps <= 0 and tol <= 0 select DefaultJacobiMaxSweeps
-// and DefaultJacobiTol.
-func RealizeIterative(plan *core.Plan, sc failures.Scenario, maxSweeps int, tol float64) ([]topology.Pair, []float64, error) {
-	if maxSweeps <= 0 {
-		maxSweeps = DefaultJacobiMaxSweeps
-	}
-	if tol <= 0 {
-		tol = DefaultJacobiTol
-	}
-	s := newIndex(plan)
-	if s.n == 0 {
-		return nil, nil, nil
-	}
-	sr := s.newScratch()
-	s.activate(sc, sr)
-	if err := s.scenarioRows(sc, sr); err != nil {
-		return nil, nil, err
-	}
-	res, err := linsolve.Jacobi(rowViews(sr.sys.ptr, sr.sys.ents), s.demand, maxSweeps, tol)
-	if err != nil {
-		return nil, nil, fmt.Errorf("routing: distributed iteration under %v: %w", sc, err)
-	}
-	var pairs []topology.Pair
-	var u []float64
-	for r, p := range s.pairs {
-		if sr.inSet[r] != sr.epoch {
-			continue
-		}
-		if x := res.X[r]; x < -1e-6 || x > 1+1e-6 {
-			return nil, nil, fmt.Errorf("routing: iterative U[%v] = %g outside [0,1] under %v", p, x, sc)
-		}
-		pairs, u = append(pairs, p), append(u, res.X[r])
-	}
-	return pairs, u, nil
 }

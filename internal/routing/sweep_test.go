@@ -535,36 +535,6 @@ func TestSweepMultiWorkerDeterministic(t *testing.T) {
 	}
 }
 
-// TestJacobiDefaultsPinned pins the §4.3 iteration defaults and the
-// zero-value selection in RealizeIterative.
-func TestJacobiDefaultsPinned(t *testing.T) {
-	if DefaultJacobiMaxSweeps != 20000 {
-		t.Fatalf("DefaultJacobiMaxSweeps = %d, want 20000", DefaultJacobiMaxSweeps)
-	}
-	//lint:ignore pcflint/floatcmp pins the exact constant; a changed default must fail loudly
-	if DefaultJacobiTol != 1e-9 {
-		t.Fatalf("DefaultJacobiTol = %g, want 1e-9", DefaultJacobiTol)
-	}
-	plan := fig1Plan(t, 1)
-	sc := failures.Scenario{Dead: map[topology.LinkID]bool{0: true}}
-	pairsDefault, uDefault, err := RealizeIterative(plan, sc, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairsExplicit, uExplicit, err := RealizeIterative(plan, sc, DefaultJacobiMaxSweeps, DefaultJacobiTol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairsDefault) != len(pairsExplicit) {
-		t.Fatal("default and explicit runs disagree on pairs")
-	}
-	for i := range uDefault {
-		if math.Abs(uDefault[i]-uExplicit[i]) > 1e-12 {
-			t.Fatalf("U[%d]: default %g, explicit %g", i, uDefault[i], uExplicit[i])
-		}
-	}
-}
-
 // TestSweepCheckMatchesCheckRealization: the sweep's precomputed-
 // target Check accepts exactly what the general CheckRealization
 // accepts, and both reject the same corruptions.

@@ -81,8 +81,8 @@ type sweepScratch struct {
 }
 
 // sysScratch is the part of a worker's scratch that lays out and solves
-// a scenario's whole system — the base build, the cold path, the
-// inverse-column solves (invCol) and the Jacobi exhibit use it.
+// a scenario's whole system — the base build, the cold path and the
+// inverse-column solves (invCol) use it.
 type sysScratch struct {
 	ptr   []int // row r is ents[ptr[r]:ptr[r+1]]
 	ents  []linsolve.SparseEntry

@@ -50,6 +50,14 @@ go build -o /tmp/pcfd.check ./cmd/pcfd
 go build -o /tmp/pcffe.check ./cmd/pcffe
 rm -f /tmp/pcfd.check /tmp/pcffe.check
 
+echo "== examples (each must exit 0)"
+# The four programs under examples/ are documentation that runs, and
+# failuredrill is the only non-test caller of RealizeProportional and
+# CheckRealization: each must still run to exit 0, not just compile.
+for example in examples/*/; do
+	go run "./$example" >/dev/null
+done
+
 echo "== go test -race"
 go test -race ./...
 
