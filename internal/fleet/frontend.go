@@ -9,6 +9,7 @@ import (
 	"maps"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -62,19 +63,56 @@ type BackendStatus struct {
 // reply it reads before answering.
 const maxBody = 64 << 20
 
+// replyBuffer is a buffer a reply is read into, with the reader that
+// bounds that read.
+type replyBuffer struct {
+	bytes.Buffer
+	limit io.LimitedReader
+}
+
 // replyBuffers holds the buffers replies are read into, so a forwarded
 // reply reuses one instead of growing a fresh one.
-var replyBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var replyBuffers = sync.Pool{New: func() any { return new(replyBuffer) }}
 
-// dropHopHeaders deletes the headers that belong to one connection
-// (RFC 9110 §7.6.1): they are forwarded in neither direction.
+// maxPooledReply bounds the buffers replyBuffers keeps. One that grew
+// past it on a large reply (a full plan, a long telemetry tail) is
+// dropped, so realize traffic does not keep it alive.
+const maxPooledReply = 64 << 10
+
+// putReplyBuffer returns buf to replyBuffers unless it outgrew
+// maxPooledReply.
+func putReplyBuffer(buf *replyBuffer) {
+	if buf.Cap() <= maxPooledReply {
+		replyBuffers.Put(buf)
+	}
+}
+
+// hopHeaders are the headers that belong to one connection (RFC 9110
+// §7.6.1): they are forwarded in neither direction.
+var hopHeaders = [...]string{
+	"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
+	"Proxy-Connection", "Te", "Trailer", "Transfer-Encoding", "Upgrade",
+}
+
+// dropHopHeaders deletes the hop-by-hop headers from h.
 func dropHopHeaders(h http.Header) {
-	for _, k := range [...]string{
-		"Connection", "Keep-Alive", "Proxy-Authenticate", "Proxy-Authorization",
-		"Proxy-Connection", "Te", "Trailer", "Transfer-Encoding", "Upgrade",
-	} {
+	for _, k := range hopHeaders {
 		h.Del(k)
 	}
+}
+
+// endToEnd is h without its hop-by-hop headers: h itself when it
+// carries none, a copy otherwise. A RoundTripper does not modify the
+// request, so an outbound request may share the client's header.
+func endToEnd(h http.Header) http.Header {
+	for _, k := range hopHeaders {
+		if _, ok := h[k]; ok {
+			h = h.Clone()
+			dropHopHeaders(h)
+			return h
+		}
+	}
+	return h
 }
 
 // Frontend is the stateless fleet entry point: a forwarder that
@@ -220,12 +258,12 @@ func (f *Frontend) Backends() []BackendStatus {
 	return out
 }
 
-// pick orders candidate backends for one request: fresh healthy
-// backends first (newest epoch among the healthy), then stale healthy
-// ones, then degraded-but-alive as a last resort. Within each tier the
-// round-robin cursor spreads load.
-func (f *Frontend) pick() []*backend {
-	var fresh, stale, lastResort []*backend
+// pick appends to out the candidate backends for one request, in
+// order: fresh healthy backends first (newest epoch among the healthy),
+// then stale healthy ones, then degraded-but-alive as a last resort.
+// Within each tier the round-robin cursor spreads load. Each backend's
+// state is read once, so it lands in one tier.
+func (f *Frontend) pick(out []*backend) []*backend {
 	var newest uint64
 	for _, b := range f.backends {
 		if b.alive.Load() && !b.degraded.Load() {
@@ -234,28 +272,38 @@ func (f *Frontend) pick() []*backend {
 			}
 		}
 	}
+	// ends[t] is one past the last backend of tier t in out.
+	var ends [3]int
 	for _, b := range f.backends {
+		var tier int
 		switch {
 		case !b.alive.Load():
+			continue
 		case b.degraded.Load():
-			lastResort = append(lastResort, b)
+			tier = 2
 		case b.epoch.Load() == newest:
-			fresh = append(fresh, b)
+			tier = 0
 		default:
-			stale = append(stale, b)
+			tier = 1
+		}
+		out = slices.Insert(out, ends[tier], b)
+		for t := tier; t < len(ends); t++ {
+			ends[t]++
 		}
 	}
-	offset := int(f.rr.Add(1))
-	rotate := func(tier []*backend) []*backend {
-		if len(tier) > 1 {
-			k := offset % len(tier)
-			tier = append(tier[k:], tier[:k]...)
+	offset := f.rr.Add(1)
+	start := 0
+	for _, end := range ends {
+		// Rotate the tier left by offset: three reversals, in place.
+		if tier := out[start:end]; len(tier) > 1 {
+			k := int(offset % uint64(len(tier)))
+			slices.Reverse(tier[:k])
+			slices.Reverse(tier[k:])
+			slices.Reverse(tier)
 		}
-		return tier
+		start = end
 	}
-	out := rotate(fresh)
-	out = append(out, rotate(stale)...)
-	return append(out, rotate(lastResort)...)
+	return out
 }
 
 // retryable reports whether a failed dispatch of this request may be
@@ -283,7 +331,8 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		f.handleHealth(w)
 		return
 	}
-	candidates := f.pick()
+	var routable [8]*backend
+	candidates := f.pick(routable[:0])
 	if len(candidates) == 0 {
 		f.failover("no_backend", "")
 		writeError(w, http.StatusServiceUnavailable, ErrNoBackend.Error())
@@ -291,7 +340,7 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	// Buffer the body once so a failed attempt can be replayed
 	// byte-identically against the next backend. A request without one
-	// (every realize) replays as it came: the clone keeps http.NoBody.
+	// (every realize) replays as it came: the copy keeps http.NoBody.
 	var body []byte
 	if r.Body != nil && r.Body != http.NoBody {
 		var err error
@@ -301,11 +350,12 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	buf := replyBuffers.Get().(*bytes.Buffer)
-	defer replyBuffers.Put(buf)
+	header := endToEnd(r.Header)
+	buf := replyBuffers.Get().(*replyBuffer)
+	defer putReplyBuffer(buf)
 	canRetry := retryable(r)
 	for i, b := range candidates {
-		resp, err := f.forward(b, r, body, buf)
+		resp, err := f.forward(b, r, header, body, buf)
 		if err == nil {
 			maps.Copy(w.Header(), resp.Header)
 			w.WriteHeader(resp.StatusCode)
@@ -332,26 +382,39 @@ func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusBadGateway, "all backends failed")
 }
 
-// forward sends one attempt of r to b's scheme and host and reads the
-// whole reply, whatever its status, into buf. The returned response
-// carries the status and the end-to-end headers; its body is spent. An
-// error means no complete reply came back.
-func (f *Frontend) forward(b *backend, r *http.Request, body []byte, buf *bytes.Buffer) (*http.Response, error) {
-	out := r.Clone(r.Context())
-	out.RequestURI, out.Close = "", false
-	out.URL.Scheme, out.URL.Host, out.Host = b.url.Scheme, b.url.Host, b.url.Host
+// outbound is one attempt's request and the URL it is sent to, in one
+// allocation.
+type outbound struct {
+	req http.Request
+	url url.URL
+}
+
+// forward sends one attempt of r, with header (r's end-to-end headers),
+// to b's scheme and host and reads the whole reply, whatever its
+// status, into buf. The attempt is a shallow copy of r: the transport
+// reads the request and does not modify it, so only what differs is
+// replaced. The returned response carries the status and the
+// end-to-end headers; its body is spent. An error means no complete
+// reply came back.
+func (f *Frontend) forward(b *backend, r *http.Request, header http.Header, body []byte, buf *replyBuffer) (*http.Response, error) {
+	out := &outbound{req: *r, url: *r.URL}
+	out.url.Scheme, out.url.Host = b.url.Scheme, b.url.Host
+	out.req.URL, out.req.Host, out.req.Header = &out.url, b.url.Host, header
+	out.req.RequestURI, out.req.Close = "", false
 	if body != nil {
-		out.Body = io.NopCloser(bytes.NewReader(body))
-		out.ContentLength = int64(len(body))
+		out.req.Body = io.NopCloser(bytes.NewReader(body))
+		out.req.ContentLength = int64(len(body))
 	}
-	dropHopHeaders(out.Header)
-	resp, err := f.cfg.Transport.RoundTrip(out)
+	resp, err := f.cfg.Transport.RoundTrip(&out.req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	buf.Reset()
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBody+1)); err != nil {
+	buf.limit = io.LimitedReader{R: resp.Body, N: maxBody + 1}
+	_, err = buf.ReadFrom(&buf.limit)
+	buf.limit.R = nil
+	if err != nil {
 		return nil, err
 	}
 	if buf.Len() > maxBody {

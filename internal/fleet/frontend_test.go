@@ -148,10 +148,13 @@ func TestFleetErrorsAreJSON(t *testing.T) {
 }
 
 // TestFrontendForwardBuffers: a warm realize forwarded through the
-// front end to a live backend allocates well under 16 KB per request,
-// counting everything the process does for it — front end, transport
-// and the backend serving it. Replies are read into pooled buffers, so
-// a forwarded reply grows none afresh.
+// front end to a live backend allocates under 8 KB per request (7.3 KB
+// measured on linux/amd64, go1.24, plus 10 %), counting everything the
+// process does for it — front end, transport and the backend serving
+// it. Replies are read into pooled buffers, so a forwarded reply grows
+// none afresh; the candidate list lives on the stack and an attempt is
+// a shallow copy of the client's request, so the front end's own share
+// is that copy. The rest is net/http's client and server.
 func TestFrontendForwardBuffers(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
 		t.Skip("the race detector's own allocations would count against the budget")
@@ -185,8 +188,74 @@ func TestFrontendForwardBuffers(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / n
 	t.Logf("%.1f KB allocated per forwarded realize", kb)
-	if kb >= 16 {
-		t.Fatalf("%.1f KB allocated per forwarded realize, want < 16", kb)
+	if kb >= 8 {
+		t.Fatalf("%.1f KB allocated per forwarded realize, want < 8", kb)
+	}
+}
+
+// TestFrontendDropsLargeReplyBuffers: a reply larger than
+// maxPooledReply is forwarded whole, and the buffer it grew is not
+// pooled, so later realize traffic does not keep it alive.
+func TestFrontendDropsLargeReplyBuffers(t *testing.T) {
+	large := bytes.Repeat([]byte("x"), 4*maxPooledReply)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.Write([]byte(`{"status":"ok","epoch":1}`))
+			return
+		}
+		w.Write(large)
+	}))
+	defer backend.Close()
+	fe, err := NewFrontend(FrontendConfig{Backends: []string{backend.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe.ProbeOnce(context.Background())
+	w := httptest.NewRecorder()
+	fe.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/plan?full=1", nil))
+	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), large) {
+		t.Fatalf("large reply: status %d, %d bytes, want 200 and %d bytes", w.Code, w.Body.Len(), len(large))
+	}
+	for i := 0; i < 16; i++ {
+		if buf := replyBuffers.Get().(*replyBuffer); buf.Cap() > maxPooledReply {
+			t.Fatalf("the pool handed out a %d-byte buffer, above the %d-byte cap", buf.Cap(), maxPooledReply)
+		}
+	}
+}
+
+// TestFrontendPickOrdersTiers: pick lists every routable backend once,
+// fresh healthy ones first, then stale, then degraded, each tier
+// rotated by the round-robin cursor; a dead backend is not listed.
+func TestFrontendPickOrdersTiers(t *testing.T) {
+	fe, err := NewFrontend(FrontendConfig{Backends: []string{
+		"http://f0", "http://s0", "http://f1", "http://d0", "http://dead", "http://f2", "http://s1",
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range fe.backends {
+		name := b.url.Host
+		b.alive.Store(name != "dead")
+		b.degraded.Store(name[0] == 'd')
+		b.epoch.Store(1)
+		if name[0] == 'f' {
+			b.epoch.Store(2)
+		}
+	}
+	names := func(bs []*backend) (out []string) {
+		for _, b := range bs {
+			out = append(out, b.url.Host)
+		}
+		return out
+	}
+	for _, want := range [][]string{
+		{"f1", "f2", "f0", "s1", "s0", "d0"},
+		{"f2", "f0", "f1", "s0", "s1", "d0"},
+		{"f0", "f1", "f2", "s1", "s0", "d0"},
+	} {
+		if got := names(fe.pick(nil)); !slices.Equal(got, want) {
+			t.Errorf("pick = %v, want %v", got, want)
+		}
 	}
 }
 

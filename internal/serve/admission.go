@@ -50,31 +50,39 @@ func NewAdmission(solveWorkers, realizeWorkers, queueDepth int) *Admission {
 	return a
 }
 
-// Acquire admits one request of the class, blocking until a worker
-// slot frees, the queue bound rejects it, or ctx ends. On success the
-// returned release func must be called exactly once.
-func (a *Admission) Acquire(ctx context.Context, c Class) (release func(), err error) {
-	l := &a.classes[c]
-	release = func() { <-l.slots }
-	// Fast path: a slot is free, no queueing.
+// Take admits one request of the class if a worker slot is free now;
+// it never waits. Admission is Take, then Wait when Take fails; each
+// admission is paired with exactly one Release.
+func (a *Admission) Take(c Class) bool {
 	select {
-	case l.slots <- struct{}{}:
-		return release, nil
+	case a.classes[c].slots <- struct{}{}:
+		return true
 	default:
+		return false
 	}
+}
+
+// Wait queues a request of the class that Take could not admit,
+// blocking until a worker slot frees (nil), the queue bound rejects it
+// (ErrOverloaded) or ctx ends (its error).
+func (a *Admission) Wait(ctx context.Context, c Class) error {
+	l := &a.classes[c]
 	if l.queued.Add(1) > l.maxQueue {
 		l.queued.Add(-1)
 		a.shed.Add(1)
-		return nil, ErrOverloaded
+		return ErrOverloaded
 	}
 	defer l.queued.Add(-1)
 	select {
 	case l.slots <- struct{}{}:
-		return release, nil
+		return nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
+
+// Release frees the worker slot a Take or Wait of the class admitted.
+func (a *Admission) Release(c Class) { <-a.classes[c].slots }
 
 // Shed reports how many requests were rejected at the queue bound.
 func (a *Admission) Shed() int64 { return a.shed.Load() }

@@ -8,6 +8,15 @@ import (
 	"time"
 )
 
+// acquire admits one request as the request lifecycle does: Take, and
+// Wait when no slot is free.
+func acquire(ctx context.Context, a *Admission, c Class) error {
+	if a.Take(c) {
+		return nil
+	}
+	return a.Wait(ctx, c)
+}
+
 // TestAdmissionConcurrencyAndShed fills one worker slot and one queue
 // slot, then checks the next arrival is shed immediately with
 // ErrOverloaded rather than queued.
@@ -15,21 +24,19 @@ func TestAdmissionConcurrencyAndShed(t *testing.T) {
 	a := NewAdmission(1, 1, 1)
 	ctx := context.Background()
 
-	release1, err := a.Acquire(ctx, ClassSolve)
-	if err != nil {
+	if err := acquire(ctx, a, ClassSolve); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
 
 	// Second request queues; give it a moment to be counted.
 	queued := make(chan struct{})
-	var release2 func()
 	var err2 error
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		close(queued)
-		release2, err2 = a.Acquire(ctx, ClassSolve)
+		err2 = acquire(ctx, a, ClassSolve)
 	}()
 	<-queued
 	deadline := time.Now().Add(2 * time.Second)
@@ -41,7 +48,7 @@ func TestAdmissionConcurrencyAndShed(t *testing.T) {
 	}
 
 	// Third request exceeds the queue bound: shed, not blocked.
-	if _, err := a.Acquire(ctx, ClassSolve); !errors.Is(err, ErrOverloaded) {
+	if err := acquire(ctx, a, ClassSolve); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third acquire err = %v, want ErrOverloaded", err)
 	}
 	if a.Shed() != 1 {
@@ -49,34 +56,32 @@ func TestAdmissionConcurrencyAndShed(t *testing.T) {
 	}
 
 	// The other class is unaffected.
-	releaseR, err := a.Acquire(ctx, ClassRealize)
-	if err != nil {
+	if err := acquire(ctx, a, ClassRealize); err != nil {
 		t.Fatalf("realize-class acquire: %v", err)
 	}
-	releaseR()
+	a.Release(ClassRealize)
 
 	// Releasing the first slot admits the queued request.
-	release1()
+	a.Release(ClassSolve)
 	wg.Wait()
 	if err2 != nil {
 		t.Fatalf("queued acquire: %v", err2)
 	}
-	release2()
+	a.Release(ClassSolve)
 }
 
 // TestAdmissionContextCancel checks a queued waiter abandons the queue
 // when its context ends, returning the context error.
 func TestAdmissionContextCancel(t *testing.T) {
 	a := NewAdmission(1, 1, 4)
-	release, err := a.Acquire(context.Background(), ClassSolve)
-	if err != nil {
+	if err := acquire(context.Background(), a, ClassSolve); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
-	defer release()
+	defer a.Release(ClassSolve)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := a.Acquire(ctx, ClassSolve); !errors.Is(err, context.DeadlineExceeded) {
+	if err := acquire(ctx, a, ClassSolve); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued acquire err = %v, want DeadlineExceeded", err)
 	}
 	if q := a.Queued(ClassSolve); q != 0 {
@@ -107,8 +112,7 @@ func TestRetryAfterClampAtQueueFull(t *testing.T) {
 	a := NewAdmission(1, 1, depth)
 
 	// Occupy the lone solve worker.
-	release, err := a.Acquire(context.Background(), ClassSolve)
-	if err != nil {
+	if err := acquire(context.Background(), a, ClassSolve); err != nil {
 		t.Fatalf("occupying worker: %v", err)
 	}
 
@@ -119,7 +123,7 @@ func TestRetryAfterClampAtQueueFull(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := a.Acquire(ctx, ClassSolve); err == nil {
+			if err := acquire(ctx, a, ClassSolve); err == nil {
 				t.Error("queued waiter admitted; want cancellation")
 			}
 		}()
@@ -133,8 +137,8 @@ func TestRetryAfterClampAtQueueFull(t *testing.T) {
 	}
 
 	// The boundary request is shed...
-	if _, err := a.Acquire(context.Background(), ClassSolve); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("boundary Acquire = %v, want ErrOverloaded", err)
+	if err := acquire(context.Background(), a, ClassSolve); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("boundary acquire = %v, want ErrOverloaded", err)
 	}
 	// ...and the hint it would be sent is the clamp, not 1+100/1.
 	if got := a.RetryAfterSeconds(ClassSolve); got != 30 {
@@ -143,7 +147,7 @@ func TestRetryAfterClampAtQueueFull(t *testing.T) {
 
 	cancel()
 	wg.Wait()
-	release()
+	a.Release(ClassSolve)
 	// Drained: the hint relaxes back to the floor.
 	if got := a.RetryAfterSeconds(ClassSolve); got != 1 {
 		t.Fatalf("RetryAfterSeconds after drain = %d, want 1", got)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,6 +36,11 @@ type Published struct {
 	// checked congestion-free before this epoch became visible.
 	Validated   routing.SweepStats
 	PublishedAt time.Time
+
+	// epochValue is the X-PCF-Epoch value of every reply this epoch
+	// serves, formatted once at publication. Replies share it: never
+	// modify it.
+	epochValue []string
 }
 
 // Registry owns the currently published plan. Reads are a single
@@ -201,6 +207,7 @@ func (r *Registry) install(ctx context.Context, how string, epoch uint64, plan *
 		Degraded:    plan.Degraded,
 		Validated:   *stats,
 		PublishedAt: time.Now().UTC(),
+		epochValue:  []string{strconv.FormatUint(epoch, 10)},
 	}
 	if epoch > r.epoch {
 		r.epoch = epoch

@@ -1,13 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"slices"
 	"sort"
 	"strconv"
@@ -277,26 +278,75 @@ func (s *Server) initMux() {
 // accumulates. The record's Epoch is only ever set from the *Published
 // the request actually used, so a request record can never name an
 // epoch newer than the plan that served it.
+//
+// Calls are pooled. finish hands one back once the reply is written
+// and the record emitted, and a later request reuses its scenario maps,
+// dead-link slice, typed realize reply and reply buffer, so nothing a
+// call holds may outlive the reply. The record is what a request hands
+// on: the store keeps its Fields map, which is therefore made afresh
+// for each request.
 type call struct {
-	q     url.Values
-	ctx   context.Context
+	srv   *Server
+	r     *http.Request
 	start time.Time
 	rec   telemetry.Record
 	pub   *Published
-	// stamped: rec.Epoch names the epoch the reply's X-PCF-Epoch carries.
-	stamped bool
+	// epoch is the reply's X-PCF-Epoch value, the epoch rec.Epoch names
+	// (nil: the reply carries none).
+	epoch []string
+
+	// deadline bounds the request (zero: no deadline). The context that
+	// carries it is built only when something waits (context).
+	deadline time.Time
+	ctx      context.Context
+	cancel   context.CancelFunc
+	stop     func() bool
 
 	// What the lifecycle holds until the reply is written.
-	entered bool
-	cancel  context.CancelFunc
-	stop    func() bool
-	release func()
+	entered, admitted bool
 
 	// What the parse steps read: solve's scheme, realize's scenario,
 	// validate's model and sampling knobs.
 	scheme string
 	sc     failures.Scenario
 	sample *routing.SampleOptions
+
+	// The storage a pooled call keeps from request to request.
+	dead      map[topology.LinkID]bool
+	degraded  map[topology.LinkID]float64
+	deadLinks []int
+	realized  realizeReply
+	out       *bytes.Buffer
+	enc       *json.Encoder
+}
+
+// calls pools the per-request state (call).
+var calls = sync.Pool{New: func() any {
+	out := new(bytes.Buffer)
+	return &call{
+		dead:     map[topology.LinkID]bool{},
+		degraded: map[topology.LinkID]float64{},
+		out:      out,
+		enc:      replyEncoder(out),
+	}
+}}
+
+// maxPooledReply bounds the reply buffer a pooled call keeps: a call
+// that wrote a larger reply (a telemetry query, a tail) is dropped, not
+// pooled, so realize traffic does not keep that buffer alive.
+const maxPooledReply = 64 << 10
+
+// recycle clears the call and pools it. What the literal names is all
+// that survives into the next request.
+func (c *call) recycle() {
+	if c.out.Cap() > maxPooledReply {
+		return
+	}
+	clear(c.dead)
+	clear(c.degraded)
+	c.out.Reset()
+	*c = call{dead: c.dead, degraded: c.degraded, deadLinks: c.deadLinks[:0], out: c.out, enc: c.enc}
+	calls.Put(c)
 }
 
 // ServeHTTP is the request lifecycle every route shares. In order: the
@@ -304,13 +354,10 @@ type call struct {
 // route's parse step, admission, its work, and the reply — writeError's
 // status and body, or X-PCF-Epoch and the JSON body.
 func (rt *route) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c := &call{
-		q:     r.URL.Query(),
-		ctx:   r.Context(),
-		start: time.Now(),
-		rec:   telemetry.Record{Kind: telemetry.KindRequest, Source: rt.srv.cfg.Source, Name: rt.name},
-	}
-	defer rt.srv.finish(c)
+	c := calls.Get().(*call)
+	c.srv, c.r, c.start = rt.srv, r, time.Now()
+	c.rec = telemetry.Record{Kind: telemetry.KindRequest, Source: rt.srv.cfg.Source, Name: rt.name}
+	defer rt.finish(c)
 	v, err := rt.run(c)
 	rt.reply(w, c, v, err)
 }
@@ -325,17 +372,20 @@ func (rt *route) run(c *call) (any, error) {
 	}
 	if rt.timeout > 0 {
 		d := rt.timeout
-		if raw := c.q.Get("timeout"); raw != "" {
+		if raw := c.query("timeout"); raw != "" {
 			parsed, err := time.ParseDuration(raw)
 			if err != nil || parsed <= 0 {
 				return nil, badRequest{fmt.Errorf("serve: bad timeout %q (want a positive Go duration)", raw)}
 			}
 			d = parsed
 		}
-		// Bounded by the clamp, and hard-canceled with everything else
-		// in flight at the drain deadline.
-		c.ctx, c.cancel = context.WithTimeout(c.ctx, min(d, maxRequestTimeout))
-		c.stop = context.AfterFunc(s.baseCtx, c.cancel)
+		// Bounded by the clamp and by the request's own deadline, and
+		// hard-canceled with everything else in flight at the drain
+		// deadline (context, err).
+		c.deadline = c.start.Add(min(d, maxRequestTimeout))
+		if dl, ok := c.r.Context().Deadline(); ok && dl.Before(c.deadline) {
+			c.deadline = dl
+		}
 	}
 	if rt.needsPlan {
 		pub, err := s.reg.Current()
@@ -350,18 +400,61 @@ func (rt *route) run(c *call) (any, error) {
 		}
 	}
 	if rt.class != noAdmission {
-		release, err := s.adm.Acquire(c.ctx, rt.class)
-		if err != nil {
-			return nil, err
+		if !s.adm.Take(rt.class) {
+			if err := s.adm.Wait(c.context(), rt.class); err != nil {
+				return nil, err
+			}
 		}
-		c.release = release
+		c.admitted = true
 		// A request whose deadline passed while it queued does no work.
-		if err := c.ctx.Err(); err != nil {
+		if err := c.err(); err != nil {
 			return nil, err
 		}
 	}
 	return rt.work(s, c)
 }
+
+// context is the request's context, built the first time something
+// waits on it (admission's queue, a solve, a validation, the optimum,
+// a tail): the request's own, bounded by the deadline and hard-canceled
+// at the drain deadline.
+func (c *call) context() context.Context {
+	if c.ctx == nil {
+		c.ctx = c.r.Context()
+		if !c.deadline.IsZero() {
+			c.ctx, c.cancel = context.WithDeadline(c.ctx, c.deadline)
+			c.stop = context.AfterFunc(c.srv.baseCtx, c.cancel)
+		}
+	}
+	return c.ctx
+}
+
+// err is the error the request's context reports, or would report
+// were it built: the request's own, the deadline's, or the drain
+// deadline's hard cancel.
+func (c *call) err() error {
+	if c.ctx != nil {
+		return c.ctx.Err()
+	}
+	if err := c.r.Context().Err(); err != nil || c.deadline.IsZero() {
+		return err
+	}
+	if !time.Now().Before(c.deadline) {
+		return context.DeadlineExceeded
+	}
+	return c.srv.baseCtx.Err()
+}
+
+// query reads one parameter of the request's query string.
+func (c *call) query(key string) string { return queryGet(c.r.URL.RawQuery, key) }
+
+// jsonContentType is every reply's Content-Type value. Replies share
+// it: never modify it.
+var jsonContentType = []string{"application/json"}
+
+// epochHeader is X-PCF-Epoch in the canonical form http.Header keys
+// take, so a reply can set Published's precomputed value directly.
+const epochHeader = "X-Pcf-Epoch"
 
 // reply writes the response and emits the request record. A "degraded"
 // outcome (the one /healthz gives) answers 503 with its body.
@@ -370,9 +463,10 @@ func (rt *route) reply(w http.ResponseWriter, c *call, v any, err error) {
 	if err != nil {
 		s.writeError(w, c, rt.class, err)
 	} else {
-		w.Header().Set("Content-Type", "application/json")
-		if c.stamped {
-			w.Header().Set("X-PCF-Epoch", strconv.FormatUint(c.rec.Epoch, 10))
+		h := w.Header()
+		h["Content-Type"] = jsonContentType
+		if c.epoch != nil {
+			h[epochHeader] = c.epoch
 		}
 		if c.rec.Outcome == "degraded" {
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -383,26 +477,33 @@ func (rt *route) reply(w http.ResponseWriter, c *call, v any, err error) {
 				s.cfg.Logf("serve: streaming plan: %v", err)
 			}
 		} else {
-			writeJSON(w, v)
+			// Encoded whole into the call's buffer, then written in one
+			// piece. The response is already committed; an encode or
+			// write failure here only means the client went away.
+			c.out.Reset()
+			if c.enc.Encode(v) == nil {
+				_, _ = w.Write(c.out.Bytes())
+			}
 		}
 	}
 	if rt.name == "" {
 		return
 	}
 	c.rec.Dur = time.Since(c.start)
-	if c.cancel != nil {
+	if !c.deadline.IsZero() {
 		// The remaining deadline slack, so queries can watch how close
 		// requests run to their budgets.
-		dl, _ := c.ctx.Deadline()
-		c.field("deadline_slack_ms", float64(time.Until(dl))/float64(time.Millisecond))
+		c.field("deadline_slack_ms", float64(time.Until(c.deadline))/float64(time.Millisecond))
 	}
 	s.emit.Emit(c.rec)
 }
 
-// finish releases what the lifecycle took, once the reply is written.
-func (s *Server) finish(c *call) {
-	if c.release != nil {
-		c.release()
+// finish releases what the lifecycle took, once the reply is written
+// and the record emitted, and pools the call.
+func (rt *route) finish(c *call) {
+	s := rt.srv
+	if c.admitted {
+		s.adm.Release(rt.class)
 	}
 	if c.cancel != nil {
 		c.stop()
@@ -411,12 +512,13 @@ func (s *Server) finish(c *call) {
 	if c.entered {
 		s.inflight.Done()
 	}
+	c.recycle()
 }
 
 // served stamps the record with the plan that is answering the request.
 func (c *call) served(pub *Published) {
 	c.pub = pub
-	c.stamped = true
+	c.epoch = pub.epochValue
 	c.rec.Epoch = pub.Epoch
 	c.rec.Scheme = pub.Scheme
 }
@@ -478,17 +580,23 @@ func (s *Server) writeError(w http.ResponseWriter, c *call, class Class, err err
 		errors.Is(err, telemetry.ErrStoreClosed):
 		status = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	writeJSON(w, map[string]any{"error": err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// replyEncoder is the encoder every JSON reply goes through: indented
+// by two spaces, one value and a newline.
+func replyEncoder(w io.Writer) *json.Encoder {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
+	return enc
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
 	// The response is already committed; an encode/write failure here
 	// only means the client went away.
-	_ = enc.Encode(v)
+	_ = replyEncoder(w).Encode(v)
 }
 
 // HealthCheck is one named component's contribution to the readiness
@@ -617,7 +725,7 @@ func (s *Server) Health() Health {
 
 func (s *Server) handleHealth(c *call) (any, error) {
 	h := s.Health()
-	c.stamped, c.rec.Epoch = true, h.Epoch
+	c.rec.Epoch, c.epoch = h.Epoch, []string{strconv.FormatUint(h.Epoch, 10)}
 	if h.Status != "ok" {
 		c.rec.Outcome = "degraded"
 	}
@@ -646,7 +754,7 @@ func infoOf(p *Published) planInfo {
 }
 
 func (s *Server) handlePlan(c *call) (any, error) {
-	if c.q.Get("full") == "1" {
+	if c.query("full") == "1" {
 		return c.pub.Plan, nil
 	}
 	// Sweep is the serving engine's live statistics: what it has
@@ -658,7 +766,7 @@ func (s *Server) handlePlan(c *call) (any, error) {
 }
 
 func (s *Server) parseSolve(c *call) error {
-	c.scheme = c.q.Get("scheme")
+	c.scheme = c.query("scheme")
 	if c.scheme == "" {
 		c.scheme = SchemeBest
 	}
@@ -674,7 +782,7 @@ func (s *Server) handleSolve(c *call) (any, error) {
 	br := s.breaker(scheme)
 	level := br.Level()
 	c.rec.Rung = level
-	opts := core.SolveOptions{Context: c.ctx}
+	opts := core.SolveOptions{Context: c.context()}
 	opts.LP.FaultHook = s.cfg.LPFaultHook
 
 	solveStart := time.Now()
@@ -716,7 +824,7 @@ func (s *Server) handleSolve(c *call) (any, error) {
 		s.cfg.MutatePlan(plan)
 	}
 
-	pub, err := s.reg.Publish(c.ctx, plan)
+	pub, err := s.reg.Publish(c.context(), plan)
 	if err != nil {
 		return nil, err
 	}
@@ -729,10 +837,9 @@ func (s *Server) handleSolve(c *call) (any, error) {
 
 // parseScenario reads ?links=3,7,12 (dead links) and
 // ?degraded=4@0.5,9@0.25 (links at a fraction of nominal capacity)
-// into a failure scenario over the instance's topology. A link listed
-// in both is dead; dead wins.
+// into a failure scenario over the instance's topology, held in the
+// call's maps. A link listed in both is dead; dead wins.
 func (s *Server) parseScenario(c *call) error {
-	sc := failures.Scenario{Dead: map[topology.LinkID]bool{}}
 	parseID := func(part string) (topology.LinkID, error) {
 		id, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
@@ -743,17 +850,21 @@ func (s *Server) parseScenario(c *call) error {
 		}
 		return topology.LinkID(id), nil
 	}
-	if raw := strings.TrimSpace(c.q.Get("links")); raw != "" {
-		for _, part := range strings.Split(raw, ",") {
+	if raw := strings.TrimSpace(c.query("links")); raw != "" {
+		for rest, more := raw, true; more; {
+			var part string
+			part, rest, more = strings.Cut(rest, ",")
 			l, err := parseID(part)
 			if err != nil {
 				return err
 			}
-			sc.Dead[l] = true
+			c.dead[l] = true
 		}
 	}
-	if raw := strings.TrimSpace(c.q.Get("degraded")); raw != "" {
-		for _, part := range strings.Split(raw, ",") {
+	if raw := strings.TrimSpace(c.query("degraded")); raw != "" {
+		for rest, more := raw, true; more; {
+			var part string
+			part, rest, more = strings.Cut(rest, ",")
 			idStr, alphaStr, ok := strings.Cut(strings.TrimSpace(part), "@")
 			if !ok {
 				return fmt.Errorf("serve: degraded entry %q is not id@alpha", part)
@@ -766,18 +877,18 @@ func (s *Server) parseScenario(c *call) error {
 			if err != nil || math.IsNaN(alpha) || alpha <= 0 || alpha >= 1 {
 				return fmt.Errorf("serve: degraded scale %q outside (0,1)", alphaStr)
 			}
-			if sc.Dead[l] {
+			if c.dead[l] {
 				continue
 			}
-			if sc.Degraded == nil {
-				sc.Degraded = map[topology.LinkID]float64{}
-			}
-			if cur, ok := sc.Degraded[l]; !ok || alpha < cur {
-				sc.Degraded[l] = alpha
+			if cur, ok := c.degraded[l]; !ok || alpha < cur {
+				c.degraded[l] = alpha
 			}
 		}
 	}
-	c.sc = sc
+	c.sc = failures.Scenario{Dead: c.dead}
+	if len(c.degraded) > 0 {
+		c.sc.Degraded = c.degraded
+	}
 	return nil
 }
 
@@ -795,30 +906,34 @@ type realizeReply struct {
 
 // handleRealize answers from the engine's Outcome: the scenario is
 // realized and judged in the engine's scratch, and no Realization is
-// built.
+// built. The reply is the call's own.
 func (s *Server) handleRealize(c *call) (any, error) {
 	out, err := c.pub.Sweep.Outcome(c.sc)
 	if err != nil {
 		return nil, err
 	}
-	var deadLinks []int
 	for l, dead := range c.sc.Dead {
 		if dead {
-			deadLinks = append(deadLinks, int(l))
+			c.deadLinks = append(c.deadLinks, int(l))
 		}
 	}
-	slices.Sort(deadLinks)
+	slices.Sort(c.deadLinks)
+	var deadLinks []int // none encodes as null, as it always has
+	if len(c.deadLinks) > 0 {
+		deadLinks = c.deadLinks
+	}
 	c.field("mlu", out.MLU)
 	c.field("max_u", out.MaxU)
 	c.field("dead_links", float64(len(deadLinks)))
-	return realizeReply{
+	c.realized = realizeReply{
 		DeadLinks: deadLinks,
 		Epoch:     c.pub.Epoch,
 		MaxU:      out.MaxU,
 		MLU:       out.MLU,
 		Pairs:     out.Pairs,
 		Scheme:    c.pub.Scheme,
-	}, nil
+	}
+	return &c.realized, nil
 }
 
 // maxValidateSamples caps ?samples= on a sampled validation: the draws
@@ -835,8 +950,7 @@ const maxKCapOverBudget = 64
 // parseValidate reads ?model= (exact, the default, or sampled) and the
 // sampled model's knobs.
 func (s *Server) parseValidate(c *call) error {
-	q := c.q
-	switch model := q.Get("model"); model {
+	switch model := c.query("model"); model {
 	case "", "exact":
 		return nil
 	case "sampled":
@@ -847,7 +961,7 @@ func (s *Server) parseValidate(c *call) error {
 	var opts routing.SampleOptions
 	var err error
 	p := 0.01
-	if raw := q.Get("p"); raw != "" {
+	if raw := c.query("p"); raw != "" {
 		if p, err = strconv.ParseFloat(raw, 64); err != nil {
 			return fmt.Errorf("serve: bad unit probability %q: %w", raw, err)
 		}
@@ -855,7 +969,7 @@ func (s *Server) parseValidate(c *call) error {
 	if opts.Model, err = failures.Uniform(c.pub.Plan.Instance.Failures, p); err != nil {
 		return err
 	}
-	if raw := q.Get("samples"); raw != "" {
+	if raw := c.query("samples"); raw != "" {
 		if opts.Samples, err = strconv.Atoi(raw); err != nil {
 			return fmt.Errorf("serve: bad sample count %q: %w", raw, err)
 		}
@@ -863,18 +977,18 @@ func (s *Server) parseValidate(c *call) error {
 			return fmt.Errorf("serve: sample count %d above the limit %d", opts.Samples, maxValidateSamples)
 		}
 	}
-	if raw := q.Get("delta"); raw != "" {
+	if raw := c.query("delta"); raw != "" {
 		opts.Delta, err = strconv.ParseFloat(raw, 64)
 		if err != nil || math.IsNaN(opts.Delta) || opts.Delta <= 0 || opts.Delta >= 1 {
 			return fmt.Errorf("serve: delta %q outside (0,1)", raw)
 		}
 	}
-	if raw := q.Get("seed"); raw != "" {
+	if raw := c.query("seed"); raw != "" {
 		if opts.Seed, err = strconv.ParseInt(raw, 10, 64); err != nil {
 			return fmt.Errorf("serve: bad seed %q: %w", raw, err)
 		}
 	}
-	if raw := q.Get("kcap"); raw != "" {
+	if raw := c.query("kcap"); raw != "" {
 		if opts.KCap, err = strconv.Atoi(raw); err != nil {
 			return fmt.Errorf("serve: bad kcap %q: %w", raw, err)
 		}
@@ -901,10 +1015,10 @@ func (s *Server) handleValidate(c *call) (any, error) {
 	// keeps their correctors apart, so the published cache stays at the
 	// designed set's.
 	if c.sample == nil {
-		stats, err = c.pub.Sweep.ValidateStats(c.ctx)
+		stats, err = c.pub.Sweep.ValidateStats(c.context())
 	} else {
 		model = "sampled"
-		rep, err = c.pub.Sweep.ValidateSampled(c.ctx, *c.sample)
+		rep, err = c.pub.Sweep.ValidateSampled(c.context(), *c.sample)
 		if rep != nil {
 			stats = &rep.Stats
 		}
@@ -950,7 +1064,7 @@ func (s *Server) handleValidate(c *call) (any, error) {
 }
 
 func (s *Server) handleOptimal(c *call) (any, error) {
-	z, worst, stats, err := mcf.OptimalUnderFailuresStats(c.ctx, s.inst.Graph, s.inst.TM, s.inst.Failures)
+	z, worst, stats, err := mcf.OptimalUnderFailuresStats(c.context(), s.inst.Graph, s.inst.TM, s.inst.Failures)
 	mcfRec := telemetry.Record{
 		Kind:    telemetry.KindMCF,
 		Source:  s.cfg.Source,

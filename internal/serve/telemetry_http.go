@@ -23,26 +23,25 @@ const maxTailWait = 55 * time.Second
 // kind, src, name, scheme, outcome, since/until (RFC 3339), bucket (Go
 // duration), metric, group_by — and runs it.
 func (s *Server) handleTelemetryQuery(c *call) (any, error) {
-	v := c.q
 	q := telemetry.Query{
-		Kind:    telemetry.Kind(v.Get("kind")),
-		Source:  v.Get("src"),
-		Name:    v.Get("name"),
-		Scheme:  v.Get("scheme"),
-		Outcome: v.Get("outcome"),
-		Metric:  v.Get("metric"),
-		GroupBy: v.Get("group_by"),
+		Kind:    telemetry.Kind(c.query("kind")),
+		Source:  c.query("src"),
+		Name:    c.query("name"),
+		Scheme:  c.query("scheme"),
+		Outcome: c.query("outcome"),
+		Metric:  c.query("metric"),
+		GroupBy: c.query("group_by"),
 	}
 	bounds := [...]*time.Time{&q.Since, &q.Until}
 	for i, key := range [...]string{"since", "until"} {
-		if raw := v.Get(key); raw != "" {
+		if raw := c.query(key); raw != "" {
 			var err error
 			if *bounds[i], err = time.Parse(time.RFC3339, raw); err != nil {
 				return nil, badRequest{fmt.Errorf("bad %s (want RFC 3339): %w", key, err)}
 			}
 		}
 	}
-	if raw := v.Get("bucket"); raw != "" {
+	if raw := c.query("bucket"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil || d < 0 {
 			return nil, badRequest{errors.New("bad bucket (want a positive Go duration)")}
@@ -62,9 +61,8 @@ func (s *Server) handleTelemetryQuery(c *call) (any, error) {
 // handleTelemetryTail answers the records after ?after= (at most
 // ?limit=), parking up to ?wait= for the first one.
 func (s *Server) handleTelemetryTail(c *call) (any, error) {
-	v := c.q
 	var after uint64
-	if raw := v.Get("after"); raw != "" {
+	if raw := c.query("after"); raw != "" {
 		n, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
 			return nil, badRequest{errors.New("bad after (want an unsigned cursor)")}
@@ -72,7 +70,7 @@ func (s *Server) handleTelemetryTail(c *call) (any, error) {
 		after = n
 	}
 	limit := 256
-	if raw := v.Get("limit"); raw != "" {
+	if raw := c.query("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n <= 0 {
 			return nil, badRequest{errors.New("bad limit (want a positive integer)")}
@@ -80,14 +78,14 @@ func (s *Server) handleTelemetryTail(c *call) (any, error) {
 		limit = n
 	}
 	wait := 25 * time.Second
-	if raw := v.Get("wait"); raw != "" {
+	if raw := c.query("wait"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil || d < 0 {
 			return nil, badRequest{errors.New("bad wait (want a non-negative Go duration)")}
 		}
 		wait = min(d, maxTailWait)
 	}
-	ctx, cancel := context.WithTimeout(c.ctx, wait)
+	ctx, cancel := context.WithTimeout(c.context(), wait)
 	defer cancel()
 	recs, cursor, err := s.tel.Tail(ctx, after, limit)
 	if err != nil {
