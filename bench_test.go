@@ -374,6 +374,44 @@ func BenchmarkSolveSynth1k(b *testing.B) {
 	b.ReportMetric(float64(plan.Stats.KernelDim), "kernel_dim")
 }
 
+// BenchmarkSolveBTNACLS measures SolveBest's cut loop on the PCF-CLS
+// instance of BTNorthAmerica (40 pairs, f = 2, core.BuildCLSQuick's
+// LSs; internal/core's TestCutLoopOracleCounts pins its counts). More
+// than half of its separation-oracle calls repeat their polytope's
+// previous costs and reuse the saved answer; none doing so means the
+// reuse stopped hitting.
+func BenchmarkSolveBTNACLS(b *testing.B) {
+	setup, err := eval.Prepare(eval.Options{
+		Topology: "BTNorthAmerica", Seed: 1, MaxPairs: 40, FailureBudget: 2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, _, err := core.BuildCLSQuick(&core.Instance{
+		Graph: setup.Graph, TM: setup.TM, Tunnels: setup.Tunnels,
+		Failures: setup.Failures, Objective: core.DemandScale,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var plan *core.Plan
+	for i := 0; i < b.N; i++ {
+		plan, err = core.SolveBest(in, core.SolveOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	st := plan.Stats
+	if st.OracleSolves >= st.OracleCalls {
+		b.Fatalf("all %d separation-oracle calls solved; repeated costs should reuse the saved answer", st.OracleCalls)
+	}
+	b.ReportMetric(float64(st.LPIterations), "lp_iters")
+	b.ReportMetric(float64(st.Rounds), "rounds")
+	b.ReportMetric(float64(st.OracleSolves), "oracle_solves")
+	b.ReportMetric(100*float64(st.OracleCalls-st.OracleSolves)/float64(st.OracleCalls), "oracle_reuse_pct")
+}
+
 // BenchmarkPrepareSynth1k measures eval.Prepare with the benchmark's
 // synth1k-tf-f1 options: the 1000-node Waxman graph, its gravity
 // matrix, 3 tunnels for each of 250 pairs (the disjoint-path search

@@ -136,10 +136,13 @@ func (spec *advSpec) seedScenarios() []failures.Scenario {
 }
 
 // masterVars holds what every pair's adversary is built against: the
-// first-stage variable handles of the master LP and the solve's
-// per-link death-unit index (deathUnitsOf).
+// first-stage variable handles of the master LP, the solve's per-link
+// death-unit index (deathUnitsOf), its pair → LSs index (lsIndex) and
+// the workspace the pairs' polytopes share, minimized one at a time.
 type masterVars struct {
 	unitsOf [][]int
+	lss     map[topology.Pair]pairLSs
+	ws      *lp.Workspace
 	a       map[tunnels.ID]lp.Var
 	b       map[LSID]lp.Var
 	// zExpr returns the z_p·d_p expression for a pair (zero expression
@@ -174,7 +177,7 @@ func buildFFCAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
 	spec := &advSpec{
 		pair:      p,
 		in:        in,
-		poly:      lp.NewPolytope(),
+		poly:      mv.ws.NewPolytope(),
 		constPart: lp.NewExpr(),
 		rhs:       lp.NewExpr(),
 		unitsOf:   mv.unitsOf,
@@ -232,16 +235,17 @@ func unitMaxShared(in *Instance, unitsOf [][]int, tun []tunnels.ID) int {
 // variables under the failure budget, link variables x tied to their
 // units, and tunnel variables y tied to the links of the pair's
 // tunnels. extraLinks lists links (e.g. condition links) that must have
-// x variables even if no tunnel of the pair uses them. unitsOf is the
-// solve's death-unit index; aVar resolves a tunnel's reservation
-// variable in the master.
-func baseLinkAdversary(in *Instance, unitsOf [][]int, p topology.Pair, tun []tunnels.ID,
-	extraLinks []topology.LinkID, aVar func(tunnels.ID) lp.Var) *advSpec {
+// x variables even if no tunnel of the pair uses them. mv holds the
+// tunnels' reservation variables, the solve's death-unit index and the
+// polytopes' workspace.
+func baseLinkAdversary(in *Instance, mv *masterVars, p topology.Pair, tun []tunnels.ID,
+	extraLinks []topology.LinkID) *advSpec {
 
+	unitsOf := mv.unitsOf
 	spec := &advSpec{
 		pair:      p,
 		in:        in,
-		poly:      lp.NewPolytope(),
+		poly:      mv.ws.NewPolytope(),
 		constPart: lp.NewExpr(),
 		rhs:       lp.NewExpr(),
 		unitsOf:   unitsOf,
@@ -322,8 +326,8 @@ func baseLinkAdversary(in *Instance, unitsOf [][]int, p topology.Pair, tun []tun
 	for _, tid := range tun {
 		y := poly.AddVar()
 		spec.yIdx[tid] = y
-		spec.addCost(y, lp.NewExpr().Add(-1, aVar(tid)))
-		spec.constPart.Add(1, aVar(tid))
+		spec.addCost(y, lp.NewExpr().Add(-1, mv.a[tid]))
+		spec.constPart.Add(1, mv.a[tid])
 		poly.AddUpperBound(y, 1)
 		links := uniqueLinks(in.Tunnels.Tunnel(tid).Path)
 		sum := []lp.AdvTerm{{Var: y, Coeff: 1}}
@@ -396,8 +400,7 @@ func (spec *advSpec) conditionVar(cond *Condition) lp.AdvVar {
 // for conditional LSs (appendix linearization); unconditional LSs fold
 // into the constant parts.
 func buildPCFAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
-	local := in.lsLocal(p)
-	through := in.lsThrough(p)
+	local, through := mv.lss[p].local, mv.lss[p].through
 
 	var extra []topology.LinkID
 	for _, qs := range [][]LSID{local, through} {
@@ -407,8 +410,7 @@ func buildPCFAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
 			}
 		}
 	}
-	spec := baseLinkAdversary(in, mv.unitsOf, p, in.Tunnels.ForPair(p), extra,
-		func(tid tunnels.ID) lp.Var { return mv.a[tid] })
+	spec := baseLinkAdversary(in, mv, p, in.Tunnels.ForPair(p), extra)
 
 	condVar := func(qid LSID) lp.AdvVar {
 		if h, ok := spec.hIdx[qid]; ok {

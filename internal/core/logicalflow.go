@@ -317,8 +317,7 @@ func SolveRestrictedFlow(in *Instance, opts FlowOptions) (*FlowPlan, error) {
 		for _, arc := range loaders[p] {
 			extra = append(extra, topology.LinkOf(arc))
 		}
-		spec := baseLinkAdversary(in, mv.unitsOf, p, tun, extra,
-			func(tid tunnels.ID) lp.Var { return mv.a[tid] })
+		spec := baseLinkAdversary(in, mv, p, tun, extra)
 
 		// LHS: unconditional demand-flow reservation for this pair.
 		if v, ok := bw[p]; ok {

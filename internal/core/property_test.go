@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -480,3 +481,46 @@ func TestDualizedAtLeastEnumerated(t *testing.T) {
 }
 
 var _ = lp.NewModel // keep the lp import for the adversary test above
+
+// TestLSIndexMatchesScan: every pair's adversary reads its LSs off the
+// index one pass over the LSs builds. Each list must be the one a scan
+// of every LS for that pair gives, in LS order — an LS that repeats a
+// segment listed once — so every spec and plan stays as it was.
+func TestLSIndexMatchesScan(t *testing.T) {
+	scan := func(in *Instance, p topology.Pair) (local, through []LSID) {
+		for _, q := range in.LSs {
+			if q.Pair == p {
+				local = append(local, q.ID)
+			}
+			for _, s := range q.Segments() {
+				if s == p {
+					through = append(through, q.ID)
+					break
+				}
+			}
+		}
+		return local, through
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20; trial++ {
+		in, _, err := BuildCLSQuick(randomInstance(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial == 0 { // 0 → 1 → 2 → 1 → 2 → 3 crosses (1,2) twice
+			in.LSs = append(in.LSs, LogicalSequence{ID: LSID(len(in.LSs)),
+				Pair: topology.Pair{Src: 0, Dst: 3}, Hops: []topology.NodeID{1, 2, 1, 2}})
+		}
+		idx := in.lsIndex()
+		pairs := in.ConstraintPairs()
+		for _, q := range in.LSs {
+			pairs = append(pairs, q.Pair)
+		}
+		for _, p := range pairs {
+			local, through := scan(in, p)
+			if got := idx[p]; !slices.Equal(got.local, local) || !slices.Equal(got.through, through) {
+				t.Fatalf("trial %d, pair %v: index %v / %v, scan %v / %v", trial, p, got.local, got.through, local, through)
+			}
+		}
+	}
+}

@@ -100,8 +100,7 @@ func lpCandidates(plan *Plan, budget int) [][]int {
 	_, mv := buildMaster(in, true)
 	val := planValues(plan, mv)
 	var combos [][]int
-	for _, p := range in.ConstraintPairs() {
-		spec := buildPCFAdversary(in, p, mv)
+	for _, spec := range buildSpecs(in, mv, buildPCFAdversary) {
 		costBuf := make([]float64, len(spec.costs))
 		for j, c := range spec.costs {
 			costBuf[j] = evalExprAt(c, val)

@@ -55,10 +55,13 @@ var ErrNegativeBudget = errors.New("core: negative failure budget")
 type advBuilder func(in *Instance, p topology.Pair, mv *masterVars) *advSpec
 
 // newMasterVars starts a master's variable handles, with the solve's
-// death-unit index built once for every pair's adversary.
+// death-unit and LS indexes built once for every pair's adversary and
+// the workspace their polytopes share.
 func newMasterVars(in *Instance) *masterVars {
 	return &masterVars{
 		unitsOf: deathUnitsOf(in.Failures, in.Graph.NumLinks()),
+		lss:     in.lsIndex(),
+		ws:      lp.NewWorkspace(),
 		a:       map[tunnels.ID]lp.Var{},
 		b:       map[LSID]lp.Var{},
 	}
@@ -286,7 +289,10 @@ func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 					costBuf = append(costBuf, sol.Eval(c))
 				}
 			}
+			solves := spec.poly.Solves()
 			inner, w, err := spec.poly.Minimize(costBuf)
+			stats.OracleCalls++
+			stats.OracleSolves += spec.poly.Solves() - solves
 			if err != nil {
 				return nil, stats, err
 			}

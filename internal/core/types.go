@@ -179,29 +179,41 @@ func (in *Instance) ConstraintPairs() []topology.Pair {
 	return out
 }
 
-// lsLocal returns the LSs whose endpoints are exactly p (L(s,t)).
-func (in *Instance) lsLocal(p topology.Pair) []LSID {
-	var out []LSID
-	for _, q := range in.LSs {
-		if q.Pair == p {
-			out = append(out, q.ID)
-		}
-	}
-	return out
+// pairLSs are the LSs of one pair, each list in LS order: local those
+// whose endpoints are exactly the pair (L(s,t)), through those having
+// it as a segment (Q(s,t)).
+type pairLSs struct {
+	local, through []LSID
 }
 
-// lsThrough returns the LSs having p as a segment (Q(s,t)).
-func (in *Instance) lsThrough(p topology.Pair) []LSID {
-	var out []LSID
+// lsIndex maps every pair with an LS to its LSs, in one pass over the
+// LSs and their hops.
+func (in *Instance) lsIndex() map[topology.Pair]pairLSs {
+	if len(in.LSs) == 0 {
+		return nil
+	}
+	idx := make(map[topology.Pair]pairLSs)
 	for _, q := range in.LSs {
-		for _, s := range q.Segments() {
-			if s == p {
-				out = append(out, q.ID)
-				break
+		e := idx[q.Pair]
+		e.local = append(e.local, q.ID)
+		idx[q.Pair] = e
+		prev := q.Pair.Src
+		for i := 0; i <= len(q.Hops); i++ {
+			next := q.Pair.Dst
+			if i < len(q.Hops) {
+				next = q.Hops[i]
 			}
+			seg := topology.Pair{Src: prev, Dst: next}
+			prev = next
+			e := idx[seg]
+			if n := len(e.through); n > 0 && e.through[n-1] == q.ID {
+				continue // a segment the LS repeats counts once
+			}
+			e.through = append(e.through, q.ID)
+			idx[seg] = e
 		}
 	}
-	return out
+	return idx
 }
 
 // Validate checks cross-component consistency.
@@ -231,8 +243,9 @@ func (in *Instance) Validate() error {
 	}
 	// Every constraint pair must have a tunnel or an LS: otherwise its
 	// constraint is trivially infeasible for positive demand.
+	lss := in.lsIndex()
 	for _, p := range in.ConstraintPairs() {
-		if len(in.Tunnels.ForPair(p)) == 0 && len(in.lsLocal(p)) == 0 {
+		if len(in.Tunnels.ForPair(p)) == 0 && len(lss[p].local) == 0 {
 			return fmt.Errorf("core: pair %v has neither tunnels nor LSs", p)
 		}
 	}
@@ -301,6 +314,12 @@ type SolveStats struct {
 	// fraction of the second.
 	KernelDim int
 	Rows      int
+	// OracleCalls counts the separation oracle's calls
+	// (lp.Polytope.Minimize), one per pair per round, and OracleSolves
+	// those a simplex solve answered; the rest repeated their
+	// polytope's previous costs and got its saved answer.
+	OracleCalls  int
+	OracleSolves int
 }
 
 // FillRatio is FactorNNZ/BasisNNZ — the factorization fill-in growth
@@ -332,6 +351,8 @@ func (s SolveStats) Metrics() map[string]float64 {
 		"eta_len_max":     float64(s.MaxEtaLen),
 		"kernel_dim":      float64(s.KernelDim),
 		"rows":            float64(s.Rows),
+		"oracle_calls":    float64(s.OracleCalls),
+		"oracle_solves":   float64(s.OracleSolves),
 	}
 }
 

@@ -263,6 +263,9 @@ func StatsLine(st core.SolveStats) string {
 		line += fmt.Sprintf(", %d rounds, %d cuts, warm %d/%d",
 			st.Rounds, st.Cuts, st.WarmHits, st.Rounds)
 	}
+	if st.OracleCalls > 0 {
+		line += fmt.Sprintf(", oracle %d/%d solved", st.OracleSolves, st.OracleCalls)
+	}
 	return line
 }
 

@@ -197,7 +197,7 @@ func TestBTRANWalksMatchDenseOracle(t *testing.T) {
 	m.SetObjective(obj, Maximize)
 	cm := Compile(m)
 	st := newSimplexState(cm, Options{MaxIter: 80}.withDefaults(cm.nRows, cm.nCols))
-	if _, err := st.runPhase(cm.phase2Cost(), false); err != nil {
+	if _, err := st.runPhase(st.phase2Cost(), false); err != nil {
 		t.Fatal(err)
 	}
 	// One listed position takes the search walk on the newest eta when

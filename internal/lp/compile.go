@@ -97,100 +97,12 @@ func Compile(mod *Model) *Compiled {
 		obj:        mod.obj.Clone(),
 		dir:        mod.dir,
 	}
-	cm.refs = make([]colRef, mod.NumVars())
-
-	for i := 0; i < mod.NumVars(); i++ {
-		lo, hi := mod.lower[i], mod.upper[i]
-		r := colRef{neg: -1}
-		switch {
-		case math.IsInf(lo, -1) && math.IsInf(hi, 1):
-			r.pos = cm.addCol(Var(i), 1, 0)
-			r.neg = cm.addCol(Var(i), -1, 0)
-		case math.IsInf(lo, -1):
-			// x <= hi: substitute x = hi - x', x' >= 0.
-			r.pos = cm.addCol(Var(i), -1, hi)
-			r.shift = hi
-			r.inv = true
-		default:
-			// x >= lo: substitute x = lo + x'.
-			r.pos = cm.addCol(Var(i), 1, lo)
-			r.shift = lo
-		}
-		cm.refs[i] = r
-	}
-	// Upper bounds of range variables become explicit x' <= hi-lo rows
-	// after the model rows; remember which variables need one.
-	type ubRow struct {
-		col int
-		rhs float64
-	}
-	var ubs []ubRow
-	for i := 0; i < mod.NumVars(); i++ {
-		lo, hi := mod.lower[i], mod.upper[i]
-		if !math.IsInf(lo, -1) && !math.IsInf(hi, 1) {
-			ubs = append(ubs, ubRow{col: cm.refs[i].pos, rhs: hi - lo})
-		}
-	}
-
-	rows := make([][]rowTerm, 0, cm.nModelCons+len(ubs))
-	senses := make([]Sense, 0, cm.nModelCons+len(ubs))
-	for ri, con := range mod.cons {
-		terms, off := cm.stdTerms(con.Expr)
-		cm.b = append(cm.b, con.RHS-off)
-		cm.rowOf = append(cm.rowOf, ri)
-		cm.rhsOff = append(cm.rhsOff, off)
-		cm.stdRow = append(cm.stdRow, ri)
-		cm.lrhs = append(cm.lrhs, con.RHS)
-		rows = append(rows, terms)
-		senses = append(senses, con.Sense)
-	}
-	for _, ub := range ubs {
-		cm.b = append(cm.b, ub.rhs)
-		cm.rowOf = append(cm.rowOf, -1)
-		cm.rhsOff = append(cm.rhsOff, 0)
-		rows = append(rows, []rowTerm{{ub.col, 1}})
-		senses = append(senses, LE)
-	}
-
-	// Slack / surplus columns; then normalize b >= 0.
-	cm.slack = make([]int, len(rows))
-	for ri := range rows {
-		cm.slack[ri] = -1
-		switch senses[ri] {
-		case LE:
-			sc := cm.addCol(-1, 0, 0)
-			rows[ri] = append(rows[ri], rowTerm{sc, 1})
-			cm.slack[ri] = sc
-		case GE:
-			sc := cm.addCol(-1, 0, 0)
-			rows[ri] = append(rows[ri], rowTerm{sc, -1})
-			cm.slack[ri] = sc
-		}
-	}
-	cm.nRows = len(rows)
-	cm.nCols = len(cm.cols)
-	cm.rowNeg = make([]bool, cm.nRows)
-	cm.rowSign = make([]float64, cm.nRows)
-	for ri := range rows {
-		sign := 1.0
-		if cm.b[ri] < 0 {
-			cm.b[ri] = -cm.b[ri]
-			cm.rowNeg[ri] = true
-			sign = -1.0
-			for k := range rows[ri] {
-				rows[ri][k].v = -rows[ri][k].v
-			}
-		}
-		cm.rowSign[ri] = sign
-		for _, t := range rows[ri] {
-			if t.v != 0 {
-				cm.cols[t.col] = append(cm.cols[t.col], entry{row: ri, val: t.v})
-			}
-		}
-	}
+	cm.lower(mod.lower, mod.upper, func(i int) ([]Term, Sense, float64) {
+		con := mod.cons[i]
+		return con.Expr.Terms, con.Sense, con.RHS
+	})
 
 	// Objective.
-	cm.c = make([]float64, cm.nCols)
 	objConst := mod.obj.Offset
 	neg := mod.dir == Maximize
 	cm.negObj = neg
@@ -214,6 +126,190 @@ func Compile(mod *Model) *Compiled {
 	cm.objConst = objConst
 	cm.CompileTime = time.Since(start)
 	return cm
+}
+
+// rowFunc returns model row i of a lowering: its terms over model
+// variables, its sense and its right-hand side (the expression's offset
+// already folded in). The terms are read before the next call.
+type rowFunc func(i int) ([]Term, Sense, float64)
+
+// lower lays cm out in standard form: the columns of the model
+// variables bounded by lo and hi (nil for both: every variable x ≥ 0),
+// cm.nModelCons rows read from row, a bound row x' ≤ hi−lo per
+// variable bounded on both sides, and one slack or surplus column per
+// inequality row. It reads the rows twice, counting and then filling,
+// so every array — each column's entries carved from one arena — is
+// allocated once at its final length. Zero coefficients are dropped
+// and a variable repeated in a row is merged into one entry in term
+// order; Model rows arrive merged already (Expr.compact). The cost row
+// is left zero.
+func (cm *Compiled) lower(lo, hi []float64, row rowFunc) {
+	bounds := func(v int) (float64, float64) {
+		if lo == nil {
+			return 0, math.Inf(1)
+		}
+		return lo[v], hi[v]
+	}
+	// Structural columns: a free variable takes two, x = x⁺ − x⁻; one
+	// bounded only above is substituted x = hi − x'; any other one
+	// x = lo + x', with a bound row when it is bounded above too.
+	cm.refs = make([]colRef, cm.nModel)
+	nStruct, nBound := 0, 0
+	for v := range cm.refs {
+		l, h := bounds(v)
+		r := colRef{pos: nStruct, neg: -1}
+		switch {
+		case math.IsInf(l, -1) && math.IsInf(h, 1):
+			r.neg = nStruct + 1
+		case math.IsInf(l, -1):
+			r.shift, r.inv = h, true
+		default:
+			r.shift = l
+			if !math.IsInf(h, 1) {
+				nBound++
+			}
+		}
+		nStruct++
+		if r.neg >= 0 {
+			nStruct++
+		}
+		cm.refs[v] = r
+	}
+
+	// Counting pass: the entries of every structural column and the
+	// slack columns, one entry each.
+	nCons := cm.nModelCons
+	count := make([]int, nStruct)
+	nSlack, nnz := nBound, 2*nBound
+	for i := 0; i < nCons; i++ {
+		terms, sense, _ := row(i)
+		for _, t := range terms {
+			if t.Coeff == 0 {
+				continue
+			}
+			r := cm.refs[t.Var]
+			count[r.pos]++
+			nnz++
+			if r.neg >= 0 {
+				count[r.neg]++
+				nnz++
+			}
+		}
+		if sense != EQ {
+			nSlack++
+			nnz++
+		}
+	}
+	for v, r := range cm.refs {
+		if l, h := bounds(v); !math.IsInf(l, -1) && !math.IsInf(h, 1) {
+			count[r.pos]++
+		}
+	}
+
+	nRows, nCols := nCons+nBound, nStruct+nSlack
+	cm.nRows, cm.nCols = nRows, nCols
+	cm.cols = make([][]entry, nCols)
+	cm.ownCol = make([]bool, nCols)
+	cm.maps = make([]varMap, nCols)
+	cm.c = make([]float64, nCols)
+	arena := make([]entry, nnz)
+	for j := range cm.cols {
+		n := 1 // a slack column's one entry
+		if j < nStruct {
+			n = count[j]
+		}
+		cm.cols[j], arena = arena[:0:n], arena[n:]
+		cm.ownCol[j] = true
+		cm.maps[j] = varMap{v: -1}
+	}
+	for v, r := range cm.refs {
+		switch {
+		case r.neg >= 0:
+			cm.maps[r.pos] = varMap{v: Var(v), scale: 1}
+			cm.maps[r.neg] = varMap{v: Var(v), scale: -1}
+		case r.inv:
+			cm.maps[r.pos] = varMap{v: Var(v), scale: -1, shift: r.shift}
+		default:
+			cm.maps[r.pos] = varMap{v: Var(v), scale: 1, shift: r.shift}
+		}
+	}
+	cm.b = make([]float64, nRows)
+	cm.rowOf = make([]int, nRows)
+	cm.rowNeg = make([]bool, nRows)
+	cm.rowSign = make([]float64, nRows)
+	cm.rhsOff = make([]float64, nRows)
+	cm.slack = make([]int, nRows)
+	cm.stdRow = make([]int, nCons)
+	cm.lrhs = make([]float64, nCons)
+
+	// Filling pass, row by row, so every column lists its entries by
+	// ascending row. b is normalized to b ≥ 0 by negating the row.
+	slackCol := nStruct
+	fill := func(ri int, terms []Term, sense Sense, rhs float64) {
+		off := 0.0
+		for _, t := range terms {
+			off += t.Coeff * cm.refs[t.Var].shift
+		}
+		b, sgn := rhs-off, 1.0
+		if b < 0 {
+			b, sgn = -b, -1
+			cm.rowNeg[ri] = true
+		}
+		cm.b[ri], cm.rowSign[ri], cm.rhsOff[ri] = b, sgn, off
+		for _, t := range terms {
+			if t.Coeff == 0 {
+				continue
+			}
+			r := cm.refs[t.Var]
+			v := sgn * t.Coeff
+			if r.inv {
+				v = -v
+			}
+			cm.place(r.pos, ri, v)
+			if r.neg >= 0 {
+				cm.place(r.neg, ri, -v)
+			}
+		}
+		cm.slack[ri] = -1
+		if sense != EQ {
+			v := sgn
+			if sense == GE {
+				v = -v
+			}
+			cm.place(slackCol, ri, v)
+			cm.slack[ri] = slackCol
+			slackCol++
+		}
+	}
+	for i := 0; i < nCons; i++ {
+		terms, sense, rhs := row(i)
+		fill(i, terms, sense, rhs)
+		cm.rowOf[i], cm.stdRow[i], cm.lrhs[i] = i, i, rhs
+	}
+	ri := nCons
+	for v, r := range cm.refs {
+		if l, h := bounds(v); !math.IsInf(l, -1) && !math.IsInf(h, 1) {
+			fill(ri, nil, LE, h-l)
+			cm.place(r.pos, ri, cm.rowSign[ri])
+			cm.rowOf[ri] = -1
+			ri++
+		}
+	}
+}
+
+// place adds v at row r of std column j during lowering: to the entry
+// already there when the row repeats a variable, dropping the entry if
+// the sum is zero.
+func (cm *Compiled) place(j, r int, v float64) {
+	col := cm.cols[j]
+	n := len(col)
+	if n == 0 || col[n-1].row != r {
+		cm.cols[j] = append(col, entry{row: r, val: v})
+		return
+	}
+	if col[n-1].val += v; col[n-1].val == 0 {
+		cm.cols[j] = col[:n-1]
+	}
 }
 
 func (cm *Compiled) addCol(v Var, scale, shift float64) int {
@@ -330,11 +426,12 @@ func (cm *Compiled) SetRowRHS(i int, rhs float64) {
 // model variables, in place: the standard-form cost row and the
 // expression solutions are valued by, laid out as Compile would from a
 // model carrying that objective (zero coefficients dropped, bound
-// shifts left to the expression). The expression is a new one: clones
-// share the old.
+// shifts left to the expression). The expression's terms are rewritten
+// in their own backing, so a Compiled that is re-costed must not have
+// been cloned: only a Polytope's rows are.
 func (cm *Compiled) setMinimize(costs []float64) {
 	cm.dir, cm.negObj = Minimize, false
-	cm.obj = &Expr{Terms: make([]Term, 0, len(costs))}
+	cm.obj.Terms = cm.obj.Terms[:0]
 	clear(cm.c)
 	for v, coeff := range costs {
 		if coeff == 0 {

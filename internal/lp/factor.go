@@ -38,13 +38,13 @@ type etaUpdate struct {
 // sparseFactor is a Compiled's solve workspace: the partition of the
 // last refactored basis, the linsolve workspace and the by-rows copy of
 // the kernel columns it is fed, the eta arena, the solve scratch and
-// the simplex loop's own vectors. Every operation refills them in
-// place, so once the buffers have grown — during the first solve of the
-// Compiled — refactor, update, the solves and a whole simplex iteration
-// allocate nothing, in that solve or any later one. It holds no
-// reference to the simplex state it serves: refactor and ftran, which
-// read the basis and the entering column, take the state as an
-// argument.
+// the simplex state with all its vectors. Every operation refills them
+// in place, so once the buffers have grown — during the first solve in
+// the workspace — the start, refactor, update, the solves and a whole
+// simplex iteration allocate nothing, in that solve or any later one.
+// The state it holds is its own storage, not a reference it reads:
+// refactor and ftran, which read the basis and the entering column,
+// take the state as an argument.
 type sparseFactor struct {
 	fz linsolve.SparseFactorizer
 	lu *linsolve.SparseLU // fz's factors of the kernel; stale while the kernel is empty
@@ -98,6 +98,16 @@ type sparseFactor struct {
 	cB, y, d, rho []float64
 	cNZ           []int
 
+	// The simplex state and the rest of its vectors: the basis, the
+	// basic values and the artificials' signs, m-sized; inB and the
+	// phase cost over the columns and artificials; xs, the columns'
+	// values when a solution is read off the basis.
+	st          simplexState
+	basis       []int
+	xB, artSign []float64
+	inB         []bool
+	cost, xs    []float64
+
 	hooks *testHooks
 }
 
@@ -113,13 +123,14 @@ type testHooks struct {
 func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // workspace returns the Compiled's workspace sized to its current row
-// count, creating it on the first solve. AddRow may have raised the
-// count since the last solve, so the m-sized buffers are re-sliced
-// here; rhs is cleared, no other buffer is read before it is written,
-// and the partition, the factors and the eta chain are rebuilt by
-// refactor before anything solves against them, so nothing carries
-// over from one solve to the next but capacity. A Compiled solves one
-// model at a time, and Clone hands the clone no workspace.
+// and column counts, creating it on the first solve. AddRow may have
+// raised them since the last solve, and Compileds sharing a workspace
+// (Workspace.NewPolytope) differ in them, so the buffers are re-sliced
+// here; rhs and inB are cleared, no other buffer is read before it is
+// written, and the partition, the factors and the eta chain are rebuilt
+// by refactor before anything solves against them, so nothing carries
+// over from one solve to the next but capacity. A workspace serves one
+// solve at a time, and Clone hands the clone none.
 func (cm *Compiled) workspace() *sparseFactor {
 	if cm.fac == nil {
 		cm.fac = &sparseFactor{}
@@ -139,6 +150,11 @@ func (cm *Compiled) workspace() *sparseFactor {
 	f.kw = slices.Grow(f.kw[:0], m)
 	f.cB, f.y, f.d, f.rho = sized(f.cB, m), sized(f.y, m), sized(f.d, m), sized(f.rho, m)
 	f.cNZ = slices.Grow(f.cNZ[:0], m)
+	n := cm.nCols
+	f.basis, f.xB, f.artSign = sized(f.basis, m), sized(f.xB, m), sized(f.artSign, m)
+	f.inB = sized(f.inB, n+m)
+	clear(f.inB)
+	f.cost, f.xs = sized(f.cost, n+m), sized(f.xs, n)
 	return f
 }
 

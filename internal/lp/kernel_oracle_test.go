@@ -47,7 +47,7 @@ func KernelOracle(cm *Compiled, pivots int) (KernelShape, error) {
 			feasible = status == StatusOptimal
 		}
 		if feasible {
-			if _, err := st.runPhase(cm.phase2Cost(), false); err != nil {
+			if _, err := st.runPhase(st.phase2Cost(), false); err != nil {
 				return KernelShape{}, err
 			}
 		}

@@ -45,15 +45,40 @@ type polyRow struct {
 type Polytope struct {
 	nVars int
 	rows  []polyRow
-	// cm is the rows lowered to standard form for Minimize: compiled on
-	// its first call, re-costed on every later one, dropped by AddVar and
-	// AddRow. It makes Minimize unsafe for concurrent use on one
-	// Polytope.
+	// cm is the rows lowered to standard form for Minimize: lowered on
+	// its first call, re-costed on every solving one, dropped by AddVar
+	// and AddRow with the saved answer below. It makes Minimize unsafe
+	// for concurrent use on one Polytope.
 	cm *Compiled
+	// ws, when set, is the workspace cm solves in, shared with the
+	// other Polytopes of ws.NewPolytope; nil gives cm its own.
+	ws *Workspace
+	// The last answer, allocated with cm at nVars each: the costs it
+	// answers, its value and point, whether it is valid (a failed solve
+	// leaves none), and out, the copy of the point Minimize returns.
+	costs, w, out []float64
+	value         float64
+	saved         bool
+	// solves counts the Minimize calls the simplex answered.
+	solves int
 }
 
 // NewPolytope returns an empty adversary polytope.
 func NewPolytope() *Polytope { return &Polytope{} }
+
+// Workspace is the memory a solve runs in: the basis factorization,
+// the simplex's state and its vectors. A Compiled grows its own on its
+// first solve; Polytopes made by one Workspace's NewPolytope share
+// that one instead, grown to the largest of them once rather than to
+// each of them, so they must be minimized one at a time.
+type Workspace struct{ fac sparseFactor }
+
+// NewWorkspace returns an empty workspace.
+func NewWorkspace() *Workspace { return &Workspace{} }
+
+// NewPolytope returns an empty adversary polytope whose Minimize solves
+// in ws.
+func (ws *Workspace) NewPolytope() *Polytope { return &Polytope{ws: ws} }
 
 // AddVar adds an adversary variable w >= 0.
 func (p *Polytope) AddVar() AdvVar {
@@ -137,48 +162,100 @@ func RobustGE(m *Model, p *Polytope, costs []*Expr, constPart, rhs *Expr) {
 // Minimize solves min sum_j costs[j]*w_j over the polytope for numeric
 // costs. It returns the optimal value and an optimal adversary point.
 // This is the separation oracle used by the cutting-plane engine; it
-// computes the same inner optimum that RobustGE dualizes. Only the cost
-// row differs between calls, so the rows are compiled once; every call
-// still solves cold, which makes its answer a function of the polytope
-// and the costs alone, not of the calls before it. Minimize is not safe
-// for concurrent use on one Polytope: every call writes its costs into
-// the rows the Polytope keeps compiled.
+// computes the same inner optimum that RobustGE dualizes.
+//
+// Only the cost row differs between calls, so the rows are lowered to
+// standard form once; every solve starts cold, which makes its answer
+// a function of the polytope and the costs alone, not of the calls
+// before it. That is why a call whose costs equal the previous call's
+// bit for bit (math.Float64bits) returns the previous answer without
+// solving, and allocating nothing: a solve would reach the same value
+// and point. AddVar and AddRow forget it. The costs are copied, so the
+// caller may reuse its buffer.
+//
+// The returned point belongs to the Polytope and stays valid until the
+// next Minimize, AddVar or AddRow on it; the caller may write to it
+// meanwhile without changing a later answer. Minimize is not safe for
+// concurrent use on one Polytope, nor on Polytopes sharing a
+// Workspace: every call writes its costs into the rows the Polytope
+// keeps lowered and solves in the workspace.
 func (p *Polytope) Minimize(costs []float64) (float64, []float64, error) {
 	if len(costs) != p.NumVars() {
 		return 0, nil, fmt.Errorf("lp: Minimize: %d costs for %d vars", len(costs), p.NumVars())
 	}
 	if p.cm == nil {
-		m := NewModel()
-		for j := 0; j < p.nVars; j++ {
-			m.AddNonNeg() // model variable j is adversary variable j
-		}
-		for _, row := range p.rows {
-			e := NewExpr()
-			for _, t := range row.terms {
-				e.Add(t.Coeff, Var(t.Var))
-			}
-			m.AddConstraint(e, row.sense, row.rhs)
-		}
-		m.SetObjective(NewExpr(), Minimize)
-		p.cm = Compile(m)
+		p.lower()
+	} else if p.saved && sameBits(costs, p.costs) {
+		copy(p.out, p.w)
+		return p.value, p.out, nil
 	}
+	p.saved = false
+	copy(p.costs, costs)
 	p.cm.setMinimize(costs)
-	sol, err := p.cm.Solve(Options{})
+	p.solves++
+	st, status, _, err := p.cm.run(Options{})
 	if err != nil {
 		return 0, nil, err
 	}
-	switch sol.Status {
+	switch status {
 	case StatusOptimal:
 	case StatusInfeasible:
 		return 0, nil, fmt.Errorf("lp: adversary polytope is empty")
 	default:
-		return 0, nil, fmt.Errorf("lp: adversary subproblem %v", sol.Status)
+		return 0, nil, fmt.Errorf("lp: adversary subproblem %v", status)
 	}
-	w := make([]float64, p.NumVars())
-	for j := range w {
-		w[j] = sol.Value(Var(j))
+	st.values(p.w)
+	p.value, p.saved = p.cm.objective(p.w), true
+	copy(p.out, p.w)
+	return p.value, p.out, nil
+}
+
+// Solves reports how many Minimize calls the simplex answered; the
+// others returned the saved answer.
+func (p *Polytope) Solves() int { return p.solves }
+
+// lower lays the rows out in standard form, in the Polytope's
+// workspace when it has one, and allocates the saved answer.
+func (p *Polytope) lower() {
+	cm := &Compiled{
+		nModel:     p.nVars,
+		nModelCons: len(p.rows),
+		nLogical:   len(p.rows),
+		obj:        &Expr{Terms: make([]Term, 0, p.nVars)},
+		dir:        Minimize,
 	}
-	return sol.Objective, w, nil
+	longest := 0
+	for _, row := range p.rows {
+		longest = max(longest, len(row.terms))
+	}
+	buf := make([]Term, 0, longest)
+	cm.lower(nil, nil, func(i int) ([]Term, Sense, float64) {
+		row := p.rows[i]
+		buf = buf[:0]
+		for _, t := range row.terms {
+			buf = append(buf, Term{Var: Var(t.Var), Coeff: t.Coeff})
+		}
+		return buf, row.sense, row.rhs
+	})
+	if p.ws != nil {
+		cm.fac = &p.ws.fac
+	}
+	p.cm = cm
+	n := p.nVars
+	answer := make([]float64, 3*n)
+	p.costs, p.w, p.out = answer[:n:n], answer[n:2*n:2*n], answer[2*n:]
+	p.saved = false
+}
+
+// sameBits reports whether a and b, of equal length, hold the same
+// float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	for j := range a {
+		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Contains reports whether the numeric point w satisfies every polytope

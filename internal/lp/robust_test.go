@@ -1,8 +1,11 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -329,4 +332,286 @@ func TestContainsTolerance(t *testing.T) {
 		t.Fatal("should reject wrong dimension")
 	}
 	_ = math.Pi
+}
+
+// polytopeCorpus returns builders of the polytope shapes the adversary
+// specs produce — FFC's tunnel knapsack, the link-aware unit/link/
+// tunnel polytope, a linearized condition with its EQ-free rows and an
+// h = x equality — plus rows Model would clean up first (a repeated
+// variable, a zero coefficient, a negative right-hand side, a GE row
+// that starts phase 1) and seeded random polytopes. Every one contains
+// w = 0 and bounds each variable by 1, so every cost has an answer.
+func polytopeCorpus(rng *rand.Rand) map[string]func(*Polytope) {
+	corpus := map[string]func(*Polytope){
+		"knapsack": func(p *Polytope) {
+			bud := make([]AdvTerm, 5)
+			for i := range bud {
+				y := p.AddVar()
+				p.AddUpperBound(y, 1)
+				bud[i] = AdvTerm{y, 1}
+			}
+			p.AddRow(bud, LE, 2)
+		},
+		"link-aware": func(p *Polytope) {
+			units := make([]AdvVar, 4)
+			bud := make([]AdvTerm, len(units))
+			for i := range units {
+				units[i] = p.AddVar()
+				p.AddUpperBound(units[i], 1)
+				bud[i] = AdvTerm{units[i], 1}
+			}
+			p.AddRow(bud, LE, 2)
+			links := make([]AdvVar, len(units))
+			for i, u := range units {
+				links[i] = p.AddVar()
+				p.AddUpperBound(links[i], 1)
+				p.AddRow([]AdvTerm{{links[i], 1}, {u, -1}}, LE, 0)
+				p.AddRow([]AdvTerm{{u, 1}, {links[i], -1}}, LE, 0)
+			}
+			for _, path := range [][]int{{0, 1}, {2}, {1, 3}} {
+				y := p.AddVar()
+				p.AddUpperBound(y, 1)
+				sum := []AdvTerm{{y, 1}}
+				for _, l := range path {
+					p.AddRow([]AdvTerm{{links[l], 1}, {y, -1}}, LE, 0)
+					sum = append(sum, AdvTerm{links[l], -1})
+				}
+				p.AddRow(sum, LE, 0)
+			}
+		},
+		"condition": func(p *Polytope) {
+			x0, x1, h := p.AddVar(), p.AddVar(), p.AddVar()
+			for _, v := range []AdvVar{x0, x1, h} {
+				p.AddUpperBound(v, 1)
+			}
+			p.AddRow([]AdvTerm{{x0, 1}, {x1, 1}}, LE, 1)
+			p.AddRow([]AdvTerm{{h, 1}, {x0, 1}}, LE, 1)
+			p.AddRow([]AdvTerm{{h, 1}, {x1, -1}}, LE, 0)
+			p.AddRow([]AdvTerm{{h, -1}, {x0, -1}, {x1, 1}}, LE, 0)
+		},
+		"equality": func(p *Polytope) {
+			x, h := p.AddVar(), p.AddVar()
+			p.AddUpperBound(x, 1)
+			p.AddRow([]AdvTerm{{h, 1}, {x, -1}}, EQ, 0)
+		},
+		"unclean rows": func(p *Polytope) {
+			a, b, c := p.AddVar(), p.AddVar(), p.AddVar()
+			p.AddRow([]AdvTerm{{a, 1}, {b, 0}, {a, 1}}, LE, 2)        // 2a ≤ 2
+			p.AddRow([]AdvTerm{{b, 1}, {c, 1}, {b, -1}}, LE, 1)       // c ≤ 1
+			p.AddRow([]AdvTerm{{b, -1}, {c, 0}}, GE, -1)              // b ≤ 1
+			p.AddRow([]AdvTerm{{a, 1}, {b, 1}, {c, 1}}, GE, 0)        // phase-1 free
+			p.AddRow([]AdvTerm{{a, -1}, {b, -1}, {c, -1}}, LE, -0.25) // Σ ≥ 1/4: phase 1
+		},
+	}
+	for k := 0; k < 8; k++ {
+		vars, rows := 2+rng.Intn(6), 1+rng.Intn(6)
+		senses := make([]Sense, rows)
+		coeffs := make([][]float64, rows)
+		for r := range coeffs {
+			senses[r] = []Sense{LE, GE, EQ}[rng.Intn(3)]
+			coeffs[r] = make([]float64, vars)
+			for j := range coeffs[r] {
+				if rng.Intn(2) == 0 {
+					coeffs[r][j] = math.Round(8*rng.Float64()-4) / 2
+				}
+			}
+		}
+		corpus[fmt.Sprintf("random %d", k)] = func(p *Polytope) {
+			for j := 0; j < vars; j++ {
+				p.AddUpperBound(p.AddVar(), 1)
+			}
+			for r, cs := range coeffs {
+				var terms []AdvTerm
+				for j, c := range cs {
+					if c != 0 {
+						terms = append(terms, AdvTerm{AdvVar(j), c})
+					}
+				}
+				p.AddRow(terms, senses[r], 0) // w = 0 satisfies every row
+			}
+		}
+	}
+	return corpus
+}
+
+// TestPolytopeLoweringMatchesCompile: Minimize lowers a polytope's rows
+// straight into standard form. The layout must be the one Compile gives
+// the model the rows used to be copied into — every array, every
+// column's entries bit for bit — so the simplex pivots as it did.
+func TestPolytopeLoweringMatchesCompile(t *testing.T) {
+	for name, build := range polytopeCorpus(rand.New(rand.NewSource(13))) {
+		p := NewPolytope()
+		build(p)
+		p.lower()
+		m := NewModel()
+		for j := 0; j < p.nVars; j++ {
+			m.AddNonNeg()
+		}
+		for _, row := range p.rows {
+			e := NewExpr()
+			for _, t := range row.terms {
+				e.Add(t.Coeff, Var(t.Var))
+			}
+			m.AddConstraint(e, row.sense, row.rhs)
+		}
+		got, want := p.cm, Compile(m)
+		if got.nRows != want.nRows || got.nCols != want.nCols || got.nLogical != want.nLogical {
+			t.Fatalf("%s: %d×%d (%d logical), Compile %d×%d (%d)", name, got.nRows, got.nCols, got.nLogical, want.nRows, want.nCols, want.nLogical)
+		}
+		for j := range want.cols {
+			if !slices.Equal(bitsOf(got.cols[j]), bitsOf(want.cols[j])) {
+				t.Fatalf("%s: column %d is %v, Compile %v", name, j, got.cols[j], want.cols[j])
+			}
+		}
+		same := func(what string, eq bool) {
+			if !eq {
+				t.Fatalf("%s: %s differs from Compile's", name, what)
+			}
+		}
+		same("b", slices.Equal(floatBits(got.b), floatBits(want.b)))
+		same("c", slices.Equal(floatBits(got.c), floatBits(want.c)))
+		same("rowSign", slices.Equal(floatBits(got.rowSign), floatBits(want.rowSign)))
+		same("rhsOff", slices.Equal(floatBits(got.rhsOff), floatBits(want.rhsOff)))
+		same("lrhs", slices.Equal(floatBits(got.lrhs), floatBits(want.lrhs)))
+		same("rowOf", slices.Equal(got.rowOf, want.rowOf))
+		same("rowNeg", slices.Equal(got.rowNeg, want.rowNeg))
+		same("slack", slices.Equal(got.slack, want.slack))
+		same("stdRow", slices.Equal(got.stdRow, want.stdRow))
+		same("maps", slices.Equal(got.maps, want.maps))
+		same("refs", slices.Equal(got.refs, want.refs))
+		same("ownCol", slices.Equal(got.ownCol, want.ownCol))
+	}
+}
+
+func floatBits(s []float64) []uint64 {
+	out := make([]uint64, len(s))
+	for i, v := range s {
+		out[i] = math.Float64bits(v)
+	}
+	return out
+}
+
+func bitsOf(col []entry) []uint64 {
+	out := make([]uint64, 0, 2*len(col))
+	for _, e := range col {
+		out = append(out, uint64(e.row), math.Float64bits(e.val))
+	}
+	return out
+}
+
+// TestPolytopeMinimizeReusesAnswer: a call whose costs repeat the
+// previous call's bit for bit returns the saved answer without solving
+// and without allocating, and that answer is a fresh Polytope's, bit for
+// bit. Costs one ulp apart, an AddRow and an AddVar each force a solve;
+// writing to the cost buffer or the returned point after a call changes
+// no later answer. The polytopes under test share one Workspace and
+// interleave with the standalone fresh ones, as the cut loop's do.
+func TestPolytopeMinimizeReusesAnswer(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	ws := NewWorkspace()
+	corpus := polytopeCorpus(rng)
+	names := make([]string, 0, len(corpus))
+	for name := range corpus {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	draw := func(n int) []float64 {
+		costs := make([]float64, n)
+		for j := range costs {
+			if rng.Intn(4) > 0 {
+				costs[j] = rng.NormFloat64()
+			}
+		}
+		return costs
+	}
+	// answer is Minimize's result, checked against a fresh copy of the
+	// polytope built by build, and whether it solved.
+	answer := func(what string, p *Polytope, build func(*Polytope), costs []float64) (float64, []float64, bool) {
+		t.Helper()
+		before := p.Solves()
+		v, w, err := p.Minimize(costs)
+		fresh := NewPolytope()
+		build(fresh)
+		fv, fw, ferr := fresh.Minimize(costs)
+		if err != nil || ferr != nil {
+			t.Fatalf("%s: %v / fresh %v", what, err, ferr)
+		}
+		if math.Float64bits(v) != math.Float64bits(fv) || !slices.Equal(floatBits(w), floatBits(fw)) {
+			t.Fatalf("%s: %.17g at %v, fresh polytope %.17g at %v", what, v, w, fv, fw)
+		}
+		return v, w, p.Solves() > before
+	}
+	polys := make(map[string]*Polytope, len(names))
+	for _, name := range names {
+		polys[name] = ws.NewPolytope()
+		corpus[name](polys[name])
+	}
+	for round := 0; round < 3; round++ {
+		for _, name := range names {
+			p, build := polys[name], corpus[name]
+			costs := draw(p.NumVars())
+			if _, _, solved := answer(name+": new costs", p, build, costs); !solved {
+				t.Fatalf("%s, round %d: new costs were not solved", name, round)
+			}
+			again := slices.Clone(costs)
+			v, w, _ := p.Minimize(again)
+			want := slices.Clone(w)
+			for j := range w {
+				w[j], costs[j] = math.NaN(), 7
+			}
+			if gv, gw, solved := answer(name+": repeated costs", p, build, again); solved {
+				t.Fatalf("%s: repeated costs were solved again", name)
+			} else if math.Float64bits(gv) != math.Float64bits(v) || !slices.Equal(floatBits(gw), floatBits(want)) {
+				t.Fatalf("%s: reuse after the caller wrote to its buffers: %v at %v, want %v at %v", name, gv, gw, v, want)
+			}
+			if !raceEnabled() {
+				if allocs := testing.AllocsPerRun(10, func() { p.Minimize(again) }); allocs != 0 {
+					t.Fatalf("%s: a reused answer allocates %v times", name, allocs)
+				}
+			}
+			ulp := slices.Clone(again)
+			j := rng.Intn(len(ulp))
+			ulp[j] = math.Nextafter(ulp[j], math.Inf(1))
+			if _, _, solved := answer(name+": one ulp apart", p, build, ulp); !solved {
+				t.Fatalf("%s: costs one ulp apart reused the answer", name)
+			}
+		}
+	}
+	for _, name := range names {
+		p, build := polys[name], corpus[name]
+		costs := draw(p.NumVars())
+		p.Minimize(costs)
+		rows := func(q *Polytope) {
+			build(q)
+			all := make([]AdvTerm, q.NumVars())
+			for j := range all {
+				all[j] = AdvTerm{AdvVar(j), 1}
+			}
+			q.AddRow(all, LE, 1)
+		}
+		all := make([]AdvTerm, p.NumVars())
+		for j := range all {
+			all[j] = AdvTerm{AdvVar(j), 1}
+		}
+		p.AddRow(all, LE, 1)
+		if _, _, solved := answer(name+": after AddRow", p, rows, costs); !solved {
+			t.Fatalf("%s: AddRow kept the saved answer", name)
+		}
+		p.AddVar()
+		vars := func(q *Polytope) {
+			rows(q)
+			q.AddVar()
+		}
+		if _, _, solved := answer(name+": after AddVar", p, vars, append(costs, 0)); !solved {
+			t.Fatalf("%s: AddVar kept the saved answer", name)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, whose own allocations would count against an allocation
+// budget.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }

@@ -152,6 +152,9 @@ func sign(neg bool) float64 {
 }
 
 // simplexState holds the working data of the revised simplex method.
+// It lives in the workspace of the Compiled it solves
+// (sparseFactor.st), and so do all its vectors: a solve allocates none
+// of them, and its state is valid until the workspace solves again.
 type simplexState struct {
 	cm    *Compiled
 	opts  Options
@@ -165,9 +168,10 @@ type simplexState struct {
 	artSign []float64
 	artCol  [1]entry // col's scratch for an artificial column
 	inB     []bool   // whether std column j is basic
-	// costs is c_B of the running phase; y, d and rho are the
-	// iteration's prices, entering direction and row of B⁻¹. All live in
-	// the Compiled's workspace (useWorkspace).
+	// cost is the running phase's cost per column, artificials
+	// included (phase1, phase2Cost); costs is its c_B; y, d and rho are
+	// the iteration's prices, entering direction and row of B⁻¹.
+	cost      []float64
 	costs     basicCosts
 	y, d, rho []float64
 	// slackRows counts rows a cold start put on their own slack; the
@@ -184,17 +188,24 @@ type simplexState struct {
 	lastObj float64
 }
 
-// fillFactorStats copies the state's factorization telemetry into
-// stats.
-func (st *simplexState) fillFactorStats(stats *SolveStats) {
-	stats.Refactors = st.refactors
-	stats.BasisNNZ, stats.FactorNNZ = st.fac.basisNNZ, st.fac.luNNZ
-	stats.MaxEtaLen, stats.KernelDim, stats.Rows = st.maxEtaLen, st.kernelDim, st.m
-}
-
 // abortErr wraps a cause with the state's partial diagnostics.
 func (st *simplexState) abortErr(cause error) error {
 	return &SolveError{Iterations: st.iter, Phase: st.phase, LastObjective: st.lastObj, Err: cause}
+}
+
+// newState resets the state in cm's workspace for a solve and points
+// it at the workspace's vectors. Nothing of an earlier solve survives in
+// them that the solve reads before writing.
+func newState(cm *Compiled, opts Options) *simplexState {
+	f := cm.workspace()
+	st := &f.st
+	*st = simplexState{
+		cm: cm, opts: opts, m: cm.nRows, fac: f,
+		basis: f.basis, xB: f.xB, artSign: f.artSign, inB: f.inB, cost: f.cost,
+		costs: basicCosts{cB: f.cB, nz: f.cNZ[:0]},
+		y:     f.y, d: f.d, rho: f.rho,
+	}
+	return st
 }
 
 // newSimplexState builds the cold start: the slack crash basis. Row i
@@ -203,13 +214,8 @@ func (st *simplexState) abortErr(cause error) error {
 // slacks that would start negative). Either way column i of the start
 // basis is ±e_i, so the factor installs the diagonal directly.
 func newSimplexState(cm *Compiled, opts Options) *simplexState {
-	m := cm.nRows
-	st := &simplexState{cm: cm, opts: opts, m: m}
-	st.basis = make([]int, m)
-	st.xB = make([]float64, m)
-	st.artSign = make([]float64, m)
-	st.inB = make([]bool, cm.nCols+m)
-	for i := 0; i < m; i++ {
+	st := newState(cm, opts)
+	for i := 0; i < st.m; i++ {
 		st.artSign[i] = 1
 		if cm.b[i] < 0 {
 			st.artSign[i] = -1
@@ -223,18 +229,8 @@ func newSimplexState(cm *Compiled, opts Options) *simplexState {
 		st.inB[j] = true
 		st.xB[i] = cm.b[i] * st.col(j)[0].val // b_i/σ_i, σ_i = ±1
 	}
-	st.useWorkspace()
 	st.fac.refactor(st) // a diagonal: the kernel is empty, nothing to factor or to fail
 	return st
-}
-
-// useWorkspace points the state at the Compiled's workspace: the factor
-// and the iteration's vectors.
-func (st *simplexState) useWorkspace() {
-	f := st.cm.workspace()
-	st.fac = f
-	st.costs = basicCosts{cB: f.cB, nz: f.cNZ[:0]}
-	st.y, st.d, st.rho = f.y, f.d, f.rho
 }
 
 // newWarmState builds a state whose basis is the supplied warm basis,
@@ -247,14 +243,10 @@ func newWarmState(cm *Compiled, opts Options, ws *Basis) *simplexState {
 	if ws.nRows > m || len(ws.cols) != ws.nRows {
 		return nil
 	}
-	st := &simplexState{cm: cm, opts: opts, m: m}
-	st.basis = make([]int, m)
-	st.xB = make([]float64, m)
-	st.artSign = make([]float64, m)
+	st := newState(cm, opts)
 	for i := range st.artSign {
 		st.artSign[i] = 1
 	}
-	st.inB = make([]bool, cm.nCols+m)
 	for i := 0; i < ws.nRows; i++ {
 		j := ws.cols[i]
 		if j < 0 {
@@ -281,7 +273,6 @@ func newWarmState(cm *Compiled, opts Options, ws *Basis) *simplexState {
 			st.inB[cm.nCols+i] = true
 		}
 	}
-	st.useWorkspace()
 	return st
 }
 
@@ -764,11 +755,11 @@ func (st *simplexState) driveOutArtificials() {
 // StatusInfeasible that positive artificial mass remains.
 func (st *simplexState) phase1() (Status, error) {
 	cm := st.cm
-	cost1 := make([]float64, cm.nCols+st.m)
+	clear(st.cost[:cm.nCols])
 	for i := 0; i < st.m; i++ {
-		cost1[cm.nCols+i] = 1
+		st.cost[cm.nCols+i] = 1
 	}
-	status, err := st.runPhase(cost1, true)
+	status, err := st.runPhase(st.cost, true)
 	if err != nil || status != StatusOptimal {
 		return status, err
 	}
@@ -785,12 +776,12 @@ func (st *simplexState) phase1() (Status, error) {
 	return StatusOptimal, nil
 }
 
-// phase2Cost builds the phase-2 cost vector (structural costs, zero
-// artificials).
-func (cm *Compiled) phase2Cost() []float64 {
-	cost := make([]float64, cm.nCols+cm.nRows)
-	copy(cost, cm.c)
-	return cost
+// phase2Cost fills the state's cost vector for phase 2 (structural
+// costs, zero artificials) and returns it.
+func (st *simplexState) phase2Cost() []float64 {
+	copy(st.cost, st.cm.c)
+	clear(st.cost[st.cm.nCols:])
+	return st.cost
 }
 
 // Solve optimizes the compiled model. See SolveWithOptions for the
@@ -801,90 +792,101 @@ func (cm *Compiled) phase2Cost() []float64 {
 // the result.
 func (cm *Compiled) Solve(opts Options) (*Solution, error) {
 	startTime := time.Now()
+	st, status, stats, err := cm.run(opts)
+	if err != nil {
+		return nil, err
+	}
+	sol := &Solution{Status: status}
+	if st != nil {
+		sol = st.extract(status)
+	}
+	stats.SolveTime = time.Since(startTime)
+	sol.Stats = stats
+	return sol, nil
+}
+
+// run solves cm in its workspace — warm from opts.WarmStart when that
+// basis serves, cold otherwise — and returns the final state, which the
+// caller reads before the workspace solves again: Solve extracts a
+// Solution from it, Polytope.Minimize only the primal point. The state
+// is nil when phase 1 ended the solve (infeasible or out of
+// iterations), which leaves no basis to read. stats lacks SolveTime.
+func (cm *Compiled) run(opts Options) (*simplexState, Status, SolveStats, error) {
 	opts = opts.withDefaults(cm.nRows, cm.nCols)
 	stats := SolveStats{CompileTime: cm.CompileTime}
 
 	if err := opts.ctxErr(); err != nil {
 		st := &simplexState{}
-		return nil, st.abortErr(err)
+		return nil, 0, stats, st.abortErr(err)
 	}
 	if h := opts.FaultHook; h != nil {
 		if err := h(FaultEvent{Point: FaultSolveStart, Rows: cm.nRows, Cols: cm.nCols}); err != nil {
 			st := &simplexState{}
-			return nil, st.abortErr(err)
+			return nil, 0, stats, st.abortErr(err)
 		}
 	}
 
 	if opts.WarmStart != nil {
 		stats.WarmStarted = true
 		if st := newWarmState(cm, opts, opts.WarmStart); st != nil {
-			sol, err := cm.solveWarm(st)
+			status, ok, err := st.solveWarm()
 			if err != nil && !errors.Is(err, ErrNumerical) {
 				// Cancellation or fault injection must surface, not
 				// silently degrade to a cold solve.
-				return nil, st.abortErr(err)
+				return nil, 0, stats, st.abortErr(err)
 			}
-			if err == nil && sol != nil {
+			if err == nil && ok {
 				stats.WarmHit = true
-				stats.Phase1Iters, stats.Phase2Iters, stats.DualIters = st.p1Iters, st.p2Iters, st.dualIters
-				st.fillFactorStats(&stats)
-				stats.SolveTime = time.Since(startTime)
-				sol.Stats = stats
-				return sol, nil
+				st.fillStats(&stats)
+				return st, status, stats, nil
 			}
 		}
 	}
 
 	st := newSimplexState(cm, opts)
-	solveOnce := func() (*Solution, error) {
-		// Phase 1, unless the slack basis is already feasible.
-		if st.slackRows < st.m {
-			status, err := st.phase1()
-			if err != nil {
-				return nil, err
-			}
-			if status != StatusOptimal {
-				return &Solution{Status: status}, nil
-			}
-		}
-
-		// Phase 2.
-		cost2 := cm.phase2Cost()
-		status, err := st.runPhase(cost2, false)
-		if err != nil {
-			return nil, err
-		}
-		return st.extract(status, cost2), nil
-	}
-
-	sol, err := solveOnce()
+	status, final, err := st.solveCold()
 	if errors.Is(err, ErrNumerical) && opts.ctxErr() == nil {
 		// One full retry with tighter refactorization.
 		opts.RefactorEvery = 50
 		st = newSimplexState(cm, opts)
-		sol, err = solveOnce()
+		status, final, err = st.solveCold()
 	}
 	if err != nil {
-		return nil, st.abortErr(err)
+		return nil, 0, stats, st.abortErr(err)
 	}
-	stats.Phase1Iters, stats.Phase2Iters, stats.DualIters = st.p1Iters, st.p2Iters, st.dualIters
 	stats.SlackStartRows = st.slackRows
-	st.fillFactorStats(&stats)
-	stats.SolveTime = time.Since(startTime)
-	sol.Stats = stats
-	return sol, nil
+	st.fillStats(&stats)
+	if !final {
+		st = nil
+	}
+	return st, status, stats, nil
+}
+
+// solveCold runs the two phases from the slack crash basis; phase 1
+// only when some row starts on an artificial. final reports that phase
+// 2 ran, so the basis is the one the status describes.
+func (st *simplexState) solveCold() (status Status, final bool, err error) {
+	if st.slackRows < st.m {
+		status, err := st.phase1()
+		if err != nil || status != StatusOptimal {
+			return status, false, err
+		}
+	}
+	status, err = st.runPhase(st.phase2Cost(), false)
+	return status, err == nil, err
 }
 
 // solveWarm runs the warm-start pipeline on an installed basis:
 // refactor, restore primal feasibility with the dual simplex (after
-// RHS edits and appended inequality cuts), then primal phase 2. A
-// (nil, nil) return means the basis was unusable — singular, dual
-// infeasible, or leaving a basic artificial carrying value (an
-// appended equality row the basis does not satisfy) — and the caller
-// should solve cold; an ErrNumerical return degrades the same way.
-func (cm *Compiled) solveWarm(st *simplexState) (*Solution, error) {
+// RHS edits and appended inequality cuts), then primal phase 2. ok is
+// false when the basis was unusable — singular, dual infeasible, or
+// leaving a basic artificial carrying value (an appended equality row
+// the basis does not satisfy) — and the caller should solve cold; an
+// ErrNumerical return degrades the same way.
+func (st *simplexState) solveWarm() (status Status, ok bool, err error) {
+	cm := st.cm
 	if !st.refactor() {
-		return nil, nil
+		return 0, false, nil
 	}
 	m := st.m
 	// Normalize artificial signs so every basic artificial sits at a
@@ -899,77 +901,93 @@ func (cm *Compiled) solveWarm(st *simplexState) (*Solution, error) {
 		}
 	}
 	if flipped && !st.refactor() {
-		return nil, nil
+		return 0, false, nil
 	}
 
 	primalBad := false
 	for i := 0; i < m; i++ {
 		if st.basis[i] >= cm.nCols {
 			if st.xB[i] > 1e-6 {
-				return nil, nil
+				return 0, false, nil
 			}
 		} else if st.xB[i] < -feasTol {
 			primalBad = true
 		}
 	}
-	cost2 := cm.phase2Cost()
+	cost2 := st.phase2Cost()
 	if primalBad {
 		if !st.dualFeasible(cost2, 1e-7) {
-			return nil, nil
+			return 0, false, nil
 		}
 		status, err := st.runDual(cost2)
-		if err != nil {
-			return nil, err
-		}
-		if status != StatusOptimal {
-			return nil, nil
+		if err != nil || status != StatusOptimal {
+			return 0, false, err
 		}
 	}
-	status, err := st.runPhase(cost2, false)
+	status, err = st.runPhase(cost2, false)
 	if err != nil {
-		return nil, err
+		return 0, false, err
 	}
-	if status != StatusOptimal && status != StatusUnbounded {
-		return nil, nil
-	}
-	return st.extract(status, cost2), nil
+	return status, status == StatusOptimal || status == StatusUnbounded, nil
 }
 
-func (st *simplexState) extract(status Status, cost []float64) *Solution {
+// fillStats copies the state's iteration counts and factorization
+// telemetry into stats.
+func (st *simplexState) fillStats(stats *SolveStats) {
+	stats.Phase1Iters, stats.Phase2Iters, stats.DualIters = st.p1Iters, st.p2Iters, st.dualIters
+	stats.Refactors = st.refactors
+	stats.BasisNNZ, stats.FactorNNZ = st.fac.basisNNZ, st.fac.luNNZ
+	stats.MaxEtaLen, stats.KernelDim, stats.Rows = st.maxEtaLen, st.kernelDim, st.m
+}
+
+// values writes the model variables' values at the state's basis into
+// vals, undoing each column's substitution: a variable's value is its
+// shift plus its columns' scaled values, summed in column order.
+func (st *simplexState) values(vals []float64) {
+	cm := st.cm
+	x := st.fac.xs
+	clear(x)
+	for i, j := range st.basis {
+		if j < cm.nCols {
+			x[j] = st.xB[i]
+		}
+	}
+	for j, mp := range cm.maps {
+		if mp.v < 0 {
+			continue
+		}
+		if cm.refs[mp.v].pos == j { // a variable's first column
+			vals[mp.v] = mp.shift
+		}
+		vals[mp.v] += mp.scale * x[j]
+	}
+}
+
+// objective values the model's objective at vals.
+func (cm *Compiled) objective(vals []float64) float64 {
+	obj := cm.obj.Offset
+	for _, t := range cm.obj.Terms {
+		obj += t.Coeff * vals[t.Var]
+	}
+	return obj
+}
+
+// extract builds the Solution of the state's final basis: primal
+// values, objective, duals and, when optimal, the basis.
+func (st *simplexState) extract(status Status) *Solution {
 	cm := st.cm
 	sol := &Solution{Status: status}
 	if status != StatusOptimal && status != StatusIterLimit {
 		return sol
 	}
-	xStd := make([]float64, cm.nCols)
-	for i, j := range st.basis {
-		if j < cm.nCols {
-			xStd[j] = st.xB[i]
-		}
-	}
 	vals := make([]float64, cm.nModel)
-	seen := make([]bool, cm.nModel)
-	for j := 0; j < cm.nCols; j++ {
-		mp := cm.maps[j]
-		if mp.v < 0 {
-			continue
-		}
-		if !seen[mp.v] {
-			vals[mp.v] = mp.shift
-			seen[mp.v] = true
-		}
-		vals[mp.v] += mp.scale * xStd[j]
-	}
+	st.values(vals)
 	sol.values = vals
-	obj := cm.obj.Offset
-	for _, t := range cm.obj.Terms {
-		obj += t.Coeff * vals[t.Var]
-	}
-	sol.Objective = obj
+	sol.Objective = cm.objective(vals)
 
 	// Duals: y = c_Bᵀ·B⁻¹, mapped back to logical rows.
 	y := st.y
-	st.costs.reset(cost, st.basis)
+	st.costs.reset(st.cost, st.basis)
 	st.btran(y)
 	duals := make([]float64, cm.nLogical)
 	for r := 0; r < st.m; r++ {

@@ -237,7 +237,7 @@ func TestSparseFactorSteadyStateAllocs(t *testing.T) {
 	m.SetObjective(obj, Maximize)
 	cm := Compile(m)
 	st := newSimplexState(cm, Options{}.withDefaults(cm.nRows, cm.nCols))
-	cost := cm.phase2Cost()
+	cost := st.phase2Cost()
 	if status, err := st.runPhase(cost, false); err != nil || status != StatusOptimal {
 		t.Fatalf("phase 2 from the slack start: %v, %v", status, err)
 	}

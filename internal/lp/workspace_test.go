@@ -26,12 +26,11 @@ func chainLP(n int) *Model {
 
 // TestSecondColdSolveGrowsNoArena: the factorization workspace belongs
 // to the Compiled, so from the second cold Solve on the only
-// allocations left are the per-solve bookkeeping (state vectors, the
-// phase cost vectors, the Solution) — a fixed number of objects
+// allocations left are the Solution's — a fixed number of objects
 // whatever the row count — and every workspace buffer, the partition's,
-// the copies of N, the non-zero lists and the iteration's vectors
-// included, stays where it is, while a clone, which starts without a
-// workspace, pays for growing every arena again.
+// the copies of N, the non-zero lists, the iteration's vectors and the
+// state's included, stays where it is, while a clone, which starts
+// without a workspace, pays for growing every arena again.
 func TestSecondColdSolveGrowsNoArena(t *testing.T) {
 	steady := func(cm *Compiled) int {
 		if sol, err := cm.Solve(Options{}); err != nil || sol.Status != StatusOptimal {
@@ -54,7 +53,8 @@ func TestSecondColdSolveGrowsNoArena(t *testing.T) {
 	arenas := func() []any {
 		return []any{&ws.cover[0], &ws.covRow[0], &ws.slot[0], &ws.unit[0], &ws.kPos[:1][0], &ws.kRows[:1][0],
 			&ws.rowPtr[:1][0], &ws.rowEnt[:1][0], &ws.nPtr[:1][0], &ws.nEnt[:1][0], &ws.rhs[0], &ws.nz[:1][0], &ws.kb[:1][0], &ws.kx[:1][0], &ws.kw[:1][0],
-			&ws.cB[0], &ws.y[0], &ws.d[0], &ws.rho[0], &ws.cNZ[:1][0]}
+			&ws.cB[0], &ws.y[0], &ws.d[0], &ws.rho[0], &ws.cNZ[:1][0],
+			&ws.basis[0], &ws.xB[0], &ws.artSign[0], &ws.inB[0], &ws.cost[0], &ws.xs[0]}
 	}
 	before := arenas()
 	if _, err := large.Solve(Options{}); err != nil {

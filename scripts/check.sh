@@ -69,6 +69,15 @@ echo "== fleet chaos smoke (-race -short)"
 # with the same lifecycle and sync-protocol tests beside it.
 go test -race -short -count=1 -run 'TestFleetChaosSoak|TestFrontend|TestPlannerDrain|TestReplicaLeaseSurvivesPlannerRestart|TestReplicaSyncIsOneRequest' ./internal/fleet/
 
+echo "== separation oracle reuse (-race -count=2)"
+# Polytope.Minimize lowers its rows as Compile would, bit for bit, and
+# answers costs that repeat the previous call's with the saved answer:
+# no solve, no allocation, the answer of a fresh Polytope. Costs one ulp
+# apart, AddRow and AddVar force a solve. The BTNorthAmerica PCF-CLS cut
+# loop's rounds, cuts, pivots, oracle calls and solves are pinned, and
+# the pair → LSs index lists what a scan lists (DESIGN.md §11).
+go test -race -count=2 -run 'TestPolytopeMinimizeReusesCompiledRows|TestPolytopeMinimizeReusesAnswer|TestPolytopeLoweringMatchesCompile|TestCutLoopOracleCounts|TestLSIndexMatchesScan' ./internal/lp/ ./internal/core/
+
 echo "== sampled-validation determinism (-race -count=2)"
 # The coverage report of a sampled validation must be byte-identical
 # for the same seed, run after run, regardless of sweep-worker
@@ -150,8 +159,9 @@ go test -count=2 -run 'TestBestAnswersOnCLSRung|TestSolveReturnsReportedPlan|Tes
 echo "== bench smoke (-benchtime 1x)"
 # Every Go benchmark once, for its tripwires: BenchmarkSolveSynth1k
 # b.Fatals on a phase-1 iteration or a kernel as large as the basis,
-# BenchmarkValidateSweepSynth1k on a sweep that replays nothing or
-# checks every arc of every scenario. BenchmarkPrepareSynth1k reports
+# BenchmarkSolveBTNACLS on a cut loop whose separation oracle reuses no
+# saved answer, BenchmarkValidateSweepSynth1k on a sweep that replays
+# nothing or checks every arc of every scenario. BenchmarkPrepareSynth1k reports
 # the cold start's prepare_ms and tunnel count.
 go test -run '^$' -bench . -benchtime 1x . ./internal/core
 
