@@ -12,7 +12,9 @@
 // publishes epoch-stamped plan envelopes over /v1/fleet/*, and every
 // replica sync there renews that replica's lease; a replica pulls
 // validated plans from its planner, re-validates them locally, and
-// refuses direct solves. cmd/pcffe is the matching front end. A
+// refuses direct solves. A replica syncs every third of the lease TTL
+// its planner grants (-lease-ttl), so each sync renews the lease well
+// before it lapses. cmd/pcffe is the matching front end. A
 // planner needs -state: one that restarted without its checkpoints
 // would publish from epoch 1 again, below what its replicas serve.
 //
@@ -111,7 +113,6 @@ func main() {
 	plannerURL := flag.String("planner", "", "planner base URL (required with -role replica)")
 	advertise := flag.String("advertise", "", "this replica's base URL as the planner reaches it (enables push)")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "planner: lease lifetime granted to replicas")
-	syncInterval := flag.Duration("sync-interval", 0, "replica: sync cadence, each sync renewing the lease (0 = a third of the lease TTL)")
 	flag.Parse()
 
 	if err := checkRole(*role, *plannerURL, *stateDir); err != nil {
@@ -200,7 +201,6 @@ func main() {
 			Name:         *listen,
 			PlannerURL:   *plannerURL,
 			AdvertiseURL: *advertise,
-			Interval:     *syncInterval,
 			Logf:         log.Printf,
 		})
 		handler = rep

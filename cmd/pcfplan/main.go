@@ -21,6 +21,7 @@ import (
 	"pcf/internal/eval"
 	"pcf/internal/routing"
 	"pcf/internal/telemetry"
+	"pcf/internal/tol"
 )
 
 // die prints the error and exits with the shared CLI code contract:
@@ -67,18 +68,8 @@ func main() {
 	if err != nil {
 		die(err)
 	}
-	if *srlg != "" && *nodeFail != "" {
-		log.Fatal("-srlg and -node-failures are mutually exclusive")
-	}
-	if *srlg != "" {
-		if err := setup.ApplySRLGFile(*srlg); err != nil {
-			die(err)
-		}
-	}
-	if *nodeFail != "" {
-		if err := setup.ApplyNodeFailures(*nodeFail); err != nil {
-			die(err)
-		}
+	if err := setup.ApplyFailureModel(*srlg, *nodeFail); err != nil {
+		die(err)
 	}
 	if *telemetryDir != "" {
 		telStore, err := telemetry.Open(*telemetryDir, telemetry.StoreConfig{Logf: log.Printf})
@@ -149,7 +140,7 @@ func printReservations(plan *core.Plan) {
 	for _, p := range in.Tunnels.Pairs() {
 		for _, id := range in.Tunnels.ForPair(p) {
 			r := plan.TunnelRes[id]
-			if r <= 1e-9 {
+			if r <= tol.Report {
 				continue
 			}
 			nodes := in.Tunnels.Tunnel(id).Path.Nodes(in.Graph)

@@ -105,6 +105,16 @@ func TestNoPanicGolden(t *testing.T)     { runGolden(t, NoPanic, "internal/quiet
 func TestMutAfterPubGolden(t *testing.T) { runGolden(t, MutAfterPub, "mutafterpub") }
 func TestCtxHTTPGolden(t *testing.T)     { runGolden(t, CtxHTTP, "ctxhttp") }
 
+// TestFloatCmpLiteralGolden holds floatcmp's literal rule: a bare
+// float below 1e-3 under internal/ is flagged, the same literal in the
+// vocabulary package or a _test.go file is not, nor is one at or above
+// 1e-3, and a reasoned suppression takes.
+func TestFloatCmpLiteralGolden(t *testing.T) {
+	if d := runGoldenLoader(t, FloatCmp, true, "internal/tol", "internal/bare"); len(d) != 0 {
+		t.Errorf("directive diagnostics %v, want none", d)
+	}
+}
+
 // TestCtxHTTPTestFilesGolden reloads the ctxhttp fixture with its
 // _test.go file: the client-literal rule goes quiet there while the
 // default-client call rule keeps firing.
@@ -144,13 +154,24 @@ func TestSuppression(t *testing.T) {
 
 // TestAnalyzerScoping checks that Match keeps analyzers out of
 // packages they do not apply to: nopanic is inert outside its
-// internal/ scope even when violations are present.
+// internal/ scope even when violations are present. floatcmp's literal
+// rule covers internal/ and cmd/ but not internal/tol, benchmark/ or
+// examples/.
 func TestAnalyzerScoping(t *testing.T) {
 	if NoPanic.Match("cmd/pcflint") {
 		t.Error("nopanic should not match cmd/ packages")
 	}
 	if !NoPanic.Match("pcf/internal/lp") || !NoPanic.Match("internal/lp") {
 		t.Error("nopanic should match internal packages in both path styles")
+	}
+	for path, want := range map[string]bool{
+		"pcf/internal/lp": true, "internal/lp": true, "pcf/cmd/pcfplan": true,
+		"pcf/internal/tol": false, "internal/tol": false,
+		"pcf/benchmark": false, "pcf/examples/quickstart": false, "pcf": false,
+	} {
+		if got := inVocabularyScope(path); got != want {
+			t.Errorf("inVocabularyScope(%q) = %v, want %v", path, got, want)
+		}
 	}
 }
 

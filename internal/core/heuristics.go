@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"pcf/internal/tol"
 	"pcf/internal/topology"
 	"pcf/internal/tunnels"
 )
@@ -49,7 +50,7 @@ func widestPathOnSupport(n int, support map[topology.Pair]float64, src, dst topo
 		}
 		for _, e := range adj[u] {
 			cand := math.Min(best[u], e.width)
-			if cand > best[e.node]+1e-15 {
+			if cand > best[e.node]+tol.Tie {
 				best[e.node] = cand
 				prev[e.node] = u
 				heap.Push(pq, widestItem{e.node, cand})
@@ -121,7 +122,7 @@ func DecomposeFlowPlan(fp *FlowPlan) []LogicalSequence {
 		return demandPairs[i].Dst < demandPairs[j].Dst
 	})
 	for _, p := range demandPairs {
-		if fp.DemandFlow[p] <= 1e-9 {
+		if fp.DemandFlow[p] <= tol.Feas {
 			continue
 		}
 		sup := fp.DestSupport[p.Dst]
@@ -133,7 +134,7 @@ func DecomposeFlowPlan(fp *FlowPlan) []LogicalSequence {
 	// the bypassed link is dead.
 	for a0 := 0; a0 < g.NumArcs(); a0++ {
 		arc := topology.ArcID(a0)
-		if fp.BypassRes[arc] <= 1e-9 {
+		if fp.BypassRes[arc] <= tol.Feas {
 			continue
 		}
 		from, to := g.ArcEnds(arc)

@@ -31,6 +31,7 @@ import (
 
 	"pcf/internal/failures"
 	"pcf/internal/lp"
+	"pcf/internal/tol"
 )
 
 const (
@@ -115,7 +116,7 @@ func lpCandidates(plan *Plan, budget int) [][]int {
 		}
 		var weights []uw
 		for u, v := range spec.unitVars {
-			if w[v] > 1e-6 {
+			if w[v] > tol.Support {
 				weights = append(weights, uw{u, w[v]})
 			}
 		}
@@ -242,7 +243,7 @@ func WorstScenarioSearch(ctx context.Context, plan *Plan, opts SearchOptions) (*
 				if err != nil {
 					return res, err
 				}
-				if v > bestVal+1e-15 {
+				if v > bestVal+tol.Tie {
 					bestVal, bestIdx = v, i
 				}
 			}

@@ -7,14 +7,12 @@ import (
 	"time"
 
 	"pcf/internal/lp"
+	"pcf/internal/tol"
 	"pcf/internal/topology"
 	"pcf/internal/tunnels"
 )
 
-const (
-	maxCutRounds = 60   // cutting-plane rounds before ErrCutLimit
-	cutTol       = 1e-7 // robust-constraint violation below which no cut is added
-)
+const maxCutRounds = 60 // cutting-plane rounds before ErrCutLimit
 
 // SolveOptions tune the scheme solvers.
 type SolveOptions struct {
@@ -218,7 +216,7 @@ func seedMaster(base *lp.Model, specs []*advSpec) (int, error) {
 	for _, spec := range specs {
 		for _, sc := range spec.seedScenarios() {
 			w := spec.scenarioPoint(sc)
-			if !spec.poly.Contains(w, 1e-9) {
+			if !spec.poly.Contains(w, tol.Feas) {
 				return 0, fmt.Errorf("internal: seed scenario %v is not a polytope point for %v", sc, spec.pair)
 			}
 			base.AddConstraint(spec.cutExpr(w), lp.GE, 0)
@@ -298,7 +296,7 @@ func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 			}
 			lhs := sol.Eval(spec.constPart) + inner
 			rhs := sol.Eval(spec.rhs)
-			if lhs < rhs-cutTol {
+			if lhs < rhs-tol.Cut {
 				cm.AddRow(spec.cutExpr(w), lp.GE, 0)
 				numCuts++
 				violated++
@@ -339,7 +337,7 @@ func extractPlan(in *Instance, scheme string, sol *lp.Solution, mv *masterVars, 
 }
 
 func clampTiny(v float64) float64 {
-	if v < 1e-9 && v > -1e-9 {
+	if v < tol.Feas && v > -tol.Feas {
 		return 0
 	}
 	return v

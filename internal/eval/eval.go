@@ -17,6 +17,7 @@ import (
 	"pcf/internal/failures"
 	"pcf/internal/mcf"
 	"pcf/internal/telemetry"
+	"pcf/internal/tol"
 	"pcf/internal/topology"
 	"pcf/internal/topozoo"
 	"pcf/internal/traffic"
@@ -208,7 +209,7 @@ func scaleByTunnels(g *topology.Graph, tm *traffic.Matrix, pairs []topology.Pair
 			}
 		}
 	}
-	if mlu <= 1e-12 {
+	if mlu <= tol.Denominator {
 		return nil, 0, fmt.Errorf("eval: synthetic demand produces no tunnel load")
 	}
 	return tm.Scale(target / mlu), target, nil
@@ -468,7 +469,7 @@ func (s *Setup) lsInstance() (*core.Instance, error) {
 
 // Ratio returns a/b guarding against tiny denominators.
 func Ratio(a, b float64) float64 {
-	if b <= 1e-12 {
+	if b <= tol.Denominator {
 		return math.Inf(1)
 	}
 	return a / b

@@ -35,6 +35,27 @@ func TestPrepareUnknownTopology(t *testing.T) {
 	}
 }
 
+// TestApplyFailureModel: the -srlg / -node-failures switch the CLIs
+// share refuses both at once, naming both flags, and leaves the failure
+// set alone when neither is set.
+func TestApplyFailureModel(t *testing.T) {
+	s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Failures
+	if err := s.ApplyFailureModel("groups.txt", "transit"); err == nil ||
+		!strings.Contains(err.Error(), "-srlg") || !strings.Contains(err.Error(), "-node-failures") {
+		t.Fatalf("both flags set: err %v, want one naming -srlg and -node-failures", err)
+	}
+	if err := s.ApplyFailureModel("", ""); err != nil || s.Failures != before {
+		t.Fatalf("neither flag set: err %v, failure set replaced %v", err, s.Failures != before)
+	}
+	if err := s.ApplyFailureModel("", "transit"); err != nil || s.Failures == before {
+		t.Fatalf("-node-failures transit: err %v, failure set replaced %v", err, s.Failures != before)
+	}
+}
+
 func TestRunUnknownScheme(t *testing.T) {
 	s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 5})
 	if err != nil {

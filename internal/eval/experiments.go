@@ -13,6 +13,7 @@ import (
 	"pcf/internal/failures"
 	"pcf/internal/mcf"
 	"pcf/internal/routing"
+	"pcf/internal/tol"
 	"pcf/internal/topology"
 	"pcf/internal/topozoo"
 	"pcf/internal/traffic"
@@ -83,21 +84,6 @@ type Config struct {
 	// NodeFailures, when set, replaces the failure model with node
 	// units ("3,5,9" or "transit"; Setup.ApplyNodeFailures).
 	NodeFailures string
-}
-
-// applyFailureModel rewrites the setup's failure set per the config's
-// -srlg / -node-failures knobs. At most one may be set.
-func (c Config) applyFailureModel(s *Setup) error {
-	if c.SRLGFile != "" && c.NodeFailures != "" {
-		return fmt.Errorf("eval: -srlg and -node-failures are mutually exclusive")
-	}
-	if c.SRLGFile != "" {
-		return s.ApplySRLGFile(c.SRLGFile)
-	}
-	if c.NodeFailures != "" {
-		return s.ApplyNodeFailures(c.NodeFailures)
-	}
-	return nil
 }
 
 // DefaultConfig is the laptop-scale configuration the checked-in
@@ -499,7 +485,7 @@ func Fig13(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			red := 0.0
-			if ffcOv > 1e-9 {
+			if ffcOv > tol.Report {
 				red = 100 * (ffcOv - overhead(r.Value)) / ffcOv
 			}
 			row = append(row, fmt.Sprintf("%.1f%%", red))
@@ -698,7 +684,7 @@ func ValidationSweep(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := cfg.applyFailureModel(setup); err != nil {
+		if err := setup.ApplyFailureModel(cfg.SRLGFile, cfg.NodeFailures); err != nil {
 			return nil, err
 		}
 		plan, err := core.SolvePCFTF(setup.instance(0), core.SolveOptions{})
@@ -746,7 +732,7 @@ func DegradedVsBinary(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := cfg.applyFailureModel(setup); err != nil {
+		if err := setup.ApplyFailureModel(cfg.SRLGFile, cfg.NodeFailures); err != nil {
 			return nil, err
 		}
 		binary := setup.Failures

@@ -14,6 +14,22 @@ import (
 	"pcf/internal/topology"
 )
 
+// ApplyFailureModel rewrites the setup's failure set per the CLIs'
+// -srlg and -node-failures flags: the SRLG file when srlgFile is set,
+// the node-failure spec when nodeFailures is, neither when both are
+// empty. Setting both is an error naming both flags.
+func (s *Setup) ApplyFailureModel(srlgFile, nodeFailures string) error {
+	switch {
+	case srlgFile != "" && nodeFailures != "":
+		return fmt.Errorf("eval: -srlg and -node-failures are mutually exclusive")
+	case srlgFile != "":
+		return s.ApplySRLGFile(srlgFile)
+	case nodeFailures != "":
+		return s.ApplyNodeFailures(nodeFailures)
+	}
+	return nil
+}
+
 // ApplySRLGFile replaces the setup's failure set with shared-risk link
 // groups read from path (failures.ReadSRLGs format: one group per
 // line, optional alpha=<x> for degrade groups). Links outside every

@@ -58,9 +58,8 @@ const (
 	StatusPath = "/v1/fleet/status"
 )
 
-// defaultLeaseTTL is the lease lifetime when a config leaves it zero;
-// syncs default to a third of the TTL so two consecutive lost syncs
-// still renew in time.
+// defaultLeaseTTL is the lease lifetime when a config leaves it zero,
+// and what a replica's default cadence assumes until its first grant.
 const defaultLeaseTTL = 15 * time.Second
 
 // writeError answers with status and the JSON body {"error": msg}, the

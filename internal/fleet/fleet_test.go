@@ -420,6 +420,48 @@ func TestReplicaLeaseSurvivesPlannerRestart(t *testing.T) {
 	})
 }
 
+// TestReplicaDefaultCadenceFollowsLeaseTTL: a replica left at the
+// default cadence syncs every third of the TTL its planner grants, so
+// under a sub-second TTL its lease reads fresh on every probe over
+// five TTLs. A cadence fixed at a third of the default TTL lets it
+// lapse within one.
+func TestReplicaDefaultCadenceFollowsLeaseTTL(t *testing.T) {
+	const ttl = 400 * time.Millisecond
+	plannerCore := newCore(t, "")
+	publishEpochs(t, plannerCore, 1)
+	pts := httptest.NewServer(NewPlanner(plannerCore, PlannerConfig{LeaseTTL: ttl}))
+	defer pts.Close()
+
+	repCore := newCore(t, "")
+	rep := NewReplica(repCore, ReplicaConfig{Name: "r1", PlannerURL: pts.URL})
+	rts := httptest.NewServer(rep)
+	defer rts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rep.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	waitFor(t, 5*time.Second, "replica to sync epoch 1 under a fresh lease", func() bool {
+		return repCore.Registry().Epoch() == 1 && leaseFresh(rts.URL)
+	})
+	probes, stale := 0, 0
+	for end := time.Now().Add(5 * ttl); time.Now().Before(end); time.Sleep(ttl / 10) {
+		probes++
+		if !leaseFresh(rts.URL) {
+			stale++
+		}
+	}
+	if stale > 0 {
+		t.Fatalf("lease read stale on %d of %d probes over %v at a %v TTL", stale, probes, 5*ttl, ttl)
+	}
+}
+
 // TestReplicaSyncIsOneRequest: a sync round is one request to the
 // planner, both when the replica is behind (the answer brings the
 // envelope) and when it is current (a 304).

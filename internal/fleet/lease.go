@@ -86,12 +86,13 @@ func (g *granter) pushTargets(horizon time.Duration) []string {
 }
 
 // holder is the replica-side lease state: when the latest renewal
-// expires. Renewals need no ordering: the replica syncs serially, so
-// every renewal it sees is the newest.
+// expires, and the TTL it granted. Renewals need no ordering: the
+// replica syncs serially, so every renewal it sees is the newest.
 type holder struct {
 	mu      sync.Mutex
 	now     func() time.Time
-	expires time.Time // zero until the first renewal
+	expires time.Time     // zero until the first renewal
+	ttl     time.Duration // zero until the first renewal
 }
 
 func newHolder() *holder { return &holder{now: time.Now} }
@@ -101,6 +102,18 @@ func (h *holder) renew(ttl time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.expires = h.now().Add(ttl)
+	h.ttl = ttl
+}
+
+// granted returns the TTL of the latest renewal, or the default TTL
+// before the first.
+func (h *holder) granted() time.Duration {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.ttl <= 0 {
+		return defaultLeaseTTL
+	}
+	return h.ttl
 }
 
 // fresh reports whether the holder has an unexpired lease.

@@ -31,10 +31,11 @@ type ReplicaConfig struct {
 	// here.
 	Client *http.Client
 	// Interval is the steady-state sync cadence; each sync renews the
-	// lease (0 = a third of the default lease TTL).
+	// lease (0 = a third of the lease TTL the planner last granted, of
+	// the default TTL before the first grant).
 	Interval time.Duration
 	// BackoffMin/BackoffMax bound the exponential retry backoff after
-	// failed syncs (0 = Interval / 10×Interval).
+	// failed syncs (0 = the cadence / 10× the cadence).
 	BackoffMin, BackoffMax time.Duration
 	// JitterSeed seeds the backoff jitter; fixed seeds make chaos runs
 	// reproducible.
@@ -46,18 +47,6 @@ type ReplicaConfig struct {
 func (c ReplicaConfig) withDefaults() ReplicaConfig {
 	if c.Name == "" {
 		c.Name = "replica"
-	}
-	if c.Interval <= 0 {
-		c.Interval = defaultLeaseTTL / 3
-	}
-	if c.BackoffMin <= 0 {
-		c.BackoffMin = c.Interval
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 10 * c.Interval
-	}
-	if c.BackoffMax < c.BackoffMin {
-		c.BackoffMax = c.BackoffMin
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 10 * time.Second}
@@ -187,11 +176,11 @@ func (r *Replica) handlePush(w http.ResponseWriter, req *http.Request) {
 // Run drives the sync loop until ctx ends: each round is one
 // conditional fetch that renews the lease and, when the local registry
 // is behind, brings the newest envelope to apply. Failed rounds back
-// off exponentially with seeded jitter between BackoffMin and
-// BackoffMax; a successful round resets the cadence to Interval.
+// off exponentially with seeded jitter between the backoff bounds; a
+// successful round resets the cadence (see cadence).
 func (r *Replica) Run(ctx context.Context) {
-	delay := time.Duration(0) // first round immediately
-	backoff := r.cfg.BackoffMin
+	delay := time.Duration(0)   // first round immediately
+	backoff := time.Duration(0) // 0: the next failure waits the least
 	for {
 		if delay > 0 {
 			timer := time.NewTimer(delay)
@@ -204,18 +193,40 @@ func (r *Replica) Run(ctx context.Context) {
 		} else if ctx.Err() != nil {
 			return
 		}
-		if err := r.syncOnce(ctx); err != nil {
+		err := r.syncOnce(ctx)
+		interval, backoffMin, backoffMax := r.cadence()
+		if err != nil {
 			if ctx.Err() != nil {
 				return
 			}
 			r.cfg.Logf("fleet: %s sync: %v", r.cfg.Name, err)
+			backoff = max(backoff, backoffMin)
 			delay = r.withJitter(backoff)
-			backoff = min(2*backoff, r.cfg.BackoffMax)
+			backoff = min(2*backoff, backoffMax)
 		} else {
-			delay = r.withJitter(r.cfg.Interval)
-			backoff = r.cfg.BackoffMin
+			delay = r.withJitter(interval)
+			backoff = 0
 		}
 	}
+}
+
+// cadence returns the sync interval and the backoff bounds: the
+// configured values, else a third of the lease TTL last granted, so
+// two consecutive lost syncs still renew in time, and backoff from
+// that interval to ten times it.
+func (r *Replica) cadence() (interval, backoffMin, backoffMax time.Duration) {
+	interval = r.cfg.Interval
+	if interval <= 0 {
+		interval = r.holder.granted() / 3
+	}
+	backoffMin, backoffMax = r.cfg.BackoffMin, r.cfg.BackoffMax
+	if backoffMin <= 0 {
+		backoffMin = interval
+	}
+	if backoffMax <= 0 {
+		backoffMax = 10 * interval
+	}
+	return interval, backoffMin, max(backoffMin, backoffMax)
 }
 
 // withJitter spreads d by ±25% so a fleet of replicas does not

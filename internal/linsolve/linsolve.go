@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"pcf/internal/tol"
 )
 
 // ErrSingular is returned when the coefficient matrix is numerically
@@ -59,7 +61,7 @@ func factorDense(lu []float64, perm []int, n int) error {
 				best, p = v, r
 			}
 		}
-		if p < 0 || best < 1e-13 {
+		if p < 0 || best < tol.Singular {
 			return ErrSingular
 		}
 		if p != c {

@@ -4,19 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"pcf/internal/tol"
 )
 
 // ErrIllConditioned is returned when a low-rank update's capacitance
 // matrix is too ill-conditioned for the Sherman–Morrison–Woodbury
-// correction to be trusted. Callers should refactorize cold. Matched
-// with errors.Is.
+// correction to be trusted: its crude condition estimate (max-entry
+// over smallest pivot) exceeds tol.SMWCondition, beyond which the
+// correction can amplify round-off past its agreement with a fresh
+// factorization. Callers should refactorize cold. Matched with
+// errors.Is.
 var ErrIllConditioned = errors.New("linsolve: update capacitance ill-conditioned")
-
-// capCondLimit bounds the crude capacitance condition estimate
-// (max-entry over smallest pivot). Beyond it the SMW correction can
-// amplify round-off past the 1e-9 agreement contract, so RankUpdate
-// refuses and the caller falls back to a fresh factorization.
-const capCondLimit = 1e12
 
 // RowUpdate is a sparse additive modification of one matrix row:
 // row Row gains Vals[i] in column Cols[i]. A set of RowUpdates with
@@ -166,7 +165,7 @@ func (w *UpdateFactorizer) Factor(n int, ups []RowUpdate, cols [][]float64) (*Up
 			minPivot = v
 		}
 	}
-	if k > 0 && maxEntry > capCondLimit*minPivot {
+	if k > 0 && maxEntry > tol.SMWCondition*minPivot {
 		return nil, fmt.Errorf("%w: max entry %g, min pivot %g", ErrIllConditioned, maxEntry, minPivot)
 	}
 	return w.detach(n, ups, cols)

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"pcf/internal/tol"
 )
 
 // randomMMatrix builds a diagonally dominant M-matrix like the
@@ -352,7 +354,7 @@ func denseCorrect(n int, ups []RowUpdate, cols [][]float64, dst, y []float64) er
 			minPivot = v
 		}
 	}
-	if k > 0 && maxEntry > capCondLimit*minPivot {
+	if k > 0 && maxEntry > tol.SMWCondition*minPivot {
 		return ErrIllConditioned
 	}
 	z, yk := make([]float64, k), make([]float64, k)

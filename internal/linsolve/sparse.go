@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"pcf/internal/tol"
 )
 
 // SparseEntry is one nonzero of a sparse row: value Val in column Col.
@@ -242,7 +244,7 @@ func (w *SparseFactorizer) Factor(n int, ptr []int, ents []SparseEntry) (*Sparse
 						rmax = v
 					}
 				}
-				if rmax < 1e-13 {
+				if rmax < tol.Singular {
 					return nil, ErrSingular
 				}
 				for t, e := range row {

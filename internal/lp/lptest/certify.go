@@ -8,9 +8,8 @@ import (
 	"math"
 
 	"pcf/internal/lp"
+	"pcf/internal/tol"
 )
-
-const tol = 1e-7
 
 // Certify proves from first principles that sol is an optimal solution
 // of m: the primal values satisfy every row and bound, the row duals
@@ -47,10 +46,10 @@ func Certify(m *lp.Model, rhs func(row int) float64, sol *lp.Solution) error {
 			b = rhs(i)
 		}
 		lhs, y := sol.Eval(c.Expr), sol.Dual(i)
-		if slack := tol * (1 + math.Abs(b)); (c.Sense != lp.GE && lhs > b+slack) || (c.Sense != lp.LE && lhs < b-slack) {
+		if slack := tol.Certificate * (1 + math.Abs(b)); (c.Sense != lp.GE && lhs > b+slack) || (c.Sense != lp.LE && lhs < b-slack) {
 			return fmt.Errorf("primal infeasible: row %d has %g %v %g", i, lhs, c.Sense, b)
 		}
-		if (c.Sense == lp.GE && sgn*y < -tol) || (c.Sense == lp.LE && sgn*y > tol) {
+		if (c.Sense == lp.GE && sgn*y < -tol.Certificate) || (c.Sense == lp.LE && sgn*y > tol.Certificate) {
 			return fmt.Errorf("dual infeasible: %v row %d of a %v model has dual %g", c.Sense, i, dir, y)
 		}
 		bound += y * b
@@ -61,7 +60,7 @@ func Certify(m *lp.Model, rhs func(row int) float64, sol *lp.Solution) error {
 	for j, dj := range d {
 		lo, hi := m.Bounds(lp.Var(j))
 		x := sol.Value(lp.Var(j))
-		if x < lo-tol*(1+math.Abs(lo)) || x > hi+tol*(1+math.Abs(hi)) {
+		if x < lo-tol.Certificate*(1+math.Abs(lo)) || x > hi+tol.Certificate*(1+math.Abs(hi)) {
 			return fmt.Errorf("primal infeasible: var %d = %g outside [%g, %g]", j, x, lo, hi)
 		}
 		// The Lagrangian takes each variable to the bound its reduced
@@ -71,14 +70,14 @@ func Certify(m *lp.Model, rhs func(row int) float64, sol *lp.Solution) error {
 			at = hi
 		}
 		if math.IsInf(at, 0) {
-			if math.Abs(dj) > tol {
+			if math.Abs(dj) > tol.Certificate {
 				return fmt.Errorf("dual infeasible: var %d has reduced cost %g against an infinite bound", j, dj)
 			}
 			continue
 		}
 		bound += dj * at
 	}
-	if gap := math.Abs(sol.Objective - bound); gap > tol*(1+math.Abs(bound)) {
+	if gap := math.Abs(sol.Objective - bound); gap > tol.Certificate*(1+math.Abs(bound)) {
 		return fmt.Errorf("duality gap %g: primal objective %.12g, dual bound %.12g", gap, sol.Objective, bound)
 	}
 	return nil

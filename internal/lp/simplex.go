@@ -6,6 +6,8 @@ import (
 	"math"
 	"slices"
 	"time"
+
+	"pcf/internal/tol"
 )
 
 // ctxCheckPeriod is how many simplex iterations pass between context
@@ -14,11 +16,9 @@ import (
 // still aborts within a few dozen pivots.
 const ctxCheckPeriod = 32
 
-const (
-	feasTol      = 1e-9 // feasibility/zero tolerance on basic values and ratio-test pivots
-	optTol       = 1e-9 // reduced-cost optimality tolerance
-	blandTrigger = 300  // non-improving iterations before pricing switches to Bland's rule
-)
+// blandTrigger is the number of non-improving iterations before
+// pricing switches to Bland's rule.
+const blandTrigger = 300
 
 // Options tune the simplex solver. The zero value selects defaults.
 type Options struct {
@@ -389,7 +389,7 @@ func (st *simplexState) pivot(enter, leaveRow int, d []float64) {
 	theta := st.xB[leaveRow] / d[leaveRow]
 	for i, di := range d { // leaveRow too: its value is overwritten below
 		st.xB[i] -= theta * di
-		if st.xB[i] < 0 && st.xB[i] > -feasTol {
+		if st.xB[i] < 0 && st.xB[i] > -tol.Feas {
 			st.xB[i] = 0
 		}
 	}
@@ -465,7 +465,7 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 
 		useBland := noImprove >= blandTrigger
 		enter := -1
-		bestRC := -optTol
+		bestRC := -tol.Opt
 		// Price structural + slack columns.
 		for j := 0; j < cm.nCols; j++ {
 			if st.inB[j] {
@@ -475,7 +475,7 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 			for _, e := range cm.cols[j] {
 				rc -= y[e.row] * e.val
 			}
-			if rc < -optTol {
+			if rc < -tol.Opt {
 				if useBland {
 					enter = j
 					break
@@ -499,12 +499,12 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 		// pick the row with the largest pivot magnitude for numerical
 		// stability. Under Bland's rule the smallest basis index wins
 		// instead to guarantee termination.
-		cand, minTheta := st.ratioRows(d, 1e-8)
+		cand, minTheta := st.ratioRows(d, tol.Pivot)
 		if math.IsInf(minTheta, 1) {
 			// Distinguish true unboundedness from a degenerate state
 			// where only sub-threshold pivots remain: accept tiny
 			// pivots before declaring an unbounded ray.
-			cand, minTheta = st.ratioRows(d, feasTol)
+			cand, minTheta = st.ratioRows(d, tol.Feas)
 		}
 		if math.IsInf(minTheta, 1) {
 			// An apparent unbounded ray can be an artifact of a drifted
@@ -524,7 +524,7 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 			return StatusUnbounded, nil
 		}
 		leave := -1
-		thetaCap := minTheta + 1e-9*(1+math.Abs(minTheta))
+		thetaCap := minTheta + tol.Feas*(1+math.Abs(minTheta))
 		bestPiv := 0.0
 		for _, i := range cand {
 			theta := st.xB[i] / d[i]
@@ -558,7 +558,7 @@ func (st *simplexState) runPhase(cost []float64, phase1 bool) (Status, error) {
 		st.pivot(enter, leave, d)
 		*iters++
 
-		if obj := st.costs.objective(st.xB); obj < lastObj-1e-12 {
+		if obj := st.costs.objective(st.xB); obj < lastObj-tol.Progress {
 			lastObj = obj
 			noImprove = 0
 		} else {
@@ -608,7 +608,7 @@ func (st *simplexState) runDual(cost []float64) (Status, error) {
 
 		// Leaving row: the most negative basic value.
 		r := -1
-		worst := -feasTol
+		worst := -tol.Feas
 		for i := 0; i < m; i++ {
 			if st.xB[i] < worst {
 				worst = st.xB[i]
@@ -622,7 +622,7 @@ func (st *simplexState) runDual(cost []float64) (Status, error) {
 		// infeasibility; rather than carry a dual Bland rule, give the
 		// loop a generous stall budget and hand persistent cycling back
 		// to the cold solver.
-		if worst > lastWorst+1e-12 {
+		if worst > lastWorst+tol.Progress {
 			stall = 0
 		} else if stall++; stall > blandTrigger {
 			return StatusIterLimit, ErrNumerical
@@ -636,7 +636,6 @@ func (st *simplexState) runDual(cost []float64) (Status, error) {
 		// entry, the minimal reduced-cost ratio keeps dual feasibility;
 		// near-ties prefer the larger pivot for stability. Artificials
 		// never enter — they are phase-1 scaffolding, not LP columns.
-		const pivTol = 1e-8
 		enter := -1
 		bestRatio := math.Inf(1)
 		bestPiv := 0.0
@@ -650,14 +649,14 @@ func (st *simplexState) runDual(cost []float64) (Status, error) {
 				alpha += rho[e.row] * e.val
 				rc -= y[e.row] * e.val
 			}
-			if alpha >= -pivTol {
+			if alpha >= -tol.Pivot {
 				continue
 			}
 			if rc < 0 {
 				rc = 0 // clamp within-tolerance dual infeasibility
 			}
 			ratio := rc / -alpha
-			if ratio < bestRatio-1e-12 || (ratio <= bestRatio+1e-12 && -alpha > bestPiv) {
+			if ratio < bestRatio-tol.Progress || (ratio <= bestRatio+tol.Progress && -alpha > bestPiv) {
 				bestRatio = ratio
 				bestPiv = -alpha
 				enter = j
@@ -676,7 +675,7 @@ func (st *simplexState) runDual(cost []float64) (Status, error) {
 			return StatusInfeasible, nil
 		}
 		st.ftran(enter, d)
-		if d[r] >= -1e-10 {
+		if d[r] >= -tol.PivotDrift {
 			// The dense row disagrees with the ftran column: drift.
 			if sinceRefactor > 1 {
 				if !st.refactor() {
@@ -694,9 +693,9 @@ func (st *simplexState) runDual(cost []float64) (Status, error) {
 }
 
 // dualFeasible reports whether every nonbasic structural/slack column
-// has a reduced cost above -tol, i.e. the basis is usable as a dual
-// simplex start.
-func (st *simplexState) dualFeasible(cost []float64, tol float64) bool {
+// has a reduced cost above -tol.Restart, i.e. the basis is usable as a
+// dual simplex start.
+func (st *simplexState) dualFeasible(cost []float64) bool {
 	cm := st.cm
 	y := st.y
 	st.costs.reset(cost, st.basis)
@@ -709,7 +708,7 @@ func (st *simplexState) dualFeasible(cost []float64, tol float64) bool {
 		for _, e := range cm.cols[j] {
 			rc -= y[e.row] * e.val
 		}
-		if rc < -tol {
+		if rc < -tol.Restart {
 			return false
 		}
 	}
@@ -737,7 +736,7 @@ func (st *simplexState) driveOutArtificials() {
 			for _, e := range st.cm.cols[j] {
 				v += rho[e.row] * e.val
 			}
-			if math.Abs(v) > 1e-7 {
+			if math.Abs(v) > tol.Restart {
 				found = j
 			}
 		}
@@ -769,7 +768,7 @@ func (st *simplexState) phase1() (Status, error) {
 			infeas += st.xB[i]
 		}
 	}
-	if infeas > 1e-6 {
+	if infeas > tol.Artificial {
 		return StatusInfeasible, nil
 	}
 	st.driveOutArtificials()
@@ -907,16 +906,16 @@ func (st *simplexState) solveWarm() (status Status, ok bool, err error) {
 	primalBad := false
 	for i := 0; i < m; i++ {
 		if st.basis[i] >= cm.nCols {
-			if st.xB[i] > 1e-6 {
+			if st.xB[i] > tol.Artificial {
 				return 0, false, nil
 			}
-		} else if st.xB[i] < -feasTol {
+		} else if st.xB[i] < -tol.Feas {
 			primalBad = true
 		}
 	}
 	cost2 := st.phase2Cost()
 	if primalBad {
-		if !st.dualFeasible(cost2, 1e-7) {
+		if !st.dualFeasible(cost2) {
 			return 0, false, nil
 		}
 		status, err := st.runDual(cost2)

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-const tol = 1e-6
-
+// approx fails the test unless got is within 1e-6 of want, relative
+// above 1.
 func approx(t *testing.T, got, want float64, msg string) {
 	t.Helper()
-	if math.Abs(got-want) > tol*(1+math.Abs(want)) {
+	if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 		t.Fatalf("%s: got %.9g, want %.9g", msg, got, want)
 	}
 }

@@ -24,6 +24,7 @@ import (
 
 	"pcf/internal/failures"
 	"pcf/internal/lp"
+	"pcf/internal/tol"
 	"pcf/internal/topology"
 	"pcf/internal/traffic"
 )
@@ -483,7 +484,7 @@ func scaleToMLU(g *topology.Graph, tm *traffic.Matrix, lo, hi float64) (*traffic
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	if got < lo-1e-6 || got > hi+1e-6 {
+	if got < lo-tol.MLULanding || got > hi+tol.MLULanding {
 		return nil, 0, nil, fmt.Errorf("mcf: scaling landed at MLU %g, outside [%g, %g]", got, lo, hi)
 	}
 	return scaled, got, confirm, nil

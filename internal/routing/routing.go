@@ -16,6 +16,7 @@ import (
 
 	"pcf/internal/core"
 	"pcf/internal/failures"
+	"pcf/internal/tol"
 	"pcf/internal/topology"
 	"pcf/internal/tunnels"
 )
@@ -143,16 +144,16 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 		flows := map[tunnels.ID]float64{}
 		for _, p := range order {
 			r, ok := s.index[p]
-			if !ok || load[r] <= 1e-12 {
+			if !ok || load[r] <= tol.Carry {
 				continue
 			}
 			d := load[r]
 			total := s.liveRes(sr, r)
-			if total <= 1e-12 {
+			if total <= tol.Carry {
 				return nil, fmt.Errorf("routing: pair %v must carry %g but has no live reservation under %v", p, d, sc)
 			}
 			u := d / total
-			if u > 1+1e-7 {
+			if u > 1+tol.PairUtil {
 				return nil, fmt.Errorf("routing: pair %v oversubscribed (u=%g) under %v", p, u, sc)
 			}
 			uAgg[r] += u
@@ -161,7 +162,7 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 					continue
 				}
 				f := u * s.tunRes[tid]
-				if f <= 1e-12 {
+				if f <= tol.Carry {
 					continue
 				}
 				flows[tid] += f
@@ -174,7 +175,7 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 					continue
 				}
 				bq := u * s.ls[qi].res
-				if bq <= 1e-12 {
+				if bq <= tol.Carry {
 					continue
 				}
 				for _, sg := range s.ls[qi].segRows {
@@ -189,7 +190,7 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 		if sr.inSet[r] != ep {
 			continue
 		}
-		if uAgg[r] > 1+1e-6 {
+		if uAgg[r] > 1+tol.AggUtil {
 			return nil, fmt.Errorf("routing: pair %v aggregate utilization %g > 1 under %v", s.pairs[r], uAgg[r], sc)
 		}
 		res.U = append(res.U, uAgg[r])
@@ -215,6 +216,11 @@ func capacityUnder(g *topology.Graph, sc failures.Scenario, nominal bool, a topo
 }
 
 func isNominal(sc failures.Scenario) bool { return len(sc.Dead) == 0 && len(sc.Degraded) == 0 }
+
+// overloaded is the overload verdict, the one every check reaches: an
+// arc carrying load against capacity c is overloaded when the load
+// exceeds c by more than tol.Overload.
+func overloaded(load, c float64) bool { return load > c+tol.Overload }
 
 // MLUOf returns the maximum link utilization of a realization under
 // its scenario's capacities. Degraded links divide their load by the
@@ -251,7 +257,7 @@ func CheckRealization(plan *core.Plan, r *Realization) error {
 	g := in.Graph
 	nominal := isNominal(r.Scenario)
 	for a := 0; a < g.NumArcs(); a++ {
-		if c := capacityUnder(g, r.Scenario, nominal, topology.ArcID(a)); r.ArcLoad[a] > c+1e-6 {
+		if c := capacityUnder(g, r.Scenario, nominal, topology.ArcID(a)); overloaded(r.ArcLoad[a], c) {
 			return overloadError{a, r.ArcLoad[a], c, r.Scenario}
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"pcf/internal/core"
 	"pcf/internal/failures"
 	"pcf/internal/linsolve"
+	"pcf/internal/tol"
 	"pcf/internal/topology"
 	"pcf/internal/tunnels"
 )
@@ -115,7 +116,7 @@ func (s *Sweep) closeUniverse(qs []core.LogicalSequence, demandPairs []topology.
 		}
 	}
 	for _, p := range demandPairs {
-		if s.plan.ScaledDemand(p) > 1e-12 {
+		if s.plan.ScaledDemand(p) > tol.Carry {
 			add(p)
 		}
 	}
@@ -193,7 +194,7 @@ func (s *Sweep) indexPlan(qs []core.LogicalSequence, demandPairs []topology.Pair
 	}
 	destSet := map[topology.NodeID]bool{}
 	for _, p := range demandPairs {
-		if plan.ScaledDemand(p) > 1e-12 {
+		if plan.ScaledDemand(p) > tol.Carry {
 			if r, ok := s.index[p]; ok {
 				s.seeds = append(s.seeds, r)
 			}

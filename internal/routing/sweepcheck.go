@@ -12,6 +12,7 @@ import (
 	"slices"
 
 	"pcf/internal/failures"
+	"pcf/internal/tol"
 	"pcf/internal/topology"
 	"pcf/internal/tunnels"
 )
@@ -32,9 +33,9 @@ func newBalance(nodes int) balance {
 }
 
 // imbalance returns the lowest-numbered node whose net outflow under
-// the flows misses its target by more than 1e-6, with that outflow and
-// target, or -1. The target is wantVals[i] at node wantNodes[i] (each
-// node listed once) and zero everywhere else.
+// the flows misses its target by more than tol.Balance, with that
+// outflow and target, or -1. The target is wantVals[i] at node
+// wantNodes[i] (each node listed once) and zero everywhere else.
 func (b *balance) imbalance(ts *tunnels.Set, tuns []tunnels.ID, vals []float64, wantNodes []int32, wantVals []float64) (node int, got, want float64) {
 	touch := func(v int32) {
 		if !b.seen[v] {
@@ -55,7 +56,7 @@ func (b *balance) imbalance(ts *tunnels.Set, tuns []tunnels.ID, vals []float64, 
 	}
 	node = -1
 	for _, v := range b.touched {
-		if math.Abs(b.net[v]-b.want[v]) > 1e-6 && (node < 0 || int(v) < node) {
+		if math.Abs(b.net[v]-b.want[v]) > tol.Balance && (node < 0 || int(v) < node) {
 			node, got, want = int(v), b.net[v], b.want[v]
 		}
 		b.net[v], b.want[v], b.seen[v] = 0, 0, false
@@ -167,7 +168,7 @@ func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, r *Realization, ch
 	mlu, over := 0.0, -1
 	visit := func(a int) {
 		load, c := arcLoad[a], caps[a]
-		if check && load > c+1e-6 && (over < 0 || a < over) {
+		if check && overloaded(load, c) && (over < 0 || a < over) {
 			over = a
 		}
 		// A load of zero never raises the maximum.

@@ -16,6 +16,7 @@ import (
 
 	"pcf/internal/failures"
 	"pcf/internal/linsolve"
+	"pcf/internal/tol"
 	"pcf/internal/topology"
 	"pcf/internal/tunnels"
 )
@@ -62,7 +63,7 @@ type baseEmission struct {
 	runOff   []int32  // destination di's runs are runs[runOff[di]:runOff[di+1]]
 	runs     []arcRun
 	ranked   []int32 // arcs with positive base utilization, highest first
-	over     []int32 // arcs with base load > capacity + 1e-6, ascending
+	over     []int32 // arcs whose base load is overloaded, ascending
 	rowDest  jagged
 }
 
@@ -143,7 +144,7 @@ func (s *Sweep) recordBase(sr *sweepScratch) {
 	util := make([]float64, numArcs)
 	for a, load := range sr.arcLoad {
 		c := s.arcCap[a]
-		if load > c+1e-6 {
+		if overloaded(load, c) {
 			rec.over = append(rec.over, int32(a))
 		}
 		if load > 0 && c > 0 {
@@ -175,7 +176,7 @@ func (s *Sweep) recordBase(sr *sweepScratch) {
 func (s *Sweep) checkU(sc failures.Scenario, sr *sweepScratch) error {
 	ep, x := sr.epoch, sr.sol
 	for r := 0; r < s.n; r++ {
-		if sr.inSet[r] == ep && (x[r] < -1e-7 || x[r] > 1+1e-7) {
+		if sr.inSet[r] == ep && (x[r] < -tol.PairUtil || x[r] > 1+tol.PairUtil) {
 			return unrealizable{utilizationError{s.pairs[r], x[r], sc}}
 		}
 	}
@@ -253,7 +254,7 @@ func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.
 			return served{}, fmt.Errorf("routing: destination %d system under %v: %w", dst, sc, err)
 		}
 		for r := 0; r < s.n; r++ {
-			if sr.inSet[r] != ep || xt[r] <= 1e-12 {
+			if sr.inSet[r] != ep || xt[r] <= tol.Carry {
 				continue
 			}
 			for _, tid := range s.pairTun[r] {
@@ -261,7 +262,7 @@ func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.
 					continue
 				}
 				rr := xt[r] * s.tunRes[tid]
-				if rr <= 1e-12 {
+				if rr <= tol.Carry {
 					continue
 				}
 				sr.flowTun = append(sr.flowTun, tid)

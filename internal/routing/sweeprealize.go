@@ -15,6 +15,7 @@ import (
 
 	"pcf/internal/failures"
 	"pcf/internal/linsolve"
+	"pcf/internal/tol"
 	"pcf/internal/tunnels"
 )
 
@@ -353,7 +354,7 @@ func (s *Sweep) liveRes(sr *sweepScratch, r int) float64 {
 // interest with no live reservation is the scenario's error.
 func (s *Sweep) liveCoeffs(sc failures.Scenario, sr *sweepScratch, r int) (float64, error) {
 	diag := s.rowCoeffs(sr, r)
-	if diag <= 1e-12 && sr.inSet[r] == sr.epoch {
+	if diag <= tol.Carry && sr.inSet[r] == sr.epoch {
 		return 0, unrealizable{noReservationError{s.pairs[r], sc}}
 	}
 	return diag, nil
@@ -524,7 +525,7 @@ func (s *Sweep) invCol(sr *sweepScratch, r int) ([]float64, error) {
 
 // residualOK is the guard on the corrected aggregate solution: every
 // updated row of the scenario's system must reproduce its demand to
-// 1e-6 of the row's scale. If the rank-k identity lost accuracy, the
+// tol.SMWResidual of the row's scale. If the rank-k identity lost accuracy, the
 // caller takes the cold path rather than return drift.
 func (s *Sweep) residualOK(x []float64, ups []linsolve.RowUpdate, upScale []float64) bool {
 	for j, up := range ups {
@@ -535,7 +536,7 @@ func (s *Sweep) residualOK(x []float64, ups []linsolve.RowUpdate, upScale []floa
 		for t, c := range up.Cols {
 			acc += up.Vals[t] * x[c]
 		}
-		if math.Abs(acc) > 1e-6*upScale[j] {
+		if math.Abs(acc) > tol.SMWResidual*upScale[j] {
 			return false
 		}
 	}

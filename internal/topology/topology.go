@@ -13,6 +13,8 @@ import (
 	"io"
 	"math"
 	"strings"
+
+	"pcf/internal/tol"
 )
 
 // NodeID identifies a node.
@@ -414,7 +416,7 @@ func (g *Graph) ShortestPath(src, dst NodeID, weight func(LinkID) float64, banne
 				panic(fmt.Errorf("%w: weight callback returned %g for link %d", ErrNegativeWeight, w, l))
 			}
 			_, v := g.ArcEnds(a)
-			if nd := dist[u] + w; nd < dist[v]-1e-15 {
+			if nd := dist[u] + w; nd < dist[v]-tol.Tie {
 				dist[v] = nd
 				prev[v] = a
 				heap.Push(pq, pqItem{v, nd})

@@ -180,6 +180,7 @@ func Gravity(g *topology.Graph, opts GravityOptions) *Matrix {
 			mass[i] *= math.Exp(opts.Jitter * rng.NormFloat64())
 		}
 		if mass[i] <= 0 {
+			//lint:ignore pcflint/floatcmp a mass floor, not a tolerance: an isolated node gets a tiny positive mass so the gravity normalization never divides by zero
 			mass[i] = 1e-9
 		}
 	}

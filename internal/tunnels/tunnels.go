@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sort"
 
+	"pcf/internal/tol"
 	"pcf/internal/topology"
 )
 
@@ -350,7 +351,7 @@ func (s *search) tree(src topology.NodeID) {
 				cur[w] &^= 1 << b
 				a := w*64 + b
 				from, to := s.tail[a], s.head[a]
-				if d := s.dist[from] + s.cost[a]; d < s.dist[to]-1e-12 {
+				if d := s.dist[from] + s.cost[a]; d < s.dist[to]-tol.TunnelTie {
 					s.dist[to] = d
 					s.prev[to] = topology.ArcID(a)
 					pending = s.mark(to, a, cur, next) || pending

@@ -67,7 +67,7 @@ echo "== fleet chaos smoke (-race -short)"
 # short pass mirrors the CI chaos-smoke job so a local gate run always
 # exercises the kill/partition/tear schedule the same way CI does,
 # with the same lifecycle and sync-protocol tests beside it.
-go test -race -short -count=1 -run 'TestFleetChaosSoak|TestFrontend|TestPlannerDrain|TestReplicaLeaseSurvivesPlannerRestart|TestReplicaSyncIsOneRequest' ./internal/fleet/
+go test -race -short -count=1 -run 'TestFleetChaosSoak|TestFrontend|TestPlannerDrain|TestReplicaLeaseSurvivesPlannerRestart|TestReplicaSyncIsOneRequest|TestReplicaDefaultCadenceFollowsLeaseTTL' ./internal/fleet/
 
 echo "== separation oracle reuse (-race -count=2)"
 # Polytope.Minimize lowers its rows as Compile would, bit for bit, and
