@@ -72,18 +72,32 @@ func checkRole(role, plannerURL, stateDir string) error {
 	return nil
 }
 
-// prepare builds the instance pcfd serves from its -topology, -links,
-// -tm and -f flags: eval's PCF-CLS instance, the one pcfeval and
-// pcfplan solve, so the ladder's top rung guarantees what they report.
-// The lower rungs ignore the logical sequences they cannot use.
-func prepare(topo, linksFile, tmFile string, o eval.Options) (*eval.Setup, *core.Instance, error) {
-	o.Topology = topo
-	setup, err := eval.PrepareFlags(linksFile, tmFile, o)
-	if err != nil {
-		return nil, nil, err
+// boot readies the server before it listens: it republishes the
+// newest valid checkpoint, or, when there is none and solveOnStart is
+// set, solves the best row and publishes it through the server's own
+// solve path (Server.Solve), so the boot solve leaves the same solve
+// and publish records as any POST /v1/solve.
+func boot(ctx context.Context, srv *serve.Server, solveOnStart bool) error {
+	pub, err := srv.Recover(ctx)
+	switch {
+	case err == nil:
+		log.Printf("recovered epoch %d (scheme %s, value %.4f)", pub.Epoch, pub.Scheme, pub.Value)
+		return nil
+	case !errors.Is(err, serve.ErrNoSnapshot):
+		return fmt.Errorf("recovery: %w", err)
 	}
-	in, err := setup.CLSInstance()
-	return setup, in, err
+	log.Printf("no checkpoint to recover, starting empty")
+	if !solveOnStart {
+		return nil
+	}
+	start := time.Now()
+	best, _ := core.LookupScheme(serve.SchemeBest)
+	if pub, _, err = srv.Solve(ctx, best); err != nil {
+		return fmt.Errorf("boot solve: %w", err)
+	}
+	log.Printf("boot solve published epoch %d (scheme %s, value %.4f) in %v",
+		pub.Epoch, pub.Scheme, pub.Value, time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 func main() {
@@ -124,8 +138,8 @@ func main() {
 		*solveOnStart = false
 	}
 
-	setup, in, err := prepare(*topo, *linksFile, *tmFile, eval.Options{
-		Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
+	setup, in, err := eval.PrepareServed(*linksFile, *tmFile, eval.Options{
+		Topology: *topo, Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
 	})
 	if err != nil {
 		die(err)
@@ -162,27 +176,8 @@ func main() {
 
 	// Recovery before first listen: a restarted daemon serves its last
 	// validated epoch immediately, without re-solving.
-	pub, err := srv.Recover(context.Background())
-	switch {
-	case err == nil:
-		log.Printf("recovered epoch %d (scheme %s, value %.4f)", pub.Epoch, pub.Scheme, pub.Value)
-	case errors.Is(err, serve.ErrNoSnapshot):
-		log.Printf("no checkpoint to recover, starting empty")
-		if *solveOnStart {
-			start := time.Now()
-			plan, err := core.SolveBest(in, core.SolveOptions{Context: context.Background()})
-			if err != nil {
-				die(fmt.Errorf("boot solve: %w", err))
-			}
-			pub, err := srv.Registry().Publish(context.Background(), plan)
-			if err != nil {
-				die(fmt.Errorf("boot publish: %w", err))
-			}
-			log.Printf("boot solve published epoch %d (scheme %s, value %.4f) in %v",
-				pub.Epoch, pub.Scheme, pub.Value, time.Since(start).Round(time.Millisecond))
-		}
-	default:
-		die(fmt.Errorf("recovery: %w", err))
+	if err := boot(context.Background(), srv, *solveOnStart); err != nil {
+		die(err)
 	}
 
 	// Role wiring: the handler pcfd mounts, plus whatever background

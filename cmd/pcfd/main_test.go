@@ -11,6 +11,8 @@ import (
 
 	"pcf/internal/core"
 	"pcf/internal/eval"
+	"pcf/internal/serve"
+	"pcf/internal/telemetry"
 	"pcf/internal/topozoo"
 )
 
@@ -34,6 +36,47 @@ func TestCheckRole(t *testing.T) {
 	}
 }
 
+// TestBootSolveLeavesSolveRecord: pcfd's boot solve runs the server's
+// own solve path, so a daemon that booted without a checkpoint holds a
+// solve record for the best row, entered at rung 0, before the publish
+// record of epoch 1. The boot once called core.SolveBest and published
+// directly, leaving pcftop's "last solve" empty and bypassing the
+// breaker and MutatePlan.
+func TestBootSolveLeavesSolveRecord(t *testing.T) {
+	_, in, err := eval.PrepareServed("", "", eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 10, FailureBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.NewServer(serve.Config{Instance: in, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := boot(context.Background(), srv, true); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := srv.Telemetry().ReadSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved := -1
+	for i, r := range recs {
+		switch r.Kind {
+		case telemetry.KindSolve:
+			if r.Scheme != serve.SchemeBest || r.Rung != 0 || r.Outcome != "" {
+				t.Fatalf("boot solve record: scheme %q rung %d outcome %q, want best at rung 0", r.Scheme, r.Rung, r.Outcome)
+			}
+			solved = i
+		case telemetry.KindPublish:
+			if solved < 0 || r.Epoch != 1 {
+				t.Fatalf("publish record of epoch %d at %d, solve record at %d: want a solve record before epoch 1's publish", r.Epoch, i, solved)
+			}
+			return
+		}
+	}
+	t.Fatalf("no publish record after boot: %+v", recs)
+}
+
 // TestPrepareServesEvalCLS: the ladder pcfd serves solves eval's
 // PCF-CLS instance, so on Xeex its plan is PCF-CLS at the value eval
 // reports for that scheme, from -topology and from -links alike. The
@@ -54,18 +97,17 @@ func TestPrepareServesEvalCLS(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := eval.Options{Seed: 1, MaxPairs: 20, FailureBudget: 1}
+	zo := o
+	zo.Topology = "Xeex"
 	for _, tc := range []struct {
-		flag, topo, links string
-		eval              func() (*eval.Setup, error)
+		flag, links string
+		o           eval.Options
+		eval        func() (*eval.Setup, error)
 	}{
-		{"-topology", "Xeex", "", func() (*eval.Setup, error) {
-			zo := o
-			zo.Topology = "Xeex"
-			return eval.Prepare(zo)
-		}},
-		{"-links", "", links, func() (*eval.Setup, error) { return eval.PrepareFiles(links, "", o) }},
+		{"-topology", "", zo, func() (*eval.Setup, error) { return eval.Prepare(zo) }},
+		{"-links", links, o, func() (*eval.Setup, error) { return eval.PrepareFiles(links, "", o) }},
 	} {
-		_, in, err := prepare(tc.topo, tc.links, "", o)
+		_, in, err := eval.PrepareServed(tc.links, "", tc.o)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.flag, err)
 		}
@@ -91,7 +133,7 @@ func TestPrepareServesEvalCLS(t *testing.T) {
 // naming -f. Options reads a zero budget as unset, so the daemon once
 // logged "f=0" and served f=1's plan.
 func TestPrepareRefusesZeroBudget(t *testing.T) {
-	_, _, err := prepare("Sprint", "", "", eval.Options{Seed: 1, MaxPairs: 10, FailureBudget: 0})
+	_, _, err := eval.PrepareServed("", "", eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 10, FailureBudget: 0})
 	if err == nil || !strings.Contains(err.Error(), "(-f)") || eval.ExitCode(err) != eval.ExitFailure {
 		t.Fatalf("prepare with -f 0: %v, want an error naming -f (exit %d)", err, eval.ExitFailure)
 	}

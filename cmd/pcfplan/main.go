@@ -38,7 +38,7 @@ func main() {
 	topo := flag.String("topology", "Sprint", "Topology Zoo name")
 	linksFile := flag.String("links", "", "load the topology from a links file (cmd/topogen format) instead")
 	tmFile := flag.String("tm", "", "load the traffic matrix from a file (requires -links)")
-	scheme := flag.String("scheme", "pcf-tf", "ffc | pcf-tf | pcf-ls | pcf-cls | best")
+	scheme := flag.String("scheme", "pcf-tf", "a scheme table row, any case: "+strings.Join(core.SchemeNames(), " | "))
 	f := flag.Int("f", 1, "simultaneous link failures to protect against")
 	pairs := flag.Int("pairs", 20, "top-K demand pairs")
 	seed := flag.Int64("seed", 1, "traffic matrix seed")
@@ -57,9 +57,9 @@ func main() {
 		defer cancel()
 	}
 
-	name, ok := schemes[*scheme]
+	row, ok := core.LookupScheme(*scheme)
 	if !ok {
-		log.Fatalf("unknown scheme %q", *scheme)
+		log.Fatalf("unknown scheme %q (want one of %s)", *scheme, strings.Join(core.SchemeNames(), ", "))
 	}
 
 	setup, err := eval.PrepareFlags(*linksFile, *tmFile, eval.Options{
@@ -83,7 +83,7 @@ func main() {
 		setup.Opts.Topology, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs),
 		setup.Failures.Budget, setup.Failures.NumScenariosExact(), setup.MLU)
 
-	plan, err := solve(ctx, os.Stdout, setup, name)
+	plan, err := solve(ctx, os.Stdout, setup, row.Name)
 	if err != nil {
 		die(err)
 	}
@@ -97,16 +97,6 @@ func main() {
 		fmt.Printf("validated: all %d scenarios congestion-free with all admitted demand delivered\n",
 			setup.Failures.NumScenariosExact())
 	}
-}
-
-// schemes maps -scheme to the eval scheme it runs; best is the
-// degradation ladder over PCF-CLS → PCF-LS → FFC.
-var schemes = map[string]string{
-	"ffc":     eval.SchemeFFC,
-	"pcf-tf":  eval.SchemePCFTF,
-	"pcf-ls":  eval.SchemePCFLS,
-	"pcf-cls": eval.SchemePCFCLS,
-	"best":    eval.SchemeBest,
 }
 
 // solve runs the scheme, prints its result to w and returns the plan

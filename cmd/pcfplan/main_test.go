@@ -5,12 +5,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"pcf/internal/core"
 	"pcf/internal/eval"
+	"pcf/internal/serve"
+	"pcf/internal/topozoo"
 )
 
 // TestSolveReturnsReportedPlan: the plan -validate and -reservations
@@ -48,6 +54,105 @@ func TestSolveReturnsReportedPlan(t *testing.T) {
 		if reported[eval.SchemeBest] != reported[eval.SchemePCFCLS] {
 			t.Errorf("%s: best reported %s, pcf-cls %s", topo, reported[eval.SchemeBest], reported[eval.SchemePCFCLS])
 		}
+	}
+}
+
+// TestEntryPointsAgree: a scheme name means one instance and one
+// solver at every entry point. For every row of core's scheme table,
+// on every Topology Zoo graph at pcfd's default flags, three values are
+// bit-equal, each from its own preparation: pcfd's (Server.Solve, the
+// path POST /v1/solve and the boot solve take, on eval.PrepareServed's
+// instance), pcfplan's solve and eval.Setup.Run. FFC is the paper's,
+// on FFCTunnels tunnels per pair, and best answers on its PCF-CLS rung.
+// Xeex is also prepared from a links file, as pcfd -links does. pcfd
+// once solved FFC over every tunnel of the PCF-CLS instance (IBM 0.2218
+// against pcfplan's 0.3617), refused PCF-LS, and before that solved a
+// weaker PCF-CLS instance (Xeex 0.1913 against 0.4605).
+func TestEntryPointsAgree(t *testing.T) {
+	topos := topozoo.Names()
+	if testing.Short() {
+		topos = []string{"Xeex", "Integra", "BTNorthAmerica"}
+	}
+	type source struct{ name, topo, links string }
+	var sources []source
+	for _, topo := range topos {
+		sources = append(sources, source{topo, topo, ""})
+	}
+	g, err := topozoo.Load("Xeex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines strings.Builder
+	for _, l := range g.Links() {
+		fmt.Fprintf(&lines, "%d %d %g\n", l.A, l.B, l.Capacity)
+	}
+	links := filepath.Join(t.TempDir(), "xeex.links")
+	if err := os.WriteFile(links, []byte(lines.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sources = append(sources, source{"Xeex -links", "", links})
+
+	ctx := context.Background()
+	for _, src := range sources {
+		o := eval.Options{Topology: src.topo, Seed: 1, MaxPairs: 20, FailureBudget: 1}
+		_, in, err := eval.PrepareServed(src.links, "", o)
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		srv, err := serve.NewServer(serve.Config{Instance: in})
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		plannedSetup, err := eval.PrepareFlags(src.links, "", o)
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		evalSetup, err := eval.PrepareFlags(src.links, "", o)
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		values := map[string]float64{}
+		for _, name := range core.SchemeNames() {
+			row, _ := core.LookupScheme(name)
+			pub, _, err := srv.Solve(ctx, row)
+			if err != nil {
+				t.Fatalf("%s %s: pcfd: %v", src.name, name, err)
+			}
+			planned, err := solve(ctx, io.Discard, plannedSetup, name)
+			if err != nil {
+				t.Fatalf("%s %s: pcfplan: %v", src.name, name, err)
+			}
+			res, err := evalSetup.Run(ctx, name)
+			if err != nil {
+				t.Fatalf("%s %s: eval: %v", src.name, name, err)
+			}
+			if math.Float64bits(pub.Value) != math.Float64bits(planned.Value) || math.Float64bits(pub.Value) != math.Float64bits(res.Value) ||
+				pub.Scheme != planned.Scheme || pub.Scheme != res.Plan.Scheme {
+				t.Errorf("%s %s: pcfd %s %v, pcfplan %s %v, eval %s %v", src.name, name,
+					pub.Scheme, pub.Value, planned.Scheme, planned.Value, res.Plan.Scheme, res.Value)
+			}
+			values[name] = pub.Value
+			switch name {
+			case core.SchemeFFC:
+				paper := &core.Instance{
+					Graph: evalSetup.Graph, TM: evalSetup.TM, Failures: evalSetup.Failures,
+					Tunnels:   evalSetup.Tunnels.Restrict(evalSetup.Opts.FFCTunnels),
+					Objective: evalSetup.Opts.Objective,
+				}
+				want, err := core.SolveFFC(paper, core.SolveOptions{})
+				if err != nil {
+					t.Fatalf("%s: FFC on %d tunnels: %v", src.name, evalSetup.Opts.FFCTunnels, err)
+				}
+				if math.Float64bits(pub.Value) != math.Float64bits(want.Value) {
+					t.Errorf("%s: FFC %v, want %v on %d tunnels per pair", src.name, pub.Value, want.Value, evalSetup.Opts.FFCTunnels)
+				}
+			case core.SchemeBest:
+				if pub.Scheme != core.SchemePCFCLS || math.Float64bits(pub.Value) != math.Float64bits(values[core.SchemePCFCLS]) {
+					t.Errorf("%s: best answered %s %v, PCF-CLS %v", src.name, pub.Scheme, pub.Value, values[core.SchemePCFCLS])
+				}
+			}
+		}
+		srv.Close()
 	}
 }
 

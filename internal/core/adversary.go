@@ -136,10 +136,14 @@ func (spec *advSpec) seedScenarios() []failures.Scenario {
 }
 
 // masterVars holds what every pair's adversary is built against: the
-// first-stage variable handles of the master LP, the solve's per-link
-// death-unit index (deathUnitsOf), its pair → LSs index (lsIndex) and
-// the workspace the pairs' polytopes share, minimized one at a time.
+// pairs whose tunnels enter the master and each pair's tunnel cap
+// (tunnelsOf), the first-stage variable handles of the master LP, the
+// solve's per-link death-unit index (deathUnitsOf), its pair → LSs
+// index (lsIndex) and the workspace the pairs' polytopes share,
+// minimized one at a time.
 type masterVars struct {
+	pairs   []topology.Pair
+	perPair int
 	unitsOf [][]int
 	lss     map[topology.Pair]pairLSs
 	ws      *lp.Workspace
@@ -148,6 +152,16 @@ type masterVars struct {
 	// zExpr returns the z_p·d_p expression for a pair (zero expression
 	// for pairs with no demand).
 	zExpr func(p topology.Pair) *lp.Expr
+}
+
+// tunnelsOf returns the tunnels of pair p that enter the master: its
+// first perPair tunnels when perPair > 0, else all of them.
+func (mv *masterVars) tunnelsOf(in *Instance, p topology.Pair) []tunnels.ID {
+	tun := in.Tunnels.ForPair(p)
+	if mv.perPair > 0 && len(tun) > mv.perPair {
+		return tun[:mv.perPair]
+	}
+	return tun
 }
 
 // addCost accumulates a master-variable expression as the inner
@@ -187,7 +201,7 @@ func buildFFCAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
 		unitVars:  map[int]lp.AdvVar{},
 		conds:     map[lp.AdvVar]*Condition{},
 	}
-	tun := in.Tunnels.ForPair(p)
+	tun := mv.tunnelsOf(in, p)
 	budget := make([]lp.AdvTerm, 0, len(tun))
 	for _, tid := range tun {
 		y := spec.poly.AddVar()
@@ -410,7 +424,7 @@ func buildPCFAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
 			}
 		}
 	}
-	spec := baseLinkAdversary(in, mv, p, in.Tunnels.ForPair(p), extra)
+	spec := baseLinkAdversary(in, mv, p, mv.tunnelsOf(in, p), extra)
 
 	condVar := func(qid LSID) lp.AdvVar {
 		if h, ok := spec.hIdx[qid]; ok {

@@ -145,29 +145,6 @@ func DecomposeFlowPlan(fp *FlowPlan) []LogicalSequence {
 	return out
 }
 
-// ShortestPathLSs builds the PCF-LS evaluation configuration (§5): for
-// each demand pair, one unconditional LS through the nodes of the
-// shortest path. Pairs whose shortest path is a single link get no LS.
-func ShortestPathLSs(g *topology.Graph, pairs []topology.Pair) []LogicalSequence {
-	var out []LogicalSequence
-	for _, p := range pairs {
-		path, ok := g.ShortestPath(p.Src, p.Dst, nil, nil)
-		if !ok {
-			continue
-		}
-		nodes := path.Nodes(g)
-		if len(nodes) <= 2 {
-			continue
-		}
-		out = append(out, LogicalSequence{
-			ID:   LSID(len(out)),
-			Pair: p,
-			Hops: append([]topology.NodeID(nil), nodes[1:len(nodes)-1]...),
-		})
-	}
-	return out
-}
-
 // EnsureSegmentTunnels returns a tunnel set extended with a direct
 // single-link tunnel for every adjacent LS segment pair that has no
 // tunnels yet, and verifies non-adjacent segments are covered. Parallel

@@ -1,0 +1,155 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+
+	"pcf/internal/lp"
+)
+
+// Degradable reports whether a rung failure should drop to the next
+// rung, and whether a solve failure counts toward tripping pcfd's
+// circuit breaker: numerical breakdown or an exhausted iteration or
+// cut budget, failure modes where retrying the same rung keeps burning
+// the budget of every request. Infeasibility does not qualify — CLS is
+// the most expressive scheme, so if it is infeasible every lower rung
+// is too — and neither does a deadline, which only the overall Context
+// sets and which indicts the request's budget, not the rung.
+func Degradable(err error) bool {
+	return errors.Is(err, lp.ErrNumerical) ||
+		errors.Is(err, lp.ErrIterLimit) ||
+		errors.Is(err, ErrCutLimit)
+}
+
+// stripConditional returns a copy of in with only the unconditional
+// logical sequences, renumbered densely so Instance.Validate accepts
+// the copy.
+func stripConditional(in *Instance) *Instance {
+	out := *in
+	out.LSs = nil
+	for _, q := range in.LSs {
+		if q.Cond == nil {
+			q.ID = LSID(len(out.LSs))
+			out.LSs = append(out.LSs, q)
+		}
+	}
+	return &out
+}
+
+// The names of the scheme table's rows. A name means one solver on one
+// view of the prepared PCF-CLS instance at every entry point: pcfd's
+// POST /v1/solve?scheme=, pcfplan -scheme and eval.Setup.Run.
+const (
+	SchemeFFC    = "FFC"
+	SchemePCFTF  = "PCF-TF"
+	SchemePCFLS  = "PCF-LS"
+	SchemePCFCLS = "PCF-CLS"
+	SchemeBest   = "best"
+)
+
+// rung is one solver on its view of the prepared instance. CLS solves
+// the instance as it is; LS drops the conditional sequences; TF and
+// FFC drop every sequence (their solvers do), and FFC reserves on only
+// the first Instance.FFCTunnels tunnels of each pair. Every master
+// enters only the tunnels of its constraint pairs (solveScheme).
+type rung struct {
+	name  string
+	solve func(*Instance, SolveOptions) (*Plan, error)
+}
+
+var (
+	rungCLS = rung{SchemePCFCLS, SolvePCFCLS}
+	rungLS  = rung{SchemePCFLS, func(in *Instance, opts SolveOptions) (*Plan, error) {
+		return SolvePCFLS(stripConditional(in), opts)
+	}}
+	rungTF  = rung{SchemePCFTF, SolvePCFTF}
+	rungFFC = rung{SchemeFFC, SolveFFC}
+)
+
+// Scheme is one row of the scheme table: a name and its ladder of
+// rungs, most expressive first. Only best has more than one rung.
+type Scheme struct {
+	Name  string
+	rungs []rung
+}
+
+// schemes is the scheme table, the one place a scheme name is given a
+// solver and an instance view.
+var schemes = []*Scheme{
+	{SchemeFFC, []rung{rungFFC}},
+	{SchemePCFTF, []rung{rungTF}},
+	{SchemePCFLS, []rung{rungLS}},
+	{SchemePCFCLS, []rung{rungCLS}},
+	{SchemeBest, []rung{rungCLS, rungLS, rungFFC}},
+}
+
+// LookupScheme returns the table row named name, ignoring case.
+func LookupScheme(name string) (*Scheme, bool) {
+	for _, s := range schemes {
+		if strings.EqualFold(s.Name, name) {
+			return s, true
+		}
+	}
+	return nil, false
+}
+
+// SchemeNames lists the table's names in table order.
+func SchemeNames() []string {
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.Name
+	}
+	return names
+}
+
+// Rungs is the length of the row's ladder: Solve(in, opts, i) starts
+// at rung i, i < Rungs().
+func (s *Scheme) Rungs() int { return len(s.rungs) }
+
+// Solve runs the row's ladder on the prepared instance in, entered at
+// rung skip: the first skip rungs are not attempted at all (pcfd's
+// circuit breaker steps skip up after repeated numerical or cut-budget
+// failures and anneals it back, so a rung that keeps breaking stops
+// burning the solve budget of every request). Skipped rungs are not
+// recorded in Plan.Degraded (they were never tried); skip is clamped
+// to keep at least the last rung.
+//
+// A rung is abandoned — and recorded in Plan.Degraded — when it breaks
+// down numerically or exhausts an iteration or cut budget; any other
+// failure, and cancellation of the overall Context, aborts the ladder
+// immediately. Every rung optimizes the same congestion-free model
+// family, so a downgrade weakens optimality, never the proved
+// guarantee of the plan that is returned.
+func (s *Scheme) Solve(in *Instance, opts SolveOptions, skip int) (*Plan, error) {
+	rungs := s.rungs[min(max(skip, 0), len(s.rungs)-1):]
+	var degraded []string
+	var firstErr error
+	for _, r := range rungs {
+		if err := opts.ctxErr(); err != nil {
+			return nil, fmt.Errorf("core: %s canceled before %s: %w", s.Name, r.name, err)
+		}
+		plan, err := r.solve(in, opts)
+		if err == nil {
+			plan.Degraded = degraded
+			return plan, nil
+		}
+		// A degradable failure under a context that has since expired
+		// still aborts: retrying lower rungs would just burn the caller.
+		if !Degradable(err) || opts.ctxErr() != nil {
+			return nil, fmt.Errorf("core: %s %s: %w", s.Name, r.name, err)
+		}
+		degraded = append(degraded, r.name)
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return nil, fmt.Errorf("core: %s exhausted all rungs (%v): %w", s.Name, degraded, firstErr)
+}
+
+// SolveBest runs the best row's ladder from its top: PCF-CLS, then
+// PCF-LS (conditional logical sequences stripped), then FFC.
+func SolveBest(in *Instance, opts SolveOptions) (*Plan, error) {
+	best, _ := LookupScheme(SchemeBest)
+	return best.Solve(in, opts, 0)
+}

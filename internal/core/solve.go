@@ -55,8 +55,10 @@ type advBuilder func(in *Instance, p topology.Pair, mv *masterVars) *advSpec
 // newMasterVars starts a master's variable handles, with the solve's
 // death-unit and LS indexes built once for every pair's adversary and
 // the workspace their polytopes share.
-func newMasterVars(in *Instance) *masterVars {
+func newMasterVars(in *Instance, pairs []topology.Pair, perPair int) *masterVars {
 	return &masterVars{
+		pairs:   pairs,
+		perPair: perPair,
 		unitsOf: deathUnitsOf(in.Failures, in.Graph.NumLinks()),
 		lss:     in.lsIndex(),
 		ws:      lp.NewWorkspace(),
@@ -67,13 +69,15 @@ func newMasterVars(in *Instance) *masterVars {
 
 // buildMaster creates the master model: reservation variables, the
 // admitted-fraction variables, link capacity rows (paper eq. 3) and the
-// objective Θ(z).
-func buildMaster(in *Instance, withLS bool) (*lp.Model, *masterVars) {
+// objective Θ(z). Only the tunnels of pairs enter it (ascending, as
+// Instance.ConstraintPairs and tunnels.Set.Pairs list them), and of
+// each pair only its first perPair tunnels when perPair > 0.
+func buildMaster(in *Instance, withLS bool, pairs []topology.Pair, perPair int) (*lp.Model, *masterVars) {
 	m := lp.NewModel()
-	mv := newMasterVars(in)
+	mv := newMasterVars(in, pairs, perPair)
 
-	for _, p := range in.Tunnels.Pairs() {
-		for _, tid := range in.Tunnels.ForPair(p) {
+	for _, p := range pairs {
+		for _, tid := range mv.tunnelsOf(in, p) {
 			mv.a[tid] = m.AddNonNeg()
 		}
 	}
@@ -120,8 +124,8 @@ func buildMaster(in *Instance, withLS bool) (*lp.Model, *masterVars) {
 	// compose by min, the worst scale is achieved by one unit and the
 	// per-arc bound is exact for any budget >= 1 (failures.WorstCapScale).
 	perArc := make([][]lp.Var, in.Graph.NumArcs())
-	for _, p := range in.Tunnels.Pairs() {
-		for _, tid := range in.Tunnels.ForPair(p) {
+	for _, p := range pairs {
+		for _, tid := range mv.tunnelsOf(in, p) {
 			for _, arc := range in.Tunnels.Tunnel(tid).Path.Arcs {
 				perArc[arc] = append(perArc[arc], mv.a[tid])
 			}
@@ -143,14 +147,17 @@ func buildMaster(in *Instance, withLS bool) (*lp.Model, *masterVars) {
 }
 
 // solveScheme solves the scheme described by its adversary builder.
-func solveScheme(in *Instance, scheme string, withLS bool, build advBuilder, opts SolveOptions) (*Plan, error) {
+// Its master enters only the tunnels of the constraint pairs — another
+// pair's tunnel would be a column no constraint rewards — and of each
+// pair only its first perPair tunnels when perPair > 0.
+func solveScheme(in *Instance, scheme string, withLS bool, build advBuilder, perPair int, opts SolveOptions) (*Plan, error) {
 	opts = opts.withDefaults()
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", scheme, err)
 	}
 	start := time.Now()
 
-	m, mv := buildMaster(in, withLS)
+	m, mv := buildMaster(in, withLS, in.ConstraintPairs(), perPair)
 	sol, stats, err := solveRobust(m, buildSpecs(in, mv, build), opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", scheme, err)
@@ -160,11 +167,10 @@ func solveScheme(in *Instance, scheme string, withLS bool, build advBuilder, opt
 	return plan, nil
 }
 
-// buildSpecs builds one adversary spec per constraint pair.
+// buildSpecs builds one adversary spec per pair of the master.
 func buildSpecs(in *Instance, mv *masterVars, build advBuilder) []*advSpec {
-	pairs := in.ConstraintPairs()
-	specs := make([]*advSpec, len(pairs))
-	for i, p := range pairs {
+	specs := make([]*advSpec, len(mv.pairs))
+	for i, p := range mv.pairs {
 		specs[i] = build(in, p, mv)
 	}
 	return specs
@@ -344,12 +350,13 @@ func clampTiny(v float64) float64 {
 }
 
 // SolveFFC computes FFC's bandwidth allocation (paper §2/§3.2, model
-// (P1) with failure set (5)). Logical sequences are ignored: FFC is a
-// pure tunnel scheme.
+// (P1) with failure set (5)) on the first in.FFCTunnels tunnels of each
+// demand pair. Logical sequences are ignored: FFC is a pure tunnel
+// scheme.
 func SolveFFC(in *Instance, opts SolveOptions) (*Plan, error) {
 	stripped := *in
 	stripped.LSs = nil
-	return solveScheme(&stripped, "FFC", false, buildFFCAdversary, opts)
+	return solveScheme(&stripped, SchemeFFC, false, buildFFCAdversary, in.FFCTunnels, opts)
 }
 
 // SolvePCFTF computes the PCF-TF allocation (paper §3.2): FFC's
@@ -357,7 +364,7 @@ func SolveFFC(in *Instance, opts SolveOptions) (*Plan, error) {
 func SolvePCFTF(in *Instance, opts SolveOptions) (*Plan, error) {
 	stripped := *in
 	stripped.LSs = nil
-	return solveScheme(&stripped, "PCF-TF", false, buildPCFAdversary, opts)
+	return solveScheme(&stripped, SchemePCFTF, false, buildPCFAdversary, 0, opts)
 }
 
 // SolvePCFLS computes the PCF-LS allocation (paper §3.3, model (P2)).
@@ -368,11 +375,11 @@ func SolvePCFLS(in *Instance, opts SolveOptions) (*Plan, error) {
 			return nil, fmt.Errorf("PCF-LS: LS %d has a condition; use SolvePCFCLS", q.ID)
 		}
 	}
-	return solveScheme(in, "PCF-LS", true, buildPCFAdversary, opts)
+	return solveScheme(in, SchemePCFLS, true, buildPCFAdversary, 0, opts)
 }
 
 // SolvePCFCLS computes the PCF-CLS allocation (paper §3.4): logical
 // sequences may carry activation conditions.
 func SolvePCFCLS(in *Instance, opts SolveOptions) (*Plan, error) {
-	return solveScheme(in, "PCF-CLS", true, buildPCFAdversary, opts)
+	return solveScheme(in, SchemePCFCLS, true, buildPCFAdversary, 0, opts)
 }

@@ -144,6 +144,10 @@ type Instance struct {
 	LSs       []LogicalSequence
 	Failures  *failures.Set
 	Objective Objective
+	// FFCTunnels is FFC's tunnel budget: SolveFFC reserves on only the
+	// first FFCTunnels tunnels of each pair (0 = every tunnel). The
+	// other schemes use every tunnel.
+	FFCTunnels int
 }
 
 // DemandPairs returns the pairs with positive demand.
@@ -270,7 +274,7 @@ type Plan struct {
 	SolveTime time.Duration
 	// Instance the plan was computed for.
 	Instance *Instance
-	// Degraded lists the scheme rungs SolveBest tried and abandoned
+	// Degraded lists the ladder rungs Scheme.Solve tried and abandoned
 	// before this plan was produced (empty for a direct solve).
 	Degraded []string
 	// Stats summarizes the LP work behind the plan.

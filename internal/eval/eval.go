@@ -280,16 +280,16 @@ func SweepStatsLine(st *mcf.SweepStats) string {
 		st.WarmHits, 100*st.WarmHitRate(), st.Workers)
 }
 
-// Scheme names understood by Run. SchemeBest is core.SolveBest's
-// degradation ladder (PCF-CLS, then PCF-LS, then FFC) on the PCF-CLS
-// instance, under the name pcfd serves it by.
+// Scheme names understood by Run. The first five are the rows of
+// core's scheme table, which Run solves on CLSInstance as pcfd and
+// pcfplan do; the rest are exhibits no daemon serves.
 const (
-	SchemeFFC           = "FFC"
-	SchemePCFTF         = "PCF-TF"
-	SchemePCFLS         = "PCF-LS"
-	SchemePCFCLS        = "PCF-CLS"
+	SchemeFFC           = core.SchemeFFC
+	SchemePCFTF         = core.SchemePCFTF
+	SchemePCFLS         = core.SchemePCFLS
+	SchemePCFCLS        = core.SchemePCFCLS
+	SchemeBest          = core.SchemeBest
 	SchemePCFCLSTopSort = "PCF-CLS-TopSort"
-	SchemeBest          = "best"
 	SchemeR3            = "R3"
 	SchemeOptimal       = "Optimal"
 )
@@ -300,6 +300,9 @@ const (
 // telemetry record behind when the setup has a sink: solve records for
 // the plan schemes, an mcf record for the optimal sweep.
 func (s *Setup) Run(ctx context.Context, scheme string) (Result, error) {
+	if row, ok := core.LookupScheme(scheme); ok {
+		scheme = row.Name // a table row is recorded by its own name, whatever the case asked
+	}
 	start := time.Now()
 	res, err := s.runScheme(ctx, scheme)
 	kind := telemetry.KindSolve
@@ -327,31 +330,20 @@ func (s *Setup) runScheme(ctx context.Context, scheme string) (Result, error) {
 	var in *core.Instance
 	var err error
 	extra := ""
-	switch scheme {
-	case SchemeFFC:
-		plan, err = core.SolveFFC(s.instance(s.Opts.FFCTunnels), solveOpts)
-	case SchemePCFTF:
-		plan, err = core.SolvePCFTF(s.instance(0), solveOpts)
-	case SchemePCFLS:
-		if in, err = s.lsInstance(); err == nil {
-			plan, err = core.SolvePCFLS(in, solveOpts)
-		}
-	case SchemePCFCLS:
+	row, served := core.LookupScheme(scheme)
+	switch {
+	case served:
 		if in, err = s.CLSInstance(); err == nil {
-			plan, err = core.SolvePCFCLS(in, solveOpts)
+			plan, err = row.Solve(in, solveOpts, 0)
 		}
-	case SchemePCFCLSTopSort:
+	case scheme == SchemePCFCLSTopSort:
 		if in, err = s.CLSInstance(); err == nil {
 			extra = s.topSort(in)
 			plan, err = core.SolvePCFCLS(in, solveOpts)
 		}
-	case SchemeBest:
-		if in, err = s.CLSInstance(); err == nil {
-			plan, err = core.SolveBest(in, solveOpts)
-		}
-	case SchemeR3:
+	case scheme == SchemeR3:
 		plan, err = core.SolveR3(s.instance(0), solveOpts)
-	case SchemeOptimal:
+	case scheme == SchemeOptimal:
 		if s.Opts.Objective == core.Throughput {
 			return Result{}, fmt.Errorf("eval: the paper does not compute the optimal for the throughput metric (combinatorial blow-up)")
 		}
@@ -376,9 +368,10 @@ func (s *Setup) runScheme(ctx context.Context, scheme string) (Result, error) {
 
 // CLSInstance is the PCF-CLS instance: core.BuildCLSQuick's
 // shortest-path and bypass logical sequences, with every segment of an
-// unconditional sequence given TunnelsPerPair tunnels. It is what every
-// entry point that solves PCF-CLS solves — the PCF-CLS schemes here,
-// SchemeBest, and pcfd's ladder.
+// unconditional sequence given TunnelsPerPair tunnels, and FFC's
+// budget of FFCTunnels tunnels per pair. It is the one instance every
+// row of core's scheme table is solved on, here, in pcfplan and in
+// pcfd; each row derives its view of it.
 func (s *Setup) CLSInstance() (*core.Instance, error) {
 	in, _, err := core.BuildCLSQuick(s.instance(0))
 	if err != nil {
@@ -387,6 +380,7 @@ func (s *Setup) CLSInstance() (*core.Instance, error) {
 	if in.Tunnels, err = s.segmentTunnels(in.Tunnels, in.LSs); err != nil {
 		return nil, err
 	}
+	in.FFCTunnels = s.Opts.FFCTunnels
 	return in, nil
 }
 
@@ -452,19 +446,6 @@ func (s *Setup) segmentTunnels(ts *tunnels.Set, lss []core.LogicalSequence) (*tu
 		}
 	}
 	return merged, nil
-}
-
-// lsInstance builds the PCF-LS configuration of §5: one unconditional
-// shortest-path LS per demand pair, its segments given tunnels of
-// their own.
-func (s *Setup) lsInstance() (*core.Instance, error) {
-	in := s.instance(0)
-	in.LSs = core.ShortestPathLSs(s.Graph, s.Pairs)
-	var err error
-	if in.Tunnels, err = s.segmentTunnels(in.Tunnels, in.LSs); err != nil {
-		return nil, err
-	}
-	return in, nil
 }
 
 // Ratio returns a/b guarding against tiny denominators.

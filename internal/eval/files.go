@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 
+	"pcf/internal/core"
 	"pcf/internal/failures"
 	"pcf/internal/mcf"
 	"pcf/internal/topology"
@@ -82,4 +83,18 @@ func PrepareFlags(linksPath, tmPath string, o Options) (*Setup, error) {
 		return PrepareFiles(linksPath, tmPath, o)
 	}
 	return Prepare(o)
+}
+
+// PrepareServed prepares what pcfd serves in every role: the Setup its
+// flags name (PrepareFlags) and that setup's CLSInstance, the one
+// instance every row of core's scheme table is solved on. pcfplan and
+// Run solve the same rows on the same instance, so the three report
+// the same value for every scheme name.
+func PrepareServed(linksPath, tmPath string, o Options) (*Setup, *core.Instance, error) {
+	setup, err := PrepareFlags(linksPath, tmPath, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	in, err := setup.CLSInstance()
+	return setup, in, err
 }

@@ -101,11 +101,15 @@ func TestSolveLadderRungs(t *testing.T) {
 	}
 }
 
-// TestSolveBestFrom: entering the ladder partway down (the circuit
-// breaker's lever in pcfd) skips the leading rungs entirely — they are
-// neither solved nor recorded as degraded — and out-of-range skips
-// clamp instead of failing.
+// TestSolveBestFrom: entering the best row's ladder partway down (the
+// circuit breaker's lever in pcfd) skips the leading rungs entirely —
+// they are neither solved nor recorded as degraded — and out-of-range
+// skips clamp instead of failing.
 func TestSolveBestFrom(t *testing.T) {
+	best, ok := core.LookupScheme(core.SchemeBest)
+	if !ok {
+		t.Fatal("the scheme table has no best row")
+	}
 	cases := []struct {
 		skip int
 		want string
@@ -113,7 +117,7 @@ func TestSolveBestFrom(t *testing.T) {
 		{0, "PCF-CLS"}, {1, "PCF-LS"}, {2, "FFC"}, {9, "FFC"}, {-1, "PCF-CLS"},
 	}
 	for _, tc := range cases {
-		plan, err := core.SolveBestFrom(ladderInstance(t), core.SolveOptions{}, tc.skip)
+		plan, err := best.Solve(ladderInstance(t), core.SolveOptions{}, tc.skip)
 		if err != nil {
 			t.Fatalf("skip %d: %v", tc.skip, err)
 		}
@@ -127,8 +131,8 @@ func TestSolveBestFrom(t *testing.T) {
 			t.Fatalf("skip %d: served plan fails validation: %v", tc.skip, err)
 		}
 	}
-	if len(core.BestRungs) != 3 || core.BestRungs[0] != "PCF-CLS" || core.BestRungs[2] != "FFC" {
-		t.Fatalf("BestRungs = %v, want the CLS→LS→FFC ladder", core.BestRungs)
+	if n := best.Rungs(); n != 3 {
+		t.Fatalf("best has %d rungs, want the CLS→LS→FFC ladder", n)
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 
 // Breaker is a leveled circuit breaker: BreakerThreshold consecutive
 // degradable failures (core.Degradable) raise the level by one (up to maxLevel), and each
-// cooldown period with no further trip anneals one level back. For the
-// "best" scheme the level is the number of SolveBest rungs to skip
-// (core.SolveBestFrom), so a CLS formulation that keeps breaking
-// numerically stops being attempted until the breaker anneals; for
-// fixed schemes any positive level means "open" and the request is
-// rejected fast with ErrBreakerOpen.
+// cooldown period with no further trip anneals one level back. The
+// level is the number of the scheme row's rungs to skip
+// (core.Scheme.Solve), so on best a CLS formulation that keeps breaking
+// numerically stops being attempted until the breaker anneals; at the
+// row's rung count the breaker is open and requests are rejected fast
+// with ErrBreakerOpen.
 type Breaker struct {
 	mu          sync.Mutex
 	threshold   int

@@ -28,8 +28,8 @@ type Published struct {
 	Sweep  *routing.Sweep
 	Scheme string
 	Value  float64
-	// Degraded lists the SolveBest rungs abandoned on the way to this
-	// plan (empty for fixed schemes and clean best solves).
+	// Degraded lists the ladder rungs abandoned on the way to this plan
+	// (empty for one-rung schemes and clean best solves).
 	Degraded []string
 	// Validated records the sweep statistics of the publication-time
 	// validation pass: every protected scenario was realized and

@@ -16,8 +16,8 @@
 //     good epoch without re-solving; corrupt snapshots are
 //     quarantined, never crash-looped on;
 //   - repeated numerical or cut-budget solve failures trip a
-//     per-scheme circuit breaker that steps the SolveBest ladder down
-//     (CLS→LS→FFC) and anneals back.
+//     per-scheme circuit breaker that steps the scheme's ladder down
+//     (core's scheme table; best is CLS→LS→FFC) and anneals back.
 //
 // See DESIGN.md §13 for the architecture.
 package serve
@@ -48,8 +48,8 @@ var (
 	// congestion-free validation sweep and was rolled back, never
 	// published.
 	ErrValidation = errors.New("serve: plan failed validation, rolled back")
-	// ErrBreakerOpen reports that a fixed scheme's circuit breaker is
-	// open after repeated solver breakdowns.
+	// ErrBreakerOpen reports that a scheme's circuit breaker is open:
+	// repeated solver breakdowns have skipped every rung of its row.
 	ErrBreakerOpen = errors.New("serve: circuit breaker open for scheme")
 	// ErrEpochRegression reports that an externally stamped epoch
 	// (fleet plan distribution) does not advance the registry's: served
@@ -62,8 +62,9 @@ var (
 // serviceable default (see withDefaults); Instance is mandatory.
 type Config struct {
 	// Instance is the prepared problem: topology, demand, tunnels,
-	// failure set, and (for the LS/CLS/best schemes) logical
-	// sequences.
+	// failure set, FFC's tunnel budget and (for the LS/CLS/best
+	// schemes) logical sequences. Every row of core's scheme table
+	// solves its own view of it (cmd/pcfd serves eval.PrepareServed's).
 	Instance *core.Instance
 	// StateDir is the checkpoint directory. Empty disables
 	// persistence: the daemon still serves, but restarts re-solve.

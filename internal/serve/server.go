@@ -25,20 +25,9 @@ import (
 	"pcf/internal/topology"
 )
 
-// SchemeBest names the SolveBest degradation ladder (run under the
-// breaker's current skip level) among the schemes the daemon solves on
-// demand; the fixed schemes solve exactly one formulation and fail
-// rather than degrade.
-const SchemeBest = "best"
-
-// fixedSchemes maps a request's scheme name to its solver. PCF-LS is
-// deliberately absent: it requires a conditional-free instance, which
-// the ladder derives internally (core.SolveBestFrom rung 1 covers it).
-var fixedSchemes = map[string]func(*core.Instance, core.SolveOptions) (*core.Plan, error){
-	"PCF-CLS": core.SolvePCFCLS,
-	"PCF-TF":  core.SolvePCFTF,
-	"FFC":     core.SolveFFC,
-}
+// SchemeBest names the degradation ladder, the default of POST
+// /v1/solve. Every row of core's scheme table is served by its name.
+const SchemeBest = core.SchemeBest
 
 // Server is the pcfd serving core: admission gate, breaker bank, plan
 // registry, and HTTP surface. It implements http.Handler; cmd/pcfd
@@ -74,8 +63,8 @@ type Server struct {
 }
 
 // NewServer builds a server from the config. The instance must already
-// carry whatever logical sequences the configured schemes need (cmd/
-// pcfd serves eval's PCF-CLS instance, Setup.CLSInstance).
+// carry whatever logical sequences the served schemes need (cmd/pcfd
+// serves eval's PCF-CLS instance, eval.PrepareServed).
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Instance == nil {
@@ -142,20 +131,16 @@ func (s *Server) Emitter() telemetry.Emitter {
 // telemetry records, never their responses.
 func (s *Server) Close() error { return s.tel.Close() }
 
-// breaker returns (creating on first use) the scheme's breaker. The
-// ladder scheme may skip down to the last rung; a fixed scheme is
-// either closed or open.
-func (s *Server) breaker(scheme string) *Breaker {
+// breaker returns (creating on first use) the scheme's breaker. Its
+// level is the number of the row's rungs to skip; at the row's rung
+// count the breaker is open.
+func (s *Server) breaker(scheme *core.Scheme) *Breaker {
 	s.breakerMu.Lock()
 	defer s.breakerMu.Unlock()
-	b := s.breakers[scheme]
+	b := s.breakers[scheme.Name]
 	if b == nil {
-		maxLevel := 1
-		if scheme == SchemeBest {
-			maxLevel = len(core.BestRungs) - 1
-		}
-		b = NewBreaker(s.cfg.BreakerThreshold, maxLevel, s.cfg.BreakerCooldown)
-		s.breakers[scheme] = b
+		b = NewBreaker(s.cfg.BreakerThreshold, scheme.Rungs(), s.cfg.BreakerCooldown)
+		s.breakers[scheme.Name] = b
 	}
 	return b
 }
@@ -307,7 +292,7 @@ type call struct {
 
 	// What the parse steps read: solve's scheme, realize's scenario,
 	// validate's model and sampling knobs.
-	scheme string
+	scheme *core.Scheme
 	sc     failures.Scenario
 	sample *routing.SampleOptions
 
@@ -766,65 +751,22 @@ func (s *Server) handlePlan(c *call) (any, error) {
 }
 
 func (s *Server) parseSolve(c *call) error {
-	c.scheme = c.query("scheme")
-	if c.scheme == "" {
-		c.scheme = SchemeBest
+	name := c.query("scheme")
+	if name == "" {
+		name = SchemeBest
 	}
-	c.rec.Scheme = c.scheme
-	if _, fixed := fixedSchemes[c.scheme]; !fixed && c.scheme != SchemeBest {
-		return fmt.Errorf("serve: unknown scheme %q", c.scheme)
+	scheme, ok := core.LookupScheme(name)
+	if !ok {
+		return fmt.Errorf("serve: unknown scheme %q (want one of %s)", name, strings.Join(core.SchemeNames(), ", "))
 	}
+	c.scheme = scheme
+	c.rec.Scheme = scheme.Name
 	return nil
 }
 
 func (s *Server) handleSolve(c *call) (any, error) {
-	scheme := c.scheme
-	br := s.breaker(scheme)
-	level := br.Level()
+	pub, level, err := s.Solve(c.context(), c.scheme)
 	c.rec.Rung = level
-	opts := core.SolveOptions{Context: c.context()}
-	opts.LP.FaultHook = s.cfg.LPFaultHook
-
-	solveStart := time.Now()
-	var plan *core.Plan
-	var err error
-	if fixed, isFixed := fixedSchemes[scheme]; isFixed {
-		if level > 0 {
-			return nil, fmt.Errorf("%w: %s", ErrBreakerOpen, scheme)
-		}
-		plan, err = fixed(s.inst, opts)
-	} else {
-		plan, err = core.SolveBestFrom(s.inst, opts, level)
-	}
-	br.Record(err)
-	if after := br.Level(); after != level {
-		s.emit.Emit(telemetry.Record{
-			Kind:   telemetry.KindBreaker,
-			Source: s.cfg.Source,
-			Scheme: scheme,
-			Rung:   after,
-			Fields: map[string]float64{"level": float64(after), "trips": float64(br.Trips())},
-		})
-	}
-	solveRec := telemetry.Record{
-		Kind:   telemetry.KindSolve,
-		Source: s.cfg.Source,
-		Scheme: scheme,
-		Rung:   level,
-		Dur:    time.Since(solveStart),
-	}
-	if err != nil {
-		solveRec.Outcome = outcomeOf(err)
-		s.emit.Emit(solveRec)
-		return nil, err
-	}
-	solveRec.Fields = plan.Stats.Metrics()
-	s.emit.Emit(solveRec)
-	if s.cfg.MutatePlan != nil {
-		s.cfg.MutatePlan(plan)
-	}
-
-	pub, err := s.reg.Publish(c.context(), plan)
 	if err != nil {
 		return nil, err
 	}
@@ -833,6 +775,55 @@ func (s *Server) handleSolve(c *call) (any, error) {
 		planInfo
 		BreakerLevel int `json:"breaker_level"`
 	}{infoOf(pub), level}, nil
+}
+
+// Solve solves a row of core's scheme table on the served instance
+// and publishes the plan: POST /v1/solve and pcfd's boot solve both
+// come here. The row's breaker says how many rungs to skip, the level
+// Solve returns; at the row's rung count it is open and Solve fails
+// with ErrBreakerOpen. Every solve leaves a solve record (and a
+// breaker record when it moved the level), and the plan passes
+// Config.MutatePlan and the registry's validating publish.
+func (s *Server) Solve(ctx context.Context, scheme *core.Scheme) (*Published, int, error) {
+	br := s.breaker(scheme)
+	level := br.Level()
+	if level >= scheme.Rungs() {
+		return nil, level, fmt.Errorf("%w: %s", ErrBreakerOpen, scheme.Name)
+	}
+	opts := core.SolveOptions{Context: ctx}
+	opts.LP.FaultHook = s.cfg.LPFaultHook
+
+	solveStart := time.Now()
+	plan, err := scheme.Solve(s.inst, opts, level)
+	br.Record(err)
+	if after := br.Level(); after != level {
+		s.emit.Emit(telemetry.Record{
+			Kind:   telemetry.KindBreaker,
+			Source: s.cfg.Source,
+			Scheme: scheme.Name,
+			Rung:   after,
+			Fields: map[string]float64{"level": float64(after), "trips": float64(br.Trips())},
+		})
+	}
+	solveRec := telemetry.Record{
+		Kind:   telemetry.KindSolve,
+		Source: s.cfg.Source,
+		Scheme: scheme.Name,
+		Rung:   level,
+		Dur:    time.Since(solveStart),
+	}
+	if err != nil {
+		solveRec.Outcome = outcomeOf(err)
+		s.emit.Emit(solveRec)
+		return nil, level, err
+	}
+	solveRec.Fields = plan.Stats.Metrics()
+	s.emit.Emit(solveRec)
+	if s.cfg.MutatePlan != nil {
+		s.cfg.MutatePlan(plan)
+	}
+	pub, err := s.reg.Publish(ctx, plan)
+	return pub, level, err
 }
 
 // parseScenario reads ?links=3,7,12 (dead links) and

@@ -210,13 +210,31 @@ func TestServerSolvePlanRealizeValidate(t *testing.T) {
 	}
 }
 
-// TestServerUnknownScheme is a client error, not a server failure.
+// TestServerUnknownScheme: an unknown scheme is a client error, not a
+// server failure: a 400 that lists the scheme table's names.
 func TestServerUnknownScheme(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp := mustPost(t, ts.URL+"/v1/solve?scheme=nonsense")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	s, _ := newTestServer(t, Config{})
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve?scheme=nonsense", nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", rec.Code)
+	}
+	for _, name := range core.SchemeNames() {
+		if !strings.Contains(rec.Body.String(), name) {
+			t.Errorf("400 body %s does not list the scheme %s", rec.Body, name)
+		}
+	}
+	// The refused name stays out of the record's scheme dimension, so
+	// no client can mint values that group_by=scheme would bucket.
+	recs, _, err := s.Telemetry().ReadSince(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Kind != telemetry.KindRequest || recs[0].Name != "solve" {
+		t.Fatalf("records = %+v, want the one solve request record", recs)
+	}
+	if recs[0].Scheme != "" {
+		t.Fatalf("refused scheme recorded as %q", recs[0].Scheme)
 	}
 }
 
@@ -332,7 +350,8 @@ func TestServerBreakerStepsLadder(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if lvl := s.breaker("PCF-CLS").Level(); lvl != 1 {
+	cls, _ := core.LookupScheme(core.SchemePCFCLS)
+	if lvl := s.breaker(cls).Level(); lvl != 1 {
 		t.Fatalf("fixed-scheme breaker level = %d, want 1 (open)", lvl)
 	}
 	resp = mustPost(t, ts.URL+"/v1/solve?scheme=PCF-CLS")

@@ -147,14 +147,14 @@ echo "== tunnel search ≡ full pass, prepare fingerprints, warm confirmation (-
 # -race; -count=2 keeps Go's test cache from answering.
 go test -count=2 -run 'TestSearchMatchesFullPass|TestSelectMatchesFullPass|TestPrepareFingerprints|TestScaleConfirmationWarm' ./internal/tunnels/ ./internal/eval/ ./internal/mcf/
 
-echo "== one PCF-CLS instance (-count=2)"
-# eval.Setup.CLSInstance is the one PCF-CLS instance: eval's SchemeBest
-# must answer on the PCF-CLS rung at SchemePCFCLS's value, bit for bit,
-# pcfplan -scheme best must print -scheme pcf-cls's value, and SolveBest
-# on the instance pcfd prepares (from -topology and from -links) must
-# give eval's PCF-CLS value. -count=2 keeps Go's test cache from
-# answering.
-go test -count=2 -run 'TestBestAnswersOnCLSRung|TestSolveReturnsReportedPlan|TestPrepareServesEvalCLS' ./internal/eval/ ./cmd/pcfplan/ ./cmd/pcfd/
+echo "== one scheme table, one PCF-CLS instance (-count=2)"
+# Every row of core's scheme table must report one value, bit for bit,
+# through pcfd's solve path on the instance it prepares, pcfplan's solve
+# and eval.Setup.Run on all 21 topologies (FFC the paper's, best on its
+# PCF-CLS rung); pcfplan -scheme best must print -scheme pcf-cls's
+# value; pcfd's boot solve must leave a solve record. -count=2 keeps
+# Go's test cache from answering.
+go test -count=2 -run 'TestEntryPointsAgree|TestSolveReturnsReportedPlan|TestBootSolveLeavesSolveRecord|TestPrepareServesEvalCLS|TestBestAnswersOnCLSRung' ./cmd/pcfplan/ ./cmd/pcfd/ ./internal/eval/
 
 echo "== bench smoke (-benchtime 1x)"
 # Every Go benchmark once, for its tripwires: BenchmarkSolveSynth1k
