@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -53,13 +54,14 @@ func main() {
 		fmt.Printf("synthetic kinds (-synth): %v\n", topozoo.SynthKinds)
 		return
 	}
-	if err := run(c); err != nil {
+	if err := run(c, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// run prepares the instance and writes prefix.links and prefix.tm.
-func run(c config) error {
+// run prepares the instance, writes prefix.links and prefix.tm and
+// reports them on out.
+func run(c config, out io.Writer) error {
 	setup, err := eval.Prepare(eval.Options{
 		Topology: c.topology, Synth: c.synth, SynthNodes: c.nodes,
 		Seed: c.seed, MaxPairs: c.pairs,
@@ -81,15 +83,26 @@ func run(c config) error {
 		return err
 	}
 	if err := writeFile(prefix+".tm", func(w *bufio.Writer) {
-		fmt.Fprintf(w, "# gravity TM seed %d, optimal no-failure MLU %.4f\n", c.seed, setup.MLU)
+		fmt.Fprintf(w, "# gravity TM seed %d, %s %.4f\n", c.seed, mluLabel(setup), setup.MLU)
 		for _, p := range setup.Pairs {
 			fmt.Fprintf(w, "%d %d %g\n", p.Src, p.Dst, setup.TM.At(p))
 		}
 	}); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s.links and %s.tm (MLU %.4f)\n", prefix, prefix, setup.MLU)
+	fmt.Fprintf(out, "wrote %s.links and %s.tm (%s %.4f)\n", prefix, prefix, mluLabel(setup), setup.MLU)
 	return nil
+}
+
+// mluLabel names how eval.Prepare computed setup.MLU: the exact
+// multicommodity-flow optimum for a zoo topology, the target a
+// synthetic one's demand was scaled to by splitting it evenly over its
+// tunnels (the exact MCF would cost more than the instance it scales).
+func mluLabel(setup *eval.Setup) string {
+	if setup.Opts.Synth != "" {
+		return "tunnel-split MLU target"
+	}
+	return "optimal no-failure MLU (exact MCF)"
 }
 
 func writeFile(path string, fill func(*bufio.Writer)) error {

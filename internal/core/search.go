@@ -98,7 +98,8 @@ func planValues(plan *Plan, mv *masterVars) map[lp.Var]float64 {
 // minimizing vertices into candidate unit combinations.
 func lpCandidates(plan *Plan, budget int) [][]int {
 	in := plan.Instance
-	_, mv := buildMaster(in, true, in.ConstraintPairs(), 0)
+	demand := in.DemandPairs()
+	_, mv := buildMaster(in, true, demand, in.constraintPairs(demand), 0)
 	val := planValues(plan, mv)
 	var combos [][]int
 	for _, spec := range buildSpecs(in, mv, buildPCFAdversary) {

@@ -71,8 +71,9 @@ func newMasterVars(in *Instance, pairs []topology.Pair, perPair int) *masterVars
 // admitted-fraction variables, link capacity rows (paper eq. 3) and the
 // objective Θ(z). Only the tunnels of pairs enter it (ascending, as
 // Instance.ConstraintPairs and tunnels.Set.Pairs list them), and of
-// each pair only its first perPair tunnels when perPair > 0.
-func buildMaster(in *Instance, withLS bool, pairs []topology.Pair, perPair int) (*lp.Model, *masterVars) {
+// each pair only its first perPair tunnels when perPair > 0. demand is
+// the instance's demand pairs, in Instance.DemandPairs' order.
+func buildMaster(in *Instance, withLS bool, demand, pairs []topology.Pair, perPair int) (*lp.Model, *masterVars) {
 	m := lp.NewModel()
 	mv := newMasterVars(in, pairs, perPair)
 
@@ -87,7 +88,6 @@ func buildMaster(in *Instance, withLS bool, pairs []topology.Pair, perPair int) 
 		}
 	}
 
-	demand := in.DemandPairs()
 	switch in.Objective {
 	case DemandScale:
 		z := m.AddNonNeg()
@@ -152,17 +152,18 @@ func buildMaster(in *Instance, withLS bool, pairs []topology.Pair, perPair int) 
 // pair only its first perPair tunnels when perPair > 0.
 func solveScheme(in *Instance, scheme string, withLS bool, build advBuilder, perPair int, opts SolveOptions) (*Plan, error) {
 	opts = opts.withDefaults()
-	if err := in.Validate(); err != nil {
+	demand, pairs, err := in.validated()
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", scheme, err)
 	}
 	start := time.Now()
 
-	m, mv := buildMaster(in, withLS, in.ConstraintPairs(), perPair)
+	m, mv := buildMaster(in, withLS, demand, pairs, perPair)
 	sol, stats, err := solveRobust(m, buildSpecs(in, mv, build), opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", scheme, err)
 	}
-	plan := extractPlan(in, scheme, sol, mv, time.Since(start))
+	plan := extractPlan(in, scheme, sol, mv, demand, time.Since(start))
 	plan.Stats = stats
 	return plan, nil
 }
@@ -315,7 +316,7 @@ func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 	return nil, stats, fmt.Errorf("%w (%d rounds, %d cuts live)", ErrCutLimit, maxCutRounds, numCuts)
 }
 
-func extractPlan(in *Instance, scheme string, sol *lp.Solution, mv *masterVars, dur time.Duration) *Plan {
+func extractPlan(in *Instance, scheme string, sol *lp.Solution, mv *masterVars, demand []topology.Pair, dur time.Duration) *Plan {
 	plan := &Plan{
 		Scheme:    scheme,
 		Objective: in.Objective,
@@ -332,7 +333,7 @@ func extractPlan(in *Instance, scheme string, sol *lp.Solution, mv *masterVars, 
 	for qid, v := range mv.b {
 		plan.LSRes[qid] = clampTiny(sol.Value(v))
 	}
-	for _, p := range in.DemandPairs() {
+	for _, p := range demand {
 		d := in.TM.At(p)
 		ze := mv.zExpr(p)
 		if d > 0 {

@@ -157,6 +157,12 @@ func (in *Instance) DemandPairs() []topology.Pair { return in.TM.Pairs(0) }
 // constraint: pairs with demand, pairs that are endpoints of an LS, and
 // pairs that serve as a segment of some LS.
 func (in *Instance) ConstraintPairs() []topology.Pair {
+	return in.constraintPairs(in.DemandPairs())
+}
+
+// constraintPairs is ConstraintPairs over the already listed demand
+// pairs.
+func (in *Instance) constraintPairs(demand []topology.Pair) []topology.Pair {
 	seen := make(map[topology.Pair]bool)
 	var out []topology.Pair
 	add := func(p topology.Pair) {
@@ -165,7 +171,7 @@ func (in *Instance) ConstraintPairs() []topology.Pair {
 			out = append(out, p)
 		}
 	}
-	for _, p := range in.DemandPairs() {
+	for _, p := range demand {
 		add(p)
 	}
 	for _, q := range in.LSs {
@@ -222,38 +228,47 @@ func (in *Instance) lsIndex() map[topology.Pair]pairLSs {
 
 // Validate checks cross-component consistency.
 func (in *Instance) Validate() error {
+	_, _, err := in.validated()
+	return err
+}
+
+// validated is Validate returning the demand and constraint pairs it
+// listed, so that a solve lists each once: the matrix is read in one
+// pass that both checks it and collects the demand pairs.
+func (in *Instance) validated() (demand, constraint []topology.Pair, err error) {
 	if in.Graph == nil || in.TM == nil || in.Tunnels == nil || in.Failures == nil {
-		return fmt.Errorf("core: instance missing a component")
+		return nil, nil, fmt.Errorf("core: instance missing a component")
 	}
 	if in.TM.N() != in.Graph.NumNodes() {
-		return fmt.Errorf("core: TM dimension %d != %d nodes", in.TM.N(), in.Graph.NumNodes())
+		return nil, nil, fmt.Errorf("core: TM dimension %d != %d nodes", in.TM.N(), in.Graph.NumNodes())
 	}
 	if in.Failures.Budget < 0 {
-		return fmt.Errorf("%w %d", ErrNegativeBudget, in.Failures.Budget)
+		return nil, nil, fmt.Errorf("%w %d", ErrNegativeBudget, in.Failures.Budget)
 	}
-	if err := in.TM.Validate(); err != nil {
-		return err
+	if demand, err = in.TM.ValidPairs(); err != nil {
+		return nil, nil, err
 	}
-	if len(in.DemandPairs()) == 0 {
-		return fmt.Errorf("core: instance has no demand (the objective would be unbounded)")
+	if len(demand) == 0 {
+		return nil, nil, fmt.Errorf("core: instance has no demand (the objective would be unbounded)")
 	}
 	for i, q := range in.LSs {
 		if q.ID != LSID(i) {
-			return fmt.Errorf("core: LS %d has ID %d; IDs must be dense and ordered", i, q.ID)
+			return nil, nil, fmt.Errorf("core: LS %d has ID %d; IDs must be dense and ordered", i, q.ID)
 		}
 		if err := q.Validate(); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
 	// Every constraint pair must have a tunnel or an LS: otherwise its
 	// constraint is trivially infeasible for positive demand.
 	lss := in.lsIndex()
-	for _, p := range in.ConstraintPairs() {
+	constraint = in.constraintPairs(demand)
+	for _, p := range constraint {
 		if len(in.Tunnels.ForPair(p)) == 0 && len(lss[p].local) == 0 {
-			return fmt.Errorf("core: pair %v has neither tunnels nor LSs", p)
+			return nil, nil, fmt.Errorf("core: pair %v has neither tunnels nor LSs", p)
 		}
 	}
-	return nil
+	return demand, constraint, nil
 }
 
 // Plan is the output of a scheme: reservations plus the achieved

@@ -3,8 +3,9 @@
 // §4.1): M·U = D where M is the reservation matrix, an invertible
 // M-matrix (Proposition 5), given as sparse rows. It provides a sparse
 // LU with Markowitz pivoting for exactness, and Sherman–Morrison–Woodbury
-// corrections of a factored matrix under a few changed rows (their k×k
-// capacitance factored by partial pivoting in a reused workspace, each
+// corrections of a factored matrix under a few changed rows (built
+// from nonzeros only in a reused workspace, their k×k capacitance
+// eliminated as sparse rows by the dense partial-pivot rule, each
 // corrector keeping only the nonzeros of its rows, factors and inverse
 // columns). The paper's §4.3 Jacobi iteration is not provided: it
 // converges only on matrices the LU solves (DESIGN.md §9).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"pcf/internal/tol"
 )
@@ -66,14 +67,54 @@ type Updated struct {
 	z, y []float64 // k-sized scratch, allocated on first CorrectInto
 }
 
-// UpdateFactorizer is the workspace correctors are built in: the k×k
-// capacitance is formed and factored in a buffer later builds reuse,
-// and only the nonzeros of its factors are copied out, so a caller that
-// builds many correctors (the routing sweep) allocates no k×k matrix
-// per corrector. Not safe for concurrent use. The zero value is ready.
+// SparseColumn is a length-n vector by its nonzeros: Val[t] in row
+// Row[t], rows strictly ascending. The routing sweep keeps each base
+// inverse column it has needed in this form.
+type SparseColumn struct {
+	Row []int32
+	Val []float64
+}
+
+// UpdateFactorizer is the workspace correctors are built in. A build
+// touches only nonzeros: it indexes the columns the updates read,
+// gathers the inverse columns' nonzeros in those rows, assembles the
+// k×k capacitance's rows from the products and eliminates them in
+// sparse rows, then copies out what a correction reads. Its buffers
+// grow to the largest build and are reused, so a caller that builds
+// many correctors (the routing sweep) allocates only each corrector.
+// Not safe for concurrent use. The zero value is ready.
 type UpdateFactorizer struct {
-	c    []float64 // the capacitance, row-major, factored in place
-	perm []int
+	// slot[c] is, while a build runs, 1 + the index of column c among
+	// the columns the updates read, and 0 for every other column; it
+	// is all zeros between builds. Column slot s's products are
+	// bEnt[bOff[s-1]:bOff[s]]: each inverse column j's nonzero in that
+	// row as (j, value), ascending j.
+	slot []int32
+	bOff []int32
+	bEnt []capEntry
+
+	// The capacitance by rows, each ascending column, eliminated in
+	// place: row i's first act[i] entries are its multipliers, the rest
+	// its active part. colRows[c] lists the rows with an entry in
+	// column c; at[p] is the row at position p and pos its inverse.
+	rows         [][]capEntry
+	colRows      [][]int32
+	at, pos, act []int32
+	mark         []int32    // column → 1 + its entry in the row being assembled
+	merge        []capEntry // a row's active part, re-merged
+
+	// Factor's dense columns, by their nonzeros.
+	gRow  []int32
+	gVal  []float64
+	gEnd  []int
+	gCols []SparseColumn
+}
+
+// capEntry is one capacitance entry (col, val), or one inverse-column
+// nonzero (update, val) in a product bucket.
+type capEntry struct {
+	col int32
+	val float64
 }
 
 // RankUpdate prepares an SMW corrector for A + updates, computing the
@@ -107,18 +148,59 @@ func NewUpdated(n int, ups []RowUpdate, cols [][]float64) (*Updated, error) {
 }
 
 // Factor builds the SMW corrector from update rows and their base
-// inverse columns without holding the base factorization itself: the
-// caller supplies cols[j] = A⁻¹ e_{ups[j].Row} however A is factored
-// (dense LU or SparseLU). Callers sweeping many scenarios against one
-// base factorization compute the inverse columns they need once and
-// pass views here. The updates and the columns' nonzeros are copied, so
-// the caller may reuse both once Factor returns. The capacitance is
-// factored in the workspace by the partial-pivot elimination Factor
-// runs, so the pivots, and the verdicts below, are that routine's.
+// inverse columns given densely: cols[j] = A⁻¹ e_{ups[j].Row} however A
+// is factored (dense LU or SparseLU). It gathers each column's nonzeros
+// and builds as FactorSparse does; the updates and the columns are
+// copied, so the caller may reuse both once Factor returns.
 func (w *UpdateFactorizer) Factor(n int, ups []RowUpdate, cols [][]float64) (*Updated, error) {
+	for j, col := range cols {
+		if len(col) != n {
+			return nil, fmt.Errorf("linsolve: inverse column %d has length %d != %d", j, len(col), n)
+		}
+	}
+	w.gRow, w.gVal, w.gEnd = w.gRow[:0], w.gVal[:0], w.gEnd[:0]
+	for _, col := range cols {
+		for i, v := range col {
+			if v != 0 {
+				w.gRow, w.gVal = append(w.gRow, int32(i)), append(w.gVal, v)
+			}
+		}
+		w.gEnd = append(w.gEnd, len(w.gRow))
+	}
+	w.gCols = w.gCols[:0]
+	lo := 0
+	for _, hi := range w.gEnd {
+		w.gCols = append(w.gCols, SparseColumn{Row: w.gRow[lo:hi:hi], Val: w.gVal[lo:hi:hi]})
+		lo = hi
+	}
+	return w.FactorSparse(n, ups, w.gCols)
+}
+
+// FactorSparse builds the SMW corrector from update rows and the
+// nonzeros of their base inverse columns, cols[j] = A⁻¹ e_{ups[j].Row}.
+// Callers sweeping many scenarios against one base factorization solve
+// each inverse column they need once and pass views here; the updates
+// and the columns are copied, so the caller may reuse both once it
+// returns. A build costs the nonzeros of V, W and the capacitance's
+// factors, not k·n or k².
+//
+// The corrector is the one the dense build — C = I + VᵀW formed entry
+// by entry, factored by partial-pivot Gaussian elimination, nonzeros
+// copied out — would make, bit for bit: C[i][j] sums update i's
+// products with column j in update i's column order and adds the
+// identity last, as the dense loop does; the elimination takes, in
+// each column, the first row in current order at the strictly largest
+// magnitude, swaps as it would and forms the same multipliers and fill.
+// Every term skipped is a product with an exact zero, which can change
+// only the sign of a zero, and the factors keep no zero. Inputs are
+// assumed finite.
+func (w *UpdateFactorizer) FactorSparse(n int, ups []RowUpdate, cols []SparseColumn) (*Updated, error) {
 	k := len(ups)
 	if len(cols) != k {
 		return nil, fmt.Errorf("linsolve: %d inverse columns for %d updates", len(cols), k)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("linsolve: %d rows exceed int32", n)
 	}
 	for j, up := range ups {
 		if up.Row < 0 || up.Row >= n {
@@ -127,41 +209,28 @@ func (w *UpdateFactorizer) Factor(n int, ups []RowUpdate, cols [][]float64) (*Up
 		if len(up.Cols) != len(up.Vals) {
 			return nil, fmt.Errorf("linsolve: update row %d has %d cols, %d vals", up.Row, len(up.Cols), len(up.Vals))
 		}
-		if len(cols[j]) != n {
-			return nil, fmt.Errorf("linsolve: inverse column %d has length %d != %d", j, len(cols[j]), n)
-		}
 		for _, c := range up.Cols {
 			if c < 0 || c >= n {
 				return nil, fmt.Errorf("linsolve: update row %d references column %d out of range [0,%d)", up.Row, c, n)
 			}
 		}
-	}
-	// Capacitance C = I_k + Vᵀ W: C[i][j] = δ_ij + d_iᵀ · cols[j].
-	w.c, w.perm = resize(w.c, k*k), resize(w.perm, k)
-	c := w.c
-	maxEntry := 0.0
-	for i, up := range ups {
-		for j := 0; j < k; j++ {
-			s := 0.0
-			col := cols[j]
-			for t, cc := range up.Cols {
-				s += up.Vals[t] * col[cc]
-			}
-			if i == j {
-				s += 1
-			}
-			c[i*k+j] = s
-			if v := math.Abs(s); v > maxEntry {
-				maxEntry = v
+		col := cols[j]
+		if len(col.Row) != len(col.Val) {
+			return nil, fmt.Errorf("linsolve: inverse column %d has %d rows, %d values", j, len(col.Row), len(col.Val))
+		}
+		for t, r := range col.Row {
+			if r < 0 || int(r) >= n || (t > 0 && r <= col.Row[t-1]) || col.Val[t] == 0 {
+				return nil, fmt.Errorf("linsolve: inverse column %d: entry %d (row %d) is not a nonzero in ascending rows of [0,%d)", j, t, r, n)
 			}
 		}
 	}
-	if err := factorDense(c, w.perm, k); err != nil {
+	maxEntry := w.capacitance(n, ups, cols)
+	if err := w.eliminate(k); err != nil {
 		return nil, err
 	}
 	minPivot := math.Inf(1)
-	for i := 0; i < k; i++ {
-		if v := math.Abs(c[i*k+i]); v < minPivot {
+	for _, i := range w.at { // act[i] ends one past row i's pivot
+		if v := math.Abs(w.rows[i][w.act[i]-1].val); v < minPivot {
 			minPivot = v
 		}
 	}
@@ -171,35 +240,188 @@ func (w *UpdateFactorizer) Factor(n int, ups []RowUpdate, cols [][]float64) (*Up
 	return w.detach(n, ups, cols)
 }
 
-// detach copies what a correction reads out of the factored workspace
-// into a corrector of its own, whose two arenas are allocated once, at
-// their final size.
-func (w *UpdateFactorizer) detach(n int, ups []RowUpdate, cols [][]float64) (*Updated, error) {
-	k, c := len(ups), w.c
-	nv, nl, nu, nw := 0, 0, 0, 0
-	for _, up := range ups {
-		nv += len(up.Cols)
+// capacitance assembles C = I + VᵀW into w.rows, one row per update,
+// ascending column and no entry where every product is an exact zero,
+// and returns C's largest magnitude. Only the rows of W that V reads
+// are gathered, so it costs nnz(V) + nnz(W) + the nonzero products.
+func (w *UpdateFactorizer) capacitance(n int, ups []RowUpdate, cols []SparseColumn) float64 {
+	k := len(ups)
+	if len(w.slot) < n {
+		w.slot = make([]int32, n)
 	}
-	for i := 0; i < k; i++ {
-		for j, v := range c[i*k : i*k+k] {
+	m := int32(0)
+	for _, up := range ups {
+		for _, c := range up.Cols {
+			if w.slot[c] == 0 {
+				m++
+				w.slot[c] = m
+			}
+		}
+	}
+	// Bucket W's nonzeros by slot: count into bOff[s+1], sum, then fill
+	// forward, which leaves bOff[s] at bucket s's end.
+	w.bOff = resize(w.bOff, int(m)+2)
+	for _, col := range cols {
+		for _, r := range col.Row {
+			if s := w.slot[r]; s != 0 {
+				w.bOff[s+1]++
+			}
+		}
+	}
+	for s := 1; s < len(w.bOff); s++ {
+		w.bOff[s] += w.bOff[s-1]
+	}
+	w.bEnt = resize(w.bEnt, int(w.bOff[m+1]))
+	for j, col := range cols {
+		for t, r := range col.Row {
+			if s := w.slot[r]; s != 0 {
+				w.bEnt[w.bOff[s]] = capEntry{col: int32(j), val: col.Val[t]}
+				w.bOff[s]++
+			}
+		}
+	}
+
+	w.rows = lists(w.rows, k)
+	w.mark = resize(w.mark, k)
+	maxEntry := 0.0
+	for i, up := range ups {
+		row := w.rows[i][:0]
+		for t, c := range up.Cols {
+			v, s := up.Vals[t], w.slot[c]
+			for _, e := range w.bEnt[w.bOff[s-1]:w.bOff[s]] {
+				if w.mark[e.col] == 0 {
+					row = append(row, capEntry{col: e.col})
+					w.mark[e.col] = int32(len(row))
+				}
+				row[w.mark[e.col]-1].val += v * e.val
+			}
+		}
+		if at := w.mark[i]; at != 0 {
+			row[at-1].val += 1
+		} else {
+			row = append(row, capEntry{col: int32(i), val: 1})
+		}
+		for _, e := range row {
+			w.mark[e.col] = 0
+			if v := math.Abs(e.val); v > maxEntry {
+				maxEntry = v
+			}
+		}
+		slices.SortFunc(row, func(a, b capEntry) int { return int(a.col - b.col) })
+		w.rows[i] = row
+	}
+	for _, up := range ups {
+		for _, c := range up.Cols {
+			w.slot[c] = 0
+		}
+	}
+	return maxEntry
+}
+
+// eliminate factors the capacitance in w.rows by Gaussian elimination
+// with partial pivoting, as factorDense does on its dense form: in
+// column c it takes the first row in current order at the strictly
+// largest magnitude (ErrSingular below tol.Singular), swaps it to
+// position c, turns each lower row's entry into its multiplier and,
+// unless that is zero, subtracts the multiple of the pivot row's
+// nonzeros. Each row ends as its multipliers, pivot and U entries,
+// ascending column, under the position at records.
+func (w *UpdateFactorizer) eliminate(k int) error {
+	w.at, w.pos, w.act = resize(w.at, k), resize(w.pos, k), resize(w.act, k)
+	w.colRows = lists(w.colRows, k)
+	for c := range w.colRows {
+		w.colRows[c] = w.colRows[c][:0]
+	}
+	for i, row := range w.rows {
+		w.at[i], w.pos[i] = int32(i), int32(i)
+		for _, e := range row {
+			w.colRows[e.col] = append(w.colRows[e.col], int32(i))
+		}
+	}
+	for c := int32(0); c < int32(k); c++ {
+		// Row i's entry in column c, when it has one, is its first
+		// active one: every column before c has been eliminated.
+		p, best := int32(-1), 0.0
+		for _, i := range w.colRows[c] {
+			if w.pos[i] < c {
+				continue
+			}
+			v := math.Abs(w.rows[i][w.act[i]].val)
+			//lint:ignore pcflint/floatcmp a tie is exact: the dense scan keeps the first row in current order at the largest magnitude
+			if v > best || (v == best && p >= 0 && w.pos[i] < w.pos[p]) {
+				p, best = i, v
+			}
+		}
+		if p < 0 || best < tol.Singular {
+			return ErrSingular
+		}
+		if q := w.at[c]; q != p {
+			w.at[c], w.at[w.pos[p]] = p, q
+			w.pos[q], w.pos[p] = w.pos[p], c
+		}
+		pv := w.rows[p][w.act[p]].val
+		w.act[p]++
+		piv := w.rows[p][w.act[p]:]
+		for _, i := range w.colRows[c] {
+			if w.pos[i] <= c {
+				continue
+			}
+			row := w.rows[i]
+			m := row[w.act[i]].val / pv
+			row[w.act[i]].val = m
+			w.act[i]++
+			if m == 0 {
+				continue
+			}
+			// Merge the active part with the pivot row's: a shared column
+			// takes the update, a pivot-row-only one fills.
+			a, out := row[w.act[i]:], w.merge[:0]
+			ai := 0
+			for _, u := range piv {
+				for ; ai < len(a) && a[ai].col < u.col; ai++ {
+					out = append(out, a[ai])
+				}
+				switch {
+				case ai < len(a) && a[ai].col == u.col:
+					out = append(out, capEntry{col: u.col, val: a[ai].val - m*u.val})
+					ai++
+				case u.val != 0:
+					if f := m * u.val; f != 0 {
+						out = append(out, capEntry{col: u.col, val: -f})
+						w.colRows[u.col] = append(w.colRows[u.col], i)
+					}
+				}
+			}
+			out = append(out, a[ai:]...)
+			w.rows[i], w.merge = append(row[:w.act[i]], out...), out
+		}
+	}
+	return nil
+}
+
+// detach copies what a correction reads into a corrector of its own,
+// whose two arenas are allocated once, at their final size: the
+// updates, the factors' nonzeros by position and the inverse columns.
+func (w *UpdateFactorizer) detach(n int, ups []RowUpdate, cols []SparseColumn) (*Updated, error) {
+	k := len(ups)
+	nv, nl, nu, nw := 0, 0, 0, 0
+	for j, up := range ups {
+		nv += len(up.Cols)
+		nw += len(cols[j].Row)
+	}
+	for p, i := range w.at {
+		for _, e := range w.rows[i] {
 			switch {
-			case v == 0:
-			case j < i:
+			case e.val == 0:
+			case e.col < int32(p):
 				nl++
-			case j > i:
+			case e.col > int32(p):
 				nu++
 			}
 		}
 	}
-	for _, col := range cols {
-		for _, v := range col {
-			if v != 0 {
-				nw++
-			}
-		}
-	}
 	nInts := 6*k + 4 + nv + nl + nu + nw // rows, perm and four offset lists
-	if n > math.MaxInt32 || nInts > math.MaxInt32 {
+	if nInts > math.MaxInt32 {
 		return nil, fmt.Errorf("linsolve: corrector of %d indices over %d rows exceeds int32", nInts, n)
 	}
 	ints, vals := make([]int32, nInts), make([]float64, nv+nl+nu+k+nw)
@@ -219,32 +441,38 @@ func (w *UpdateFactorizer) detach(n int, ups []RowUpdate, cols [][]float64) (*Up
 	u.perm, u.lOff, u.lCol, u.uOff, u.uCol = carve(&ints, k), carve(&ints, k+1), carve(&ints, nl), carve(&ints, k+1), carve(&ints, nu)
 	u.lVal, u.uVal, u.diag = carve(&vals, nl), carve(&vals, nu), carve(&vals, k)
 	u.lOff, u.uOff = append(u.lOff, 0), append(u.uOff, 0)
-	for i := 0; i < k; i++ {
-		u.perm = append(u.perm, int32(w.perm[i]))
-		for j, v := range c[i*k : i*k+k] {
+	for p, i := range w.at {
+		u.perm = append(u.perm, i)
+		for _, e := range w.rows[i] {
 			switch {
-			case v == 0:
-			case j < i:
-				u.lCol, u.lVal = append(u.lCol, int32(j)), append(u.lVal, v)
-			case j > i:
-				u.uCol, u.uVal = append(u.uCol, int32(j)), append(u.uVal, v)
+			case e.col == int32(p):
+				u.diag = append(u.diag, e.val)
+			case e.val == 0:
+			case e.col < int32(p):
+				u.lCol, u.lVal = append(u.lCol, e.col), append(u.lVal, e.val)
+			default:
+				u.uCol, u.uVal = append(u.uCol, e.col), append(u.uVal, e.val)
 			}
 		}
-		u.diag = append(u.diag, c[i*k+i])
 		u.lOff, u.uOff = append(u.lOff, int32(len(u.lCol))), append(u.uOff, int32(len(u.uCol)))
 	}
 
 	u.wOff, u.wRow, u.wVal = carve(&ints, k+1), carve(&ints, nw), carve(&vals, nw)
 	u.wOff = append(u.wOff, 0)
 	for _, col := range cols {
-		for i, v := range col {
-			if v != 0 {
-				u.wRow, u.wVal = append(u.wRow, int32(i)), append(u.wVal, v)
-			}
-		}
+		u.wRow, u.wVal = append(u.wRow, col.Row...), append(u.wVal, col.Val...)
 		u.wOff = append(u.wOff, int32(len(u.wRow)))
 	}
 	return u, nil
+}
+
+// lists returns s resized to k lists, keeping every list s has held —
+// beyond its length too — so their storage is reused.
+func lists[T any](s [][]T, k int) [][]T {
+	if c := cap(s); k > c {
+		s = append(s[:c], make([][]T, k-c)...)
+	}
+	return s[:k]
 }
 
 // carve returns an empty slice over the next m elements of *arena, with

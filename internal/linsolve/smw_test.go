@@ -625,3 +625,365 @@ func TestSparseCorrectorVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// denseBuild is the corrector build as it was before it touched only
+// nonzeros, kept here as the oracle for UpdateFactorizer: C = I + VᵀW
+// formed entry by entry from the dense inverse columns, factored by
+// factorDense, the condition check, then every nonzero found by
+// scanning C's factors and the k dense columns.
+func denseBuild(n int, ups []RowUpdate, cols [][]float64) (*Updated, error) {
+	k := len(ups)
+	c, perm := make([]float64, k*k), make([]int, k)
+	maxEntry := 0.0
+	for i, up := range ups {
+		for j := 0; j < k; j++ {
+			s := 0.0
+			col := cols[j]
+			for t, cc := range up.Cols {
+				s += up.Vals[t] * col[cc]
+			}
+			if i == j {
+				s += 1
+			}
+			c[i*k+j] = s
+			if v := math.Abs(s); v > maxEntry {
+				maxEntry = v
+			}
+		}
+	}
+	if err := factorDense(c, perm, k); err != nil {
+		return nil, err
+	}
+	minPivot := math.Inf(1)
+	for i := 0; i < k; i++ {
+		if v := math.Abs(c[i*k+i]); v < minPivot {
+			minPivot = v
+		}
+	}
+	if k > 0 && maxEntry > tol.SMWCondition*minPivot {
+		return nil, ErrIllConditioned
+	}
+	u := &Updated{n: n, vOff: []int32{0}, lOff: []int32{0}, uOff: []int32{0}, wOff: []int32{0}}
+	for _, up := range ups {
+		u.rows = append(u.rows, int32(up.Row))
+		for t, cc := range up.Cols {
+			u.vCol, u.vVal = append(u.vCol, int32(cc)), append(u.vVal, up.Vals[t])
+		}
+		u.vOff = append(u.vOff, int32(len(u.vCol)))
+	}
+	for i := 0; i < k; i++ {
+		u.perm = append(u.perm, int32(perm[i]))
+		for j, v := range c[i*k : i*k+k] {
+			switch {
+			case v == 0:
+			case j < i:
+				u.lCol, u.lVal = append(u.lCol, int32(j)), append(u.lVal, v)
+			case j > i:
+				u.uCol, u.uVal = append(u.uCol, int32(j)), append(u.uVal, v)
+			}
+		}
+		u.diag = append(u.diag, c[i*k+i])
+		u.lOff, u.uOff = append(u.lOff, int32(len(u.lCol))), append(u.uOff, int32(len(u.uCol)))
+	}
+	for _, col := range cols {
+		for i, v := range col {
+			if v != 0 {
+				u.wRow, u.wVal = append(u.wRow, int32(i)), append(u.wVal, v)
+			}
+		}
+		u.wOff = append(u.wOff, int32(len(u.wRow)))
+	}
+	return u, nil
+}
+
+// sparseColumns gathers each dense column's nonzeros, as the routing
+// engine memoizes its inverse columns.
+func sparseColumns(cols [][]float64) []SparseColumn {
+	out := make([]SparseColumn, len(cols))
+	for j, col := range cols {
+		for i, v := range col {
+			if v != 0 {
+				out[j].Row, out[j].Val = append(out[j].Row, int32(i)), append(out[j].Val, v)
+			}
+		}
+	}
+	return out
+}
+
+// correctorDiff names the first field in which got differs from want,
+// bit for bit ("" when none does): the updated rows, V, the
+// permutation, L, U, the pivots and W.
+func correctorDiff(got, want *Updated) string {
+	if got.n != want.n {
+		return fmt.Sprintf("n %d, want %d", got.n, want.n)
+	}
+	ints := []struct {
+		name      string
+		got, want []int32
+	}{
+		{"rows", got.rows, want.rows}, {"vOff", got.vOff, want.vOff}, {"vCol", got.vCol, want.vCol},
+		{"perm", got.perm, want.perm}, {"lOff", got.lOff, want.lOff}, {"lCol", got.lCol, want.lCol},
+		{"uOff", got.uOff, want.uOff}, {"uCol", got.uCol, want.uCol},
+		{"wOff", got.wOff, want.wOff}, {"wRow", got.wRow, want.wRow},
+	}
+	for _, f := range ints {
+		if !slices.Equal(f.got, f.want) {
+			return fmt.Sprintf("%s %v, want %v", f.name, f.got, f.want)
+		}
+	}
+	vals := []struct {
+		name      string
+		got, want []float64
+	}{
+		{"vVal", got.vVal, want.vVal}, {"lVal", got.lVal, want.lVal}, {"uVal", got.uVal, want.uVal},
+		{"diag", got.diag, want.diag}, {"wVal", got.wVal, want.wVal},
+	}
+	for _, f := range vals {
+		if !slices.EqualFunc(f.got, f.want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			return fmt.Sprintf("%s %v, want %v", f.name, f.got, f.want)
+		}
+	}
+	return ""
+}
+
+// buildsAgree builds the corrector of ups and cols in w from the dense
+// columns (Factor) and from their nonzeros (FactorSparse) and requires
+// both to give the dense oracle's verdict and, when it builds, its
+// corrector field for field. It returns the oracle's corrector and
+// error.
+func buildsAgree(t *testing.T, what string, w *UpdateFactorizer, n int, ups []RowUpdate, cols [][]float64) (*Updated, error) {
+	t.Helper()
+	want, wantErr := denseBuild(n, ups, cols)
+	for _, b := range []struct {
+		name  string
+		build func() (*Updated, error)
+	}{
+		{"Factor", func() (*Updated, error) { return w.Factor(n, ups, cols) }},
+		{"FactorSparse", func() (*Updated, error) { return w.FactorSparse(n, ups, sparseColumns(cols)) }},
+	} {
+		got, err := b.build()
+		for _, verdict := range []error{ErrSingular, ErrIllConditioned} {
+			if errors.Is(err, verdict) != errors.Is(wantErr, verdict) {
+				t.Fatalf("%s: %s error %v, dense oracle %v", what, b.name, err, wantErr)
+			}
+		}
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%s: %s error %v, dense oracle %v", what, b.name, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if d := correctorDiff(got, want); d != "" {
+			t.Fatalf("%s: %s corrector differs from the dense oracle's: %s", what, b.name, d)
+		}
+	}
+	return want, wantErr
+}
+
+// TestSparseBuildMatchesDenseBuild: on TestSparseCorrectorMatchesDense's
+// shapes — a diagonal, block-diagonal and fully dense capacitance — the
+// corrector built from nonzeros is the dense build's in every field,
+// bit for bit, whether its columns arrive dense or sparse, in one
+// workspace reused across every trial.
+func TestSparseBuildMatchesDenseBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var work UpdateFactorizer
+	for _, block := range []func(n int) int{
+		func(int) int { return 1 },
+		func(int) int { return 4 },
+		func(n int) int { return n },
+	} {
+		for trial := 0; trial < 60; trial++ {
+			n := 3 + rng.Intn(38)
+			k := 1 + rng.Intn(n/2+1)
+			b := block(n)
+			a := blockMMatrix(rng, n, b)
+			base, err := Factor(a, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ups []RowUpdate
+			if b == n {
+				ups = randomRowUpdates(rng, a, n, k)
+			} else {
+				ups = blockRowUpdates(rng, a, n, b, k)
+			}
+			what := fmt.Sprintf("block %d trial %d (n=%d k=%d)", b, trial, n, k)
+			if _, err := buildsAgree(t, what, &work, n, ups, inverseColumns(t, base, ups)); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+	}
+}
+
+// capacitanceUpdates returns updates of the identity whose capacitance
+// is c (k×k, row-major): with A = I and rows 0..k-1, W = I and
+// C = I + V, so update i carries c's row i less the identity. c's
+// diagonal must survive the round trip d − 1 + 1 exactly.
+func capacitanceUpdates(c []float64, k int) (ups []RowUpdate, cols [][]float64) {
+	for i := 0; i < k; i++ {
+		up := RowUpdate{Row: i}
+		for j := 0; j < k; j++ {
+			v := c[i*k+j]
+			if i == j {
+				v--
+			}
+			if v != 0 {
+				up.Cols, up.Vals = append(up.Cols, j), append(up.Vals, v)
+			}
+		}
+		ups = append(ups, up)
+		col := make([]float64, k)
+		col[i] = 1
+		cols = append(cols, col)
+	}
+	return ups, cols
+}
+
+// TestSparseBuildCraftedCapacitances holds the build to the dense one
+// on the capacitances its pivot rule and zero skipping are for: a tie
+// between two rows whose current order is not their index order (the
+// earlier position wins), a fill that cancels to exactly zero, zero
+// pivot columns (ErrSingular) and both sides of the tol.SMWCondition
+// boundary (ErrIllConditioned strictly beyond it).
+func TestSparseBuildCraftedCapacitances(t *testing.T) {
+	above := math.Nextafter(tol.SMWCondition, math.Inf(1))
+	for _, tc := range []struct {
+		name  string
+		k     int
+		c     []float64
+		want  error
+		check func(u *Updated) string
+	}{
+		// Column 0 swaps row 2 to the top, leaving row 1 before row 0;
+		// in column 1 they tie at magnitude 3, and row 1 must win.
+		{"tie in current order", 3, []float64{
+			1, 3, 1,
+			2, -3, 1,
+			5, 0, 1,
+		}, nil, func(u *Updated) string {
+			if !slices.Equal(u.perm, []int32{2, 1, 0}) {
+				return fmt.Sprintf("perm %v, want [2 1 0]", u.perm)
+			}
+			return ""
+		}},
+		// Row 3 fills in column 2 at step 0 (−1) and the fill cancels at
+		// step 1 (−1 − (−½)·2 = 0): its multiplier there is zero, so L's
+		// row 3 keeps only columns 0 and 1.
+		{"fill cancels to zero", 4, []float64{
+			4, 0, 2, 0,
+			0, 4, 2, 0,
+			0, 0, 1, 0,
+			2, -2, 0, 1,
+		}, nil, func(u *Updated) string {
+			if got := u.lCol[u.lOff[3]:u.lOff[4]]; !slices.Equal(got, []int32{0, 1}) {
+				return fmt.Sprintf("L row 3 columns %v, want [0 1]", got)
+			}
+			return ""
+		}},
+		{"entry cancels to zero", 3, []float64{
+			4, 2, 1,
+			2, 1, 3,
+			0, 1, 0,
+		}, nil, nil},
+		{"zero column", 3, []float64{
+			1, 0, 0,
+			0, 0, 0,
+			0, 0, 1,
+		}, ErrSingular, nil},
+		{"zero pivot column after elimination", 2, []float64{
+			1, 1,
+			1, 1,
+		}, ErrSingular, nil},
+		{"at the condition bound", 2, []float64{
+			tol.SMWCondition, 0,
+			0, 1,
+		}, nil, nil},
+		{"beyond the condition bound", 2, []float64{
+			above, 0,
+			0, 1,
+		}, ErrIllConditioned, nil},
+	} {
+		ups, cols := capacitanceUpdates(tc.c, tc.k)
+		var work UpdateFactorizer
+		u, err := buildsAgree(t, tc.name, &work, tc.k, ups, cols)
+		if !errors.Is(err, tc.want) || (err == nil) != (tc.want == nil) {
+			t.Fatalf("%s: verdict %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.check != nil {
+			if msg := tc.check(u); msg != "" {
+				t.Fatalf("%s: %s", tc.name, msg)
+			}
+		}
+	}
+}
+
+// FuzzCorrectorMatchesDense draws small bases — diagonal, block,
+// near-diagonal and dense M-matrices — and sparse row updates, some of
+// them zeroing a row or scaling it toward singularity, and requires the
+// build from nonzeros to give the dense oracle's verdict and corrector,
+// field for field; the second build in the same workspace, of a subset
+// of the updates, must too.
+func FuzzCorrectorMatchesDense(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		for shape := uint8(0); shape < 4; shape++ {
+			f.Add(seed, uint8(5+seed*3), uint8(1+seed), shape, uint8(seed%3))
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nb, kb, shape, mode uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(nb)%24
+		k := 1 + int(kb)%n
+		var a []float64
+		var ups []RowUpdate
+		switch shape % 4 {
+		case 0, 1: // diagonal or block base, updates within a block
+			b := 1
+			if shape%4 == 1 {
+				b = 2 + rng.Intn(4)
+			}
+			a = blockMMatrix(rng, n, b)
+			ups = blockRowUpdates(rng, a, n, b, k)
+		case 2: // near-diagonal: a diagonal base with a few couplings
+			a = blockMMatrix(rng, n, 1)
+			for i := 0; i < n; i++ {
+				if j := rng.Intn(n); j != i && rng.Intn(4) == 0 {
+					a[i*n+j] = -rng.Float64() * a[i*n+i] / 2
+				}
+			}
+			ups = randomRowUpdates(rng, a, n, k)
+		default:
+			a = randomMMatrix(rng, n)
+			ups = randomRowUpdates(rng, a, n, k)
+		}
+		switch mode % 3 {
+		case 1: // zero one updated row: a singular capacitance
+			up := &ups[rng.Intn(len(ups))]
+			up.Cols, up.Vals = up.Cols[:0], up.Vals[:0]
+			for c := 0; c < n; c++ {
+				if v := a[up.Row*n+c]; v != 0 {
+					up.Cols, up.Vals = append(up.Cols, c), append(up.Vals, -v)
+				}
+			}
+		case 2: // scale one update toward cancelling its row
+			up := &ups[rng.Intn(len(ups))]
+			s := -math.Pow(10, -float64(rng.Intn(16)))
+			up.Cols, up.Vals = up.Cols[:0], up.Vals[:0]
+			for c := 0; c < n; c++ {
+				if v := a[up.Row*n+c]; v != 0 {
+					up.Cols, up.Vals = append(up.Cols, c), append(up.Vals, (1+s)*-v)
+				}
+			}
+		}
+		base, err := Factor(a, n)
+		if err != nil {
+			t.Skip("base singular")
+		}
+		cols := inverseColumns(t, base, ups)
+		var work UpdateFactorizer
+		what := fmt.Sprintf("seed %d shape %d mode %d (n=%d k=%d)", seed, shape%4, mode%3, n, k)
+		buildsAgree(t, what, &work, n, ups, cols)
+		half := len(ups) / 2
+		buildsAgree(t, what+", second build", &work, n, ups[half:], cols[half:])
+	})
+}

@@ -3,7 +3,11 @@ package routing
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
+
+	"pcf/internal/linsolve"
 )
 
 // TestCorrectorFootprint: on the BTNorthAmerica PCF-CLS f=2 plan, whose
@@ -71,4 +75,55 @@ func TestCorrectorFootprint(t *testing.T) {
 	if maxRank < 10 {
 		t.Fatalf("max rank %d: the plan no longer exercises rank", maxRank)
 	}
+}
+
+// TestInverseColumnMemoHoldsNonzeros: after a designed sweep of the
+// BTNorthAmerica PCF-CLS f=2 plan, every inverse column the engine has
+// memoized is exactly the nonzeros of a fresh solve of that column,
+// rows ascending, in slices no longer than that — so the memo's bytes
+// are linear in its nonzeros plus a fixed header per column, with no
+// n-per-column term.
+func TestInverseColumnMemoHoldsNonzeros(t *testing.T) {
+	_, plan := btnaPlans(t)
+	sw := newSweep(t, plan)
+	if _, err := sw.ValidateStats(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	n := sw.n
+	e, dense := make([]float64, n), make([]float64, n)
+	columns, nnz, bytes := 0, 0, 0
+	for r := range sw.invCols {
+		col := sw.invCols[r].Load()
+		if col == nil {
+			continue
+		}
+		columns++
+		nnz += len(col.Row)
+		bytes += int(unsafe.Sizeof(*col)) + 4*cap(col.Row) + 8*cap(col.Val)
+		if cap(col.Row) != len(col.Row) || cap(col.Val) != len(col.Val) {
+			t.Fatalf("column %d: %d nonzeros held in capacities %d and %d", r, len(col.Row), cap(col.Row), cap(col.Val))
+		}
+		e[r] = 1
+		if err := sw.slu.SolveInto(dense, e); err != nil {
+			t.Fatal(err)
+		}
+		e[r] = 0
+		var want linsolve.SparseColumn
+		for i, v := range dense {
+			if v != 0 {
+				want.Row, want.Val = append(want.Row, int32(i)), append(want.Val, v)
+			}
+		}
+		if !slices.Equal(col.Row, want.Row) || !slices.Equal(col.Val, want.Val) {
+			t.Fatalf("column %d: memo holds rows %v values %v, the solve's nonzeros are %v %v", r, col.Row, col.Val, want.Row, want.Val)
+		}
+	}
+	if columns == 0 {
+		t.Fatal("the sweep memoized no inverse column")
+	}
+	if limit := 12*nnz + 48*columns; bytes > limit {
+		t.Fatalf("%d columns with %d nonzeros take %d bytes, want ≤ %d", columns, nnz, bytes, limit)
+	}
+	t.Logf("%d of %d columns memoized: %d nonzeros (%.1f%% dense), %d bytes (dense columns: %d)",
+		columns, n, nnz, 100*float64(nnz)/float64(columns*n), bytes, 8*n*columns)
 }

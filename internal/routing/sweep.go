@@ -253,11 +253,11 @@ type engine struct {
 	destBase  [][]float64              // base per-destination solutions A⁻¹D_t
 	rec       *baseEmission            // what emitDests produces on the empty scenario; set with slu
 
-	// invCache holds the columns of the base inverse the sweep has
-	// needed so far (int row -> []float64); keySeed hashes the corrector
-	// signatures of every view.
-	invCache sync.Map
-	keySeed  maphash.Seed
+	// invCols[r] holds, once a corrector has needed it, the nonzeros of
+	// column r of the base inverse (one slot per row, set with slu);
+	// keySeed hashes the corrector signatures of every view.
+	invCols []atomic.Pointer[linsolve.SparseColumn]
+	keySeed maphash.Seed
 
 	// classes partitions the designed set (sweepclass.go); the first
 	// designed sweep through any view builds it under classMu.

@@ -299,6 +299,7 @@ func (s *Sweep) factorBase(ctx context.Context, sr *sweepScratch) error {
 	}
 	if ok {
 		s.slu, s.uBase, s.destBase = slu, uBase, destBase
+		s.invCols = make([]atomic.Pointer[linsolve.SparseColumn], n)
 		s.recordBase(sr)
 	}
 	return nil

@@ -40,7 +40,7 @@ type sweepScratch struct {
 	// columns it is built from.
 	smwZ, smwY []float64
 	capWork    linsolve.UpdateFactorizer
-	invCols    [][]float64
+	invCols    []linsolve.SparseColumn
 	sys        *sysScratch // see system
 
 	// The scenario's row updates (rowUpdates) — the list, the residual
@@ -498,29 +498,43 @@ func (s *Sweep) corrector(sr *sweepScratch, ups []linsolve.RowUpdate) (*linsolve
 		sr.invCols = append(sr.invCols, col)
 	}
 	if be.err == nil {
-		be.upd, be.err = sr.capWork.Factor(s.n, ups, sr.invCols)
+		be.upd, be.err = sr.capWork.FactorSparse(s.n, ups, sr.invCols)
 	}
 	return s.cors.keep(h, be), false
 }
 
-// invCol returns column r of the base inverse, solved on first use
-// through sr's whole-system scratch and memoized, so only the rows
-// scenarios actually touch are ever solved and each allocates only its
-// column.
-func (s *Sweep) invCol(sr *sweepScratch, r int) ([]float64, error) {
-	if v, ok := s.invCache.Load(r); ok {
-		return v.([]float64), nil
+// invCol returns the nonzeros of column r of the base inverse, solved
+// on first use through sr's whole-system scratch and memoized in r's
+// slot, so only the rows scenarios actually touch are ever solved and
+// each keeps only its nonzeros. Racing workers may each solve a column;
+// the solve is deterministic, so whichever copy is kept is the same.
+func (s *Sweep) invCol(sr *sweepScratch, r int) (linsolve.SparseColumn, error) {
+	if col := s.invCols[r].Load(); col != nil {
+		return *col, nil
 	}
 	sys := sr.system()
-	e := sys.dt
+	e, x := sys.dt, sr.xt // xt: no destination is being emitted yet
 	clear(e)
 	e[r] = 1
-	col := make([]float64, s.n)
-	if err := s.slu.SolveIntoScratch(col, e, sys.w); err != nil {
-		return nil, err
+	if err := s.slu.SolveIntoScratch(x, e, sys.w); err != nil {
+		return linsolve.SparseColumn{}, err
 	}
-	v, _ := s.invCache.LoadOrStore(r, col)
-	return v.([]float64), nil
+	nz := 0
+	for _, v := range x {
+		if v != 0 {
+			nz++
+		}
+	}
+	col := &linsolve.SparseColumn{Row: make([]int32, 0, nz), Val: make([]float64, 0, nz)}
+	for i, v := range x {
+		if v != 0 {
+			col.Row, col.Val = append(col.Row, int32(i)), append(col.Val, v)
+		}
+	}
+	if !s.invCols[r].CompareAndSwap(nil, col) {
+		col = s.invCols[r].Load()
+	}
+	return *col, nil
 }
 
 // residualOK is the guard on the corrected aggregate solution: every

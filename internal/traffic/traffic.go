@@ -237,20 +237,32 @@ func Single(n int, p topology.Pair, v float64) *Matrix {
 
 // Validate checks basic sanity: nonnegative entries, zero diagonal.
 func (m *Matrix) Validate() error {
+	_, err := m.ValidPairs()
+	return err
+}
+
+// ValidPairs is Validate and Pairs(0) in one pass over the matrix: the
+// pairs with positive demand, in Pairs' order, or Validate's error.
+func (m *Matrix) ValidPairs() ([]topology.Pair, error) {
+	var out []topology.Pair
 	for i, row := range m.Demand {
 		if len(row) != m.N() {
-			return fmt.Errorf("traffic: row %d has length %d, want %d", i, len(row), m.N())
+			return nil, fmt.Errorf("traffic: row %d has length %d, want %d", i, len(row), m.N())
 		}
 		for j, v := range row {
 			if v < 0 {
-				return fmt.Errorf("traffic: negative demand at (%d,%d)", i, j)
+				return nil, fmt.Errorf("traffic: negative demand at (%d,%d)", i, j)
 			}
 			if i == j && v != 0 {
-				return fmt.Errorf("traffic: nonzero self demand at node %d", i)
+				return nil, fmt.Errorf("traffic: nonzero self demand at node %d", i)
+			}
+			if v > 0 && i != j {
+				out = append(out, topology.Pair{Src: topology.NodeID(i), Dst: topology.NodeID(j)})
 			}
 		}
 	}
-	return nil
+	sortPairsByDemand(out, m)
+	return out, nil
 }
 
 // ReadMatrix parses a traffic matrix from the text format cmd/topogen

@@ -3,6 +3,7 @@ package traffic
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -192,5 +193,39 @@ func TestReadMatrix(t *testing.T) {
 	}
 	if _, err := ReadMatrix(strings.NewReader("1 1 4\n"), 3); err == nil {
 		t.Fatal("self demand accepted")
+	}
+}
+
+// TestValidPairsIsValidateAndPairs: the one-pass ValidPairs lists what
+// Pairs(0) lists, in its order, and refuses what Validate refuses.
+func TestValidPairsIsValidateAndPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(9)
+		m := NewMatrix(n)
+		for s := 0; s < n; s++ {
+			for d := 0; d < n; d++ {
+				if s != d && rng.Intn(3) > 0 {
+					m.Demand[s][d] = float64(rng.Intn(4)) // repeats exercise the tiebreak
+				}
+			}
+		}
+		switch rng.Intn(6) {
+		case 0:
+			m.Demand[rng.Intn(n)][rng.Intn(n)] = -1
+		case 1:
+			i := rng.Intn(n)
+			m.Demand[i][i] = 2
+		}
+		got, err := m.ValidPairs()
+		if want := m.Validate(); (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+			t.Fatalf("trial %d: ValidPairs error %v, Validate %v", trial, err, want)
+		}
+		if err != nil {
+			continue
+		}
+		if want := m.Pairs(0); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: ValidPairs %v, Pairs(0) %v", trial, got, want)
+		}
 	}
 }

@@ -105,7 +105,11 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # MLUOf bit for bit on a warm, a forced-cold and a cold-only engine.
 # An SMW corrector keeps only its nonzeros: it must equal the dense
 # correction it replaced (linsolve's test-file oracle) under ==, with
-# the same singular / ill-conditioned verdicts; every realization of
+# the same singular / ill-conditioned verdicts, and its build from
+# nonzeros must equal the dense build field for field, on random
+# shapes, crafted pivot ties, cancellations and both sides of the
+# condition bound, and the fuzz target's seed corpus; the engine's
+# inverse-column memo must hold only nonzeros; every realization of
 # the four benchmark plans, prepared by eval.Prepare as the benchmark
 # prepares them, must hash to the goldens recorded with the dense
 # corrector; and a corrector-cache miss must allocate five objects at
@@ -121,7 +125,7 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # test-file referee) does, on failing plans and degraded SRLGs too.
 # -count=2 keeps Go's test cache from answering for a
 # schedule-dependent regression.
-go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestCorrectionFingerprints|TestCorrectorFootprint|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
+go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestSparseBuildMatchesDenseBuild|TestSparseBuildCraftedCapacitances|FuzzCorrectorMatchesDense|TestCorrectionFingerprints|TestCorrectorFootprint|TestInverseColumnMemoHoldsNonzeros|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
 
 echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
