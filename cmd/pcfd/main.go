@@ -138,9 +138,14 @@ func main() {
 		*solveOnStart = false
 	}
 
-	setup, in, err := eval.PrepareServed(*linksFile, *tmFile, eval.Options{
-		Topology: *topo, Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
+	setup, err := eval.Prepare(eval.Options{
+		Topology: *topo, LinksFile: *linksFile, TMFile: *tmFile,
+		Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
 	})
+	if err != nil {
+		die(err)
+	}
+	in, err := setup.CLSInstance()
 	if err != nil {
 		die(err)
 	}

@@ -43,7 +43,7 @@ func TestCheckRole(t *testing.T) {
 // directly, leaving pcftop's "last solve" empty and bypassing the
 // breaker and MutatePlan.
 func TestBootSolveLeavesSolveRecord(t *testing.T) {
-	_, in, err := eval.PrepareServed("", "", eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 10, FailureBudget: 1})
+	in, err := served(eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 10, FailureBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,18 +96,14 @@ func TestPrepareServesEvalCLS(t *testing.T) {
 	if err := os.WriteFile(links, []byte(lines.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o := eval.Options{Seed: 1, MaxPairs: 20, FailureBudget: 1}
-	zo := o
-	zo.Topology = "Xeex"
 	for _, tc := range []struct {
-		flag, links string
-		o           eval.Options
-		eval        func() (*eval.Setup, error)
+		flag string
+		o    eval.Options
 	}{
-		{"-topology", "", zo, func() (*eval.Setup, error) { return eval.Prepare(zo) }},
-		{"-links", links, o, func() (*eval.Setup, error) { return eval.PrepareFiles(links, "", o) }},
+		{"-topology", eval.Options{Topology: "Xeex", Seed: 1, MaxPairs: 20, FailureBudget: 1}},
+		{"-links", eval.Options{LinksFile: links, Seed: 1, MaxPairs: 20, FailureBudget: 1}},
 	} {
-		_, in, err := eval.PrepareServed(tc.links, "", tc.o)
+		in, err := served(tc.o)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.flag, err)
 		}
@@ -115,7 +111,7 @@ func TestPrepareServesEvalCLS(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.flag, err)
 		}
-		setup, err := tc.eval()
+		setup, err := eval.Prepare(tc.o)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.flag, err)
 		}
@@ -130,11 +126,21 @@ func TestPrepareServesEvalCLS(t *testing.T) {
 }
 
 // TestPrepareRefusesZeroBudget: pcfd -f 0 is refused with an error
-// naming -f. Options reads a zero budget as unset, so the daemon once
+// naming -f. Options once read a zero budget as unset, so the daemon
 // logged "f=0" and served f=1's plan.
 func TestPrepareRefusesZeroBudget(t *testing.T) {
-	_, _, err := eval.PrepareServed("", "", eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 10, FailureBudget: 0})
+	_, err := served(eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 10, FailureBudget: 0})
 	if err == nil || !strings.Contains(err.Error(), "(-f)") || eval.ExitCode(err) != eval.ExitFailure {
 		t.Fatalf("prepare with -f 0: %v, want an error naming -f (exit %d)", err, eval.ExitFailure)
 	}
+}
+
+// served is what pcfd's main serves for o: the prepared setup's
+// CLSInstance.
+func served(o eval.Options) (*core.Instance, error) {
+	setup, err := eval.Prepare(o)
+	if err != nil {
+		return nil, err
+	}
+	return setup.CLSInstance()
 }

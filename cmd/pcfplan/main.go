@@ -62,13 +62,12 @@ func main() {
 		log.Fatalf("unknown scheme %q (want one of %s)", *scheme, strings.Join(core.SchemeNames(), ", "))
 	}
 
-	setup, err := eval.PrepareFlags(*linksFile, *tmFile, eval.Options{
-		Topology: *topo, Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
+	setup, err := eval.Prepare(eval.Options{
+		Topology: *topo, LinksFile: *linksFile, TMFile: *tmFile,
+		Seed: *seed, MaxPairs: *pairs, FailureBudget: *f,
+		SRLGFile: *srlg, NodeFailures: *nodeFail,
 	})
 	if err != nil {
-		die(err)
-	}
-	if err := setup.ApplyFailureModel(*srlg, *nodeFail); err != nil {
 		die(err)
 	}
 	if *telemetryDir != "" {
@@ -79,9 +78,9 @@ func main() {
 		defer telStore.Close()
 		setup.Telemetry = telStore
 	}
-	fmt.Printf("%s: %d nodes, %d links, %d pairs, f=%d (%d scenarios), no-failure MLU %.3f\n",
+	fmt.Printf("%s: %d nodes, %d links, %d pairs, f=%d (%d scenarios), %s %.3f\n",
 		setup.Opts.Topology, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs),
-		setup.Failures.Budget, setup.Failures.NumScenariosExact(), setup.MLU)
+		setup.Failures.Budget, setup.Failures.NumScenariosExact(), setup.MLULabel(), setup.MLU)
 
 	plan, err := solve(ctx, os.Stdout, setup, row.Name)
 	if err != nil {

@@ -61,8 +61,8 @@ func TestSolveReturnsReportedPlan(t *testing.T) {
 // solver at every entry point. For every row of core's scheme table,
 // on every Topology Zoo graph at pcfd's default flags, three values are
 // bit-equal, each from its own preparation: pcfd's (Server.Solve, the
-// path POST /v1/solve and the boot solve take, on eval.PrepareServed's
-// instance), pcfplan's solve and eval.Setup.Run. FFC is the paper's,
+// path POST /v1/solve and the boot solve take, on the prepared setup's
+// CLSInstance, as pcfd serves it), pcfplan's solve and eval.Setup.Run. FFC is the paper's,
 // on FFCTunnels tunnels per pair, and best answers on its PCF-CLS rung.
 // Xeex is also prepared from a links file, as pcfd -links does. pcfd
 // once solved FFC over every tunnel of the PCF-CLS instance (IBM 0.2218
@@ -94,8 +94,12 @@ func TestEntryPointsAgree(t *testing.T) {
 
 	ctx := context.Background()
 	for _, src := range sources {
-		o := eval.Options{Topology: src.topo, Seed: 1, MaxPairs: 20, FailureBudget: 1}
-		_, in, err := eval.PrepareServed(src.links, "", o)
+		o := eval.Options{Topology: src.topo, LinksFile: src.links, Seed: 1, MaxPairs: 20, FailureBudget: 1}
+		servedSetup, err := eval.Prepare(o)
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		in, err := servedSetup.CLSInstance()
 		if err != nil {
 			t.Fatalf("%s: %v", src.name, err)
 		}
@@ -103,11 +107,11 @@ func TestEntryPointsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src.name, err)
 		}
-		plannedSetup, err := eval.PrepareFlags(src.links, "", o)
+		plannedSetup, err := eval.Prepare(o)
 		if err != nil {
 			t.Fatalf("%s: %v", src.name, err)
 		}
-		evalSetup, err := eval.PrepareFlags(src.links, "", o)
+		evalSetup, err := eval.Prepare(o)
 		if err != nil {
 			t.Fatalf("%s: %v", src.name, err)
 		}
@@ -157,24 +161,40 @@ func TestEntryPointsAgree(t *testing.T) {
 }
 
 // TestZeroFailureBudgetRefused: pcfplan -f 0 exits 1 naming -f before
-// it prints a header. Options reads a zero budget as unset, so pcfplan
-// once printed "f=0 (18 scenarios)" and returned f=1's value.
+// it prints a header. Options once read a zero budget as unset, so pcfplan
+// printed "f=0 (18 scenarios)" and returned f=1's value.
 func TestZeroFailureBudgetRefused(t *testing.T) {
-	if os.Getenv("PCFPLAN_TEST_MAIN") != "" {
-		os.Args = []string{"pcfplan", "-topology", "Sprint", "-pairs", "10", "-f", "0"}
+	refused(t, "PCFPLAN_TEST_ZERO_F", "^TestZeroFailureBudgetRefused$", []string{"-f", "0"}, "(-f)")
+}
+
+// TestTMWithoutLinksRefused: pcfplan -tm without -links exits 1 naming
+// both flags before it prints a header. It once ignored -tm and solved
+// the -topology graph, exit 0.
+func TestTMWithoutLinksRefused(t *testing.T) {
+	refused(t, "PCFPLAN_TEST_TM", "^TestTMWithoutLinksRefused$", []string{"-tm", "/nonexistent.tm"}, "-tm", "-links")
+}
+
+// refused runs pcfplan on Sprint with args, in a child process the
+// test named run re-enters under env, and requires exit 1 with every
+// one of want in stderr and no header on stdout.
+func refused(t *testing.T, env, run string, args []string, want ...string) {
+	if os.Getenv(env) != "" {
+		os.Args = append([]string{"pcfplan", "-topology", "Sprint", "-pairs", "10"}, args...)
 		main()
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestZeroFailureBudgetRefused$")
-	cmd.Env = append(os.Environ(), "PCFPLAN_TEST_MAIN=1")
+	cmd := exec.Command(os.Args[0], "-test.run="+run)
+	cmd.Env = append(os.Environ(), env+"=1")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != eval.ExitFailure {
-		t.Fatalf("pcfplan -f 0: %v, want exit %d; stdout %q", err, eval.ExitFailure, stdout.String())
+		t.Fatalf("pcfplan %v: %v, want exit %d; stdout %q", args, err, eval.ExitFailure, stdout.String())
 	}
-	if !strings.Contains(stderr.String(), "(-f)") || strings.Contains(stdout.String(), "f=") {
-		t.Fatalf("pcfplan -f 0: stderr %q does not name -f, or stdout %q has a header", stderr.String(), stdout.String())
+	for _, w := range want {
+		if !strings.Contains(stderr.String(), w) || strings.Contains(stdout.String(), "f=") {
+			t.Fatalf("pcfplan %v: stderr %q does not name %s, or stdout %q has a header", args, stderr.String(), w, stdout.String())
+		}
 	}
 }

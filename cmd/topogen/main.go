@@ -64,7 +64,7 @@ func main() {
 func run(c config, out io.Writer) error {
 	setup, err := eval.Prepare(eval.Options{
 		Topology: c.topology, Synth: c.synth, SynthNodes: c.nodes,
-		Seed: c.seed, MaxPairs: c.pairs,
+		Seed: c.seed, MaxPairs: c.pairs, FailureBudget: 1,
 	})
 	if err != nil {
 		return err
@@ -83,26 +83,15 @@ func run(c config, out io.Writer) error {
 		return err
 	}
 	if err := writeFile(prefix+".tm", func(w *bufio.Writer) {
-		fmt.Fprintf(w, "# gravity TM seed %d, %s %.4f\n", c.seed, mluLabel(setup), setup.MLU)
+		fmt.Fprintf(w, "# gravity TM seed %d, %s %.4f\n", c.seed, setup.MLULabel(), setup.MLU)
 		for _, p := range setup.Pairs {
 			fmt.Fprintf(w, "%d %d %g\n", p.Src, p.Dst, setup.TM.At(p))
 		}
 	}); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "wrote %s.links and %s.tm (%s %.4f)\n", prefix, prefix, mluLabel(setup), setup.MLU)
+	fmt.Fprintf(out, "wrote %s.links and %s.tm (%s %.4f)\n", prefix, prefix, setup.MLULabel(), setup.MLU)
 	return nil
-}
-
-// mluLabel names how eval.Prepare computed setup.MLU: the exact
-// multicommodity-flow optimum for a zoo topology, the target a
-// synthetic one's demand was scaled to by splitting it evenly over its
-// tunnels (the exact MCF would cost more than the instance it scales).
-func mluLabel(setup *eval.Setup) string {
-	if setup.Opts.Synth != "" {
-		return "tunnel-split MLU target"
-	}
-	return "optimal no-failure MLU (exact MCF)"
 }
 
 func writeFile(path string, fill func(*bufio.Writer)) error {

@@ -33,8 +33,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s: %d nodes, %d links, %d demand pairs, baseline optimal MLU %.3f\n",
-		*topo, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs), setup.MLU)
+	fmt.Printf("%s: %d nodes, %d links, %d demand pairs, %s %.3f\n",
+		*topo, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs), setup.MLULabel(), setup.MLU)
 
 	in := &core.Instance{
 		Graph:     setup.Graph,

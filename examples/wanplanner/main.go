@@ -33,8 +33,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s: %d nodes, %d links, %d demand pairs, f=%d, optimal no-failure MLU %.3f\n\n",
-		*topo, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs), *f, setup.MLU)
+	fmt.Printf("%s: %d nodes, %d links, %d demand pairs, f=%d, %s %.3f\n\n",
+		*topo, setup.Graph.NumNodes(), setup.Graph.NumLinks(), len(setup.Pairs), *f, setup.MLULabel(), setup.MLU)
 
 	schemes := []string{eval.SchemeFFC, eval.SchemePCFTF, eval.SchemePCFLS, eval.SchemePCFCLS}
 	if *withOptimal {

@@ -9,7 +9,7 @@ import (
 func TestDeterministicRuns(t *testing.T) {
 	var vals []float64
 	for i := 0; i < 3; i++ {
-		s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 60})
+		s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 60, FailureBudget: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"pcf/internal/core"
@@ -19,15 +20,16 @@ import (
 	"pcf/internal/telemetry"
 	"pcf/internal/tol"
 	"pcf/internal/topology"
-	"pcf/internal/topozoo"
 	"pcf/internal/traffic"
 	"pcf/internal/tunnels"
 )
 
-// Options configure instance preparation.
+// Options name everything Prepare builds a setup from: the source,
+// the demand and tunnel sizes, and the failure model.
 type Options struct {
 	// Topology is a Table 3 name (see topozoo.Names). Ignored when
-	// Synth is set (the synthetic name is filled in for telemetry).
+	// Synth or LinksFile is set (the synthetic name or the file path is
+	// filled in for telemetry).
 	Topology string
 	// Synth, when non-empty, prepares a seeded synthetic topology
 	// instead of a Table 3 graph: "waxman" or "ring-of-rings" (see
@@ -38,6 +40,11 @@ type Options struct {
 	Synth string
 	// SynthNodes is the synthetic topology size (0 = 1000).
 	SynthNodes int
+	// LinksFile, when set, loads the topology from a links file in
+	// cmd/topogen's format (-links) instead, and TMFile its traffic
+	// matrix (-tm, which requires -links; empty generates a gravity
+	// matrix). Both are taken as given: no node pruned, no rescaling.
+	LinksFile, TMFile string
 	// Seed selects the traffic matrix (the paper uses 12 per topology).
 	Seed int64
 	// MaxPairs caps the demand pairs to the top-K by gravity demand
@@ -49,11 +56,18 @@ type Options struct {
 	TunnelsPerPair int
 	// FFCTunnels for FFC (paper: 2; 4 for sub-links).
 	FFCTunnels int
-	// FailureBudget is f, the number of simultaneous failures.
+	// FailureBudget is f, the number of simultaneous failures: at least
+	// 1, as zero is refused, not read as unset (-f 0 once solved f=1).
 	FailureBudget int
 	// SubLinkSplit > 1 splits each link into that many sub-links that
 	// fail independently (the paper's multi-failure setup uses 2).
 	SubLinkSplit int
+	// SRLGFile, when set, fails the shared-risk link groups in the file
+	// together (-srlg; failures.ReadSRLGs format), and NodeFailures
+	// fails nodes (-node-failures: comma-separated ids, or "transit" for
+	// every node no demand ends at), instead of single links. At most
+	// one of the two is set.
+	SRLGFile, NodeFailures string
 	// Objective is the metric (demand scale by default).
 	Objective core.Objective
 }
@@ -66,16 +80,21 @@ const (
 )
 
 // check rejects the option values that have no meaning rather than
-// letting them reach the solver: a negative failure budget would
-// prepare an instance with no scenarios at all, and a negative pair cap
-// would silently mean every pair. Zero keeps its documented default.
-// The errors name the command-line flag that sets each field.
+// letting them reach the solver: a failure budget below 1 would
+// prepare an instance with no scenarios at all, a negative pair cap
+// would silently mean every pair, and a traffic file without its links
+// file, or two failure models at once, would be ignored. The errors
+// name the command-line flags that set the fields.
 func (o Options) check() error {
-	if o.FailureBudget < 0 {
-		return fmt.Errorf("eval: the failure budget (-f) must be nonnegative, got %d", o.FailureBudget)
-	}
-	if o.MaxPairs < 0 {
+	switch {
+	case o.FailureBudget < 1:
+		return fmt.Errorf("eval: the failure budget (-f) must be at least 1, got %d", o.FailureBudget)
+	case o.MaxPairs < 0:
 		return fmt.Errorf("eval: the pair cap (-pairs) must be nonnegative, got %d", o.MaxPairs)
+	case o.TMFile != "" && o.LinksFile == "":
+		return fmt.Errorf("eval: -tm requires -links")
+	case o.SRLGFile != "" && o.NodeFailures != "":
+		return fmt.Errorf("eval: -srlg and -node-failures are mutually exclusive")
 	}
 	return nil
 }
@@ -87,17 +106,16 @@ func (o Options) withDefaults() Options {
 	if o.FFCTunnels == 0 {
 		o.FFCTunnels = 2
 	}
-	if o.FailureBudget == 0 {
-		o.FailureBudget = 1
-	}
 	return o
 }
 
-// Setup is a prepared evaluation instance.
+// Setup is a prepared evaluation instance. Prepare returns it complete
+// and nothing but the caller's Telemetry sink changes afterwards.
 type Setup struct {
-	Opts     Options
-	Graph    *topology.Graph
-	TM       *traffic.Matrix
+	Opts  Options
+	Graph *topology.Graph
+	TM    *traffic.Matrix
+	// MLU is the no-failure MLU preparation computed; MLULabel says how.
 	MLU      float64
 	Pairs    []topology.Pair
 	Tunnels  *tunnels.Set // TunnelsPerPair tunnels per pair
@@ -108,6 +126,8 @@ type Setup struct {
 	// evaluation results land in the same stores and queries as
 	// production solves. Nil discards.
 	Telemetry telemetry.Emitter
+
+	cls func() (*core.Instance, error) // CLSInstance, built on first call
 }
 
 // emit hands a record to the setup's sink. Records carry the topology
@@ -121,42 +141,38 @@ func (s *Setup) emit(rec telemetry.Record) {
 	s.Telemetry.Emit(rec)
 }
 
-// Prepare loads the topology, prunes degree-one nodes, optionally
-// splits sub-links, generates and scales the traffic matrix, and
-// selects tunnels.
+// Prepare is the one preparation every entry point shares. It loads
+// the topology o names (a Table 3 or synthetic graph with its
+// degree-one nodes pruned, or a links file as given), optionally splits
+// sub-links, loads or generates the traffic matrix and keeps its top
+// pairs, selects tunnels, scales generated demand to the paper's MLU
+// range and builds the failure set of o's model. The CLS instance is
+// left to the first CLSInstance call.
 func Prepare(o Options) (*Setup, error) {
 	if err := o.check(); err != nil {
 		return nil, err
 	}
 	o = o.withDefaults()
-	var g *topology.Graph
-	var err error
-	if o.Synth != "" {
-		nodes := o.SynthNodes
-		if nodes == 0 {
-			nodes = 1000
-		}
-		g, err = topozoo.Synth(o.Synth, nodes, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if o.Topology == "" {
-			o.Topology = g.Name
-		}
-	} else {
-		g, err = topozoo.Load(o.Topology)
-		if err != nil {
-			return nil, err
-		}
+	g, err := o.graph()
+	if err != nil {
+		return nil, err
 	}
-	g, _ = g.PruneDegreeOne()
+	switch {
+	case o.LinksFile != "":
+		o.Topology = o.LinksFile
+	case o.Synth != "" && o.Topology == "":
+		o.Topology = g.Name
+	}
 	if o.SubLinkSplit > 1 {
 		g, err = g.SplitSubLinks(o.SubLinkSplit)
 		if err != nil {
 			return nil, fmt.Errorf("eval: %s: %w", o.Topology, err)
 		}
 	}
-	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: o.Seed, Jitter: 0.4})
+	tm, err := o.matrix(g)
+	if err != nil {
+		return nil, err
+	}
 	pairs := tm.TopPairs(o.MaxPairs)
 	tm = tm.Restrict(pairs)
 	ts, err := tunnels.Select(g, pairs, tunnels.SelectOptions{PerPair: o.TunnelsPerPair})
@@ -164,23 +180,39 @@ func Prepare(o Options) (*Setup, error) {
 		return nil, fmt.Errorf("eval: %s: %w", o.Topology, err)
 	}
 	var mlu float64
-	if o.Synth != "" {
+	switch {
+	case o.LinksFile != "":
+		mlu = tunnelSplitMLU(g, tm, pairs, ts)
+	case o.Synth != "":
 		tm, mlu, err = scaleByTunnels(g, tm, pairs, ts, mluLow)
-	} else {
+	default:
 		tm, mlu, err = mcf.ScaleToMLU(g, tm, mluLow, mluHigh)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("eval: %s: %w", o.Topology, err)
 	}
-	return &Setup{
-		Opts:     o,
-		Graph:    g,
-		TM:       tm,
-		MLU:      mlu,
-		Pairs:    pairs,
-		Tunnels:  ts,
-		Failures: failures.SingleLinks(g, o.FailureBudget),
-	}, nil
+	fs, err := o.failureSet(g, pairs)
+	if err != nil {
+		return nil, err
+	}
+	s := &Setup{Opts: o, Graph: g, TM: tm, MLU: mlu, Pairs: pairs, Tunnels: ts, Failures: fs}
+	s.cls = sync.OnceValues(s.buildCLS)
+	return s, nil
+}
+
+// MLULabel names how Prepare computed MLU: the exact multicommodity-flow
+// optimum for a Table 3 graph; for a synthetic one, the target its
+// demand was scaled to by splitting each pair evenly over its tunnels
+// (the exact MCF would cost more than the instance it scales); for a
+// links file, that even split of the matrix as given.
+func (s *Setup) MLULabel() string {
+	switch {
+	case s.Opts.LinksFile != "":
+		return "tunnel-split MLU of the given matrix"
+	case s.Opts.Synth != "":
+		return "tunnel-split MLU target"
+	}
+	return "optimal no-failure MLU (exact MCF)"
 }
 
 // scaleByTunnels scales demand so that routing each pair evenly over
@@ -188,6 +220,16 @@ func Prepare(o Options) (*Setup, error) {
 // stand-in for mcf.ScaleToMLU on synthetic setups, where the exact
 // scaling MCF would cost more than the experiment it prepares.
 func scaleByTunnels(g *topology.Graph, tm *traffic.Matrix, pairs []topology.Pair, ts *tunnels.Set, target float64) (*traffic.Matrix, float64, error) {
+	mlu := tunnelSplitMLU(g, tm, pairs, ts)
+	if mlu <= tol.Denominator {
+		return nil, 0, fmt.Errorf("eval: synthetic demand produces no tunnel load")
+	}
+	return tm.Scale(target / mlu), target, nil
+}
+
+// tunnelSplitMLU is the MLU of routing each pair's demand evenly over
+// its selected tunnels.
+func tunnelSplitMLU(g *topology.Graph, tm *traffic.Matrix, pairs []topology.Pair, ts *tunnels.Set) float64 {
 	load := make([]float64, g.NumArcs())
 	for _, p := range pairs {
 		ids := ts.ForPair(p)
@@ -209,10 +251,7 @@ func scaleByTunnels(g *topology.Graph, tm *traffic.Matrix, pairs []topology.Pair
 			}
 		}
 	}
-	if mlu <= tol.Denominator {
-		return nil, 0, fmt.Errorf("eval: synthetic demand produces no tunnel load")
-	}
-	return tm.Scale(target / mlu), target, nil
+	return mlu
 }
 
 // instance builds a core.Instance with k tunnels per pair.
@@ -235,8 +274,9 @@ type Result struct {
 	Scheme string
 	// Value is the metric (demand scale, or total throughput).
 	Value float64
-	// Time is the offline solve time, deriving the scheme's instance
-	// included.
+	// Time is the row's own offline solve, deriving its view of the
+	// instance included. The setup's CLS instance is built once, by
+	// whichever row asks first, and excluded, so no row is charged it.
 	Time time.Duration
 	// Extra carries scheme-specific notes (e.g. pruned LS fraction).
 	Extra string
@@ -313,6 +353,7 @@ func (s *Setup) Run(ctx context.Context, scheme string) (Result, error) {
 	if err != nil {
 		rec.Outcome = "error"
 	} else {
+		rec.Dur = res.Time
 		rec.Fields = map[string]float64{"value": res.Value}
 		for k, v := range res.Fields {
 			rec.Fields[k] = v
@@ -324,23 +365,24 @@ func (s *Setup) Run(ctx context.Context, scheme string) (Result, error) {
 
 // runScheme dispatches one scheme run; Run wraps it with telemetry.
 func (s *Setup) runScheme(ctx context.Context, scheme string) (Result, error) {
+	row, served := core.LookupScheme(scheme)
+	var in *core.Instance
+	var err error
+	if served || scheme == SchemePCFCLSTopSort {
+		if in, err = s.CLSInstance(); err != nil {
+			return Result{}, err
+		}
+	}
 	start := time.Now()
 	solveOpts := core.SolveOptions{Context: ctx}
 	var plan *core.Plan
-	var in *core.Instance
-	var err error
 	extra := ""
-	row, served := core.LookupScheme(scheme)
 	switch {
 	case served:
-		if in, err = s.CLSInstance(); err == nil {
-			plan, err = row.Solve(in, solveOpts, 0)
-		}
+		plan, err = row.Solve(in, solveOpts, 0)
 	case scheme == SchemePCFCLSTopSort:
-		if in, err = s.CLSInstance(); err == nil {
-			extra = s.topSort(in)
-			plan, err = core.SolvePCFCLS(in, solveOpts)
-		}
+		in, extra = s.topSort(in)
+		plan, err = core.SolvePCFCLS(in, solveOpts)
 	case scheme == SchemeR3:
 		plan, err = core.SolveR3(s.instance(0), solveOpts)
 	case scheme == SchemeOptimal:
@@ -371,8 +413,13 @@ func (s *Setup) runScheme(ctx context.Context, scheme string) (Result, error) {
 // unconditional sequence given TunnelsPerPair tunnels, and FFC's
 // budget of FFCTunnels tunnels per pair. It is the one instance every
 // row of core's scheme table is solved on, here, in pcfplan and in
-// pcfd; each row derives its view of it.
-func (s *Setup) CLSInstance() (*core.Instance, error) {
+// pcfd; each row derives its view of it. The first call builds it and
+// every later one returns the same instance, so callers must not
+// modify it.
+func (s *Setup) CLSInstance() (*core.Instance, error) { return s.cls() }
+
+// buildCLS builds the instance CLSInstance returns.
+func (s *Setup) buildCLS() (*core.Instance, error) {
 	in, _, err := core.BuildCLSQuick(s.instance(0))
 	if err != nil {
 		return nil, err
@@ -384,16 +431,17 @@ func (s *Setup) CLSInstance() (*core.Instance, error) {
 	return in, nil
 }
 
-// topSort keeps only the LSs core.TopSortFilter keeps (their segments
-// are already covered) and returns a note of the pruned fraction.
-func (s *Setup) topSort(in *core.Instance) string {
-	total := len(in.LSs)
-	kept, pruned := core.TopSortFilter(in.LSs, s.Opts.FailureBudget == 1)
-	in.LSs = kept
-	if total == 0 {
-		return ""
+// topSort returns a copy of in keeping only the LSs core.TopSortFilter
+// keeps (their segments are already covered), and a note of the pruned
+// fraction. in, the setup's shared instance, is left as it is.
+func (s *Setup) topSort(in *core.Instance) (*core.Instance, string) {
+	out := *in
+	var pruned int
+	out.LSs, pruned = core.TopSortFilter(in.LSs, s.Opts.FailureBudget == 1)
+	if total := len(in.LSs); total > 0 {
+		return &out, fmt.Sprintf("pruned %d/%d LSs (%.2f%%)", pruned, total, 100*float64(pruned)/float64(total))
 	}
-	return fmt.Sprintf("pruned %d/%d LSs (%.2f%%)", pruned, total, 100*float64(pruned)/float64(total))
+	return &out, ""
 }
 
 // segmentTunnels returns ts extended so that every segment of an

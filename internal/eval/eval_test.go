@@ -5,14 +5,16 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"pcf/internal/core"
+	"pcf/internal/failures"
 )
 
 func TestPrepareSprint(t *testing.T) {
-	s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 10})
+	s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 10, FailureBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,34 +32,44 @@ func TestPrepareSprint(t *testing.T) {
 }
 
 func TestPrepareUnknownTopology(t *testing.T) {
-	if _, err := Prepare(Options{Topology: "Nope"}); err == nil {
+	if _, err := Prepare(Options{Topology: "Nope", FailureBudget: 1}); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
-// TestApplyFailureModel: the -srlg / -node-failures switch the CLIs
-// share refuses both at once, naming both flags, and leaves the failure
-// set alone when neither is set.
-func TestApplyFailureModel(t *testing.T) {
-	s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := s.Failures
-	if err := s.ApplyFailureModel("groups.txt", "transit"); err == nil ||
-		!strings.Contains(err.Error(), "-srlg") || !strings.Contains(err.Error(), "-node-failures") {
-		t.Fatalf("both flags set: err %v, want one naming -srlg and -node-failures", err)
-	}
-	if err := s.ApplyFailureModel("", ""); err != nil || s.Failures != before {
-		t.Fatalf("neither flag set: err %v, failure set replaced %v", err, s.Failures != before)
-	}
-	if err := s.ApplyFailureModel("", "transit"); err != nil || s.Failures == before {
-		t.Fatalf("-node-failures transit: err %v, failure set replaced %v", err, s.Failures != before)
+// TestFailureModelOptions: the -srlg / -node-failures options the CLIs
+// share refuse both at once, naming both flags; neither keeps single
+// links; "transit" replaces them with node units.
+func TestFailureModelOptions(t *testing.T) {
+	o := Options{Topology: "Sprint", Seed: 1, MaxPairs: 5, FailureBudget: 1}
+	for _, tc := range []struct {
+		name        string
+		srlg, nodes string
+		singleLinks bool
+	}{
+		{"both", "groups.txt", "transit", false},
+		{"neither", "", "", true},
+		{"transit", "", "transit", false},
+	} {
+		o.SRLGFile, o.NodeFailures = tc.srlg, tc.nodes
+		s, err := Prepare(o)
+		if tc.name == "both" {
+			if err == nil || !strings.Contains(err.Error(), "-srlg") || !strings.Contains(err.Error(), "-node-failures") {
+				t.Errorf("both set: err %v, want one naming -srlg and -node-failures", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := reflect.DeepEqual(s.Failures, failures.SingleLinks(s.Graph, 1)); got != tc.singleLinks {
+			t.Errorf("%s: single-link failure set %v, want %v", tc.name, got, tc.singleLinks)
+		}
 	}
 }
 
 func TestRunUnknownScheme(t *testing.T) {
-	s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 5})
+	s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 5, FailureBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +79,7 @@ func TestRunUnknownScheme(t *testing.T) {
 }
 
 func TestRunOptimalRejectsThroughput(t *testing.T) {
-	s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 5, Objective: core.Throughput})
+	s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 5, FailureBudget: 1, Objective: core.Throughput})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +89,7 @@ func TestRunOptimalRejectsThroughput(t *testing.T) {
 }
 
 func TestSchemeOrderingOnSprint(t *testing.T) {
-	s, err := Prepare(Options{Topology: "Sprint", Seed: 2, MaxPairs: 12})
+	s, err := Prepare(Options{Topology: "Sprint", Seed: 2, MaxPairs: 12, FailureBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,100 +1,128 @@
 package eval
 
-import (
-	"fmt"
-	"os"
+// What Prepare reads besides the options: the topology, the traffic
+// matrix and the failure model.
 
-	"pcf/internal/core"
+import (
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"strconv"
+	"strings"
+
 	"pcf/internal/failures"
-	"pcf/internal/mcf"
 	"pcf/internal/topology"
+	"pcf/internal/topozoo"
 	"pcf/internal/traffic"
-	"pcf/internal/tunnels"
 )
 
-// PrepareFiles builds a Setup from user-supplied topology (and
-// optionally traffic) files in cmd/topogen's text format, the
-// file-based counterpart of Prepare. tmPath may be empty, in which
-// case a gravity matrix is generated from o.Seed. Unlike Prepare, the
-// traffic matrix is not rescaled to a target MLU — the files are taken
-// as given; the returned MLU is the optimal no-failure MLU of the
-// loaded matrix.
-func PrepareFiles(linksPath, tmPath string, o Options) (*Setup, error) {
-	if err := o.check(); err != nil {
-		return nil, err
+// graph loads the topology o names: a links file as given, so its node
+// ids stay the ones a traffic file names, or a synthetic or Table 3
+// graph with its degree-one nodes pruned.
+func (o Options) graph() (*topology.Graph, error) {
+	var g *topology.Graph
+	var err error
+	switch {
+	case o.LinksFile != "":
+		return readFile(o.LinksFile, func(r io.Reader) (*topology.Graph, error) {
+			return topology.ReadLinks(r, o.LinksFile)
+		})
+	case o.Synth != "":
+		nodes := o.SynthNodes
+		if nodes == 0 {
+			nodes = 1000
+		}
+		g, err = topozoo.Synth(o.Synth, nodes, o.Seed)
+	default:
+		g, err = topozoo.Load(o.Topology)
 	}
-	o = o.withDefaults()
-	lf, err := os.Open(linksPath)
 	if err != nil {
 		return nil, err
 	}
-	defer lf.Close()
-	g, err := topology.ReadLinks(lf, linksPath)
-	if err != nil {
-		return nil, err
+	g, _ = g.PruneDegreeOne()
+	return g, nil
+}
+
+// matrix is the traffic file's matrix when o names one, else g's
+// seeded gravity matrix.
+func (o Options) matrix(g *topology.Graph) (*traffic.Matrix, error) {
+	if o.TMFile == "" {
+		return traffic.Gravity(g, traffic.GravityOptions{Seed: o.Seed, Jitter: 0.4}), nil
 	}
-	var tm *traffic.Matrix
-	if tmPath != "" {
-		tf, err := os.Open(tmPath)
+	return readFile(o.TMFile, func(r io.Reader) (*traffic.Matrix, error) {
+		return traffic.ReadMatrix(r, g.NumNodes())
+	})
+}
+
+// readFile parses the file at path.
+func readFile[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer f.Close()
+	return parse(f)
+}
+
+// errNoTransit: a "transit" node-failure model on a setup where every
+// node is a demand endpoint, so there is no router to fail.
+var errNoTransit = errors.New("eval: no transit nodes (every node is a demand endpoint)")
+
+// failureSet builds the failure set of o's model with budget
+// FailureBudget: the SRLG file's groups, the node-failure units, or,
+// when neither is set, every link on its own.
+func (o Options) failureSet(g *topology.Graph, pairs []topology.Pair) (*failures.Set, error) {
+	switch {
+	case o.SRLGFile != "":
+		specs, err := readFile(o.SRLGFile, func(r io.Reader) ([]failures.SRLGSpec, error) {
+			return failures.ReadSRLGs(r, g.NumLinks())
+		})
+		if err != nil {
+			return nil, fmt.Errorf("eval: srlg file: %w", err)
+		}
+		return failures.SRLGSet(g, specs, o.FailureBudget), nil
+	case o.NodeFailures != "":
+		nodes, err := failedNodes(o.NodeFailures, g, pairs)
 		if err != nil {
 			return nil, err
 		}
-		defer tf.Close()
-		tm, err = traffic.ReadMatrix(tf, g.NumNodes())
-		if err != nil {
-			return nil, err
+		return failures.Nodes(g, nodes, o.FailureBudget), nil
+	}
+	return failures.SingleLinks(g, o.FailureBudget), nil
+}
+
+// failedNodes parses a node-failure spec: a comma-separated node id
+// list ("3,5,9"), or "transit" for every node that is not an endpoint
+// of pairs.
+func failedNodes(spec string, g *topology.Graph, pairs []topology.Pair) ([]topology.NodeID, error) {
+	var nodes []topology.NodeID
+	if strings.TrimSpace(spec) == "transit" {
+		endpoint := map[topology.NodeID]bool{}
+		for _, p := range pairs {
+			endpoint[p.Src] = true
+			endpoint[p.Dst] = true
 		}
-	} else {
-		tm = traffic.Gravity(g, traffic.GravityOptions{Seed: o.Seed, Jitter: 0.4})
+		for v := 0; v < g.NumNodes(); v++ {
+			if !endpoint[topology.NodeID(v)] {
+				nodes = append(nodes, topology.NodeID(v))
+			}
+		}
+		if len(nodes) == 0 {
+			return nil, errNoTransit
+		}
+		return nodes, nil
 	}
-	keep := tm.TopPairs(o.MaxPairs)
-	tm = tm.Restrict(keep)
-	mlu, err := mcf.MinMLU(g, tm)
-	if err != nil {
-		return nil, err
+	for _, part := range strings.Split(spec, ",") {
+		id, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("eval: bad node id %q: %w", part, err)
+		}
+		if id < 0 || id >= g.NumNodes() {
+			return nil, fmt.Errorf("eval: node id %d out of range [0,%d)", id, g.NumNodes())
+		}
+		nodes = append(nodes, topology.NodeID(id))
 	}
-	ts, err := tunnels.Select(g, keep, tunnels.SelectOptions{PerPair: o.TunnelsPerPair})
-	if err != nil {
-		return nil, err
-	}
-	opts := o
-	opts.Topology = linksPath
-	return &Setup{
-		Opts:     opts,
-		Graph:    g,
-		TM:       tm,
-		MLU:      mlu,
-		Pairs:    keep,
-		Tunnels:  ts,
-		Failures: failures.SingleLinks(g, o.FailureBudget),
-	}, nil
-}
-
-// PrepareFlags prepares the Setup pcfplan and pcfd name with their
-// flags: from the links file (and traffic file) when linksPath is set,
-// else from o.Topology. It refuses a failure budget below 1, naming
-// -f: Options reads a zero FailureBudget as unset, and so as 1, but a
-// -f given as 0 is not unset.
-func PrepareFlags(linksPath, tmPath string, o Options) (*Setup, error) {
-	if o.FailureBudget < 1 {
-		return nil, fmt.Errorf("eval: the failure budget (-f) must be at least 1, got %d", o.FailureBudget)
-	}
-	if linksPath != "" {
-		return PrepareFiles(linksPath, tmPath, o)
-	}
-	return Prepare(o)
-}
-
-// PrepareServed prepares what pcfd serves in every role: the Setup its
-// flags name (PrepareFlags) and that setup's CLSInstance, the one
-// instance every row of core's scheme table is solved on. pcfplan and
-// Run solve the same rows on the same instance, so the three report
-// the same value for every scheme name.
-func PrepareServed(linksPath, tmPath string, o Options) (*Setup, *core.Instance, error) {
-	setup, err := PrepareFlags(linksPath, tmPath, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	in, err := setup.CLSInstance()
-	return setup, in, err
+	return nodes, nil
 }

@@ -1,14 +1,19 @@
 package eval
 
 import (
+	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"pcf/internal/topology"
+	"pcf/internal/topozoo"
 	"pcf/internal/tunnels"
 )
 
@@ -82,19 +87,17 @@ func TestPrepareFingerprints(t *testing.T) {
 	}
 }
 
-// TestPrepareRejectsNegativeOptions: a negative failure budget or pair
-// cap is refused by both preparation paths with an error naming the
-// flag, before it can reach the solver (a negative budget used to
-// prepare zero scenarios and fail the boot solve as an internal error;
-// a negative cap meant every pair). Zero keeps its documented meaning.
+// TestPrepareRejectsNegativeOptions: a failure budget below 1 or a
+// negative pair cap is refused, from a Table 3 graph and from a links
+// file alike, with an error naming the flag, before it can reach the
+// solver (a negative budget used to prepare zero scenarios and fail the
+// boot solve as an internal error; a negative cap meant every pair).
+// So is a traffic file without its links file, which used to be
+// ignored. A zero pair cap keeps its documented meaning, every pair.
 func TestPrepareRejectsNegativeOptions(t *testing.T) {
 	links := filepath.Join(t.TempDir(), "ring.links")
 	if err := os.WriteFile(links, []byte("0 1 10\n1 2 10\n2 3 10\n3 0 10\n"), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	prepare := map[string]func(Options) (*Setup, error){
-		"Prepare":      Prepare,
-		"PrepareFiles": func(o Options) (*Setup, error) { return PrepareFiles(links, "", o) },
 	}
 	for _, tc := range []struct {
 		name string
@@ -102,21 +105,148 @@ func TestPrepareRejectsNegativeOptions(t *testing.T) {
 		flag string
 	}{
 		{"budget", Options{Topology: "Sprint", Seed: 1, FailureBudget: -1}, "-f"},
-		{"pairs", Options{Topology: "Sprint", Seed: 1, MaxPairs: -5}, "-pairs"},
+		{"zero budget", Options{Topology: "Sprint", Seed: 1}, "-f"},
+		{"pairs", Options{Topology: "Sprint", Seed: 1, MaxPairs: -5, FailureBudget: 1}, "-pairs"},
 		{"both", Options{Topology: "Sprint", Seed: 1, MaxPairs: -5, FailureBudget: -2}, "-f"},
 	} {
-		for name, prep := range prepare {
-			_, err := prep(tc.opts)
-			if err == nil || !strings.Contains(err.Error(), tc.flag) {
-				t.Errorf("%s %s: error %v, want one naming %s", name, tc.name, err, tc.flag)
+		for _, src := range []string{"", links} {
+			o := tc.opts
+			o.LinksFile = src
+			if _, err := Prepare(o); err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Errorf("%s from %q: error %v, want one naming %s", tc.name, src, err, tc.flag)
 			}
 		}
 	}
-	s, err := Prepare(Options{Topology: "Sprint", Seed: 1})
+	if _, err := Prepare(Options{Topology: "Sprint", Seed: 1, FailureBudget: 1, TMFile: links}); err == nil ||
+		!strings.Contains(err.Error(), "-tm") || !strings.Contains(err.Error(), "-links") {
+		t.Errorf("traffic file without links file: error %v, want one naming -tm and -links", err)
+	}
+	s, err := Prepare(Options{Topology: "Sprint", Seed: 1, FailureBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := s.Graph.NumNodes(); len(s.Pairs) != n*(n-1) || s.Failures.Budget != 1 {
-		t.Fatalf("zero options: %d pairs, budget %d; want all %d pairs and budget 1", len(s.Pairs), s.Failures.Budget, n*(n-1))
+		t.Fatalf("zero pair cap: %d pairs, budget %d; want all %d pairs and budget 1", len(s.Pairs), s.Failures.Budget, n*(n-1))
+	}
+}
+
+// TestLinksFileMLUIsTunnelSplit: a setup prepared from a links file
+// reports, under its own label, the MLU of splitting each pair's demand
+// evenly over its tunnels, computed here from the setup's tunnels, and
+// solves no flow LP for it. It once reported the exact MCF optimum,
+// which cost more than the solve on a 300-node file and never finished
+// on a 1 000-node one.
+func TestLinksFileMLUIsTunnelSplit(t *testing.T) {
+	g, err := topozoo.Load("Xeex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines strings.Builder
+	for _, l := range g.Links() {
+		fmt.Fprintf(&lines, "%d %d %g\n", l.A, l.B, l.Capacity)
+	}
+	links := filepath.Join(t.TempDir(), "xeex.links")
+	if err := os.WriteFile(links, []byte(lines.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Prepare(Options{LinksFile: links, Seed: 1, MaxPairs: 20, FailureBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := map[topology.ArcID]float64{}
+	for _, p := range s.Pairs {
+		ids := s.Tunnels.ForPair(p)
+		for _, id := range ids {
+			for _, a := range s.Tunnels.Tunnel(id).Path.Arcs {
+				load[a] += s.TM.At(p) / float64(len(ids))
+			}
+		}
+	}
+	want := 0.0
+	for a, l := range load {
+		want = math.Max(want, l/s.Graph.ArcCapacity(a))
+	}
+	if want == 0 || math.Abs(s.MLU-want) > 1e-12*want || s.MLULabel() != "tunnel-split MLU of the given matrix" {
+		t.Fatalf("links-file MLU %.17g labelled %q, want the tunnel split %.17g", s.MLU, s.MLULabel(), want)
+	}
+}
+
+// TestCLSInstanceBuiltOnce: every Run of a table row on one setup
+// solves the one instance CLSInstance returns; each Run once built its
+// own, which cost a 1 000-node PCF-TF run 1.99 s of its 2.44 s.
+func TestCLSInstanceBuiltOnce(t *testing.T) {
+	s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 10, FailureBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Run(context.Background(), SchemePCFCLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Run(context.Background(), SchemePCFCLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := s.CLSInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Plan.Instance != in || b.Plan.Instance != in {
+		t.Fatalf("two runs solved instances %p and %p, CLSInstance is %p", a.Plan.Instance, b.Plan.Instance, in)
+	}
+}
+
+// TestTopSortLeavesSharedInstance: PCF-CLS-TopSort filters a copy of
+// the shared instance, so a PCF-CLS run after it solves the same
+// instance, with the same LSs, to the same plan bits as one before it.
+// At f = 2 the filter prunes; at f = 1 it prunes nothing on Sprint.
+func TestTopSortLeavesSharedInstance(t *testing.T) {
+	s, err := Prepare(Options{Topology: "Sprint", Seed: 1, MaxPairs: 10, FailureBudget: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := s.CLSInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lss := len(in.LSs)
+	ctx := context.Background()
+	before, err := s.Run(ctx, SchemePCFCLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := s.Run(ctx, SchemePCFCLSTopSort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := s.Run(ctx, SchemePCFCLS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sorted.Plan.Instance.LSs) >= lss {
+		t.Fatalf("TopSort kept %d of %d LSs; the test needs a topology it prunes", len(sorted.Plan.Instance.LSs), lss)
+	}
+	if len(in.LSs) != lss || math.Float64bits(after.Value) != math.Float64bits(before.Value) ||
+		!reflect.DeepEqual(after.Plan.TunnelRes, before.Plan.TunnelRes) || !reflect.DeepEqual(after.Plan.LSRes, before.Plan.LSRes) {
+		t.Fatalf("after TopSort: %d LSs (was %d), PCF-CLS %v (was %v)", len(in.LSs), lss, after.Value, before.Value)
+	}
+}
+
+// TestNodeFailuresWithoutTransit: the node-failure experiment prints
+// dashes for a topology on which every node is a demand endpoint, and
+// values where there is a transit router to fail.
+func TestNodeFailuresWithoutTransit(t *testing.T) {
+	for _, tc := range []struct {
+		topo   string
+		pairs  int
+		dashes bool
+	}{{"B4", 0, true}, {"Sprint", 3, false}} {
+		tab, err := NodeFailures(Config{Topologies: []string{tc.topo}, MaxPairs: tc.pairs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row := tab.Rows[0]; (row[1] == "-") != tc.dashes || row[0] != tc.topo {
+			t.Errorf("%s with %d pairs: row %v, want dashes %v", tc.topo, tc.pairs, row, tc.dashes)
+		}
 	}
 }

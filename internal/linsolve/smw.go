@@ -260,7 +260,7 @@ func (w *UpdateFactorizer) capacitance(n int, ups []RowUpdate, cols []SparseColu
 	}
 	// Bucket W's nonzeros by slot: count into bOff[s+1], sum, then fill
 	// forward, which leaves bOff[s] at bucket s's end.
-	w.bOff = resize(w.bOff, int(m)+2)
+	w.bOff = grow(w.bOff, int(m)+2)
 	for _, col := range cols {
 		for _, r := range col.Row {
 			if s := w.slot[r]; s != 0 {
@@ -271,7 +271,7 @@ func (w *UpdateFactorizer) capacitance(n int, ups []RowUpdate, cols []SparseColu
 	for s := 1; s < len(w.bOff); s++ {
 		w.bOff[s] += w.bOff[s-1]
 	}
-	w.bEnt = resize(w.bEnt, int(w.bOff[m+1]))
+	w.bEnt = grow(w.bEnt, int(w.bOff[m+1]))
 	for j, col := range cols {
 		for t, r := range col.Row {
 			if s := w.slot[r]; s != 0 {
@@ -282,7 +282,7 @@ func (w *UpdateFactorizer) capacitance(n int, ups []RowUpdate, cols []SparseColu
 	}
 
 	w.rows = lists(w.rows, k)
-	w.mark = resize(w.mark, k)
+	w.mark = grow(w.mark, k)
 	maxEntry := 0.0
 	for i, up := range ups {
 		row := w.rows[i][:0]
@@ -327,7 +327,7 @@ func (w *UpdateFactorizer) capacitance(n int, ups []RowUpdate, cols []SparseColu
 // nonzeros. Each row ends as its multipliers, pivot and U entries,
 // ascending column, under the position at records.
 func (w *UpdateFactorizer) eliminate(k int) error {
-	w.at, w.pos, w.act = resize(w.at, k), resize(w.pos, k), resize(w.act, k)
+	w.at, w.pos, w.act = grow(w.at, k), grow(w.pos, k), grow(w.act, k)
 	w.colRows = lists(w.colRows, k)
 	for c := range w.colRows {
 		w.colRows[c] = w.colRows[c][:0]
@@ -466,14 +466,37 @@ func (w *UpdateFactorizer) detach(n int, ups []RowUpdate, cols []SparseColumn) (
 	return u, nil
 }
 
+// grow is resize for the workspace: a buffer it must grow gets room
+// for twice its old size and for minRank at least, so a worker's rising
+// ranks reallocate it a few times, not once per new maximum.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = make([]T, 0, max(n, 2*cap(s), minRank))
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // lists returns s resized to k lists, keeping every list s has held —
-// beyond its length too — so their storage is reused.
+// beyond its length too — so their storage is reused. It grows as grow
+// does, and a new list starts as a listCap window of one shared slab
+// (C is diagonal or nearly so, DESIGN.md §12): two allocations per
+// growth, not one per list.
 func lists[T any](s [][]T, k int) [][]T {
 	if c := cap(s); k > c {
-		s = append(s[:c], make([][]T, k-c)...)
+		n := max(k, 2*c, minRank)
+		out, slab := make([][]T, n), make([]T, (n-c)*listCap)
+		copy(out, s[:c])
+		for j := c; j < n; j++ {
+			out[j], slab = slab[:0:listCap], slab[listCap:]
+		}
+		s = out
 	}
 	return s[:k]
 }
+
+const minRank, listCap = 64, 4 // a sweep's ranks are a few dozen
 
 // carve returns an empty slice over the next m elements of *arena, with
 // capacity m, and advances the arena past them: appending up to m

@@ -64,7 +64,7 @@ type Config struct {
 	// Instance is the prepared problem: topology, demand, tunnels,
 	// failure set, FFC's tunnel budget and (for the LS/CLS/best
 	// schemes) logical sequences. Every row of core's scheme table
-	// solves its own view of it (cmd/pcfd serves eval.PrepareServed's).
+	// solves its own view of it (cmd/pcfd serves eval.Setup.CLSInstance).
 	Instance *core.Instance
 	// StateDir is the checkpoint directory. Empty disables
 	// persistence: the daemon still serves, but restarts re-solve.

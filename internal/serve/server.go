@@ -64,7 +64,7 @@ type Server struct {
 
 // NewServer builds a server from the config. The instance must already
 // carry whatever logical sequences the served schemes need (cmd/pcfd
-// serves eval's PCF-CLS instance, eval.PrepareServed).
+// serves eval.Setup.CLSInstance).
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Instance == nil {

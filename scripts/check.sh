@@ -156,9 +156,22 @@ echo "== one scheme table, one PCF-CLS instance (-count=2)"
 # through pcfd's solve path on the instance it prepares, pcfplan's solve
 # and eval.Setup.Run on all 21 topologies (FFC the paper's, best on its
 # PCF-CLS rung); pcfplan -scheme best must print -scheme pcf-cls's
-# value; pcfd's boot solve must leave a solve record. -count=2 keeps
-# Go's test cache from answering.
-go test -count=2 -run 'TestEntryPointsAgree|TestSolveReturnsReportedPlan|TestBootSolveLeavesSolveRecord|TestPrepareServesEvalCLS|TestBestAnswersOnCLSRung' ./cmd/pcfplan/ ./cmd/pcfd/ ./internal/eval/
+# value; pcfd's boot solve must leave a solve record; a setup builds the
+# instance once and TopSort filters a copy. -count=2 keeps Go's test
+# cache from answering.
+go test -count=2 -run 'TestEntryPointsAgree|TestSolveReturnsReportedPlan|TestBootSolveLeavesSolveRecord|TestPrepareServesEvalCLS|TestBestAnswersOnCLSRung|TestCLSInstanceBuiltOnce|TestTopSortLeavesSharedInstance' ./cmd/pcfplan/ ./cmd/pcfd/ ./internal/eval/
+
+echo "== 1 000-node links file plans (timeout 120 s)"
+# A links file prepares without a flow LP: on topogen's 1 000-node
+# Waxman output pcfplan -scheme pcf-tf prints its value in ~3 s. While
+# preparation solved the exact MCF only to print its MLU, this run
+# never finished.
+wax=$(mktemp -d)
+go build -o "$wax/pcfplan" ./cmd/pcfplan
+go run ./cmd/topogen -synth waxman -nodes 1000 -pairs 250 -out "$wax/wax1k" >/dev/null
+timeout 120 "$wax/pcfplan" -links "$wax/wax1k.links" -tm "$wax/wax1k.tm" -pairs 250 -scheme pcf-tf >"$wax/plan.txt"
+grep -q '^PCF-TF guaranteed demand scale: ' "$wax/plan.txt"
+rm -rf "$wax"
 
 echo "== bench smoke (-benchtime 1x)"
 # Every Go benchmark once, for its tripwires: BenchmarkSolveSynth1k
