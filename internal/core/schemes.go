@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"pcf/internal/lp"
 )
@@ -48,23 +49,24 @@ const (
 	SchemeBest   = "best"
 )
 
-// rung is one solver on its view of the prepared instance. CLS solves
-// the instance as it is; LS drops the conditional sequences; TF and
-// FFC drop every sequence (their solvers do), and FFC reserves on only
-// the first Instance.FFCTunnels tunnels of each pair. Every master
-// enters only the tunnels of its constraint pairs (solveScheme).
+// rung is one solver on its view of the prepared instance: build makes
+// its master. CLS solves the instance as it is; LS drops the
+// conditional sequences; TF and FFC drop every sequence (their masters
+// do), and FFC reserves on only the first Instance.FFCTunnels tunnels
+// of each pair. Every master enters only the tunnels of its constraint
+// pairs (master).
 type rung struct {
 	name  string
-	solve func(*Instance, SolveOptions) (*Plan, error)
+	build func(*Instance) (*master, error)
 }
 
 var (
-	rungCLS = rung{SchemePCFCLS, SolvePCFCLS}
-	rungLS  = rung{SchemePCFLS, func(in *Instance, opts SolveOptions) (*Plan, error) {
-		return SolvePCFLS(stripConditional(in), opts)
+	rungCLS = rung{SchemePCFCLS, newCLSMaster}
+	rungLS  = rung{SchemePCFLS, func(in *Instance) (*master, error) {
+		return newLSMaster(stripConditional(in))
 	}}
-	rungTF  = rung{SchemePCFTF, SolvePCFTF}
-	rungFFC = rung{SchemeFFC, SolveFFC}
+	rungTF  = rung{SchemePCFTF, newTFMaster}
+	rungFFC = rung{SchemeFFC, newFFCMaster}
 )
 
 // Scheme is one row of the scheme table: a name and its ladder of
@@ -108,12 +110,46 @@ func SchemeNames() []string {
 func (s *Scheme) Rungs() int { return len(s.rungs) }
 
 // Solve runs the row's ladder on the prepared instance in, entered at
-// rung skip: the first skip rungs are not attempted at all (pcfd's
-// circuit breaker steps skip up after repeated numerical or cut-budget
-// failures and anneals it back, so a rung that keeps breaking stops
-// burning the solve budget of every request). Skipped rungs are not
-// recorded in Plan.Degraded (they were never tried); skip is clamped
-// to keep at least the last rung.
+// rung skip: it builds a Solver, solves once and drops it, so every
+// entry point solves a row by the one path a kept Solver takes. See
+// Solver.Solve for the ladder.
+func (s *Scheme) Solve(in *Instance, opts SolveOptions, skip int) (*Plan, error) {
+	return s.NewSolver(in).Solve(opts, skip)
+}
+
+// Solver solves one row of the scheme table on one instance, any
+// number of times, and keeps each rung's master between solves: a rung
+// builds its master (model, adversaries, seed cuts, compiled form,
+// workspace) on its first solve, and every later solve of the rung
+// re-runs only the cut loop on it. Plans equal a one-shot solve's bit
+// for bit (master). A Solver is safe for concurrent use: a solve that
+// finds its rung's master busy builds a transient one, the same path a
+// first solve takes, rather than waiting, and drops it afterwards.
+type Solver struct {
+	row   *Scheme
+	in    *Instance
+	rungs []keptMaster
+}
+
+// keptMaster is one rung's master, built by the rung's first solve and
+// held by the solve using it.
+type keptMaster struct {
+	mu sync.Mutex
+	m  *master
+}
+
+// NewSolver returns the row's solver on the prepared instance in. It
+// builds nothing until a rung is first solved.
+func (s *Scheme) NewSolver(in *Instance) *Solver {
+	return &Solver{row: s, in: in, rungs: make([]keptMaster, len(s.rungs))}
+}
+
+// Solve runs the row's ladder, entered at rung skip: the first skip
+// rungs are not attempted at all (pcfd's circuit breaker steps skip up
+// after repeated numerical or cut-budget failures and anneals it back,
+// so a rung that keeps breaking stops burning the solve budget of every
+// request). Skipped rungs are not recorded in Plan.Degraded (they were
+// never tried); skip is clamped to keep at least the last rung.
 //
 // A rung is abandoned — and recorded in Plan.Degraded — when it breaks
 // down numerically or exhausts an iteration or cut budget; any other
@@ -121,15 +157,17 @@ func (s *Scheme) Rungs() int { return len(s.rungs) }
 // immediately. Every rung optimizes the same congestion-free model
 // family, so a downgrade weakens optimality, never the proved
 // guarantee of the plan that is returned.
-func (s *Scheme) Solve(in *Instance, opts SolveOptions, skip int) (*Plan, error) {
-	rungs := s.rungs[min(max(skip, 0), len(s.rungs)-1):]
+func (sv *Solver) Solve(opts SolveOptions, skip int) (*Plan, error) {
+	s := sv.row
+	first := min(max(skip, 0), len(s.rungs)-1)
 	var degraded []string
 	var firstErr error
-	for _, r := range rungs {
+	for i := first; i < len(s.rungs); i++ {
+		r := s.rungs[i]
 		if err := opts.ctxErr(); err != nil {
 			return nil, fmt.Errorf("core: %s canceled before %s: %w", s.Name, r.name, err)
 		}
-		plan, err := r.solve(in, opts)
+		plan, err := sv.rungs[i].solve(r, sv.in, opts)
 		if err == nil {
 			plan.Degraded = degraded
 			return plan, nil
@@ -145,6 +183,24 @@ func (s *Scheme) Solve(in *Instance, opts SolveOptions, skip int) (*Plan, error)
 		}
 	}
 	return nil, fmt.Errorf("core: %s exhausted all rungs (%v): %w", s.Name, degraded, firstErr)
+}
+
+// solve solves rung r on in with the kept master, building it first if
+// no solve has; a build that fails keeps nothing. When another solve
+// holds the master it solves a transient one instead.
+func (k *keptMaster) solve(r rung, in *Instance, opts SolveOptions) (*Plan, error) {
+	if !k.mu.TryLock() {
+		return solveOnce(r.build, in, opts)
+	}
+	defer k.mu.Unlock()
+	if k.m == nil {
+		m, err := r.build(in)
+		if err != nil {
+			return nil, err
+		}
+		k.m = m
+	}
+	return k.m.solve(opts)
 }
 
 // SolveBest runs the best row's ladder from its top: PCF-CLS, then

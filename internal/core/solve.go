@@ -146,26 +146,89 @@ func buildMaster(in *Instance, withLS bool, demand, pairs []topology.Pair, perPa
 	return m, mv
 }
 
-// solveScheme solves the scheme described by its adversary builder.
-// Its master enters only the tunnels of the constraint pairs — another
-// pair's tunnel would be a column no constraint rewards — and of each
-// pair only its first perPair tunnels when perPair > 0.
-func solveScheme(in *Instance, scheme string, withLS bool, build advBuilder, perPair int, opts SolveOptions) (*Plan, error) {
-	opts = opts.withDefaults()
+// master is one rung's robust master on its view of an instance: its
+// pairs, the master's variable handles, every pair's adversary and the
+// master compiled with its seed cuts, which is never solved itself. It
+// enters only the tunnels of the constraint pairs — another pair's
+// tunnel would be a column no constraint rewards — and of each pair
+// only its first perPair tunnels when perPair > 0.
+//
+// A master is built once and solved any number of times, one solve at
+// a time (Solver keeps it between solves). Every solve runs the cut
+// loop on a fresh clone of the seeded master, in the kept workspace,
+// with every polytope's saved answer forgotten: the simplex and the
+// separation oracle start from what a freshly built master starts
+// from, and a workspace carries only capacity from one solve to the
+// next, so the solve pivots, cuts and calls the oracle exactly as one
+// on a new master would (DESIGN.md §11, "The kept master").
+type master struct {
+	scheme string
+	in     *Instance
+	demand []topology.Pair
+	mv     *masterVars
+	specs  []*advSpec
+	seeded *lp.Compiled
+	seeds  int // seed cuts in seeded
+	ws     *lp.Workspace
+	// buildTime is how long newMaster took; fresh reports that no solve
+	// has started on the master yet, so the next one reports the build.
+	buildTime time.Duration
+	fresh     bool
+}
+
+// newMaster builds scheme's master on in: the validated pairs, the
+// master model, one adversary per pair from build, the seed cuts and
+// the compiled form.
+func newMaster(in *Instance, scheme string, withLS bool, build advBuilder, perPair int) (*master, error) {
+	start := time.Now()
 	demand, pairs, err := in.validated()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", scheme, err)
 	}
-	start := time.Now()
-
 	m, mv := buildMaster(in, withLS, demand, pairs, perPair)
-	sol, stats, err := solveRobust(m, buildSpecs(in, mv, build), opts)
+	specs := buildSpecs(in, mv, build)
+	seeds, err := seedMaster(m, specs)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", scheme, err)
 	}
-	plan := extractPlan(in, scheme, sol, mv, demand, time.Since(start))
+	return &master{
+		scheme: scheme, in: in, demand: demand, mv: mv, specs: specs,
+		seeded: lp.Compile(m), seeds: seeds, ws: lp.NewWorkspace(),
+		buildTime: time.Since(start), fresh: true,
+	}, nil
+}
+
+// solve runs the cut loop on a clone of the seeded master and returns
+// its plan. The first solve on the master reports the build as
+// SolveStats.PrepareTime and the compile as CompileTime; a later one
+// reports both as zero, and its SolveTime leaves the build out.
+func (ms *master) solve(opts SolveOptions) (*Plan, error) {
+	start := time.Now()
+	var stats SolveStats
+	if ms.fresh {
+		ms.fresh = false
+		stats.PrepareTime, stats.CompileTime = ms.buildTime, ms.seeded.CompileTime
+	}
+	for _, spec := range ms.specs {
+		spec.poly.Forget()
+	}
+	sol, err := cutLoop(ms.seeded.CloneIn(ms.ws), ms.seeds, ms.specs, opts.withDefaults(), &stats)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", ms.scheme, err)
+	}
+	plan := extractPlan(ms.in, ms.scheme, sol, ms.mv, ms.demand, stats.PrepareTime+time.Since(start))
 	plan.Stats = stats
 	return plan, nil
+}
+
+// solveOnce builds the master of one rung on in, solves it once and
+// drops it: the exported per-scheme solvers.
+func solveOnce(build func(*Instance) (*master, error), in *Instance, opts SolveOptions) (*Plan, error) {
+	ms, err := build(in)
+	if err != nil {
+		return nil, err
+	}
+	return ms.solve(opts)
 }
 
 // buildSpecs builds one adversary spec per pair of the master.
@@ -257,30 +320,37 @@ func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 	if err != nil {
 		return nil, stats, err
 	}
-
 	cm := lp.Compile(base)
 	stats.CompileTime = cm.CompileTime
+	sol, err := cutLoop(cm, numCuts, specs, opts, &stats)
+	return sol, stats, err
+}
+
+// cutLoop is solveRobust's loop on the compiled master cm, which holds
+// numCuts seed cuts: it appends the violated cuts to cm and folds every
+// round's statistics into stats.
+func cutLoop(cm *lp.Compiled, numCuts int, specs []*advSpec, opts SolveOptions, stats *SolveStats) (*lp.Solution, error) {
 	var basis *lp.Basis
 	costBuf := make([]float64, 0, 64)
 	for round := 0; round < maxCutRounds; round++ {
 		stats.Rounds = round + 1
 		if err := opts.ctxErr(); err != nil {
-			return nil, stats, fmt.Errorf("cut generation canceled after %d rounds (%d cuts): %w",
+			return nil, fmt.Errorf("cut generation canceled after %d rounds (%d cuts): %w",
 				round, numCuts, err)
 		}
 		lpOpts := opts.LP
 		lpOpts.WarmStart = basis
 		sol, err := cm.Solve(lpOpts)
 		if err != nil {
-			return nil, stats, err
+			return nil, err
 		}
-		absorbLPStats(&stats, sol)
+		absorbLPStats(stats, sol)
 		if sol.Stats.WarmHit {
 			stats.WarmHits++
 		}
 		stats.Cuts = numCuts
 		if sol.Status != lp.StatusOptimal {
-			return nil, stats, fmt.Errorf("master LP: %w", sol.Err())
+			return nil, fmt.Errorf("master LP: %w", sol.Err())
 		}
 		basis = sol.Basis
 
@@ -299,7 +369,7 @@ func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 			stats.OracleCalls++
 			stats.OracleSolves += spec.poly.Solves() - solves
 			if err != nil {
-				return nil, stats, err
+				return nil, err
 			}
 			lhs := sol.Eval(spec.constPart) + inner
 			rhs := sol.Eval(spec.rhs)
@@ -310,10 +380,10 @@ func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 			}
 		}
 		if violated == 0 {
-			return sol, stats, nil
+			return sol, nil
 		}
 	}
-	return nil, stats, fmt.Errorf("%w (%d rounds, %d cuts live)", ErrCutLimit, maxCutRounds, numCuts)
+	return nil, fmt.Errorf("%w (%d rounds, %d cuts live)", ErrCutLimit, maxCutRounds, numCuts)
 }
 
 func extractPlan(in *Instance, scheme string, sol *lp.Solution, mv *masterVars, demand []topology.Pair, dur time.Duration) *Plan {
@@ -355,32 +425,48 @@ func clampTiny(v float64) float64 {
 // demand pair. Logical sequences are ignored: FFC is a pure tunnel
 // scheme.
 func SolveFFC(in *Instance, opts SolveOptions) (*Plan, error) {
+	return solveOnce(newFFCMaster, in, opts)
+}
+
+func newFFCMaster(in *Instance) (*master, error) {
 	stripped := *in
 	stripped.LSs = nil
-	return solveScheme(&stripped, SchemeFFC, false, buildFFCAdversary, in.FFCTunnels, opts)
+	return newMaster(&stripped, SchemeFFC, false, buildFFCAdversary, in.FFCTunnels)
 }
 
 // SolvePCFTF computes the PCF-TF allocation (paper §3.2): FFC's
 // response mechanism with the link-aware failure set (4).
 func SolvePCFTF(in *Instance, opts SolveOptions) (*Plan, error) {
+	return solveOnce(newTFMaster, in, opts)
+}
+
+func newTFMaster(in *Instance) (*master, error) {
 	stripped := *in
 	stripped.LSs = nil
-	return solveScheme(&stripped, SchemePCFTF, false, buildPCFAdversary, 0, opts)
+	return newMaster(&stripped, SchemePCFTF, false, buildPCFAdversary, 0)
 }
 
 // SolvePCFLS computes the PCF-LS allocation (paper §3.3, model (P2)).
 // All logical sequences must be unconditional.
 func SolvePCFLS(in *Instance, opts SolveOptions) (*Plan, error) {
+	return solveOnce(newLSMaster, in, opts)
+}
+
+func newLSMaster(in *Instance) (*master, error) {
 	for _, q := range in.LSs {
 		if q.Cond != nil {
 			return nil, fmt.Errorf("PCF-LS: LS %d has a condition; use SolvePCFCLS", q.ID)
 		}
 	}
-	return solveScheme(in, SchemePCFLS, true, buildPCFAdversary, 0, opts)
+	return newMaster(in, SchemePCFLS, true, buildPCFAdversary, 0)
 }
 
 // SolvePCFCLS computes the PCF-CLS allocation (paper §3.4): logical
 // sequences may carry activation conditions.
 func SolvePCFCLS(in *Instance, opts SolveOptions) (*Plan, error) {
-	return solveScheme(in, SchemePCFCLS, true, buildPCFAdversary, 0, opts)
+	return solveOnce(newCLSMaster, in, opts)
+}
+
+func newCLSMaster(in *Instance) (*master, error) {
+	return newMaster(in, SchemePCFCLS, true, buildPCFAdversary, 0)
 }

@@ -316,7 +316,11 @@ type SolveStats struct {
 	// rows started on their own slack instead of an artificial. A cut
 	// master starts every row there, so Phase1Iters stays 0.
 	SlackStartRows int
-	// CompileTime is the one-time cost of compiling the master model.
+	// PrepareTime is the master's build — model, adversaries, seed cuts
+	// and compile — and CompileTime the compile within it. A solve on a
+	// master an earlier solve built (Solver) reports both as zero, so a
+	// slow re-plan's record says whether it rebuilt.
+	PrepareTime time.Duration
 	CompileTime time.Duration
 	// Refactors totals basis refactorizations across all rounds.
 	Refactors int
@@ -363,6 +367,7 @@ func (s SolveStats) Metrics() map[string]float64 {
 		"phase2_iters":    float64(s.Phase2Iters),
 		"dual_iters":      float64(s.DualIters),
 		"slack_start":     float64(s.SlackStartRows),
+		"prepare_ms":      float64(s.PrepareTime) / float64(time.Millisecond),
 		"compile_time_ms": float64(s.CompileTime) / float64(time.Millisecond),
 		"refactors":       float64(s.Refactors),
 		"basis_nnz":       float64(s.BasisNNZ),

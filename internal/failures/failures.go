@@ -160,17 +160,32 @@ func (s Scenario) String() string {
 // two degrade units sharing a link compose by taking the worse
 // (smaller) scale.
 func (fs *Set) ScenarioOf(combo []int) Scenario {
-	sc := Scenario{
-		FailedUnits: append([]int(nil), combo...),
-		Dead:        make(map[topology.LinkID]bool),
+	var sc Scenario
+	fs.FillScenario(&sc, combo)
+	return sc
+}
+
+// FillScenario is ScenarioOf written into dst, reusing its slice and
+// maps: a loop that materializes one scenario at a time refills one
+// scratch scenario rather than allocating each. On a zero dst it makes
+// what ScenarioOf returns; a reused dst may keep an empty Degraded map
+// where ScenarioOf leaves it nil, which reads the same. Whatever held
+// dst's earlier contents sees them overwritten.
+func (fs *Set) FillScenario(dst *Scenario, combo []int) {
+	dst.FailedUnits = append(dst.FailedUnits[:0], combo...)
+	if dst.Dead == nil {
+		dst.Dead = make(map[topology.LinkID]bool)
+	} else {
+		clear(dst.Dead)
 	}
+	clear(dst.Degraded)
 	for _, u := range combo {
 		unit := fs.Units[u]
 		if unit.Alpha > 0 {
 			continue
 		}
 		for _, l := range unit.Links {
-			sc.Dead[l] = true
+			dst.Dead[l] = true
 		}
 	}
 	for _, u := range combo {
@@ -179,18 +194,17 @@ func (fs *Set) ScenarioOf(combo []int) Scenario {
 			continue
 		}
 		for _, l := range unit.Links {
-			if sc.Dead[l] {
+			if dst.Dead[l] {
 				continue
 			}
-			if sc.Degraded == nil {
-				sc.Degraded = make(map[topology.LinkID]float64)
+			if dst.Degraded == nil {
+				dst.Degraded = make(map[topology.LinkID]float64)
 			}
-			if cur, ok := sc.Degraded[l]; !ok || unit.Alpha < cur {
-				sc.Degraded[l] = unit.Alpha
+			if cur, ok := dst.Degraded[l]; !ok || unit.Alpha < cur {
+				dst.Degraded[l] = unit.Alpha
 			}
 		}
 	}
-	return sc
 }
 
 // Enumerate calls fn for every scenario with at most Budget failed

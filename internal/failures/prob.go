@@ -75,10 +75,12 @@ type Sampler struct {
 	rng    *rand.Rand
 	budget int
 	kcap   int
-	// suffix[i][r] = P(exactly r failures among units i..n-1), the DP
-	// table both the count draw and the conditional-Bernoulli unit
-	// draw walk.
-	suffix [][]float64
+	// pf[i*kcap+r-1] = P(unit i fails | exactly r of units i..n-1
+	// fail), r = 1..kcap: the conditional-Bernoulli unit draw's walk,
+	// computed once from the suffix DP table (NewSampler). A negative
+	// entry marks a count the suffix gives no mass; the walk forces
+	// that unit without drawing.
+	pf []float64
 	// countCDF[j] = P(K ≤ budget+1+j | budget < K ≤ kcap), cumulative.
 	countCDF []float64
 	// sampledMass = P(budget < K ≤ kcap).
@@ -123,12 +125,23 @@ func (pm *ProbModel) NewSampler(seed int64, budget, kcap int) (*Sampler, error) 
 	for j := range cdf {
 		cdf[j] /= mass
 	}
+	// suffix[i][r] = P(exactly r failures among units i..n-1).
+	pf := make([]float64, n*kcap)
+	for i := 0; i < n; i++ {
+		for r := 1; r <= kcap; r++ {
+			v := -1.0
+			if denom := suffix[i][r]; !(denom <= 0) {
+				v = pm.P[i] * suffix[i+1][r-1] / denom
+			}
+			pf[i*kcap+r-1] = v
+		}
+	}
 	return &Sampler{
 		pm:          pm,
 		rng:         rand.New(rand.NewSource(seed)),
 		budget:      budget,
 		kcap:        kcap,
-		suffix:      suffix,
+		pf:          pf,
 		countCDF:    cdf,
 		sampledMass: mass,
 	}, nil
@@ -158,15 +171,14 @@ func (s *Sampler) Next() Scenario {
 	r := k
 	for i := 0; i < len(s.pm.P) && r > 0; i++ {
 		// P(unit i fails | exactly r failures remain among i..n-1).
-		denom := s.suffix[i][r]
-		if denom <= 0 {
+		pf := s.pf[i*s.kcap+r-1]
+		if pf < 0 {
 			// Unreachable along a positive-probability path; fall back
 			// to forcing the remaining failures deterministically.
 			combo = append(combo, i)
 			r--
 			continue
 		}
-		pf := s.pm.P[i] * s.suffix[i+1][r-1] / denom
 		if s.rng.Float64() < pf {
 			combo = append(combo, i)
 			r--

@@ -3,7 +3,12 @@ package failures
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
+
+	"pcf/internal/topology"
 )
 
 // CountDist against the closed-form binomial for uniform p.
@@ -226,5 +231,94 @@ func TestSamplerUnitMarginalsUniform(t *testing.T) {
 	}
 	if fmt.Sprint(hits) == "[0 0 0 0]" {
 		t.Fatal("no draws recorded")
+	}
+}
+
+// referenceNext is Sampler.Next as it walked the suffix DP table before
+// the walk's probabilities were precomputed: the count draw, then per
+// unit P[i]·suffix[i+1][r-1]/suffix[i][r], forcing the unit without a
+// draw where the denominator is not positive.
+func referenceNext(s *Sampler, rng *rand.Rand, suffix [][]float64) []int {
+	u := rng.Float64()
+	k := s.budget + 1
+	for j, c := range s.countCDF {
+		if u <= c {
+			k = s.budget + 1 + j
+			break
+		}
+		if j == len(s.countCDF)-1 {
+			k = s.kcap
+		}
+	}
+	combo := make([]int, 0, k)
+	r := k
+	for i := 0; i < len(s.pm.P) && r > 0; i++ {
+		denom := suffix[i][r]
+		if denom <= 0 {
+			combo = append(combo, i)
+			r--
+			continue
+		}
+		pf := s.pm.P[i] * suffix[i+1][r-1] / denom
+		if rng.Float64() < pf {
+			combo = append(combo, i)
+			r--
+		}
+	}
+	sort.Ints(combo)
+	return combo
+}
+
+// referenceSuffix is the suffix DP table NewSampler builds:
+// suffix[i][r] = P(exactly r failures among units i..n-1).
+func referenceSuffix(p []float64, kcap int) [][]float64 {
+	n := len(p)
+	suffix := make([][]float64, n+1)
+	suffix[n] = make([]float64, kcap+1)
+	suffix[n][0] = 1
+	for i := n - 1; i >= 0; i-- {
+		row := make([]float64, kcap+1)
+		row[0] = (1 - p[i]) * suffix[i+1][0]
+		for r := 1; r <= kcap; r++ {
+			row[r] = (1-p[i])*suffix[i+1][r] + p[i]*suffix[i+1][r-1]
+		}
+		suffix[i] = row
+	}
+	return suffix
+}
+
+// The precomputed walk draws what the table walk drew: the first 1 000
+// scenarios for seeds 1–3 on a model with unequal probabilities, a unit
+// that never fails (its counts carry no mass, so the walk forces units
+// past it) and one that always does.
+func TestSamplerMatchesTableWalk(t *testing.T) {
+	g := topology.New("ring+chords")
+	for i := 0; i < 6; i++ {
+		g.AddNode("n")
+	}
+	for i := 0; i < 6; i++ {
+		g.AddLink(topology.NodeID(i), topology.NodeID((i+1)%6), 10)
+		g.AddLink(topology.NodeID(i), topology.NodeID((i+3)%6), 10)
+	}
+	fs := SingleLinks(g, 1)
+	p := make([]float64, len(fs.Units))
+	for i := range p {
+		p[i] = 0.02 + 0.05*float64(i%5)
+	}
+	p[3], p[7] = 0, 1
+	pm := &ProbModel{Set: fs, P: p}
+	for seed := int64(1); seed <= 3; seed++ {
+		s, err := pm.NewSampler(seed, 1, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		suffix := referenceSuffix(p, s.kcap)
+		for i := 0; i < 1000; i++ {
+			got, want := s.Next().FailedUnits, referenceNext(s, rng, suffix)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d draw %d: %v, table walk %v", seed, i, got, want)
+			}
+		}
 	}
 }

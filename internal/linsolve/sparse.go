@@ -132,10 +132,12 @@ func (l *intLists) unlink(list, prev, nd int) {
 }
 
 // resize returns s with length n and every element zero, reusing its
-// backing array when that is large enough.
+// backing array when that is large enough. One it must grow gets room
+// for twice its old capacity, so a workspace whose kernels grow across
+// refactorizations reallocates a few times, not at every new maximum.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	s = s[:n]
 	clear(s)

@@ -276,3 +276,38 @@ func TestSparseFactorizerSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("factor + solve + transpose solve allocates %v times per cycle in steady state", allocs)
 	}
 }
+
+// TestResizeGrowsGeometrically: a workspace buffer that must grow gets
+// twice its old capacity, zeroed to the asked length, so factoring
+// kernels of sizes 1..64 in one workspace reallocates a buffer a few
+// times, not at every size.
+func TestResizeGrowsGeometrically(t *testing.T) {
+	s := resize([]int{7, 7, 7}, 5)
+	if len(s) != 5 || cap(s) != 6 {
+		t.Fatalf("len %d cap %d, want 5 and 6", len(s), cap(s))
+	}
+	for i, v := range s {
+		if v != 0 {
+			t.Fatalf("element %d = %d after resize", i, v)
+		}
+	}
+	var w SparseFactorizer
+	grown := 0
+	for n := 1; n <= 64; n++ {
+		ptr, ents := make([]int, n+1), make([]SparseEntry, n)
+		for i := range ents {
+			ptr[i+1] = i + 1
+			ents[i] = SparseEntry{Col: i, Val: 2}
+		}
+		before := cap(w.lu.rowPerm)
+		if _, err := w.Factor(n, ptr, ents); err != nil {
+			t.Fatal(err)
+		}
+		if cap(w.lu.rowPerm) != before {
+			grown++
+		}
+	}
+	if grown > 8 {
+		t.Fatalf("the row permutation was reallocated %d times over sizes 1..64", grown)
+	}
+}

@@ -491,6 +491,19 @@ func (cm *Compiled) Clone() *Compiled {
 	return &d
 }
 
+// CloneIn is Clone with the clone's solves run in ws instead of a
+// workspace of its own, so a caller that solves fresh clones of one
+// Compiled, one at a time, reuses ws's capacity rather than growing a
+// workspace per clone. A workspace carries nothing from one solve to
+// the next but capacity, so the clone solves as Clone's would, pivot
+// for pivot. Like the Polytopes of ws, the clone must not solve while
+// another user of ws does.
+func (cm *Compiled) CloneIn(ws *Workspace) *Compiled {
+	d := cm.Clone()
+	d.fac = &ws.fac
+	return d
+}
+
 // Basis identifies the basic column of every standard-form row of a
 // solved Compiled. It is captured on optimal solutions (Solution.
 // Basis) and fed back through Options.WarmStart; a basis stays valid

@@ -210,6 +210,11 @@ func (p *Polytope) Minimize(costs []float64) (float64, []float64, error) {
 	return p.value, p.out, nil
 }
 
+// Forget drops the saved answer, so the next Minimize solves whatever
+// its costs. The answer it then returns is the one it would have
+// reused: only Solves tells the two apart.
+func (p *Polytope) Forget() { p.saved = false }
+
 // Solves reports how many Minimize calls the simplex answered; the
 // others returned the saved answer.
 func (p *Polytope) Solves() int { return p.solves }

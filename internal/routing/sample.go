@@ -101,16 +101,16 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 	}
 	// Exhaustive pass over the designed set: the hard guarantee. Any
 	// violation here is the caller's error, not a statistic.
-	at, slots, exStats, err := s.sweepDesigned(ctx, true)
+	fill, slots, exStats, err := s.sweepDesigned(ctx, true)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := firstFailure(slots, at); err != nil {
+	if _, err := firstFailure(slots, fill.fresh); err != nil {
 		return nil, err
 	}
 	rep := &SampledReport{Stats: *exStats}
 	if worst, i := worstOf(slots); i >= 0 {
-		rep.WorstMLU, rep.WorstScenario = worst, at(i)
+		rep.WorstMLU, rep.WorstScenario = worst, fill.fresh(i)
 	}
 
 	tail := opts.Model.TailMass(fs.Budget)
@@ -143,7 +143,7 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 			drawn[i] = sampler.Next()
 		}
 		// A draw's corrector is kept by the fork, at most one per draw.
-		sslots, sStats := sweep(ctx, s.fork(int64(opts.Samples)), true, false, len(drawn), func(i int) failures.Scenario { return drawn[i] })
+		sslots, sStats := sweep(ctx, s.fork(int64(opts.Samples)), true, false, len(drawn), func(i int, dst *failures.Scenario) { *dst = drawn[i] })
 		rep.Stats.add(*sStats)
 		// A slot the cancellation reached holds the context's error, not
 		// a measurement, and slots past it hold nothing: the call fails.

@@ -161,7 +161,7 @@ func designedSet(plan *core.Plan) []failures.Scenario {
 
 // sweepScenarios sweeps a scenario list through sw.
 func sweepScenarios(ctx context.Context, sw *Sweep, check, stopOnError bool, scenarios []failures.Scenario) ([]sweepSlot, *SweepStats) {
-	return sweep(ctx, sw, check, stopOnError, len(scenarios), func(i int) failures.Scenario { return scenarios[i] })
+	return sweep(ctx, sw, check, stopOnError, len(scenarios), func(i int, dst *failures.Scenario) { *dst = scenarios[i] })
 }
 
 // validate and worstMLU are the stats-less shorthands most tests want.

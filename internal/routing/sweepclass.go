@@ -34,10 +34,10 @@ type designedClasses struct {
 // len is the number of classes.
 func (c *designedClasses) len() int { return len(c.repOff) - 1 }
 
-// at returns the function that materializes class i's representative
-// from fs, the set the classes partition.
-func (c *designedClasses) at(fs *failures.Set) func(int) failures.Scenario {
-	return func(i int) failures.Scenario { return fs.ScenarioOf(c.repUnits[c.repOff[i]:c.repOff[i+1]]) }
+// fill returns the function that writes class i's representative into
+// a scenario, from fs, the set the classes partition.
+func (c *designedClasses) fill(fs *failures.Set) scenarioFill {
+	return func(i int, dst *failures.Scenario) { fs.FillScenario(dst, c.repUnits[c.repOff[i]:c.repOff[i+1]]) }
 }
 
 // designed returns the engine's designed classes, built by the first

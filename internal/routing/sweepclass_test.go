@@ -158,7 +158,7 @@ func assertClassesMatchFullSweep(t *testing.T, name string, plan *core.Plan) (cl
 		t.Fatalf("%s: engine holds %d classes of %d scenarios, the classifier %d of %d", name, cls.len(), cls.count, len(first), len(designed))
 	}
 	for c, i := range first {
-		if got := cls.at(plan.Instance.Failures)(c); !reflect.DeepEqual(got, designed[i]) {
+		if got := cls.fill(plan.Instance.Failures).fresh(c); !reflect.DeepEqual(got, designed[i]) {
 			t.Fatalf("%s: class %d's representative is %v, its first member %v", name, c, got, designed[i])
 		}
 	}
@@ -337,5 +337,50 @@ func TestClassesBuiltOnceConcurrently(t *testing.T) {
 		if got[i] != sw.classes {
 			t.Fatalf("caller %d swept classes %p, the engine holds %p", i, got[i], sw.classes)
 		}
+	}
+}
+
+// TestSweptErrorsKeepTheirScenario: a sweep worker refills one scratch
+// scenario per class, and a failing class's error holds the scenario it
+// failed under. On a plan one failure past its budget, swept by one
+// worker that goes on past every failure, each error still names its
+// own class's representative after the later classes were swept, and
+// the first designed failure's error its scenario after a second sweep
+// through the same engine.
+func TestSweptErrorsKeepTheirScenario(t *testing.T) {
+	old := sweepWorkerCount
+	sweepWorkerCount = func() int { return 1 }
+	defer func() { sweepWorkerCount = old }()
+	plan := withBudget(fig4LSPlan(t, 3, 2, 2, 1), 2)
+	ctx := context.Background()
+	sw := newSweep(t, plan)
+	_, err := sw.ValidateStats(ctx)
+	if err == nil {
+		t.Fatal("the plan validates one failure past its budget: the test needs failing classes")
+	}
+	msg := err.Error()
+
+	cls, cerr := sw.designed(ctx)
+	if cerr != nil {
+		t.Fatal(cerr)
+	}
+	fill := cls.fill(plan.Instance.Failures)
+	slots, _ := sweep(ctx, sw, true, false, cls.len(), fill)
+	failing := 0
+	for i := range slots {
+		if slots[i].err == nil {
+			continue
+		}
+		failing++
+		alone, _ := sweepScenarios(ctx, newSweep(t, plan), true, true, []failures.Scenario{fill.fresh(i)})
+		if got, want := slots[i].err.Error(), alone[0].err; want == nil || got != want.Error() {
+			t.Fatalf("class %d: swept error %q, the class alone %v", i, got, want)
+		}
+	}
+	if failing < 2 {
+		t.Fatalf("%d failing classes: the test needs a failure followed by later ones", failing)
+	}
+	if got := err.Error(); got != msg {
+		t.Fatalf("the first validation's error changed after later sweeps:\n%s\nnow\n%s", msg, got)
 	}
 }

@@ -27,11 +27,25 @@ type sweepSlot struct {
 	done bool
 }
 
+// scenarioFill writes scenario i of a sweep's list into dst, reusing
+// dst's storage where it can.
+type scenarioFill func(i int, dst *failures.Scenario)
+
+// fresh returns scenario i of the list in storage of its own: the form
+// a scenario takes when it leaves the sweep (a worst scenario, an error
+// message).
+func (fill scenarioFill) fresh(i int) failures.Scenario {
+	var sc failures.Scenario
+	fill(i, &sc)
+	return sc
+}
+
 // sweep realizes n scenarios through sw on a NumCPU-bounded worker
-// pool with per-worker scratch — the i-th is at(i), built by the worker
-// that claims it — judging each served scenario straight from the flat
-// emission there (no Realization is built), and returns the outcomes in
-// index order: the same deterministic contract as mcf's scenario sweep.
+// pool with per-worker scratch — fill writes the i-th into the scenario
+// of the worker that claims it — judging each served scenario straight
+// from the flat emission there (no Realization is built), and returns
+// the outcomes in index order: the same deterministic contract as mcf's
+// scenario sweep.
 // Workers claim indexes from an atomic counter and the callers merge
 // the slot array in order, so worker scheduling never changes an
 // answer. stopOnError selects the designed-set contract — a worker
@@ -40,7 +54,7 @@ type sweepSlot struct {
 // to fail sometimes and each outcome is a measurement, not an abort.
 // The stats count this call's scenarios only, whoever else is using the
 // engine meanwhile. A nil ctx means no deadline.
-func sweep(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, at func(int) failures.Scenario) ([]sweepSlot, *SweepStats) {
+func sweep(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, fill scenarioFill) ([]sweepSlot, *SweepStats) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -59,12 +73,15 @@ func sweep(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, at fu
 			defer wg.Done()
 			sr := sw.pool.Get().(*sweepScratch)
 			defer sw.pool.Put(sr)
+			// sc is refilled for every index; an error that may hold it
+			// takes it, and the worker starts a new one.
+			var sc failures.Scenario
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				sc := at(i)
+				fill(i, &sc)
 				slots[i].done = true
 				if err := ctx.Err(); err != nil {
 					slots[i].err = fmt.Errorf("routing: scenario sweep canceled at %v: %w", sc, err)
@@ -78,7 +95,7 @@ func sweep(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, at fu
 					ws.ArcChecks += sr.arcChecks
 				}
 				if err != nil {
-					slots[i].err = err
+					slots[i].err, sc = err, failures.Scenario{}
 					if stopOnError {
 						return
 					}
@@ -98,14 +115,15 @@ func sweep(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, at fu
 
 // sweepDesigned sweeps the designed set through s: one representative
 // per class (sweepclass.go), slot i holding class i's outcome, which is
-// every member's bit for bit, and at(i) materializing its
-// representative. Classes are in the enumeration order of their
-// representatives, each a class's first member, so the first failing
-// slot is the designed set's first failing scenario, and the first slot
-// of the largest MLU its first scenario of that MLU. The stats count
+// every member's bit for bit, and fill writing its representative
+// (fill.fresh(i) in storage of its own). Classes are in the enumeration
+// order of their representatives, each a class's first member, so the
+// first failing slot is the designed set's first failing scenario, and
+// the first slot of the largest MLU its first scenario of that MLU. The
+// stats count
 // the designed set as its Scenarios and the classes realized as its
 // Classes; Total includes the class build if this call made it.
-func (s *Sweep) sweepDesigned(ctx context.Context, check bool) (at func(int) failures.Scenario, slots []sweepSlot, stats *SweepStats, err error) {
+func (s *Sweep) sweepDesigned(ctx context.Context, check bool) (fill scenarioFill, slots []sweepSlot, stats *SweepStats, err error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -114,11 +132,11 @@ func (s *Sweep) sweepDesigned(ctx context.Context, check bool) (at func(int) fai
 	if err != nil {
 		return nil, nil, &SweepStats{BaseFactorTime: s.baseTime, Total: time.Since(start)}, err
 	}
-	at = cls.at(s.plan.Instance.Failures)
-	slots, stats = sweep(ctx, s, check, true, cls.len(), at)
+	fill = cls.fill(s.plan.Instance.Failures)
+	slots, stats = sweep(ctx, s, check, true, cls.len(), fill)
 	stats.Scenarios = cls.count
 	stats.Total = time.Since(start)
-	return at, slots, stats, nil
+	return fill, slots, stats, nil
 }
 
 // firstFailure scans a sweep's slots in order and returns the first
@@ -156,11 +174,11 @@ type ValidateOptions struct{}
 // of the first unrealized one. The statistics are returned even when
 // validation fails.
 func (s *Sweep) ValidateStats(ctx context.Context) (*SweepStats, error) {
-	at, slots, stats, err := s.sweepDesigned(ctx, true)
+	fill, slots, stats, err := s.sweepDesigned(ctx, true)
 	if err != nil {
 		return stats, err
 	}
-	_, err = firstFailure(slots, at)
+	_, err = firstFailure(slots, fill.fresh)
 	return stats, err
 }
 
@@ -191,17 +209,17 @@ func WorstMLUStats(ctx context.Context, plan *core.Plan, _ ValidateOptions) (flo
 	if err != nil {
 		return 0, failures.Scenario{}, &SweepStats{Total: time.Since(start)}, err
 	}
-	at, slots, stats, err := sw.sweepDesigned(ctx, false)
+	fill, slots, stats, err := sw.sweepDesigned(ctx, false)
 	stats.Total += stats.BaseFactorTime
 	if err != nil {
 		return 0, failures.Scenario{}, stats, err
 	}
-	ok, err := firstFailure(slots, at)
+	ok, err := firstFailure(slots, fill.fresh)
 	worst, i := worstOf(slots[:ok])
 	if i < 0 {
 		return 0, failures.Scenario{}, stats, err
 	}
-	return worst, at(i), stats, err
+	return worst, fill.fresh(i), stats, err
 }
 
 // worstOf returns the largest utilization among successfully swept

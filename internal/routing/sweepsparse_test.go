@@ -147,7 +147,7 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 	rankK := 0
 	sr := sw.newScratch()
 	for i := 0; i < cls.len(); i++ {
-		sv, err := sw.realize(cls.at(plan.Instance.Failures)(i), sr)
+		sv, err := sw.realize(cls.fill(plan.Instance.Failures).fresh(i), sr)
 		if err != nil {
 			t.Fatal(err)
 		}

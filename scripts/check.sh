@@ -78,6 +78,14 @@ echo "== separation oracle reuse (-race -count=2)"
 # the pair → LSs index lists what a scan lists (DESIGN.md §11).
 go test -race -count=2 -run 'TestPolytopeMinimizeReusesCompiledRows|TestPolytopeMinimizeReusesAnswer|TestPolytopeLoweringMatchesCompile|TestCutLoopOracleCounts|TestLSIndexMatchesScan' ./internal/lp/ ./internal/core/
 
+echo "== kept masters (-race -count=2)"
+# pcfd keeps each scheme row's rung masters across re-plans: three
+# re-plans of every row equal a one-shot solve bit for bit, a canceled
+# re-plan leaves the master reusable, concurrent solves agree, and a
+# second Sprint PCF-TF re-plan allocates at most a quarter of the first
+# (DESIGN.md §11, "The kept master").
+go test -race -count=2 -run 'TestReplansMatchOneShot|TestCanceledReplanThenFull|TestConcurrentReplans|TestReplanAllocs|TestSolverKeepsMasters' ./internal/serve/ ./internal/core/
+
 echo "== sampled-validation determinism (-race -count=2)"
 # The coverage report of a sampled validation must be byte-identical
 # for the same seed, run after run, regardless of sweep-worker
@@ -90,7 +98,7 @@ echo "== sampled-validation determinism (-race -count=2)"
 # call's error. -count=2 forces two fresh runs so a time- or
 # schedule-dependent regression cannot hide behind Go's test result
 # cache.
-go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeterminism|TestSampledOnPublishedMatchesOneShot|TestValidateSampledCanceledInTail' ./internal/routing/ ./internal/failures/
+go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeterminism|TestSamplerMatchesTableWalk|TestSampledOnPublishedMatchesOneShot|TestValidateSampledCanceledInTail' ./internal/routing/ ./internal/failures/
 
 echo "== delta validation ≡ dense (-race -count=2)"
 # The sweep replays a recorded emission for every destination a scenario
@@ -125,7 +133,7 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # test-file referee) does, on failing plans and degraded SRLGs too.
 # -count=2 keeps Go's test cache from answering for a
 # schedule-dependent regression.
-go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestSparseBuildMatchesDenseBuild|TestSparseBuildCraftedCapacitances|FuzzCorrectorMatchesDense|TestCorrectionFingerprints|TestCorrectorFootprint|TestInverseColumnMemoHoldsNonzeros|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
+go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestSparseBuildMatchesDenseBuild|TestSparseBuildCraftedCapacitances|FuzzCorrectorMatchesDense|TestCorrectionFingerprints|TestCorrectorFootprint|TestInverseColumnMemoHoldsNonzeros|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone|TestSweptErrorsKeepTheirScenario' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
 
 echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
