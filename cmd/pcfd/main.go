@@ -114,7 +114,6 @@ func main() {
 	telemetryDir := flag.String("telemetry", "", "telemetry record store directory (empty = <state>/telemetry, or memory-only without -state)")
 	retainTelemetry := flag.Int("retain-telemetry", 0, "telemetry segments to keep (0 = default, negative = unlimited)")
 	solveOnStart := flag.Bool("solve-on-start", true, "solve and publish a plan at boot when no checkpoint recovers")
-	solves := flag.Int("solves", 1, "max concurrent plan solves")
 	realizes := flag.Int("realizes", 0, "max concurrent realizations (0 = NumCPU)")
 	queue := flag.Int("queue", 8, "admission queue depth per class; beyond it requests are shed")
 	solveTimeout := flag.Duration("solve-timeout", 2*time.Minute, "default per-request solve deadline")
@@ -164,7 +163,6 @@ func main() {
 		StateDir:              *stateDir,
 		TelemetryDir:          *telemetryDir,
 		RetainTelemetry:       *retainTelemetry,
-		MaxConcurrentSolves:   *solves,
 		MaxConcurrentRealizes: *realizes,
 		QueueDepth:            *queue,
 		DefaultSolveTimeout:   *solveTimeout,

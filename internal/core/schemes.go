@@ -61,29 +61,31 @@ type rung struct {
 }
 
 var (
-	rungCLS = rung{SchemePCFCLS, newCLSMaster}
-	rungLS  = rung{SchemePCFLS, func(in *Instance) (*master, error) {
+	rungCLS = &rung{SchemePCFCLS, newCLSMaster}
+	rungLS  = &rung{SchemePCFLS, func(in *Instance) (*master, error) {
 		return newLSMaster(stripConditional(in))
 	}}
-	rungTF  = rung{SchemePCFTF, newTFMaster}
-	rungFFC = rung{SchemeFFC, newFFCMaster}
+	rungTF  = &rung{SchemePCFTF, newTFMaster}
+	rungFFC = &rung{SchemeFFC, newFFCMaster}
 )
 
 // Scheme is one row of the scheme table: a name and its ladder of
-// rungs, most expressive first. Only best has more than one rung.
+// rungs, most expressive first. Only best has more than one rung, and
+// its rungs are the PCF-CLS, PCF-LS and FFC rows' own: a Solver keeps
+// one master per rung, whichever rows solve it.
 type Scheme struct {
 	Name  string
-	rungs []rung
+	rungs []*rung
 }
 
 // schemes is the scheme table, the one place a scheme name is given a
 // solver and an instance view.
 var schemes = []*Scheme{
-	{SchemeFFC, []rung{rungFFC}},
-	{SchemePCFTF, []rung{rungTF}},
-	{SchemePCFLS, []rung{rungLS}},
-	{SchemePCFCLS, []rung{rungCLS}},
-	{SchemeBest, []rung{rungCLS, rungLS, rungFFC}},
+	{SchemeFFC, []*rung{rungFFC}},
+	{SchemePCFTF, []*rung{rungTF}},
+	{SchemePCFLS, []*rung{rungLS}},
+	{SchemePCFCLS, []*rung{rungCLS}},
+	{SchemeBest, []*rung{rungCLS, rungLS, rungFFC}},
 }
 
 // LookupScheme returns the table row named name, ignoring case.
@@ -110,44 +112,37 @@ func SchemeNames() []string {
 func (s *Scheme) Rungs() int { return len(s.rungs) }
 
 // Solve runs the row's ladder on the prepared instance in, entered at
-// rung skip: it builds a Solver, solves once and drops it, so every
+// rung skip: it solves once on a new Solver and drops it, so every
 // entry point solves a row by the one path a kept Solver takes. See
 // Solver.Solve for the ladder.
 func (s *Scheme) Solve(in *Instance, opts SolveOptions, skip int) (*Plan, error) {
-	return s.NewSolver(in).Solve(opts, skip)
+	return NewSolver(in).Solve(s, opts, skip)
 }
 
-// Solver solves one row of the scheme table on one instance, any
-// number of times, and keeps each rung's master between solves: a rung
-// builds its master (model, adversaries, seed cuts, compiled form,
-// workspace) on its first solve, and every later solve of the rung
-// re-runs only the cut loop on it. Plans equal a one-shot solve's bit
-// for bit (master). A Solver is safe for concurrent use: a solve that
-// finds its rung's master busy builds a transient one, the same path a
-// first solve takes, rather than waiting, and drops it afterwards.
+// Solver solves any row of the scheme table on one instance, any
+// number of times, and keeps one master per rung between solves: a
+// rung builds its master (model, adversaries, seed cuts, compiled form,
+// workspace) on its first solve by any row, and every later solve of
+// the rung, by that row or another whose ladder holds it, re-runs only
+// the cut loop on it. Plans equal a one-shot solve's bit for bit
+// (master). Solves on one Solver take turns: each holds the Solver for
+// its whole ladder.
 type Solver struct {
-	row   *Scheme
-	in    *Instance
-	rungs []keptMaster
+	in      *Instance
+	mu      sync.Mutex
+	masters map[*rung]*master
 }
 
-// keptMaster is one rung's master, built by the rung's first solve and
-// held by the solve using it.
-type keptMaster struct {
-	mu sync.Mutex
-	m  *master
+// NewSolver returns a solver on the prepared instance in. It builds
+// nothing until a rung is first solved.
+func NewSolver(in *Instance) *Solver {
+	return &Solver{in: in, masters: map[*rung]*master{}}
 }
 
-// NewSolver returns the row's solver on the prepared instance in. It
-// builds nothing until a rung is first solved.
-func (s *Scheme) NewSolver(in *Instance) *Solver {
-	return &Solver{row: s, in: in, rungs: make([]keptMaster, len(s.rungs))}
-}
-
-// Solve runs the row's ladder, entered at rung skip: the first skip
-// rungs are not attempted at all (pcfd's circuit breaker steps skip up
-// after repeated numerical or cut-budget failures and anneals it back,
-// so a rung that keeps breaking stops burning the solve budget of every
+// Solve runs row's ladder, entered at rung skip: the first skip rungs
+// are not attempted at all (pcfd's circuit breaker steps skip up after
+// repeated numerical or cut-budget failures and anneals it back, so a
+// rung that keeps breaking stops burning the solve budget of every
 // request). Skipped rungs are not recorded in Plan.Degraded (they were
 // never tried); skip is clamped to keep at least the last rung.
 //
@@ -157,17 +152,17 @@ func (s *Scheme) NewSolver(in *Instance) *Solver {
 // immediately. Every rung optimizes the same congestion-free model
 // family, so a downgrade weakens optimality, never the proved
 // guarantee of the plan that is returned.
-func (sv *Solver) Solve(opts SolveOptions, skip int) (*Plan, error) {
-	s := sv.row
-	first := min(max(skip, 0), len(s.rungs)-1)
+func (sv *Solver) Solve(row *Scheme, opts SolveOptions, skip int) (*Plan, error) {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	first := min(max(skip, 0), len(row.rungs)-1)
 	var degraded []string
 	var firstErr error
-	for i := first; i < len(s.rungs); i++ {
-		r := s.rungs[i]
+	for _, r := range row.rungs[first:] {
 		if err := opts.ctxErr(); err != nil {
-			return nil, fmt.Errorf("core: %s canceled before %s: %w", s.Name, r.name, err)
+			return nil, fmt.Errorf("core: %s canceled before %s: %w", row.Name, r.name, err)
 		}
-		plan, err := sv.rungs[i].solve(r, sv.in, opts)
+		plan, err := sv.solve(r, opts)
 		if err == nil {
 			plan.Degraded = degraded
 			return plan, nil
@@ -175,32 +170,28 @@ func (sv *Solver) Solve(opts SolveOptions, skip int) (*Plan, error) {
 		// A degradable failure under a context that has since expired
 		// still aborts: retrying lower rungs would just burn the caller.
 		if !Degradable(err) || opts.ctxErr() != nil {
-			return nil, fmt.Errorf("core: %s %s: %w", s.Name, r.name, err)
+			return nil, fmt.Errorf("core: %s %s: %w", row.Name, r.name, err)
 		}
 		degraded = append(degraded, r.name)
 		if firstErr == nil {
 			firstErr = err
 		}
 	}
-	return nil, fmt.Errorf("core: %s exhausted all rungs (%v): %w", s.Name, degraded, firstErr)
+	return nil, fmt.Errorf("core: %s exhausted all rungs (%v): %w", row.Name, degraded, firstErr)
 }
 
-// solve solves rung r on in with the kept master, building it first if
-// no solve has; a build that fails keeps nothing. When another solve
-// holds the master it solves a transient one instead.
-func (k *keptMaster) solve(r rung, in *Instance, opts SolveOptions) (*Plan, error) {
-	if !k.mu.TryLock() {
-		return solveOnce(r.build, in, opts)
-	}
-	defer k.mu.Unlock()
-	if k.m == nil {
-		m, err := r.build(in)
-		if err != nil {
+// solve solves rung r on its kept master, building it first if no
+// solve has; a build that fails keeps nothing.
+func (sv *Solver) solve(r *rung, opts SolveOptions) (*Plan, error) {
+	m := sv.masters[r]
+	if m == nil {
+		var err error
+		if m, err = r.build(sv.in); err != nil {
 			return nil, err
 		}
-		k.m = m
+		sv.masters[r] = m
 	}
-	return k.m.solve(opts)
+	return m.solve(opts)
 }
 
 // SolveBest runs the best row's ladder from its top: PCF-CLS, then

@@ -50,45 +50,41 @@ func TestLookupSchemeIgnoresCase(t *testing.T) {
 	}
 }
 
-// TestSolverKeepsMasters: a Solver builds a rung's master on the rung's
-// first solve and reuses it after; a solve that finds the master busy
-// solves a transient one and keeps nothing. Every plan equals a
-// one-shot solve's.
+// TestSolverKeepsMasters: a Solver keeps one master per rung, whichever
+// rows solve it. A rung's first solve builds the master and every later
+// one, by any row whose ladder holds the rung, reuses it; every plan
+// equals a one-shot solve's. Solving every row, best entered at every
+// rung, keeps exactly the four rungs' masters.
 func TestSolverKeepsMasters(t *testing.T) {
 	in := gadgetInstances(t)["fig5-f2"]
-	row, _ := LookupScheme(SchemePCFTF)
-	want, err := row.Solve(in, SolveOptions{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := func(what string, got *Plan) {
-		t.Helper()
-		gs, ws := got.Stats, want.Stats
-		gs.PrepareTime, gs.CompileTime, ws.PrepareTime, ws.CompileTime = 0, 0, 0, 0
-		if math.Float64bits(got.Value) != math.Float64bits(want.Value) || gs != ws || fmt.Sprint(got.TunnelRes) != fmt.Sprint(want.TunnelRes) {
-			t.Fatalf("%s: %v %+v, one-shot %v %+v", what, got.Value, gs, want.Value, ws)
+	sv := NewSolver(in)
+	built := map[string]bool{}
+	for _, name := range SchemeNames() {
+		row, _ := LookupScheme(name)
+		for skip := 0; skip < row.Rungs(); skip++ {
+			want, err := row.Solve(in, SolveOptions{}, skip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 2; k++ {
+				got, err := sv.Solve(row, SolveOptions{}, skip)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gs, ws := got.Stats, want.Stats
+				gs.PrepareTime, gs.CompileTime, ws.PrepareTime, ws.CompileTime = 0, 0, 0, 0
+				if got.Scheme != want.Scheme || math.Float64bits(got.Value) != math.Float64bits(want.Value) || gs != ws || fmt.Sprint(got.TunnelRes) != fmt.Sprint(want.TunnelRes) {
+					t.Fatalf("%s at rung %d, solve %d: %s %v %+v, one-shot %s %v %+v", name, skip, k, got.Scheme, got.Value, gs, want.Scheme, want.Value, ws)
+				}
+				build := got.Stats.PrepareTime > 0 || got.Stats.CompileTime > 0
+				if build == built[got.Scheme] {
+					t.Fatalf("%s at rung %d, solve %d: build reported %v, %s master built before %v", name, skip, k, build, got.Scheme, built[got.Scheme])
+				}
+				built[got.Scheme] = true
+			}
 		}
 	}
-	sv := row.NewSolver(in)
-	kept := &sv.rungs[0]
-	kept.mu.Lock()
-	busy, err := sv.Solve(SolveOptions{}, 0)
-	kept.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	same("busy", busy)
-	if kept.m != nil || busy.Stats.PrepareTime == 0 {
-		t.Fatalf("a busy rung's solve kept its master (%v) or reported no build (%v)", kept.m != nil, busy.Stats.PrepareTime)
-	}
-	for k := 0; k < 2; k++ {
-		got, err := sv.Solve(SolveOptions{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same(fmt.Sprintf("solve %d", k), got)
-		if built := got.Stats.PrepareTime > 0 || got.Stats.CompileTime > 0; built != (k == 0) || kept.m == nil {
-			t.Fatalf("solve %d: build reported %v, master kept %v", k, built, kept.m != nil)
-		}
+	if len(sv.masters) != 4 {
+		t.Fatalf("%d masters kept, want one per rung: 4", len(sv.masters))
 	}
 }

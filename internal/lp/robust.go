@@ -193,6 +193,7 @@ func (p *Polytope) Minimize(costs []float64) (float64, []float64, error) {
 	copy(p.costs, costs)
 	p.cm.setMinimize(costs)
 	p.solves++
+	defer p.cm.release()
 	st, status, _, err := p.cm.run(Options{})
 	if err != nil {
 		return 0, nil, err

@@ -791,6 +791,7 @@ func (st *simplexState) phase2Cost() []float64 {
 // the result.
 func (cm *Compiled) Solve(opts Options) (*Solution, error) {
 	startTime := time.Now()
+	defer cm.release()
 	st, status, stats, err := cm.run(opts)
 	if err != nil {
 		return nil, err
@@ -859,6 +860,17 @@ func (cm *Compiled) run(opts Options) (*simplexState, Status, SolveStats, error)
 		st = nil
 	}
 	return st, status, stats, nil
+}
+
+// release clears the simplex state in cm's workspace once a solve has
+// been read, so a kept workspace holds no pointer to the Compiled it
+// last solved nor to that solve's Options (Context, WarmStart,
+// FaultHook) until it solves again; its vectors stay with the
+// workspace.
+func (cm *Compiled) release() {
+	if cm.fac != nil {
+		cm.fac.st = simplexState{}
+	}
 }
 
 // solveCold runs the two phases from the slack crash basis; phase 1

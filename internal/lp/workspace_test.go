@@ -1,6 +1,8 @@
 package lp
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -128,4 +130,49 @@ func TestSweepWorkerClonesShareNoWorkspace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSolveLeavesNoStateInWorkspace: once Compiled.Solve or
+// Polytope.Minimize returns, on success or on error, the simplex state
+// in the workspace references neither the Compiled it solved nor that
+// solve's Options, so a kept workspace pins no finished solve's model,
+// Context, WarmStart basis or FaultHook.
+func TestSolveLeavesNoStateInWorkspace(t *testing.T) {
+	ws := NewWorkspace()
+	empty := func(what string) {
+		t.Helper()
+		st := &ws.fac.st
+		if st.cm != nil || st.opts.Context != nil || st.opts.WarmStart != nil || st.opts.FaultHook != nil {
+			t.Fatalf("after %s the workspace state holds cm %v, Context %v, WarmStart %v, FaultHook %v",
+				what, st.cm != nil, st.opts.Context != nil, st.opts.WarmStart != nil, st.opts.FaultHook != nil)
+		}
+	}
+	base := Compile(chainLP(20))
+	first, err := base.Solve(Options{})
+	if err != nil || first.Status != StatusOptimal {
+		t.Fatalf("cold solve: %v, %v", first, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hook := func(FaultEvent) error { return nil }
+	warm, err := base.CloneIn(ws).Solve(Options{Context: ctx, WarmStart: first.Basis, FaultHook: hook})
+	if err != nil || !warm.Stats.WarmHit {
+		t.Fatalf("warm solve: %v, warm hit %v", err, warm != nil && warm.Stats.WarmHit)
+	}
+	empty("a warm solve")
+
+	canceled, stop := cancelAt(5)
+	if _, err := Compile(chainLP(200)).CloneIn(ws).Solve(Options{Context: canceled, FaultHook: stop}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled solve: %v", err)
+	}
+	empty("a canceled solve")
+
+	p := ws.NewPolytope()
+	x, y := p.AddVar(), p.AddVar()
+	p.AddRow([]AdvTerm{{x, 1}, {y, 1}}, LE, 1)
+	p.AddUpperBound(x, 1)
+	if _, _, err := p.Minimize([]float64{-1, -2}); err != nil {
+		t.Fatal(err)
+	}
+	empty("Polytope.Minimize")
 }

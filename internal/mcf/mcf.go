@@ -197,16 +197,11 @@ func solveFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]b
 	return res, nil
 }
 
-// MinMLU returns the maximum link utilization of an optimal routing of
-// the full matrix (the inverse of the max concurrent flow scale).
-func MinMLU(g *topology.Graph, tm *traffic.Matrix) (float64, error) {
-	mlu, _, err := minMLU(g, tm, nil)
-	return mlu, err
-}
-
-// minMLU is MinMLU on a solve warm-started from warm when it is
-// non-nil, returning the solution too (nil when the matrix has no
-// demand): MaxConcurrentFlow without the per-arc flows.
+// minMLU returns the maximum link utilization of an optimal routing of
+// the full matrix (the inverse of the max concurrent flow scale) on a
+// solve warm-started from warm when it is non-nil, and the solution
+// (nil when the matrix has no demand): MaxConcurrentFlow without the
+// per-arc flows.
 func minMLU(g *topology.Graph, tm *traffic.Matrix, warm *lp.Basis) (float64, *lp.Solution, error) {
 	fm, err := buildFlow(g, tm, nil)
 	if err != nil {

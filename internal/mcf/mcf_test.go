@@ -90,7 +90,7 @@ func TestMinMLU(t *testing.T) {
 	g, s, tt := twoPath()
 	// Demand 2.5 on a 5-capacity cut: optimal MLU = 0.5.
 	tm := traffic.Single(g.NumNodes(), topology.Pair{Src: s, Dst: tt}, 2.5)
-	mlu, err := MinMLU(g, tm)
+	mlu, _, err := minMLU(g, tm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func TestFlowLPCertified(t *testing.T) {
 // TestScaleConfirmationWarm: ScaleToMLU's confirming solve starts from
 // the first solve's basis, which scaling the matrix leaves optimal, so
 // it is a warm hit without a pivot; the scaled matrix is bit-equal to
-// scaling by a cold MinMLU and the MLU within 1e-12 of a cold
+// scaling by a cold minMLU and the MLU within 1e-12 of a cold
 // confirmation — on the instances eval.Prepare builds.
 func TestScaleConfirmationWarm(t *testing.T) {
 	for _, tc := range []struct {
@@ -223,7 +223,7 @@ func TestScaleConfirmationWarm(t *testing.T) {
 			t.Errorf("%s: confirming solve warm hit %v after %d pivots; want a hit with none",
 				tc.name, confirm.Stats.WarmHit, confirm.Stats.Iterations())
 		}
-		mlu, err := MinMLU(g, tm)
+		mlu, _, err := minMLU(g, tm, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestScaleConfirmationWarm(t *testing.T) {
 				}
 			}
 		}
-		cold, err := MinMLU(g, scaled)
+		cold, _, err := minMLU(g, scaled, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

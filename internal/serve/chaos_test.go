@@ -78,15 +78,14 @@ func TestChaosSoak(t *testing.T) {
 
 	newServer := func() (*Server, *httptest.Server) {
 		s, err := NewServer(Config{
-			Instance:            inst,
-			StateDir:            dir,
-			TelemetryDir:        telDir,
-			MaxConcurrentSolves: 1,
-			QueueDepth:          1, // undersized on purpose: shedding is part of the chaos
-			LPFaultHook:         hook,
-			MutatePlan:          mutate,
-			BreakerCooldown:     50 * time.Millisecond,
-			Logf:                t.Logf,
+			Instance:        inst,
+			StateDir:        dir,
+			TelemetryDir:    telDir,
+			QueueDepth:      1, // undersized on purpose: shedding is part of the chaos
+			LPFaultHook:     hook,
+			MutatePlan:      mutate,
+			BreakerCooldown: 50 * time.Millisecond,
+			Logf:            t.Logf,
 		})
 		if err != nil {
 			t.Fatalf("NewServer: %v", err)

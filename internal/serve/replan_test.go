@@ -9,16 +9,18 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"pcf/internal/core"
 	"pcf/internal/eval"
 	"pcf/internal/lp"
+	"pcf/internal/telemetry"
 )
 
-// Re-planning on a kept master: the server's solver per scheme row
-// builds each rung's master on the rung's first solve and re-runs only
-// the cut loop after that (core.Solver). These tests hold every re-plan
-// to a one-shot solve, bit for bit.
+// Re-planning on a kept master: the server's one solver builds each
+// rung's master on the rung's first solve, by whichever row, and re-runs
+// only the cut loop after that (core.Solver). These tests hold every
+// re-plan to a one-shot solve, bit for bit.
 
 // servedInstance prepares the instance pcfd serves for o.
 func servedInstance(t *testing.T, o eval.Options) *core.Instance {
@@ -81,7 +83,8 @@ func mapDiff[K comparable](what string, got, want map[K]float64) string {
 
 // TestReplansMatchOneShot: three consecutive served re-plans of every
 // scheme row equal a one-shot solve bit for bit, with only the first
-// building its master, and so do three re-plans of best entered at each
+// solve of each rung building its master (best's rungs were built by
+// the rows before it), and so do three re-plans of best entered at each
 // lower rung, the breaker's skip. Sprint and GEANT at f=1 on every row
 // (at f=2 their rows admit nothing), BTNorthAmerica at f=2 on best.
 func TestReplansMatchOneShot(t *testing.T) {
@@ -101,6 +104,7 @@ func TestReplansMatchOneShot(t *testing.T) {
 	for _, tc := range cases {
 		in := servedInstance(t, tc.o)
 		srv, _ := newTestServer(t, Config{Instance: in})
+		built := map[string]bool{}
 		for _, name := range tc.rows {
 			row, _ := core.LookupScheme(name)
 			want, err := row.Solve(in, core.SolveOptions{}, 0)
@@ -118,22 +122,23 @@ func TestReplansMatchOneShot(t *testing.T) {
 				if d := planDiff(pub.Plan, want); d != "" {
 					t.Fatalf("%s %s: re-plan %d: %s", tc.name, name, k, d)
 				}
-				if built := pub.Plan.Stats.PrepareTime > 0; built != (k == 0) {
+				if build := pub.Plan.Stats.PrepareTime > 0; build == built[want.Scheme] {
 					t.Fatalf("%s %s: re-plan %d reports a %v master build", tc.name, name, k, pub.Plan.Stats.PrepareTime)
 				}
+				built[want.Scheme] = true
 			}
 			t.Logf("%s %s: %.6f, %d rounds, %d cuts, %d pivots, oracle %d/%d",
 				tc.name, name, want.Value, want.Stats.Rounds, want.Stats.Cuts, want.Stats.LPIterations, want.Stats.OracleSolves, want.Stats.OracleCalls)
 		}
 		best, _ := core.LookupScheme(core.SchemeBest)
-		sv := best.NewSolver(in)
+		sv := core.NewSolver(in)
 		for skip := 1; skip < best.Rungs(); skip++ {
 			want, err := best.Solve(in, core.SolveOptions{}, skip)
 			if err != nil {
 				t.Fatalf("%s best at rung %d: one-shot: %v", tc.name, skip, err)
 			}
 			for k := 0; k < 3; k++ {
-				got, err := sv.Solve(core.SolveOptions{}, skip)
+				got, err := sv.Solve(best, core.SolveOptions{}, skip)
 				if err != nil {
 					t.Fatalf("%s best at rung %d: re-plan %d: %v", tc.name, skip, k, err)
 				}
@@ -159,7 +164,7 @@ func TestCanceledReplanThenFull(t *testing.T) {
 	if want.Stats.Rounds < 3 {
 		t.Fatalf("%d cut rounds: the test needs a loop to cut into", want.Stats.Rounds)
 	}
-	sv := row.NewSolver(in)
+	sv := core.NewSolver(in)
 	for _, cancelAt := range []int{2, want.Stats.Rounds} {
 		ctx, cancel := context.WithCancel(context.Background())
 		solves := 0
@@ -172,12 +177,12 @@ func TestCanceledReplanThenFull(t *testing.T) {
 			}
 			return nil
 		}
-		_, err := sv.Solve(opts, 0)
+		_, err := sv.Solve(row, opts, 0)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled at master solve %d: %v, want a cancellation", cancelAt, err)
 		}
-		got, err := sv.Solve(core.SolveOptions{}, 0)
+		got, err := sv.Solve(row, core.SolveOptions{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,57 +195,85 @@ func TestCanceledReplanThenFull(t *testing.T) {
 	}
 }
 
-// TestConcurrentReplans: two POST /v1/solve of one scheme admitted
-// together give equal plans, whichever of them solved the kept master
-// and whichever a transient one.
-func TestConcurrentReplans(t *testing.T) {
-	var mu sync.Mutex
-	var plans []*core.Plan
+// TestConcurrentSolvesTakeTurns: Server.Solve calls of one row made at
+// once on a fresh server take turns on its one solver. They give equal
+// plans, and exactly one of them builds the rung's master.
+func TestConcurrentSolvesTakeTurns(t *testing.T) {
 	in := servedInstance(t, eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 45, FailureBudget: 1})
-	_, ts := newTestServer(t, Config{Instance: in, MaxConcurrentSolves: 2, MutatePlan: func(p *core.Plan) {
-		mu.Lock()
-		plans = append(plans, p)
-		mu.Unlock()
-	}})
-	url := ts.URL + "/v1/solve?scheme=" + core.SchemePCFTF
-	if resp := mustPost(t, url); resp.StatusCode != 200 {
-		t.Fatalf("first solve: %d %v", resp.StatusCode, decodeBody(t, resp))
+	srv, _ := newTestServer(t, Config{Instance: in})
+	row, _ := core.LookupScheme(core.SchemePCFTF)
+	plans := make([]*core.Plan, 4)
+	errs := make([]error, len(plans))
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pub, _, err := srv.Solve(context.Background(), row)
+			if errs[i] = err; err == nil {
+				plans[i] = pub.Plan
+			}
+		}()
 	}
-	for trial := 0; trial < 3; trial++ {
-		var wg sync.WaitGroup
-		codes := make([]int, 2)
-		for i := range codes {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := testClient.Post(url, "", nil)
-				if err != nil {
-					return
-				}
-				resp.Body.Close()
-				codes[i] = resp.StatusCode
-			}()
+	wg.Wait()
+	builds := 0
+	for i, p := range plans {
+		if errs[i] != nil {
+			t.Fatalf("solve %d: %v", i, errs[i])
 		}
-		wg.Wait()
-		if codes[0] != 200 || codes[1] != 200 {
-			t.Fatalf("trial %d: concurrent solves answered %v", trial, codes)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(plans) != 7 {
-		t.Fatalf("%d plans solved, want 7", len(plans))
-	}
-	transient := 0
-	for i, p := range plans[1:] {
 		if d := planDiff(p, plans[0]); d != "" {
-			t.Fatalf("solve %d: %s", i+1, d)
+			t.Fatalf("solve %d: %s", i, d)
 		}
 		if p.Stats.PrepareTime > 0 {
-			transient++
+			builds++
 		}
 	}
-	t.Logf("%d of 6 concurrent solves found the kept master busy", transient)
+	if builds != 1 {
+		t.Fatalf("%d of %d concurrent solves built the master, want 1", builds, len(plans))
+	}
+}
+
+// TestRowsShareRungMasters: best's rungs are the PCF-CLS, PCF-LS and
+// FFC rows' rungs, so on one server best solved after PCF-CLS, and best
+// entered at rungs 1 and 2 (its breaker's level) after PCF-LS and FFC,
+// builds nothing: each solve record reads prepare_ms 0, and each plan
+// is bit-equal to that row's.
+func TestRowsShareRungMasters(t *testing.T) {
+	in := servedInstance(t, eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 45, FailureBudget: 1})
+	var mu sync.Mutex
+	var last telemetry.Record
+	srv, _ := newTestServer(t, Config{Instance: in, BreakerCooldown: time.Hour, Telemetry: telemetry.EmitterFunc(func(r telemetry.Record) {
+		if r.Kind == telemetry.KindSolve {
+			mu.Lock()
+			last = r
+			mu.Unlock()
+		}
+	})})
+	best, _ := core.LookupScheme(core.SchemeBest)
+	br := srv.breaker(best)
+	for level, name := range []string{core.SchemePCFCLS, core.SchemePCFLS, core.SchemeFFC} {
+		row, _ := core.LookupScheme(name)
+		want, _, err := srv.Solve(context.Background(), row)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		br.mu.Lock()
+		br.level, br.changed = level, time.Now()
+		br.mu.Unlock()
+		got, rung, err := srv.Solve(context.Background(), best)
+		if err != nil || rung != level {
+			t.Fatalf("best after %s: rung %d, %v; want rung %d", name, rung, err, level)
+		}
+		mu.Lock()
+		prepare, ok := last.Fields["prepare_ms"]
+		mu.Unlock()
+		if !ok || prepare != 0 {
+			t.Fatalf("best at rung %d after %s: prepare_ms %v (recorded %v), want 0", level, name, prepare, ok)
+		}
+		if d := planDiff(got.Plan, want.Plan); d != "" {
+			t.Fatalf("best at rung %d after %s: %s", level, name, d)
+		}
+	}
 }
 
 // TestReplanAllocs: the second served PCF-TF re-plan on Sprint, which

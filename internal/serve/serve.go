@@ -89,10 +89,10 @@ type Config struct {
 	// kept. Zero means the default (8); negative disables retention.
 	RetainCheckpoints int
 
-	// MaxConcurrentSolves and MaxConcurrentRealizes bound the work
-	// running per class; QueueDepth bounds how many admitted requests
-	// may wait per class before new arrivals are shed.
-	MaxConcurrentSolves   int
+	// MaxConcurrentRealizes bounds the realize-class work running at
+	// once (solves run one at a time: solveSlots); QueueDepth bounds how
+	// many admitted requests may wait per class before new arrivals are
+	// shed.
 	MaxConcurrentRealizes int
 	QueueDepth            int
 
@@ -126,13 +126,14 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// solveSlots is the solve class's admission: one solve runs at a time,
+// since every solve takes its turn on the server's one core.Solver.
+const solveSlots = 1
+
 // maxRequestTimeout caps the deadline a request's ?timeout= may ask for.
 const maxRequestTimeout = 5 * time.Minute
 
 func (c Config) withDefaults() Config {
-	if c.MaxConcurrentSolves <= 0 {
-		c.MaxConcurrentSolves = 1
-	}
 	if c.RetainCheckpoints == 0 {
 		c.RetainCheckpoints = 8
 	}

@@ -41,9 +41,9 @@ type Server struct {
 	breakerMu sync.Mutex
 	breakers  map[string]*Breaker
 
-	// solvers holds one solver per row of core's scheme table, by row
-	// name: each keeps its rungs' masters across re-plans.
-	solvers map[string]*core.Solver
+	// solver solves every row of core's scheme table on the served
+	// instance and keeps one master per rung across re-plans.
+	solver *core.Solver
 
 	// baseCtx is canceled when the drain deadline expires, hard-
 	// canceling every in-flight request context.
@@ -99,14 +99,10 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		inst:     cfg.Instance,
 		reg:      NewRegistry(store, cfg.Logf),
-		adm:      NewAdmission(cfg.MaxConcurrentSolves, cfg.MaxConcurrentRealizes, cfg.QueueDepth),
+		adm:      NewAdmission(solveSlots, cfg.MaxConcurrentRealizes, cfg.QueueDepth),
 		breakers: map[string]*Breaker{},
-		solvers:  map[string]*core.Solver{},
+		solver:   core.NewSolver(cfg.Instance),
 		tel:      tel,
-	}
-	for _, name := range core.SchemeNames() {
-		row, _ := core.LookupScheme(name)
-		s.solvers[row.Name] = row.NewSolver(cfg.Instance)
 	}
 	s.emit = telemetry.Multi(tel, cfg.Telemetry)
 	s.reg.Telemetry = telemetry.EmitterFunc(func(r telemetry.Record) {
@@ -788,10 +784,11 @@ func (s *Server) handleSolve(c *call) (any, error) {
 
 // Solve solves a row of core's scheme table on the served instance
 // and publishes the plan: POST /v1/solve and pcfd's boot solve both
-// come here. The row's solver keeps each rung's master from the rung's
-// first solve on, so a re-plan re-runs only the cut loop. The row's breaker says how many rungs to skip, the level
-// Solve returns; at the row's rung count it is open and Solve fails
-// with ErrBreakerOpen. Every solve leaves a solve record (and a
+// come here. The server's one solver keeps each rung's master from the
+// rung's first solve by any row on, so a re-plan re-runs only the cut
+// loop, and concurrent solves take turns on it. The row's breaker says
+// how many rungs to skip, the level Solve returns; at the row's rung
+// count it is open and Solve fails with ErrBreakerOpen. Every solve leaves a solve record (and a
 // breaker record when it moved the level), and the plan passes
 // Config.MutatePlan and the registry's validating publish.
 func (s *Server) Solve(ctx context.Context, scheme *core.Scheme) (*Published, int, error) {
@@ -804,7 +801,7 @@ func (s *Server) Solve(ctx context.Context, scheme *core.Scheme) (*Published, in
 	opts.LP.FaultHook = s.cfg.LPFaultHook
 
 	solveStart := time.Now()
-	plan, err := s.solvers[scheme.Name].Solve(opts, level)
+	plan, err := s.solver.Solve(scheme, opts, level)
 	br.Record(err)
 	if after := br.Level(); after != level {
 		s.emit.Emit(telemetry.Record{

@@ -404,9 +404,8 @@ func TestServerSheddingUnderLoad(t *testing.T) {
 		return nil
 	}
 	_, ts := newTestServer(t, Config{
-		LPFaultHook:         hook,
-		MaxConcurrentSolves: 1,
-		QueueDepth:          1,
+		LPFaultHook: hook,
+		QueueDepth:  1,
 	})
 	defer once.Do(func() { close(gate) })
 

@@ -79,12 +79,14 @@ echo "== separation oracle reuse (-race -count=2)"
 go test -race -count=2 -run 'TestPolytopeMinimizeReusesCompiledRows|TestPolytopeMinimizeReusesAnswer|TestPolytopeLoweringMatchesCompile|TestCutLoopOracleCounts|TestLSIndexMatchesScan' ./internal/lp/ ./internal/core/
 
 echo "== kept masters (-race -count=2)"
-# pcfd keeps each scheme row's rung masters across re-plans: three
-# re-plans of every row equal a one-shot solve bit for bit, a canceled
-# re-plan leaves the master reusable, concurrent solves agree, and a
-# second Sprint PCF-TF re-plan allocates at most a quarter of the first
-# (DESIGN.md §11, "The kept master").
-go test -race -count=2 -run 'TestReplansMatchOneShot|TestCanceledReplanThenFull|TestConcurrentReplans|TestReplanAllocs|TestSolverKeepsMasters' ./internal/serve/ ./internal/core/
+# pcfd keeps one master per rung across re-plans, shared by every row
+# whose ladder holds it: three re-plans of every row equal a one-shot
+# solve bit for bit, best builds nothing after the rows that own its
+# rungs, a canceled re-plan leaves the master reusable, concurrent
+# solves take turns and agree, a finished LP solve leaves nothing of
+# itself in the workspace, and a second Sprint PCF-TF re-plan allocates
+# at most a quarter of the first (DESIGN.md §11, "The kept master").
+go test -race -count=2 -run 'TestReplansMatchOneShot|TestCanceledReplanThenFull|TestConcurrentSolvesTakeTurns|TestRowsShareRungMasters|TestReplanAllocs|TestSolverKeepsMasters|TestSolveLeavesNoStateInWorkspace' ./internal/serve/ ./internal/core/ ./internal/lp/
 
 echo "== sampled-validation determinism (-race -count=2)"
 # The coverage report of a sampled validation must be byte-identical
