@@ -468,6 +468,63 @@ func BenchmarkValidateSweepSynth1k(b *testing.B) {
 	b.ReportMetric(100*float64(st.ArcChecks)/float64(arcs), "arc_check_pct")
 }
 
+// BenchmarkValidateSampled measures what GET
+// /v1/validate?model=sampled&p=0.01&samples=1000&seed=1 runs on a
+// published engine (its designed classes and correctors built): the
+// designed pass, then a thousand tail draws classified, one
+// representative per class realized. tail_reps is how many were
+// realized; a thousand means the tail lost its classes.
+func BenchmarkValidateSampled(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		opts eval.Options
+	}{
+		{"sprint-tf-f1", eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 45, FailureBudget: 1}},
+		{"btna-tf-f2", eval.Options{Topology: "BTNorthAmerica", Seed: 1, MaxPairs: 40, FailureBudget: 2}},
+		{"synth1k-tf-f1", eval.Options{Synth: "waxman", SynthNodes: 1000, Seed: 1, MaxPairs: 250, FailureBudget: 1}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			setup, err := eval.Prepare(tc.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan, err := core.SolvePCFTF(&core.Instance{
+				Graph: setup.Graph, TM: setup.TM, Tunnels: setup.Tunnels,
+				Failures: setup.Failures, Objective: core.DemandScale,
+			}, core.SolveOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			sw, err := routing.NewSweepContext(ctx, plan)
+			if err != nil {
+				b.Fatal(err)
+			}
+			designed, err := sw.ValidateStats(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pm, err := failures.Uniform(plan.Instance.Failures, 0.01)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := routing.SampleOptions{Model: pm, Samples: 1000, Seed: 1}
+			b.ResetTimer()
+			var rep *routing.SampledReport
+			for i := 0; i < b.N; i++ {
+				if rep, err = sw.ValidateSampled(ctx, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reps := rep.Stats.Classes - designed.Classes
+			if reps >= opts.Samples {
+				b.Fatalf("%d tail representatives realized for %d draws", reps, opts.Samples)
+			}
+			b.ReportMetric(float64(reps), "tail_reps")
+		})
+	}
+}
+
 // ---- Ablation benchmarks (DESIGN.md §6) ----
 
 func benchInstance(b *testing.B) *core.Instance {

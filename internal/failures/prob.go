@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // ProbModel attaches independent failure probabilities to a Set's
@@ -101,22 +100,22 @@ func (pm *ProbModel) NewSampler(seed int64, budget, kcap int) (*Sampler, error) 
 	if kcap <= budget {
 		return nil, fmt.Errorf("failures: budget %d admits no tail over %d units", budget, n)
 	}
-	suffix := make([][]float64, n+1)
-	suffix[n] = make([]float64, kcap+1)
-	suffix[n][0] = 1
+	// suffix[i*w+r] = P(exactly r failures among units i..n-1), one
+	// row of w = kcap+1 counts per unit, flat.
+	w := kcap + 1
+	suffix := make([]float64, (n+1)*w)
+	suffix[n*w] = 1
 	for i := n - 1; i >= 0; i-- {
-		row := make([]float64, kcap+1)
-		p, next := pm.P[i], suffix[i+1]
+		p, row, next := pm.P[i], suffix[i*w:(i+1)*w], suffix[(i+1)*w:(i+2)*w]
 		row[0] = (1 - p) * next[0]
 		for r := 1; r <= kcap; r++ {
 			row[r] = (1-p)*next[r] + p*next[r-1]
 		}
-		suffix[i] = row
 	}
 	var mass float64
 	cdf := make([]float64, kcap-budget)
 	for k := budget + 1; k <= kcap; k++ {
-		mass += suffix[0][k]
+		mass += suffix[k]
 		cdf[k-budget-1] = mass
 	}
 	if mass <= 0 {
@@ -125,13 +124,12 @@ func (pm *ProbModel) NewSampler(seed int64, budget, kcap int) (*Sampler, error) 
 	for j := range cdf {
 		cdf[j] /= mass
 	}
-	// suffix[i][r] = P(exactly r failures among units i..n-1).
 	pf := make([]float64, n*kcap)
 	for i := 0; i < n; i++ {
 		for r := 1; r <= kcap; r++ {
 			v := -1.0
-			if denom := suffix[i][r]; !(denom <= 0) {
-				v = pm.P[i] * suffix[i+1][r-1] / denom
+			if denom := suffix[i*w+r]; !(denom <= 0) {
+				v = pm.P[i] * suffix[(i+1)*w+r-1] / denom
 			}
 			pf[i*kcap+r-1] = v
 		}
@@ -151,11 +149,18 @@ func (pm *ProbModel) NewSampler(seed int64, budget, kcap int) (*Sampler, error) 
 // sampler's draws represent.
 func (s *Sampler) SampledMass() float64 { return s.sampledMass }
 
-// Next draws one scenario from the conditional tail. Draws are i.i.d.
-// given the seed: first the failure count k from P(K = k | budget < K
-// ≤ kcap), then a unit subset of exactly size k by conditional
-// Bernoulli sampling along the suffix DP table.
+// Next draws one scenario from the conditional tail: the scenario of
+// NextUnits' draw.
 func (s *Sampler) Next() Scenario {
+	return s.pm.Set.ScenarioOf(s.NextUnits(nil))
+}
+
+// NextUnits draws one unit combination from the conditional tail and
+// appends it, ascending, to dst. Draws are i.i.d. given the seed: first
+// the failure count k from P(K = k | budget < K ≤ kcap), then a unit
+// subset of exactly size k by conditional Bernoulli sampling along the
+// suffix DP table, which visits the units in ascending order.
+func (s *Sampler) NextUnits(dst []int) []int {
 	u := s.rng.Float64()
 	k := s.budget + 1
 	for j, c := range s.countCDF {
@@ -167,7 +172,6 @@ func (s *Sampler) Next() Scenario {
 			k = s.kcap
 		}
 	}
-	combo := make([]int, 0, k)
 	r := k
 	for i := 0; i < len(s.pm.P) && r > 0; i++ {
 		// P(unit i fails | exactly r failures remain among i..n-1).
@@ -175,17 +179,16 @@ func (s *Sampler) Next() Scenario {
 		if pf < 0 {
 			// Unreachable along a positive-probability path; fall back
 			// to forcing the remaining failures deterministically.
-			combo = append(combo, i)
+			dst = append(dst, i)
 			r--
 			continue
 		}
 		if s.rng.Float64() < pf {
-			combo = append(combo, i)
+			dst = append(dst, i)
 			r--
 		}
 	}
-	sort.Ints(combo)
-	return s.pm.Set.ScenarioOf(combo)
+	return dst
 }
 
 // Coverage is the explicit validation-coverage report for a

@@ -5,13 +5,15 @@ package routing
 // that part keeps the hard guarantee — and the tail beyond the budget
 // (scenarios exhaustive enumeration silently ignores) is covered
 // statistically: N seeded draws from the conditional tail sampler are
-// realized and checked, and the report carries the explicit bound
-// "P(a scenario occurs that validation has not covered) ≤ ε with
-// confidence 1−δ" (failures.Coverage, math in DESIGN.md §18).
+// checked, one realization per class of draws, and the report carries
+// the explicit bound "P(a scenario occurs that validation has not
+// covered) ≤ ε with confidence 1−δ" (failures.Coverage, math in
+// DESIGN.md §18).
 
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"pcf/internal/core"
 	"pcf/internal/failures"
@@ -60,15 +62,23 @@ type SampledReport struct {
 // Coverage.SampleFailures and priced into ε. A cancellation anywhere,
 // the tail sweep included, is the call's error and yields no report.
 // Deterministic given opts.Seed: samples are pre-drawn serially before
-// the parallel sweep, and outcomes merge in draw order.
+// the parallel sweep, and outcomes merge in draw order. The stats'
+// Total is the whole call's wall clock.
 //
 // The designed pass runs through s itself, one representative per
 // class of scenarios as in ValidateStats, so on a published engine the
-// classes and every corrector it needs are already built. The draws
-// run through a fork of s (fork): it shares the engine, reads s's
-// correctors first and keeps its own misses, so s's cache stays at what
-// it held. Safe for concurrent use, beside any other use of s.
+// classes and every corrector it needs are already built. The draws are
+// classified by the same equivalence as they are drawn (tailClasses): a
+// draw in a designed class takes that class's outcome from the
+// designed pass, and of the others only the first draw of each class
+// is realized, the later ones taking its outcome, so every draw's
+// outcome is the one its own realization would have. The
+// representatives run through a fork of s (fork): it shares the
+// engine, reads s's correctors first and keeps its own misses, so s's
+// cache stays at what it held. Safe for concurrent use, beside any
+// other use of s.
 func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*SampledReport, error) {
+	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -113,14 +123,14 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 		rep.WorstMLU, rep.WorstScenario = worst, fill.fresh(i)
 	}
 
-	tail := opts.Model.TailMass(fs.Budget)
+	tailMass := opts.Model.TailMass(fs.Budget)
 	cov := &rep.Coverage
 	cov.Model = "sampled"
 	cov.Budget = fs.Budget
 	cov.Exhaustive = int64(exStats.Scenarios)
-	cov.ExhaustiveMass = 1 - tail
-	cov.TailMass = tail
-	cov.TruncatedMass = tail
+	cov.ExhaustiveMass = 1 - tailMass
+	cov.TailMass = tailMass
+	cov.TruncatedMass = tailMass
 	cov.KCap = min(opts.KCap, len(fs.Units)) // where the sampler clamps it
 	cov.Delta = opts.Delta
 	cov.Seed = opts.Seed
@@ -131,26 +141,35 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 	// honest answer, not an error.
 	sampler, serr := opts.Model.NewSampler(opts.Seed, fs.Budget, opts.KCap)
 	if serr == nil && opts.Samples > 0 {
-		// Pre-draw serially: the seeded stream must not depend on
-		// worker scheduling.
-		drawn := make([]failures.Scenario, opts.Samples)
-		for i := range drawn {
+		cls, err := s.designed(ctx)
+		if err != nil {
+			return nil, err
+		}
+		// Draw and classify serially: the seeded stream must not depend
+		// on worker scheduling.
+		draws := opts.Model.Set
+		tail := newTailClasses(s.engine, cls, draws.Units, opts.Samples)
+		for i := 0; i < opts.Samples; i++ {
 			if i%256 == 0 {
 				if err := ctx.Err(); err != nil {
 					return nil, fmt.Errorf("routing: sampled validation canceled after %d draws: %w", i, err)
 				}
 			}
-			drawn[i] = sampler.Next()
+			tail.draw(sampler)
 		}
-		// A draw's corrector is kept by the fork, at most one per draw.
-		sslots, sStats := sweep(ctx, s.fork(int64(opts.Samples)), true, false, len(drawn), func(i int, dst *failures.Scenario) { *dst = drawn[i] })
+		// Only the representatives are realized, each on the fork,
+		// which keeps at most one corrector apiece.
+		fill := func(i int, dst *failures.Scenario) { draws.FillScenario(dst, tail.at(i)) }
+		sslots, sStats := sweepSome(ctx, s.fork(int64(len(tail.reps))), true, false, opts.Samples, fill, tail.represents)
+		sStats.Classes = len(tail.reps)
 		rep.Stats.add(*sStats)
 		// A slot the cancellation reached holds the context's error, not
 		// a measurement, and slots past it hold nothing: the call fails.
-		// With the context live throughout, every slot was swept.
+		// With the context live throughout, every draw was swept.
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("routing: sampled validation canceled in the tail sweep: %w", err)
 		}
+		tail.outcomes(sslots, slots)
 		for i := range sslots {
 			if sslots[i].err != nil {
 				// Realization or check failure on a beyond-budget
@@ -159,16 +178,17 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 			}
 		}
 		if worst, at := worstOf(sslots); worst > rep.WorstMLU {
-			rep.WorstMLU, rep.WorstScenario = worst, drawn[at]
+			rep.WorstMLU, rep.WorstScenario = worst, draws.ScenarioOf(tail.at(at))
 		}
 		cov.SampledMass = sampler.SampledMass()
-		cov.TruncatedMass = tail - cov.SampledMass
+		cov.TruncatedMass = tailMass - cov.SampledMass
 		if cov.TruncatedMass < 0 {
 			cov.TruncatedMass = 0
 		}
 		cov.Samples = opts.Samples
 	}
 	cov.ComputeEpsilon()
+	rep.Stats.Total = time.Since(start)
 	return rep, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pcf/internal/core"
 	"pcf/internal/failures"
@@ -300,6 +301,57 @@ func TestValidateSampledCanceledInTail(t *testing.T) {
 		if rep != nil {
 			t.Fatalf("canceled at the %s draw: a report came back: %s", tc.name, rep.Coverage)
 		}
+	}
+}
+
+// pauseAt is a context whose Err sleeps for pause on its at-th call.
+type pauseAt struct {
+	context.Context
+	calls atomic.Int64
+	at    int64
+	pause time.Duration
+}
+
+func (c *pauseAt) Err() error {
+	if c.calls.Add(1) == c.at {
+		time.Sleep(c.pause)
+	}
+	return nil
+}
+
+// TestValidateSampledChargesWholeCall: the stats' Total, which pcfd
+// records as the validate record's duration, covers the whole call, the
+// serial draw-and-classify loop included. The loop's first cancellation
+// check sleeps; a Total that leaves the loop out falls short of the
+// pause. On a warm engine, so that every call makes the same Err calls
+// before the loop: one per class of the designed pass.
+func TestValidateSampledChargesWholeCall(t *testing.T) {
+	plan := fig1Plan(t, 1)
+	pm, err := failures.Uniform(plan.Instance.Failures, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := newSweep(t, plan)
+	if _, err := sw.ValidateStats(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Samples < 0 draws nothing: this run counts the designed pass's Err
+	// calls, and the draw loop's first check is the one after them.
+	count := &errAfter{Context: context.Background(), after: math.MaxInt64}
+	if _, err := sw.ValidateSampled(count, SampleOptions{Model: pm, Samples: -1}); err != nil {
+		t.Fatal(err)
+	}
+	const pause = 50 * time.Millisecond
+	ctx := &pauseAt{Context: context.Background(), at: count.calls.Load() + 1, pause: pause}
+	rep, err := sw.ValidateSampled(ctx, SampleOptions{Model: pm, Samples: 60, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.calls.Load() <= ctx.at {
+		t.Fatalf("the call made %d Err calls, the pause is at %d", ctx.calls.Load(), ctx.at)
+	}
+	if rep.Stats.Total < pause {
+		t.Fatalf("Total %v, but the draw loop alone paused %v", rep.Stats.Total, pause)
 	}
 }
 

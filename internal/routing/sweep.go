@@ -17,11 +17,14 @@ import (
 // counterpart of mcf.SweepStats.
 type SweepStats struct {
 	// Scenarios is the number of failure scenarios the sweep answered
-	// for: on a designed sweep the whole designed set. Classes is the
-	// number it realized: on a designed sweep one representative per
-	// class of scenarios that realize bit-identically (sweepclass.go),
-	// elsewhere every scenario. Every counter below counts realized
-	// scenarios. Workers is the goroutines that swept them.
+	// for: on a designed sweep the whole designed set, on a sampled
+	// tail its draws. Classes is the number it realized: one
+	// representative per class of scenarios that realize
+	// bit-identically (sweepclass.go) — on a sampled tail per class its
+	// draws form outside the designed classes, whose draws take the
+	// designed pass's outcome — and elsewhere every scenario. Every
+	// counter below counts realized scenarios. Workers is the
+	// goroutines that swept them.
 	Scenarios int
 	Classes   int
 	Workers   int
@@ -260,7 +263,8 @@ type engine struct {
 	keySeed maphash.Seed
 
 	// classes partitions the designed set (sweepclass.go); the first
-	// designed sweep through any view builds it under classMu.
+	// designed sweep through any view builds it under classMu, and its
+	// key index then classifies every sampled tail's draws, read-only.
 	classMu sync.Mutex
 	classes *designedClasses
 
@@ -277,7 +281,8 @@ type engine struct {
 // has missed cap times, a missed corrector is built, used and not kept.
 // An engine's cap is its designed scenario count — the designed sweep
 // cannot miss more often than that, so only client-chosen scenarios
-// ever find the cache full — and a fork's its draw count.
+// ever find the cache full — and a fork's the number of tail
+// representatives it realizes.
 type correctors struct {
 	m      sync.Map
 	cap    int64

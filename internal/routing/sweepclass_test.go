@@ -3,6 +3,7 @@ package routing
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"reflect"
 	"strings"
@@ -382,5 +383,175 @@ func TestSweptErrorsKeepTheirScenario(t *testing.T) {
 	}
 	if got := err.Error(); got != msg {
 		t.Fatalf("the first validation's error changed after later sweeps:\n%s\nnow\n%s", msg, got)
+	}
+}
+
+// tailPlans are the plans the tail classes are pinned on: the
+// benchmark's Sprint PCF-TF instance at f=1, the hand plan whose dead
+// link flips a sequence and kills no tunnel at budget 0 (so that every
+// draw is past the budget, the flip included), the conditional-LS
+// gadget at f=2 and — outside -short — the benchmark's BTNorthAmerica
+// pair at f=2.
+func tailPlans(t *testing.T) []struct {
+	name string
+	plan *core.Plan
+} {
+	t.Helper()
+	sprint, err := core.SolvePCFTF(benchInstance(t, "Sprint", 45, 1), core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip, _ := membershipFlipPlan()
+	plans := []struct {
+		name string
+		plan *core.Plan
+	}{{"sprint-tf-f1", sprint}, {"membership-flip-f0", withBudget(flip, 0)}, {"fig5-cls", fig5CLSPlan(t)}}
+	if !testing.Short() {
+		tf, cls := btnaPlans(t)
+		plans = append(plans, struct {
+			name string
+			plan *core.Plan
+		}{"btna-tf-f2", tf}, struct {
+			name string
+			plan *core.Plan
+		}{"btna-cls-f2", cls})
+	}
+	return plans
+}
+
+// sampledReportsEqual fails t unless two sampled validations answered
+// alike: the same error, or the same coverage struct, worst MLU bits and
+// worst scenario.
+func sampledReportsEqual(t *testing.T, at string, got *SampledReport, err error, want *SampledReport, werr error) {
+	t.Helper()
+	if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+		t.Fatalf("%s: ValidateSampled = %v, per draw %v", at, err, werr)
+	}
+	if err == nil && (got.Coverage != want.Coverage || math.Float64bits(got.WorstMLU) != math.Float64bits(want.WorstMLU) ||
+		!reflect.DeepEqual(got.WorstScenario, want.WorstScenario)) {
+		t.Fatalf("%s: ValidateSampled reports %+v, worst %.17g at %v; per draw %+v, worst %.17g at %v",
+			at, got.Coverage, got.WorstMLU, got.WorstScenario, want.Coverage, want.WorstMLU, want.WorstScenario)
+	}
+}
+
+// TestTailClassesMatchPerDraw: a sampled validation realizes one draw
+// per class of the tail — a draw in a designed class takes the designed
+// pass's outcome, a later draw of a tail class its first draw's — and
+// reports exactly what realizing every draw reports (refereeSampled):
+// the coverage struct, the worst MLU's bits and the worst scenario, at
+// three unit probabilities and three seeds. The draws must land in
+// designed classes and repeat tail classes somewhere, or the comparison
+// shows nothing. A last pass plants, under the hash of every tail key,
+// a designed class of another key: a lookup that trusted the hash would
+// hand those draws a designed outcome.
+func TestTailClassesMatchPerDraw(t *testing.T) {
+	const samples = 300
+	ctx := context.Background()
+	allHits, allRepeats := 0, 0
+	for _, tc := range tailPlans(t) {
+		fs := tc.plan.Instance.Failures
+		designed := designedSet(tc.plan)
+		ref, sw := newSweep(t, tc.plan), newSweep(t, tc.plan)
+		cls, err := sw.designed(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, reps := 0, 0
+		var decoyOpts SampleOptions
+		for _, p := range []float64{0.01, 0.05, 0.2} {
+			pm, err := failures.Uniform(fs, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				opts := SampleOptions{Model: pm, Samples: samples, Delta: 0.01, Seed: seed, KCap: fs.Budget + 8}
+				at := fmt.Sprintf("%s p %g seed %d", tc.name, p, seed)
+				got, err := sw.ValidateSampled(ctx, opts)
+				want, werr := refereeSampled(ref, designed, opts)
+				sampledReportsEqual(t, at, got, err, want, werr)
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				sampler, err := pm.NewSampler(seed, fs.Budget, opts.KCap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tail := newTailClasses(sw.engine, cls, fs.Units, samples)
+				for i := 0; i < samples; i++ {
+					tail.draw(sampler)
+				}
+				if got.Stats.Scenarios != len(designed)+samples || got.Stats.Classes != cls.len()+len(tail.reps) {
+					t.Fatalf("%s: stats count %d scenarios in %d classes, want %d in %d",
+						at, got.Stats.Scenarios, got.Stats.Classes, len(designed)+samples, cls.len()+len(tail.reps))
+				}
+				for _, r := range tail.class {
+					if r < 0 {
+						hits++
+					}
+				}
+				reps += len(tail.reps)
+				if want.Coverage.SampleFailures > 0 {
+					decoyOpts = opts
+				}
+			}
+		}
+		repeats := 9*samples - hits - reps
+		t.Logf("%s: %d draws, %d in designed classes, %d tail classes, %d repeats", tc.name, 9*samples, hits, reps, repeats)
+		allHits += hits
+		allRepeats += repeats
+
+		// Decoys: every tail key's hash names the no-failure class.
+		if decoyOpts.Model == nil {
+			t.Fatalf("%s: no failing draw to hide behind a decoy", tc.name)
+		}
+		dec := newSweep(t, tc.plan)
+		dcls, err := dec.designed(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampler, err := decoyOpts.Model.NewSampler(decoyOpts.Seed, fs.Budget, decoyOpts.KCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail := newTailClasses(dec.engine, dcls, fs.Units, samples)
+		for i := 0; i < samples; i++ {
+			tail.draw(sampler)
+		}
+		for r := range tail.reps {
+			if key := tail.index.keys[tail.index.keyOff[r]:tail.index.keyOff[r+1]]; len(key) > 0 {
+				dcls.index.ids[maphash.Bytes(dec.keySeed, key)] = 0
+			}
+		}
+		got, err := dec.ValidateSampled(ctx, decoyOpts)
+		want, werr := refereeSampled(ref, designed, decoyOpts)
+		sampledReportsEqual(t, tc.name+" with decoys", got, err, want, werr)
+	}
+	if allHits == 0 || allRepeats == 0 {
+		t.Fatalf("%d draws in designed classes and %d repeated tail classes: the comparison needs both", allHits, allRepeats)
+	}
+}
+
+// TestTailRealizesOnePerClass: the thousand draws the sprint-tf-f1
+// benchmark workload requests (p = 0.01, seed 1) fall into at most 190
+// classes, and only those are realized; one realization per draw would
+// be a thousand.
+func TestTailRealizesOnePerClass(t *testing.T) {
+	plan, err := core.SolvePCFTF(benchInstance(t, "Sprint", 45, 1), core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := failures.Uniform(plan.Instance.Failures, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := newSweep(t, plan)
+	rep, err := sw.ValidateSampled(context.Background(), SampleOptions{Model: pm, Samples: 1000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	draws, reps := rep.Stats.Scenarios-sw.classes.count, rep.Stats.Classes-sw.classes.len()
+	t.Logf("%d draws, %d realized", draws, reps)
+	if draws != 1000 || reps < 1 || reps > 190 {
+		t.Fatalf("%d draws realized %d tail representatives, want 1000 draws in at most 190", draws, reps)
 	}
 }

@@ -55,6 +55,14 @@ func (fill scenarioFill) fresh(i int) failures.Scenario {
 // The stats count this call's scenarios only, whoever else is using the
 // engine meanwhile. A nil ctx means no deadline.
 func sweep(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, fill scenarioFill) ([]sweepSlot, *SweepStats) {
+	return sweepSome(ctx, sw, check, stopOnError, n, fill, nil)
+}
+
+// sweepSome is sweep that realizes scenario i only where realizes(i)
+// holds (every one, when realizes is nil). A scenario it does not
+// realize is claimed, checked against ctx and marked done like the
+// others, but not filled: its slot is left for the caller to fill.
+func sweepSome(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, fill scenarioFill, realizes func(int) bool) ([]sweepSlot, *SweepStats) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -81,8 +89,15 @@ func sweep(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, fill 
 				if i >= n {
 					return
 				}
-				fill(i, &sc)
 				slots[i].done = true
+				if realizes != nil && !realizes(i) {
+					if err := ctx.Err(); err != nil {
+						slots[i].err = fmt.Errorf("routing: scenario sweep canceled at scenario %d: %w", i, err)
+						return
+					}
+					continue
+				}
+				fill(i, &sc)
 				if err := ctx.Err(); err != nil {
 					slots[i].err = fmt.Errorf("routing: scenario sweep canceled at %v: %w", sc, err)
 					return

@@ -12,14 +12,9 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"pcf/internal/core"
-	"pcf/internal/failures"
 	"pcf/internal/linsolve"
 	"pcf/internal/routing"
 	"pcf/internal/telemetry"
-	"pcf/internal/topozoo"
-	"pcf/internal/traffic"
-	"pcf/internal/tunnels"
 )
 
 // TestStoreRoundTrip saves two epochs and checks LoadLatest returns
@@ -230,24 +225,9 @@ func TestStoreWritable(t *testing.T) {
 // "invalid" record — and a second Recover with a live context must
 // publish that very snapshot.
 func TestRecoverCanceledMidSweepKeepsSnapshot(t *testing.T) {
-	// Sprint, eight pairs: wide enough that single-link scenarios make
-	// row updates and consult the update hook (the shared ring4 plan
-	// never does).
-	g := topozoo.MustLoad("Sprint")
-	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 5, Jitter: 0.4})
-	pairs := tm.TopPairs(8)
-	ts, err := tunnels.Select(g, pairs, tunnels.SelectOptions{PerPair: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &core.Instance{
-		Graph: g, TM: tm.Restrict(pairs), Tunnels: ts,
-		Failures: failures.SingleLinks(g, 1), Objective: core.DemandScale,
-	}
-	plan, err := core.SolvePCFTF(in, core.SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Single-link scenarios must make row updates and consult the update
+	// hook, which the shared ring4 plan's never do.
+	in, plan := sprintPlan(t)
 	dir := t.TempDir()
 	st, err := NewStore(dir, in)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"pcf/internal/core"
 	"pcf/internal/failures"
 	"pcf/internal/topology"
+	"pcf/internal/topozoo"
 	"pcf/internal/traffic"
 	"pcf/internal/tunnels"
 )
@@ -62,6 +63,30 @@ var (
 	planVal  *core.Plan
 	planErr  error
 )
+
+// sprintPlan solves PCF-TF on Sprint's eight heaviest pairs at f=1:
+// wide enough that single-link scenarios make row updates, and that
+// draws past the budget fall into classes a sampled validation realizes
+// through rank-k updates.
+func sprintPlan(t *testing.T) (*core.Instance, *core.Plan) {
+	t.Helper()
+	g := topozoo.MustLoad("Sprint")
+	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 5, Jitter: 0.4})
+	pairs := tm.TopPairs(8)
+	ts, err := tunnels.Select(g, pairs, tunnels.SelectOptions{PerPair: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &core.Instance{
+		Graph: g, TM: tm.Restrict(pairs), Tunnels: ts,
+		Failures: failures.SingleLinks(g, 1), Objective: core.DemandScale,
+	}
+	plan, err := core.SolvePCFTF(in, core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in, plan
+}
 
 // testPlan solves the shared test instance once per test binary. The
 // returned instance and plan are shared: tests must not mutate them.

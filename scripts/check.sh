@@ -97,10 +97,13 @@ echo "== sampled-validation determinism (-race -count=2)"
 # engine, on a 4-worker pool while another goroutine realizes
 # beyond-budget link sets through the same engine. A cancellation in
 # the tail sweep, at its first, a middle or its last draw, must be the
-# call's error. -count=2 forces two fresh runs so a time- or
+# call's error. The tail realizes one draw per class of draws and must
+# report exactly what realizing every draw reports (DESIGN.md §12, "The
+# sampled tail"), and the report's Total must cover the serial draw
+# loop. -count=2 forces two fresh runs so a time- or
 # schedule-dependent regression cannot hide behind Go's test result
 # cache.
-go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeterminism|TestSamplerMatchesTableWalk|TestSampledOnPublishedMatchesOneShot|TestValidateSampledCanceledInTail' ./internal/routing/ ./internal/failures/
+go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeterminism|TestSamplerMatchesTableWalk|TestSampledOnPublishedMatchesOneShot|TestValidateSampledCanceledInTail|TestTailClassesMatchPerDraw|TestTailRealizesOnePerClass|TestValidateSampledChargesWholeCall' ./internal/routing/ ./internal/failures/
 
 echo "== delta validation ≡ dense (-race -count=2)"
 # The sweep replays a recorded emission for every destination a scenario
