@@ -379,7 +379,10 @@ func BenchmarkSolveSynth1k(b *testing.B) {
 // LSs; internal/core's TestCutLoopOracleCounts pins its counts). More
 // than half of its separation-oracle calls repeat their polytope's
 // previous costs and reuse the saved answer; none doing so means the
-// reuse stopped hitting.
+// reuse stopped hitting. It reports the pricing passes and the bypass
+// columns they entered (25 of the 152), and fails when pricing entered
+// every bypass: then it has stopped pruning and the priced master is
+// the full one.
 func BenchmarkSolveBTNACLS(b *testing.B) {
 	setup, err := eval.Prepare(eval.Options{
 		Topology: "BTNorthAmerica", Seed: 1, MaxPairs: 40, FailureBudget: 2,
@@ -406,8 +409,19 @@ func BenchmarkSolveBTNACLS(b *testing.B) {
 	if st.OracleSolves >= st.OracleCalls {
 		b.Fatalf("all %d separation-oracle calls solved; repeated costs should reuse the saved answer", st.OracleCalls)
 	}
+	pool := 0
+	for _, q := range in.LSs {
+		if q.Cond != nil {
+			pool++
+		}
+	}
+	if st.ColumnsPriced >= pool {
+		b.Fatalf("pricing entered all %d bypass columns: it no longer prunes", pool)
+	}
 	b.ReportMetric(float64(st.LPIterations), "lp_iters")
 	b.ReportMetric(float64(st.Rounds), "rounds")
+	b.ReportMetric(float64(st.PricingRounds), "pricing_rounds")
+	b.ReportMetric(float64(st.ColumnsPriced), "columns_priced")
 	b.ReportMetric(float64(st.OracleSolves), "oracle_solves")
 	b.ReportMetric(100*float64(st.OracleCalls-st.OracleSolves)/float64(st.OracleCalls), "oracle_reuse_pct")
 }

@@ -49,7 +49,7 @@ func ringInstance(t *testing.T, extra int) *Instance {
 func TestDeathUnitIndexOncePerSolve(t *testing.T) {
 	specAllocs := func(in *Instance, build advBuilder) float64 {
 		return testing.AllocsPerRun(3, func() {
-			_, mv := buildMaster(in, false, in.DemandPairs(), in.ConstraintPairs(), 0)
+			_, mv, _ := buildMaster(in, nil, in.DemandPairs(), in.ConstraintPairs(), 0)
 			for _, spec := range buildSpecs(in, mv, build) {
 				spec.seedScenarios()
 			}

@@ -16,7 +16,7 @@ import (
 func TestGadgetMastersCertified(t *testing.T) {
 	for name, in := range gadgetInstances(t) {
 		for scheme, build := range map[string]advBuilder{"ffc": buildFFCAdversary, "pcf-tf": buildPCFAdversary} {
-			m, mv := buildMaster(in, false, in.DemandPairs(), in.ConstraintPairs(), 0)
+			m, mv, _ := buildMaster(in, nil, in.DemandPairs(), in.ConstraintPairs(), 0)
 			if _, err := seedMaster(m, buildSpecs(in, mv, build)); err != nil {
 				t.Fatalf("%s/%s: %v", name, scheme, err)
 			}

@@ -126,7 +126,7 @@ func SolveRestrictedFlow(in *Instance, opts FlowOptions) (*FlowPlan, error) {
 	n := g.NumNodes()
 	demand := in.DemandPairs()
 
-	m, mv := buildMaster(in, false, demand, in.Tunnels.Pairs(), 0)
+	m, mv, _ := buildMaster(in, nil, demand, in.Tunnels.Pairs(), 0)
 
 	// All adjacent ordered segment pairs.
 	allSegs := map[topology.Pair]bool{}

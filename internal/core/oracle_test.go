@@ -14,14 +14,14 @@ import (
 
 // solveDualized is the reference the engine tests hold solveRobust to:
 // the paper's appendix-D2 formulation. It builds the very master and
-// adversary specs solveScheme builds for a tunnel scheme, replaces
+// adversary specs newMaster builds for a tunnel scheme, replaces
 // every for-all-failures row by its LP dual (lp.RobustGE) and solves
 // the one polynomial-size LP cold, so it shares the model with the cut
 // loop and nothing else. It returns the optimal value.
 func solveDualized(in *Instance, build advBuilder) (float64, error) {
 	stripped := *in
 	stripped.LSs = nil
-	m, mv := buildMaster(&stripped, false, stripped.DemandPairs(), stripped.ConstraintPairs(), 0)
+	m, mv, _ := buildMaster(&stripped, nil, stripped.DemandPairs(), stripped.ConstraintPairs(), 0)
 	for _, spec := range buildSpecs(&stripped, mv, build) {
 		lp.RobustGE(m, spec.poly, spec.costs, spec.constPart, spec.rhs)
 	}
@@ -83,7 +83,7 @@ var engines = []struct {
 // on Sprint: 24 top gravity pairs, 3 tunnels each, MLU scaled into
 // [0.6, 0.63], one link failure), rebuilt here because eval imports
 // core.
-func sprintInstance(b *testing.B) *Instance {
+func sprintInstance(b testing.TB) *Instance {
 	b.Helper()
 	g, err := topozoo.Load("Sprint")
 	if err != nil {

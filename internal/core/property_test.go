@@ -441,7 +441,7 @@ func TestScenarioPointIsVertex(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomInstance(rng)
 		in.Failures.Budget = 1 + rng.Intn(2)
-		m, mv := buildMaster(in, false, in.DemandPairs(), in.ConstraintPairs(), 0)
+		m, mv, _ := buildMaster(in, nil, in.DemandPairs(), in.ConstraintPairs(), 0)
 		_ = m
 		ok := true
 		for _, p := range in.ConstraintPairs() {

@@ -49,30 +49,40 @@ const (
 	SchemeBest   = "best"
 )
 
-// rung is one solver on its view of the prepared instance: build makes
-// its master. CLS solves the instance as it is; LS drops the
-// conditional sequences; TF and FFC drop every sequence (their masters
-// do), and FFC reserves on only the first Instance.FFCTunnels tunnels
-// of each pair. Every master enters only the tunnels of its constraint
-// pairs (master).
+// rung is one solver on its view of the prepared instance: the kind of
+// master it solves on, and whether it prices. CLS and LS solve the PCF
+// master: the LS master with the instance's conditional LSs as the
+// pool, which CLS prices in and LS leaves out. TF and FFC drop every
+// sequence (their masters do), and FFC reserves on only the first
+// Instance.FFCTunnels tunnels of each pair. Every master enters only the
+// tunnels of its constraint pairs (master).
 type rung struct {
-	name  string
+	name   string
+	master *masterKind
+	price  bool
+}
+
+// masterKind is one kind of master; a Solver keeps one of each.
+type masterKind struct {
 	build func(*Instance) (*master, error)
 }
 
 var (
-	rungCLS = &rung{SchemePCFCLS, newCLSMaster}
-	rungLS  = &rung{SchemePCFLS, func(in *Instance) (*master, error) {
-		return newLSMaster(stripConditional(in))
-	}}
-	rungTF  = &rung{SchemePCFTF, newTFMaster}
-	rungFFC = &rung{SchemeFFC, newFFCMaster}
+	pcfMaster = &masterKind{newPCFMaster}
+	tfMaster  = &masterKind{newTFMaster}
+	ffcMaster = &masterKind{newFFCMaster}
+
+	rungCLS = &rung{SchemePCFCLS, pcfMaster, true}
+	rungLS  = &rung{SchemePCFLS, pcfMaster, false}
+	rungTF  = &rung{SchemePCFTF, tfMaster, false}
+	rungFFC = &rung{SchemeFFC, ffcMaster, false}
 )
 
 // Scheme is one row of the scheme table: a name and its ladder of
 // rungs, most expressive first. Only best has more than one rung, and
 // its rungs are the PCF-CLS, PCF-LS and FFC rows' own: a Solver keeps
-// one master per rung, whichever rows solve it.
+// one master per kind, whichever rows solve it, so best's three rungs
+// run on two.
 type Scheme struct {
 	Name  string
 	rungs []*rung
@@ -120,23 +130,24 @@ func (s *Scheme) Solve(in *Instance, opts SolveOptions, skip int) (*Plan, error)
 }
 
 // Solver solves any row of the scheme table on one instance, any
-// number of times, and keeps one master per rung between solves: a
-// rung builds its master (model, adversaries, seed cuts, compiled form,
-// workspace) on its first solve by any row, and every later solve of
-// the rung, by that row or another whose ladder holds it, re-runs only
-// the cut loop on it. Plans equal a one-shot solve's bit for bit
-// (master). Solves on one Solver take turns: each holds the Solver for
-// its whole ladder.
+// number of times, and keeps one master per kind between solves —
+// three at most: PCF (shared by PCF-LS and PCF-CLS), PCF-TF and FFC. A
+// master is built (model, adversaries, seed cuts, compiled form,
+// workspace) on the first solve of any rung on it, and every later
+// solve, by that row or another whose ladder holds a rung on it,
+// re-runs only the cut loop on it. Plans equal a one-shot solve's bit
+// for bit (master). Solves on one Solver take turns: each holds the
+// Solver for its whole ladder.
 type Solver struct {
 	in      *Instance
 	mu      sync.Mutex
-	masters map[*rung]*master
+	masters map[*masterKind]*master
 }
 
 // NewSolver returns a solver on the prepared instance in. It builds
 // nothing until a rung is first solved.
 func NewSolver(in *Instance) *Solver {
-	return &Solver{in: in, masters: map[*rung]*master{}}
+	return &Solver{in: in, masters: map[*masterKind]*master{}}
 }
 
 // Solve runs row's ladder, entered at rung skip: the first skip rungs
@@ -149,9 +160,11 @@ func NewSolver(in *Instance) *Solver {
 // A rung is abandoned — and recorded in Plan.Degraded — when it breaks
 // down numerically or exhausts an iteration or cut budget; any other
 // failure, and cancellation of the overall Context, aborts the ladder
-// immediately. Every rung optimizes the same congestion-free model
-// family, so a downgrade weakens optimality, never the proved
-// guarantee of the plan that is returned.
+// immediately. A PCF-CLS rung whose pricing breaks down that way serves
+// the LS iterate it holds instead (master.solve): a PCF-LS plan with
+// PCF-CLS recorded as abandoned. Every rung optimizes the same
+// congestion-free model family, so a downgrade weakens optimality,
+// never the proved guarantee of the plan that is returned.
 func (sv *Solver) Solve(row *Scheme, opts SolveOptions, skip int) (*Plan, error) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
@@ -164,7 +177,7 @@ func (sv *Solver) Solve(row *Scheme, opts SolveOptions, skip int) (*Plan, error)
 		}
 		plan, err := sv.solve(r, opts)
 		if err == nil {
-			plan.Degraded = degraded
+			plan.Degraded = append(degraded, plan.Degraded...)
 			return plan, nil
 		}
 		// A degradable failure under a context that has since expired
@@ -183,15 +196,15 @@ func (sv *Solver) Solve(row *Scheme, opts SolveOptions, skip int) (*Plan, error)
 // solve solves rung r on its kept master, building it first if no
 // solve has; a build that fails keeps nothing.
 func (sv *Solver) solve(r *rung, opts SolveOptions) (*Plan, error) {
-	m := sv.masters[r]
+	m := sv.masters[r.master]
 	if m == nil {
 		var err error
-		if m, err = r.build(sv.in); err != nil {
+		if m, err = r.master.build(sv.in); err != nil {
 			return nil, err
 		}
-		sv.masters[r] = m
+		sv.masters[r.master] = m
 	}
-	return m.solve(opts)
+	return m.solve(opts, r.price)
 }
 
 // SolveBest runs the best row's ladder from its top: PCF-CLS, then

@@ -99,7 +99,7 @@ func planValues(plan *Plan, mv *masterVars) map[lp.Var]float64 {
 func lpCandidates(plan *Plan, budget int) [][]int {
 	in := plan.Instance
 	demand := in.DemandPairs()
-	_, mv := buildMaster(in, true, demand, in.constraintPairs(demand), 0)
+	_, mv, _ := buildMaster(in, in.LSs, demand, in.constraintPairs(demand), 0)
 	val := planValues(plan, mv)
 	var combos [][]int
 	for _, spec := range buildSpecs(in, mv, buildPCFAdversary) {

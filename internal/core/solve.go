@@ -70,10 +70,12 @@ func newMasterVars(in *Instance, pairs []topology.Pair, perPair int) *masterVars
 // buildMaster creates the master model: reservation variables, the
 // admitted-fraction variables, link capacity rows (paper eq. 3) and the
 // objective Θ(z). Only the tunnels of pairs enter it (ascending, as
-// Instance.ConstraintPairs and tunnels.Set.Pairs list them), and of
-// each pair only its first perPair tunnels when perPair > 0. demand is
-// the instance's demand pairs, in Instance.DemandPairs' order.
-func buildMaster(in *Instance, withLS bool, demand, pairs []topology.Pair, perPair int) (*lp.Model, *masterVars) {
+// Instance.ConstraintPairs and tunnels.Set.Pairs list them), of each
+// pair only its first perPair tunnels when perPair > 0, and of in's
+// LSs only lss. demand is the instance's demand pairs, in
+// Instance.DemandPairs' order. It also returns each arc's capacity
+// row, or -1 where no tunnel of pairs crosses the arc.
+func buildMaster(in *Instance, lss []LogicalSequence, demand, pairs []topology.Pair, perPair int) (*lp.Model, *masterVars, []int) {
 	m := lp.NewModel()
 	mv := newMasterVars(in, pairs, perPair)
 
@@ -82,10 +84,8 @@ func buildMaster(in *Instance, withLS bool, demand, pairs []topology.Pair, perPa
 			mv.a[tid] = m.AddNonNeg()
 		}
 	}
-	if withLS {
-		for _, q := range in.LSs {
-			mv.b[q.ID] = m.AddNonNeg()
-		}
+	for _, q := range lss {
+		mv.b[q.ID] = m.AddNonNeg()
 	}
 
 	switch in.Objective {
@@ -131,7 +131,9 @@ func buildMaster(in *Instance, withLS bool, demand, pairs []topology.Pair, perPa
 			}
 		}
 	}
+	capRow := make([]int, len(perArc))
 	for arc, vars := range perArc {
+		capRow[arc] = -1
 		if len(vars) == 0 {
 			continue
 		}
@@ -139,96 +141,230 @@ func buildMaster(in *Instance, withLS bool, demand, pairs []topology.Pair, perPa
 		for _, v := range vars {
 			e.Add(1, v)
 		}
-		rhs := in.Graph.ArcCapacity(topology.ArcID(arc)) *
-			in.Failures.WorstCapScale(topology.LinkOf(topology.ArcID(arc)))
-		m.AddConstraint(e, lp.LE, rhs)
+		capRow[arc] = m.AddConstraint(e, lp.LE, arcCapacity(in, topology.ArcID(arc)))
 	}
-	return m, mv
+	return m, mv, capRow
 }
 
-// master is one rung's robust master on its view of an instance: its
-// pairs, the master's variable handles, every pair's adversary and the
-// master compiled with its seed cuts, which is never solved itself. It
-// enters only the tunnels of the constraint pairs — another pair's
-// tunnel would be a column no constraint rewards — and of each pair
-// only its first perPair tunnels when perPair > 0.
+// arcCapacity is the right-hand side of arc's capacity row: its
+// capacity under the worst degradation it can suffer.
+func arcCapacity(in *Instance, arc topology.ArcID) float64 {
+	return in.Graph.ArcCapacity(arc) * in.Failures.WorstCapScale(topology.LinkOf(arc))
+}
+
+// master is a robust master on its view of an instance, built once and
+// solved any number of times, one solve at a time (Solver keeps it
+// between solves): its pairs' adversaries, the master model compiled
+// with their seed cuts, which is never solved itself, and on an
+// instance with conditional LSs the pool that pricing enters from.
 //
-// A master is built once and solved any number of times, one solve at
-// a time (Solver keeps it between solves). Every solve runs the cut
-// loop on a fresh clone of the seeded master, in the kept workspace,
-// with every polytope's saved answer forgotten: the simplex and the
-// separation oracle start from what a freshly built master starts
-// from, and a workspace carries only capacity from one solve to the
-// next, so the solve pivots, cuts and calls the oracle exactly as one
-// on a new master would (DESIGN.md §11, "The kept master").
+// The model holds the tunnels of the demand pairs and of every LS's
+// pair and segments (of each pair only its first perPair tunnels when
+// perPair > 0; another pair's tunnel would be a column no constraint
+// rewards), the LSs' reservations, the capacity rows and those pairs'
+// seed cuts. On the PCF master only the unconditional LSs count, so the
+// model is the LS master, and each conditional LS is a pool column
+// (pricing.go). Master variables are numbered as one
+// template — the model's first, then every pool tunnel's and pool LS's
+// — so every adversary is built once over the whole pool and a solve
+// maps only the pool variables that entered to its LP's columns.
+//
+// Every solve extends a fresh clone of the seeded master, in the kept
+// workspace, with every polytope's saved answer forgotten: the simplex
+// and the separation oracle start from what a freshly built master
+// starts from, entering touches nothing the master keeps, and a
+// workspace carries only capacity from one solve to the next, so the
+// solve pivots, cuts, prices and calls the oracle exactly as one on a
+// new master would (DESIGN.md §11, "The kept master").
 type master struct {
-	scheme string
+	scheme string // the plan's scheme when the solve does not price
 	in     *Instance
+	lsIn   *Instance // the LS view: in's unconditional LSs, renumbered
 	demand []topology.Pair
 	mv     *masterVars
-	specs  []*advSpec
-	seeded *lp.Compiled
-	seeds  int // seed cuts in seeded
-	ws     *lp.Workspace
-	// buildTime is how long newMaster took; fresh reports that no solve
-	// has started on the master yet, so the next one reports the build.
-	buildTime time.Duration
-	fresh     bool
+	// specs is one adversary per constraint pair: the model's pairs,
+	// ascending, then the pool's (poolPairs, ascending), built by the
+	// first priced solve. live0 lists the model's, specs[:len(live0)].
+	specs     []*advSpec
+	live0     []int
+	poolPairs []topology.Pair
+	pool      pool
+	seeded    *lp.Compiled
+	seeds     int // seed cuts in seeded
+	// seedCuts records the seed cuts of each of the model's pairs when
+	// keepCuts is set: pricing reads every cut row's adversary point.
+	seedCuts [][]cutRec
+	keepCuts bool
+	capRow   []int // per arc, its capacity row in seeded, or -1
+	nModel   int   // template variables below nModel are the model's
+	ws       *lp.Workspace
+	// pending is build time no solve has reported yet, and compileTime
+	// the compile when no solve has reported it: the next solve
+	// reports both, so a slow re-plan's record says whether it built.
+	pending, compileTime time.Duration
 }
 
 // newMaster builds scheme's master on in: the validated pairs, the
 // master model, one adversary per pair from build, the seed cuts and
-// the compiled form.
-func newMaster(in *Instance, scheme string, withLS bool, build advBuilder, perPair int) (*master, error) {
+// the compiled form. With pooled set, in's conditional LSs form the
+// pool and the model holds only the LS master; without it every LS of
+// in enters the model. A master with a pool keeps every cut row's
+// record, which pricing reads; keep asks for them without one.
+func newMaster(in *Instance, scheme string, build advBuilder, perPair int, pooled, keep bool) (*master, error) {
 	start := time.Now()
 	demand, pairs, err := in.validated()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", scheme, err)
 	}
-	m, mv := buildMaster(in, withLS, demand, pairs, perPair)
-	specs := buildSpecs(in, mv, build)
-	seeds, err := seedMaster(m, specs)
-	if err != nil {
+	ms := &master{scheme: scheme, in: in, lsIn: in, demand: demand, ws: lp.NewWorkspace()}
+	lss := in.LSs
+	if pooled && hasConditional(in) {
+		ms.lsIn = stripConditional(in)
+		lss = nil
+		for _, q := range in.LSs {
+			if q.Cond == nil {
+				lss = append(lss, q)
+			}
+		}
+		model := ms.lsIn.constraintPairs(demand)
+		pairs, ms.poolPairs = model, pairsNotIn(pairs, model)
+	}
+	m, mv, capRow := buildMaster(in, lss, demand, pairs, perPair)
+	ms.mv, ms.capRow, ms.nModel = mv, capRow, m.NumVars()
+	if ms.lsIn != in {
+		ms.pool = newPool(in, mv, ms.poolPairs, ms.nModel)
+	}
+	ms.specs = buildSpecs(in, mv, build)
+	ms.live0 = make([]int, len(ms.specs))
+	for i := range ms.live0 {
+		ms.live0[i] = i
+	}
+	ms.keepCuts = keep || len(ms.pool.cols) > 0
+	if ms.keepCuts {
+		for _, spec := range ms.specs {
+			ms.pool.terms = append(ms.pool.terms, ms.pool.termsOf(mv, spec))
+		}
+	}
+	if ms.seeds, err = ms.seedModel(m); err != nil {
 		return nil, fmt.Errorf("%s: %w", scheme, err)
 	}
-	return &master{
-		scheme: scheme, in: in, demand: demand, mv: mv, specs: specs,
-		seeded: lp.Compile(m), seeds: seeds, ws: lp.NewWorkspace(),
-		buildTime: time.Since(start), fresh: true,
-	}, nil
+	ms.seeded = lp.Compile(m)
+	ms.compileTime = ms.seeded.CompileTime
+	ms.pending = time.Since(start)
+	return ms, nil
+}
+
+// pairsNotIn returns the pairs of the ascending list all that the
+// ascending list some does not hold.
+func pairsNotIn(all, some []topology.Pair) []topology.Pair {
+	var rest []topology.Pair
+	for _, p := range all {
+		if len(some) > 0 && some[0] == p {
+			some = some[1:]
+			continue
+		}
+		rest = append(rest, p)
+	}
+	return rest
+}
+
+// hasConditional reports whether in has a conditional LS.
+func hasConditional(in *Instance) bool {
+	for _, q := range in.LSs {
+		if q.Cond != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// seedModel adds the seed cuts of the model's pairs to m (seedMaster)
+// and, when the master keeps its cuts, records them.
+func (ms *master) seedModel(m *lp.Model) (int, error) {
+	if ms.keepCuts {
+		ms.seedCuts = make([][]cutRec, len(ms.specs))
+	}
+	n := 0
+	for i, spec := range ms.specs {
+		pts, err := spec.seedPoints()
+		if err != nil {
+			return 0, err
+		}
+		for _, w := range pts {
+			e := lpTerms(spec.cutExpr(w), ms.nModel, nil)
+			row := m.AddConstraint(e, lp.GE, 0)
+			if ms.keepCuts {
+				ms.seedCuts[i] = append(ms.seedCuts[i], ms.pool.record(i, row, e, w))
+			}
+			n++
+		}
+	}
+	return n, nil
 }
 
 // solve runs the cut loop on a clone of the seeded master and returns
-// its plan. The first solve on the master reports the build as
-// SolveStats.PrepareTime and the compile as CompileTime; a later one
-// reports both as zero, and its SolveTime leaves the build out.
-func (ms *master) solve(opts SolveOptions) (*Plan, error) {
+// its plan. Without price it is the LS iterate, the first master no
+// cut separates: the plan of ms.scheme over the LS view. With price the
+// loop goes on pricing the pool in until neither separation nor pricing
+// adds anything, and the plan is PCF-CLS's over the whole instance. A
+// priced solve that fails degradably after the LS iterate (numerical
+// breakdown, an exhausted iteration or round budget) falls back to
+// that iterate: the PCF-LS plan, with PCF-CLS in Plan.Degraded.
+//
+// The solve reports the build no solve has reported as
+// SolveStats.PrepareTime — the model on a master's first solve, the
+// pool's adversaries on its first priced one — and the compile as
+// CompileTime on its first; its SolveTime leaves the build out.
+func (ms *master) solve(opts SolveOptions, price bool) (*Plan, error) {
 	start := time.Now()
-	var stats SolveStats
-	if ms.fresh {
-		ms.fresh = false
-		stats.PrepareTime, stats.CompileTime = ms.buildTime, ms.seeded.CompileTime
+	name := ms.scheme
+	if price {
+		name = SchemePCFCLS
 	}
-	for _, spec := range ms.specs {
-		spec.poly.Forget()
-	}
-	sol, err := cutLoop(ms.seeded.CloneIn(ms.ws), ms.seeds, ms.specs, opts.withDefaults(), &stats)
+	it, sol, stats, err := ms.run(opts, price)
+	dur := stats.PrepareTime + time.Since(start)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", ms.scheme, err)
+		if it == nil || it.ls == nil || !Degradable(err) || opts.ctxErr() != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		plan := it.extractPlan(ms.scheme, it.ls, false, dur)
+		plan.Degraded = []string{SchemePCFCLS}
+		plan.Stats = stats
+		return plan, nil
 	}
-	plan := extractPlan(ms.in, ms.scheme, sol, ms.mv, ms.demand, stats.PrepareTime+time.Since(start))
+	plan := it.extractPlan(name, sol, price, dur)
 	plan.Stats = stats
 	return plan, nil
 }
 
+// run is solve's loop: it builds the pool on the first priced solve,
+// forgets every polytope's saved answer and runs the cut loop on a new
+// iterate, returning it with its last master solution.
+func (ms *master) run(opts SolveOptions, price bool) (*iterate, *lp.Solution, SolveStats, error) {
+	var stats SolveStats
+	if price && !ms.pool.built {
+		if err := ms.buildPool(); err != nil {
+			return nil, nil, stats, err
+		}
+	}
+	stats.PrepareTime, stats.CompileTime = ms.pending, ms.compileTime
+	ms.pending, ms.compileTime = 0, 0
+	for _, spec := range ms.specs {
+		spec.poly.Forget()
+	}
+	it := ms.newIterate()
+	sol, err := it.loop(opts.withDefaults(), price, &stats)
+	return it, sol, stats, err
+}
+
 // solveOnce builds the master of one rung on in, solves it once and
 // drops it: the exported per-scheme solvers.
-func solveOnce(build func(*Instance) (*master, error), in *Instance, opts SolveOptions) (*Plan, error) {
+func solveOnce(build func(*Instance) (*master, error), in *Instance, opts SolveOptions, price bool) (*Plan, error) {
 	ms, err := build(in)
 	if err != nil {
 		return nil, err
 	}
-	return ms.solve(opts)
+	return ms.solve(opts, price)
 }
 
 // buildSpecs builds one adversary spec per pair of the master.
@@ -274,6 +410,21 @@ func (spec *advSpec) cutExpr(w []float64) *lp.Expr {
 	return e
 }
 
+// seedPoints returns the adversary points of spec's seed scenarios
+// (seedScenarios), each checked to lie in its polytope.
+func (spec *advSpec) seedPoints() ([][]float64, error) {
+	scs := spec.seedScenarios()
+	pts := make([][]float64, len(scs))
+	for k, sc := range scs {
+		w := spec.scenarioPoint(sc)
+		if !spec.poly.Contains(w, tol.Feas) {
+			return nil, fmt.Errorf("internal: seed scenario %v is not a polytope point for %v", sc, spec.pair)
+		}
+		pts[k] = w
+	}
+	return pts, nil
+}
+
 // seedMaster adds each pair's seed cuts to the master model and
 // returns how many: the no-failure scenario (keeps the master bounded
 // from round one) and every single-unit failure touching the pair —
@@ -284,11 +435,11 @@ func (spec *advSpec) cutExpr(w []float64) *lp.Expr {
 func seedMaster(base *lp.Model, specs []*advSpec) (int, error) {
 	numCuts := 0
 	for _, spec := range specs {
-		for _, sc := range spec.seedScenarios() {
-			w := spec.scenarioPoint(sc)
-			if !spec.poly.Contains(w, tol.Feas) {
-				return 0, fmt.Errorf("internal: seed scenario %v is not a polytope point for %v", sc, spec.pair)
-			}
+		pts, err := spec.seedPoints()
+		if err != nil {
+			return 0, err
+		}
+		for _, w := range pts {
 			base.AddConstraint(spec.cutExpr(w), lp.GE, 0)
 			numCuts++
 		}
@@ -322,25 +473,37 @@ func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solut
 	}
 	cm := lp.Compile(base)
 	stats.CompileTime = cm.CompileTime
-	sol, err := cutLoop(cm, numCuts, specs, opts, &stats)
+	live := make([]int, len(specs))
+	for i := range live {
+		live[i] = i
+	}
+	it := &iterate{cm: cm, specs: specs, live: live, nModel: base.NumVars(), numCuts: numCuts}
+	sol, err := it.loop(opts, false, &stats)
 	return sol, stats, err
 }
 
-// cutLoop is solveRobust's loop on the compiled master cm, which holds
-// numCuts seed cuts: it appends the violated cuts to cm and folds every
-// round's statistics into stats.
-func cutLoop(cm *lp.Compiled, numCuts int, specs []*advSpec, opts SolveOptions, stats *SolveStats) (*lp.Solution, error) {
+// loop is the cut loop on the iterate's master: each round solves the
+// master warm from the last round's basis, asks every live pair's
+// separation oracle for its worst adversary point and appends the
+// violated cuts. When no cut is violated and price is set, it prices
+// the pool from that master's duals (iterate.price): the first such
+// master is the LS iterate, kept in it.ls, and the loop goes on while
+// pricing enters columns. Every round, a re-solve after pricing
+// included, counts against maxCutRounds; the loop's statistics fold
+// into stats.
+func (it *iterate) loop(opts SolveOptions, price bool, stats *SolveStats) (*lp.Solution, error) {
 	var basis *lp.Basis
+	var reuse *lp.Solution // the last round's solution, rewritten by this round's
 	costBuf := make([]float64, 0, 64)
 	for round := 0; round < maxCutRounds; round++ {
 		stats.Rounds = round + 1
 		if err := opts.ctxErr(); err != nil {
 			return nil, fmt.Errorf("cut generation canceled after %d rounds (%d cuts): %w",
-				round, numCuts, err)
+				round, it.numCuts, err)
 		}
 		lpOpts := opts.LP
-		lpOpts.WarmStart = basis
-		sol, err := cm.Solve(lpOpts)
+		lpOpts.WarmStart, lpOpts.Reuse = basis, reuse
+		sol, err := it.cm.Solve(lpOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -348,20 +511,21 @@ func cutLoop(cm *lp.Compiled, numCuts int, specs []*advSpec, opts SolveOptions, 
 		if sol.Stats.WarmHit {
 			stats.WarmHits++
 		}
-		stats.Cuts = numCuts
+		stats.Cuts = it.numCuts
 		if sol.Status != lp.StatusOptimal {
 			return nil, fmt.Errorf("master LP: %w", sol.Err())
 		}
-		basis = sol.Basis
+		basis, reuse = sol.Basis, sol
 
 		violated := 0
-		for _, spec := range specs {
+		for _, i := range it.live {
+			spec := it.specs[i]
 			costBuf = costBuf[:0]
 			for _, c := range spec.costs {
 				if c == nil {
 					costBuf = append(costBuf, 0)
 				} else {
-					costBuf = append(costBuf, sol.Eval(c))
+					costBuf = append(costBuf, it.eval(sol, c))
 				}
 			}
 			solves := spec.poly.Solves()
@@ -371,22 +535,42 @@ func cutLoop(cm *lp.Compiled, numCuts int, specs []*advSpec, opts SolveOptions, 
 			if err != nil {
 				return nil, err
 			}
-			lhs := sol.Eval(spec.constPart) + inner
-			rhs := sol.Eval(spec.rhs)
+			lhs := it.eval(sol, spec.constPart) + inner
+			rhs := it.eval(sol, spec.rhs)
 			if lhs < rhs-tol.Cut {
-				cm.AddRow(spec.cutExpr(w), lp.GE, 0)
-				numCuts++
+				it.addCut(i, w)
 				violated++
 			}
 		}
-		if violated == 0 {
+		if violated > 0 {
+			continue
+		}
+		if !price {
+			return sol, nil
+		}
+		if it.ls == nil {
+			it.ls, reuse = sol, nil // kept for the fallback
+		}
+		stats.PricingRounds++
+		entered := it.price(sol)
+		stats.ColumnsPriced += entered
+		if entered == 0 {
 			return sol, nil
 		}
 	}
-	return nil, fmt.Errorf("%w (%d rounds, %d cuts live)", ErrCutLimit, maxCutRounds, numCuts)
+	return nil, fmt.Errorf("%w (%d rounds, %d cuts live)", ErrCutLimit, maxCutRounds, it.numCuts)
 }
 
-func extractPlan(in *Instance, scheme string, sol *lp.Solution, mv *masterVars, demand []topology.Pair, dur time.Duration) *Plan {
+// extractPlan reads the plan out of sol: PCF-CLS's over the whole
+// instance when full is set, every tunnel and LS of the template (a
+// pool column that did not enter reserves 0), else the LS view's, the
+// model's tunnels and unconditional LSs under the view's LS numbering.
+func (it *iterate) extractPlan(scheme string, sol *lp.Solution, full bool, dur time.Duration) *Plan {
+	ms := it.ms
+	in := ms.lsIn
+	if full {
+		in = ms.in
+	}
 	plan := &Plan{
 		Scheme:    scheme,
 		Objective: in.Objective,
@@ -397,17 +581,28 @@ func extractPlan(in *Instance, scheme string, sol *lp.Solution, mv *masterVars, 
 		SolveTime: dur,
 		Instance:  in,
 	}
-	for tid, v := range mv.a {
-		plan.TunnelRes[tid] = clampTiny(sol.Value(v))
+	for tid, v := range ms.mv.a {
+		if full || int(v) < ms.nModel {
+			plan.TunnelRes[tid] = clampTiny(it.value(sol, v))
+		}
 	}
-	for qid, v := range mv.b {
-		plan.LSRes[qid] = clampTiny(sol.Value(v))
+	view := LSID(0)
+	for _, q := range ms.in.LSs {
+		v, ok := ms.mv.b[q.ID]
+		switch {
+		case !ok:
+		case full:
+			plan.LSRes[q.ID] = clampTiny(it.value(sol, v))
+		case q.Cond == nil || in == ms.in:
+			plan.LSRes[view] = clampTiny(it.value(sol, v))
+			view++
+		}
 	}
-	for _, p := range demand {
+	for _, p := range ms.demand {
 		d := in.TM.At(p)
-		ze := mv.zExpr(p)
+		ze := ms.mv.zExpr(p)
 		if d > 0 {
-			plan.Z[p] = clampTiny(sol.Eval(ze) / d)
+			plan.Z[p] = clampTiny(it.eval(sol, ze) / d)
 		}
 	}
 	return plan
@@ -425,31 +620,31 @@ func clampTiny(v float64) float64 {
 // demand pair. Logical sequences are ignored: FFC is a pure tunnel
 // scheme.
 func SolveFFC(in *Instance, opts SolveOptions) (*Plan, error) {
-	return solveOnce(newFFCMaster, in, opts)
+	return solveOnce(newFFCMaster, in, opts, false)
 }
 
 func newFFCMaster(in *Instance) (*master, error) {
 	stripped := *in
 	stripped.LSs = nil
-	return newMaster(&stripped, SchemeFFC, false, buildFFCAdversary, in.FFCTunnels)
+	return newMaster(&stripped, SchemeFFC, buildFFCAdversary, in.FFCTunnels, false, false)
 }
 
 // SolvePCFTF computes the PCF-TF allocation (paper §3.2): FFC's
 // response mechanism with the link-aware failure set (4).
 func SolvePCFTF(in *Instance, opts SolveOptions) (*Plan, error) {
-	return solveOnce(newTFMaster, in, opts)
+	return solveOnce(newTFMaster, in, opts, false)
 }
 
 func newTFMaster(in *Instance) (*master, error) {
 	stripped := *in
 	stripped.LSs = nil
-	return newMaster(&stripped, SchemePCFTF, false, buildPCFAdversary, 0)
+	return newMaster(&stripped, SchemePCFTF, buildPCFAdversary, 0, false, false)
 }
 
 // SolvePCFLS computes the PCF-LS allocation (paper §3.3, model (P2)).
 // All logical sequences must be unconditional.
 func SolvePCFLS(in *Instance, opts SolveOptions) (*Plan, error) {
-	return solveOnce(newLSMaster, in, opts)
+	return solveOnce(newLSMaster, in, opts, false)
 }
 
 func newLSMaster(in *Instance) (*master, error) {
@@ -458,15 +653,19 @@ func newLSMaster(in *Instance) (*master, error) {
 			return nil, fmt.Errorf("PCF-LS: LS %d has a condition; use SolvePCFCLS", q.ID)
 		}
 	}
-	return newMaster(in, SchemePCFLS, true, buildPCFAdversary, 0)
+	return newPCFMaster(in)
 }
 
 // SolvePCFCLS computes the PCF-CLS allocation (paper §3.4): logical
-// sequences may carry activation conditions.
+// sequences may carry activation conditions. It solves the LS master
+// and prices the conditional LSs in (pricing.go): the optimum over
+// every LS of in.
 func SolvePCFCLS(in *Instance, opts SolveOptions) (*Plan, error) {
-	return solveOnce(newCLSMaster, in, opts)
+	return solveOnce(newPCFMaster, in, opts, true)
 }
 
-func newCLSMaster(in *Instance) (*master, error) {
-	return newMaster(in, SchemePCFCLS, true, buildPCFAdversary, 0)
+// newPCFMaster builds the master PCF-LS and PCF-CLS share: the LS
+// master, with in's conditional LSs as the pool.
+func newPCFMaster(in *Instance) (*master, error) {
+	return newMaster(in, SchemePCFLS, buildPCFAdversary, 0, true, false)
 }

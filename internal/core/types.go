@@ -343,6 +343,12 @@ type SolveStats struct {
 	// polytope's previous costs and got its saved answer.
 	OracleCalls  int
 	OracleSolves int
+	// PricingRounds counts the pricing passes over a master no cut
+	// separates, the last of which entered nothing, and ColumnsPriced
+	// the pool columns (conditional LSs) they entered. A solve that
+	// does not price reports both as zero.
+	PricingRounds int
+	ColumnsPriced int
 }
 
 // FillRatio is FactorNNZ/BasisNNZ — the factorization fill-in growth
@@ -377,6 +383,8 @@ func (s SolveStats) Metrics() map[string]float64 {
 		"rows":            float64(s.Rows),
 		"oracle_calls":    float64(s.OracleCalls),
 		"oracle_solves":   float64(s.OracleSolves),
+		"pricing_rounds":  float64(s.PricingRounds),
+		"columns_priced":  float64(s.ColumnsPriced),
 	}
 }
 

@@ -307,6 +307,9 @@ func StatsLine(st core.SolveStats) string {
 	if st.OracleCalls > 0 {
 		line += fmt.Sprintf(", oracle %d/%d solved", st.OracleSolves, st.OracleCalls)
 	}
+	if st.PricingRounds > 0 {
+		line += fmt.Sprintf(", %d LSs priced in over %d passes", st.ColumnsPriced, st.PricingRounds)
+	}
 	return line
 }
 

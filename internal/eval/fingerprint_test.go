@@ -134,7 +134,7 @@ func TestCorrectionFingerprints(t *testing.T) {
 		want uint64
 	}{
 		{"sprint-tf-f1", Options{Topology: "Sprint", Seed: 1, MaxPairs: 45, FailureBudget: 1}, false, false, 0x821e1c9d90dd3078},
-		{"btna-cls-f2", btna, true, false, 0x8211f8a15f417f45},
+		{"btna-cls-f2", btna, true, false, 0xd546a17a76ba3093},
 		{"btna-tf-f2", btna, false, false, 0xdf3611df028ba250},
 		{"synth1k-tf-f1", Options{Synth: "waxman", SynthNodes: 1000, Seed: 1, MaxPairs: 250, FailureBudget: 1}, false, true, 0x7e281e8665e844d6},
 	} {

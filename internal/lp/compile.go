@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"time"
 )
 
@@ -37,7 +38,7 @@ type colRef struct {
 
 // Compiled is a model lowered to sparse standard form. It is produced
 // by Compile, solved (repeatedly) with Solve, and extended in place
-// with AddRow and SetRowRHS without recompiling. A Compiled
+// with AddRow, AddColumn and SetRowRHS without recompiling. A Compiled
 // is not safe for concurrent mutation or solving; use Clone to give
 // each worker its own view (clones share the immutable column data
 // copy-on-write).
@@ -407,6 +408,59 @@ func (cm *Compiled) AddRow(expr *Expr, sense Sense, rhs float64) int {
 	return logical
 }
 
+// ColTerm is a column's coefficient in one logical row (a model
+// constraint or an appended row, numbered as AddRow returns them): the
+// column-wise counterpart of a Term.
+type ColTerm struct {
+	Row   int
+	Coeff float64
+}
+
+// AddColumn appends a variable x ≥ 0 to the compiled form without
+// recompiling: objective coefficient obj and coefficient t.Coeff in each
+// row t.Row, in the rows' model-space sense (as the row's expression
+// would carry it). It returns the variable, numbered after every
+// existing one, so Solution.Value reads it and later AddRow expressions
+// may use it. The column enters nonbasic at zero, so a WarmStart basis
+// captured before it stays a basis and stays primal feasible; the next
+// warm Solve prices the column in with the primal simplex. A repeated
+// row sums its coefficients. It is the compiled form's one column
+// edit: a later edit of an existing column takes the same ColTerm list.
+func (cm *Compiled) AddColumn(obj float64, terms []ColTerm) Var {
+	v := Var(cm.nModel)
+	j := cm.addCol(v, 1, 0)
+	cm.nModel++
+	cm.refs = append(cm.refs, colRef{pos: j, neg: -1})
+	col := make([]entry, 0, len(terms))
+	for _, t := range terms {
+		if t.Coeff != 0 {
+			r := cm.stdRow[t.Row]
+			col = append(col, entry{row: r, val: cm.rowSign[r] * t.Coeff})
+		}
+	}
+	slices.SortStableFunc(col, func(a, b entry) int { return a.row - b.row })
+	merged := col[:0]
+	for _, e := range col {
+		if n := len(merged); n > 0 && merged[n-1].row == e.row {
+			merged[n-1].val += e.val
+			continue
+		}
+		merged = append(merged, e)
+	}
+	col = slices.DeleteFunc(merged, func(e entry) bool { return e.val == 0 })
+	cm.cols[j] = col
+	cm.nCols = len(cm.cols)
+	if obj != 0 {
+		// The objective expression is shared with clones: extend a copy.
+		cm.obj = cm.obj.Clone().Add(obj, v)
+		if cm.negObj {
+			obj = -obj
+		}
+		cm.c[j] = obj
+	}
+	return v
+}
+
 // SetRowRHS changes the right-hand side of logical row i in place.
 // The standard-form RHS may go negative; cold starts pick each row's
 // slack or a signed artificial by the sign they find, and warm starts
@@ -480,6 +534,7 @@ func (cm *Compiled) Clone() *Compiled {
 	d.b = append([]float64(nil), cm.b...)
 	d.c = append([]float64(nil), cm.c...)
 	d.maps = append([]varMap(nil), cm.maps...)
+	d.refs = cm.refs[:len(cm.refs):len(cm.refs)] // AddColumn on the clone appends to a copy
 	d.rowOf = append([]int(nil), cm.rowOf...)
 	d.rowNeg = append([]bool(nil), cm.rowNeg...)
 	d.rowSign = append([]float64(nil), cm.rowSign...)

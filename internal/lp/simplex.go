@@ -50,6 +50,13 @@ type Options struct {
 	// it leaves carrying value included), so a warm start never changes
 	// the result — only the work to reach it.
 	WarmStart *Basis
+	// Reuse, when non-nil, is a Solution an earlier Solve returned
+	// that the caller reads no more: the solve returns it, its vectors
+	// (values, duals, basis) overwritten where they are long enough,
+	// instead of allocating a new one. It may hold the WarmStart basis,
+	// which the solve reads before it writes. A loop of solves keeps
+	// its garbage to one solution's worth.
+	Reuse *Solution
 }
 
 // ctxErr reports the context's cancellation error, nil without one.
@@ -276,11 +283,14 @@ func newWarmState(cm *Compiled, opts Options, ws *Basis) *simplexState {
 	return st
 }
 
-// captureBasis encodes the current basis for Solution.Basis.
-// Artificials are encoded by row so the encoding stays valid when
-// columns are appended later.
-func (st *simplexState) captureBasis() *Basis {
-	bs := &Basis{cols: make([]int, st.m), nRows: st.m}
+// captureBasis encodes the current basis for Solution.Basis, in bs
+// when it is not nil. Artificials are encoded by row so the encoding
+// stays valid when columns are appended later.
+func (st *simplexState) captureBasis(bs *Basis) *Basis {
+	if bs == nil {
+		bs = &Basis{}
+	}
+	bs.cols, bs.nRows = sized(bs.cols, st.m), st.m
 	for i, j := range st.basis {
 		if j >= st.cm.nCols {
 			bs.cols[i] = -(j - st.cm.nCols) - 1
@@ -798,7 +808,7 @@ func (cm *Compiled) Solve(opts Options) (*Solution, error) {
 	}
 	sol := &Solution{Status: status}
 	if st != nil {
-		sol = st.extract(status)
+		sol = st.extract(status, opts.Reuse)
 	}
 	stats.SolveTime = time.Since(startTime)
 	sol.Stats = stats
@@ -984,14 +994,22 @@ func (cm *Compiled) objective(vals []float64) float64 {
 }
 
 // extract builds the Solution of the state's final basis: primal
-// values, objective, duals and, when optimal, the basis.
-func (st *simplexState) extract(status Status) *Solution {
+// values, objective, duals and, when optimal, the basis; in reuse's
+// vectors when it is not nil (Options.Reuse).
+func (st *simplexState) extract(status Status, reuse *Solution) *Solution {
 	cm := st.cm
-	sol := &Solution{Status: status}
+	sol := reuse
+	if sol == nil {
+		sol = &Solution{}
+	}
+	basis := sol.Basis
+	*sol = Solution{Status: status, values: sol.values, duals: sol.duals}
 	if status != StatusOptimal && status != StatusIterLimit {
+		sol.values, sol.duals = nil, nil
 		return sol
 	}
-	vals := make([]float64, cm.nModel)
+	vals := sized(sol.values, cm.nModel)
+	clear(vals)
 	st.values(vals)
 	sol.values = vals
 	sol.Objective = cm.objective(vals)
@@ -1000,7 +1018,8 @@ func (st *simplexState) extract(status Status) *Solution {
 	y := st.y
 	st.costs.reset(st.cost, st.basis)
 	st.btran(y)
-	duals := make([]float64, cm.nLogical)
+	duals := sized(sol.duals, cm.nLogical)
+	clear(duals)
 	for r := 0; r < st.m; r++ {
 		lr := cm.rowOf[r]
 		if lr < 0 {
@@ -1014,7 +1033,7 @@ func (st *simplexState) extract(status Status) *Solution {
 	}
 	sol.duals = duals
 	if status == StatusOptimal {
-		sol.Basis = st.captureBasis()
+		sol.Basis = st.captureBasis(basis)
 	}
 	return sol
 }

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -283,5 +284,127 @@ func TestSparseFactorSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 		t.Fatalf("refactor + solves + two pivots allocate %v times per cycle in steady state", allocs)
+	}
+}
+
+// TestAddColumnWarmMatchesCold: a column appended to a solved Compiled
+// leaves the captured basis primal feasible, so the warm re-solve takes
+// the warm path, prices the column in and reaches the optimum a cold
+// solve of the model built with the column from the start reaches. A
+// row appended after it may use the new variable. The Compiled the
+// column went into was a clone, and its source still solves the model
+// without the column.
+func TestAddColumnWarmMatchesCold(t *testing.T) {
+	m, _, caps := buildCapModel(t)
+	src := Compile(m)
+	cm := src.Clone()
+	sol, err := cm.Solve(Options{})
+	if err != nil || sol.Status != StatusOptimal {
+		t.Fatalf("cold solve: %v status %v", err, sol.Status)
+	}
+	// A third path carrying z through x3's capacity, worth 0.1 besides.
+	y := cm.AddColumn(0.1, []ColTerm{{Row: 2, Coeff: 1}, {Row: caps[3], Coeff: 0.5}, {Row: caps[3], Coeff: 0.5}})
+	warm, err := cm.Solve(Options{WarmStart: sol.Basis})
+	if err != nil || warm.Status != StatusOptimal {
+		t.Fatalf("warm solve: %v status %v", err, warm.Status)
+	}
+	if !warm.Stats.WarmHit {
+		t.Error("the warm start after AddColumn fell back to cold")
+	}
+	// The same model built with the column from the start.
+	fresh := func(cut bool) *Solution {
+		m2 := NewModel()
+		z2 := m2.AddNonNeg()
+		x := make([]Var, 4)
+		for i := range x {
+			x[i] = m2.AddNonNeg()
+		}
+		y2 := m2.AddNonNeg()
+		m2.AddConstraint(NewExpr().Add(1, x[0]).Add(-1, x[1]), EQ, 0)
+		m2.AddConstraint(NewExpr().Add(1, x[2]).Add(-1, x[3]), EQ, 0)
+		m2.AddConstraint(NewExpr().Add(1, x[0]).Add(1, x[2]).Add(1, y2).Add(-1, z2), GE, 0)
+		for i := range x {
+			e := NewExpr().Add(1, x[i])
+			if i == 3 {
+				e.Add(1, y2)
+			}
+			m2.AddConstraint(e, LE, float64(3+i))
+		}
+		if cut {
+			m2.AddConstraint(NewExpr().Add(1, y2), LE, 0.5)
+		}
+		m2.SetObjective(NewExpr().Add(1, z2).Add(0.1, y2), Maximize)
+		cold, err := Solve(m2)
+		if err != nil || cold.Status != StatusOptimal {
+			t.Fatalf("fresh cold solve: %v status %v", err, cold.Status)
+		}
+		return cold
+	}
+	close := func(what string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+			t.Fatalf("%s: %.12g, want %.12g", what, got, want)
+		}
+	}
+	cold := fresh(false)
+	close("objective after AddColumn", warm.Objective, cold.Objective)
+	close("objective, known optimum", warm.Objective, 9.6)
+	close("the new column's value", warm.Value(y), 6)
+
+	cm.AddRow(NewExpr().Add(1, y), LE, 0.5)
+	cut, err := cm.Solve(Options{WarmStart: warm.Basis})
+	if err != nil || cut.Status != StatusOptimal {
+		t.Fatalf("warm solve after AddRow: %v status %v", err, cut.Status)
+	}
+	close("objective after a row on the new column", cut.Objective, fresh(true).Objective)
+
+	orig, err := src.Solve(Options{})
+	if err != nil || orig.Status != StatusOptimal {
+		t.Fatalf("source solve: %v status %v", err, orig.Status)
+	}
+	close("the clone's source", orig.Objective, sol.Objective)
+	if v := orig.Value(y); v != 0 {
+		t.Fatalf("the clone's source has a value %g for the clone's column", v)
+	}
+}
+
+// TestReuseMatchesFreshSolution: a solve handed an earlier Solution to
+// reuse, holding its own warm-start basis, returns that Solution
+// rewritten with exactly what a solve allocating a new one returns —
+// value, duals and basis, bit for bit.
+func TestReuseMatchesFreshSolution(t *testing.T) {
+	m, z, _ := buildCapModel(t)
+	cm := Compile(m)
+	first, err := cm.Solve(Options{})
+	if err != nil || first.Status != StatusOptimal {
+		t.Fatalf("cold solve: %v status %v", err, first.Status)
+	}
+	cm.AddRow(NewExpr().Add(1, z), LE, first.Objective/2)
+	fresh, err := cm.Clone().Solve(Options{WarmStart: first.Basis})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused, err := cm.Solve(Options{WarmStart: first.Basis, Reuse: first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused != first {
+		t.Fatal("the solve allocated a new Solution instead of reusing the one it was given")
+	}
+	if reused.Status != fresh.Status || math.Float64bits(reused.Objective) != math.Float64bits(fresh.Objective) {
+		t.Fatalf("reused %v %v, fresh %v %v", reused.Status, reused.Objective, fresh.Status, fresh.Objective)
+	}
+	for v := Var(0); int(v) < m.NumVars(); v++ {
+		if math.Float64bits(reused.Value(v)) != math.Float64bits(fresh.Value(v)) {
+			t.Fatalf("variable %d: reused %g, fresh %g", v, reused.Value(v), fresh.Value(v))
+		}
+	}
+	for r := 0; r < cm.NumRows(); r++ {
+		if math.Float64bits(reused.Dual(r)) != math.Float64bits(fresh.Dual(r)) {
+			t.Fatalf("row %d: reused dual %g, fresh %g", r, reused.Dual(r), fresh.Dual(r))
+		}
+	}
+	if !slices.Equal(reused.Basis.cols, fresh.Basis.cols) || reused.Basis.nRows != fresh.Basis.nRows {
+		t.Fatalf("basis %v, fresh %v", reused.Basis.cols, fresh.Basis.cols)
 	}
 }

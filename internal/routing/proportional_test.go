@@ -28,7 +28,7 @@ var proportionalGolden = map[string]string{
 	"fig4":       "821f382230d24c46",
 	"fig5-cls":   "37b04a306eef9ecb",
 	"fig4-332":   "895a13cfc69e5e4b",
-	"sprint-cls": "8339b9713fcf5cd4",
+	"sprint-cls": "b2fa1a1bc7d59f56",
 }
 
 // proportionalPlans are the gadget plans, the Fig. 4 LS plan with a

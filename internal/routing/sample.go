@@ -12,7 +12,9 @@ package routing
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"time"
 
 	"pcf/internal/core"
@@ -21,8 +23,8 @@ import (
 
 // SampleOptions configures ValidateSampled.
 type SampleOptions struct {
-	// Model supplies the per-unit failure probabilities. Required; its
-	// unit count must match the plan's failure set.
+	// Model supplies the per-unit failure probabilities. Required, and
+	// over the plan's failure set (ErrForeignModel otherwise).
 	Model *failures.ProbModel
 	// Samples is the number of tail draws. Default 200; negative means
 	// no sampling (the whole tail mass counts against ε).
@@ -87,9 +89,8 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 	}
 	plan := s.plan
 	fs := plan.Instance.Failures
-	if fs == nil || len(opts.Model.P) != len(fs.Units) {
-		return nil, fmt.Errorf("routing: probability model has %d units, plan's failure set %d",
-			len(opts.Model.P), len(fs.Units))
+	if err := modelFits(opts.Model, fs); err != nil {
+		return nil, err
 	}
 	if opts.Samples == 0 {
 		opts.Samples = 200
@@ -190,6 +191,28 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 	cov.ComputeEpsilon()
 	rep.Stats.Total = time.Since(start)
 	return rep, nil
+}
+
+// ErrForeignModel reports a probability model that is not over the
+// plan's failure set: it has no set, another set, or a probability
+// count other than the set's unit count. Matched with errors.Is.
+var ErrForeignModel = errors.New("routing: probability model is not over the plan's failure set")
+
+// modelFits checks that pm draws over fs, the plan's failure set: its
+// Set is fs or equal to it, and it gives every unit a probability.
+func modelFits(pm *failures.ProbModel, fs *failures.Set) error {
+	switch {
+	case fs == nil:
+		return fmt.Errorf("%w: the plan has none", ErrForeignModel)
+	case pm.Set == nil:
+		return fmt.Errorf("%w: the model has no set", ErrForeignModel)
+	case pm.Set != fs && (pm.Set.Budget != fs.Budget || !reflect.DeepEqual(pm.Set.Units, fs.Units)):
+		return fmt.Errorf("%w: the model's set has %d units at budget %d, the plan's %d at budget %d",
+			ErrForeignModel, len(pm.Set.Units), pm.Set.Budget, len(fs.Units), fs.Budget)
+	case len(pm.P) != len(fs.Units):
+		return fmt.Errorf("%w: the model has %d probabilities, the set %d units", ErrForeignModel, len(pm.P), len(fs.Units))
+	}
+	return nil
 }
 
 // ValidateSampled is the one-shot form of (*Sweep).ValidateSampled: it

@@ -167,6 +167,42 @@ func TestValidateSampledReport(t *testing.T) {
 	}
 }
 
+// TestValidateSampledRefusesForeignModel: a probability model with no
+// set, with a set that is not the plan's, or with a probability count
+// other than the set's unit count is refused with ErrForeignModel, not
+// a nil dereference in the draw loop; a model over an equal copy of the
+// plan's set is accepted.
+func TestValidateSampledRefusesForeignModel(t *testing.T) {
+	plan := fig1Plan(t, 1)
+	fs := plan.Instance.Failures
+	model := func(edit func(pm *failures.ProbModel)) *failures.ProbModel {
+		pm, err := failures.Uniform(fs, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(pm)
+		return pm
+	}
+	other := *fs
+	other.Budget++
+	copied := *fs
+	for _, tc := range []struct {
+		name string
+		pm   *failures.ProbModel
+		ok   bool
+	}{
+		{"no set", model(func(pm *failures.ProbModel) { pm.Set = nil }), false},
+		{"another set", model(func(pm *failures.ProbModel) { pm.Set = &other }), false},
+		{"short", model(func(pm *failures.ProbModel) { pm.P = pm.P[1:] }), false},
+		{"equal copy", model(func(pm *failures.ProbModel) { pm.Set = &copied }), true},
+	} {
+		_, err := ValidateSampled(nil, plan, SampleOptions{Model: tc.pm, Samples: 20, Seed: 3})
+		if tc.ok != (err == nil) || (!tc.ok && !errors.Is(err, ErrForeignModel)) {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
 // TestSampledCoverageDeterminism is the check.sh determinism gate: the
 // same seed must produce a byte-identical coverage report (and the same
 // worst MLU bits) run after run, regardless of worker scheduling.

@@ -42,7 +42,7 @@ type Server struct {
 	breakers  map[string]*Breaker
 
 	// solver solves every row of core's scheme table on the served
-	// instance and keeps one master per rung across re-plans.
+	// instance and keeps its masters (three at most) across re-plans.
 	solver *core.Solver
 
 	// baseCtx is canceled when the drain deadline expires, hard-

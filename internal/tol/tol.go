@@ -91,6 +91,11 @@ const (
 	// Support is the adversary weight above which a unit is in the
 	// worst-case scenario's support.
 	Support = 1e-6
+	// Price is the reduced cost above which pricing enters a pool
+	// column (a conditional LS) into the master. At least Opt: a column
+	// that enters is one the master's simplex would pivot in, not one
+	// at round-off.
+	Price = 1e-9
 )
 
 // Ties between path lengths and scores.

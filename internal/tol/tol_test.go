@@ -32,6 +32,9 @@ func TestOrder(t *testing.T) {
 		// A pair served for one destination within PairUtil passes the
 		// aggregate bound.
 		{"PairUtil <= AggUtil", PairUtil <= AggUtil},
+		// A pool column pricing enters is one the simplex would pivot
+		// in.
+		{"Opt <= Price", Opt <= Price},
 		// Reservations the master keeps within capacity to Feas do not
 		// overload an arc.
 		{"Feas < Overload", Feas < Overload},

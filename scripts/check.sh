@@ -74,19 +74,25 @@ echo "== separation oracle reuse (-race -count=2)"
 # answers costs that repeat the previous call's with the saved answer:
 # no solve, no allocation, the answer of a fresh Polytope. Costs one ulp
 # apart, AddRow and AddVar force a solve. The BTNorthAmerica PCF-CLS cut
-# loop's rounds, cuts, pivots, oracle calls and solves are pinned, and
-# the pair → LSs index lists what a scan lists (DESIGN.md §11).
+# loop's rounds, cuts, pivots, oracle calls and solves, pricing passes
+# and priced columns are pinned, and the pair → LSs index lists what a
+# scan lists (DESIGN.md §11).
 go test -race -count=2 -run 'TestPolytopeMinimizeReusesCompiledRows|TestPolytopeMinimizeReusesAnswer|TestPolytopeLoweringMatchesCompile|TestCutLoopOracleCounts|TestLSIndexMatchesScan' ./internal/lp/ ./internal/core/
 
 echo "== kept masters (-race -count=2)"
-# pcfd keeps one master per rung across re-plans, shared by every row
-# whose ladder holds it: three re-plans of every row equal a one-shot
-# solve bit for bit, best builds nothing after the rows that own its
-# rungs, a canceled re-plan leaves the master reusable, concurrent
-# solves take turns and agree, a finished LP solve leaves nothing of
-# itself in the workspace, and a second Sprint PCF-TF re-plan allocates
-# at most a quarter of the first (DESIGN.md §11, "The kept master").
-go test -race -count=2 -run 'TestReplansMatchOneShot|TestCanceledReplanThenFull|TestConcurrentSolvesTakeTurns|TestRowsShareRungMasters|TestReplanAllocs|TestSolverKeepsMasters|TestSolveLeavesNoStateInWorkspace' ./internal/serve/ ./internal/core/ ./internal/lp/
+# pcfd keeps three masters at most across re-plans, shared by every row
+# whose ladder holds a rung on them (best's PCF-CLS and PCF-LS rungs
+# share one priced master): three re-plans of every row equal a
+# one-shot solve bit for bit, best builds nothing after the rows that
+# own its rungs, a canceled re-plan or a pricing breakdown (which serves
+# the LS iterate) leaves the master reusable, concurrent solves take
+# turns and agree, a finished LP solve leaves nothing of itself in the
+# workspace, and a second Sprint PCF-TF re-plan allocates at most a
+# quarter of the first. AddColumn re-solves warm to a cold solve's
+# optimum and every row's duals price z as pricing reads them (DESIGN.md
+# §11, "The kept master", "Pricing the pool"), and a solve reusing its
+# last round's Solution returns what a fresh one would; these add ≈ 10 s.
+go test -race -count=2 -run 'TestReplansMatchOneShot|TestCanceledReplanThenFull|TestConcurrentSolvesTakeTurns|TestRowsShareRungMasters|TestReplanAllocs|TestSolverKeepsMasters|TestSolveLeavesNoStateInWorkspace|TestPricingFailureServesLSIterate|TestAddColumnWarmMatchesCold|TestReuseMatchesFreshSolution|TestMasterDualsPriceZ' ./internal/serve/ ./internal/core/ ./internal/lp/
 
 echo "== sampled-validation determinism (-race -count=2)"
 # The coverage report of a sampled validation must be byte-identical
@@ -170,9 +176,11 @@ echo "== one scheme table, one PCF-CLS instance (-count=2)"
 # and eval.Setup.Run on all 21 topologies (FFC the paper's, best on its
 # PCF-CLS rung); pcfplan -scheme best must print -scheme pcf-cls's
 # value; pcfd's boot solve must leave a solve record; a setup builds the
-# instance once and TopSort filters a copy. -count=2 keeps Go's test
-# cache from answering.
-go test -count=2 -run 'TestEntryPointsAgree|TestSolveReturnsReportedPlan|TestBootSolveLeavesSolveRecord|TestPrepareServesEvalCLS|TestBestAnswersOnCLSRung|TestCLSInstanceBuiltOnce|TestTopSortLeavesSharedInstance' ./cmd/pcfplan/ ./cmd/pcfd/ ./internal/eval/
+# instance once and TopSort filters a copy; the priced PCF-CLS equals
+# the full bypass pool's value to 1e-9 on btna-cls-f2, all 21
+# topologies at f=1 and Fig. 12's setting (≈ 9 s). -count=2 keeps Go's
+# test cache from answering.
+go test -count=2 -run 'TestEntryPointsAgree|TestSolveReturnsReportedPlan|TestBootSolveLeavesSolveRecord|TestPrepareServesEvalCLS|TestBestAnswersOnCLSRung|TestCLSInstanceBuiltOnce|TestTopSortLeavesSharedInstance|TestPricedMatchesFullPool' ./cmd/pcfplan/ ./cmd/pcfd/ ./internal/eval/ ./internal/core/
 
 echo "== 1 000-node links file plans (timeout 120 s)"
 # A links file prepares without a flow LP: on topogen's 1 000-node
