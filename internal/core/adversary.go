@@ -15,8 +15,9 @@ import (
 //	constPart + min_{w in poly} Σ_j costs[j]·w_j  >=  rhs
 //
 // where w collects failure-unit, link, tunnel and condition variables.
-// solveRobust calls poly.Minimize on it as a separation oracle; the
-// tests' reference dualizes the same spec with lp.RobustGE.
+// The cut loop (iterate.loop) calls poly.Minimize on it as a
+// separation oracle; the tests' reference dualizes the same spec with
+// lp.RobustGE.
 type advSpec struct {
 	pair      topology.Pair
 	in        *Instance

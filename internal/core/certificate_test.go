@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 
 	"pcf/internal/lp"
 	"pcf/internal/lp/lptest"
@@ -17,7 +18,8 @@ func TestGadgetMastersCertified(t *testing.T) {
 	for name, in := range gadgetInstances(t) {
 		for scheme, build := range map[string]advBuilder{"ffc": buildFFCAdversary, "pcf-tf": buildPCFAdversary} {
 			m, mv, _ := buildMaster(in, nil, in.DemandPairs(), in.ConstraintPairs(), 0)
-			if _, err := seedMaster(m, buildSpecs(in, mv, build)); err != nil {
+			ms := &master{in: in}
+			if err := ms.seal(m, buildSpecs(in, mv, build), time.Now()); err != nil {
 				t.Fatalf("%s/%s: %v", name, scheme, err)
 			}
 			rows := m.NumConstraints() // plus one bound row per ranged variable

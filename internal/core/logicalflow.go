@@ -109,7 +109,6 @@ func pathsSegments(g *topology.Graph, src, dst topology.NodeID, k int, ban topol
 // (typically the direct single-link tunnels) so segments have physical
 // support.
 func SolveRestrictedFlow(in *Instance, opts FlowOptions) (*FlowPlan, error) {
-	o := opts.SolveOptions.withDefaults()
 	if len(in.LSs) != 0 {
 		return nil, fmt.Errorf("flow model: instance must not carry LSs")
 	}
@@ -349,7 +348,11 @@ func SolveRestrictedFlow(in *Instance, opts FlowOptions) (*FlowPlan, error) {
 		specs = append(specs, spec)
 	}
 
-	sol, stats, err := solveRobust(m, specs, o)
+	ms := &master{in: in}
+	if err := ms.seal(m, specs, start); err != nil {
+		return nil, fmt.Errorf("flow model: %w", err)
+	}
+	_, sol, stats, err := ms.run(opts.SolveOptions, false)
 	if err != nil {
 		return nil, fmt.Errorf("flow model: %w", err)
 	}

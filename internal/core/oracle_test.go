@@ -12,7 +12,7 @@ import (
 	"pcf/internal/tunnels"
 )
 
-// solveDualized is the reference the engine tests hold solveRobust to:
+// solveDualized is the reference the engine tests hold the cut loop to:
 // the paper's appendix-D2 formulation. It builds the very master and
 // adversary specs newMaster builds for a tunnel scheme, replaces
 // every for-all-failures row by its LP dual (lp.RobustGE) and solves

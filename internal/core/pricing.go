@@ -175,11 +175,9 @@ func (ms *master) buildPool() error {
 // columns have entered and each arc's capacity row. The master keeps
 // nothing of it.
 type iterate struct {
-	ms      *master // nil for solveRobust's bare loop
+	ms      *master
 	cm      *lp.Compiled
-	specs   []*advSpec
 	live    []int
-	nModel  int
 	numCuts int
 	cuts    [][]cutRec
 	// ls is the LS iterate: the first master no cut separates.
@@ -195,11 +193,8 @@ type iterate struct {
 
 // newIterate starts a solve on a fresh clone of the seeded master.
 func (ms *master) newIterate() *iterate {
-	it := &iterate{
-		ms: ms, cm: ms.seeded.CloneIn(ms.ws), specs: ms.specs,
-		live: ms.live0, nModel: ms.nModel, numCuts: ms.seeds,
-	}
-	if ms.keepCuts {
+	it := &iterate{ms: ms, cm: ms.seeded.CloneIn(ms.ws), live: ms.live0, numCuts: ms.seeds}
+	if ms.seedCuts != nil {
 		it.cuts = make([][]cutRec, len(ms.specs))
 		for i, c := range ms.seedCuts {
 			it.cuts[i] = c[:len(c):len(c)]
@@ -244,7 +239,7 @@ func lpTerms(e *lp.Expr, nModel int, lpOf []lp.Var) *lp.Expr {
 // value is template variable v's value in sol: 0 for a pool variable
 // that has not entered.
 func (it *iterate) value(sol *lp.Solution, v lp.Var) float64 {
-	if i := int(v) - it.nModel; i >= 0 {
+	if i := int(v) - it.ms.nModel; i >= 0 {
 		if i < len(it.lpOf) && it.lpOf[i] >= 0 {
 			return sol.Value(it.lpOf[i])
 		}
@@ -264,7 +259,7 @@ func (it *iterate) eval(sol *lp.Solution, e *lp.Expr) float64 {
 
 // addCut appends the cut of spec i at adversary point w.
 func (it *iterate) addCut(i int, w []float64) {
-	it.addRow(i, lpTerms(it.specs[i].cutExpr(w), it.nModel, it.lpOf), w)
+	it.addRow(i, lpTerms(it.ms.specs[i].cutExpr(w), it.ms.nModel, it.lpOf), w)
 }
 
 // addRow appends e ≥ 0, spec i's cut at w over the LP's columns.
@@ -338,7 +333,7 @@ func (it *iterate) enter(c int) {
 			terms = append(terms, lp.ColTerm{Row: cut.row, Coeff: sign * cut.hw[st.term]})
 		}
 	}
-	it.lpOf[int(col.v)-it.nModel] = it.cm.AddColumn(0, terms)
+	it.lpOf[int(col.v)-it.ms.nModel] = it.cm.AddColumn(0, terms)
 	it.entered[c] = true
 }
 
@@ -347,7 +342,7 @@ func (it *iterate) enter(c int) {
 // the pair's seed cuts are due once the round's columns are in.
 func (it *iterate) activate(i int) {
 	ms := it.ms
-	for _, tid := range ms.mv.tunnelsOf(ms.in, it.specs[i].pair) {
+	for _, tid := range ms.mv.tunnelsOf(ms.in, ms.specs[i].pair) {
 		arcs := ms.in.Tunnels.Tunnel(tid).Path.Arcs
 		terms := make([]lp.ColTerm, len(arcs))
 		for k, arc := range arcs {
@@ -356,7 +351,7 @@ func (it *iterate) activate(i int) {
 			}
 			terms[k] = lp.ColTerm{Row: it.capRow[arc], Coeff: 1}
 		}
-		it.lpOf[int(ms.mv.a[tid])-it.nModel] = it.cm.AddColumn(0, terms)
+		it.lpOf[int(ms.mv.a[tid])-it.ms.nModel] = it.cm.AddColumn(0, terms)
 	}
 	it.isLive[i] = true
 	it.live = append(it.live, i)
@@ -386,7 +381,7 @@ func (it *iterate) entryCuts(sol *lp.Solution, entered []int) {
 			continue
 		}
 		for _, st := range p.cols[c].in {
-			spec := it.specs[st.spec]
+			spec := it.ms.specs[st.spec]
 			us := spec.unitsOf[cond.DeadLinks[0]]
 			if p.terms[st.spec][st.term].sign > 0 || len(us) == 0 {
 				continue // q's own pair, or a link no unit kills
@@ -405,7 +400,7 @@ func (it *iterate) entryCuts(sol *lp.Solution, entered []int) {
 				if !spec.poly.Contains(w, tol.Feas) {
 					continue
 				}
-				if e := lpTerms(spec.cutExpr(w), it.nModel, it.lpOf); sol.Eval(e) >= 0 {
+				if e := lpTerms(spec.cutExpr(w), it.ms.nModel, it.lpOf); sol.Eval(e) >= 0 {
 					it.addRow(st.spec, e, w)
 				}
 			}

@@ -90,17 +90,21 @@ func TestMasterDualsPriceZ(t *testing.T) {
 }
 
 // keptCutsMaster builds kind's master on in as the Solver does, with
-// every cut row recorded.
+// every cut row recorded. A PCF master with a pool records them for
+// pricing; a master without one (TF, FFC, and PCF where in has no
+// conditional LS) is built here from the same pieces.
 func keptCutsMaster(kind *masterKind, in *Instance) (*master, error) {
 	stripped := *in
 	stripped.LSs = nil
-	switch kind {
-	case ffcMaster:
-		return newMaster(&stripped, SchemeFFC, buildFFCAdversary, in.FFCTunnels, false, true)
-	case tfMaster:
-		return newMaster(&stripped, SchemePCFTF, buildPCFAdversary, 0, false, true)
+	switch {
+	case kind == ffcMaster:
+		return unpooledMaster(&stripped, SchemeFFC, buildFFCAdversary, in.FFCTunnels, true)
+	case kind == tfMaster:
+		return unpooledMaster(&stripped, SchemePCFTF, buildPCFAdversary, 0, true)
+	case hasConditional(in):
+		return kind.build(in)
 	}
-	return newMaster(in, SchemePCFLS, buildPCFAdversary, 0, true, true)
+	return unpooledMaster(in, SchemePCFLS, buildPCFAdversary, 0, true)
 }
 
 func checkDuals(t *testing.T, name string, ms *master, it *iterate, sol *lp.Solution) {
@@ -138,10 +142,10 @@ func checkDuals(t *testing.T, name string, ms *master, it *iterate, sol *lp.Solu
 			rows++
 			y, act := cutDual(sol, c.row), sol.Eval(c.expr)
 			if y < -eps {
-				t.Errorf("%s: a cut of %v has dual %g < 0", name, it.specs[i].pair, y)
+				t.Errorf("%s: a cut of %v has dual %g < 0", name, ms.specs[i].pair, y)
 			}
 			if y > eps && math.Abs(act) > eps {
-				t.Errorf("%s: a cut of %v holds with slack %g at dual %g", name, it.specs[i].pair, act, y)
+				t.Errorf("%s: a cut of %v holds with slack %g at dual %g", name, ms.specs[i].pair, act, y)
 			}
 		}
 	}

@@ -337,9 +337,9 @@ func TestInstanceValidation(t *testing.T) {
 }
 
 // TestNegativeBudgetIsTyped: a failure set with a negative budget holds
-// no scenario, not even the no-failure seed cut. Every scheme refuses it
-// up front with ErrNegativeBudget instead of an internal error from the
-// cut loop.
+// no scenario, not even the no-failure seed cut. Every scheme and the
+// §3.5 flow model refuse it up front with ErrNegativeBudget instead of
+// an internal error from the cut loop.
 func TestNegativeBudgetIsTyped(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -351,6 +351,10 @@ func TestNegativeBudgetIsTyped(t *testing.T) {
 		{"PCF-CLS", SolvePCFCLS},
 		{"best", SolveBest},
 		{"R3", SolveR3},
+		{"flow model", func(in *Instance, opts SolveOptions) (*Plan, error) {
+			_, err := SolveRestrictedFlow(in, FlowOptions{SolveOptions: opts})
+			return nil, err
+		}},
 	} {
 		in := fig1Instance(3, 1)
 		in.Failures.Budget = -1

@@ -93,22 +93,8 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 		if p.LSRes[q.ID] <= 0 {
 			continue
 		}
-		hops := make([]int32, len(q.Hops))
-		for i, h := range q.Hops {
-			hops[i] = int32(h)
-		}
-		entry := lsJSON{
-			Src: int32(q.Pair.Src), Dst: int32(q.Pair.Dst),
-			Hops: hops, Reservation: p.LSRes[q.ID],
-		}
-		if q.Cond != nil {
-			for _, l := range q.Cond.AliveLinks {
-				entry.AliveLinks = append(entry.AliveLinks, int32(l))
-			}
-			for _, l := range q.Cond.DeadLinks {
-				entry.DeadLinks = append(entry.DeadLinks, int32(l))
-			}
-		}
+		entry := lsEntry(q)
+		entry.Reservation = p.LSRes[q.ID]
 		out.LSs = append(out.LSs, entry)
 	}
 	enc := json.NewEncoder(w)
@@ -163,30 +149,43 @@ func ReadPlanJSON(r io.Reader, in *Instance) (*Plan, error) {
 		}
 		plan.TunnelRes[tid] = t.Reservation
 	}
+	// Structural LS matching: pair, hops and condition. Walked
+	// backwards, so the first of identical LSs takes the reservation.
+	lsIndex := map[string]LSID{}
+	for i := len(in.LSs) - 1; i >= 0; i-- {
+		lsIndex[lsEntry(in.LSs[i]).key()] = in.LSs[i].ID
+	}
 	for _, e := range pj.LSs {
-		found := false
-		for _, q := range in.LSs {
-			if int32(q.Pair.Src) != e.Src || int32(q.Pair.Dst) != e.Dst || len(q.Hops) != len(e.Hops) {
-				continue
-			}
-			same := true
-			for i := range q.Hops {
-				if int32(q.Hops[i]) != e.Hops[i] {
-					same = false
-					break
-				}
-			}
-			if same {
-				plan.LSRes[q.ID] = e.Reservation
-				found = true
-				break
-			}
+		id, ok := lsIndex[e.key()]
+		if !ok {
+			return nil, fmt.Errorf("core: plan LS %v->%v via %v (alive %v, dead %v) not in instance",
+				e.Src, e.Dst, e.Hops, e.AliveLinks, e.DeadLinks)
 		}
-		if !found {
-			return nil, fmt.Errorf("core: plan LS %v->%v via %v not in instance", e.Src, e.Dst, e.Hops)
-		}
+		plan.LSRes[id] = e.Reservation
 	}
 	return plan, nil
+}
+
+// lsEntry is q's wire form without its reservation.
+func lsEntry(q LogicalSequence) lsJSON {
+	e := lsJSON{Src: int32(q.Pair.Src), Dst: int32(q.Pair.Dst), Hops: make([]int32, len(q.Hops))}
+	for i, h := range q.Hops {
+		e.Hops[i] = int32(h)
+	}
+	if q.Cond != nil {
+		for _, l := range q.Cond.AliveLinks {
+			e.AliveLinks = append(e.AliveLinks, int32(l))
+		}
+		for _, l := range q.Cond.DeadLinks {
+			e.DeadLinks = append(e.DeadLinks, int32(l))
+		}
+	}
+	return e
+}
+
+// key identifies an LS structurally: its pair, hops and condition.
+func (e lsJSON) key() string {
+	return fmt.Sprint(e.Src, e.Dst, e.Hops, e.AliveLinks, e.DeadLinks)
 }
 
 func tunnelKey(in *Instance, tid tunnels.ID) string {

@@ -98,3 +98,32 @@ func TestReadPlanJSONRejectsMismatch(t *testing.T) {
 		t.Fatal("bad JSON accepted")
 	}
 }
+
+// TestPlanJSONMatchesLSConditions: two LSs on one pair and path that
+// differ only in their conditions keep their own reservations through
+// a round trip.
+func TestPlanJSONMatchesLSConditions(t *testing.T) {
+	in := fig1Instance(4, 1)
+	plan, err := SolvePCFTF(in, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := topology.Pair{Src: 0, Dst: 5}
+	hops := []topology.NodeID{1}
+	in.LSs = []LogicalSequence{
+		{ID: 0, Pair: pair, Hops: hops, Cond: LinkDead(0)},
+		{ID: 1, Pair: pair, Hops: hops, Cond: LinkDead(1)},
+	}
+	plan.Instance, plan.LSRes = in, map[LSID]float64{0: 0.25, 1: 0.5}
+	var buf bytes.Buffer
+	if err := plan.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadPlanJSON(&buf, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.LSRes) != 2 || math.Abs(got.LSRes[0]-0.25) > 1e-12 || math.Abs(got.LSRes[1]-0.5) > 1e-12 {
+		t.Fatalf("LS reservations read back as %v, want map[0:0.25 1:0.5]", got.LSRes)
+	}
+}

@@ -192,9 +192,9 @@ type master struct {
 	seeded    *lp.Compiled
 	seeds     int // seed cuts in seeded
 	// seedCuts records the seed cuts of each of the model's pairs when
-	// keepCuts is set: pricing reads every cut row's adversary point.
+	// the master keeps its cut rows: pricing reads every cut row's
+	// adversary point.
 	seedCuts [][]cutRec
-	keepCuts bool
 	capRow   []int // per arc, its capacity row in seeded, or -1
 	nModel   int   // template variables below nModel are the model's
 	ws       *lp.Workspace
@@ -205,20 +205,19 @@ type master struct {
 }
 
 // newMaster builds scheme's master on in: the validated pairs, the
-// master model, one adversary per pair from build, the seed cuts and
-// the compiled form. With pooled set, in's conditional LSs form the
-// pool and the model holds only the LS master; without it every LS of
-// in enters the model. A master with a pool keeps every cut row's
-// record, which pricing reads; keep asks for them without one.
-func newMaster(in *Instance, scheme string, build advBuilder, perPair int, pooled, keep bool) (*master, error) {
+// master model and one adversary per pair from build, sealed (seal).
+// When in has a conditional LS, those LSs form the pool, the model
+// holds only the LS master and the master keeps every cut row's
+// record, which pricing reads.
+func newMaster(in *Instance, scheme string, build advBuilder, perPair int) (*master, error) {
 	start := time.Now()
 	demand, pairs, err := in.validated()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", scheme, err)
 	}
-	ms := &master{scheme: scheme, in: in, lsIn: in, demand: demand, ws: lp.NewWorkspace()}
+	ms := &master{scheme: scheme, in: in, lsIn: in, demand: demand}
 	lss := in.LSs
-	if pooled && hasConditional(in) {
+	if hasConditional(in) {
 		ms.lsIn = stripConditional(in)
 		lss = nil
 		for _, q := range in.LSs {
@@ -230,28 +229,60 @@ func newMaster(in *Instance, scheme string, build advBuilder, perPair int, poole
 		pairs, ms.poolPairs = model, pairsNotIn(pairs, model)
 	}
 	m, mv, capRow := buildMaster(in, lss, demand, pairs, perPair)
-	ms.mv, ms.capRow, ms.nModel = mv, capRow, m.NumVars()
+	ms.mv, ms.capRow = mv, capRow
 	if ms.lsIn != in {
-		ms.pool = newPool(in, mv, ms.poolPairs, ms.nModel)
+		ms.pool = newPool(in, mv, ms.poolPairs, m.NumVars())
 	}
-	ms.specs = buildSpecs(in, mv, build)
-	ms.live0 = make([]int, len(ms.specs))
-	for i := range ms.live0 {
-		ms.live0[i] = i
-	}
-	ms.keepCuts = keep || len(ms.pool.cols) > 0
-	if ms.keepCuts {
-		for _, spec := range ms.specs {
+	specs := buildSpecs(in, mv, build)
+	if ms.lsIn != in {
+		for _, spec := range specs {
 			ms.pool.terms = append(ms.pool.terms, ms.pool.termsOf(mv, spec))
 		}
 	}
-	if ms.seeds, err = ms.seedModel(m); err != nil {
+	if err := ms.seal(m, specs, start); err != nil {
 		return nil, fmt.Errorf("%s: %w", scheme, err)
+	}
+	return ms, nil
+}
+
+// seal is the one way a model with for-all-failures rows becomes a
+// solvable master: the scheme masters, the §3.5 flow model and the
+// tests' referees each build their model m and one adversary spec per
+// constraint pair of it, and seal does the rest. It adds each spec's
+// seed cuts to m — the no-failure scenario, which keeps the master
+// bounded from round one, and every single-unit failure touching the
+// pair, usually the binding scenarios at a budget of one — records them
+// when the master keeps its cut rows (ms.pool.terms is set), and
+// compiles m. Template variables from m.NumVars() on are the pool's.
+// The time since start is build time, which the first solve reports.
+func (ms *master) seal(m *lp.Model, specs []*advSpec, start time.Time) error {
+	if b := ms.in.Failures.Budget; b < 0 {
+		return fmt.Errorf("%w %d", ErrNegativeBudget, b)
+	}
+	ms.specs, ms.nModel, ms.ws = specs, m.NumVars(), lp.NewWorkspace()
+	ms.live0 = make([]int, len(specs))
+	if ms.pool.terms != nil {
+		ms.seedCuts = make([][]cutRec, len(specs))
+	}
+	for i, spec := range specs {
+		ms.live0[i] = i
+		pts, err := spec.seedPoints()
+		if err != nil {
+			return err
+		}
+		for _, w := range pts {
+			e := lpTerms(spec.cutExpr(w), ms.nModel, nil)
+			row := m.AddConstraint(e, lp.GE, 0)
+			if ms.seedCuts != nil {
+				ms.seedCuts[i] = append(ms.seedCuts[i], ms.pool.record(i, row, e, w))
+			}
+			ms.seeds++
+		}
 	}
 	ms.seeded = lp.Compile(m)
 	ms.compileTime = ms.seeded.CompileTime
 	ms.pending = time.Since(start)
-	return ms, nil
+	return nil
 }
 
 // pairsNotIn returns the pairs of the ascending list all that the
@@ -276,30 +307,6 @@ func hasConditional(in *Instance) bool {
 		}
 	}
 	return false
-}
-
-// seedModel adds the seed cuts of the model's pairs to m (seedMaster)
-// and, when the master keeps its cuts, records them.
-func (ms *master) seedModel(m *lp.Model) (int, error) {
-	if ms.keepCuts {
-		ms.seedCuts = make([][]cutRec, len(ms.specs))
-	}
-	n := 0
-	for i, spec := range ms.specs {
-		pts, err := spec.seedPoints()
-		if err != nil {
-			return 0, err
-		}
-		for _, w := range pts {
-			e := lpTerms(spec.cutExpr(w), ms.nModel, nil)
-			row := m.AddConstraint(e, lp.GE, 0)
-			if ms.keepCuts {
-				ms.seedCuts[i] = append(ms.seedCuts[i], ms.pool.record(i, row, e, w))
-			}
-			n++
-		}
-	}
-	return n, nil
 }
 
 // solve runs the cut loop on a clone of the seeded master and returns
@@ -425,72 +432,22 @@ func (spec *advSpec) seedPoints() ([][]float64, error) {
 	return pts, nil
 }
 
-// seedMaster adds each pair's seed cuts to the master model and
-// returns how many: the no-failure scenario (keeps the master bounded
-// from round one) and every single-unit failure touching the pair —
-// for a budget of one failure these seeds are usually already the
-// binding scenarios, so separation converges in a round or two
-// instead of rediscovering them one by one. Seeds go into the model
-// before compilation; later cuts are appended to the compiled form.
-func seedMaster(base *lp.Model, specs []*advSpec) (int, error) {
-	numCuts := 0
-	for _, spec := range specs {
-		pts, err := spec.seedPoints()
-		if err != nil {
-			return 0, err
-		}
-		for _, w := range pts {
-			base.AddConstraint(spec.cutExpr(w), lp.GE, 0)
-			numCuts++
-		}
-	}
-	return numCuts, nil
-}
-
-// solveRobust is the one place a model with for-all-failures rows is
-// solved: it optimizes base subject to every spec's robust constraint
-// and returns the optimal solution; any other verdict of the master is
-// an error wrapping the typed sentinel (lp.ErrInfeasible, ...). It
-// generates the rows lazily. Every cut is the robust constraint
-// evaluated at one adversary point, so the master is always a
-// relaxation; when no pair's separation oracle finds a violation at the
-// master optimum, that point is feasible for the full constraint set
-// and hence optimal. (The paper's appendix D2 instead replaces each
-// robust row by its LP dual, lp.RobustGE; that reaches the same optimum
-// in one larger LP and is kept as the oracle the tests compare this
-// engine against.) The base model is compiled once; each round
-// appends only the newly violated cuts to the compiled form and
-// re-solves warm from the previous round's basis (an appended cut
+// loop is the one cut loop every robust master is solved by: each
+// round solves the master warm from the last round's basis, asks every
+// live pair's separation oracle for its worst adversary point and
+// appends the violated cuts to the compiled form (an appended cut
 // enters primal-infeasible but dual-feasible, so the dual simplex
-// usually needs a handful of pivots per round — see DESIGN.md §11).
-// The cut set grows monotonically, which also guarantees finite
-// convergence: there are finitely many polytope vertices.
-func solveRobust(base *lp.Model, specs []*advSpec, opts SolveOptions) (*lp.Solution, SolveStats, error) {
-	var stats SolveStats
-	numCuts, err := seedMaster(base, specs)
-	if err != nil {
-		return nil, stats, err
-	}
-	cm := lp.Compile(base)
-	stats.CompileTime = cm.CompileTime
-	live := make([]int, len(specs))
-	for i := range live {
-		live[i] = i
-	}
-	it := &iterate{cm: cm, specs: specs, live: live, nModel: base.NumVars(), numCuts: numCuts}
-	sol, err := it.loop(opts, false, &stats)
-	return sol, stats, err
-}
-
-// loop is the cut loop on the iterate's master: each round solves the
-// master warm from the last round's basis, asks every live pair's
-// separation oracle for its worst adversary point and appends the
-// violated cuts. When no cut is violated and price is set, it prices
-// the pool from that master's duals (iterate.price): the first such
-// master is the LS iterate, kept in it.ls, and the loop goes on while
-// pricing enters columns. Every round, a re-solve after pricing
-// included, counts against maxCutRounds; the loop's statistics fold
-// into stats.
+// needs a handful of pivots per round; DESIGN.md §11). Every cut is the
+// robust row at one adversary point, so the master is a relaxation, and
+// a master optimum no oracle separates is optimal; the cut set only
+// grows, over finitely many polytope vertices, so the loop converges.
+// (The paper's appendix D2 replaces each robust row by its LP dual,
+// lp.RobustGE: one larger LP with the same optimum, kept as the tests'
+// oracle.) When no cut is violated and price is set, it prices the
+// pool from that master's duals (iterate.price): the first such master
+// is the LS iterate, kept in it.ls, and the loop goes on while pricing
+// enters columns. Every round, a re-solve after pricing included,
+// counts against maxCutRounds; the loop's statistics fold into stats.
 func (it *iterate) loop(opts SolveOptions, price bool, stats *SolveStats) (*lp.Solution, error) {
 	var basis *lp.Basis
 	var reuse *lp.Solution // the last round's solution, rewritten by this round's
@@ -519,7 +476,7 @@ func (it *iterate) loop(opts SolveOptions, price bool, stats *SolveStats) (*lp.S
 
 		violated := 0
 		for _, i := range it.live {
-			spec := it.specs[i]
+			spec := it.ms.specs[i]
 			costBuf = costBuf[:0]
 			for _, c := range spec.costs {
 				if c == nil {
@@ -626,7 +583,7 @@ func SolveFFC(in *Instance, opts SolveOptions) (*Plan, error) {
 func newFFCMaster(in *Instance) (*master, error) {
 	stripped := *in
 	stripped.LSs = nil
-	return newMaster(&stripped, SchemeFFC, buildFFCAdversary, in.FFCTunnels, false, false)
+	return newMaster(&stripped, SchemeFFC, buildFFCAdversary, in.FFCTunnels)
 }
 
 // SolvePCFTF computes the PCF-TF allocation (paper §3.2): FFC's
@@ -638,7 +595,7 @@ func SolvePCFTF(in *Instance, opts SolveOptions) (*Plan, error) {
 func newTFMaster(in *Instance) (*master, error) {
 	stripped := *in
 	stripped.LSs = nil
-	return newMaster(&stripped, SchemePCFTF, buildPCFAdversary, 0, false, false)
+	return newMaster(&stripped, SchemePCFTF, buildPCFAdversary, 0)
 }
 
 // SolvePCFLS computes the PCF-LS allocation (paper §3.3, model (P2)).
@@ -667,5 +624,5 @@ func SolvePCFCLS(in *Instance, opts SolveOptions) (*Plan, error) {
 // newPCFMaster builds the master PCF-LS and PCF-CLS share: the LS
 // master, with in's conditional LSs as the pool.
 func newPCFMaster(in *Instance) (*master, error) {
-	return newMaster(in, SchemePCFLS, buildPCFAdversary, 0, true, false)
+	return newMaster(in, SchemePCFLS, buildPCFAdversary, 0)
 }

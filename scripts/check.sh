@@ -73,11 +73,14 @@ echo "== separation oracle reuse (-race -count=2)"
 # Polytope.Minimize lowers its rows as Compile would, bit for bit, and
 # answers costs that repeat the previous call's with the saved answer:
 # no solve, no allocation, the answer of a fresh Polytope. Costs one ulp
-# apart, AddRow and AddVar force a solve. The BTNorthAmerica PCF-CLS cut
-# loop's rounds, cuts, pivots, oracle calls and solves, pricing passes
-# and priced columns are pinned, and the pair → LSs index lists what a
-# scan lists (DESIGN.md §11).
-go test -race -count=2 -run 'TestPolytopeMinimizeReusesCompiledRows|TestPolytopeMinimizeReusesAnswer|TestPolytopeLoweringMatchesCompile|TestCutLoopOracleCounts|TestLSIndexMatchesScan' ./internal/lp/ ./internal/core/
+# apart, AddRow and AddVar force a solve. Every master the cut loop
+# solves is pinned: the BTNorthAmerica PCF-CLS loop's rounds, cuts,
+# pivots, oracle calls and solves, pricing passes and priced columns;
+# the §3.5 flow model (Sprint dense and sparse, Generalized-R3 on three
+# parallel links) and the full-pool referee on btna-cls-f2 to their
+# value bits and work counts (TestMasterWorkCounts, ~16 s on two
+# cores). The pair → LSs index lists what a scan lists (DESIGN.md §11).
+go test -race -count=2 -run 'TestPolytopeMinimizeReusesCompiledRows|TestPolytopeMinimizeReusesAnswer|TestPolytopeLoweringMatchesCompile|TestCutLoopOracleCounts|TestMasterWorkCounts|TestLSIndexMatchesScan' ./internal/lp/ ./internal/core/
 
 echo "== kept masters (-race -count=2)"
 # pcfd keeps three masters at most across re-plans, shared by every row

@@ -8,7 +8,7 @@
 #   - every backticked `pkg.Symbol` (or `pkg.Type.Member`) in README.md
 #     and DESIGN.md, pkg one of the internal/ packages, resolves with
 #     `go doc`, so a deleted or renamed symbol cannot stay documented.
-#     Lower-case names (`core.solveRobust`, metric names such as
+#     Lower-case names (`core.newMaster`, metric names such as
 #     `core.rounds`) and fenced code blocks are not checked; EXPERIMENTS.md
 #     is history and is not checked either.
 set -eu
