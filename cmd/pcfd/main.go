@@ -1,8 +1,9 @@
 // pcfd is the plan-serving daemon: it owns a registry of solved
 // congestion-free plans and serves solve/realize/validate requests
 // over HTTP with admission control, validated atomic hot-swap,
-// crash-safe checkpointing, and a circuit breaker that steps the
-// solve ladder down under repeated numerical failures.
+// crash-safe checkpointing, and a per-scheme circuit breaker that
+// opens for 30 s after three consecutive solves of a scheme broke down
+// on every rung of its ladder.
 //
 //	pcfd -topology Sprint -pairs 20 -state /var/lib/pcfd
 //	curl -X POST 'localhost:8080/v1/solve?scheme=best&timeout=60s'
@@ -92,7 +93,7 @@ func boot(ctx context.Context, srv *serve.Server, solveOnStart bool) error {
 	}
 	start := time.Now()
 	best, _ := core.LookupScheme(serve.SchemeBest)
-	if pub, _, err = srv.Solve(ctx, best); err != nil {
+	if pub, err = srv.Solve(ctx, best); err != nil {
 		return fmt.Errorf("boot solve: %w", err)
 	}
 	log.Printf("boot solve published epoch %d (scheme %s, value %.4f) in %v",
@@ -119,8 +120,6 @@ func main() {
 	solveTimeout := flag.Duration("solve-timeout", 2*time.Minute, "default per-request solve deadline")
 	realizeTimeout := flag.Duration("realize-timeout", 10*time.Second, "default per-request realize deadline")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive numerical failures that trip a scheme's breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "breaker annealing period")
 	retain := flag.Int("retain", 0, "checkpoints to keep per class (0 = default, negative = unlimited)")
 	role := flag.String("role", "", `fleet role: "planner", "replica", or empty for standalone`)
 	plannerURL := flag.String("planner", "", "planner base URL (required with -role replica)")
@@ -168,8 +167,6 @@ func main() {
 		DefaultSolveTimeout:   *solveTimeout,
 		DefaultRealizeTimeout: *realizeTimeout,
 		DrainTimeout:          *drainTimeout,
-		BreakerThreshold:      *breakerThreshold,
-		BreakerCooldown:       *breakerCooldown,
 		RetainCheckpoints:     *retain,
 		Logf:                  log.Printf,
 	})

@@ -118,7 +118,7 @@ func TestEntryPointsAgree(t *testing.T) {
 		values := map[string]float64{}
 		for _, name := range core.SchemeNames() {
 			row, _ := core.LookupScheme(name)
-			pub, _, err := srv.Solve(ctx, row)
+			pub, err := srv.Solve(ctx, row)
 			if err != nil {
 				t.Fatalf("%s %s: pcfd: %v", src.name, name, err)
 			}

@@ -1,9 +1,9 @@
 // pcftop is a live terminal view of a pcfd daemon, driven by the
 // GET /v1/telemetry/tail long-poll endpoint: request rate and outcome
-// mix over a sliding window, the served epoch and scheme, breaker
-// level, realized MLU trend, and the last solve/publish. It needs no
-// access to the daemon's state dir — everything it shows is the
-// telemetry record stream.
+// mix over a sliding window, the served epoch and scheme, whether a
+// breaker is open, realized MLU trend, and the last solve/publish. It
+// needs no access to the daemon's state dir — everything it shows is
+// the telemetry record stream.
 //
 //	pcftop -addr http://localhost:8080
 //	pcftop -addr http://localhost:8080 -once      # one snapshot, no TTY loop
@@ -37,8 +37,7 @@ type model struct {
 	epoch  uint64
 	scheme string
 
-	breakerScheme string
-	breakerLevel  int
+	breaker string // "<scheme> open|closed", from the last breaker record
 
 	lastSolve    *telemetry.Record
 	lastPublish  *telemetry.Record
@@ -78,8 +77,10 @@ func (m *model) observe(r telemetry.Record) {
 		rc := r
 		m.lastValidate = &rc
 	case telemetry.KindBreaker:
-		m.breakerScheme = r.Scheme
-		m.breakerLevel = r.Rung
+		m.breaker = r.Scheme + " closed"
+		if r.Field("open") > 0 {
+			m.breaker = r.Scheme + " open"
+		}
 	}
 }
 
@@ -126,8 +127,8 @@ func (m *model) render(addr string, now time.Time) string {
 	if m.scheme != "" {
 		fmt.Fprintf(&b, " (scheme %s)", m.scheme)
 	}
-	if m.breakerScheme != "" {
-		fmt.Fprintf(&b, "   breaker %s L%d", m.breakerScheme, m.breakerLevel)
+	if m.breaker != "" {
+		fmt.Fprintf(&b, "   breaker %s", m.breaker)
 	}
 	b.WriteString("\n")
 

@@ -27,7 +27,8 @@ func TestModelRender(t *testing.T) {
 			Epoch: 7, Fields: map[string]float64{"mlu": 0.6 + float64(i)/100}})
 	}
 	m.observe(telemetry.Record{Time: at(12), Kind: telemetry.KindRequest, Name: "solve", Outcome: "shed"})
-	m.observe(telemetry.Record{Time: at(13), Kind: telemetry.KindBreaker, Scheme: "PCF-CLS", Rung: 2})
+	m.observe(telemetry.Record{Time: at(13), Kind: telemetry.KindBreaker, Scheme: "PCF-CLS",
+		Fields: map[string]float64{"open": 1, "trips": 1}})
 	m.observe(telemetry.Record{Time: at(14), Kind: telemetry.KindValidate, Name: "sampled", Epoch: 7,
 		Fields: map[string]float64{"scenarios": 63, "samples": 40, "epsilon": 0.0123, "delta": 0.05,
 			"dest_evals": 400, "dest_replays": 250, "fallbacks": 13, "fallbacks_singular": 12, "fallbacks_residual": 1}})
@@ -35,7 +36,7 @@ func TestModelRender(t *testing.T) {
 	frame := m.render("http://test", at(20))
 	for _, want := range []string{
 		"epoch 7 (scheme PCF-CLS)",
-		"breaker PCF-CLS L2",
+		"breaker PCF-CLS open",
 		"requests 0.3/s over 30s",
 		"ok 8 (89%)",
 		"shed 1 (11%)",
@@ -56,6 +57,13 @@ func TestModelRender(t *testing.T) {
 	m2 := newModel(30 * time.Second)
 	for _, r := range append([]telemetry.Record(nil), m.recent...) {
 		m2.observe(r)
+	}
+
+	// A breaker that closes reads closed.
+	m.observe(telemetry.Record{Time: at(15), Kind: telemetry.KindBreaker, Scheme: "PCF-CLS",
+		Fields: map[string]float64{"open": 0, "trips": 1}})
+	if frame := m.render("http://test", at(20)); !strings.Contains(frame, "breaker PCF-CLS closed") {
+		t.Errorf("frame missing %q after the close record:\n%s", "breaker PCF-CLS closed", frame)
 	}
 
 	// Records older than the window fall out of the rate but keep the

@@ -93,11 +93,11 @@ func TestPricingFailureServesLSIterate(t *testing.T) {
 	in := btnaCLSInstance(t)
 	lsRow, _ := core.LookupScheme(core.SchemePCFLS)
 	best, _ := core.LookupScheme(core.SchemeBest)
-	want, err := lsRow.Solve(in, core.SolveOptions{}, 0)
+	want, err := lsRow.Solve(in, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBest, err := best.Solve(in, core.SolveOptions{}, 0)
+	wantBest, err := best.Solve(in, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPricingFailureServesLSIterate(t *testing.T) {
 		}
 		return nil
 	}
-	got, err := sv.Solve(best, opts, 0)
+	got, err := sv.Solve(best, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestPricingFailureServesLSIterate(t *testing.T) {
 	if math.Float64bits(got.Value) != math.Float64bits(want.Value) || fmt.Sprint(got.TunnelRes) != fmt.Sprint(want.TunnelRes) || fmt.Sprint(got.LSRes) != fmt.Sprint(want.LSRes) {
 		t.Fatalf("LS iterate %.17g, PCF-LS row %.17g: plans differ", got.Value, want.Value)
 	}
-	again, err := sv.Solve(best, core.SolveOptions{}, 0)
+	again, err := sv.Solve(best, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

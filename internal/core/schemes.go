@@ -79,10 +79,9 @@ var (
 )
 
 // Scheme is one row of the scheme table: a name and its ladder of
-// rungs, most expressive first. Only best has more than one rung, and
-// its rungs are the PCF-CLS, PCF-LS and FFC rows' own: a Solver keeps
-// one master per kind, whichever rows solve it, so best's three rungs
-// run on two.
+// rungs, most expressive first. Only best has more than one rung: the
+// PCF-CLS and FFC rows' own, on the PCF and FFC masters a Solver keeps
+// for whichever rows solve them.
 type Scheme struct {
 	Name  string
 	rungs []*rung
@@ -95,7 +94,7 @@ var schemes = []*Scheme{
 	{SchemePCFTF, []*rung{rungTF}},
 	{SchemePCFLS, []*rung{rungLS}},
 	{SchemePCFCLS, []*rung{rungCLS}},
-	{SchemeBest, []*rung{rungCLS, rungLS, rungFFC}},
+	{SchemeBest, []*rung{rungCLS, rungFFC}},
 }
 
 // LookupScheme returns the table row named name, ignoring case.
@@ -117,16 +116,11 @@ func SchemeNames() []string {
 	return names
 }
 
-// Rungs is the length of the row's ladder: Solve(in, opts, i) starts
-// at rung i, i < Rungs().
-func (s *Scheme) Rungs() int { return len(s.rungs) }
-
-// Solve runs the row's ladder on the prepared instance in, entered at
-// rung skip: it solves once on a new Solver and drops it, so every
-// entry point solves a row by the one path a kept Solver takes. See
-// Solver.Solve for the ladder.
-func (s *Scheme) Solve(in *Instance, opts SolveOptions, skip int) (*Plan, error) {
-	return NewSolver(in).Solve(s, opts, skip)
+// Solve runs the row's ladder on the prepared instance in: it solves
+// once on a new Solver and drops it, so every entry point solves a row
+// by the one path a kept Solver takes. See Solver.Solve for the ladder.
+func (s *Scheme) Solve(in *Instance, opts SolveOptions) (*Plan, error) {
+	return NewSolver(in).Solve(s, opts)
 }
 
 // Solver solves any row of the scheme table on one instance, any
@@ -150,28 +144,21 @@ func NewSolver(in *Instance) *Solver {
 	return &Solver{in: in, masters: map[*masterKind]*master{}}
 }
 
-// Solve runs row's ladder, entered at rung skip: the first skip rungs
-// are not attempted at all (pcfd's circuit breaker steps skip up after
-// repeated numerical or cut-budget failures and anneals it back, so a
-// rung that keeps breaking stops burning the solve budget of every
-// request). Skipped rungs are not recorded in Plan.Degraded (they were
-// never tried); skip is clamped to keep at least the last rung.
-//
-// A rung is abandoned — and recorded in Plan.Degraded — when it breaks
-// down numerically or exhausts an iteration or cut budget; any other
-// failure, and cancellation of the overall Context, aborts the ladder
-// immediately. A PCF-CLS rung whose pricing breaks down that way serves
-// the LS iterate it holds instead (master.solve): a PCF-LS plan with
-// PCF-CLS recorded as abandoned. Every rung optimizes the same
-// congestion-free model family, so a downgrade weakens optimality,
-// never the proved guarantee of the plan that is returned.
-func (sv *Solver) Solve(row *Scheme, opts SolveOptions, skip int) (*Plan, error) {
+// Solve runs row's ladder from its top. A rung is abandoned — and
+// recorded in Plan.Degraded — when it breaks down numerically or
+// exhausts an iteration or cut budget; any other failure, and
+// cancellation of the overall Context, aborts the ladder immediately.
+// A PCF-CLS rung whose pricing breaks down that way serves the LS
+// iterate it holds instead (master.solve): a PCF-LS plan with PCF-CLS
+// recorded as abandoned. Every rung optimizes the same congestion-free
+// model family, so a downgrade weakens optimality, never the proved
+// guarantee of the plan that is returned.
+func (sv *Solver) Solve(row *Scheme, opts SolveOptions) (*Plan, error) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	first := min(max(skip, 0), len(row.rungs)-1)
 	var degraded []string
 	var firstErr error
-	for _, r := range row.rungs[first:] {
+	for _, r := range row.rungs {
 		if err := opts.ctxErr(); err != nil {
 			return nil, fmt.Errorf("core: %s canceled before %s: %w", row.Name, r.name, err)
 		}
@@ -207,9 +194,9 @@ func (sv *Solver) solve(r *rung, opts SolveOptions) (*Plan, error) {
 	return m.solve(opts, r.price)
 }
 
-// SolveBest runs the best row's ladder from its top: PCF-CLS, then
-// PCF-LS (conditional logical sequences stripped), then FFC.
+// SolveBest runs the best row's ladder: PCF-CLS (its LS iterate when
+// pricing breaks down), then FFC.
 func SolveBest(in *Instance, opts SolveOptions) (*Plan, error) {
 	best, _ := LookupScheme(SchemeBest)
-	return best.Solve(in, opts, 0)
+	return best.Solve(in, opts)
 }

@@ -382,7 +382,7 @@ func (s *Setup) runScheme(ctx context.Context, scheme string) (Result, error) {
 	extra := ""
 	switch {
 	case served:
-		plan, err = row.Solve(in, solveOpts, 0)
+		plan, err = row.Solve(in, solveOpts)
 	case scheme == SchemePCFCLSTopSort:
 		in, extra = s.topSort(in)
 		plan, err = core.SolvePCFCLS(in, solveOpts)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"pcf/internal/core"
 	"pcf/internal/failures"
@@ -72,6 +73,32 @@ func FailFirstNStarts(n int, cause error) func(lp.FaultEvent) error {
 		}
 		return nil
 	}
+}
+
+// FailAllButFFC returns an lp fault hook that fails, with an error
+// wrapping cause, every solve start whose row count no start of an
+// FFC solve of in had, and the number of starts it failed: every
+// master but FFC's breaks down at its first start.
+func FailAllButFFC(in *core.Instance, cause error) (func(lp.FaultEvent) error, func() int64, error) {
+	rows := map[int]bool{}
+	var opts core.SolveOptions
+	opts.LP.FaultHook = func(ev lp.FaultEvent) error {
+		if ev.Point == lp.FaultSolveStart {
+			rows[ev.Rows] = true
+		}
+		return nil
+	}
+	if _, err := core.SolveFFC(in, opts); err != nil {
+		return nil, nil, err
+	}
+	var failed atomic.Int64
+	return func(ev lp.FaultEvent) error {
+		if ev.Point != lp.FaultSolveStart || rows[ev.Rows] {
+			return nil
+		}
+		failed.Add(1)
+		return fmt.Errorf("faultinject: %d-row master start failed: %w", ev.Rows, cause)
+	}, failed.Load, nil
 }
 
 // NearSingularPlan hand-builds a plan whose reservation matrix is

@@ -3,12 +3,15 @@ package faultinject
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"pcf/internal/core"
+	"pcf/internal/eval"
 	"pcf/internal/failures"
 	"pcf/internal/linsolve"
 	"pcf/internal/lp"
@@ -56,30 +59,53 @@ func ladderInstance(t *testing.T) *core.Instance {
 	}
 }
 
-// TestSolveLadderRungs proves every rung of the CLS→LS→FFC ladder
-// fires: with one LP solve per rung, failing the first n solve starts
-// makes exactly the first n rungs degrade. Every served plan must pass
-// full congestion-free validation, so a downgrade never silently
-// delivers less than the plan's proved admitted fractions.
+// TestSolveLadderRungs proves every fallback of the PCF-CLS → FFC
+// ladder fires: a failure on the first start after the PCF master's LS
+// iterate serves that iterate, the PCF-LS plan, in place, and a failed
+// start before it drops best to FFC. The ring's PCF-CLS stops at its
+// LS iterate, so the first of those cases runs on Sprint (10 pairs, f = 1),
+// whose pricing goes on after it. Every served plan must pass full
+// congestion-free validation, so a downgrade never silently delivers
+// less than the plan's proved admitted fractions.
 func TestSolveLadderRungs(t *testing.T) {
+	setup, err := eval.Prepare(eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 10, FailureBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sprint, err := setup.CLSInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// lsStarts is the number of LP starts the PCF master takes to its
+	// LS iterate: the PCF-LS row's whole solve.
+	lsStarts := 0
+	var count core.SolveOptions
+	count.LP.FaultHook = func(ev lp.FaultEvent) error {
+		if ev.Point == lp.FaultSolveStart {
+			lsStarts++
+		}
+		return nil
+	}
+	ls, _ := core.LookupScheme(core.SchemePCFLS)
+	if _, err := ls.Solve(sprint, count); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name         string
-		failStarts   int
-		cause        error
+		in           *core.Instance
+		hook         func(lp.FaultEvent) error
 		wantScheme   string
 		wantDegraded []string
 	}{
-		{"cls-serves", 0, nil, "PCF-CLS", nil},
-		{"numerical-degrades-to-ls", 1, lp.ErrNumerical, "PCF-LS", []string{"PCF-CLS"}},
-		{"iterlimit-degrades-to-ffc", 2, lp.ErrIterLimit, "FFC", []string{"PCF-CLS", "PCF-LS"}},
+		{"cls-serves", ladderInstance(t), nil, "PCF-CLS", nil},
+		{"numerical-degrades-to-ls", sprint, failStart(lsStarts+1, lp.ErrNumerical), "PCF-LS", []string{"PCF-CLS"}},
+		{"iterlimit-degrades-to-ffc", ladderInstance(t), FailFirstNStarts(1, lp.ErrIterLimit), "FFC", []string{"PCF-CLS"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := core.SolveOptions{}
-			if tc.failStarts > 0 {
-				opts.LP.FaultHook = FailFirstNStarts(tc.failStarts, tc.cause)
-			}
-			plan, err := core.SolveBest(ladderInstance(t), opts)
+			opts.LP.FaultHook = tc.hook
+			plan, err := core.SolveBest(tc.in, opts)
 			if err != nil {
 				t.Fatalf("SolveBest: %v", err)
 			}
@@ -101,38 +127,74 @@ func TestSolveLadderRungs(t *testing.T) {
 	}
 }
 
-// TestSolveBestFrom: entering the best row's ladder partway down (the
-// circuit breaker's lever in pcfd) skips the leading rungs entirely —
-// they are neither solved nor recorded as degraded — and out-of-range
-// skips clamp instead of failing.
+// failStart returns an lp fault hook that fails only the n-th solve
+// start, with an error wrapping cause.
+func failStart(n int, cause error) func(lp.FaultEvent) error {
+	starts := 0
+	return func(ev lp.FaultEvent) error {
+		if ev.Point != lp.FaultSolveStart {
+			return nil
+		}
+		if starts++; starts == n {
+			return fmt.Errorf("faultinject: solve start %d failed: %w", n, cause)
+		}
+		return nil
+	}
+}
+
+// TestSolveBestFrom: best answers from each of its two rungs, and from
+// nothing else. With no fault it answers on PCF-CLS, equal to the
+// PCF-CLS row bit for bit; with every master but FFC's failing at its
+// first start it answers on FFC, equal to the FFC row, after exactly
+// one failed start; and with FFC failing too its error names both
+// rungs.
 func TestSolveBestFrom(t *testing.T) {
 	best, ok := core.LookupScheme(core.SchemeBest)
 	if !ok {
 		t.Fatal("the scheme table has no best row")
 	}
+	in := ladderInstance(t)
+	hook, failed, err := FailAllButFFC(in, lp.ErrNumerical)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		skip int
-		want string
+		hook         func(lp.FaultEvent) error
+		row          string
+		wantDegraded []string
 	}{
-		{0, "PCF-CLS"}, {1, "PCF-LS"}, {2, "FFC"}, {9, "FFC"}, {-1, "PCF-CLS"},
+		{nil, core.SchemePCFCLS, nil},
+		{hook, core.SchemeFFC, []string{core.SchemePCFCLS}},
 	}
 	for _, tc := range cases {
-		plan, err := best.Solve(ladderInstance(t), core.SolveOptions{}, tc.skip)
+		var opts core.SolveOptions
+		opts.LP.FaultHook = tc.hook
+		plan, err := best.Solve(in, opts)
 		if err != nil {
-			t.Fatalf("skip %d: %v", tc.skip, err)
+			t.Fatalf("best toward %s: %v", tc.row, err)
 		}
-		if plan.Scheme != tc.want {
-			t.Fatalf("skip %d served by %s, want %s", tc.skip, plan.Scheme, tc.want)
+		row, _ := core.LookupScheme(tc.row)
+		want, err := row.Solve(in, core.SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(plan.Degraded) != 0 {
-			t.Fatalf("skip %d recorded skipped rungs as degraded: %v", tc.skip, plan.Degraded)
+		if plan.Scheme != tc.row || math.Float64bits(plan.Value) != math.Float64bits(want.Value) {
+			t.Fatalf("best served %s at %v, want %s at %v", plan.Scheme, plan.Value, tc.row, want.Value)
+		}
+		if !reflect.DeepEqual(plan.Degraded, tc.wantDegraded) {
+			t.Fatalf("best toward %s: Degraded = %v, want %v", tc.row, plan.Degraded, tc.wantDegraded)
 		}
 		if err := validate(plan); err != nil {
-			t.Fatalf("skip %d: served plan fails validation: %v", tc.skip, err)
+			t.Fatalf("best toward %s: served plan fails validation: %v", tc.row, err)
 		}
 	}
-	if n := best.Rungs(); n != 3 {
-		t.Fatalf("best has %d rungs, want the CLS→LS→FFC ladder", n)
+	if n := failed(); n != 1 {
+		t.Fatalf("%d failed PCF-master starts, want 1: best tries the PCF master once", n)
+	}
+	var opts core.SolveOptions
+	opts.LP.FaultHook = FailFirstNStarts(2, lp.ErrNumerical)
+	if _, err := best.Solve(in, opts); err == nil || !strings.Contains(err.Error(), "[PCF-CLS FFC]") {
+		t.Fatalf("best with both rungs failing: %v, want an error naming [PCF-CLS FFC]", err)
 	}
 }
 

@@ -7,82 +7,81 @@ import (
 	"pcf/internal/core"
 )
 
-// Breaker is a leveled circuit breaker: BreakerThreshold consecutive
-// degradable failures (core.Degradable) raise the level by one (up to maxLevel), and each
-// cooldown period with no further trip anneals one level back. The
-// level is the number of the scheme row's rungs to skip
-// (core.Scheme.Solve), so on best a CLS formulation that keeps breaking
-// numerically stops being attempted until the breaker anneals; at the
-// row's rung count the breaker is open and requests are rejected fast
-// with ErrBreakerOpen.
+// breakerThreshold is the number of consecutive degradable failures
+// that open a breaker.
+const breakerThreshold = 3
+
+// Breaker is a scheme row's circuit breaker, closed or open.
+// breakerThreshold consecutive degradable failures (core.Degradable)
+// of the row's whole ladder open it for one cooldown; while it is open
+// Server.Solve rejects the row fast with ErrBreakerOpen, and the first
+// admit after the cooldown closes it again. A ladder already drops a
+// failing rung within one solve, so the breaker guards only the row
+// whose every rung keeps failing.
 type Breaker struct {
 	mu          sync.Mutex
-	threshold   int
-	maxLevel    int
 	cooldown    time.Duration
 	now         func() time.Time
-	level       int
+	until       time.Time // when an open breaker closes; zero while closed
 	consecutive int
-	changed     time.Time
 	trips       int64
 }
 
-// NewBreaker builds a breaker. threshold and cooldown must be
-// positive; maxLevel is the deepest ladder skip it may request.
-func NewBreaker(threshold, maxLevel int, cooldown time.Duration) *Breaker {
-	return &Breaker{
-		threshold: threshold,
-		maxLevel:  maxLevel,
-		cooldown:  cooldown,
-		now:       time.Now,
-	}
+// NewBreaker builds a closed breaker; cooldown must be positive.
+func NewBreaker(cooldown time.Duration) *Breaker {
+	return &Breaker{cooldown: cooldown, now: time.Now}
 }
 
-// anneal steps the level back down, one per full cooldown elapsed
-// since the last change. Caller holds mu.
-func (b *Breaker) anneal() {
-	now := b.now()
-	for b.level > 0 && now.Sub(b.changed) >= b.cooldown {
-		b.level--
-		b.changed = b.changed.Add(b.cooldown)
-	}
-	if b.level == 0 {
-		b.changed = now
-	}
-}
-
-// Level returns the current ladder skip depth after annealing.
-func (b *Breaker) Level() int {
+// admit reports how long the breaker stays open, zero when it is
+// closed; closed reports that this call closed it, its cooldown over.
+func (b *Breaker) admit() (left time.Duration, closed bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.anneal()
-	return b.level
+	if b.until.IsZero() {
+		return 0, false
+	}
+	if left = b.until.Sub(b.now()); left > 0 {
+		return left, false
+	}
+	b.until = time.Time{}
+	return 0, true
 }
 
-// Record feeds one solve outcome into the breaker. A success resets
-// the consecutive-failure count (the level anneals only by time, so a
-// lucky success does not immediately re-expose a broken rung); a
-// degradable failure counts toward the next trip; any other failure
-// leaves the count unchanged.
-func (b *Breaker) Record(err error) {
+// Left reports how long the breaker stays open: zero once it is
+// closed or its cooldown is over.
+func (b *Breaker) Left() time.Duration {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.anneal()
+	if b.until.IsZero() {
+		return 0
+	}
+	return max(b.until.Sub(b.now()), 0)
+}
+
+// Record feeds one solve outcome into a closed breaker and reports
+// whether it opened it. A success resets the consecutive-failure
+// count, a degradable failure counts toward opening, and any other
+// failure leaves the count unchanged. An open breaker ignores outcomes
+// of solves admitted before it opened.
+func (b *Breaker) Record(err error) (opened bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	switch {
+	case !b.until.IsZero():
 	case err == nil:
 		b.consecutive = 0
 	case core.Degradable(err):
-		b.consecutive++
-		if b.consecutive >= b.threshold && b.level < b.maxLevel {
-			b.level++
+		if b.consecutive++; b.consecutive >= breakerThreshold {
 			b.consecutive = 0
-			b.changed = b.now()
+			b.until = b.now().Add(b.cooldown)
 			b.trips++
+			return true
 		}
 	}
+	return false
 }
 
-// Trips reports how many times the breaker stepped a level up.
+// Trips reports how many times the breaker opened.
 func (b *Breaker) Trips() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()

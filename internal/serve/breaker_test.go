@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,51 +11,46 @@ import (
 )
 
 // TestBreakerTripAndAnneal drives a breaker through a full cycle with
-// an injected clock: trip at the threshold, climb one level per trip,
-// saturate at maxLevel, then anneal one level per cooldown.
+// an injected clock: breakerThreshold failures open it, further
+// failures while it is open neither extend it nor trip it again, and
+// the first admit after one cooldown closes it and says so, once.
 func TestBreakerTripAndAnneal(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := NewBreaker(2, 2, time.Minute)
+	b := NewBreaker(time.Minute)
 	b.now = func() time.Time { return now }
 
 	numerical := fmt.Errorf("solve: %w", lp.ErrNumerical)
 
-	if b.Level() != 0 {
-		t.Fatalf("fresh breaker level = %d, want 0", b.Level())
+	for i := 1; i < breakerThreshold; i++ {
+		if b.Record(numerical) || b.Left() != 0 {
+			t.Fatalf("breaker opened after %d failures, want %d", i, breakerThreshold)
+		}
 	}
-	b.Record(numerical)
-	if b.Level() != 0 {
-		t.Fatalf("level after 1 failure = %d, want 0 (threshold 2)", b.Level())
+	if !b.Record(numerical) {
+		t.Fatalf("breaker still closed after %d failures", breakerThreshold)
 	}
-	b.Record(numerical)
-	if b.Level() != 1 {
-		t.Fatalf("level after 2 failures = %d, want 1", b.Level())
-	}
-	if b.Trips() != 1 {
-		t.Fatalf("trips = %d, want 1", b.Trips())
+	if b.Left() != time.Minute || b.Trips() != 1 {
+		t.Fatalf("open breaker: left %v, trips %d; want %v, 1", b.Left(), b.Trips(), time.Minute)
 	}
 
-	// Two more failures: second trip, level 2 (the max).
-	b.Record(numerical)
-	b.Record(numerical)
-	if b.Level() != 2 {
-		t.Fatalf("level after 4 failures = %d, want 2", b.Level())
+	// Failures while open neither trip nor extend the cooldown.
+	now = now.Add(20 * time.Second)
+	for i := 0; i < 2*breakerThreshold; i++ {
+		if b.Record(numerical) {
+			t.Fatal("an open breaker opened again")
+		}
 	}
-	// Further failures cannot exceed maxLevel.
-	b.Record(numerical)
-	b.Record(numerical)
-	if b.Level() != 2 {
-		t.Fatalf("level saturated = %d, want 2", b.Level())
+	if left, closed := b.admit(); left != 40*time.Second || closed || b.Trips() != 1 {
+		t.Fatalf("open breaker 20s in: left %v, closed %v, trips %d; want 40s, false, 1", left, closed, b.Trips())
 	}
 
-	// One cooldown anneals one level; two anneal fully.
-	now = now.Add(61 * time.Second)
-	if b.Level() != 1 {
-		t.Fatalf("level after one cooldown = %d, want 1", b.Level())
+	// The cooldown over, one admit closes it; the next finds it closed.
+	now = now.Add(40 * time.Second)
+	if left, closed := b.admit(); left != 0 || !closed {
+		t.Fatalf("admit after the cooldown: left %v, closed %v; want 0, true", left, closed)
 	}
-	now = now.Add(60 * time.Second)
-	if b.Level() != 0 {
-		t.Fatalf("level after two cooldowns = %d, want 0", b.Level())
+	if left, closed := b.admit(); left != 0 || closed {
+		t.Fatalf("second admit: left %v, closed %v; want 0, false", left, closed)
 	}
 }
 
@@ -63,45 +59,46 @@ func TestBreakerTripAndAnneal(t *testing.T) {
 // reset.
 func TestBreakerResetAndNeutralErrors(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := NewBreaker(2, 1, time.Minute)
+	b := NewBreaker(time.Minute)
 	b.now = func() time.Time { return now }
 
 	numerical := fmt.Errorf("solve: %w", lp.ErrNumerical)
 
-	// failure, success, failure: never reaches the threshold.
-	b.Record(numerical)
+	fail := func(n int) {
+		for i := 0; i < n; i++ {
+			b.Record(numerical)
+		}
+	}
+	// threshold-1 failures, a success, threshold-1 failures: never opens.
+	fail(breakerThreshold - 1)
 	b.Record(nil)
-	b.Record(numerical)
-	if b.Level() != 0 {
-		t.Fatalf("level = %d, want 0 after success reset", b.Level())
+	fail(breakerThreshold - 1)
+	if b.Left() != 0 {
+		t.Fatal("breaker open, want closed after the success reset the count")
 	}
 
-	// failure, neutral (infeasible), failure: the neutral error must
-	// not reset the count, so the second trippable failure trips.
-	b.Record(numerical)
+	// The count stands at threshold-1: a neutral (infeasible) error must
+	// not reset it, so the next failure opens the breaker.
 	b.Record(lp.ErrInfeasible)
-	b.Record(numerical)
-	if b.Level() != 1 {
-		t.Fatalf("level = %d, want 1 (neutral error must not reset)", b.Level())
+	if !b.Record(numerical) || b.Left() == 0 {
+		t.Fatal("breaker closed, want open (a neutral error must not reset the count)")
 	}
 }
 
 // TestBreakerConcurrentTripsAnneal hammers one breaker from many
-// goroutines (trippable failures, successes, and Level reads all
-// interleaved) and then checks the cooldown annealing arithmetic is
-// still exact: the level never exceeds maxLevel, never goes negative,
-// and steps down one per elapsed cooldown — concurrent trips must not
-// corrupt the annealing clock. Run under -race this doubles as the
-// breaker's data-race proof.
+// goroutines (trippable failures, successes and Left reads
+// interleaved) with its clock stopped: it opens exactly once, and
+// every read sees it open or closed with a whole cooldown left. Once
+// the cooldown is over, concurrent admits close it exactly once. Run
+// under -race this doubles as the breaker's data-race proof.
 func TestBreakerConcurrentTripsAnneal(t *testing.T) {
 	const (
-		maxLevel = 4
-		workers  = 8
-		rounds   = 200
+		workers = 8
+		rounds  = 200
 	)
 	var clockMu sync.Mutex
 	now := time.Unix(5000, 0)
-	b := NewBreaker(1, maxLevel, time.Minute)
+	b := NewBreaker(time.Minute)
 	b.now = func() time.Time {
 		clockMu.Lock()
 		defer clockMu.Unlock()
@@ -109,6 +106,7 @@ func TestBreakerConcurrentTripsAnneal(t *testing.T) {
 	}
 	numerical := fmt.Errorf("solve: %w", lp.ErrNumerical)
 
+	var opened atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -119,55 +117,43 @@ func TestBreakerConcurrentTripsAnneal(t *testing.T) {
 				case w%3 == 2 && i%7 == 0:
 					b.Record(nil)
 				case w%3 == 1 && i%5 == 0:
-					if l := b.Level(); l < 0 || l > maxLevel {
+					if l := b.Left(); l != 0 && l != time.Minute {
 						//lint:ignore pcflint/nopanic t.Fatalf is illegal off the test goroutine; panic fails the race worker with a stack
-						panic(fmt.Sprintf("level %d out of [0,%d]", l, maxLevel))
+						panic(fmt.Sprintf("left %v, want 0 or a whole cooldown", l))
 					}
 				default:
-					b.Record(numerical)
+					if b.Record(numerical) {
+						opened.Add(1)
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	// With threshold 1 and ~hundreds of trippable failures, the breaker
-	// must sit at its ceiling.
-	if got := b.Level(); got != maxLevel {
-		t.Fatalf("level after concurrent trips = %d, want %d", got, maxLevel)
-	}
-	trips := b.Trips()
-	if trips < int64(maxLevel) {
-		t.Fatalf("trips = %d, want >= %d", trips, maxLevel)
+	if b.Left() != time.Minute || opened.Load() != 1 || b.Trips() != 1 {
+		t.Fatalf("after concurrent failures: left %v, opened %d times, trips %d; want a minute, 1, 1", b.Left(), opened.Load(), b.Trips())
 	}
 
-	// Annealing: exactly one level per cooldown, down to zero, and
-	// concurrent reads during the anneal agree monotonically.
-	for want := maxLevel - 1; want >= 0; want-- {
-		clockMu.Lock()
-		now = now.Add(time.Minute)
-		clockMu.Unlock()
-		var wg2 sync.WaitGroup
-		levels := make([]int, workers)
-		for w := 0; w < workers; w++ {
-			wg2.Add(1)
-			go func(w int) {
-				defer wg2.Done()
-				levels[w] = b.Level()
-			}(w)
-		}
-		wg2.Wait()
-		for w, l := range levels {
-			if l != want {
-				t.Fatalf("reader %d saw level %d after anneal step, want %d", w, l, want)
+	clockMu.Lock()
+	now = now.Add(time.Minute)
+	clockMu.Unlock()
+	var closes atomic.Int64
+	var wg2 sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg2.Add(1)
+		go func() {
+			defer wg2.Done()
+			if left, closed := b.admit(); closed {
+				closes.Add(1)
+			} else if left != 0 {
+				//lint:ignore pcflint/nopanic t.Fatalf is illegal off the test goroutine; panic fails the race worker with a stack
+				panic(fmt.Sprintf("admit after the cooldown: left %v", left))
 			}
-		}
+		}()
 	}
-	if got := b.Level(); got != 0 {
-		t.Fatalf("level after full anneal = %d, want 0", got)
-	}
-	// Fully annealed: trips are history, not state.
-	if got := b.Trips(); got != trips {
-		t.Fatalf("anneal changed the trip count: %d -> %d", trips, got)
+	wg2.Wait()
+	if closes.Load() != 1 || b.Left() != 0 || b.Trips() != 1 {
+		t.Fatalf("after the cooldown: %d admits closed it, left %v, trips %d; want 1, 0, 1", closes.Load(), b.Left(), b.Trips())
 	}
 }

@@ -8,11 +8,12 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"pcf/internal/core"
 	"pcf/internal/eval"
+	"pcf/internal/faultinject"
 	"pcf/internal/lp"
 	"pcf/internal/telemetry"
 )
@@ -44,6 +45,11 @@ func planDiff(got, want *core.Plan) string {
 	if got.Scheme != want.Scheme || fmt.Sprint(got.Degraded) != fmt.Sprint(want.Degraded) {
 		return fmt.Sprintf("scheme %s degraded %v, want %s degraded %v", got.Scheme, got.Degraded, want.Scheme, want.Degraded)
 	}
+	return answerDiff(got, want)
+}
+
+// answerDiff is planDiff without the scheme and the abandoned rungs.
+func answerDiff(got, want *core.Plan) string {
 	if math.Float64bits(got.Value) != math.Float64bits(want.Value) {
 		return fmt.Sprintf("value %.17g, want %.17g", got.Value, want.Value)
 	}
@@ -84,9 +90,10 @@ func mapDiff[K comparable](what string, got, want map[K]float64) string {
 // TestReplansMatchOneShot: three consecutive served re-plans of every
 // scheme row equal a one-shot solve bit for bit, with only the first
 // solve of each rung building its master (best's rungs were built by
-// the rows before it), and so do three re-plans of best entered at each
-// lower rung, the breaker's skip. Sprint and GEANT at f=1 on every row
-// (at f=2 their rows admit nothing), BTNorthAmerica at f=2 on best.
+// the rows before it), and so do three re-plans of best on its FFC
+// rung, with every master but FFC's failing at its first start. Sprint
+// and GEANT at f=1 on every row (at f=2 their rows admit nothing),
+// BTNorthAmerica at f=2 on best.
 func TestReplansMatchOneShot(t *testing.T) {
 	cases := []struct {
 		name string
@@ -107,7 +114,7 @@ func TestReplansMatchOneShot(t *testing.T) {
 		built := map[string]bool{}
 		for _, name := range tc.rows {
 			row, _ := core.LookupScheme(name)
-			want, err := row.Solve(in, core.SolveOptions{}, 0)
+			want, err := row.Solve(in, core.SolveOptions{})
 			if err != nil {
 				t.Fatalf("%s %s: one-shot: %v", tc.name, name, err)
 			}
@@ -115,7 +122,7 @@ func TestReplansMatchOneShot(t *testing.T) {
 				t.Fatalf("%s %s admits nothing: a plan of zeros would match anything", tc.name, name)
 			}
 			for k := 0; k < 3; k++ {
-				pub, _, err := srv.Solve(ctx, row)
+				pub, err := srv.Solve(ctx, row)
 				if err != nil {
 					t.Fatalf("%s %s: re-plan %d: %v", tc.name, name, k, err)
 				}
@@ -131,20 +138,24 @@ func TestReplansMatchOneShot(t *testing.T) {
 				tc.name, name, want.Value, want.Stats.Rounds, want.Stats.Cuts, want.Stats.LPIterations, want.Stats.OracleSolves, want.Stats.OracleCalls)
 		}
 		best, _ := core.LookupScheme(core.SchemeBest)
+		var onlyFFC core.SolveOptions
+		hook, _, err := faultinject.FailAllButFFC(in, lp.ErrNumerical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onlyFFC.LP.FaultHook = hook
+		want, err := best.Solve(in, onlyFFC)
+		if err != nil || want.Scheme != core.SchemeFFC {
+			t.Fatalf("%s best on FFC: one-shot: %v, %v", tc.name, want, err)
+		}
 		sv := core.NewSolver(in)
-		for skip := 1; skip < best.Rungs(); skip++ {
-			want, err := best.Solve(in, core.SolveOptions{}, skip)
+		for k := 0; k < 3; k++ {
+			got, err := sv.Solve(best, onlyFFC)
 			if err != nil {
-				t.Fatalf("%s best at rung %d: one-shot: %v", tc.name, skip, err)
+				t.Fatalf("%s best on FFC: re-plan %d: %v", tc.name, k, err)
 			}
-			for k := 0; k < 3; k++ {
-				got, err := sv.Solve(best, core.SolveOptions{}, skip)
-				if err != nil {
-					t.Fatalf("%s best at rung %d: re-plan %d: %v", tc.name, skip, k, err)
-				}
-				if d := planDiff(got, want); d != "" {
-					t.Fatalf("%s best at rung %d: re-plan %d: %s", tc.name, skip, k, d)
-				}
+			if d := planDiff(got, want); d != "" {
+				t.Fatalf("%s best on FFC: re-plan %d: %s", tc.name, k, d)
 			}
 		}
 	}
@@ -157,7 +168,7 @@ func TestReplansMatchOneShot(t *testing.T) {
 func TestCanceledReplanThenFull(t *testing.T) {
 	in := servedInstance(t, eval.Options{Topology: "BTNorthAmerica", Seed: 1, MaxPairs: 40, FailureBudget: 2})
 	row, _ := core.LookupScheme(core.SchemePCFCLS)
-	want, err := row.Solve(in, core.SolveOptions{}, 0)
+	want, err := row.Solve(in, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +188,12 @@ func TestCanceledReplanThenFull(t *testing.T) {
 			}
 			return nil
 		}
-		_, err := sv.Solve(row, opts, 0)
+		_, err := sv.Solve(row, opts)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled at master solve %d: %v, want a cancellation", cancelAt, err)
 		}
-		got, err := sv.Solve(row, core.SolveOptions{}, 0)
+		got, err := sv.Solve(row, core.SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +220,7 @@ func TestConcurrentSolvesTakeTurns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pub, _, err := srv.Solve(context.Background(), row)
+			pub, err := srv.Solve(context.Background(), row)
 			if errs[i] = err; err == nil {
 				plans[i] = pub.Plan
 			}
@@ -233,16 +244,26 @@ func TestConcurrentSolvesTakeTurns(t *testing.T) {
 	}
 }
 
-// TestRowsShareRungMasters: best's rungs are the PCF-CLS, PCF-LS and
-// FFC rows' rungs, so on one server best solved after PCF-CLS, and best
-// entered at rungs 1 and 2 (its breaker's level) after PCF-LS and FFC,
-// builds nothing: each solve record reads prepare_ms 0, and each plan
-// is bit-equal to that row's.
+// TestRowsShareRungMasters: best's rungs are the PCF-CLS and FFC rows'
+// rungs, so on one server best solved after PCF-CLS, and best on FFC's
+// kept master (every other master failing at its first start) after
+// FFC, builds nothing: each solve record reads prepare_ms 0, and each
+// plan is bit-equal to that row's, PCF-CLS abandoned on the way to FFC.
 func TestRowsShareRungMasters(t *testing.T) {
 	in := servedInstance(t, eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 45, FailureBudget: 1})
+	onlyFFC, _, err := faultinject.FailAllButFFC(in, lp.ErrNumerical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failPCF atomic.Bool
 	var mu sync.Mutex
 	var last telemetry.Record
-	srv, _ := newTestServer(t, Config{Instance: in, BreakerCooldown: time.Hour, Telemetry: telemetry.EmitterFunc(func(r telemetry.Record) {
+	srv, _ := newTestServer(t, Config{Instance: in, LPFaultHook: func(ev lp.FaultEvent) error {
+		if failPCF.Load() {
+			return onlyFFC(ev)
+		}
+		return nil
+	}, Telemetry: telemetry.EmitterFunc(func(r telemetry.Record) {
 		if r.Kind == telemetry.KindSolve {
 			mu.Lock()
 			last = r
@@ -250,28 +271,33 @@ func TestRowsShareRungMasters(t *testing.T) {
 		}
 	})})
 	best, _ := core.LookupScheme(core.SchemeBest)
-	br := srv.breaker(best)
-	for level, name := range []string{core.SchemePCFCLS, core.SchemePCFLS, core.SchemeFFC} {
+	for _, name := range []string{core.SchemePCFCLS, core.SchemeFFC} {
 		row, _ := core.LookupScheme(name)
-		want, _, err := srv.Solve(context.Background(), row)
+		want, err := srv.Solve(context.Background(), row)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		br.mu.Lock()
-		br.level, br.changed = level, time.Now()
-		br.mu.Unlock()
-		got, rung, err := srv.Solve(context.Background(), best)
-		if err != nil || rung != level {
-			t.Fatalf("best after %s: rung %d, %v; want rung %d", name, rung, err, level)
+		failPCF.Store(name == core.SchemeFFC)
+		got, err := srv.Solve(context.Background(), best)
+		failPCF.Store(false)
+		if err != nil {
+			t.Fatalf("best after %s: %v", name, err)
 		}
 		mu.Lock()
 		prepare, ok := last.Fields["prepare_ms"]
 		mu.Unlock()
 		if !ok || prepare != 0 {
-			t.Fatalf("best at rung %d after %s: prepare_ms %v (recorded %v), want 0", level, name, prepare, ok)
+			t.Fatalf("best on %s after %s: prepare_ms %v (recorded %v), want 0", got.Scheme, name, prepare, ok)
 		}
-		if d := planDiff(got.Plan, want.Plan); d != "" {
-			t.Fatalf("best at rung %d after %s: %s", level, name, d)
+		wantDegraded := "[]"
+		if name == core.SchemeFFC {
+			wantDegraded = "[PCF-CLS]"
+		}
+		if got.Scheme != want.Scheme || fmt.Sprint(got.Degraded) != wantDegraded {
+			t.Fatalf("best after %s: %s degraded %v, want %s degraded %s", name, got.Scheme, got.Degraded, want.Scheme, wantDegraded)
+		}
+		if d := answerDiff(got.Plan, want.Plan); d != "" {
+			t.Fatalf("best after %s: %s", name, d)
 		}
 	}
 }
@@ -287,7 +313,7 @@ func TestReplanAllocs(t *testing.T) {
 	for i := range bytes {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, _, err := srv.Solve(context.Background(), row); err != nil {
+		if _, err := srv.Solve(context.Background(), row); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

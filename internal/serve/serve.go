@@ -15,9 +15,11 @@
 //     fsync + atomic rename, so a restarted daemon recovers its last
 //     good epoch without re-solving; corrupt snapshots are
 //     quarantined, never crash-looped on;
-//   - repeated numerical or cut-budget solve failures trip a
-//     per-scheme circuit breaker that steps the scheme's ladder down
-//     (core's scheme table; best is CLS→LS→FFC) and anneals back.
+//   - every failure has one fallback: a scheme's ladder (core's scheme
+//     table; best is PCF-CLS → FFC) drops a rung that breaks down
+//     within the solve, and a per-scheme circuit breaker, closed or
+//     open, rejects a scheme whose whole ladder keeps breaking down
+//     until its cooldown is over.
 //
 // See DESIGN.md §13 for the architecture.
 package serve
@@ -49,7 +51,7 @@ var (
 	// published.
 	ErrValidation = errors.New("serve: plan failed validation, rolled back")
 	// ErrBreakerOpen reports that a scheme's circuit breaker is open:
-	// repeated solver breakdowns have skipped every rung of its row.
+	// its whole ladder broke down on breakerThreshold solves in a row.
 	ErrBreakerOpen = errors.New("serve: circuit breaker open for scheme")
 	// ErrEpochRegression reports that an externally stamped epoch
 	// (fleet plan distribution) does not advance the registry's: served
@@ -106,11 +108,9 @@ type Config struct {
 	// this long to finish before their contexts are hard-canceled.
 	DrainTimeout time.Duration
 
-	// BreakerThreshold consecutive trippable solve failures step a
-	// scheme's breaker one level; each BreakerCooldown without a
-	// further trip anneals one level back.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is how long a scheme's breaker stays open once
+	// breakerThreshold consecutive degradable failures opened it.
+	BreakerCooldown time.Duration
 
 	// LPFaultHook, when non-nil, is passed into every LP solve the
 	// server runs. It exists for fault injection (internal/faultinject
@@ -151,9 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 30 * time.Second

@@ -38,8 +38,9 @@ type Server struct {
 	reg  *Registry
 	adm  *Admission
 
-	breakerMu sync.Mutex
-	breakers  map[string]*Breaker
+	// breakers holds one breaker per row of core's scheme table, by
+	// name; the map is never written after NewServer.
+	breakers map[string]*Breaker
 
 	// solver solves every row of core's scheme table on the served
 	// instance and keeps its masters (three at most) across re-plans.
@@ -104,6 +105,9 @@ func NewServer(cfg Config) (*Server, error) {
 		solver:   core.NewSolver(cfg.Instance),
 		tel:      tel,
 	}
+	for _, name := range core.SchemeNames() {
+		s.breakers[name] = NewBreaker(cfg.BreakerCooldown)
+	}
 	s.emit = telemetry.Multi(tel, cfg.Telemetry)
 	s.reg.Telemetry = telemetry.EmitterFunc(func(r telemetry.Record) {
 		r.Source = cfg.Source
@@ -135,20 +139,6 @@ func (s *Server) Emitter() telemetry.Emitter {
 // segment. Call after Shutdown; requests racing Close lose only their
 // telemetry records, never their responses.
 func (s *Server) Close() error { return s.tel.Close() }
-
-// breaker returns (creating on first use) the scheme's breaker. Its
-// level is the number of the row's rungs to skip; at the row's rung
-// count the breaker is open.
-func (s *Server) breaker(scheme *core.Scheme) *Breaker {
-	s.breakerMu.Lock()
-	defer s.breakerMu.Unlock()
-	b := s.breakers[scheme.Name]
-	if b == nil {
-		b = NewBreaker(s.cfg.BreakerThreshold, scheme.Rungs(), s.cfg.BreakerCooldown)
-		s.breakers[scheme.Name] = b
-	}
-	return b
-}
 
 // Recover loads and republishes the newest valid checkpoint. Call once
 // at startup, before serving. ErrNoSnapshot (also returned when no
@@ -556,7 +546,8 @@ func (s *Server) writeError(w http.ResponseWriter, c *call, class Class, err err
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.DrainTimeout/time.Second)+1))
 	case errors.Is(err, ErrBreakerOpen):
 		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.BreakerCooldown/time.Second)+1))
+		left := s.breakers[c.scheme.Name].Left()
+		w.Header().Set("Retry-After", strconv.Itoa(max(1, int((left+time.Second-1)/time.Second))))
 	case errors.Is(err, ErrNoPlan):
 		status = http.StatusNotFound
 	case errors.Is(err, ErrValidation),
@@ -606,9 +597,8 @@ type Health struct {
 	Draining bool   `json:"draining"`
 	Epoch    uint64 `json:"epoch"`
 	HasPlan  bool   `json:"has_plan"`
-	// Breakers maps scheme → current ladder-skip level (only schemes
-	// that have been requested at least once appear).
-	Breakers map[string]int `json:"breakers,omitempty"`
+	// Breakers maps each scheme to whether its breaker is open.
+	Breakers map[string]bool `json:"breakers,omitempty"`
 	// CheckpointWritable reports whether the state dir still accepts
 	// writes; absent when persistence is off.
 	CheckpointWritable *bool `json:"checkpoint_dir_writable,omitempty"`
@@ -644,9 +634,9 @@ func (s *Server) AddHealthCheck(name string, fn func() HealthCheck) {
 
 // Health evaluates the readiness report. Degradation conditions:
 // draining, no published plan, an unwritable checkpoint or telemetry
-// dir, or any registered check reporting !OK. Breaker levels are reported but do
-// not degrade — a node with a stepped-down solve ladder still serves
-// realize traffic at full fidelity.
+// dir, or any registered check reporting !OK. Open breakers are reported but do
+// not degrade — a node that rejects a failing scheme's solves still
+// serves realize traffic at full fidelity.
 func (s *Server) Health() Health {
 	s.drainMu.RLock()
 	draining := s.draining
@@ -655,7 +645,7 @@ func (s *Server) Health() Health {
 	h := Health{
 		Draining: draining,
 		Epoch:    s.reg.Epoch(),
-		Breakers: map[string]int{},
+		Breakers: map[string]bool{},
 
 		AdmissionShed:          s.adm.Shed(),
 		AdmissionQueuedSolve:   s.adm.Queued(ClassSolve),
@@ -665,11 +655,9 @@ func (s *Server) Health() Health {
 	_, curErr := s.reg.Current()
 	h.HasPlan = curErr == nil
 
-	s.breakerMu.Lock()
 	for scheme, b := range s.breakers {
-		h.Breakers[scheme] = b.Level()
+		h.Breakers[scheme] = b.Left() > 0
 	}
-	s.breakerMu.Unlock()
 
 	if store := s.reg.Store(); store != nil {
 		writable := store.Writable() == nil
@@ -770,67 +758,71 @@ func (s *Server) parseSolve(c *call) error {
 }
 
 func (s *Server) handleSolve(c *call) (any, error) {
-	pub, level, err := s.Solve(c.context(), c.scheme)
-	c.rec.Rung = level
+	pub, err := s.Solve(c.context(), c.scheme)
 	if err != nil {
 		return nil, err
 	}
 	c.served(pub)
-	return struct {
-		planInfo
-		BreakerLevel int `json:"breaker_level"`
-	}{infoOf(pub), level}, nil
+	return infoOf(pub), nil
 }
 
 // Solve solves a row of core's scheme table on the served instance
 // and publishes the plan: POST /v1/solve and pcfd's boot solve both
 // come here. The server's one solver keeps each rung's master from the
 // rung's first solve by any row on, so a re-plan re-runs only the cut
-// loop, and concurrent solves take turns on it. The row's breaker says
-// how many rungs to skip, the level Solve returns; at the row's rung
-// count it is open and Solve fails with ErrBreakerOpen. Every solve leaves a solve record (and a
-// breaker record when it moved the level), and the plan passes
-// Config.MutatePlan and the registry's validating publish.
-func (s *Server) Solve(ctx context.Context, scheme *core.Scheme) (*Published, int, error) {
-	br := s.breaker(scheme)
-	level := br.Level()
-	if level >= scheme.Rungs() {
-		return nil, level, fmt.Errorf("%w: %s", ErrBreakerOpen, scheme.Name)
+// loop, and concurrent solves take turns on it. While the row's
+// breaker is open Solve fails fast with ErrBreakerOpen. Every solve
+// leaves a solve record (and a breaker record when it opened or closed
+// the breaker), and the plan passes Config.MutatePlan and the
+// registry's validating publish.
+func (s *Server) Solve(ctx context.Context, scheme *core.Scheme) (*Published, error) {
+	br := s.breakers[scheme.Name]
+	left, closed := br.admit()
+	if closed {
+		s.emitBreaker(scheme, br, false)
+	}
+	if left > 0 {
+		return nil, fmt.Errorf("%w: %s", ErrBreakerOpen, scheme.Name)
 	}
 	opts := core.SolveOptions{Context: ctx}
 	opts.LP.FaultHook = s.cfg.LPFaultHook
 
 	solveStart := time.Now()
-	plan, err := s.solver.Solve(scheme, opts, level)
-	br.Record(err)
-	if after := br.Level(); after != level {
-		s.emit.Emit(telemetry.Record{
-			Kind:   telemetry.KindBreaker,
-			Source: s.cfg.Source,
-			Scheme: scheme.Name,
-			Rung:   after,
-			Fields: map[string]float64{"level": float64(after), "trips": float64(br.Trips())},
-		})
+	plan, err := s.solver.Solve(scheme, opts)
+	if br.Record(err) {
+		s.emitBreaker(scheme, br, true)
 	}
 	solveRec := telemetry.Record{
 		Kind:   telemetry.KindSolve,
 		Source: s.cfg.Source,
 		Scheme: scheme.Name,
-		Rung:   level,
 		Dur:    time.Since(solveStart),
 	}
 	if err != nil {
 		solveRec.Outcome = outcomeOf(err)
 		s.emit.Emit(solveRec)
-		return nil, level, err
+		return nil, err
 	}
 	solveRec.Fields = plan.Stats.Metrics()
 	s.emit.Emit(solveRec)
 	if s.cfg.MutatePlan != nil {
 		s.cfg.MutatePlan(plan)
 	}
-	pub, err := s.reg.Publish(ctx, plan)
-	return pub, level, err
+	return s.reg.Publish(ctx, plan)
+}
+
+// emitBreaker records that scheme's breaker opened or closed.
+func (s *Server) emitBreaker(scheme *core.Scheme, br *Breaker, open bool) {
+	f := 0.0
+	if open {
+		f = 1
+	}
+	s.emit.Emit(telemetry.Record{
+		Kind:   telemetry.KindBreaker,
+		Source: s.cfg.Source,
+		Scheme: scheme.Name,
+		Fields: map[string]float64{"open": f, "trips": float64(br.Trips())},
+	})
 }
 
 // parseScenario reads ?links=3,7,12 (dead links) and

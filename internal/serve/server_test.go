@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -290,89 +292,111 @@ func TestServerValidationRollback(t *testing.T) {
 	}
 }
 
-// TestServerBreakerStepsLadder injects numerical failures into every
-// LP start and checks: the "best" scheme degrades internally (the
-// ladder still lands on FFC), while repeated failures against the
-// fixed PCF-CLS scheme trip its breaker open and later requests are
-// rejected fast with 503 + Retry-After.
-func TestServerBreakerStepsLadder(t *testing.T) {
-	// Fail every PCF-CLS master solve start; FFC's model is the
-	// smallest, so let anything with few rows through. Simpler and
-	// robust: fail the first two starts of every request (CLS, LS),
-	// letting the third (FFC) through — for the ladder. For the fixed
-	// scheme, every request has exactly one start, which fails.
-	var mu sync.Mutex
-	failFirst := 2
-	perRequest := 0
-	hook := func(ev lp.FaultEvent) error {
-		if ev.Point != lp.FaultSolveStart {
-			return nil
+// breakerRecords collects a server's breaker records.
+type breakerRecords struct {
+	mu   sync.Mutex
+	recs []telemetry.Record
+}
+
+func (b *breakerRecords) Emit(r telemetry.Record) {
+	if r.Kind == telemetry.KindBreaker {
+		b.mu.Lock()
+		b.recs = append(b.recs, r)
+		b.mu.Unlock()
+	}
+}
+
+// states lists the records as "scheme open|closed trips".
+func (b *breakerRecords) states() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var out []string
+	for _, r := range b.recs {
+		state := "closed"
+		if r.Field("open") > 0 {
+			state = "open"
 		}
+		out = append(out, fmt.Sprintf("%s %s %g", r.Scheme, state, r.Field("trips")))
+	}
+	return out
+}
+
+// stopClock gives the scheme's breaker a clock that moves only when
+// the returned function advances it.
+func stopClock(s *Server, name string) func(time.Duration) {
+	b := s.breakers[name]
+	var mu sync.Mutex
+	now := time.Unix(1000, 0)
+	b.mu.Lock()
+	b.now = func() time.Time {
 		mu.Lock()
 		defer mu.Unlock()
-		perRequest++
-		if perRequest <= failFirst {
+		return now
+	}
+	b.mu.Unlock()
+	return func(d time.Duration) {
+		mu.Lock()
+		now = now.Add(d)
+		mu.Unlock()
+	}
+}
+
+// TestServerBreakerStepsLadder: best's breaker counts failures of its
+// whole ladder, not of a rung. Two solves on which every LP start
+// fails, one on which only the PCF master fails (best answers on FFC)
+// and two more failing ones leave it closed, since the success between
+// resets the count; the third failure in a row opens it, with one
+// breaker record, and the next request is rejected fast with 503 +
+// Retry-After.
+func TestServerBreakerStepsLadder(t *testing.T) {
+	onlyFFC, _, err := faultinject.FailAllButFFC(testInstance(), lp.ErrNumerical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failAll atomic.Bool
+	hook := func(ev lp.FaultEvent) error {
+		if failAll.Load() && ev.Point == lp.FaultSolveStart {
 			return fmt.Errorf("test: injected numerical breakdown: %w", lp.ErrNumerical)
 		}
-		return nil
+		return onlyFFC(ev)
 	}
-	s, ts := newTestServer(t, Config{
-		LPFaultHook:      hook,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour, // no annealing during the test
-	})
-
-	// Ladder request: CLS and LS rungs fail, FFC lands.
-	resp := mustPost(t, ts.URL+"/v1/solve?scheme=best")
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("ladder solve: status %d: %s", resp.StatusCode, body)
-	}
-	out := decodeBody(t, resp)
-	if out["scheme"] != "FFC" {
-		t.Fatalf("ladder landed on %v, want FFC", out["scheme"])
-	}
-	deg, _ := out["degraded"].([]any)
-	if len(deg) != 2 {
-		t.Fatalf("degraded = %v, want the two failed rungs", out["degraded"])
-	}
-
-	// Fixed scheme: each request's single start fails; after
-	// BreakerThreshold failures the breaker opens.
-	for i := 0; i < 2; i++ {
-		mu.Lock()
-		perRequest = 0
-		failFirst = 1
-		mu.Unlock()
-		resp := mustPost(t, ts.URL+"/v1/solve?scheme=PCF-CLS")
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("failing fixed solve %d: status %d, want 500", i, resp.StatusCode)
+	recs := &breakerRecords{}
+	_, ts := newTestServer(t, Config{LPFaultHook: hook, BreakerCooldown: time.Hour, Telemetry: recs})
+	for i, fail := range []bool{true, true, false, true, true, true} {
+		failAll.Store(fail)
+		resp := mustPost(t, ts.URL+"/v1/solve?scheme=best")
+		want := http.StatusOK
+		if fail {
+			want = http.StatusInternalServerError
 		}
-		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("best solve %d: status %d, want %d", i, resp.StatusCode, want)
+		}
+		if out := decodeBody(t, resp); !fail && (out["scheme"] != "FFC" || fmt.Sprint(out["degraded"]) != "[PCF-CLS]") {
+			t.Fatalf("best solve %d answered %v degraded %v, want FFC degraded [PCF-CLS]", i, out["scheme"], out["degraded"])
+		}
+		wantRecs := "[]"
+		if i == 5 {
+			wantRecs = "[best open 1]"
+		}
+		if got := fmt.Sprint(recs.states()); got != wantRecs {
+			t.Fatalf("breaker records after best solve %d: %s, want %s", i, got, wantRecs)
+		}
 	}
-	cls, _ := core.LookupScheme(core.SchemePCFCLS)
-	if lvl := s.breaker(cls).Level(); lvl != 1 {
-		t.Fatalf("fixed-scheme breaker level = %d, want 1 (open)", lvl)
-	}
-	resp = mustPost(t, ts.URL+"/v1/solve?scheme=PCF-CLS")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("open-breaker solve: status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("open-breaker response missing Retry-After")
-	}
+	resp := mustPost(t, ts.URL+"/v1/solve?scheme=best")
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(body), "circuit breaker") {
-		t.Fatalf("open-breaker body = %s", body)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" || !strings.Contains(string(body), "circuit breaker") {
+		t.Fatalf("open-breaker solve: status %d, Retry-After %q, body %s; want 503 naming the circuit breaker", resp.StatusCode, resp.Header.Get("Retry-After"), body)
 	}
 }
 
 // TestServerBreakerUsesFaultinjectLadder proves the serve breaker and
 // the faultinject ladder hooks compose: FailFirstNStarts(1, ...) on a
-// best solve degrades only the first rung.
+// best solve fails the PCF master's first start, best answers on FFC
+// with PCF-CLS abandoned, and best's breaker stays closed.
 func TestServerBreakerUsesFaultinjectLadder(t *testing.T) {
-	_, ts := newTestServer(t, Config{
+	s, ts := newTestServer(t, Config{
 		LPFaultHook: faultinject.FailFirstNStarts(1, lp.ErrNumerical),
 	})
 	resp := mustPost(t, ts.URL+"/v1/solve")
@@ -380,8 +404,102 @@ func TestServerBreakerUsesFaultinjectLadder(t *testing.T) {
 		t.Fatalf("solve: status %d", resp.StatusCode)
 	}
 	out := decodeBody(t, resp)
-	if out["scheme"] != "PCF-LS" {
-		t.Fatalf("scheme = %v, want PCF-LS after one injected failure", out["scheme"])
+	if out["scheme"] != "FFC" || fmt.Sprint(out["degraded"]) != "[PCF-CLS]" {
+		t.Fatalf("scheme %v degraded %v, want FFC degraded [PCF-CLS] after one injected failure", out["scheme"], out["degraded"])
+	}
+	if open := s.Health().Breakers[SchemeBest]; open {
+		t.Fatal("best's breaker is open after a solve that answered")
+	}
+}
+
+// TestServerPCFMasterFailsOncePerBest: with every master but FFC's
+// failing at its first start, each best solve tries the PCF master
+// once and publishes FFC, bit for bit the FFC row's value, with
+// PCF-CLS abandoned; best's breaker stays closed and records nothing.
+// The PCF-CLS row, whose only rung is the failing one, opens its
+// breaker on its third failure, answers 503 while open, and closes
+// after the cooldown: one record each way.
+func TestServerPCFMasterFailsOncePerBest(t *testing.T) {
+	hook, failed, err := faultinject.FailAllButFFC(testInstance(), lp.ErrNumerical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := &breakerRecords{}
+	s, ts := newTestServer(t, Config{LPFaultHook: hook, BreakerCooldown: time.Minute, Telemetry: recs})
+	want, err := core.SolveFFC(testInstance(), core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, _ := core.LookupScheme(SchemeBest)
+	const n = 6
+	for i := 0; i < n; i++ {
+		pub, err := s.Solve(context.Background(), best)
+		if err != nil {
+			t.Fatalf("best solve %d: %v", i, err)
+		}
+		if pub.Scheme != core.SchemeFFC || fmt.Sprint(pub.Degraded) != "[PCF-CLS]" || math.Float64bits(pub.Value) != math.Float64bits(want.Value) {
+			t.Fatalf("best solve %d published %s %.17g degraded %v, want FFC %.17g degraded [PCF-CLS]", i, pub.Scheme, pub.Value, pub.Degraded, want.Value)
+		}
+	}
+	if got := failed(); got != n {
+		t.Fatalf("%d failed PCF-master starts over %d best solves, want %d", got, n, n)
+	}
+	if s.Health().Breakers[SchemeBest] || len(recs.states()) != 0 {
+		t.Fatalf("best's breaker: open %v, records %v; want closed, none", s.Health().Breakers[SchemeBest], recs.states())
+	}
+
+	advance := stopClock(s, core.SchemePCFCLS)
+	for i := 0; i < breakerThreshold; i++ {
+		resp := mustPost(t, ts.URL+"/v1/solve?scheme=PCF-CLS")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("failing PCF-CLS solve %d: status %d, want 500", i, resp.StatusCode)
+		}
+	}
+	resp := mustPost(t, ts.URL+"/v1/solve?scheme=PCF-CLS")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || !s.Health().Breakers[core.SchemePCFCLS] {
+		t.Fatalf("PCF-CLS after %d failures: status %d, open %v; want 503, open", breakerThreshold, resp.StatusCode, s.Health().Breakers[core.SchemePCFCLS])
+	}
+	advance(time.Minute)
+	resp = mustPost(t, ts.URL+"/v1/solve?scheme=PCF-CLS")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("PCF-CLS after the cooldown: status %d, want 500 (admitted, and failing again)", resp.StatusCode)
+	}
+	if got := fmt.Sprint(recs.states()); got != "[PCF-CLS open 1 PCF-CLS closed 1]" {
+		t.Fatalf("breaker records %s, want [PCF-CLS open 1 PCF-CLS closed 1]", got)
+	}
+	if got := failed(); got != n+breakerThreshold+1 {
+		t.Fatalf("%d failed PCF-master starts, want %d: the open breaker's 503 solves nothing", got, n+breakerThreshold+1)
+	}
+}
+
+// TestServerBreakerRetryAfter: an open breaker's 503 asks the client to
+// come back when it closes, in whole seconds rounded up, at least 1.
+func TestServerBreakerRetryAfter(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		LPFaultHook:     faultinject.FailFirstNStarts(breakerThreshold, lp.ErrNumerical),
+		BreakerCooldown: 30 * time.Second,
+	})
+	advance := stopClock(s, core.SchemePCFCLS)
+	for i := 0; i < breakerThreshold; i++ {
+		mustPost(t, ts.URL+"/v1/solve?scheme=PCF-CLS").Body.Close()
+	}
+	for _, step := range []struct {
+		advance time.Duration
+		want    string
+	}{
+		{400 * time.Millisecond, "30"},
+		{28 * time.Second, "2"},
+		{1500*time.Millisecond - time.Nanosecond, "1"},
+	} {
+		advance(step.advance)
+		resp := mustPost(t, ts.URL+"/v1/solve?scheme=PCF-CLS")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != step.want {
+			t.Fatalf("after %v more: status %d, Retry-After %q; want 503, %s", step.advance, resp.StatusCode, resp.Header.Get("Retry-After"), step.want)
+		}
 	}
 }
 

@@ -88,6 +88,7 @@ func TestServerTelemetryEndpoints(t *testing.T) {
 	// Bad parameters are client errors.
 	for _, q := range []string{
 		"/v1/telemetry/query?group_by=nonsense",
+		"/v1/telemetry/query?group_by=rung",
 		"/v1/telemetry/query?bucket=nonsense",
 		"/v1/telemetry/query?since=nonsense",
 		"/v1/telemetry/tail?after=-1",

@@ -34,7 +34,7 @@ type Query struct {
 	Metric string `json:"metric,omitempty"`
 
 	// GroupBy splits each time bucket by a dimension: "kind",
-	// "src", "name", "scheme", "outcome", "epoch", or "rung".
+	// "src", "name", "scheme", "outcome" or "epoch".
 	GroupBy string `json:"group_by,omitempty"`
 }
 
@@ -117,8 +117,6 @@ func (q Query) group(r Record) (string, error) {
 		return r.OutcomeOrOK(), nil
 	case "epoch":
 		return strconv.FormatUint(r.Epoch, 10), nil
-	case "rung":
-		return strconv.Itoa(r.Rung), nil
 	default:
 		return "", fmt.Errorf("%w: unknown group_by %q", ErrBadQuery, q.GroupBy)
 	}

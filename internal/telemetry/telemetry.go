@@ -9,7 +9,7 @@
 // calls are the one way to read it back. A Record is a point event (a
 // request served, a solve finished, an epoch published, a sync round,
 // a lease grant, a failover) with typed dimensions (Kind, Source,
-// Name, Scheme, Outcome) and numeric payload (Epoch, Rung, Dur, and a
+// Name, Scheme, Outcome) and numeric payload (Epoch, Dur, and a
 // flat Fields map whose keys come from the engines' Metrics()
 // methods).
 //
@@ -41,7 +41,7 @@ const (
 	// endpoint, Outcome ok/shed/error, Epoch the served plan's epoch).
 	KindRequest Kind = "request"
 	// KindSolve is one plan solve attempt (Fields from
-	// core.SolveStats.Metrics(), Rung the breaker's ladder entry).
+	// core.SolveStats.Metrics()).
 	KindSolve Kind = "solve"
 	// KindValidate is one full validation sweep (Fields from
 	// routing.SweepStats.Metrics()).
@@ -53,8 +53,8 @@ const (
 	// the new epoch; Fields carry the validation sweep metrics and the
 	// plan value).
 	KindPublish Kind = "publish"
-	// KindBreaker is a circuit-breaker level transition (Fields carry
-	// the new level and trip count).
+	// KindBreaker is a circuit breaker opening or closing (Fields
+	// carry open, 1 or 0, and the trip count).
 	KindBreaker Kind = "breaker"
 	// KindSync is one replica sync round: a conditional plan fetch
 	// that renews the lease (Outcome ok/error).
@@ -98,8 +98,6 @@ type Record struct {
 	// records it is the epoch of the plan that actually served the
 	// request — never a newer one published mid-flight.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Rung is the solve-ladder rung (breaker skip level) in effect.
-	Rung int `json:"rung,omitempty"`
 	// Dur is the event duration.
 	Dur time.Duration `json:"dur_ns,omitempty"`
 	// Fields carries the numeric payload, keyed by the engines'

@@ -59,6 +59,12 @@ for example in examples/*/; do
 done
 
 echo "== go test -race"
+# Among them the daemon's breaker tests, which CI's chaos-smoke job runs
+# as TestServer… (TestServerPCFMasterFailsOncePerBest: each best solve
+# fails a broken PCF master once and answers FFC, a breaker opens and
+# closes with one record each way; TestServerBreakerRetryAfter), and
+# faultinject's PCF-CLS → FFC ladder fallbacks, which its race job runs
+# (TestSolveLadderRungs, TestSolveBestFrom).
 go test -race ./...
 
 echo "== fleet chaos smoke (-race -short)"
@@ -84,9 +90,11 @@ go test -race -count=2 -run 'TestPolytopeMinimizeReusesCompiledRows|TestPolytope
 
 echo "== kept masters (-race -count=2)"
 # pcfd keeps three masters at most across re-plans, shared by every row
-# whose ladder holds a rung on them (best's PCF-CLS and PCF-LS rungs
-# share one priced master): three re-plans of every row equal a
-# one-shot solve bit for bit, best builds nothing after the rows that
+# whose ladder holds a rung on them (PCF-CLS and PCF-LS share one priced
+# master, and best's two rungs are the PCF-CLS and FFC rows'): three
+# re-plans of every row, and of best answering on FFC with the PCF
+# master failing at its first start, equal a one-shot solve bit for
+# bit, best builds nothing after the rows that
 # own its rungs, a canceled re-plan or a pricing breakdown (which serves
 # the LS iterate) leaves the master reusable, concurrent solves take
 # turns and agree, a finished LP solve leaves nothing of itself in the
