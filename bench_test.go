@@ -311,7 +311,7 @@ func BenchmarkValidateSweep(b *testing.B) {
 // ---- Synthetic-topology scale benchmarks (DESIGN.md §17) ----
 
 // synthPlan prepares and solves PCF-TF on a 1000-node Waxman synthetic
-// topology: m = 5 424 master rows on the Markowitz LU + eta chain, and
+// topology: m = 2 394 master rows on the Markowitz LU + eta chain, and
 // a sweep over the sparse base factorization (DESIGN.md §17).
 func synthPlan(b *testing.B, maxPairs int) *core.Plan {
 	b.Helper()
@@ -376,11 +376,11 @@ func BenchmarkSolveSynth1k(b *testing.B) {
 
 // BenchmarkSolveBTNACLS measures SolveBest's cut loop on the PCF-CLS
 // instance of BTNorthAmerica (40 pairs, f = 2, core.BuildCLSQuick's
-// LSs; internal/core's TestCutLoopOracleCounts pins its counts). More
-// than half of its separation-oracle calls repeat their polytope's
-// previous costs and reuse the saved answer; none doing so means the
-// reuse stopped hitting. It reports the pricing passes and the bypass
-// columns they entered (25 of the 152), and fails when pricing entered
+// LSs; internal/core's TestCutLoopOracleCounts pins its counts). 232
+// of its 569 separation-oracle calls repeat their polytope's previous
+// costs and reuse the saved answer; none doing so means the reuse
+// stopped hitting. It reports the pricing passes and the bypass
+// columns they entered (37 of the 152), and fails when pricing entered
 // every bypass: then it has stopped pruning and the priced master is
 // the full one.
 func BenchmarkSolveBTNACLS(b *testing.B) {

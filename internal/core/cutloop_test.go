@@ -1,12 +1,16 @@
 package core_test
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"pcf/internal/core"
 	"pcf/internal/eval"
 	"pcf/internal/failures"
+	"pcf/internal/lp"
 	"pcf/internal/topology"
 	"pcf/internal/traffic"
 	"pcf/internal/tunnels"
@@ -35,7 +39,7 @@ func btnaCLSInstance(tb testing.TB) *core.Instance {
 // PCF-CLS instance: its rounds, cuts and pivots, how many of its
 // separation-oracle calls repeat their polytope's previous costs and
 // take the saved answer instead of a simplex solve, and its pricing
-// passes and the bypass columns they entered (25 of the 152). A changed
+// passes and the bypass columns they entered (37 of the 152). A changed
 // round, cut or iteration count means a pivot moved; fewer reused calls
 // mean the saved answer stopped matching.
 func TestCutLoopOracleCounts(t *testing.T) {
@@ -45,12 +49,12 @@ func TestCutLoopOracleCounts(t *testing.T) {
 	}
 	st := plan.Stats
 	got := [7]int{st.Rounds, st.Cuts, st.LPIterations, st.OracleCalls, st.OracleSolves, st.PricingRounds, st.ColumnsPriced}
-	want := [7]int{18, 1149, 559, 1789, 401, 15, 25}
+	want := [7]int{6, 1014, 515, 569, 337, 3, 37}
 	if plan.Scheme != "PCF-CLS" || got != want {
 		t.Fatalf("%s: rounds, cuts, LP iterations, oracle calls, oracle solves, pricing rounds, columns priced = %v, want PCF-CLS %v", plan.Scheme, got, want)
 	}
 	m := st.Metrics()
-	if m["oracle_calls"] != 1789 || m["oracle_solves"] != 401 || m["pricing_rounds"] != 15 || m["columns_priced"] != 25 {
+	if m["oracle_calls"] != 569 || m["oracle_solves"] != 337 || m["pricing_rounds"] != 3 || m["columns_priced"] != 37 {
 		t.Fatalf("Metrics: oracle_calls %v, oracle_solves %v, pricing_rounds %v, columns_priced %v",
 			m["oracle_calls"], m["oracle_solves"], m["pricing_rounds"], m["columns_priced"])
 	}
@@ -137,10 +141,10 @@ func TestMasterWorkCounts(t *testing.T) {
 	}{
 		{"flow/sprint/dense", func(t *testing.T) (float64, core.SolveStats, error) {
 			return flow(sprint(t), core.FlowOptions{})
-		}, 0x3fe72025003b3391, [5]int{1, 800, 1785, 50, 50}},
+		}, 0x3fe72025003b3391, [5]int{1, 678, 1672, 50, 50}},
 		{"flow/sprint/sparse3", func(t *testing.T) (float64, core.SolveStats, error) {
 			return flow(sprint(t), core.FlowOptions{SparseSupport: 3})
-		}, 0x3fe72025003b3392, [5]int{1, 527, 550, 50, 50}},
+		}, 0x3fe72025003b3392, [5]int{1, 404, 638, 50, 50}},
 		{"flow/parallel3/generalized-r3", func(*testing.T) (float64, core.SolveStats, error) {
 			return flow(parallel3Instance(), core.FlowOptions{GeneralizedR3: true})
 		}, 0x4000000000000000, [5]int{1, 8, 14, 2, 2}},
@@ -150,7 +154,7 @@ func TestMasterWorkCounts(t *testing.T) {
 				return 0, core.SolveStats{}, err
 			}
 			return plan.Value, plan.Stats, nil
-		}, 0x3fc4cecc5bf76f7b, [5]int{9, 1381, 955, 1692, 744}},
+		}, 0x3fc4cecc5bf76f7c, [5]int{11, 1311, 1495, 2068, 1363}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			v, st, err := tc.solve(t)
@@ -164,4 +168,77 @@ func TestMasterWorkCounts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSeedCutsDistinct: a master's seed cuts are one row per distinct
+// cut. No two seed rows of one pair's adversary are equal — the same
+// columns with the same coefficients, bit for bit — on the benchmark's
+// Sprint and synth1k PCF-TF masters and on btna-cls-f2's PCF master and
+// pool, whose cuts carry the bypasses' condition variables; and the
+// two PCF-TF masters' seed counts are pinned (units killing the same
+// tunnels used to give 461 and 4 030 rows).
+func TestSeedCutsDistinct(t *testing.T) {
+	tf := func(o eval.Options) func(testing.TB) *core.Instance {
+		return func(tb testing.TB) *core.Instance {
+			setup, err := eval.Prepare(o)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return &core.Instance{
+				Graph: setup.Graph, TM: setup.TM, Tunnels: setup.Tunnels,
+				Failures: setup.Failures, Objective: core.DemandScale,
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		in    func(testing.TB) *core.Instance
+		long  bool // skipped under -short
+		seeds int  // pinned when > 0
+	}{
+		{"sprint-tf-f1", tf(eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 45, FailureBudget: 1}), false, 184},
+		{"btna-cls-f2", btnaCLSInstance, false, 0},
+		{"synth1k-tf-f1", tf(eval.Options{Synth: "waxman", SynthNodes: 1000, Seed: 1, MaxPairs: 250, FailureBudget: 1}), true, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("the 1000-node instance is slow to prepare")
+			}
+			rows, seeds, err := core.SeedRows(tc.in(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, spec := range rows {
+				seen := map[string]int{}
+				for k, terms := range spec {
+					key := rowKey(terms)
+					if j, ok := seen[key]; ok {
+						t.Fatalf("spec %d: seed rows %d and %d are equal: %s", i, j, k, key)
+					}
+					seen[key] = k
+				}
+			}
+			if tc.seeds > 0 && seeds != tc.seeds {
+				t.Fatalf("%d seed cuts, want %d", seeds, tc.seeds)
+			}
+		})
+	}
+}
+
+// rowKey is a row's terms merged per variable, in variable order, with
+// each coefficient's bits.
+func rowKey(terms []lp.Term) string {
+	sorted := slices.Clone(terms)
+	slices.SortStableFunc(sorted, func(a, b lp.Term) int { return cmp.Compare(a.Var, b.Var) })
+	var key []byte
+	for k := 0; k < len(sorted); {
+		v, sum := sorted[k].Var, 0.0
+		for ; k < len(sorted) && sorted[k].Var == v; k++ {
+			sum += sorted[k].Coeff
+		}
+		if sum != 0 {
+			key = fmt.Appendf(key, "%d:%x ", v, math.Float64bits(sum))
+		}
+	}
+	return string(key)
 }

@@ -1,6 +1,10 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"pcf/internal/lp"
+)
 
 // SolveFullPool solves PCF-CLS on a master that holds every LS of in
 // from the start, no pricing: the referee the priced master is held to.
@@ -28,4 +32,35 @@ func unpooledMaster(in *Instance, scheme string, build advBuilder, perPair int, 
 		ms.pool.terms = make([][]poolTerm, len(specs))
 	}
 	return ms, ms.seal(m, specs, start)
+}
+
+// SeedRows builds the PCF-TF master on in, or the PCF master with its
+// pool when in has a conditional LS, and returns each spec's seed cuts
+// as the terms of their rows over the master's columns (pool variables
+// as template variables), with the number of seed cuts seal added.
+func SeedRows(in *Instance) ([][][]lp.Term, int, error) {
+	build := newTFMaster
+	if hasConditional(in) {
+		build = newPCFMaster
+	}
+	ms, err := build(in)
+	if err != nil {
+		return nil, 0, err
+	}
+	if ms.lsIn != in {
+		if err := ms.buildPool(); err != nil {
+			return nil, 0, err
+		}
+	}
+	rows := make([][][]lp.Term, len(ms.specs))
+	for i, spec := range ms.specs {
+		pts, err := spec.seedPoints()
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, w := range pts {
+			rows[i] = append(rows[i], spec.cutExpr(w).Terms)
+		}
+	}
+	return rows, ms.seeds, nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"pcf/internal/lp"
@@ -169,13 +171,14 @@ func arcCapacity(in *Instance, arc topology.ArcID) float64 {
 // — so every adversary is built once over the whole pool and a solve
 // maps only the pool variables that entered to its LP's columns.
 //
-// Every solve extends a fresh clone of the seeded master, in the kept
-// workspace, with every polytope's saved answer forgotten: the simplex
-// and the separation oracle start from what a freshly built master
-// starts from, entering touches nothing the master keeps, and a
-// workspace carries only capacity from one solve to the next, so the
-// solve pivots, cuts, prices and calls the oracle exactly as one on a
-// new master would (DESIGN.md §11, "The kept master").
+// Every solve extends a fresh clone of the seeded master, written over
+// the last solve's clone in the kept workspace, with every polytope's
+// saved answer forgotten: the simplex and the separation oracle start
+// from what a freshly built master starts from, entering touches
+// nothing of the seeded master, and a clone and a workspace carry only
+// capacity from one solve to the next, so the solve pivots, cuts,
+// prices and calls the oracle exactly as one on a new master would
+// (DESIGN.md §11, "The kept master").
 type master struct {
 	scheme string // the plan's scheme when the solve does not price
 	in     *Instance
@@ -190,7 +193,10 @@ type master struct {
 	poolPairs []topology.Pair
 	pool      pool
 	seeded    *lp.Compiled
-	seeds     int // seed cuts in seeded
+	// clone is the last solve's clone of seeded, whose storage the next
+	// solve's clone takes over (lp.Compiled.CloneIn).
+	clone *lp.Compiled
+	seeds int // seed cuts in seeded
 	// seedCuts records the seed cuts of each of the model's pairs when
 	// the master keeps its cut rows: pricing reads every cut row's
 	// adversary point.
@@ -251,9 +257,9 @@ func newMaster(in *Instance, scheme string, build advBuilder, perPair int) (*mas
 // constraint pair of it, and seal does the rest. It adds each spec's
 // seed cuts to m — the no-failure scenario, which keeps the master
 // bounded from round one, and every single-unit failure touching the
-// pair, usually the binding scenarios at a budget of one — records them
-// when the master keeps its cut rows (ms.pool.terms is set), and
-// compiles m. Template variables from m.NumVars() on are the pool's.
+// pair, usually the binding scenarios at a budget of one, one row per
+// distinct cut (seedPoints) — records them when the master keeps its
+// cut rows (ms.pool.terms is set), and compiles m. Template variables from m.NumVars() on are the pool's.
 // The time since start is build time, which the first solve reports.
 func (ms *master) seal(m *lp.Model, specs []*advSpec, start time.Time) error {
 	if b := ms.in.Failures.Budget; b < 0 {
@@ -418,18 +424,36 @@ func (spec *advSpec) cutExpr(w []float64) *lp.Expr {
 }
 
 // seedPoints returns the adversary points of spec's seed scenarios
-// (seedScenarios), each checked to lie in its polytope.
+// (seedScenarios), each checked to lie in its polytope, one per
+// distinct cut: a point whose weights on the cost-bearing variables
+// (spec.costs[j] != nil, pool condition variables included) equal an
+// earlier point's bit for bit builds the same cutExpr term for term,
+// so it is dropped. Units that kill the same tunnels give such copies.
 func (spec *advSpec) seedPoints() ([][]float64, error) {
 	scs := spec.seedScenarios()
-	pts := make([][]float64, len(scs))
-	for k, sc := range scs {
+	pts := make([][]float64, 0, len(scs))
+	for _, sc := range scs {
 		w := spec.scenarioPoint(sc)
 		if !spec.poly.Contains(w, tol.Feas) {
 			return nil, fmt.Errorf("internal: seed scenario %v is not a polytope point for %v", sc, spec.pair)
 		}
-		pts[k] = w
+		if !slices.ContainsFunc(pts, func(v []float64) bool { return spec.sameCut(v, w) }) {
+			pts = append(pts, w)
+		}
 	}
 	return pts, nil
+}
+
+// sameCut reports whether the adversary points v and w weigh every
+// cost-bearing variable of spec equally, bit for bit: whether their
+// cuts are one row.
+func (spec *advSpec) sameCut(v, w []float64) bool {
+	for j, c := range spec.costs {
+		if c != nil && math.Float64bits(v[j]) != math.Float64bits(w[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // loop is the one cut loop every robust master is solved by: each

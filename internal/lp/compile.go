@@ -73,6 +73,11 @@ type Compiled struct {
 	// fac is the basis-factorization workspace every Solve of this
 	// Compiled runs in (see workspace); nil until the first solve.
 	fac *sparseFactor
+	// rowBuf is AddRow's scratch, never shared by two clones.
+	rowBuf struct {
+		terms []Term
+		std   []rowTerm
+	}
 
 	// CompileTime is how long Compile took; surfaced via SolveStats.
 	CompileTime time.Duration
@@ -313,8 +318,16 @@ func (cm *Compiled) place(j, r int, v float64) {
 	}
 }
 
+// addCol appends an empty std column. A slot past the columns' length
+// that this Compiled owns is storage an earlier clone grew (CloneIn), so
+// the column starts in it.
 func (cm *Compiled) addCol(v Var, scale, shift float64) int {
-	cm.cols = append(cm.cols, nil)
+	j := len(cm.cols)
+	var col []entry
+	if j < cap(cm.cols) && j < cap(cm.ownCol) && cm.ownCol[:j+1][j] {
+		col = cm.cols[:j+1][j][:0]
+	}
+	cm.cols = append(cm.cols, col)
 	cm.ownCol = append(cm.ownCol, true)
 	cm.maps = append(cm.maps, varMap{v: v, scale: scale, shift: shift})
 	if cm.c != nil { // post-compile (AddRow): keep the cost vector in step
@@ -324,10 +337,9 @@ func (cm *Compiled) addCol(v Var, scale, shift float64) int {
 }
 
 // stdTerms maps a model expression (offset already folded into the
-// RHS by the caller) onto standard-form columns and returns the RHS
-// adjustment from the bound substitutions.
-func (cm *Compiled) stdTerms(e *Expr) ([]rowTerm, float64) {
-	terms := make([]rowTerm, 0, len(e.Terms)+1)
+// RHS by the caller) onto standard-form columns, appended to terms, and
+// returns the RHS adjustment from the bound substitutions.
+func (cm *Compiled) stdTerms(terms []rowTerm, e *Expr) ([]rowTerm, float64) {
 	off := 0.0
 	for _, t := range e.Terms {
 		r := cm.refs[t.Var]
@@ -363,10 +375,10 @@ func (cm *Compiled) ensureOwn(j int) {
 // EQ row starts on a signed artificial, and one the basis leaves
 // carrying value sends the solve cold.
 func (cm *Compiled) AddRow(expr *Expr, sense Sense, rhs float64) int {
-	e := expr.Clone()
+	e := Expr{Offset: expr.Offset, Terms: append(cm.rowBuf.terms[:0], expr.Terms...)}
 	e.compact()
 	rhs -= e.Offset
-	terms, off := cm.stdTerms(e)
+	terms, off := cm.stdTerms(cm.rowBuf.std[:0], &e)
 	r := cm.nRows
 	slackCol := -1
 	switch sense {
@@ -402,6 +414,7 @@ func (cm *Compiled) AddRow(expr *Expr, sense Sense, rhs float64) int {
 			cm.cols[t.col] = append(cm.cols[t.col], entry{row: r, val: t.v})
 		}
 	}
+	cm.rowBuf.terms, cm.rowBuf.std = e.Terms[:0], terms[:0]
 	cm.nRows++
 	cm.nCols = len(cm.cols)
 	cm.nLogical++
@@ -431,7 +444,7 @@ func (cm *Compiled) AddColumn(obj float64, terms []ColTerm) Var {
 	j := cm.addCol(v, 1, 0)
 	cm.nModel++
 	cm.refs = append(cm.refs, colRef{pos: j, neg: -1})
-	col := make([]entry, 0, len(terms))
+	col := slices.Grow(cm.cols[j], len(terms))
 	for _, t := range terms {
 		if t.Coeff != 0 {
 			r := cm.stdRow[t.Row]
@@ -543,6 +556,7 @@ func (cm *Compiled) Clone() *Compiled {
 	d.stdRow = append([]int(nil), cm.stdRow...)
 	d.lrhs = append([]float64(nil), cm.lrhs...)
 	d.fac = nil // the clone may solve concurrently with cm: it grows its own workspace
+	d.rowBuf.terms, d.rowBuf.std = nil, nil
 	return &d
 }
 
@@ -553,9 +567,52 @@ func (cm *Compiled) Clone() *Compiled {
 // the next but capacity, so the clone solves as Clone's would, pivot
 // for pivot. Like the Polytopes of ws, the clone must not solve while
 // another user of ws does.
-func (cm *Compiled) CloneIn(ws *Workspace) *Compiled {
-	d := cm.Clone()
+//
+// prev, when not nil, is an earlier clone of cm that nothing reads any
+// more: the clone is prev, rewritten to cm's content in prev's own row
+// and column arrays, so a clone that grows as prev did grows into
+// prev's capacity and allocates nothing. A column prev owned is copied
+// into its storage; every other column, refs and the objective stay
+// shared with cm, copy-on-write as Clone's do.
+func (cm *Compiled) CloneIn(ws *Workspace, prev *Compiled) *Compiled {
+	if prev == nil {
+		d := cm.Clone()
+		d.fac = &ws.fac
+		return d
+	}
+	old := *prev
+	d := prev
+	*d = *cm
+	n := len(cm.cols)
+	// A slot prev owned keeps its storage; slots past n keep theirs for
+	// addCol to reuse.
+	d.cols = slices.Grow(old.cols[:0], n)[:n]
+	d.ownCol = slices.Grow(old.ownCol[:0], n)[:n]
+	for j, col := range cm.cols {
+		if d.ownCol[j] {
+			d.cols[j] = append(d.cols[j][:0], col...)
+		} else {
+			d.cols[j] = col
+		}
+	}
+	d.b = append(old.b[:0], cm.b...)
+	d.c = append(old.c[:0], cm.c...)
+	d.maps = append(old.maps[:0], cm.maps...)
+	// A clone's refs start as cm's array capped at its length, so room
+	// past that length is an array AddColumn allocated for prev alone.
+	d.refs = cm.refs[:len(cm.refs):len(cm.refs)]
+	if cap(old.refs) > len(cm.refs) {
+		d.refs = append(old.refs[:0], cm.refs...)
+	}
+	d.rowOf = append(old.rowOf[:0], cm.rowOf...)
+	d.rowNeg = append(old.rowNeg[:0], cm.rowNeg...)
+	d.rowSign = append(old.rowSign[:0], cm.rowSign...)
+	d.rhsOff = append(old.rhsOff[:0], cm.rhsOff...)
+	d.slack = append(old.slack[:0], cm.slack...)
+	d.stdRow = append(old.stdRow[:0], cm.stdRow...)
+	d.lrhs = append(old.lrhs[:0], cm.lrhs...)
 	d.fac = &ws.fac
+	d.rowBuf = old.rowBuf
 	return d
 }
 

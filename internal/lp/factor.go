@@ -453,13 +453,12 @@ func (f *sparseFactor) update(leaveRow int, d []float64) {
 // refactorization costing F and each eta adding a to every later
 // iteration's FTRAN+BTRAN, a period of k pivots costs F/k + a·k/2 per
 // iteration, least at k = √(2F/a). Measured on the 1000-node master
-// (m = 5424, kernel ≤ 740, entering columns ~60 % dense): F ≈ 0.38 ms
-// — the partition pass, both copies of N and the LU of the kernel — and
-// a ≈ 2.2 µs, nearly all of it FTRAN's pass over an eta's ~3 300
-// entries, since BTRAN searches an eta only at its input's few
-// non-zeros (0.3 µs). That puts k at ≈ 18, and the nonzero gate fires
-// every 10.5 pivots (107 refactorizations in 1 124): ≈ 48 µs per
-// iteration against ≈ 42 µs at the least cost. The gate stays where it
+// (m = 2394, kernel ≤ 746): F ≈ 0.27 ms — the partition pass, both
+// copies of N and the LU of the kernel — and a ≈ 1.5 µs, most of it
+// FTRAN's pass over an eta's entries, since BTRAN searches an eta only
+// at its input's few non-zeros. That puts k at ≈ 19, and the nonzero
+// gate fires every 8.5 pivots (133 refactorizations in 1 129): ≈ 38 µs
+// per iteration against ≈ 28 µs at the least cost. The gate stays where it
 // is, because a longer period also changes round-off and with it the
 // optimal vertex a degenerate master may end on. luNNZ counts what a
 // B₀ solve reads, covered rows included, so the gate means the same

@@ -12,9 +12,10 @@
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Sense is the direction of a constraint row.
@@ -97,7 +98,7 @@ func (e *Expr) compact() {
 	if len(e.Terms) < 2 {
 		return
 	}
-	sort.Slice(e.Terms, func(i, j int) bool { return e.Terms[i].Var < e.Terms[j].Var })
+	slices.SortFunc(e.Terms, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
 	out := e.Terms[:0]
 	for _, t := range e.Terms {
 		if n := len(out); n > 0 && out[n-1].Var == t.Var {

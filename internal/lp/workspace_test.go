@@ -155,14 +155,14 @@ func TestSolveLeavesNoStateInWorkspace(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hook := func(FaultEvent) error { return nil }
-	warm, err := base.CloneIn(ws).Solve(Options{Context: ctx, WarmStart: first.Basis, FaultHook: hook})
+	warm, err := base.CloneIn(ws, nil).Solve(Options{Context: ctx, WarmStart: first.Basis, FaultHook: hook})
 	if err != nil || !warm.Stats.WarmHit {
 		t.Fatalf("warm solve: %v, warm hit %v", err, warm != nil && warm.Stats.WarmHit)
 	}
 	empty("a warm solve")
 
 	canceled, stop := cancelAt(5)
-	if _, err := Compile(chainLP(200)).CloneIn(ws).Solve(Options{Context: canceled, FaultHook: stop}); !errors.Is(err, context.Canceled) {
+	if _, err := Compile(chainLP(200)).CloneIn(ws, nil).Solve(Options{Context: canceled, FaultHook: stop}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled solve: %v", err)
 	}
 	empty("a canceled solve")
@@ -175,4 +175,106 @@ func TestSolveLeavesNoStateInWorkspace(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty("Polytope.Minimize")
+}
+
+// TestCloneInReusesGrownClone: a clone taken over the last clone of
+// the same Compiled, after AddColumn and AddRow grew that one, grows
+// the same way into the storage the last one left and allocates
+// nothing; it solves pivot for pivot, bit for bit, as a fresh Clone
+// grown the same way; and the source, read by a concurrent solver
+// throughout, is never written (under -race a write into an array it
+// shares with a clone, its refs included, is a reported race).
+func TestCloneInReusesGrownClone(t *testing.T) {
+	base := Compile(chainLP(40))
+	first, err := base.Solve(Options{})
+	if err != nil || first.Status != StatusOptimal {
+		t.Fatalf("base solve: %v, %v", first, err)
+	}
+	// grow adds a column to two rows (one of them twice), a row over
+	// it, two model variables and a repeated one, and a row over
+	// model variables only: seeded columns are appended to, the new
+	// column and the rows' slacks are new.
+	v := Var(base.nModel)
+	col := []ColTerm{{Row: 0, Coeff: 1}, {Row: 5, Coeff: 2}, {Row: 5, Coeff: -1}}
+	over := NewExpr().Add(1, 0).Add(1, v).Add(0.5, 3).Add(0.5, 3)
+	model := NewExpr().Add(1, 2).Add(1, 7)
+	grow := func(c *Compiled) {
+		if got := c.AddColumn(0, col); got != v {
+			t.Fatalf("the column is variable %d, want %d", got, v)
+		}
+		c.AddRow(over, GE, 1)
+		c.AddRow(model, LE, 1.5)
+	}
+	solve := func(c *Compiled) *Solution {
+		sol, err := c.Solve(Options{WarmStart: first.Basis})
+		if err != nil || sol.Status != StatusOptimal {
+			t.Fatalf("grown clone: %v, %v", sol, err)
+		}
+		return sol
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := base.Clone().Solve(Options{}); err != nil {
+				t.Errorf("a clone of the source: %v", err)
+				return
+			}
+			reader := base.Clone()
+			reader.AddRow(model, LE, 1.5) // reads the source's refs
+			if sol, err := reader.Solve(Options{}); err != nil || math.Float64bits(sol.Objective) != math.Float64bits(first.Objective) {
+				t.Errorf("a clone of the source solved to %v, %v; want %v", sol, err, first.Objective)
+				return
+			}
+		}
+	}()
+	ws := NewWorkspace()
+	// The first clone adds no column, so the second starts over one
+	// whose refs are still the source's.
+	c := base.CloneIn(ws, nil)
+	c.AddRow(model, LE, 1.5)
+	for i := 0; i < 3; i++ {
+		c = base.CloneIn(ws, c)
+		grow(c)
+		solve(c)
+	}
+	if !raceEnabled() {
+		if allocs := testing.AllocsPerRun(5, func() { c = base.CloneIn(ws, c); grow(c) }); allocs != 0 {
+			t.Errorf("cloning over a grown clone and growing it again allocated %v objects, want 0", allocs)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	ref := base.Clone()
+	grow(ref)
+	want := solve(ref)
+	c = base.CloneIn(ws, c)
+	grow(c)
+	got := solve(c)
+	if got.Stats.Iterations() != want.Stats.Iterations() || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
+		t.Fatalf("reused clone: %d pivots, objective %.17g; a fresh clone %d, %.17g",
+			got.Stats.Iterations(), got.Objective, want.Stats.Iterations(), want.Objective)
+	}
+	for v := range want.values {
+		if math.Float64bits(got.values[v]) != math.Float64bits(want.values[v]) {
+			t.Fatalf("variable %d: %.17g, a fresh clone's %.17g", v, got.values[v], want.values[v])
+		}
+	}
+	for r := range want.duals {
+		if math.Float64bits(got.duals[r]) != math.Float64bits(want.duals[r]) {
+			t.Fatalf("row %d's dual: %.17g, a fresh clone's %.17g", r, got.duals[r], want.duals[r])
+		}
+	}
+	if again, err := base.Solve(Options{}); err != nil || base.NumRows() != 40 || math.Float64bits(again.Objective) != math.Float64bits(first.Objective) {
+		t.Fatalf("the source after the clones: %d rows, %v, %v; want 40 rows, %v", base.NumRows(), again, err, first.Objective)
+	}
 }

@@ -15,9 +15,9 @@ const breakerThreshold = 3
 // breakerThreshold consecutive degradable failures (core.Degradable)
 // of the row's whole ladder open it for one cooldown; while it is open
 // Server.Solve rejects the row fast with ErrBreakerOpen, and the first
-// admit after the cooldown closes it again. A ladder already drops a
-// failing rung within one solve, so the breaker guards only the row
-// whose every rung keeps failing.
+// admit after the cooldown, a solve of the row or a health read, closes
+// it again. A ladder already drops a failing rung within one solve, so
+// the breaker guards only the row whose every rung keeps failing.
 type Breaker struct {
 	mu          sync.Mutex
 	cooldown    time.Duration

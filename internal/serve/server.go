@@ -636,7 +636,9 @@ func (s *Server) AddHealthCheck(name string, fn func() HealthCheck) {
 // draining, no published plan, an unwritable checkpoint or telemetry
 // dir, or any registered check reporting !OK. Open breakers are reported but do
 // not degrade — a node that rejects a failing scheme's solves still
-// serves realize traffic at full fidelity.
+// serves realize traffic at full fidelity. A breaker whose cooldown is
+// over closes here, and its close is recorded, as a solve's admit
+// would.
 func (s *Server) Health() Health {
 	s.drainMu.RLock()
 	draining := s.draining
@@ -655,8 +657,8 @@ func (s *Server) Health() Health {
 	_, curErr := s.reg.Current()
 	h.HasPlan = curErr == nil
 
-	for scheme, b := range s.breakers {
-		h.Breakers[scheme] = b.Left() > 0
+	for scheme := range s.breakers {
+		h.Breakers[scheme] = s.admit(scheme) > 0
 	}
 
 	if store := s.reg.Store(); store != nil {
@@ -776,12 +778,7 @@ func (s *Server) handleSolve(c *call) (any, error) {
 // the breaker), and the plan passes Config.MutatePlan and the
 // registry's validating publish.
 func (s *Server) Solve(ctx context.Context, scheme *core.Scheme) (*Published, error) {
-	br := s.breakers[scheme.Name]
-	left, closed := br.admit()
-	if closed {
-		s.emitBreaker(scheme, br, false)
-	}
-	if left > 0 {
+	if s.admit(scheme.Name) > 0 {
 		return nil, fmt.Errorf("%w: %s", ErrBreakerOpen, scheme.Name)
 	}
 	opts := core.SolveOptions{Context: ctx}
@@ -789,8 +786,8 @@ func (s *Server) Solve(ctx context.Context, scheme *core.Scheme) (*Published, er
 
 	solveStart := time.Now()
 	plan, err := s.solver.Solve(scheme, opts)
-	if br.Record(err) {
-		s.emitBreaker(scheme, br, true)
+	if br := s.breakers[scheme.Name]; br.Record(err) {
+		s.emitBreaker(scheme.Name, br, true)
 	}
 	solveRec := telemetry.Record{
 		Kind:   telemetry.KindSolve,
@@ -811,8 +808,19 @@ func (s *Server) Solve(ctx context.Context, scheme *core.Scheme) (*Published, er
 	return s.reg.Publish(ctx, plan)
 }
 
+// admit asks scheme's breaker how long it stays open, zero when it is
+// closed, and records its close when this call closed it.
+func (s *Server) admit(scheme string) time.Duration {
+	br := s.breakers[scheme]
+	left, closed := br.admit()
+	if closed {
+		s.emitBreaker(scheme, br, false)
+	}
+	return left
+}
+
 // emitBreaker records that scheme's breaker opened or closed.
-func (s *Server) emitBreaker(scheme *core.Scheme, br *Breaker, open bool) {
+func (s *Server) emitBreaker(scheme string, br *Breaker, open bool) {
 	f := 0.0
 	if open {
 		f = 1
@@ -820,7 +828,7 @@ func (s *Server) emitBreaker(scheme *core.Scheme, br *Breaker, open bool) {
 	s.emit.Emit(telemetry.Record{
 		Kind:   telemetry.KindBreaker,
 		Source: s.cfg.Source,
-		Scheme: scheme.Name,
+		Scheme: scheme,
 		Fields: map[string]float64{"open": f, "trips": float64(br.Trips())},
 	})
 }

@@ -475,6 +475,42 @@ func TestServerPCFMasterFailsOncePerBest(t *testing.T) {
 	}
 }
 
+// TestHealthzClosesExpiredBreaker: a breaker whose cooldown has run
+// out closes when /healthz reads it, and its close is recorded then,
+// with no solve of its scheme in between: the health report and the
+// record stream agree that it is closed.
+func TestHealthzClosesExpiredBreaker(t *testing.T) {
+	recs := &breakerRecords{}
+	s, ts := newTestServer(t, Config{
+		LPFaultHook:     faultinject.FailFirstNStarts(breakerThreshold, lp.ErrNumerical),
+		BreakerCooldown: time.Minute,
+		Telemetry:       recs,
+	})
+	advance := stopClock(s, core.SchemePCFCLS)
+	for i := 0; i < breakerThreshold; i++ {
+		mustPost(t, ts.URL+"/v1/solve?scheme=PCF-CLS").Body.Close()
+	}
+	breakers := func() map[string]any {
+		t.Helper()
+		b, _ := decodeBody(t, mustGet(t, ts.URL+"/healthz"))["breakers"].(map[string]any)
+		return b
+	}
+	if open := breakers()[core.SchemePCFCLS]; open != true {
+		t.Fatalf("/healthz after %d failures: PCF-CLS open %v, want true", breakerThreshold, open)
+	}
+	advance(time.Minute)
+	if open := breakers()[core.SchemePCFCLS]; open != false {
+		t.Fatalf("/healthz after the cooldown: PCF-CLS open %v, want false", open)
+	}
+	if got := fmt.Sprint(recs.states()); got != "[PCF-CLS open 1 PCF-CLS closed 1]" {
+		t.Fatalf("breaker records after /healthz %s, want [PCF-CLS open 1 PCF-CLS closed 1]", got)
+	}
+	breakers()
+	if got := len(recs.states()); got != 2 {
+		t.Fatalf("%d breaker records after a second /healthz, want 2: a closed breaker closes once", got)
+	}
+}
+
 // TestServerBreakerRetryAfter: an open breaker's 503 asks the client to
 // come back when it closes, in whole seconds rounded up, at least 1.
 func TestServerBreakerRetryAfter(t *testing.T) {

@@ -85,8 +85,12 @@ echo "== separation oracle reuse (-race -count=2)"
 # the §3.5 flow model (Sprint dense and sparse, Generalized-R3 on three
 # parallel links) and the full-pool referee on btna-cls-f2 to their
 # value bits and work counts (TestMasterWorkCounts, ~16 s on two
-# cores). The pair → LSs index lists what a scan lists (DESIGN.md §11).
-go test -race -count=2 -run 'TestPolytopeMinimizeReusesCompiledRows|TestPolytopeMinimizeReusesAnswer|TestPolytopeLoweringMatchesCompile|TestCutLoopOracleCounts|TestMasterWorkCounts|TestLSIndexMatchesScan' ./internal/lp/ ./internal/core/
+# cores). The BTNorthAmerica loop: 6 rounds, 515 pivots, 337 oracle
+# solves, 3 pricing passes, 37 bypasses. Seed cuts are one row per
+# distinct cut, 184 on Sprint's PCF-TF master and 1 000 on synth1k's
+# (TestSeedCutsDistinct). The pair → LSs index lists what a scan lists
+# (DESIGN.md §11).
+go test -race -count=2 -run 'TestPolytopeMinimizeReusesCompiledRows|TestPolytopeMinimizeReusesAnswer|TestPolytopeLoweringMatchesCompile|TestCutLoopOracleCounts|TestMasterWorkCounts|TestLSIndexMatchesScan|TestSeedCutsDistinct' ./internal/lp/ ./internal/core/
 
 echo "== kept masters (-race -count=2)"
 # pcfd keeps three masters at most across re-plans, shared by every row
@@ -103,7 +107,10 @@ echo "== kept masters (-race -count=2)"
 # optimum and every row's duals price z as pricing reads them (DESIGN.md
 # §11, "The kept master", "Pricing the pool"), and a solve reusing its
 # last round's Solution returns what a fresh one would; these add ≈ 10 s.
-go test -race -count=2 -run 'TestReplansMatchOneShot|TestCanceledReplanThenFull|TestConcurrentSolvesTakeTurns|TestRowsShareRungMasters|TestReplanAllocs|TestSolverKeepsMasters|TestSolveLeavesNoStateInWorkspace|TestPricingFailureServesLSIterate|TestAddColumnWarmMatchesCold|TestReuseMatchesFreshSolution|TestMasterDualsPriceZ' ./internal/serve/ ./internal/core/ ./internal/lp/
+# A clone written over the last re-plan's grown clone grows again with
+# no allocation, solves as a fresh Clone and writes nothing the source
+# shares (TestCloneInReusesGrownClone).
+go test -race -count=2 -run 'TestReplansMatchOneShot|TestCanceledReplanThenFull|TestConcurrentSolvesTakeTurns|TestRowsShareRungMasters|TestReplanAllocs|TestSolverKeepsMasters|TestSolveLeavesNoStateInWorkspace|TestPricingFailureServesLSIterate|TestAddColumnWarmMatchesCold|TestReuseMatchesFreshSolution|TestMasterDualsPriceZ|TestCloneInReusesGrownClone' ./internal/serve/ ./internal/core/ ./internal/lp/
 
 echo "== sampled-validation determinism (-race -count=2)"
 # The coverage report of a sampled validation must be byte-identical
