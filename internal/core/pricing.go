@@ -329,18 +329,28 @@ func (it *iterate) price(sol *lp.Solution) int {
 // degenerate: an entered bypass's segments bind and price the next
 // bypass along the chain positive one pass later, with z unchanged.
 // On btna-cls-f2, entering the chain ahead of time took the priced
-// solve from 18 rounds and 15 pricing passes (25 columns) to 6 rounds
+// solve from 38 rounds and 35 pricing passes (52 columns) to 6 rounds
 // and 3 passes (37 columns) at two levels; one level gave 8 rounds and
 // 0.13 MB more allocation per solve, three entered 50 columns and
-// allocated 0.25 MB more.
+// allocated 0.25 MB more. Where no chain forms it costs rows and
+// allocation, not passes: on the 1 000-node served instance 175
+// bypasses enter instead of 15, over the same 2 passes, for 12 250
+// rows instead of 10 328 and 2.24 MB per re-plan instead of 1.42, with
+// re-plan times within noise of each other; on BTNorthAmerica's served
+// instance 22 instead of 7 over 2 passes instead of 6, 0.40 MB instead
+// of 0.26. Entering segments only for a priced column whose pair is a
+// segment of an entered one (a chain seen) keeps those rows out but
+// gives btna-cls-f2 20 to 23 rounds and 84 to 96 columns.
 const segmentDepth = 2
 
 // enterSegmentBypasses enters, segmentDepth levels deep, every pool
 // column not yet entered whose pair is a segment of a column the level
 // above entered (the first level's are entered, priced), in the order
 // those columns and their segments list them, and returns entered with
-// them appended. A column only enters earlier than pricing would enter
-// it, so the loop's stop rule and its optimality are pricing's alone.
+// them appended. They enter at 0 whatever their reduced cost, many of
+// them columns pricing would never enter. The master stays a
+// restriction of the full pool, and optimality rests on pricing's stop
+// rule over the columns not yet entered, which is unchanged.
 func (it *iterate) enterSegmentBypasses(entered []int) []int {
 	p := &it.ms.pool
 	from := 0

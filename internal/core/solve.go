@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"pcf/internal/lp"
@@ -432,28 +432,32 @@ func (spec *advSpec) cutExpr(w []float64) *lp.Expr {
 func (spec *advSpec) seedPoints() ([][]float64, error) {
 	scs := spec.seedScenarios()
 	pts := make([][]float64, 0, len(scs))
+	seen := make(map[string]bool, len(scs))
+	var key []byte
 	for _, sc := range scs {
 		w := spec.scenarioPoint(sc)
 		if !spec.poly.Contains(w, tol.Feas) {
 			return nil, fmt.Errorf("internal: seed scenario %v is not a polytope point for %v", sc, spec.pair)
 		}
-		if !slices.ContainsFunc(pts, func(v []float64) bool { return spec.sameCut(v, w) }) {
+		key = spec.cutKey(key[:0], w)
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			pts = append(pts, w)
 		}
 	}
 	return pts, nil
 }
 
-// sameCut reports whether the adversary points v and w weigh every
-// cost-bearing variable of spec equally, bit for bit: whether their
-// cuts are one row.
-func (spec *advSpec) sameCut(v, w []float64) bool {
+// cutKey appends to key the bits of w's weights on spec's cost-bearing
+// variables, in variable order: two points have one key exactly when
+// their cuts are one row.
+func (spec *advSpec) cutKey(key []byte, w []float64) []byte {
 	for j, c := range spec.costs {
-		if c != nil && math.Float64bits(v[j]) != math.Float64bits(w[j]) {
-			return false
+		if c != nil {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(w[j]))
 		}
 	}
-	return true
+	return key
 }
 
 // loop is the one cut loop every robust master is solved by: each

@@ -541,23 +541,9 @@ func (cm *Compiled) NumRows() int { return cm.nLogical }
 // vector and basis without duplicating the matrix. The source must
 // not be mutated while clones are in use.
 func (cm *Compiled) Clone() *Compiled {
-	d := *cm
-	d.cols = append([][]entry(nil), cm.cols...)
-	d.ownCol = make([]bool, len(cm.cols))
-	d.b = append([]float64(nil), cm.b...)
-	d.c = append([]float64(nil), cm.c...)
-	d.maps = append([]varMap(nil), cm.maps...)
-	d.refs = cm.refs[:len(cm.refs):len(cm.refs)] // AddColumn on the clone appends to a copy
-	d.rowOf = append([]int(nil), cm.rowOf...)
-	d.rowNeg = append([]bool(nil), cm.rowNeg...)
-	d.rowSign = append([]float64(nil), cm.rowSign...)
-	d.rhsOff = append([]float64(nil), cm.rhsOff...)
-	d.slack = append([]int(nil), cm.slack...)
-	d.stdRow = append([]int(nil), cm.stdRow...)
-	d.lrhs = append([]float64(nil), cm.lrhs...)
+	d := cm.cloneInto(new(Compiled))
 	d.fac = nil // the clone may solve concurrently with cm: it grows its own workspace
-	d.rowBuf.terms, d.rowBuf.std = nil, nil
-	return &d
+	return d
 }
 
 // CloneIn is Clone with the clone's solves run in ws instead of a
@@ -569,23 +555,27 @@ func (cm *Compiled) Clone() *Compiled {
 // another user of ws does.
 //
 // prev, when not nil, is an earlier clone of cm that nothing reads any
-// more: the clone is prev, rewritten to cm's content in prev's own row
-// and column arrays, so a clone that grows as prev did grows into
-// prev's capacity and allocates nothing. A column prev owned is copied
-// into its storage; every other column, refs and the objective stay
-// shared with cm, copy-on-write as Clone's do.
+// more: the clone is written over it (cloneInto), so a clone that
+// grows as prev did grows into prev's capacity and allocates nothing.
 func (cm *Compiled) CloneIn(ws *Workspace, prev *Compiled) *Compiled {
 	if prev == nil {
-		d := cm.Clone()
-		d.fac = &ws.fac
-		return d
+		prev = new(Compiled)
 	}
-	old := *prev
-	d := prev
+	d := cm.cloneInto(prev)
+	d.fac = &ws.fac
+	return d
+}
+
+// cloneInto makes d a clone of cm in d's own row and column arrays and
+// returns it; d is a zero Compiled or an earlier clone of cm that
+// nothing reads any more. A column d owned is copied into its storage,
+// and slots past cm's columns keep theirs for addCol to reuse; every
+// other column, refs and the objective stay shared with cm,
+// copy-on-write. The caller sets d's workspace.
+func (cm *Compiled) cloneInto(d *Compiled) *Compiled {
+	old := *d
 	*d = *cm
 	n := len(cm.cols)
-	// A slot prev owned keeps its storage; slots past n keep theirs for
-	// addCol to reuse.
 	d.cols = slices.Grow(old.cols[:0], n)[:n]
 	d.ownCol = slices.Grow(old.ownCol[:0], n)[:n]
 	for j, col := range cm.cols {
@@ -598,8 +588,9 @@ func (cm *Compiled) CloneIn(ws *Workspace, prev *Compiled) *Compiled {
 	d.b = append(old.b[:0], cm.b...)
 	d.c = append(old.c[:0], cm.c...)
 	d.maps = append(old.maps[:0], cm.maps...)
-	// A clone's refs start as cm's array capped at its length, so room
-	// past that length is an array AddColumn allocated for prev alone.
+	// A clone's refs start as cm's array capped at its length (AddColumn
+	// on the clone appends to a copy), so room past that length is an
+	// array AddColumn allocated for d alone.
 	d.refs = cm.refs[:len(cm.refs):len(cm.refs)]
 	if cap(old.refs) > len(cm.refs) {
 		d.refs = append(old.refs[:0], cm.refs...)
@@ -611,7 +602,6 @@ func (cm *Compiled) CloneIn(ws *Workspace, prev *Compiled) *Compiled {
 	d.slack = append(old.slack[:0], cm.slack...)
 	d.stdRow = append(old.stdRow[:0], cm.stdRow...)
 	d.lrhs = append(old.lrhs[:0], cm.lrhs...)
-	d.fac = &ws.fac
 	d.rowBuf = old.rowBuf
 	return d
 }

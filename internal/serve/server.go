@@ -657,7 +657,7 @@ func (s *Server) Health() Health {
 	_, curErr := s.reg.Current()
 	h.HasPlan = curErr == nil
 
-	for scheme := range s.breakers {
+	for _, scheme := range core.SchemeNames() { // table order: closes record in a fixed order
 		h.Breakers[scheme] = s.admit(scheme) > 0
 	}
 

@@ -478,36 +478,45 @@ func TestServerPCFMasterFailsOncePerBest(t *testing.T) {
 // TestHealthzClosesExpiredBreaker: a breaker whose cooldown has run
 // out closes when /healthz reads it, and its close is recorded then,
 // with no solve of its scheme in between: the health report and the
-// record stream agree that it is closed.
+// record stream agree that it is closed. Two breakers that expire
+// together record their closes in the scheme table's order (FFC
+// before PCF-CLS), whatever order they opened in.
 func TestHealthzClosesExpiredBreaker(t *testing.T) {
 	recs := &breakerRecords{}
 	s, ts := newTestServer(t, Config{
-		LPFaultHook:     faultinject.FailFirstNStarts(breakerThreshold, lp.ErrNumerical),
+		LPFaultHook:     faultinject.FailFirstNStarts(2*breakerThreshold, lp.ErrNumerical),
 		BreakerCooldown: time.Minute,
 		Telemetry:       recs,
 	})
-	advance := stopClock(s, core.SchemePCFCLS)
-	for i := 0; i < breakerThreshold; i++ {
-		mustPost(t, ts.URL+"/v1/solve?scheme=PCF-CLS").Body.Close()
+	advanceCLS := stopClock(s, core.SchemePCFCLS)
+	advanceFFC := stopClock(s, core.SchemeFFC)
+	for _, scheme := range []string{"PCF-CLS", "FFC"} {
+		for i := 0; i < breakerThreshold; i++ {
+			mustPost(t, ts.URL+"/v1/solve?scheme="+scheme).Body.Close()
+		}
 	}
 	breakers := func() map[string]any {
 		t.Helper()
 		b, _ := decodeBody(t, mustGet(t, ts.URL+"/healthz"))["breakers"].(map[string]any)
 		return b
 	}
-	if open := breakers()[core.SchemePCFCLS]; open != true {
-		t.Fatalf("/healthz after %d failures: PCF-CLS open %v, want true", breakerThreshold, open)
+	b := breakers()
+	if b[core.SchemePCFCLS] != true || b[core.SchemeFFC] != true {
+		t.Fatalf("/healthz after %d failures each: PCF-CLS open %v, FFC open %v, want both true", breakerThreshold, b[core.SchemePCFCLS], b[core.SchemeFFC])
 	}
-	advance(time.Minute)
-	if open := breakers()[core.SchemePCFCLS]; open != false {
-		t.Fatalf("/healthz after the cooldown: PCF-CLS open %v, want false", open)
+	advanceCLS(time.Minute)
+	advanceFFC(time.Minute)
+	b = breakers()
+	if b[core.SchemePCFCLS] != false || b[core.SchemeFFC] != false {
+		t.Fatalf("/healthz after the cooldown: PCF-CLS open %v, FFC open %v, want both false", b[core.SchemePCFCLS], b[core.SchemeFFC])
 	}
-	if got := fmt.Sprint(recs.states()); got != "[PCF-CLS open 1 PCF-CLS closed 1]" {
-		t.Fatalf("breaker records after /healthz %s, want [PCF-CLS open 1 PCF-CLS closed 1]", got)
+	want := "[PCF-CLS open 1 FFC open 1 FFC closed 1 PCF-CLS closed 1]"
+	if got := fmt.Sprint(recs.states()); got != want {
+		t.Fatalf("breaker records after /healthz %s, want %s", got, want)
 	}
 	breakers()
-	if got := len(recs.states()); got != 2 {
-		t.Fatalf("%d breaker records after a second /healthz, want 2: a closed breaker closes once", got)
+	if got := len(recs.states()); got != 4 {
+		t.Fatalf("%d breaker records after a second /healthz, want 4: a closed breaker closes once", got)
 	}
 }
 
