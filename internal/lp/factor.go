@@ -460,9 +460,15 @@ func (f *sparseFactor) update(leaveRow int, d []float64) {
 // gate fires every 8.5 pivots (133 refactorizations in 1 129): ≈ 38 µs
 // per iteration against ≈ 28 µs at the least cost. The gate stays where it
 // is, because a longer period also changes round-off and with it the
-// optimal vertex a degenerate master may end on. luNNZ counts what a
-// B₀ solve reads, covered rows included, so the gate means the same
-// whatever share of the basis the kernel is (DESIGN.md §17).
+// optimal vertex a degenerate master may end on. On the btna-cls-f2
+// re-plan (kept Solver) the multiplier on luNNZ gave 8, 6, 14, 11, 11,
+// 9 and 20 cut-loop rounds at 1, 2, 3, 4, 5, 6 and 8, the value equal
+// to 1e-9 throughout, while synth1k-tf-f1's refactorizations fell 133
+// → 74 → 40 at 2, 4 and 8 for 1 129, 1 124 and 1 121 pivots: the gain
+// waits until the round count stops depending on the LP's round-off.
+// luNNZ counts what a B₀ solve reads, covered rows included, so the
+// gate means the same whatever share of the basis the kernel is
+// (DESIGN.md §17).
 func (f *sparseFactor) shouldRefactor() bool {
 	m := len(f.rhs)
 	if len(f.etas) >= 24+m/8 {

@@ -1,7 +1,15 @@
 package routing
 
-// Hooks for the external test package (served_test.go), which drives
-// the engine through internal/serve and so cannot live in this one.
+import (
+	"testing"
+
+	"pcf/internal/core"
+)
+
+// Hooks for the external test package (served_test.go, which drives
+// the engine through internal/serve, and screen_test.go, which prepares
+// the benchmark's plans through internal/eval), which cannot live in
+// this one.
 
 // SweepBuilds reports how many engines have been constructed so far.
 func SweepBuilds() int64 { return sweepBuilds.Load() }
@@ -47,3 +55,30 @@ var DistinctBeyondBudget = distinctBeyondBudget
 // three tunnels each, so link sets beyond the budget have many distinct
 // signatures.
 var SprintCLSPlan = sprintCLSPlanOrSkip
+
+// NamedPlan is a test plan and its name.
+type NamedPlan struct {
+	Name string
+	Plan *core.Plan
+}
+
+// GadgetPlans are the small plans the engine's properties are pinned
+// on.
+func GadgetPlans(t *testing.T) []NamedPlan {
+	var plans []NamedPlan
+	for _, g := range gadgetPlans(t) {
+		plans = append(plans, NamedPlan{g.name, g.plan})
+	}
+	return plans
+}
+
+// BeyondBudget draws seeded scenarios outside any designed set.
+var BeyondBudget = beyondBudget
+
+// NearThresholdPlan is a plan one of whose scenarios a screen without
+// its round-off bound gets wrong, with the scenarios to referee it on.
+var NearThresholdPlan = nearThresholdPlan
+
+// AssertScreenMatchesExact referees the screened sweep against the
+// exact emission on one plan.
+var AssertScreenMatchesExact = assertScreenMatchesExact

@@ -55,11 +55,17 @@ type SweepStats struct {
 	DestEvals   int
 	DestReplays int
 	// ArcChecks counts the arcs the sweep's checks visited one by one:
-	// per scenario, the arcs its emission re-summed plus the arcs its
-	// dead and degraded links overlay (every arc, on an engine with no
-	// base record). Every other arc's verdict is the record's
-	// (sweepcheck.go).
+	// per scenario, the arcs its screened emission moved a flow on plus
+	// the arcs its dead and degraded links overlay, and for a scenario
+	// that went on to the exact sum, the arcs that re-summed and
+	// overlays too (every arc, on an engine with no base record). Every
+	// other arc's verdict is the record's (sweepcheck.go).
 	ArcChecks int
+	// ScreenFallbacks counts the scenarios sent from the screened arc
+	// loads to the exact sum (sweepemit.go): a verdict or an MLU the
+	// screen's round-off bound could not settle, or the designed
+	// sweep's overload whose error text quotes a screened load.
+	ScreenFallbacks int
 	// MaxRank is the largest rank-k correction served by the SMW path.
 	MaxRank int
 	// BatchHits counts the SMW-served scenarios of this sweep whose
@@ -97,6 +103,7 @@ func (s SweepStats) Metrics() map[string]float64 {
 		"dest_evals":          float64(s.DestEvals),
 		"dest_replays":        float64(s.DestReplays),
 		"arc_checks":          float64(s.ArcChecks),
+		"screen_fallbacks":    float64(s.ScreenFallbacks),
 		"max_rank":            float64(s.MaxRank),
 		"batch_hits":          float64(s.BatchHits),
 		"smw_hit_rate":        s.SMWHitRate(),
@@ -116,8 +123,9 @@ const (
 
 // served says how the engine answered one scenario: through the
 // low-rank path (with what correction rank, whether the corrector came
-// out of the signature cache, and how many of the destinations emitted
-// were replays) or through the cold path, and then why.
+// out of the signature cache, how many of the destinations emitted
+// were replays, and the corrector itself, nil at rank 0, for an exact
+// re-emission) or through the cold path, and then why.
 type served struct {
 	smw      bool
 	rank     int
@@ -125,6 +133,7 @@ type served struct {
 	evals    int
 	replays  int
 	cause    fallbackCause
+	upd      *linsolve.Updated
 }
 
 // count folds one successfully served scenario into the stats.
@@ -164,6 +173,7 @@ func (s *SweepStats) add(o SweepStats) {
 	s.DestEvals += o.DestEvals
 	s.DestReplays += o.DestReplays
 	s.ArcChecks += o.ArcChecks
+	s.ScreenFallbacks += o.ScreenFallbacks
 	s.MaxRank = max(s.MaxRank, o.MaxRank)
 	s.BatchHits += o.BatchHits
 	s.Total += o.Total

@@ -159,6 +159,11 @@ func designedSet(plan *core.Plan) []failures.Scenario {
 	return scenarios
 }
 
+// sweep is sweepSome over every scenario, with every slot's MLU exact.
+func sweep(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, fill scenarioFill) ([]sweepSlot, *SweepStats) {
+	return sweepSome(ctx, sw, check, stopOnError, math.Inf(-1), n, fill, nil)
+}
+
 // sweepScenarios sweeps a scenario list through sw.
 func sweepScenarios(ctx context.Context, sw *Sweep, check, stopOnError bool, scenarios []failures.Scenario) ([]sweepSlot, *SweepStats) {
 	return sweep(ctx, sw, check, stopOnError, len(scenarios), func(i int, dst *failures.Scenario) { *dst = scenarios[i] })

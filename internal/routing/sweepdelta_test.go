@@ -967,10 +967,12 @@ func TestRecordedArcVerdicts(t *testing.T) {
 }
 
 // TestSweepScenarioAllocs: a warm designed scenario through the sweep
-// path — realize, then judge from the flat emission — allocates nothing
-// that scales with destinations, arcs, nodes or its rank: the row
-// updates and their signature live in the worker's scratch, and a
-// batch hit is looked up without building a key.
+// path — realize, then judge from the exact flat emission, or screened
+// as the sweep serves it (sweepOne) — allocates nothing that scales
+// with destinations, arcs, nodes or its rank: the row updates and their
+// signature live in the worker's scratch, a batch hit is looked up
+// without building a key, and the screen's state is the touched arcs'
+// entries in the scratch's existing arc arrays.
 func TestSweepScenarioAllocs(t *testing.T) {
 	plan := sprintCLSPlanOrSkip(t)
 	sw := newSweep(t, plan)
@@ -978,27 +980,44 @@ func TestSweepScenarioAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sr := sw.newScratch()
+	var st SweepStats
 	for _, sc := range designedSet(plan) {
 		sv, err := sw.realize(sc, sr)
 		if err != nil || !sv.smw {
 			continue
 		}
-		allocs := testing.AllocsPerRun(20, func() {
-			_, err := sw.realize(sc, sr)
-			if err == nil {
-				_, err = sw.judge(sc, sr, nil, true)
+		for _, path := range []struct {
+			name string
+			run  func() error
+		}{
+			{"exact", func() error {
+				_, err := sw.realize(sc, sr)
+				if err == nil {
+					_, err = sw.judge(sc, sr, nil, true)
+				}
+				return err
+			}},
+			{"screened", func() error {
+				_, err := sw.sweepOne(sc, sr, &st, true, true, math.Inf(1))
+				return err
+			}},
+		} {
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := path.run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if limit := 2.0; allocs > limit {
+				t.Fatalf("%s under %v (rank %d, %d destinations, %d arcs): %.0f allocations per scenario, want ≤ %.0f",
+					path.name, sc, sv.rank, len(sw.dests), len(sw.arcCap), allocs, limit)
 			}
-			if err != nil {
-				t.Fatal(err)
+			if sv.rank == 0 && allocs != 0 {
+				t.Fatalf("%s under %v: a rank-0 scenario allocates %.0f times", path.name, sc, allocs)
 			}
-		})
-		if limit := 2.0; allocs > limit {
-			t.Fatalf("under %v (rank %d, %d destinations, %d arcs): %.0f allocations per scenario, want ≤ %.0f",
-				sc, sv.rank, len(sw.dests), len(sw.arcCap), allocs, limit)
 		}
-		if sv.rank == 0 && allocs != 0 {
-			t.Fatalf("under %v: a rank-0 scenario allocates %.0f times", sc, allocs)
-		}
+	}
+	if st.ScreenFallbacks != 0 {
+		t.Fatalf("%d of the screened runs went to the exact sum; the case measured the screen", st.ScreenFallbacks)
 	}
 }
 

@@ -6,12 +6,16 @@ package routing
 // directly, and materialize, which builds the public Realization from
 // it. The engine records what emitDests produces on the empty scenario
 // once; a scenario replays that record for every destination it
-// provably cannot change, and re-sums only the arcs the destinations it
-// does change load, in the record or afresh.
+// provably cannot change. An exact emission re-sums the arcs the
+// destinations it does change load, in the record or afresh; a
+// screened one adds to each arc's base load the change of every flow
+// that moved, and the check bounds the round-off that costs
+// (screenBound).
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"pcf/internal/failures"
@@ -84,7 +88,7 @@ type arcRun struct{ arc, lo, hi int32 }
 // flow list names it at most once and its arc additions are exactly
 // the list expanded along each tunnel's path.
 func (s *Sweep) recordBase(sr *sweepScratch) {
-	if _, err := s.emitDests(failures.Scenario{}, sr, nil, nil); err != nil {
+	if _, err := s.emitDests(failures.Scenario{}, sr, nil, nil, false); err != nil {
 		s.slu = nil // no record, no low-rank path: serve cold
 		return
 	}
@@ -212,14 +216,18 @@ func (s *Sweep) markAffected(sr *sweepScratch, rows []int, ups []linsolve.RowUpd
 // replays the engine's record and costs nothing, any other has its
 // solution (destSolution) spread over each pair's live tunnels. Arc
 // loads start from the record's: the arcs the previous emission
-// re-summed go back to their base loads, and only the arcs an affected
-// destination loads — in the record or afresh — are re-summed, from the
-// first addition that changes (resumeArc, catchUp). Each affected
-// destination passes over its recorded runs before it emits, so every
-// addition a re-sum's cursor walks is a replayed destination's; with
-// every destination affected, as on the cold path, each re-sum starts
-// from zero.
-func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.Updated, lu *linsolve.SparseLU) (served, error) {
+// touched go back to their base loads. Then, exact, only the arcs an
+// affected destination loads — in the record or afresh — are
+// re-summed, from the first addition that changes (resumeArc,
+// catchUp). Each affected destination passes over its recorded runs
+// before it emits, so every addition a re-sum's cursor walks is a
+// replayed destination's; with every destination affected, as on the
+// cold path, each re-sum starts from zero. Screened (screen set: the
+// low-rank path, which has a record), an affected destination's rows
+// whose flows may differ from the base's add each flow's change to the
+// arcs its tunnel crosses (moveRow), and every other arc keeps its base
+// load.
+func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.Updated, lu *linsolve.SparseLU, screen bool) (served, error) {
 	in := s.plan.Instance
 	ep := sr.epoch
 	rec := s.rec
@@ -231,7 +239,7 @@ func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.
 	for _, a := range sr.changed {
 		sr.arcLoad[a], sr.arcCur[a] = s.baseLoad(a), -1
 	}
-	sr.changed = sr.changed[:0]
+	sr.changed, sr.screened = sr.changed[:0], screen
 	sr.flowTun, sr.flowVal = sr.flowTun[:0], sr.flowVal[:0]
 	// Until an affected destination has been emitted, every re-summed
 	// arc was resumed at the current one and has nothing to catch up.
@@ -243,17 +251,30 @@ func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.
 				sv.replays++
 				continue
 			}
-			// The arcs the record has this destination load lose that
-			// load, whatever it loads now.
-			for _, run := range rec.runs[rec.runOff[di]:rec.runOff[di+1]] {
-				s.resumeArc(sr, run)
+			// Exact, the arcs the record has this destination load lose
+			// that load, whatever it loads now.
+			if !screen {
+				for _, run := range rec.runs[rec.runOff[di]:rec.runOff[di+1]] {
+					s.resumeArc(sr, run)
+				}
 			}
 		}
 		xt, err := s.destSolution(sr, di, upd, lu)
 		if err != nil {
 			return served{}, fmt.Errorf("routing: destination %d system under %v: %w", dst, sc, err)
 		}
+		var xb []float64
+		if screen {
+			xb = s.destBase[di]
+		}
 		for r := 0; r < s.n; r++ {
+			// A row keeps its base flows unless it carries some, now or
+			// at base, and is marked (a dead reserved tunnel, a
+			// membership or LS flip) or its solution moved.
+			if screen && (xt[r] > tol.Carry || xb[r] > tol.Carry) &&
+				(sr.rowMark[r] == ep || math.Float64bits(xt[r]) != math.Float64bits(xb[r])) {
+				s.moveRow(sr, r, xt[r], xb[r])
+			}
 			if sr.inSet[r] != ep || xt[r] <= tol.Carry {
 				continue
 			}
@@ -267,6 +288,9 @@ func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.
 				}
 				sr.flowTun = append(sr.flowTun, tid)
 				sr.flowVal = append(sr.flowVal, rr)
+				if screen {
+					continue
+				}
 				for _, a := range in.Tunnels.Tunnel(tid).Path.Arcs {
 					if sr.arcCur[a] < 0 {
 						s.resumeArc(sr, s.runAt(a, di))
@@ -280,10 +304,59 @@ func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.
 		behind = true
 	}
 	sr.flowOff[len(s.dests)] = int32(len(sr.flowTun))
-	for _, a := range sr.changed {
-		s.catchUp(sr, a, len(s.dests))
+	if !screen {
+		for _, a := range sr.changed {
+			s.catchUp(sr, a, len(s.dests))
+		}
 	}
 	return sv, nil
+}
+
+// moveRow adds to the screened arc loads the change in universe row r's
+// flows for the destination being emitted, whose solution is x under
+// the activated scenario and xb under the base: per tunnel of the pair,
+// its flow now — x times its reservation, on a live tunnel of a pair
+// in the set, above Carry, as the emission writes it — less its flow at
+// base, as the record holds it. The change is one rounding, and each
+// arc it lands on counts it in arcCur.
+func (s *Sweep) moveRow(sr *sweepScratch, r int, x, xb float64) {
+	ep := sr.epoch
+	now, before := sr.inSet[r] == ep && x > tol.Carry, s.baseInSet[r] && xb > tol.Carry
+	for _, tid := range s.pairTun[r] {
+		res, d := s.tunRes[tid], 0.0
+		if f := x * res; now && sr.deadTun[tid] != ep && f > tol.Carry {
+			d = f
+		}
+		if f := xb * res; before && f > tol.Carry {
+			d -= f
+		}
+		if d == 0 {
+			continue
+		}
+		for _, a := range s.plan.Instance.Tunnels.Tunnel(tid).Path.Arcs {
+			if sr.arcCur[a] < 0 {
+				sr.arcCur[a] = 0
+				sr.changed = append(sr.changed, int32(a))
+			}
+			sr.arcLoad[a] += d
+			sr.arcCur[a]++
+		}
+	}
+}
+
+// screenBound bounds how far screened arc a's load lies from the exact
+// emission's: 8·K·RoundOff·(L + |load|), where L is its base load and K
+// the record's additions to it plus the flow changes it took plus one
+// (DESIGN.md §12, "Why a screened verdict is the exact sum's"). Every
+// flow is above Carry, so the base terms sum to L up to round-off, and
+// each change is at most the flow before plus the flow after.
+func (s *Sweep) screenBound(sr *sweepScratch, a int32) float64 {
+	lo, hi := s.rec.arcOff[a], s.rec.arcOff[a+1]
+	base := 0.0
+	if hi > lo {
+		base = s.rec.arcAdds[hi-1].load
+	}
+	return 8 * float64(hi-lo+sr.arcCur[a]+1) * tol.RoundOff * (base + math.Abs(sr.arcLoad[a]))
 }
 
 // destSolution returns destination di's solution under the activated

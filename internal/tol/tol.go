@@ -133,6 +133,13 @@ const (
 	// that puts a destination out of balance. Far above Carry, so the
 	// flows Carry drops cannot unbalance a node.
 	Balance = 1e-6
+	// RoundOff is float64's unit round-off, 2⁻⁵³: a correctly rounded
+	// sum or product of x and y lies within RoundOff·|x∘y| of the real
+	// one. The sweep's screened arc loads bound their distance from the
+	// exact sum with it (routing's screenBound). Far below Overload
+	// even times a million additions, so the screen decides an arc
+	// unless its load lies within about 1e-10 of the verdict's edge.
+	RoundOff = 0x1p-53
 )
 
 // Preparation and reporting (internal/mcf, internal/eval, cmd).
