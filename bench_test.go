@@ -469,12 +469,9 @@ func BenchmarkValidateSweepSynth1k(b *testing.B) {
 	if st.DestReplays == 0 {
 		b.Fatalf("sweep replayed none of %d destination emissions; the base record should serve nearly all", st.DestEvals)
 	}
-	// Likewise for arcs: the few a link's moved flows cross are screened
-	// and checked, the record vouches for the rest. ArcChecks counts the
-	// arcs the screen visited plus, for a scenario sent to the exact
-	// sum, the arcs that sum visited, so a sweep that checks every arc
-	// in every scenario — it has lost the record's arc verdicts — reads
-	// at least 100 % whichever way its scenarios went.
+	// Likewise for arcs: the few a link's moved flows cross are touched
+	// and checked, the record vouches for the rest. A sweep that checks
+	// every arc in every scenario has lost the record's arc verdicts.
 	arcs := st.Classes * plan.Instance.Graph.NumArcs()
 	if st.ArcChecks >= arcs {
 		b.Fatalf("sweep checked %d arcs in %d realized scenarios, every arc every time; the record should vouch for nearly all", st.ArcChecks, st.Classes)
@@ -483,17 +480,6 @@ func BenchmarkValidateSweepSynth1k(b *testing.B) {
 	b.ReportMetric(float64(st.BatchHits), "batch_hits")
 	b.ReportMetric(100*float64(st.DestReplays)/float64(st.DestEvals), "dest_replay_pct")
 	b.ReportMetric(100*float64(st.ArcChecks)/float64(arcs), "arc_check_pct")
-	reportScreen(b, st)
-}
-
-// reportScreen reports the share of a sweep's realized scenarios sent
-// from the screened arc loads to the exact sum, and b.Fatals when that
-// is every one: the screen has stopped deciding.
-func reportScreen(b *testing.B, st *routing.SweepStats) {
-	if st.ScreenFallbacks >= st.Classes {
-		b.Fatalf("the screen sent all %d realized scenarios to the exact sum; it should decide nearly all", st.Classes)
-	}
-	b.ReportMetric(100*float64(st.ScreenFallbacks)/float64(st.Classes), "screen_fallback_pct")
 }
 
 // BenchmarkValidateSampled measures what GET
@@ -549,7 +535,6 @@ func BenchmarkValidateSampled(b *testing.B) {
 				b.Fatalf("%d tail representatives realized for %d draws", reps, opts.Samples)
 			}
 			b.ReportMetric(float64(reps), "tail_reps")
-			reportScreen(b, &rep.Stats)
 		})
 	}
 }

@@ -90,12 +90,11 @@ func main() {
 		printReservations(plan)
 	}
 	if *validate {
-		st, err := routing.ValidateStats(ctx, plan, routing.ValidateOptions{})
-		if err != nil {
+		if _, err := routing.ValidateStats(ctx, plan, routing.ValidateOptions{}); err != nil {
 			die(fmt.Errorf("VALIDATION FAILED: %w", err))
 		}
-		fmt.Printf("validated: all %d scenarios congestion-free with all admitted demand delivered (screen_fallbacks %d)\n",
-			setup.Failures.NumScenariosExact(), st.ScreenFallbacks)
+		fmt.Printf("validated: all %d scenarios congestion-free with all admitted demand delivered\n",
+			setup.Failures.NumScenariosExact())
 	}
 }
 

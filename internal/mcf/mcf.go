@@ -9,8 +9,8 @@
 // Flows are aggregated per destination, so the LP has O(V·E) variables
 // rather than O(V^2·E). The scenario sweep compiles the base MCF once
 // and re-solves each scenario by zeroing the dead arcs' capacity rows
-// with a warm basis (DESIGN.md §11), sweeping scenarios across a
-// runtime.NumCPU()-bounded worker pool.
+// with a warm basis (DESIGN.md §11), sweeping scenarios across a pool
+// of one worker per P (runtime.GOMAXPROCS).
 package mcf
 
 import (
@@ -41,7 +41,35 @@ type Result struct {
 // demand can be routed simultaneously within arc capacities, with the
 // links in dead removed. Pairs whose demand is zero are ignored.
 func MaxConcurrentFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool) (*Result, error) {
-	return solveFlow(g, tm, dead)
+	fm, err := buildFlow(g, tm, dead)
+	if err != nil {
+		return nil, err
+	}
+	if len(fm.dsts) == 0 {
+		return &Result{Objective: math.Inf(1), FlowTo: map[topology.NodeID][]float64{}}, nil
+	}
+	sol, err := lp.Solve(fm.m)
+	if err != nil {
+		return nil, fmt.Errorf("mcf: %w", err)
+	}
+	obj, err := objectiveOf(sol)
+	if err != nil {
+		return nil, err
+	}
+	if sol.Status != lp.StatusOptimal {
+		return &Result{Objective: obj, FlowTo: map[topology.NodeID][]float64{}}, nil
+	}
+	res := &Result{Objective: obj, FlowTo: make(map[topology.NodeID][]float64, len(fm.dsts))}
+	for _, t := range fm.dsts {
+		fv := make([]float64, fm.numArcs)
+		for a := 0; a < fm.numArcs; a++ {
+			if fm.flow[t][a] >= 0 {
+				fv[a] = sol.Value(fm.flow[t][a])
+			}
+		}
+		res.FlowTo[t] = fv
+	}
+	return res, nil
 }
 
 // flowModel is a built (not yet compiled) MCF model plus the handles
@@ -165,38 +193,6 @@ func objectiveOf(sol *lp.Solution) (float64, error) {
 	}
 }
 
-func solveFlow(g *topology.Graph, tm *traffic.Matrix, dead map[topology.LinkID]bool) (*Result, error) {
-	fm, err := buildFlow(g, tm, dead)
-	if err != nil {
-		return nil, err
-	}
-	if len(fm.dsts) == 0 {
-		return &Result{Objective: math.Inf(1), FlowTo: map[topology.NodeID][]float64{}}, nil
-	}
-	sol, err := lp.Solve(fm.m)
-	if err != nil {
-		return nil, fmt.Errorf("mcf: %w", err)
-	}
-	obj, err := objectiveOf(sol)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.StatusOptimal {
-		return &Result{Objective: obj, FlowTo: map[topology.NodeID][]float64{}}, nil
-	}
-	res := &Result{Objective: obj, FlowTo: make(map[topology.NodeID][]float64, len(fm.dsts))}
-	for _, t := range fm.dsts {
-		fv := make([]float64, fm.numArcs)
-		for a := 0; a < fm.numArcs; a++ {
-			if fm.flow[t][a] >= 0 {
-				fv[a] = sol.Value(fm.flow[t][a])
-			}
-		}
-		res.FlowTo[t] = fv
-	}
-	return res, nil
-}
-
 // minMLU returns the maximum link utilization of an optimal routing of
 // the full matrix (the inverse of the max concurrent flow scale) on a
 // solve warm-started from warm when it is non-nil, and the solution
@@ -275,11 +271,13 @@ func (s SweepStats) Metrics() map[string]float64 {
 // loop, and a nil ctx means no bound. The base MCF is compiled once;
 // each scenario re-solves it with the dead arcs' capacity rows zeroed,
 // warm-started from the worker's previous basis. Scenarios are
-// pre-enumerated and swept by up to runtime.NumCPU() workers, each
+// pre-enumerated and swept by one worker per P (runtime.GOMAXPROCS), each
 // owning its compiled clone and basis chain; results are merged by an
 // in-order scan taking the first strict minimum, so a successful
-// sweep returns the same (value, scenario) as the sequential
-// enumeration regardless of scheduling.
+// sweep returns the sequential enumeration's worst scenario, and its
+// value to solver round-off: a worker warm-starts each scenario from
+// its own previous basis, so the value's last bits follow which
+// scenarios it solved before.
 func OptimalUnderFailuresStats(ctx context.Context, g *topology.Graph, tm *traffic.Matrix, fs *failures.Set) (float64, failures.Scenario, *SweepStats, error) {
 	start := time.Now()
 	stats := &SweepStats{}
@@ -315,13 +313,9 @@ func OptimalUnderFailuresStats(ctx context.Context, g *topology.Graph, tm *traff
 	stats.ColdSolves++
 	stats.LPIterations += baseSol.Stats.Iterations()
 
-	workers := runtime.NumCPU()
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	// A worker beyond GOMAXPROCS runs in no parallel and only clones
+	// the compiled model once more.
+	workers := min(runtime.GOMAXPROCS(0), len(scenarios))
 	stats.Workers = workers
 
 	type slot struct {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -242,5 +244,33 @@ func TestScaleConfirmationWarm(t *testing.T) {
 		if math.Abs(got-cold) > 1e-12 {
 			t.Errorf("%s: warm confirmation MLU %.17g, cold %.17g", tc.name, got, cold)
 		}
+	}
+}
+
+// TestSweepOneWorkerPerP: the sweep starts one worker per P, so at
+// GOMAXPROCS=1 it runs on one worker — one compiled model, no clone —
+// and answers as it does at 2: the same scenario, and its value to
+// 1e-9 (each worker warm-starts from its own previous basis, so the
+// value's last bits follow which scenarios a worker solved before).
+func TestSweepOneWorkerPerP(t *testing.T) {
+	g := topozoo.MustLoad("Sprint")
+	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 3, Jitter: 0.4})
+	tm = tm.Restrict(tm.TopPairs(10))
+	fs := failures.SingleLinks(g, 1)
+	sweepAt := func(procs int) (float64, failures.Scenario, *SweepStats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		worst, sc, stats, err := OptimalUnderFailuresStats(context.Background(), g, tm, fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return worst, sc, stats
+	}
+	worst1, sc1, stats1 := sweepAt(1)
+	worst2, sc2, stats2 := sweepAt(2)
+	if stats1.Workers != 1 || stats2.Workers != 2 {
+		t.Fatalf("%d workers at GOMAXPROCS=1, %d at 2; want 1 and 2", stats1.Workers, stats2.Workers)
+	}
+	if math.Abs(worst1-worst2) > 1e-9*(1+math.Abs(worst2)) || !reflect.DeepEqual(sc1, sc2) {
+		t.Fatalf("GOMAXPROCS=1: %.17g at %v; GOMAXPROCS=2: %.17g at %v", worst1, sc1, worst2, sc2)
 	}
 }

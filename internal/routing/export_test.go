@@ -7,7 +7,7 @@ import (
 )
 
 // Hooks for the external test package (served_test.go, which drives
-// the engine through internal/serve, and screen_test.go, which prepares
+// the engine through internal/serve, and loads_test.go, which prepares
 // the benchmark's plans through internal/eval), which cannot live in
 // this one.
 
@@ -75,10 +75,9 @@ func GadgetPlans(t *testing.T) []NamedPlan {
 // BeyondBudget draws seeded scenarios outside any designed set.
 var BeyondBudget = beyondBudget
 
-// NearThresholdPlan is a plan one of whose scenarios a screen without
-// its round-off bound gets wrong, with the scenarios to referee it on.
+// NearThresholdPlan is a plan one of whose scenarios the engine and the
+// dense loop judge differently, with the scenarios to referee it on.
 var NearThresholdPlan = nearThresholdPlan
 
-// AssertScreenMatchesExact referees the screened sweep against the
-// exact emission on one plan.
-var AssertScreenMatchesExact = assertScreenMatchesExact
+// AssertLoadsMatchDense referees the arc-load rule on one plan.
+var AssertLoadsMatchDense = assertLoadsMatchDense

@@ -112,7 +112,7 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 	}
 	// Exhaustive pass over the designed set: the hard guarantee. Any
 	// violation here is the caller's error, not a statistic.
-	fill, slots, exStats, err := s.sweepDesigned(ctx, true, 0)
+	fill, slots, exStats, err := s.sweepDesigned(ctx, true)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 		// which keeps at most one corrector apiece. A draw's MLU is read
 		// only above the designed worst, and its failure only counted.
 		fill := func(i int, dst *failures.Scenario) { draws.FillScenario(dst, tail.at(i)) }
-		sslots, sStats := sweepSome(ctx, s.fork(int64(len(tail.reps))), true, false, rep.WorstMLU, opts.Samples, fill, tail.represents)
+		sslots, sStats := sweepSome(ctx, s.fork(int64(len(tail.reps))), true, false, opts.Samples, fill, tail.represents)
 		sStats.Classes = len(tail.reps)
 		rep.Stats.add(*sStats)
 		// A slot the cancellation reached holds the context's error, not

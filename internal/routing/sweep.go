@@ -55,17 +55,11 @@ type SweepStats struct {
 	DestEvals   int
 	DestReplays int
 	// ArcChecks counts the arcs the sweep's checks visited one by one:
-	// per scenario, the arcs its screened emission moved a flow on plus
-	// the arcs its dead and degraded links overlay, and for a scenario
-	// that went on to the exact sum, the arcs that re-summed and
-	// overlays too (every arc, on an engine with no base record). Every
-	// other arc's verdict is the record's (sweepcheck.go).
+	// per scenario, the arcs its emission touched plus the arcs its
+	// dead and degraded links overlay (every arc, on the cold path or an
+	// engine with no base record). Every other arc's verdict is the
+	// record's (sweepcheck.go).
 	ArcChecks int
-	// ScreenFallbacks counts the scenarios sent from the screened arc
-	// loads to the exact sum (sweepemit.go): a verdict or an MLU the
-	// screen's round-off bound could not settle, or the designed
-	// sweep's overload whose error text quotes a screened load.
-	ScreenFallbacks int
 	// MaxRank is the largest rank-k correction served by the SMW path.
 	MaxRank int
 	// BatchHits counts the SMW-served scenarios of this sweep whose
@@ -103,7 +97,6 @@ func (s SweepStats) Metrics() map[string]float64 {
 		"dest_evals":          float64(s.DestEvals),
 		"dest_replays":        float64(s.DestReplays),
 		"arc_checks":          float64(s.ArcChecks),
-		"screen_fallbacks":    float64(s.ScreenFallbacks),
 		"max_rank":            float64(s.MaxRank),
 		"batch_hits":          float64(s.BatchHits),
 		"smw_hit_rate":        s.SMWHitRate(),
@@ -123,9 +116,8 @@ const (
 
 // served says how the engine answered one scenario: through the
 // low-rank path (with what correction rank, whether the corrector came
-// out of the signature cache, how many of the destinations emitted
-// were replays, and the corrector itself, nil at rank 0, for an exact
-// re-emission) or through the cold path, and then why.
+// out of the signature cache, and how many of the destinations emitted
+// were replays) or through the cold path, and then why.
 type served struct {
 	smw      bool
 	rank     int
@@ -133,7 +125,6 @@ type served struct {
 	evals    int
 	replays  int
 	cause    fallbackCause
-	upd      *linsolve.Updated
 }
 
 // count folds one successfully served scenario into the stats.
@@ -173,7 +164,6 @@ func (s *SweepStats) add(o SweepStats) {
 	s.DestEvals += o.DestEvals
 	s.DestReplays += o.DestReplays
 	s.ArcChecks += o.ArcChecks
-	s.ScreenFallbacks += o.ScreenFallbacks
 	s.MaxRank = max(s.MaxRank, o.MaxRank)
 	s.BatchHits += o.BatchHits
 	s.Total += o.Total
@@ -438,7 +428,7 @@ type Outcome struct {
 // Outcome serves one scenario exactly as Realize does and reports what
 // it comes to, read from the flat emission in the worker's scratch: no
 // Realization is built. The MLU is the check's (judge), which visits
-// only the arcs the scenario re-summed or overlays and takes every
+// only the arcs the scenario touched or overlays and takes every
 // other arc from the engine's record; it is bit-equal to MLUOf of
 // Realize's answer, and MaxU to the largest of its U. Errors are
 // Realize's, counted the same way in Stats. A warm scenario allocates

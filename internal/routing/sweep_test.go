@@ -159,9 +159,9 @@ func designedSet(plan *core.Plan) []failures.Scenario {
 	return scenarios
 }
 
-// sweep is sweepSome over every scenario, with every slot's MLU exact.
+// sweep is sweepSome over every scenario.
 func sweep(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, fill scenarioFill) ([]sweepSlot, *SweepStats) {
-	return sweepSome(ctx, sw, check, stopOnError, math.Inf(-1), n, fill, nil)
+	return sweepSome(ctx, sw, check, stopOnError, n, fill, nil)
 }
 
 // sweepScenarios sweeps a scenario list through sw.

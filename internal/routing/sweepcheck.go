@@ -146,72 +146,35 @@ func (s *Sweep) restoreCaps(sr *sweepScratch) {
 	}
 }
 
-// arcScan is what the check's pass over one scenario's arcs found: the
-// MLU over the arcs whose load is exact, a bound above every screened
-// arc's utilization (0 when none carries load), the first overloaded
-// arc (-1: none) with its load and capacity under the scenario, and
-// whether a screened arc's load lies too near its capacity for the
-// bound to tell overloaded from not.
-type arcScan struct {
-	mlu, hi float64
-	over    int
-	load, c float64
-	open    bool
-}
-
-// scanArcs visits the arcs of one served scenario: the flat emission in
-// sr, or r when one is given. Each arc visited is compared against its
-// capacity with the scenario overlaid and divided for the MLU. A
-// Realization, or an emission with no record behind it, has every arc
-// visited; a flat emission only the arcs it touched and the arcs the
-// scenario overlays, and every other arc — its base load against its
-// nominal capacity — carries the record's verdict: the first
-// base-overloaded arc among them, and the first of them in the
-// base-utilization ranking for the MLU. An arc a screened emission
-// touched is judged on the interval its screenBound puts around its
-// load: overloaded if the low end is, not if the high end is not, and
-// open otherwise; its utilization raises only hi. With check unset no
-// arc is judged.
-func (s *Sweep) scanArcs(sc failures.Scenario, sr *sweepScratch, r *Realization, check bool) arcScan {
+// judge checks one served scenario and returns its maximum link
+// utilization: the flat emission in sr, or r when one is given. Each
+// arc visited is compared against its capacity with the scenario
+// overlaid and divided for the MLU. A Realization, or an emission with
+// no record behind it, has every arc visited; a flat emission only the
+// arcs it touched and the arcs the scenario overlays, and every other
+// arc — its base load against its nominal capacity — carries the
+// record's verdict: the first base-overloaded arc among them, and the
+// first of them in the base-utilization ranking for the MLU. With check
+// set, every destination is then balance-checked, in node order; a
+// replayed one carries the record's verdict too. The first overloaded
+// arc is reported if there is one, else the first destination out of
+// balance.
+func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, r *Realization, check bool) (float64, error) {
 	arcLoad, caps := sr.arcLoad, sr.arcCap
 	if r != nil {
 		arcLoad = r.ArcLoad
 	}
-	screened := r == nil && sr.screened
 	s.overlay(sc, sr)
-	v := arcScan{over: -1}
-	overAt := func(a int) {
-		if v.over < 0 || a < v.over {
-			v.over = a
-		}
-	}
+	mlu, over := 0.0, -1
 	visit := func(a int) {
 		load, c := arcLoad[a], caps[a]
-		if screened && sr.arcCur[a] >= 0 {
-			b := s.screenBound(sr, int32(a))
-			if !(b < math.Inf(1)) {
-				// A load that is not finite bounds nothing.
-				v.open, v.hi = true, math.Inf(1)
-				return
-			}
-			lo, hi := load-b, load+b
-			if check && overloaded(lo, c) {
-				overAt(a)
-			} else if check && overloaded(hi, c) {
-				v.open = true
-			}
-			if hi > 0 && c > 0 {
-				v.hi = max(v.hi, hi/c)
-			}
-			return
-		}
-		if check && overloaded(load, c) {
-			overAt(a)
+		if check && overloaded(load, c) && (over < 0 || a < over) {
+			over = a
 		}
 		// A load of zero never raises the maximum.
 		if load > 0 && c > 0 {
-			if u := load / c; u > v.mlu {
-				v.mlu = u
+			if u := load / c; u > mlu {
+				mlu = u
 			}
 		}
 	}
@@ -232,7 +195,7 @@ func (s *Sweep) scanArcs(sc failures.Scenario, sr *sweepScratch, r *Realization,
 		// nominal capacity (an overlay that scaled by one left it so).
 		untouched := func(a int32) bool {
 			//lint:ignore pcflint/floatcmp the record's verdict holds for exactly the capacity it was taken at; any other is visited
-			return sr.arcCur[a] < 0 && caps[a] == s.arcCap[a]
+			return sr.arcFlows[a] < 0 && caps[a] == s.arcCap[a]
 		}
 		if check {
 			for _, a := range s.rec.over {
@@ -249,68 +212,15 @@ func (s *Sweep) scanArcs(sc failures.Scenario, sr *sweepScratch, r *Realization,
 			}
 		}
 	}
-	if v.over >= 0 {
-		v.load, v.c = arcLoad[v.over], caps[v.over]
+	var err error
+	if over >= 0 {
+		err = overloadError{over, arcLoad[over], caps[over], sc}
 	}
 	s.restoreCaps(sr)
-	return v
-}
+	if err != nil || !check {
+		return mlu, err
+	}
 
-// judge checks one served scenario and returns its maximum link
-// utilization: the exact flat emission in sr, or r when one is given.
-// The arcs are scanned (scanArcs); with check set, every destination is
-// then balance-checked (unbalanced). The first overloaded arc is
-// reported if there is one, else the first destination out of balance.
-func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, r *Realization, check bool) (float64, error) {
-	v := s.scanArcs(sc, sr, r, check)
-	if v.over >= 0 {
-		return v.mlu, overloadError{v.over, v.load, v.c, sc}
-	}
-	if !check {
-		return v.mlu, nil
-	}
-	return v.mlu, s.unbalanced(sc, sr, r)
-}
-
-// screen is judge on the screened emission in sr, where it can give
-// the exact sum's answer, and reports whether it could (an exact
-// emission it always can). It cannot where an arc is open, where the
-// first overloaded arc's error would quote a screened load and
-// exactErr asks for the exact error text, or where a screened arc's
-// utilization may exceed the exact arcs' and reach worst — the running
-// worst MLU, below which the caller never reads one. Otherwise the
-// verdict is the exact sum's: the set of overloaded arcs is, and so is
-// the first of them. The MLU is exact where no screened arc can exceed
-// the exact ones; else it is hi, an upper bound below worst.
-func (s *Sweep) screen(sc failures.Scenario, sr *sweepScratch, check, exactErr bool, worst float64) (mlu float64, decided bool, err error) {
-	v := s.scanArcs(sc, sr, nil, check)
-	switch {
-	case v.open:
-		return 0, false, nil
-	case v.over >= 0 && exactErr && sr.screened && sr.arcCur[v.over] >= 0:
-		return 0, false, nil
-	case v.over >= 0:
-		return v.mlu, true, overloadError{v.over, v.load, v.c, sc}
-	}
-	if check {
-		if err := s.unbalanced(sc, sr, nil); err != nil {
-			return v.mlu, true, err
-		}
-	}
-	switch {
-	case v.hi <= v.mlu:
-		return v.mlu, true, nil
-	case v.hi < worst:
-		return v.hi, true, nil
-	}
-	return 0, false, nil
-}
-
-// unbalanced balance-checks every destination of one served scenario,
-// in node order — the flat emission in sr, or r when one is given —
-// and returns the first out of balance; a replayed destination carries
-// the record's verdict.
-func (s *Sweep) unbalanced(sc failures.Scenario, sr *sweepScratch, r *Realization) error {
 	for di, dst := range s.dests {
 		var tuns []tunnels.ID
 		var vals []float64
@@ -327,10 +237,10 @@ func (s *Sweep) unbalanced(sc failures.Scenario, sr *sweepScratch, r *Realizatio
 			continue
 		}
 		if v, got, want := s.imbalance(&sr.bal, di, tuns, vals); v >= 0 {
-			return balanceError{dst, v, got, want, sc}
+			return mlu, balanceError{dst, v, got, want, sc}
 		}
 	}
-	return nil
+	return mlu, nil
 }
 
 // imbalance balance-checks flows as destination di's against its

@@ -5,12 +5,10 @@ package routing
 // Two consumers read that form — the sweep's check (sweepcheck.go),
 // directly, and materialize, which builds the public Realization from
 // it. The engine records what emitDests produces on the empty scenario
-// once; a scenario replays that record for every destination it
-// provably cannot change. An exact emission re-sums the arcs the
-// destinations it does change load, in the record or afresh; a
-// screened one adds to each arc's base load the change of every flow
-// that moved, and the check bounds the round-off that costs
-// (screenBound).
+// once; a low-rank scenario replays that record for every destination
+// it provably cannot change, and each arc it touches reads its base
+// load plus the change of every flow that moved. The cold path sums
+// every flow from zero.
 
 import (
 	"cmp"
@@ -35,25 +33,18 @@ type jagged struct {
 
 func (j jagged) at(i int) []int32 { return j.val[j.off[i]:j.off[i+1]] }
 
-// baseEmission is what emitDests produces on the empty scenario, in the
-// two shapes a scenario reads it in.
+// baseEmission is what emitDests produces on the empty scenario.
 //
 // Per destination, in emission order: the (tunnel, flow) list, and
 // whether that list meets the destination's balance targets — so a
 // replayed destination is balance-checked once per record, not once per
 // scenario.
 //
-// Per arc, in emission order: every addition the emission makes to the
-// arc's load, as (destination, value), and the arc's load after each —
-// the last is its base load. Re-summing an arc merges these with a
-// scenario's fresh additions in destination order, which performs the
-// floating-point operations the dense loop would, in the order it
-// would, so arc loads come out bit-identical; up to the first addition
-// the scenario changes, the running load is the record's. Over the
-// arcs: those with a positive base utilization, highest first, and
-// those the base overloads, ascending — the check's verdict on every
-// arc a scenario leaves alone. And per destination, its runs: on each
-// arc it loads, where among the arc's additions its own lie.
+// Per arc: its base load, every flow crossing it summed in emission
+// order, and how many flows cross it. Over the arcs: those with a
+// positive base utilization, highest first, and those the base
+// overloads, ascending — the check's verdict on every arc a scenario
+// leaves alone.
 //
 // rowDest indexes the destinations whose base solution is non-zero on a
 // universe row — the ones a change to that row can reach.
@@ -62,91 +53,45 @@ type baseEmission struct {
 	flowTun  []tunnels.ID
 	flowVal  []float64
 	balanced []bool
-	arcOff   []int32  // arc a's additions are arcAdds[arcOff[a]:arcOff[a+1]]
-	arcAdds  []arcAdd // grouped by arc, emission order within each
-	runOff   []int32  // destination di's runs are runs[runOff[di]:runOff[di+1]]
-	runs     []arcRun
+	arcLoad  []float64
+	arcFlows []int32
 	ranked   []int32 // arcs with positive base utilization, highest first
 	over     []int32 // arcs whose base load is overloaded, ascending
 	rowDest  jagged
 }
 
-// arcAdd is one recorded addition to an arc's load: the destination
-// whose flow made it, the flow, and the arc's load after it.
-type arcAdd struct {
-	dest      int32
-	val, load float64
-}
-
-// arcRun is one destination's additions to one arc, arcAdds[lo:hi] —
-// contiguous, since an arc's additions are in destination order.
-type arcRun struct{ arc, lo, hi int32 }
-
 // recordBase runs emitDests on the empty scenario sr holds — with no
-// record yet, every destination is emitted afresh — and stores the
-// outcome as s.rec. Each tunnel belongs to one pair, so a destination's
-// flow list names it at most once and its arc additions are exactly
-// the list expanded along each tunnel's path.
+// record yet, every destination is emitted afresh and every arc summed
+// from zero — and stores the outcome as s.rec.
 func (s *Sweep) recordBase(sr *sweepScratch) {
-	if _, err := s.emitDests(failures.Scenario{}, sr, nil, nil, false); err != nil {
+	if _, err := s.emitDests(failures.Scenario{}, sr, nil, nil); err != nil {
 		s.slu = nil // no record, no low-rank path: serve cold
 		return
 	}
 	ts := s.plan.Instance.Tunnels
-	numArcs := len(sr.arcLoad)
 	rec := &baseEmission{
 		flowOff:  append([]int32(nil), sr.flowOff...),
 		flowTun:  append([]tunnels.ID(nil), sr.flowTun...),
 		flowVal:  append([]float64(nil), sr.flowVal...),
 		balanced: make([]bool, len(s.dests)),
+		arcLoad:  append([]float64(nil), sr.arcLoad...),
+		arcFlows: make([]int32, len(sr.arcLoad)),
 	}
 	for di := range s.dests {
 		lo, hi := rec.flowOff[di], rec.flowOff[di+1]
 		v, _, _ := s.imbalance(&sr.bal, di, rec.flowTun[lo:hi], rec.flowVal[lo:hi])
 		rec.balanced[di] = v < 0
 	}
-
-	// Group the additions by arc, stably: count, then place in emission
-	// order. Placing destination by destination also lays out each
-	// destination's runs: the first addition to an arc since the
-	// destination began opens one.
-	off := make([]int32, numArcs+1)
 	for _, tid := range rec.flowTun {
 		for _, a := range ts.Tunnel(tid).Path.Arcs {
-			off[a+1]++
+			rec.arcFlows[a]++
 		}
-	}
-	for a := 0; a < numArcs; a++ {
-		off[a+1] += off[a]
-	}
-	rec.arcOff, rec.arcAdds = off, make([]arcAdd, off[numArcs])
-	rec.runOff = make([]int32, 1, len(s.dests)+1)
-	next := append([]int32(nil), off[:numArcs]...)
-	lastRun := make([]int32, numArcs) // arc -> its latest run, -1 before any
-	for a := range lastRun {
-		lastRun[a] = -1
-	}
-	clear(sr.arcLoad)
-	for di := range s.dests {
-		for i := rec.flowOff[di]; i < rec.flowOff[di+1]; i++ {
-			for _, a := range ts.Tunnel(rec.flowTun[i]).Path.Arcs {
-				if lastRun[a] < rec.runOff[di] {
-					lastRun[a] = int32(len(rec.runs))
-					rec.runs = append(rec.runs, arcRun{arc: int32(a), lo: next[a]})
-				}
-				sr.arcLoad[a] += rec.flowVal[i]
-				rec.arcAdds[next[a]] = arcAdd{dest: int32(di), val: rec.flowVal[i], load: sr.arcLoad[a]}
-				next[a]++
-				rec.runs[lastRun[a]].hi = next[a]
-			}
-		}
-		rec.runOff = append(rec.runOff, int32(len(rec.runs)))
 	}
 
 	// The check's verdict on untouched arcs, in the check's own
 	// arithmetic: the same comparison, the same division.
-	util := make([]float64, numArcs)
-	for a, load := range sr.arcLoad {
+	util := make([]float64, len(rec.arcLoad))
+	for a, load := range rec.arcLoad {
 		c := s.arcCap[a]
 		if overloaded(load, c) {
 			rec.over = append(rec.over, int32(a))
@@ -212,66 +157,57 @@ func (s *Sweep) markAffected(sr *sweepScratch, rows []int, ups []linsolve.RowUpd
 }
 
 // emitDests writes the flat emission of the activated scenario into sr,
-// destination by destination in node order: an unaffected destination
-// replays the engine's record and costs nothing, any other has its
-// solution (destSolution) spread over each pair's live tunnels. Arc
-// loads start from the record's: the arcs the previous emission
-// touched go back to their base loads. Then, exact, only the arcs an
-// affected destination loads — in the record or afresh — are
-// re-summed, from the first addition that changes (resumeArc,
-// catchUp). Each affected destination passes over its recorded runs
-// before it emits, so every addition a re-sum's cursor walks is a
-// replayed destination's; with every destination affected, as on the
-// cold path, each re-sum starts from zero. Screened (screen set: the
-// low-rank path, which has a record), an affected destination's rows
-// whose flows may differ from the base's add each flow's change to the
-// arcs its tunnel crosses (moveRow), and every other arc keeps its base
-// load.
-func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.Updated, lu *linsolve.SparseLU, screen bool) (served, error) {
+// destination by destination in node order: a destination a low-rank
+// scenario cannot change replays the record and costs nothing, any
+// other has its solution (destSolution) spread over each pair's live
+// tunnels. Arc loads start from the record's: the arcs the
+// previous emission touched go back to their base loads. On the
+// low-rank path an affected destination's rows whose flows may differ
+// from the base's add each flow's change to the arcs its tunnel
+// crosses (moveRow), an arc no flow crosses any more reads exactly 0,
+// and every other arc keeps its base load. Dense — on the cold path
+// (lu set) and on an engine with no record — every arc is summed from
+// zero, flow by flow in emission order, and every arc counts as
+// touched.
+func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.Updated, lu *linsolve.SparseLU) (served, error) {
 	in := s.plan.Instance
 	ep := sr.epoch
-	rec := s.rec
+	dense := s.rec == nil || lu != nil
 	k := 0
 	if upd != nil {
 		k = upd.Rank()
 	}
 	sv := served{smw: true, rank: k, evals: len(s.dests)}
 	for _, a := range sr.changed {
-		sr.arcLoad[a], sr.arcCur[a] = s.baseLoad(a), -1
+		sr.arcLoad[a], sr.arcFlows[a] = s.baseLoad(a), -1
 	}
-	sr.changed, sr.screened = sr.changed[:0], screen
+	sr.changed = sr.changed[:0]
+	if dense {
+		for a := range sr.arcLoad {
+			sr.arcLoad[a], sr.arcFlows[a] = 0, 0
+			sr.changed = append(sr.changed, int32(a))
+		}
+	}
 	sr.flowTun, sr.flowVal = sr.flowTun[:0], sr.flowVal[:0]
-	// Until an affected destination has been emitted, every re-summed
-	// arc was resumed at the current one and has nothing to catch up.
-	behind := false
 	for di, dst := range s.dests {
 		sr.flowOff[di] = int32(len(sr.flowTun))
-		if rec != nil {
-			if sr.destMark[di] != ep {
-				sv.replays++
-				continue
-			}
-			// Exact, the arcs the record has this destination load lose
-			// that load, whatever it loads now.
-			if !screen {
-				for _, run := range rec.runs[rec.runOff[di]:rec.runOff[di+1]] {
-					s.resumeArc(sr, run)
-				}
-			}
+		if s.replayed(sr, di) {
+			sv.replays++
+			continue
 		}
 		xt, err := s.destSolution(sr, di, upd, lu)
 		if err != nil {
 			return served{}, fmt.Errorf("routing: destination %d system under %v: %w", dst, sc, err)
 		}
 		var xb []float64
-		if screen {
+		if !dense {
 			xb = s.destBase[di]
 		}
 		for r := 0; r < s.n; r++ {
 			// A row keeps its base flows unless it carries some, now or
 			// at base, and is marked (a dead reserved tunnel, a
 			// membership or LS flip) or its solution moved.
-			if screen && (xt[r] > tol.Carry || xb[r] > tol.Carry) &&
+			if !dense && (xt[r] > tol.Carry || xb[r] > tol.Carry) &&
 				(sr.rowMark[r] == ep || math.Float64bits(xt[r]) != math.Float64bits(xb[r])) {
 				s.moveRow(sr, r, xt[r], xb[r])
 			}
@@ -288,75 +224,56 @@ func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.
 				}
 				sr.flowTun = append(sr.flowTun, tid)
 				sr.flowVal = append(sr.flowVal, rr)
-				if screen {
-					continue
-				}
-				for _, a := range in.Tunnels.Tunnel(tid).Path.Arcs {
-					if sr.arcCur[a] < 0 {
-						s.resumeArc(sr, s.runAt(a, di))
-					} else if behind {
-						s.catchUp(sr, int32(a), di)
+				if dense {
+					for _, a := range in.Tunnels.Tunnel(tid).Path.Arcs {
+						sr.arcLoad[a] += rr
 					}
-					sr.arcLoad[a] += rr
 				}
 			}
 		}
-		behind = true
 	}
 	sr.flowOff[len(s.dests)] = int32(len(sr.flowTun))
-	if !screen {
+	if !dense {
 		for _, a := range sr.changed {
-			s.catchUp(sr, a, len(s.dests))
+			if sr.arcFlows[a] == 0 {
+				sr.arcLoad[a] = 0
+			}
 		}
 	}
 	return sv, nil
 }
 
-// moveRow adds to the screened arc loads the change in universe row r's
-// flows for the destination being emitted, whose solution is x under
-// the activated scenario and xb under the base: per tunnel of the pair,
-// its flow now — x times its reservation, on a live tunnel of a pair
-// in the set, above Carry, as the emission writes it — less its flow at
-// base, as the record holds it. The change is one rounding, and each
-// arc it lands on counts it in arcCur.
+// moveRow adds to the arc loads the change in universe row r's flows
+// for the destination being emitted, whose solution is x under the
+// activated scenario and xb under the base: per tunnel of the pair, its
+// flow now — x times its reservation, on a live tunnel of a pair in the
+// set, above Carry, as the emission writes it — less its flow at base,
+// as the record holds it. Each arc the change lands on is touched, and
+// its flow count goes up by one for a flow that appears and down by one
+// for a flow that leaves.
 func (s *Sweep) moveRow(sr *sweepScratch, r int, x, xb float64) {
 	ep := sr.epoch
 	now, before := sr.inSet[r] == ep && x > tol.Carry, s.baseInSet[r] && xb > tol.Carry
 	for _, tid := range s.pairTun[r] {
-		res, d := s.tunRes[tid], 0.0
+		res, d, flows := s.tunRes[tid], 0.0, int32(0)
 		if f := x * res; now && sr.deadTun[tid] != ep && f > tol.Carry {
-			d = f
+			d, flows = f, 1
 		}
 		if f := xb * res; before && f > tol.Carry {
-			d -= f
+			d, flows = d-f, flows-1
 		}
 		if d == 0 {
 			continue
 		}
 		for _, a := range s.plan.Instance.Tunnels.Tunnel(tid).Path.Arcs {
-			if sr.arcCur[a] < 0 {
-				sr.arcCur[a] = 0
+			if sr.arcFlows[a] < 0 {
+				sr.arcFlows[a] = s.rec.arcFlows[a]
 				sr.changed = append(sr.changed, int32(a))
 			}
 			sr.arcLoad[a] += d
-			sr.arcCur[a]++
+			sr.arcFlows[a] += flows
 		}
 	}
-}
-
-// screenBound bounds how far screened arc a's load lies from the exact
-// emission's: 8·K·RoundOff·(L + |load|), where L is its base load and K
-// the record's additions to it plus the flow changes it took plus one
-// (DESIGN.md §12, "Why a screened verdict is the exact sum's"). Every
-// flow is above Carry, so the base terms sum to L up to round-off, and
-// each change is at most the flow before plus the flow after.
-func (s *Sweep) screenBound(sr *sweepScratch, a int32) float64 {
-	lo, hi := s.rec.arcOff[a], s.rec.arcOff[a+1]
-	base := 0.0
-	if hi > lo {
-		base = s.rec.arcAdds[hi-1].load
-	}
-	return 8 * float64(hi-lo+sr.arcCur[a]+1) * tol.RoundOff * (base + math.Abs(sr.arcLoad[a]))
 }
 
 // destSolution returns destination di's solution under the activated
@@ -376,63 +293,10 @@ func (s *Sweep) destSolution(sr *sweepScratch, di int, upd *linsolve.Updated, lu
 // baseLoad is arc a's load on the empty scenario: the record's, or zero
 // while there is none.
 func (s *Sweep) baseLoad(a int32) float64 {
-	if rec := s.rec; rec != nil {
-		if hi := rec.arcOff[a+1]; hi > rec.arcOff[a] {
-			return rec.arcAdds[hi-1].load
-		}
+	if s.rec != nil {
+		return s.rec.arcLoad[a]
 	}
 	return 0
-}
-
-// resumeArc moves the re-sum of run.arc past run, an affected
-// destination's additions to it (recorded, or none where its fresh ones
-// go). At the first affected destination that loads the arc, every
-// addition before the run is a replayed destination's, so the re-sum
-// starts from the record's running load after the last of them; at a
-// later one, it adds the replayed additions since its cursor.
-func (s *Sweep) resumeArc(sr *sweepScratch, run arcRun) {
-	a := run.arc
-	if i := sr.arcCur[a]; i >= 0 {
-		for ; i < run.lo; i++ {
-			sr.arcLoad[a] += s.rec.arcAdds[i].val
-		}
-	} else {
-		sr.changed = append(sr.changed, a)
-		sr.arcLoad[a] = 0
-		if s.rec != nil && run.lo > s.rec.arcOff[a] {
-			sr.arcLoad[a] = s.rec.arcAdds[run.lo-1].load
-		}
-	}
-	sr.arcCur[a] = run.hi
-}
-
-// runAt is the empty run of destination di on arc a, which the record
-// has di not load: where di's additions would lie among the arc's.
-func (s *Sweep) runAt(a topology.ArcID, di int) arcRun {
-	run := arcRun{arc: int32(a)}
-	if rec := s.rec; rec != nil {
-		run.lo = rec.arcOff[a]
-		for run.lo < rec.arcOff[a+1] && int(rec.arcAdds[run.lo].dest) < di {
-			run.lo++
-		}
-		run.hi = run.lo
-	}
-	return run
-}
-
-// catchUp adds to re-summed arc a the recorded additions ordered before
-// destination di that it has not added yet — all of them replayed
-// destinations', since every affected one's were passed over.
-func (s *Sweep) catchUp(sr *sweepScratch, a int32, di int) {
-	rec := s.rec
-	if rec == nil {
-		return
-	}
-	i, end := sr.arcCur[a], rec.arcOff[a+1]
-	for ; i < end && int(rec.arcAdds[i].dest) < di; i++ {
-		sr.arcLoad[a] += rec.arcAdds[i].val
-	}
-	sr.arcCur[a] = i
 }
 
 // destFlows returns destination di's flows in the emission sr holds:

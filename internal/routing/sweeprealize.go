@@ -59,19 +59,17 @@ type sweepScratch struct {
 	// emitted afresh as one (tunnel, flow) arena with an offset per
 	// destination — a replayed destination's flows are the engine's
 	// record — and the arc loads, which equal the record's base loads
-	// except on the arcs listed in changed. arcCur is -1 on every other
-	// arc. On those, in an exact emission it is how far into the
-	// record's additions to the arc the re-sum has got; in a screened
-	// one (screened set), how many flow changes the arc's load took.
+	// except on the arcs listed in changed. arcFlows is -1 on every
+	// other arc, and on those the number of flows that cross the arc
+	// (0 on every arc of a dense emission, which lists them all).
 	sol      []float64
 	inCount  int
 	flowOff  []int32
 	flowTun  []tunnels.ID
 	flowVal  []float64
 	arcLoad  []float64
-	arcCur   []int32
+	arcFlows []int32
 	changed  []int32
-	screened bool
 
 	// The check's state (sweepcheck.go): the capacity array the
 	// scenario's dead and degraded links are overlaid on and restored
@@ -121,32 +119,24 @@ func (s *Sweep) newScratch() *sweepScratch {
 		xt:       make([]float64, s.n),
 		flowOff:  make([]int32, len(s.dests)+1),
 		arcLoad:  make([]float64, g.NumArcs()),
-		arcCur:   make([]int32, g.NumArcs()),
+		arcFlows: make([]int32, g.NumArcs()),
 		arcCap:   append([]float64(nil), s.arcCap...),
 		bal:      newBalance(g.NumNodes()),
 	}
-	for a := range sr.arcCur {
-		sr.arcLoad[a], sr.arcCur[a] = s.baseLoad(int32(a)), -1
+	for a := range sr.arcFlows {
+		sr.arcLoad[a], sr.arcFlows[a] = s.baseLoad(int32(a)), -1
 	}
 	return sr
 }
 
-// realize serves one scenario, leaving its exact flat emission in sr,
-// and reports how: through the low-rank path, or through the cold path
-// when the engine has no base, no corrector could be built or the
-// residual guard trips.
+// realize serves one scenario, leaving its flat emission in sr, and
+// reports how: through the low-rank path, or through the cold path when
+// the engine has no base, no corrector could be built or the residual
+// guard trips.
 func (s *Sweep) realize(sc failures.Scenario, sr *sweepScratch) (served, error) {
-	return s.serve(sc, sr, false)
-}
-
-// serve is realize with the low-rank path's arc loads screened when
-// screen is set: each the base load plus the changes of the flows that
-// moved (emitDests), for the sweep's screened check. The cold path
-// always emits exactly.
-func (s *Sweep) serve(sc failures.Scenario, sr *sweepScratch, screen bool) (served, error) {
 	if s.n == 0 {
 		sr.sol, sr.inCount = nil, 0
-		return s.emitDests(sc, sr, nil, nil, false)
+		return s.emitDests(sc, sr, nil, nil)
 	}
 	sr.inCount = s.activate(sc, sr)
 	if s.slu == nil {
@@ -181,8 +171,8 @@ func (s *Sweep) serve(sc failures.Scenario, sr *sweepScratch, screen bool) (serv
 		return served{}, err
 	}
 	s.markAffected(sr, rows, ups)
-	sv, err := s.emitDests(sc, sr, upd, nil, screen)
-	sv.batchHit, sv.upd = hit, upd
+	sv, err := s.emitDests(sc, sr, upd, nil)
+	sv.batchHit = hit
 	return sv, err
 }
 
@@ -209,7 +199,7 @@ func (s *Sweep) cold(sc failures.Scenario, sr *sweepScratch, why fallbackCause) 
 	for di := range sr.destMark {
 		sr.destMark[di] = sr.epoch
 	}
-	_, err = s.emitDests(sc, sr, nil, lu, false)
+	_, err = s.emitDests(sc, sr, nil, lu)
 	return served{cause: why}, err
 }
 

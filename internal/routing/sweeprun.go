@@ -6,7 +6,6 @@ package routing
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,8 +23,7 @@ import (
 // machines.
 var sweepWorkerCount = func() int { return runtime.GOMAXPROCS(0) }
 
-// sweepSlot is one scenario's outcome in enumeration order. Its mlu is
-// exact wherever the sweep's caller reads it (sweepSome's floor).
+// sweepSlot is one scenario's outcome in enumeration order.
 type sweepSlot struct {
 	mlu  float64
 	err  error
@@ -48,7 +46,7 @@ func (fill scenarioFill) fresh(i int) failures.Scenario {
 // sweepSome realizes n scenarios through sw on a GOMAXPROCS-bounded
 // worker pool with per-worker scratch — fill writes the i-th into the scenario
 // of the worker that claims it — checking each served scenario straight
-// from the flat emission there (no Realization is built, sweepOne), and
+// from the flat emission there (judge; no Realization is built), and
 // returns the outcomes in index order: the same deterministic contract
 // as mcf's scenario sweep. It realizes scenario i only where
 // realizes(i) holds (every one, when realizes is nil). A scenario it
@@ -57,24 +55,12 @@ func (fill scenarioFill) fresh(i int) failures.Scenario {
 // Workers claim indexes from an atomic counter and the callers merge
 // the slot array in order, so worker scheduling never changes an
 // answer. stopOnError selects the designed-set contract — a worker
-// bails at its first failing scenario, and a failure's error text is
-// the exact sum's — while the sampled path sets it false and keeps
-// sweeping, since beyond-budget scenarios are expected to fail
-// sometimes and each outcome is a measurement, not an abort. The stats
-// count this call's scenarios only, whoever else is using the engine
-// meanwhile. A nil ctx means no deadline.
-//
-// floor says which MLUs the caller reads. At -Inf it reads every
-// slot's, and every one is exact. Otherwise it reads the largest MLU of
-// a run of slots from the first only where that is at least floor
-// (+Inf: it reads none). Each worker then keeps a running worst —
-// floor, raised by the MLU of every slot it succeeds on — and a
-// successful slot's MLU is exact or an upper bound below the running
-// worst its worker had when it claimed the slot (screen). Workers claim
-// slots in index order, so a slot whose MLU is a bound follows, in the
-// same run, a slot of larger exact MLU, or lies below floor: the
-// largest the caller reads, and its first slot, are exact.
-func sweepSome(ctx context.Context, sw *Sweep, check, stopOnError bool, floor float64, n int, fill scenarioFill, realizes func(int) bool) ([]sweepSlot, *SweepStats) {
+// bails at its first failing scenario — while the sampled path sets it
+// false and keeps sweeping, since beyond-budget scenarios are expected
+// to fail sometimes and each outcome is a measurement, not an abort.
+// The stats count this call's scenarios only, whoever else is using
+// the engine meanwhile. A nil ctx means no deadline.
+func sweepSome(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, fill scenarioFill, realizes func(int) bool) ([]sweepSlot, *SweepStats) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -98,7 +84,6 @@ func sweepSome(ctx context.Context, sw *Sweep, check, stopOnError bool, floor fl
 			// sc is refilled for every index; an error that may hold it
 			// takes it, and the worker starts a new one.
 			var sc failures.Scenario
-			worst := floor
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -117,7 +102,13 @@ func sweepSome(ctx context.Context, sw *Sweep, check, stopOnError bool, floor fl
 					slots[i].err = fmt.Errorf("routing: scenario sweep canceled at %v: %w", sc, err)
 					return
 				}
-				mlu, err := sw.sweepOne(sc, sr, ws, check, stopOnError, worst)
+				var mlu float64
+				sv, err := sw.realize(sc, sr)
+				if err == nil {
+					ws.count(sv)
+					mlu, err = sw.judge(sc, sr, nil, check)
+					ws.ArcChecks += sr.arcChecks
+				}
 				if err != nil {
 					slots[i].err, sc = err, failures.Scenario{}
 					if stopOnError {
@@ -126,9 +117,6 @@ func sweepSome(ctx context.Context, sw *Sweep, check, stopOnError bool, floor fl
 					continue
 				}
 				slots[i].mlu = mlu
-				if !math.IsInf(floor, -1) {
-					worst = max(worst, mlu)
-				}
 			}
 		}(&perWorker[w])
 	}
@@ -138,32 +126,6 @@ func sweepSome(ctx context.Context, sw *Sweep, check, stopOnError bool, floor fl
 	}
 	stats.Total = time.Since(start)
 	return slots, stats
-}
-
-// sweepOne serves and checks scenario sc of a sweep in sr and folds
-// how into ws: screened (serve, screen), and then, where the screen
-// cannot give the exact sum's answer, through the exact emission and
-// judge — counted in ws.ScreenFallbacks. exactErr asks for the exact
-// error text (a designed sweep reports its first failure's); worst is
-// the worker's running worst MLU (sweepSome).
-func (s *Sweep) sweepOne(sc failures.Scenario, sr *sweepScratch, ws *SweepStats, check, exactErr bool, worst float64) (float64, error) {
-	sv, err := s.serve(sc, sr, true)
-	if err != nil {
-		return 0, err
-	}
-	ws.count(sv)
-	mlu, decided, err := s.screen(sc, sr, check, exactErr, worst)
-	ws.ArcChecks += sr.arcChecks
-	if decided {
-		return mlu, err
-	}
-	ws.ScreenFallbacks++
-	if _, err := s.emitDests(sc, sr, sv.upd, nil, false); err != nil {
-		return 0, err
-	}
-	mlu, err = s.judge(sc, sr, nil, check)
-	ws.ArcChecks += sr.arcChecks
-	return mlu, err
 }
 
 // sweepDesigned sweeps the designed set through s: one representative
@@ -176,7 +138,7 @@ func (s *Sweep) sweepOne(sc failures.Scenario, sr *sweepScratch, ws *SweepStats,
 // floor is the least MLU the caller reads (sweepSome). The stats count
 // the designed set as its Scenarios and the classes realized as its
 // Classes; Total includes the class build if this call made it.
-func (s *Sweep) sweepDesigned(ctx context.Context, check bool, floor float64) (fill scenarioFill, slots []sweepSlot, stats *SweepStats, err error) {
+func (s *Sweep) sweepDesigned(ctx context.Context, check bool) (fill scenarioFill, slots []sweepSlot, stats *SweepStats, err error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -186,7 +148,7 @@ func (s *Sweep) sweepDesigned(ctx context.Context, check bool, floor float64) (f
 		return nil, nil, &SweepStats{BaseFactorTime: s.baseTime, Total: time.Since(start)}, err
 	}
 	fill = cls.fill(s.plan.Instance.Failures)
-	slots, stats = sweepSome(ctx, s, check, true, floor, cls.len(), fill, nil)
+	slots, stats = sweepSome(ctx, s, check, true, cls.len(), fill, nil)
 	stats.Scenarios = cls.count
 	stats.Total = time.Since(start)
 	return fill, slots, stats, nil
@@ -227,7 +189,7 @@ type ValidateOptions struct{}
 // of the first unrealized one. The statistics are returned even when
 // validation fails.
 func (s *Sweep) ValidateStats(ctx context.Context) (*SweepStats, error) {
-	fill, slots, stats, err := s.sweepDesigned(ctx, true, math.Inf(1))
+	fill, slots, stats, err := s.sweepDesigned(ctx, true)
 	if err != nil {
 		return stats, err
 	}
@@ -262,7 +224,7 @@ func WorstMLUStats(ctx context.Context, plan *core.Plan, _ ValidateOptions) (flo
 	if err != nil {
 		return 0, failures.Scenario{}, &SweepStats{Total: time.Since(start)}, err
 	}
-	fill, slots, stats, err := sw.sweepDesigned(ctx, false, 0)
+	fill, slots, stats, err := sw.sweepDesigned(ctx, false)
 	stats.Total += stats.BaseFactorTime
 	if err != nil {
 		return 0, failures.Scenario{}, stats, err

@@ -196,7 +196,7 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 		t.Fatalf("%d fallbacks, max rank %d of n = %d; want none and a rank above n/2", warm.Fallbacks, warm.MaxRank, sw.n)
 	}
 	want := []string{"scenarios", "classes", "workers", "smw_hits", "fallbacks", "fallbacks_nobase",
-		"fallbacks_singular", "fallbacks_residual", "dest_evals", "dest_replays", "arc_checks", "screen_fallbacks", "max_rank", "batch_hits",
+		"fallbacks_singular", "fallbacks_residual", "dest_evals", "dest_replays", "arc_checks", "max_rank", "batch_hits",
 		"smw_hit_rate", "base_factor_time_ms", "total_ms"}
 	m := warm.Metrics()
 	if len(m) != len(want) {

@@ -135,10 +135,11 @@ const (
 	Balance = 1e-6
 	// RoundOff is float64's unit round-off, 2⁻⁵³: a correctly rounded
 	// sum or product of x and y lies within RoundOff·|x∘y| of the real
-	// one. The sweep's screened arc loads bound their distance from the
-	// exact sum with it (routing's screenBound). Far below Overload
-	// even times a million additions, so the screen decides an arc
-	// unless its load lies within about 1e-10 of the verdict's edge.
+	// one. A low-rank arc load — its base load plus what changed — lies
+	// within a multiple of it of the dense loop's sum (DESIGN.md §12).
+	// Far below Overload even times a million flows, so the two give an
+	// arc the same verdict unless its load lies within about 1e-10 of
+	// the verdict's edge.
 	RoundOff = 0x1p-53
 )
 

@@ -41,10 +41,10 @@ func TestOrder(t *testing.T) {
 		// A hundred thousand flows dropped as carrying nothing cannot put a
 		// node out of balance.
 		{"1e5*Carry < Balance", 1e5*Carry < Balance},
-		// The sweep's screened arc loads decide the overload verdict
-		// wherever their round-off bound is below the margin; on an arc
-		// of a million additions and unit load the bound is 16e6
-		// RoundOffs, which must leave that margin almost whole.
+		// A low-rank arc load keeps the dense loop's overload verdict
+		// wherever its round-off bound is below the margin; on an arc
+		// of a million flows and unit load the bound is 16e6 RoundOffs,
+		// which must leave that margin almost whole.
 		{"16e6*RoundOff < Overload/100", 16e6*RoundOff < Overload/100},
 	} {
 		if !r.holds {

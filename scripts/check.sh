@@ -131,11 +131,12 @@ go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeter
 
 echo "== delta validation ≡ dense (-race -count=2)"
 # The sweep replays a recorded emission for every destination a scenario
-# cannot change, re-sums only the arcs the others load and takes every
-# other verdict from the record; the dense path it replaced lives on as
-# the test-file oracle and must agree bit for bit — loads, flows, MLU,
-# verdicts — serially and on a forced 4-worker pool, which is what the
-# race detector examines here (DESIGN.md §12). The one cold path (the
+# cannot change, adds to each arc the others' moved flows cross the
+# change of every such flow, and takes every other verdict from the
+# record; the dense path it replaced lives on as the test-file oracle
+# and must agree — pairs, U and flows bit for bit, arc loads within
+# their round-off bound — serially and on a forced 4-worker pool, which
+# is what the race detector examines here (DESIGN.md §12). The one cold path (the
 # scenario's own sparse rows, factored afresh; Realize runs it too) is
 # held to the dense n×n oracle at 1e-9 with every corrected scenario
 # forced cold. Outcome, what /v1/realize runs, must equal Realize +
@@ -148,8 +149,8 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # condition bound, and the fuzz target's seed corpus; the engine's
 # inverse-column memo must hold only nonzeros; every realization of
 # the four benchmark plans, prepared by eval.Prepare as the benchmark
-# prepares them, must hash to the goldens recorded with the dense
-# corrector; and a corrector-cache miss must allocate five objects at
+# prepares them, must hash to their goldens (U and flows as recorded
+# with the dense corrector); and a corrector-cache miss must allocate five objects at
 # any rank, bytes linear in its nonzeros (skipped under -race, whose own
 # allocations would count). Both checks answer a realization that does
 # not fit the plan (arc count, destination or tunnel out of range) with
@@ -160,15 +161,17 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # its representative's MLU and verdict, and ValidateStats, WorstMLUStats
 # and ValidateSampled must answer as the per-scenario sweep (the
 # test-file referee) does, on failing plans and degraded SRLGs too.
-# Inside a sweep arc loads are screened — the base load plus the change
-# of every moved flow, with a round-off bound — and every verdict, the
-# designed sweep's error text and every MLU a caller reads must be the
-# exact emission's, on the gadgets, Sprint CLS, the four benchmark plans
-# and a plan crafted so an arc's screened and exact loads straddle
-# capacity + Overload, on forced 4-worker pools.
+# A low-rank scenario's arc loads are its base loads plus what changed:
+# each within its round-off bound of the dense loop's, 0 exactly where
+# no flow crosses, with the dense verdict wherever the bound decides
+# it, and every MLU, verdict and first error a sweep, ValidateStats,
+# WorstMLUStats, ValidateSampled or WorstMLUSearch reads bit-equal to a
+# serial realize + judge, on the gadgets, Sprint CLS, the four benchmark
+# plans and a plan crafted so an arc's low-rank and dense loads
+# straddle capacity + Overload, on forced 4-worker pools.
 # -count=2 keeps Go's test cache from answering for a
 # schedule-dependent regression.
-go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestSparseBuildMatchesDenseBuild|TestSparseBuildCraftedCapacitances|FuzzCorrectorMatchesDense|TestCorrectionFingerprints|TestCorrectorFootprint|TestInverseColumnMemoHoldsNonzeros|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone|TestSweptErrorsKeepTheirScenario|TestScreenedSweepMatchesExactSum' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
+go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestSparseBuildMatchesDenseBuild|TestSparseBuildCraftedCapacitances|FuzzCorrectorMatchesDense|TestCorrectionFingerprints|TestCorrectorFootprint|TestInverseColumnMemoHoldsNonzeros|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone|TestSweptErrorsKeepTheirScenario|TestArcLoadsMatchDenseLoop' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
 
 echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
