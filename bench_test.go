@@ -15,6 +15,7 @@ import (
 	"context"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pcf/internal/core"
@@ -484,28 +485,47 @@ func BenchmarkValidateSweepSynth1k(b *testing.B) {
 
 // BenchmarkValidateSampled measures what GET
 // /v1/validate?model=sampled&p=0.01&samples=1000&seed=1 runs on a
-// published engine (its designed classes and correctors built): the
-// designed pass, then a thousand tail draws classified, one
-// representative per class realized. tail_reps is how many were
-// realized; a thousand means the tail lost its classes.
+// published engine (its designed classes and correctors built, its
+// designed pass kept by the publish validation): a thousand tail draws
+// classified, the draws in designed classes taking the kept pass's
+// outcome, one representative per other class realized. tail_reps is
+// how many were realized; a thousand means the tail lost its classes.
+// designed_reps is how many designed representatives one more call
+// realized, read off its cancellation checks: the sweep makes one per
+// representative it claims, and the tail one per 256 draws before
+// drawing, one per draw and one once its sweep returns. It must be 0:
+// anything else means the call swept the designed set again. The
+// btna-cls-f2 plan is built as the benchmark's workload builds it:
+// eval.Prepare, core.BuildCLSQuick, core.SolveBest.
 func BenchmarkValidateSampled(b *testing.B) {
+	btna := eval.Options{Topology: "BTNorthAmerica", Seed: 1, MaxPairs: 40, FailureBudget: 2}
 	for _, tc := range []struct {
 		name string
 		opts eval.Options
+		cls  bool // solve the PCF-CLS instance with the best ladder, not PCF-TF
 	}{
-		{"sprint-tf-f1", eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 45, FailureBudget: 1}},
-		{"btna-tf-f2", eval.Options{Topology: "BTNorthAmerica", Seed: 1, MaxPairs: 40, FailureBudget: 2}},
-		{"synth1k-tf-f1", eval.Options{Synth: "waxman", SynthNodes: 1000, Seed: 1, MaxPairs: 250, FailureBudget: 1}},
+		{"sprint-tf-f1", eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 45, FailureBudget: 1}, false},
+		{"btna-tf-f2", btna, false},
+		{"btna-cls-f2", btna, true},
+		{"synth1k-tf-f1", eval.Options{Synth: "waxman", SynthNodes: 1000, Seed: 1, MaxPairs: 250, FailureBudget: 1}, false},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			setup, err := eval.Prepare(tc.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			plan, err := core.SolvePCFTF(&core.Instance{
+			in := &core.Instance{
 				Graph: setup.Graph, TM: setup.TM, Tunnels: setup.Tunnels,
 				Failures: setup.Failures, Objective: core.DemandScale,
-			}, core.SolveOptions{})
+			}
+			solve := core.SolvePCFTF
+			if tc.cls {
+				if in, _, err = core.BuildCLSQuick(in); err != nil {
+					b.Fatal(err)
+				}
+				solve = core.SolveBest
+			}
+			plan, err := solve(in, core.SolveOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -530,13 +550,34 @@ func BenchmarkValidateSampled(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
 			reps := rep.Stats.Classes - designed.Classes
 			if reps >= opts.Samples {
 				b.Fatalf("%d tail representatives realized for %d draws", reps, opts.Samples)
 			}
+			checks := &errCalls{Context: ctx}
+			if _, err := sw.ValidateSampled(checks, opts); err != nil {
+				b.Fatal(err)
+			}
+			designedReps := checks.n.Load() - int64((opts.Samples+255)/256+opts.Samples+1)
+			if designedReps != 0 {
+				b.Fatalf("the call realized %d designed representatives; the engine's kept pass should answer for all %d", designedReps, designed.Classes)
+			}
 			b.ReportMetric(float64(reps), "tail_reps")
+			b.ReportMetric(float64(designedReps), "designed_reps")
 		})
 	}
+}
+
+// errCalls is a context that never ends and counts its Err calls.
+type errCalls struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *errCalls) Err() error {
+	c.n.Add(1)
+	return nil
 }
 
 // ---- Ablation benchmarks (DESIGN.md §6) ----

@@ -270,14 +270,12 @@ func (s SweepStats) Metrics() map[string]float64 {
 // checked before every scenario's solve and inside each solve's simplex
 // loop, and a nil ctx means no bound. The base MCF is compiled once;
 // each scenario re-solves it with the dead arcs' capacity rows zeroed,
-// warm-started from the worker's previous basis. Scenarios are
-// pre-enumerated and swept by one worker per P (runtime.GOMAXPROCS), each
-// owning its compiled clone and basis chain; results are merged by an
-// in-order scan taking the first strict minimum, so a successful
-// sweep returns the sequential enumeration's worst scenario, and its
-// value to solver round-off: a worker warm-starts each scenario from
-// its own previous basis, so the value's last bits follow which
-// scenarios it solved before.
+// warm-started from the base solve's basis, so its value is a function
+// of the scenario alone. Scenarios are pre-enumerated and swept by one
+// worker per P (runtime.GOMAXPROCS), each owning its compiled clone;
+// results are merged by an in-order scan taking the first strict
+// minimum, so a successful sweep returns the sequential enumeration's
+// worst scenario and value, bit for bit, regardless of scheduling.
 func OptimalUnderFailuresStats(ctx context.Context, g *topology.Graph, tm *traffic.Matrix, fs *failures.Set) (float64, failures.Scenario, *SweepStats, error) {
 	start := time.Now()
 	stats := &SweepStats{}
@@ -304,8 +302,8 @@ func OptimalUnderFailuresStats(ctx context.Context, g *topology.Graph, tm *traff
 	comp := lp.Compile(fm.m)
 	stats.CompileTime = comp.CompileTime
 
-	// One cold solve of the no-failure model seeds every worker's
-	// basis chain.
+	// One cold solve of the no-failure model: every scenario
+	// warm-starts from its basis.
 	baseSol, err := comp.Solve(lp.Options{Context: ctx})
 	if err != nil {
 		return 0, failures.Scenario{}, stats, fmt.Errorf("mcf: base solve: %w", err)
@@ -335,7 +333,6 @@ func OptimalUnderFailuresStats(ctx context.Context, g *topology.Graph, tm *traff
 			if workers > 1 {
 				wcomp = comp.Clone()
 			}
-			basis := baseSol.Basis
 			ws := &perWorker[w]
 			for {
 				i := int(next.Add(1)) - 1
@@ -350,7 +347,7 @@ func OptimalUnderFailuresStats(ctx context.Context, g *topology.Graph, tm *traff
 						return
 					}
 				}
-				obj, sol, err := sweepSolve(ctx, wcomp, fm, sc, basis)
+				obj, sol, err := sweepSolve(ctx, wcomp, fm, sc, baseSol.Basis)
 				results[i].done = true
 				if err != nil {
 					results[i].err = fmt.Errorf("mcf: scenario %v: %w", sc, err)
@@ -363,9 +360,6 @@ func OptimalUnderFailuresStats(ctx context.Context, g *topology.Graph, tm *traff
 						ws.WarmHits++
 					} else {
 						ws.ColdSolves++
-					}
-					if sol.Basis != nil {
-						basis = sol.Basis
 					}
 				}
 			}

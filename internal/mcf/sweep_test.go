@@ -249,9 +249,9 @@ func TestScaleConfirmationWarm(t *testing.T) {
 
 // TestSweepOneWorkerPerP: the sweep starts one worker per P, so at
 // GOMAXPROCS=1 it runs on one worker — one compiled model, no clone —
-// and answers as it does at 2: the same scenario, and its value to
-// 1e-9 (each worker warm-starts from its own previous basis, so the
-// value's last bits follow which scenarios a worker solved before).
+// and answers as it does at 2: the same scenario and the same value,
+// bit for bit (every scenario warm-starts from the base basis, so no
+// value depends on which scenarios a worker solved before).
 func TestSweepOneWorkerPerP(t *testing.T) {
 	g := topozoo.MustLoad("Sprint")
 	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 3, Jitter: 0.4})
@@ -270,7 +270,7 @@ func TestSweepOneWorkerPerP(t *testing.T) {
 	if stats1.Workers != 1 || stats2.Workers != 2 {
 		t.Fatalf("%d workers at GOMAXPROCS=1, %d at 2; want 1 and 2", stats1.Workers, stats2.Workers)
 	}
-	if math.Abs(worst1-worst2) > 1e-9*(1+math.Abs(worst2)) || !reflect.DeepEqual(sc1, sc2) {
+	if math.Float64bits(worst1) != math.Float64bits(worst2) || !reflect.DeepEqual(sc1, sc2) {
 		t.Fatalf("GOMAXPROCS=1: %.17g at %v; GOMAXPROCS=2: %.17g at %v", worst1, sc1, worst2, sc2)
 	}
 }

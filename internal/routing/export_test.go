@@ -81,3 +81,7 @@ var NearThresholdPlan = nearThresholdPlan
 
 // AssertLoadsMatchDense referees the arc-load rule on one plan.
 var AssertLoadsMatchDense = assertLoadsMatchDense
+
+// CheckRealizationScan is CheckRealization over the whole matrix's
+// demand pairs, as it was: the reference its column reads are held to.
+var CheckRealizationScan = checkRealizationScan

@@ -266,21 +266,18 @@ func CheckRealization(plan *core.Plan, r *Realization) error {
 		dsts = append(dsts, dst)
 	}
 	slices.Sort(dsts)
-	inbound := map[topology.NodeID][]topology.Pair{}
-	for _, p := range in.DemandPairs() {
-		if _, ok := r.TunnelTo[p.Dst]; ok {
-			inbound[p.Dst] = append(inbound[p.Dst], p)
-		}
-	}
 	// The balance target of a destination: the scaled demand v->dst at
-	// each source v, minus the total demand into dst at dst.
+	// each source v, minus the total demand into dst at dst, summed over
+	// its demand pairs in DemandPairs' order.
 	bal := newBalance(g.NumNodes())
+	var inbound []topology.Pair
 	var wantNodes []int32
 	var wantVals, vals []float64
 	var tuns []tunnels.ID
 	for _, dst := range dsts {
+		inbound = in.AppendDemandPairsInto(inbound[:0], dst)
 		wantNodes, wantVals = append(wantNodes[:0], int32(dst)), append(wantVals[:0], 0)
-		for _, p := range inbound[dst] {
+		for _, p := range inbound {
 			d := plan.ScaledDemand(p)
 			wantVals[0] -= d
 			wantNodes, wantVals = append(wantNodes, int32(p.Src)), append(wantVals, d)

@@ -1,11 +1,12 @@
 package routing
 
 // Sampled validation: the probabilistic scenario model's validation
-// entry point. The designed failure set is still swept exhaustively —
-// that part keeps the hard guarantee — and the tail beyond the budget
-// (scenarios exhaustive enumeration silently ignores) is covered
-// statistically: N seeded draws from the conditional tail sampler are
-// checked, one realization per class of draws, and the report carries
+// entry point. The designed failure set is still judged exhaustively —
+// that part keeps the hard guarantee, read from the engine's kept
+// designed pass — and the tail beyond the budget (scenarios exhaustive
+// enumeration silently ignores) is covered statistically: N seeded
+// draws from the conditional tail sampler are checked, one realization
+// per class of draws, and the report carries
 // the explicit bound "P(a scenario occurs that validation has not
 // covered) ≤ ε with confidence 1−δ" (failures.Coverage, math in
 // DESIGN.md §18).
@@ -46,15 +47,16 @@ type SampledReport struct {
 	// Coverage is the explicit coverage bound (ε, δ).
 	Coverage failures.Coverage
 	// WorstMLU and WorstScenario track the worst utilization seen over
-	// both the exhaustive sweep and the successfully realized samples.
+	// both the designed set and the successfully realized samples.
 	WorstMLU      float64
 	WorstScenario failures.Scenario
-	// Stats merges the sweep statistics of the exhaustive and sampled
-	// passes, which share one engine.
+	// Stats merges the sweep statistics of the designed pass read (the
+	// engine's kept one) and this call's tail, which share one engine;
+	// Total is this call's wall clock.
 	Stats SweepStats
 }
 
-// ValidateSampled validates the plan's designed failure set
+// ValidateSampled judges the plan's designed failure set
 // exhaustively, then estimates how the plan fares beyond it: tail
 // scenarios (more than Budget failed units) are drawn from the
 // conditional distribution with a seeded sampler, realized, and
@@ -67,17 +69,20 @@ type SampledReport struct {
 // the parallel sweep, and outcomes merge in draw order. The stats'
 // Total is the whole call's wall clock.
 //
-// The designed pass runs through s itself, one representative per
-// class of scenarios as in ValidateStats, so on a published engine the
-// classes and every corrector it needs are already built. The draws are
-// classified by the same equivalence as they are drawn (tailClasses): a
-// draw in a designed class takes that class's outcome from the
-// designed pass, and of the others only the first draw of each class
-// is realized, the later ones taking its outcome, so every draw's
-// outcome is the one its own realization would have. The
-// representatives run through a fork of s (fork): it shares the
-// engine, reads s's correctors first and keeps its own misses, so s's
-// cache stays at what it held. Safe for concurrent use, beside any
+// The designed set's verdict and worst are the engine's kept designed
+// pass (keptPass): its outcome depends on the plan alone, so on a
+// published engine it is the pass publication's ValidateStats swept,
+// and the call realizes no designed representative. An engine that has
+// completed no such pass sweeps one first, one representative per class
+// of scenarios as in ValidateStats, and keeps it; the designed counters
+// in Stats are those of the pass read. The draws are classified by the
+// same equivalence as they are drawn (tailClasses): a draw in a
+// designed class takes that class's outcome from the kept pass, and of
+// the others only the first draw of each class is realized, the later
+// ones taking its outcome, so every draw's outcome is the one its own
+// realization would have. The representatives run through a fork of s
+// (fork): it shares the engine, reads s's correctors first and keeps
+// its own misses, so s's cache stays at what it held. Safe for concurrent use, beside any
 // other use of s.
 func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*SampledReport, error) {
 	start := time.Now()
@@ -110,25 +115,25 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 	if opts.KCap <= fs.Budget {
 		return nil, fmt.Errorf("routing: kcap %d must exceed the budget %d", opts.KCap, fs.Budget)
 	}
-	// Exhaustive pass over the designed set: the hard guarantee. Any
-	// violation here is the caller's error, not a statistic.
-	fill, slots, exStats, err := s.sweepDesigned(ctx, true)
+	// The designed set: the hard guarantee. Any violation here is the
+	// caller's error, not a statistic.
+	pass, err := s.keptPass(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := firstFailure(slots, fill.fresh); err != nil {
+	if _, err := firstFailure(pass.slots, pass.fill.fresh); err != nil {
 		return nil, err
 	}
-	rep := &SampledReport{Stats: *exStats}
-	if worst, i := worstOf(slots); i >= 0 {
-		rep.WorstMLU, rep.WorstScenario = worst, fill.fresh(i)
+	rep := &SampledReport{Stats: pass.stats}
+	if worst, i := worstOf(pass.slots); i >= 0 {
+		rep.WorstMLU, rep.WorstScenario = worst, pass.fill.fresh(i)
 	}
 
 	tailMass := opts.Model.TailMass(fs.Budget)
 	cov := &rep.Coverage
 	cov.Model = "sampled"
 	cov.Budget = fs.Budget
-	cov.Exhaustive = int64(exStats.Scenarios)
+	cov.Exhaustive = int64(pass.stats.Scenarios)
 	cov.ExhaustiveMass = 1 - tailMass
 	cov.TailMass = tailMass
 	cov.TruncatedMass = tailMass
@@ -171,7 +176,7 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("routing: sampled validation canceled in the tail sweep: %w", err)
 		}
-		tail.outcomes(sslots, slots)
+		tail.outcomes(sslots, pass.slots)
 		for i := range sslots {
 			if sslots[i].err != nil {
 				// Realization or check failure on a beyond-budget

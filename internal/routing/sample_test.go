@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -273,7 +274,9 @@ func (c *errAfter) Err() error {
 
 // TestValidateSampledCanceledBeforeSweep: a context that ends once the
 // designed-set pass is through stops the pre-draw loop — the sampled
-// sweep never starts and the error is the context's own.
+// sweep never starts and the error is the context's own. The one-shot
+// form's fresh engine has kept no designed pass, so each call sweeps
+// the designed set itself.
 func TestValidateSampledCanceledBeforeSweep(t *testing.T) {
 	plan := fig1Plan(t, 1)
 	pm, err := failures.Uniform(plan.Instance.Failures, 0.1)
@@ -298,7 +301,8 @@ func TestValidateSampledCanceledBeforeSweep(t *testing.T) {
 // error, wrapping the context's, and yields no report; the draw it
 // reached is not counted as a sample failure. One worker makes the
 // Err-call sequence deterministic: after the engine build, the
-// designed-set pass and the pre-draw loop, one call per draw in draw
+// designed-set pass (the one-shot form's fresh engine has kept none, so
+// the call sweeps it) and the pre-draw loop, one call per draw in draw
 // order, then the check once the tail sweep returns.
 func TestValidateSampledCanceledInTail(t *testing.T) {
 	old := sweepWorkerCount
@@ -359,8 +363,9 @@ func (c *pauseAt) Err() error {
 // records as the validate record's duration, covers the whole call, the
 // serial draw-and-classify loop included. The loop's first cancellation
 // check sleeps; a Total that leaves the loop out falls short of the
-// pause. On a warm engine, so that every call makes the same Err calls
-// before the loop: one per class of the designed pass.
+// pause. On a validated engine, so that every call makes the same Err
+// calls before the loop: none, since the call reads the designed pass
+// the engine kept.
 func TestValidateSampledChargesWholeCall(t *testing.T) {
 	plan := fig1Plan(t, 1)
 	pm, err := failures.Uniform(plan.Instance.Failures, 0.1)
@@ -371,8 +376,9 @@ func TestValidateSampledChargesWholeCall(t *testing.T) {
 	if _, err := sw.ValidateStats(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// Samples < 0 draws nothing: this run counts the designed pass's Err
-	// calls, and the draw loop's first check is the one after them.
+	// Samples < 0 draws nothing: this run counts the Err calls before the
+	// draw loop (none: no designed representative is swept), and the
+	// loop's first check is the one after them.
 	count := &errAfter{Context: context.Background(), after: math.MaxInt64}
 	if _, err := sw.ValidateSampled(count, SampleOptions{Model: pm, Samples: -1}); err != nil {
 		t.Fatal(err)
@@ -500,6 +506,151 @@ func TestSampledOnPublishedMatchesOneShot(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSampledReadsDesignedOutcome: a sampled validation judges the
+// designed set by the engine's kept designed pass. On an engine whose
+// ValidateStats has run it realizes no designed representative: its
+// only Err calls are the tail's (one per 256 draws before drawing, one
+// per draw, one once the tail sweep returns), where a fresh engine's
+// call adds one per representative it sweeps, and its report is the
+// one-shot form's on a fresh engine. A ValidateStats a cancellation cut
+// short keeps nothing: the next sampled call sweeps the designed set
+// itself and succeeds. A plan whose designed set fails answers every
+// call with the same first error, and two first calls racing on a
+// fresh engine report alike. On a forced 4-worker pool.
+func TestSampledReadsDesignedOutcome(t *testing.T) {
+	old := sweepWorkerCount
+	sweepWorkerCount = func() int { return 4 }
+	defer func() { sweepWorkerCount = old }()
+	ctx := context.Background()
+	const samples = 300
+	tailChecks := int64((samples+255)/256 + samples + 1)
+	counting := func() *errAfter { return &errAfter{Context: ctx, after: math.MaxInt64} }
+	for _, tc := range []struct {
+		name string
+		plan func(*testing.T) *core.Plan
+	}{
+		{"fig1-f1", func(t *testing.T) *core.Plan { return fig1Plan(t, 1) }},
+		{"fig5-cls", fig5CLSPlan},
+		{"sprint-cls", sprintCLSPlanOrSkip},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := tc.plan(t)
+			pm, err := failures.Uniform(plan.Instance.Failures, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := SampleOptions{Model: pm, Samples: samples, Seed: 3}
+			want, err := ValidateSampled(ctx, plan, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := func(at string, got *SampledReport, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				g, w := got.Stats, want.Stats
+				if got.Coverage != want.Coverage || math.Float64bits(got.WorstMLU) != math.Float64bits(want.WorstMLU) ||
+					!reflect.DeepEqual(got.WorstScenario, want.WorstScenario) ||
+					g.Scenarios != w.Scenarios || g.SMWHits != w.SMWHits || g.Fallbacks != w.Fallbacks {
+					t.Fatalf("%s: %+v, worst %.17g at %v, %d scenarios, %d SMW hits, %d fallbacks;\none-shot %+v, worst %.17g at %v, %d, %d, %d",
+						at, got.Coverage, got.WorstMLU, got.WorstScenario, g.Scenarios, g.SMWHits, g.Fallbacks,
+						want.Coverage, want.WorstMLU, want.WorstScenario, w.Scenarios, w.SMWHits, w.Fallbacks)
+				}
+			}
+
+			pub := newSweep(t, plan)
+			designed, err := pub.ValidateStats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count := counting()
+			got, err := pub.ValidateSampled(count, opts)
+			same("validated engine", got, err)
+			if calls := count.calls.Load(); calls != tailChecks {
+				t.Fatalf("on a validated engine the call made %d Err calls, the tail's %d: it swept %d designed representatives",
+					calls, tailChecks, calls-tailChecks)
+			}
+
+			fresh := newSweep(t, plan)
+			count = counting()
+			got, err = fresh.ValidateSampled(count, opts)
+			same("fresh engine", got, err)
+			if calls := count.calls.Load(); calls < tailChecks+int64(designed.Classes) {
+				t.Fatalf("on a fresh engine the call made %d Err calls, want at least %d for the tail and %d for the designed pass",
+					calls, tailChecks, designed.Classes)
+			}
+			count = counting()
+			got, err = fresh.ValidateSampled(count, opts)
+			same("second call", got, err)
+			if calls := count.calls.Load(); calls != tailChecks {
+				t.Fatalf("a second call made %d Err calls, the tail's %d: the first call's pass was not kept", calls, tailChecks)
+			}
+
+			// A pass whose last Err call cancels it: one representative
+			// holds the context's error, and nothing is kept.
+			count = counting()
+			if _, err := newSweep(t, plan).ValidateStats(count); err != nil {
+				t.Fatal(err)
+			}
+			cut := newSweep(t, plan)
+			if _, err := cut.ValidateStats(&errAfter{Context: ctx, after: count.calls.Load() - 1}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("ValidateStats canceled at its last representative: err = %v", err)
+			}
+			if cut.pass.fill != nil {
+				t.Fatal("a canceled ValidateStats kept its pass")
+			}
+			count = counting()
+			got, err = cut.ValidateSampled(count, opts)
+			same("after a canceled ValidateStats", got, err)
+			if calls := count.calls.Load(); calls < tailChecks+int64(designed.Classes) {
+				t.Fatalf("after a canceled ValidateStats the call made %d Err calls: it did not sweep the designed set", calls)
+			}
+
+			// Two first calls racing on a fresh engine.
+			racing := newSweep(t, plan)
+			var reps [2]*SampledReport
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i := range reps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					reps[i], errs[i] = racing.ValidateSampled(ctx, opts)
+				}()
+			}
+			wg.Wait()
+			for i := range reps {
+				same(fmt.Sprintf("racing call %d", i), reps[i], errs[i])
+			}
+		})
+	}
+
+	t.Run("failing", func(t *testing.T) {
+		plan := withBudget(fig1Plan(t, 1), 2)
+		pm, err := failures.Uniform(plan.Instance.Failures, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := SampleOptions{Model: pm, Samples: samples, Seed: 3}
+		sw := newSweep(t, plan)
+		_, first := sw.ValidateStats(ctx)
+		if first == nil {
+			t.Fatal("the plan validates at budget 2; the case needs a failing designed set")
+		}
+		_, oneShot := ValidateSampled(ctx, plan, opts)
+		for i := 0; i < 3; i++ {
+			_, sampled := sw.ValidateSampled(ctx, opts)
+			_, exact := sw.ValidateStats(ctx)
+			for _, err := range []error{sampled, exact, oneShot} {
+				if err == nil || err.Error() != first.Error() {
+					t.Fatalf("call %d: err = %v, the first pass's %v", i, err, first)
+				}
+			}
+		}
+	})
 }
 
 // TestForkCacheBounded: a fork keeps at most its bound of correctors

@@ -22,9 +22,9 @@ type SweepStats struct {
 	// representative per class of scenarios that realize
 	// bit-identically (sweepclass.go) — on a sampled tail per class its
 	// draws form outside the designed classes, whose draws take the
-	// designed pass's outcome — and elsewhere every scenario. Every
-	// counter below counts realized scenarios. Workers is the
-	// goroutines that swept them.
+	// engine's kept designed pass's outcome — and elsewhere every
+	// scenario. Every counter below counts realized scenarios. Workers
+	// is the goroutines that swept them.
 	Scenarios int
 	Classes   int
 	Workers   int
@@ -268,6 +268,12 @@ type engine struct {
 	classMu sync.Mutex
 	classes *designedClasses
 
+	// pass is the outcome of the first checked designed pass through
+	// any view that ran to completion (keep); ValidateSampled reads it.
+	// Its fill is nil until then. Guarded by passMu.
+	passMu sync.Mutex
+	pass   designedPass
+
 	baseTime time.Duration
 	pool     sync.Pool
 
@@ -377,8 +383,8 @@ func (s *Sweep) BaseFactorTime() time.Duration { return s.baseTime }
 
 // Stats snapshots the engine's cumulative counters over the scenarios
 // served one at a time, through Realize or Outcome. Sweeps run through
-// the engine (ValidateStats) count per call instead and leave these
-// alone.
+// the engine (ValidateStats, ValidateSampled) count per call instead
+// and leave these alone.
 func (s *Sweep) Stats() SweepStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

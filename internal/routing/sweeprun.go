@@ -5,6 +5,7 @@ package routing
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -134,10 +135,10 @@ func sweepSome(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, f
 // (fill.fresh(i) in storage of its own). Classes are in the enumeration
 // order of their representatives, each a class's first member, so the
 // first failing slot is the designed set's first failing scenario, and
-// the first slot of the largest MLU its first scenario of that MLU;
-// floor is the least MLU the caller reads (sweepSome). The stats count
-// the designed set as its Scenarios and the classes realized as its
-// Classes; Total includes the class build if this call made it.
+// the first slot of the largest MLU its first scenario of that MLU. The
+// stats count the designed set as its Scenarios and the classes
+// realized as its Classes; Total includes the class build if this call
+// made it. A checked pass is offered to the engine to keep (keep).
 func (s *Sweep) sweepDesigned(ctx context.Context, check bool) (fill scenarioFill, slots []sweepSlot, stats *SweepStats, err error) {
 	start := time.Now()
 	if ctx == nil {
@@ -151,7 +152,55 @@ func (s *Sweep) sweepDesigned(ctx context.Context, check bool) (fill scenarioFil
 	slots, stats = sweepSome(ctx, s, check, true, cls.len(), fill, nil)
 	stats.Scenarios = cls.count
 	stats.Total = time.Since(start)
+	if check {
+		s.keep(designedPass{fill, slots, *stats})
+	}
 	return fill, slots, stats, nil
+}
+
+// designedPass is what a checked designed pass comes to: its slots, the
+// fill that names their scenarios, and its stats. Every slot is its
+// class's verdict and MLU, and its first failure the designed set's
+// first failure, whoever swept it and however the workers ran: the
+// outcome depends on the plan alone.
+type designedPass struct {
+	fill  scenarioFill
+	slots []sweepSlot
+	stats SweepStats
+}
+
+// keep makes p the engine's kept pass if none is kept yet and p ran to
+// completion: a cancellation reached none of its slots before its first
+// failure, so that failure, if any, is the plan's. A failing pass is
+// kept like a passing one. The slots are kept, not copied: nothing
+// writes them once the sweep returns.
+func (e *engine) keep(p designedPass) {
+	if _, err := firstFailure(p.slots, p.fill.fresh); errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return
+	}
+	e.passMu.Lock()
+	if e.pass.fill == nil {
+		e.pass = p
+	}
+	e.passMu.Unlock()
+}
+
+// keptPass returns the engine's kept designed pass, sweeping one
+// through s first when the engine has none, which keeps it if it runs
+// to completion. On a published engine it is the pass publication's
+// ValidateStats swept. The stats are a copy the caller may change.
+func (s *Sweep) keptPass(ctx context.Context) (designedPass, error) {
+	s.passMu.Lock()
+	p := s.pass
+	s.passMu.Unlock()
+	if p.fill != nil {
+		return p, nil
+	}
+	fill, slots, stats, err := s.sweepDesigned(ctx, true)
+	if err != nil {
+		return designedPass{}, err
+	}
+	return designedPass{fill, slots, *stats}, nil
 }
 
 // firstFailure scans a sweep's slots in order and returns the first
@@ -187,7 +236,8 @@ type ValidateOptions struct{}
 // enumeration order, independent of scheduling. The sweep checks ctx
 // before every representative and reports a cancellation as the error
 // of the first unrealized one. The statistics are returned even when
-// validation fails.
+// validation fails. Every call sweeps; the engine keeps the first pass
+// that runs to completion, for ValidateSampled to read (keep).
 func (s *Sweep) ValidateStats(ctx context.Context) (*SweepStats, error) {
 	fill, slots, stats, err := s.sweepDesigned(ctx, true)
 	if err != nil {

@@ -1008,10 +1008,14 @@ func (s *Server) handleValidate(c *call) (any, error) {
 	var rep *routing.SampledReport
 	var err error
 	// Through the published engine itself: no rebuild, and its corrector
-	// cache already holds the designed set's signatures. The sampled
-	// model's beyond-budget draws run on a per-request fork of it, which
-	// keeps their correctors apart, so the published cache stays at the
-	// designed set's.
+	// cache already holds the designed set's signatures. The exact model
+	// re-sweeps the designed set on every request: it is the on-demand
+	// referee of the publish verdict. The sampled model judges the
+	// designed set by the pass publication's validation swept on this
+	// very engine (kept on it), so a request pays only for its tail; its
+	// beyond-budget draws run on a per-request fork, which keeps their
+	// correctors apart, so the published cache stays at the designed
+	// set's.
 	if c.sample == nil {
 		stats, err = c.pub.Sweep.ValidateStats(c.context())
 	} else {

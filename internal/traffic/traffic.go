@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -75,6 +76,28 @@ func (m *Matrix) Pairs(threshold float64) []topology.Pair {
 		}
 	}
 	sortPairsByDemand(out, m)
+	return out
+}
+
+// AppendPairsInto appends to out the pairs into dst with positive
+// demand, in Pairs' order: Pairs(0)'s pairs with destination dst, for
+// the cost of one column of the matrix.
+func (m *Matrix) AppendPairsInto(out []topology.Pair, dst topology.NodeID) []topology.Pair {
+	start := len(out)
+	for s, row := range m.Demand {
+		if s != int(dst) && int(dst) < len(row) && row[dst] > 0 {
+			out = append(out, topology.Pair{Src: topology.NodeID(s), Dst: dst})
+		}
+	}
+	slices.SortFunc(out[start:], func(a, b topology.Pair) int {
+		switch {
+		case m.before(a, b):
+			return -1
+		case m.before(b, a):
+			return 1
+		}
+		return 0
+	})
 	return out
 }
 

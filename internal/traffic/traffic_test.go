@@ -140,6 +140,34 @@ func TestTopPairsMatchesFullSort(t *testing.T) {
 	}
 }
 
+// TestPairsIntoMatchesPairs: the pairs into each destination, read from
+// its column, are Pairs(0)'s pairs with that destination in Pairs'
+// order, appended after what out held; on seeded matrices with many
+// ties.
+func TestPairsIntoMatchesPairs(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := 2 + rng.Intn(9)
+		m := NewMatrix(nodes)
+		for s := 0; s < nodes; s++ {
+			for d := 0; d < nodes; d++ {
+				if rng.Intn(4) > 0 {
+					m.Demand[s][d] = float64(rng.Intn(4)) // the diagonal too: it is never a pair
+				}
+			}
+		}
+		full := m.Pairs(0)
+		held := []topology.Pair{{Src: 9, Dst: 9}}
+		for dst := 0; dst < nodes; dst++ {
+			want := slices.DeleteFunc(slices.Clone(full), func(p topology.Pair) bool { return int(p.Dst) != dst })
+			got := m.AppendPairsInto(slices.Clone(held), topology.NodeID(dst))
+			if !slices.Equal(got[:1], held) || !slices.Equal(got[1:], want) {
+				t.Fatalf("seed %d, into %d: %v after %v, want %v", seed, dst, got[1:], got[:1], want)
+			}
+		}
+	}
+}
+
 func TestRestrict(t *testing.T) {
 	m := NewMatrix(3)
 	m.Demand[0][1] = 5

@@ -116,18 +116,23 @@ echo "== sampled-validation determinism (-race -count=2)"
 # The coverage report of a sampled validation must be byte-identical
 # for the same seed, run after run, regardless of sweep-worker
 # scheduling (DESIGN.md §18). It must also be identical whether the
-# request runs through the published engine — the designed pass on its
-# warm cache, the draws on a fork of it — or through a fresh one-shot
-# engine, on a 4-worker pool while another goroutine realizes
-# beyond-budget link sets through the same engine. A cancellation in
+# request runs through the published engine — the designed set judged
+# by the pass its publish validation kept, the draws on a fork of it —
+# or through a fresh one-shot engine, on a 4-worker pool while another
+# goroutine realizes beyond-budget link sets through the same engine.
+# A cancellation in
 # the tail sweep, at its first, a middle or its last draw, must be the
 # call's error. The tail realizes one draw per class of draws and must
 # report exactly what realizing every draw reports (DESIGN.md §12, "The
 # sampled tail"), and the report's Total must cover the serial draw
-# loop. -count=2 forces two fresh runs so a time- or
-# schedule-dependent regression cannot hide behind Go's test result
-# cache.
-go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeterminism|TestSamplerMatchesTableWalk|TestSampledOnPublishedMatchesOneShot|TestValidateSampledCanceledInTail|TestTailClassesMatchPerDraw|TestTailRealizesOnePerClass|TestValidateSampledChargesWholeCall' ./internal/routing/ ./internal/failures/
+# loop. On a validated engine the request realizes no designed
+# representative; a canceled ValidateStats keeps no pass, a failing
+# designed set answers every call with its first error, and two first
+# calls racing on a fresh engine report alike
+# (TestSampledReadsDesignedOutcome). -count=2 forces two fresh runs so
+# a time- or schedule-dependent regression cannot hide behind Go's test
+# result cache.
+go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeterminism|TestSamplerMatchesTableWalk|TestSampledOnPublishedMatchesOneShot|TestValidateSampledCanceledInTail|TestTailClassesMatchPerDraw|TestTailRealizesOnePerClass|TestValidateSampledChargesWholeCall|TestSampledReadsDesignedOutcome' ./internal/routing/ ./internal/failures/
 
 echo "== delta validation ≡ dense (-race -count=2)"
 # The sweep replays a recorded emission for every destination a scenario
