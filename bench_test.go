@@ -233,7 +233,8 @@ func geantPlan(b *testing.B) *core.Plan {
 // BenchmarkRealize measures a single-scenario realization on the GEANT
 // PCF-TF plan: the cold path refactorizes the reservation matrix from
 // scratch, the SMW path serves the scenario as a low-rank correction
-// of the shared base factorization (DESIGN.md §12).
+// of the shared base factorization (DESIGN.md §12), and kept reads the
+// scenario's outcome from a validated engine's kept designed pass.
 func BenchmarkRealize(b *testing.B) {
 	plan := geantPlan(b)
 	var sc failures.Scenario
@@ -265,6 +266,27 @@ func BenchmarkRealize(b *testing.B) {
 		st := sweep.Stats()
 		if st.SMWHits == 0 {
 			b.Fatal("SMW path never hit: benchmark would measure the cold fallback")
+		}
+	})
+	// kept is what /v1/realize runs on a published engine for a designed
+	// scenario: Outcome read from the kept designed pass.
+	b.Run("kept", func(b *testing.B) {
+		sweep, err := routing.NewSweepContext(context.Background(), plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sweep.ValidateStats(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		before := sweep.Stats().KeptHits
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := sweep.Outcome(sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if hits := sweep.Stats().KeptHits - before; hits != b.N {
+			b.Fatalf("%d of %d Outcome calls read the kept pass: benchmark would measure the realization", hits, b.N)
 		}
 	})
 }

@@ -153,12 +153,6 @@ type Instance struct {
 // DemandPairs returns the pairs with positive demand.
 func (in *Instance) DemandPairs() []topology.Pair { return in.TM.Pairs(0) }
 
-// AppendDemandPairsInto appends to out DemandPairs' pairs into dst, in
-// their order, reading one column of the matrix.
-func (in *Instance) AppendDemandPairsInto(out []topology.Pair, dst topology.NodeID) []topology.Pair {
-	return in.TM.AppendPairsInto(out, dst)
-}
-
 // ConstraintPairs returns every pair that needs a resilience
 // constraint: pairs with demand, pairs that are endpoints of an LS, and
 // pairs that serve as a segment of some LS.

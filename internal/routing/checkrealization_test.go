@@ -14,11 +14,12 @@ import (
 	"pcf/internal/tunnels"
 )
 
-// TestCheckRealizationMatchesScan: CheckRealization reads each
-// destination's demand pairs from its column of the matrix, in
-// DemandPairs' order, and answers exactly as the whole-matrix scan it
-// replaced (routing.CheckRealizationScan): the same error, word for
-// word, or none from both. On the Sprint CLS plan and the four
+// TestCheckRealizationMatchesScan: CheckRealization lists every
+// destination's demand pairs in one pass over the rows of the matrix,
+// in DemandPairs' order, and answers exactly as the whole-matrix scan
+// (routing.CheckRealizationScan) and the per-destination column reads
+// (routing.CheckRealizationColumns) it replaced: the same error, word
+// for word, or none from all three. On the Sprint CLS plan and the four
 // benchmark plans, over designed and seeded beyond-budget scenarios,
 // each realization is checked as it is and with one flow toward each
 // of its first destinations moved off balance. A tunnel into the
@@ -51,6 +52,9 @@ func TestCheckRealizationMatchesScan(t *testing.T) {
 			got, want := routing.CheckRealization(p.Plan, r), routing.CheckRealizationScan(p.Plan, r)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%s: %s: CheckRealization = %v, the scan %v", p.Name, what, got, want)
+			}
+			if cols := routing.CheckRealizationColumns(p.Plan, r); fmt.Sprint(got) != fmt.Sprint(cols) {
+				t.Fatalf("%s: %s: CheckRealization = %v, the column reads %v", p.Name, what, got, cols)
 			}
 			kind := "valid"
 			if got != nil {

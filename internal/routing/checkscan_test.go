@@ -9,11 +9,35 @@ import (
 )
 
 // checkRealizationScan is CheckRealization as it was before it read
-// each destination's column of the matrix: it lists the whole matrix's
-// demand pairs (DemandPairs: an n² scan and a sort) and keeps those
-// into the realization's destinations. TestCheckRealizationMatchesScan
-// holds CheckRealization to it.
+// the matrix at its destinations: it lists the whole matrix's demand
+// pairs (DemandPairs: an n² scan and a sort) and keeps those into the
+// realization's destinations. TestCheckRealizationMatchesScan holds
+// CheckRealization to it.
 func checkRealizationScan(plan *core.Plan, r *Realization) error {
+	inbound := map[topology.NodeID][]topology.Pair{}
+	for _, p := range plan.Instance.DemandPairs() {
+		if _, ok := r.TunnelTo[p.Dst]; ok {
+			inbound[p.Dst] = append(inbound[p.Dst], p)
+		}
+	}
+	return checkRealizationWith(plan, r, func(dst topology.NodeID) []topology.Pair { return inbound[dst] })
+}
+
+// checkRealizationColumns is CheckRealization as it was before it
+// listed every destination's demand pairs in one pass over the rows of
+// the matrix: it reads one column of the matrix per destination.
+// TestCheckRealizationMatchesScan holds CheckRealization to it too.
+func checkRealizationColumns(plan *core.Plan, r *Realization) error {
+	var held []topology.Pair
+	return checkRealizationWith(plan, r, func(dst topology.NodeID) []topology.Pair {
+		held = plan.Instance.TM.AppendPairsInto(held[:0], dst)
+		return held
+	})
+}
+
+// checkRealizationWith is CheckRealization with each destination's
+// demand pairs, in DemandPairs' order, listed by inbound.
+func checkRealizationWith(plan *core.Plan, r *Realization, inbound func(topology.NodeID) []topology.Pair) error {
 	in := plan.Instance
 	if err := checkShape(in, r); err != nil {
 		return err
@@ -30,19 +54,13 @@ func checkRealizationScan(plan *core.Plan, r *Realization) error {
 		dsts = append(dsts, dst)
 	}
 	slices.Sort(dsts)
-	inbound := map[topology.NodeID][]topology.Pair{}
-	for _, p := range in.DemandPairs() {
-		if _, ok := r.TunnelTo[p.Dst]; ok {
-			inbound[p.Dst] = append(inbound[p.Dst], p)
-		}
-	}
 	bal := newBalance(g.NumNodes())
 	var wantNodes []int32
 	var wantVals, vals []float64
 	var tuns []tunnels.ID
 	for _, dst := range dsts {
 		wantNodes, wantVals = append(wantNodes[:0], int32(dst)), append(wantVals[:0], 0)
-		for _, p := range inbound[dst] {
+		for _, p := range inbound(dst) {
 			d := plan.ScaledDemand(p)
 			wantVals[0] -= d
 			wantNodes, wantVals = append(wantNodes, int32(p.Src)), append(wantVals, d)

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"context"
 	"testing"
 
 	"pcf/internal/core"
@@ -83,5 +84,31 @@ var NearThresholdPlan = nearThresholdPlan
 var AssertLoadsMatchDense = assertLoadsMatchDense
 
 // CheckRealizationScan is CheckRealization over the whole matrix's
-// demand pairs, as it was: the reference its column reads are held to.
+// demand pairs, as it was: a reference its one pass is held to.
 var CheckRealizationScan = checkRealizationScan
+
+// CheckRealizationColumns is CheckRealization reading one column of the
+// matrix per destination, as it was: the other reference.
+var CheckRealizationColumns = checkRealizationColumns
+
+// SetSweepWorkers forces every sweep onto n workers, and returns the
+// undo.
+func SetSweepWorkers(n int) (restore func()) {
+	old := sweepWorkerCount
+	sweepWorkerCount = func() int { return n }
+	return func() { sweepWorkerCount = old }
+}
+
+// ErrAfter returns a context whose Err reports context.Canceled from
+// its (after+1)-th call on, and the number of calls so far.
+func ErrAfter(ctx context.Context, after int64) (context.Context, func() int64) {
+	c := &errAfter{Context: ctx, after: after}
+	return c, c.calls.Load
+}
+
+// SweepUnchecked runs the unchecked designed pass WorstMLUStats runs,
+// through s.
+func (s *Sweep) SweepUnchecked(ctx context.Context) error {
+	_, _, _, err := s.sweepDesigned(ctx, false)
+	return err
+}

@@ -268,16 +268,19 @@ func CheckRealization(plan *core.Plan, r *Realization) error {
 	slices.Sort(dsts)
 	// The balance target of a destination: the scaled demand v->dst at
 	// each source v, minus the total demand into dst at dst, summed over
-	// its demand pairs in DemandPairs' order.
+	// its demand pairs in DemandPairs' order (the matrix's Pairs(0)).
+	// Every destination's pairs are listed in one pass over the matrix,
+	// destination by destination.
 	bal := newBalance(g.NumNodes())
-	var inbound []topology.Pair
+	inbound := in.TM.AppendPairsIntoEach(nil, dsts)
 	var wantNodes []int32
 	var wantVals, vals []float64
 	var tuns []tunnels.ID
 	for _, dst := range dsts {
-		inbound = in.AppendDemandPairsInto(inbound[:0], dst)
 		wantNodes, wantVals = append(wantNodes[:0], int32(dst)), append(wantVals[:0], 0)
-		for _, p := range inbound {
+		for len(inbound) > 0 && inbound[0].Dst == dst {
+			p := inbound[0]
+			inbound = inbound[1:]
 			d := plan.ScaledDemand(p)
 			wantVals[0] -= d
 			wantNodes, wantVals = append(wantNodes, int32(p.Src)), append(wantVals, d)

@@ -599,7 +599,7 @@ func TestSampledReadsDesignedOutcome(t *testing.T) {
 			if _, err := cut.ValidateStats(&errAfter{Context: ctx, after: count.calls.Load() - 1}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("ValidateStats canceled at its last representative: err = %v", err)
 			}
-			if cut.pass.fill != nil {
+			if cut.pass.Load() != nil {
 				t.Fatal("a canceled ValidateStats kept its pass")
 			}
 			count = counting()

@@ -18,16 +18,21 @@ import (
 type SweepStats struct {
 	// Scenarios is the number of failure scenarios the sweep answered
 	// for: on a designed sweep the whole designed set, on a sampled
-	// tail its draws. Classes is the number it realized: one
-	// representative per class of scenarios that realize
-	// bit-identically (sweepclass.go) — on a sampled tail per class its
-	// draws form outside the designed classes, whose draws take the
-	// engine's kept designed pass's outcome — and elsewhere every
-	// scenario. Every counter below counts realized scenarios. Workers
-	// is the goroutines that swept them.
+	// tail its draws, and one per Realize or Outcome call. Classes is
+	// the number it realized: one representative per class of
+	// scenarios that realize bit-identically (sweepclass.go) — on a
+	// sampled tail per class its draws form outside the designed
+	// classes, whose draws take the engine's kept designed pass's
+	// outcome — and elsewhere every scenario but those Outcome answered
+	// from that pass (KeptHits). Every counter below but KeptHits counts
+	// realized scenarios. Workers is the goroutines that swept them.
 	Scenarios int
 	Classes   int
 	Workers   int
+	// KeptHits counts the scenarios Outcome answered from the slot of
+	// their designed class in the engine's kept designed pass, realizing
+	// nothing.
+	KeptHits int
 	// BaseFactorTime is the one-time cost of building the engine the
 	// sweep ran through: the base (no-failure) reservation matrix, its
 	// factorization, and the aggregate plus per-destination base
@@ -89,6 +94,7 @@ func (s SweepStats) Metrics() map[string]float64 {
 		"scenarios":           float64(s.Scenarios),
 		"classes":             float64(s.Classes),
 		"workers":             float64(s.Workers),
+		"kept_hits":           float64(s.KeptHits),
 		"smw_hits":            float64(s.SMWHits),
 		"fallbacks":           float64(s.Fallbacks),
 		"fallbacks_nobase":    float64(s.FallbacksNoBase),
@@ -156,6 +162,7 @@ func (s *SweepStats) add(o SweepStats) {
 	s.Scenarios += o.Scenarios
 	s.Classes += o.Classes
 	s.Workers = max(s.Workers, o.Workers)
+	s.KeptHits += o.KeptHits
 	s.SMWHits += o.SMWHits
 	s.Fallbacks += o.Fallbacks
 	s.FallbacksNoBase += o.FallbacksNoBase
@@ -269,10 +276,9 @@ type engine struct {
 	classes *designedClasses
 
 	// pass is the outcome of the first checked designed pass through
-	// any view that ran to completion (keep); ValidateSampled reads it.
-	// Its fill is nil until then. Guarded by passMu.
-	passMu sync.Mutex
-	pass   designedPass
+	// any view that ran to completion (keep), nil until then;
+	// ValidateSampled and Outcome read it.
+	pass atomic.Pointer[designedPass]
 
 	baseTime time.Duration
 	pool     sync.Pool
@@ -382,7 +388,8 @@ func (s *Sweep) Check(r *Realization) error {
 func (s *Sweep) BaseFactorTime() time.Duration { return s.baseTime }
 
 // Stats snapshots the engine's cumulative counters over the scenarios
-// served one at a time, through Realize or Outcome. Sweeps run through
+// served one at a time, through Realize or Outcome, and those Outcome
+// answered from the kept designed pass (KeptHits). Sweeps run through
 // the engine (ValidateStats, ValidateSampled) count per call instead
 // and leave these alone.
 func (s *Sweep) Stats() SweepStats {
@@ -431,28 +438,67 @@ type Outcome struct {
 	MLU float64
 }
 
-// Outcome serves one scenario exactly as Realize does and reports what
-// it comes to, read from the flat emission in the worker's scratch: no
-// Realization is built. The MLU is the check's (judge), which visits
-// only the arcs the scenario touched or overlays and takes every
-// other arc from the engine's record; it is bit-equal to MLUOf of
-// Realize's answer, and MaxU to the largest of its U. Errors are
-// Realize's, counted the same way in Stats. A warm scenario allocates
-// nothing. Safe for concurrent use.
+// Outcome reports what one scenario comes to, as Realize would serve
+// it: no Realization is built. A scenario of a designed class that the
+// engine's kept designed pass swept without error is answered from
+// that class's slot (kept), counted in KeptHits: its members realize
+// bit-identically, so the slot is the scenario's own outcome. Any
+// other scenario — one with a degraded link, one outside every
+// designed class, any on an engine that has kept no pass — is served
+// as Realize serves it and read from the flat emission in the worker's
+// scratch. Its MLU is the check's (judge), which visits only the arcs
+// the scenario touched or overlays and takes every other arc from the
+// engine's record; it is bit-equal to MLUOf of Realize's answer, and
+// MaxU to the largest of its U. Errors are Realize's, counted the same
+// way in Stats. A warm scenario allocates nothing. Safe for concurrent
+// use.
 func (s *Sweep) Outcome(sc failures.Scenario) (Outcome, error) {
 	sr := s.pool.Get().(*sweepScratch)
+	if out, ok := s.kept(sc, sr); ok {
+		s.pool.Put(sr)
+		s.mu.Lock()
+		s.stats.Scenarios++
+		s.stats.KeptHits++
+		s.mu.Unlock()
+		return out, nil
+	}
 	sv, err := s.realize(sc, sr)
 	var out Outcome
 	if err == nil {
-		out.Pairs = sr.inCount
-		for r := 0; r < s.n; r++ {
-			if sr.inSet[r] == sr.epoch && sr.sol[r] > out.MaxU {
-				out.MaxU = sr.sol[r]
-			}
-		}
+		out.Pairs, out.MaxU = sr.inCount, sr.maxU
 		out.MLU, _ = s.judge(sc, sr, nil, false)
 	}
 	s.pool.Put(sr)
 	s.tally(sv, err)
 	return out, err
+}
+
+// kept answers sc from the engine's kept designed pass: the slot of the
+// designed class its dead links key to (keyOfDead), if the pass swept
+// that class without error. A scenario with a degraded link or a dead
+// link outside the graph, one whose key no designed class holds, and
+// every scenario before a pass is kept have no kept answer. The key is
+// built in sr, so a lookup allocates nothing once sr has its keys.
+func (s *Sweep) kept(sc failures.Scenario, sr *sweepScratch) (Outcome, bool) {
+	p := s.pass.Load()
+	if p == nil || len(sc.Degraded) > 0 {
+		return Outcome{}, false
+	}
+	if sr.keys == nil {
+		k := newClassKeys(s.engine, p.cls.tables, nil)
+		sr.keys = &k
+	}
+	key := sr.keys.keyOfDead(sc.Dead)
+	if key == nil {
+		return Outcome{}, false
+	}
+	c := p.cls.index.find(maphash.Bytes(s.keySeed, key), key)
+	if c < 0 {
+		return Outcome{}, false
+	}
+	slot := &p.slots[c]
+	if !slot.done || slot.err != nil {
+		return Outcome{}, false
+	}
+	return Outcome{Pairs: int(slot.pairs), MaxU: slot.maxU, MLU: slot.mlu}, true
 }

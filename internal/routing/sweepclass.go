@@ -138,20 +138,23 @@ func jaggedOf(n int, each func(add func(i int, v int32))) jagged {
 	return jagged{off: off, val: val}
 }
 
-// classKeys builds class keys from an engine's class tables for
-// combinations of units. A combination's key is the ascending list of
-// the universe tunnels with a non-zero reservation its dead links kill,
-// then the ascending list of the LSs whose condition it flips, each as
-// its length and the gaps between its entries.
+// classKeys builds class keys from an engine's class tables, for
+// combinations of units or for a scenario's dead links. A scenario's
+// key is the ascending list of the universe tunnels with a non-zero
+// reservation its dead links kill, then the ascending list of the LSs
+// whose condition it flips, each as its length and the gaps between its
+// entries.
 type classKeys struct {
 	*engine
 	*classTables
 	units []failures.Unit
 
-	// The combination being keyed: its dead links (stamped with ep), the
-	// two halves of its key as sets, one drained half and the key.
+	// The scenario being keyed: its dead links (stamped with ep, and
+	// listed once each), the two halves of its key as sets, one drained
+	// half and the key.
 	ep              int32
 	linkEp          []int32
+	links           []topology.LinkID
 	tunSet, flipSet idSet
 	half            []int32
 	key             []byte
@@ -172,7 +175,7 @@ func newClassKeys(e *engine, t *classTables, units []failures.Unit) classKeys {
 // with a degraded link or a dead link outside the graph. The key is k's
 // until the next call.
 func (k *classKeys) keyOf(combo []int) []byte {
-	k.ep++
+	k.begin()
 	degrades := false
 	for _, u := range combo {
 		unit := &k.units[u]
@@ -181,10 +184,9 @@ func (k *classKeys) keyOf(combo []int) []byte {
 			continue
 		}
 		for _, l := range unit.Links {
-			if l < 0 || int(l) >= len(k.linkEp) {
+			if !k.stamp(l) {
 				return nil
 			}
-			k.linkEp[l] = k.ep
 		}
 	}
 	// A degrade unit's link is degraded unless a death unit kills it.
@@ -199,22 +201,59 @@ func (k *classKeys) keyOf(combo []int) []byte {
 			}
 		}
 	}
-	// Both halves are gathered as sets (a tunnel over two dead links, a
-	// condition naming two, count once) that drain in ascending order.
-	for _, u := range combo {
-		if k.units[u].Alpha > 0 {
-			continue
+	return k.gather()
+}
+
+// keyOfDead returns the key of the scenario whose dead links are dead's
+// true entries, as keyOf keys a combination, nil if one lies outside
+// the graph. It reads no degraded link: the caller keys only scenarios
+// that have none. The key is k's until the next call.
+func (k *classKeys) keyOfDead(dead map[topology.LinkID]bool) []byte {
+	k.begin()
+	for l, d := range dead {
+		if d && !k.stamp(l) {
+			return nil
 		}
-		for _, l := range k.units[u].Links {
-			for _, tid := range k.resTuns.at(int(l)) {
-				k.tunSet.add(tid)
-			}
-			// Only a condition naming a dead link can hold otherwise
-			// than with no link dead.
-			for _, qi := range k.conds.at(int(l)) {
-				if e := &k.ls[qi]; k.holds(e.cond) != e.baseActive {
-					k.flipSet.add(qi)
-				}
+	}
+	return k.gather()
+}
+
+// begin starts the next scenario's stamps. When the stamp wraps round
+// to zero every old stamp is cleared, so none reads as the new one's.
+func (k *classKeys) begin() {
+	if k.ep++; k.ep == 0 {
+		clear(k.linkEp)
+		k.ep = 1
+	}
+	k.links = k.links[:0]
+}
+
+// stamp marks link l dead in the scenario being keyed; false if it lies
+// outside the graph.
+func (k *classKeys) stamp(l topology.LinkID) bool {
+	if l < 0 || int(l) >= len(k.linkEp) {
+		return false
+	}
+	if k.linkEp[l] != k.ep {
+		k.linkEp[l] = k.ep
+		k.links = append(k.links, l)
+	}
+	return true
+}
+
+// gather builds the key of the stamped dead links. Both halves are
+// gathered as sets (a tunnel over two dead links, a condition naming
+// two, count once) that drain in ascending order.
+func (k *classKeys) gather() []byte {
+	for _, l := range k.links {
+		for _, tid := range k.resTuns.at(int(l)) {
+			k.tunSet.add(tid)
+		}
+		// Only a condition naming a dead link can hold otherwise than
+		// with no link dead.
+		for _, qi := range k.conds.at(int(l)) {
+			if e := &k.ls[qi]; k.holds(e.cond) != e.baseActive {
+				k.flipSet.add(qi)
 			}
 		}
 	}

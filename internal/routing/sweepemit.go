@@ -121,14 +121,23 @@ func (s *Sweep) recordBase(sr *sweepScratch) {
 }
 
 // checkU range-checks the aggregate utilizations of the pairs of
-// interest (Proposition 5).
+// interest (Proposition 5) and, in the same walk, records the largest
+// in sr.maxU (0 if none).
 func (s *Sweep) checkU(sc failures.Scenario, sr *sweepScratch) error {
 	ep, x := sr.epoch, sr.sol
+	maxU := 0.0
 	for r := 0; r < s.n; r++ {
-		if sr.inSet[r] == ep && (x[r] < -tol.PairUtil || x[r] > 1+tol.PairUtil) {
+		if sr.inSet[r] != ep {
+			continue
+		}
+		if x[r] < -tol.PairUtil || x[r] > 1+tol.PairUtil {
 			return unrealizable{utilizationError{s.pairs[r], x[r], sc}}
 		}
+		if x[r] > maxU {
+			maxU = x[r]
+		}
 	}
+	sr.maxU = maxU
 	return nil
 }
 

@@ -55,15 +55,16 @@ type sweepScratch struct {
 	key     []byte
 
 	// The flat emission of the scenario last served (sweepemit.go): the
-	// aggregate solution and pair count, the flows of the destinations
-	// emitted afresh as one (tunnel, flow) arena with an offset per
-	// destination — a replayed destination's flows are the engine's
-	// record — and the arc loads, which equal the record's base loads
-	// except on the arcs listed in changed. arcFlows is -1 on every
-	// other arc, and on those the number of flows that cross the arc
-	// (0 on every arc of a dense emission, which lists them all).
+	// aggregate solution, pair count and largest utilization, the flows
+	// of the destinations emitted afresh as one (tunnel, flow) arena with
+	// an offset per destination — a replayed destination's flows are the
+	// engine's record — and the arc loads, which equal the record's base
+	// loads except on the arcs listed in changed. arcFlows is -1 on
+	// every other arc, and on those the number of flows that cross the
+	// arc (0 on every arc of a dense emission, which lists them all).
 	sol      []float64
 	inCount  int
+	maxU     float64
 	flowOff  []int32
 	flowTun  []tunnels.ID
 	flowVal  []float64
@@ -79,6 +80,10 @@ type sweepScratch struct {
 	overlaid  []int32
 	bal       balance
 	arcChecks int
+
+	// The class keys a scenario is looked up in the engine's kept
+	// designed pass by (Sweep.kept), made on the worker's first lookup.
+	keys *classKeys
 }
 
 // sysScratch is the part of a worker's scratch that lays out and solves
@@ -135,7 +140,7 @@ func (s *Sweep) newScratch() *sweepScratch {
 // guard trips.
 func (s *Sweep) realize(sc failures.Scenario, sr *sweepScratch) (served, error) {
 	if s.n == 0 {
-		sr.sol, sr.inCount = nil, 0
+		sr.sol, sr.inCount, sr.maxU = nil, 0, 0
 		return s.emitDests(sc, sr, nil, nil)
 	}
 	sr.inCount = s.activate(sc, sr)

@@ -24,11 +24,15 @@ import (
 // machines.
 var sweepWorkerCount = func() int { return runtime.GOMAXPROCS(0) }
 
-// sweepSlot is one scenario's outcome in enumeration order.
+// sweepSlot is one scenario's outcome in enumeration order: what a
+// scenario served without error comes to (Outcome's three numbers), or
+// its error.
 type sweepSlot struct {
-	mlu  float64
-	err  error
-	done bool
+	mlu   float64
+	maxU  float64
+	err   error
+	pairs int32
+	done  bool
 }
 
 // scenarioFill writes scenario i of a sweep's list into dst, reusing
@@ -117,7 +121,7 @@ func sweepSome(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, f
 					}
 					continue
 				}
-				slots[i].mlu = mlu
+				slots[i].mlu, slots[i].maxU, slots[i].pairs = mlu, sr.maxU, int32(sr.inCount)
 			}
 		}(&perWorker[w])
 	}
@@ -153,17 +157,18 @@ func (s *Sweep) sweepDesigned(ctx context.Context, check bool) (fill scenarioFil
 	stats.Scenarios = cls.count
 	stats.Total = time.Since(start)
 	if check {
-		s.keep(designedPass{fill, slots, *stats})
+		s.keep(designedPass{cls, fill, slots, *stats})
 	}
 	return fill, slots, stats, nil
 }
 
-// designedPass is what a checked designed pass comes to: its slots, the
-// fill that names their scenarios, and its stats. Every slot is its
-// class's verdict and MLU, and its first failure the designed set's
-// first failure, whoever swept it and however the workers ran: the
-// outcome depends on the plan alone.
+// designedPass is what a checked designed pass comes to: the classes
+// it swept, its slots, the fill that names their scenarios, and its
+// stats. Every slot is its class's verdict and outcome, and its first
+// failure the designed set's first failure, whoever swept it and
+// however the workers ran: the outcome depends on the plan alone.
 type designedPass struct {
+	cls   *designedClasses
 	fill  scenarioFill
 	slots []sweepSlot
 	stats SweepStats
@@ -175,14 +180,14 @@ type designedPass struct {
 // kept like a passing one. The slots are kept, not copied: nothing
 // writes them once the sweep returns.
 func (e *engine) keep(p designedPass) {
+	if e.pass.Load() != nil {
+		return
+	}
 	if _, err := firstFailure(p.slots, p.fill.fresh); errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return
 	}
-	e.passMu.Lock()
-	if e.pass.fill == nil {
-		e.pass = p
-	}
-	e.passMu.Unlock()
+	kept := p
+	e.pass.CompareAndSwap(nil, &kept)
 }
 
 // keptPass returns the engine's kept designed pass, sweeping one
@@ -190,17 +195,14 @@ func (e *engine) keep(p designedPass) {
 // to completion. On a published engine it is the pass publication's
 // ValidateStats swept. The stats are a copy the caller may change.
 func (s *Sweep) keptPass(ctx context.Context) (designedPass, error) {
-	s.passMu.Lock()
-	p := s.pass
-	s.passMu.Unlock()
-	if p.fill != nil {
-		return p, nil
+	if p := s.pass.Load(); p != nil {
+		return *p, nil
 	}
 	fill, slots, stats, err := s.sweepDesigned(ctx, true)
 	if err != nil {
 		return designedPass{}, err
 	}
-	return designedPass{fill, slots, *stats}, nil
+	return designedPass{s.classes, fill, slots, *stats}, nil
 }
 
 // firstFailure scans a sweep's slots in order and returns the first

@@ -195,7 +195,7 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 	if warm.Fallbacks != 0 || 2*warm.MaxRank <= sw.n {
 		t.Fatalf("%d fallbacks, max rank %d of n = %d; want none and a rank above n/2", warm.Fallbacks, warm.MaxRank, sw.n)
 	}
-	want := []string{"scenarios", "classes", "workers", "smw_hits", "fallbacks", "fallbacks_nobase",
+	want := []string{"scenarios", "classes", "workers", "kept_hits", "smw_hits", "fallbacks", "fallbacks_nobase",
 		"fallbacks_singular", "fallbacks_residual", "dest_evals", "dest_replays", "arc_checks", "max_rank", "batch_hits",
 		"smw_hit_rate", "base_factor_time_ms", "total_ms"}
 	m := warm.Metrics()

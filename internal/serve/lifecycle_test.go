@@ -275,15 +275,25 @@ func (w *reusedWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
 // link (ServeHTTP into one reused writer) on a server publishing plan.
 func realizeAllocs(t *testing.T, in *core.Instance, plan *core.Plan) float64 {
 	t.Helper()
+	allocs, _ := realizeAllocsAt(t, in, plan, "links=1")
+	return allocs
+}
+
+// realizeAllocsAt is realizeAllocs for the request's query, with the
+// number of those requests the published engine answered from its kept
+// designed pass.
+func realizeAllocsAt(t *testing.T, in *core.Instance, plan *core.Plan, query string) (allocs float64, keptHits int) {
+	t.Helper()
 	s, err := NewServer(Config{Instance: in})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Registry().Publish(context.Background(), plan); err != nil {
+	pub, err := s.Registry().Publish(context.Background(), plan)
+	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/realize?links=1", nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/realize?"+query, nil)
 	var w reusedWriter
 	realize := func() {
 		w.reset()
@@ -293,7 +303,8 @@ func realizeAllocs(t *testing.T, in *core.Instance, plan *core.Plan) float64 {
 		}
 	}
 	realize() // warm the engine's corrector cache, the call pool and the writer
-	return testing.AllocsPerRun(100, realize)
+	allocs = testing.AllocsPerRun(100, realize)
+	return allocs, pub.Sweep.Stats().KeptHits
 }
 
 // TestRealizeAllocs holds the request path's allocations per realize
@@ -334,6 +345,55 @@ func TestRealizeAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per realize request on the test plan, %.0f on BTNorthAmerica", small, large)
 	if math.Abs(large-small) > 2 {
 		t.Fatalf("%.0f allocations per BTNorthAmerica realize request, %.0f on the test plan: want within 2", large, small)
+	}
+}
+
+// TestRealizedRequestAllocs: a realize request the published engine
+// cannot answer from its kept designed pass — a dead link beside a
+// degraded one — realizes through the engine's Outcome, and costs what
+// TestRealizeAllocs' request costs, on the test plan and on
+// BTNorthAmerica PCF-TF f=2. The request it times is a designed
+// scenario, which the kept pass answers; this one keeps the realizing
+// path under the same budget.
+func TestRealizedRequestAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector's own allocations would count against the budget")
+	}
+	const budget = 2
+	check := func(name string, in *core.Instance, plan *core.Plan) float64 {
+		t.Helper()
+		kept, hits := realizeAllocsAt(t, in, plan, "links=1")
+		if hits == 0 {
+			t.Fatalf("%s: the designed request was not answered from the kept pass", name)
+		}
+		realized, hits := realizeAllocsAt(t, in, plan, "links=1&degraded=0@0.5")
+		if hits != 0 {
+			t.Fatalf("%s: %d degraded requests were answered from the kept pass", name, hits)
+		}
+		if realized > budget || kept > budget {
+			t.Fatalf("%s: %.0f allocations per realized request, %.0f per kept one, want <= %d", name, realized, kept, budget)
+		}
+		return realized
+	}
+	_, plan := testPlan(t)
+	small := check("test plan", testInstance(), plan)
+	if testing.Short() {
+		return
+	}
+	setup, err := eval.Prepare(eval.Options{Topology: "BTNorthAmerica", Seed: 1, MaxPairs: 40, FailureBudget: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &core.Instance{
+		Graph: setup.Graph, TM: setup.TM, Tunnels: setup.Tunnels,
+		Failures: setup.Failures, Objective: core.DemandScale,
+	}
+	btna, err := core.SolvePCFTF(in, core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if large := check("BTNorthAmerica", in, btna); math.Abs(large-small) > 2 {
+		t.Fatalf("%.0f allocations per realized BTNorthAmerica request, %.0f on the test plan: want within 2", large, small)
 	}
 }
 

@@ -902,9 +902,11 @@ type realizeReply struct {
 	Scheme    string  `json:"scheme"`
 }
 
-// handleRealize answers from the engine's Outcome: the scenario is
-// realized and judged in the engine's scratch, and no Realization is
-// built. The reply is the call's own.
+// handleRealize answers from the engine's Outcome, and no Realization
+// is built. A scenario of a designed class is answered from the pass
+// the publish validation kept on this engine; any other (a degraded
+// link, a link set outside every designed class) is realized and
+// judged in the engine's scratch. The reply is the call's own.
 func (s *Server) handleRealize(c *call) (any, error) {
 	out, err := c.pub.Sweep.Outcome(c.sc)
 	if err != nil {

@@ -190,6 +190,10 @@ func TestServerSolvePlanRealizeValidate(t *testing.T) {
 	if n, _ := sweep["scenarios"].(float64); n < 1 {
 		t.Fatalf("GET /v1/plan sweep = %v, want the realize counted", sweep)
 	}
+	// links=0 is a designed scenario: the publish pass answered it.
+	if n, _ := sweep["kept_hits"].(float64); int(n) != 1 {
+		t.Fatalf("GET /v1/plan sweep = %v, want the realize counted as one kept hit", sweep)
+	}
 	resp = mustGet(t, ts.URL+"/debug/vars")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /debug/vars: status %d, want 404", resp.StatusCode)

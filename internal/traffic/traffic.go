@@ -6,6 +6,7 @@ package traffic
 
 import (
 	"bufio"
+	"cmp"
 	"container/heap"
 	"fmt"
 	"io"
@@ -89,14 +90,32 @@ func (m *Matrix) AppendPairsInto(out []topology.Pair, dst topology.NodeID) []top
 			out = append(out, topology.Pair{Src: topology.NodeID(s), Dst: dst})
 		}
 	}
-	slices.SortFunc(out[start:], func(a, b topology.Pair) int {
-		switch {
-		case m.before(a, b):
-			return -1
-		case m.before(b, a):
-			return 1
+	slices.SortFunc(out[start:], m.compare)
+	return out
+}
+
+// AppendPairsIntoEach appends to out the pairs into each of dsts, which
+// must ascend, with positive demand: dsts' AppendPairsInto pairs one
+// destination after the other, each destination's in Pairs' order. It
+// reads the matrix once, row by row at dsts' columns, instead of one
+// strided column per destination.
+func (m *Matrix) AppendPairsIntoEach(out []topology.Pair, dsts []topology.NodeID) []topology.Pair {
+	start := len(out)
+	for s, row := range m.Demand {
+		for _, dst := range dsts {
+			if int(dst) >= len(row) {
+				break
+			}
+			if s != int(dst) && row[dst] > 0 {
+				out = append(out, topology.Pair{Src: topology.NodeID(s), Dst: dst})
+			}
 		}
-		return 0
+	}
+	slices.SortFunc(out[start:], func(a, b topology.Pair) int {
+		if a.Dst != b.Dst {
+			return cmp.Compare(a.Dst, b.Dst)
+		}
+		return m.compare(a, b)
 	})
 	return out
 }
@@ -156,6 +175,17 @@ func (m *Matrix) before(a, b topology.Pair) bool {
 		return a.Src < b.Src
 	}
 	return a.Dst < b.Dst
+}
+
+// compare is before as a three-way comparison, for slices.SortFunc.
+func (m *Matrix) compare(a, b topology.Pair) int {
+	switch {
+	case m.before(a, b):
+		return -1
+	case m.before(b, a):
+		return 1
+	}
+	return 0
 }
 
 func sortPairsByDemand(pairs []topology.Pair, m *Matrix) {
