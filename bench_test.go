@@ -292,19 +292,25 @@ func BenchmarkRealize(b *testing.B) {
 }
 
 // BenchmarkValidateSweep measures the full scenario validation of the
-// GEANT plan: the base variant is the pre-sweep behavior (realize and
-// check every scenario, refactorizing per scenario); the SMW variant
+// GEANT plan: the base variant is the pre-sweep behavior (realize every
+// scenario cold, refactorizing per scenario, and check it with an
+// engine built before the timer starts); the SMW variant
 // is routing.ValidateStats with the shared factorization. The recorded
 // ratio is the headline speedup of DESIGN.md §12.
 func BenchmarkValidateSweep(b *testing.B) {
 	plan := geantPlan(b)
 	b.Run("base", func(b *testing.B) {
+		sw, err := routing.NewSweepContext(context.Background(), plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var failed error
 			plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {
 				r, err := routing.Realize(plan, sc)
 				if err == nil {
-					err = routing.CheckRealization(plan, r)
+					err = sw.Check(r)
 				}
 				if err != nil {
 					failed = err

@@ -5,12 +5,14 @@
 // then replays EVERY single-link failure scenario through the local
 // proportional router of §4.2 (the same distributed response FFC
 // uses), verifying that all admitted traffic is delivered and no link
-// exceeds its capacity.
+// exceeds its capacity. The check is the plan's engine (Sweep.Check),
+// built once and asked once per scenario.
 //
 //	go run ./examples/failuredrill [-topology Sprint] [-pairs 20]
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -49,6 +51,10 @@ func main() {
 	}
 	fmt.Printf("PCF-TF plan: demand scale %.3f (offline solve %v)\n\n", plan.Value, plan.SolveTime)
 
+	sw, err := routing.NewSweepContext(context.Background(), plan)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("Replaying every single-link failure through the proportional router:")
 	worstU := 0.0
 	var worstSc failures.Scenario
@@ -58,7 +64,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("scenario %v: %v", sc, err)
 		}
-		if err := routing.CheckRealization(plan, r); err != nil {
+		if err := sw.Check(r); err != nil {
 			log.Fatalf("CONGESTION: %v", err)
 		}
 		maxU := 0.0

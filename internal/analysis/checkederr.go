@@ -7,19 +7,16 @@ import (
 )
 
 // CheckedErr enforces that solver and realization results are never
-// silently dropped. Every guarantee in this repo flows through an
-// error path: Solve* reports numerical breakdown and cancellation,
-// Realize* reports singular matrices and oversubscription, and
-// CheckRealization is the proof-side verifier of Proposition 6 — a
-// discarded error from any of them turns a violated invariant into
-// silent data corruption. The analyzer flags calls to CheckRealization
-// and to functions named Solve*/Realize* (including lp's Solve entry
-// points and method values like lu.Solve) whose error result is
-// assigned to the blank identifier or whose results are discarded
-// entirely (expression statements, go/defer calls).
+// silently dropped: Solve* reports numerical breakdown and
+// cancellation, Realize* singular matrices and oversubscription, and
+// (*routing.Sweep).Check — resolved by type — is the verifier of
+// Proposition 6. It flags calls to them (and to lp's Solve entry points
+// and method values like lu.Solve) whose error result is assigned to
+// the blank identifier or whose results are discarded entirely
+// (expression statements, go/defer calls).
 var CheckedErr = &Analyzer{
 	Name: "checkederr",
-	Doc:  "Solve*/Realize*/CheckRealization errors must not be dropped or assigned to _",
+	Doc:  "Solve*/Realize*/Sweep.Check errors must not be dropped or assigned to _",
 	Run:  runCheckedErr,
 }
 
@@ -30,7 +27,10 @@ func checkedCallee(pass *Pass, call *ast.CallExpr) (string, bool) {
 	if name == "" {
 		return "", false
 	}
-	if name == "CheckRealization" || strings.HasPrefix(name, "Solve") || strings.HasPrefix(name, "Realize") {
+	if name == "Check" {
+		return "Sweep.Check", isSweepCheck(funcFor(pass.Info, call))
+	}
+	if strings.HasPrefix(name, "Solve") || strings.HasPrefix(name, "Realize") {
 		return name, true
 	}
 	// lp.*Solve: any exported function of an lp package with Solve in
@@ -41,6 +41,24 @@ func checkedCallee(pass *Pass, call *ast.CallExpr) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// isSweepCheck reports whether fn is a method Check on a type Sweep
+// of a package whose path ends in internal/routing.
+func isSweepCheck(fn *types.Func) bool {
+	var recv *types.Var
+	if fn != nil {
+		recv = fn.Type().(*types.Signature).Recv()
+	}
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Sweep" && pathHasSuffix(named.Obj().Pkg().Path(), "internal/routing")
 }
 
 // errResultIndexes returns the positions of error-typed results in the

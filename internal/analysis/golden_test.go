@@ -100,7 +100,7 @@ func runGoldenLoader(t *testing.T, a *Analyzer, includeTests bool, dirs ...strin
 }
 
 func TestFloatCmpGolden(t *testing.T)    { runGolden(t, FloatCmp, "floatcmp") }
-func TestCheckedErrGolden(t *testing.T)  { runGolden(t, CheckedErr, "checkederr") }
+func TestCheckedErrGolden(t *testing.T)  { runGolden(t, CheckedErr, "checkederr", "internal/routing") }
 func TestNoPanicGolden(t *testing.T)     { runGolden(t, NoPanic, "internal/quiet") }
 func TestMutAfterPubGolden(t *testing.T) { runGolden(t, MutAfterPub, "mutafterpub") }
 func TestCtxHTTPGolden(t *testing.T)     { runGolden(t, CtxHTTP, "ctxhttp") }

@@ -9,7 +9,7 @@ import (
 // envelopes as immutable. A core.Plan returned by Solve* carries the
 // proved guarantee (its reservations satisfy P1/P2 for the designed
 // failure set); a routing.Realization returned by Realize* has passed
-// — or will be passed through — CheckRealization; a serve.Envelope is
+// — or will be passed through — Sweep.Check; a serve.Envelope is
 // the checkpoint/wire form of a validated plan and a serve.Published
 // is the hot-swapped epoch that concurrent requests read lock-free.
 // If a caller mutates their maps, slices or fields afterwards

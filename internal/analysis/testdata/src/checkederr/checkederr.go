@@ -1,12 +1,13 @@
 // Package checkederr exercises the checkederr analyzer: errors from
-// Solve*/Realize*/CheckRealization must be handled, never dropped.
+// Solve*/Realize* must be handled, never dropped. Sweep.Check, the
+// other protected callee, is resolved by type (the internal/routing
+// fixture).
 package checkederr
 
 type result struct{ ok bool }
 
-func SolveMain() error                { return nil }
-func RealizePlan() (result, error)    { return result{}, nil }
-func CheckRealization(r result) error { return nil }
+func SolveMain() error             { return nil }
+func RealizePlan() (result, error) { return result{}, nil }
 
 // resolveHelper is not protected: lowercase "solve" inside the name
 // only counts for functions defined in an internal/lp package.
@@ -18,13 +19,12 @@ var (
 )
 
 func drops() {
-	SolveMain()               // want "error from SolveMain is discarded"
-	go SolveMain()            // want "discarded by go statement"
-	defer SolveMain()         // want "discarded by defer"
-	_ = SolveMain()           // want "error from SolveMain assigned to _"
-	got, _ = RealizePlan()    // want "error from RealizePlan assigned to _"
-	_ = CheckRealization(got) // want "error from CheckRealization assigned to _"
-	resolveHelper()           // unprotected callee: allowed
+	SolveMain()            // want "error from SolveMain is discarded"
+	go SolveMain()         // want "discarded by go statement"
+	defer SolveMain()      // want "discarded by defer"
+	_ = SolveMain()        // want "error from SolveMain assigned to _"
+	got, _ = RealizePlan() // want "error from RealizePlan assigned to _"
+	resolveHelper()        // unprotected callee: allowed
 }
 
 func handles() {
@@ -34,7 +34,4 @@ func handles() {
 		keep = err
 	}
 	got = r
-	if err := CheckRealization(got); err != nil {
-		keep = err
-	}
 }

@@ -4,49 +4,38 @@ import (
 	"slices"
 
 	"pcf/internal/core"
+	"pcf/internal/failures"
 	"pcf/internal/topology"
 	"pcf/internal/tunnels"
 )
 
-// checkRealizationScan is CheckRealization as it was before it read
-// the matrix at its destinations: it lists the whole matrix's demand
-// pairs (DemandPairs: an n² scan and a sort) and keeps those into the
-// realization's destinations. TestCheckRealizationMatchesScan holds
-// CheckRealization to it.
+// scenarioCapacity is an arc's capacity under a scenario, looked up
+// arc by arc: the nominal capacity scaled by the scenario's degradation
+// for the arc's link (0 for dead links, α for degraded ones, nominal
+// otherwise). The engine overlays the same product once per scenario
+// (Sweep.overlay); the test references read it here instead.
+func scenarioCapacity(g *topology.Graph, sc failures.Scenario, a topology.ArcID) float64 {
+	return g.ArcCapacity(a) * sc.CapScale(topology.LinkOf(a))
+}
+
+// checkRealizationScan is the realization check as it was before the
+// engine's Check was the only one: every arc against its scenario
+// capacity, then each destination r routes toward, in node order,
+// balanced against targets rebuilt from the whole matrix's demand pairs
+// (DemandPairs: an n² scan and a sort). TestSweepCheckMatchesScan holds
+// Sweep.Check to it. It assumes r fits the plan (checkShape).
 func checkRealizationScan(plan *core.Plan, r *Realization) error {
-	inbound := map[topology.NodeID][]topology.Pair{}
-	for _, p := range plan.Instance.DemandPairs() {
-		if _, ok := r.TunnelTo[p.Dst]; ok {
-			inbound[p.Dst] = append(inbound[p.Dst], p)
+	in := plan.Instance
+	g := in.Graph
+	for a := 0; a < g.NumArcs(); a++ {
+		if c := scenarioCapacity(g, r.Scenario, topology.ArcID(a)); overloaded(r.ArcLoad[a], c) {
+			return overloadError{a, r.ArcLoad[a], c, r.Scenario}
 		}
 	}
-	return checkRealizationWith(plan, r, func(dst topology.NodeID) []topology.Pair { return inbound[dst] })
-}
-
-// checkRealizationColumns is CheckRealization as it was before it
-// listed every destination's demand pairs in one pass over the rows of
-// the matrix: it reads one column of the matrix per destination.
-// TestCheckRealizationMatchesScan holds CheckRealization to it too.
-func checkRealizationColumns(plan *core.Plan, r *Realization) error {
-	var held []topology.Pair
-	return checkRealizationWith(plan, r, func(dst topology.NodeID) []topology.Pair {
-		held = plan.Instance.TM.AppendPairsInto(held[:0], dst)
-		return held
-	})
-}
-
-// checkRealizationWith is CheckRealization with each destination's
-// demand pairs, in DemandPairs' order, listed by inbound.
-func checkRealizationWith(plan *core.Plan, r *Realization, inbound func(topology.NodeID) []topology.Pair) error {
-	in := plan.Instance
-	if err := checkShape(in, r); err != nil {
-		return err
-	}
-	g := in.Graph
-	nominal := isNominal(r.Scenario)
-	for a := 0; a < g.NumArcs(); a++ {
-		if c := capacityUnder(g, r.Scenario, nominal, topology.ArcID(a)); overloaded(r.ArcLoad[a], c) {
-			return overloadError{a, r.ArcLoad[a], c, r.Scenario}
+	inbound := map[topology.NodeID][]topology.Pair{}
+	for _, p := range in.DemandPairs() {
+		if _, ok := r.TunnelTo[p.Dst]; ok {
+			inbound[p.Dst] = append(inbound[p.Dst], p)
 		}
 	}
 	dsts := make([]topology.NodeID, 0, len(r.TunnelTo))
@@ -60,7 +49,7 @@ func checkRealizationWith(plan *core.Plan, r *Realization, inbound func(topology
 	var tuns []tunnels.ID
 	for _, dst := range dsts {
 		wantNodes, wantVals = append(wantNodes[:0], int32(dst)), append(wantVals[:0], 0)
-		for _, p := range inbound(dst) {
+		for _, p := range inbound[dst] {
 			d := plan.ScaledDemand(p)
 			wantVals[0] -= d
 			wantNodes, wantVals = append(wantNodes, int32(p.Src)), append(wantVals, d)

@@ -83,13 +83,10 @@ var NearThresholdPlan = nearThresholdPlan
 // AssertLoadsMatchDense referees the arc-load rule on one plan.
 var AssertLoadsMatchDense = assertLoadsMatchDense
 
-// CheckRealizationScan is CheckRealization over the whole matrix's
-// demand pairs, as it was: a reference its one pass is held to.
+// CheckRealizationScan is the realization check over the whole
+// matrix's demand pairs, as it was: the reference Sweep.Check is held
+// to.
 var CheckRealizationScan = checkRealizationScan
-
-// CheckRealizationColumns is CheckRealization reading one column of the
-// matrix per destination, as it was: the other reference.
-var CheckRealizationColumns = checkRealizationColumns
 
 // SetSweepWorkers forces every sweep onto n workers, and returns the
 // undo.

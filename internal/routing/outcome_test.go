@@ -32,7 +32,7 @@ func outcomeScenarios(plan *core.Plan) []failures.Scenario {
 }
 
 // assertOutcomeMatches requires outcome(sc) to be what realize(sc)
-// comes to: the pair count, the largest U and MLUOf bit for bit, or the
+// comes to: the pair count, the largest U and denseMLU bit for bit, or the
 // same error text. An error the scenario causes must be ErrUnrealizable.
 // It returns how many scenarios realized.
 func assertOutcomeMatches(t *testing.T, what string, plan *core.Plan, scenarios []failures.Scenario,
@@ -57,9 +57,9 @@ func assertOutcomeMatches(t *testing.T, what string, plan *core.Plan, scenarios 
 		for _, u := range r.U {
 			maxU = max(maxU, u)
 		}
-		if got.Pairs != len(r.Pairs) || !bitsEq(got.MaxU, maxU) || !bitsEq(got.MLU, MLUOf(g, r)) {
+		if got.Pairs != len(r.Pairs) || !bitsEq(got.MaxU, maxU) || !bitsEq(got.MLU, denseMLU(g, r)) {
 			t.Fatalf("%s under %v: Outcome %+v, Realize %d pairs max U %.17g MLU %.17g",
-				what, sc, got, len(r.Pairs), maxU, MLUOf(g, r))
+				what, sc, got, len(r.Pairs), maxU, denseMLU(g, r))
 		}
 	}
 	if realized == 0 {
@@ -68,7 +68,7 @@ func assertOutcomeMatches(t *testing.T, what string, plan *core.Plan, scenarios 
 	return realized
 }
 
-// TestOutcomeMatchesRealize: Outcome is Realize + MLUOf without the
+// TestOutcomeMatchesRealize: Outcome is Realize + denseMLU without the
 // Realization, on a warm engine, on one whose every correction is forced
 // cold, and on a cold-only index — and a warm scenario through it
 // allocates nothing.

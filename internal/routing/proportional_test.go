@@ -16,7 +16,7 @@ import (
 )
 
 // proportionalGolden holds, per fixture plan, the FNV-64a hash of
-// RealizeProportional's answer and CheckRealization's verdict over the
+// RealizeProportional's answer and the check's verdict over the
 // plan's designed set followed by 100 seeded beyond-budget scenarios:
 // per scenario the error text, or the pairs, the bits of U and ArcLoad
 // and every (destination, tunnel, flow bits) in sorted order, then the
@@ -49,8 +49,12 @@ func proportionalPlans(t *testing.T) []struct {
 }
 
 // hashProportional folds one scenario's proportional answer and check
-// verdict into h. It returns the two errors for the caller's asserts.
-func hashProportional(h hash.Hash64, plan *core.Plan, sc failures.Scenario) (realizeErr, checkErr error) {
+// verdict into h: the verdict of the old check (checkRealizationScan),
+// which Sweep.Check must give word for word. It returns the two errors
+// for the caller's asserts.
+func hashProportional(t *testing.T, h hash.Hash64, sw *Sweep, sc failures.Scenario) (realizeErr, checkErr error) {
+	t.Helper()
+	plan := sw.plan
 	var buf [8]byte
 	word := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
@@ -90,28 +94,32 @@ func hashProportional(h hash.Hash64, plan *core.Plan, sc failures.Scenario) (rea
 			word(math.Float64bits(flows[tid]))
 		}
 	}
-	cerr := CheckRealization(plan, r)
+	cerr := checkRealizationScan(plan, r)
+	if got := sw.Check(r); fmt.Sprint(got) != fmt.Sprint(cerr) {
+		t.Fatalf("under %v: Sweep.Check = %v, the scan %v", sc, got, cerr)
+	}
 	fmt.Fprintf(h, "check %v|", cerr)
 	return nil, cerr
 }
 
 // TestProportionalGolden pins RealizeProportional bit for bit on the
 // fixture plans: on a plan whose LSs sort topologically every designed
-// scenario realizes and passes CheckRealization (Proposition 7), and on
+// scenario realizes and passes the check (Proposition 7), and on
 // every plan the hash of the answers and verdicts, beyond-budget
 // scenarios included, is the recorded one.
 func TestProportionalGolden(t *testing.T) {
 	for _, tc := range proportionalPlans(t) {
 		h := fnv.New64a()
+		sw := newSweep(t, tc.plan)
 		sortable := core.IsTopologicallySortable(tc.plan.Instance.LSs)
 		for _, sc := range designedSet(tc.plan) {
-			if rerr, cerr := hashProportional(h, tc.plan, sc); sortable && (rerr != nil || cerr != nil) {
+			if rerr, cerr := hashProportional(t, h, sw, sc); sortable && (rerr != nil || cerr != nil) {
 				t.Fatalf("%s under designed %v: realize %v, check %v", tc.name, sc, rerr, cerr)
 			}
 		}
 		failed := 0
 		for _, sc := range beyondBudget(tc.plan.Instance.Graph, 34, 100) {
-			if rerr, cerr := hashProportional(h, tc.plan, sc); rerr != nil || cerr != nil {
+			if rerr, cerr := hashProportional(t, h, sw, sc); rerr != nil || cerr != nil {
 				failed++
 			}
 		}

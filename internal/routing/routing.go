@@ -12,7 +12,6 @@ package routing
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"pcf/internal/core"
 	"pcf/internal/failures"
@@ -196,133 +195,4 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 		res.U = append(res.U, uAgg[r])
 	}
 	return res, nil
-}
-
-// ScenarioCapacity returns an arc's capacity under a scenario: the
-// nominal capacity scaled by the scenario's degradation for the arc's
-// link (0 for dead links, α for degraded ones, nominal otherwise).
-func ScenarioCapacity(g *topology.Graph, sc failures.Scenario, a topology.ArcID) float64 {
-	return g.ArcCapacity(a) * sc.CapScale(topology.LinkOf(a))
-}
-
-// capacityUnder is ScenarioCapacity for a caller walking many arcs of
-// one scenario: nominal says the scenario has no dead or degraded link,
-// resolved once, and then no arc pays the two map lookups.
-func capacityUnder(g *topology.Graph, sc failures.Scenario, nominal bool, a topology.ArcID) float64 {
-	if nominal {
-		return g.ArcCapacity(a)
-	}
-	return ScenarioCapacity(g, sc, a)
-}
-
-func isNominal(sc failures.Scenario) bool { return len(sc.Dead) == 0 && len(sc.Degraded) == 0 }
-
-// overloaded is the overload verdict, the one every check reaches: an
-// arc carrying load against capacity c is overloaded when the load
-// exceeds c by more than tol.Overload.
-func overloaded(load, c float64) bool { return load > c+tol.Overload }
-
-// MLUOf returns the maximum link utilization of a realization under
-// its scenario's capacities. Degraded links divide their load by the
-// scaled capacity; dead links carry no flow and are skipped, as is any
-// arc with no load — it cannot raise the maximum.
-func MLUOf(g *topology.Graph, r *Realization) float64 {
-	nominal := isNominal(r.Scenario)
-	mlu := 0.0
-	for a, load := range r.ArcLoad {
-		if load <= 0 {
-			continue
-		}
-		if c := capacityUnder(g, r.Scenario, nominal, topology.ArcID(a)); c > 0 {
-			if u := load / c; u > mlu {
-				mlu = u
-			}
-		}
-	}
-	return mlu
-}
-
-// CheckRealization verifies Proposition 6's properties for one
-// realization: arc loads within the scenario's (possibly degraded)
-// capacity, and per-destination flow conservation at every node. It
-// reports the first overloaded arc if there is one, else the first
-// destination in node order that misses balance, at its
-// lowest-numbered node. A realization that does not fit the plan is an
-// error (checkShape).
-func CheckRealization(plan *core.Plan, r *Realization) error {
-	in := plan.Instance
-	if err := checkShape(in, r); err != nil {
-		return err
-	}
-	g := in.Graph
-	nominal := isNominal(r.Scenario)
-	for a := 0; a < g.NumArcs(); a++ {
-		if c := capacityUnder(g, r.Scenario, nominal, topology.ArcID(a)); overloaded(r.ArcLoad[a], c) {
-			return overloadError{a, r.ArcLoad[a], c, r.Scenario}
-		}
-	}
-	dsts := make([]topology.NodeID, 0, len(r.TunnelTo))
-	for dst := range r.TunnelTo {
-		dsts = append(dsts, dst)
-	}
-	slices.Sort(dsts)
-	// The balance target of a destination: the scaled demand v->dst at
-	// each source v, minus the total demand into dst at dst, summed over
-	// its demand pairs in DemandPairs' order (the matrix's Pairs(0)).
-	// Every destination's pairs are listed in one pass over the matrix,
-	// destination by destination.
-	bal := newBalance(g.NumNodes())
-	inbound := in.TM.AppendPairsIntoEach(nil, dsts)
-	var wantNodes []int32
-	var wantVals, vals []float64
-	var tuns []tunnels.ID
-	for _, dst := range dsts {
-		wantNodes, wantVals = append(wantNodes[:0], int32(dst)), append(wantVals[:0], 0)
-		for len(inbound) > 0 && inbound[0].Dst == dst {
-			p := inbound[0]
-			inbound = inbound[1:]
-			d := plan.ScaledDemand(p)
-			wantVals[0] -= d
-			wantNodes, wantVals = append(wantNodes, int32(p.Src)), append(wantVals, d)
-		}
-		tuns, vals = flattenFlows(r.TunnelTo[dst], tuns[:0], vals[:0])
-		if v, got, want := bal.imbalance(in.Tunnels, tuns, vals, wantNodes, wantVals); v >= 0 {
-			return balanceError{dst, v, got, want, r.Scenario}
-		}
-	}
-	return nil
-}
-
-// checkShape reports the first way a realization does not fit the
-// instance the checks index it by: another arc count, else the lowest
-// destination outside the node range, else the lowest tunnel id outside
-// the tunnel set that carries a flow.
-func checkShape(in *core.Instance, r *Realization) error {
-	if arcs := in.Graph.NumArcs(); len(r.ArcLoad) != arcs {
-		return fmt.Errorf("routing: realization has %d arc loads, the plan's graph %d arcs", len(r.ArcLoad), arcs)
-	}
-	nodes, tuns := in.Graph.NumNodes(), in.Tunnels.Len()
-	var dstOut, tunOut bool
-	var badDst, tunDst topology.NodeID
-	var badTun tunnels.ID
-	for dst, flows := range r.TunnelTo {
-		if dst < 0 || int(dst) >= nodes {
-			if !dstOut || dst < badDst {
-				dstOut, badDst = true, dst
-			}
-			continue
-		}
-		for tid := range flows {
-			if (tid < 0 || int(tid) >= tuns) && (!tunOut || tid < badTun) {
-				tunOut, badTun, tunDst = true, tid, dst
-			}
-		}
-	}
-	switch {
-	case dstOut:
-		return fmt.Errorf("routing: realization routes to destination %d, outside the plan's %d nodes", badDst, nodes)
-	case tunOut:
-		return fmt.Errorf("routing: realization's flow to destination %d is on tunnel %d, outside the plan's %d tunnels", tunDst, badTun, tuns)
-	}
-	return nil
 }

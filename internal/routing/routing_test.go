@@ -1,8 +1,10 @@
 package routing
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -292,61 +294,97 @@ func TestProportionalFailsOnCycles(t *testing.T) {
 }
 
 // TestCheckRealizationCatchesOverload builds a deliberately broken
-// realization and checks the validator flags it.
+// realization and checks that Sweep.Check flags it.
 func TestCheckRealizationCatchesOverload(t *testing.T) {
 	plan := fig1Plan(t, 1)
+	sw := newSweep(t, plan)
 	sc := failures.Scenario{Dead: map[topology.LinkID]bool{}}
 	r, err := Realize(plan, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckRealization(plan, r); err != nil {
+	if err := sw.Check(r); err != nil {
 		t.Fatalf("healthy realization flagged: %v", err)
 	}
 	r.ArcLoad[0] = plan.Instance.Graph.ArcCapacity(0) + 1
-	if err := CheckRealization(plan, r); err == nil {
-		t.Fatal("overload not caught")
+	if err := sw.Check(r); err == nil || !strings.Contains(err.Error(), "arc 0 (link 0) overloaded") {
+		t.Fatalf("overload not caught: %v", err)
 	}
 }
 
 // TestCheckRejectsMisshapenRealization: a realization that does not fit
-// the plan — an arc count cut short, a destination past the node range,
-// a flow on a tunnel past the tunnel set — is an error naming the
-// mismatch, from Sweep.Check and CheckRealization alike, never a panic.
+// the plan — an arc count cut short, flows toward a node past the node
+// range or toward one that is not among the plan's destinations, a
+// flow on a tunnel past the tunnel set — is an error from Sweep.Check
+// naming the mismatch, never a panic; and one that leaves out a
+// destination of the plan is a balance error naming it, not a pass.
 func TestCheckRejectsMisshapenRealization(t *testing.T) {
 	plan := fig1Plan(t, 1)
 	sw := newSweep(t, plan)
 	sc := failures.Scenario{Dead: map[topology.LinkID]bool{}}
-	for _, tc := range []struct {
+	type mangling struct {
 		name   string
 		mangle func(r *Realization)
 		want   string
-	}{
+	}
+	cases := []mangling{
 		{"arc count", func(r *Realization) { r.ArcLoad = r.ArcLoad[:1] }, "has 1 arc loads"},
-		{"destination", func(r *Realization) { r.TunnelTo[999] = map[tunnels.ID]float64{0: 1} }, "destination 999, outside"},
+		{"destination", func(r *Realization) { r.TunnelTo[999] = map[tunnels.ID]float64{0: 1} }, "node 999, not one of the plan's"},
 		{"tunnel", func(r *Realization) {
 			for dst := range r.TunnelTo {
 				r.TunnelTo[dst][12345] = 1
 			}
 		}, "tunnel 12345, outside"},
-	} {
-		for _, entry := range []struct {
-			name  string
-			check func(*Realization) error
-		}{
-			{"Sweep.Check", sw.Check},
-			{"CheckRealization", func(r *Realization) error { return CheckRealization(plan, r) }},
-		} {
-			r, err := Realize(plan, sc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := entry.check(r); err != nil {
-				t.Fatalf("%s: healthy realization flagged: %v", entry.name, err)
-			}
-			tc.mangle(r)
-			if err := entry.check(r); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s on a bad %s: %v, want an error containing %q", entry.name, tc.name, err, tc.want)
+	}
+	// Flows toward two nodes that are not destinations: the lower is named.
+	var foreign []topology.NodeID
+	for v := 0; v < plan.Instance.Graph.NumNodes() && len(foreign) < 2; v++ {
+		if !slices.Contains(sw.dests, topology.NodeID(v)) {
+			foreign = append(foreign, topology.NodeID(v))
+		}
+	}
+	if len(foreign) < 2 {
+		t.Fatalf("the plan leaves %d nodes outside its destinations", len(foreign))
+	}
+	cases = append(cases, mangling{"non-destination", func(r *Realization) {
+		r.TunnelTo[foreign[1]] = map[tunnels.ID]float64{}
+		r.TunnelTo[foreign[0]] = map[tunnels.ID]float64{}
+	}, fmt.Sprintf("routes to node %d, not one of the plan's %d destinations", foreign[0], len(sw.dests))})
+	for _, tc := range cases {
+		r, err := Realize(plan, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Check(r); err != nil {
+			t.Fatalf("healthy realization flagged: %v", err)
+		}
+		tc.mangle(r)
+		if err := sw.Check(r); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("on a bad %s: %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	t.Run("fig1-f1", func(t *testing.T) { assertDroppedDestinationsFail(t, plan) })
+	t.Run("sprint-cls", func(t *testing.T) { assertDroppedDestinationsFail(t, sprintCLSPlanOrSkip(t)) })
+}
+
+// assertDroppedDestinationsFail drops each destination of the plan in
+// turn from its no-failure realization and requires Sweep.Check and
+// the dense oracle alike to report a balance error naming it.
+func assertDroppedDestinationsFail(t *testing.T, plan *core.Plan) {
+	sw := newSweep(t, plan)
+	for _, dst := range sw.dests {
+		r, err := Realize(plan, failures.Scenario{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		delete(r.TunnelTo, dst)
+		want := fmt.Sprintf("routing: destination %d node ", dst)
+		for _, check := range []struct {
+			name string
+			err  error
+		}{{"Sweep.Check", sw.Check(r)}, {"denseCheck", denseCheck(plan, r)}} {
+			if check.err == nil || !strings.HasPrefix(check.err.Error(), want) {
+				t.Errorf("%s with destination %d dropped: %v, want an error starting %q", check.name, dst, check.err, want)
 			}
 		}
 	}
@@ -574,7 +612,12 @@ func ExampleRealizeProportional() {
 		fmt.Println("realize:", err)
 		return
 	}
-	if err := CheckRealization(plan, r); err != nil {
+	sw, err := NewSweepContext(context.Background(), plan)
+	if err != nil {
+		fmt.Println("engine:", err)
+		return
+	}
+	if err := sw.Check(r); err != nil {
 		fmt.Println("congestion:", err)
 		return
 	}

@@ -59,10 +59,11 @@ func TestDegradedSweepMatchesCold(t *testing.T) {
 	assertSweepMatchesCold(t, degradedFig1Plan(t, 2, 0.5))
 }
 
-// TestScenarioCapacityDegraded pins the capacity semantics: dead links
-// have zero scenario capacity, degraded links alpha times nominal,
-// everything else nominal — and two degrade units sharing a link
-// compose by the smaller alpha.
+// TestScenarioCapacityDegraded pins the capacity semantics of the
+// check's overlay: dead links have zero scenario capacity, degraded
+// links alpha times nominal, everything else nominal — and two degrade
+// units sharing a link compose by the smaller alpha. restoreCaps puts
+// every nominal capacity back.
 func TestScenarioCapacityDegraded(t *testing.T) {
 	gad := topozoo.Fig1()
 	g := gad.Graph
@@ -75,9 +76,12 @@ func TestScenarioCapacityDegraded(t *testing.T) {
 		Budget: 3,
 	}
 	sc := fs.ScenarioOf([]int{0, 1, 2})
+	sw := newSweep(t, fig1Plan(t, 1))
+	sr := sw.newScratch()
+	sw.overlay(sc, sr)
 	for a := 0; a < g.NumArcs(); a++ {
 		l := topology.LinkOf(topology.ArcID(a))
-		got := ScenarioCapacity(g, sc, topology.ArcID(a))
+		got := sr.arcCap[a]
 		want := g.ArcCapacity(topology.ArcID(a))
 		switch l {
 		case 0:
@@ -87,6 +91,13 @@ func TestScenarioCapacityDegraded(t *testing.T) {
 		}
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("arc %d (link %d): scenario capacity %g, want %g", a, l, got, want)
+		}
+	}
+	sw.restoreCaps(sr)
+	for a := 0; a < g.NumArcs(); a++ {
+		//lint:ignore pcflint/floatcmp restoreCaps copies the nominal capacity back verbatim
+		if c := g.ArcCapacity(topology.ArcID(a)); sr.arcCap[a] != c {
+			t.Fatalf("arc %d: capacity %g after restoreCaps, nominal %g", a, sr.arcCap[a], c)
 		}
 	}
 }

@@ -362,21 +362,18 @@ type batchEntry struct {
 var SweepUpdateFault func(ups []linsolve.RowUpdate) error
 
 // Check verifies Proposition 6's properties for a realization of this
-// sweep's plan, like CheckRealization, but against the capacities and
-// per-destination balance targets precomputed once per plan. It reports
-// the first overloaded arc if there is one, else the first destination
-// in node order that misses balance, at its lowest-numbered node. A
-// realization that does not fit the plan is an error (checkShape); one
-// with a destination outside the precomputed set falls back to the
-// general check.
+// sweep's plan, against the capacities and per-destination balance
+// targets precomputed once per plan: every arc within its scenario
+// capacity, and every destination of the plan balanced at every node
+// (one r has no flows toward ships nothing). It reports the first
+// overloaded arc if there is one, else the first destination in node
+// order that misses balance, at its lowest-numbered node. A realization
+// that does not fit the plan is an error (checkShape). It is the one
+// realization check: a caller checking many realizations of one plan
+// builds the engine once.
 func (s *Sweep) Check(r *Realization) error {
-	if err := checkShape(s.plan.Instance, r); err != nil {
+	if err := s.checkShape(r); err != nil {
 		return err
-	}
-	for dst := range r.TunnelTo {
-		if s.destIndex[dst] < 0 {
-			return CheckRealization(s.plan, r)
-		}
 	}
 	sr := s.pool.Get().(*sweepScratch)
 	_, err := s.judge(r.Scenario, sr, r, true)
@@ -434,7 +431,7 @@ type Outcome struct {
 	// MaxU is the largest aggregate utilization among them, 0 if none.
 	MaxU float64
 	// MLU is the maximum link utilization under the scenario's
-	// capacities, MLUOf of the realization.
+	// capacities.
 	MLU float64
 }
 
@@ -448,10 +445,10 @@ type Outcome struct {
 // as Realize serves it and read from the flat emission in the worker's
 // scratch. Its MLU is the check's (judge), which visits only the arcs
 // the scenario touched or overlays and takes every other arc from the
-// engine's record; it is bit-equal to MLUOf of Realize's answer, and
-// MaxU to the largest of its U. Errors are Realize's, counted the same
-// way in Stats. A warm scenario allocates nothing. Safe for concurrent
-// use.
+// engine's record; it is bit-equal to the MLU judge reads off Realize's
+// answer with every arc visited, and MaxU to the largest of its U.
+// Errors are Realize's, counted the same way in Stats. A warm scenario
+// allocates nothing. Safe for concurrent use.
 func (s *Sweep) Outcome(sc failures.Scenario) (Outcome, error) {
 	sr := s.pool.Get().(*sweepScratch)
 	if out, ok := s.kept(sc, sr); ok {

@@ -182,19 +182,19 @@ func worstMLU(plan *core.Plan) (float64, failures.Scenario, error) {
 
 // proportionalWorst replays the designed set through the §4.2
 // proportional router: each scenario realized by RealizeProportional,
-// checked by CheckRealization, and the worst MLUOf returned — the
+// checked by checkRealizationScan, and the worst denseMLU returned — the
 // proportional counterpart of worstMLU.
 func proportionalWorst(plan *core.Plan) (float64, error) {
 	worst := 0.0
 	for _, sc := range designedSet(plan) {
 		r, err := RealizeProportional(plan, sc)
 		if err == nil {
-			err = CheckRealization(plan, r)
+			err = checkRealizationScan(plan, r)
 		}
 		if err != nil {
 			return worst, err
 		}
-		worst = max(worst, MLUOf(plan.Instance.Graph, r))
+		worst = max(worst, denseMLU(plan.Instance.Graph, r))
 	}
 	return worst, nil
 }
@@ -541,8 +541,8 @@ func TestSweepMultiWorkerDeterministic(t *testing.T) {
 }
 
 // TestSweepCheckMatchesCheckRealization: the sweep's precomputed-
-// target Check accepts exactly what the general CheckRealization
-// accepts, and both reject the same corruptions.
+// target Check accepts exactly what the old per-call check
+// (checkRealizationScan) accepts, and both reject the same corruptions.
 func TestSweepCheckMatchesCheckRealization(t *testing.T) {
 	plan := fig5CLSPlan(t)
 	s := newSweep(t, plan)
@@ -551,8 +551,8 @@ func TestSweepCheckMatchesCheckRealization(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", sc, err)
 		}
-		if err := CheckRealization(plan, r); err != nil {
-			t.Fatalf("%v: general check rejected a valid realization: %v", sc, err)
+		if err := checkRealizationScan(plan, r); err != nil {
+			t.Fatalf("%v: old check rejected a valid realization: %v", sc, err)
 		}
 		if err := s.Check(r); err != nil {
 			t.Fatalf("%v: sweep check rejected a valid realization: %v", sc, err)
@@ -567,8 +567,8 @@ func TestSweepCheckMatchesCheckRealization(t *testing.T) {
 	for dst, flows := range r.TunnelTo {
 		for tid := range flows {
 			flows[tid] += 0.5
-			if CheckRealization(plan, r) == nil {
-				t.Fatalf("general check accepted corrupted flow for dst %v", dst)
+			if checkRealizationScan(plan, r) == nil {
+				t.Fatalf("old check accepted corrupted flow for dst %v", dst)
 			}
 			if s.Check(r) == nil {
 				t.Fatalf("sweep check accepted corrupted flow for dst %v", dst)
@@ -581,7 +581,7 @@ func TestSweepCheckMatchesCheckRealization(t *testing.T) {
 	// Overload an arc: both checks must reject with a capacity error.
 	if len(r.ArcLoad) > 0 {
 		r.ArcLoad[0] += 1e9
-		if CheckRealization(plan, r) == nil || s.Check(r) == nil {
+		if checkRealizationScan(plan, r) == nil || s.Check(r) == nil {
 			t.Fatal("overloaded arc not rejected")
 		}
 		r.ArcLoad[0] -= 1e9

@@ -17,6 +17,47 @@ import (
 	"pcf/internal/tunnels"
 )
 
+// overloaded is the overload verdict: an arc carrying load against
+// capacity c is overloaded when the load exceeds c by more than
+// tol.Overload.
+func overloaded(load, c float64) bool { return load > c+tol.Overload }
+
+// checkShape reports the first way a realization does not fit the plan
+// the check indexes it by: another arc count, else the lowest node it
+// routes toward that is not one of the plan's destinations (in the node
+// range or not), else the lowest tunnel id outside the tunnel set that
+// carries a flow.
+func (s *Sweep) checkShape(r *Realization) error {
+	in := s.plan.Instance
+	if arcs := in.Graph.NumArcs(); len(r.ArcLoad) != arcs {
+		return fmt.Errorf("routing: realization has %d arc loads, the plan's graph %d arcs", len(r.ArcLoad), arcs)
+	}
+	tuns := in.Tunnels.Len()
+	var dstOut, tunOut bool
+	var badDst, tunDst topology.NodeID
+	var badTun tunnels.ID
+	for dst, flows := range r.TunnelTo {
+		if dst < 0 || int(dst) >= len(s.destIndex) || s.destIndex[dst] < 0 {
+			if !dstOut || dst < badDst {
+				dstOut, badDst = true, dst
+			}
+			continue
+		}
+		for tid := range flows {
+			if (tid < 0 || int(tid) >= tuns) && (!tunOut || tid < badTun) {
+				tunOut, badTun, tunDst = true, tid, dst
+			}
+		}
+	}
+	switch {
+	case dstOut:
+		return fmt.Errorf("routing: realization routes to node %d, not one of the plan's %d destinations", badDst, len(s.dests))
+	case tunOut:
+		return fmt.Errorf("routing: realization's flow to destination %d is on tunnel %d, outside the plan's %d tunnels", tunDst, badTun, tuns)
+	}
+	return nil
+}
+
 // balance is the one flow-conservation check (Proposition 6), over the
 // pair-level flow graph: tunnel l of pair (i,j) is an edge i->j carrying
 // its flow. It visits only the nodes a destination touches — the
@@ -117,9 +158,9 @@ func (e utilizationError) Error() string {
 }
 
 // overlay writes the scenario's capacities for its dead and degraded
-// links into sr.arcCap — nominal·CapScale, the product ScenarioCapacity
-// forms — and lists the arcs it wrote in sr.overlaid, for the check to
-// visit and for restoreCaps to put back.
+// links into sr.arcCap — nominal·CapScale — and lists the arcs it
+// wrote in sr.overlaid, for the check to visit and for restoreCaps to
+// put back.
 func (s *Sweep) overlay(sc failures.Scenario, sr *sweepScratch) {
 	caps := sr.arcCap
 	sr.overlaid = sr.overlaid[:0]
@@ -229,12 +270,11 @@ func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, r *Realization, ch
 				continue
 			}
 			tuns, vals = s.destFlows(sr, di)
-		} else if flows, ok := r.TunnelTo[dst]; ok {
-			// Check's scratch holds no emission anyone reads.
-			sr.flowTun, sr.flowVal = flattenFlows(flows, sr.flowTun[:0], sr.flowVal[:0])
-			tuns, vals = sr.flowTun, sr.flowVal
 		} else {
-			continue
+			// Check's scratch holds no emission anyone reads. A
+			// destination r has no map for ships nothing.
+			sr.flowTun, sr.flowVal = flattenFlows(r.TunnelTo[dst], sr.flowTun[:0], sr.flowVal[:0])
+			tuns, vals = sr.flowTun, sr.flowVal
 		}
 		if v, got, want := s.imbalance(&sr.bal, di, tuns, vals); v >= 0 {
 			return mlu, balanceError{dst, v, got, want, sc}

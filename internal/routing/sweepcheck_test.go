@@ -14,19 +14,17 @@ import (
 	"pcf/internal/tunnels"
 )
 
-// TestCheckRealizationMatchesScan: CheckRealization lists every
-// destination's demand pairs in one pass over the rows of the matrix,
-// in DemandPairs' order, and answers exactly as the whole-matrix scan
-// (routing.CheckRealizationScan) and the per-destination column reads
-// (routing.CheckRealizationColumns) it replaced: the same error, word
-// for word, or none from all three. On the Sprint CLS plan and the four
-// benchmark plans, over designed and seeded beyond-budget scenarios,
-// each realization is checked as it is and with one flow toward each
-// of its first destinations moved off balance. A tunnel into the
-// destination from a higher-numbered source is moved where there is
-// one, so the miss is reported at the destination itself, whose target
-// sums every demand pair into it in order; some must be.
-func TestCheckRealizationMatchesScan(t *testing.T) {
+// TestSweepCheckMatchesScan: Sweep.Check, the one realization check,
+// answers exactly as the whole-matrix scan it replaced
+// (routing.CheckRealizationScan): the same error, word for word, or
+// none from both. On the Sprint CLS plan and the four benchmark plans,
+// over designed and seeded beyond-budget scenarios, each realization is
+// checked as it is and with one flow toward each of its first
+// destinations moved off balance. A tunnel into the destination from a
+// higher-numbered source is moved where there is one, so the miss is
+// reported at the destination itself, whose target sums every demand
+// pair into it in order; some must be.
+func TestSweepCheckMatchesScan(t *testing.T) {
 	btna := eval.Options{Topology: "BTNorthAmerica", Seed: 1, MaxPairs: 40, FailureBudget: 2}
 	plans := []routing.NamedPlan{
 		{Name: "sprint-tf-f1", Plan: benchmarkPlan(t, eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 45, FailureBudget: 1}, core.SchemePCFTF)},
@@ -49,12 +47,9 @@ func TestCheckRealizationMatchesScan(t *testing.T) {
 		scenarios = append(scenarios[:min(len(scenarios), perPlan)], routing.BeyondBudget(p.Plan.Instance.Graph, 57, perPlan)...)
 		kinds := map[string]int{}
 		same := func(what string, r *routing.Realization) string {
-			got, want := routing.CheckRealization(p.Plan, r), routing.CheckRealizationScan(p.Plan, r)
+			got, want := sw.Check(r), routing.CheckRealizationScan(p.Plan, r)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s: %s: CheckRealization = %v, the scan %v", p.Name, what, got, want)
-			}
-			if cols := routing.CheckRealizationColumns(p.Plan, r); fmt.Sprint(got) != fmt.Sprint(cols) {
-				t.Fatalf("%s: %s: CheckRealization = %v, the column reads %v", p.Name, what, got, cols)
+				t.Fatalf("%s: %s: Sweep.Check = %v, the scan %v", p.Name, what, got, want)
 			}
 			kind := "valid"
 			if got != nil {

@@ -4,7 +4,7 @@ package routing
 // for every destination a scenario cannot change and checks sparsely;
 // the reference below is the dense emission it replaced — every
 // destination corrected, row-scanned and poured into maps, every node
-// balanced, every arc looked up through ScenarioCapacity — kept here, in
+// balanced, every arc looked up through scenarioCapacity — kept here, in
 // the test file only, as the oracle. (Its cold scenarios are Realize's,
 // the one cold path; the dense linear-system oracle is
 // denseoracle_test.go's.)
@@ -127,14 +127,15 @@ func denseEmit(s *Sweep, sc failures.Scenario, sr *sweepScratch, x []float64, up
 	return res, served{smw: true, rank: k}, nil
 }
 
-// denseCheck is the check as it was — ScenarioCapacity per arc, then a
+// denseCheck is the check as it was — scenarioCapacity per arc, then a
 // full node vector built and scanned per destination — except that it
 // visits destinations in node order where the old one ranged over the
-// map.
+// map, and checks a destination the plan has demand to but r has no
+// flows toward as shipping nothing.
 func denseCheck(plan *core.Plan, r *Realization) error {
 	g := plan.Instance.Graph
 	for a := 0; a < g.NumArcs(); a++ {
-		if c := ScenarioCapacity(g, r.Scenario, topology.ArcID(a)); r.ArcLoad[a] > c+1e-6 {
+		if c := scenarioCapacity(g, r.Scenario, topology.ArcID(a)); r.ArcLoad[a] > c+1e-6 {
 			return overloadError{a, r.ArcLoad[a], c, r.Scenario}
 		}
 	}
@@ -142,7 +143,7 @@ func denseCheck(plan *core.Plan, r *Realization) error {
 	for t := 0; t < g.NumNodes(); t++ {
 		dst := topology.NodeID(t)
 		flows, ok := r.TunnelTo[dst]
-		if !ok {
+		if !ok && targets[dst] == nil {
 			continue
 		}
 		net := make([]float64, g.NumNodes())
@@ -197,11 +198,12 @@ func denseTargetsOf(plan *core.Plan) map[topology.NodeID][]float64 {
 	return targets
 }
 
-// denseMLU is MLUOf as it was: no arc skipped, every capacity looked up.
+// denseMLU is the MLU of a realization as it was read: no arc skipped,
+// every capacity looked up.
 func denseMLU(g *topology.Graph, r *Realization) float64 {
 	mlu := 0.0
 	for a, load := range r.ArcLoad {
-		if c := ScenarioCapacity(g, r.Scenario, topology.ArcID(a)); c > 0 {
+		if c := scenarioCapacity(g, r.Scenario, topology.ArcID(a)); c > 0 {
 			if u := load / c; u > mlu {
 				mlu = u
 			}
@@ -293,7 +295,7 @@ func matchesDenseLoop(t *testing.T, what string, sw *Sweep, got, want *Realizati
 		case math.Abs(load-w) > bound[a]:
 			t.Fatalf("%s: ArcLoad[%d] = %.17g, dense %.17g: %.3g apart, bound %.3g", what, a, load, w, math.Abs(load-w), bound[a])
 		}
-		c := ScenarioCapacity(g, got.Scenario, topology.ArcID(a))
+		c := scenarioCapacity(g, got.Scenario, topology.ArcID(a))
 		if math.Abs(w-(c+tol.Overload)) <= bound[a] {
 			decided = false
 		} else if overloaded(load, c) != overloaded(w, c) {
@@ -414,8 +416,9 @@ func assertDeltaMatchesDense(t *testing.T, name string, plan *core.Plan, scenari
 
 // assertPublicMatchesFlat requires the public Realize of every scenario
 // to be the flat emission the engine judges — the same error, or every
-// field bit for bit, and MLUOf of it the judged MLU — and Check and
-// CheckRealization of it to name what the engine's check names.
+// field bit for bit, and denseMLU of it the judged MLU — and Check and
+// the old check (checkRealizationScan) of it to name what the engine's
+// check names.
 func assertPublicMatchesFlat(t *testing.T, name string, sw *Sweep, scenarios []failures.Scenario) {
 	t.Helper()
 	g := sw.plan.Instance.Graph
@@ -432,13 +435,13 @@ func assertPublicMatchesFlat(t *testing.T, name string, sw *Sweep, scenarios []f
 		}
 		sameRealization(t, what+" (Realize)", pub, flatRealization(t, sw, sc, sr))
 		mlu, jerr := sw.judge(sc, sr, nil, true)
-		for _, err := range []error{sw.Check(pub), CheckRealization(sw.plan, pub)} {
+		for _, err := range []error{sw.Check(pub), checkRealizationScan(sw.plan, pub)} {
 			if verdictKind(err) != verdictKind(jerr) {
 				t.Fatalf("%s: public check %v, engine %v", what, err, jerr)
 			}
 		}
-		if jerr == nil && !bitsEq(MLUOf(g, pub), mlu) {
-			t.Fatalf("%s: MLUOf %.17g, engine %.17g", what, MLUOf(g, pub), mlu)
+		if jerr == nil && !bitsEq(denseMLU(g, pub), mlu) {
+			t.Fatalf("%s: dense MLU %.17g, engine %.17g", what, denseMLU(g, pub), mlu)
 		}
 	}
 }
@@ -859,8 +862,8 @@ func balanceVerdict(t *testing.T, err error) (dst, node int) {
 
 // TestSparseBalanceMutations: the balance check visits touched nodes
 // only, so each way a flow list can go wrong must still be caught — by
-// the flat check, by Sweep.Check and by CheckRealization, on the same
-// destination and node: a flow off by 1e-5, a flow missing, and flow
+// the flat check, by Sweep.Check, by the old check and by denseCheck,
+// on the same destination and node: a flow off by 1e-5, a flow missing, and flow
 // between two nodes the destination wants nothing from.
 func TestSparseBalanceMutations(t *testing.T) {
 	plan := sprintCLSPlanOrSkip(t)
@@ -903,7 +906,7 @@ func TestSparseBalanceMutations(t *testing.T) {
 		if fd != int(sw.dests[di]) {
 			t.Fatalf("%s: flat check blames destination %d, mutated %d", name, fd, sw.dests[di])
 		}
-		for _, err := range []error{sw.Check(r), CheckRealization(plan, r), denseCheck(plan, r)} {
+		for _, err := range []error{sw.Check(r), checkRealizationScan(plan, r), denseCheck(plan, r)} {
 			if d, v := balanceVerdict(t, err); d != fd || v != fv {
 				t.Fatalf("%s: flat check blames destination %d node %d, other check says %v", name, fd, fv, err)
 			}
@@ -1024,9 +1027,9 @@ func TestSweepVerdictDeterministic(t *testing.T) {
 			t.Fatalf("run %d reports %q, run 0 %q", run, err, first)
 		}
 	}
-	// Several destinations out of balance at once: both public checks
-	// must name the lowest-numbered one, every time, where ranging over
-	// TunnelTo named whichever the map served first.
+	// Several destinations out of balance at once: Check and the old
+	// check must name the lowest-numbered one, every time, where ranging
+	// over TunnelTo named whichever the map served first.
 	sw := newSweep(t, plan)
 	r, err := sw.Realize(failures.Scenario{})
 	if err != nil {
@@ -1040,12 +1043,12 @@ func TestSweepVerdictDeterministic(t *testing.T) {
 			flows[tid] += 0.5
 		}
 	}
-	want := CheckRealization(plan, r)
+	want := checkRealizationScan(plan, r)
 	if d, _ := balanceVerdict(t, want); d != int(sw.dests[0]) {
 		t.Fatalf("verdict %v does not name the first destination %d", want, sw.dests[0])
 	}
 	for run := 0; run < 20; run++ {
-		for _, got := range []error{CheckRealization(plan, r), sw.Check(r)} {
+		for _, got := range []error{checkRealizationScan(plan, r), sw.Check(r)} {
 			if got == nil || got.Error() != want.Error() {
 				t.Fatalf("run %d: verdict %v, first run said %v", run, got, want)
 			}

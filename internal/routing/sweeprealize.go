@@ -454,8 +454,8 @@ func (s *Sweep) rowUpdates(sc failures.Scenario, sr *sweepScratch, rows []int) (
 // degradation (Scenario.Degraded) scales capacities but never touches
 // the reservation matrix, so scenarios differing only in degraded links
 // share the same linear system — and the same batch entry. Capacity
-// effects apply downstream, where MLUOf and the overload checks divide
-// by ScenarioCapacity.
+// effects apply downstream, where the check divides by the scenario's
+// capacities (overlay).
 func upsKey(b []byte, ups []linsolve.RowUpdate) []byte {
 	for _, up := range ups {
 		b = binary.AppendUvarint(b, uint64(up.Row))

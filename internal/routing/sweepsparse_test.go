@@ -251,10 +251,10 @@ func TestHighRankScenariosServedLowRank(t *testing.T) {
 				highRank++
 			}
 			mlu, jerr := sw.judge(sc, sr, nil, true)
-			if cerr := CheckRealization(plan, want); (cerr == nil) != (jerr == nil) {
+			if cerr := checkRealizationScan(plan, want); (cerr == nil) != (jerr == nil) {
 				t.Fatalf("%s under %v (rank %d): engine check %v, cold check %v", tc.topo, sc, sv.rank, jerr, cerr)
 			}
-			if wm := MLUOf(in.Graph, want); !near(mlu, wm) {
+			if wm := denseMLU(in.Graph, want); !near(mlu, wm) {
 				t.Fatalf("%s under %v (rank %d): MLU %.12g, cold %.12g", tc.topo, sc, sv.rank, mlu, wm)
 			}
 			got := sw.materialize(sc, sr)

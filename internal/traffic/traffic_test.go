@@ -140,71 +140,6 @@ func TestTopPairsMatchesFullSort(t *testing.T) {
 	}
 }
 
-// TestPairsIntoMatchesPairs: the pairs into each destination, read from
-// its column, are Pairs(0)'s pairs with that destination in Pairs'
-// order, appended after what out held; on seeded matrices with many
-// ties.
-func TestPairsIntoMatchesPairs(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		nodes := 2 + rng.Intn(9)
-		m := NewMatrix(nodes)
-		for s := 0; s < nodes; s++ {
-			for d := 0; d < nodes; d++ {
-				if rng.Intn(4) > 0 {
-					m.Demand[s][d] = float64(rng.Intn(4)) // the diagonal too: it is never a pair
-				}
-			}
-		}
-		full := m.Pairs(0)
-		held := []topology.Pair{{Src: 9, Dst: 9}}
-		for dst := 0; dst < nodes; dst++ {
-			want := slices.DeleteFunc(slices.Clone(full), func(p topology.Pair) bool { return int(p.Dst) != dst })
-			got := m.AppendPairsInto(slices.Clone(held), topology.NodeID(dst))
-			if !slices.Equal(got[:1], held) || !slices.Equal(got[1:], want) {
-				t.Fatalf("seed %d, into %d: %v after %v, want %v", seed, dst, got[1:], got[:1], want)
-			}
-		}
-	}
-}
-
-// TestPairsIntoEachMatchesPairsInto: the pairs into ascending
-// destinations, listed in one pass over the rows, are each
-// destination's AppendPairsInto pairs one destination after the other,
-// appended after what out held; on seeded matrices with many ties,
-// some rows shorter than the destinations they are read at.
-func TestPairsIntoEachMatchesPairsInto(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		nodes := 2 + rng.Intn(9)
-		m := NewMatrix(nodes)
-		for s := 0; s < nodes; s++ {
-			for d := 0; d < nodes; d++ {
-				if rng.Intn(4) > 0 {
-					m.Demand[s][d] = float64(rng.Intn(4))
-				}
-			}
-		}
-		if seed%4 == 0 {
-			m.Demand[rng.Intn(nodes)] = m.Demand[rng.Intn(nodes)][:rng.Intn(nodes)]
-		}
-		var dsts []topology.NodeID
-		for d := 0; d < nodes; d++ {
-			if rng.Intn(2) == 0 {
-				dsts = append(dsts, topology.NodeID(d))
-			}
-		}
-		held := []topology.Pair{{Src: 9, Dst: 9}}
-		want := slices.Clone(held)
-		for _, d := range dsts {
-			want = m.AppendPairsInto(want, d)
-		}
-		if got := m.AppendPairsIntoEach(slices.Clone(held), dsts); !slices.Equal(got, want) {
-			t.Fatalf("seed %d, into %v: %v, want %v", seed, dsts, got, want)
-		}
-	}
-}
-
 func TestRestrict(t *testing.T) {
 	m := NewMatrix(3)
 	m.Demand[0][1] = 5

@@ -52,8 +52,9 @@ rm -f /tmp/pcfd.check /tmp/pcffe.check
 
 echo "== examples (each must exit 0)"
 # The four programs under examples/ are documentation that runs, and
-# failuredrill is the only non-test caller of RealizeProportional and
-# CheckRealization: each must still run to exit 0, not just compile.
+# failuredrill is the only non-test caller of RealizeProportional and,
+# beside benchmark/, of Sweep.Check: each must still run to exit 0, not
+# just compile.
 for example in examples/*/; do
 	go run "./$example" >/dev/null
 done
@@ -144,8 +145,8 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # is what the race detector examines here (DESIGN.md §12). The one cold path (the
 # scenario's own sparse rows, factored afresh; Realize runs it too) is
 # held to the dense n×n oracle at 1e-9 with every corrected scenario
-# forced cold. Outcome, what /v1/realize runs, must equal Realize +
-# MLUOf bit for bit on a warm, a forced-cold and a cold-only engine.
+# forced cold. Outcome, what /v1/realize runs, must equal Realize + its
+# MLU bit for bit on a warm, a forced-cold and a cold-only engine.
 # An SMW corrector keeps only its nonzeros: it must equal the dense
 # correction it replaced (linsolve's test-file oracle) under ==, with
 # the same singular / ill-conditioned verdicts, and its build from
