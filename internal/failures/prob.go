@@ -69,17 +69,30 @@ func (pm *ProbModel) TailMass(f int) float64 {
 // (budget, kcap] — the tail that exhaustive validation misses, up to a
 // truncation point whose leftover mass is reported explicitly rather
 // than hidden. The stream is fully determined by the seed.
+//
+// A draw is the conditional-Bernoulli walk along the suffix DP: with r
+// failures left at unit i, unit i fails with probability
+// pf(i, r) = P[i]·P(r−1 fail among i+1..) / P(r fail among i..). The
+// sampler does not visit the units one by one; it jumps to the walk's
+// next failure J, whose law is P(J > j) = Π_{m=i..j} (1 − pf(m, r)),
+// by inverting that survival function with one uniform (DESIGN.md §18,
+// "The jump walk").
 type Sampler struct {
 	pm     *ProbModel
 	rng    *rand.Rand
 	budget int
 	kcap   int
-	// pf[i*kcap+r-1] = P(unit i fails | exactly r of units i..n-1
-	// fail), r = 1..kcap: the conditional-Bernoulli unit draw's walk,
-	// computed once from the suffix DP table (NewSampler). A negative
-	// entry marks a count the suffix gives no mass; the walk forces
-	// that unit without drawing.
-	pf []float64
+	// logSurv[i*kcap+r-1] = Σ log(1 − pf(m, r)) over the units m ≥ i
+	// the walk does not force, r = 1..kcap, i = 0..n (row n is 0): the
+	// walk with r failures left passes units i..j, none of them forced,
+	// without a failure with probability exp(L(i) − L(j+1)), L(i) the
+	// entry for unit i and count r. Nondecreasing in i.
+	logSurv []float64
+	// forced[i*kcap+r-1] is the first unit m ≥ i the walk forces with r
+	// failures left, n if none: pf(m, r) ≥ 1, or P(r fail among m..)
+	// is not positive (unreachable along a positive-probability path;
+	// the walk places the failure there without drawing).
+	forced []int32
 	// countCDF[j] = P(K ≤ budget+1+j | budget < K ≤ kcap), cumulative.
 	countCDF []float64
 	// sampledMass = P(budget < K ≤ kcap).
@@ -89,6 +102,8 @@ type Sampler struct {
 // NewSampler builds a tail sampler for scenarios with failure count in
 // (budget, kcap]. It fails if the conditional region has no
 // probability mass (e.g. all-zero probabilities, or kcap ≤ budget).
+// One backward pass over the units computes the suffix DP a row at a
+// time and the walk's tables beside it, in O(units · kcap).
 func (pm *ProbModel) NewSampler(seed int64, budget, kcap int) (*Sampler, error) {
 	n := len(pm.P)
 	if kcap <= budget {
@@ -100,22 +115,46 @@ func (pm *ProbModel) NewSampler(seed int64, budget, kcap int) (*Sampler, error) 
 	if kcap <= budget {
 		return nil, fmt.Errorf("failures: budget %d admits no tail over %d units", budget, n)
 	}
-	// suffix[i*w+r] = P(exactly r failures among units i..n-1), one
-	// row of w = kcap+1 counts per unit, flat.
+	// row[r] = P(exactly r failures among units i..n-1), next the same
+	// for units i+1..n-1.
 	w := kcap + 1
-	suffix := make([]float64, (n+1)*w)
-	suffix[n*w] = 1
+	row, next := make([]float64, w), make([]float64, w)
+	next[0] = 1
+	logSurv := make([]float64, (n+1)*kcap)
+	forced := make([]int32, (n+1)*kcap)
+	for r := range kcap {
+		forced[n*kcap+r] = int32(n)
+	}
 	for i := n - 1; i >= 0; i-- {
-		p, row, next := pm.P[i], suffix[i*w:(i+1)*w], suffix[(i+1)*w:(i+2)*w]
+		p := pm.P[i]
+		if !(p >= 0 && p <= 1) {
+			// The walk's tables rely on it: unit n-r is forced with r
+			// failures left, so no draw runs past the last unit.
+			return nil, fmt.Errorf("failures: unit %d probability %v outside [0,1]", i, p)
+		}
 		row[0] = (1 - p) * next[0]
+		at, below := i*kcap, (i+1)*kcap
 		for r := 1; r <= kcap; r++ {
 			row[r] = (1-p)*next[r] + p*next[r-1]
+			pf := -1.0
+			if !(row[r] <= 0) {
+				pf = p * next[r-1] / row[r]
+			}
+			if pf < 0 || pf >= 1 {
+				forced[at+r-1] = int32(i)
+				logSurv[at+r-1] = logSurv[below+r-1]
+			} else {
+				forced[at+r-1] = forced[below+r-1]
+				logSurv[at+r-1] = logSurv[below+r-1] + math.Log1p(-pf)
+			}
 		}
+		row, next = next, row
 	}
+	// next now holds unit 0's row: the whole set's count distribution.
 	var mass float64
 	cdf := make([]float64, kcap-budget)
 	for k := budget + 1; k <= kcap; k++ {
-		mass += suffix[k]
+		mass += next[k]
 		cdf[k-budget-1] = mass
 	}
 	if mass <= 0 {
@@ -124,22 +163,13 @@ func (pm *ProbModel) NewSampler(seed int64, budget, kcap int) (*Sampler, error) 
 	for j := range cdf {
 		cdf[j] /= mass
 	}
-	pf := make([]float64, n*kcap)
-	for i := 0; i < n; i++ {
-		for r := 1; r <= kcap; r++ {
-			v := -1.0
-			if denom := suffix[i*w+r]; !(denom <= 0) {
-				v = pm.P[i] * suffix[(i+1)*w+r-1] / denom
-			}
-			pf[i*kcap+r-1] = v
-		}
-	}
 	return &Sampler{
 		pm:          pm,
 		rng:         rand.New(rand.NewSource(seed)),
 		budget:      budget,
 		kcap:        kcap,
-		pf:          pf,
+		logSurv:     logSurv,
+		forced:      forced,
 		countCDF:    cdf,
 		sampledMass: mass,
 	}, nil
@@ -159,7 +189,10 @@ func (s *Sampler) Next() Scenario {
 // appends it, ascending, to dst. Draws are i.i.d. given the seed: first
 // the failure count k from P(K = k | budget < K ≤ kcap), then a unit
 // subset of exactly size k by conditional Bernoulli sampling along the
-// suffix DP table, which visits the units in ascending order.
+// suffix DP, one uniform per failure: with r failures left from unit i,
+// the next failure is the first unit j whose survival
+// exp(logSurv[i] − logSurv[j+1]) falls below 1 − u, found by binary
+// search, or the next forced unit if none before it does. O(k log n).
 func (s *Sampler) NextUnits(dst []int) []int {
 	u := s.rng.Float64()
 	k := s.budget + 1
@@ -172,21 +205,23 @@ func (s *Sampler) NextUnits(dst []int) []int {
 			k = s.kcap
 		}
 	}
-	r := k
-	for i := 0; i < len(s.pm.P) && r > 0; i++ {
-		// P(unit i fails | exactly r failures remain among i..n-1).
-		pf := s.pf[i*s.kcap+r-1]
-		if pf < 0 {
-			// Unreachable along a positive-probability path; fall back
-			// to forcing the remaining failures deterministically.
-			dst = append(dst, i)
-			r--
-			continue
+	kc, i := s.kcap, 0
+	for r := k; r > 0; r-- {
+		col := r - 1
+		// The first j in [i, forced) with logSurv[j+1] > t, else the
+		// forced unit itself.
+		t := s.logSurv[i*kc+col] - math.Log1p(-s.rng.Float64())
+		lo, hi := i, int(s.forced[i*kc+col])
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if s.logSurv[(mid+1)*kc+col] > t {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
 		}
-		if s.rng.Float64() < pf {
-			dst = append(dst, i)
-			r--
-		}
+		dst = append(dst, lo)
+		i = lo + 1
 	}
 	return dst
 }

@@ -3,10 +3,9 @@ package failures
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"slices"
-	"sort"
+	"math/bits"
 	"testing"
+	"time"
 
 	"pcf/internal/topology"
 )
@@ -149,6 +148,12 @@ func TestSamplerRejectsEmptyTail(t *testing.T) {
 	if _, err := zero.NewSampler(1, 1, 3); err == nil {
 		t.Fatal("zero-mass tail accepted")
 	}
+	for _, bad := range []float64{math.NaN(), -0.1, 1.5} {
+		pm := &ProbModel{Set: zero.Set, P: []float64{0.5, bad, 0.5, 0.5}}
+		if _, err := pm.NewSampler(1, 1, 3); err == nil {
+			t.Fatalf("unit probability %v accepted", bad)
+		}
+	}
 }
 
 func TestCoverageEpsilon(t *testing.T) {
@@ -234,64 +239,9 @@ func TestSamplerUnitMarginalsUniform(t *testing.T) {
 	}
 }
 
-// referenceNext is Sampler.Next as it walked the suffix DP table before
-// the walk's probabilities were precomputed: the count draw, then per
-// unit P[i]·suffix[i+1][r-1]/suffix[i][r], forcing the unit without a
-// draw where the denominator is not positive.
-func referenceNext(s *Sampler, rng *rand.Rand, suffix [][]float64) []int {
-	u := rng.Float64()
-	k := s.budget + 1
-	for j, c := range s.countCDF {
-		if u <= c {
-			k = s.budget + 1 + j
-			break
-		}
-		if j == len(s.countCDF)-1 {
-			k = s.kcap
-		}
-	}
-	combo := make([]int, 0, k)
-	r := k
-	for i := 0; i < len(s.pm.P) && r > 0; i++ {
-		denom := suffix[i][r]
-		if denom <= 0 {
-			combo = append(combo, i)
-			r--
-			continue
-		}
-		pf := s.pm.P[i] * suffix[i+1][r-1] / denom
-		if rng.Float64() < pf {
-			combo = append(combo, i)
-			r--
-		}
-	}
-	sort.Ints(combo)
-	return combo
-}
-
-// referenceSuffix is the suffix DP table NewSampler builds:
-// suffix[i][r] = P(exactly r failures among units i..n-1).
-func referenceSuffix(p []float64, kcap int) [][]float64 {
-	n := len(p)
-	suffix := make([][]float64, n+1)
-	suffix[n] = make([]float64, kcap+1)
-	suffix[n][0] = 1
-	for i := n - 1; i >= 0; i-- {
-		row := make([]float64, kcap+1)
-		row[0] = (1 - p[i]) * suffix[i+1][0]
-		for r := 1; r <= kcap; r++ {
-			row[r] = (1-p[i])*suffix[i+1][r] + p[i]*suffix[i+1][r-1]
-		}
-		suffix[i] = row
-	}
-	return suffix
-}
-
-// The precomputed walk draws what the table walk drew: the first 1 000
-// scenarios for seeds 1–3 on a model with unequal probabilities, a unit
-// that never fails (its counts carry no mass, so the walk forces units
-// past it) and one that always does.
-func TestSamplerMatchesTableWalk(t *testing.T) {
+// ringChords is a 12-unit model with unequal probabilities, a unit that
+// never fails (3) and one that always does (7).
+func ringChords() *ProbModel {
 	g := topology.New("ring+chords")
 	for i := 0; i < 6; i++ {
 		g.AddNode("n")
@@ -306,19 +256,138 @@ func TestSamplerMatchesTableWalk(t *testing.T) {
 		p[i] = 0.02 + 0.05*float64(i%5)
 	}
 	p[3], p[7] = 0, 1
-	pm := &ProbModel{Set: fs, P: p}
-	for seed := int64(1); seed <= 3; seed++ {
-		s, err := pm.NewSampler(seed, 1, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		suffix := referenceSuffix(p, s.kcap)
-		for i := 0; i < 1000; i++ {
-			got, want := s.Next().FailedUnits, referenceNext(s, rng, suffix)
-			if !slices.Equal(got, want) {
-				t.Fatalf("seed %d draw %d: %v, table walk %v", seed, i, got, want)
+	return &ProbModel{Set: fs, P: p}
+}
+
+// fiveSigmaTail is the normal law's one-sided tail beyond 5σ.
+const fiveSigmaTail = 2.87e-7
+
+// countTail is the probability that a count of draws successes at rate q
+// lies at least as far from draws·q as c, on c's side: the normal
+// approximation for a mean of 100 or more, the Poisson law's exact tail
+// below it, where a rare combination drawn once would be many σ out.
+func countTail(draws int, q float64, c int) float64 {
+	mean := float64(draws) * q
+	if mean >= 100 {
+		z := math.Abs(float64(c)-mean) / math.Sqrt(mean*(1-q))
+		return math.Erfc(z/math.Sqrt2) / 2
+	}
+	pmf, below := math.Exp(-mean), 0.0 // P(X = j), P(X < j)
+	for j := 0; j < c; j++ {
+		below += pmf
+		pmf *= mean / float64(j+1)
+	}
+	return min(below+pmf, 1-below)
+}
+
+// The jump walk draws the conditional tail exactly: on the ring+chords
+// model and a uniform one, budgets 0–2, kcap 6 and one kcap above the
+// unit count (clamped), every unit combination's count over 2·10⁵ draws
+// lies within 5σ of its mean given budget < K ≤ kcap (countTail), the
+// probabilities computed by enumerating all 2¹² combinations, and no
+// combination of probability zero is ever drawn.
+func TestSamplerMatchesExactTail(t *testing.T) {
+	rc := ringChords()
+	uni, err := Uniform(rc.Set, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []struct {
+		name string
+		pm   *ProbModel
+	}{{"ring+chords", rc}, {"uniform", uni}}
+	const draws = 200_000
+	for _, m := range models {
+		name, pm := m.name, m.pm
+		n := len(pm.P)
+		for budget := 0; budget <= 2; budget++ {
+			for _, kcap := range []int{6, n + 5} {
+				s, err := pm.NewSampler(int64(1+budget), budget, kcap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// exact[mask] = P(exactly the units in mask fail), kept
+				// for masks whose size lies in (budget, kcap].
+				top := min(kcap, n)
+				exact := make([]float64, 1<<n)
+				var mass float64
+				for mask := range exact {
+					if k := bits.OnesCount(uint(mask)); k <= budget || k > top {
+						continue
+					}
+					pr := 1.0
+					for u, p := range pm.P {
+						if mask&(1<<u) != 0 {
+							pr *= p
+						} else {
+							pr *= 1 - p
+						}
+					}
+					exact[mask] = pr
+					mass += pr
+				}
+				seen := make([]int, 1<<n)
+				var units []int
+				for range draws {
+					units = s.NextUnits(units[:0])
+					mask := 0
+					for j, u := range units {
+						if j > 0 && u <= units[j-1] {
+							t.Fatalf("%s budget %d kcap %d: draw %v not ascending", name, budget, kcap, units)
+						}
+						mask |= 1 << u
+					}
+					seen[mask]++
+				}
+				least, drawn := 1.0, 0
+				for mask, c := range seen {
+					q := exact[mask] / mass
+					if q == 0 {
+						if c > 0 {
+							t.Fatalf("%s budget %d kcap %d: combination %012b of probability 0 drawn %d times", name, budget, kcap, mask, c)
+						}
+						continue
+					}
+					if c > 0 {
+						drawn++
+					}
+					tail := countTail(draws, q, c)
+					if tail < fiveSigmaTail {
+						t.Fatalf("%s budget %d kcap %d: combination %012b drawn %d times, expected %.2f (tail probability %.2g)", name, budget, kcap, mask, c, draws*q, tail)
+					}
+					least = min(least, tail)
+				}
+				t.Logf("%s budget %d kcap %d: %d combinations drawn, least tail probability %.2g", name, budget, kcap, drawn, least)
 			}
 		}
 	}
+}
+
+// BenchmarkSamplerDraw times the sampler of the 1 000-node benchmark
+// plan's sampled request: 2 000 units at p = 0.01, budget 1, kcap 9.
+// One op builds a sampler and draws 1 000 combinations; build_us and
+// ns/draw split the op.
+func BenchmarkSamplerDraw(b *testing.B) {
+	pm, err := Uniform(&Set{Units: make([]Unit, 2000), Budget: 1}, 0.01)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const draws = 1000
+	var build, draw time.Duration
+	var units []int
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		s, err := pm.NewSampler(int64(i+1), 1, 9)
+		if err != nil {
+			b.Fatal(err)
+		}
+		built := time.Now()
+		for range draws {
+			units = s.NextUnits(units[:0])
+		}
+		draw += time.Since(built)
+		build += built.Sub(start)
+	}
+	b.ReportMetric(float64(build.Microseconds())/float64(b.N), "build_us")
+	b.ReportMetric(float64(draw.Nanoseconds())/float64(draws*b.N), "ns/draw")
 }

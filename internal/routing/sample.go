@@ -54,6 +54,9 @@ type SampledReport struct {
 	// engine's kept one) and this call's tail, which share one engine;
 	// Total is this call's wall clock.
 	Stats SweepStats
+	// DrawTime is the wall clock of the serial draw-and-classify loop,
+	// a part of Stats.Total; zero when nothing was sampled.
+	DrawTime time.Duration
 }
 
 // ValidateSampled judges the plan's designed failure set
@@ -154,6 +157,7 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 		// Draw and classify serially: the seeded stream must not depend
 		// on worker scheduling.
 		draws := opts.Model.Set
+		drawStart := time.Now()
 		tail := newTailClasses(s.engine, cls, draws.Units, opts.Samples)
 		for i := 0; i < opts.Samples; i++ {
 			if i%256 == 0 {
@@ -163,6 +167,7 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 			}
 			tail.draw(sampler)
 		}
+		rep.DrawTime = time.Since(drawStart)
 		// Only the representatives are realized, each on the fork,
 		// which keeps at most one corrector apiece. A draw's MLU is read
 		// only above the designed worst, and its failure only counted.

@@ -942,9 +942,9 @@ func (s *Server) handleRealize(c *call) (any, error) {
 const maxValidateSamples = 100_000
 
 // maxKCapOverBudget caps ?kcap= at the plan's failure budget plus this
-// many failed units: the tail sampler's table holds a row of kcap+1
-// probabilities per unit, so the truncation point must not be the
-// client's to choose freely either.
+// many failed units: the tail sampler's tables hold kcap entries per
+// unit, so the truncation point must not be the client's to choose
+// freely either.
 const maxKCapOverBudget = 64
 
 // parseValidate reads ?model= (exact, the default, or sampled) and the
@@ -1042,10 +1042,13 @@ func (s *Server) handleValidate(c *call) (any, error) {
 	if rep != nil {
 		// Coverage fields ride on the same record, so the telemetry
 		// query surface exposes the (ε, δ) bound next to the sweep
-		// statistics.
+		// statistics, and draw_ms says how much of Dur the serial draws
+		// took. draw_ms stays off the response: the coverage JSON is a
+		// function of the seed alone.
 		for k, v := range rep.Coverage.Metrics() {
 			valRec.Fields[k] = v
 		}
+		valRec.Fields["draw_ms"] = float64(rep.DrawTime) / float64(time.Millisecond)
 	}
 	s.emit.Emit(valRec)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -138,6 +139,49 @@ func TestServerSampledValidate(t *testing.T) {
 		t.Fatalf("degraded with bad alpha: status %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestSampledValidateRecordsDrawTime: the sampled validate record
+// carries draw_ms, the serial draw-and-classify loop's wall clock, a
+// positive part of its Dur; the response's coverage does not.
+func TestSampledValidateRecordsDrawTime(t *testing.T) {
+	var mu sync.Mutex
+	var recs []telemetry.Record
+	s, ts := newTestServer(t, Config{Telemetry: telemetry.EmitterFunc(func(r telemetry.Record) {
+		if r.Kind == telemetry.KindValidate {
+			mu.Lock()
+			recs = append(recs, r)
+			mu.Unlock()
+		}
+	})})
+	_, plan := testPlan(t)
+	if _, err := s.Registry().Publish(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	resp := mustGet(t, ts.URL+"/v1/validate?model=sampled&p=0.05&samples=200&seed=3")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sampled validate: status %d", resp.StatusCode)
+	}
+	cov, _ := decodeBody(t, resp)["coverage"].(map[string]any)
+	if _, ok := cov["draw_ms"]; ok || cov == nil {
+		t.Fatalf("coverage %v: want a report without draw_ms", cov)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var sampled []telemetry.Record
+	for _, r := range recs {
+		if r.Name == "sampled" {
+			sampled = append(sampled, r)
+		}
+	}
+	if len(sampled) != 1 {
+		t.Fatalf("%d sampled validate records, want 1", len(sampled))
+	}
+	r := sampled[0]
+	draw, ok := r.Fields["draw_ms"]
+	if dur := float64(r.Dur) / float64(time.Millisecond); !ok || !(draw > 0) || draw > dur {
+		t.Fatalf("sampled validate record: draw_ms %v (present %v), Dur %v: want 0 < draw_ms <= Dur", draw, ok, r.Dur)
+	}
 }
 
 // TestSampledValidateTailDeadline: a deadline that expires while a
