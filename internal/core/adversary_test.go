@@ -49,14 +49,14 @@ func ringInstance(t *testing.T, extra int) *Instance {
 func TestDeathUnitIndexOncePerSolve(t *testing.T) {
 	specAllocs := func(in *Instance, build advBuilder) float64 {
 		return testing.AllocsPerRun(3, func() {
-			_, mv, _ := buildMaster(in, nil, in.DemandPairs(), in.ConstraintPairs(), 0)
+			_, mv, _ := buildMaster(in, nil, in.DemandPairs(), in.constraintPairs(in.DemandPairs()), 0)
 			for _, spec := range buildSpecs(in, mv, build) {
 				spec.seedScenarios()
 			}
 		})
 	}
 	small, large := ringInstance(t, 0), ringInstance(t, 400)
-	if pairs := len(large.ConstraintPairs()); pairs != 48 {
+	if pairs := len(large.constraintPairs(large.DemandPairs())); pairs != 48 {
 		t.Fatalf("%d constraint pairs, want 48", pairs)
 	}
 	for name, build := range map[string]advBuilder{"ffc": buildFFCAdversary, "pcf-tf": buildPCFAdversary} {

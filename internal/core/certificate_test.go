@@ -17,7 +17,7 @@ import (
 func TestGadgetMastersCertified(t *testing.T) {
 	for name, in := range gadgetInstances(t) {
 		for scheme, build := range map[string]advBuilder{"ffc": buildFFCAdversary, "pcf-tf": buildPCFAdversary} {
-			m, mv, _ := buildMaster(in, nil, in.DemandPairs(), in.ConstraintPairs(), 0)
+			m, mv, _ := buildMaster(in, nil, in.DemandPairs(), in.constraintPairs(in.DemandPairs()), 0)
 			ms := &master{in: in}
 			if err := ms.seal(m, buildSpecs(in, mv, build), time.Now()); err != nil {
 				t.Fatalf("%s/%s: %v", name, scheme, err)

@@ -221,7 +221,7 @@ func TestTopSortBasics(t *testing.T) {
 		{ID: 1, Pair: p02, Hops: []topology.NodeID{1}},
 		{ID: 2, Pair: p24, Hops: []topology.NodeID{3}},
 	}
-	if !IsTopologicallySortable(chain) {
+	if !globallySortable(chain) {
 		t.Fatal("chain should be sortable")
 	}
 	// Add a cycle: (0,1) uses segment (0,2)... build mutual recursion:
@@ -231,7 +231,7 @@ func TestTopSortBasics(t *testing.T) {
 		{ID: 0, Pair: topology.Pair{Src: 0, Dst: 2}, Hops: []topology.NodeID{3}},
 		{ID: 1, Pair: topology.Pair{Src: 0, Dst: 3}, Hops: []topology.NodeID{2}},
 	}
-	if IsTopologicallySortable(cyc) {
+	if globallySortable(cyc) {
 		t.Fatal("mutually recursive LSs should not be sortable")
 	}
 	kept, pruned := TopSortFilter(cyc, false)
@@ -243,6 +243,15 @@ func TestTopSortBasics(t *testing.T) {
 	}
 }
 
+// globallySortable reports whether the LS set admits a single
+// topological order over node pairs valid in every scenario: the
+// conservative global relation TopSortFilter applies when it cannot
+// check per scenario, pruning nothing.
+func globallySortable(lss []LogicalSequence) bool {
+	_, pruned := TopSortFilter(lss, false)
+	return pruned == 0
+}
+
 // sortableUnderSingleFailures reports per-scenario sortability in the
 // single-link-failure regime: in any scenario at most one link is dead,
 // so only the unconditional LSs plus that one link's conditional LSs
@@ -251,7 +260,7 @@ func TestTopSortBasics(t *testing.T) {
 // TopSortFilter keeps one relation per link as it goes.
 func sortableUnderSingleFailures(lss []LogicalSequence) bool {
 	if !singleDeadConds(lss) {
-		return IsTopologicallySortable(lss)
+		return globallySortable(lss)
 	}
 	var uncond []LogicalSequence
 	byLink := map[topology.LinkID][]LogicalSequence{}
@@ -262,11 +271,11 @@ func sortableUnderSingleFailures(lss []LogicalSequence) bool {
 			byLink[q.Cond.DeadLinks[0]] = append(byLink[q.Cond.DeadLinks[0]], q)
 		}
 	}
-	if !IsTopologicallySortable(uncond) {
+	if !globallySortable(uncond) {
 		return false
 	}
 	for _, conds := range byLink {
-		if !IsTopologicallySortable(append(slices.Clip(uncond), conds...)) {
+		if !globallySortable(append(slices.Clip(uncond), conds...)) {
 			return false
 		}
 	}
@@ -296,7 +305,7 @@ func TestTopSortFilterSortablePerScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IsTopologicallySortable(lss) {
+	if globallySortable(lss) {
 		t.Fatal("Sprint's CLS LSs are globally sortable; the per-scenario check is not exercised")
 	}
 	kept, _ := TopSortFilter(lss, true)

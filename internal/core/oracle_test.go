@@ -21,7 +21,7 @@ import (
 func solveDualized(in *Instance, build advBuilder) (float64, error) {
 	stripped := *in
 	stripped.LSs = nil
-	m, mv, _ := buildMaster(&stripped, nil, stripped.DemandPairs(), stripped.ConstraintPairs(), 0)
+	m, mv, _ := buildMaster(&stripped, nil, stripped.DemandPairs(), stripped.constraintPairs(stripped.DemandPairs()), 0)
 	for _, spec := range buildSpecs(&stripped, mv, build) {
 		lp.RobustGE(m, spec.poly, spec.costs, spec.constPart, spec.rhs)
 	}

@@ -445,10 +445,10 @@ func TestScenarioPointIsVertex(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomInstance(rng)
 		in.Failures.Budget = 1 + rng.Intn(2)
-		m, mv, _ := buildMaster(in, nil, in.DemandPairs(), in.ConstraintPairs(), 0)
+		m, mv, _ := buildMaster(in, nil, in.DemandPairs(), in.constraintPairs(in.DemandPairs()), 0)
 		_ = m
 		ok := true
-		for _, p := range in.ConstraintPairs() {
+		for _, p := range in.constraintPairs(in.DemandPairs()) {
 			for _, build := range []advBuilder{buildFFCAdversary, buildPCFAdversary} {
 				spec := build(in, p, mv)
 				in.Failures.Enumerate(func(sc failures.Scenario) bool {
@@ -516,7 +516,7 @@ func TestLSIndexMatchesScan(t *testing.T) {
 				Pair: topology.Pair{Src: 0, Dst: 3}, Hops: []topology.NodeID{1, 2, 1, 2}})
 		}
 		idx := in.lsIndex()
-		pairs := in.ConstraintPairs()
+		pairs := in.constraintPairs(in.DemandPairs())
 		for _, q := range in.LSs {
 			pairs = append(pairs, q.Pair)
 		}

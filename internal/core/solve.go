@@ -72,7 +72,7 @@ func newMasterVars(in *Instance, pairs []topology.Pair, perPair int) *masterVars
 // buildMaster creates the master model: reservation variables, the
 // admitted-fraction variables, link capacity rows (paper eq. 3) and the
 // objective Θ(z). Only the tunnels of pairs enter it (ascending, as
-// Instance.ConstraintPairs and tunnels.Set.Pairs list them), of each
+// constraintPairs and tunnels.Set.Pairs list them), of each
 // pair only its first perPair tunnels when perPair > 0, and of in's
 // LSs only lss. demand is the instance's demand pairs, in
 // Instance.DemandPairs' order. It also returns each arc's capacity

@@ -58,22 +58,6 @@ func (d *pairDag) add(q LogicalSequence) {
 	}
 }
 
-// IsTopologicallySortable reports whether the LS set admits a single
-// topological order over node pairs valid in every scenario — the
-// conservative global check. Per-scenario sortability (what §4.2
-// actually requires) is weaker; TopSortFilter checks it exactly under
-// single-dead-link conditions.
-func IsTopologicallySortable(lss []LogicalSequence) bool {
-	d := newPairDag()
-	for _, q := range lss {
-		if d.wouldCycle(q) {
-			return false
-		}
-		d.add(q)
-	}
-	return true
-}
-
 // singleDeadConds reports whether every condition in the set is either
 // nil or a single dead link, the structure the paper's PCF-CLS uses.
 func singleDeadConds(lss []LogicalSequence) bool {

@@ -153,15 +153,9 @@ type Instance struct {
 // DemandPairs returns the pairs with positive demand.
 func (in *Instance) DemandPairs() []topology.Pair { return in.TM.Pairs(0) }
 
-// ConstraintPairs returns every pair that needs a resilience
-// constraint: pairs with demand, pairs that are endpoints of an LS, and
-// pairs that serve as a segment of some LS.
-func (in *Instance) ConstraintPairs() []topology.Pair {
-	return in.constraintPairs(in.DemandPairs())
-}
-
-// constraintPairs is ConstraintPairs over the already listed demand
-// pairs.
+// constraintPairs returns every pair that needs a resilience
+// constraint: the listed demand pairs, pairs that are endpoints of an
+// LS, and pairs that serve as a segment of some LS.
 func (in *Instance) constraintPairs(demand []topology.Pair) []topology.Pair {
 	seen := make(map[topology.Pair]bool)
 	var out []topology.Pair

@@ -108,9 +108,6 @@ func (s Scenario) Alive(p topology.Path) bool {
 	return true
 }
 
-// LinkAlive reports whether a single link survives.
-func (s Scenario) LinkAlive(l topology.LinkID) bool { return !s.Dead[l] }
-
 // CapScale returns the capacity multiplier the scenario applies to a
 // link: 0 if the link is dead, its degradation scale if degraded, and
 // 1 otherwise.
@@ -243,13 +240,6 @@ func (fs *Set) EnumerateCombos(fn func(combo []int) bool) bool {
 	return rec(0)
 }
 
-// Count returns the number of scenarios Enumerate visits.
-func (fs *Set) Count() int {
-	total := 0
-	fs.EnumerateCombos(func([]int) bool { total++; return true })
-	return total
-}
-
 // NumScenariosExact returns C(n, k) summed for k = 0..Budget without
 // enumerating, for sizing reports. The count saturates at
 // math.MaxInt64: synth-scale sets (10k units, f ≥ 5) overflow the
@@ -266,16 +256,14 @@ func (fs *Set) NumScenariosExact() int {
 func (fs *Set) NumScenarios() (int64, bool) {
 	n := len(fs.Units)
 	var total int64
-	exact := true
 	for k := 0; k <= fs.Budget && k <= n; k++ {
 		c, ok := binomial(n, k)
 		if !ok || total > math.MaxInt64-c {
 			return math.MaxInt64, false
 		}
-		exact = exact && ok
 		total += c
 	}
-	return total, exact
+	return total, true
 }
 
 // binomial computes C(n, k) with int64 saturation: the second return

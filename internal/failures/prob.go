@@ -37,6 +37,17 @@ func Uniform(fs *Set, p float64) (*ProbModel, error) {
 	return &ProbModel{Set: fs, P: ps}, nil
 }
 
+// CheckProbabilities reports the first unit whose failure probability
+// is NaN or outside [0,1]; every mass the model computes assumes none.
+func (pm *ProbModel) CheckProbabilities() error {
+	for i, p := range pm.P {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("failures: unit %d probability %v outside [0,1]", i, p)
+		}
+	}
+	return nil
+}
+
 // CountDist returns the Poisson-binomial distribution of the failure
 // count K truncated at kcap: pk[k] = P(K = k) for k = 0..kcap, and
 // over = P(K > kcap). Exact DP in O(units · kcap).
@@ -100,8 +111,9 @@ type Sampler struct {
 }
 
 // NewSampler builds a tail sampler for scenarios with failure count in
-// (budget, kcap]. It fails if the conditional region has no
-// probability mass (e.g. all-zero probabilities, or kcap ≤ budget).
+// (budget, kcap]. It fails if a unit's probability lies outside [0,1]
+// or if the conditional region has no probability mass (e.g. all-zero
+// probabilities, or kcap ≤ budget).
 // One backward pass over the units computes the suffix DP a row at a
 // time and the walk's tables beside it, in O(units · kcap).
 func (pm *ProbModel) NewSampler(seed int64, budget, kcap int) (*Sampler, error) {
@@ -115,6 +127,11 @@ func (pm *ProbModel) NewSampler(seed int64, budget, kcap int) (*Sampler, error) 
 	if kcap <= budget {
 		return nil, fmt.Errorf("failures: budget %d admits no tail over %d units", budget, n)
 	}
+	// The walk's tables rely on it: unit n-r is forced with r failures
+	// left, so no draw runs past the last unit.
+	if err := pm.CheckProbabilities(); err != nil {
+		return nil, err
+	}
 	// row[r] = P(exactly r failures among units i..n-1), next the same
 	// for units i+1..n-1.
 	w := kcap + 1
@@ -127,11 +144,6 @@ func (pm *ProbModel) NewSampler(seed int64, budget, kcap int) (*Sampler, error) 
 	}
 	for i := n - 1; i >= 0; i-- {
 		p := pm.P[i]
-		if !(p >= 0 && p <= 1) {
-			// The walk's tables rely on it: unit n-r is forced with r
-			// failures left, so no draw runs past the last unit.
-			return nil, fmt.Errorf("failures: unit %d probability %v outside [0,1]", i, p)
-		}
 		row[0] = (1 - p) * next[0]
 		at, below := i*kcap, (i+1)*kcap
 		for r := 1; r <= kcap; r++ {

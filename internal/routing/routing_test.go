@@ -153,7 +153,7 @@ func TestProposition5(t *testing.T) {
 // system agree when LSs are topologically sorted.
 func TestProposition7(t *testing.T) {
 	plan := corollaryPlan(t)
-	if !core.IsTopologicallySortable(plan.Instance.LSs) {
+	if _, pruned := core.TopSortFilter(plan.Instance.LSs, false); pruned != 0 {
 		t.Fatal("corollary plan should be sortable")
 	}
 	plan.Instance.Failures.Enumerate(func(sc failures.Scenario) bool {

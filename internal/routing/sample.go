@@ -210,7 +210,7 @@ func (s *Sweep) ValidateSampled(ctx context.Context, opts SampleOptions) (*Sampl
 var ErrForeignModel = errors.New("routing: probability model is not over the plan's failure set")
 
 // modelFits checks that pm draws over fs, the plan's failure set: its
-// Set is fs or equal to it, and it gives every unit a probability.
+// Set is fs or equal to it, and every unit's probability is in [0,1].
 func modelFits(pm *failures.ProbModel, fs *failures.Set) error {
 	switch {
 	case fs == nil:
@@ -223,7 +223,7 @@ func modelFits(pm *failures.ProbModel, fs *failures.Set) error {
 	case len(pm.P) != len(fs.Units):
 		return fmt.Errorf("%w: the model has %d probabilities, the set %d units", ErrForeignModel, len(pm.P), len(fs.Units))
 	}
-	return nil
+	return pm.CheckProbabilities()
 }
 
 // ValidateSampled is the one-shot form of (*Sweep).ValidateSampled: it

@@ -156,8 +156,8 @@ func TestValidateSampledReport(t *testing.T) {
 	if cov.Samples != 40 || cov.Budget != fs.Budget {
 		t.Fatalf("samples %d budget %d", cov.Samples, cov.Budget)
 	}
-	if cov.Exhaustive != int64(fs.Count()) {
-		t.Fatalf("exhaustive %d, set has %d scenarios", cov.Exhaustive, fs.Count())
+	if cov.Exhaustive != int64(fs.NumScenariosExact()) {
+		t.Fatalf("exhaustive %d, set has %d scenarios", cov.Exhaustive, fs.NumScenariosExact())
 	}
 	if math.Abs(cov.ExhaustiveMass+cov.TailMass-1) > 1e-12 {
 		t.Fatalf("masses do not sum to 1: exhaustive %g tail %g", cov.ExhaustiveMass, cov.TailMass)
@@ -171,8 +171,8 @@ func TestValidateSampledReport(t *testing.T) {
 	if cov.Epsilon < cov.TruncatedMass {
 		t.Fatalf("epsilon %g below the truncated mass %g it must include", cov.Epsilon, cov.TruncatedMass)
 	}
-	if rep.Stats.Scenarios != fs.Count()+40 {
-		t.Fatalf("stats cover %d scenarios, want %d", rep.Stats.Scenarios, fs.Count()+40)
+	if rep.Stats.Scenarios != fs.NumScenariosExact()+40 {
+		t.Fatalf("stats cover %d scenarios, want %d", rep.Stats.Scenarios, fs.NumScenariosExact()+40)
 	}
 	if rep.WorstMLU <= 0 {
 		t.Fatalf("worst MLU %g", rep.WorstMLU)
@@ -211,6 +211,25 @@ func TestValidateSampledRefusesForeignModel(t *testing.T) {
 		_, err := ValidateSampled(nil, plan, SampleOptions{Model: tc.pm, Samples: 20, Seed: 3})
 		if tc.ok != (err == nil) || (!tc.ok && !errors.Is(err, ErrForeignModel)) {
 			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestValidateSampledRefusesBadProbability: a model over the plan's set
+// whose first unit's probability is not in [0,1] is refused with an
+// error naming the unit, before any mass is computed from it, never
+// answered with a report.
+func TestValidateSampledRefusesBadProbability(t *testing.T) {
+	plan := fig1Plan(t, 1)
+	for _, bad := range []float64{1.5, math.NaN(), -0.1} {
+		pm, err := failures.Uniform(plan.Instance.Failures, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm.P[0] = bad
+		rep, err := ValidateSampled(nil, plan, SampleOptions{Model: pm, Samples: 20, Seed: 3})
+		if err == nil || !strings.Contains(err.Error(), "unit 0 probability") {
+			t.Errorf("P[0] = %v: error %v, report %+v", bad, err, rep)
 		}
 	}
 }

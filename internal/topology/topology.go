@@ -149,18 +149,6 @@ func (g *Graph) ArcCapacity(a ArcID) float64 { return g.links[a/2].Capacity }
 // not be modified.
 func (g *Graph) OutArcs(n NodeID) []ArcID { return g.out[n] }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{Name: g.Name}
-	c.names = append([]string(nil), g.names...)
-	c.links = append([]Link(nil), g.links...)
-	c.out = make([][]ArcID, len(g.out))
-	for i := range g.out {
-		c.out[i] = append([]ArcID(nil), g.out[i]...)
-	}
-	return c
-}
-
 // PruneDegreeOne recursively removes nodes of degree <= 1 (and their
 // links), exactly as the paper's evaluation does so that no single link
 // failure disconnects the network. It returns the pruned graph and a
@@ -268,66 +256,6 @@ func (g *Graph) IsConnected(dead map[LinkID]bool) bool {
 		}
 	}
 	return count == g.NumNodes()
-}
-
-// Bridges returns the links whose single failure disconnects the graph
-// (Tarjan's bridge-finding algorithm, iterative).
-func (g *Graph) Bridges() []LinkID {
-	n := g.NumNodes()
-	disc := make([]int, n)
-	low := make([]int, n)
-	for i := range disc {
-		disc[i] = -1
-	}
-	var bridges []LinkID
-	timer := 0
-	// Iterative DFS tracking the arc used to enter each node (to skip
-	// only that parallel edge instance, keeping multigraph semantics).
-	type frame struct {
-		node   NodeID
-		viaArc ArcID // arc used to reach node, or -1 for roots
-		idx    int
-	}
-	for root := 0; root < n; root++ {
-		if disc[root] != -1 {
-			continue
-		}
-		stack := []frame{{NodeID(root), -1, 0}}
-		disc[root] = timer
-		low[root] = timer
-		timer++
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.idx < len(g.out[f.node]) {
-				a := g.out[f.node][f.idx]
-				f.idx++
-				if f.viaArc >= 0 && LinkOf(a) == LinkOf(f.viaArc) {
-					continue // don't traverse the entering link instance back
-				}
-				_, to := g.ArcEnds(a)
-				if disc[to] == -1 {
-					disc[to] = timer
-					low[to] = timer
-					timer++
-					stack = append(stack, frame{to, a, 0})
-				} else if disc[to] < low[f.node] {
-					low[f.node] = disc[to]
-				}
-			} else {
-				stack = stack[:len(stack)-1]
-				if len(stack) > 0 {
-					parent := &stack[len(stack)-1]
-					if low[f.node] < low[parent.node] {
-						low[parent.node] = low[f.node]
-					}
-					if low[f.node] > disc[parent.node] {
-						bridges = append(bridges, LinkOf(f.viaArc))
-					}
-				}
-			}
-		}
-	}
-	return bridges
 }
 
 // Path is a directed path represented by its arcs.

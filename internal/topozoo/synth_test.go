@@ -3,6 +3,7 @@ package topozoo
 import (
 	"testing"
 
+	"pcf/internal/failures"
 	"pcf/internal/topology"
 )
 
@@ -64,8 +65,8 @@ func TestSynthTwoEdgeConnected(t *testing.T) {
 			if !g.IsConnected(nil) {
 				t.Errorf("%s/%d: not connected", kind, n)
 			}
-			if br := g.Bridges(); len(br) > 0 {
-				t.Errorf("%s/%d: has %d bridges (not 2-edge-connected)", kind, n, len(br))
+			if sc, bad := failures.SingleLinks(g, 1).Disconnects(g); bad {
+				t.Errorf("%s/%d: disconnected by %v (not 2-edge-connected)", kind, n, sc)
 			}
 		}
 	}

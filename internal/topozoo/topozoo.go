@@ -166,20 +166,6 @@ func pickByDegree(rng *rand.Rand, deg []int) int {
 	return len(deg) - 1
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Gadget is a worked-example topology with its designated source and
 // destination and the canonical tunnels the paper uses with it.
 type Gadget struct {

@@ -50,8 +50,8 @@ func TestAllTopologiesSurviveSingleFailure(t *testing.T) {
 	// network; our synthesized graphs must have that property natively.
 	for _, e := range Table3 {
 		g := MustLoad(e.Name)
-		if bs := g.Bridges(); len(bs) != 0 {
-			t.Fatalf("%s has bridges %v", e.Name, bs)
+		if sc, bad := failures.SingleLinks(g, 1).Disconnects(g); bad {
+			t.Fatalf("%s is disconnected by %v", e.Name, sc)
 		}
 		if !g.IsConnected(nil) {
 			t.Fatalf("%s is disconnected", e.Name)

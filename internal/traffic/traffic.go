@@ -214,20 +214,6 @@ func Gravity(g *topology.Graph, opts GravityOptions) *Matrix {
 	return m
 }
 
-// Uniform returns a matrix with demand v between every ordered pair.
-func Uniform(g *topology.Graph, v float64) *Matrix {
-	n := g.NumNodes()
-	m := NewMatrix(n)
-	for s := 0; s < n; s++ {
-		for t := 0; t < n; t++ {
-			if s != t {
-				m.Demand[s][t] = v
-			}
-		}
-	}
-	return m
-}
-
 // Single returns a matrix with one nonzero demand.
 func Single(n int, p topology.Pair, v float64) *Matrix {
 	m := NewMatrix(n)

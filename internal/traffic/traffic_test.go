@@ -151,13 +151,7 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
-func TestUniformAndSingle(t *testing.T) {
-	g := ring(3)
-	u := Uniform(g, 2)
-	//lint:ignore pcflint/floatcmp sum of 6 integer demands of 2 is exact
-	if u.Total() != 12 {
-		t.Fatalf("uniform total = %g", u.Total())
-	}
+func TestSingle(t *testing.T) {
 	s := Single(3, topology.Pair{Src: 0, Dst: 2}, 7)
 	//lint:ignore pcflint/floatcmp a single stored literal, read back unmodified
 	if s.Total() != 7 || s.At(topology.Pair{Src: 0, Dst: 2}) != 7 {

@@ -18,6 +18,34 @@ while [ -L "$script" ]; do
 done
 cd "$(dirname "$script")/.."
 
+# run_named_tests is go test for a step that names its tests in a -run
+# list. Every alternative of that list must match a test, fuzz target or
+# example in the step's packages, or the gate fails naming it: a renamed
+# or deleted test would otherwise drop out of its step without a word.
+# The listing takes the step's own flags, so it compiles what the run
+# then reuses, and skips the race runtime's one-second pause at exit:
+# ≈ 7 s over the eight steps on two cores.
+run_named_tests() {
+	pattern= prev=
+	for arg do
+		case $prev in -run) pattern=$arg ;; esac
+		prev=$arg
+	done
+	names=$(GORACE=atexit_sleep_ms=0 go test "$@" -list . | grep -E '^(Test|Fuzz|Example)')
+	set -f
+	ifs=$IFS
+	IFS='|'
+	for alt in $pattern; do
+		if ! printf '%s\n' "$names" | grep -Eq -- "$alt"; then
+			echo "-run alternative $alt matches no test, fuzz target or example in its packages" >&2
+			exit 1
+		fi
+	done
+	IFS=$ifs
+	set +f
+	go test "$@"
+}
+
 echo "== gofmt"
 # Only tracked files: gofmt -l . would also complain about generated
 # trees and scratch files that are not part of the change.
@@ -60,21 +88,23 @@ for example in examples/*/; do
 done
 
 echo "== go test -race"
-# Among them the daemon's breaker tests, which CI's chaos-smoke job runs
-# as TestServer… (TestServerPCFMasterFailsOncePerBest: each best solve
-# fails a broken PCF master once and answers FFC, a breaker opens and
-# closes with one record each way; TestServerBreakerRetryAfter), and
-# faultinject's PCF-CLS → FFC ladder fallbacks, which its race job runs
+# Among them the daemon's chaos soak at full length (concurrent clients,
+# injected LP faults, torn checkpoints, kill-restart cycles) and its
+# drain, shed and breaker tests (TestServerPCFMasterFailsOncePerBest:
+# each best solve fails a broken PCF master once and answers FFC, a
+# breaker opens and closes with one record each way;
+# TestServerBreakerRetryAfter), the fleet chaos soak at full length, the
+# warm-start and parallel-sweep properties of lp, mcf, routing and
+# linsolve, and faultinject's PCF-CLS → FFC ladder fallbacks
 # (TestSolveLadderRungs, TestSolveBestFrom).
 go test -race ./...
 
 echo "== fleet chaos smoke (-race -short)"
-# The fleet soak also runs inside `go test -race ./...` above, but in
-# full (slow) mode only when -short is not set there; this explicit
-# short pass mirrors the CI chaos-smoke job so a local gate run always
-# exercises the kill/partition/tear schedule the same way CI does,
-# with the same lifecycle and sync-protocol tests beside it.
-go test -race -short -count=1 -run 'TestFleetChaosSoak|TestFrontend|TestPlannerDrain|TestReplicaLeaseSurvivesPlannerRestart|TestReplicaSyncIsOneRequest|TestReplicaDefaultCadenceFollowsLeaseTTL' ./internal/fleet/
+# The fleet soak ran at full length above; this pass runs its -short
+# kill/partition/tear schedule (the fault count at its assertion floor,
+# ≥ 60) with the front end's and planner's goroutine lifecycle tests
+# and the sync-protocol regressions beside it.
+run_named_tests -race -short -count=1 -run 'TestFleetChaosSoak|TestFrontend|TestPlannerDrain|TestReplicaLeaseSurvivesPlannerRestart|TestReplicaSyncIsOneRequest|TestReplicaDefaultCadenceFollowsLeaseTTL' ./internal/fleet/
 
 echo "== separation oracle reuse (-race -count=2)"
 # Polytope.Minimize lowers its rows as Compile would, bit for bit, and
@@ -91,7 +121,7 @@ echo "== separation oracle reuse (-race -count=2)"
 # distinct cut, 184 on Sprint's PCF-TF master and 1 000 on synth1k's
 # (TestSeedCutsDistinct). The pair → LSs index lists what a scan lists
 # (DESIGN.md §11).
-go test -race -count=2 -run 'TestPolytopeMinimizeReusesCompiledRows|TestPolytopeMinimizeReusesAnswer|TestPolytopeLoweringMatchesCompile|TestCutLoopOracleCounts|TestMasterWorkCounts|TestLSIndexMatchesScan|TestSeedCutsDistinct' ./internal/lp/ ./internal/core/
+run_named_tests -race -count=2 -run 'TestPolytopeMinimizeReusesCompiledRows|TestPolytopeMinimizeReusesAnswer|TestPolytopeLoweringMatchesCompile|TestCutLoopOracleCounts|TestMasterWorkCounts|TestLSIndexMatchesScan|TestSeedCutsDistinct' ./internal/lp/ ./internal/core/
 
 echo "== kept masters (-race -count=2)"
 # pcfd keeps three masters at most across re-plans, shared by every row
@@ -111,7 +141,7 @@ echo "== kept masters (-race -count=2)"
 # A clone written over the last re-plan's grown clone grows again with
 # no allocation, solves as a fresh Clone and writes nothing the source
 # shares (TestCloneInReusesGrownClone).
-go test -race -count=2 -run 'TestReplansMatchOneShot|TestCanceledReplanThenFull|TestConcurrentSolvesTakeTurns|TestRowsShareRungMasters|TestReplanAllocs|TestSolverKeepsMasters|TestSolveLeavesNoStateInWorkspace|TestPricingFailureServesLSIterate|TestAddColumnWarmMatchesCold|TestReuseMatchesFreshSolution|TestMasterDualsPriceZ|TestCloneInReusesGrownClone' ./internal/serve/ ./internal/core/ ./internal/lp/
+run_named_tests -race -count=2 -run 'TestReplansMatchOneShot|TestCanceledReplanThenFull|TestConcurrentSolvesTakeTurns|TestRowsShareRungMasters|TestReplanAllocs|TestSolverKeepsMasters|TestSolveLeavesNoStateInWorkspace|TestPricingFailureServesLSIterate|TestAddColumnWarmMatchesCold|TestReuseMatchesFreshSolution|TestMasterDualsPriceZ|TestCloneInReusesGrownClone' ./internal/serve/ ./internal/core/ ./internal/lp/
 
 echo "== sampled-validation determinism (-race -count=2)"
 # The coverage report of a sampled validation must be byte-identical
@@ -133,7 +163,7 @@ echo "== sampled-validation determinism (-race -count=2)"
 # (TestSampledReadsDesignedOutcome). -count=2 forces two fresh runs so
 # a time- or schedule-dependent regression cannot hide behind Go's test
 # result cache.
-go test -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeterminism|TestSamplerMatchesTableWalk|TestSampledOnPublishedMatchesOneShot|TestValidateSampledCanceledInTail|TestTailClassesMatchPerDraw|TestTailRealizesOnePerClass|TestValidateSampledChargesWholeCall|TestSampledReadsDesignedOutcome' ./internal/routing/ ./internal/failures/
+run_named_tests -race -count=2 -run 'TestSampledCoverageDeterminism|TestSamplerSeedDeterminism|TestSamplerMatchesExactTail|TestSampledOnPublishedMatchesOneShot|TestValidateSampledCanceledInTail|TestTailClassesMatchPerDraw|TestTailRealizesOnePerClass|TestValidateSampledChargesWholeCall|TestSampledReadsDesignedOutcome' ./internal/routing/ ./internal/failures/
 
 echo "== delta validation ≡ dense (-race -count=2)"
 # The sweep replays a recorded emission for every destination a scenario
@@ -177,7 +207,7 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # straddle capacity + Overload, on forced 4-worker pools.
 # -count=2 keeps Go's test cache from answering for a
 # schedule-dependent regression.
-go test -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestOutcomeFromKeptPass|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestSparseBuildMatchesDenseBuild|TestSparseBuildCraftedCapacitances|FuzzCorrectorMatchesDense|TestCorrectionFingerprints|TestCorrectorFootprint|TestInverseColumnMemoHoldsNonzeros|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone|TestSweptErrorsKeepTheirScenario|TestArcLoadsMatchDenseLoop' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
+run_named_tests -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestOutcomeFromKeptPass|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestSparseBuildMatchesDenseBuild|TestSparseBuildCraftedCapacitances|FuzzCorrectorMatchesDense|TestCorrectionFingerprints|TestCorrectorFootprint|TestInverseColumnMemoHoldsNonzeros|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone|TestSweptErrorsKeepTheirScenario|TestArcLoadsMatchDenseLoop' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
 
 echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
@@ -190,7 +220,7 @@ echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold
 # away for its correction's rank; every designed scenario of the
 # benchmark's Sprint and BTNorthAmerica PCF-TF plans, k > n/2 included,
 # must be served low-rank within 1e-9 of the dense oracle (DESIGN.md §12).
-go test -race -count=2 -run 'TestKernelSolveMatchesFullLU|TestBTRANMatchesDenseOracle|TestBTRANWalksMatchDenseOracle|TestHighRankScenariosServedLowRank' ./internal/lp/ ./internal/routing/
+run_named_tests -race -count=2 -run 'TestKernelSolveMatchesFullLU|TestBTRANMatchesDenseOracle|TestBTRANWalksMatchDenseOracle|TestHighRankScenariosServedLowRank' ./internal/lp/ ./internal/routing/
 
 echo "== tunnel search ≡ full pass, prepare fingerprints, warm confirmation (-count=2)"
 # The disjoint-path search evaluates only arcs whose tail label moved and
@@ -201,7 +231,7 @@ echo "== tunnel search ≡ full pass, prepare fingerprints, warm confirmation (-
 # Waxman graph is pinned by golden fingerprints, and the MLU-scaling
 # confirmation must be a warm hit with no pivot. Single-threaded, so no
 # -race; -count=2 keeps Go's test cache from answering.
-go test -count=2 -run 'TestSearchMatchesFullPass|TestSelectMatchesFullPass|TestPrepareFingerprints|TestScaleConfirmationWarm' ./internal/tunnels/ ./internal/eval/ ./internal/mcf/
+run_named_tests -count=2 -run 'TestSearchMatchesFullPass|TestSelectMatchesFullPass|TestPrepareFingerprints|TestScaleConfirmationWarm' ./internal/tunnels/ ./internal/eval/ ./internal/mcf/
 
 echo "== one scheme table, one PCF-CLS instance (-count=2)"
 # Every row of core's scheme table must report one value, bit for bit,
@@ -213,7 +243,7 @@ echo "== one scheme table, one PCF-CLS instance (-count=2)"
 # the full bypass pool's value to 1e-9 on btna-cls-f2, all 21
 # topologies at f=1 and Fig. 12's setting (≈ 9 s). -count=2 keeps Go's
 # test cache from answering.
-go test -count=2 -run 'TestEntryPointsAgree|TestSolveReturnsReportedPlan|TestBootSolveLeavesSolveRecord|TestPrepareServesEvalCLS|TestBestAnswersOnCLSRung|TestCLSInstanceBuiltOnce|TestTopSortLeavesSharedInstance|TestPricedMatchesFullPool' ./cmd/pcfplan/ ./cmd/pcfd/ ./internal/eval/ ./internal/core/
+run_named_tests -count=2 -run 'TestEntryPointsAgree|TestSolveReturnsReportedPlan|TestBootSolveLeavesSolveRecord|TestPrepareServesEvalCLS|TestBestAnswersOnCLSRung|TestCLSInstanceBuiltOnce|TestTopSortLeavesSharedInstance|TestPricedMatchesFullPool' ./cmd/pcfplan/ ./cmd/pcfd/ ./internal/eval/ ./internal/core/
 
 echo "== 1 000-node links file plans (timeout 120 s)"
 # A links file prepares without a flow LP: on topogen's 1 000-node
