@@ -116,15 +116,15 @@ func main() {
 	retainTelemetry := flag.Int("retain-telemetry", 0, "telemetry segments to keep (0 = default, negative = unlimited)")
 	solveOnStart := flag.Bool("solve-on-start", true, "solve and publish a plan at boot when no checkpoint recovers")
 	realizes := flag.Int("realizes", 0, "max concurrent realizations (0 = NumCPU)")
-	queue := flag.Int("queue", 8, "admission queue depth per class; beyond it requests are shed")
-	solveTimeout := flag.Duration("solve-timeout", 2*time.Minute, "default per-request solve deadline")
-	realizeTimeout := flag.Duration("realize-timeout", 10*time.Second, "default per-request realize deadline")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
+	queue := flag.Int("queue", serve.DefaultQueueDepth, "admission queue depth per class; beyond it requests are shed")
+	solveTimeout := flag.Duration("solve-timeout", serve.DefaultSolveDeadline, "default per-request solve deadline")
+	realizeTimeout := flag.Duration("realize-timeout", serve.DefaultRealizeDeadline, "default per-request realize deadline")
+	drainTimeout := flag.Duration("drain-timeout", serve.DefaultDrainTimeout, "graceful-shutdown drain budget")
 	retain := flag.Int("retain", 0, "checkpoints to keep per class (0 = default, negative = unlimited)")
 	role := flag.String("role", "", `fleet role: "planner", "replica", or empty for standalone`)
 	plannerURL := flag.String("planner", "", "planner base URL (required with -role replica)")
 	advertise := flag.String("advertise", "", "this replica's base URL as the planner reaches it (enables push)")
-	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "planner: lease lifetime granted to replicas")
+	leaseTTL := flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "planner: lease lifetime granted to replicas")
 	flag.Parse()
 
 	if err := checkRole(*role, *plannerURL, *stateDir); err != nil {

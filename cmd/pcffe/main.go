@@ -34,7 +34,7 @@ func main() {
 	log.SetPrefix("pcffe: ")
 	listen := flag.String("listen", "127.0.0.1:8090", "HTTP listen address")
 	backends := flag.String("backends", "", "comma-separated replica base URLs (required)")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "active /healthz probe cadence")
+	probeInterval := flag.Duration("probe-interval", fleet.DefaultProbeInterval, "active /healthz probe cadence")
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe deadline (0 = probe interval, capped at 2s)")
 	telemetryDir := flag.String("telemetry", "", "telemetry record store directory for failover records (empty = discard)")
 	flag.Parse()

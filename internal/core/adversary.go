@@ -221,8 +221,8 @@ func buildFFCAdversary(in *Instance, p topology.Pair, mv *masterVars) *advSpec {
 
 // unitMaxShared generalizes FFC's p_st to failure units: the maximum
 // number of the pair's tunnels that a single unit (link, SRLG, or
-// node) can take down. For single-link units it equals
-// tunnels.Set.MaxShared.
+// node) can take down. For single-link units it is FFC's p_st: the most
+// of the pair's tunnels that share one link.
 func unitMaxShared(in *Instance, unitsOf [][]int, tun []tunnels.ID) int {
 	count := make(map[int]int)
 	for _, tid := range tun {

@@ -122,7 +122,7 @@ func DecomposeFlowPlan(fp *FlowPlan) []LogicalSequence {
 		return demandPairs[i].Dst < demandPairs[j].Dst
 	})
 	for _, p := range demandPairs {
-		if fp.DemandFlow[p] <= tol.Feas {
+		if fp.DemandFlow[p] <= tol.Carry {
 			continue
 		}
 		sup := fp.DestSupport[p.Dst]
@@ -134,7 +134,7 @@ func DecomposeFlowPlan(fp *FlowPlan) []LogicalSequence {
 	// the bypassed link is dead.
 	for a0 := 0; a0 < g.NumArcs(); a0++ {
 		arc := topology.ArcID(a0)
-		if fp.BypassRes[arc] <= tol.Feas {
+		if fp.BypassRes[arc] <= tol.Carry {
 			continue
 		}
 		from, to := g.ArcEnds(arc)

@@ -122,12 +122,13 @@ func checkDuals(t *testing.T, name string, ms *master, it *iterate, sol *lp.Solu
 			load[arc] += x
 		}
 	}
-	z, rows := 0.0, 0
+	z, caps, read := 0.0, 0, map[int]bool{}
 	for arc, row := range capRow {
 		if row < 0 {
 			continue
 		}
-		rows++
+		caps++
+		read[row] = true
 		pi, rhs := sol.Dual(row), arcCapacity(in, topology.ArcID(arc))
 		if pi < -eps {
 			t.Errorf("%s: capacity row of arc %d has dual %g < 0", name, arc, pi)
@@ -139,7 +140,7 @@ func checkDuals(t *testing.T, name string, ms *master, it *iterate, sol *lp.Solu
 	}
 	for i, cuts := range it.cuts {
 		for _, c := range cuts {
-			rows++
+			read[c.row] = true
 			y, act := cutDual(sol, c.row), sol.Eval(c.expr)
 			if y < -eps {
 				t.Errorf("%s: a cut of %v has dual %g < 0", name, ms.specs[i].pair, y)
@@ -149,8 +150,18 @@ func checkDuals(t *testing.T, name string, ms *master, it *iterate, sol *lp.Solu
 			}
 		}
 	}
-	if n := it.cm.NumRows(); rows != n {
-		t.Fatalf("%s: %d capacity and cut rows read, the master has %d", name, rows, n)
+	// The master's rows are its capacity rows and its it.numCuts cuts,
+	// numbered from 0: each was read, and as one row only. AddRow on a
+	// clone numbers the row after the master's last, so it is the LP's
+	// own row count.
+	n := caps + it.numCuts
+	for r := 0; r < n; r++ {
+		if !read[r] {
+			t.Fatalf("%s: row %d of the master's %d read as neither a capacity row nor a cut", name, r, n)
+		}
+	}
+	if m := it.cm.Clone().AddRow(lp.NewExpr(), lp.LE, 0); len(read) != n || n != m {
+		t.Fatalf("%s: %d distinct capacity and cut rows read of %d counted, the master LP has %d", name, len(read), n, m)
 	}
 	if math.Abs(z-sol.Objective) > eps {
 		t.Errorf("%s: Σ π·cap = %.12f, z* = %.12f", name, z, sol.Objective)

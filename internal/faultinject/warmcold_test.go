@@ -61,11 +61,11 @@ func TestWarmColdEquivalenceCorpus(t *testing.T) {
 
 		// RHS edits: tighten every row by 30% (zero RHS rows stay 0,
 		// so EQ couplings and GE floors remain feasible).
-		for r := 0; r < cm.NumRows(); r++ {
+		for r := 0; r < m.NumConstraints(); r++ {
 			cm.SetRowRHS(r, cm.RowRHS(r)*0.7)
 		}
 		basis = checkWarmEqualsCold(t, label+"/rhs", cm, basis)
-		for r := 0; r < cm.NumRows(); r++ {
+		for r := 0; r < m.NumConstraints(); r++ {
 			cm.SetRowRHS(r, cm.RowRHS(r)/0.7)
 		}
 		basis = checkWarmEqualsCold(t, label+"/rhs-restore", cm, basis)
@@ -181,7 +181,7 @@ func TestSparseWarmStart(t *testing.T) {
 			continue
 		}
 		// Perturb every row RHS slightly and re-solve warm and cold.
-		nr := comp.NumRows()
+		nr := m.NumConstraints()
 		for r := 0; r < nr; r++ {
 			comp.SetRowRHS(r, comp.RowRHS(r)*1.01)
 		}

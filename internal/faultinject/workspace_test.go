@@ -8,9 +8,10 @@ import (
 	"pcf/internal/lp"
 )
 
-// sameAnswer requires two optimal solutions of the same model to be
-// bit-identical in every value and every dual.
-func sameAnswer(t *testing.T, label string, rows int, got, want *lp.Solution) {
+// sameAnswer requires two optimal solutions of the same model, with
+// vars variables and rows rows, to be bit-identical in every value and
+// every dual.
+func sameAnswer(t *testing.T, label string, vars, rows int, got, want *lp.Solution) {
 	t.Helper()
 	if got.Status != want.Status {
 		t.Fatalf("%s: status %v, fresh %v", label, got.Status, want.Status)
@@ -18,10 +19,9 @@ func sameAnswer(t *testing.T, label string, rows int, got, want *lp.Solution) {
 	if want.Status != lp.StatusOptimal {
 		return
 	}
-	gv, wv := got.Values(), want.Values()
-	for j := range wv {
-		if math.Float64bits(gv[j]) != math.Float64bits(wv[j]) {
-			t.Fatalf("%s: value[%d] = %.17g, fresh %.17g", label, j, gv[j], wv[j])
+	for v := lp.Var(0); int(v) < vars; v++ {
+		if g, w := got.Value(v), want.Value(v); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: value[%d] = %.17g, fresh %.17g", label, v, g, w)
 		}
 	}
 	for r := 0; r < rows; r++ {
@@ -52,17 +52,17 @@ func TestWorkspaceCarriesNothingOver(t *testing.T) {
 			}
 			return sol
 		}
-		rows := m.NumConstraints()
+		vars, rows := m.NumVars(), m.NumConstraints()
 		used := lp.Compile(m)
 		first := solve(used, lp.Options{})
-		sameAnswer(t, label+"/again", rows, solve(used, lp.Options{}), first)
+		sameAnswer(t, label+"/again", vars, rows, solve(used, lp.Options{}), first)
 
 		// A warm start that breaks down after its first pivot: the RHS
 		// edits make the old basis primal infeasible, the dual simplex
 		// pivots, the hook reports a numerical failure once, and Solve
 		// falls back to the cold path on the same workspace.
 		shrink := func(cm *lp.Compiled) {
-			for r := 0; r < cm.NumRows(); r++ {
+			for r := 0; r < rows; r++ {
 				cm.SetRowRHS(r, cm.RowRHS(r)*0.7)
 			}
 		}
@@ -82,7 +82,7 @@ func TestWorkspaceCarriesNothingOver(t *testing.T) {
 				t.Fatalf("%s: the injected failure did not force the cold path", label)
 			}
 			fallbacks++
-			sameAnswer(t, label+"/fallback", rows, broken, solve(fresh, lp.Options{}))
+			sameAnswer(t, label+"/fallback", vars, rows, broken, solve(fresh, lp.Options{}))
 		}
 
 		// Appended row: m grows, the workspace's buffers are re-sliced.
@@ -92,14 +92,14 @@ func TestWorkspaceCarriesNothingOver(t *testing.T) {
 		}
 		capRow(used)
 		capRow(fresh)
-		sameAnswer(t, label+"/addrow", rows+1, solve(used, lp.Options{}), solve(fresh, lp.Options{}))
+		sameAnswer(t, label+"/addrow", vars, rows+1, solve(used, lp.Options{}), solve(fresh, lp.Options{}))
 		// And warm from the old basis, whose refactorization partitions a
 		// basis with a kernel into the re-sliced buffers straight away.
 		fresh = lp.Compile(m)
 		shrink(fresh)
 		capRow(fresh)
 		warm := lp.Options{WarmStart: first.Basis}
-		sameAnswer(t, label+"/addrow-warm", rows+1, solve(used, warm), solve(fresh, warm))
+		sameAnswer(t, label+"/addrow-warm", vars, rows+1, solve(used, warm), solve(fresh, warm))
 	}
 	if fallbacks == 0 {
 		t.Fatal("no corpus model took the warm→cold fallback; the test lost its third case")

@@ -58,9 +58,14 @@ const (
 	StatusPath = "/v1/fleet/status"
 )
 
-// defaultLeaseTTL is the lease lifetime when a config leaves it zero,
+// maxBody bounds a body a fleet role reads whole: a request the front
+// end keeps for replay, a reply it reads before answering, and a plan
+// envelope a replica is pushed or pulls.
+const maxBody = 64 << 20
+
+// DefaultLeaseTTL is the lease lifetime when a config leaves it zero,
 // and what a replica's default cadence assumes until its first grant.
-const defaultLeaseTTL = 15 * time.Second
+const DefaultLeaseTTL = 15 * time.Second
 
 // writeError answers with status and the JSON body {"error": msg}, the
 // shape every fleet role and the serving core use for a failure.

@@ -23,7 +23,8 @@ import (
 type FrontendConfig struct {
 	// Backends are replica base URLs (scheme://host:port).
 	Backends []string
-	// ProbeInterval is the active /healthz probe cadence (0 = 2s).
+	// ProbeInterval is the active /healthz probe cadence (0 =
+	// DefaultProbeInterval).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds each probe (0 = ProbeInterval, capped at 2s).
 	ProbeTimeout time.Duration
@@ -59,9 +60,9 @@ type BackendStatus struct {
 	Epoch    uint64 `json:"epoch"`
 }
 
-// maxBody bounds a request body the front end keeps for replay and a
-// reply it reads before answering.
-const maxBody = 64 << 20
+// DefaultProbeInterval is the probe cadence when a FrontendConfig
+// leaves ProbeInterval zero.
+const DefaultProbeInterval = 2 * time.Second
 
 // replyBuffer is a buffer a reply is read into, with the reader that
 // bounds that read.
@@ -143,7 +144,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		return nil, fmt.Errorf("fleet: frontend needs at least one backend")
 	}
 	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 2 * time.Second
+		cfg.ProbeInterval = DefaultProbeInterval
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = min(cfg.ProbeInterval, 2*time.Second)

@@ -35,7 +35,7 @@ type granter struct {
 // newGranter builds a granter; ttl <= 0 selects the default.
 func newGranter(ttl time.Duration) *granter {
 	if ttl <= 0 {
-		ttl = defaultLeaseTTL
+		ttl = DefaultLeaseTTL
 	}
 	return &granter{ttl: ttl, now: time.Now, replicas: map[string]*ReplicaStatus{}}
 }
@@ -111,7 +111,7 @@ func (h *holder) granted() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.ttl <= 0 {
-		return defaultLeaseTTL
+		return DefaultLeaseTTL
 	}
 	return h.ttl
 }

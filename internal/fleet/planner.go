@@ -18,7 +18,7 @@ import (
 // PlannerConfig parameterizes a Planner.
 type PlannerConfig struct {
 	// LeaseTTL is the lease lifetime granted to syncing replicas
-	// (0 = default).
+	// (0 = DefaultLeaseTTL).
 	LeaseTTL time.Duration
 	// PushClient performs envelope pushes to advertised replica URLs;
 	// nil builds a client with PushTimeout. Pushes are an optimization
@@ -150,7 +150,7 @@ func (p *Planner) handlePlanFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if raw != "" && pub.Epoch <= after {
-		w.Header().Set("X-PCF-Epoch", strconv.FormatUint(pub.Epoch, 10))
+		w.Header().Set(serve.EpochHeader, strconv.FormatUint(pub.Epoch, 10))
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -161,7 +161,7 @@ func (p *Planner) handlePlanFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-PCF-Epoch", strconv.FormatUint(pub.Epoch, 10))
+	w.Header().Set(serve.EpochHeader, strconv.FormatUint(pub.Epoch, 10))
 	w.Write(data)
 }
 

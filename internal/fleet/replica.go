@@ -148,7 +148,7 @@ func (r *Replica) Apply(ctx context.Context, env *serve.Envelope) (*serve.Publis
 // current — convergence, not failure), 422 failed decode or local
 // validation.
 func (r *Replica) handlePush(w http.ResponseWriter, req *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 64<<20))
+	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading push body")
 		return
@@ -162,7 +162,7 @@ func (r *Replica) handlePush(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	switch {
 	case err == nil:
-		w.Header().Set("X-PCF-Epoch", strconv.FormatUint(pub.Epoch, 10))
+		w.Header().Set(serve.EpochHeader, strconv.FormatUint(pub.Epoch, 10))
 		json.NewEncoder(w).Encode(map[string]any{"installed": pub.Epoch})
 	case errors.Is(err, serve.ErrEpochRegression):
 		w.WriteHeader(http.StatusConflict)
@@ -285,7 +285,7 @@ func (r *Replica) syncOnce(ctx context.Context) (err error) {
 	default:
 		return fmt.Errorf("planner plan status %d", resp.StatusCode)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
 	if err != nil {
 		return fmt.Errorf("reading envelope: %w", err)
 	}

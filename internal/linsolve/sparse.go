@@ -406,9 +406,6 @@ func sortEntries(row []SparseEntry) {
 	}
 }
 
-// N returns the matrix dimension.
-func (f *SparseLU) N() int { return f.n }
-
 // FactorNNZ returns the nonzero count of the stored L and U factors
 // (pivots included), the fill-in measure the refactorization triggers
 // compare against.

@@ -531,10 +531,6 @@ func (cm *Compiled) multiEntryNNZ() int {
 // RowRHS reports the current model-space RHS of logical row i.
 func (cm *Compiled) RowRHS(i int) float64 { return cm.lrhs[i] }
 
-// NumRows reports the number of logical rows (model constraints plus
-// appended rows).
-func (cm *Compiled) NumRows() int { return cm.nLogical }
-
 // Clone returns an independently mutable view sharing the immutable
 // column data (copied lazily if the clone appends rows). Cloning is
 // how the parallel scenario sweep gives each worker its own RHS

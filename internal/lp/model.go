@@ -249,13 +249,6 @@ func (s *Solution) Value(v Var) float64 {
 	return s.values[v]
 }
 
-// Values returns a copy of the full primal solution vector.
-func (s *Solution) Values() []float64 {
-	out := make([]float64, len(s.values))
-	copy(out, s.values)
-	return out
-}
-
 // Dual returns the dual value (shadow price) of constraint row i, in
 // the sign convention of the original model: for a Maximize model, the
 // dual of a binding <= row is >= 0.

@@ -90,9 +90,6 @@ func (p *Polytope) AddVar() AdvVar {
 // NumVars reports the number of adversary variables.
 func (p *Polytope) NumVars() int { return p.nVars }
 
-// NumRows reports the number of polytope rows.
-func (p *Polytope) NumRows() int { return len(p.rows) }
-
 // AddRow adds a linear row over adversary variables.
 func (p *Polytope) AddRow(terms []AdvTerm, sense Sense, rhs float64) {
 	p.cm = nil

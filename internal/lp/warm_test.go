@@ -399,7 +399,7 @@ func TestReuseMatchesFreshSolution(t *testing.T) {
 			t.Fatalf("variable %d: reused %g, fresh %g", v, reused.Value(v), fresh.Value(v))
 		}
 	}
-	for r := 0; r < cm.NumRows(); r++ {
+	for r := 0; r < cm.nLogical; r++ {
 		if math.Float64bits(reused.Dual(r)) != math.Float64bits(fresh.Dual(r)) {
 			t.Fatalf("row %d: reused dual %g, fresh %g", r, reused.Dual(r), fresh.Dual(r))
 		}

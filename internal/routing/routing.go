@@ -152,7 +152,7 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 				return nil, fmt.Errorf("routing: pair %v must carry %g but has no live reservation under %v", p, d, sc)
 			}
 			u := d / total
-			if u > 1+tol.PairUtil {
+			if u > 1+tol.Util {
 				return nil, fmt.Errorf("routing: pair %v oversubscribed (u=%g) under %v", p, u, sc)
 			}
 			uAgg[r] += u
@@ -189,7 +189,7 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 		if sr.inSet[r] != ep {
 			continue
 		}
-		if uAgg[r] > 1+tol.AggUtil {
+		if uAgg[r] > 1+tol.Util {
 			return nil, fmt.Errorf("routing: pair %v aggregate utilization %g > 1 under %v", s.pairs[r], uAgg[r], sc)
 		}
 		res.U = append(res.U, uAgg[r])

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -290,6 +291,76 @@ func TestProportionalFailsOnCycles(t *testing.T) {
 	// The general linear-system realization still works.
 	if _, err := Realize(plan, sc); err != nil {
 		t.Fatalf("linear realization should handle cycles: %v", err)
+	}
+}
+
+// TestAggregateUtilSharesBound holds the §4.2 proportional router and
+// the sweep to one utilization bound. On a star 0–1–{2,3}, demands
+// 0→2 and 0→3 each ride an LS through 1, so pair (0,1) carries traffic
+// toward two destinations. Each destination's utilization of (0,1) is
+// about 1/2; their sum overshoots 1 by 5e-7, above tol.Util. Both
+// realizations must refuse the pair, and both must accept it at a sum
+// of exactly 1.
+func TestAggregateUtilSharesBound(t *testing.T) {
+	g := topology.New("star")
+	for i := 0; i < 4; i++ {
+		g.AddNode("n")
+	}
+	g.AddLink(0, 1, 10)
+	g.AddLink(1, 2, 10)
+	g.AddLink(1, 3, 10)
+	ts := tunnels.NewSet(g)
+	for _, l := range g.Links() {
+		ts.MustAdd(topology.Pair{Src: l.A, Dst: l.B}, topology.Path{Arcs: []topology.ArcID{l.Forward()}})
+	}
+	p02, p03 := topology.Pair{Src: 0, Dst: 2}, topology.Pair{Src: 0, Dst: 3}
+	tm := traffic.NewMatrix(4)
+	tm.Set(p02, 1)
+	tm.Set(p03, 1)
+	in := &core.Instance{
+		Graph:   g,
+		TM:      tm,
+		Tunnels: ts,
+		LSs: []core.LogicalSequence{
+			{ID: 0, Pair: p02, Hops: []topology.NodeID{1}},
+			{ID: 1, Pair: p03, Hops: []topology.NodeID{1}},
+		},
+		Failures:  failures.SingleLinks(g, 0),
+		Objective: core.DemandScale,
+	}
+	none := failures.Scenario{Dead: map[topology.LinkID]bool{}}
+	for _, c := range []struct {
+		sum    float64 // (0,1)'s utilization summed over destinations 2 and 3
+		refuse bool
+	}{{1, false}, {1 + 5e-7, true}} {
+		res := map[tunnels.ID]float64{}
+		for _, id := range ts.ForPair(topology.Pair{Src: 0, Dst: 1}) {
+			res[id] = 2 / c.sum
+		}
+		for _, pr := range []topology.Pair{{Src: 1, Dst: 2}, {Src: 1, Dst: 3}} {
+			for _, id := range ts.ForPair(pr) {
+				res[id] = 1
+			}
+		}
+		plan := &core.Plan{
+			Scheme:    "synthetic",
+			Z:         map[topology.Pair]float64{p02: 1, p03: 1},
+			TunnelRes: res,
+			LSRes:     map[core.LSID]float64{0: 1, 1: 1},
+			Instance:  in,
+		}
+		_, perr := RealizeProportional(plan, none)
+		serr := validate(plan)
+		if c.refuse {
+			if perr == nil || !strings.Contains(perr.Error(), "aggregate utilization") {
+				t.Errorf("sum %v: RealizeProportional = %v, want the aggregate utilization refused", c.sum, perr)
+			}
+			if !errors.Is(serr, ErrUnrealizable) {
+				t.Errorf("sum %v: ValidateStats = %v, want ErrUnrealizable", c.sum, serr)
+			}
+		} else if perr != nil || serr != nil {
+			t.Errorf("sum %v: RealizeProportional = %v, ValidateStats = %v, want both nil", c.sum, perr, serr)
+		}
 	}
 }
 

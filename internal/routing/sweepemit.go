@@ -130,7 +130,7 @@ func (s *Sweep) checkU(sc failures.Scenario, sr *sweepScratch) error {
 		if sr.inSet[r] != ep {
 			continue
 		}
-		if x[r] < -tol.PairUtil || x[r] > 1+tol.PairUtil {
+		if x[r] < -tol.Util || x[r] > 1+tol.Util {
 			return unrealizable{utilizationError{s.pairs[r], x[r], sc}}
 		}
 		if x[r] > maxU {

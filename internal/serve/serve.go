@@ -133,6 +133,16 @@ const solveSlots = 1
 // maxRequestTimeout caps the deadline a request's ?timeout= may ask for.
 const maxRequestTimeout = 5 * time.Minute
 
+// The values withDefaults gives a zero Config.QueueDepth,
+// Config.DefaultSolveTimeout, Config.DefaultRealizeTimeout and
+// Config.DrainTimeout; cmd/pcfd's flags default to them too.
+const (
+	DefaultQueueDepth      = 8
+	DefaultSolveDeadline   = 2 * time.Minute
+	DefaultRealizeDeadline = 10 * time.Second
+	DefaultDrainTimeout    = 10 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.RetainCheckpoints == 0 {
 		c.RetainCheckpoints = 8
@@ -141,16 +151,16 @@ func (c Config) withDefaults() Config {
 		c.MaxConcurrentRealizes = runtime.NumCPU()
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 8
+		c.QueueDepth = DefaultQueueDepth
 	}
 	if c.DefaultSolveTimeout <= 0 {
-		c.DefaultSolveTimeout = 2 * time.Minute
+		c.DefaultSolveTimeout = DefaultSolveDeadline
 	}
 	if c.DefaultRealizeTimeout <= 0 {
-		c.DefaultRealizeTimeout = 10 * time.Second
+		c.DefaultRealizeTimeout = DefaultRealizeDeadline
 	}
 	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
+		c.DrainTimeout = DefaultDrainTimeout
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 30 * time.Second

@@ -432,9 +432,10 @@ func (c *call) query(key string) string { return queryGet(c.r.URL.RawQuery, key)
 // it: never modify it.
 var jsonContentType = []string{"application/json"}
 
-// epochHeader is X-PCF-Epoch in the canonical form http.Header keys
-// take, so a reply can set Published's precomputed value directly.
-const epochHeader = "X-Pcf-Epoch"
+// EpochHeader is X-PCF-Epoch, the epoch a reply answers from, in the
+// canonical form http.Header keys take, so a reply can set Published's
+// precomputed value directly. The fleet roles' replies carry it too.
+const EpochHeader = "X-Pcf-Epoch"
 
 // reply writes the response and emits the request record. A "degraded"
 // outcome (the one /healthz gives) answers 503 with its body.
@@ -446,7 +447,7 @@ func (rt *route) reply(w http.ResponseWriter, c *call, v any, err error) {
 		h := w.Header()
 		h["Content-Type"] = jsonContentType
 		if c.epoch != nil {
-			h[epochHeader] = c.epoch
+			h[EpochHeader] = c.epoch
 		}
 		if c.rec.Outcome == "degraded" {
 			w.WriteHeader(http.StatusServiceUnavailable)

@@ -7,12 +7,7 @@
 // tol_test.go pins each ordering between names that the code relies
 // on; each constant's comment says which one.
 //
-// All values are absolute unless a comment says relative. Three
-// decisions are made with two values each: path ties (Tie, TunnelTie),
-// "carries nothing" (Carry in routing, Feas in core's heuristics) and
-// the utilization bound (PairUtil per destination, AggUtil in
-// aggregate). Unifying any of the three moves a tunnel or a verdict, so
-// each waits for a change that accepts new plans.
+// All values are absolute unless a comment says relative.
 package tol
 
 // The simplex (internal/lp), on the values of the model as built.
@@ -34,8 +29,7 @@ const (
 	// primal Harris pass widens the least ratio by Feas relative, and
 	// the ratio test falls back to entries above Feas when none exceeds
 	// Pivot. core reads LP values with it: a point inside a polytope to
-	// Feas, |v| < Feas clamped to zero, a demand or bypass flow at or
-	// below Feas carries nothing.
+	// Feas, |v| < Feas clamped to zero.
 	Feas = 1e-9
 	// Opt is the reduced-cost optimality tolerance: a column enters
 	// only when its reduced cost is below -Opt.
@@ -101,29 +95,22 @@ const (
 // Ties between path lengths and scores.
 const (
 	// Tie is the improvement a Dijkstra label (internal/topology), a
-	// widest-path width and a local-search score (internal/core) must
-	// make to replace the incumbent; anything less is a tie and the
-	// first found stays.
+	// Bellman-Ford label (internal/tunnels), a widest-path width and a
+	// local-search score (internal/core) must make to replace the
+	// incumbent; anything less is a tie and the first found stays.
 	Tie = 1e-15
-	// TunnelTie is Tie for the tunnel search's Bellman-Ford labels
-	// (internal/tunnels).
-	TunnelTie = 1e-12
 )
 
 // Realization and its check (internal/routing).
 const (
 	// Carry is the flow, demand or coefficient at or below which a pair,
-	// tunnel or logical sequence carries nothing and is skipped.
+	// tunnel or logical sequence carries nothing and is skipped, in
+	// routing and in core's flow decomposition.
 	Carry = 1e-12
-	// PairUtil bounds one destination's utilization of a pair's live
-	// reservation: outside [-PairUtil, 1+PairUtil] the scenario is
-	// unrealizable.
-	PairUtil = 1e-7
-	// AggUtil bounds a pair's utilization summed over destinations
-	// (Proposition 5): above 1+AggUtil it is unrealizable. At least
-	// PairUtil, so a pair served for one destination within PairUtil
-	// passes.
-	AggUtil = 1e-6
+	// Util bounds a pair's utilization of its live reservation, for one
+	// destination and summed over destinations (Proposition 5): outside
+	// [-Util, 1+Util] the scenario is unrealizable.
+	Util = 1e-7
 	// Overload is the load above capacity that makes an arc overloaded:
 	// load > capacity + Overload, decided in one place, routing's
 	// overloaded. Above Feas, so an arc whose reservations the master

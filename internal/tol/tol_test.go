@@ -29,9 +29,6 @@ func TestOrder(t *testing.T) {
 		// The certificate accepts what the simplex accepts.
 		{"Feas < Certificate", Feas < Certificate},
 		{"Opt < Certificate", Opt < Certificate},
-		// A pair served for one destination within PairUtil passes the
-		// aggregate bound.
-		{"PairUtil <= AggUtil", PairUtil <= AggUtil},
 		// A pool column pricing enters is one the simplex would pivot
 		// in.
 		{"Opt <= Price", Opt <= Price},

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"pcf/internal/tol"
 	"pcf/internal/topology"
 	"pcf/internal/topozoo"
 )
@@ -50,7 +51,7 @@ func fullPassDisjointPaths(g *topology.Graph, pair topology.Pair, k int) []topol
 						}
 						cost = -l.Weight
 					}
-					if dist[from]+cost < dist[to]-1e-12 {
+					if dist[from]+cost < dist[to]-tol.Tie {
 						dist[to] = dist[from] + cost
 						prevArc[to] = arc
 						improved = true

@@ -105,29 +105,6 @@ func (s *Set) Pairs() []topology.Pair {
 	return out
 }
 
-// MaxShared returns p_st for the pair: the maximum number of the
-// pair's tunnels that share a single link (FFC's structure parameter).
-func (s *Set) MaxShared(p topology.Pair) int {
-	count := make(map[topology.LinkID]int)
-	for _, id := range s.byPair[p] {
-		seen := make(map[topology.LinkID]bool)
-		for _, a := range s.tunnels[id].Path.Arcs {
-			l := topology.LinkOf(a)
-			if !seen[l] {
-				seen[l] = true
-				count[l]++
-			}
-		}
-	}
-	best := 0
-	for _, c := range count {
-		if c > best {
-			best = c
-		}
-	}
-	return best
-}
-
 // SelectOptions tune tunnel selection.
 type SelectOptions struct {
 	// PerPair is the number of tunnels to select per pair.
@@ -351,7 +328,7 @@ func (s *search) tree(src topology.NodeID) {
 				cur[w] &^= 1 << b
 				a := w*64 + b
 				from, to := s.tail[a], s.head[a]
-				if d := s.dist[from] + s.cost[a]; d < s.dist[to]-tol.TunnelTie {
+				if d := s.dist[from] + s.cost[a]; d < s.dist[to]-tol.Tie {
 					s.dist[to] = d
 					s.prev[to] = topology.ArcID(a)
 					pending = s.mark(to, a, cur, next) || pending

@@ -33,9 +33,24 @@ func TestSelectDisjoint(t *testing.T) {
 	if len(ids) != 2 {
 		t.Fatalf("got %d tunnels", len(ids))
 	}
-	if s.MaxShared(pair) != 1 {
-		t.Fatalf("p_st = %d, want 1 (disjoint)", s.MaxShared(pair))
+	if !disjoint(s, pair) {
+		t.Fatal("the tunnels share a link, want them disjoint (p_st = 1)")
 	}
+}
+
+// disjoint reports whether no link lies on two of the pair's tunnels:
+// FFC's p_st is 1.
+func disjoint(s *Set, p topology.Pair) bool {
+	owner := make(map[topology.LinkID]ID)
+	for _, id := range s.ForPair(p) {
+		for _, l := range s.Tunnel(id).Path.Links() {
+			if o, ok := owner[l]; ok && o != id {
+				return false
+			}
+			owner[l] = id
+		}
+	}
+	return true
 }
 
 func TestSelectThreeTunnels(t *testing.T) {
@@ -92,7 +107,7 @@ func TestMengerGuarantee(t *testing.T) {
 			return false
 		}
 		for _, p := range pairs {
-			if len(s.ForPair(p)) < 2 || s.MaxShared(p) != 1 {
+			if len(s.ForPair(p)) < 2 || !disjoint(s, p) {
 				return false
 			}
 		}
@@ -151,8 +166,8 @@ func TestParallelLinksAsDisjointTunnels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.ForPair(pair)) != 2 || s.MaxShared(pair) != 1 {
-		t.Fatalf("parallel links should give 2 disjoint tunnels (got %d, shared %d)",
-			len(s.ForPair(pair)), s.MaxShared(pair))
+	if len(s.ForPair(pair)) != 2 || !disjoint(s, pair) {
+		t.Fatalf("parallel links should give 2 disjoint tunnels (got %d, disjoint %v)",
+			len(s.ForPair(pair)), disjoint(s, pair))
 	}
 }

@@ -1,5 +1,5 @@
 #!/bin/sh
-# lintdocs.sh checks two things the docs say about the code:
+# lintdocs.sh checks three things the docs say about the code:
 #
 #   - the analyzer table in DESIGN.md §15 (between the lintdocs:begin/end
 #     markers) is byte-identical to the live output of
@@ -11,6 +11,9 @@
 #     Lower-case names (`core.newMaster`, metric names such as
 #     `core.rounds`) and fenced code blocks are not checked; EXPERIMENTS.md
 #     is history and is not checked either.
+#   - the name column of DESIGN.md §19's table lists exactly the
+#     constants internal/tol declares, so a deleted tolerance cannot
+#     keep its row and a new one cannot go undocumented.
 set -eu
 
 script=$0
@@ -73,3 +76,17 @@ if [ -n "$stale" ]; then
 	exit 1
 fi
 echo "lintdocs: $(printf '%s\n' "$refs" | wc -l | tr -d ' ') pkg.Symbol references in README.md and DESIGN.md resolve"
+
+declared=$(go doc -all ./internal/tol |
+	sed -nE 's/^[[:space:]]*(const )?([A-Z][A-Za-z0-9_]*) += .*/\2/p' | sort)
+tabled=$(awk '/^## 19\./ { f = 1; next } /^##/ { f = 0 } f && /^\| `/' DESIGN.md |
+	sed -E 's/^\| `([^`]*)`.*/\1/' | sort)
+if [ -z "$declared" ] || [ "$declared" != "$tabled" ]; then
+	echo "lintdocs: DESIGN.md §19's table does not name exactly internal/tol's constants (- tabled, + declared):" >&2
+	tabledf=$(mktemp)
+	trap 'rm -f "$tabledf"' EXIT
+	printf '%s\n' "$tabled" >"$tabledf"
+	printf '%s\n' "$declared" | diff -u "$tabledf" - >&2 || true
+	exit 1
+fi
+echo "lintdocs: DESIGN.md §19 tables the $(printf '%s\n' "$declared" | wc -l | tr -d ' ') constants internal/tol declares"
