@@ -13,7 +13,9 @@
 // publishes epoch-stamped plan envelopes over /v1/fleet/*, and every
 // replica sync there renews that replica's lease; a replica pulls
 // validated plans from its planner, re-validates them locally, and
-// refuses direct solves. A replica syncs every third of the lease TTL
+// refuses direct solves. With -advertise the planner pushes each new
+// epoch's news to the replica, which only makes it sync at once: a
+// plan enters a replica only by its own fetch. A replica syncs every third of the lease TTL
 // its planner grants (-lease-ttl), so each sync renews the lease well
 // before it lapses. cmd/pcffe is the matching front end. A
 // planner needs -state: one that restarted without its checkpoints
@@ -123,7 +125,7 @@ func main() {
 	retain := flag.Int("retain", 0, "checkpoints to keep per class (0 = default, negative = unlimited)")
 	role := flag.String("role", "", `fleet role: "planner", "replica", or empty for standalone`)
 	plannerURL := flag.String("planner", "", "planner base URL (required with -role replica)")
-	advertise := flag.String("advertise", "", "this replica's base URL as the planner reaches it (enables push)")
+	advertise := flag.String("advertise", "", "this replica's base URL as the planner reaches it (lets the planner's push start a sync at once)")
 	leaseTTL := flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "planner: lease lifetime granted to replicas")
 	flag.Parse()
 

@@ -333,7 +333,6 @@ const (
 	SchemePCFCLS        = core.SchemePCFCLS
 	SchemeBest          = core.SchemeBest
 	SchemePCFCLSTopSort = "PCF-CLS-TopSort"
-	SchemeR3            = "R3"
 	SchemeOptimal       = "Optimal"
 )
 
@@ -386,8 +385,6 @@ func (s *Setup) runScheme(ctx context.Context, scheme string) (Result, error) {
 	case scheme == SchemePCFCLSTopSort:
 		in, extra = s.topSort(in)
 		plan, err = core.SolvePCFCLS(in, solveOpts)
-	case scheme == SchemeR3:
-		plan, err = core.SolveR3(s.instance(0), solveOpts)
 	case scheme == SchemeOptimal:
 		if s.Opts.Objective == core.Throughput {
 			return Result{}, fmt.Errorf("eval: the paper does not compute the optimal for the throughput metric (combinatorial blow-up)")

@@ -108,10 +108,11 @@ func (n *soakNode) isAlive() bool {
 
 // TestFleetChaosSoak is the executable spec of the fleet guarantee:
 // under killed replicas, a partitioned planner, torn envelopes,
-// dropped responses and corrupt pushes — all while epochs keep
-// advancing — no replica ever serves an unvalidated or epoch-regressed
-// plan, and once the faults stop the whole fleet converges to the
-// newest validated epoch. Run with -race; -short keeps the fault count
+// dropped responses and POSTed corrupt or forged envelopes — all while
+// epochs keep advancing — no replica ever serves an unvalidated or
+// epoch-regressed plan, or an epoch its planner did not publish, and
+// once the faults stop the whole fleet converges to the newest
+// validated epoch. Run with -race; -short keeps the fault count
 // at the floor instead of piling on.
 func TestFleetChaosSoak(t *testing.T) {
 	plannerCore := newNamedCore(t, filepath.Join(t.TempDir(), "planner"), "planner")
@@ -165,7 +166,7 @@ func TestFleetChaosSoak(t *testing.T) {
 	// fault that actually fired.
 	scheduled := 0
 	kills := 0
-	corruptPushes := 0
+	forgedPosts := 0
 	totalFaults := func() int {
 		n := scheduled
 		for _, nd := range nodes {
@@ -175,9 +176,11 @@ func TestFleetChaosSoak(t *testing.T) {
 		return n
 	}
 
-	// Epoch-monotonicity watermarks, per node. Checkpooints make the
+	// Epoch-monotonicity watermarks, per node. Checkpoints make the
 	// watermark hold across restarts too: recovery republishes the
-	// newest validated snapshot, which is the last epoch served.
+	// newest validated snapshot, which is the last epoch served. Every
+	// epoch a node serves is also one its planner published: the node
+	// is read first, and the planner's epoch only grows.
 	watermark := make([]uint64, len(nodes))
 	checkMonotone := func(round int) {
 		t.Helper()
@@ -190,28 +193,41 @@ func TestFleetChaosSoak(t *testing.T) {
 				t.Fatalf("round %d: %s regressed from epoch %d to %d",
 					round, nd.name, watermark[i], e)
 			}
+			if published := plannerCore.Registry().Epoch(); e > published {
+				t.Fatalf("round %d: %s serves epoch %d, its planner published %d",
+					round, nd.name, e, published)
+			}
 			watermark[i] = e
 		}
 	}
 
-	pushCorrupt := func(nd *soakNode) {
+	// postForged POSTs the node two envelopes 100 epochs past the
+	// planner's: one of the served plan (forged) and one of it with
+	// its grants corrupted. A push carries no plan, so neither may move
+	// the node's epoch; checkMonotone holds it to its planner's.
+	postForged := func(round int, nd *soakNode) {
+		t.Helper()
 		pub, err := plannerCore.Registry().Current()
 		if err != nil {
 			return
 		}
 		env, err := serve.NewEnvelope(pub.Epoch+100, serve.Fingerprint(plannerCore.Instance()), pub.Plan)
 		if err != nil {
-			t.Fatalf("building envelope to corrupt: %v", err)
+			t.Fatalf("building envelope to forge: %v", err)
 		}
-		data, _ := corruptGrants(t, env).Encode()
-		resp, err := testClient.Post(nd.url()+PlanPath, "application/json", bytes.NewReader(data))
-		if err != nil {
-			return // node may be dead or partitioned; the attempt still counts
+		forged, _ := env.Encode()
+		corrupt, _ := corruptGrants(t, env).Encode()
+		for _, data := range [][]byte{forged, corrupt} {
+			resp, err := testClient.Post(nd.url()+PlanPath, "application/json", bytes.NewReader(data))
+			if err != nil {
+				continue // node may be dead; the attempt still counts
+			}
+			drainBody(resp)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("round %d: a POSTed envelope to %s: status %d, want 202", round, nd.name, resp.StatusCode)
+			}
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Fatalf("%s installed a corrupt plan (epoch %d)", nd.name, pub.Epoch+100)
-		}
+		checkMonotone(round)
 	}
 
 	client := &http.Client{Timeout: 2 * time.Second}
@@ -260,13 +276,13 @@ func TestFleetChaosSoak(t *testing.T) {
 			nd.kill()
 			kills++
 			scheduled++
-		case 5: // restart everything dead, stop dropping, push garbage
+		case 5: // restart everything dead, stop dropping, POST forgeries
 			nodes[(round-2)%len(nodes)].chaos.SetDropEveryN(0)
 			for _, other := range nodes {
 				other.start()
 			}
-			pushCorrupt(nd)
-			corruptPushes++
+			postForged(round, nd)
+			forgedPosts++
 			scheduled++
 		}
 		publishEpochs(t, plannerCore, 1)
@@ -375,7 +391,7 @@ func TestFleetChaosSoak(t *testing.T) {
 
 	// The soak must actually have hurt: enough faults fired, at least
 	// one envelope arrived torn, partitions actually blocked traffic,
-	// replicas died, garbage was offered — and none of it broke the
+	// replicas died, forgeries were offered — and none of it broke the
 	// serving guarantee.
 	faults := totalFaults()
 	if faults < minFaults {
@@ -396,13 +412,13 @@ func TestFleetChaosSoak(t *testing.T) {
 	if kills < 2 {
 		t.Errorf("only %d replica kills, want >= 2", kills)
 	}
-	if corruptPushes == 0 {
-		t.Error("no corrupt envelope was ever pushed")
+	if forgedPosts == 0 {
+		t.Error("no forged envelope was ever POSTed")
 	}
-	t.Logf("soak: %d faults (%d scheduled, %d torn, %d blocked, %d kills, %d corrupt pushes), "+
+	t.Logf("soak: %d faults (%d scheduled, %d torn, %d blocked, %d kills, %d forged posts), "+
 		"%d/%d frontend requests OK, converged at epoch %d; "+
 		"telemetry: %g syncs (%g failed), %g grants, %g pushes, %g failovers",
-		faults, scheduled, torn, blocked, kills, corruptPushes, feOK, feRequests, final,
+		faults, scheduled, torn, blocked, kills, forgedPosts, feOK, feRequests, final,
 		syncRecs, syncErrs, grantRecs, pushRecs, failovers)
 }
 

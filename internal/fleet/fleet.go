@@ -5,29 +5,32 @@
 //
 //   - a planner (NewPlanner) validates and publishes epoch-stamped
 //     envelopes over /v1/fleet/plan, renews the lease of every replica
-//     that syncs there, and pushes fresh envelopes to replicas that
-//     advertised a URL;
-//   - serving replicas (NewReplica) pull — or accept pushes of —
-//     envelopes, re-validate every plan locally before hot-swapping
-//     (validation is never trusted across the wire; the registry's
-//     PublishExternal refuses epoch regressions). A replica's sync is
-//     one conditional fetch that names it; every answer carries the
-//     lease TTL and so renews its lease. A replica whose lease expires
-//     keeps serving its last validated plan read-only and reports
-//     itself degraded through /healthz;
+//     that syncs there, and pushes a wake to replicas that advertised
+//     a URL;
+//   - serving replicas (NewReplica) pull envelopes from their planner
+//     — a push only wakes the pull — and re-validate every plan
+//     locally before hot-swapping (validation is never trusted across
+//     the wire; the registry's PublishExternal refuses epoch
+//     regressions). A replica's sync is one conditional fetch that
+//     names it; every answer carries the lease TTL and so renews its
+//     lease. A replica whose lease expires keeps serving its last
+//     validated plan read-only and reports itself degraded through
+//     /healthz;
 //   - a stateless front end (NewFrontend) forwards whole replies:
 //     it spreads realize/validate/optimal traffic across replicas
 //     with active /healthz probing, ejection of dead or stale-epoch
 //     backends, and failover retry of idempotent requests whose
-//     reply did not arrive complete.
+//     reply did not arrive complete. It does not forward the fleet
+//     control plane (/v1/fleet/...).
 //
 // The per-node guarantee of serve — no plan is visible that did not
 // pass the full congestion-free validation sweep, and served epochs
-// never regress — therefore holds fleet-wide: every path a plan can
-// take into a replica's registry funnels through the same validating,
-// monotone publish. DESIGN.md §14 has the architecture and the
-// epoch-monotonicity argument; TestFleetChaosSoak is the executable
-// spec.
+// never regress — therefore holds fleet-wide: the one path a plan
+// takes into a replica's registry is the replica's own fetch from its
+// planner, through the same validating, monotone publish, so a
+// replica's epochs are its planner's. DESIGN.md §14 has the
+// architecture and the epoch-monotonicity argument; TestFleetChaosSoak
+// is the executable spec.
 package fleet
 
 import (
@@ -50,9 +53,10 @@ var (
 
 // Wire paths of the fleet control plane.
 const (
-	// PlanPath serves (GET, planner) and accepts (POST, replica)
-	// epoch-stamped plan envelopes; a GET that names a replica is its
-	// sync round and renews its lease.
+	// PlanPath serves epoch-stamped plan envelopes (GET, planner); a
+	// GET that names a replica is its sync round and renews its lease.
+	// A POST to a replica is a push: it carries no body and wakes the
+	// replica's sync loop (202).
 	PlanPath = "/v1/fleet/plan"
 	// StatusPath reports the planner's fleet view (GET, planner).
 	StatusPath = "/v1/fleet/status"
@@ -60,7 +64,7 @@ const (
 
 // maxBody bounds a body a fleet role reads whole: a request the front
 // end keeps for replay, a reply it reads before answering, and a plan
-// envelope a replica is pushed or pulls.
+// envelope a replica pulls.
 const maxBody = 64 << 20
 
 // DefaultLeaseTTL is the lease lifetime when a config leaves it zero,

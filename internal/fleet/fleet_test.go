@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -242,31 +244,96 @@ func TestPlannerPushesToAdvertisedReplica(t *testing.T) {
 	waitFor(t, 5*time.Second, "replica to register with planner", func() bool {
 		return len(planner.granter.pushTargets(time.Hour)) == 1
 	})
-	publishEpochs(t, plannerCore, 1)
+	// Each publish's push wakes the sync loop, which fetches the new
+	// epoch within the hour's wait.
+	for want := uint64(1); want <= 3; want++ {
+		publishEpochs(t, plannerCore, 1)
+		waitFor(t, 5*time.Second, fmt.Sprintf("push to wake the install of epoch %d", want), func() bool {
+			return repCore.Registry().Epoch() == want
+		})
+	}
 	planner.Drain()
-	waitFor(t, 5*time.Second, "push to install epoch 1", func() bool {
+	if ok, failed := planner.pushOK.Load(), planner.pushFailed.Load(); ok != 3 || failed != 0 {
+		t.Fatalf("push_ok %d, push_failed %d; want 3 and 0", ok, failed)
+	}
+}
+
+// TestReplicaServesOnlyPlannerEpochs: a plan enters a replica only by
+// its own fetch from its planner. An envelope of the served plan,
+// stamped with an epoch the planner never published and POSTed to the
+// replica directly or through a front end, installs nothing; the POST
+// at most wakes a sync. The replica then follows the planner's next
+// publish, which a forged epoch 1000 would have made it refuse as a
+// regression while its lease stayed fresh.
+func TestReplicaServesOnlyPlannerEpochs(t *testing.T) {
+	plannerCore := newCore(t, "")
+	planner := NewPlanner(plannerCore, PlannerConfig{LeaseTTL: 10 * time.Second})
+	defer planner.Drain()
+	pts := httptest.NewServer(planner)
+	defer pts.Close()
+
+	repCore := newCore(t, "")
+	ln := listenLocal(t, "")
+	repURL := "http://" + ln.Addr().String()
+	rep := NewReplica(repCore, ReplicaConfig{
+		Name:         "r1",
+		PlannerURL:   pts.URL,
+		AdvertiseURL: repURL,
+		Interval:     time.Hour, // only the first round and wakes sync
+	})
+	hs := serveOn(ln, rep)
+	defer hs.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go rep.Run(ctx)
+	waitFor(t, 5*time.Second, "replica to register with planner", func() bool {
+		return len(planner.granter.pushTargets(time.Hour)) == 1
+	})
+	publishEpochs(t, plannerCore, 1)
+	waitFor(t, 5*time.Second, "replica to install epoch 1", func() bool {
 		return repCore.Registry().Epoch() == 1
 	})
 
-	// Re-pushing the same epoch is refused as a regression (409), and
-	// the replica's plan is untouched.
+	fe, err := NewFrontend(FrontendConfig{Backends: []string{repURL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe.ProbeOnce(context.Background())
+	fts := httptest.NewServer(fe)
+	defer fts.Close()
+
 	pub, err := plannerCore.Registry().Current()
 	if err != nil {
 		t.Fatalf("planner lost its plan: %v", err)
 	}
-	env, err := serve.NewEnvelope(pub.Epoch, serve.Fingerprint(plannerCore.Instance()), pub.Plan)
+	forged, err := serve.NewEnvelope(1000, serve.Fingerprint(plannerCore.Instance()), pub.Plan)
 	if err != nil {
 		t.Fatalf("building envelope: %v", err)
 	}
-	data, _ := env.Encode()
-	resp, err := testClient.Post(repURL+PlanPath, "application/json", bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("re-push: %v", err)
+	data, _ := forged.Encode()
+	// plannerEpochs holds when the replica serves an epoch its planner
+	// published. The replica is read first: the planner's epoch only
+	// grows.
+	plannerEpochs := func() bool {
+		e := repCore.Registry().Epoch()
+		return e >= 1 && e <= plannerCore.Registry().Epoch()
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("re-push of epoch %d: status %d, want 409", pub.Epoch, resp.StatusCode)
+	for _, base := range []string{repURL, fts.URL} {
+		resp, err := testClient.Post(base+PlanPath, "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("POST %s%s: %v", base, PlanPath, err)
+		}
+		drainBody(resp)
+		if !plannerEpochs() {
+			t.Fatalf("after a forged POST to %s the replica serves epoch %d; its planner published %d",
+				base, repCore.Registry().Epoch(), plannerCore.Registry().Epoch())
+		}
 	}
+
+	want := publishEpochs(t, plannerCore, 1)
+	waitFor(t, 5*time.Second, fmt.Sprintf("replica to install the planner's epoch %d", want), func() bool {
+		return repCore.Registry().Epoch() == want
+	})
 }
 
 // corruptGrants rebuilds an envelope whose plan decodes cleanly but
@@ -301,59 +368,56 @@ func corruptGrants(t *testing.T, env *serve.Envelope) *serve.Envelope {
 
 func TestReplicaRefusesBadEnvelopes(t *testing.T) {
 	repCore := newCore(t, "")
-	rep := NewReplica(repCore, ReplicaConfig{
-		Name:       "r1",
-		PlannerURL: "http://127.0.0.1:0", // never dialed in this test
-		Interval:   time.Hour,
-		Logf:       t.Logf,
-	})
-	rts := httptest.NewServer(rep)
-	defer rts.Close()
-
-	plan := testPlan(t)
 	fp := serve.Fingerprint(repCore.Instance())
-	good, err := serve.NewEnvelope(1, fp, plan)
+	good, err := serve.NewEnvelope(1, fp, testPlan(t))
 	if err != nil {
 		t.Fatalf("building envelope: %v", err)
 	}
-
-	push := func(body []byte) int {
-		t.Helper()
-		resp, err := testClient.Post(rts.URL+PlanPath, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("push: %v", err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	// Torn JSON fails at envelope decode.
 	goodData, _ := good.Encode()
-	if st := push(goodData[:len(goodData)/2]); st != http.StatusUnprocessableEntity {
-		t.Fatalf("torn envelope: status %d, want 422", st)
-	}
-	// Wrong-instance envelope fails the fingerprint gate.
 	foreign := &serve.Envelope{Epoch: 1, Fingerprint: "deadbeef", Scheme: good.Scheme, Plan: good.Plan}
-	fd, _ := foreign.Encode()
-	if st := push(fd); st != http.StatusUnprocessableEntity {
-		t.Fatalf("foreign envelope: status %d, want 422", st)
-	}
-	// A decodable but invalid plan fails local re-validation: the wire
-	// is never trusted, even when the envelope is well-formed.
-	cd, _ := corruptGrants(t, good).Encode()
-	if st := push(cd); st != http.StatusUnprocessableEntity {
-		t.Fatalf("corrupt-grants envelope: status %d, want 422", st)
-	}
-	if repCore.Registry().Epoch() != 0 {
-		t.Fatalf("a refused envelope moved the epoch to %d", repCore.Registry().Epoch())
+	foreignData, _ := foreign.Encode()
+	corruptData, _ := corruptGrants(t, good).Encode()
+
+	// A planner stub serves one envelope per sync, in this order.
+	bodies := [][]byte{goodData[:len(goodData)/2], foreignData, corruptData, goodData}
+	var served atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || r.URL.Path != PlanPath {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write(bodies[served.Add(1)-1])
+	}))
+	defer stub.Close()
+	rep := NewReplica(repCore, ReplicaConfig{Name: "r1", PlannerURL: stub.URL, Logf: t.Logf})
+
+	for _, c := range []struct {
+		what   string
+		refuse func(error) bool
+	}{
+		// Torn JSON fails at envelope decode.
+		{"torn", func(err error) bool { return strings.Contains(err.Error(), "decoding envelope") }},
+		// A wrong-instance envelope fails the fingerprint gate.
+		{"foreign", func(err error) bool { return strings.Contains(err.Error(), "fingerprint mismatch") }},
+		// A decodable but invalid plan fails local re-validation: the
+		// wire is never trusted, even when the envelope is well-formed.
+		{"corrupt-grants", func(err error) bool { return errors.Is(err, serve.ErrValidation) }},
+	} {
+		err := rep.syncOnce(context.Background())
+		if err == nil || !c.refuse(err) {
+			t.Fatalf("%s envelope: sync error %v, want its refusal", c.what, err)
+		}
+		if e := repCore.Registry().Epoch(); e != 0 {
+			t.Fatalf("the %s envelope moved the epoch to %d", c.what, e)
+		}
 	}
 
 	// The intact envelope then installs fine.
-	if st := push(goodData); st != http.StatusOK {
-		t.Fatalf("good envelope: status %d, want 200", st)
+	if err := rep.syncOnce(context.Background()); err != nil {
+		t.Fatalf("good envelope: %v", err)
 	}
-	if repCore.Registry().Epoch() != 1 {
-		t.Fatalf("good envelope did not install: epoch %d", repCore.Registry().Epoch())
+	if e := repCore.Registry().Epoch(); e != 1 {
+		t.Fatalf("good envelope did not install: epoch %d", e)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -325,11 +326,16 @@ func retryable(r *http.Request) bool {
 }
 
 // ServeHTTP implements http.Handler: /healthz reports the front end's
-// own routing view; everything else is forwarded across the backend
-// tiers with failover.
+// own routing view, the fleet control plane (/v1/fleet/...) is not
+// served here (404: it is between the planner and its replicas), and
+// everything else is forwarded across the backend tiers with failover.
 func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == "/healthz" && (r.Method == http.MethodGet || r.Method == http.MethodHead) {
 		f.handleHealth(w)
+		return
+	}
+	if strings.HasPrefix(r.URL.Path, "/v1/fleet/") {
+		writeError(w, http.StatusNotFound, "the front end does not serve the fleet control plane")
 		return
 	}
 	var routable [8]*backend

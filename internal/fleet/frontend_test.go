@@ -373,6 +373,61 @@ func TestFrontendForwardsEndToEndHeaders(t *testing.T) {
 	}
 }
 
+// TestFrontendRefusesFleetPaths: the fleet control plane is between a
+// planner and its replicas, so the front end answers every /v1/fleet/
+// path itself with a 404, and no backend sees the request. A read
+// beside them still reaches the backend.
+func TestFrontendRefusesFleetPaths(t *testing.T) {
+	var mu sync.Mutex
+	var seen []string
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.Write([]byte(`{"status":"ok","epoch":1}`))
+			return
+		}
+		mu.Lock()
+		seen = append(seen, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		w.Write([]byte(`{}`))
+	}))
+	defer backend.Close()
+	fe, err := NewFrontend(FrontendConfig{Backends: []string{backend.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe.ProbeOnce(context.Background())
+	fts := httptest.NewServer(fe)
+	defer fts.Close()
+
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodPost, PlanPath, http.StatusNotFound},
+		{http.MethodGet, PlanPath + "?after=0&replica=r1", http.StatusNotFound},
+		{http.MethodGet, StatusPath, http.StatusNotFound},
+		{http.MethodGet, "/v1/plan", http.StatusOK},
+	} {
+		req, err := http.NewRequest(c.method, fts.URL+c.path, bytes.NewReader([]byte(`{"epoch":1000}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := testClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.method, c.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"GET /v1/plan"}; !slices.Equal(seen, want) {
+		t.Errorf("backend saw %q, want only %q", seen, want)
+	}
+}
+
 // TestFrontendClientCancelEjectsNothing: a client that hangs up, and a
 // probe round cancelled by shutdown, say nothing about the backends.
 // Neither may eject one, retry, or emit a failover record — else one

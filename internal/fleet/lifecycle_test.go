@@ -53,7 +53,7 @@ func TestPlannerDrainEndsPushes(t *testing.T) {
 		planner.Drain()
 		failedAtDrain <- planner.pushFailed.Load()
 	}()
-	leaktest.Gone(t, "fleet.(*Planner).pushEnvelope")
+	leaktest.Gone(t, "fleet.(*Planner).pushAll")
 	if got := <-failedAtDrain; got != 1 {
 		t.Fatalf("push_failed = %d when Drain returned, want 1 (the timed-out push)", got)
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -20,9 +19,10 @@ type PlannerConfig struct {
 	// LeaseTTL is the lease lifetime granted to syncing replicas
 	// (0 = DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// PushClient performs envelope pushes to advertised replica URLs;
-	// nil builds a client with PushTimeout. Pushes are an optimization
-	// — replicas converge by pulling even if every push is lost.
+	// PushClient sends the pushes that wake advertised replicas after
+	// a publish; nil builds a client with PushTimeout. A push carries
+	// no plan, and pushes are an optimization — replicas converge by
+	// pulling even if every push is lost.
 	PushClient *http.Client
 	// PushTimeout bounds each push request (0 = 5s).
 	PushTimeout time.Duration
@@ -33,10 +33,10 @@ type PlannerConfig struct {
 // Planner wraps a serve.Server with the fleet control plane: it
 // publishes epoch-stamped envelopes of every validated plan over
 // /v1/fleet/plan, renews the lease of every replica that syncs there,
-// and best-effort pushes fresh envelopes to replicas that advertised a
-// URL. Plans still enter the world only through the server's
-// validating registry — the planner adds distribution, not a second
-// publication path.
+// and best-effort pushes a wake to replicas that advertised a URL, so
+// they fetch a new epoch at once. Plans still enter the world only
+// through the server's validating registry — the planner adds
+// distribution, not a second publication path.
 type Planner struct {
 	srv         *serve.Server
 	granter     *granter
@@ -178,32 +178,33 @@ func (p *Planner) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // onPublish runs (under the registry's publication lock) after every
-// swap; it kicks the actual pushing onto a goroutine so publication
+// swap. It encodes the envelope, so the fetches the pushes wake hit
+// the cache, and kicks the pushing onto a goroutine so publication
 // latency never waits on replica sockets.
 func (p *Planner) onPublish(pub *serve.Published) {
 	targets := p.granter.pushTargets(2 * p.granter.ttl)
 	if len(targets) == 0 {
 		return
 	}
-	data, err := p.envelopeFor(pub)
-	if err != nil {
+	if _, err := p.envelopeFor(pub); err != nil {
 		p.cfg.Logf("fleet: push skipped, envelope encoding failed: %v", err)
 		return
 	}
 	p.pushWG.Add(1)
 	go func() {
 		defer p.pushWG.Done()
-		p.pushEnvelope(pub.Epoch, data, targets)
+		p.pushAll(pub.Epoch, targets)
 	}()
 }
 
-// pushEnvelope offers the envelope to each target once. Failures are
+// pushAll wakes each target once. A wake returns before the replica
+// fetches, so the replicas re-validate side by side. Failures are
 // logged and counted, never retried here: the replica's pull loop is
 // the delivery guarantee, push is latency icing.
-func (p *Planner) pushEnvelope(epoch uint64, data []byte, targets []string) {
+func (p *Planner) pushAll(epoch uint64, targets []string) {
 	for _, base := range targets {
 		start := time.Now()
-		outcome := p.pushOne(epoch, data, base)
+		outcome := p.pushOne(epoch, base)
 		if outcome == "" {
 			p.pushOK.Add(1)
 		} else {
@@ -219,26 +220,22 @@ func (p *Planner) pushEnvelope(epoch uint64, data []byte, targets []string) {
 	}
 }
 
-// pushOne offers the envelope to a single target; the returned outcome
-// is empty on success (including 409 convergence) and "error"
-// otherwise.
-func (p *Planner) pushOne(epoch uint64, data []byte, base string) string {
+// pushOne sends an empty POST that wakes a single target's sync loop;
+// the returned outcome is empty on success and "error" otherwise.
+func (p *Planner) pushOne(epoch uint64, base string) string {
 	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.PushTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+PlanPath, bytes.NewReader(data))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+PlanPath, nil)
 	if err != nil {
 		return "error"
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := p.cfg.PushClient.Do(req)
 	if err != nil {
 		p.cfg.Logf("fleet: push of epoch %d to %s failed: %v", epoch, base, err)
 		return "error"
 	}
 	defer drainBody(resp)
-	if resp.StatusCode >= 300 && resp.StatusCode != http.StatusConflict {
-		// 409 means the replica already moved past this epoch —
-		// that is convergence, not failure.
+	if resp.StatusCode >= 300 {
 		p.cfg.Logf("fleet: push of epoch %d to %s: status %d", epoch, base, resp.StatusCode)
 		return "error"
 	}

@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -24,7 +22,8 @@ type ReplicaConfig struct {
 	// PlannerURL is the planner's base URL (scheme://host:port).
 	PlannerURL string
 	// AdvertiseURL, when non-empty, is this replica's base URL as the
-	// planner should see it; advertising enables envelope pushes.
+	// planner should see it; advertising lets the planner's pushes wake
+	// the sync loop as soon as it publishes.
 	AdvertiseURL string
 	// Client performs the sync requests; nil builds one with a 10s
 	// timeout. Chaos tests install a faultinject.ChaosTransport
@@ -58,17 +57,21 @@ func (c ReplicaConfig) withDefaults() ReplicaConfig {
 }
 
 // Replica wraps a serve.Server into a fleet serving replica: it pulls
-// epoch-stamped envelopes from the planner (and accepts pushes),
-// re-validates every plan locally before hot-swapping it in, and
-// renews its lease with every sync. Solve traffic is refused — plans
-// enter a replica only through the distribution path, which funnels
-// into the registry's validating, epoch-monotone PublishExternal.
+// epoch-stamped envelopes from its planner, re-validates every plan
+// locally before hot-swapping it in, and renews its lease with every
+// sync. A push carries no plan; it only wakes the sync loop. Solve
+// traffic is refused — plans enter a replica only through its own
+// fetch from the planner, which funnels into the registry's
+// validating, epoch-monotone PublishExternal.
 type Replica struct {
 	srv         *serve.Server
 	cfg         ReplicaConfig
 	holder      *holder
 	mux         *http.ServeMux
 	fingerprint string
+	// wake holds at most one pending push: Run's wait between rounds
+	// ends on it, so a published epoch is fetched at once.
+	wake chan struct{}
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -85,10 +88,17 @@ func NewReplica(srv *serve.Server, cfg ReplicaConfig) *Replica {
 		holder:      newHolder(),
 		fingerprint: serve.Fingerprint(srv.Instance()),
 		jitter:      rand.New(rand.NewSource(cfg.JitterSeed)),
+		wake:        make(chan struct{}, 1),
 	}
 	srv.AddHealthCheck("lease", r.leaseCheck)
 	r.mux = http.NewServeMux()
-	r.mux.HandleFunc("POST "+PlanPath, r.handlePush)
+	r.mux.HandleFunc("POST "+PlanPath, func(w http.ResponseWriter, req *http.Request) {
+		select {
+		case r.wake <- struct{}{}:
+		default: // a wake is already pending
+		}
+		w.WriteHeader(http.StatusAccepted)
+	})
 	r.mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusForbidden, ErrReplicaReadOnly.Error())
 	})
@@ -96,8 +106,9 @@ func NewReplica(srv *serve.Server, cfg ReplicaConfig) *Replica {
 	return r
 }
 
-// ServeHTTP implements http.Handler: the push endpoint and the solve
-// guard first, everything else to the serving core.
+// ServeHTTP implements http.Handler: the push endpoint, which reads no
+// body and only wakes the sync loop (202), and the solve guard first,
+// everything else to the serving core.
 func (r *Replica) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	r.mux.ServeHTTP(w, req)
 }
@@ -130,7 +141,9 @@ func (r *Replica) leaseCheck() serve.HealthCheck {
 // plan to the validating registry. The wire is never trusted: a plan
 // that fails the local congestion-free sweep is refused (wrapping
 // serve.ErrValidation), and an epoch that does not advance the local
-// registry is refused (serve.ErrEpochRegression).
+// registry is refused (serve.ErrEpochRegression). syncOnce is its one
+// caller in the fleet, so a replica installs only envelopes its planner
+// served.
 func (r *Replica) Apply(ctx context.Context, env *serve.Envelope) (*serve.Published, error) {
 	plan, err := env.DecodePlan(r.srv.Instance(), r.fingerprint)
 	if err != nil {
@@ -143,41 +156,12 @@ func (r *Replica) Apply(ctx context.Context, env *serve.Envelope) (*serve.Publis
 	return pub, err
 }
 
-// handlePush accepts a planner-pushed envelope. Statuses: 200
-// installed, 409 epoch did not advance (the replica is already
-// current — convergence, not failure), 422 failed decode or local
-// validation.
-func (r *Replica) handlePush(w http.ResponseWriter, req *http.Request) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBody))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading push body")
-		return
-	}
-	env, err := serve.DecodeEnvelope(data)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "undecodable envelope")
-		return
-	}
-	pub, err := r.Apply(req.Context(), env)
-	w.Header().Set("Content-Type", "application/json")
-	switch {
-	case err == nil:
-		w.Header().Set(serve.EpochHeader, strconv.FormatUint(pub.Epoch, 10))
-		json.NewEncoder(w).Encode(map[string]any{"installed": pub.Epoch})
-	case errors.Is(err, serve.ErrEpochRegression):
-		w.WriteHeader(http.StatusConflict)
-		json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "epoch": r.srv.Registry().Epoch()})
-	default:
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		json.NewEncoder(w).Encode(map[string]any{"error": err.Error()})
-	}
-}
-
 // Run drives the sync loop until ctx ends: each round is one
 // conditional fetch that renews the lease and, when the local registry
 // is behind, brings the newest envelope to apply. Failed rounds back
 // off exponentially with seeded jitter between the backoff bounds; a
-// successful round resets the cadence (see cadence).
+// successful round resets the cadence (see cadence). A push ends the
+// wait between rounds early.
 func (r *Replica) Run(ctx context.Context) {
 	delay := time.Duration(0)   // first round immediately
 	backoff := time.Duration(0) // 0: the next failure waits the least
@@ -189,6 +173,8 @@ func (r *Replica) Run(ctx context.Context) {
 				timer.Stop()
 				return
 			case <-timer.C:
+			case <-r.wake:
+				timer.Stop()
 			}
 		} else if ctx.Err() != nil {
 			return
@@ -294,8 +280,5 @@ func (r *Replica) syncOnce(ctx context.Context) (err error) {
 		return err
 	}
 	_, err = r.Apply(ctx, env)
-	if errors.Is(err, serve.ErrEpochRegression) {
-		return nil // raced with a concurrent push; the newer epoch won
-	}
 	return err
 }

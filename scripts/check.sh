@@ -18,6 +18,11 @@ while [ -L "$script" ]; do
 done
 cd "$(dirname "$script")/.."
 
+# scratch holds what the gate builds and writes, one directory per run,
+# removed however the run ends, so two runs at once share no file.
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+
 # run_named_tests is go test for a step that names its tests in a -run
 # list. Every alternative of that list must match a test, fuzz target or
 # example in the step's packages, or the gate fails naming it: a renamed
@@ -74,9 +79,8 @@ echo "== go build cmd/pcfd + cmd/pcffe"
 # type-checks main packages but a broken link (e.g. a bad linker flag
 # or a main-only symbol clash) only surfaces when the binary is
 # actually produced.
-go build -o /tmp/pcfd.check ./cmd/pcfd
-go build -o /tmp/pcffe.check ./cmd/pcffe
-rm -f /tmp/pcfd.check /tmp/pcffe.check
+go build -o "$scratch/pcfd" ./cmd/pcfd
+go build -o "$scratch/pcffe" ./cmd/pcffe
 
 echo "== examples (each must exit 0)"
 # The four programs under examples/ are documentation that runs, and
@@ -103,8 +107,9 @@ echo "== fleet chaos smoke (-race -short)"
 # The fleet soak ran at full length above; this pass runs its -short
 # kill/partition/tear schedule (the fault count at its assertion floor,
 # ≥ 60) with the front end's and planner's goroutine lifecycle tests
-# and the sync-protocol regressions beside it.
-run_named_tests -race -short -count=1 -run 'TestFleetChaosSoak|TestFrontend|TestPlannerDrain|TestReplicaLeaseSurvivesPlannerRestart|TestReplicaSyncIsOneRequest|TestReplicaDefaultCadenceFollowsLeaseTTL' ./internal/fleet/
+# and the sync-protocol regressions beside it, among them that a
+# replica serves only epochs its planner published.
+run_named_tests -race -short -count=1 -run 'TestFleetChaosSoak|TestFrontend|TestPlannerDrain|TestReplicaLeaseSurvivesPlannerRestart|TestReplicaSyncIsOneRequest|TestReplicaDefaultCadenceFollowsLeaseTTL|TestReplicaServesOnlyPlannerEpochs' ./internal/fleet/
 
 echo "== separation oracle reuse (-race -count=2)"
 # Polytope.Minimize lowers its rows as Compile would, bit for bit, and
@@ -250,12 +255,12 @@ echo "== 1 000-node links file plans (timeout 120 s)"
 # Waxman output pcfplan -scheme pcf-tf prints its value in ~3 s. While
 # preparation solved the exact MCF only to print its MLU, this run
 # never finished.
-wax=$(mktemp -d)
+wax=$scratch/wax
+mkdir "$wax"
 go build -o "$wax/pcfplan" ./cmd/pcfplan
 go run ./cmd/topogen -synth waxman -nodes 1000 -pairs 250 -out "$wax/wax1k" >/dev/null
 timeout 120 "$wax/pcfplan" -links "$wax/wax1k.links" -tm "$wax/wax1k.tm" -pairs 250 -scheme pcf-tf >"$wax/plan.txt"
 grep -q '^PCF-TF guaranteed demand scale: ' "$wax/plan.txt"
-rm -rf "$wax"
 
 echo "== bench smoke (-benchtime 1x)"
 # Every Go benchmark once, for its tripwires: BenchmarkSolveSynth1k

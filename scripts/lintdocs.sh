@@ -38,10 +38,10 @@ actual=$(go run ./cmd/pcflint -list)
 
 if [ "$documented" != "$actual" ]; then
 	echo "lintdocs: DESIGN.md analyzer table is out of date with pcflint -list:" >&2
-	printf '%s\n' "$documented" >/tmp/lintdocs.documented
-	printf '%s\n' "$actual" >/tmp/lintdocs.actual
-	diff -u /tmp/lintdocs.documented /tmp/lintdocs.actual >&2 || true
-	rm -f /tmp/lintdocs.documented /tmp/lintdocs.actual
+	documentedf=$(mktemp)
+	trap 'rm -f "$documentedf"' EXIT
+	printf '%s\n' "$documented" >"$documentedf"
+	printf '%s\n' "$actual" | diff -u "$documentedf" - >&2 || true
 	exit 1
 fi
 echo "lintdocs: DESIGN.md analyzer table matches pcflint -list"
