@@ -505,10 +505,24 @@ func BenchmarkValidateSweepSynth1k(b *testing.B) {
 	if st.ArcChecks >= arcs {
 		b.Fatalf("sweep checked %d arcs in %d realized scenarios, every arc every time; the record should vouch for nearly all", st.ArcChecks, st.Classes)
 	}
+	// And for rows: the full scans visit every universe row once per
+	// scenario and once per destination emitted afresh; the walk visits
+	// the rows a scenario changes and each destination's few non-zero
+	// rows. A PCF-TF plan has no LSs, so its universe is the no-failure
+	// pair set.
+	base, err := routing.Realize(plan, failures.Scenario{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := len(base.Pairs) * (st.SMWHits + st.DestEvals - st.DestReplays)
+	if st.RowVisits >= rows {
+		b.Fatalf("sweep visited %d rows where the full scans visit %d, every row every time; the walk should visit only what changed", st.RowVisits, rows)
+	}
 	b.ReportMetric(100*st.SMWHitRate(), "smw_hit_pct")
 	b.ReportMetric(float64(st.BatchHits), "batch_hits")
 	b.ReportMetric(100*float64(st.DestReplays)/float64(st.DestEvals), "dest_replay_pct")
 	b.ReportMetric(100*float64(st.ArcChecks)/float64(arcs), "arc_check_pct")
+	b.ReportMetric(100*float64(st.RowVisits)/float64(rows), "row_visit_pct")
 }
 
 // BenchmarkValidateSampled measures what GET

@@ -510,6 +510,12 @@ func carve[T any](arena *[]T, m int) []T {
 // Rank returns the rank k of the correction.
 func (u *Updated) Rank() int { return len(u.rows) }
 
+// InverseRows returns the rows of inverse column j's nonzeros,
+// ascending: the rows a correction whose multiplier yk[j] is non-zero
+// writes (CorrectIntoScratch). The slice is the corrector's; callers
+// must not change it.
+func (u *Updated) InverseRows(j int) []int32 { return u.wRow[u.wOff[j]:u.wOff[j+1]] }
+
 // NNZ returns the number of values the corrector stores — the update
 // entries, the capacitance factors' off-diagonal nonzeros and pivots,
 // and the inverse columns' nonzeros — which its size and the cost of a
@@ -543,6 +549,10 @@ func (u *Updated) CorrectInto(dst, y []float64) error {
 // with an exact zero, and it adds the others in the dense loop's order,
 // so dst equals the dense correction's under ==; only the sign of an
 // exact zero can differ. With n = 0 or k = 0 it leaves dst = y.
+//
+// On return yk holds the multipliers C⁻¹·z (all zero when z is): dst
+// differs from y only in the rows InverseRows(j) lists for a j with
+// yk[j] ≠ 0.
 func (u *Updated) CorrectIntoScratch(dst, y, z, yk []float64) error {
 	if len(dst) != u.n || len(y) != u.n {
 		return fmt.Errorf("linsolve: correction length %d/%d != %d", len(dst), len(y), u.n)
@@ -566,6 +576,7 @@ func (u *Updated) CorrectIntoScratch(dst, y, z, yk []float64) error {
 		copy(dst, y)
 	}
 	if !touched {
+		clear(yk)
 		return nil
 	}
 	// yk = C⁻¹ z: permute, then forward through the unit lower factor

@@ -43,6 +43,7 @@ func checkRealizationScan(plan *core.Plan, r *Realization) error {
 		dsts = append(dsts, dst)
 	}
 	slices.Sort(dsts)
+	ends, _ := tunnelTables(in.Tunnels)
 	bal := newBalance(g.NumNodes())
 	var wantNodes []int32
 	var wantVals, vals []float64
@@ -55,7 +56,7 @@ func checkRealizationScan(plan *core.Plan, r *Realization) error {
 			wantNodes, wantVals = append(wantNodes, int32(p.Src)), append(wantVals, d)
 		}
 		tuns, vals = flattenFlows(r.TunnelTo[dst], tuns[:0], vals[:0])
-		if v, got, want := bal.imbalance(in.Tunnels, tuns, vals, wantNodes, wantVals); v >= 0 {
+		if v, got, want := bal.imbalance(ends, tuns, vals, wantNodes, wantVals); v >= 0 {
 			return balanceError{dst, v, got, want, r.Scenario}
 		}
 	}

@@ -91,7 +91,7 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 		ArcLoad:  make([]float64, in.Graph.NumArcs()),
 	}
 	for r, p := range s.pairs {
-		if sr.inSet[r] == ep {
+		if s.in(sr, r) {
 			res.Pairs = append(res.Pairs, p)
 		}
 	}
@@ -136,7 +136,7 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 	for _, dst := range s.dests {
 		for r, p := range s.pairs {
 			load[r] = 0
-			if sr.inSet[r] == ep && p.Dst == dst {
+			if s.in(sr, r) && p.Dst == dst {
 				load[r] = s.demand[r]
 			}
 		}
@@ -165,7 +165,7 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 					continue
 				}
 				flows[tid] += f
-				for _, a := range in.Tunnels.Tunnel(tid).Path.Arcs {
+				for _, a := range s.tunArcs.at(int(tid)) {
 					res.ArcLoad[a] += f
 				}
 			}
@@ -186,7 +186,7 @@ func RealizeProportional(plan *core.Plan, sc failures.Scenario) (*Realization, e
 	}
 	res.U = make([]float64, 0, len(res.Pairs))
 	for r := range s.pairs {
-		if sr.inSet[r] != ep {
+		if !s.in(sr, r) {
 			continue
 		}
 		if uAgg[r] > 1+tol.Util {

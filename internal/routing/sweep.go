@@ -65,6 +65,15 @@ type SweepStats struct {
 	// engine with no base record). Every other arc's verdict is the
 	// record's (sweepcheck.go).
 	ArcChecks int
+	// RowVisits counts, over the SMW-served scenarios, the universe rows
+	// their range checks and emissions walked one by one: per scenario
+	// the pairs of interest whose utilization or membership it changed,
+	// plus the record's first untouched out-of-range and largest rows,
+	// and per destination emitted afresh the rows its base solution or
+	// its correction makes non-zero. A full scan visits every row per
+	// scenario and per such destination; here every other row's verdict
+	// is the record's (sweepemit.go).
+	RowVisits int
 	// MaxRank is the largest rank-k correction served by the SMW path.
 	MaxRank int
 	// BatchHits counts the SMW-served scenarios of this sweep whose
@@ -103,6 +112,7 @@ func (s SweepStats) Metrics() map[string]float64 {
 		"dest_evals":          float64(s.DestEvals),
 		"dest_replays":        float64(s.DestReplays),
 		"arc_checks":          float64(s.ArcChecks),
+		"row_visits":          float64(s.RowVisits),
 		"max_rank":            float64(s.MaxRank),
 		"batch_hits":          float64(s.BatchHits),
 		"smw_hit_rate":        s.SMWHitRate(),
@@ -125,12 +135,13 @@ const (
 // out of the signature cache, and how many of the destinations emitted
 // were replays) or through the cold path, and then why.
 type served struct {
-	smw      bool
-	rank     int
-	batchHit bool
-	evals    int
-	replays  int
-	cause    fallbackCause
+	smw       bool
+	rank      int
+	batchHit  bool
+	evals     int
+	replays   int
+	rowVisits int
+	cause     fallbackCause
 }
 
 // count folds one successfully served scenario into the stats.
@@ -154,6 +165,7 @@ func (s *SweepStats) count(sv served) {
 	}
 	s.DestEvals += sv.evals
 	s.DestReplays += sv.replays
+	s.RowVisits += sv.rowVisits
 }
 
 // add folds the counts of another sweep through the same engine (or of
@@ -171,6 +183,7 @@ func (s *SweepStats) add(o SweepStats) {
 	s.DestEvals += o.DestEvals
 	s.DestReplays += o.DestReplays
 	s.ArcChecks += o.ArcChecks
+	s.RowVisits += o.RowVisits
 	s.MaxRank = max(s.MaxRank, o.MaxRank)
 	s.BatchHits += o.BatchHits
 	s.Total += o.Total
@@ -235,16 +248,22 @@ type engine struct {
 	index map[topology.Pair]int
 
 	numTun    int
-	pairTun   [][]tunnels.ID                   // universe row -> tunnels of that pair
-	tunRow    []int                            // tunnel -> universe row (-1 if none)
-	tunRes    []float64                        // tunnel -> reservation (plan.TunnelRes, flat)
-	linkTuns  map[topology.LinkID][]tunnels.ID // link -> tunnels of universe pairs using it
+	pairTun   [][]tunnels.ID // universe row -> tunnels of that pair
+	tunRow    []int          // tunnel -> universe row (-1 if none)
+	tunRes    []float64      // tunnel -> reservation (plan.TunnelRes, flat)
+	linkTuns  jagged         // link -> tunnels of universe pairs using it
 	ls        []sweepLS
 	localLS   [][]int // row -> indexes into ls with pairRow == row
 	throughLS [][]int // row -> indexes into ls having the row as a segment
 	seeds     []int   // universe rows of positive-demand pairs
 	demand    []float64
 	dests     []topology.NodeID
+
+	// Every tunnel of the instance, flat: tunEnds[2·tid] and
+	// tunEnds[2·tid+1] are tunnel tid's endpoints (its pair's source
+	// and destination), tunArcs.at(tid) its arcs in path order.
+	tunEnds []int32
+	tunArcs jagged
 
 	// The check's scenario-independent inputs, flat: destIndex maps a
 	// node to its position in dests (-1: not a destination), wantNodes
@@ -256,12 +275,18 @@ type engine struct {
 	wantVals  []float64
 	arcCap    []float64
 
+	// The pairs of interest of the no-failure scenario — the seeds'
+	// closure through the LSs active there — and their number. A
+	// scenario's membership is this one, flipped where it flips it
+	// (sweepScratch.flip).
 	baseInSet []bool
-	baseRows  [][]linsolve.SparseEntry // base matrix rows, ascending column
-	slu       *linsolve.SparseLU       // base factorization; nil: the engine serves only the cold path
-	uBase     []float64                // base aggregate solution A⁻¹D
-	destBase  [][]float64              // base per-destination solutions A⁻¹D_t
-	rec       *baseEmission            // what emitDests produces on the empty scenario; set with slu
+	baseCount int
+
+	baseRows [][]linsolve.SparseEntry // base matrix rows, ascending column
+	slu      *linsolve.SparseLU       // base factorization; nil: the engine serves only the cold path
+	uBase    []float64                // base aggregate solution A⁻¹D
+	destBase [][]float64              // base per-destination solutions A⁻¹D_t
+	rec      *baseEmission            // what emitDests produces on the empty scenario; set with slu
 
 	// invCols[r] holds, once a corrector has needed it, the nonzeros of
 	// column r of the base inverse (one slot per row, set with slu);

@@ -56,11 +56,10 @@ func NewSweepContext(ctx context.Context, plan *core.Plan) (*Sweep, error) {
 func newIndex(plan *core.Plan) *Sweep {
 	s := &Sweep{
 		engine: &engine{
-			plan:     plan,
-			index:    map[topology.Pair]int{},
-			numTun:   plan.Instance.Tunnels.Len(),
-			linkTuns: map[topology.LinkID][]tunnels.ID{},
-			keySeed:  maphash.MakeSeed(),
+			plan:    plan,
+			index:   map[topology.Pair]int{},
+			numTun:  plan.Instance.Tunnels.Len(),
+			keySeed: maphash.MakeSeed(),
 		},
 		cors: &correctors{},
 	}
@@ -140,13 +139,15 @@ func (s *Sweep) closeUniverse(qs []core.LogicalSequence, demandPairs []topology.
 }
 
 // indexPlan translates the plan into universe-row coordinates: tunnels
-// per row and per link, LS entries, the demand vector with its seed
-// rows and destinations, and Check's per-destination balance targets.
+// per row and per link, the tunnel tables, LS entries, the demand
+// vector with its seed rows and destinations, the no-failure pairs of
+// interest, and Check's per-destination balance targets.
 func (s *Sweep) indexPlan(qs []core.LogicalSequence, demandPairs []topology.Pair) {
 	in, plan, n := s.plan.Instance, s.plan, s.n
 
-	// Tunnel indexes per universe row, and the link -> tunnels map used
-	// to find tunnels a failed link kills.
+	// Tunnel indexes per universe row, and the link -> tunnels index
+	// used to find tunnels a failed link kills.
+	s.tunEnds, s.tunArcs = tunnelTables(in.Tunnels)
 	s.pairTun = make([][]tunnels.ID, n)
 	s.tunRow = make([]int, s.numTun)
 	s.tunRes = make([]float64, s.numTun)
@@ -158,11 +159,17 @@ func (s *Sweep) indexPlan(qs []core.LogicalSequence, demandPairs []topology.Pair
 		s.pairTun[r] = in.Tunnels.ForPair(p)
 		for _, tid := range s.pairTun[r] {
 			s.tunRow[tid] = r
-			for _, l := range in.Tunnels.Tunnel(tid).Path.Links() {
-				s.linkTuns[l] = append(s.linkTuns[l], tid)
-			}
 		}
 	}
+	s.linkTuns = jaggedOf(in.Graph.NumLinks(), func(add func(l int, v int32)) {
+		for _, tuns := range s.pairTun {
+			for _, tid := range tuns {
+				for _, a := range s.tunArcs.at(int(tid)) {
+					add(int(topology.LinkOf(topology.ArcID(a))), int32(tid))
+				}
+			}
+		}
+	})
 
 	s.localLS = make([][]int, n)
 	s.throughLS = make([][]int, n)
@@ -207,6 +214,14 @@ func (s *Sweep) indexPlan(qs []core.LogicalSequence, demandPairs []topology.Pair
 		}
 	}
 
+	// The no-failure pairs of interest.
+	base := make([]bool, len(s.ls))
+	for qi := range s.ls {
+		base[qi] = s.ls[qi].baseActive
+	}
+	s.baseInSet = make([]bool, n)
+	s.baseCount = len(s.closure(nil, s.baseInSet, base))
+
 	// The check's inputs are scenario-independent, so build them once.
 	// A destination's balance target is the scaled demand v->dst at each
 	// source v and minus the total demand into dst at dst; it is summed
@@ -249,6 +264,25 @@ func (s *Sweep) indexPlan(qs []core.LogicalSequence, demandPairs []topology.Pair
 	}
 }
 
+// tunnelTables lays out every tunnel of ts flat: its endpoints, two
+// per tunnel, and its arcs in path order.
+func tunnelTables(ts *tunnels.Set) (ends []int32, arcs jagged) {
+	ends = make([]int32, 2*ts.Len())
+	arcs.off = make([]int32, ts.Len()+1)
+	for tid := range ts.Len() {
+		t := ts.Tunnel(tunnels.ID(tid))
+		ends[2*tid], ends[2*tid+1] = int32(t.Pair.Src), int32(t.Pair.Dst)
+		arcs.off[tid+1] = arcs.off[tid] + int32(len(t.Path.Arcs))
+	}
+	arcs.val = make([]int32, 0, arcs.off[ts.Len()])
+	for tid := range ts.Len() {
+		for _, a := range ts.Tunnel(tunnels.ID(tid)).Path.Arcs {
+			arcs.val = append(arcs.val, int32(a))
+		}
+	}
+	return ends, arcs
+}
+
 // buildBaseRows builds the no-failure reservation matrix with the
 // scenario path's own row routine run on the empty scenario, so a row
 // no scenario changes recomputes to bit-identical coefficients and never
@@ -262,10 +296,6 @@ func (s *Sweep) buildBaseRows(sr *sweepScratch) bool {
 	s.activate(failures.Scenario{}, sr)
 	if s.scenarioRows(failures.Scenario{}, sr) != nil {
 		return false
-	}
-	s.baseInSet = make([]bool, s.n)
-	for r := range s.baseInSet {
-		s.baseInSet[r] = sr.inSet[r] == sr.epoch
 	}
 	s.baseRows = rowViews(sr.sys.ptr, slices.Clone(sr.sys.ents))
 	return true

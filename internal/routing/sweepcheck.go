@@ -75,9 +75,11 @@ func newBalance(nodes int) balance {
 
 // imbalance returns the lowest-numbered node whose net outflow under
 // the flows misses its target by more than tol.Balance, with that
-// outflow and target, or -1. The target is wantVals[i] at node
-// wantNodes[i] (each node listed once) and zero everywhere else.
-func (b *balance) imbalance(ts *tunnels.Set, tuns []tunnels.ID, vals []float64, wantNodes []int32, wantVals []float64) (node int, got, want float64) {
+// outflow and target, or -1. Tunnel tid runs from node ends[2·tid] to
+// node ends[2·tid+1] (the engine's tunEnds). The target is wantVals[i]
+// at node wantNodes[i] (each node listed once) and zero everywhere
+// else.
+func (b *balance) imbalance(ends []int32, tuns []tunnels.ID, vals []float64, wantNodes []int32, wantVals []float64) (node int, got, want float64) {
 	touch := func(v int32) {
 		if !b.seen[v] {
 			b.seen[v] = true
@@ -85,11 +87,11 @@ func (b *balance) imbalance(ts *tunnels.Set, tuns []tunnels.ID, vals []float64, 
 		}
 	}
 	for i, tid := range tuns {
-		p := ts.Tunnel(tid).Pair
-		touch(int32(p.Src))
-		touch(int32(p.Dst))
-		b.net[p.Src] += vals[i]
-		b.net[p.Dst] -= vals[i]
+		src, dst := ends[2*tid], ends[2*tid+1]
+		touch(src)
+		touch(dst)
+		b.net[src] += vals[i]
+		b.net[dst] -= vals[i]
 	}
 	for i, v := range wantNodes {
 		touch(v)
@@ -287,7 +289,7 @@ func (s *Sweep) judge(sc failures.Scenario, sr *sweepScratch, r *Realization, ch
 // targets.
 func (s *Sweep) imbalance(bal *balance, di int, tuns []tunnels.ID, vals []float64) (node int, got, want float64) {
 	lo, hi := s.wantNodes.off[di], s.wantNodes.off[di+1]
-	return bal.imbalance(s.plan.Instance.Tunnels, tuns, vals, s.wantNodes.val[lo:hi], s.wantVals[lo:hi])
+	return bal.imbalance(s.tunEnds, tuns, vals, s.wantNodes.val[lo:hi], s.wantVals[lo:hi])
 }
 
 // flattenFlows appends a destination's flow map to tuns and vals in

@@ -93,13 +93,10 @@ func newClassTables(e *engine) *classTables {
 	links := e.plan.Instance.Graph.NumLinks()
 	return &classTables{
 		resTuns: jaggedOf(links, func(add func(l int, v int32)) {
-			for l, tids := range e.linkTuns {
-				if l < 0 || int(l) >= links {
-					continue
-				}
-				for _, tid := range tids {
-					if e.tunRow[tid] >= 0 && e.tunRes[tid] != 0 {
-						add(int(l), int32(tid))
+			for l := range links {
+				for _, tid := range e.linkTuns.at(l) {
+					if e.tunRes[tid] != 0 {
+						add(l, tid)
 					}
 				}
 			}

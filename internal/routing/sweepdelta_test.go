@@ -85,7 +85,7 @@ func denseEmit(s *Sweep, sc failures.Scenario, sr *sweepScratch, x []float64, up
 		ArcLoad:  make([]float64, in.Graph.NumArcs()),
 	}
 	for r := 0; r < s.n; r++ {
-		if sr.inSet[r] != ep {
+		if !s.in(sr, r) {
 			continue
 		}
 		if x[r] < -1e-7 || x[r] > 1+1e-7 {
@@ -105,7 +105,7 @@ func denseEmit(s *Sweep, sc failures.Scenario, sr *sweepScratch, x []float64, up
 		}
 		flows := map[tunnels.ID]float64{}
 		for r := 0; r < s.n; r++ {
-			if sr.inSet[r] != ep || xt[r] <= 1e-12 {
+			if !s.in(sr, r) || xt[r] <= 1e-12 {
 				continue
 			}
 			for _, tid := range s.pairTun[r] {
@@ -357,7 +357,7 @@ func flatRealization(t *testing.T, s *Sweep, sc failures.Scenario, sr *sweepScra
 		ArcLoad:  append([]float64(nil), sr.arcLoad...),
 	}
 	for r := 0; r < s.n; r++ {
-		if sr.inSet[r] == sr.epoch {
+		if s.in(sr, r) {
 			res.Pairs = append(res.Pairs, s.pairs[r])
 			res.U = append(res.U, sr.sol[r])
 		}
@@ -802,7 +802,7 @@ func TestDeltaAffectedOnMembershipFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	segRow, parent := sw.index[topology.Pair{Src: 0, Dst: 1}], sw.index[topology.Pair{Src: 0, Dst: 2}]
-	if !sw.baseInSet[segRow] || sr.inSet[segRow] == sr.epoch {
+	if !sw.baseInSet[segRow] || sw.in(sr, segRow) {
 		t.Fatalf("segment row %d does not leave the pair set", segRow)
 	}
 	found := false

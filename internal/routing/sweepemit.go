@@ -47,7 +47,13 @@ func (j jagged) at(i int) []int32 { return j.val[j.off[i]:j.off[i+1]] }
 // leaves alone.
 //
 // rowDest indexes the destinations whose base solution is non-zero on a
-// universe row — the ones a change to that row can reach.
+// universe row — the ones a change to that row can reach — and destRows,
+// its transpose, the rows each destination's base solution is non-zero
+// on, ascending: its base support.
+//
+// Over the base pairs of interest: those with a positive aggregate
+// utilization, highest first, and those out of range, ascending — the
+// range check's verdict on every row a scenario leaves alone.
 type baseEmission struct {
 	flowOff  []int32 // destination di's flows are [flowOff[di], flowOff[di+1])
 	flowTun  []tunnels.ID
@@ -58,6 +64,9 @@ type baseEmission struct {
 	ranked   []int32 // arcs with positive base utilization, highest first
 	over     []int32 // arcs whose base load is overloaded, ascending
 	rowDest  jagged
+	destRows jagged
+	uRanked  []int32 // base pairs of interest with positive utilization, highest first
+	uOut     []int32 // base pairs of interest out of range, ascending
 }
 
 // recordBase runs emitDests on the empty scenario sr holds — with no
@@ -68,7 +77,6 @@ func (s *Sweep) recordBase(sr *sweepScratch) {
 		s.slu = nil // no record, no low-rank path: serve cold
 		return
 	}
-	ts := s.plan.Instance.Tunnels
 	rec := &baseEmission{
 		flowOff:  append([]int32(nil), sr.flowOff...),
 		flowTun:  append([]tunnels.ID(nil), sr.flowTun...),
@@ -83,7 +91,7 @@ func (s *Sweep) recordBase(sr *sweepScratch) {
 		rec.balanced[di] = v < 0
 	}
 	for _, tid := range rec.flowTun {
-		for _, a := range ts.Tunnel(tid).Path.Arcs {
+		for _, a := range s.tunArcs.at(int(tid)) {
 			rec.arcFlows[a]++
 		}
 	}
@@ -117,25 +125,105 @@ func (s *Sweep) recordBase(sr *sweepScratch) {
 		}
 		rec.rowDest.off = append(rec.rowDest.off, int32(len(rec.rowDest.val)))
 	}
+	rec.destRows = jaggedOf(len(s.dests), func(add func(di int, r int32)) {
+		// Rows descending: jaggedOf places each list's values back to
+		// front, so every list comes out ascending.
+		for r := s.n - 1; r >= 0; r-- {
+			for _, di := range rec.rowDest.at(r) {
+				add(int(di), int32(r))
+			}
+		}
+	})
+
+	// The range check's verdict on untouched rows, in its own
+	// comparisons.
+	rec.uRanked = make([]int32, 0, s.baseCount)
+	for r, in := range s.baseInSet {
+		if !in {
+			continue
+		}
+		if u := s.uBase[r]; u < -tol.Util || u > 1+tol.Util {
+			rec.uOut = append(rec.uOut, int32(r))
+		}
+		if s.uBase[r] > 0 {
+			rec.uRanked = append(rec.uRanked, int32(r))
+		}
+	}
+	slices.SortFunc(rec.uRanked, func(a, b int32) int {
+		if c := cmp.Compare(s.uBase[b], s.uBase[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	s.rec = rec
 }
 
 // checkU range-checks the aggregate utilizations of the pairs of
 // interest (Proposition 5) and, in the same walk, records the largest
-// in sr.maxU (0 if none).
-func (s *Sweep) checkU(sc failures.Scenario, sr *sweepScratch) error {
-	ep, x := sr.epoch, sr.sol
-	maxU := 0.0
-	for r := 0; r < s.n; r++ {
-		if sr.inSet[r] != ep {
-			continue
+// in sr.maxU (0 if none). The first error is the lowest-numbered row's.
+// Dense — on the cold path — it walks every row. On the low-rank path
+// (walk) it visits only the rows whose membership the scenario flips
+// and the rows the aggregate correction upd writes (the nonzero rows of
+// each inverse column with a non-zero multiplier). Every other pair of
+// interest is a base one with its base utilization, so the record
+// carries its verdict: the first such row out of range, and the first
+// in the base ranking for the largest.
+func (s *Sweep) checkU(sc failures.Scenario, sr *sweepScratch, upd *linsolve.Updated, walk bool) error {
+	x := sr.sol
+	bad, maxU, visits := -1, 0.0, 0
+	visit := func(r int) {
+		visits++
+		u := x[r]
+		out := u < -tol.Util || u > 1+tol.Util
+		// A value in range and no larger than the largest so far
+		// changes neither verdict, member or not.
+		if !out && u <= maxU || !s.in(sr, r) {
+			return
 		}
-		if x[r] < -tol.Util || x[r] > 1+tol.Util {
-			return unrealizable{utilizationError{s.pairs[r], x[r], sc}}
+		if out && (bad < 0 || r < bad) {
+			bad = r
 		}
-		if x[r] > maxU {
-			maxU = x[r]
+		if u > maxU {
+			maxU = u
 		}
+	}
+	if !walk {
+		for r := 0; r < s.n && bad < 0; r++ {
+			visit(r)
+		}
+	} else {
+		for _, r := range sr.flips {
+			visit(r)
+		}
+		if upd != nil {
+			for j, f := range sr.smwY[:upd.Rank()] {
+				if f != 0 {
+					for _, r := range upd.InverseRows(j) {
+						visit(int(r))
+					}
+				}
+			}
+		}
+		// A row neither flipped nor moved holds its base utilization.
+		untouched := func(r int32) bool {
+			return sr.flip[r] != sr.epoch && math.Float64bits(x[r]) == math.Float64bits(s.uBase[r])
+		}
+		for _, r := range s.rec.uOut {
+			if untouched(r) {
+				visit(int(r))
+				break
+			}
+		}
+		for _, r := range s.rec.uRanked {
+			if untouched(r) {
+				visit(int(r))
+				break
+			}
+		}
+	}
+	sr.rowVisits += visits
+	if bad >= 0 {
+		return unrealizable{utilizationError{s.pairs[bad], x[bad], sc}}
 	}
 	sr.maxU = maxU
 	return nil
@@ -169,18 +257,19 @@ func (s *Sweep) markAffected(sr *sweepScratch, rows []int, ups []linsolve.RowUpd
 // destination by destination in node order: a destination a low-rank
 // scenario cannot change replays the record and costs nothing, any
 // other has its solution (destSolution) spread over each pair's live
-// tunnels. Arc loads start from the record's: the arcs the
-// previous emission touched go back to their base loads. On the
-// low-rank path an affected destination's rows whose flows may differ
-// from the base's add each flow's change to the arcs its tunnel
-// crosses (moveRow), an arc no flow crosses any more reads exactly 0,
-// and every other arc keeps its base load. Dense — on the cold path
-// (lu set) and on an engine with no record — every arc is summed from
-// zero, flow by flow in emission order, and every arc counts as
-// touched.
+// tunnels, row by row ascending (emitRow). Arc loads start from the
+// record's: the arcs the previous emission touched go back to their
+// base loads. On the low-rank path an affected destination walks only
+// its base support merged with the rows its correction writes outside
+// it — every other row has a zero solution now and at base, so it
+// carries no flow and moves none — and its rows whose flows may differ
+// from the base's add each flow's change to the arcs its tunnel crosses
+// (moveRow); an arc no flow crosses any more reads exactly 0, and every
+// other arc keeps its base load. Dense — on the cold path (lu set) and
+// on an engine with no record — every row is walked, every arc is
+// summed from zero, flow by flow in emission order, and every arc
+// counts as touched.
 func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.Updated, lu *linsolve.SparseLU) (served, error) {
-	in := s.plan.Instance
-	ep := sr.epoch
 	dense := s.rec == nil || lu != nil
 	k := 0
 	if upd != nil {
@@ -208,37 +297,24 @@ func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.
 		if err != nil {
 			return served{}, fmt.Errorf("routing: destination %d system under %v: %w", dst, sc, err)
 		}
-		var xb []float64
-		if !dense {
-			xb = s.destBase[di]
+		if dense {
+			for r := 0; r < s.n; r++ {
+				s.emitRow(sr, r, xt, nil)
+			}
+			sr.rowVisits += s.n
+			continue
 		}
-		for r := 0; r < s.n; r++ {
-			// A row keeps its base flows unless it carries some, now or
-			// at base, and is marked (a dead reserved tunnel, a
-			// membership or LS flip) or its solution moved.
-			if !dense && (xt[r] > tol.Carry || xb[r] > tol.Carry) &&
-				(sr.rowMark[r] == ep || math.Float64bits(xt[r]) != math.Float64bits(xb[r])) {
-				s.moveRow(sr, r, xt[r], xb[r])
+		xb := s.destBase[di]
+		base, extra := s.rec.destRows.at(di), s.moved(sr, di, upd)
+		sr.rowVisits += len(base) + len(extra)
+		for len(base) > 0 || len(extra) > 0 {
+			var r int32
+			if len(extra) == 0 || len(base) > 0 && base[0] < extra[0] {
+				r, base = base[0], base[1:]
+			} else {
+				r, extra = extra[0], extra[1:]
 			}
-			if sr.inSet[r] != ep || xt[r] <= tol.Carry {
-				continue
-			}
-			for _, tid := range s.pairTun[r] {
-				if sr.deadTun[tid] == ep {
-					continue
-				}
-				rr := xt[r] * s.tunRes[tid]
-				if rr <= tol.Carry {
-					continue
-				}
-				sr.flowTun = append(sr.flowTun, tid)
-				sr.flowVal = append(sr.flowVal, rr)
-				if dense {
-					for _, a := range in.Tunnels.Tunnel(tid).Path.Arcs {
-						sr.arcLoad[a] += rr
-					}
-				}
-			}
+			s.emitRow(sr, int(r), xt, xb)
 		}
 	}
 	sr.flowOff[len(s.dests)] = int32(len(sr.flowTun))
@@ -252,6 +328,70 @@ func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.
 	return sv, nil
 }
 
+// moved returns, ascending, the rows outside destination di's base
+// support that its correction by upd writes: the nonzero
+// rows of each inverse column whose multiplier in the correction
+// destSolution just applied is non-zero, where the base solution is
+// zero. Under PCF-TF the matrix is diagonal and the list is always
+// empty.
+func (s *Sweep) moved(sr *sweepScratch, di int, upd *linsolve.Updated) []int32 {
+	extra := sr.extra[:0]
+	if upd == nil {
+		return extra
+	}
+	xb, st := s.destBase[di], sr.nextStamp()
+	for j, f := range sr.smwY[:upd.Rank()] {
+		if f == 0 {
+			continue
+		}
+		for _, r := range upd.InverseRows(j) {
+			if xb[r] == 0 && sr.stamp[r] != st {
+				sr.stamp[r] = st
+				extra = append(extra, r)
+			}
+		}
+	}
+	slices.Sort(extra)
+	sr.extra = extra
+	return extra
+}
+
+// emitRow emits universe row r's flows for the destination being
+// emitted, whose solution is xt under the activated scenario: one flow
+// per live tunnel of a pair of interest, xt[r] times its reservation,
+// where both exceed Carry. With the base solution xb (the low-rank
+// path), a row that carries flow now or at base and is marked (a dead
+// reserved tunnel, a membership or LS flip) or whose solution moved
+// first adds its flows' changes to the arc loads (moveRow); with none
+// (dense) each flow is added to the arcs it crosses.
+func (s *Sweep) emitRow(sr *sweepScratch, r int, xt, xb []float64) {
+	ep := sr.epoch
+	dense := xb == nil
+	if !dense && (xt[r] > tol.Carry || xb[r] > tol.Carry) &&
+		(sr.rowMark[r] == ep || math.Float64bits(xt[r]) != math.Float64bits(xb[r])) {
+		s.moveRow(sr, r, xt[r], xb[r])
+	}
+	if !s.in(sr, r) || xt[r] <= tol.Carry {
+		return
+	}
+	for _, tid := range s.pairTun[r] {
+		if sr.deadTun[tid] == ep {
+			continue
+		}
+		rr := xt[r] * s.tunRes[tid]
+		if rr <= tol.Carry {
+			continue
+		}
+		sr.flowTun = append(sr.flowTun, tid)
+		sr.flowVal = append(sr.flowVal, rr)
+		if dense {
+			for _, a := range s.tunArcs.at(int(tid)) {
+				sr.arcLoad[a] += rr
+			}
+		}
+	}
+}
+
 // moveRow adds to the arc loads the change in universe row r's flows
 // for the destination being emitted, whose solution is x under the
 // activated scenario and xb under the base: per tunnel of the pair, its
@@ -262,7 +402,7 @@ func (s *Sweep) emitDests(sc failures.Scenario, sr *sweepScratch, upd *linsolve.
 // for a flow that leaves.
 func (s *Sweep) moveRow(sr *sweepScratch, r int, x, xb float64) {
 	ep := sr.epoch
-	now, before := sr.inSet[r] == ep && x > tol.Carry, s.baseInSet[r] && xb > tol.Carry
+	now, before := s.in(sr, r) && x > tol.Carry, s.baseInSet[r] && xb > tol.Carry
 	for _, tid := range s.pairTun[r] {
 		res, d, flows := s.tunRes[tid], 0.0, int32(0)
 		if f := x * res; now && sr.deadTun[tid] != ep && f > tol.Carry {
@@ -274,10 +414,10 @@ func (s *Sweep) moveRow(sr *sweepScratch, r int, x, xb float64) {
 		if d == 0 {
 			continue
 		}
-		for _, a := range s.plan.Instance.Tunnels.Tunnel(tid).Path.Arcs {
+		for _, a := range s.tunArcs.at(int(tid)) {
 			if sr.arcFlows[a] < 0 {
 				sr.arcFlows[a] = s.rec.arcFlows[a]
-				sr.changed = append(sr.changed, int32(a))
+				sr.changed = append(sr.changed, a)
 			}
 			sr.arcLoad[a] += d
 			sr.arcFlows[a] += flows
@@ -338,7 +478,7 @@ func (s *Sweep) materialize(sc failures.Scenario, sr *sweepScratch) *Realization
 	}
 	copy(res.ArcLoad, sr.arcLoad)
 	for r := 0; r < s.n; r++ {
-		if sr.inSet[r] == sr.epoch {
+		if s.in(sr, r) {
 			res.Pairs = append(res.Pairs, s.pairs[r])
 			res.U = append(res.U, sr.sol[r])
 		}

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"pcf/internal/failures"
@@ -23,17 +25,36 @@ import (
 // be shared across goroutines without locks.
 type sweepScratch struct {
 	epoch    int32
-	colEpoch int32   // separate counter: colMark resets per candidate row
-	inSet    []int32 // epoch stamps per universe row
-	rowMark  []int32
-	colMark  []int32
+	flip     []int32 // epoch stamps per universe row: its membership is not the base's
+	rowMark  []int32 // epoch stamps per universe row: the scenario changes its coefficients
 	deadTun  []int32 // epoch stamps per tunnel ID
 	destMark []int32 // epoch stamps per destination: the scenario can change it
 	lsActive []bool
 	rowVals  []float64
-	rows     []int
 	touched  []int // columns of the row rowCoeffs last built, ascending
 	x, xt    []float64
+
+	// stamp is a per-row mark under its own counter, which each use
+	// advances (nextStamp): rowCoeffs marks the columns of the row it
+	// builds, checkU and the emission walk the rows they have listed.
+	stamp      []int32
+	stampEpoch int32
+
+	// The rows the scenario marks (rowMark), in marking order until
+	// changedRows sorts them, and the rows whose membership flips, as
+	// activate lists them. When an LS flips, activate closes the seeds
+	// afresh: reach lists the rows the closure reached, reached flags
+	// them (all false between calls; allocated on the first flip).
+	rows    []int
+	flips   []int
+	reach   []int
+	reached []bool
+
+	// The rows a destination's correction writes outside its base
+	// support (emitDests), and the rows the range check and the
+	// emission walked for the scenario last served.
+	extra     []int32
+	rowVisits int
 	// k-sized SMW correction scratch (grown on demand), so shared
 	// batched correctors stay read-only across workers; the workspace a
 	// missed corrector's capacitance is factored in, and the inverse
@@ -111,9 +132,9 @@ func (sr *sweepScratch) system() *sysScratch {
 func (s *Sweep) newScratch() *sweepScratch {
 	g := s.plan.Instance.Graph
 	sr := &sweepScratch{
-		inSet:    make([]int32, s.n),
+		flip:     make([]int32, s.n),
 		rowMark:  make([]int32, s.n),
-		colMark:  make([]int32, s.n),
+		stamp:    make([]int32, s.n),
 		deadTun:  make([]int32, s.numTun),
 		destMark: make([]int32, len(s.dests)),
 		lsActive: make([]bool, len(s.ls)),
@@ -139,6 +160,7 @@ func (s *Sweep) newScratch() *sweepScratch {
 // the engine has no base, no corrector could be built or the residual
 // guard trips.
 func (s *Sweep) realize(sc failures.Scenario, sr *sweepScratch) (served, error) {
+	sr.rowVisits = 0
 	if s.n == 0 {
 		sr.sol, sr.inCount, sr.maxU = nil, 0, 0
 		return s.emitDests(sc, sr, nil, nil)
@@ -172,12 +194,12 @@ func (s *Sweep) realize(sc failures.Scenario, sr *sweepScratch) (served, error) 
 		}
 		sr.sol = sr.x
 	}
-	if err := s.checkU(sc, sr); err != nil {
+	if err := s.checkU(sc, sr, upd, true); err != nil {
 		return served{}, err
 	}
 	s.markAffected(sr, rows, ups)
 	sv, err := s.emitDests(sc, sr, upd, nil)
-	sv.batchHit = hit
+	sv.batchHit, sv.rowVisits = hit, sr.rowVisits
 	return sv, err
 }
 
@@ -198,7 +220,7 @@ func (s *Sweep) cold(sc failures.Scenario, sr *sweepScratch, why fallbackCause) 
 		return served{}, fmt.Errorf("routing: aggregate system under %v: %w", sc, err)
 	}
 	sr.sol = sr.x
-	if err := s.checkU(sc, sr); err != nil {
+	if err := s.checkU(sc, sr, nil, false); err != nil {
 		return served{}, err
 	}
 	for di := range sr.destMark {
@@ -209,27 +231,34 @@ func (s *Sweep) cold(sc failures.Scenario, sr *sweepScratch, why fallbackCause) 
 }
 
 // activate stamps the scenario's state into the scratch under a fresh
-// epoch — dead tunnels, LS activity, and the pairs of interest (closure
-// of the seeds through the active LSs) — marking along the way the rows
-// whose coefficients a dead tunnel or an LS activity flip changes. It
-// returns the number of pairs of interest.
+// epoch — dead tunnels, LS activity, and the pairs of interest —
+// marking along the way the rows whose coefficients a dead tunnel or an
+// LS activity flip changes. It returns the number of pairs of interest.
+// Only an LS flip can change membership: without one the pairs of
+// interest are the base's and nothing is walked for them; with one the
+// seeds are closed afresh through the active LSs and every row whose
+// membership differs from the base's is stamped in flip and listed in
+// flips.
 func (s *Sweep) activate(sc failures.Scenario, sr *sweepScratch) int {
 	sr.epoch++
 	ep := sr.epoch
+	sr.rows, sr.flips = sr.rows[:0], sr.flips[:0]
+	links := len(s.linkTuns.off) - 1
 	for l, dead := range sc.Dead {
-		if !dead {
+		if !dead || l < 0 || int(l) >= links {
 			continue
 		}
-		for _, tid := range s.linkTuns[l] {
+		for _, tid := range s.linkTuns.at(int(l)) {
 			if sr.deadTun[tid] == ep {
 				continue
 			}
 			sr.deadTun[tid] = ep
 			if r := s.tunRow[tid]; r >= 0 && s.tunRes[tid] > 0 {
-				sr.rowMark[r] = ep
+				sr.mark(r)
 			}
 		}
 	}
+	flipped := false
 	for qi := range s.ls {
 		e := &s.ls[qi]
 		act := e.cond.Holds(sc)
@@ -237,50 +266,94 @@ func (s *Sweep) activate(sc failures.Scenario, sr *sweepScratch) int {
 		if act == e.baseActive {
 			continue
 		}
+		flipped = true
 		if e.pairRow >= 0 {
-			sr.rowMark[e.pairRow] = ep
+			sr.mark(e.pairRow)
 		}
 		for _, r := range e.segRows {
-			sr.rowMark[r] = ep
+			sr.mark(r)
 		}
 	}
-	inCount := 0
-	queue := sr.rows[:0]
+	if !flipped {
+		return s.baseCount
+	}
+	if sr.reached == nil {
+		sr.reached = make([]bool, s.n)
+	}
+	sr.reach = s.closure(sr.reach[:0], sr.reached, sr.lsActive)
+	for _, r := range sr.reach {
+		if !s.baseInSet[r] {
+			sr.flip[r] = ep
+			sr.flips = append(sr.flips, r)
+		}
+	}
+	for r, in := range s.baseInSet {
+		if in && !sr.reached[r] {
+			sr.flip[r] = ep
+			sr.flips = append(sr.flips, r)
+		}
+	}
+	for _, r := range sr.reach {
+		sr.reached[r] = false
+	}
+	return len(sr.reach)
+}
+
+// closure appends to reach every row the seeds reach through the LSs
+// active flags — the pairs of interest — setting in[r] as it reaches
+// r, and returns it. in must be all false on entry.
+func (s *Sweep) closure(reach []int, in, active []bool) []int {
 	for _, r := range s.seeds {
-		if sr.inSet[r] != ep {
-			sr.inSet[r] = ep
-			inCount++
-			queue = append(queue, r)
+		if !in[r] {
+			in[r] = true
+			reach = append(reach, r)
 		}
 	}
-	for len(queue) > 0 {
-		r := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, qi := range s.localLS[r] {
-			if !sr.lsActive[qi] {
+	for i := 0; i < len(reach); i++ {
+		for _, qi := range s.localLS[reach[i]] {
+			if !active[qi] {
 				continue
 			}
 			for _, sg := range s.ls[qi].segRows {
-				if sr.inSet[sg] != ep {
-					sr.inSet[sg] = ep
-					inCount++
-					queue = append(queue, sg)
+				if !in[sg] {
+					in[sg] = true
+					reach = append(reach, sg)
 				}
 			}
 		}
 	}
-	return inCount
+	return reach
 }
 
-// changedRows completes the marking with the rows a membership change
-// touches and returns every marked row, ascending.
+// in reports whether universe row r is a pair of interest under the
+// activated scenario: a base pair of interest unless the scenario
+// flips it, and the other way round.
+func (s *Sweep) in(sr *sweepScratch, r int) bool {
+	return s.baseInSet[r] != (sr.flip[r] == sr.epoch)
+}
+
+// mark stamps row r as one whose coefficients the activated scenario
+// changes, and lists it the first time.
+func (sr *sweepScratch) mark(r int) {
+	if sr.rowMark[r] != sr.epoch {
+		sr.rowMark[r] = sr.epoch
+		sr.rows = append(sr.rows, r)
+	}
+}
+
+// nextStamp advances the per-row stamp counter and returns it: every
+// row's stamp then differs from it.
+func (sr *sweepScratch) nextStamp() int32 {
+	sr.stampEpoch++
+	return sr.stampEpoch
+}
+
+// changedRows completes the marking with the rows a membership flip
+// touches and returns every marked row, ascending: the list the marking
+// made, sorted.
 func (s *Sweep) changedRows(sr *sweepScratch) []int {
-	ep := sr.epoch
-	for r := 0; r < s.n; r++ {
-		if (sr.inSet[r] == ep) == s.baseInSet[r] {
-			continue
-		}
-		sr.rowMark[r] = ep
+	for _, r := range sr.flips {
+		sr.mark(r)
 		// Entries of LSs local to r sit in r's column of their segment
 		// rows, gated on r's membership: those rows change too.
 		for _, qi := range s.localLS[r] {
@@ -289,17 +362,23 @@ func (s *Sweep) changedRows(sr *sweepScratch) []int {
 				continue
 			}
 			for _, sg := range e.segRows {
-				sr.rowMark[sg] = ep
+				sr.mark(sg)
 			}
 		}
 	}
-	rows := sr.rows[:0]
-	for r := 0; r < s.n; r++ {
-		if sr.rowMark[r] == ep {
-			rows = append(rows, r)
+	// A short list sorts for less than a pass over every row costs; a
+	// long one is read back off the stamps instead.
+	if m := len(sr.rows); m*bits.Len(uint(m)) <= s.n {
+		slices.Sort(sr.rows)
+	} else {
+		sr.rows = sr.rows[:0]
+		for r := range s.n {
+			if sr.rowMark[r] == sr.epoch {
+				sr.rows = append(sr.rows, r)
+			}
 		}
 	}
-	return rows
+	return sr.rows
 }
 
 // rowCoeffs builds row r of the reservation matrix under the activated
@@ -309,19 +388,17 @@ func (s *Sweep) changedRows(sr *sweepScratch) []int {
 // fixed — live tunnels, active local LSs, then through-LSs in index
 // order — so equal inputs always give bit-equal coefficients.
 func (s *Sweep) rowCoeffs(sr *sweepScratch, r int) float64 {
-	ep := sr.epoch
-	sr.colEpoch++
-	ce := sr.colEpoch
+	ce := sr.nextStamp()
 	sr.touched = sr.touched[:0]
 	touch := func(c int, v float64) {
-		if sr.colMark[c] != ce {
-			sr.colMark[c] = ce
+		if sr.stamp[c] != ce {
+			sr.stamp[c] = ce
 			sr.rowVals[c] = 0
 			sr.touched = append(sr.touched, c)
 		}
 		sr.rowVals[c] += v
 	}
-	if sr.inSet[r] != ep {
+	if !s.in(sr, r) {
 		touch(r, 1)
 		return 0
 	}
@@ -329,7 +406,7 @@ func (s *Sweep) rowCoeffs(sr *sweepScratch, r int) float64 {
 	touch(r, diag)
 	for _, qi := range s.throughLS[r] {
 		e := &s.ls[qi]
-		if sr.lsActive[qi] && e.pairRow >= 0 && sr.inSet[e.pairRow] == ep {
+		if sr.lsActive[qi] && e.pairRow >= 0 && s.in(sr, e.pairRow) {
 			touch(e.pairRow, -e.res)
 		}
 	}
@@ -359,7 +436,7 @@ func (s *Sweep) liveRes(sr *sweepScratch, r int) float64 {
 // interest with no live reservation is the scenario's error.
 func (s *Sweep) liveCoeffs(sc failures.Scenario, sr *sweepScratch, r int) (float64, error) {
 	diag := s.rowCoeffs(sr, r)
-	if diag <= tol.Carry && sr.inSet[r] == sr.epoch {
+	if diag <= tol.Carry && s.in(sr, r) {
 		return 0, unrealizable{noReservationError{s.pairs[r], sc}}
 	}
 	return diag, nil

@@ -210,9 +210,15 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # serial realize + judge, on the gadgets, Sprint CLS, the four benchmark
 # plans and a plan crafted so an arc's low-rank and dense loads
 # straddle capacity + Overload, on forced 4-worker pools.
+# A low-rank scenario walks only the rows it marks or flips, or whose
+# solution its correction writes: its marked rows, membership, pair
+# count, largest U, first range error and whole emission must equal the
+# full scans they replaced (the test-file oracle), bit for bit, on the
+# gadgets, Sprint CLS, BTNorthAmerica PCF-TF and PCF-CLS at f=2 and hand
+# plans whose LSs flip each way.
 # -count=2 keeps Go's test cache from answering for a
 # schedule-dependent regression.
-run_named_tests -race -count=2 -run 'TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestOutcomeFromKeptPass|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestSparseBuildMatchesDenseBuild|TestSparseBuildCraftedCapacitances|FuzzCorrectorMatchesDense|TestCorrectionFingerprints|TestCorrectorFootprint|TestInverseColumnMemoHoldsNonzeros|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone|TestSweptErrorsKeepTheirScenario|TestArcLoadsMatchDenseLoop' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
+run_named_tests -race -count=2 -run 'TestWalkedRowsMatchFullScans|TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestOutcomeFromKeptPass|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestSparseBuildMatchesDenseBuild|TestSparseBuildCraftedCapacitances|FuzzCorrectorMatchesDense|TestCorrectionFingerprints|TestCorrectorFootprint|TestInverseColumnMemoHoldsNonzeros|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone|TestSweptErrorsKeepTheirScenario|TestArcLoadsMatchDenseLoop' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
 
 echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
