@@ -15,7 +15,9 @@
 // validated plans from its planner, re-validates them locally, and
 // refuses direct solves. With -advertise the planner pushes each new
 // epoch's news to the replica, which only makes it sync at once: a
-// plan enters a replica only by its own fetch. A replica syncs every third of the lease TTL
+// plan enters a replica only by its own fetch. The planner pushes only
+// to an -advertise URL whose host is the IP address the replica's
+// fetches come from. A replica syncs every third of the lease TTL
 // its planner grants (-lease-ttl), so each sync renews the lease well
 // before it lapses. cmd/pcffe is the matching front end. A
 // planner needs -state: one that restarted without its checkpoints
@@ -23,7 +25,7 @@
 //
 //	pcfd -role planner  -topology Sprint -state /var/lib/pcfd-planner
 //	pcfd -role replica  -topology Sprint -planner http://planner:8080 \
-//	     -listen :8081 -advertise http://replica1:8081 -state /var/lib/pcfd-r1
+//	     -listen :8081 -advertise http://10.0.0.11:8081 -state /var/lib/pcfd-r1
 //
 // See DESIGN.md §13 for the serving architecture, §14 for the fleet,
 // and README.md for walkthroughs.
@@ -125,7 +127,7 @@ func main() {
 	retain := flag.Int("retain", 0, "checkpoints to keep per class (0 = default, negative = unlimited)")
 	role := flag.String("role", "", `fleet role: "planner", "replica", or empty for standalone`)
 	plannerURL := flag.String("planner", "", "planner base URL (required with -role replica)")
-	advertise := flag.String("advertise", "", "this replica's base URL as the planner reaches it (lets the planner's push start a sync at once)")
+	advertise := flag.String("advertise", "", "this replica's base URL as the planner reaches it, its host the IP address the replica's fetches come from (lets the planner's push start a sync at once)")
 	leaseTTL := flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "planner: lease lifetime granted to replicas")
 	flag.Parse()
 

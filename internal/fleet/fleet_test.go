@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -69,8 +71,9 @@ func TestPlannerPlanAndLeaseEndpoints(t *testing.T) {
 	}
 
 	// A named sync is a conditional fetch that renews the lease and
-	// records the replica, its served epoch and advertised URL.
-	resp, err = testClient.Get(ts.URL + PlanPath + "?after=1&replica=r1&url=http://r1:1")
+	// records the replica, its served epoch and advertised URL, whose
+	// host is the address the fetch came from.
+	resp, err = testClient.Get(ts.URL + PlanPath + "?after=1&replica=r1&url=http://127.0.0.1:1")
 	if err != nil {
 		t.Fatalf("named sync: %v", err)
 	}
@@ -82,8 +85,53 @@ func TestPlannerPlanAndLeaseEndpoints(t *testing.T) {
 		t.Fatalf("named sync: %s = %q, want 1000", leaseTTLHeader, got)
 	}
 	reps := p.granter.snapshot()
-	if len(reps) != 1 || reps[0].Replica != "r1" || reps[0].Epoch != 1 || reps[0].URL != "http://r1:1" {
-		t.Fatalf("replica table = %+v, want r1 at epoch 1 on http://r1:1", reps)
+	if len(reps) != 1 || reps[0].Replica != "r1" || reps[0].Epoch != 1 || reps[0].URL != "http://127.0.0.1:1" {
+		t.Fatalf("replica table = %+v, want r1 at epoch 1 on http://127.0.0.1:1", reps)
+	}
+}
+
+// TestPlanFetchCannotAimWakes: a fetch registers the url it advertises
+// as a push target only when the url's host is the address the fetch
+// came from. An anonymous fetch naming a server on another address gets
+// that server no wake on any publish; a fetch advertising its own
+// address gets one per publish.
+func TestPlanFetchCannotAimWakes(t *testing.T) {
+	srv := newCore(t, "")
+	p := NewPlanner(srv, PlannerConfig{LeaseTTL: 10 * time.Second, Logf: t.Logf})
+	ts := httptest.NewServer(p) // fetches reach it from 127.0.0.1
+	defer ts.Close()
+	counter := func(n *atomic.Int64) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			n.Add(1)
+			w.WriteHeader(http.StatusAccepted)
+		})
+	}
+	var foreign, own atomic.Int64
+	ln, err := net.Listen("tcp", "127.0.0.2:0")
+	if err != nil {
+		t.Skipf("no second loopback address to stand for another host: %v", err)
+	}
+	other := httptest.NewUnstartedServer(counter(&foreign))
+	other.Listener.Close()
+	other.Listener = ln
+	other.Start()
+	defer other.Close()
+	self := httptest.NewServer(counter(&own))
+	defer self.Close()
+	for name, advertise := range map[string]string{"nobody": other.URL, "r1": self.URL} {
+		resp, err := testClient.Get(ts.URL + PlanPath + "?replica=" + name + "&url=" + url.QueryEscape(advertise))
+		if err != nil {
+			t.Fatalf("fetch naming %s: %v", advertise, err)
+		}
+		resp.Body.Close()
+	}
+	publishEpochs(t, srv, 3)
+	p.Drain()
+	if got, want := foreign.Load(), int64(0); got != want {
+		t.Fatalf("the server an anonymous fetch named on another address received %d wakes, want %d", got, want)
+	}
+	if got, want := own.Load(), int64(3); got != want {
+		t.Fatalf("the fetch's own address received %d wakes over 3 publishes, want %d", got, want)
 	}
 }
 

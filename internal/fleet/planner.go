@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -125,7 +127,10 @@ func (p *Planner) envelopeFor(pub *serve.Published) ([]byte, error) {
 // A fetch that names a replica (?replica=<name>[&url=<advertise>]) is
 // that replica's whole sync round: the planner records it in its table
 // — after is the epoch it serves — and every answer carries the lease
-// TTL, which renews the replica's lease.
+// TTL, which renews the replica's lease. The advertised url becomes a
+// push target only when its host is the IP address the fetch came from
+// (fetchedFrom): a fetch cannot make the planner send its wakes to
+// another host.
 func (p *Planner) handlePlanFetch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	raw := q.Get("after")
@@ -135,7 +140,11 @@ func (p *Planner) handlePlanFetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if name := q.Get("replica"); name != "" {
-		p.granter.grant(name, q.Get("url"), after)
+		push := q.Get("url")
+		if !fetchedFrom(push, r.RemoteAddr) {
+			push = ""
+		}
+		p.granter.grant(name, push, after)
 		p.emit(telemetry.Record{
 			Kind:   telemetry.KindLease,
 			Name:   name,
@@ -163,6 +172,21 @@ func (p *Planner) handlePlanFetch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(serve.EpochHeader, strconv.FormatUint(pub.Epoch, 10))
 	w.Write(data)
+}
+
+// fetchedFrom reports whether the host of advertise is the IP address
+// of remote, a request's RemoteAddr ("ip:port").
+func fetchedFrom(advertise, remote string) bool {
+	u, err := url.Parse(advertise)
+	if err != nil {
+		return false
+	}
+	host, _, err := net.SplitHostPort(remote)
+	if err != nil {
+		return false
+	}
+	ip, from := net.ParseIP(u.Hostname()), net.ParseIP(host)
+	return ip != nil && ip.Equal(from)
 }
 
 // handleStatus reports the planner's fleet view.

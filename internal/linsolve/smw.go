@@ -466,6 +466,72 @@ func (w *UpdateFactorizer) detach(n int, ups []RowUpdate, cols []SparseColumn) (
 	return u, nil
 }
 
+// SetDiagonal makes u the corrector of updates that couple no rows:
+// each changes only its own row's diagonal, ups[j].Cols = [ups[j].Row],
+// by δⱼ = ups[j].Vals[0], and that row's base inverse column is that
+// row alone, w[j] = (A⁻¹)[r][r] with r = ups[j].Row. Then C = I + VᵀW
+// is diagonal and u is the corrector FactorSparse builds from the same
+// updates and columns, bit for bit: pivot j is formed as the
+// capacitance assembly forms it, (0 + δⱼ·wⱼ) + 1, the permutation is the
+// identity, L and U are empty, and it refuses as FactorSparse does —
+// ErrSingular for a pivot below tol.Singular, ErrIllConditioned for
+// pivots spread past tol.SMWCondition. It builds in u's own storage,
+// grown only past the largest rank u has held, copying ups and w: one
+// Updated kept per worker builds every such corrector without
+// allocating. On error u holds no corrector until its next build.
+func (u *Updated) SetDiagonal(n int, ups []RowUpdate, w []float64) error {
+	k := len(ups)
+	if len(w) != k {
+		return fmt.Errorf("linsolve: %d inverse diagonals for %d updates", len(w), k)
+	}
+	if n > math.MaxInt32 {
+		return fmt.Errorf("linsolve: %d rows exceed int32", n)
+	}
+	for _, up := range ups {
+		if up.Row < 0 || up.Row >= n {
+			return fmt.Errorf("linsolve: update row %d out of range [0,%d)", up.Row, n)
+		}
+		if len(up.Cols) != 1 || up.Cols[0] != up.Row || len(up.Vals) != 1 {
+			return fmt.Errorf("linsolve: update row %d changes more than its diagonal", up.Row)
+		}
+	}
+	u.n = n
+	u.rows, u.perm, u.diag = u.rows[:0], u.perm[:0], u.diag[:0]
+	u.vCol, u.vVal = u.vCol[:0], u.vVal[:0]
+	u.vOff, u.lOff, u.uOff, u.wOff = append(u.vOff[:0], 0), append(u.lOff[:0], 0), append(u.uOff[:0], 0), append(u.wOff[:0], 0)
+	u.lCol, u.lVal, u.uCol, u.uVal = u.lCol[:0], u.lVal[:0], u.uCol[:0], u.uVal[:0]
+	u.wRow, u.wVal = u.wRow[:0], u.wVal[:0]
+	maxEntry, minPivot, singular := 0.0, math.Inf(1), false
+	for j, up := range ups {
+		r := int32(up.Row)
+		// The conversion rounds the product before the identity is
+		// added, as the assembly's two separate additions do; its
+		// starting zero could change only the sign of a zero product,
+		// which adding 1 erases.
+		p := float64(up.Vals[0]*w[j]) + 1
+		v := math.Abs(p)
+		// A NaN pivot fails the elimination's "strictly largest" test,
+		// as one below tol.Singular does.
+		singular = singular || !(v >= tol.Singular)
+		maxEntry, minPivot = max(maxEntry, v), min(minPivot, v)
+		u.rows, u.perm, u.diag = append(u.rows, r), append(u.perm, int32(j)), append(u.diag, p)
+		u.vCol, u.vVal = append(u.vCol, r), append(u.vVal, up.Vals[0])
+		u.wRow, u.wVal = append(u.wRow, r), append(u.wVal, w[j])
+		u.vOff, u.wOff = append(u.vOff, int32(j+1)), append(u.wOff, int32(j+1))
+		u.lOff, u.uOff = append(u.lOff, 0), append(u.uOff, 0)
+	}
+	if len(u.z) < k {
+		u.z, u.y = nil, nil
+	}
+	switch {
+	case singular:
+		return ErrSingular
+	case k > 0 && maxEntry > tol.SMWCondition*minPivot:
+		return fmt.Errorf("%w: max entry %g, min pivot %g", ErrIllConditioned, maxEntry, minPivot)
+	}
+	return nil
+}
+
 // grow is resize for the workspace: a buffer it must grow gets room
 // for twice its old size and for minRank at least, so a worker's rising
 // ranks reallocate it a few times, not once per new maximum.

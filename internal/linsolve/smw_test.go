@@ -746,21 +746,61 @@ func correctorDiff(got, want *Updated) string {
 	return ""
 }
 
+// buildWork is the storage the builds of one test reuse across trials:
+// the factorizer's workspace and the Updated a decoupled build fills.
+type buildWork struct {
+	f    UpdateFactorizer
+	diag Updated
+}
+
+// inverseDiagonals returns, when every update changes only its own
+// row's diagonal and each column is that row alone, the columns' values
+// there — SetDiagonal's input — and whether they are.
+func inverseDiagonals(ups []RowUpdate, cols [][]float64) ([]float64, bool) {
+	w := make([]float64, len(ups))
+	for j, up := range ups {
+		if len(up.Cols) != 1 || up.Cols[0] != up.Row {
+			return nil, false
+		}
+		for i, v := range cols[j] {
+			if v != 0 && i != up.Row {
+				return nil, false
+			}
+		}
+		if w[j] = cols[j][up.Row]; w[j] == 0 {
+			return nil, false
+		}
+	}
+	return w, true
+}
+
 // buildsAgree builds the corrector of ups and cols in w from the dense
-// columns (Factor) and from their nonzeros (FactorSparse) and requires
-// both to give the dense oracle's verdict and, when it builds, its
-// corrector field for field. It returns the oracle's corrector and
-// error.
-func buildsAgree(t *testing.T, what string, w *UpdateFactorizer, n int, ups []RowUpdate, cols [][]float64) (*Updated, error) {
+// columns (Factor), from their nonzeros (FactorSparse) and, when the
+// updates couple no rows, from the inverse diagonals (SetDiagonal, in
+// w's reused Updated), and requires each to give the dense oracle's
+// verdict and, when it builds, its corrector field for field and its
+// correction of one fixed vector bit for bit. It returns the oracle's
+// corrector and error.
+func buildsAgree(t *testing.T, what string, w *buildWork, n int, ups []RowUpdate, cols [][]float64) (*Updated, error) {
 	t.Helper()
 	want, wantErr := denseBuild(n, ups, cols)
-	for _, b := range []struct {
+	type build struct {
 		name  string
 		build func() (*Updated, error)
-	}{
-		{"Factor", func() (*Updated, error) { return w.Factor(n, ups, cols) }},
-		{"FactorSparse", func() (*Updated, error) { return w.FactorSparse(n, ups, sparseColumns(cols)) }},
-	} {
+	}
+	builds := []build{
+		{"Factor", func() (*Updated, error) { return w.f.Factor(n, ups, cols) }},
+		{"FactorSparse", func() (*Updated, error) { return w.f.FactorSparse(n, ups, sparseColumns(cols)) }},
+	}
+	if diag, ok := inverseDiagonals(ups, cols); ok {
+		builds = append(builds, build{"SetDiagonal", func() (*Updated, error) { return &w.diag, w.diag.SetDiagonal(n, ups, diag) }})
+	}
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = float64(i%7) - 3
+	}
+	k := len(ups)
+	for _, b := range builds {
 		got, err := b.build()
 		for _, verdict := range []error{ErrSingular, ErrIllConditioned} {
 			if errors.Is(err, verdict) != errors.Is(wantErr, verdict) {
@@ -776,8 +816,49 @@ func buildsAgree(t *testing.T, what string, w *UpdateFactorizer, n int, ups []Ro
 		if d := correctorDiff(got, want); d != "" {
 			t.Fatalf("%s: %s corrector differs from the dense oracle's: %s", what, b.name, d)
 		}
+		gx, wx := make([]float64, n), make([]float64, n)
+		gerr := got.CorrectIntoScratch(gx, y, make([]float64, k), make([]float64, k))
+		werr := want.CorrectIntoScratch(wx, y, make([]float64, k), make([]float64, k))
+		if gerr != nil || werr != nil {
+			t.Fatalf("%s: %s correction: %v (dense oracle's %v)", what, b.name, gerr, werr)
+		}
+		for i := range wx {
+			if math.Float64bits(gx[i]) != math.Float64bits(wx[i]) {
+				t.Fatalf("%s: %s correction row %d = %v, dense oracle's %v", what, b.name, i, gx[i], wx[i])
+			}
+		}
 	}
 	return want, wantErr
+}
+
+// diagonalUpdates returns k updates of distinct rows of an n-row
+// system, each changing only its own row's diagonal by δ, with inverse
+// columns that are their row alone, w there: a diagonal capacitance
+// with pivots 1 + δ·w. δ and w are random of either sign; mode 1 sets
+// one pivot within 1e-14 of zero (ErrSingular), mode 2 one pivot near
+// 10¹³ against pivots of at most 4 (ErrIllConditioned).
+func diagonalUpdates(rng *rand.Rand, n, k int, mode int) (ups []RowUpdate, cols [][]float64) {
+	sign := func() float64 { return float64(1 - 2*rng.Intn(2)) }
+	for _, r := range rng.Perm(n)[:k] {
+		w := sign() * (0.1 + 10*rng.Float64())
+		d := (rng.Float64()*3.5 - 0.5) / w // δ·w in [-0.5, 3): pivots in [0.5, 4)
+		if d == 0 {
+			d = 1 / w
+		}
+		ups = append(ups, RowUpdate{Row: r, Cols: []int{r}, Vals: []float64{d}})
+		col := make([]float64, n)
+		col[r] = w
+		cols = append(cols, col)
+	}
+	j := rng.Intn(k)
+	w := cols[j][ups[j].Row]
+	switch mode {
+	case 1:
+		ups[j].Vals[0] = -(1 - 1e-14*rng.Float64()) / w
+	case 2:
+		ups[j].Vals[0] = 1e13 * (1 + rng.Float64()) / w
+	}
+	return ups, cols
 }
 
 // TestSparseBuildMatchesDenseBuild: on TestSparseCorrectorMatchesDense's
@@ -787,7 +868,7 @@ func buildsAgree(t *testing.T, what string, w *UpdateFactorizer, n int, ups []Ro
 // workspace reused across every trial.
 func TestSparseBuildMatchesDenseBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	var work UpdateFactorizer
+	var work buildWork
 	for _, block := range []func(n int) int{
 		func(int) int { return 1 },
 		func(int) int { return 4 },
@@ -813,6 +894,28 @@ func TestSparseBuildMatchesDenseBuild(t *testing.T) {
 				t.Fatalf("%s: %v", what, err)
 			}
 		}
+	}
+	// Decoupled updates with δ and w of either sign, a pivot below
+	// tol.Singular and pivots spread past tol.SMWCondition: SetDiagonal
+	// joins the builds, and every verdict must be the oracle's.
+	verdicts := map[string]int{}
+	for trial := 0; trial < 120; trial++ {
+		n := 1 + rng.Intn(40)
+		k := 1 + rng.Intn(n)
+		mode := trial % 3
+		ups, cols := diagonalUpdates(rng, n, k, mode)
+		_, err := buildsAgree(t, fmt.Sprintf("diagonal mode %d trial %d (n=%d k=%d)", mode, trial, n, k), &work, n, ups, cols)
+		switch {
+		case errors.Is(err, ErrSingular):
+			verdicts["singular"]++
+		case errors.Is(err, ErrIllConditioned):
+			verdicts["ill-conditioned"]++
+		case err == nil:
+			verdicts["built"]++
+		}
+	}
+	if len(verdicts) != 3 {
+		t.Fatalf("diagonal verdicts %v: want builds, singular and ill-conditioned pivots", verdicts)
 	}
 }
 
@@ -905,7 +1008,7 @@ func TestSparseBuildCraftedCapacitances(t *testing.T) {
 		}, ErrIllConditioned, nil},
 	} {
 		ups, cols := capacitanceUpdates(tc.c, tc.k)
-		var work UpdateFactorizer
+		var work buildWork
 		u, err := buildsAgree(t, tc.name, &work, tc.k, ups, cols)
 		if !errors.Is(err, tc.want) || (err == nil) != (tc.want == nil) {
 			t.Fatalf("%s: verdict %v, want %v", tc.name, err, tc.want)
@@ -920,13 +1023,16 @@ func TestSparseBuildCraftedCapacitances(t *testing.T) {
 
 // FuzzCorrectorMatchesDense draws small bases — diagonal, block,
 // near-diagonal and dense M-matrices — and sparse row updates, some of
-// them zeroing a row or scaling it toward singularity, and requires the
-// build from nonzeros to give the dense oracle's verdict and corrector,
-// field for field; the second build in the same workspace, of a subset
-// of the updates, must too.
+// them zeroing a row or scaling it toward singularity, or decoupled
+// updates with δ and w drawn directly, some with a pivot below
+// tol.Singular or spread past tol.SMWCondition, and requires the builds
+// from nonzeros (and from inverse diagonals, where the updates couple
+// no rows) to give the dense oracle's verdict and corrector, field for
+// field; the second build in the same workspace, of a subset of the
+// updates, must too.
 func FuzzCorrectorMatchesDense(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
-		for shape := uint8(0); shape < 4; shape++ {
+		for shape := uint8(0); shape < 5; shape++ {
 			f.Add(seed, uint8(5+seed*3), uint8(1+seed), shape, uint8(seed%3))
 		}
 	}
@@ -936,10 +1042,18 @@ func FuzzCorrectorMatchesDense(f *testing.F) {
 		k := 1 + int(kb)%n
 		var a []float64
 		var ups []RowUpdate
-		switch shape % 4 {
+		var work buildWork
+		what := fmt.Sprintf("seed %d shape %d mode %d (n=%d k=%d)", seed, shape%5, mode%3, n, k)
+		switch shape % 5 {
+		case 4: // decoupled updates, δ and w drawn directly
+			ups, cols := diagonalUpdates(rng, n, k, int(mode%3))
+			buildsAgree(t, what, &work, n, ups, cols)
+			half := len(ups) / 2
+			buildsAgree(t, what+", second build", &work, n, ups[half:], cols[half:])
+			return
 		case 0, 1: // diagonal or block base, updates within a block
 			b := 1
-			if shape%4 == 1 {
+			if shape%5 == 1 {
 				b = 2 + rng.Intn(4)
 			}
 			a = blockMMatrix(rng, n, b)
@@ -980,8 +1094,6 @@ func FuzzCorrectorMatchesDense(f *testing.F) {
 			t.Skip("base singular")
 		}
 		cols := inverseColumns(t, base, ups)
-		var work UpdateFactorizer
-		what := fmt.Sprintf("seed %d shape %d mode %d (n=%d k=%d)", seed, shape%4, mode%3, n, k)
 		buildsAgree(t, what, &work, n, ups, cols)
 		half := len(ups) / 2
 		buildsAgree(t, what+", second build", &work, n, ups[half:], cols[half:])

@@ -83,6 +83,10 @@ var NearThresholdPlan = nearThresholdPlan
 // AssertLoadsMatchDense referees the arc-load rule on one plan.
 var AssertLoadsMatchDense = assertLoadsMatchDense
 
+// AssertScratchCorrectors referees the decoupled corrector build on one
+// plan and returns how many scenarios took it.
+var AssertScratchCorrectors = assertScratchCorrectors
+
 // CheckRealizationScan is the realization check over the whole
 // matrix's demand pairs, as it was: the reference Sweep.Check is held
 // to.

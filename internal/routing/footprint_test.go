@@ -2,25 +2,33 @@ package routing
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
 
+	"pcf/internal/core"
+	"pcf/internal/failures"
 	"pcf/internal/linsolve"
 )
 
-// TestCorrectorFootprint: on the BTNorthAmerica PCF-CLS f=2 plan, whose
-// capacitances have off-diagonal factor entries, a corrector-cache miss
-// allocates the same five objects at every rank — the cache entry, its
-// signature, the corrector and its two arenas — and bytes linear in k
-// and the corrector's nonzeros, with no k×k term; a hit allocates
-// nothing. (A whole warm scenario is TestSweepScenarioAllocs'.)
+// TestCorrectorFootprint: on the carried Sprint PCF-CLS plan, whose
+// active bypass LSs couple rows, so that its capacitances have
+// off-diagonal factor entries, a corrector-cache miss allocates the
+// same five objects at every rank — the cache entry, its signature, the
+// corrector and its two arenas — and bytes linear in k and the
+// corrector's nonzeros, with no k×k term; a hit allocates nothing. Only
+// update sets that couple rows reach the cache, so only those are
+// measured. (A whole warm scenario is TestSweepScenarioAllocs'.)
 func TestCorrectorFootprint(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector allocates on its own")
 	}
-	_, plan := btnaPlans(t)
+	plan := carriedCLSPlan(t)
 	sw := newSweep(t, plan)
 	// The designed sweep memoizes every inverse column the loop below
 	// needs and fills sw's cache; miss, a view with an empty cache of
@@ -34,7 +42,7 @@ func TestCorrectorFootprint(t *testing.T) {
 	for _, sc := range designedSet(plan) {
 		sw.activate(sc, sr)
 		ups, _, err := sw.rowUpdates(sc, sr, sw.changedRows(sr))
-		if err != nil || len(ups) == 0 {
+		if err != nil || len(ups) == 0 || sw.decoupled(sr, ups) {
 			continue
 		}
 		k := len(ups)
@@ -126,4 +134,95 @@ func TestInverseColumnMemoHoldsNonzeros(t *testing.T) {
 	}
 	t.Logf("%d of %d columns memoized: %d nonzeros (%.1f%% dense), %d bytes (dense columns: %d)",
 		columns, n, nnz, 100*float64(nnz)/float64(columns*n), bytes, 8*n*columns)
+}
+
+// assertScratchCorrectors referees the decoupled build on one plan:
+// wherever a scenario's updates couple no rows, the engine serves it
+// the corrector built in the worker's scratch, and that corrector is
+// the FactorSparse build of the same updates and inverse columns field
+// for field, bit for bit, or both refuse with the same error class. It
+// returns how many scenarios took the scratch path.
+func assertScratchCorrectors(t *testing.T, name string, plan *core.Plan, scenarios []failures.Scenario) (fired int) {
+	t.Helper()
+	sw := newSweep(t, plan)
+	if sw.slu == nil {
+		return 0
+	}
+	sr := sw.newScratch()
+	var work linsolve.UpdateFactorizer
+	for _, sc := range scenarios {
+		sw.activate(sc, sr)
+		ups, _, err := sw.rowUpdates(sc, sr, sw.changedRows(sr))
+		if err != nil || len(ups) == 0 || !sw.decoupled(sr, ups) {
+			continue
+		}
+		fired++
+		cols := make([]linsolve.SparseColumn, len(ups))
+		for j, up := range ups {
+			if cols[j], err = sw.invCol(sr, up.Row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, werr := work.FactorSparse(sw.n, ups, cols)
+		got, _ := sw.corrector(sr, ups)
+		gerr := sr.diag.SetDiagonal(sw.n, ups, sr.invDiag)
+		for _, class := range []error{linsolve.ErrSingular, linsolve.ErrIllConditioned} {
+			if errors.Is(gerr, class) != errors.Is(werr, class) || (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s under %v: the scratch build refuses with %v, FactorSparse with %v", name, sc, gerr, werr)
+			}
+		}
+		switch {
+		case werr != nil && got != nil:
+			t.Fatalf("%s under %v: served a corrector FactorSparse refuses (%v)", name, sc, werr)
+		case werr != nil:
+		case got != &sr.diag:
+			t.Fatalf("%s under %v: a decoupled update set was not served from the scratch", name, sc)
+		default:
+			if d := correctorFieldsDiff(got, want); d != "" {
+				t.Fatalf("%s under %v (rank %d): the scratch corrector differs from FactorSparse's: %s", name, sc, len(ups), d)
+			}
+		}
+	}
+	return fired
+}
+
+// correctorFieldsDiff names the first field in which got differs from
+// want, every slice element and number by its bits ("" when none does),
+// leaving out the k-sized scratch a CorrectInto allocates (z, y).
+func correctorFieldsDiff(got, want *linsolve.Updated) string {
+	g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < g.NumField(); i++ {
+		f := g.Type().Field(i).Name
+		if f == "z" || f == "y" {
+			continue
+		}
+		if !sameBits(g.Field(i), w.Field(i)) {
+			return fmt.Sprintf("%s %v, want %v", f, g.Field(i), w.Field(i))
+		}
+	}
+	return ""
+}
+
+// sameBits compares two values of a corrector's field kinds bit for
+// bit: integers, floats and slices of them, by length and element. A
+// value of any other kind compares unequal, so a new kind of field
+// fails the comparison until it is taught here.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Int, reflect.Int32:
+		return a.Int() == b.Int()
+	}
+	return false
 }

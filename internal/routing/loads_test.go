@@ -93,3 +93,31 @@ func designed(plan *core.Plan) []failures.Scenario {
 	})
 	return scenarios
 }
+
+// TestScratchCorrectorsMatchFactorSparse: on every designed scenario and
+// 1 000 seeded beyond-budget draws of the gadgets and the four benchmark
+// plans, wherever a scenario's updates couple no rows the corrector the
+// engine builds in the worker's scratch is the FactorSparse build of
+// the same updates and inverse columns, bit for bit, with the same
+// refusals (routing.AssertScratchCorrectors). Every benchmark plan's
+// rows are their pairs' alone, so the scratch path must serve each.
+func TestScratchCorrectorsMatchFactorSparse(t *testing.T) {
+	check := func(name string, plan *core.Plan, mustFire bool) {
+		scenarios := append(designed(plan), routing.BeyondBudget(plan.Instance.Graph, 55, 1000)...)
+		fired := routing.AssertScratchCorrectors(t, name, plan, scenarios)
+		t.Logf("%s: %d of %d scenarios built their corrector in the scratch", name, fired, len(scenarios))
+		if mustFire && fired == 0 {
+			t.Fatalf("%s: no scenario took the scratch path", name)
+		}
+	}
+	for _, g := range routing.GadgetPlans(t) {
+		check(g.Name, g.Plan, false)
+	}
+	btna := eval.Options{Topology: "BTNorthAmerica", Seed: 1, MaxPairs: 40, FailureBudget: 2}
+	check("sprint-tf-f1", benchmarkPlan(t, eval.Options{Topology: "Sprint", Seed: 1, MaxPairs: 45, FailureBudget: 1}, core.SchemePCFTF), true)
+	check("btna-cls-f2", benchmarkPlan(t, btna, core.SchemeBest), true)
+	check("btna-tf-f2", benchmarkPlan(t, btna, core.SchemePCFTF), true)
+	if !testing.Short() {
+		check("synth1k-tf-f1", benchmarkPlan(t, eval.Options{Synth: "waxman", SynthNodes: 1000, Seed: 1, MaxPairs: 250, FailureBudget: 1}, core.SchemePCFTF), true)
+	}
+}

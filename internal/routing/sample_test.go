@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -687,12 +688,14 @@ func TestSampledReadsDesignedOutcome(t *testing.T) {
 // however many distinct scenarios it serves, never writes its parent's
 // cache, and answers each scenario bit for bit as the parent engine's
 // own sweep does. One worker: no two racing misses of one signature,
-// so publication's sweep keeps every designed corrector.
+// so publication's sweep keeps every designed corrector. The plan is
+// the carried Sprint CLS one, whose active bypass LSs couple rows: only
+// update sets that couple reach the cache.
 func TestForkCacheBounded(t *testing.T) {
 	old := sweepWorkerCount
 	sweepWorkerCount = func() int { return 1 }
 	defer func() { sweepWorkerCount = old }()
-	plan := sprintCLSPlanOrSkip(t)
+	plan := carriedCLSPlan(t)
 	ctx := context.Background()
 	pub := newSweep(t, plan)
 	if _, err := pub.ValidateStats(ctx); err != nil {
@@ -758,6 +761,71 @@ func TestVerdictErrorsFormatLazily(t *testing.T) {
 }
 
 var verdictSink error
+
+// TestFailingTailDrawsAllocateNothing: most sampled tail draws of the
+// benchmark's Sprint PCF-TF f=1 plan fail — a pair left with no live
+// reservation, or a utilization out of range — and a sweep keeps such a
+// verdict's operands in the draw's slot, builds no error and keeps the
+// worker's scenario: sweeping twice as many failing draws allocates
+// nothing more. Read, each slot's error is the one a realization of
+// its draw reports.
+func TestFailingTailDrawsAllocateNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("the race detector allocates on its own")
+	}
+	old := sweepWorkerCount
+	sweepWorkerCount = func() int { return 1 }
+	defer func() { sweepWorkerCount = old }()
+	plan, err := core.SolvePCFTF(benchInstance(t, "Sprint", 45, 1), core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := plan.Instance.Failures
+	pm, err := failures.Uniform(fs, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler, err := pm.NewSampler(1, fs.Budget, fs.Budget+8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := newSweep(t, plan)
+	sr := sw.newScratch()
+	var failing [][]int
+	kinds := map[bool]int{} // by noLive
+	for draw := 0; draw < 1000; draw++ {
+		units := sampler.NextUnits(nil)
+		if _, err := sw.realizeSlot(fs.ScenarioOf(units), sr); err != nil {
+			v, ok := err.(*scratchVerdict)
+			if !ok {
+				continue
+			}
+			failing = append(failing, units)
+			kinds[v.noLive]++
+		}
+	}
+	if kinds[true] == 0 || kinds[false] == 0 {
+		t.Fatalf("failing draws by kind (no live reservation: true) %v: want both kinds", kinds)
+	}
+	fill := func(i int, dst *failures.Scenario) { fs.FillScenario(dst, failing[i%len(failing)]) }
+	ctx := context.Background()
+	// No collection while measuring: it could empty the scratch pool.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	sweepOf := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() { sweepSome(ctx, sw, true, false, n, fill, nil) })
+	}
+	//lint:ignore pcflint/floatcmp a small count is exact in float64
+	if once, twice := sweepOf(len(failing)), sweepOf(2*len(failing)); once != twice {
+		t.Fatalf("sweeping %d failing draws allocates %.0f times, %d draws %.0f times: a failing draw allocates", len(failing), once, 2*len(failing), twice)
+	}
+	slots, _ := sweepSome(ctx, sw, true, false, len(failing), fill, nil)
+	for i := range slots {
+		_, want := sw.realize(fs.ScenarioOf(failing[i]), sr)
+		if slots[i].err == nil || want == nil || slots[i].err.Error() != want.Error() || !errors.Is(slots[i].err, ErrUnrealizable) {
+			t.Fatalf("draw %d: slot error %v, its realization's %v", i, slots[i].err, want)
+		}
+	}
+}
 
 // TestSampledReportsClampedKCap: the sampler truncates the failure count
 // at the unit count, and the coverage report says so instead of echoing

@@ -76,10 +76,13 @@ type SweepStats struct {
 	RowVisits int
 	// MaxRank is the largest rank-k correction served by the SMW path.
 	MaxRank int
-	// BatchHits counts the SMW-served scenarios of this sweep whose
-	// capacitance factorization was reused from another scenario with
-	// the same update signature (scenarios sharing dead-link
-	// structure).
+	// BatchHits counts the SMW-served scenarios of this sweep served
+	// from the corrector cache: a capacitance factorization reused from
+	// another scenario with the same update signature (scenarios
+	// sharing dead-link structure). Only update sets that couple rows
+	// reach the cache; a scenario whose updates couple none builds its
+	// corrector in the worker's scratch and counts in SMWHits alone, so
+	// on a plan whose LSs carry nothing BatchHits reads 0.
 	BatchHits int
 	// Total is the wall clock of the sweep; calls that build their own
 	// engine include BaseFactorTime in it.

@@ -10,6 +10,7 @@ import (
 	"pcf/internal/core"
 	"pcf/internal/failures"
 	"pcf/internal/linsolve"
+	"pcf/internal/mcf"
 	"pcf/internal/topology"
 	"pcf/internal/topozoo"
 	"pcf/internal/traffic"
@@ -127,6 +128,38 @@ func sprintCLSPlan(t *testing.T) *core.Plan {
 		Failures:  failures.SingleLinks(g, 1),
 		Objective: core.DemandScale,
 	}
+	clsIn, _, err := core.BuildCLSQuick(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := core.SolvePCFCLS(clsIn, core.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// carriedCLSPlan builds a PCF-CLS plan on Sprint (pruned of degree-one
+// nodes, the top 45 pairs of the seed-1 gravity matrix, demand scaled
+// to an MLU of 0.6) with two tunnels per pair, so a single failure
+// leaves some pairs one tunnel and BuildCLSQuick's bypass LSs carry
+// reservations: activated, they couple the rows of their pair and
+// segments, and the scenario's updates reach the corrector cache (ranks
+// up to 25 of the designed set's).
+func carriedCLSPlan(t *testing.T) *core.Plan {
+	t.Helper()
+	g, _ := topozoo.MustLoad("Sprint").PruneDegreeOne()
+	tm := traffic.Gravity(g, traffic.GravityOptions{Seed: 1, Jitter: 0.4})
+	pairs := tm.TopPairs(45)
+	tm = tm.Restrict(pairs)
+	ts, err := tunnels.Select(g, pairs, tunnels.SelectOptions{PerPair: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm, _, err = mcf.ScaleToMLU(g, tm, 0.6, 0.63); err != nil {
+		t.Fatal(err)
+	}
+	in := &core.Instance{Graph: g, TM: tm, Tunnels: ts, Failures: failures.SingleLinks(g, 1), Objective: core.DemandScale}
 	clsIn, _, err := core.BuildCLSQuick(in)
 	if err != nil {
 		t.Fatal(err)

@@ -159,6 +159,60 @@ func (e utilizationError) Error() string {
 		e.p, e.u, e.sc)
 }
 
+// pairVerdict is a realize-time verdict by its operands, less the
+// scenario: pair p of interest has no live reservation (noLive), or its
+// aggregate utilization u lies outside [0,1]. Most failing draws of a
+// sampled tail fail so, and the tail only counts them, so no stage
+// builds its error: the scratch keeps it (scratchVerdict), a sweep's
+// slot keeps its operands (slotVerdict), and each reports a pointer to
+// its copy, which formats only when read.
+type pairVerdict struct {
+	p      topology.Pair
+	u      float64
+	noLive bool
+}
+
+// err is the verdict's error under sc.
+func (v pairVerdict) err(sc failures.Scenario) error {
+	if v.noLive {
+		return unrealizable{noReservationError{v.p, sc}}
+	}
+	return unrealizable{utilizationError{v.p, v.u, sc}}
+}
+
+// scratchVerdict is the pair verdict of the scenario a worker's scratch
+// served last, with that scenario. It is valid until the scratch serves
+// again, and the scenario's maps until the caller refills them: realize
+// builds its error (detach) for a caller that keeps it.
+type scratchVerdict struct {
+	pairVerdict
+	sc failures.Scenario
+}
+
+func (v *scratchVerdict) Error() string { return v.Unwrap().Error() }
+func (v *scratchVerdict) Unwrap() error { return v.err(v.sc) }
+
+// slotVerdict is a swept scenario's pair verdict, kept in its slot: the
+// slot's error points at it and builds the error, naming scenario i of
+// the sweep's list, each time it is read.
+type slotVerdict struct {
+	pairVerdict
+	fill scenarioFill
+	i    int
+}
+
+func (v *slotVerdict) Error() string { return v.Unwrap().Error() }
+func (v *slotVerdict) Unwrap() error { return v.err(v.fill.fresh(v.i)) }
+
+// detach returns err in a form that outlives the scratch: a pair
+// verdict the scratch holds, built into its error.
+func detach(err error) error {
+	if v, ok := err.(*scratchVerdict); ok {
+		return v.Unwrap()
+	}
+	return err
+}
+
 // overlay writes the scenario's capacities for its dead and degraded
 // links into sr.arcCap — nominal·CapScale — and lists the arcs it
 // wrote in sr.overlaid, for the check to visit and for restoreCaps to

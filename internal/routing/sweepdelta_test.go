@@ -1147,14 +1147,20 @@ func TestRecordedArcVerdicts(t *testing.T) {
 // that scales with destinations, arcs, nodes or its rank: the row
 // updates and their signature live in the worker's scratch, a batch
 // hit is looked up without building a key, and the touched arcs'
-// state is their entries in the scratch's existing arc arrays.
+// state is their entries in the scratch's existing arc arrays. A
+// scenario whose updates couple no rows allocates nothing on its first
+// build either: through a view that keeps no corrector, where every
+// build is a first one, it builds its corrector in the worker's
+// scratch.
 func TestSweepScenarioAllocs(t *testing.T) {
 	plan := sprintCLSPlanOrSkip(t)
 	sw := newSweep(t, plan)
 	if _, err := sw.ValidateStats(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	miss := &Sweep{engine: sw.engine, cors: &correctors{}}
 	sr := sw.newScratch()
+	decoupled := 0
 	for _, sc := range designedSet(plan) {
 		sv, err := sw.realize(sc, sr)
 		if err != nil || !sv.smw {
@@ -1176,6 +1182,25 @@ func TestSweepScenarioAllocs(t *testing.T) {
 		if sv.rank == 0 && allocs != 0 {
 			t.Fatalf("under %v: a rank-0 scenario allocates %.0f times", sc, allocs)
 		}
+		if sv.rank == 0 || !sw.decoupled(sr, sr.ups) {
+			continue
+		}
+		decoupled++
+		first := testing.AllocsPerRun(20, func() {
+			_, err := miss.realize(sc, sr)
+			if err == nil {
+				_, err = miss.judge(sc, sr, nil, true)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if first != 0 {
+			t.Fatalf("under %v (rank %d): a decoupled scenario's first build allocates %.0f times", sc, sv.rank, first)
+		}
+	}
+	if decoupled == 0 {
+		t.Fatal("no designed rank-k scenario couples no rows")
 	}
 }
 

@@ -160,7 +160,8 @@ func (s *Sweep) recordBase(sr *sweepScratch) {
 
 // checkU range-checks the aggregate utilizations of the pairs of
 // interest (Proposition 5) and, in the same walk, records the largest
-// in sr.maxU (0 if none). The first error is the lowest-numbered row's.
+// in sr.maxU (0 if none). The first error is the lowest-numbered row's,
+// a pair verdict in sr (scratchVerdict).
 // Dense — on the cold path — it walks every row. On the low-rank path
 // (walk) it visits only the rows whose membership the scenario flips
 // and the rows the aggregate correction upd writes (the nonzero rows of
@@ -223,7 +224,8 @@ func (s *Sweep) checkU(sc failures.Scenario, sr *sweepScratch, upd *linsolve.Upd
 	}
 	sr.rowVisits += visits
 	if bad >= 0 {
-		return unrealizable{utilizationError{s.pairs[bad], x[bad], sc}}
+		sr.verdict = scratchVerdict{pairVerdict{p: s.pairs[bad], u: x[bad]}, sc}
+		return &sr.verdict
 	}
 	sr.maxU = maxU
 	return nil

@@ -1,7 +1,8 @@
 package routing
 
-// The scenario hot path: mark rows → row deltas + signature → corrector
-// lookup → correct + residual guard → emit (sweepemit.go), and the one
+// The scenario hot path: mark rows → row deltas → corrector (built in
+// the scratch when the updates couple no rows, else looked up by
+// signature) → correct + residual guard → emit (sweepemit.go), and the one
 // cold path beside it: the scenario's own rows, factored afresh, then
 // the same emission. Every stage reads the shared Sweep and writes only
 // the caller's scratch.
@@ -58,11 +59,18 @@ type sweepScratch struct {
 	// k-sized SMW correction scratch (grown on demand), so shared
 	// batched correctors stay read-only across workers; the workspace a
 	// missed corrector's capacitance is factored in, and the inverse
-	// columns it is built from.
+	// columns it is built from; the corrector of a decoupled update set
+	// (corrector), valid until the worker's next scenario, and the
+	// inverse diagonals it is built from.
 	smwZ, smwY []float64
 	capWork    linsolve.UpdateFactorizer
 	invCols    []linsolve.SparseColumn
+	diag       linsolve.Updated
+	invDiag    []float64
 	sys        *sysScratch // see system
+
+	// The pair verdict of the scenario last served, when it had one.
+	verdict scratchVerdict
 
 	// The scenario's row updates (rowUpdates) — the list, the residual
 	// guard's scale per update, and one arena each for their columns
@@ -158,8 +166,17 @@ func (s *Sweep) newScratch() *sweepScratch {
 // realize serves one scenario, leaving its flat emission in sr, and
 // reports how: through the low-rank path, or through the cold path when
 // the engine has no base, no corrector could be built or the residual
-// guard trips.
+// guard trips. Its error is the caller's to keep.
 func (s *Sweep) realize(sc failures.Scenario, sr *sweepScratch) (served, error) {
+	sv, err := s.realizeSlot(sc, sr)
+	return sv, detach(err)
+}
+
+// realizeSlot is realize for a sweep, which keeps a scenario's outcome
+// in its slot: a pair of interest with no live reservation or a
+// utilization out of range is reported as the pair verdict sr holds
+// (scratchVerdict), its error unbuilt.
+func (s *Sweep) realizeSlot(sc failures.Scenario, sr *sweepScratch) (served, error) {
 	sr.rowVisits = 0
 	if s.n == 0 {
 		sr.sol, sr.inCount, sr.maxU = nil, 0, 0
@@ -433,11 +450,13 @@ func (s *Sweep) liveRes(sr *sweepScratch, r int) float64 {
 }
 
 // liveCoeffs is rowCoeffs where the row must be solvable: a pair of
-// interest with no live reservation is the scenario's error.
+// interest with no live reservation is the scenario's error, a pair
+// verdict in sr (scratchVerdict).
 func (s *Sweep) liveCoeffs(sc failures.Scenario, sr *sweepScratch, r int) (float64, error) {
 	diag := s.rowCoeffs(sr, r)
 	if diag <= tol.Carry && s.in(sr, r) {
-		return 0, unrealizable{noReservationError{s.pairs[r], sc}}
+		sr.verdict = scratchVerdict{pairVerdict{p: s.pairs[r], noLive: true}, sc}
+		return 0, &sr.verdict
 	}
 	return diag, nil
 }
@@ -547,19 +566,30 @@ func upsKey(b []byte, ups []linsolve.RowUpdate) []byte {
 
 // corrector returns the SMW corrector for a set of row updates and
 // whether it came out of the signature cache; nil sends the scenario
-// cold. Scenarios with the same signature share one capacitance
-// factorization, and a failed construction is memoized like a
-// successful one. The cache is keyed by a hash of the signature, which
-// is built in sr and compared against the entry's own copy, so a hit
-// allocates nothing; a miss factors the capacitance in sr's workspace
-// and keeps, in its entry, the signature and a corrector holding only
-// its nonzeros — the updates, the factors and the inverse columns are
-// copied in (a hash shared by two signatures serves the second
-// uncached). A fork looks in its parent's cache first, then in its own,
-// and keeps what it builds in its own (correctors.keep).
+// cold. Updates that couple no rows (decoupled) have a diagonal
+// capacitance, and their corrector is built in sr's own (sr.diag) in
+// O(k), allocating nothing and consulting no cache: it serves this
+// scenario only, and nothing keeps it past the scenario. Any other
+// update set goes to the signature cache, where scenarios with the same
+// signature share one capacitance factorization, and a failed
+// construction is memoized like a successful one. The cache is keyed
+// by a hash of the signature, which is built in sr and compared against
+// the entry's own copy, so a hit allocates nothing; a miss factors the
+// capacitance in sr's workspace and keeps, in its entry, the signature
+// and a corrector holding only its nonzeros — the updates, the factors
+// and the inverse columns are copied in (a hash shared by two
+// signatures serves the second uncached). A fork looks in its parent's
+// cache first, then in its own, and keeps what it builds in its own
+// (correctors.keep).
 func (s *Sweep) corrector(sr *sweepScratch, ups []linsolve.RowUpdate) (*linsolve.Updated, bool) {
 	if hook := SweepUpdateFault; hook != nil && hook(ups) != nil {
 		return nil, false
+	}
+	if s.decoupled(sr, ups) {
+		if sr.diag.SetDiagonal(s.n, ups, sr.invDiag) != nil {
+			return nil, false
+		}
+		return &sr.diag, false
 	}
 	sr.key = upsKey(sr.key[:0], ups)
 	h := maphash.Bytes(s.keySeed, sr.key)
@@ -583,6 +613,28 @@ func (s *Sweep) corrector(sr *sweepScratch, ups []linsolve.RowUpdate) (*linsolve
 		be.upd, be.err = sr.capWork.FactorSparse(s.n, ups, sr.invCols)
 	}
 	return s.cors.keep(h, be), false
+}
+
+// decoupled reports whether the updates couple no rows: each changes
+// only its own row's diagonal, and that row's base inverse column is
+// that row alone. It lists those inverse diagonals in sr.invDiag. A
+// column it cannot solve leaves the set to the cache path, which
+// memoizes the failure.
+func (s *Sweep) decoupled(sr *sweepScratch, ups []linsolve.RowUpdate) bool {
+	for _, up := range ups {
+		if len(up.Cols) != 1 || up.Cols[0] != up.Row {
+			return false
+		}
+	}
+	sr.invDiag = sr.invDiag[:0]
+	for _, up := range ups {
+		col, err := s.invCol(sr, up.Row)
+		if err != nil || len(col.Row) != 1 || int(col.Row[0]) != up.Row {
+			return false
+		}
+		sr.invDiag = append(sr.invDiag, col.Val[0])
+	}
+	return true
 }
 
 // invCol returns the nonzeros of column r of the base inverse, solved

@@ -26,11 +26,13 @@ var sweepWorkerCount = func() int { return runtime.GOMAXPROCS(0) }
 
 // sweepSlot is one scenario's outcome in enumeration order: what a
 // scenario served without error comes to (Outcome's three numbers), or
-// its error.
+// its error — for a pair verdict a pointer to bad, which builds the
+// error only when read.
 type sweepSlot struct {
 	mlu   float64
 	maxU  float64
 	err   error
+	bad   slotVerdict
 	pairs int32
 	done  bool
 }
@@ -87,7 +89,8 @@ func sweepSome(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, f
 			defer wg.Done()
 			defer sw.pool.Put(sr)
 			// sc is refilled for every index; an error that may hold it
-			// takes it, and the worker starts a new one.
+			// takes it, and the worker starts a new one. A pair verdict
+			// keeps only its operands in the slot, so sc stays.
 			var sc failures.Scenario
 			for {
 				i := int(next.Add(1)) - 1
@@ -108,14 +111,19 @@ func sweepSome(ctx context.Context, sw *Sweep, check, stopOnError bool, n int, f
 					return
 				}
 				var mlu float64
-				sv, err := sw.realize(sc, sr)
+				sv, err := sw.realizeSlot(sc, sr)
 				if err == nil {
 					ws.count(sv)
 					mlu, err = sw.judge(sc, sr, nil, check)
 					ws.ArcChecks += sr.arcChecks
 				}
 				if err != nil {
-					slots[i].err, sc = err, failures.Scenario{}
+					if v, ok := err.(*scratchVerdict); ok {
+						slots[i].bad = slotVerdict{v.pairVerdict, fill, i}
+						slots[i].err = &slots[i].bad
+					} else {
+						slots[i].err, sc = err, failures.Scenario{}
+					}
 					if stopOnError {
 						return
 					}

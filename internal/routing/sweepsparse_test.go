@@ -122,10 +122,11 @@ func TestSweepBatchReuse(t *testing.T) {
 
 // TestSweepStatsSparseMetrics checks the stats surface of a sweep run
 // through a shared engine: BatchHits is exact per call at any worker
-// count (a warm cache serves every rank-k scenario of the call, and
-// nothing is read off the engine's cumulative total), Realize traffic
-// in between does not leak into it, and Metrics carries exactly the
-// documented vocabulary.
+// count (a warm cache serves every rank-k scenario of the call whose
+// updates couple rows — the others build in the worker's scratch and
+// never reach it — and nothing is read off the engine's cumulative
+// total), Realize traffic in between does not leak into it, and Metrics
+// carries exactly the documented vocabulary.
 func TestSweepStatsSparseMetrics(t *testing.T) {
 	old := sweepWorkerCount
 	sweepWorkerCount = func() int { return 4 }
@@ -139,7 +140,7 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The sweeps realize one representative per class: count the
-	// rank-k ones among them.
+	// rank-k ones among them whose updates couple rows.
 	cls, err := sw.designed(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +152,7 @@ func TestSweepStatsSparseMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sv.smw && sv.rank > 0 {
+		if sv.smw && sv.rank > 0 && !sw.decoupled(sr, sr.ups) {
 			rankK++
 		}
 	}

@@ -187,11 +187,18 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # the same singular / ill-conditioned verdicts, and its build from
 # nonzeros must equal the dense build field for field, on random
 # shapes, crafted pivot ties, cancellations and both sides of the
-# condition bound, and the fuzz target's seed corpus; the engine's
+# condition bound, and the fuzz target's seed corpus — decoupled
+# updates (a diagonal capacitance, built by SetDiagonal too) with
+# pivots below tol.Singular and spread past tol.SMWCondition among
+# them; wherever the engine builds a corrector in the worker's scratch
+# (updates that couple no rows) it must be the FactorSparse build bit
+# for bit, on every designed scenario and 1 000 beyond-budget draws of
+# the gadgets and the four benchmark plans; the engine's
 # inverse-column memo must hold only nonzeros; every realization of
 # the four benchmark plans, prepared by eval.Prepare as the benchmark
 # prepares them, must hash to their goldens (U and flows as recorded
-# with the dense corrector); and a corrector-cache miss must allocate five objects at
+# with the dense corrector); and a corrector-cache miss (update sets
+# that couple rows, a carried Sprint PCF-CLS plan's) must allocate five objects at
 # any rank, bytes linear in its nonzeros (skipped under -race, whose own
 # allocations would count). Both checks answer a realization that does
 # not fit the plan (arc count, destination or tunnel out of range) with
@@ -218,7 +225,7 @@ echo "== delta validation ≡ dense (-race -count=2)"
 # plans whose LSs flip each way.
 # -count=2 keeps Go's test cache from answering for a
 # schedule-dependent regression.
-run_named_tests -race -count=2 -run 'TestWalkedRowsMatchFullScans|TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestOutcomeFromKeptPass|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestSparseBuildMatchesDenseBuild|TestSparseBuildCraftedCapacitances|FuzzCorrectorMatchesDense|TestCorrectionFingerprints|TestCorrectorFootprint|TestInverseColumnMemoHoldsNonzeros|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone|TestSweptErrorsKeepTheirScenario|TestArcLoadsMatchDenseLoop' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
+run_named_tests -race -count=2 -run 'TestWalkedRowsMatchFullScans|TestDeltaEmissionMatchesDense|TestReplayedDestinationIsChecked|TestRecordedArcVerdicts|TestColdPathMatchesDenseOracle|TestOutcomeMatchesRealize|TestOutcomeFromKeptPass|TestSparseCorrectorMatchesDense|TestSparseCorrectorVerdicts|TestSparseBuildMatchesDenseBuild|TestSparseBuildCraftedCapacitances|FuzzCorrectorMatchesDense|TestCorrectionFingerprints|TestCorrectorFootprint|TestInverseColumnMemoHoldsNonzeros|TestCheckRejectsMisshapenRealization|TestProportionalGolden|TestClassesMatchFullSweep|TestDegradedScenariosStandAlone|TestSweptErrorsKeepTheirScenario|TestArcLoadsMatchDenseLoop|TestScratchCorrectorsMatchFactorSparse' ./internal/routing/ ./internal/linsolve/ ./internal/eval/
 
 echo "== kernel solve ≡ full LU, BTRAN ≡ dense, high-rank scenarios ≡ cold (-race -count=2)"
 # lp factors only the kernel of a refactored basis (the columns left
